@@ -208,6 +208,12 @@ fn hot_path_allocation_budgets() {
         );
     }
 
+    // One snapshot allocates for what changed since the last one, not
+    // for what the kernel holds: a constant (the mark's root label, its
+    // id list, the `core` chunk) plus a chunk per *dirty* slot — however
+    // many slots there are and however full their dedup windows.
+    snapshot_allocations_follow_dirty_slots();
+
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the CI gate on allocs/message is noise.
     let again = e12_steady_state(1, SNAPSHOT_SEED);
@@ -223,4 +229,96 @@ fn hot_path_allocation_budgets() {
         stats.alloc_bytes, again.alloc_bytes,
         "allocated bytes must be seed-determined"
     );
+}
+
+/// 64 idle endpoints, a snapshot every 8 events; between snapshots,
+/// exactly `dirty` of them admit a delivery. Measures the step that
+/// takes the snapshot, alone.
+fn snapshot_allocations_follow_dirty_slots() {
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_journal::MemSink;
+    use legion_net::message::Message;
+    use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
+    use legion_net::topology::Location;
+
+    struct Idle;
+    impl Endpoint for Idle {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    const SLOTS: usize = 64;
+    const SNAP_EVERY: u64 = 8;
+
+    let mut k = SimKernel::with_seed(SNAPSHOT_SEED);
+    k.set_flight_dump_on_sweep(false);
+    k.enable_journal_record(Box::new(MemSink::new()), SNAP_EVERY);
+    let eps: Vec<EndpointId> = (0..SLOTS)
+        .map(|i| {
+            k.add_endpoint(
+                Box::new(Idle),
+                Location::new(0, i as u32),
+                format!("idle{i}"),
+            )
+        })
+        .collect();
+    k.run_until_quiescent(u64::MAX);
+
+    let ping = |k: &mut SimKernel, to: EndpointId| {
+        let id = k.fresh_call_id();
+        let msg = Message::call(
+            id,
+            Loid::instance(16, 1),
+            "Ping",
+            vec![],
+            InvocationEnv::anonymous(),
+        );
+        assert!(k.inject(Location::new(0, 0), to.element(), msg));
+    };
+    // Eight deliveries spread over `dirty` endpoints, then the step that
+    // finds the snapshot due and the queue empty. Minimum of three, as
+    // in `alloc_delta_min`.
+    let snapshot_allocs = |k: &mut SimKernel, dirty: usize| {
+        (0..3)
+            .map(|_| {
+                for i in 0..SNAP_EVERY as usize {
+                    ping(k, eps[i % dirty]);
+                }
+                assert_eq!(k.run_until_quiescent(SNAP_EVERY), SNAP_EVERY);
+                let taken =
+                    |k: &SimKernel| k.journal_snapshots().expect("recording").snapshots().len();
+                let before = taken(k);
+                let d =
+                    alloc_delta(|| assert!(!k.step(), "nothing queued: the step only snapshots"));
+                assert_eq!(taken(k), before + 1);
+                d
+            })
+            .min()
+            .unwrap()
+    };
+    let budget = |dirty: usize| 6 + 2 * dirty as u64;
+
+    for dirty in [1usize, 8] {
+        let d = snapshot_allocs(&mut k, dirty);
+        assert!(
+            d <= budget(dirty),
+            "windows empty: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
+        );
+    }
+
+    // Fill every endpoint's window for the external sender (1 024
+    // remembered numbers each), then measure again: the same budget.
+    for _ in 0..1_030 {
+        for ep in &eps {
+            ping(&mut k, *ep);
+        }
+        k.run_until_quiescent(u64::MAX);
+    }
+    for dirty in [1usize, 8] {
+        let d = snapshot_allocs(&mut k, dirty);
+        assert!(
+            d <= budget(dirty),
+            "windows full: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
+        );
+    }
 }

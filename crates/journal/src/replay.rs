@@ -20,7 +20,8 @@
 use crate::journal::{index, render_context, JournalHeader, JournalWriter, RecordSlice};
 use crate::record::{decode_body, decode_seq, encode_body, JournalError, RecordKind};
 use crate::sink::JournalSink;
-use crate::snapshot::{state_root, SnapshotStore};
+use crate::snapshot::{sections_root, SnapshotStore};
+use legion_persist::cas::ChunkId;
 
 /// Where verification starts within the reference journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,9 +386,29 @@ impl KernelJournal {
         snap_every != 0 && events > 0 && events.is_multiple_of(snap_every) && events != last
     }
 
-    /// Take (record mode) or verify (verify mode) a snapshot of
-    /// `sections` at virtual time `at`, after `events` kernel events.
-    pub fn on_snapshot(&mut self, at: u64, events: u64, sections: &[(String, Vec<u8>)]) {
+    /// Hash one state section ahead of [`KernelJournal::on_snapshot`]
+    /// (and, recording, store its bytes). A caller that knows a section
+    /// is unchanged since the last snapshot of this session skips this
+    /// and hands `on_snapshot` the id it got then.
+    pub fn section(&mut self, bytes: &[u8]) -> ChunkId {
+        match self {
+            KernelJournal::Record { snapshots, .. } => snapshots.put(bytes),
+            _ => ChunkId::of(bytes),
+        }
+    }
+
+    /// Take (record mode) or verify (verify mode) a snapshot at virtual
+    /// time `at`, after `events` kernel events, of the sections `names`
+    /// whose bytes have the chunk ids `ids` (from
+    /// [`KernelJournal::section`]).
+    pub fn on_snapshot<N: AsRef<str>>(
+        &mut self,
+        at: u64,
+        events: u64,
+        names: &[N],
+        ids: &[ChunkId],
+    ) {
+        let count = ids.len() as u64;
         match self {
             KernelJournal::Off => {}
             KernelJournal::Record {
@@ -397,11 +418,9 @@ impl KernelJournal {
                 ..
             } => {
                 *last_snap_events = events;
-                let seq = writer.next_seq();
-                let meta = snapshots.take(at, seq, sections);
+                let meta = snapshots.take(at, writer.next_seq(), names, ids);
                 let root_hex = meta.root.to_hex();
-                let (count, ordinal) = (meta.sections.len() as u64, meta.ordinal);
-                writer.append(at, RecordKind::Snapshot, 0, count, ordinal, &root_hex);
+                writer.append(at, RecordKind::Snapshot, 0, count, meta.ordinal, &root_hex);
             }
             KernelJournal::Verify {
                 verifier,
@@ -409,8 +428,8 @@ impl KernelJournal {
             } => {
                 *last_snap_events = events;
                 let ordinal = verifier.snapshots_seen;
-                let root_hex = state_root(sections).to_hex();
-                verifier.check_snapshot(at, sections.len() as u64, ordinal, &root_hex);
+                let root_hex = sections_root(names, ids).to_hex();
+                verifier.check_snapshot(at, count, ordinal, &root_hex);
             }
         }
     }
@@ -499,11 +518,11 @@ mod tests {
         for (i, (at, kind, a, label)) in script.iter().enumerate() {
             let events = i as u64;
             if journal.snapshot_due(events) {
-                let sections = vec![
-                    ("core".to_string(), state.to_le_bytes().to_vec()),
-                    ("count".to_string(), events.to_le_bytes().to_vec()),
+                let ids = [
+                    journal.section(&state.to_le_bytes()),
+                    journal.section(&events.to_le_bytes()),
                 ];
-                journal.on_snapshot(*at, events, &sections);
+                journal.on_snapshot(*at, events, &["core", "count"], &ids);
             }
             journal.note(*at, *kind, 1, *a, 0, label);
             state = state.wrapping_mul(31).wrapping_add(*a);

@@ -40,6 +40,7 @@ use legion_obs::profile::{KernelProfiler, Profile};
 use legion_obs::sink::TraceSink;
 use legion_obs::slo::{BurnEvent, SloConfig, SloReport, SloTracker};
 use legion_obs::span::{SpanEvent, SpanEventKind};
+use legion_persist::cas::ChunkId;
 use legion_persist::Writer as StateWriter;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -118,6 +119,10 @@ struct Slot {
     /// Receiver half of at-most-once delivery: sequence numbers already
     /// admitted, per sender.
     seen: DedupState,
+    /// Has anything [`encode_slot`] writes changed since the last
+    /// snapshot? Set by the three methods below, the only writers of
+    /// that state once the slot exists.
+    dirty: bool,
 }
 
 impl Slot {
@@ -127,9 +132,53 @@ impl Slot {
             meta,
             next_seq: 0,
             seen: DedupState::new(DEDUP_WINDOW),
+            dirty: true,
         }
     }
+
+    /// First sight of `(sender, seq_no)` at this receiver?
+    fn admit(&mut self, sender: u64, seq_no: u64) -> bool {
+        self.dirty = true;
+        self.seen.admit(sender, seq_no)
+    }
+
+    /// The sequence number for this endpoint's next send.
+    fn stamp_seq(&mut self) -> u64 {
+        self.dirty = true;
+        let s = self.next_seq;
+        self.next_seq += 1;
+        s
+    }
+
+    fn mark_dead(&mut self) {
+        self.dirty = true;
+        self.meta.alive = false;
+    }
 }
+
+/// What the previous snapshot of this journal session saw, so the next
+/// one re-encodes and re-hashes only what changed since.
+#[derive(Default)]
+struct SnapshotCache {
+    /// Section names: [`KERNEL_SECTIONS`], then `ep{i}` for slot `i`.
+    /// Grown as slots appear, never rebuilt.
+    names: Vec<String>,
+    /// The chunk id of each section's bytes at the last snapshot.
+    ids: Vec<ChunkId>,
+    /// The one encode buffer every section is written into.
+    scratch: StateWriter,
+}
+
+type SectionEncoder = fn(&mut StateWriter, &Inner);
+
+/// The kernel-wide state sections, re-encoded at every snapshot (each
+/// changes with every event); per-slot sections follow them.
+const KERNEL_SECTIONS: [(&str, SectionEncoder); 4] = [
+    ("core", encode_core),
+    ("rng", encode_rng),
+    ("counters", encode_counters),
+    ("queue", encode_queue),
+];
 
 // `Deliver` holds the message inline: events already live on the heap
 // inside the queue's backing storage, so boxing the message again was a
@@ -239,6 +288,7 @@ impl SendReport {
 pub struct SimKernel {
     slots: Vec<Slot>,
     inner: Inner,
+    snap: SnapshotCache,
 }
 
 impl SimKernel {
@@ -246,6 +296,7 @@ impl SimKernel {
     pub fn new(topology: Topology, faults: FaultPlan, seed: u64) -> Self {
         SimKernel {
             slots: Vec::new(),
+            snap: SnapshotCache::default(),
             inner: Inner {
                 now: SimTime::ZERO,
                 seq: 0,
@@ -317,7 +368,7 @@ impl SimKernel {
     /// deliveries become dead letters.
     pub fn remove_endpoint(&mut self, id: EndpointId) {
         if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            slot.meta.alive = false;
+            slot.mark_dead();
             slot.ep = None;
             self.inner
                 .journal_note_str(RecordKind::Detach, id.0, 0, 0, "");
@@ -629,7 +680,7 @@ impl SimKernel {
     /// (0 = never). Enable right after construction, before attaching
     /// endpoints, so the journal covers the whole run.
     pub fn enable_journal_record(&mut self, sink: Box<dyn JournalSink>, snap_every: u64) {
-        self.inner.journal = KernelJournal::record(sink, snap_every);
+        self.start_journal(KernelJournal::record(sink, snap_every));
     }
 
     /// Verify this run against a reference journal: every ingress the
@@ -642,8 +693,17 @@ impl SimKernel {
         data: Vec<u8>,
         start: ReplayStart,
     ) -> Result<(), JournalError> {
-        self.inner.journal = KernelJournal::verify(data, start)?;
+        self.start_journal(KernelJournal::verify(data, start)?);
         Ok(())
+    }
+
+    /// Remembered section ids belong to the session that stored them: a
+    /// new session's first snapshot encodes every slot.
+    fn start_journal(&mut self, journal: KernelJournal) {
+        self.inner.journal = journal;
+        for slot in &mut self.slots {
+            slot.dirty = true;
+        }
     }
 
     /// Is a journal session (recording or verifying) live?
@@ -674,88 +734,59 @@ impl SimKernel {
         self.inner.flight_dump(reason, n)
     }
 
-    /// Materialize the kernel's replay-relevant state as named sections
-    /// for a content-addressed snapshot. Sections that rarely change
-    /// (idle endpoints) produce identical bytes and dedup across
-    /// snapshots. Pure metrics (histograms, per-endpoint traffic) are
-    /// excluded: they are derived observations, not inputs to execution.
-    fn state_sections(&self) -> Vec<(String, Vec<u8>)> {
-        let inner = &self.inner;
-        let mut sections = Vec::with_capacity(4 + self.slots.len());
-
-        let mut w = StateWriter::new();
-        w.put_u64(inner.now.as_nanos());
-        w.put_u64(inner.seq);
-        w.put_u64(inner.next_call);
-        w.put_u64(inner.external_seq);
-        w.put_u8(inner.dedup_enabled as u8);
-        w.put_u64(inner.stats.sent);
-        w.put_u64(inner.stats.delivered);
-        w.put_u64(inner.stats.lost);
-        w.put_u64(inner.stats.refused);
-        w.put_u64(inner.stats.dead_letters);
-        w.put_u64(inner.stats.events);
-        sections.push(("core".to_string(), w.finish().to_vec()));
-
-        let mut w = StateWriter::new();
-        for word in inner.rng.state() {
-            w.put_u64(word);
+    /// Snapshot the kernel's replay-relevant state as named sections of
+    /// content-addressed bytes: [`KERNEL_SECTIONS`], then one per slot.
+    /// Pure metrics (histograms, per-endpoint traffic) are excluded: they
+    /// are derived observations, not inputs to execution.
+    ///
+    /// The cost follows what changed since the last snapshot, not what
+    /// the kernel holds: a slot nobody touched keeps its remembered id —
+    /// no encode, no hash, no allocation — and what is encoded goes
+    /// through one reused buffer. Recording and verifying run the same
+    /// code, so their roots agree.
+    fn take_snapshot(&mut self) {
+        let SimKernel { slots, inner, snap } = self;
+        for i in snap.names.len()..KERNEL_SECTIONS.len() + slots.len() {
+            snap.names.push(match KERNEL_SECTIONS.get(i) {
+                Some((name, _)) => (*name).to_owned(),
+                None => format!("ep{}", i - KERNEL_SECTIONS.len()),
+            });
+            snap.ids.push(ChunkId([0; 32]));
         }
-        sections.push(("rng".to_string(), w.finish().to_vec()));
-
-        let mut w = StateWriter::new();
-        for (name, value) in inner.counters.iter() {
-            w.put_str(name);
-            w.put_u64(value);
+        let w = &mut snap.scratch;
+        let (kernel_ids, slot_ids) = snap.ids.split_at_mut(KERNEL_SECTIONS.len());
+        for (id, (_, encode)) in kernel_ids.iter_mut().zip(KERNEL_SECTIONS) {
+            w.clear();
+            encode(w, inner);
+            *id = inner.journal.section(w.as_bytes());
         }
-        sections.push(("counters".to_string(), w.finish().to_vec()));
-
-        // The pending queue, in deterministic (time, seq) order — the
-        // wheel's internal layout is not canonical.
-        let mut pending: Vec<&Event> = inner.queue.iter().collect();
-        pending.sort_unstable_by_key(|e| (e.at, e.seq));
-        let mut w = StateWriter::new();
-        w.put_varint(pending.len() as u64);
-        for e in pending {
-            w.put_u64(e.at.as_nanos());
-            w.put_varint(e.seq);
-            w.put_varint(e.to.0);
-            w.put_u64(e.trace.trace.0);
-            w.put_u64(e.trace.span.0);
-            match e.dedup {
-                Some((sender, n)) => {
-                    w.put_u8(1);
-                    w.put_varint(sender);
-                    w.put_varint(n);
-                }
-                None => w.put_u8(0),
-            }
-            w.put_u64(e.lat_ns);
-            match &e.kind {
-                EventKind::Start => w.put_u8(0),
-                EventKind::Deliver(m) => {
-                    w.put_u8(1);
-                    encode_message(&mut w, m);
-                }
-                EventKind::Timer(tag) => {
-                    w.put_u8(2);
-                    w.put_u64(*tag);
-                }
+        for (id, slot) in slot_ids.iter_mut().zip(slots.iter_mut()) {
+            if std::mem::take(&mut slot.dirty) {
+                w.clear();
+                encode_slot(w, slot);
+                *id = inner.journal.section(w.as_bytes());
             }
         }
-        sections.push(("queue".to_string(), w.finish().to_vec()));
+        let (at, events) = (inner.now.as_nanos(), inner.stats.events);
+        inner
+            .journal
+            .on_snapshot(at, events, &snap.names, &snap.ids);
+    }
 
-        for (i, slot) in self.slots.iter().enumerate() {
-            let mut w = StateWriter::new();
-            w.put_u32(slot.meta.location.jurisdiction);
-            w.put_u32(slot.meta.location.host);
-            w.put_str(&slot.meta.name);
-            w.put_u8(slot.meta.alive as u8);
-            w.put_varint(slot.next_seq);
-            w.put_u64(slot.seen.state_digest());
-            sections.push((format!("ep{i}"), w.finish().to_vec()));
-        }
-        sections
+    /// The first clean slot whose remembered section id no longer
+    /// matches its state — a write that bypassed the dirty mark. Debug
+    /// builds ask after every snapshot; it encodes every clean slot from
+    /// scratch, which is what snapshots no longer do.
+    fn stale_slot_section(&mut self) -> Option<usize> {
+        let w = &mut self.snap.scratch;
+        let slot_ids = self.snap.ids.iter().skip(KERNEL_SECTIONS.len());
+        self.slots.iter().zip(slot_ids).position(|(slot, id)| {
+            !slot.dirty && {
+                w.clear();
+                encode_slot(w, slot);
+                ChunkId::of(w.as_bytes()) != *id
+            }
+        })
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
@@ -764,9 +795,12 @@ impl SimKernel {
         // the Nth event's handler fully ran, before the next pop. Both
         // the recording and the verifying run hit the same boundaries.
         if self.inner.journal.snapshot_due(self.inner.stats.events) {
-            let sections = self.state_sections();
-            let (at, events) = (self.inner.now.as_nanos(), self.inner.stats.events);
-            self.inner.journal.on_snapshot(at, events, &sections);
+            self.take_snapshot();
+            debug_assert_eq!(
+                self.stale_slot_section(),
+                None,
+                "a slot changed without being marked dirty"
+            );
         }
         let Some(ev) = self.inner.queue.pop() else {
             return false;
@@ -817,7 +851,7 @@ impl SimKernel {
         // already admitted is suppressed before the endpoint sees it.
         if self.inner.dedup_enabled {
             if let (EventKind::Deliver(msg), Some((sender, seq_no))) = (&ev.kind, ev.dedup) {
-                if !self.slots[idx].seen.admit(sender, seq_no) {
+                if !self.slots[idx].admit(sender, seq_no) {
                     self.inner.note_count_sym(symbol::NET_DEDUP_DROPPED, 1);
                     let jseq = self.inner.journal_note(
                         RecordKind::Dedup,
@@ -1136,6 +1170,79 @@ fn record_kind(kind: FlightKind) -> RecordKind {
     }
 }
 
+fn encode_core(w: &mut StateWriter, inner: &Inner) {
+    w.put_u64(inner.now.as_nanos());
+    w.put_u64(inner.seq);
+    w.put_u64(inner.next_call);
+    w.put_u64(inner.external_seq);
+    w.put_u8(inner.dedup_enabled as u8);
+    w.put_u64(inner.stats.sent);
+    w.put_u64(inner.stats.delivered);
+    w.put_u64(inner.stats.lost);
+    w.put_u64(inner.stats.refused);
+    w.put_u64(inner.stats.dead_letters);
+    w.put_u64(inner.stats.events);
+}
+
+fn encode_rng(w: &mut StateWriter, inner: &Inner) {
+    for word in inner.rng.state() {
+        w.put_u64(word);
+    }
+}
+
+fn encode_counters(w: &mut StateWriter, inner: &Inner) {
+    for (name, value) in inner.counters.iter() {
+        w.put_str(name);
+        w.put_u64(value);
+    }
+}
+
+/// The pending queue, in deterministic (time, seq) order — the wheel's
+/// internal layout is not canonical.
+fn encode_queue(w: &mut StateWriter, inner: &Inner) {
+    let mut pending: Vec<&Event> = inner.queue.iter().collect();
+    pending.sort_unstable_by_key(|e| (e.at, e.seq));
+    w.put_varint(pending.len() as u64);
+    for e in pending {
+        w.put_u64(e.at.as_nanos());
+        w.put_varint(e.seq);
+        w.put_varint(e.to.0);
+        w.put_u64(e.trace.trace.0);
+        w.put_u64(e.trace.span.0);
+        match e.dedup {
+            Some((sender, n)) => {
+                w.put_u8(1);
+                w.put_varint(sender);
+                w.put_varint(n);
+            }
+            None => w.put_u8(0),
+        }
+        w.put_u64(e.lat_ns);
+        match &e.kind {
+            EventKind::Start => w.put_u8(0),
+            EventKind::Deliver(m) => {
+                w.put_u8(1);
+                encode_message(w, m);
+            }
+            EventKind::Timer(tag) => {
+                w.put_u8(2);
+                w.put_u64(*tag);
+            }
+        }
+    }
+}
+
+/// One endpoint slot's replay-relevant state. Everything written here
+/// is written only through [`Slot`]'s dirty-marking methods.
+fn encode_slot(w: &mut StateWriter, slot: &Slot) {
+    w.put_u32(slot.meta.location.jurisdiction);
+    w.put_u32(slot.meta.location.host);
+    w.put_str(&slot.meta.name);
+    w.put_u8(slot.meta.alive as u8);
+    w.put_varint(slot.next_seq);
+    w.put_u64(slot.seen.state_digest());
+}
+
 /// Deterministically encode a queued message for a state snapshot, using
 /// the OPR codec's primitives. Method names and errors are encoded as
 /// strings so the bytes are stable across processes.
@@ -1276,11 +1383,7 @@ fn send_one(
     // Stamp the per-sender sequence number the receiver's at-most-once
     // window will check (kernel-level; endpoints never see it).
     let seq_no = match from_slot {
-        Some(i) => {
-            let s = slots[i].next_seq;
-            slots[i].next_seq += 1;
-            s
-        }
+        Some(i) => slots[i].stamp_seq(),
         None => {
             let s = inner.external_seq;
             inner.external_seq += 1;
@@ -1769,7 +1872,7 @@ impl Ctx<'_> {
     /// current handler finishes, then the endpoint is dropped.
     pub fn kill(&mut self, id: EndpointId) {
         if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            slot.meta.alive = false;
+            slot.mark_dead();
             if id != self.self_id {
                 slot.ep = None;
             }
@@ -1982,6 +2085,14 @@ mod tests {
     /// A small fixed workload: `calls` Pings from the client to the echo,
     /// with one arg knob to let tests plant a payload divergence.
     fn journaled_run(cfg: impl FnOnce(&mut SimKernel), calls: u64, arg0: u64) -> SimKernel {
+        let mut k = journaled_setup(cfg, calls, arg0);
+        k.run_until_quiescent(1_000);
+        k
+    }
+
+    /// [`journaled_run`] up to the point where the workload is queued
+    /// and nothing has run: echo is slot 0, the client slot 1.
+    fn journaled_setup(cfg: impl FnOnce(&mut SimKernel), calls: u64, arg0: u64) -> SimKernel {
         let mut k = kernel();
         cfg(&mut k);
         let echo = k.add_endpoint(
@@ -2003,7 +2114,6 @@ mod tests {
             msg.reply_to = Some(client.element());
             k.inject(Location::new(0, 1), echo.element(), msg);
         }
-        k.run_until_quiescent(1_000);
         k
     }
 
@@ -2066,6 +2176,79 @@ mod tests {
         let (_, div) = k.finish_journal().unwrap();
         let div = div.expect("payload divergence must trip the root check");
         assert!(div.expected.contains("snapshot"), "{div}");
+    }
+
+    #[test]
+    fn journal_replay_catches_one_extra_admitted_seq_at_snapshot_root() {
+        use legion_journal::MemSink;
+        let sink = MemSink::new();
+        let mut k = journaled_run(|k| k.enable_journal_record(Box::new(sink.clone()), 4), 6, 0);
+        k.finish_journal().unwrap();
+
+        // The client's window remembers one (sender, seq) the recording's
+        // never saw. Nobody sends as 7777, so no verdict and no journaled
+        // ingress differs: only the window digest in the client's section
+        // can tell the two states apart.
+        let mut k = journaled_setup(
+            |k| {
+                k.enable_journal_verify(sink.contents(), ReplayStart::Origin)
+                    .unwrap()
+            },
+            6,
+            0,
+        );
+        assert!(k.slots[1].admit(7_777, 0));
+        k.run_until_quiescent(1_000);
+        let (_, div) = k.finish_journal().unwrap();
+        let div = div.expect("a different window must trip the root check");
+        assert!(div.expected.contains("snapshot"), "{div}");
+    }
+
+    #[test]
+    fn a_slot_write_that_skips_the_dirty_mark_is_found() {
+        use legion_journal::MemSink;
+        let mut k = journaled_run(
+            |k| k.enable_journal_record(Box::new(MemSink::new()), 4),
+            6,
+            0,
+        );
+        k.take_snapshot();
+        assert!(k.slots.iter().all(|s| !s.dirty));
+        assert_eq!(k.stale_slot_section(), None);
+        // Around `Slot::admit`: the state moves, the mark does not. This
+        // is what `step` debug-asserts against after every snapshot.
+        assert!(k.slots[1].seen.admit(7_777, 0));
+        assert_eq!(k.stale_slot_section(), Some(1));
+        // Through it, the slot is merely due for re-encoding.
+        assert!(k.slots[1].admit(7_777, 1));
+        assert_eq!(k.stale_slot_section(), None);
+        let before = k.snap.ids[KERNEL_SECTIONS.len() + 1];
+        k.take_snapshot();
+        assert_ne!(k.snap.ids[KERNEL_SECTIONS.len() + 1], before);
+        assert_eq!(k.stale_slot_section(), None);
+    }
+
+    #[test]
+    fn a_new_journal_session_forgets_remembered_sections() {
+        use legion_journal::MemSink;
+        // One kernel records twice. The second session's store starts
+        // empty, so every section must be put again — ids remembered
+        // from the first session would name nothing in it.
+        let first = MemSink::new();
+        let mut k = journaled_run(
+            |k| k.enable_journal_record(Box::new(first.clone()), 4),
+            6,
+            0,
+        );
+        k.finish_journal().unwrap();
+        k.enable_journal_record(Box::new(MemSink::new()), 4);
+        k.take_snapshot();
+        let store = k.journal_snapshots().unwrap();
+        let snap = store.latest().unwrap();
+        assert_eq!(snap.deduped, 0);
+        for (name, _) in snap.sections() {
+            assert!(store.section(snap.ordinal, name).is_some(), "{name}");
+        }
     }
 
     #[test]

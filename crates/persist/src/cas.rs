@@ -13,7 +13,7 @@
 //!   ([`MemBlobStore`]) and a directory-backed ([`DirBlobStore`])
 //!   implementation.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -94,12 +94,16 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to byte 56 of a block, the bit length.
+        // `update` never leaves the buffer full, so the 0x80 always fits.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room for the length: it goes in a block of its own.
+            let block = self.buf;
+            self.compress(&block);
+            self.buf.fill(0);
         }
-        // `update` would count the length bytes into `total`; append the
-        // final block by hand instead.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -174,10 +178,11 @@ impl ChunkId {
 
     /// Lower-case hex rendering (64 chars).
     pub fn to_hex(self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+            s.push(HEX[(b >> 4) as usize] as char);
+            s.push(HEX[(b & 0xf) as usize] as char);
         }
         s
     }
@@ -250,12 +255,14 @@ impl MemBlobStore {
 impl BlobStore for MemBlobStore {
     fn put(&mut self, bytes: &[u8]) -> (ChunkId, bool) {
         let id = ChunkId::of(bytes);
-        if self.chunks.contains_key(&id) {
-            return (id, true);
+        match self.chunks.entry(id) {
+            Entry::Occupied(_) => (id, true),
+            Entry::Vacant(slot) => {
+                self.bytes += bytes.len() as u64;
+                slot.insert(bytes.to_vec());
+                (id, false)
+            }
         }
-        self.bytes += bytes.len() as u64;
-        self.chunks.insert(id, bytes.to_vec());
-        (id, false)
     }
 
     fn get(&self, id: &ChunkId) -> Option<Vec<u8>> {
@@ -373,6 +380,36 @@ mod tests {
             ChunkId(h.finish()).to_hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn sha256_padding_boundaries() {
+        // Lengths either side of the point where the bit length no
+        // longer fits the last block (55/56) and of a full block (63/64).
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ] {
+            assert_eq!(hex(&vec![b'a'; n]), want, "{n} bytes");
+        }
     }
 
     #[test]

@@ -71,6 +71,17 @@ impl Writer {
         self.buf.freeze()
     }
 
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the encoded bytes, keeping the buffer's capacity — for a
+    /// writer reused across many small encodings.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Current encoded length.
     pub fn len(&self) -> usize {
         self.buf.len()
