@@ -18,6 +18,12 @@ use legion_net::sim::{FlightEvent, FlightKind, FlightRecorder};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// An endpoint that does nothing with what it is sent.
+struct Idle;
+impl legion_net::sim::Endpoint for Idle {
+    fn on_message(&mut self, _ctx: &mut legion_net::sim::Ctx<'_>, _msg: legion_net::Message) {}
+}
+
 fn alloc_delta(f: impl FnOnce()) -> u64 {
     let (a0, _) = alloc_counter::counts();
     f();
@@ -214,6 +220,10 @@ fn hot_path_allocation_budgets() {
     // many slots there are and however full their dedup windows.
     snapshot_allocations_follow_dirty_slots();
 
+    // With tracing off, a send the fault plan delays pays no allocation
+    // a clean send does not: its span label is never built.
+    delayed_sends_allocate_like_clean_ones();
+
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the CI gate on allocs/message is noise.
     let again = e12_steady_state(1, SNAPSHOT_SEED);
@@ -239,13 +249,8 @@ fn snapshot_allocations_follow_dirty_slots() {
     use legion_core::loid::Loid;
     use legion_journal::MemSink;
     use legion_net::message::Message;
-    use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
+    use legion_net::sim::{EndpointId, SimKernel};
     use legion_net::topology::Location;
-
-    struct Idle;
-    impl Endpoint for Idle {
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
-    }
 
     const SLOTS: usize = 64;
     const SNAP_EVERY: u64 = 8;
@@ -321,4 +326,58 @@ fn snapshot_allocations_follow_dirty_slots() {
             "windows full: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
         );
     }
+}
+
+/// The same 512 injected sends to one idle endpoint, under no faults and
+/// under `set_reorder(1.0, …)` (every send gets a `Delay` verdict), with
+/// the span sink off. Messages are built outside the measured bracket.
+fn delayed_sends_allocate_like_clean_ones() {
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_net::message::Message;
+    use legion_net::sim::SimKernel;
+    use legion_net::topology::{Location, Topology};
+    use legion_net::FaultPlan;
+
+    const SENDS: u64 = 512;
+    let allocs_for = |plan: FaultPlan| {
+        let mut k = SimKernel::new(
+            Topology::fixed(1_000, 10_000, 1_000_000),
+            plan,
+            SNAPSHOT_SEED,
+        );
+        let to = k.add_endpoint(Box::new(Idle), Location::new(0, 0), "idle");
+        k.run_until_quiescent(u64::MAX);
+        let round = |k: &mut SimKernel| {
+            let msgs: Vec<Message> = (0..SENDS)
+                .map(|_| {
+                    let id = k.fresh_call_id();
+                    let env = InvocationEnv::anonymous();
+                    Message::call(id, Loid::instance(16, 1), "Ping", vec![], env)
+                })
+                .collect();
+            alloc_delta(|| {
+                for msg in msgs {
+                    assert!(k.inject(Location::new(0, 1), to.element(), msg));
+                }
+                assert_eq!(k.run_until_quiescent(u64::MAX), SENDS);
+            })
+        };
+        // Every wheel slot a round's events land in keeps the capacity it
+        // grew to. Go once round the wheel's first level (64 ticks; a
+        // round advances the clock by more than two), then take the
+        // quietest of a few rounds.
+        for _ in 0..64 {
+            round(&mut k);
+        }
+        (0..8).map(|_| round(&mut k)).min().unwrap()
+    };
+    let clean = allocs_for(FaultPlan::none());
+    let mut plan = FaultPlan::seeded(SNAPSHOT_SEED);
+    plan.set_reorder(1.0, 5_000);
+    let delayed = allocs_for(plan);
+    assert!(
+        delayed <= clean,
+        "{SENDS} delayed sends allocated {delayed} times, {SENDS} clean ones {clean}"
+    );
 }

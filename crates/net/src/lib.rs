@@ -32,6 +32,7 @@ pub mod metrics;
 pub mod pool;
 pub mod sim;
 pub mod topology;
+mod watch;
 
 pub use faults::FaultPlan;
 pub use message::{Body, CallId, Message};

@@ -17,29 +17,30 @@
 //! Sends to a *dead or unknown* endpoint fail **detectably** at the sender
 //! (connection refused) — this is the §4.1.4 signal that a cached binding
 //! has gone stale. Random drops and partitions are *silent*.
+//!
+//! This file is the **stepper**: ordering, delivery, endpoint lifecycle,
+//! and the state snapshots replay starts from. Everything that *watches*
+//! events — metrics, traces, flight recorder, profiler, SLO tracker,
+//! journal — sits behind the one seam in `watch.rs`, which also holds the
+//! observability half of [`SimKernel`]'s and [`Ctx`]'s public surface.
 
 use crate::equeue::EventQueue;
 use crate::faults::{DedupState, FaultPlan, Verdict};
 use crate::message::{Body, CallId, Message};
-use crate::metrics::{Counters, EndpointMetrics, Histogram, MetricsSnapshot, WindowedCounters};
+use crate::metrics::Histogram;
 use crate::pool::MessagePool;
 use crate::topology::{Location, Topology};
+use crate::watch::Watcher;
 use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
-use legion_core::trace::{SpanId, TraceContext};
+use legion_core::trace::TraceContext;
 use legion_core::value::LegionValue;
-use legion_journal::{
-    Divergence, JournalError, JournalSink, JournalSummary, KernelJournal, RecordKind, ReplayStart,
-    SnapshotStore,
-};
-use legion_obs::profile::{KernelProfiler, Profile};
-use legion_obs::sink::TraceSink;
-use legion_obs::slo::{BurnEvent, SloConfig, SloReport, SloTracker};
-use legion_obs::span::{SpanEvent, SpanEventKind};
+use legion_journal::{JournalError, JournalSink, KernelJournal, RecordKind, ReplayStart};
+use legion_obs::span::SpanEvent;
 use legion_persist::cas::ChunkId;
 use legion_persist::Writer as StateWriter;
 use rand::rngs::SmallRng;
@@ -47,7 +48,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt;
 
 // Re-exported so endpoint crates can record flight events through
@@ -227,7 +227,7 @@ pub struct KernelStats {
     pub events: u64,
 }
 
-struct Inner {
+pub(crate) struct Inner {
     now: SimTime,
     seq: u64,
     next_call: u64,
@@ -235,37 +235,21 @@ struct Inner {
     topology: Topology,
     faults: FaultPlan,
     rng: SmallRng,
-    counters: Counters,
-    latency: Histogram,
-    by_kind: BTreeMap<Sym, Histogram>,
-    windows: WindowedCounters,
     stats: KernelStats,
-    sink: TraceSink,
     /// The trace context of the handler currently executing (stamped onto
     /// outgoing sends and captured by armed timers).
-    current: TraceContext,
+    pub(crate) current: TraceContext,
     /// Sequence counter for sends injected from outside the kernel.
     external_seq: u64,
     /// At-most-once delivery on/off (off only to demonstrate what a
     /// duplicating network does to an unprotected endpoint).
     dedup_enabled: bool,
-    /// The always-on flight recorder: last-N kernel events, dumped on
-    /// chaos violations, deadline sweeps, and panics.
-    flight: FlightRecorder,
-    /// Per-endpoint × per-method cost attribution (off by default).
-    profile: KernelProfiler,
-    /// Windowed latency-objective tracking (off by default).
-    slo: SloTracker,
-    /// Dump the recorder tail to stderr when a deadline sweep expires
-    /// continuations (on by default — a fired sweep is a failure
-    /// worth post-mortem context).
-    flight_dump_on_sweep: bool,
-    /// The event journal: off (default), recording every kernel ingress,
-    /// or verifying a re-execution against a reference journal.
-    journal: KernelJournal,
     /// Free lists for recycled message-body buffers (arg vectors,
     /// binding shells) — see [`crate::pool`].
     pool: MessagePool,
+    /// Everything that watches the event flow: told about each event,
+    /// read back only by the snapshotter (named counters, journal marks).
+    pub(crate) watch: Watcher,
 }
 
 /// The outcome of sending through an [`ObjectAddress`].
@@ -287,7 +271,7 @@ impl SendReport {
 /// The deterministic discrete-event kernel.
 pub struct SimKernel {
     slots: Vec<Slot>,
-    inner: Inner,
+    pub(crate) inner: Inner,
     snap: SnapshotCache,
 }
 
@@ -305,21 +289,12 @@ impl SimKernel {
                 topology,
                 faults,
                 rng: SmallRng::seed_from_u64(seed),
-                counters: Counters::new(),
-                latency: Histogram::new(),
-                by_kind: BTreeMap::new(),
-                windows: WindowedCounters::disabled(),
                 stats: KernelStats::default(),
-                sink: TraceSink::disabled(),
                 current: TraceContext::NONE,
                 external_seq: 0,
                 dedup_enabled: true,
-                flight: FlightRecorder::default(),
-                profile: KernelProfiler::disabled(),
-                slo: SloTracker::disabled(),
-                flight_dump_on_sweep: true,
-                journal: KernelJournal::default(),
                 pool: MessagePool::new(),
+                watch: Watcher::default(),
             },
         }
     }
@@ -336,43 +311,16 @@ impl SimKernel {
         location: Location,
         name: impl Into<String>,
     ) -> EndpointId {
-        let id = EndpointId(self.slots.len() as u64);
-        let name = name.into();
-        self.inner
-            .journal_note_str(RecordKind::Attach, id.0, 0, 0, &name);
-        self.slots.push(Slot::new(
-            EndpointMeta {
-                location,
-                name,
-                received: 0,
-                sent: 0,
-                in_latency: Histogram::new(),
-                alive: true,
-            },
-            ep,
-        ));
-        let seq = self.inner.bump_seq();
-        self.inner.enqueue(Event {
-            at: self.inner.now,
-            seq,
-            to: id,
-            trace: TraceContext::NONE,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Start,
-        });
+        let inner = &mut self.inner;
+        let id = inner.attach(&mut self.slots, ep, location, name.into());
+        inner.schedule_start(id);
         id
     }
 
     /// Remove (kill) an endpoint. Future sends to it are refused; queued
     /// deliveries become dead letters.
     pub fn remove_endpoint(&mut self, id: EndpointId) {
-        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            slot.mark_dead();
-            slot.ep = None;
-            self.inner
-                .journal_note_str(RecordKind::Detach, id.0, 0, 0, "");
-        }
+        self.inner.detach(&mut self.slots, id);
     }
 
     /// Current virtual time.
@@ -385,197 +333,16 @@ impl SimKernel {
         &self.inner.stats
     }
 
-    /// Named protocol counters bumped by endpoints.
-    pub fn counters(&self) -> &Counters {
-        &self.inner.counters
-    }
-
     /// Reset named counters and per-endpoint traffic (not the clock).
-    /// Observability state resets too: the flight recorder forgets its
-    /// ring, the profiler zeroes its stats in place (keeping warmed-up
-    /// map keys), and the SLO tracker drops collected windows.
+    /// Observability state resets too: the flight recorder's ring, the
+    /// profiler's stats and the SLO tracker's windows.
     pub fn reset_metrics(&mut self) {
-        self.inner.counters.reset();
-        self.inner.latency = Histogram::new();
-        self.inner.by_kind.clear();
-        self.inner.windows.clear();
+        self.inner.watch.reset();
         self.inner.stats = KernelStats::default();
-        self.inner.flight.clear();
-        self.inner.profile.reset_values();
-        self.inner.slo.clear();
         for slot in &mut self.slots {
             slot.meta.received = 0;
             slot.meta.sent = 0;
             slot.meta.in_latency = Histogram::new();
-        }
-    }
-
-    /// Delivered-message latency distribution.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.inner.latency
-    }
-
-    /// Delivered-message latency by message kind (method name / `reply`),
-    /// rendered to names. The kernel keys the map by [`Sym`]; names are
-    /// materialized only here and at snapshot time.
-    pub fn kind_histograms(&self) -> BTreeMap<String, Histogram> {
-        render_by_kind(&self.inner.by_kind)
-    }
-
-    /// Start recording span events into a bounded sink.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.inner.sink = TraceSink::with_capacity(capacity);
-    }
-
-    /// Is span recording on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.sink.is_enabled()
-    }
-
-    /// The trace sink (inspect without draining).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.inner.sink
-    }
-
-    /// Take every recorded span event, leaving tracing enabled.
-    pub fn drain_trace(&mut self) -> Vec<SpanEvent> {
-        self.inner.sink.drain()
-    }
-
-    /// Open a root span from outside the kernel (drivers, tests). The
-    /// returned context can be stamped onto an injected message's
-    /// environment. Returns [`TraceContext::NONE`] when tracing is off.
-    pub fn begin_trace(&mut self, label: &str) -> TraceContext {
-        self.inner
-            .sink
-            .begin(self.inner.now, SpanEvent::EXTERNAL, label)
-    }
-
-    /// Close a root span opened with [`SimKernel::begin_trace`].
-    pub fn end_trace(&mut self, tc: TraceContext, outcome: &str) {
-        if tc.is_active() {
-            let at = self.inner.now;
-            self.inner.sink.record(SpanEvent {
-                trace: tc.trace,
-                span: tc.span,
-                parent: SpanId::NONE,
-                kind: SpanEventKind::End,
-                at,
-                endpoint: SpanEvent::EXTERNAL,
-                label: outcome.to_owned(),
-            });
-        }
-    }
-
-    /// Start bucketing named counters into windows of `window_ns`.
-    pub fn enable_windows(&mut self, window_ns: u64) {
-        self.inner.windows = WindowedCounters::new(window_ns);
-    }
-
-    /// The time-windowed counters (empty unless enabled).
-    pub fn windows(&self) -> &WindowedCounters {
-        &self.inner.windows
-    }
-
-    /// The always-on flight recorder (read the tail, render dumps).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.inner.flight
-    }
-
-    /// Replace the flight recorder's ring with one of `capacity` events
-    /// (discards recorded history).
-    pub fn set_flight_capacity(&mut self, capacity: usize) {
-        self.inner.flight = FlightRecorder::new(capacity);
-    }
-
-    /// Should a deadline sweep that expires continuations dump the
-    /// recorder tail to stderr? On by default.
-    pub fn set_flight_dump_on_sweep(&mut self, on: bool) {
-        self.inner.flight_dump_on_sweep = on;
-    }
-
-    /// Turn on per-endpoint × per-method cost attribution.
-    pub fn enable_profiling(&mut self) {
-        self.inner.profile = KernelProfiler::enabled();
-    }
-
-    /// Is the profiler collecting?
-    pub fn profiling_enabled(&self) -> bool {
-        self.inner.profile.is_enabled()
-    }
-
-    /// Snapshot the profiler with endpoint names resolved (empty when
-    /// profiling is off).
-    pub fn profile(&self) -> Profile {
-        self.inner.profile.snapshot(|ep| {
-            self.slots
-                .get(ep as usize)
-                .map(|s| s.meta.name.clone())
-                .unwrap_or_else(|| format!("ep{ep}"))
-        })
-    }
-
-    /// Turn on windowed latency-objective tracking.
-    pub fn enable_slo(&mut self, cfg: SloConfig) {
-        self.inner.slo = SloTracker::new(cfg);
-    }
-
-    /// Turn on SLO tracking *with* the incremental burn monitor, so
-    /// in-sim consumers ([`Ctx::drain_burn_events`]) see burn-rate
-    /// alarms while the run is still executing — the signal an
-    /// auto-scaling policy endpoint closes its control loop on.
-    pub fn enable_slo_online(&mut self, cfg: SloConfig) {
-        self.inner.slo = SloTracker::new_online(cfg);
-    }
-
-    /// Is SLO tracking collecting?
-    pub fn slo_enabled(&self) -> bool {
-        self.inner.slo.is_enabled()
-    }
-
-    /// Evaluate the collected SLO windows with endpoint names resolved.
-    /// `None` when tracking is off.
-    pub fn slo_report(&self) -> Option<SloReport> {
-        self.inner.slo.report(|ep| {
-            self.slots
-                .get(ep as usize)
-                .map(|s| s.meta.name.clone())
-                .unwrap_or_else(|| format!("ep{ep}"))
-        })
-    }
-
-    /// A JSON-exportable snapshot of everything the kernel measures.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            at: self.inner.now,
-            stats: self.inner.stats.clone(),
-            counters: self.inner.counters.clone(),
-            latency: self.inner.latency.clone(),
-            by_kind: render_by_kind(&self.inner.by_kind),
-            endpoints: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| EndpointMetrics {
-                    endpoint: i as u64,
-                    name: s.meta.name.clone(),
-                    sent: s.meta.sent,
-                    received: s.meta.received,
-                    in_latency: s.meta.in_latency.clone(),
-                })
-                .collect(),
-            windows: self.inner.windows.clone(),
-            trace_dropped: self.inner.sink.dropped(),
-            dispatch_dead_letters: self
-                .inner
-                .counters
-                .iter()
-                .filter(|(name, _)| name.ends_with(".dead_letter"))
-                .map(|(_, n)| n)
-                .sum(),
-            timeouts_expired: self.inner.counters.get_sym(symbol::NET_TIMEOUT_EXPIRED),
-            requests_shed: self.inner.counters.get_sym(symbol::NET_REQUESTS_SHED),
-            overload_replies: self.inner.counters.get_sym(symbol::NET_OVERLOAD_REPLIES),
         }
     }
 
@@ -621,12 +388,15 @@ impl SimKernel {
         msg: Message,
     ) -> bool {
         let inner = &mut self.inner;
-        inner.journal_note(
+        inner.watch.ingress(
+            inner.now,
             RecordKind::Inject,
             to.sim_endpoint().unwrap_or(u64::MAX),
+            kind_sym(&msg),
             msg.id.0,
             0,
-            kind_sym(&msg),
+            TraceContext::NONE,
+            format_args!(""),
         );
         send_one(inner, &mut self.slots, from_location, None, to, msg)
     }
@@ -641,26 +411,11 @@ impl SimKernel {
     /// their `on_start` already ran). Returns `false` if the endpoint is
     /// not alive.
     pub fn set_timer(&mut self, to: EndpointId, delay_ns: u64, tag: u64) -> bool {
-        let alive = self
-            .slots
-            .get(to.0 as usize)
-            .map(|s| s.meta.alive && s.ep.is_some())
-            .unwrap_or(false);
-        if !alive {
-            return false;
+        let live = is_live(&self.slots, to);
+        if live {
+            self.inner.arm_timer(to, delay_ns, tag);
         }
-        let at = self.inner.now.saturating_add(delay_ns);
-        let seq = self.inner.bump_seq();
-        self.inner.enqueue(Event {
-            at,
-            seq,
-            to,
-            trace: TraceContext::NONE,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Timer(tag),
-        });
-        true
+        live
     }
 
     /// Turn the receiver-side at-most-once window off (or back on).
@@ -668,11 +423,6 @@ impl SimKernel {
     /// a duplicating network does to an unprotected endpoint.
     pub fn set_dedup_enabled(&mut self, on: bool) {
         self.inner.dedup_enabled = on;
-    }
-
-    /// Is the at-most-once window active?
-    pub fn dedup_enabled(&self) -> bool {
-        self.inner.dedup_enabled
     }
 
     /// Start journaling every kernel ingress to `sink`, taking a
@@ -700,38 +450,10 @@ impl SimKernel {
     /// Remembered section ids belong to the session that stored them: a
     /// new session's first snapshot encodes every slot.
     fn start_journal(&mut self, journal: KernelJournal) {
-        self.inner.journal = journal;
+        *self.inner.watch.journal() = journal;
         for slot in &mut self.slots {
             slot.dirty = true;
         }
-    }
-
-    /// Is a journal session (recording or verifying) live?
-    pub fn journal_enabled(&self) -> bool {
-        self.inner.journal.is_on()
-    }
-
-    /// The first divergence found while verifying, if any.
-    pub fn journal_divergence(&self) -> Option<&Divergence> {
-        self.inner.journal.divergence()
-    }
-
-    /// The content-addressed snapshots of a recording session.
-    pub fn journal_snapshots(&self) -> Option<&SnapshotStore> {
-        self.inner.journal.snapshots()
-    }
-
-    /// Finish the journal session: flush the sink (recording) or require
-    /// the whole reference journal to have been consumed (verifying).
-    /// Returns the summary and, in verify mode, the first divergence.
-    pub fn finish_journal(&mut self) -> Result<(JournalSummary, Option<Divergence>), JournalError> {
-        self.inner.journal.finish()
-    }
-
-    /// The flight-recorder dump annotated with journal position and
-    /// nearest snapshot (plain dump when no journal session is live).
-    pub fn flight_dump(&self, reason: &str, n: usize) -> String {
-        self.inner.flight_dump(reason, n)
     }
 
     /// Snapshot the kernel's replay-relevant state as named sections of
@@ -758,18 +480,19 @@ impl SimKernel {
         for (id, (_, encode)) in kernel_ids.iter_mut().zip(KERNEL_SECTIONS) {
             w.clear();
             encode(w, inner);
-            *id = inner.journal.section(w.as_bytes());
+            *id = inner.watch.journal().section(w.as_bytes());
         }
         for (id, slot) in slot_ids.iter_mut().zip(slots.iter_mut()) {
             if std::mem::take(&mut slot.dirty) {
                 w.clear();
                 encode_slot(w, slot);
-                *id = inner.journal.section(w.as_bytes());
+                *id = inner.watch.journal().section(w.as_bytes());
             }
         }
         let (at, events) = (inner.now.as_nanos(), inner.stats.events);
         inner
-            .journal
+            .watch
+            .journal()
             .on_snapshot(at, events, &snap.names, &snap.ids);
     }
 
@@ -794,7 +517,8 @@ impl SimKernel {
         // Snapshots land on the cadence boundary *between* events: after
         // the Nth event's handler fully ran, before the next pop. Both
         // the recording and the verifying run hit the same boundaries.
-        if self.inner.journal.snapshot_due(self.inner.stats.events) {
+        let events = self.inner.stats.events;
+        if self.inner.watch.journal().snapshot_due(events) {
             self.take_snapshot();
             debug_assert_eq!(
                 self.stale_slot_section(),
@@ -806,44 +530,23 @@ impl SimKernel {
             return false;
         };
         debug_assert!(ev.at >= self.inner.now, "time must not run backwards");
-        self.inner.now = ev.at;
+        let now = ev.at;
+        self.inner.now = now;
         self.inner.stats.events += 1;
-        let idx = ev.to.0 as usize;
-        let alive = self
-            .slots
-            .get(idx)
-            .map(|s| s.meta.alive && s.ep.is_some())
-            .unwrap_or(false);
-        if !alive {
+        let (idx, ep_id) = (ev.to.0 as usize, ev.to.0);
+        if !is_live(&self.slots, ev.to) {
             if let EventKind::Deliver(msg) = &ev.kind {
                 self.inner.stats.dead_letters += 1;
-                let jseq = self.inner.journal_note(
+                self.inner.watch.ingress(
+                    now,
                     RecordKind::DeadLetter,
-                    idx as u64,
+                    ep_id,
+                    kind_sym(msg),
                     msg.id.0,
                     0,
-                    kind_sym(msg),
+                    ev.trace,
+                    format_args!("dead_letter:{}", kind_sym(msg)),
                 );
-                self.inner.flight.record(FlightEvent {
-                    at: self.inner.now,
-                    kind: FlightKind::DeadLetter,
-                    endpoint: idx as u64,
-                    label: kind_sym(msg),
-                    detail: msg.id.0,
-                    seq: jseq,
-                });
-                // Recorded even for untraced messages (trace/span NONE):
-                // a crash-eaten delivery must be visible in the span
-                // stream, not just the dead_letters counter.
-                if self.inner.sink.is_enabled() {
-                    self.inner.record_span(
-                        ev.trace,
-                        SpanId::NONE,
-                        SpanEventKind::DeadLetter,
-                        idx as u64,
-                        &format!("dead_letter:{}", kind_sym(msg)),
-                    );
-                }
             }
             return true;
         }
@@ -852,31 +555,17 @@ impl SimKernel {
         if self.inner.dedup_enabled {
             if let (EventKind::Deliver(msg), Some((sender, seq_no))) = (&ev.kind, ev.dedup) {
                 if !self.slots[idx].admit(sender, seq_no) {
-                    self.inner.note_count_sym(symbol::NET_DEDUP_DROPPED, 1);
-                    let jseq = self.inner.journal_note(
+                    self.inner.watch.count(now, symbol::NET_DEDUP_DROPPED, 1);
+                    self.inner.watch.ingress(
+                        now,
                         RecordKind::Dedup,
-                        idx as u64,
+                        ep_id,
+                        kind_sym(msg),
                         msg.id.0,
                         0,
-                        kind_sym(msg),
+                        ev.trace,
+                        format_args!("dedup:{}", kind_sym(msg)),
                     );
-                    self.inner.flight.record(FlightEvent {
-                        at: self.inner.now,
-                        kind: FlightKind::Dedup,
-                        endpoint: idx as u64,
-                        label: kind_sym(msg),
-                        detail: msg.id.0,
-                        seq: jseq,
-                    });
-                    if self.inner.sink.is_enabled() {
-                        self.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Dedup,
-                            idx as u64,
-                            &format!("dedup:{}", kind_sym(msg)),
-                        );
-                    }
                     return true;
                 }
             }
@@ -894,73 +583,40 @@ impl SimKernel {
             };
             match ev.kind {
                 EventKind::Start => {
-                    ctx.inner
-                        .journal_note_str(RecordKind::Start, idx as u64, 0, 0, "");
+                    ctx.inner.watch.lifecycle(now, RecordKind::Start, ep_id, "");
                     ep.on_start(&mut ctx)
                 }
                 EventKind::Deliver(msg) => {
                     ctx.slots[idx].meta.received += 1;
                     ctx.inner.stats.delivered += 1;
                     let method = kind_sym(&msg);
-                    let jseq = ctx.inner.journal_note(
+                    ctx.inner.watch.ingress(
+                        now,
                         RecordKind::Deliver,
-                        idx as u64,
+                        ep_id,
+                        method,
                         msg.id.0,
                         ev.lat_ns,
-                        method,
+                        ev.trace,
+                        format_args!("{method}"),
                     );
-                    ctx.inner.flight.record(FlightEvent {
-                        at: ctx.inner.now,
-                        kind: FlightKind::Deliver,
-                        endpoint: idx as u64,
-                        label: method,
-                        detail: msg.id.0,
-                        seq: jseq,
-                    });
-                    if ev.trace.is_active() && ctx.inner.sink.is_enabled() {
-                        ctx.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Deliver,
-                            idx as u64,
-                            method.as_str(),
-                        );
-                    }
-                    if ctx.inner.profile.is_enabled() {
-                        // Bracket the handler with wall-clock and the
-                        // process-wide allocation counters (live when a
-                        // counting allocator is registered, zero
-                        // otherwise). Sim-time is the hop latency the
-                        // delivery paid.
-                        let (a0, b0) = legion_core::allocs::counts();
-                        let t0 = std::time::Instant::now();
-                        ep.on_message(&mut ctx, msg);
-                        let wall_ns = t0.elapsed().as_nanos() as u64;
-                        let (a1, b1) = legion_core::allocs::counts();
-                        ctx.inner.profile.record(
-                            idx as u64,
-                            method,
-                            ev.lat_ns,
-                            wall_ns,
-                            a1 - a0,
-                            b1 - b0,
-                        );
-                    } else {
-                        ep.on_message(&mut ctx, msg);
-                    }
+                    let started = ctx.inner.watch.handler_start();
+                    ep.on_message(&mut ctx, msg);
+                    ctx.inner
+                        .watch
+                        .handler_done(started, ep_id, method, ev.lat_ns);
                 }
                 EventKind::Timer(tag) => {
-                    ctx.inner
-                        .journal_note_str(RecordKind::TimerFire, idx as u64, tag, 0, "");
-                    if ev.trace.is_active() {
-                        ctx.inner.record_span(
-                            ev.trace,
-                            SpanId::NONE,
-                            SpanEventKind::Timer,
-                            idx as u64,
-                            &format!("tag={tag}"),
-                        );
-                    }
+                    ctx.inner.watch.ingress(
+                        now,
+                        RecordKind::TimerFire,
+                        ep_id,
+                        symbol::EMPTY,
+                        tag,
+                        0,
+                        ev.trace,
+                        format_args!("tag={tag}"),
+                    );
                     ep.on_timer(&mut ctx, tag)
                 }
             }
@@ -969,16 +625,7 @@ impl SimKernel {
             self.inner.current = TraceContext::NONE;
             // Schedule Start events for endpoints spawned by the handler.
             for id in spawned {
-                let seq = self.inner.bump_seq();
-                self.inner.enqueue(Event {
-                    at: self.inner.now,
-                    seq,
-                    to: id,
-                    trace: TraceContext::NONE,
-                    dedup: None,
-                    lat_ns: 0,
-                    kind: EventKind::Start,
-                });
+                self.inner.schedule_start(id);
             }
         }
         // The handler may have killed its own endpoint.
@@ -1026,11 +673,6 @@ impl SimKernel {
         self.inner.queue.is_empty()
     }
 
-    /// Pending events in the queue right now.
-    pub fn queue_len(&self) -> usize {
-        self.inner.queue.len()
-    }
-
     /// High-water mark of the pending-event queue over the kernel's
     /// lifetime — the E17 scale campaign's queue-pressure metric.
     /// Derived observability, deliberately *not* part of the serialized
@@ -1041,18 +683,77 @@ impl SimKernel {
 }
 
 impl Inner {
-    /// The single ingress into the event wheel: keys it by the event's
-    /// `(time, insertion seq)`, the kernel's deterministic total order.
-    /// All scheduling goes through here (`tools/lint_hotpath.sh` holds
-    /// future code to it).
-    fn enqueue(&mut self, ev: Event) {
-        self.queue.push(ev.at.as_nanos(), ev.seq, ev);
+    /// The single ingress into the event wheel: stamps the next insertion
+    /// seq onto the event and keys it by `(time, seq)`, the kernel's
+    /// deterministic total order. All scheduling goes through here
+    /// (`tools/lint_hotpath.sh` holds future code to it).
+    fn schedule(
+        &mut self,
+        at: SimTime,
+        to: EndpointId,
+        trace: TraceContext,
+        dedup: Option<(u64, u64)>,
+        lat_ns: u64,
+        kind: EventKind,
+    ) {
+        let seq = self.seq;
+        self.seq += 1;
+        let ev = Event {
+            at,
+            seq,
+            to,
+            trace,
+            dedup,
+            lat_ns,
+            kind,
+        };
+        self.queue.push(at.as_nanos(), seq, ev);
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+    /// Run `id`'s `on_start` at the current time.
+    fn schedule_start(&mut self, id: EndpointId) {
+        self.schedule(self.now, id, TraceContext::NONE, None, 0, EventKind::Start);
+    }
+
+    /// Fire `on_timer(tag)` on `to` after `delay_ns`, under the trace
+    /// context of the handler arming it (none outside a handler).
+    fn arm_timer(&mut self, to: EndpointId, delay_ns: u64, tag: u64) {
+        let at = self.now.saturating_add(delay_ns);
+        self.schedule(at, to, self.current, None, 0, EventKind::Timer(tag));
+    }
+
+    /// Attach `ep` as the next slot. The caller schedules its start.
+    fn attach(
+        &mut self,
+        slots: &mut Vec<Slot>,
+        ep: Box<dyn Endpoint>,
+        location: Location,
+        name: String,
+    ) -> EndpointId {
+        let id = EndpointId(slots.len() as u64);
+        self.watch
+            .lifecycle(self.now, RecordKind::Attach, id.0, &name);
+        let meta = EndpointMeta {
+            location,
+            name,
+            received: 0,
+            sent: 0,
+            in_latency: Histogram::new(),
+            alive: true,
+        };
+        slots.push(Slot::new(meta, ep));
+        id
+    }
+
+    /// Kill `id` and drop its endpoint. An endpoint killing itself is
+    /// mid-handler — its box is out of the slot already and is dropped
+    /// when the handler returns.
+    fn detach(&mut self, slots: &mut [Slot], id: EndpointId) {
+        if let Some(slot) = slots.get_mut(id.0 as usize) {
+            slot.mark_dead();
+            slot.ep = None;
+            self.watch.lifecycle(self.now, RecordKind::Detach, id.0, "");
+        }
     }
 
     fn fresh_call_id(&mut self) -> CallId {
@@ -1060,114 +761,13 @@ impl Inner {
         self.next_call += 1;
         id
     }
-
-    /// Bump a named counter in the flat registry and the time windows.
-    fn note_count(&mut self, name: &str, n: u64) {
-        self.note_count_sym(Sym::intern(name), n);
-    }
-
-    /// [`Inner::note_count`] for an already-interned name — the
-    /// allocation-free path the kernel's own counters use.
-    fn note_count_sym(&mut self, sym: Sym, n: u64) {
-        self.counters.add_sym(sym, n);
-        self.windows.record_sym(self.now, sym, n);
-    }
-
-    /// Record a span event at the current virtual time (no-op when the
-    /// sink is disabled).
-    fn record_span(
-        &mut self,
-        tc: TraceContext,
-        parent: SpanId,
-        kind: SpanEventKind,
-        endpoint: u64,
-        label: &str,
-    ) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        let at = self.now;
-        self.sink.record(SpanEvent {
-            trace: tc.trace,
-            span: tc.span,
-            parent,
-            kind,
-            at,
-            endpoint,
-            label: label.to_owned(),
-        });
-    }
-
-    /// Journal one kernel ingress with a pre-interned label; returns the
-    /// journal seq (0 when off). The `is_on` gate keeps the disabled hot
-    /// path at one enum-tag check and defers the `Sym → &str` resolution.
-    #[inline]
-    fn journal_note(&mut self, kind: RecordKind, endpoint: u64, a: u64, b: u64, label: Sym) -> u64 {
-        if !self.journal.is_on() {
-            return 0;
-        }
-        self.journal
-            .note(self.now.as_nanos(), kind, endpoint, a, b, label.as_str())
-    }
-
-    /// [`Inner::journal_note`] for plain-string labels (attach names,
-    /// empty labels). Labels are journaled as strings, never `Sym` ids —
-    /// intern order is process-local and would not survive replay.
-    #[inline]
-    fn journal_note_str(
-        &mut self,
-        kind: RecordKind,
-        endpoint: u64,
-        a: u64,
-        b: u64,
-        label: &str,
-    ) -> u64 {
-        if !self.journal.is_on() {
-            return 0;
-        }
-        self.journal
-            .note(self.now.as_nanos(), kind, endpoint, a, b, label)
-    }
-
-    /// The flight-recorder dump, annotated with the journal position and
-    /// nearest snapshot when a journal session is live — a post-mortem
-    /// names the exact seq to replay to and the snapshot to start from.
-    fn flight_dump(&self, reason: &str, n: usize) -> String {
-        let mut out = self.flight.dump(reason, n);
-        if self.journal.is_on() {
-            let snap = match self.journal.last_snapshot() {
-                Some((ordinal, seq)) if seq > 0 => {
-                    format!("last snapshot #{ordinal} at journal seq {seq}")
-                }
-                Some((ordinal, _)) => format!("last snapshot #{ordinal}"),
-                None => "no snapshot yet".to_string(),
-            };
-            out.push_str(&format!(
-                "\njournal: next seq {}, {snap}",
-                self.journal.next_seq()
-            ));
-        }
-        out
-    }
 }
 
-/// The journal record kind for a flight-recorder event kind: endpoints
-/// annotate the journal through [`Ctx::flight`] (timeouts, HA verdicts,
-/// notes) with the same vocabulary the kernel uses.
-fn record_kind(kind: FlightKind) -> RecordKind {
-    match kind {
-        FlightKind::Deliver => RecordKind::Deliver,
-        FlightKind::DeadLetter => RecordKind::DeadLetter,
-        FlightKind::Refuse => RecordKind::Refuse,
-        FlightKind::Drop => RecordKind::Drop,
-        FlightKind::Dedup => RecordKind::Dedup,
-        FlightKind::Duplicate => RecordKind::Duplicate,
-        FlightKind::Delay => RecordKind::Delay,
-        FlightKind::Timeout => RecordKind::Timeout,
-        FlightKind::HaVerdict => RecordKind::HaVerdict,
-        FlightKind::Note => RecordKind::Note,
-        FlightKind::Shed => RecordKind::Shed,
-    }
+/// Is `id` attached and alive, its endpoint in its slot?
+fn is_live(slots: &[Slot], id: EndpointId) -> bool {
+    slots
+        .get(id.0 as usize)
+        .is_some_and(|s| s.meta.alive && s.ep.is_some())
 }
 
 fn encode_core(w: &mut StateWriter, inner: &Inner) {
@@ -1191,7 +791,7 @@ fn encode_rng(w: &mut StateWriter, inner: &Inner) {
 }
 
 fn encode_counters(w: &mut StateWriter, inner: &Inner) {
-    for (name, value) in inner.counters.iter() {
+    for (name, value) in inner.watch.counters().iter() {
         w.put_str(name);
         w.put_u64(value);
     }
@@ -1310,21 +910,8 @@ fn kind_sym(msg: &Message) -> Sym {
     msg.method_sym().unwrap_or(symbol::REPLY)
 }
 
-/// Render the `Sym`-keyed per-kind map to names, in name order (the
-/// snapshot/export shape; `Sym` order is intern order, not name order).
-fn render_by_kind(by_kind: &BTreeMap<Sym, Histogram>) -> BTreeMap<String, Histogram> {
-    by_kind
-        .iter()
-        .map(|(s, h)| (s.as_str().to_owned(), h.clone()))
-        .collect()
-}
-
 /// Attempt one physical send. Returns `true` if accepted (delivery still
 /// subject to silent loss); `false` for a detectable refusal.
-///
-/// When tracing is on and the message belongs to a trace, the hop gets a
-/// fresh span (child of the message's context): a `Send` event always,
-/// then `Refuse`/`Drop` here or `Deliver` at arrival.
 fn send_one(
     inner: &mut Inner,
     slots: &mut [Slot],
@@ -1337,46 +924,31 @@ fn send_one(
         slots[i].meta.sent += 1;
     }
     let from_ep = from_slot.map(|i| i as u64).unwrap_or(SpanEvent::EXTERNAL);
-    let traced = inner.sink.is_enabled() && msg.env.trace.is_active();
-    if traced {
-        // The hop becomes the message's new span; the receiver's own
-        // sends will parent under it.
-        let parent = msg.env.trace.span;
-        msg.env.trace.span = inner.sink.next_span();
-        let label = kind_sym(&msg).as_str();
-        inner.record_span(msg.env.trace, parent, SpanEventKind::Send, from_ep, label);
-    }
-    // Fault spans (Refuse/Drop/DeadLetter) are recorded whenever the sink
-    // is enabled, even when the message carries no trace context — crash
-    // fallout must be observable without having traced the whole flow.
-    let refuse = |inner: &mut Inner, msg: &Message, why: &str| {
+    let (kind, id) = (kind_sym(&msg), msg.id.0);
+    inner
+        .watch
+        .hop_sent(inner.now, &mut msg.env.trace, from_ep, kind);
+    let trace = msg.env.trace;
+    // What became of the send, told to the watcher in one call: `b` is
+    // the extra delay a fault verdict imposed, `why` the span label.
+    let verdict = |inner: &mut Inner, what: RecordKind, b: u64, why: fmt::Arguments<'_>| {
+        inner
+            .watch
+            .ingress(inner.now, what, from_ep, kind, id, b, trace, why);
+    };
+    let refuse = |inner: &mut Inner, why: &str| {
         inner.stats.refused += 1;
-        let jseq = inner.journal_note(RecordKind::Refuse, from_ep, msg.id.0, 0, kind_sym(msg));
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Refuse,
-            endpoint: from_ep,
-            label: kind_sym(msg),
-            detail: msg.id.0,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Refuse,
-            from_ep,
-            why,
-        );
+        verdict(inner, RecordKind::Refuse, 0, format_args!("{why}"));
         false
     };
     let Some(ep) = to.sim_endpoint() else {
-        return refuse(inner, &msg, "refused:bad-address");
+        return refuse(inner, "refused:bad-address");
     };
     let Some(dest) = slots.get(ep as usize) else {
-        return refuse(inner, &msg, "refused:unknown-endpoint");
+        return refuse(inner, "refused:unknown-endpoint");
     };
     if !dest.meta.alive {
-        return refuse(inner, &msg, "refused:dead-endpoint");
+        return refuse(inner, "refused:dead-endpoint");
     }
     let dest_location = dest.meta.location;
     inner.stats.sent += 1;
@@ -1390,133 +962,61 @@ fn send_one(
             s
         }
     };
-    let verdict = inner
+    let judged = inner
         .faults
-        .judge(msg.id.0, from_location, dest_location, inner.now);
-    if verdict == Verdict::DropSilently {
+        .judge(id, from_location, dest_location, inner.now);
+    if judged == Verdict::DropSilently {
         inner.stats.lost += 1;
-        let jseq = inner.journal_note(RecordKind::Drop, from_ep, msg.id.0, 0, kind_sym(&msg));
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Drop,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: msg.id.0,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Drop,
-            from_ep,
-            "drop:silent",
-        );
+        verdict(inner, RecordKind::Drop, 0, format_args!("drop:silent"));
         return true;
     }
     // Latency is sampled only for messages that actually deliver, so the
     // RNG stream of a run without adversarial verdicts is unchanged.
-    let delay = inner
+    let mut effective = inner
         .topology
         .latency(from_location, dest_location, &mut inner.rng)
         .as_nanos();
-    let (effective, copy_after) = match verdict {
-        Verdict::Deliver => (delay, None),
-        Verdict::Delay { extra_ns, factor } => (
-            delay.saturating_mul(factor as u64).saturating_add(extra_ns),
-            None,
-        ),
-        Verdict::Duplicate { extra_ns } => (delay, Some(extra_ns)),
-        Verdict::DropSilently => unreachable!("handled above"),
-    };
-    if let Verdict::Delay { extra_ns, factor } = verdict {
-        inner.note_count_sym(symbol::NET_DELAYED, 1);
-        let jseq = inner.journal_note(
+    if let Verdict::Delay { extra_ns, factor } = judged {
+        effective = effective
+            .saturating_mul(factor as u64)
+            .saturating_add(extra_ns);
+        inner.watch.count(inner.now, symbol::NET_DELAYED, 1);
+        verdict(
+            inner,
             RecordKind::Delay,
-            from_ep,
-            msg.id.0,
             extra_ns,
-            kind_sym(&msg),
-        );
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Delay,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: extra_ns,
-            seq: jseq,
-        });
-        inner.record_span(
-            msg.env.trace,
-            SpanId::NONE,
-            SpanEventKind::Delay,
-            from_ep,
-            &format!("delay:x{factor}+{extra_ns}ns"),
+            format_args!("delay:x{factor}+{extra_ns}ns"),
         );
     }
-    inner.latency.record(effective);
-    inner
-        .by_kind
-        .entry(kind_sym(&msg))
-        .or_default()
-        .record(effective);
     slots[ep as usize].meta.in_latency.record(effective);
     let at = inner.now.saturating_add(effective);
-    // SLO samples are keyed by *arrival* time: the window a latency
-    // counts against is the one the user experienced it in.
-    inner.slo.record(at.as_nanos(), ep, effective);
-    let trace = msg.env.trace;
-    let dedup = Some((from_ep, seq_no));
-    let copy = if let Some(extra_ns) = copy_after {
-        inner.note_count_sym(symbol::NET_DUPLICATED, 1);
-        let jseq = inner.journal_note(
+    inner.watch.hop_latency(at, ep, kind, effective);
+    let (dest, dedup) = (EndpointId(ep), Some((from_ep, seq_no)));
+    // The duplicate copy shares the original's dedup key: with the
+    // at-most-once window on, exactly one of the two reaches the endpoint.
+    let copy = if let Verdict::Duplicate { extra_ns } = judged {
+        inner.watch.count(inner.now, symbol::NET_DUPLICATED, 1);
+        verdict(
+            inner,
             RecordKind::Duplicate,
-            from_ep,
-            msg.id.0,
             extra_ns,
-            kind_sym(&msg),
-        );
-        inner.flight.record(FlightEvent {
-            at: inner.now,
-            kind: FlightKind::Duplicate,
-            endpoint: from_ep,
-            label: kind_sym(&msg),
-            detail: extra_ns,
-            seq: jseq,
-        });
-        inner.record_span(
-            trace,
-            SpanId::NONE,
-            SpanEventKind::Duplicate,
-            from_ep,
-            &format!("dup:+{extra_ns}ns"),
+            format_args!("dup:+{extra_ns}ns"),
         );
         Some((at.saturating_add(extra_ns), msg.clone()))
     } else {
         None
     };
-    let seq = inner.bump_seq();
-    inner.enqueue(Event {
-        at,
-        seq,
-        to: EndpointId(ep),
-        trace,
-        dedup,
-        lat_ns: effective,
-        kind: EventKind::Deliver(msg),
-    });
-    // The duplicate copy shares the original's dedup key: with the
-    // at-most-once window on, exactly one of the two reaches the endpoint.
+    inner.schedule(at, dest, trace, dedup, effective, EventKind::Deliver(msg));
     if let Some((copy_at, copy_msg)) = copy {
-        let seq = inner.bump_seq();
-        inner.enqueue(Event {
-            at: copy_at,
-            seq,
-            to: EndpointId(ep),
+        let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
+        inner.schedule(
+            copy_at,
+            dest,
             trace,
             dedup,
-            lat_ns: copy_at.as_nanos().saturating_sub(inner.now.as_nanos()),
-            kind: EventKind::Deliver(copy_msg),
-        });
+            lat_ns,
+            EventKind::Deliver(copy_msg),
+        );
     }
     true
 }
@@ -1524,7 +1024,7 @@ fn send_one(
 /// The handler-side view of the kernel.
 pub struct Ctx<'a> {
     self_id: EndpointId,
-    inner: &'a mut Inner,
+    pub(crate) inner: &'a mut Inner,
     slots: &'a mut Vec<Slot>,
     spawned: Vec<EndpointId>,
 }
@@ -1543,11 +1043,6 @@ impl Ctx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.inner.now
-    }
-
-    /// The kernel's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.inner.rng
     }
 
     /// A fresh call id.
@@ -1582,143 +1077,6 @@ impl Ctx<'_> {
     /// kernel pool (`dispatch::serve` calls this on every served call).
     pub fn recycle_message(&mut self, msg: Message) {
         self.inner.pool.recycle_message(msg);
-    }
-
-    /// Bump a named protocol counter. Inside an active trace, the bump
-    /// is also recorded as a `Note` span event — counters *are* the
-    /// protocol-level events (cache hits, activations, …), so every
-    /// instrumented site annotates the request it served for free.
-    pub fn count(&mut self, name: &str) {
-        self.count_n(name, 1);
-    }
-
-    /// Add to a named protocol counter (traced like [`Ctx::count`]).
-    pub fn count_n(&mut self, name: &str, n: u64) {
-        self.inner.note_count(name, n);
-        self.trace_note(name);
-    }
-
-    /// [`Ctx::count_n`] for a pre-interned name — allocation-free, for
-    /// counters bumped on sweep/teardown paths that must stay off the
-    /// allocator even when no trace is active.
-    pub fn count_n_sym(&mut self, sym: Sym, n: u64) {
-        self.inner.note_count_sym(sym, n);
-        if self.inner.current.is_active() {
-            self.trace_note(sym.as_str());
-        }
-    }
-
-    /// The trace context this handler is executing under.
-    pub fn current_trace(&self) -> TraceContext {
-        self.inner.current
-    }
-
-    /// Open a root span for a new workload-level request and make it the
-    /// current context. Returns [`TraceContext::NONE`] when tracing is
-    /// off (everything downstream degrades to a no-op).
-    pub fn trace_begin(&mut self, label: &str) -> TraceContext {
-        let at = self.inner.now;
-        let tc = self.inner.sink.begin(at, self.self_id.0, label);
-        if tc.is_active() {
-            self.inner.current = tc;
-        }
-        tc
-    }
-
-    /// Close the current request's trace with an outcome label and leave
-    /// the handler untraced.
-    pub fn trace_end(&mut self, outcome: &str) {
-        let tc = self.inner.current;
-        if tc.is_active() {
-            self.inner.record_span(
-                tc,
-                SpanId::NONE,
-                SpanEventKind::End,
-                self.self_id.0,
-                outcome,
-            );
-        }
-        self.inner.current = TraceContext::NONE;
-    }
-
-    /// Make `tc` the current context (continue a request whose context
-    /// was stashed across an asynchronous boundary the kernel cannot see,
-    /// e.g. state machines keyed by call id).
-    pub fn trace_resume(&mut self, tc: TraceContext) {
-        self.inner.current = tc;
-    }
-
-    /// Annotate the current trace with a protocol-level event (cache hit,
-    /// activation, …). No-op outside a trace.
-    pub fn trace_note(&mut self, label: &str) {
-        let tc = self.inner.current;
-        if tc.is_active() {
-            self.inner
-                .record_span(tc, SpanId::NONE, SpanEventKind::Note, self.self_id.0, label);
-        }
-    }
-
-    /// Is this handler executing under an active trace? Gate `format!`
-    /// label construction on this before calling [`Ctx::trace_note`], so
-    /// untraced runs pay no allocation for notes that would be dropped.
-    pub fn trace_active(&self) -> bool {
-        self.inner.current.is_active()
-    }
-
-    /// Is the span sink enabled at all? Gate label construction for
-    /// *root* spans ([`Ctx::trace_begin`]) on this — a root span records
-    /// whenever the sink is on, even outside any current trace.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.sink.is_enabled()
-    }
-
-    /// Record an event into the always-on flight recorder, attributed to
-    /// this endpoint. Allocation-free (the label is a pre-interned
-    /// [`Sym`]; `detail` is kind-specific).
-    pub fn flight(&mut self, kind: FlightKind, label: Sym, detail: u64) {
-        let jseq = self
-            .inner
-            .journal_note(record_kind(kind), self.self_id.0, detail, 0, label);
-        let at = self.inner.now;
-        self.inner.flight.record(FlightEvent {
-            at,
-            kind,
-            endpoint: self.self_id.0,
-            label,
-            detail,
-            seq: jseq,
-        });
-    }
-
-    /// Should a deadline sweep that expired continuations dump the
-    /// recorder tail?
-    pub fn flight_dump_on_sweep(&self) -> bool {
-        self.inner.flight_dump_on_sweep
-    }
-
-    /// Record an explicit SLO sample for this endpoint at the current
-    /// virtual time. The kernel samples *hop* latencies automatically;
-    /// endpoints that model service time (admission queues) record their
-    /// end-to-end response time here so objectives judge what a caller
-    /// actually experienced. No-op while SLO tracking is off.
-    pub fn slo_record(&mut self, latency_ns: u64) {
-        let at = self.inner.now.as_nanos();
-        self.inner.slo.record(at, self.self_id.0, latency_ns);
-    }
-
-    /// Drain burn-rate alarms fired by the online SLO monitor since the
-    /// last drain, as `(endpoint id, event)` in firing order. Always
-    /// empty unless the kernel was configured with
-    /// [`SimKernel::enable_slo_online`].
-    pub fn drain_burn_events(&mut self) -> Vec<(u64, BurnEvent)> {
-        self.inner.slo.drain_burn()
-    }
-
-    /// Dump the flight-recorder tail (newest `n` events) to stderr with
-    /// a reason line — post-mortem context for sweeps, invariant
-    /// violations, and imminent panics.
-    pub fn dump_flight(&self, reason: &str, n: usize) {
-        eprintln!("{}", self.inner.flight_dump(reason, n));
     }
 
     /// This endpoint's location.
@@ -1827,18 +1185,7 @@ impl Ctx<'_> {
     /// captures the current trace context, so the firing handler resumes
     /// the same trace (retry/backoff stays attributed to its request).
     pub fn set_timer(&mut self, delay_ns: u64, tag: u64) {
-        let at = self.inner.now.saturating_add(delay_ns);
-        let seq = self.inner.bump_seq();
-        let trace = self.inner.current;
-        self.inner.enqueue(Event {
-            at,
-            seq,
-            to: self.self_id,
-            trace,
-            dedup: None,
-            lat_ns: 0,
-            kind: EventKind::Timer(tag),
-        });
+        self.inner.arm_timer(self.self_id, delay_ns, tag);
     }
 
     /// Spawn a new endpoint (activation); its `on_start` runs right after
@@ -1849,21 +1196,7 @@ impl Ctx<'_> {
         location: Location,
         name: impl Into<String>,
     ) -> EndpointId {
-        let id = EndpointId(self.slots.len() as u64);
-        let name = name.into();
-        self.inner
-            .journal_note_str(RecordKind::Attach, id.0, 0, 0, &name);
-        self.slots.push(Slot::new(
-            EndpointMeta {
-                location,
-                name,
-                received: 0,
-                sent: 0,
-                in_latency: Histogram::new(),
-                alive: true,
-            },
-            ep,
-        ));
+        let id = self.inner.attach(self.slots, ep, location, name.into());
         self.spawned.push(id);
         id
     }
@@ -1871,19 +1204,7 @@ impl Ctx<'_> {
     /// Kill an endpoint (deactivation). Killing `self` is allowed: the
     /// current handler finishes, then the endpoint is dropped.
     pub fn kill(&mut self, id: EndpointId) {
-        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            slot.mark_dead();
-            if id != self.self_id {
-                slot.ep = None;
-            }
-            self.inner
-                .journal_note_str(RecordKind::Detach, id.0, 0, 0, "");
-        }
-    }
-
-    /// Metadata for any endpoint (alive or dead).
-    pub fn meta_of(&self, id: EndpointId) -> Option<&EndpointMeta> {
-        self.slots.get(id.0 as usize).map(|s| &s.meta)
+        self.inner.detach(self.slots, id);
     }
 }
 
@@ -1892,6 +1213,7 @@ mod tests {
     use super::*;
     use crate::message::Body;
     use legion_core::address::AddressSemantics;
+    use legion_obs::span::SpanEventKind;
 
     /// Echoes every call back as a reply carrying the same args.
     struct Echo {
@@ -2763,7 +2085,6 @@ mod tests {
     fn dedup_disabled_exposes_endpoints_to_duplicates() {
         let mut k = SimKernel::new(Topology::zero(), FaultPlan::seeded(3), 7);
         k.set_dedup_enabled(false);
-        assert!(!k.dedup_enabled());
         k.faults_mut().set_duplicate_probability(1.0);
         let echo = k.add_endpoint(
             Box::new(Echo::new(Loid::instance(16, 1))),

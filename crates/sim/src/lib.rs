@@ -3,7 +3,7 @@
 //! Assembles every other crate into a deterministic Legion-in-a-box
 //! ([`system::LegionSystem`]), generates the paper's assumed workloads
 //! ([`workload`]: locality + Zipf popularity), and drives one experiment
-//! per paper figure/claim ([`experiments`], E1-E14 in DESIGN.md §6).
+//! per paper figure/claim ([`experiments`], E1–E18 in DESIGN.md §6).
 //! [`parallel`] adds a threaded actor runtime for the wall-clock
 //! throughput experiment (E14).
 

@@ -10,7 +10,7 @@
 #     32-byte event moves) per scheduling operation.
 #   * `queue.push(` appears outside equeue.rs in more than the one
 #     blessed call site: the kernel's single enqueue funnel in
-#     crates/net/src/sim.rs (`Inner::enqueue`), which stamps the
+#     crates/net/src/sim.rs (`Inner::schedule`), which stamps the
 #     deterministic (time, seq) key. Any other direct push would bypass
 #     the sequence stamping that the replay/journal layer depends on.
 set -euo pipefail
@@ -39,7 +39,7 @@ if [[ "$push_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$push_h
     echo "(the enqueue funnel in crates/net/src/sim.rs); found:" >&2
     echo "${push_hits:-<none>}" >&2
     echo >&2
-    echo "Route all event scheduling through SimKernel's enqueue so every event" >&2
+    echo "Route all event scheduling through Inner::schedule so every event" >&2
     echo "gets its deterministic sequence stamp." >&2
     exit 1
 fi
