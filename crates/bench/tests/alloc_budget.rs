@@ -224,6 +224,9 @@ fn hot_path_allocation_budgets() {
     // a clean send does not: its span label is never built.
     delayed_sends_allocate_like_clean_ones();
 
+    // A busy endpoint keeps one deadline sweep armed, not one per call.
+    sweep_timers_follow_timeout_periods_not_calls();
+
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the CI gate on allocs/message is noise.
     let again = e12_steady_state(1, SNAPSHOT_SEED);
@@ -238,6 +241,31 @@ fn hot_path_allocation_budgets() {
     assert_eq!(
         stats.alloc_bytes, again.alloc_bytes,
         "allocated bytes must be seed-determined"
+    );
+}
+
+/// A fault-free E17-shaped wave (the CI-sized point: 73 agents, 16
+/// clients, 3 200 lookups). Its clients arm no timers, so every event
+/// that is neither a delivery nor a client's start is a Binding Agent's
+/// deadline sweep — and an agent arms one per request-timeout period it
+/// is busy in, however many upstream calls it makes meanwhile.
+fn sweep_timers_follow_timeout_periods_not_calls() {
+    use legion_core::address::ObjectAddressElement;
+    use legion_core::loid::Loid;
+    use legion_naming::agent::AgentConfig;
+    use legion_sim::experiments::e17_scale::quick_campaign;
+
+    let row = quick_campaign(SNAPSHOT_SEED);
+    assert_eq!(row.failed, 0, "{row:?}");
+    let sweeps = row.events - row.messages - row.clients as u64;
+    let timeout_ns =
+        AgentConfig::root(Loid::class_object(1), ObjectAddressElement::sim(0)).request_timeout_ns;
+    let budget = row.agents as u64 * (1 + row.virtual_ns / timeout_ns);
+    assert!(
+        sweeps <= budget,
+        "{sweeps} deadline-sweep timers over {} virtual ns: more than one per agent per \
+         {timeout_ns} ns timeout period ({budget}) ({row:?})",
+        row.virtual_ns
     );
 }
 

@@ -22,7 +22,8 @@
 //! * **A shared continuation store** ([`Continuations`]) replaces the
 //!   per-endpoint `Pending` enums and `handle_reply` state machines:
 //!   a call-id maps to a boxed continuation that receives the decoded
-//!   reply.
+//!   reply — and, in the same map entry, the deadline the endpoint stops
+//!   waiting at and the trace context of the call that registered it.
 //! * **One security gate** ([`InvocationGate`]): the MayI check (§2.4)
 //!   runs once, at the dispatch boundary, for every gated method of every
 //!   endpoint, instead of being hand-wired into some endpoints and
@@ -46,6 +47,7 @@ use crate::interface::{Interface, MethodSignature, ParamType};
 use crate::loid::Loid;
 use crate::symbol::Sym;
 use crate::time::SimTime;
+use crate::trace::TraceContext;
 use crate::value::LegionValue;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -534,10 +536,18 @@ pub struct ContinuationStats {
 /// endpoint's deadline sweep ([`Continuations::take_expired`]) collects
 /// every overdue continuation so it can be resolved with a uniform
 /// timeout error instead of leaking forever when the reply was lost.
+///
+/// The store also remembers the earliest time the endpoint has a sweep
+/// timer pending for ([`Continuations::claim_timer`],
+/// [`Continuations::timer_fired`]), which is what lets the transport keep
+/// one armed timer per endpoint instead of one per call.
 #[derive(Debug)]
 pub struct Continuations<K: Ord, C> {
-    map: BTreeMap<K, C>,
-    deadlines: BTreeMap<K, SimTime>,
+    /// Each continuation with its deadline and the trace context of the
+    /// call that registered it, if it has a deadline.
+    map: BTreeMap<K, (C, Option<(SimTime, TraceContext)>)>,
+    /// The earliest time a sweep timer is pending for.
+    armed: Option<SimTime>,
     stats: ContinuationStats,
 }
 
@@ -545,7 +555,7 @@ impl<K: Ord, C> Default for Continuations<K, C> {
     fn default() -> Self {
         Continuations {
             map: BTreeMap::new(),
-            deadlines: BTreeMap::new(),
+            armed: None,
             stats: ContinuationStats::default(),
         }
     }
@@ -562,61 +572,101 @@ impl<K: Ord, C> Continuations<K, C> {
     /// id was (erroneously) reused.
     pub fn insert(&mut self, key: K, cont: C) -> Option<C> {
         self.stats.inserted += 1;
-        self.deadlines.remove(&key);
-        self.map.insert(key, cont)
+        self.map.insert(key, (cont, None)).map(|(c, _)| c)
     }
 
     /// Register the continuation for a call-id and stop waiting for its
     /// reply at `deadline`: a later [`Continuations::take_expired`] sweep
     /// collects it for a uniform timeout resolution.
-    pub fn insert_with_deadline(&mut self, key: K, cont: C, deadline: SimTime) -> Option<C>
-    where
-        K: Clone,
-    {
+    pub fn insert_with_deadline(&mut self, key: K, cont: C, deadline: SimTime) -> Option<C> {
+        self.insert_traced(key, cont, deadline, TraceContext::NONE)
+    }
+
+    /// [`Continuations::insert_with_deadline`], remembering the trace
+    /// context of the registering call: a timeout is resolved under the
+    /// request it belongs to, whichever timer's sweep finds it.
+    pub fn insert_traced(
+        &mut self,
+        key: K,
+        cont: C,
+        deadline: SimTime,
+        trace: TraceContext,
+    ) -> Option<C> {
         self.stats.inserted += 1;
-        self.deadlines.insert(key.clone(), deadline);
-        self.map.insert(key, cont)
+        self.map
+            .insert(key, (cont, Some((deadline, trace))))
+            .map(|(c, _)| c)
     }
 
     /// Take the continuation awaiting `key`, if any — the caller then
     /// invokes it with the decoded reply. (Two steps, so the endpoint can
     /// pass `&mut self` to the continuation without aliasing the store.)
     pub fn take(&mut self, key: &K) -> Option<C> {
-        let c = self.map.remove(key);
-        if c.is_some() {
-            self.stats.taken += 1;
-            self.deadlines.remove(key);
-        }
-        c
+        let (c, _) = self.map.remove(key)?;
+        self.stats.taken += 1;
+        Some(c)
     }
 
     /// Collect every continuation whose deadline has passed at `now`, in
     /// key order. The caller resolves each with a uniform timeout error —
     /// overdue calls produce a reply, they do not leak.
-    pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, C)>
-    where
-        K: Clone,
-    {
-        let due: Vec<K> = self
-            .deadlines
-            .iter()
-            .filter(|(_, d)| **d <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut out = Vec::with_capacity(due.len());
-        for key in due {
-            self.deadlines.remove(&key);
-            if let Some(c) = self.map.remove(&key) {
-                self.stats.expired += 1;
-                out.push((key, c));
+    pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, C)> {
+        self.take_expired_traced(now)
+            .into_iter()
+            .map(|(k, c, _)| (k, c))
+            .collect()
+    }
+
+    /// [`Continuations::take_expired`] with each continuation's
+    /// registering trace context.
+    pub fn take_expired_traced(&mut self, now: SimTime) -> Vec<(K, C, TraceContext)> {
+        let mut out = Vec::new();
+        // `BTreeMap::extract_if` is newer than the workspace's declared
+        // Rust version: split the due entries off by rebuilding the map,
+        // and only when something is actually overdue.
+        if self.next_deadline().is_some_and(|d| d <= now) {
+            for (k, (c, deadline)) in std::mem::take(&mut self.map) {
+                match deadline {
+                    Some((d, trace)) if d <= now => out.push((k, c, trace)),
+                    _ => {
+                        self.map.insert(k, (c, deadline));
+                    }
+                }
             }
+            self.stats.expired += out.len() as u64;
         }
         out
     }
 
     /// The earliest recorded deadline, if any continuation has one.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.deadlines.values().min().copied()
+        self.map
+            .values()
+            .filter_map(|(_, d)| Some(d.as_ref()?.0))
+            .min()
+    }
+
+    /// Does the endpoint need a new sweep timer at `at` — is none pending
+    /// at or before it? If so, `at` is recorded as pending and the caller
+    /// must arm one. Holding every deadline to this keeps the invariant
+    /// *while any continuation has a deadline, a sweep timer is pending
+    /// at or before the earliest one*.
+    pub fn claim_timer(&mut self, at: SimTime) -> bool {
+        let needed = self.armed.is_none_or(|pending| at < pending);
+        if needed {
+            self.armed = Some(at);
+        }
+        needed
+    }
+
+    /// A sweep timer fired at `now`: if it was the earliest one pending,
+    /// none is remembered any more. (A timer superseded by an earlier one
+    /// still fires later; it finds the earlier one's successor pending and
+    /// changes nothing.)
+    pub fn timer_fired(&mut self, now: SimTime) {
+        if self.armed.is_some_and(|pending| pending <= now) {
+            self.armed = None;
+        }
     }
 
     /// Is a continuation waiting on `key`?
@@ -779,6 +829,36 @@ mod tests {
         assert_eq!(due, vec![(1, "a"), (3, "c")]);
         assert_eq!(c.len(), 1);
         assert_eq!(c.next_deadline(), Some(SimTime(99)));
+    }
+
+    #[test]
+    fn one_timer_is_claimed_per_earliest_deadline() {
+        let mut c: Continuations<u64, &'static str> = Continuations::new();
+        assert!(c.claim_timer(SimTime(100)), "none pending");
+        assert!(!c.claim_timer(SimTime(100)), "one pending at that time");
+        assert!(!c.claim_timer(SimTime(150)), "one pending before that time");
+        assert!(c.claim_timer(SimTime(40)), "earlier than the pending one");
+        // The superseded timer for 100 fires after the one for 40 did.
+        c.timer_fired(SimTime(40));
+        assert!(c.claim_timer(SimTime(120)), "the due timer was forgotten");
+        c.timer_fired(SimTime(100));
+        assert!(!c.claim_timer(SimTime(120)), "a stale fire changes nothing");
+    }
+
+    #[test]
+    fn expiry_carries_the_registering_trace() {
+        use crate::trace::{SpanId, TraceId};
+        let tc = TraceContext::new(TraceId(3), SpanId(7));
+        let mut c: Continuations<u64, &'static str> = Continuations::new();
+        c.insert_traced(1, "a", SimTime(10), tc);
+        c.insert_with_deadline(2, "b", SimTime(10));
+        c.insert(3, "c");
+        assert_eq!(
+            c.take_expired_traced(SimTime(10)),
+            vec![(1, "a", tc), (2, "b", TraceContext::NONE)]
+        );
+        assert_eq!(c.len(), 1, "no deadline, never swept");
+        assert_eq!(c.stats().expired, 2);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! Upstream replies resume typed continuations from the shared
 //! [`Continuations`] store; each call is registered with a deadline and
-//! a per-call timer drives the shared deadline sweep, which resolves
-//! overdue continuations with the uniform timeout error — so the retry
-//! policy lives in exactly one place.
+//! the endpoint's one armed sweep timer drives the shared deadline sweep,
+//! which resolves overdue continuations with the uniform timeout error —
+//! so the retry policy lives in exactly one place.
 
 use crate::cache::BindingCache;
 use crate::protocol::{
@@ -40,10 +40,11 @@ use legion_core::value::LegionValue;
 use legion_core::wellknown::{is_core_class, LEGION_CLASS};
 use legion_net::dispatch::{
     cont, insert_pending, is_timeout, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, TableBuilder,
+    Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
-use legion_net::message::Message;
+use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 /// Configuration of one Binding Agent.
@@ -89,9 +90,12 @@ impl AgentConfig {
 }
 
 /// What a completed resolution must service.
+// `External` is the common variant, and boxing it is the allocation per
+// cache miss the ticket exists to avoid.
+#[allow(clippy::large_enum_variant)]
 enum Waiter {
     /// Reply to this original external call.
-    External(Box<Message>),
+    External(ReplyTicket),
     /// We resolved a *class*; now ask it for `next_target`'s binding.
     Chained { next_target: Loid },
 }
@@ -111,7 +115,10 @@ struct Inflight {
 pub struct BindingAgentEndpoint {
     cfg: AgentConfig,
     cache: BindingCache,
-    waiting: FxHashMap<Loid, Vec<Waiter>>,
+    /// Who waits on each in-flight target: the waiter that started the
+    /// resolution inline, combined ones behind it — a resolution nobody
+    /// joins costs no waiter-list allocation.
+    waiting: FxHashMap<Loid, (Waiter, Vec<Waiter>)>,
     inflight: FxHashMap<Loid, Inflight>,
     continuations: Continuations<Self>,
     table: Rc<MethodTable<Self>>,
@@ -224,13 +231,8 @@ impl BindingAgentEndpoint {
         if ctx.trace_active() {
             ctx.trace_note(&format!("ba.cache_miss:{target}"));
         }
-        self.enqueue(
-            ctx,
-            target,
-            Waiter::External(Box::new(msg.clone())),
-            force_fresh,
-            stale,
-        );
+        let waiter = Waiter::External(msg.reply_ticket());
+        self.enqueue(ctx, target, waiter, force_fresh, stale);
         Outcome::Pending
     }
 
@@ -244,7 +246,12 @@ impl BindingAgentEndpoint {
         force_fresh: bool,
         stale: Option<Binding>,
     ) {
-        self.waiting.entry(target).or_default().push(waiter);
+        match self.waiting.entry(target) {
+            Entry::Occupied(e) => e.into_mut().1.push(waiter),
+            Entry::Vacant(e) => {
+                e.insert((waiter, Vec::new()));
+            }
+        }
         if let Some(inf) = self.inflight.get_mut(&target) {
             inf.force_fresh |= force_fresh;
             if inf.stale.is_none() {
@@ -450,8 +457,9 @@ impl BindingAgentEndpoint {
         }
     }
 
-    /// Send a call, register its continuation, and arm its timeout.
-    /// Returns `false` on a detectable refusal (nothing registered).
+    /// Send a call and register its continuation under the request
+    /// timeout. Returns `false` on a detectable refusal (nothing
+    /// registered).
     fn send_pending(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -464,15 +472,13 @@ impl BindingAgentEndpoint {
         let env = InvocationEnv::solo(self.cfg.loid);
         match ctx.call(to, frame_target, method, args, env, Some(self.cfg.loid)) {
             Some(call_id) => {
-                // Tag the sweep timer with the raw call id so traces stay
-                // attributable to the call that armed them.
                 insert_pending(
                     &mut self.continuations,
                     ctx,
                     call_id,
                     k,
                     Some(self.cfg.request_timeout_ns),
-                    call_id.0,
+                    TIMER_DEADLINE_SWEEP,
                 );
                 true
             }
@@ -504,15 +510,17 @@ impl BindingAgentEndpoint {
                 self.cache.insert(b.clone());
             }
         }
-        let waiters = self.waiting.remove(&target).unwrap_or_default();
-        for w in waiters {
+        let Some((first, combined)) = self.waiting.remove(&target) else {
+            return;
+        };
+        for w in std::iter::once(first).chain(combined) {
             match w {
-                Waiter::External(msg) => {
+                Waiter::External(call) => {
                     let payload = match &result {
                         Ok(b) => Ok(ctx.binding_value(b)),
                         Err(e) => Err(format!("GetBinding({target}): {e}")),
                     };
-                    ctx.reply(&msg, payload);
+                    ctx.reply_ticket(call, payload);
                 }
                 Waiter::Chained { next_target } => match &result {
                     Ok(class_binding) => {
@@ -545,7 +553,10 @@ impl Endpoint for BindingAgentEndpoint {
         serve(&table, self, ctx, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        if tag != TIMER_DEADLINE_SWEEP {
+            return;
+        }
         fn conts(e: &mut BindingAgentEndpoint) -> &mut Continuations<BindingAgentEndpoint> {
             &mut e.continuations
         }

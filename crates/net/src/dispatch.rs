@@ -23,6 +23,12 @@
 //! Endpoints register methods against a [`TableBuilder`] at construction
 //! and keep the sealed table in an `Rc`; `on_message` becomes a call to
 //! [`serve`] plus a continuation take for replies.
+//!
+//! Outbound calls that wait for a reply share one deadline mechanism,
+//! [`insert_pending`] and [`sweep_expired`]: an endpoint keeps a single
+//! sweep timer armed for its earliest outstanding deadline — not a timer
+//! per call — and a timeout is resolved under the trace context of the
+//! call that registered it.
 
 use crate::message::{Body, CallId, Message};
 use crate::sim::{Ctx, FlightKind};
@@ -34,6 +40,8 @@ use legion_core::idl;
 use legion_core::interface::{Interface, MethodSignature, ParamType};
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
+use legion_core::time::SimTime;
+use legion_core::trace::TraceContext;
 use legion_core::value::LegionValue;
 use std::rc::Rc;
 
@@ -85,8 +93,7 @@ where
 }
 
 /// Timer tag endpoints reserve for their continuation deadline sweep.
-/// High in the tag space, so it never collides with protocol timers or
-/// with naming-agent per-call tags (raw call ids, which count up from 1).
+/// High in the tag space, so it never collides with protocol timers.
 pub const TIMER_DEADLINE_SWEEP: u64 = 0x4444_4c53_5745_4550; // "DDLSWEEP"
 
 /// The uniform timeout rendering a deadline sweep substitutes for a reply
@@ -122,9 +129,24 @@ pub fn is_overloaded(err: &str) -> Option<u64> {
 /// With `deadline_ns = None` the endpoint waits forever (the historical
 /// behavior — no timer events are created, so fault-free runs are
 /// untouched). With `Some(d)`, the continuation is recorded with deadline
-/// `now + d` and a sweep timer is armed `d` from now with `timer_tag`
-/// (usually [`TIMER_DEADLINE_SWEEP`]); the endpoint's `on_timer` then
-/// calls [`sweep_expired`].
+/// `now + d` and the trace context of the call registering it, and the
+/// endpoint's `on_timer` calls [`sweep_expired`] on `timer_tag`
+/// ([`TIMER_DEADLINE_SWEEP`], which is also what re-arming uses).
+///
+/// An endpoint keeps **one** sweep timer armed, not one per call:
+///
+/// * *register* with deadline `D` arms a timer at `D` only if none is
+///   pending or `D` is earlier than the pending one;
+/// * *fire* at `now` forgets the pending timer if it was due, and expires
+///   everything with `deadline <= now`;
+/// * *re-arm*, once the expired continuations have run, arms a timer at
+///   the earliest deadline still outstanding unless one is pending at or
+///   before it — nothing outstanding, nothing armed.
+///
+/// So while any continuation has a deadline, a sweep timer is pending at
+/// or before the earliest one: every continuation is swept at exactly its
+/// own deadline, and a busy endpoint pays one timer event per timeout
+/// period.
 pub fn insert_pending<E>(
     conts: &mut Continuations<E>,
     ctx: &mut Ctx<'_>,
@@ -138,14 +160,28 @@ pub fn insert_pending<E>(
             conts.insert(id, k);
         }
         Some(d) => {
-            conts.insert_with_deadline(id, k, ctx.now().saturating_add(d));
-            ctx.set_timer(d, timer_tag);
+            let deadline = ctx.now().saturating_add(d);
+            conts.insert_traced(id, k, deadline, ctx.inner.current);
+            arm_sweep(conts, ctx, deadline, timer_tag);
         }
     }
 }
 
+/// Arm a sweep timer for `at` unless one is already pending at or before
+/// it. The timer belongs to the endpoint, not to the request that happens
+/// to be running, so it is armed under no trace context.
+fn arm_sweep<E>(conts: &mut Continuations<E>, ctx: &mut Ctx<'_>, at: SimTime, timer_tag: u64) {
+    if conts.claim_timer(at) {
+        let running = std::mem::replace(&mut ctx.inner.current, TraceContext::NONE);
+        ctx.set_timer(at.saturating_since(ctx.now()), timer_tag);
+        ctx.inner.current = running;
+    }
+}
+
 /// The deadline sweep: resolve every overdue continuation with the
-/// uniform timeout error ([`timeout_error`]). Returns how many expired.
+/// uniform timeout error ([`timeout_error`]), each under the trace context
+/// of the call that registered it, then re-arm for the earliest deadline
+/// still outstanding (see [`insert_pending`]). Returns how many expired.
 ///
 /// Each expiry bumps the `net.timeout_expired` counter (surfaced as
 /// [`MetricsSnapshot::timeouts_expired`](crate::metrics::MetricsSnapshot))
@@ -162,17 +198,24 @@ pub fn sweep_expired<E>(
     conts: fn(&mut E) -> &mut Continuations<E>,
     after_ns: u64,
 ) -> usize {
-    let due = conts(endpoint).take_expired(ctx.now());
+    let store = conts(endpoint);
+    store.timer_fired(ctx.now());
+    let due = store.take_expired_traced(ctx.now());
     let n = due.len();
-    if n > 0 {
-        ctx.count_n_sym(symbol::NET_TIMEOUT_EXPIRED, n as u64);
-    }
-    for (id, k) in due {
+    let fired_under = ctx.inner.current;
+    for (id, k, trace) in due {
+        ctx.inner.current = trace;
+        ctx.count_n_sym(symbol::NET_TIMEOUT_EXPIRED, 1);
         ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
         k(endpoint, ctx, Err(timeout_error(after_ns)));
     }
+    ctx.inner.current = fired_under;
     if n > 0 && ctx.flight_dump_on_sweep() {
         ctx.dump_flight("deadline sweep expired continuations", SWEEP_DUMP_TAIL);
+    }
+    let store = conts(endpoint);
+    if let Some(next) = store.next_deadline() {
+        arm_sweep(store, ctx, next, TIMER_DEADLINE_SWEEP);
     }
     n
 }

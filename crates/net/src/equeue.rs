@@ -23,6 +23,16 @@
 //!   has advanced to the next occupied tick (amortized O(1): each entry
 //!   cascades down at most once per level).
 //!
+//! ## Layout: keys in the wheel, values in a slab
+//!
+//! What the wheel files, cascades, sorts and splices is a 24-byte
+//! [`Key`] — `(at, seq)` plus the index of a slab slot. The value itself
+//! (the kernel's `Event`, 360 bytes with its inline `Message`) is written
+//! into its slab slot once by `push` and taken out once by `pop`; nothing
+//! in between touches it. Freed slots go on a LIFO free list and are
+//! reused before the slab grows, so the slab is bounded by the queue's
+//! own peak and the slot handed out next is the one most recently warm.
+//!
 //! ## Determinism contract
 //!
 //! The pop order is **exactly** ascending `(at, seq)` — the same total
@@ -39,11 +49,14 @@
 //!
 //! ## Allocation contract
 //!
-//! Slot vectors, the ready deque, and the cascade scratch buffer all
-//! retain their capacity across waves: in steady state a push/pop cycle
-//! touches no allocator. `alloc_budget` gates this transitively through
-//! the per-message budget; the wheel itself allocates only while a
-//! fresh capacity high-water mark is being established.
+//! Slot vectors, the ready deque, the cascade scratch buffer, the slab
+//! and its free list all retain their capacity across waves (none ever
+//! shrinks): in steady state a push/pop cycle touches no allocator.
+//! `alloc_budget` gates this transitively through the per-message budget;
+//! the wheel itself allocates only while a fresh capacity high-water mark
+//! is being established — and a burst that passes through several wheel
+//! slots on its way down leaves 24 bytes per entry behind in each, while
+//! the values' storage is retained once.
 
 use std::collections::VecDeque;
 
@@ -59,10 +72,13 @@ const LEVELS: usize = 8;
 /// `cursor + 2^HORIZON_BITS` overflow to `far`.
 const HORIZON_BITS: u32 = (LEVELS as u32) * LEVEL_BITS;
 
-struct Entry<T> {
+/// What the wheel moves: the ordering key and where the value waits.
+#[derive(Clone, Copy)]
+struct Key {
     at: u64,
     seq: u64,
-    value: T,
+    /// Index into [`EventQueue::slab`].
+    slot: u32,
 }
 
 /// A total-order event queue keyed by `(at, seq)`, both `u64`, popping
@@ -73,16 +89,21 @@ pub struct EventQueue<T> {
     /// Tick the wheel has advanced to; `ready` holds this tick's entries.
     cursor: u64,
     /// Entries with `tick(at) <= cursor`, sorted ascending by `(at, seq)`.
-    ready: VecDeque<Entry<T>>,
+    ready: VecDeque<Key>,
     /// `LEVELS x SLOTS` buckets of future entries, unsorted within a slot.
-    slots: Vec<Vec<Entry<T>>>,
+    slots: Vec<Vec<Key>>,
     /// Per-level occupancy bitmap: bit `s` set iff `slots[level*SLOTS+s]`
     /// is non-empty.
     occupied: [u64; LEVELS],
     /// Entries beyond the wheel horizon (≈ 36 simulated years out).
-    far: Vec<Entry<T>>,
+    far: Vec<Key>,
     /// Scratch buffer reused by cascades to re-place a slot's entries.
-    scratch: Vec<Entry<T>>,
+    scratch: Vec<Key>,
+    /// The pending values, each at the index its key carries; `None`
+    /// marks a free slot.
+    slab: Vec<Option<T>>,
+    /// Free slab slots, reused last-freed-first.
+    free: Vec<u32>,
     /// Live entry count.
     len: usize,
     /// High-water mark of `len` over the queue's lifetime.
@@ -108,6 +129,8 @@ impl<T> EventQueue<T> {
             occupied: [0; LEVELS],
             far: Vec::new(),
             scratch: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             len: 0,
             peak: 0,
         }
@@ -134,7 +157,18 @@ impl<T> EventQueue<T> {
         if self.len > self.peak {
             self.peak = self.len;
         }
-        self.place(Entry { at, seq, value });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(Some(value));
+                slot
+            }
+        };
+        self.place(Key { at, seq, slot });
     }
 
     /// Key of the next entry to pop, advancing the wheel to it.
@@ -147,23 +181,22 @@ impl<T> EventQueue<T> {
     /// Remove and return the entry with the smallest `(at, seq)`.
     pub fn pop(&mut self) -> Option<T> {
         self.advance();
-        let e = self.ready.pop_front()?;
+        let key = self.ready.pop_front()?;
         self.len -= 1;
-        Some(e.value)
+        self.free.push(key.slot);
+        let value = self.slab[key.slot as usize].take();
+        debug_assert!(value.is_some(), "a filed key's slot is occupied");
+        value
     }
 
     /// Visit every pending entry in unspecified order (snapshots sort by
     /// their own embedded keys).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.ready
-            .iter()
-            .chain(self.slots.iter().flatten())
-            .chain(self.far.iter())
-            .map(|e| &e.value)
+        self.slab.iter().flatten()
     }
 
     /// Route one entry to `ready`, a wheel slot, or `far`.
-    fn place(&mut self, e: Entry<T>) {
+    fn place(&mut self, e: Key) {
         let t = e.at >> TICK_SHIFT;
         if t <= self.cursor {
             // Current (or past — e.g. injected after `run_until` moved
@@ -242,6 +275,24 @@ impl<T> EventQueue<T> {
                 self.scratch = pending; // keep capacity for the next cascade
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<T> EventQueue<T> {
+    /// Heap bytes the queue holds on to, as `(keys, values)`: the
+    /// capacity of every key container, and of the slab plus its free
+    /// list.
+    fn retained_bytes(&self) -> (usize, usize) {
+        let key_slots = self.ready.capacity()
+            + self.slots.iter().map(Vec::capacity).sum::<usize>()
+            + self.far.capacity()
+            + self.scratch.capacity();
+        (
+            key_slots * std::mem::size_of::<Key>(),
+            self.slab.capacity() * std::mem::size_of::<Option<T>>()
+                + self.free.capacity() * std::mem::size_of::<u32>(),
+        )
     }
 }
 
@@ -413,6 +464,99 @@ mod tests {
             assert!(wheel.is_empty());
             assert_eq!(wheel.pop(), None);
         }
+    }
+
+    /// The same contract with the slab in play: a long interleaved
+    /// schedule whose queue stays small while tens of thousands of
+    /// entries pass through, so every slab slot is recycled many times
+    /// over. After every step the pop order, `len`, `peak_len` and the
+    /// exact pending set seen through `iter()` match the model.
+    #[test]
+    fn recycled_slots_keep_order_len_peak_and_iter() {
+        let mut rng = SmallRng::seed_from_u64(0x51AB);
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut seq, mut clock, mut peak) = (0u64, 0u64, 0usize);
+        for step in 0..6_000 {
+            // Pushes and pops balance around a few dozen pending entries.
+            let pushes = if heap.len() < 40 { 6usize } else { 2 };
+            for _ in 0..rng.gen_range(0..=pushes) {
+                let at = match rng.gen_range(0..20u32) {
+                    0 => u64::MAX - rng.gen_range(0..3u64),
+                    1..=3 => clock.saturating_add(1u64 << rng.gen_range(14..44u32)),
+                    _ => clock.saturating_add(rng.gen_range(0..300_000u64)),
+                };
+                wheel.push(at, seq, seq);
+                heap.push(Reverse((at, seq)));
+                seq += 1;
+            }
+            peak = peak.max(heap.len());
+            for _ in 0..rng.gen_range(0..5usize) {
+                let expect = heap.pop().map(|Reverse(k)| k);
+                assert_eq!(wheel.peek_key(), expect, "peek diverged at step {step}");
+                assert_eq!(wheel.pop(), expect.map(|(_, s)| s));
+                // A popped far-future sentinel would pin the clock at the
+                // top of the range; keep scheduling relative to real time.
+                if let Some((at, _)) = expect.filter(|&(at, _)| at < u64::MAX / 2) {
+                    clock = at;
+                }
+            }
+            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.peak_len(), peak);
+            let mut seen: Vec<u64> = wheel.iter().copied().collect();
+            seen.sort_unstable();
+            let mut pending: Vec<u64> = heap.iter().map(|Reverse((_, s))| *s).collect();
+            pending.sort_unstable();
+            assert_eq!(seen, pending, "iter() is the pending set (step {step})");
+        }
+        assert!(
+            seq as usize > 100 * wheel.slab.len(),
+            "{seq} entries through {} slab slots: each recycled many times",
+            wheel.slab.len()
+        );
+        assert_eq!(wheel.slab.len(), peak, "the slab is bounded by the peak");
+    }
+
+    /// The wheel's entry is the 24-byte key, whatever the value's size.
+    #[test]
+    fn wheel_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    /// A burst of far timers cascades through several wheel levels on
+    /// its way to `ready`. What each visited container keeps afterwards
+    /// is key capacity; the values' storage is retained once.
+    #[test]
+    fn drained_burst_retains_keys_per_slot_and_values_once() {
+        type Fat = [u64; 45]; // the kernel's 360-byte event
+        const BURST: usize = 10_000;
+        let mut q: EventQueue<Fat> = EventQueue::new();
+        for i in 0..BURST as u64 {
+            // ~500 virtual ms out: level 2 or 3, spread over a few ticks.
+            q.push(500_000_000 + (i % 7) * 1_000, i, [i; 45]);
+        }
+        let mut last = None;
+        while let Some(v) = q.pop() {
+            let key = Some((v[0] % 7, v[0]));
+            assert!(key > last, "ascending (at, seq)");
+            last = key;
+        }
+        assert_eq!(q.peak_len(), BURST);
+        let (keys, values) = q.retained_bytes();
+        let per_value = std::mem::size_of::<Option<Fat>>() + std::mem::size_of::<u32>();
+        // `Vec` growth doubles, so each container holds under 2x its peak.
+        assert!(
+            values <= 2 * BURST * per_value,
+            "values retained once: {values} B for {BURST} x {per_value} B"
+        );
+        assert!(
+            keys <= 2 * BURST * 24 * (LEVELS + 3),
+            "keys retained per visited container: {keys} B"
+        );
+        assert!(
+            keys + values < 3 * BURST * std::mem::size_of::<Fat>(),
+            "fat entries left behind in every cascaded slot would be more"
+        );
     }
 
     /// `run_until`-shaped usage: peek-bounded draining at a deadline,

@@ -97,16 +97,17 @@ impl Message {
 
     /// Build a reply to `call`, keeping its environment.
     pub fn reply_to(call: &Message, id: CallId, result: Result<LegionValue, String>) -> Self {
-        Message {
-            id,
-            target: call.sender,
-            reply_to: None,
-            sender: call.target,
-            env: call.env,
-            body: Body::Reply {
-                in_reply_to: call.id,
-                result,
-            },
+        call.reply_ticket().reply(id, result)
+    }
+
+    /// What answering this call later will need of it.
+    pub fn reply_ticket(&self) -> ReplyTicket {
+        ReplyTicket {
+            id: self.id,
+            reply_to: self.reply_to,
+            sender: self.sender,
+            target: self.target,
+            env: self.env,
         }
     }
 
@@ -135,6 +136,40 @@ impl Message {
     /// Is this a reply?
     pub fn is_reply(&self) -> bool {
         matches!(self.body, Body::Reply { .. })
+    }
+}
+
+/// The part of a call its reply is built from: an endpoint that answers
+/// later (a Binding Agent waiting on its parent) parks this instead of a
+/// copy of the call and its argument vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplyTicket {
+    id: CallId,
+    reply_to: Option<ObjectAddressElement>,
+    sender: Option<Loid>,
+    target: Option<Loid>,
+    env: InvocationEnv,
+}
+
+impl ReplyTicket {
+    /// Where the reply goes: the caller's address element, if it gave one.
+    pub(crate) fn reply_to(&self) -> Option<ObjectAddressElement> {
+        self.reply_to
+    }
+
+    /// Build the reply to the ticket's call, keeping its environment.
+    pub(crate) fn reply(self, id: CallId, result: Result<LegionValue, String>) -> Message {
+        Message {
+            id,
+            target: self.sender,
+            reply_to: None,
+            sender: self.target,
+            env: self.env,
+            body: Body::Reply {
+                in_reply_to: self.id,
+                result,
+            },
+        }
     }
 }
 

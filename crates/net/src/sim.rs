@@ -26,7 +26,7 @@
 
 use crate::equeue::EventQueue;
 use crate::faults::{DedupState, FaultPlan, Verdict};
-use crate::message::{Body, CallId, Message};
+use crate::message::{Body, CallId, Message, ReplyTicket};
 use crate::metrics::Histogram;
 use crate::pool::MessagePool;
 use crate::topology::{Location, Topology};
@@ -1173,12 +1173,17 @@ impl Ctx<'_> {
     /// Reply to `call` with `result`. Returns `false` if the caller's
     /// address is unknown or refused.
     pub fn reply(&mut self, call: &Message, result: Result<LegionValue, String>) -> bool {
-        let Some(dest) = call.reply_to else {
+        self.reply_ticket(call.reply_ticket(), result)
+    }
+
+    /// [`Ctx::reply`] to a call that was not kept, through the
+    /// [`ReplyTicket`] taken from it.
+    pub fn reply_ticket(&mut self, call: ReplyTicket, result: Result<LegionValue, String>) -> bool {
+        let Some(dest) = call.reply_to() else {
             return false;
         };
         let id = self.fresh_call_id();
-        let reply = Message::reply_to(call, id, result);
-        self.send(dest, reply)
+        self.send(dest, call.reply(id, result))
     }
 
     /// Fire `on_timer(tag)` on this endpoint after `delay_ns`. The timer

@@ -87,6 +87,8 @@ pub struct Row {
     pub events: u64,
     /// Peak event-queue population (timer-wheel pressure).
     pub queue_peak: usize,
+    /// Virtual time the measured wave spans, attach to quiescence.
+    pub virtual_ns: u64,
     /// Completed binds per wall-clock second.
     pub binds_per_sec: f64,
     /// Delivered messages per wall-clock second.
@@ -437,6 +439,7 @@ pub fn campaign(
     // drive — not the million-entry setup, not the warm-up.
     let (a0, _) = legion_core::allocs::counts();
     let t0 = std::time::Instant::now();
+    let wave_start = kernel.now();
     let client_eps = attach_fleet(&mut kernel, 0x100_000, 10_000);
     kernel.run_until_quiescent(MAX_EVENTS);
     let wall = t0.elapsed();
@@ -463,6 +466,7 @@ pub fn campaign(
         messages: stats.delivered,
         events: stats.events,
         queue_peak: kernel.queue_peak_len(),
+        virtual_ns: kernel.now().as_nanos() - wave_start.as_nanos(),
         binds_per_sec: completed as f64 / wall_s,
         messages_per_sec: stats.delivered as f64 / wall_s,
         ns_per_event: wall.as_nanos() as f64 / stats.events.max(1) as f64,
