@@ -212,3 +212,57 @@ fn e16_transcript_matches_golden() {
     out.push_str(&t2.render());
     check("e16_transcript.golden", &out);
 }
+
+/// Quick-scale transcripts of the deterministic experiments, exactly as
+/// `legion-exp --quick <id>` prints their tables (E13's and E18's two
+/// tables back to back; E13a is wall-clock and left out). Captured on the
+/// hand-written CLI's code paths before the run harness replaced them.
+#[test]
+fn quick_transcripts_match_goldens() {
+    let e13 = exp::e13_security::table(&[], &exp::e13_security::run_live(50, SEED)).1;
+    let (sweep, flash) = exp::e18_overload::run(SCALE, SEED);
+    let (e18a, e18b) = exp::e18_overload::table(&sweep, &flash);
+    let transcripts = [
+        (
+            "e02",
+            exp::e02_agent_load::table(&exp::e02_agent_load::run(SCALE, SEED)).render(),
+        ),
+        (
+            "e03",
+            exp::e03_cache_tiers::table(&exp::e03_cache_tiers::run(SCALE, SEED)).render(),
+        ),
+        (
+            "e04",
+            exp::e04_combining_tree::table(&exp::e04_combining_tree::run(SCALE, SEED)).render(),
+        ),
+        (
+            "e05",
+            exp::e05_find_class::table(&exp::e05_find_class::run(4, SEED)).render(),
+        ),
+        (
+            "e06",
+            exp::e06_class_cloning::table(&exp::e06_class_cloning::run(32, SEED)).render(),
+        ),
+        (
+            "e07",
+            exp::e07_lifecycle::table(&exp::e07_lifecycle::run(6, SEED)).render(),
+        ),
+        (
+            "e08",
+            exp::e08_stale_bindings::table(&exp::e08_stale_bindings::run(SCALE, SEED)).render(),
+        ),
+        (
+            "e10",
+            exp::e10_replication::table(&exp::e10_replication::run(4, 20, SEED)).render(),
+        ),
+        (
+            "e12",
+            exp::e12_scalability::table(&exp::e12_scalability::run(&[1, 2, 4], SEED)).render(),
+        ),
+        ("e13b", e13.render()),
+        ("e18", e18a.render() + &e18b.render()),
+    ];
+    for (name, transcript) in transcripts {
+        check(&format!("{name}_transcript.golden"), &transcript);
+    }
+}
