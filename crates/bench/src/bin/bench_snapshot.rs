@@ -13,11 +13,14 @@
 //! * `emit --out BENCH_CORE.json [--criterion-log F] [--pre F] [--mode m]`
 //!   — run the measurement, merge the bench log and the optional "pre"
 //!   measurement, and write the snapshot.
-//! * `check --against BENCH_CORE.json [--criterion-log F]` — re-measure
+//! * `check --against BENCH_CORE.json [--criterion-log F] [--mode m]` — re-measure
 //!   and fail (exit 1) if `allocs_per_message` regressed >5% or any
 //!   tracked Criterion median regressed >20% against the committed
 //!   snapshot. Wall-clock metrics (`messages_per_sec`) are reported but
 //!   never gated: they depend on the machine.
+//!
+//! `--mode quick` measures the CI-sized E17 and E18 campaigns in place of
+//! the full ones (the default).
 
 use legion_bench::alloc_counter::{self, CountingAlloc};
 use legion_bench::measure;
@@ -58,7 +61,7 @@ fn round2(x: f64) -> f64 {
 }
 
 /// The E17 kernel-scale campaign row (full million-LOID point, or the
-/// `LEGION_E17_QUICK` variant — `loids` records which).
+/// `--mode quick` variant — `loids` records which).
 fn e17_value(r: &measure::E17Row) -> Value {
     Value::Object(vec![
         ("loids".into(), Value::U64(r.loids)),
@@ -81,8 +84,8 @@ fn e17_value(r: &measure::E17Row) -> Value {
     ])
 }
 
-/// The E18 overload campaign (full flash crowd, or the
-/// `LEGION_E18_QUICK` variant — `offered` records which).
+/// The E18 overload campaign (full flash crowd, or the `--mode quick`
+/// variant — `offered` records which).
 fn e18_value(s: &measure::E18Stats) -> Value {
     Value::Object(vec![
         ("offered".into(), Value::U64(s.offered)),
@@ -144,7 +147,7 @@ fn parse_args() -> Result<Args, String> {
         pre: None,
         out: None,
         against: None,
-        mode: "quick".into(),
+        mode: "full".into(),
         sweep: vec![1, 2, 4],
     };
     let mut it = std::env::args().skip(1);
@@ -171,6 +174,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run_measurement(
     sweep: &[u32],
+    quick: bool,
 ) -> (
     measure::SteadyStats,
     measure::SteadyStats,
@@ -188,8 +192,8 @@ fn run_measurement(
         .iter()
         .map(|&j| measure::e12_steady_state(j, measure::SNAPSHOT_SEED))
         .collect();
-    let e17 = measure::e17_scale(measure::SNAPSHOT_SEED);
-    let e18 = measure::e18_overload(measure::SNAPSHOT_SEED);
+    let e17 = measure::e17_scale(quick, measure::SNAPSHOT_SEED);
+    let e18 = measure::e18_overload(quick, measure::SNAPSHOT_SEED);
     (headline, journaled, sweep, e17, e18)
 }
 
@@ -239,9 +243,11 @@ fn main() -> ExitCode {
         .map(|p| std::fs::read_to_string(p).expect("read criterion log"))
         .map(|t| parse_criterion_log(&t))
         .unwrap_or_default();
+    // `--mode quick` measures the CI-sized E17/E18 campaigns.
+    let quick = args.mode == "quick";
     match args.cmd.as_str() {
         "measure" => {
-            let (headline, journaled, sweep, e17, e18) = run_measurement(&args.sweep);
+            let (headline, journaled, sweep, e17, e18) = run_measurement(&args.sweep, quick);
             println!(
                 "{}",
                 serde::json::to_string_pretty(&measurement_value(
@@ -252,7 +258,7 @@ fn main() -> ExitCode {
         }
         "emit" => {
             let out = args.out.as_deref().expect("emit needs --out");
-            let (headline, journaled, sweep, e17, e18) = run_measurement(&args.sweep);
+            let (headline, journaled, sweep, e17, e18) = run_measurement(&args.sweep, quick);
             let mut doc = vec![
                 ("schema".into(), Value::Str("legion-bench-core/v1".into())),
                 ("mode".into(), Value::Str(args.mode.clone())),
@@ -279,7 +285,7 @@ fn main() -> ExitCode {
         "check" => {
             let against = args.against.as_deref().expect("check needs --against");
             let committed = load_json(against).expect("load committed snapshot");
-            let (headline, journaled, _, e17, e18) = run_measurement(&[]);
+            let (headline, journaled, _, e17, e18) = run_measurement(&[], quick);
             let mut failed = false;
             // Allocations per message are deterministic per seed: gate at
             // +5%.
@@ -310,7 +316,7 @@ fn main() -> ExitCode {
             }
             // E17: the same +5% allocs/message discipline — but only when
             // this run's campaign size matches the committed one (the CI
-            // bench-smoke job measures the `LEGION_E17_QUICK` variant
+            // bench-smoke job measures the `--mode quick` variant
             // while the snapshot commits the full million-LOID point, and
             // the two have different per-message profiles).
             let committed_e17_loids = f64_at(&committed, &["post", "e17_scale", "loids"]);

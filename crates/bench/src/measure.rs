@@ -11,21 +11,14 @@
 
 use crate::alloc_counter;
 use legion_journal::MemSink;
-use legion_naming::tree::TreeShape;
 use legion_obs::slo::SloConfig;
-use legion_sim::experiments::common::{attach_clients, run_clients};
-use legion_sim::system::{LegionSystem, SystemConfig};
-use legion_sim::workload::WorkloadConfig;
+use legion_sim::experiments::{e12_scalability, e17_scale, e18_overload};
+use legion_sim::harness::{Journal, Watch, SNAP_EVERY};
 use std::time::Instant;
 
 /// The seed `legion-exp --quick` uses; keeps snapshot numbers comparable
 /// with the committed experiment transcripts.
 pub const SNAPSHOT_SEED: u64 = 20260707;
-
-/// Snapshot cadence for the journaled measurement — the same the run
-/// report's `--journal-out` uses, so the gate covers the configuration
-/// users actually record with.
-pub const JOURNAL_SNAP_EVERY: u64 = 256;
 
 /// One steady-state measurement.
 #[derive(Debug, Clone)]
@@ -62,47 +55,10 @@ impl SteadyStats {
     }
 }
 
-/// Build the same system shape E12 sweeps (one leaf Binding Agent per
-/// jurisdiction, 4 hosts and 4 clients per jurisdiction).
-pub fn build_e12_system(jurisdictions: u32, seed: u64) -> (LegionSystem, usize) {
-    let leaves = jurisdictions as usize;
-    let tree = if leaves == 1 {
-        TreeShape::single()
-    } else {
-        TreeShape::new(leaves, leaves + 1)
-    };
-    let cfg = SystemConfig {
-        jurisdictions,
-        hosts_per_jurisdiction: 4,
-        classes: 2 * jurisdictions,
-        objects_per_class: 16,
-        agent_tree: tree,
-        seed,
-        ..SystemConfig::default()
-    };
-    let clients = (4 * jurisdictions) as usize;
-    (LegionSystem::build(cfg), clients)
-}
-
-/// Which optional kernel surfaces the measured run switches on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MeasureMode {
-    /// The default experiment configuration: nothing extra.
-    Plain,
-    /// Profiler + SLO tracker (the `--report-out` configuration).
-    Instrumented,
-    /// Event journal recording with content-addressed snapshots (the
-    /// `--journal-out` configuration).
-    Journaled,
-    /// Event journal recording with snapshots off: the pure per-record
-    /// journaling tax, no periodic state materialization.
-    JournalOnly,
-}
-
 /// Run the E12 steady-state inner loop and measure it: warm wave,
 /// `reset_metrics`, then a measured wave bracketed by allocator counts.
 pub fn e12_steady_state(jurisdictions: u32, seed: u64) -> SteadyStats {
-    e12_steady_state_inner(jurisdictions, seed, MeasureMode::Plain)
+    e12_steady_state_under(jurisdictions, seed, Watch::off())
 }
 
 /// [`e12_steady_state`] with the always-on observability surfaces the
@@ -111,17 +67,21 @@ pub fn e12_steady_state(jurisdictions: u32, seed: u64) -> SteadyStats {
 /// `allocs_per_message` budget (+5%): instrumentation must stay free on
 /// the steady-state hot path.
 pub fn e12_steady_state_instrumented(jurisdictions: u32, seed: u64) -> SteadyStats {
-    e12_steady_state_inner(jurisdictions, seed, MeasureMode::Instrumented)
+    let watch = Watch {
+        instruments: Some(SloConfig::default()),
+        ..Watch::off()
+    };
+    e12_steady_state_under(jurisdictions, seed, watch)
 }
 
 /// [`e12_steady_state`] with the event journal recording — every kernel
 /// ingress appended to an in-memory sink, content-addressed snapshots
-/// every [`JOURNAL_SNAP_EVERY`] events — exactly as `--journal-out`
+/// every [`SNAP_EVERY`] events — exactly as `--journal-out`
 /// configures it. The CI gate holds the journaling tax on the hot path
 /// to a fraction of an allocation per message (the writer reuses its
 /// encode buffers; the sink growth is amortized).
 pub fn e12_steady_state_journaled(jurisdictions: u32, seed: u64) -> SteadyStats {
-    e12_steady_state_inner(jurisdictions, seed, MeasureMode::Journaled)
+    e12_steady_state_under(jurisdictions, seed, recording(SNAP_EVERY))
 }
 
 /// [`e12_steady_state_journaled`] with snapshots disabled: measures the
@@ -129,23 +89,28 @@ pub fn e12_steady_state_journaled(jurisdictions: u32, seed: u64) -> SteadyStats 
 /// sink), without the periodic snapshot's state materialization. This is
 /// the number the tight half-an-allocation-per-message gate holds.
 pub fn e12_steady_state_journal_only(jurisdictions: u32, seed: u64) -> SteadyStats {
-    e12_steady_state_inner(jurisdictions, seed, MeasureMode::JournalOnly)
+    e12_steady_state_under(jurisdictions, seed, recording(0))
+}
+
+/// A watch that only records the journal, into memory.
+fn recording(snap_every: u64) -> Watch {
+    let sink = Box::new(MemSink::new());
+    Watch::journal_only(Journal::Record { sink, snap_every })
 }
 
 /// The E17 campaign row, re-exported for the snapshot pipeline.
 pub use legion_sim::experiments::e17_scale::Row as E17Row;
 
 /// Run the E17 kernel-scale campaign: the full million-LOID point, or —
-/// when `LEGION_E17_QUICK` is set (the CI bench-smoke job) — the
-/// scaled-down 10k-LOID variant that walks the same layers. Under this
-/// crate's counting allocator the row's `allocs_per_message` is real
-/// (and deterministic per seed, so the snapshot check gates it).
-pub fn e17_scale(seed: u64) -> E17Row {
-    use legion_sim::experiments::e17_scale as e17;
-    if std::env::var_os("LEGION_E17_QUICK").is_some() {
-        e17::quick_campaign(seed)
+/// `quick` (the CI bench-smoke job) — the scaled-down 10k-LOID variant
+/// that walks the same layers. Under this crate's counting allocator the
+/// row's `allocs_per_message` is real (and deterministic per seed, so the
+/// snapshot check gates it).
+pub fn e17_scale(quick: bool, seed: u64) -> E17Row {
+    if quick {
+        e17_scale::quick_campaign(seed)
     } else {
-        e17::campaign(1_000_000, TreeShape::new(8, 585), 64, 500, seed)
+        e17_scale::full_campaign(seed)
     }
 }
 
@@ -179,15 +144,12 @@ impl E18Stats {
 }
 
 /// Run the E18 flash-crowd campaign with the auto-scaler in the loop:
-/// the full-scale point, or — when `LEGION_E18_QUICK` is set (the CI
-/// bench-smoke job) — the scaled-down variant that walks the same
-/// layers (admission shed, burn events, `Derive()` clones, the replica
-/// front door).
-pub fn e18_overload(seed: u64) -> E18Stats {
-    use legion_sim::experiments::e18_overload as e18;
-    let quick = std::env::var_os("LEGION_E18_QUICK").is_some();
+/// the full-scale point, or — `quick` (the CI bench-smoke job) — the
+/// scaled-down variant that walks the same layers (admission shed, burn
+/// events, `Derive()` clones, the replica front door).
+pub fn e18_overload(quick: bool, seed: u64) -> E18Stats {
     let (a0, _) = alloc_counter::counts();
-    let (row, _) = e18::flash_campaign(quick, seed, true, e18::JournalMode::Plain);
+    let (row, _) = e18_overload::flash_campaign(quick, seed, true, Watch::off());
     let (a1, _) = alloc_counter::counts();
     assert!(
         row.violations.is_empty(),
@@ -206,48 +168,21 @@ pub fn e18_overload(seed: u64) -> E18Stats {
     }
 }
 
-fn e12_steady_state_inner(jurisdictions: u32, seed: u64, mode: MeasureMode) -> SteadyStats {
-    let (mut sys, clients) = build_e12_system(jurisdictions, seed);
-    match mode {
-        MeasureMode::Plain => {}
-        MeasureMode::Instrumented => {
-            // Enabled *before* the warm wave: the profiler's (endpoint,
-            // method) map keys are populated during warm-up, so the
-            // measured wave only zero-resets and refills them in place.
-            sys.kernel.enable_profiling();
-            sys.kernel.enable_slo(SloConfig::default());
-        }
-        MeasureMode::Journaled => {
-            // Also before the warm wave, mirroring `--journal-out`: the
-            // journal covers the run from its first ingress.
-            sys.kernel
-                .enable_journal_record(Box::new(MemSink::new()), JOURNAL_SNAP_EVERY);
-        }
-        MeasureMode::JournalOnly => {
-            sys.kernel
-                .enable_journal_record(Box::new(MemSink::new()), 0);
-        }
-    }
-    let wl = WorkloadConfig {
-        lookups_per_client: 30,
-        locality: 0.8,
-        ..WorkloadConfig::default()
-    };
-    let warm = attach_clients(&mut sys, clients, &wl, seed, None);
-    run_clients(&mut sys, &warm);
-    sys.kernel.reset_metrics();
-    let (a0, b0) = alloc_counter::counts();
-    let t0 = Instant::now();
-    let eps = attach_clients(&mut sys, clients, &wl, seed ^ 0x5555, None);
-    let report = run_clients(&mut sys, &eps);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let (a1, b1) = alloc_counter::counts();
+/// The E12 steady state under `watch`, its measured wave bracketed by
+/// allocator counts and the wall clock.
+fn e12_steady_state_under(jurisdictions: u32, seed: u64, watch: Watch) -> SteadyStats {
+    let mut marks = Vec::with_capacity(2);
+    let mark = || marks.push((alloc_counter::counts(), Instant::now()));
+    let (row, run) = e12_scalability::steady_state(jurisdictions, seed, watch, mark);
+    let ((a0, b0), t0) = marks[0];
+    let ((a1, b1), t1) = marks[1];
+    let stats = run.expect("in-memory sink cannot fail").metrics.stats;
     SteadyStats {
         jurisdictions,
-        messages: sys.kernel.stats().sent,
-        lookups: report.completed,
+        messages: stats.sent,
+        lookups: row.lookups,
         allocs: a1.saturating_sub(a0),
         alloc_bytes: b1.saturating_sub(b0),
-        wall_ns,
+        wall_ns: (t1 - t0).as_nanos() as u64,
     }
 }

@@ -1,407 +1,191 @@
-//! The `legion-exp` command-line driver — run any reproduction
-//! experiment and print its table.
-//!
-//! ```text
-//! legion-exp all            # every experiment at report scale
-//! legion-exp e1 e4 e12      # a subset (e01/e04/e12 also accepted)
-//! legion-exp --quick all    # small/fast configuration
-//! legion-exp e1 --trace-out t.jsonl --metrics-out m.json
-//! ```
-//!
-//! The printed tables are the ones recorded in EXPERIMENTS.md. The
-//! observability flags export the traced E1 run: `--trace-out` writes one
-//! span event per line (JSONL, deterministic for a given seed) and
-//! `--metrics-out` writes the structured metrics snapshot plus the
-//! trace-analysis tables as a single JSON document. `--report-out FILE`
-//! re-runs the E12 steady state with the profiler, SLO tracker, and span
-//! sink enabled and writes the unified run report (JSON to `FILE`, text
-//! digest to `FILE.txt`).
-//!
-//! The journal flags ride the same instrumented E12 run:
-//! `--journal-out FILE` records every kernel ingress (with
-//! content-addressed snapshots every [`run_report::SNAP_EVERY`] events)
-//! into `FILE`; `--replay-from FILE` re-executes the run as a verified
-//! replay against that journal, exiting 1 with the divergence context if
-//! the re-execution does not match record for record; `--from-snapshot`
-//! starts the verification at the journal's last snapshot waypoint
-//! instead of the origin. `--bisect A B` compares two journals and
-//! prints the first differing record with context.
+//! The `legion-exp` command-line driver: parse the flags, look the ids up
+//! in [`experiments::ALL`], print each experiment's tables, and export the
+//! one named experiment's observed point (see
+//! [`experiments::Entry::observed`]) under [`Watch::all`]. [`HELP`] is the
+//! usage; the printed tables are the ones recorded in EXPERIMENTS.md.
+//! Usage errors exit 2, failed runs 1.
 
-use crate::experiments as exp;
-use crate::obs_run;
-use crate::run_report;
+use crate::experiments::{self, Entry};
+use crate::harness::{Journal, Watch, SNAP_EVERY};
+use crate::run_report::{self, RunReport};
 use legion_journal::{bisect, FileSink, ReplayStart};
-use serde::Serialize;
+use std::collections::BTreeMap;
 
-struct Opts {
+/// The seed every `legion-exp` run uses.
+const SEED: u64 = 20260707;
+
+const HELP: &str = "\
+usage: legion-exp [--quick] (all | e1 e2 ... e18)
+       legion-exp [--quick] ID [--trace-out FILE] [--metrics-out FILE] [--report-out FILE]
+                  [--journal-out FILE | --replay-from FILE [--from-snapshot]]
+       legion-exp --bisect A B
+Runs the Legion reproduction experiments (see EXPERIMENTS.md). The export
+flags re-run ID's observed point with every instrument on:
+--trace-out     write its spans as JSONL (deterministic per seed)
+--metrics-out   write its metrics snapshot and trace-analysis tables as JSON
+--report-out    write its unified run report (JSON to FILE, text digest to FILE.txt)
+--journal-out   record its event journal, with content-addressed snapshots
+--replay-from   re-execute it verified against a journal
+                (exits 1 with context if the replay diverges)
+--from-snapshot start --replay-from at the journal's last snapshot waypoint
+--bisect A B    binary-search two journals to the first differing record";
+
+/// The flags that take a path and export the observed point.
+const EXPORTS: [&str; 5] = [
+    "--trace-out",
+    "--metrics-out",
+    "--report-out",
+    "--journal-out",
+    "--replay-from",
+];
+
+/// A parsed command line.
+#[derive(Debug, Default)]
+pub struct Opts {
     quick: bool,
-    which: Vec<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    report_out: Option<String>,
-    journal_out: Option<String>,
-    replay_from: Option<String>,
-    from_snapshot: bool,
+    help: bool,
+    which: Vec<&'static Entry>,
+    /// Export flag → its path.
+    exports: BTreeMap<String, String>,
+    /// `--from-snapshot`: where `--replay-from` starts, if not the origin.
+    start: Option<ReplayStart>,
     bisect: Option<(String, String)>,
 }
 
-/// Accept `e01`/`E01` spellings for `e1` etc.
-fn normalize(name: &str) -> String {
-    let lower = name.to_ascii_lowercase();
-    match lower.strip_prefix('e') {
-        Some(digits) if digits.chars().all(|c| c.is_ascii_digit()) && !digits.is_empty() => {
-            format!("e{}", digits.trim_start_matches('0'))
-        }
-        _ => lower,
-    }
-}
-
-fn parse_args() -> Opts {
-    let mut quick = false;
-    let mut which = Vec::new();
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut report_out = None;
-    let mut journal_out = None;
-    let mut replay_from = None;
-    let mut from_snapshot = false;
-    let mut bisect = None;
-    let mut args = std::env::args().skip(1);
+/// Parse `legion-exp`'s arguments (without the program name).
+///
+/// # Errors
+///
+/// A usage message for anything not understood: an unknown flag or
+/// experiment id, a flag missing its path, conflicting journal flags, or
+/// export flags without exactly one experiment that has an observed point.
+pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    let mut names = Vec::new();
     while let Some(a) = args.next() {
+        let mut path = || args.next().ok_or_else(|| format!("{a} needs a path"));
         match a.as_str() {
-            "--quick" | "-q" => quick = true,
-            "--trace-out" => {
-                trace_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                }))
+            "--quick" | "-q" => o.quick = true,
+            "--help" | "-h" => o.help = true,
+            "--from-snapshot" => o.start = Some(ReplayStart::LatestSnapshot),
+            "--bisect" => o.bisect = Some((path()?, path()?)),
+            flag if EXPORTS.contains(&flag) => {
+                o.exports.insert(flag.into(), path()?);
             }
-            "--metrics-out" => {
-                metrics_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--metrics-out needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            "--report-out" => {
-                report_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--report-out needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            "--journal-out" => {
-                journal_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--journal-out needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            "--replay-from" => {
-                replay_from = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--replay-from needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            "--from-snapshot" => from_snapshot = true,
-            "--bisect" => {
-                let a = args.next();
-                let b = args.next();
-                match (a, b) {
-                    (Some(a), Some(b)) => bisect = Some((a, b)),
-                    _ => {
-                        eprintln!("--bisect needs two journal paths");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: legion-exp [--quick] [--trace-out FILE] [--metrics-out FILE] \
-                     [--report-out FILE] [--journal-out FILE | --replay-from FILE \
-                     [--from-snapshot]] (all | e1 e2 ... e18)\n\
-                     \u{20}      legion-exp --bisect A B\n\
-                     Runs the Legion reproduction experiments (see EXPERIMENTS.md).\n\
-                     --trace-out     write the traced E1 run's spans as JSONL\n\
-                     --metrics-out   write the traced E1 run's metrics snapshot as JSON\n\
-                     --report-out    write the instrumented E12 run's unified report\n\
-                     \u{20}               (JSON to FILE, text digest to FILE.txt)\n\
-                     --journal-out   record the instrumented E12 run's event journal\n\
-                     --replay-from   re-execute the E12 run verified against a journal\n\
-                     \u{20}               (exits 1 with context if the replay diverges)\n\
-                     --from-snapshot start --replay-from at the last snapshot waypoint\n\
-                     --bisect A B    binary-search two journals to the first\n\
-                     \u{20}               differing record and print its context"
-                );
-                std::process::exit(0);
-            }
-            other => which.push(normalize(other)),
+            _ => names.push(a),
         }
     }
-    if which.is_empty() {
-        which.push("all".to_string());
+    o.which = experiments::select(&names)?;
+    let replays = o.exports.contains_key("--replay-from");
+    if replays && o.exports.contains_key("--journal-out") {
+        return Err("--journal-out and --replay-from are mutually exclusive".into());
     }
-    if journal_out.is_some() && replay_from.is_some() {
-        eprintln!("--journal-out and --replay-from are mutually exclusive");
-        std::process::exit(2);
+    if o.start.is_some() && !replays {
+        return Err("--from-snapshot only modifies --replay-from".into());
     }
-    if from_snapshot && replay_from.is_none() {
-        eprintln!("--from-snapshot only modifies --replay-from");
-        std::process::exit(2);
-    }
-    Opts {
-        quick,
-        which,
-        trace_out,
-        metrics_out,
-        report_out,
-        journal_out,
-        replay_from,
-        from_snapshot,
-        bisect,
+    match (o.exports.is_empty(), &names[..], &o.which[..]) {
+        (true, ..) => Ok(o),
+        (false, [_], [e]) if e.observed.is_some() => Ok(o),
+        (false, [_], [e]) => Err(format!("{} has no observed point to export", e.id)),
+        _ => Err("the export flags act on exactly one experiment; name it".into()),
     }
 }
 
-/// Build the report run's journal mode from the parsed flags.
-fn journal_mode(opts: &Opts) -> run_report::ReportJournal {
-    if let Some(path) = &opts.journal_out {
-        let sink = FileSink::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(1);
-        });
-        run_report::ReportJournal::Record {
-            sink: Box::new(sink),
-            snap_every: run_report::SNAP_EVERY,
-        }
-    } else if let Some(path) = &opts.replay_from {
-        let journal = std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let start = if opts.from_snapshot {
-            ReplayStart::LatestSnapshot
-        } else {
-            ReplayStart::Origin
-        };
-        run_report::ReportJournal::Verify { journal, start }
-    } else {
-        run_report::ReportJournal::Off
-    }
+fn read(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// `--bisect A B`: index both journals, binary-search to the first
-/// differing record, print the verdict with context windows. Exits 1 on
-/// unparseable input; an honest divergence is a successful answer and
-/// exits 0.
-fn run_bisect(path_a: &str, path_b: &str) {
-    let read = |path: &str| {
-        std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        })
+fn write(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Run `entry`'s observed point with every instrument on and write what
+/// the flags ask for.
+fn export(o: &Opts, entry: &Entry) -> Result<(), String> {
+    let given = |flag: &str| o.exports.get(flag);
+    let journal = match (given("--journal-out"), given("--replay-from")) {
+        (Some(path), _) => Journal::Record {
+            sink: Box::new(
+                FileSink::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
+            ),
+            snap_every: SNAP_EVERY,
+        },
+        (_, Some(path)) => Journal::Verify {
+            journal: read(path)?,
+            start: o.start.unwrap_or(ReplayStart::Origin),
+        },
+        _ => Journal::Off,
     };
-    let (a, b) = (read(path_a), read(path_b));
-    match bisect(&a, &b) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            eprintln!("bisect failed: {e}");
-            std::process::exit(1);
-        }
+    let observed = entry.observed.expect("parse checked the entry has one");
+    let run = observed(o.quick, SEED, Watch::all(journal));
+    let run = run.map_err(|e| format!("journal error: {e}"))?;
+    if let Some(div) = run.divergence() {
+        return Err(format!(
+            "replay diverged from the reference journal:\n{div}"
+        ));
     }
+    match (&run.journal, given("--journal-out")) {
+        (Some((s, _)), Some(path)) => eprintln!(
+            "recorded {} journal records ({} bytes, {} snapshots) to {path}",
+            s.records, s.bytes, s.snapshots
+        ),
+        (Some((s, _)), None) => eprintln!(
+            "replay verified: {} of {} records byte-identical ({} skipped via snapshot fast path)",
+            s.verified, s.records, s.skipped
+        ),
+        (None, _) => {}
+    }
+    if let Some(path) = given("--trace-out") {
+        write(path, legion_obs::export::to_jsonl(&run.spans))?;
+        eprintln!("wrote {} spans to {path}", run.spans.len());
+    }
+    if let Some(path) = given("--metrics-out") {
+        write(path, run_report::metrics_doc(entry.id, &run))?;
+        eprintln!("wrote metrics snapshot to {path}");
+    }
+    if let Some(path) = given("--report-out") {
+        let report = RunReport::new(entry.id, SEED, run);
+        let text_path = format!("{path}.txt");
+        write(path, report.to_json())?;
+        write(&text_path, report.render_text())?;
+        eprintln!("wrote run report to {path} (text digest: {text_path})");
+    }
+    Ok(())
 }
 
-/// Entry point shared by the `legion-exp` binaries (workspace root and
-/// `legion-sim`): parse argv, run the requested experiments, honour the
-/// trace/metrics export flags.
+fn run(o: &Opts) -> Result<(), String> {
+    if let Some((a, b)) = &o.bisect {
+        // An honest divergence is a successful answer; only unparseable
+        // input fails.
+        let report = bisect(&read(a)?, &read(b)?).map_err(|e| format!("bisect failed: {e}"))?;
+        print!("{report}");
+        return Ok(());
+    }
+    for entry in &o.which {
+        for table in (entry.tables)(o.quick, SEED) {
+            table.print();
+        }
+        println!();
+    }
+    if !o.exports.is_empty() {
+        export(o, o.which[0])?;
+    }
+    Ok(())
+}
+
+/// Entry point of the `legion-exp` binary.
 pub fn main() {
-    let opts = parse_args();
-    if let Some((a, b)) = &opts.bisect {
-        run_bisect(a, b);
-        return;
-    }
-    let all = opts.which.iter().any(|w| w == "all");
-    let want = |name: &str| all || opts.which.iter().any(|w| w == name);
-    let scale = if opts.quick { 1 } else { 2 };
-    let seed = 20260707;
-
-    if want("e1") {
-        exp::e01_binding_path::table(&exp::e01_binding_path::run(scale, seed)).print();
-        println!();
-        // The traced re-run: same system + workload, span sink enabled.
-        let traced = obs_run::run_e01_traced(scale, seed);
-        let tables = obs_run::analysis_tables(&traced.events);
-        for t in &tables {
-            t.print();
-            println!();
-        }
-        if let Some(path) = &opts.trace_out {
-            let jsonl = legion_obs::export::to_jsonl(&traced.events);
-            if let Err(e) = std::fs::write(path, jsonl) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {} spans to {path}", traced.events.len());
-        }
-        if let Some(path) = &opts.metrics_out {
-            let doc = serde::Value::Object(vec![
-                ("experiment".to_string(), serde::Value::Str("e1".into())),
-                ("metrics".to_string(), traced.metrics.to_json_value()),
-                (
-                    "tables".to_string(),
-                    serde::Value::Array(tables.iter().map(|t| t.to_json()).collect()),
-                ),
-            ]);
-            if let Err(e) = std::fs::write(path, serde::json::to_string_pretty(&doc)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote metrics snapshot to {path}");
-        }
-    } else if opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        eprintln!("--trace-out/--metrics-out export the traced E1 run; include e1 (or all)");
+    let opts = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
-    if want("e2") {
-        exp::e02_agent_load::table(&exp::e02_agent_load::run(scale, seed)).print();
-        println!();
-    }
-    if want("e3") {
-        exp::e03_cache_tiers::table(&exp::e03_cache_tiers::run(scale, seed)).print();
-        println!();
-    }
-    if want("e4") {
-        exp::e04_combining_tree::table(&exp::e04_combining_tree::run(scale, seed)).print();
-        println!();
-    }
-    if want("e5") {
-        let depth = if opts.quick { 4 } else { 6 };
-        exp::e05_find_class::table(&exp::e05_find_class::run(depth, seed)).print();
-        println!();
-    }
-    if want("e6") {
-        let creates = if opts.quick { 32 } else { 128 };
-        exp::e06_class_cloning::table(&exp::e06_class_cloning::run(creates, seed)).print();
-        println!();
-    }
-    if want("e7") {
-        let n = if opts.quick { 6 } else { 20 };
-        exp::e07_lifecycle::table(&exp::e07_lifecycle::run(n, seed)).print();
-        println!();
-    }
-    if want("e8") {
-        exp::e08_stale_bindings::table(&exp::e08_stale_bindings::run(scale, seed)).print();
-        println!();
-    }
-    if want("e9") {
-        let n = if opts.quick { 100_000 } else { 1_000_000 };
-        exp::e09_loid::table(&exp::e09_loid::run(n)).print();
-        println!();
-    }
-    if want("e10") {
-        let reqs = if opts.quick { 20 } else { 100 };
-        exp::e10_replication::table(&exp::e10_replication::run(4, reqs, seed)).print();
-        println!();
-    }
-    if want("e11") {
-        let n = if opts.quick { 1_000 } else { 20_000 };
-        exp::e11_object_model::table(&exp::e11_object_model::run(n)).print();
-        println!();
-    }
-    if want("e12") {
-        let points: &[u32] = if opts.quick {
-            &[1, 2, 4]
-        } else {
-            &[1, 2, 4, 8]
-        };
-        exp::e12_scalability::table(&exp::e12_scalability::run(points, seed)).print();
-        println!();
-        if opts.report_out.is_some() || opts.journal_out.is_some() || opts.replay_from.is_some() {
-            // The instrumented re-run: one sweep point (system doubling
-            // kept modest so the report stays readable) with profiler,
-            // SLO tracker, and span sink all on. The journal session —
-            // when requested — wraps this same run.
-            let j = 2;
-            let mode = journal_mode(&opts);
-            let (report, outcome) = match run_report::generate_with_journal(j, seed, mode) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("journal error: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if let Some((summary, divergence)) = &outcome {
-                if let Some(div) = divergence {
-                    eprintln!("replay diverged from the reference journal:\n{div}");
-                    std::process::exit(1);
-                }
-                if opts.journal_out.is_some() {
-                    eprintln!(
-                        "recorded {} journal records ({} bytes, {} snapshots) to {}",
-                        summary.records,
-                        summary.bytes,
-                        summary.snapshots,
-                        opts.journal_out.as_deref().unwrap_or("-"),
-                    );
-                } else {
-                    eprintln!(
-                        "replay verified: {} of {} records byte-identical ({} skipped \
-                         via snapshot fast path)",
-                        summary.verified, summary.records, summary.skipped
-                    );
-                }
-            }
-            if let Some(path) = &opts.report_out {
-                if let Err(e) = std::fs::write(path, report.to_json()) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                let text_path = format!("{path}.txt");
-                if let Err(e) = std::fs::write(&text_path, report.render_text()) {
-                    eprintln!("cannot write {text_path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote run report to {path} (text digest: {text_path})");
-            }
-        }
-    } else if opts.report_out.is_some() || opts.journal_out.is_some() || opts.replay_from.is_some()
-    {
-        eprintln!(
-            "--report-out/--journal-out/--replay-from export the instrumented E12 run; \
-             include e12 (or all)"
-        );
-        std::process::exit(2);
-    }
-    if want("e13") {
-        let n = if opts.quick { 100_000 } else { 1_000_000 };
-        let micro = exp::e13_security::run_micro(n);
-        let live = exp::e13_security::run_live(50, seed);
-        let (t1, t2) = exp::e13_security::table(&micro, &live);
-        t1.print();
-        t2.print();
-        println!();
-    }
-    if want("e14") {
-        let (clients, ops) = if opts.quick { (16, 200) } else { (64, 1000) };
-        exp::e14_parallel::table(&exp::e14_parallel::run(clients, ops, 256, 8)).print();
-        println!();
-    }
-    if want("e15") {
-        exp::e15_crash_recovery::table(&exp::e15_crash_recovery::run(scale, seed)).print();
-        println!();
-    }
-    if want("e16") {
-        let (rows, shrinks) = exp::e16_chaos::run(scale, seed);
-        let (t1, t2) = exp::e16_chaos::table(&rows, &shrinks);
-        t1.print();
-        t2.print();
-        println!();
-    }
-    if want("e17") {
-        exp::e17_scale::table(&exp::e17_scale::run(scale, seed)).print();
-        println!();
-    }
-    if want("e18") {
-        let (sweep, flash) = exp::e18_overload::run(scale, seed);
-        let (t1, t2) = exp::e18_overload::table(&sweep, &flash);
-        t1.print();
-        t2.print();
-        println!();
+    });
+    if opts.help {
+        eprintln!("{HELP}");
+    } else if let Err(e) = run(&opts) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests;

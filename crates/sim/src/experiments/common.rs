@@ -6,8 +6,18 @@ use crate::workload::{generate_plan, ClientReport, LookupClient, WorkloadConfig}
 use legion_core::binding::Binding;
 use legion_core::loid::Loid;
 use legion_naming::stubs::StaticClassEndpoint;
-use legion_net::sim::EndpointId;
+use legion_net::sim::{Endpoint, EndpointId};
 use legion_net::topology::Location;
+
+/// The `scale` most sweeps take: 1 at `--quick` (test size), 2 at report
+/// size.
+pub fn scale(quick: bool) -> u32 {
+    if quick {
+        1
+    } else {
+        2
+    }
+}
 
 /// LOID for workload client `i`.
 pub fn client_loid(i: usize) -> Loid {
@@ -40,34 +50,29 @@ pub fn attach_clients(
         .collect()
 }
 
-/// Run the kernel until every client finished (or the event cap hits),
-/// then merge their reports.
-pub fn run_clients(sys: &mut LegionSystem, clients: &[EndpointId]) -> ClientReport {
-    let mut guard = 0;
-    loop {
+/// Run the kernel until every client of type `C` says it is `done` (or
+/// the system goes quiescent under them). A workload that will not settle
+/// is a hang made visible: the flight-recorder tail — plus, when a
+/// journal session is live, the journal position and nearest snapshot to
+/// replay from — then a panic, not a CI timeout.
+pub fn drive<C: Endpoint>(sys: &mut LegionSystem, clients: &[EndpointId], done: fn(&C) -> bool) {
+    for _ in 0..1000 {
         sys.kernel.run_until_quiescent(50_000_000);
-        let all_done = clients.iter().all(|c| {
-            sys.kernel
-                .endpoint::<LookupClient>(*c)
-                .map(|cl| cl.is_done())
-                .unwrap_or(true)
-        });
-        if all_done || sys.kernel.is_quiescent() {
-            break;
-        }
-        guard += 1;
-        if guard >= 1000 {
-            // Post-mortem: the recorder tail shows what the kernel was
-            // doing when the workload stalled (plus, when a journal
-            // session is live, the journal position and nearest
-            // snapshot to replay from).
-            eprintln!(
-                "{}",
-                sys.kernel.flight_dump("workload did not converge", 32)
-            );
-            panic!("workload did not converge");
+        let settled = |c: &EndpointId| sys.kernel.endpoint::<C>(*c).map(done).unwrap_or(true);
+        if clients.iter().all(settled) || sys.kernel.is_quiescent() {
+            return;
         }
     }
+    eprintln!(
+        "{}",
+        sys.kernel.flight_dump("workload did not converge", 32)
+    );
+    panic!("workload did not converge");
+}
+
+/// [`drive`] the lookup clients to completion, then merge their reports.
+pub fn run_clients(sys: &mut LegionSystem, clients: &[EndpointId]) -> ClientReport {
+    drive(sys, clients, LookupClient::is_done);
     let mut merged = ClientReport::default();
     for c in clients {
         if let Some(cl) = sys.kernel.endpoint::<LookupClient>(*c) {

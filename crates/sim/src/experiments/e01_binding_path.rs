@@ -6,7 +6,8 @@
 //! and responsibility pairs ensures that the vast majority of accesses
 //! occurs locally."
 
-use crate::experiments::common::{attach_clients, run_clients, tier_counts};
+use crate::experiments::common::{attach_clients, run_clients, scale, tier_counts};
+use crate::harness::{Closed, Journal, Watch};
 use crate::report::{pct, Table};
 use crate::system::{LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
@@ -31,69 +32,90 @@ pub struct Row {
     pub activations: u64,
 }
 
+/// One sweep point: build, deactivate a quarter of the objects so some
+/// lookups walk the *full* Fig. 17 path (class → Magistrate → Activate),
+/// then measure one client wave under `watch`.
+fn point(scale: u32, seed: u64, locality: f64, client_cache: usize, watch: Watch) -> (Row, Closed) {
+    let cfg = SystemConfig {
+        jurisdictions: 2 * scale,
+        hosts_per_jurisdiction: 2,
+        classes: 2,
+        objects_per_class: 16 * scale,
+        agent_tree: TreeShape::new(2, 3),
+        seed,
+        ..SystemConfig::default()
+    };
+    let mut sys = LegionSystem::build(cfg);
+    let victims: Vec<(legion_core::loid::Loid, u32)> = sys
+        .objects
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|(i, _)| i % 4 == 0)
+        .map(|(_, o)| o)
+        .collect();
+    for (obj, j) in victims {
+        let mag = crate::system::magistrate_loid(j);
+        let mag_ep = sys
+            .magistrates
+            .iter()
+            .find(|(l, _)| *l == mag)
+            .map(|(_, e)| *e)
+            .expect("magistrate exists");
+        sys.call(
+            mag_ep.element(),
+            mag,
+            legion_runtime::protocol::magistrate::DEACTIVATE,
+            vec![legion_core::value::LegionValue::Loid(obj)],
+        )
+        .expect("deactivation succeeds");
+    }
+    let session = watch.open(&mut sys.kernel);
+    session.measure(&mut sys.kernel);
+    let wl = WorkloadConfig {
+        lookups_per_client: 50,
+        locality,
+        client_cache_capacity: client_cache,
+        ..WorkloadConfig::default()
+    };
+    let clients = attach_clients(&mut sys, (4 * scale) as usize, &wl, seed, None);
+    let report = run_clients(&mut sys, &clients);
+    let t = tier_counts(&sys);
+    let row = Row {
+        locality,
+        client_cache,
+        lookups: report.completed,
+        client_hits: t.client_hits,
+        agent_hits: t.agent_hits,
+        class_consults: t.class_consults,
+        activations: t.activations,
+    };
+    (row, session.close(&mut sys.kernel))
+}
+
 /// Run the sweep. `scale` grows the system for benches (1 = test size).
 pub fn run(scale: u32, seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for &locality in &[0.5, 0.8, 0.95] {
         for &client_cache in &[4usize, 64] {
-            let cfg = SystemConfig {
-                jurisdictions: 2 * scale,
-                hosts_per_jurisdiction: 2,
-                classes: 2,
-                objects_per_class: 16 * scale,
-                agent_tree: TreeShape::new(2, 3),
-                seed,
-                ..SystemConfig::default()
-            };
-            let mut sys = LegionSystem::build(cfg);
-            // Deactivate a quarter of the objects so some lookups walk the
-            // *full* Fig. 17 path: class → Magistrate → Activate.
-            let victims: Vec<(legion_core::loid::Loid, u32)> = sys
-                .objects
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(i, _)| i % 4 == 0)
-                .map(|(_, o)| o)
-                .collect();
-            for (obj, j) in victims {
-                let mag = crate::system::magistrate_loid(j);
-                let mag_ep = sys
-                    .magistrates
-                    .iter()
-                    .find(|(l, _)| *l == mag)
-                    .map(|(_, e)| *e)
-                    .expect("magistrate exists");
-                sys.call(
-                    mag_ep.element(),
-                    mag,
-                    legion_runtime::protocol::magistrate::DEACTIVATE,
-                    vec![legion_core::value::LegionValue::Loid(obj)],
-                )
-                .expect("deactivation succeeds");
-            }
-            sys.kernel.reset_metrics();
-            let wl = WorkloadConfig {
-                lookups_per_client: 50,
-                locality,
-                client_cache_capacity: client_cache,
-                ..WorkloadConfig::default()
-            };
-            let clients = attach_clients(&mut sys, (4 * scale) as usize, &wl, seed, None);
-            let report = run_clients(&mut sys, &clients);
-            let t = tier_counts(&sys);
-            rows.push(Row {
-                locality,
-                client_cache,
-                lookups: report.completed,
-                client_hits: t.client_hits,
-                agent_hits: t.agent_hits,
-                class_consults: t.class_consults,
-                activations: t.activations,
-            });
+            rows.push(point(scale, seed, locality, client_cache, Watch::off()).0);
         }
     }
     rows
+}
+
+/// The observed point: locality 0.8, 64-entry client caches.
+pub fn observed(quick: bool, seed: u64, watch: Watch) -> Closed {
+    point(scale(quick), seed, 0.8, 64, watch).1
+}
+
+/// What `legion-exp e1` prints: the sweep, then the observed point's
+/// trace analysis.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let mut out = vec![table(&run(scale(quick), seed))];
+    let traced = observed(quick, seed, Watch::all(Journal::Off)).expect("no journal to fail");
+    out.extend(crate::run_report::analysis_tables("E1", &traced.spans));
+    out
 }
 
 /// Render the EXPERIMENTS.md table.

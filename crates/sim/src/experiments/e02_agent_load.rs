@@ -80,6 +80,11 @@ pub fn run(scale: u32, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e2` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    vec![table(&run(super::common::scale(quick), seed))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

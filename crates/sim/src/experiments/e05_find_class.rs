@@ -119,6 +119,12 @@ pub fn run(max_depth: u32, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e5` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let max_depth = if quick { 4 } else { 6 };
+    vec![table(&run(max_depth, seed))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

@@ -110,6 +110,12 @@ pub fn run(creates: u64, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e6` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let creates = if quick { 32 } else { 128 };
+    vec![table(&run(creates, seed))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

@@ -141,6 +141,12 @@ pub fn run(n: u64, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e7` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let n = if quick { 6 } else { 20 };
+    vec![table(&run(n, seed))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

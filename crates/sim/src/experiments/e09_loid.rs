@@ -109,6 +109,12 @@ pub fn run(n: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e9` prints.
+pub fn tables(quick: bool, _seed: u64) -> Vec<Table> {
+    let n = if quick { 100_000 } else { 1_000_000 };
+    vec![table(&run(n))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

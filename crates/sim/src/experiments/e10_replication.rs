@@ -157,6 +157,12 @@ pub fn run(replicas: usize, requests: u32, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// What `legion-exp e10` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let requests = if quick { 20 } else { 100 };
+    vec![table(&run(4, requests, seed))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

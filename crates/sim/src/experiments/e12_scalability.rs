@@ -18,6 +18,7 @@
 //! ~flat; the central directory's grows linearly with the system.
 
 use crate::experiments::common::{attach_clients, build_central_directory, run_clients};
+use crate::harness::{Closed, Watch};
 use crate::report::Table;
 use crate::system::{LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
@@ -42,15 +43,12 @@ pub struct Row {
     pub legion_class_msgs: u64,
 }
 
-/// Build the E12 legion-configuration system (shared with the
-/// [`run_report`](crate::run_report) generator so `--report-out` profiles
-/// exactly the system the headline experiment measures). Returns the
-/// system and its scaled client count.
-pub fn build(jurisdictions: u32, seed: u64) -> (LegionSystem, usize) {
-    // The paper's structure: every component *scales with the system*.
-    // One leaf Binding Agent per jurisdiction; instance misses go straight
-    // to the (also scaling) class population; class-object lookups combine
-    // up a small tree toward LegionClass (§5.2.2).
+/// Build the E12 system: every component *scales with the system*. One
+/// leaf Binding Agent per jurisdiction; instance misses go straight to
+/// the (also scaling) class population; class-object lookups combine up
+/// a small tree toward LegionClass (§5.2.2). Returns the system and its
+/// scaled client count.
+fn build(jurisdictions: u32, seed: u64) -> (LegionSystem, usize) {
     let leaves = jurisdictions as usize;
     let tree = if leaves == 1 {
         TreeShape::single()
@@ -70,37 +68,50 @@ pub fn build(jurisdictions: u32, seed: u64) -> (LegionSystem, usize) {
     (LegionSystem::build(cfg), clients)
 }
 
+/// The legion configuration's steady state at `jurisdictions`, as the
+/// §5.2 claim reads: a warm-up wave populates the agent/class caches
+/// (cold-start traffic amortizes over the system's lifetime), then a
+/// fresh client wave of the same size is measured under `watch` — with
+/// `bracket` called right before and right after it, for callers that
+/// meter the wave from outside the kernel.
+pub fn steady_state(
+    jurisdictions: u32,
+    seed: u64,
+    watch: Watch,
+    mut bracket: impl FnMut(),
+) -> (Row, Closed) {
+    let (mut sys, clients) = build(jurisdictions, seed);
+    let session = watch.open(&mut sys.kernel);
+    let wl = WorkloadConfig {
+        lookups_per_client: 30,
+        locality: 0.8,
+        ..WorkloadConfig::default()
+    };
+    let warm = attach_clients(&mut sys, clients, &wl, seed, None);
+    run_clients(&mut sys, &warm);
+    session.measure(&mut sys.kernel);
+    bracket();
+    let eps = attach_clients(&mut sys, clients, &wl, seed ^ 0x5555, None);
+    let report = run_clients(&mut sys, &eps);
+    bracket();
+    let (hottest, hottest_msgs) = sys.max_component_load();
+    let row = Row {
+        config: "legion",
+        hosts: jurisdictions * 4,
+        clients,
+        lookups: report.completed,
+        hottest,
+        hottest_msgs,
+        legion_class_msgs: sys.legion_class_load(),
+    };
+    (row, session.close(&mut sys.kernel))
+}
+
 /// Run the sweep over jurisdiction counts.
 pub fn run(points: &[u32], seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for &j in points {
-        // Legion configuration. The §5.2 claim is about *steady state*:
-        // a warm-up wave populates the agent/class caches (cold-start
-        // traffic amortizes over the system's lifetime), then a fresh
-        // client wave of the same size is measured.
-        {
-            let (mut sys, clients) = build(j, seed);
-            let wl = WorkloadConfig {
-                lookups_per_client: 30,
-                locality: 0.8,
-                ..WorkloadConfig::default()
-            };
-            let warm = attach_clients(&mut sys, clients, &wl, seed, None);
-            run_clients(&mut sys, &warm);
-            sys.kernel.reset_metrics();
-            let eps = attach_clients(&mut sys, clients, &wl, seed ^ 0x5555, None);
-            let report = run_clients(&mut sys, &eps);
-            let (hottest, hottest_msgs) = sys.max_component_load();
-            rows.push(Row {
-                config: "legion",
-                hosts: j * 4,
-                clients,
-                lookups: report.completed,
-                hottest,
-                hottest_msgs,
-                legion_class_msgs: sys.legion_class_load(),
-            });
-        }
+        rows.push(steady_state(j, seed, Watch::off(), || ()).0);
         // Central-directory baseline (measured identically: warm wave,
         // then a fresh measured wave — a cacheless central design gains
         // nothing from warmth, which is the point).
@@ -133,6 +144,18 @@ pub fn run(points: &[u32], seed: u64) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// The observed point: the legion configuration at 2 jurisdictions (8
+/// hosts, 8 clients) — the smallest system with real remote traffic.
+pub fn observed(_quick: bool, seed: u64, watch: Watch) -> Closed {
+    steady_state(2, seed, watch, || ()).1
+}
+
+/// What `legion-exp e12` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let points: &[u32] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+    vec![table(&run(points, seed))]
 }
 
 /// Render the EXPERIMENTS.md table.

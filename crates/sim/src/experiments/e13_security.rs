@@ -172,6 +172,13 @@ pub fn run_live(calls: u32, seed: u64) -> Vec<LiveRow> {
     rows
 }
 
+/// What `legion-exp e13` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let n = if quick { 100_000 } else { 1_000_000 };
+    let (t1, t2) = table(&run_micro(n), &run_live(50, seed));
+    vec![t1, t2]
+}
+
 /// Render both tables.
 pub fn table(micro: &[Row], live: &[LiveRow]) -> (Table, Table) {
     let mut t1 = Table::new(

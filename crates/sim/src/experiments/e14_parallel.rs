@@ -49,6 +49,12 @@ pub fn run(clients: usize, ops: usize, objects: usize, shards: usize) -> Vec<Row
     rows
 }
 
+/// What `legion-exp e14` prints.
+pub fn tables(quick: bool, _seed: u64) -> Vec<Table> {
+    let (clients, ops) = if quick { (16, 200) } else { (64, 1000) };
+    vec![table(&run(clients, ops, 256, 8))]
+}
+
 /// Render the EXPERIMENTS.md table.
 pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(

@@ -16,7 +16,8 @@
 //! exponential backoff. Measured: time-to-detect, time-to-recover, and
 //! the fraction of workload operations that ultimately succeed.
 
-use crate::experiments::common::{attach_clients, run_clients};
+use crate::experiments::common::{attach_clients, run_clients, scale};
+use crate::harness::{Closed, Watch};
 use crate::report::{ns, Table};
 use crate::system::{HaConfig, LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
@@ -108,69 +109,91 @@ pub fn ha_config(horizon_ns: u64) -> HaConfig {
     }
 }
 
-/// Run the sweep: no crash, one crash, and one crash per jurisdiction.
-pub fn run(scale: u32, seed: u64) -> Vec<Row> {
-    // (label, [(virtual offset from workload start, host index)]).
-    let scenarios: &[(&'static str, &[(u64, usize)])] = &[
-        ("none", &[]),
-        ("one-host", &[(30_000_000, 0)]),
-        // One host per jurisdiction, staggered 60 ms apart.
-        ("two-hosts", &[(30_000_000, 0), (90_000_000, 3)]),
-    ];
-    let mut rows = Vec::new();
-    for &(label, schedule) in scenarios {
-        let cfg = SystemConfig {
-            jurisdictions: 2,
-            hosts_per_jurisdiction: 3,
-            host_capacity: 4096,
-            classes: 1,
-            objects_per_class: 8 * scale,
-            ha: Some(ha_config(3_000_000_000)),
-            seed,
-            ..SystemConfig::default()
-        };
-        let mut sys = LegionSystem::build(cfg);
-        sys.kernel.reset_metrics();
-        let t0 = sys.kernel.now();
+/// (label, [(virtual offset from workload start, host index)]): no crash,
+/// one crash, and one crash per jurisdiction, staggered 60 ms apart.
+const SCENARIOS: [(&str, &[(u64, usize)]); 3] = [
+    ("none", &[]),
+    ("one-host", &[(30_000_000, 0)]),
+    ("two-hosts", &[(30_000_000, 0), (90_000_000, 3)]),
+];
 
-        let wl = WorkloadConfig {
-            lookups_per_client: 40,
-            invoke_after_resolve: true,
-            inter_arrival_ns: 2_000_000,
-            op_retry_attempts: 6,
-            ..WorkloadConfig::default()
-        };
-        let clients = attach_clients(&mut sys, (6 * scale) as usize, &wl, seed, None);
+/// Run one scenario under `watch`.
+fn scenario(
+    (label, schedule): (&'static str, &[(u64, usize)]),
+    scale: u32,
+    seed: u64,
+    watch: Watch,
+) -> (Row, Closed) {
+    let cfg = SystemConfig {
+        jurisdictions: 2,
+        hosts_per_jurisdiction: 3,
+        host_capacity: 4096,
+        classes: 1,
+        objects_per_class: 8 * scale,
+        ha: Some(ha_config(3_000_000_000)),
+        seed,
+        ..SystemConfig::default()
+    };
+    let mut sys = LegionSystem::build(cfg);
+    let session = watch.open(&mut sys.kernel);
+    session.measure(&mut sys.kernel);
+    let t0 = sys.kernel.now();
 
-        for &(offset_ns, host_index) in schedule {
-            sys.kernel.run_until(SimTime(t0.0 + offset_ns));
-            sys.crash_host(host_index);
-        }
-        let report = run_clients(&mut sys, &clients);
-        let ha = ha_totals(&sys);
+    let wl = WorkloadConfig {
+        lookups_per_client: 40,
+        invoke_after_resolve: true,
+        inter_arrival_ns: 2_000_000,
+        op_retry_attempts: 6,
+        ..WorkloadConfig::default()
+    };
+    let clients = attach_clients(&mut sys, (6 * scale) as usize, &wl, seed, None);
 
-        let attempted = report.completed + report.failed;
-        rows.push(Row {
-            scenario: label,
-            crashes: schedule.len() as u32,
-            completed: report.completed,
-            failed: report.failed,
-            success_pct: if attempted == 0 {
-                0.0
-            } else {
-                100.0 * report.completed as f64 / attempted as f64
-            },
-            detect_mean_ns: ha.detect.mean(),
-            detect_max_ns: ha.detect.max(),
-            recover_mean_ns: ha.recover.mean(),
-            recover_max_ns: ha.recover.max(),
-            recovered: ha.recovered,
-            lost: ha.lost,
-            false_positives: ha.false_positives,
-            op_retries: sys.kernel.counters().get("client.op_retry"),
-        });
+    for &(offset_ns, host_index) in schedule {
+        sys.kernel.run_until(SimTime(t0.0 + offset_ns));
+        sys.crash_host(host_index);
     }
-    rows
+    let report = run_clients(&mut sys, &clients);
+    let ha = ha_totals(&sys);
+
+    let attempted = report.completed + report.failed;
+    let row = Row {
+        scenario: label,
+        crashes: schedule.len() as u32,
+        completed: report.completed,
+        failed: report.failed,
+        success_pct: if attempted == 0 {
+            0.0
+        } else {
+            100.0 * report.completed as f64 / attempted as f64
+        },
+        detect_mean_ns: ha.detect.mean(),
+        detect_max_ns: ha.detect.max(),
+        recover_mean_ns: ha.recover.mean(),
+        recover_max_ns: ha.recover.max(),
+        recovered: ha.recovered,
+        lost: ha.lost,
+        false_positives: ha.false_positives,
+        op_retries: sys.kernel.counters().get("client.op_retry"),
+    };
+    (row, session.close(&mut sys.kernel))
+}
+
+/// Run the sweep over [`SCENARIOS`].
+pub fn run(scale: u32, seed: u64) -> Vec<Row> {
+    SCENARIOS
+        .iter()
+        .map(|&s| scenario(s, scale, seed, Watch::off()).0)
+        .collect()
+}
+
+/// The observed point: the `one-host` scenario.
+pub fn observed(quick: bool, seed: u64, watch: Watch) -> Closed {
+    scenario(SCENARIOS[1], scale(quick), seed, watch).1
+}
+
+/// What `legion-exp e15` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    vec![table(&run(scale(quick), seed))]
 }
 
 /// Render the EXPERIMENTS.md table.

@@ -28,7 +28,8 @@
 //! at-most-once breach and shrinks each violating schedule down to
 //! duplication alone.
 
-use crate::experiments::common::{attach_clients, run_clients};
+use crate::experiments::common::{attach_clients, run_clients, scale};
+use crate::harness::{Closed, Journal, Watch};
 use crate::report::Table;
 use crate::system::{HaConfig, LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
@@ -42,7 +43,7 @@ use legion_core::time::SimTime;
 use legion_journal::{MemSink, ReplayStart};
 use legion_naming::protocol::GET_BINDING;
 use legion_net::message::Message;
-use legion_net::sim::{Ctx, Endpoint, SimKernel};
+use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 use legion_net::FaultPlan;
 use legion_runtime::class_endpoint::ClassEndpoint;
@@ -88,17 +89,6 @@ pub fn campaign_bounds() -> ScheduleBounds {
 /// cheap against the tens of thousands of events a run processes.
 const CHAOS_SNAP_EVERY: u64 = 1024;
 
-/// How a chaos run interacts with the kernel journal.
-enum JournalMode<'a> {
-    /// No journal session (the classic path).
-    Plain,
-    /// Record every kernel ingress; return the journal bytes.
-    Record,
-    /// Verified re-execution against a recorded journal, fast-forwarded
-    /// through the latest snapshot's root check.
-    Verify(&'a [u8]),
-}
-
 /// Per-run accounting the campaign table aggregates (keyed by the
 /// schedule's canonical string; identical runs overwrite identically).
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,12 +100,70 @@ struct RunStats {
     timeouts: u64,
 }
 
-/// SplitMix64-style accumulator for the run digest.
-fn mix(h: u64, v: u64) -> u64 {
+/// SplitMix64-style accumulator for the run digest (E18 folds with it too).
+pub fn mix(h: u64, v: u64) -> u64 {
     let mut x = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^ (x >> 27)
+}
+
+/// The state invariants any drained run must satisfy, over the system's
+/// Magistrates and the given class endpoints (E18 passes its clones too):
+/// no-duplicate-object, no-lost-object, recovery-drained and
+/// no-leaked-continuations.
+pub fn audit_state(sys: &LegionSystem, classes: &[EndpointId]) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let mut alive: BTreeMap<String, u32> = BTreeMap::new();
+    for (_, m) in sys.kernel.all_meta() {
+        if m.alive && m.name.starts_with("obj:") {
+            *alive.entry(m.name.clone()).or_insert(0) += 1;
+        }
+    }
+    for (name, n) in alive.iter().filter(|(_, n)| **n > 1) {
+        violations.push(Violation::new(
+            "no-duplicate-object",
+            format!("{name} is alive {n} times"),
+        ));
+    }
+
+    let ha = super::e15_crash_recovery::ha_totals(sys);
+    let unrecoverable = sys.kernel.counters().get("magistrate.ha_unrecoverable");
+    if ha.lost > 0 || unrecoverable > 0 {
+        violations.push(Violation::new(
+            "no-lost-object",
+            format!("{} lost, {unrecoverable} unrecoverable", ha.lost),
+        ));
+    }
+    if ha.in_flight > 0 {
+        violations.push(Violation::new(
+            "recovery-drained",
+            format!("{} recoveries still in flight at quiescence", ha.in_flight),
+        ));
+    }
+
+    let mut leaked = 0;
+    for (_, mep) in &sys.magistrates {
+        leaked += sys
+            .kernel
+            .endpoint::<MagistrateEndpoint>(*mep)
+            .map(|m| m.outstanding_continuations())
+            .unwrap_or(0);
+    }
+    for cep in classes {
+        leaked += sys
+            .kernel
+            .endpoint::<ClassEndpoint>(*cep)
+            .map(|c| c.outstanding_continuations())
+            .unwrap_or(0);
+    }
+    if leaked > 0 {
+        violations.push(Violation::new(
+            "no-leaked-continuations",
+            format!("{leaked} continuations outstanding at quiescence"),
+        ));
+    }
+    violations
 }
 
 /// Resolve `obj` through its class and `Ping` it, following the §4.1.4
@@ -174,24 +222,58 @@ impl SimChaosTarget {
 
 impl ChaosTarget for SimChaosTarget {
     fn run(&mut self, schedule: &ChaosSchedule) -> RunOutcome {
-        self.run_mode(schedule, JournalMode::Plain).0
+        self.run_watched(schedule, Watch::off()).0
     }
 
     fn run_recorded(&mut self, schedule: &ChaosSchedule) -> (RunOutcome, Option<Vec<u8>>) {
-        self.run_mode(schedule, JournalMode::Record)
+        let sink = MemSink::new();
+        let journal = Journal::Record {
+            sink: Box::new(sink.clone()),
+            snap_every: CHAOS_SNAP_EVERY,
+        };
+        let (outcome, run) = self.run_watched(schedule, Watch::journal_only(journal));
+        run.expect("journal sink failed");
+        (outcome, Some(sink.contents()))
     }
 
+    /// Fast-forwards through the latest snapshot's root check.
     fn run_replayed(&mut self, schedule: &ChaosSchedule, journal: &[u8]) -> RunOutcome {
-        self.run_mode(schedule, JournalMode::Verify(journal)).0
+        let journal = Journal::Verify {
+            journal: journal.to_vec(),
+            start: ReplayStart::LatestSnapshot,
+        };
+        let (outcome, run) = self.run_watched(schedule, Watch::journal_only(journal));
+        if let Some(div) = run.expect("reference journal must parse").divergence() {
+            panic!("chaos replay diverged from its recording for {schedule}:\n{div}");
+        }
+        outcome
     }
 }
 
+/// Arm `schedule` on a built system. Its spike and flap windows are
+/// relative to the workload start: shift them past the (virtually long)
+/// build first. Fault verdicts are a pure function of `seed ^ msg_id`, so
+/// a replay armed the same way sees the same ones.
+pub fn arm(kernel: &mut SimKernel, schedule: &ChaosSchedule) {
+    let t0 = kernel.now().0;
+    let mut shifted = schedule.clone();
+    for s in &mut shifted.spikes {
+        s.from_ns += t0;
+        s.until_ns += t0;
+    }
+    for f in &mut shifted.flaps {
+        f.from_ns += t0;
+        f.until_ns += t0;
+    }
+    *kernel.faults_mut() = shifted.fault_plan();
+}
+
 impl SimChaosTarget {
-    fn run_mode(
-        &mut self,
-        schedule: &ChaosSchedule,
-        mode: JournalMode<'_>,
-    ) -> (RunOutcome, Option<Vec<u8>>) {
+    /// One run under `watch`. The session opens after the (identical,
+    /// fault-free) build and before any fault is armed; `measure` zeroes
+    /// the event counter, so record and replay hit the same snapshot
+    /// cadence.
+    fn run_watched(&mut self, schedule: &ChaosSchedule, watch: Watch) -> (RunOutcome, Closed) {
         let cfg = SystemConfig {
             jurisdictions: 2,
             hosts_per_jurisdiction: 2,
@@ -204,40 +286,10 @@ impl SimChaosTarget {
             ..SystemConfig::default()
         };
         let mut sys = LegionSystem::build(cfg);
-        sys.kernel.reset_metrics();
-        // The journal session starts here — after the (identical,
-        // fault-free) build and the metrics reset that zeroes the event
-        // counter, so record and replay hit the same snapshot cadence —
-        // and before any fault is armed.
-        let sink = match &mode {
-            JournalMode::Plain => None,
-            JournalMode::Record => {
-                let sink = MemSink::new();
-                sys.kernel
-                    .enable_journal_record(Box::new(sink.clone()), CHAOS_SNAP_EVERY);
-                Some(sink)
-            }
-            JournalMode::Verify(journal) => {
-                sys.kernel
-                    .enable_journal_verify(journal.to_vec(), ReplayStart::LatestSnapshot)
-                    .expect("reference journal must parse");
-                None
-            }
-        };
+        let session = watch.open(&mut sys.kernel);
+        session.measure(&mut sys.kernel);
         let t0 = sys.kernel.now().0;
-
-        // The schedule's windows are relative to the workload start:
-        // shift them past the (virtually long) build before arming.
-        let mut shifted = schedule.clone();
-        for s in &mut shifted.spikes {
-            s.from_ns += t0;
-            s.until_ns += t0;
-        }
-        for f in &mut shifted.flaps {
-            f.from_ns += t0;
-            f.until_ns += t0;
-        }
-        *sys.kernel.faults_mut() = shifted.fault_plan();
+        arm(&mut sys.kernel, schedule);
 
         let wl = WorkloadConfig {
             lookups_per_client: OPS,
@@ -298,55 +350,8 @@ impl SimChaosTarget {
             ));
         }
 
-        let mut alive: BTreeMap<String, u32> = BTreeMap::new();
-        for (_, m) in sys.kernel.all_meta() {
-            if m.alive && m.name.starts_with("obj:") {
-                *alive.entry(m.name.clone()).or_insert(0) += 1;
-            }
-        }
-        for (name, n) in alive.iter().filter(|(_, n)| **n > 1) {
-            violations.push(Violation::new(
-                "no-duplicate-object",
-                format!("{name} is alive {n} times"),
-            ));
-        }
-
-        let ha = super::e15_crash_recovery::ha_totals(&sys);
-        let unrecoverable = sys.kernel.counters().get("magistrate.ha_unrecoverable");
-        if ha.lost > 0 || unrecoverable > 0 {
-            violations.push(Violation::new(
-                "no-lost-object",
-                format!("{} lost, {unrecoverable} unrecoverable", ha.lost),
-            ));
-        }
-        if ha.in_flight > 0 {
-            violations.push(Violation::new(
-                "recovery-drained",
-                format!("{} recoveries still in flight at quiescence", ha.in_flight),
-            ));
-        }
-
-        let mut leaked = 0;
-        for (_, mep) in &sys.magistrates {
-            leaked += sys
-                .kernel
-                .endpoint::<MagistrateEndpoint>(*mep)
-                .map(|m| m.outstanding_continuations())
-                .unwrap_or(0);
-        }
-        for (_, cep) in &sys.classes {
-            leaked += sys
-                .kernel
-                .endpoint::<ClassEndpoint>(*cep)
-                .map(|c| c.outstanding_continuations())
-                .unwrap_or(0);
-        }
-        if leaked > 0 {
-            violations.push(Violation::new(
-                "no-leaked-continuations",
-                format!("{leaked} continuations outstanding at quiescence"),
-            ));
-        }
+        let classes: Vec<EndpointId> = sys.classes.iter().map(|(_, e)| *e).collect();
+        violations.extend(audit_state(&sys, &classes));
 
         // Audit probes run on a clean network: the faults were the
         // experiment, the audit must not inherit them.
@@ -375,7 +380,7 @@ impl SimChaosTarget {
                 crashes,
                 completed: report.completed,
                 failed: report.failed,
-                recovered: ha.recovered,
+                recovered: super::e15_crash_recovery::ha_totals(&sys).recovered,
                 timeouts: sys.kernel.counters().get("magistrate.timeouts")
                     + sys.kernel.counters().get("class.timeouts")
                     + sys.kernel.counters().get("ba.timeout"),
@@ -387,22 +392,8 @@ impl SimChaosTarget {
             // journal seq and nearest snapshot when a session is live.
             eprintln!("{}", sys.kernel.flight_dump("chaos invariant violated", 64));
         }
-        let journal = match mode {
-            JournalMode::Plain => None,
-            JournalMode::Record => {
-                sys.kernel.finish_journal().expect("journal sink failed");
-                sink.map(|s| s.contents())
-            }
-            JournalMode::Verify(_) => {
-                let (_, divergence) = sys.kernel.finish_journal().expect("verify session");
-                if let Some(div) = divergence {
-                    eprintln!("{}", sys.kernel.flight_dump("chaos replay diverged", 64));
-                    panic!("chaos replay diverged from its recording for {schedule}:\n{div}");
-                }
-                None
-            }
-        };
-        (RunOutcome { violations, digest }, journal)
+        let run = session.close(&mut sys.kernel);
+        (RunOutcome { violations, digest }, run)
     }
 }
 
@@ -562,6 +553,19 @@ pub fn run(scale: u32, base_seed: u64) -> (Vec<Row>, Vec<ShrinkRow>) {
         })
         .collect();
     (rows, shrinks)
+}
+
+/// The observed point: the hardened campaign's first schedule.
+pub fn observed(_quick: bool, seed: u64, watch: Watch) -> Closed {
+    let schedule = ChaosSchedule::generate(seed, &campaign_bounds());
+    SimChaosTarget::new(4).run_watched(&schedule, watch).1
+}
+
+/// What `legion-exp e16` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let (rows, shrinks) = run(scale(quick), seed);
+    let (t1, t2) = table(&rows, &shrinks);
+    vec![t1, t2]
 }
 
 /// Render the EXPERIMENTS.md tables.

@@ -32,6 +32,8 @@
 //! events, queue peak) are seed-deterministic; the wall-clock rates are
 //! not and are never gated.
 
+use crate::experiments::common::scale;
+use crate::harness::{Closed, Watch};
 use crate::report::Table;
 use crate::system::agent_loid;
 use crate::workload::ZipfSampler;
@@ -286,11 +288,22 @@ impl ScaleClient {
         while self.next < self.plan.len() {
             let target = self.plan[self.next];
             self.next += 1;
+            // One trace per lookup; free when the span sink is off.
+            ctx.trace_begin("lookup");
             match self.resolver.lookup(ctx, target) {
-                Lookup::Cached(_) => self.completed += 1,
+                Lookup::Cached(_) => self.settle(ctx, true),
                 Lookup::Requested(_) => return, // resume on the reply
-                Lookup::AgentUnreachable => self.failed += 1,
+                Lookup::AgentUnreachable => self.settle(ctx, false),
             }
+        }
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_>, ok: bool) {
+        ctx.trace_end(if ok { "ok" } else { "failed" });
+        if ok {
+            self.completed += 1;
+        } else {
+            self.failed += 1;
         }
     }
 }
@@ -302,24 +315,23 @@ impl Endpoint for ScaleClient {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if let Ok((_, result)) = self.resolver.handle_reply_owned(ctx, msg) {
-            match result {
-                Ok(_) => self.completed += 1,
-                Err(_) => self.failed += 1,
-            }
+            self.settle(ctx, result.is_ok());
             self.pump(ctx);
         }
     }
 }
 
-/// Run one campaign: build the system, drive every client to completion,
-/// report kernel-level rates.
+/// Run one campaign under `watch`: build the system, drive every client
+/// to completion, report kernel-level rates. The session opens on the
+/// built system, before the warm fleet attaches.
 pub fn campaign(
     loids: u64,
     tree: TreeShape,
     clients: usize,
     lookups_per_client: usize,
     seed: u64,
-) -> Row {
+    watch: Watch,
+) -> (Row, Closed) {
     let mut kernel = SimKernel::new(Topology::default(), FaultPlan::none(), seed);
 
     // The registry class: responsible for every one of the `loids`
@@ -427,13 +439,14 @@ pub fn campaign(
     };
 
     // Warm wave: populate agent caches along every cluster's leaf path.
+    let session = watch.open(&mut kernel);
     let warm_eps = attach_fleet(&mut kernel, 0, 1000);
     kernel.run_until_quiescent(MAX_EVENTS);
     for &ep in &warm_eps {
         let c = kernel.endpoint_mut::<ScaleClient>(ep).expect("warm client");
         debug_assert_eq!(c.next, c.plan.len(), "warm client finished its plan");
     }
-    kernel.reset_metrics();
+    session.measure(&mut kernel);
 
     // Measured wave: wall-clock and allocator deltas bracket only this
     // drive — not the million-entry setup, not the warm-up.
@@ -457,7 +470,7 @@ pub fn campaign(
     }
     let stats = kernel.stats();
     let wall_s = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    Row {
+    let row = Row {
         loids,
         agents: agents.len(),
         clients,
@@ -471,24 +484,52 @@ pub fn campaign(
         messages_per_sec: stats.delivered as f64 / wall_s,
         ns_per_event: wall.as_nanos() as f64 / stats.events.max(1) as f64,
         allocs_per_message: (a1 - a0) as f64 / stats.delivered.max(1) as f64,
-    }
+    };
+    (row, session.close(&mut kernel))
 }
 
 /// The CI-scale point: a 3-level tree over a 10k-LOID space. Fast enough
-/// for the bench-smoke job (`LEGION_E17_QUICK=1`) while still walking
-/// every layer the full campaign walks.
+/// for the bench-smoke job while still walking every layer the full
+/// campaign walks.
 pub fn quick_campaign(seed: u64) -> Row {
-    campaign(10_000, TreeShape::new(8, 73), 16, 200, seed)
+    quick_point(seed, Watch::off()).0
+}
+
+/// The paper-scale point: a million LOIDs behind a 4-level, 585-agent tree.
+pub fn full_campaign(seed: u64) -> Row {
+    campaign(
+        1_000_000,
+        TreeShape::new(8, 585),
+        64,
+        500,
+        seed,
+        Watch::off(),
+    )
+    .0
+}
+
+fn quick_point(seed: u64, watch: Watch) -> (Row, Closed) {
+    campaign(10_000, TreeShape::new(8, 73), 16, 200, seed, watch)
+}
+
+/// The observed point: the 10k-LOID campaign at either size — its spans
+/// fit the harness's span sink, the million-LOID point's would not.
+pub fn observed(_quick: bool, seed: u64, watch: Watch) -> Closed {
+    quick_point(seed, watch).1
+}
+
+/// What `legion-exp e17` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    vec![table(&run(scale(quick), seed))]
 }
 
 /// Run the sweep: quick mode stops at the CI point; full mode grows the
-/// LOID space to the paper-scale million with a 4-level, 585-agent tree.
+/// LOID space to the paper-scale million.
 pub fn run(scale: u32, seed: u64) -> Vec<Row> {
-    let quick = scale <= 1 || std::env::var_os("LEGION_E17_QUICK").is_some();
     let mut rows = vec![quick_campaign(seed)];
-    if !quick {
-        rows.push(campaign(100_000, TreeShape::new(8, 73), 64, 500, seed));
-        rows.push(campaign(1_000_000, TreeShape::new(8, 585), 64, 500, seed));
+    if scale > 1 {
+        rows.push(campaign(100_000, TreeShape::new(8, 73), 64, 500, seed, Watch::off()).0);
+        rows.push(full_campaign(seed));
     }
     rows
 }
@@ -534,7 +575,7 @@ mod tests {
     use super::*;
 
     fn tiny(seed: u64) -> Row {
-        campaign(1_000, TreeShape::new(4, 5), 8, 50, seed)
+        campaign(1_000, TreeShape::new(4, 5), 8, 50, seed, Watch::off()).0
     }
 
     #[test]

@@ -41,6 +41,9 @@
 //! queue depth. Runs are bit-deterministic per seed and survive verified
 //! journal replay.
 
+use crate::experiments::common::{drive, scale};
+use crate::experiments::e16_chaos::mix;
+use crate::harness::{Closed, Watch};
 use crate::report::Table;
 use crate::system::{LegionSystem, SystemConfig};
 use crate::workload::{generate_arrivals, FlashCrowd, OpenLoopClient, OpenLoopConfig, PhaseStats};
@@ -48,7 +51,6 @@ use legion_core::loid::Loid;
 use legion_core::object::methods as obj_m;
 use legion_core::symbol;
 use legion_core::value::LegionValue;
-use legion_journal::{MemSink, ReplayStart};
 use legion_naming::protocol::GET_BINDING;
 use legion_net::admission::AdmissionConfig;
 use legion_net::sim::EndpointId;
@@ -56,7 +58,6 @@ use legion_net::topology::{Location, Topology};
 use legion_obs::slo::{SloConfig, SloObjective};
 use legion_runtime::autoscale::{AutoScalePolicy, AutoScaler, ReplicaRouter};
 use legion_runtime::class_endpoint::ClassEndpoint;
-use legion_runtime::magistrate::MagistrateEndpoint;
 
 /// The hot class's deterministic service time per data-plane call.
 const SERVICE_NS: u64 = 200_000;
@@ -76,10 +77,6 @@ const OBJECTIVE: SloObjective = SloObjective {
 };
 /// Per-tenant (Jurisdiction) rate weights for the flash campaign.
 const TENANT_WEIGHTS: [f64; 4] = [3.0, 2.0, 1.0, 1.0];
-/// Event budget per campaign (hang → visible failure, not a CI timeout).
-const MAX_EVENTS: u64 = 50_000_000;
-/// Journal snapshot cadence for the record/verify tests.
-const SNAP_EVERY: u64 = 2048;
 
 /// The admission model every class endpoint in E18 runs.
 pub fn admission() -> AdmissionConfig {
@@ -108,28 +105,6 @@ fn build_system(seed: u64) -> LegionSystem {
 /// LOID for open-loop tenant client `i`.
 fn tenant_loid(i: usize) -> Loid {
     Loid::instance(9500, i as u64 + 1)
-}
-
-/// Drive the kernel until every open-loop client settles its stream.
-fn run_open_loop(sys: &mut LegionSystem, clients: &[EndpointId]) {
-    let mut guard = 0;
-    loop {
-        sys.kernel.run_until_quiescent(MAX_EVENTS);
-        let all_done = clients.iter().all(|c| {
-            sys.kernel
-                .endpoint::<OpenLoopClient>(*c)
-                .map(|cl| cl.is_done())
-                .unwrap_or(true)
-        });
-        if all_done || sys.kernel.is_quiescent() {
-            break;
-        }
-        guard += 1;
-        if guard >= 100 {
-            eprintln!("{}", sys.kernel.flight_dump("open loop did not settle", 32));
-            panic!("open-loop workload did not settle");
-        }
-    }
 }
 
 /// Every class endpoint currently alive (the built class plus any
@@ -201,7 +176,7 @@ pub fn sweep_point(multiplier: f64, duration_ns: u64, seed: u64) -> SweepRow {
     let cep = sys
         .kernel
         .add_endpoint(Box::new(client), Location::new(0, 700), "open-loop0");
-    run_open_loop(&mut sys, &[cep]);
+    drive(&mut sys, &[cep], OpenLoopClient::is_done);
     let report = sys
         .kernel
         .endpoint::<OpenLoopClient>(cep)
@@ -247,16 +222,6 @@ pub fn degradation_sweep(quick: bool, seed: u64) -> Vec<SweepRow> {
 // ---------------------------------------------------------------------
 // Part B: flash-crowd campaign
 // ---------------------------------------------------------------------
-
-/// How a campaign interacts with the kernel journal (mirrors E16).
-pub enum JournalMode<'a> {
-    /// No journal session.
-    Plain,
-    /// Record every kernel ingress; return the journal bytes.
-    Record,
-    /// Verified re-execution against a recorded journal.
-    Verify(&'a [u8]),
-}
 
 /// One phase's ledger, summarized for the table.
 #[derive(Debug, Clone)]
@@ -324,14 +289,6 @@ pub struct FlashRow {
     pub violations: Vec<String>,
 }
 
-/// SplitMix64-style accumulator for the run digest.
-fn mix(h: u64, v: u64) -> u64 {
-    let mut x = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 27)
-}
-
 /// Campaign phase durations (steady, flash, recovery), virtual ns.
 fn phase_spans(quick: bool) -> (u64, u64, u64) {
     if quick {
@@ -350,9 +307,9 @@ pub fn flash_campaign(
     quick: bool,
     seed: u64,
     autoscaled: bool,
-    mode: JournalMode<'_>,
-) -> (FlashRow, Option<Vec<u8>>) {
-    flash_campaign_with_chaos(quick, seed, autoscaled, mode, None)
+    watch: Watch,
+) -> (FlashRow, Closed) {
+    flash_campaign_with_chaos(quick, seed, autoscaled, watch, None)
 }
 
 /// [`flash_campaign`] with an E16 adversarial-delivery schedule armed
@@ -364,32 +321,19 @@ pub fn flash_campaign_with_chaos(
     quick: bool,
     seed: u64,
     autoscaled: bool,
-    mode: JournalMode<'_>,
+    watch: Watch,
     chaos: Option<&legion_chaos::schedule::ChaosSchedule>,
-) -> (FlashRow, Option<Vec<u8>>) {
+) -> (FlashRow, Closed) {
     let (steady_ns, flash_ns, recovery_ns) = phase_spans(quick);
     let total_ns = steady_ns + flash_ns + recovery_ns;
 
     let mut sys = build_system(seed);
-    sys.kernel.reset_metrics();
-    // The journal session starts after the (identical, fault-free) build
-    // and the metrics reset, so record and verify share their snapshot
-    // cadence — same discipline as E16.
-    let sink = match &mode {
-        JournalMode::Plain => None,
-        JournalMode::Record => {
-            let sink = MemSink::new();
-            sys.kernel
-                .enable_journal_record(Box::new(sink.clone()), SNAP_EVERY);
-            Some(sink)
-        }
-        JournalMode::Verify(journal) => {
-            sys.kernel
-                .enable_journal_verify(journal.to_vec(), ReplayStart::LatestSnapshot)
-                .expect("reference journal must parse");
-            None
-        }
-    };
+    // The session opens after the (identical, fault-free) build, and
+    // `measure` zeroes the event counter, so record and verify share
+    // their snapshot cadence — same discipline as E16. The online SLO
+    // tracker the scaler reads replaces whatever tracker the watch set.
+    let session = watch.open(&mut sys.kernel);
+    session.measure(&mut sys.kernel);
     sys.kernel.enable_slo_online(SloConfig {
         window_ns: SLO_WINDOW_NS,
         objective: OBJECTIVE,
@@ -397,20 +341,9 @@ pub fn flash_campaign_with_chaos(
     });
 
     let t0 = sys.kernel.now().as_nanos();
-    // Chaos schedules arm after the journal session opens (fault
-    // verdicts are a pure function of seed ^ msg_id, so replay sees the
-    // same ones) with windows shifted past the build — E16's discipline.
+    // Chaos schedules arm after the session opens — E16's discipline.
     if let Some(schedule) = chaos {
-        let mut shifted = schedule.clone();
-        for s in &mut shifted.spikes {
-            s.from_ns += t0;
-            s.until_ns += t0;
-        }
-        for f in &mut shifted.flaps {
-            f.from_ns += t0;
-            f.until_ns += t0;
-        }
-        *sys.kernel.faults_mut() = shifted.fault_plan();
+        super::e16_chaos::arm(&mut sys.kernel, schedule);
     }
     let (class_loid, class_ep) = sys.classes[0];
 
@@ -476,7 +409,7 @@ pub fn flash_campaign_with_chaos(
         })
         .collect();
 
-    run_open_loop(&mut sys, &clients);
+    drive(&mut sys, &clients, OpenLoopClient::is_done);
 
     // ----- collect --------------------------------------------------
     let mut merged = crate::workload::OpenLoopReport::default();
@@ -559,48 +492,8 @@ pub fn flash_campaign_with_chaos(
             total.offered
         ));
     }
-    let mut alive: std::collections::BTreeMap<String, u32> = Default::default();
-    for (_, m) in sys.kernel.all_meta() {
-        if m.alive && m.name.starts_with("obj:") {
-            *alive.entry(m.name.clone()).or_insert(0) += 1;
-        }
-    }
-    for (name, n) in alive.iter().filter(|(_, n)| **n > 1) {
-        violations.push(format!("no-duplicate-object: {name} is alive {n} times"));
-    }
-    let ha = super::e15_crash_recovery::ha_totals(&sys);
-    let unrecoverable = sys.kernel.counters().get("magistrate.ha_unrecoverable");
-    if ha.lost > 0 || unrecoverable > 0 {
-        violations.push(format!(
-            "no-lost-object: {} lost, {unrecoverable} unrecoverable",
-            ha.lost
-        ));
-    }
-    if ha.in_flight > 0 {
-        violations.push(format!(
-            "recovery-drained: {} recoveries still in flight",
-            ha.in_flight
-        ));
-    }
-    let mut leaked = 0;
-    for (_, mep) in &sys.magistrates {
-        leaked += sys
-            .kernel
-            .endpoint::<MagistrateEndpoint>(*mep)
-            .map(|m| m.outstanding_continuations())
-            .unwrap_or(0);
-    }
-    for id in class_endpoints(&sys) {
-        leaked += sys
-            .kernel
-            .endpoint::<ClassEndpoint>(id)
-            .map(|c| c.outstanding_continuations())
-            .unwrap_or(0);
-    }
-    if leaked > 0 {
-        violations.push(format!(
-            "no-leaked-continuations: {leaked} continuations outstanding"
-        ));
+    for v in super::e16_chaos::audit_state(&sys, &class_endpoints(&sys)) {
+        violations.push(format!("{}: {}", v.invariant, v.detail));
     }
     // The new invariant: overload may shed work, never queue it without
     // bound. Checked on every class endpoint, clones included.
@@ -647,22 +540,6 @@ pub fn flash_campaign_with_chaos(
         eprintln!("{}", sys.kernel.flight_dump("E18 invariant violated", 64));
     }
 
-    let journal = match mode {
-        JournalMode::Plain => None,
-        JournalMode::Record => {
-            sys.kernel.finish_journal().expect("journal sink failed");
-            sink.map(|s| s.contents())
-        }
-        JournalMode::Verify(_) => {
-            let (_, divergence) = sys.kernel.finish_journal().expect("verify session");
-            if let Some(div) = divergence {
-                eprintln!("{}", sys.kernel.flight_dump("E18 replay diverged", 64));
-                panic!("E18 replay diverged from its recording:\n{div}");
-            }
-            None
-        }
-    };
-
     (
         FlashRow {
             autoscaled,
@@ -678,20 +555,32 @@ pub fn flash_campaign_with_chaos(
             digest,
             violations,
         },
-        journal,
+        session.close(&mut sys.kernel),
     )
 }
 
 /// Run E18: the degradation sweep plus the flash campaign with and
 /// without the auto-scaler.
 pub fn run(scale: u32, seed: u64) -> (Vec<SweepRow>, Vec<FlashRow>) {
-    let quick = scale <= 1 || std::env::var_os("LEGION_E18_QUICK").is_some();
+    let quick = scale <= 1;
     let sweep = degradation_sweep(quick, seed);
     let flash = vec![
-        flash_campaign(quick, seed, false, JournalMode::Plain).0,
-        flash_campaign(quick, seed, true, JournalMode::Plain).0,
+        flash_campaign(quick, seed, false, Watch::off()).0,
+        flash_campaign(quick, seed, true, Watch::off()).0,
     ];
     (sweep, flash)
+}
+
+/// The observed point: the auto-scaled flash campaign.
+pub fn observed(quick: bool, seed: u64, watch: Watch) -> Closed {
+    flash_campaign(quick, seed, true, watch).1
+}
+
+/// What `legion-exp e18` prints.
+pub fn tables(quick: bool, seed: u64) -> Vec<Table> {
+    let (sweep, flash) = run(scale(quick), seed);
+    let (t1, t2) = table(&sweep, &flash);
+    vec![t1, t2]
 }
 
 /// Render the EXPERIMENTS.md tables.
@@ -766,8 +655,12 @@ pub fn table(sweep: &[SweepRow], flash: &[FlashRow]) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Journal;
+    use legion_journal::{MemSink, ReplayStart};
 
     const SEED: u64 = 181;
+    /// Journal snapshot cadence for the record/verify test.
+    const SNAP_EVERY: u64 = 2048;
 
     #[test]
     fn sub_saturation_load_sheds_nothing() {
@@ -798,8 +691,8 @@ mod tests {
 
     #[test]
     fn flash_crowd_burns_clones_and_recovers() {
-        let (base, _) = flash_campaign(true, SEED, false, JournalMode::Plain);
-        let (auto, _) = flash_campaign(true, SEED, true, JournalMode::Plain);
+        let (base, _) = flash_campaign(true, SEED, false, Watch::off());
+        let (auto, _) = flash_campaign(true, SEED, true, Watch::off());
         assert!(base.violations.is_empty(), "{:?}", base.violations);
         assert!(auto.violations.is_empty(), "{:?}", auto.violations);
 
@@ -847,8 +740,8 @@ mod tests {
 
     #[test]
     fn same_seed_campaigns_are_bit_identical() {
-        let (a, _) = flash_campaign(true, SEED ^ 7, true, JournalMode::Plain);
-        let (b, _) = flash_campaign(true, SEED ^ 7, true, JournalMode::Plain);
+        let (a, _) = flash_campaign(true, SEED ^ 7, true, Watch::off());
+        let (b, _) = flash_campaign(true, SEED ^ 7, true, Watch::off());
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.burn_events, b.burn_events);
         assert_eq!(a.clones, b.clones);
@@ -857,10 +750,22 @@ mod tests {
 
     #[test]
     fn campaign_survives_verified_journal_replay() {
-        let (recorded, journal) = flash_campaign(true, SEED ^ 9, true, JournalMode::Record);
-        let journal = journal.expect("record mode returns a journal");
-        let (replayed, _) = flash_campaign(true, SEED ^ 9, true, JournalMode::Verify(&journal));
-        // Verify panics inside on divergence; the outcomes must also agree.
+        let sink = MemSink::new();
+        let journal = Journal::Record {
+            sink: Box::new(sink.clone()),
+            snap_every: SNAP_EVERY,
+        };
+        let watch = Watch::journal_only(journal);
+        let (recorded, run) = flash_campaign(true, SEED ^ 9, true, watch);
+        run.expect("journal sink failed");
+        let journal = Journal::Verify {
+            journal: sink.contents(),
+            start: ReplayStart::LatestSnapshot,
+        };
+        let watch = Watch::journal_only(journal);
+        let (replayed, run) = flash_campaign(true, SEED ^ 9, true, watch);
+        let run = run.expect("reference journal must parse");
+        assert!(run.divergence().is_none(), "{:?}", run.divergence());
         assert_eq!(recorded.digest, replayed.digest);
     }
 
@@ -889,7 +794,7 @@ mod tests {
         });
 
         let (row, _) =
-            flash_campaign_with_chaos(true, SEED ^ 11, true, JournalMode::Plain, Some(&schedule));
+            flash_campaign_with_chaos(true, SEED ^ 11, true, Watch::off(), Some(&schedule));
         assert!(row.violations.is_empty(), "{:?}", row.violations);
         // The crowd still resolves every operation and the scaler still
         // acts: overload handling is not fair-weather machinery.
@@ -899,7 +804,7 @@ mod tests {
         assert!(row.deferred_peak <= QUEUE_DEPTH, "{row:?}");
 
         let (again, _) =
-            flash_campaign_with_chaos(true, SEED ^ 11, true, JournalMode::Plain, Some(&schedule));
+            flash_campaign_with_chaos(true, SEED ^ 11, true, Watch::off(), Some(&schedule));
         assert_eq!(
             row.digest, again.digest,
             "chaos-judged run is deterministic"

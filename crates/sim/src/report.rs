@@ -13,6 +13,7 @@ pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    detached: bool,
 }
 
 impl Table {
@@ -22,7 +23,14 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            detached: false,
         }
+    }
+
+    /// Stand this table apart: [`Table::print`] puts a blank line above it.
+    pub fn detached(mut self) -> Self {
+        self.detached = true;
+        self
     }
 
     /// Append a row (must match header arity).
@@ -71,6 +79,9 @@ impl Table {
 
     /// Print to stdout.
     pub fn print(&self) {
+        if self.detached {
+            println!();
+        }
         print!("{}", self.render());
     }
 

@@ -454,6 +454,7 @@ impl OpenLoopClient {
                 self.outstanding.insert(id, op);
             }
             None => {
+                ctx.trace_end("failed");
                 self.report.phases[op.phase].failed += 1;
             }
         }
@@ -473,6 +474,8 @@ impl OpenLoopClient {
                 phase,
                 retries: 0,
             };
+            // One trace per operation: a retry's timer carries it along.
+            ctx.trace_begin("call");
             self.issue(ctx, op);
         }
         if self.next < self.arrivals.len() {
@@ -513,6 +516,7 @@ impl Endpoint for OpenLoopClient {
         let stats = &mut self.report.phases[op.phase];
         match result {
             Ok(_) => {
+                ctx.trace_end("ok");
                 stats.ok += 1;
                 stats
                     .latency
@@ -534,10 +538,12 @@ impl Endpoint for OpenLoopClient {
                         );
                         ctx.set_timer(retry_after_ns.max(1), TIMER_OL_RETRY_BASE + seq);
                     } else {
+                        ctx.trace_end("gave-up");
                         stats.gave_up += 1;
                     }
                 }
                 None => {
+                    ctx.trace_end("failed");
                     stats.failed += 1;
                 }
             },

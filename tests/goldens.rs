@@ -15,17 +15,34 @@
 //! and commit the diff — the review then sees exactly what changed in the
 //! observable output, separately from the code change.
 
+use legion::journal::{MemSink, ReplayStart};
 use legion::obs;
-use legion::sim::experiments as exp;
-use legion::sim::obs_run;
-use serde::Serialize;
+use legion::sim::experiments::{Entry, ALL};
+use legion::sim::harness::{Journal, Observed, Watch, SNAP_EVERY};
+use legion::sim::run_report::{self, RunReport};
+use legion::sim::Table;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The seed and scale `legion-exp --quick` uses, so goldens can be
-/// eyeballed against the CLI output.
+/// The seed `legion-exp` uses, so goldens can be eyeballed against the
+/// `--quick` CLI output.
 const SEED: u64 = 20260707;
-const SCALE: u32 = 1;
+
+fn entry(id: &str) -> &'static Entry {
+    ALL.iter().find(|e| e.id == id).expect("a registered id")
+}
+
+/// The tables `legion-exp --quick <id>` prints.
+fn quick_tables(id: &str) -> Vec<Table> {
+    (entry(id).tables)(true, SEED)
+}
+
+/// `id`'s observed point at `--quick`, every instrument on, as the export
+/// flags run it.
+fn observe(id: &str, journal: Journal) -> Observed {
+    let observed = entry(id).observed.expect("an observed point");
+    observed(true, SEED, Watch::all(journal)).expect("journal session")
+}
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
@@ -69,40 +86,25 @@ fn check(name: &str, actual: &str) {
     }
 }
 
-#[test]
-fn e01_transcript_matches_golden() {
-    let table = exp::e01_binding_path::table(&exp::e01_binding_path::run(SCALE, SEED));
-    check("e01_transcript.golden", &table.render());
-}
-
 /// The traced E1 run: analysis tables, the span JSONL, and the metrics
 /// snapshot document, exactly as `legion-exp e1 --quick --trace-out
 /// --metrics-out` writes them.
 #[test]
 fn e01_traced_artifacts_match_goldens() {
-    let traced = obs_run::run_e01_traced(SCALE, SEED);
-    let tables = obs_run::analysis_tables(&traced.events);
+    let traced = observe("e1", Journal::Off);
     let mut analysis = String::new();
-    for t in &tables {
+    for t in &quick_tables("e1")[1..] {
         analysis.push_str(&t.render());
         analysis.push('\n');
     }
     check("e01_analysis.golden", &analysis);
     check(
         "e01_trace.jsonl.golden",
-        &obs::export::to_jsonl(&traced.events),
+        &obs::export::to_jsonl(&traced.spans),
     );
-    let doc = serde::Value::Object(vec![
-        ("experiment".to_string(), serde::Value::Str("e1".into())),
-        ("metrics".to_string(), traced.metrics.to_json_value()),
-        (
-            "tables".to_string(),
-            serde::Value::Array(tables.iter().map(|t| t.to_json()).collect()),
-        ),
-    ]);
     check(
         "e01_metrics.json.golden",
-        &serde::json::to_string_pretty(&doc),
+        &run_report::metrics_doc("e1", &traced),
     );
 }
 
@@ -113,8 +115,8 @@ fn e01_traced_artifacts_match_goldens() {
 /// twice and the outputs are compared before checking the golden.
 #[test]
 fn e12_run_report_matches_golden() {
-    let report = legion::sim::run_report::generate(2, SEED);
-    let again = legion::sim::run_report::generate(2, SEED);
+    let report = RunReport::new("e12", SEED, observe("e12", Journal::Off));
+    let again = RunReport::new("e12", SEED, observe("e12", Journal::Off));
     let json = report.to_json();
     let text = report.render_text();
     assert_eq!(json, again.to_json(), "report JSON not seed-deterministic");
@@ -127,57 +129,59 @@ fn e12_run_report_matches_golden() {
     check("e12_report.txt.golden", &text);
 }
 
-/// The time-travel acceptance criterion, E12 side: the instrumented run
-/// records an event journal (with content-addressed snapshots every
-/// [`run_report::SNAP_EVERY`](legion::sim::run_report::SNAP_EVERY)
-/// events), then replays as a verified re-execution — once from the
-/// origin, once from the last mid-run snapshot waypoint — and both
-/// replays must reproduce the live run's report byte-for-byte.
+/// The time-travel acceptance criterion, for every experiment with an
+/// observed point: the run records an event journal (with
+/// content-addressed snapshots every [`SNAP_EVERY`] events), then replays
+/// as a verified re-execution — once from the origin, once from the last
+/// mid-run snapshot waypoint — and both replays must reproduce the live
+/// run's report byte-for-byte.
 #[test]
-fn e12_report_replays_byte_identical_from_journal_and_snapshot() {
-    use legion::journal::{MemSink, ReplayStart};
-    use legion::sim::run_report::{generate_with_journal, ReportJournal, SNAP_EVERY};
-    let sink = MemSink::new();
-    let (live, outcome) = generate_with_journal(
-        2,
-        SEED,
-        ReportJournal::Record {
-            sink: Box::new(sink.clone()),
-            snap_every: SNAP_EVERY,
-        },
-    )
-    .expect("record session");
-    let (summary, _) = outcome.expect("record summary");
-    assert!(summary.snapshots > 0, "run too short to snapshot");
-    let journal = sink.contents();
-    for start in [ReplayStart::Origin, ReplayStart::LatestSnapshot] {
-        let from_snapshot = matches!(start, ReplayStart::LatestSnapshot);
-        let (replay, outcome) = generate_with_journal(
-            2,
-            SEED,
-            ReportJournal::Verify {
-                journal: journal.clone(),
-                start,
+fn observed_points_replay_byte_identical_from_journal_and_snapshot() {
+    for e in ALL.iter().filter(|e| e.observed.is_some()) {
+        let id = e.id;
+        let sink = MemSink::new();
+        let live = observe(
+            id,
+            Journal::Record {
+                sink: Box::new(sink.clone()),
+                snap_every: SNAP_EVERY,
             },
-        )
-        .expect("verify session");
-        let (summary, divergence) = outcome.expect("verify summary");
-        assert!(divergence.is_none(), "replay diverged: {divergence:?}");
-        if from_snapshot {
-            assert!(summary.skipped > 0, "snapshot start skipped nothing");
-        } else {
-            assert_eq!(summary.verified, summary.records);
+        );
+        let (summary, _) = live.journal.clone().expect("record summary");
+        assert!(summary.snapshots > 0, "{id}: run too short to snapshot");
+        let live = RunReport::new(id, SEED, live);
+        let journal = sink.contents();
+        for start in [ReplayStart::Origin, ReplayStart::LatestSnapshot] {
+            let from_snapshot = matches!(start, ReplayStart::LatestSnapshot);
+            let replay = observe(
+                id,
+                Journal::Verify {
+                    journal: journal.clone(),
+                    start,
+                },
+            );
+            let (summary, divergence) = replay.journal.clone().expect("verify summary");
+            assert!(
+                divergence.is_none(),
+                "{id}: replay diverged: {divergence:?}"
+            );
+            if from_snapshot {
+                assert!(summary.skipped > 0, "{id}: snapshot start skipped nothing");
+            } else {
+                assert_eq!(summary.verified, summary.records, "{id}");
+            }
+            let replay = RunReport::new(id, SEED, replay);
+            assert_eq!(
+                live.to_json(),
+                replay.to_json(),
+                "{id}: replayed report JSON differs (from_snapshot: {from_snapshot})"
+            );
+            assert_eq!(
+                live.render_text(),
+                replay.render_text(),
+                "{id}: replayed report text differs (from_snapshot: {from_snapshot})"
+            );
         }
-        assert_eq!(
-            live.to_json(),
-            replay.to_json(),
-            "replayed report JSON differs (from_snapshot: {from_snapshot})"
-        );
-        assert_eq!(
-            live.render_text(),
-            replay.render_text(),
-            "replayed report text differs (from_snapshot: {from_snapshot})"
-        );
     }
 }
 
@@ -198,71 +202,52 @@ fn e16_chaos_run_replays_byte_identical() {
     assert_eq!(live, replay, "chaos replay outcome differs");
 }
 
+/// One walk over the registry — the CLI's whole vocabulary. Ids are
+/// `e1`…`e18` in order; each entry's first table is the one
+/// `experiments_output.txt` records under that experiment's number; and
+/// the deterministic experiments' quick-scale transcripts, exactly as
+/// `legion-exp --quick <id>` prints their tables (E16's and E18's two back
+/// to back), match their goldens. E9, E11, E13a, E14 and E17 print
+/// wall-clock columns and have none. All but E1's, E15's and E16's were
+/// captured on the hand-written CLI's code paths, before the registry and
+/// the run harness replaced them.
 #[test]
-fn e15_transcript_matches_golden() {
-    let table = exp::e15_crash_recovery::table(&exp::e15_crash_recovery::run(SCALE, SEED));
-    check("e15_transcript.golden", &table.render());
-}
-
-#[test]
-fn e16_transcript_matches_golden() {
-    let (rows, shrinks) = exp::e16_chaos::run(SCALE, SEED);
-    let (t1, t2) = exp::e16_chaos::table(&rows, &shrinks);
-    let mut out = t1.render();
-    out.push_str(&t2.render());
-    check("e16_transcript.golden", &out);
-}
-
-/// Quick-scale transcripts of the deterministic experiments, exactly as
-/// `legion-exp --quick <id>` prints their tables (E13's and E18's two
-/// tables back to back; E13a is wall-clock and left out). Captured on the
-/// hand-written CLI's code paths before the run harness replaced them.
-#[test]
-fn quick_transcripts_match_goldens() {
-    let e13 = exp::e13_security::table(&[], &exp::e13_security::run_live(50, SEED)).1;
-    let (sweep, flash) = exp::e18_overload::run(SCALE, SEED);
-    let (e18a, e18b) = exp::e18_overload::table(&sweep, &flash);
-    let transcripts = [
-        (
-            "e02",
-            exp::e02_agent_load::table(&exp::e02_agent_load::run(SCALE, SEED)).render(),
-        ),
-        (
-            "e03",
-            exp::e03_cache_tiers::table(&exp::e03_cache_tiers::run(SCALE, SEED)).render(),
-        ),
-        (
-            "e04",
-            exp::e04_combining_tree::table(&exp::e04_combining_tree::run(SCALE, SEED)).render(),
-        ),
-        (
-            "e05",
-            exp::e05_find_class::table(&exp::e05_find_class::run(4, SEED)).render(),
-        ),
-        (
-            "e06",
-            exp::e06_class_cloning::table(&exp::e06_class_cloning::run(32, SEED)).render(),
-        ),
-        (
-            "e07",
-            exp::e07_lifecycle::table(&exp::e07_lifecycle::run(6, SEED)).render(),
-        ),
-        (
-            "e08",
-            exp::e08_stale_bindings::table(&exp::e08_stale_bindings::run(SCALE, SEED)).render(),
-        ),
-        (
-            "e10",
-            exp::e10_replication::table(&exp::e10_replication::run(4, 20, SEED)).render(),
-        ),
-        (
-            "e12",
-            exp::e12_scalability::table(&exp::e12_scalability::run(&[1, 2, 4], SEED)).render(),
-        ),
-        ("e13b", e13.render()),
-        ("e18", e18a.render() + &e18b.render()),
+fn registry_transcripts_match_goldens() {
+    let recorded =
+        fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("experiments_output.txt"))
+            .expect("experiments_output.txt at the repo root");
+    // (id, golden name, which of its tables the golden holds)
+    let pinned = [
+        ("e1", "e01", 0..1),
+        ("e2", "e02", 0..1),
+        ("e3", "e03", 0..1),
+        ("e4", "e04", 0..1),
+        ("e5", "e05", 0..1),
+        ("e6", "e06", 0..1),
+        ("e7", "e07", 0..1),
+        ("e8", "e08", 0..1),
+        ("e10", "e10", 0..1),
+        ("e12", "e12", 0..1),
+        ("e13", "e13b", 1..2),
+        ("e15", "e15", 0..1),
+        ("e16", "e16", 0..2),
+        ("e18", "e18", 0..2),
     ];
-    for (name, transcript) in transcripts {
-        check(&format!("{name}_transcript.golden"), &transcript);
+    for (i, e) in ALL.iter().enumerate() {
+        assert_eq!(e.id, format!("e{}", i + 1));
+        let tables = (e.tables)(true, SEED);
+        assert!(!tables.is_empty(), "{} prints nothing", e.id);
+        let first = tables[0].render();
+        let title = first.lines().next().expect("a title line");
+        assert!(title.starts_with(&format!("== E{}", i + 1)), "{title}");
+        assert!(
+            recorded.lines().any(|l| l == title),
+            "{title} is not in experiments_output.txt"
+        );
+        if let Some((_, name, held)) = pinned.iter().find(|(id, ..)| *id == e.id) {
+            let transcript: String = tables[held.clone()].iter().map(Table::render).collect();
+            check(&format!("{name}_transcript.golden"), &transcript);
+        }
     }
+    assert_eq!(ALL.len(), 18);
 }

@@ -1,32 +1,39 @@
 //! End-to-end journal tests over *real* recorded runs: time travel to a
 //! snapshot at an arbitrary virtual time, exact-seq divergence
 //! bisection, and typed corruption errors — all against journals
-//! recorded from the instrumented E12 report run, not synthetic record
-//! streams.
+//! recorded from the E12 steady state under the run harness, not
+//! synthetic record streams.
 
 use legion::journal::journal::index;
 use legion::journal::record::decode_body;
 use legion::journal::{bisect, read_header, JournalError, JournalWriter, MemSink, ReplayStart};
-use legion::sim::run_report::{generate_with_journal, ReportJournal, RunReport, SNAP_EVERY};
+use legion::sim::experiments::e12_scalability::steady_state;
+use legion::sim::harness::{Closed, Journal, Observed, Watch, SNAP_EVERY};
+use legion::sim::run_report::RunReport;
 
 const SEED: u64 = 20260707;
 const J: u32 = 1;
 
+/// The instrumented E12 run — every instrument on — around `journal`.
+fn run_with(journal: Journal) -> Closed {
+    steady_state(J, SEED, Watch::all(journal), || ()).1
+}
+
+fn report(run: Observed) -> RunReport {
+    RunReport::new("e12", SEED, run)
+}
+
 /// Record the instrumented E12 run once and return (report, journal).
 fn record_run() -> (RunReport, Vec<u8>) {
     let sink = MemSink::new();
-    let (report, outcome) = generate_with_journal(
-        J,
-        SEED,
-        ReportJournal::Record {
-            sink: Box::new(sink.clone()),
-            snap_every: SNAP_EVERY,
-        },
-    )
+    let run = run_with(Journal::Record {
+        sink: Box::new(sink.clone()),
+        snap_every: SNAP_EVERY,
+    })
     .expect("record session");
-    let (summary, _) = outcome.expect("record summary");
+    let (summary, _) = run.journal.clone().expect("record summary");
     assert!(summary.snapshots > 0, "run too short to snapshot at 256");
-    (report, sink.contents())
+    (report(run), sink.contents())
 }
 
 /// Re-encode `journal`, replacing the label of the record at index
@@ -62,16 +69,13 @@ fn replay_from_snapshot_at_or_before_time_travels() {
     let (_, slices) = index(&journal).expect("journal indexes");
     let last = decode_body(slices.last().unwrap().body(&journal), 0).expect("last record");
     let t = last.at / 2;
-    let (replay, outcome) = generate_with_journal(
-        J,
-        SEED,
-        ReportJournal::Verify {
-            journal: journal.clone(),
-            start: ReplayStart::SnapshotAtOrBefore(t),
-        },
-    )
+    let replay = run_with(Journal::Verify {
+        journal: journal.clone(),
+        start: ReplayStart::SnapshotAtOrBefore(t),
+    })
     .expect("verify session");
-    let (summary, divergence) = outcome.expect("verify summary");
+    let (summary, divergence) = replay.journal.clone().expect("verify summary");
+    let replay = report(replay);
     assert!(
         divergence.is_none(),
         "time-travel replay diverged: {divergence:?}"
@@ -123,16 +127,12 @@ fn verified_replay_reports_divergence_with_context() {
     let (_, slices) = index(&journal).expect("journal indexes");
     let plant = slices.len() / 2;
     let mutant = plant_divergence(&journal, plant);
-    let (_, outcome) = generate_with_journal(
-        J,
-        SEED,
-        ReportJournal::Verify {
-            journal: mutant,
-            start: ReplayStart::Origin,
-        },
-    )
+    let replay = run_with(Journal::Verify {
+        journal: mutant,
+        start: ReplayStart::Origin,
+    })
     .expect("verify session runs to completion");
-    let (_, divergence) = outcome.expect("verify summary");
+    let (_, divergence) = replay.journal.expect("verify summary");
     let div = divergence.expect("planted mutant must surface as a divergence");
     assert_eq!(div.seq, plant as u64, "divergence seq is the planted one");
     assert!(div.expected.contains("PLANTED-DIVERGENCE"));
@@ -149,14 +149,10 @@ fn corrupt_journals_fail_typed() {
 
     // Truncate mid-record (drop the last 3 bytes of the final frame).
     let cut = journal[..journal.len() - 3].to_vec();
-    let err = generate_with_journal(
-        J,
-        SEED,
-        ReportJournal::Verify {
-            journal: cut.clone(),
-            start: ReplayStart::Origin,
-        },
-    )
+    let err = run_with(Journal::Verify {
+        journal: cut.clone(),
+        start: ReplayStart::Origin,
+    })
     .expect_err("truncated journal must not verify");
     assert!(
         matches!(err, JournalError::TruncatedRecord { .. }),
@@ -171,14 +167,10 @@ fn corrupt_journals_fail_typed() {
     let mid = &slices[slices.len() / 2];
     let mut flipped = journal.clone();
     flipped[mid.body_start] ^= 0x40;
-    let err = generate_with_journal(
-        J,
-        SEED,
-        ReportJournal::Verify {
-            journal: flipped.clone(),
-            start: ReplayStart::Origin,
-        },
-    )
+    let err = run_with(Journal::Verify {
+        journal: flipped.clone(),
+        start: ReplayStart::Origin,
+    })
     .expect_err("bit-flipped journal must not verify");
     assert!(
         matches!(err, JournalError::BadChecksum { .. }),

@@ -52,7 +52,7 @@ cargo build --release -q -p legion-bench --bin bench-snapshot
 runner=target/release/bench-snapshot
 if [[ "$check" == 1 ]]; then
     echo "bench_snapshot: checking against $out" >&2
-    "$runner" check --against "$out" --criterion-log "$log"
+    "$runner" check --against "$out" --criterion-log "$log" --mode "$mode"
 else
     echo "bench_snapshot: writing $out" >&2
     if [[ -z "$pre" && -f "$out" ]]; then
