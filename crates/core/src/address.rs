@@ -9,7 +9,7 @@
 //! what makes system-level object replication possible without changing
 //! application-level communication (§4.3).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Number of bytes of address-specific information in an element (256 bits).
@@ -203,11 +203,143 @@ impl AddressSemantics {
     }
 }
 
+/// The element list of an [`ObjectAddress`].
+///
+/// §3.4's "first and most common" Object Address has exactly one element,
+/// and §3.5 makes the bindings that carry it "first class entities that
+/// can be passed around the system and cached within objects" — so zero
+/// or one element is stored inline and only a replicated address (§4.3)
+/// spills to a `Vec`. Cloning, caching or dropping a single-element
+/// address never touches the allocator. It reads as a slice; equality,
+/// hashing, `Debug` and the serialized forms are the slice's, whatever
+/// the storage.
+#[derive(Default)]
+pub struct Elements(Repr);
+
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(ObjectAddressElement),
+    Many(Vec<ObjectAddressElement>),
+}
+
+impl Elements {
+    /// An empty list.
+    pub const fn new() -> Self {
+        Elements(Repr::Empty)
+    }
+
+    /// A one-element list, stored inline.
+    pub const fn one(element: ObjectAddressElement) -> Self {
+        Elements(Repr::One(element))
+    }
+}
+
+impl Clone for Elements {
+    fn clone(&self) -> Self {
+        Elements(self.0.clone())
+    }
+
+    /// A replicated list refills its resident buffer; every other pair
+    /// of shapes is a plain copy.
+    fn clone_from(&mut self, src: &Self) {
+        match (&mut self.0, &src.0) {
+            (Repr::Many(dst), Repr::Many(src)) => dst.clone_from(src),
+            _ => *self = src.clone(),
+        }
+    }
+}
+
+impl std::ops::Deref for Elements {
+    type Target = [ObjectAddressElement];
+
+    #[inline]
+    fn deref(&self) -> &[ObjectAddressElement] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(e) => std::slice::from_ref(e),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl From<Vec<ObjectAddressElement>> for Elements {
+    fn from(v: Vec<ObjectAddressElement>) -> Self {
+        match v[..] {
+            [] => Elements::new(),
+            [e] => Elements::one(e),
+            _ => Elements(Repr::Many(v)),
+        }
+    }
+}
+
+impl FromIterator<ObjectAddressElement> for Elements {
+    /// Collects inline; allocates only on the second element.
+    fn from_iter<I: IntoIterator<Item = ObjectAddressElement>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Elements::new();
+        };
+        let Some(second) = iter.next() else {
+            return Elements::one(first);
+        };
+        let mut v = vec![first, second];
+        v.extend(iter);
+        Elements(Repr::Many(v))
+    }
+}
+
+impl<'a> IntoIterator for &'a Elements {
+    type Item = &'a ObjectAddressElement;
+    type IntoIter = std::slice::Iter<'a, ObjectAddressElement>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Elements {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for Elements {}
+
+impl std::hash::Hash for Elements {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
+    }
+}
+
+impl fmt::Debug for Elements {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self[..], f)
+    }
+}
+
+impl Serialize for Elements {
+    fn to_json_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+    }
+}
+
+impl Deserialize for Elements {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        v.as_array()
+            .ok_or_else(|| DeError::expected("array", v))?
+            .iter()
+            .map(ObjectAddressElement::from_json_value)
+            .collect()
+    }
+}
+
 /// A full Object Address: element list + usage semantics (§3.4).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ObjectAddress {
     /// The physical address elements.
-    pub elements: Vec<ObjectAddressElement>,
+    pub elements: Elements,
     /// How to use the list.
     pub semantics: AddressSemantics,
 }
@@ -216,7 +348,7 @@ impl ObjectAddress {
     /// A single-element address with [`AddressSemantics::Single`].
     pub fn single(element: ObjectAddressElement) -> Self {
         ObjectAddress {
-            elements: vec![element],
+            elements: Elements::one(element),
             semantics: AddressSemantics::Single,
         }
     }
@@ -224,7 +356,7 @@ impl ObjectAddress {
     /// A replicated address over `elements` with the given semantics.
     pub fn replicated(elements: Vec<ObjectAddressElement>, semantics: AddressSemantics) -> Self {
         ObjectAddress {
-            elements,
+            elements: elements.into(),
             semantics,
         }
     }
@@ -330,7 +462,7 @@ mod tests {
     #[test]
     fn empty_address() {
         let a = ObjectAddress {
-            elements: vec![],
+            elements: Elements::new(),
             semantics: AddressSemantics::Single,
         };
         assert!(a.is_empty());

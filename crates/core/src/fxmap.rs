@@ -56,9 +56,14 @@ impl Hasher for FxHasher {
             rest = tail;
         }
         if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.fold(u64::from_le_bytes(word));
+            // The tail as a zero-padded little-endian word, folded in
+            // byte by byte: copying a run-time length into a buffer is a
+            // `memcpy` call, dearer than the hash of a short name.
+            let word = rest
+                .iter()
+                .rev()
+                .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+            self.fold(word);
         }
     }
 
@@ -145,6 +150,19 @@ mod tests {
             "sequential LOIDs landed in only {} of 4096 buckets",
             hit.len()
         );
+    }
+
+    #[test]
+    fn a_short_tail_hashes_as_its_zero_padded_word() {
+        for len in 1..8 {
+            let bytes = &b"GetBinding"[..len];
+            let mut padded = [0u8; 8];
+            padded[..len].copy_from_slice(bytes);
+            let (mut by_bytes, mut by_word) = (FxHasher::default(), FxHasher::default());
+            by_bytes.write(bytes);
+            by_word.write_u64(u64::from_le_bytes(padded));
+            assert_eq!(by_bytes.finish(), by_word.finish(), "tail of {len}");
+        }
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!
 //! Interned strings are leaked (the interner is append-only and
 //! process-wide); the set of distinct method and counter names in a run
-//! is small and bounded by the codebase, not by traffic.
+//! is small and bounded by the codebase, not by traffic — which is also
+//! why the name index hashes with [`crate::fxmap`] rather than SipHash:
+//! the keys are the program's own vocabulary.
 
+use crate::fxmap::FxHashMap;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -52,7 +54,7 @@ pub struct Sym(u32);
 #[derive(Debug, Default)]
 pub struct Interner {
     names: Vec<&'static str>,
-    ids: HashMap<&'static str, u32>,
+    ids: FxHashMap<&'static str, u32>,
 }
 
 impl Interner {
@@ -169,6 +171,91 @@ well_known! {
     45 => NET_OVERLOAD_REPLIES = "net.overload_replies";
     // Auto-scaling policy (flight-recorder label for clone decisions).
     46 => POLICY_AUTOSCALE_CLONE = "policy.autoscale_clone";
+    // Binding Agent counters.
+    47 => BA_REFRESH = "ba.refresh";
+    48 => BA_CACHE_HIT = "ba.cache_hit";
+    49 => BA_CACHE_MISS = "ba.cache_miss";
+    50 => BA_COMBINED = "ba.combined";
+    51 => BA_TO_PARENT = "ba.to_parent";
+    52 => BA_PARENT_UNREACHABLE = "ba.parent_unreachable";
+    53 => BA_TO_LEGION_CLASS = "ba.to_legion_class";
+    54 => BA_CLASS_ADDR_HIT = "ba.class_addr_hit";
+    55 => BA_CLASS_ADDR_MISS = "ba.class_addr_miss";
+    56 => BA_TO_CLASS = "ba.to_class";
+    57 => BA_RETRY = "ba.retry";
+    58 => BA_LATE_REPLY = "ba.late_reply";
+    59 => BA_TIMEOUT = "ba.timeout";
+    // Client communication-layer counters.
+    60 => CLIENT_CACHE_HIT = "client.cache_hit";
+    61 => CLIENT_CACHE_MISS = "client.cache_miss";
+    62 => CLIENT_STALE_DETECTED = "client.stale_detected";
+    // Stale-binding propagation counters.
+    63 => STALE_INVALIDATIONS_PROPAGATED = "stale.invalidations_propagated";
+    64 => STALE_BINDINGS_PROPAGATED = "stale.bindings_propagated";
+    // Class / LegionClass counters.
+    65 => CLASS_GET_BINDING = "class.get_binding";
+    66 => LEGION_CLASS_FIND = "legion_class.find";
+    67 => LEGION_CLASS_GET_BINDING = "legion_class.get_binding";
+    68 => CLASS_ANNOUNCEMENTS = "class.announcements";
+    69 => CLASS_CREATE_REFUSED = "class.create_refused";
+    70 => CLASS_CREATES = "class.creates";
+    71 => CLASS_ACTIVATES_FOR_BINDING = "class.activates_for_binding";
+    72 => CLASS_MAGISTRATE_DISCLAIMED = "class.magistrate_disclaimed";
+    73 => CLASS_DERIVE_REFUSED = "class.derive_refused";
+    74 => CLASS_DERIVES = "class.derives";
+    75 => CLASS_INHERIT_REFUSED = "class.inherit_refused";
+    76 => CLASS_INHERITS = "class.inherits";
+    77 => CLASS_DELETES = "class.deletes";
+    78 => CLASS_TIMEOUTS = "class.timeouts";
+    79 => LEGION_CLASS_ISSUE = "legion_class.issue";
+    // Magistrate counters.
+    80 => MAGISTRATE_HA_RECOVERED = "magistrate.ha_recovered";
+    81 => MAGISTRATE_HA_OBJECT_LOST = "magistrate.ha_object_lost";
+    82 => MAGISTRATE_OPR_LOAD_FAILED = "magistrate.opr_load_failed";
+    83 => MAGISTRATE_NO_HOST = "magistrate.no_host";
+    84 => MAGISTRATE_HOST_DEAD = "magistrate.host_dead";
+    85 => MAGISTRATE_HEARTBEATS = "magistrate.heartbeats";
+    86 => MAGISTRATE_HA_FALSE_POSITIVE = "magistrate.ha_false_positive";
+    87 => MAGISTRATE_HA_SUSPECT = "magistrate.ha_suspect";
+    88 => MAGISTRATE_HA_HOST_DEAD = "magistrate.ha_host_dead";
+    89 => MAGISTRATE_HA_DUPLICATE_TRIGGER = "magistrate.ha_duplicate_trigger";
+    90 => MAGISTRATE_HA_UNRECOVERABLE = "magistrate.ha_unrecoverable";
+    91 => MAGISTRATE_HA_RECOVERIES = "magistrate.ha_recoveries";
+    92 => MAGISTRATE_ACTIVATE_ALREADY_ACTIVE = "magistrate.activate_already_active";
+    93 => MAGISTRATE_ACTIVATIONS = "magistrate.activations";
+    94 => MAGISTRATE_CREATIONS = "magistrate.creations";
+    95 => MAGISTRATE_DEACTIVATIONS = "magistrate.deactivations";
+    96 => MAGISTRATE_DELETIONS = "magistrate.deletions";
+    97 => MAGISTRATE_MOVES = "magistrate.moves";
+    98 => MAGISTRATE_COPIES = "magistrate.copies";
+    99 => MAGISTRATE_RECEIVE_CORRUPT = "magistrate.receive_corrupt";
+    100 => MAGISTRATE_RECEIVED_OPRS = "magistrate.received_oprs";
+    101 => MAGISTRATE_ORPHAN_REAPED = "magistrate.orphan_reaped";
+    102 => MAGISTRATE_ACTIVATION_RETRY = "magistrate.activation_retry";
+    103 => MAGISTRATE_TIMEOUTS = "magistrate.timeouts";
+    // Host Object counters.
+    104 => HOST_CAPACITY_REFUSED = "host.capacity_refused";
+    105 => HOST_ACTIVATIONS = "host.activations";
+    106 => HOST_DEACTIVATIONS = "host.deactivations";
+    107 => HOST_HEARTBEATS = "host.heartbeats";
+    // Instance, context and scheduling-agent counters.
+    108 => OBJECT_MISDIRECTED = "object.misdirected";
+    109 => CONTEXT_LOOKUPS = "context.lookups";
+    110 => SCHED_AGENT_SUGGESTIONS = "sched_agent.suggestions";
+    111 => SCHED_AGENT_TIMEOUTS = "sched_agent.timeouts";
+    // Auto-scaling policy counters.
+    112 => POLICY_DERIVE_ISSUED = "policy.derive_issued";
+    113 => POLICY_DERIVE_REFUSED = "policy.derive_refused";
+    114 => POLICY_DERIVE_FAILED = "policy.derive_failed";
+    115 => ROUTER_REPLICA_ADDED = "router.replica_added";
+    // Workload-client counters.
+    116 => CLIENT_OP_RETRY = "client.op_retry";
+    117 => CLIENT_OVERLOAD_BACKOFF = "client.overload_backoff";
+    118 => CLIENT_STALE_GAVE_UP = "client.stale_gave_up";
+    119 => CLIENT_STALE_REFUSED = "client.stale_refused";
+    120 => CLIENT_INVOKE_TIMEOUT = "client.invoke_timeout";
+    121 => CLIENT_BINDING_TIMEOUT = "client.binding_timeout";
+    122 => CLIENT_STALE_REPLY = "client.stale_reply";
 }
 
 fn global() -> &'static RwLock<Interner> {
@@ -297,6 +384,17 @@ mod tests {
         assert_eq!(REPLY.id(), 0);
         assert_eq!(PING.as_str(), "Ping");
         assert_eq!(GET_INTERFACE.as_str(), "GetInterface");
+        // The list is dense, in id order and free of duplicates, and
+        // additions went on the end: the protocol names keep the ids
+        // they had before the counter names were appended.
+        for (i, &(sym, _)) in WELL_KNOWN.iter().enumerate() {
+            assert_eq!(sym.id() as usize, i);
+        }
+        assert_eq!(POLICY_AUTOSCALE_CLONE.id(), 46);
+        assert_eq!(BA_REFRESH.id(), 47);
+        assert_eq!(BA_CACHE_HIT.as_str(), "ba.cache_hit");
+        assert_eq!(CLIENT_STALE_REPLY.id(), 122);
+        assert_eq!(WELL_KNOWN.len(), 123);
     }
 
     #[test]

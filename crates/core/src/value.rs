@@ -255,6 +255,17 @@ mod tests {
         assert_eq!(v.as_binding(), Some(&b));
     }
 
+    /// The inline element list is paid for in these three sizes (they
+    /// were 32 / 80 / 40 with a `Vec`): every message body and every
+    /// cache node holds one, so growth here is growth everywhere.
+    #[test]
+    fn binding_path_types_stay_small() {
+        use std::mem::size_of;
+        assert!(size_of::<ObjectAddress>() <= 48);
+        assert!(size_of::<Binding>() <= 96);
+        assert!(size_of::<LegionValue>() <= 48);
+    }
+
     #[test]
     fn list_display() {
         let v = LegionValue::List(vec![1i64.into(), "a".into()]);

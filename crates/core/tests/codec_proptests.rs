@@ -46,10 +46,7 @@ fn arb_address() -> impl Strategy<Value = ObjectAddress> {
             Just(AddressSemantics::PickRandom),
         ],
     )
-        .prop_map(|(elements, semantics)| ObjectAddress {
-            elements,
-            semantics,
-        })
+        .prop_map(|(elements, semantics)| ObjectAddress::replicated(elements, semantics))
 }
 
 fn arb_binding() -> impl Strategy<Value = Binding> {

@@ -26,16 +26,15 @@
 //! so the retry policy lives in exactly one place.
 
 use crate::cache::BindingCache;
-use crate::protocol::{
-    self, BindingArg, ADD_BINDING, FIND_RESPONSIBLE, GET_BINDING, INVALIDATE_BINDING,
-};
-use legion_core::address::ObjectAddressElement;
+use crate::protocol::{BindingArg, ADD_BINDING, FIND_RESPONSIBLE, GET_BINDING, INVALIDATE_BINDING};
+use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
-use legion_core::symbol::Sym;
+use legion_core::symbol::{self, Sym};
+use legion_core::time::Expiry;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{is_core_class, LEGION_CLASS};
 use legion_net::dispatch::{
@@ -100,8 +99,14 @@ enum Waiter {
     Chained { next_target: Loid },
 }
 
-/// Per-target in-flight bookkeeping (request combining).
-struct Inflight {
+/// One in-flight resolution (request combining): who waits on the
+/// target, and how its single upstream request is going.
+struct Resolution {
+    /// The waiter that started the resolution, inline — a resolution
+    /// nobody joins costs no waiter-list allocation.
+    first: Waiter,
+    /// Waiters combined behind it.
+    combined: Vec<Waiter>,
     attempts: u32,
     /// Refresh resolutions bypass cache & parent.
     force_fresh: bool,
@@ -115,11 +120,7 @@ struct Inflight {
 pub struct BindingAgentEndpoint {
     cfg: AgentConfig,
     cache: BindingCache,
-    /// Who waits on each in-flight target: the waiter that started the
-    /// resolution inline, combined ones behind it — a resolution nobody
-    /// joins costs no waiter-list allocation.
-    waiting: FxHashMap<Loid, (Waiter, Vec<Waiter>)>,
-    inflight: FxHashMap<Loid, Inflight>,
+    resolving: FxHashMap<Loid, Resolution>,
     continuations: Continuations<Self>,
     table: Rc<MethodTable<Self>>,
 }
@@ -132,8 +133,7 @@ impl BindingAgentEndpoint {
         BindingAgentEndpoint {
             cfg,
             cache,
-            waiting: FxHashMap::default(),
-            inflight: FxHashMap::default(),
+            resolving: FxHashMap::default(),
             continuations: Continuations::new(),
             table,
         }
@@ -166,7 +166,7 @@ impl BindingAgentEndpoint {
                     BindingArg::Binding(stale) => {
                         // Refresh: evict the stale binding and bypass the
                         // cache and parent on the way to the class.
-                        ctx.count("ba.refresh");
+                        ctx.count(symbol::BA_REFRESH);
                         e.cache.invalidate_exact(&stale);
                         let target = stale.loid;
                         e.handle_get(ctx, msg, target, true, Some(stale))
@@ -219,7 +219,7 @@ impl BindingAgentEndpoint {
             // `get_ref` + `binding_value`: a cache hit copies the binding
             // into a recycled shell instead of boxing a fresh clone.
             if let Some(b) = self.cache.get_ref(&target, ctx.now()) {
-                ctx.count("ba.cache_hit");
+                ctx.count(symbol::BA_CACHE_HIT);
                 if ctx.trace_active() {
                     ctx.trace_note(&format!("ba.cache_hit:{target}"));
                 }
@@ -227,7 +227,7 @@ impl BindingAgentEndpoint {
                 return Outcome::Reply(Ok(value));
             }
         }
-        ctx.count("ba.cache_miss");
+        ctx.count(symbol::BA_CACHE_MISS);
         if ctx.trace_active() {
             ctx.trace_note(&format!("ba.cache_miss:{target}"));
         }
@@ -246,50 +246,45 @@ impl BindingAgentEndpoint {
         force_fresh: bool,
         stale: Option<Binding>,
     ) {
-        match self.waiting.entry(target) {
-            Entry::Occupied(e) => e.into_mut().1.push(waiter),
+        match self.resolving.entry(target) {
+            Entry::Occupied(e) => {
+                let r = e.into_mut();
+                r.combined.push(waiter);
+                r.force_fresh |= force_fresh;
+                if r.stale.is_none() {
+                    r.stale = stale;
+                }
+                ctx.count(symbol::BA_COMBINED);
+            }
             Entry::Vacant(e) => {
-                e.insert((waiter, Vec::new()));
+                e.insert(Resolution {
+                    first: waiter,
+                    combined: Vec::new(),
+                    attempts: 0,
+                    force_fresh,
+                    stale,
+                });
+                self.start_upstream(ctx, target, force_fresh);
             }
         }
-        if let Some(inf) = self.inflight.get_mut(&target) {
-            inf.force_fresh |= force_fresh;
-            if inf.stale.is_none() {
-                inf.stale = stale;
-            }
-            ctx.count("ba.combined");
-            return;
-        }
-        self.inflight.insert(
-            target,
-            Inflight {
-                attempts: 0,
-                force_fresh,
-                stale,
-            },
-        );
-        self.start_upstream(ctx, target);
     }
 
-    /// The continuation for an expected binding reply: timeouts retry,
-    /// everything else completes the resolution.
+    /// The continuation for an expected binding reply: it owns the
+    /// reply's binding box and hands it on to [`Self::complete`].
+    /// Timeouts retry, everything else completes the resolution.
     fn binding_continuation(target: Loid) -> Continuation<Self> {
-        cont(
-            move |e: &mut Self, ctx, result| match protocol::binding_from_result(&result) {
-                Some(b) => e.complete(ctx, target, Ok(b)),
-                None => {
-                    let reason = match result {
-                        Err(err) => err,
-                        Ok(v) => format!("unexpected payload {v}"),
-                    };
-                    if is_timeout(&reason) {
-                        e.retry_or_fail(ctx, target, &reason);
-                    } else {
-                        e.complete(ctx, target, Err(reason));
-                    }
-                }
-            },
-        )
+        cont(move |e: &mut Self, ctx, result| {
+            let reason = match result {
+                Ok(LegionValue::Binding(shell)) => return e.complete(ctx, target, Ok(shell)),
+                Ok(v) => format!("unexpected payload {v}"),
+                Err(err) => err,
+            };
+            if is_timeout(&reason) {
+                e.retry_or_fail(ctx, target, &reason);
+            } else {
+                e.complete(ctx, target, Err(reason));
+            }
+        })
     }
 
     /// The continuation for LegionClass's `FindResponsible(target)`.
@@ -313,13 +308,7 @@ impl BindingAgentEndpoint {
     }
 
     /// Issue (or re-issue) the upstream request for `target`.
-    fn start_upstream(&mut self, ctx: &mut Ctx<'_>, target: Loid) {
-        let force_fresh = self
-            .inflight
-            .get(&target)
-            .map(|i| i.force_fresh)
-            .unwrap_or(false);
-
+    fn start_upstream(&mut self, ctx: &mut Ctx<'_>, target: Loid, force_fresh: bool) {
         // Route 1: parent agent — for *class objects* only (unless
         // refreshing). §5.2.2 is explicit about the division of labour:
         // on an instance miss "the Binding Agent consults the class
@@ -329,7 +318,7 @@ impl BindingAgentEndpoint {
         // combining tree carries class-object lookups.
         if !force_fresh && target.is_class() {
             if let Some(parent) = self.cfg.parent {
-                ctx.count("ba.to_parent");
+                ctx.count(symbol::BA_TO_PARENT);
                 let mut args = ctx.take_args();
                 args.push(LegionValue::Loid(target));
                 if self.send_pending(
@@ -343,7 +332,7 @@ impl BindingAgentEndpoint {
                     return;
                 }
                 // Parent unreachable: fall through to the class route.
-                ctx.count("ba.parent_unreachable");
+                ctx.count(symbol::BA_PARENT_UNREACHABLE);
             }
         }
 
@@ -355,7 +344,7 @@ impl BindingAgentEndpoint {
         } else if target == LEGION_CLASS || is_core_class(&target) {
             // The chain ends at LegionClass, which "simply hands out the
             // appropriate binding".
-            ctx.count("ba.to_legion_class");
+            ctx.count(symbol::BA_TO_LEGION_CLASS);
             let lc = self.cfg.legion_class;
             let mut args = ctx.take_args();
             args.push(LegionValue::Loid(target));
@@ -372,7 +361,7 @@ impl BindingAgentEndpoint {
         } else {
             // A user class: ask LegionClass who is responsible, then ask
             // that class.
-            ctx.count("ba.to_legion_class");
+            ctx.count(symbol::BA_TO_LEGION_CLASS);
             let lc = self.cfg.legion_class;
             let mut args = ctx.take_args();
             args.push(LegionValue::Loid(target));
@@ -395,23 +384,21 @@ impl BindingAgentEndpoint {
             // LegionClass's address is bootstrap knowledge (§4.2.1): no
             // resolution needed, ask it directly — "LegionClass simply
             // hands out the appropriate binding".
-            let b = Binding::forever(
-                LEGION_CLASS,
-                legion_core::address::ObjectAddress::single(self.cfg.legion_class),
-            );
-            self.ask_class(ctx, &b, next_target);
+            self.ask_class(ctx, LEGION_CLASS, Some(self.cfg.legion_class), next_target);
             return;
         }
         let cached = if self.cfg.cache_enabled {
-            self.cache.get(&class, ctx.now())
+            self.cache
+                .get_ref(&class, ctx.now())
+                .map(|b| b.address.primary().copied())
         } else {
             None
         };
-        if let Some(b) = cached {
-            ctx.count("ba.class_addr_hit");
-            self.ask_class(ctx, &b, next_target);
+        if let Some(primary) = cached {
+            ctx.count(symbol::BA_CLASS_ADDR_HIT);
+            self.ask_class(ctx, class, primary, next_target);
         } else {
-            ctx.count("ba.class_addr_miss");
+            ctx.count(symbol::BA_CLASS_ADDR_MISS);
             self.enqueue(ctx, class, Waiter::Chained { next_target }, false, None);
         }
     }
@@ -420,24 +407,30 @@ impl BindingAgentEndpoint {
     /// travels as the `GetBinding(binding)` overload end to end, so the
     /// class bypasses its own (suspect) Object Address column and
     /// consults a Magistrate (§3.6, §4.1.4).
-    fn ask_class(&mut self, ctx: &mut Ctx<'_>, class_binding: &Binding, next_target: Loid) {
-        ctx.count("ba.to_class");
-        let Some(primary) = class_binding.address.primary().copied() else {
+    fn ask_class(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        class: Loid,
+        primary: Option<ObjectAddressElement>,
+        next_target: Loid,
+    ) {
+        ctx.count(symbol::BA_TO_CLASS);
+        let Some(primary) = primary else {
             self.complete(ctx, next_target, Err("class has empty address".into()));
             return;
         };
-        let arg = match self.inflight.get(&next_target) {
-            Some(inf) if inf.force_fresh => {
-                let stale = inf.stale.clone().unwrap_or_else(|| Binding {
+        let arg = match self.resolving.get(&next_target) {
+            Some(r) if r.force_fresh => match &r.stale {
+                Some(stale) => ctx.binding_value(stale),
+                None => LegionValue::from(Binding {
                     loid: next_target,
-                    address: legion_core::address::ObjectAddress {
-                        elements: Vec::new(),
-                        semantics: legion_core::address::AddressSemantics::Single,
+                    address: ObjectAddress {
+                        elements: Default::default(),
+                        semantics: AddressSemantics::Single,
                     },
-                    expiry: legion_core::time::Expiry::Never,
-                });
-                LegionValue::from(stale)
-            }
+                    expiry: Expiry::Never,
+                }),
+            },
             _ => LegionValue::Loid(next_target),
         };
         let mut args = ctx.take_args();
@@ -445,14 +438,14 @@ impl BindingAgentEndpoint {
         if !self.send_pending(
             ctx,
             primary,
-            class_binding.loid,
+            class,
             GET_BINDING,
             args,
             Self::binding_continuation(next_target),
         ) {
             // The class endpoint itself is unreachable — its cached
             // binding is stale. Evict and retry through the full path.
-            self.cache.invalidate(&class_binding.loid);
+            self.cache.invalidate(&class);
             self.retry_or_fail(ctx, next_target, "class unreachable");
         }
     }
@@ -487,52 +480,50 @@ impl BindingAgentEndpoint {
     }
 
     fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, target: Loid, reason: &str) {
-        let attempts = match self.inflight.get_mut(&target) {
-            Some(inf) => {
-                inf.attempts += 1;
-                inf.attempts
-            }
-            None => return, // already completed
+        let Some(r) = self.resolving.get_mut(&target) else {
+            return; // already completed
         };
-        if attempts <= self.cfg.max_retries {
-            ctx.count("ba.retry");
-            self.start_upstream(ctx, target);
+        r.attempts += 1;
+        if r.attempts <= self.cfg.max_retries {
+            let force_fresh = r.force_fresh;
+            ctx.count(symbol::BA_RETRY);
+            self.start_upstream(ctx, target, force_fresh);
         } else {
             self.complete(ctx, target, Err(format!("binding failed: {reason}")));
         }
     }
 
-    /// Finish a resolution: cache, then service every waiter.
-    fn complete(&mut self, ctx: &mut Ctx<'_>, target: Loid, result: Result<Binding, String>) {
-        self.inflight.remove(&target);
+    /// Finish a resolution: refresh the cache from the upstream reply's
+    /// binding box, answer every waiter from it, then hand the box back
+    /// to the kernel pool.
+    fn complete(&mut self, ctx: &mut Ctx<'_>, target: Loid, result: Result<Box<Binding>, String>) {
         if let Ok(b) = &result {
             if self.cfg.cache_enabled {
-                self.cache.insert(b.clone());
+                self.cache.insert_ref(b);
             }
         }
-        let Some((first, combined)) = self.waiting.remove(&target) else {
-            return;
-        };
-        for w in std::iter::once(first).chain(combined) {
-            match w {
-                Waiter::External(call) => {
-                    let payload = match &result {
-                        Ok(b) => Ok(ctx.binding_value(b)),
-                        Err(e) => Err(format!("GetBinding({target}): {e}")),
-                    };
-                    ctx.reply_ticket(call, payload);
+        if let Some(r) = self.resolving.remove(&target) {
+            for w in std::iter::once(r.first).chain(r.combined) {
+                match (w, &result) {
+                    (Waiter::External(call), Ok(b)) => {
+                        let value = ctx.binding_value(b);
+                        ctx.reply_ticket(call, Ok(value));
+                    }
+                    (Waiter::External(call), Err(e)) => {
+                        ctx.reply_ticket(call, Err(format!("GetBinding({target}): {e}")));
+                    }
+                    (Waiter::Chained { next_target }, Ok(class_binding)) => {
+                        let primary = class_binding.address.primary().copied();
+                        self.ask_class(ctx, class_binding.loid, primary, next_target);
+                    }
+                    (Waiter::Chained { next_target }, Err(e)) => {
+                        self.complete(ctx, next_target, Err(e.clone()));
+                    }
                 }
-                Waiter::Chained { next_target } => match &result {
-                    Ok(class_binding) => {
-                        let b = class_binding.clone();
-                        self.ask_class(ctx, &b, next_target);
-                    }
-                    Err(e) => {
-                        let e = e.clone();
-                        self.complete(ctx, next_target, Err(e));
-                    }
-                },
             }
+        }
+        if let Ok(shell) = result {
+            ctx.recycle_value(LegionValue::Binding(shell));
         }
     }
 }
@@ -542,7 +533,7 @@ impl Endpoint for BindingAgentEndpoint {
         if let Some(id) = reply_id(&msg) {
             match self.continuations.take(&id) {
                 Some(resume) => resume(self, ctx, take_reply_result(msg)),
-                None => ctx.count("ba.late_reply"),
+                None => ctx.count(symbol::BA_LATE_REPLY),
             }
             return;
         }
@@ -563,7 +554,7 @@ impl Endpoint for BindingAgentEndpoint {
         let after_ns = self.cfg.request_timeout_ns;
         let expired = sweep_expired(self, ctx, conts, after_ns);
         for _ in 0..expired {
-            ctx.count("ba.timeout");
+            ctx.count(symbol::BA_TIMEOUT);
         }
     }
 }

@@ -17,6 +17,7 @@ use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::message::{Body, CallId, Message};
 use legion_net::sim::Ctx;
@@ -97,14 +98,14 @@ impl ClientResolver {
         if self.cache_enabled {
             if let Some(b) = self.cache.get(&target, ctx.now()) {
                 self.stats.local_hits += 1;
-                ctx.count("client.cache_hit");
+                ctx.count(symbol::CLIENT_CACHE_HIT);
                 if ctx.trace_active() {
                     ctx.trace_note(&format!("client.cache_hit:{target}"));
                 }
                 return Lookup::Cached(b);
             }
         }
-        ctx.count("client.cache_miss");
+        ctx.count(symbol::CLIENT_CACHE_MISS);
         if ctx.trace_active() {
             ctx.trace_note(&format!("client.cache_miss:{target}"));
         }
@@ -114,7 +115,7 @@ impl ClientResolver {
     /// Report that a binding failed in use (§4.1.4) and request a refresh
     /// through the `GetBinding(binding)` overload.
     pub fn report_stale(&mut self, ctx: &mut Ctx<'_>, stale: Binding) -> Lookup {
-        ctx.count("client.stale_detected");
+        ctx.count(symbol::CLIENT_STALE_DETECTED);
         if ctx.trace_active() {
             ctx.trace_note(&format!("client.stale_detected:{}", stale.loid));
         }
@@ -173,10 +174,10 @@ impl ClientResolver {
 
     /// [`ClientResolver::handle_reply`] by value — the hot-path variant.
     /// On a match the reply's binding box is recycled into the kernel
-    /// pool after one clone for the caller, and the cache is refreshed
-    /// in place ([`BindingCache::insert_ref`]): one allocation per
-    /// answered lookup in steady state instead of three. Returns the
-    /// message untouched (`Err`) when it isn't one of ours.
+    /// pool after one copy for the caller, and the cache is refreshed
+    /// in place ([`BindingCache::insert_ref`]): no allocation per
+    /// answered lookup once the cache is full. Returns the message
+    /// untouched (`Err`) when it isn't one of ours.
     #[allow(clippy::result_large_err)] // Err is the unconsumed message, by design
     pub fn handle_reply_owned(
         &mut self,

@@ -19,6 +19,7 @@ use legion_core::address::ObjectAddressElement;
 use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::sim::Ctx;
 
@@ -46,7 +47,7 @@ pub fn propagate_invalidation(
             accepted += 1;
         }
     }
-    ctx.count_n("stale.invalidations_propagated", accepted as u64);
+    ctx.count_n(symbol::STALE_INVALIDATIONS_PROPAGATED, accepted as u64);
     accepted
 }
 
@@ -74,6 +75,6 @@ pub fn propagate_binding(
             accepted += 1;
         }
     }
-    ctx.count_n("stale.bindings_propagated", accepted as u64);
+    ctx.count_n(symbol::STALE_BINDINGS_PROPAGATED, accepted as u64);
     accepted
 }

@@ -13,6 +13,7 @@ use legion_core::binding::Binding;
 use legion_core::fxmap::FxHashMap;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{is_core_class, LEGION_CLASS};
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
@@ -57,7 +58,7 @@ impl StaticClassEndpoint {
                 ParamType::Binding,
                 |e: &mut Self, ctx, _msg, (arg,)| {
                     e.requests += 1;
-                    ctx.count("class.get_binding");
+                    ctx.count(symbol::CLASS_GET_BINDING);
                     Outcome::Reply(match e.table.get(&arg.loid()) {
                         Some(b) => Ok(ctx.binding_value(b)),
                         None => Err(format!("{}: unknown object {}", e.loid, arg.loid())),
@@ -137,7 +138,7 @@ impl StaticLegionClassEndpoint {
                 ParamType::Loid,
                 |e: &mut Self, ctx, _msg, (target,)| {
                     e.find_requests += 1;
-                    ctx.count("legion_class.find");
+                    ctx.count(symbol::LEGION_CLASS_FIND);
                     Outcome::Reply(if !target.is_class() {
                         Ok(LegionValue::Loid(target.class_loid()))
                     } else {
@@ -157,7 +158,7 @@ impl StaticLegionClassEndpoint {
                 ParamType::Binding,
                 |e: &mut Self, ctx, _msg, (arg,)| {
                     e.binding_requests += 1;
-                    ctx.count("legion_class.get_binding");
+                    ctx.count(symbol::LEGION_CLASS_GET_BINDING);
                     let l = arg.loid();
                     Outcome::Reply(match e.class_bindings.get(&l) {
                         Some(b) => Ok(ctx.binding_value(b)),

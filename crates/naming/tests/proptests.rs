@@ -16,6 +16,7 @@ struct ModelCache {
     capacity: usize,
     map: HashMap<Loid, Binding>,
     recency: Vec<Loid>, // most recent last
+    evictions: u64,
 }
 
 impl ModelCache {
@@ -51,6 +52,7 @@ impl ModelCache {
         if self.map.len() >= self.capacity {
             let lru = self.recency.remove(0);
             self.map.remove(&lru);
+            self.evictions += 1;
         }
         self.touch(b.loid);
         self.map.insert(b.loid, b);
@@ -65,18 +67,84 @@ impl ModelCache {
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { key: u64, ep: u64, ttl: Option<u64> },
-    Get { key: u64, now: u64 },
-    Invalidate { key: u64 },
+    Insert {
+        key: u64,
+        ep: u64,
+        ttl: Option<u64>,
+        by_ref: bool,
+    },
+    Get {
+        key: u64,
+        now: u64,
+    },
+    Invalidate {
+        key: u64,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    arb_op_over(32)
+}
+
+fn arb_op_over(keys: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..32, any::<u64>(), proptest::option::of(1u64..1000))
-            .prop_map(|(key, ep, ttl)| { Op::Insert { key, ep, ttl } }),
-        (0u64..32, 0u64..2000).prop_map(|(key, now)| Op::Get { key, now }),
-        (0u64..32).prop_map(|key| Op::Invalidate { key }),
+        (
+            0..keys,
+            any::<u64>(),
+            proptest::option::of(1u64..1000),
+            any::<bool>()
+        )
+            .prop_map(|(key, ep, ttl, by_ref)| Op::Insert {
+                key,
+                ep,
+                ttl,
+                by_ref
+            }),
+        (0..keys, 0u64..2000).prop_map(|(key, now)| Op::Get { key, now }),
+        (0..keys).prop_map(|key| Op::Invalidate { key }),
     ]
+}
+
+/// Run `ops` against the cache and the model, comparing every answer,
+/// the recency order and the eviction count as it goes.
+fn check_against_model(capacity: usize, ops: Vec<Op>) {
+    let mut real = BindingCache::new(capacity);
+    let mut model = ModelCache::new(capacity);
+    for op in ops {
+        match op {
+            Op::Insert {
+                key,
+                ep,
+                ttl,
+                by_ref,
+            } => {
+                let b = binding(key, ep, ttl);
+                if by_ref {
+                    real.insert_ref(&b);
+                } else {
+                    real.insert(b.clone());
+                }
+                model.insert(b);
+            }
+            Op::Get { key, now } => {
+                let loid = Loid::instance(16, key + 1);
+                let now = SimTime(now);
+                assert_eq!(real.get(&loid, now), model.get(&loid, now));
+            }
+            Op::Invalidate { key } => {
+                let loid = Loid::instance(16, key + 1);
+                assert_eq!(real.invalidate(&loid), model.invalidate(&loid));
+            }
+        }
+        assert_eq!(real.len(), model.map.len());
+        assert!(real.len() <= capacity);
+        let mru: Vec<Loid> = model.recency.iter().rev().copied().collect();
+        assert_eq!(real.loids_mru_order(), mru);
+        assert_eq!(real.stats().evictions, model.evictions);
+        for (loid, b) in &model.map {
+            assert_eq!(real.peek(loid), Some(b));
+        }
+    }
 }
 
 fn binding(key: u64, ep: u64, ttl: Option<u64>) -> Binding {
@@ -98,28 +166,17 @@ proptest! {
         capacity in 1usize..12,
         ops in proptest::collection::vec(arb_op(), 1..200),
     ) {
-        let mut real = BindingCache::new(capacity);
-        let mut model = ModelCache::new(capacity);
-        for op in ops {
-            match op {
-                Op::Insert { key, ep, ttl } => {
-                    let b = binding(key, ep, ttl);
-                    real.insert(b.clone());
-                    model.insert(b);
-                }
-                Op::Get { key, now } => {
-                    let loid = Loid::instance(16, key + 1);
-                    let now = SimTime(now);
-                    prop_assert_eq!(real.get(&loid, now), model.get(&loid, now));
-                }
-                Op::Invalidate { key } => {
-                    let loid = Loid::instance(16, key + 1);
-                    prop_assert_eq!(real.invalidate(&loid), model.invalidate(&loid));
-                }
-            }
-            prop_assert_eq!(real.len(), model.map.len());
-            prop_assert!(real.len() <= capacity);
-        }
+        check_against_model(capacity, ops);
+    }
+
+    /// The same over a key space wide enough that the index grows, its
+    /// probe runs wrap and collide, and removals shift entries back.
+    #[test]
+    fn cache_matches_reference_model_at_size(
+        capacity in 1usize..96,
+        ops in proptest::collection::vec(arb_op_over(400), 1..600),
+    ) {
+        check_against_model(capacity, ops);
     }
 
     /// The cache never returns an expired binding, whatever happened
@@ -131,7 +188,7 @@ proptest! {
     ) {
         let mut real = BindingCache::new(8);
         for op in ops {
-            if let Op::Insert { key, ep, ttl } = op {
+            if let Op::Insert { key, ep, ttl, .. } = op {
                 real.insert(binding(key, ep, ttl));
             }
         }

@@ -230,6 +230,59 @@ fn concurrent_requests_are_combined() {
     assert!(w.kernel.counters().get("ba.combined") >= 4);
 }
 
+/// The agent owns the upstream reply: one binding box comes back from
+/// the class, every combined waiter is answered with an equal copy of
+/// it, and a reply to a call that is no longer pending is counted and
+/// changes nothing.
+#[test]
+fn combined_waiters_are_answered_from_one_owned_reply() {
+    use legion_core::env::InvocationEnv;
+    use legion_net::message::CallId;
+
+    const WAITERS: u64 = 7;
+    let mut w = build_world(1, 1, 13);
+    let clients: Vec<_> = (0..WAITERS)
+        .map(|i| add_client(&mut w, i, vec![file(1)]))
+        .collect();
+    w.kernel.run_until_quiescent(100_000);
+
+    let cls = w.kernel.endpoint::<StaticClassEndpoint>(w.class).unwrap();
+    assert_eq!(cls.requests, 1, "one upstream request for all waiters");
+    let expected = cls.table[&file(1)].clone();
+    for c in &clients {
+        let cl = w.kernel.endpoint::<TestClient>(*c).unwrap();
+        assert_eq!(cl.resolved, vec![(file(1), Ok(expected.clone()))]);
+    }
+    assert_eq!(w.kernel.counters().get("ba.combined"), WAITERS - 1);
+    let agent = w.agents[0];
+    let cached = |w: &World| {
+        w.kernel
+            .endpoint::<BindingAgentEndpoint>(agent)
+            .unwrap()
+            .cache_len()
+    };
+    assert_eq!(cached(&w), 2, "the class's binding and the file's");
+
+    // A second answer to a call the agent has already resolved.
+    let stray_call = Message::call(
+        CallId(u64::MAX),
+        file_class(),
+        "GetBinding",
+        vec![],
+        InvocationEnv::anonymous(),
+    );
+    let elsewhere = sim_binding(file(2), w.legion_class);
+    let late = Message::reply_to(&stray_call, CallId(u64::MAX - 1), Ok(elsewhere.into()));
+    assert!(w.kernel.inject(Location::new(0, 1), agent.element(), late));
+    w.kernel.run_until_quiescent(100_000);
+    assert_eq!(w.kernel.counters().get("ba.late_reply"), 1);
+    assert_eq!(cached(&w), 2, "a late reply is not cached");
+    for c in &clients {
+        let cl = w.kernel.endpoint::<TestClient>(*c).unwrap();
+        assert_eq!(cl.resolved.len(), 1, "nobody is answered twice");
+    }
+}
+
 #[test]
 fn agent_chain_resolves_through_parents() {
     let mut w = build_world(2, 3, 5);

@@ -205,7 +205,7 @@ pub fn sweep_expired<E>(
     let fired_under = ctx.inner.current;
     for (id, k, trace) in due {
         ctx.inner.current = trace;
-        ctx.count_n_sym(symbol::NET_TIMEOUT_EXPIRED, 1);
+        ctx.count(symbol::NET_TIMEOUT_EXPIRED);
         ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
         k(endpoint, ctx, Err(timeout_error(after_ns)));
     }
@@ -449,7 +449,7 @@ fn serve_ref<E>(
     let Some(method) = msg.method_sym().filter(|&m| m != symbol::EMPTY) else {
         // A call with no method name (empty on the wire) used to vanish
         // silently in per-endpoint dispatch; dead-letter it visibly.
-        ctx.count(&format!("{prefix}.dead_letter"));
+        ctx.count(format!("{prefix}.dead_letter"));
         ctx.trace_note(&format!(
             "dispatch.{}:{prefix}",
             Verdict::DeadLetter.label()
@@ -459,7 +459,7 @@ fn serve_ref<E>(
     let entry = match table.inner.resolve(method) {
         Ok(e) => e,
         Err(err) => {
-            ctx.count(&format!("{prefix}.unknown_method"));
+            ctx.count(format!("{prefix}.unknown_method"));
             ctx.trace_note(&format!("dispatch.{}:{method}", Verdict::Unknown.label()));
             ctx.reply(msg, Err(err.to_string()));
             return Served::Call(Verdict::Unknown);
@@ -468,7 +468,7 @@ fn serve_ref<E>(
     if entry.gated() {
         if let Some(gate) = table.gate {
             if let Err(reason) = gate(endpoint).check(&msg.env, method.as_str()) {
-                ctx.count(&format!("{prefix}.refused"));
+                ctx.count(format!("{prefix}.refused"));
                 ctx.trace_note(&format!("dispatch.{}:{method}", Verdict::Denied.label()));
                 ctx.reply(msg, Err(format!("MayI refused: {reason}")));
                 return Served::Call(Verdict::Denied);
@@ -486,7 +486,7 @@ fn serve_ref<E>(
         }
         Outcome::Pending | Outcome::NoReply => Served::Call(Verdict::Allowed),
         Outcome::Invalid(rendered) => {
-            ctx.count(&format!("{prefix}.bad_args"));
+            ctx.count(format!("{prefix}.bad_args"));
             ctx.trace_note(&format!("dispatch.{}:{method}", Verdict::BadArgs.label()));
             ctx.reply(msg, Err(rendered));
             Served::Call(Verdict::BadArgs)

@@ -7,9 +7,10 @@
 //!
 //! * the **argument vector** of a call (`GetBinding(loid)` is one
 //!   element), allocated by the caller and dropped by the callee, and
-//! * the **binding box** of a reply (`LegionValue::Binding(Box<Binding>)`
-//!   plus the `ObjectAddress` element vector inside it), allocated by
-//!   the responder and dropped by the requester.
+//! * the **binding box** of a reply (`LegionValue::Binding(Box<Binding>)`;
+//!   the one-element Object Address inside it is stored inline, only a
+//!   replicated one owns an element buffer), allocated by the responder
+//!   and dropped by the requester.
 //!
 //! Both cycles close through the kernel: the caller draws a spent buffer
 //! from the pool ([`Ctx::take_args`](crate::sim::Ctx::take_args),
@@ -46,8 +47,9 @@ pub const POOL_CAP: usize = 1024;
 pub struct MessagePool {
     /// Spent call argument vectors, cleared, capacity retained.
     args: Vec<Vec<LegionValue>>,
-    /// Spent reply binding boxes; each shell keeps its `ObjectAddress`
-    /// element vector's capacity, so refilling one is allocation-free.
+    /// Spent reply binding boxes; a shell that held a replicated address
+    /// keeps that element buffer's capacity, so refilling one is
+    /// allocation-free.
     /// The box itself is the pooled unit — `LegionValue::Binding` wraps
     /// a `Box<Binding>`, so unboxing here would re-allocate on reuse.
     #[allow(clippy::vec_box)]
@@ -76,8 +78,9 @@ impl MessagePool {
     }
 
     /// A `LegionValue::Binding` carrying a copy of `src`, built in a
-    /// recycled shell when one is available (no allocation if the
-    /// shell's element buffer is wide enough), boxed fresh otherwise.
+    /// recycled shell when one is available (no allocation for a
+    /// one-element address, or if the shell's element buffer is wide
+    /// enough for a replicated one), boxed fresh otherwise.
     pub fn binding_value(&mut self, src: &Binding) -> LegionValue {
         match self.shells.pop() {
             Some(mut shell) => {

@@ -1115,13 +1115,13 @@ impl Ctx<'_> {
         }
         let targets: Vec<ObjectAddressElement> = match addr.semantics {
             AddressSemantics::Single | AddressSemantics::User(_) => vec![elements[0]],
-            AddressSemantics::SendToAll => elements.clone(),
+            AddressSemantics::SendToAll => elements.to_vec(),
             AddressSemantics::PickRandom => {
                 let i = self.inner.rng.gen_range(0..elements.len());
                 vec![elements[i]]
             }
             AddressSemantics::KOfN(k) => {
-                let mut pool = elements.clone();
+                let mut pool = elements.to_vec();
                 pool.shuffle(&mut self.inner.rng);
                 pool.truncate((k as usize).min(elements.len()));
                 pool
@@ -1658,7 +1658,7 @@ mod tests {
     fn empty_address_sends_nothing() {
         let mut k = kernel();
         let addr = ObjectAddress {
-            elements: vec![],
+            elements: Default::default(),
             semantics: AddressSemantics::SendToAll,
         };
         k.add_endpoint(Box::new(Fanout { addr }), Location::new(0, 0), "fanout");

@@ -502,20 +502,15 @@ impl Ctx<'_> {
     /// is also recorded as a `Note` span event — counters *are* the
     /// protocol-level events (cache hits, activations, …), so every
     /// instrumented site annotates the request it served for free.
-    pub fn count(&mut self, name: &str) {
+    pub fn count(&mut self, name: impl Into<Sym>) {
         self.count_n(name, 1);
     }
 
     /// Add to a named protocol counter (traced like [`Ctx::count`]).
-    pub fn count_n(&mut self, name: &str, n: u64) {
-        self.count_n_sym(Sym::intern(name), n);
-    }
-
-    /// [`Ctx::count_n`] for a pre-interned name — allocation-free, for
-    /// counters bumped on sweep/teardown paths that must stay off the
-    /// allocator even when no trace is active.
-    pub fn count_n_sym(&mut self, sym: Sym, n: u64) {
-        let now = self.now();
+    /// In-tree handlers pass `legion_core::symbol` constants, so a bump
+    /// costs no interner lookup; a string is interned on the way in.
+    pub fn count_n(&mut self, name: impl Into<Sym>, n: u64) {
+        let (now, sym) = (self.now(), name.into());
         self.inner.watch.count(now, sym, n);
         if self.trace_active() {
             self.trace_note(sym.as_str());

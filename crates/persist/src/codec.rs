@@ -362,10 +362,9 @@ impl<'a> Reader<'a> {
         if n > MAX_LEN {
             return Err(CodecError::LengthTooLarge(n));
         }
-        let mut elements = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            elements.push(self.get_element()?);
-        }
+        let elements = (0..n)
+            .map(|_| self.get_element())
+            .collect::<CodecResult<_>>()?;
         let semantics = self.get_semantics()?;
         Ok(ObjectAddress {
             elements,

@@ -125,16 +125,9 @@ impl Opr {
         w.put_loid(&self.class);
         w.put_u64(self.interface_hash);
         w.put_bytes(&self.state);
-        let body = w.finish();
-        let crc = crc32(&body);
-        let mut w2 = Writer::new();
-        // Re-emit body + trailer. (Writer has no raw-slice append by
-        // design; the copy is fine at OPR sizes.)
-        for &b in body.iter() {
-            w2.put_u8(b);
-        }
-        w2.put_u32(crc);
-        w2.finish()
+        let crc = crc32(w.as_bytes());
+        w.put_u32(crc);
+        w.finish()
     }
 
     /// Decode and verify an OPR from bytes.

@@ -6,10 +6,13 @@ use legion_core::binding::Binding;
 use legion_core::loid::Loid;
 use legion_core::time::{Expiry, SimTime};
 use legion_core::value::LegionValue;
-use legion_persist::codec::{decode_value, encode_value, CodecError};
+use legion_persist::codec::{decode_value, encode_value, CodecError, Reader, Writer};
 use legion_persist::opr::Opr;
 use legion_persist::storage::JurisdictionStorage;
 use proptest::prelude::*;
+use serde::{Serialize, Value};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn arb_loid() -> impl Strategy<Value = Loid> {
     (any::<u64>(), any::<u64>()).prop_map(|(c, s)| Loid::instance(c, s))
@@ -44,10 +47,7 @@ fn arb_address() -> impl Strategy<Value = ObjectAddress> {
         proptest::collection::vec(arb_element(), 0..5),
         arb_semantics(),
     )
-        .prop_map(|(elements, semantics)| ObjectAddress {
-            elements,
-            semantics,
-        })
+        .prop_map(|(elements, semantics)| ObjectAddress::replicated(elements, semantics))
 }
 
 fn arb_expiry() -> impl Strategy<Value = Expiry> {
@@ -97,7 +97,86 @@ fn eq_mod_nan(a: &LegionValue, b: &LegionValue) -> bool {
     }
 }
 
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// What an Object Address over `model` looked like when its element list
+/// was a plain `Vec`: `Display`, the JSON value and the persist bytes,
+/// written out from the list itself.
+fn vec_model(
+    model: &[ObjectAddressElement],
+    semantics: AddressSemantics,
+) -> (String, Value, Vec<u8>) {
+    let shown: Vec<String> = model.iter().map(|e| e.to_string()).collect();
+    let display = format!("[{}] {semantics:?}", shown.join(", "));
+    let json = Value::Object(vec![
+        (
+            "elements".to_owned(),
+            Value::Array(model.iter().map(Serialize::to_json_value).collect()),
+        ),
+        ("semantics".to_owned(), semantics.to_json_value()),
+    ]);
+    let mut w = Writer::new();
+    w.put_varint(model.len() as u64);
+    for e in model {
+        w.put_element(e);
+    }
+    w.put_semantics(&semantics);
+    (display, json, w.as_bytes().to_vec())
+}
+
 proptest! {
+    /// The inline element list is indistinguishable from the `Vec` it
+    /// replaced, at zero, one, two and many elements: as a slice, under
+    /// `==` and `Hash`, in `Display` and `Debug`, in JSON and in persist
+    /// bytes — and `clone_from` lands on the source from every shape.
+    #[test]
+    fn elements_match_a_plain_vec(
+        pool in proptest::collection::vec(arb_element(), 6),
+        semantics in arb_semantics(),
+    ) {
+        let shapes: Vec<Vec<ObjectAddressElement>> =
+            [0, 1, 2, 6].iter().map(|&n| pool[..n].to_vec()).collect();
+        for model in &shapes {
+            let addr = ObjectAddress::replicated(model.clone(), semantics);
+            prop_assert_eq!(&addr.elements[..], &model[..]);
+            prop_assert_eq!(addr.len(), model.len());
+            prop_assert_eq!(addr.primary(), model.first());
+            prop_assert_eq!(hash_of(&addr.elements), hash_of(model));
+            prop_assert_eq!(format!("{:?}", addr.elements), format!("{model:?}"));
+            let collected: ObjectAddress = ObjectAddress {
+                elements: model.iter().copied().collect(),
+                semantics,
+            };
+            prop_assert_eq!(&collected, &addr);
+            if let [only] = model[..] {
+                prop_assert_eq!(&ObjectAddress::single(only).elements, &addr.elements);
+            }
+
+            let (display, json, bytes) = vec_model(model, semantics);
+            prop_assert_eq!(addr.to_string(), display);
+            prop_assert_eq!(addr.to_json_value(), json.clone());
+            let mut w = Writer::new();
+            w.put_address(&addr);
+            prop_assert_eq!(w.as_bytes(), &bytes[..]);
+            prop_assert_eq!(Reader::new(&bytes).get_address().expect("decode"), addr.clone());
+            let from_json: ObjectAddress =
+                serde::Deserialize::from_json_value(&json).expect("from json");
+            prop_assert_eq!(from_json, addr.clone());
+
+            for other in &shapes {
+                let mut dst = ObjectAddress::replicated(other.clone(), AddressSemantics::Single);
+                prop_assert_eq!(dst.elements == addr.elements, other == model);
+                dst.elements.clone_from(&addr.elements);
+                prop_assert_eq!(&dst.elements[..], &model[..]);
+                prop_assert_eq!(hash_of(&dst.elements), hash_of(&addr.elements));
+            }
+        }
+    }
+
     /// Any value encodes and decodes to itself.
     #[test]
     fn codec_roundtrip(v in arb_value()) {

@@ -233,11 +233,11 @@ impl AutoScaler {
             Some(self.me),
         ) {
             Some(id) => {
-                ctx.count("policy.derive_issued");
+                ctx.count(symbol::POLICY_DERIVE_ISSUED);
                 self.pending_derive = Some(id);
                 self.state.begin_clone(now);
             }
-            None => ctx.count("policy.derive_refused"),
+            None => ctx.count(symbol::POLICY_DERIVE_REFUSED),
         }
     }
 }
@@ -281,7 +281,7 @@ impl Endpoint for AutoScaler {
         let now = ctx.now().as_nanos();
         match result {
             Ok(LegionValue::Binding(b)) => {
-                ctx.count_n_sym(symbol::POLICY_AUTOSCALE_CLONE, 1);
+                ctx.count(symbol::POLICY_AUTOSCALE_CLONE);
                 self.clone_log.push(CloneRecord {
                     at_ns: now,
                     loid: b.loid,
@@ -299,7 +299,7 @@ impl Endpoint for AutoScaler {
                 self.state.clone_landed(now);
             }
             Ok(_) | Err(_) => {
-                ctx.count("policy.derive_failed");
+                ctx.count(symbol::POLICY_DERIVE_FAILED);
                 self.state.clone_failed();
             }
         }
@@ -348,7 +348,7 @@ impl Endpoint for ReplicaRouter {
                     Some(el) => {
                         self.replicas.push(*el);
                         self.adds += 1;
-                        ctx.count("router.replica_added");
+                        ctx.count(symbol::ROUTER_REPLICA_ADDED);
                         Ok(LegionValue::Uint(self.replicas.len() as u64))
                     }
                     None => Err("AddReplica: binding has an empty address".into()),

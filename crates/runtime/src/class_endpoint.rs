@@ -202,14 +202,14 @@ impl ClassEndpoint {
         let now = ctx.now().as_nanos();
         match queue.offer(now) {
             Admission::Shed { retry_after_ns } => {
-                ctx.count_n_sym(symbol::NET_REQUESTS_SHED, 1);
+                ctx.count(symbol::NET_REQUESTS_SHED);
                 ctx.flight(
                     FlightKind::Shed,
                     msg.method_sym().unwrap_or(symbol::EMPTY),
                     retry_after_ns,
                 );
                 if ctx.reply(&msg, Err(overload_error(retry_after_ns))) {
-                    ctx.count_n_sym(symbol::NET_OVERLOAD_REPLIES, 1);
+                    ctx.count(symbol::NET_OVERLOAD_REPLIES);
                 }
                 ctx.recycle_message(msg);
                 None
@@ -335,7 +335,7 @@ impl ClassEndpoint {
                 &["loid", "address"],
                 ParamType::Void,
                 |e, ctx, _msg, (loid, address)| {
-                    ctx.count("class.announcements");
+                    ctx.count(symbol::CLASS_ANNOUNCEMENTS);
                     if e.class.table.get(&loid).is_none() {
                         e.class.table.insert(loid, TableEntry::new(false));
                     }
@@ -398,7 +398,7 @@ impl ClassEndpoint {
         let loid = match self.class.create_instance() {
             Ok(l) => l,
             Err(e) => {
-                ctx.count("class.create_refused");
+                ctx.count(symbol::CLASS_CREATE_REFUSED);
                 return Outcome::Reply(Err(e.to_string()));
             }
         };
@@ -425,7 +425,7 @@ impl ClassEndpoint {
             Some(me),
         ) {
             Some(call_id) => {
-                ctx.count("class.creates");
+                ctx.count(symbol::CLASS_CREATES);
                 let requester = msg.clone();
                 self.pend(
                     ctx,
@@ -463,7 +463,7 @@ impl ClassEndpoint {
             BindingArg::Loid(l) => (l, false),
             BindingArg::Binding(b) => (b.loid, true),
         };
-        ctx.count("class.get_binding");
+        ctx.count(symbol::CLASS_GET_BINDING);
         let Some(entry) = self.class.table.get(&target) else {
             return Outcome::Reply(Err(format!("{}: unknown object {target}", self.class.loid)));
         };
@@ -489,7 +489,7 @@ impl ClassEndpoint {
             .or_default()
             .push(msg.clone());
         if first {
-            ctx.count("class.activates_for_binding");
+            ctx.count(symbol::CLASS_ACTIVATES_FOR_BINDING);
             self.consult_magistrate(ctx, target, mag_loid);
         }
         Outcome::Pending
@@ -552,7 +552,7 @@ impl ClassEndpoint {
                 // disclaims the object leaves the row's Current Magistrate
                 // List; try the next one.
                 if e.contains("not managed") {
-                    ctx.count("class.magistrate_disclaimed");
+                    ctx.count(symbol::CLASS_MAGISTRATE_DISCLAIMED);
                     self.class.table.remove_magistrate(&target, magistrate);
                     let next = self
                         .class
@@ -592,7 +592,7 @@ impl ClassEndpoint {
 
     fn handle_derive(&mut self, ctx: &mut Ctx<'_>, msg: &Message, a: DeriveArgs) -> Outcome {
         if self.class.kind.is_private {
-            ctx.count("class.derive_refused");
+            ctx.count(symbol::CLASS_DERIVE_REFUSED);
             return Outcome::Reply(Err(format!(
                 "class {} is Private: Derive() is empty",
                 self.class.loid
@@ -610,7 +610,7 @@ impl ClassEndpoint {
             Some(me),
         ) {
             Some(call_id) => {
-                ctx.count("class.derives");
+                ctx.count(symbol::CLASS_DERIVES);
                 let requester = msg.clone();
                 let DeriveArgs { name, kind } = a;
                 self.pend(
@@ -663,7 +663,7 @@ impl ClassEndpoint {
 
     fn handle_inherit_from(&mut self, ctx: &mut Ctx<'_>, msg: &Message, base: Loid) -> Outcome {
         if self.class.kind.is_fixed {
-            ctx.count("class.inherit_refused");
+            ctx.count(symbol::CLASS_INHERIT_REFUSED);
             return Outcome::Reply(Err(format!(
                 "class {} is Fixed: InheritFrom() is empty",
                 self.class.loid
@@ -759,7 +759,7 @@ impl ClassEndpoint {
                     let base_if = parsed.into_interface(base);
                     match self.class.inherit_from(base, &base_if) {
                         Ok(()) => {
-                            ctx.count("class.inherits");
+                            ctx.count(symbol::CLASS_INHERITS);
                             ctx.reply(&requester, Ok(LegionValue::Void));
                         }
                         Err(e) => {
@@ -812,7 +812,7 @@ impl ClassEndpoint {
                             cont(move |e: &mut Self, ctx, result| match result {
                                 Ok(_) => {
                                     let _ = e.class.delete_child(&target);
-                                    ctx.count("class.deletes");
+                                    ctx.count(symbol::CLASS_DELETES);
                                     ctx.reply(&requester, Ok(LegionValue::Void));
                                 }
                                 Err(err) => {
@@ -859,7 +859,7 @@ impl Endpoint for ClassEndpoint {
             let after_ns = self.call_deadline_ns.unwrap_or(0);
             let expired = sweep_expired(self, ctx, conts, after_ns);
             for _ in 0..expired {
-                ctx.count("class.timeouts");
+                ctx.count(symbol::CLASS_TIMEOUTS);
             }
         }
     }
@@ -935,7 +935,7 @@ impl LegionClassEndpoint {
             &["creator"],
             ParamType::Uint,
             |e: &mut Self, ctx, _msg, (creator,)| {
-                ctx.count("legion_class.issue");
+                ctx.count(symbol::LEGION_CLASS_ISSUE);
                 Outcome::Reply(
                     e.authority
                         .issue_class_id(creator)
@@ -949,7 +949,7 @@ impl LegionClassEndpoint {
             &["target"],
             ParamType::Loid,
             |e, ctx, _msg, (target,)| {
-                ctx.count("legion_class.find");
+                ctx.count(symbol::LEGION_CLASS_FIND);
                 Outcome::Reply(
                     e.authority
                         .find_responsible(&target)
@@ -963,7 +963,7 @@ impl LegionClassEndpoint {
             &["target"],
             ParamType::Binding,
             |e, ctx, _msg, (arg,)| {
-                ctx.count("legion_class.get_binding");
+                ctx.count(symbol::LEGION_CLASS_GET_BINDING);
                 Outcome::Reply(match e.class_bindings.get(&arg.loid()) {
                     Some(b) => Ok(LegionValue::from(b.clone())),
                     None => Err(format!("LegionClass has no binding for {}", arg.loid())),

@@ -14,6 +14,7 @@ use legion_core::context::Context;
 use legion_core::dispatch::InvocationGate;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
@@ -88,7 +89,7 @@ impl ContextEndpoint {
                 &["path"],
                 ParamType::Loid,
                 |e, ctx, _msg, (path,)| {
-                    ctx.count("context.lookups");
+                    ctx.count(symbol::CONTEXT_LOOKUPS);
                     Outcome::Reply(
                         e.context
                             .lookup(&path)

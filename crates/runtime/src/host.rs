@@ -21,6 +21,7 @@ use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
 use legion_core::interface::{Interface, ParamType};
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
@@ -174,7 +175,7 @@ impl HostObjectEndpoint {
                 |e, ctx, _msg, spec| {
                     if e.running.len() as u32 >= e.capacity_now() {
                         e.refused += 1;
-                        ctx.count("host.capacity_refused");
+                        ctx.count(symbol::HOST_CAPACITY_REFUSED);
                         return Outcome::Reply(Err(format!(
                             "host {} at capacity ({})",
                             e.cfg.loid,
@@ -189,7 +190,7 @@ impl HostObjectEndpoint {
                     let loc = ctx.location();
                     let ep = ctx.spawn(endpoint, loc, format!("obj:{}", spec.loid));
                     e.running.insert(spec.loid, ep);
-                    ctx.count("host.activations");
+                    ctx.count(symbol::HOST_ACTIVATIONS);
                     Outcome::Reply(Ok(LegionValue::Address(ep.address())))
                 },
             )
@@ -201,7 +202,7 @@ impl HostObjectEndpoint {
                     Outcome::Reply(match e.running.remove(&loid) {
                         Some(ep) => {
                             ctx.kill(ep);
-                            ctx.count("host.deactivations");
+                            ctx.count(symbol::HOST_DEACTIVATIONS);
                             Ok(LegionValue::Void)
                         }
                         None => Err(format!("{loid} is not running on {}", e.cfg.loid)),
@@ -287,7 +288,7 @@ impl Endpoint for HostObjectEndpoint {
         let horizon = hb.horizon_ns;
         ctx.send(magistrate, msg);
         self.heartbeats_sent += 1;
-        ctx.count("host.heartbeats");
+        ctx.count(symbol::HOST_HEARTBEATS);
         if ctx.now().0.saturating_add(interval) <= horizon {
             ctx.set_timer(interval, TIMER_HEARTBEAT);
         }

@@ -437,7 +437,7 @@ impl MagistrateEndpoint {
                 match &result {
                     Ok(b) => {
                         ha.tracker.object_recovered(&loid, ctx.now());
-                        ctx.count("magistrate.ha_recovered");
+                        ctx.count(symbol::MAGISTRATE_HA_RECOVERED);
                         ctx.trace_note("ha.object_recovered");
                         // Push the fresh binding down the agent tree so
                         // clients stop chasing the dead address (§4.1.4's
@@ -447,7 +447,7 @@ impl MagistrateEndpoint {
                     }
                     Err(_) => {
                         ha.tracker.object_lost(&loid);
-                        ctx.count("magistrate.ha_object_lost");
+                        ctx.count(symbol::MAGISTRATE_HA_OBJECT_LOST);
                         ctx.trace_note("ha.object_lost");
                     }
                 }
@@ -477,7 +477,7 @@ impl MagistrateEndpoint {
         let opr = match self.storage.load_opr(addr) {
             Ok(o) => o,
             Err(e) => {
-                ctx.count("magistrate.opr_load_failed");
+                ctx.count(symbol::MAGISTRATE_OPR_LOAD_FAILED);
                 self.answer_activate_waiters(ctx, loid, Err(format!("OPR load failed: {e}")));
                 return;
             }
@@ -506,7 +506,7 @@ impl MagistrateEndpoint {
             .filter(|h| views.iter().any(|v| v.loid == *h && v.free() > 0))
             .or_else(|| self.policy.pick(&views, self.salt));
         let Some(host) = chosen else {
-            ctx.count("magistrate.no_host");
+            ctx.count(symbol::MAGISTRATE_NO_HOST);
             self.answer_activate_waiters(ctx, loid, Err("no host with free capacity".into()));
             return;
         };
@@ -542,7 +542,7 @@ impl MagistrateEndpoint {
             None => {
                 // The Host Object is dead (§2.3's "reaping" case): skip it
                 // for future placements and try another host.
-                ctx.count("magistrate.host_dead");
+                ctx.count(symbol::MAGISTRATE_HOST_DEAD);
                 self.mark_host_dead(&host);
                 if attempts < 3 {
                     self.dispatch_to_host(ctx, loid, class, state, class_addr, None, attempts + 1);
@@ -648,7 +648,7 @@ impl MagistrateEndpoint {
 
     /// A Host Object reported in. Fire-and-forget: no reply.
     fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, host: Loid) {
-        ctx.count("magistrate.heartbeats");
+        ctx.count(symbol::MAGISTRATE_HEARTBEATS);
         let Some(ha) = &mut self.ha else {
             return;
         };
@@ -662,7 +662,7 @@ impl MagistrateEndpoint {
         // are unreferenced orphans awaiting the §2.3 reap.
         if transition.from == Health::Dead {
             ha.tracker.false_positive();
-            ctx.count("magistrate.ha_false_positive");
+            ctx.count(symbol::MAGISTRATE_HA_FALSE_POSITIVE);
             ctx.trace_note("ha.false_positive");
             ctx.flight(FlightKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
         }
@@ -684,7 +684,7 @@ impl MagistrateEndpoint {
         for t in transitions {
             match t.to {
                 Health::Suspect => {
-                    ctx.count("magistrate.ha_suspect");
+                    ctx.count(symbol::MAGISTRATE_HA_SUSPECT);
                     ctx.flight(FlightKind::HaVerdict, symbol::HA_SUSPECT, t.silence_ns);
                 }
                 Health::Dead => self.recover_host(ctx, t.host, t.silence_ns),
@@ -699,7 +699,7 @@ impl MagistrateEndpoint {
     /// A host is confirmed dead: re-activate everything it was running
     /// from the vault OPRs, on surviving hosts.
     fn recover_host(&mut self, ctx: &mut Ctx<'_>, host: Loid, silence_ns: u64) {
-        ctx.count("magistrate.ha_host_dead");
+        ctx.count(symbol::MAGISTRATE_HA_HOST_DEAD);
         ctx.flight(FlightKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
         self.mark_host_dead(&host);
         if let Some(ha) = &mut self.ha {
@@ -735,7 +735,7 @@ impl MagistrateEndpoint {
         // LOID per incident.
         if let Some(ha) = &self.ha {
             if ha.tracker.recovering(&loid) {
-                ctx.count("magistrate.ha_duplicate_trigger");
+                ctx.count(symbol::MAGISTRATE_HA_DUPLICATE_TRIGGER);
                 return;
             }
         }
@@ -748,7 +748,7 @@ impl MagistrateEndpoint {
         let Some(vault) = vault.clone() else {
             // No checkpoint to restart from (HA was enabled after this
             // activation): the object is gone until someone re-creates it.
-            ctx.count("magistrate.ha_unrecoverable");
+            ctx.count(symbol::MAGISTRATE_HA_UNRECOVERABLE);
             ctx.trace_note("ha.unrecoverable");
             self.bump_host(&dead_host, -1);
             return;
@@ -764,7 +764,7 @@ impl MagistrateEndpoint {
         } else {
             Vec::new()
         };
-        ctx.count("magistrate.ha_recoveries");
+        ctx.count(symbol::MAGISTRATE_HA_RECOVERIES);
         ctx.flight(
             FlightKind::HaVerdict,
             symbol::HA_RECOVERED,
@@ -791,12 +791,12 @@ impl MagistrateEndpoint {
             None => Outcome::Reply(Err(format!("{loid} not managed by {}", self.cfg.loid))),
             Some(r) => match &r.state {
                 ObjState::Active { element, .. } => {
-                    ctx.count("magistrate.activate_already_active");
+                    ctx.count(symbol::MAGISTRATE_ACTIVATE_ALREADY_ACTIVE);
                     let b = Binding::forever(loid, ObjectAddress::single(*element));
                     Outcome::Reply(Ok(LegionValue::from(b)))
                 }
                 ObjState::Inert { .. } => {
-                    ctx.count("magistrate.activations");
+                    ctx.count(symbol::MAGISTRATE_ACTIVATIONS);
                     let first = !self.activate_waiters.contains_key(&loid);
                     self.activate_waiters
                         .entry(loid)
@@ -820,7 +820,7 @@ impl MagistrateEndpoint {
         if self.objects.contains_key(&spec.loid) {
             return Outcome::Reply(Err(format!("{} already managed here", spec.loid)));
         }
-        ctx.count("magistrate.creations");
+        ctx.count(symbol::MAGISTRATE_CREATIONS);
         // Record a provisional Inert entry by writing the initial OPR;
         // then activate it immediately.
         let opr = Opr::new(spec.loid, spec.class, 0, spec.state.clone());
@@ -862,7 +862,7 @@ impl MagistrateEndpoint {
             self.run_after_inert(ctx, loid);
             return;
         };
-        ctx.count("magistrate.deactivations");
+        ctx.count(symbol::MAGISTRATE_DEACTIVATIONS);
         let me = self.cfg.loid;
         match ctx.call(
             *element,
@@ -893,7 +893,7 @@ impl MagistrateEndpoint {
         let Some(record) = self.objects.get(&loid) else {
             return Outcome::Reply(Err(format!("{loid} not managed here")));
         };
-        ctx.count("magistrate.deletions");
+        ctx.count(symbol::MAGISTRATE_DELETIONS);
         match record.state.clone() {
             ObjState::Active { host, .. } => {
                 // Kill the process, then finish deletion on reply.
@@ -975,9 +975,9 @@ impl MagistrateEndpoint {
             return Outcome::Reply(Err(format!("{loid} not managed here")));
         }
         ctx.count(if delete_after {
-            "magistrate.moves"
+            symbol::MAGISTRATE_MOVES
         } else {
-            "magistrate.copies"
+            symbol::MAGISTRATE_COPIES
         });
         self.after_inert
             .entry(loid)
@@ -1004,14 +1004,14 @@ impl MagistrateEndpoint {
         // Validate before storing: a corrupt OPR is refused here, not at
         // some future activation.
         if let Err(e) = Opr::decode(&bytes) {
-            ctx.count("magistrate.receive_corrupt");
+            ctx.count(symbol::MAGISTRATE_RECEIVE_CORRUPT);
             return Outcome::Reply(Err(format!("refused corrupt OPR: {e}")));
         }
         let addr = self.storage.reserve_address(&loid);
         if let Err(e) = self.storage.store_at(&addr, bytes) {
             return Outcome::Reply(Err(format!("store failed: {e}")));
         }
-        ctx.count("magistrate.received_oprs");
+        ctx.count(symbol::MAGISTRATE_RECEIVED_OPRS);
         self.objects.insert(
             loid,
             ObjRecord {
@@ -1059,7 +1059,7 @@ impl MagistrateEndpoint {
                 // fresh process is an orphan — reap it (§2.3's "a Host
                 // Object is responsible for ... reaping objects").
                 if !self.objects.contains_key(&loid) {
-                    ctx.count("magistrate.orphan_reaped");
+                    ctx.count(symbol::MAGISTRATE_ORPHAN_REAPED);
                     if let Some(host_element) = self.host_element(&host) {
                         let me = self.cfg.loid;
                         ctx.call(
@@ -1122,7 +1122,7 @@ impl MagistrateEndpoint {
                 // The chosen host refused (capacity, policy): try once
                 // more with a different pick.
                 if attempts < 2 {
-                    ctx.count("magistrate.activation_retry");
+                    ctx.count(symbol::MAGISTRATE_ACTIVATION_RETRY);
                     let (class, state, class_addr) = {
                         let Some(record) = self.objects.get(&loid) else {
                             return;
@@ -1348,7 +1348,7 @@ impl Endpoint for MagistrateEndpoint {
             let after_ns = self.call_deadline_ns.unwrap_or(0);
             let expired = sweep_expired(self, ctx, conts, after_ns);
             for _ in 0..expired {
-                ctx.count("magistrate.timeouts");
+                ctx.count(symbol::MAGISTRATE_TIMEOUTS);
             }
         }
     }

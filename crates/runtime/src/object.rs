@@ -17,6 +17,7 @@ use legion_core::dispatch::InvocationGate;
 use legion_core::interface::{Interface, ParamType};
 use legion_core::loid::Loid;
 use legion_core::object::{methods, GenericObject, ObjectMandatory};
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_core::{address::ObjectAddressElement, idl};
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
@@ -151,7 +152,7 @@ impl Endpoint for ActiveObjectEndpoint {
         // before dispatch — it is about *addressing*, not the interface.
         if let Some(target) = msg.target {
             if target != self.obj.iam() && msg.method() != Some(methods::IAM) {
-                ctx.count("object.misdirected");
+                ctx.count(symbol::OBJECT_MISDIRECTED);
                 ctx.reply(
                     &msg,
                     Err(format!(

@@ -22,6 +22,7 @@ use legion_core::address::ObjectAddressElement;
 use legion_core::env::InvocationEnv;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{
     cont_expecting, insert_pending, reply_id, serve, sweep_expired, take_reply_result,
@@ -186,7 +187,7 @@ impl SchedulingAgentEndpoint {
         match poll.best {
             Some((_, host)) => {
                 self.suggestions += 1;
-                ctx.count("sched_agent.suggestions");
+                ctx.count(symbol::SCHED_AGENT_SUGGESTIONS);
                 ctx.reply(&poll.requester, Ok(LegionValue::Loid(host)));
             }
             None => {
@@ -207,7 +208,7 @@ impl Endpoint for SchedulingAgentEndpoint {
             let after_ns = self.call_deadline_ns.unwrap_or(0);
             let expired = sweep_expired(self, ctx, conts, after_ns);
             for _ in 0..expired {
-                ctx.count("sched_agent.timeouts");
+                ctx.count(symbol::SCHED_AGENT_TIMEOUTS);
             }
         }
     }

@@ -41,6 +41,7 @@ use legion_core::address::ObjectAddress;
 use legion_core::binding::Binding;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{FIRST_USER_CLASS_ID, LEGION_CLASS};
 use legion_naming::agent::{AgentConfig, BindingAgentEndpoint};
@@ -160,7 +161,7 @@ impl SynthRegistry {
                     ParamType::Binding,
                     |e: &mut Self, ctx, _msg, (arg,)| {
                         e.requests += 1;
-                        ctx.count("class.get_binding");
+                        ctx.count(symbol::CLASS_GET_BINDING);
                         let target = arg.loid();
                         Outcome::Reply(if in_campaign_range(&target, e.loids) {
                             e.template.loid = target;
@@ -224,7 +225,7 @@ impl SynthLegionClass {
                     ParamType::Loid,
                     |e: &mut Self, ctx, _msg, (target,)| {
                         e.find_requests += 1;
-                        ctx.count("legion_class.find");
+                        ctx.count(symbol::LEGION_CLASS_FIND);
                         Outcome::Reply(if !target.is_class() {
                             Ok(LegionValue::Loid(target.class_loid()))
                         } else if in_campaign_range(&target, e.loids) {
@@ -242,7 +243,7 @@ impl SynthLegionClass {
                     ParamType::Binding,
                     |e: &mut Self, ctx, _msg, (arg,)| {
                         e.binding_requests += 1;
-                        ctx.count("legion_class.get_binding");
+                        ctx.count(symbol::LEGION_CLASS_GET_BINDING);
                         let l = arg.loid();
                         Outcome::Reply(if l == REGISTRY {
                             Ok(ctx.binding_value(&e.registry_binding))

@@ -18,7 +18,7 @@
 use legion_core::binding::Binding;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_m;
-use legion_core::symbol::Sym;
+use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_core::{address::ObjectAddressElement, env::InvocationEnv};
 use legion_ha::backoff::Backoff;
@@ -741,7 +741,7 @@ impl LookupClient {
     fn op_failed(&mut self, ctx: &mut Ctx<'_>, started: SimTime, target: Loid) {
         if let Some(delay_ns) = self.retry.delay_ns(self.op_error_retries) {
             self.op_error_retries += 1;
-            ctx.count("client.op_retry");
+            ctx.count(symbol::CLIENT_OP_RETRY);
             self.pending_retry = Some((started, target));
             self.phase = Phase::Idle;
             ctx.set_timer(delay_ns, TIMER_RETRY);
@@ -789,7 +789,7 @@ impl LookupClient {
         retry_after_ns: u64,
     ) {
         self.overload_retries += 1;
-        ctx.count("client.overload_backoff");
+        ctx.count(symbol::CLIENT_OVERLOAD_BACKOFF);
         if self.overload_retries > MAX_OVERLOAD_RETRIES {
             let target = binding.loid;
             self.op_failed(ctx, started, target);
@@ -810,7 +810,7 @@ impl LookupClient {
         self.stale_attempts += 1;
         let target = binding.loid;
         if self.stale_attempts > 6 {
-            ctx.count("client.stale_gave_up");
+            ctx.count(symbol::CLIENT_STALE_GAVE_UP);
             self.op_failed(ctx, started, target);
             return;
         }
@@ -866,7 +866,7 @@ impl LookupClient {
             }
             None => {
                 // Detectable stale binding (§4.1.4): refresh and retry.
-                ctx.count("client.stale_refused");
+                ctx.count(symbol::CLIENT_STALE_REFUSED);
                 self.handle_stale(ctx, started, binding);
             }
         }
@@ -927,7 +927,7 @@ impl Endpoint for LookupClient {
             if let Phase::AwaitInvoke { started, binding } = &self.phase {
                 let (started, binding) = (*started, binding.clone());
                 self.invoke_calls.retain(|_, (_, b)| b != &binding);
-                ctx.count("client.invoke_timeout");
+                ctx.count(symbol::CLIENT_INVOKE_TIMEOUT);
                 self.handle_stale(ctx, started, binding);
             }
             return;
@@ -943,7 +943,7 @@ impl Endpoint for LookupClient {
                 attempts,
             } = self.phase
             {
-                ctx.count("client.binding_timeout");
+                ctx.count(symbol::CLIENT_BINDING_TIMEOUT);
                 if attempts + 1 >= MAX_BINDING_ATTEMPTS {
                     self.op_failed(ctx, started, target);
                     return;
@@ -993,7 +993,7 @@ impl Endpoint for LookupClient {
                         // server's hint, not on the blind backoff.
                         if let Some(hint) = is_overloaded(&e) {
                             self.overload_retries += 1;
-                            ctx.count("client.overload_backoff");
+                            ctx.count(symbol::CLIENT_OVERLOAD_BACKOFF);
                             if self.overload_retries > MAX_OVERLOAD_RETRIES {
                                 self.op_failed(ctx, started, target);
                             } else {
@@ -1026,7 +1026,7 @@ impl Endpoint for LookupClient {
                             // The endpoint answered but hosts a different
                             // (or no) object — stale binding detected in
                             // use.
-                            ctx.count("client.stale_reply");
+                            ctx.count(symbol::CLIENT_STALE_REPLY);
                             self.handle_stale(ctx, started, binding);
                         }
                     }

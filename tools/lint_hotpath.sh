@@ -17,6 +17,12 @@
 #     crates/net/src/dispatch.rs. An endpoint keeps one deadline sweep
 #     armed, and only `insert_pending`/`sweep_expired` know whether one
 #     is pending; an endpoint arming its own brings back a timer per call.
+#   * `ctx.count("…")` / `ctx.count_n("…", n)` with a string literal
+#     appears in non-test code of the protocol handlers (crates/naming/src,
+#     crates/runtime/src, crates/sim/src/workload.rs). A literal is
+#     interned on every bump — a lock and a string hash per counter, on
+#     paths that bump several per message; pass a `legion_core::symbol`
+#     well-known constant instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +64,26 @@ if [[ -n "$sweep_hits" ]]; then
     echo >&2
     echo "Register continuations through insert_pending; it arms the endpoint's" >&2
     echo "one sweep timer only when none is pending at or before the deadline." >&2
+    exit 1
+fi
+
+# Counter names on the handler paths are pre-seeded symbols. Test
+# modules (everything from a file's first `#[cfg(test)]` on) may use
+# literals.
+literal_hits=$(find crates/naming/src crates/runtime/src crates/sim/src/workload.rs -name '*.rs' -print0 \
+    | sort -z \
+    | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /\.count(_n)?\([[:space:]]*"/ { print FILENAME ":" FNR ": " $0 }
+    ')
+
+if [[ -n "$literal_hits" ]]; then
+    echo "error: counter bumped by string literal on a handler path:" >&2
+    echo "$literal_hits" >&2
+    echo >&2
+    echo "Append the name to well_known! in crates/core/src/symbol.rs and pass" >&2
+    echo "the constant: Ctx::count takes impl Into<Sym>, and a Sym costs no lookup." >&2
     exit 1
 fi
 
