@@ -11,9 +11,9 @@ use legion_net::message::Message;
 /// dead Magistrate cannot wedge its hosts.
 pub const HEARTBEAT: Sym = symbol::HEARTBEAT;
 
-/// Build the `Heartbeat` argument vector.
-pub fn heartbeat_args(host: Loid, running: usize) -> Vec<LegionValue> {
-    vec![LegionValue::Loid(host), LegionValue::Uint(running as u64)]
+/// The `Heartbeat` arguments, for `Ctx::args`.
+pub fn heartbeat_args(host: Loid, running: usize) -> [LegionValue; 2] {
+    [LegionValue::Loid(host), LegionValue::Uint(running as u64)]
 }
 
 /// Parse a `Heartbeat` call's arguments.
@@ -37,7 +37,7 @@ mod tests {
             CallId(1),
             host,
             HEARTBEAT,
-            heartbeat_args(host, 7),
+            heartbeat_args(host, 7).into(),
             InvocationEnv::solo(host),
         );
         assert_eq!(parse_heartbeat(&msg), Some((host, 7)));

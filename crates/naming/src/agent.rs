@@ -39,7 +39,7 @@ use legion_core::value::LegionValue;
 use legion_core::wellknown::{is_core_class, LEGION_CLASS};
 use legion_net::dispatch::{
     cont, insert_pending, is_timeout, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
+    Continuation, Continuations, MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
@@ -102,11 +102,9 @@ enum Waiter {
 /// One in-flight resolution (request combining): who waits on the
 /// target, and how its single upstream request is going.
 struct Resolution {
-    /// The waiter that started the resolution, inline — a resolution
-    /// nobody joins costs no waiter-list allocation.
-    first: Waiter,
-    /// Waiters combined behind it.
-    combined: Vec<Waiter>,
+    /// The waiter that started the resolution and those combined behind
+    /// it — a resolution nobody joins costs no waiter-list allocation.
+    waiters: Parked<Waiter>,
     attempts: u32,
     /// Refresh resolutions bypass cache & parent.
     force_fresh: bool,
@@ -249,7 +247,7 @@ impl BindingAgentEndpoint {
         match self.resolving.entry(target) {
             Entry::Occupied(e) => {
                 let r = e.into_mut();
-                r.combined.push(waiter);
+                r.waiters.push(waiter);
                 r.force_fresh |= force_fresh;
                 if r.stale.is_none() {
                     r.stale = stale;
@@ -258,8 +256,7 @@ impl BindingAgentEndpoint {
             }
             Entry::Vacant(e) => {
                 e.insert(Resolution {
-                    first: waiter,
-                    combined: Vec::new(),
+                    waiters: Parked::new(waiter),
                     attempts: 0,
                     force_fresh,
                     stale,
@@ -503,7 +500,7 @@ impl BindingAgentEndpoint {
             }
         }
         if let Some(r) = self.resolving.remove(&target) {
-            for w in std::iter::once(r.first).chain(r.combined) {
+            for w in r.waiters {
                 match (w, &result) {
                     (Waiter::External(call), Ok(b)) => {
                         let value = ctx.binding_value(b);

@@ -33,12 +33,13 @@ pub fn propagate_invalidation(
 ) -> usize {
     let mut accepted = 0;
     for &agent in agents {
+        let args = ctx.args([LegionValue::Loid(stale)]);
         let ok = ctx
             .call(
                 agent,
                 stale,
                 INVALIDATE_BINDING,
-                vec![LegionValue::Loid(stale)],
+                args,
                 InvocationEnv::solo(sender),
                 Some(sender),
             )
@@ -61,12 +62,14 @@ pub fn propagate_binding(
 ) -> usize {
     let mut accepted = 0;
     for &agent in agents {
+        let binding = ctx.binding_value(fresh);
+        let args = ctx.args([binding]);
         let ok = ctx
             .call(
                 agent,
                 fresh.loid,
                 ADD_BINDING,
-                vec![LegionValue::from(fresh.clone())],
+                args,
                 InvocationEnv::solo(sender),
                 Some(sender),
             )

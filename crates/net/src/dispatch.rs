@@ -36,6 +36,7 @@ use legion_core::dispatch::{
     self as model, FromArg, FromArgs, InvocationGate, MethodTable as ModelTable, Verdict,
 };
 use legion_core::error::CoreError;
+use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
 use legion_core::interface::{Interface, MethodSignature, ParamType};
 use legion_core::loid::Loid;
@@ -43,6 +44,8 @@ use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_core::trace::TraceContext;
 use legion_core::value::LegionValue;
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// What a method handler tells the dispatch boundary to do next.
@@ -90,6 +93,56 @@ where
         };
         f(e, ctx, typed)
     })
+}
+
+/// The requests parked behind one piece of work in flight (the callers
+/// combined behind one activation or one binding resolution, the work
+/// queued until an object is Inert): the first stored inline, so the
+/// usual case — nobody joins — allocates no list.
+pub struct Parked<T> {
+    first: T,
+    rest: Vec<T>,
+}
+
+impl<T> Parked<T> {
+    /// The request that starts the work.
+    pub fn new(first: T) -> Self {
+        Parked {
+            first,
+            rest: Vec::new(),
+        }
+    }
+
+    /// A request that joins it.
+    pub fn push(&mut self, item: T) {
+        self.rest.push(item);
+    }
+
+    /// Park `item` under `key` of a waiting map. `true` if nothing was
+    /// parked there yet — the caller then starts the work the key waits
+    /// for.
+    pub fn park<K: Eq + Hash>(map: &mut FxHashMap<K, Parked<T>>, key: K, item: T) -> bool {
+        match map.entry(key) {
+            Entry::Occupied(e) => {
+                e.into_mut().push(item);
+                false
+            }
+            Entry::Vacant(e) => {
+                e.insert(Parked::new(item));
+                true
+            }
+        }
+    }
+}
+
+/// In arrival order.
+impl<T> IntoIterator for Parked<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::iter::Once<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
 }
 
 /// Timer tag endpoints reserve for their continuation deadline sweep.
@@ -503,6 +556,18 @@ mod tests {
         assert!(is_timeout(&timeout_error(500)));
         assert!(!is_timeout("some other error"));
         assert!(!is_timeout(&overload_error(500)));
+    }
+
+    #[test]
+    fn parked_items_come_back_in_arrival_order() {
+        let mut map: FxHashMap<u8, Parked<&str>> = FxHashMap::default();
+        assert!(Parked::park(&mut map, 1, "first"));
+        assert!(!Parked::park(&mut map, 1, "second"));
+        assert!(Parked::park(&mut map, 2, "other key"));
+        assert!(!Parked::park(&mut map, 1, "third"));
+        let drained: Vec<_> = map.remove(&1).into_iter().flatten().collect();
+        assert_eq!(drained, ["first", "second", "third"]);
+        assert!(Parked::park(&mut map, 1, "again"), "the key was emptied");
     }
 
     #[test]

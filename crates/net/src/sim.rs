@@ -1056,6 +1056,15 @@ impl Ctx<'_> {
         self.inner.pool.take_args()
     }
 
+    /// `values` as a call's argument list, in a buffer from the kernel
+    /// pool: what `vec![…]` builds, without the allocation once a served
+    /// call has handed a buffer back.
+    pub fn args<const N: usize>(&mut self, values: [LegionValue; N]) -> Vec<LegionValue> {
+        let mut args = self.take_args();
+        args.extend(values);
+        args
+    }
+
     /// Return a spent argument buffer to the kernel pool.
     pub fn recycle_args(&mut self, args: Vec<LegionValue>) {
         self.inner.pool.recycle_args(args);

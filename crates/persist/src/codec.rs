@@ -52,6 +52,14 @@ pub type CodecResult<T> = Result<T, CodecError>;
 /// this is corruption, not data.
 pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
+/// Encoded width of a LOID ([`Writer::put_loid`]): fixed.
+pub const LOID_LEN: usize = 8 + 8 + PUBLIC_KEY_BYTES;
+
+/// Encoded width of `v` as an LEB128 varint ([`Writer::put_varint`]).
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 // ----- writer ------------------------------------------------------------
 
 /// Append-only encoder over a `BytesMut`.
@@ -303,13 +311,18 @@ impl<'a> Reader<'a> {
         Err(CodecError::BadVarint)
     }
 
-    /// Read length-prefixed bytes.
-    pub fn get_bytes(&mut self) -> CodecResult<Vec<u8>> {
+    /// Read length-prefixed bytes, borrowed from the input.
+    pub fn get_byte_slice(&mut self) -> CodecResult<&'a [u8]> {
         let len = self.get_varint()?;
         if len > MAX_LEN {
             return Err(CodecError::LengthTooLarge(len));
         }
-        Ok(self.take(len as usize)?.to_vec())
+        self.take(len as usize)
+    }
+
+    /// Read length-prefixed bytes.
+    pub fn get_bytes(&mut self) -> CodecResult<Vec<u8>> {
+        Ok(self.get_byte_slice()?.to_vec())
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -517,6 +530,7 @@ mod tests {
             let mut w = Writer::new();
             w.put_varint(v);
             let bytes = w.finish();
+            assert_eq!(bytes.len(), varint_len(v));
             let mut r = Reader::new(&bytes);
             assert_eq!(r.get_varint().unwrap(), v);
             assert!(r.is_empty());

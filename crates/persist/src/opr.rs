@@ -20,7 +20,7 @@
 //! ```
 
 use crate::checksum::crc32;
-use crate::codec::{CodecError, CodecResult, Reader, Writer};
+use crate::codec::{varint_len, CodecError, CodecResult, Reader, Writer, LOID_LEN};
 use bytes::Bytes;
 use legion_core::loid::Loid;
 use std::fmt;
@@ -132,6 +132,26 @@ impl Opr {
 
     /// Decode and verify an OPR from bytes.
     pub fn decode(bytes: &[u8]) -> Result<Opr, OprError> {
+        let (loid, class, interface_hash, state) = Self::fields(bytes)?;
+        Ok(Opr {
+            loid,
+            class,
+            interface_hash,
+            state: state.to_vec(),
+        })
+    }
+
+    /// Would [`Opr::decode`] accept `bytes`? Makes every check it makes
+    /// — same verdict, same error — and materialises nothing: what a
+    /// Magistrate receiving a shipped OPR needs before storing the bytes
+    /// as they are.
+    pub fn verify(bytes: &[u8]) -> Result<(), OprError> {
+        Self::fields(bytes).map(drop)
+    }
+
+    /// Every check on an encoded OPR, yielding its fields with the state
+    /// still borrowed from `bytes`.
+    fn fields(bytes: &[u8]) -> Result<(Loid, Loid, u64, &[u8]), OprError> {
         if bytes.len() < 4 + 1 + 4 {
             return Err(OprError::Codec(CodecError::Truncated));
         }
@@ -152,21 +172,18 @@ impl Opr {
         let loid = r.get_loid()?;
         let class = r.get_loid()?;
         let interface_hash = r.get_u64()?;
-        let state = r.get_bytes()?;
+        let state = r.get_byte_slice()?;
         if !r.is_empty() {
             return Err(OprError::Codec(CodecError::Truncated));
         }
-        Ok(Opr {
-            loid,
-            class,
-            interface_hash,
-            state,
-        })
+        Ok((loid, class, interface_hash, state))
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: magic, version, the two LOIDs, the
+    /// interface hash, the length-prefixed state and the CRC.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let state = self.state.len();
+        4 + 1 + 2 * LOID_LEN + 8 + varint_len(state as u64) + state + 4
     }
 }
 
@@ -263,6 +280,70 @@ mod tests {
             Opr::decode(&body),
             Err(OprError::Codec(CodecError::Truncated))
         ));
+    }
+
+    #[test]
+    fn verify_gives_decodes_verdict_for_every_kind_of_error() {
+        let good = sample().encode().to_vec();
+        let reseal = |body: &[u8]| {
+            let mut out = body.to_vec();
+            out.extend_from_slice(&crc32(body).to_le_bytes());
+            out
+        };
+        let body = &good[..good.len() - 4];
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let mut bad_crc = good.clone();
+        bad_crc[10] ^= 1;
+        let mut bad_version = body.to_vec();
+        bad_version[4] = 99;
+        // The state's length prefix replaced by a varint past MAX_LEN.
+        let prefix_at = 4 + 1 + 2 * LOID_LEN + 8;
+        let mut huge_len = body[..prefix_at].to_vec();
+        huge_len.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0x7F]);
+        let cases = [
+            (good.clone(), Ok(())),
+            (bad_magic, Err(OprError::BadMagic)),
+            (
+                good[..6].to_vec(),
+                Err(OprError::Codec(CodecError::Truncated)),
+            ),
+            (reseal(&bad_version), Err(OprError::BadVersion(99))),
+            (
+                reseal(&body[..body.len() - 1]),
+                Err(OprError::Codec(CodecError::Truncated)),
+            ),
+            (
+                reseal(&[body, &[0xAB][..]].concat()),
+                Err(OprError::Codec(CodecError::Truncated)),
+            ),
+            (
+                reseal(&huge_len),
+                Err(OprError::Codec(CodecError::LengthTooLarge(0x7_FFFF_FFFF))),
+            ),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(Opr::verify(&bytes), want);
+            assert_eq!(Opr::decode(&bytes).map(drop), want);
+        }
+        assert!(matches!(
+            Opr::verify(&bad_crc),
+            Err(OprError::BadChecksum { .. })
+        ));
+        assert_eq!(Opr::verify(&bad_crc), Opr::decode(&bad_crc).map(drop));
+    }
+
+    #[test]
+    fn encoded_len_counts_what_encode_writes() {
+        // Either side of each varint width boundary of the state length.
+        for len in [0, 1, 127, 128, 16_383, 16_384, 70_000] {
+            let opr = Opr::new(sample().loid, sample().class, 7, vec![0xA5; len]);
+            assert_eq!(
+                opr.encoded_len(),
+                opr.encode().len(),
+                "state of {len} bytes"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::opr::{Opr, OprError};
 use legion_core::loid::Loid;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// An Object Persistent Address: jurisdiction-scoped "file name" (§3.1.1).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -241,7 +241,7 @@ impl JurisdictionStorage {
     /// bytes are already stored returns the existing address (refcounted)
     /// and writes nothing.
     pub fn store_opr(&mut self, opr: &Opr) -> Result<PersistentAddress, StorageError> {
-        let bytes = opr.encode().to_vec();
+        let bytes = opr.encode();
         let hex = ChunkId::of(&bytes).to_hex();
         if let Some(entry) = self.cas.get_mut(&hex) {
             entry.refs += 1;
@@ -267,7 +267,7 @@ impl JurisdictionStorage {
             path: format!("cas/{hex}.lopr"),
         };
         let len = bytes.len() as u64;
-        self.disks[disk as usize].write(disk, &addr.path, bytes)?;
+        self.disks[disk as usize].write(disk, &addr.path, bytes.into())?;
         self.logical_bytes += len;
         self.cas.insert(
             hex,
@@ -372,10 +372,14 @@ impl JurisdictionStorage {
             .map(|(i, _)| i as u32)
             .unwrap_or(0);
         self.seq += 1;
+        // One allocation: 48 bytes hold the path of any LOID with 32-bit
+        // fields and a nine-digit sequence number (wider ones grow it).
+        let mut path = String::with_capacity(48);
+        write!(path, "opr/{loid}-{}.lopr", self.seq).expect("writing to a String");
         PersistentAddress {
             jurisdiction: self.jurisdiction,
             disk,
-            path: format!("opr/{}-{}.lopr", loid, self.seq),
+            path,
         }
     }
 }
@@ -500,6 +504,20 @@ mod tests {
         src.delete(&a_src).unwrap();
         assert_eq!(src.file_count(), 0);
         assert_eq!(dst.file_count(), 1);
+    }
+
+    #[test]
+    fn reserved_paths_name_the_loid_and_a_fresh_sequence_number() {
+        let mut s = storage();
+        let loid = Loid::instance(u64::MAX, u64::MAX);
+        let first = s.reserve_address(&loid);
+        assert_eq!(first.path, format!("opr/{loid}-1.lopr"));
+        s.store_opr(&opr(1)).unwrap(); // takes sequence number 2
+        let short = Loid::instance(1, 2);
+        assert_eq!(
+            s.reserve_address(&short).path,
+            format!("opr/{short}-3.lopr")
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use legion_core::loid::Loid;
 use legion_core::time::{Expiry, SimTime};
 use legion_core::value::LegionValue;
 use legion_persist::codec::{decode_value, encode_value, CodecError, Reader, Writer};
+use legion_persist::crc32;
 use legion_persist::opr::Opr;
 use legion_persist::storage::JurisdictionStorage;
 use proptest::prelude::*;
@@ -293,6 +294,45 @@ proptest! {
         if bytes != original {
             prop_assert!(Opr::decode(&bytes).is_err(), "corruption undetected");
         }
+    }
+
+    /// `Opr::verify` is `Opr::decode` without the OPR: the same `Ok`, the
+    /// same error variant, on a valid encoding, on every prefix of it, on
+    /// a flipped bit, on a body damaged *under a matching checksum* (the
+    /// only way past the CRC to the version, field and length checks)
+    /// and on arbitrary bytes.
+    #[test]
+    fn opr_verify_agrees_with_decode(
+        class_id in 1u64..,
+        seq in 1u64..,
+        state in proptest::collection::vec(any::<u8>(), 0..200),
+        pos_seed in any::<usize>(),
+        flip in 1u8..,
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        soup in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let agree = |bytes: &[u8]| {
+            assert_eq!(Opr::verify(bytes), Opr::decode(bytes).map(drop), "on {bytes:?}");
+        };
+        let opr = Opr::new(Loid::instance(class_id, seq), Loid::class_object(class_id), 7, state);
+        let valid = opr.encode().to_vec();
+        prop_assert_eq!(Opr::verify(&valid), Ok(()));
+        for cut in 0..valid.len() {
+            agree(&valid[..cut]);
+        }
+        let pos = pos_seed % valid.len();
+        let mut flipped = valid.clone();
+        flipped[pos] ^= flip;
+        agree(&flipped);
+        // The same damage, then a longer and a shorter body, re-sealed.
+        let reseal = |body: &[u8]| [body, &crc32(body).to_le_bytes()[..]].concat();
+        let body = &flipped[..flipped.len() - 4];
+        agree(&reseal(body));
+        agree(&reseal(&[body, &junk[..]].concat()));
+        agree(&reseal(&body[..pos.min(body.len())]));
+        agree(&soup);
+        agree(&reseal(&soup));
+        agree(&reseal(&[&b"LOPR"[..], &soup[..]].concat()));
     }
 
     /// The value codec also never panics on arbitrary input (the OPR

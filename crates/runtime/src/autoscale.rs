@@ -224,11 +224,12 @@ impl AutoScaler {
     fn issue_derive(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_nanos();
         let name = format!("auto{}", self.state.clones() + 1);
+        let args = ctx.args([LegionValue::Str(name)]);
         match ctx.call(
             self.class_element,
             self.class_loid,
             symbol::DERIVE,
-            vec![LegionValue::Str(name)],
+            args,
             InvocationEnv::solo(self.me),
             Some(self.me),
         ) {
@@ -287,11 +288,12 @@ impl Endpoint for AutoScaler {
                     loid: b.loid,
                 });
                 if let (Some(router), Some(_)) = (self.router, b.address.primary()) {
+                    let args = ctx.args([LegionValue::Binding(b.clone())]);
                     ctx.call(
                         router,
                         self.class_loid,
                         self.router_method,
-                        vec![LegionValue::Binding(b.clone())],
+                        args,
                         InvocationEnv::solo(self.me),
                         Some(self.me),
                     );

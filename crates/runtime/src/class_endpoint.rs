@@ -36,6 +36,7 @@ use legion_core::binding::Binding;
 use legion_core::class::{ClassKind, ClassObject, TableEntry};
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
@@ -49,10 +50,9 @@ use legion_naming::resolver::{ClientResolver, Lookup};
 use legion_net::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use legion_net::dispatch::{
     cont, insert_pending, overload_error, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
+    Continuation, Continuations, MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
-use legion_net::message::CallId;
-use legion_net::message::Message;
+use legion_net::message::{CallId, Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::collections::HashMap;
@@ -100,9 +100,9 @@ pub struct ClassEndpoint {
     table: Rc<MethodTable<Self>>,
     continuations: Continuations<Self>,
     /// GetBinding requests combined while a Magistrate activates a target.
-    binding_waiters: HashMap<Loid, Vec<Message>>,
+    binding_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     /// InheritFrom requests waiting on base resolution.
-    inherit_waiters: HashMap<Loid, Vec<Message>>,
+    inherit_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     /// Round-robin cursor over candidate magistrates.
     next_magistrate: usize,
     /// When set, outbound call continuations expire after this many
@@ -140,8 +140,8 @@ impl ClassEndpoint {
             policy: Box::new(AllowAll),
             table,
             continuations: Continuations::new(),
-            binding_waiters: HashMap::new(),
-            inherit_waiters: HashMap::new(),
+            binding_waiters: FxHashMap::default(),
+            inherit_waiters: FxHashMap::default(),
             next_magistrate: 0,
             call_deadline_ns: None,
             admission,
@@ -416,17 +416,18 @@ impl ClassEndpoint {
         };
         let env = self.env();
         let me = self.class.loid;
+        let args = ctx.args(spec.into_args());
         match ctx.call(
             mag_element,
             mag_loid,
             mag_proto::CREATE_OBJECT,
-            spec.to_args(),
+            args,
             env,
             Some(me),
         ) {
             Some(call_id) => {
                 ctx.count(symbol::CLASS_CREATES);
-                let requester = msg.clone();
+                let requester = msg.reply_ticket();
                 self.pend(
                     ctx,
                     call_id,
@@ -437,14 +438,14 @@ impl ClassEndpoint {
                             Some(b) => {
                                 e.class.table.set_address(&b.loid, Some(b.address.clone()));
                                 let b = e.stamp(ctx, b);
-                                ctx.reply(&requester, Ok(LegionValue::from(b)));
+                                ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
                             }
                             None => {
                                 let err = match result {
                                     Err(err) => err,
                                     Ok(v) => format!("unexpected magistrate reply {v}"),
                                 };
-                                ctx.reply(&requester, Err(format!("Create failed: {err}")));
+                                ctx.reply_ticket(requester, Err(format!("Create failed: {err}")));
                             }
                         },
                     ),
@@ -483,12 +484,7 @@ impl ClassEndpoint {
         if self.magistrate_element(&mag_loid).is_none() {
             return Outcome::Reply(Err(format!("magistrate {mag_loid} has no known address")));
         }
-        let first = !self.binding_waiters.contains_key(&target);
-        self.binding_waiters
-            .entry(target)
-            .or_default()
-            .push(msg.clone());
-        if first {
+        if Parked::park(&mut self.binding_waiters, target, msg.reply_ticket()) {
             ctx.count(symbol::CLASS_ACTIVATES_FOR_BINDING);
             self.consult_magistrate(ctx, target, mag_loid);
         }
@@ -507,11 +503,12 @@ impl ClassEndpoint {
         };
         let env = self.env();
         let me = self.class.loid;
+        let args = ctx.args([LegionValue::Loid(target)]);
         match ctx.call(
             mag_element,
             magistrate,
             mag_proto::ACTIVATE,
-            vec![LegionValue::Loid(target)],
+            args,
             env,
             Some(me),
         ) {
@@ -585,8 +582,9 @@ impl ClassEndpoint {
                 .set_address(&target, Some(b.address.clone()));
         }
         let result = result.map(|b| self.stamp(ctx, b));
-        for msg in self.binding_waiters.remove(&target).unwrap_or_default() {
-            ctx.reply(&msg, result.clone().map(LegionValue::from));
+        for waiter in self.binding_waiters.remove(&target).into_iter().flatten() {
+            let payload = result.as_ref().map(|b| ctx.binding_value(b));
+            ctx.reply_ticket(waiter, payload.map_err(String::clone));
         }
     }
 
@@ -601,17 +599,18 @@ impl ClassEndpoint {
         let env = self.env();
         let me = self.class.loid;
         let lc = self.cfg.legion_class;
+        let args = ctx.args([LegionValue::Loid(me)]);
         match ctx.call(
             lc,
             legion_core::wellknown::LEGION_CLASS,
             ISSUE_CLASS_ID,
-            vec![LegionValue::Loid(me)],
+            args,
             env,
             Some(me),
         ) {
             Some(call_id) => {
                 ctx.count(symbol::CLASS_DERIVES);
-                let requester = msg.clone();
+                let requester = msg.reply_ticket();
                 let DeriveArgs { name, kind } = a;
                 self.pend(
                     ctx,
@@ -619,13 +618,16 @@ impl ClassEndpoint {
                     cont(move |e: &mut Self, ctx, result| match result {
                         Ok(LegionValue::Uint(class_id)) => {
                             let b = e.spawn_subclass(ctx, class_id, name, kind);
-                            ctx.reply(&requester, Ok(LegionValue::from(b)));
+                            ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
                         }
                         Ok(v) => {
-                            ctx.reply(&requester, Err(format!("unexpected LegionClass reply {v}")));
+                            ctx.reply_ticket(
+                                requester,
+                                Err(format!("unexpected LegionClass reply {v}")),
+                            );
                         }
                         Err(err) => {
-                            ctx.reply(&requester, Err(format!("Derive failed: {err}")));
+                            ctx.reply_ticket(requester, Err(format!("Derive failed: {err}")));
                         }
                     }),
                 );
@@ -682,20 +684,17 @@ impl ClassEndpoint {
             .map(|address| Binding::forever(base, address));
         match known {
             Some(b) => {
-                self.fetch_base_interface(ctx, &b, msg.clone());
+                self.fetch_base_interface(ctx, &b, msg.reply_ticket());
                 Outcome::Pending
             }
             None => match &mut self.resolver {
                 Some(resolver) => match resolver.lookup(ctx, base) {
                     Lookup::Cached(b) => {
-                        self.fetch_base_interface(ctx, &b, msg.clone());
+                        self.fetch_base_interface(ctx, &b, msg.reply_ticket());
                         Outcome::Pending
                     }
                     Lookup::Requested(_) => {
-                        self.inherit_waiters
-                            .entry(base)
-                            .or_default()
-                            .push(msg.clone());
+                        Parked::park(&mut self.inherit_waiters, base, msg.reply_ticket());
                         Outcome::Pending
                     }
                     Lookup::AgentUnreachable => {
@@ -710,11 +709,16 @@ impl ClassEndpoint {
     }
 
     /// Fetch the base's *instance* interface for an InheritFrom merge.
-    /// Replies to `msg` itself on every path (also reached from the
+    /// Replies to `requester` itself on every path (also reached from the
     /// resolver's reply fan-out, where there is no dispatch outcome).
-    fn fetch_base_interface(&mut self, ctx: &mut Ctx<'_>, base_binding: &Binding, msg: Message) {
+    fn fetch_base_interface(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        base_binding: &Binding,
+        requester: ReplyTicket,
+    ) {
         let Some(primary) = base_binding.address.primary().copied() else {
-            ctx.reply(&msg, Err("base class has an empty address".into()));
+            ctx.reply_ticket(requester, Err("base class has an empty address".into()));
             return;
         };
         let env = self.env();
@@ -733,13 +737,13 @@ impl ClassEndpoint {
                     ctx,
                     call_id,
                     cont(move |e: &mut Self, ctx, result| {
-                        e.on_base_interface(ctx, msg, base, result)
+                        e.on_base_interface(ctx, requester, base, result)
                     }),
                 );
             }
             None => {
-                ctx.reply(
-                    &msg,
+                ctx.reply_ticket(
+                    requester,
                     Err(format!("base class {} unreachable", base_binding.loid)),
                 );
             }
@@ -749,7 +753,7 @@ impl ClassEndpoint {
     fn on_base_interface(
         &mut self,
         ctx: &mut Ctx<'_>,
-        requester: Message,
+        requester: ReplyTicket,
         base: Loid,
         result: Result<LegionValue, String>,
     ) {
@@ -760,25 +764,22 @@ impl ClassEndpoint {
                     match self.class.inherit_from(base, &base_if) {
                         Ok(()) => {
                             ctx.count(symbol::CLASS_INHERITS);
-                            ctx.reply(&requester, Ok(LegionValue::Void));
+                            ctx.reply_ticket(requester, Ok(LegionValue::Void));
                         }
                         Err(e) => {
-                            ctx.reply(&requester, Err(e.to_string()));
+                            ctx.reply_ticket(requester, Err(e.to_string()));
                         }
                     }
                 }
                 Err(e) => {
-                    ctx.reply(&requester, Err(format!("base interface unparseable: {e}")));
+                    ctx.reply_ticket(requester, Err(format!("base interface unparseable: {e}")));
                 }
             },
             Ok(v) => {
-                ctx.reply(
-                    &requester,
-                    Err(format!("unexpected GetInterface reply {v}")),
-                );
+                ctx.reply_ticket(requester, Err(format!("unexpected GetInterface reply {v}")));
             }
             Err(e) => {
-                ctx.reply(&requester, Err(format!("GetInterface failed: {e}")));
+                ctx.reply_ticket(requester, Err(format!("GetInterface failed: {e}")));
             }
         }
     }
@@ -796,16 +797,17 @@ impl ClassEndpoint {
                 };
                 let env = self.env();
                 let me = self.class.loid;
+                let args = ctx.args([LegionValue::Loid(target)]);
                 match ctx.call(
                     mag_element,
                     mag_loid,
                     mag_proto::DELETE,
-                    vec![LegionValue::Loid(target)],
+                    args,
                     env,
                     Some(me),
                 ) {
                     Some(call_id) => {
-                        let requester = msg.clone();
+                        let requester = msg.reply_ticket();
                         self.pend(
                             ctx,
                             call_id,
@@ -813,10 +815,13 @@ impl ClassEndpoint {
                                 Ok(_) => {
                                     let _ = e.class.delete_child(&target);
                                     ctx.count(symbol::CLASS_DELETES);
-                                    ctx.reply(&requester, Ok(LegionValue::Void));
+                                    ctx.reply_ticket(requester, Ok(LegionValue::Void));
                                 }
                                 Err(err) => {
-                                    ctx.reply(&requester, Err(format!("Delete failed: {err}")));
+                                    ctx.reply_ticket(
+                                        requester,
+                                        Err(format!("Delete failed: {err}")),
+                                    );
                                 }
                             }),
                         );
@@ -869,16 +874,19 @@ impl Endpoint for ClassEndpoint {
             // Binding-agent replies feed the resolver first.
             if let Some((base, result)) = self.resolver.as_mut().and_then(|r| r.handle_reply(&msg))
             {
-                let waiters = self.inherit_waiters.remove(&base).unwrap_or_default();
+                let waiters = self.inherit_waiters.remove(&base).into_iter().flatten();
                 match result {
                     Ok(binding) => {
-                        for m in waiters {
-                            self.fetch_base_interface(ctx, &binding, m);
+                        for waiter in waiters {
+                            self.fetch_base_interface(ctx, &binding, waiter);
                         }
                     }
                     Err(e) => {
-                        for m in waiters {
-                            ctx.reply(&m, Err(format!("cannot locate base {base}: {e}")));
+                        for waiter in waiters {
+                            ctx.reply_ticket(
+                                waiter,
+                                Err(format!("cannot locate base {base}: {e}")),
+                            );
                         }
                     }
                 }

@@ -19,6 +19,7 @@ use crate::protocol::{class as class_proto, host as host_proto, ActivationSpec};
 use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::fxmap::FxHashMap;
 use legion_core::interface::{Interface, ParamType};
 use legion_core::loid::Loid;
 use legion_core::symbol;
@@ -26,7 +27,6 @@ use legion_core::value::LegionValue;
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Builds the endpoint for an object being activated. The default factory
@@ -83,7 +83,7 @@ impl InvocationGate for MagistrateLock {
 pub struct HostObjectEndpoint {
     cfg: HostConfig,
     factory: ObjectFactory,
-    running: HashMap<Loid, EndpointId>,
+    running: FxHashMap<Loid, EndpointId>,
     cpu_load_limit: u64,
     memory_limit: u64,
     heartbeat: Option<Heartbeat>,
@@ -118,7 +118,7 @@ impl HostObjectEndpoint {
         HostObjectEndpoint {
             cfg,
             factory,
-            running: HashMap::new(),
+            running: FxHashMap::default(),
             cpu_load_limit: 100,
             memory_limit: u64::MAX,
             heartbeat: None,
@@ -251,14 +251,15 @@ impl Endpoint for HostObjectEndpoint {
         // class object named LegionHost to tell it of their existence."
         if let Some(class) = self.cfg.class_addr {
             let me = self.cfg.loid;
+            let args = ctx.args([
+                LegionValue::Loid(me),
+                LegionValue::Address(ObjectAddress::single(ctx.self_element())),
+            ]);
             ctx.call(
                 class,
                 me.class_loid(),
                 class_proto::ANNOUNCE,
-                vec![
-                    LegionValue::Loid(me),
-                    LegionValue::Address(ObjectAddress::single(ctx.self_element())),
-                ],
+                args,
                 InvocationEnv::solo(me),
                 Some(me),
             );
@@ -275,11 +276,12 @@ impl Endpoint for HostObjectEndpoint {
         let me = self.cfg.loid;
         // Fire-and-forget: the Magistrate never replies, so a dead
         // Magistrate cannot wedge its hosts.
+        let args = ctx.args(legion_ha::protocol::heartbeat_args(me, self.running.len()));
         let mut msg = Message::call(
             ctx.fresh_call_id(),
             hb.magistrate_loid,
             legion_ha::protocol::HEARTBEAT,
-            legion_ha::protocol::heartbeat_args(me, self.running.len()),
+            args,
             InvocationEnv::solo(me),
         );
         msg.sender = Some(me);
@@ -385,7 +387,8 @@ mod tests {
             class_addr: None,
             magistrate_addr: None,
         }
-        .to_args()
+        .into_args()
+        .into()
     }
 
     #[test]

@@ -35,6 +35,7 @@ use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::fxmap::FxHashMap;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_methods;
@@ -46,14 +47,13 @@ use legion_ha::recovery::RecoveryTracker;
 use legion_naming::stale;
 use legion_net::dispatch::{
     cont, insert_pending, reply_id, serve, sweep_expired, take_reply_result, Continuations,
-    MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
+    MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
-use legion_net::message::Message;
+use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
 use legion_persist::opr::Opr;
 use legion_persist::storage::{JurisdictionStorage, PersistentAddress};
 use legion_security::mayi::{AllowAll, MayIPolicy};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Where an object managed by this Magistrate currently is.
@@ -102,7 +102,7 @@ enum AfterInert {
         dst_magistrate: Loid,
         dst_element: ObjectAddressElement,
         delete_after: bool,
-        requester: Box<Message>,
+        requester: ReplyTicket,
     },
 }
 
@@ -145,12 +145,15 @@ pub struct MagistrateEndpoint {
     hosts: Vec<HostRecord>,
     policy: Box<dyn SchedulingPolicy>,
     mayi: Box<dyn MayIPolicy>,
-    objects: HashMap<Loid, ObjRecord>,
+    objects: FxHashMap<Loid, ObjRecord>,
     table: Rc<MethodTable<Self>>,
     continuations: Continuations<Self>,
-    activate_waiters: HashMap<Loid, Vec<Message>>,
-    after_inert: HashMap<Loid, Vec<AfterInert>>,
-    peers: HashMap<Loid, ObjectAddressElement>,
+    /// Who to answer when an activation in progress concludes. A parked
+    /// request is its [`ReplyTicket`], here and below: answering it needs
+    /// nothing else of the call.
+    activate_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
+    after_inert: FxHashMap<Loid, Parked<AfterInert>>,
+    peers: FxHashMap<Loid, ObjectAddressElement>,
     salt: u64,
     ha: Option<HaState>,
     /// When set, every outbound call's continuation expires after this
@@ -170,12 +173,12 @@ impl MagistrateEndpoint {
             hosts: Vec::new(),
             policy: Box::new(LeastLoaded),
             mayi: Box::new(AllowAll),
-            objects: HashMap::new(),
+            objects: FxHashMap::default(),
             table: Self::table(cfg.loid),
             continuations: Continuations::new(),
-            activate_waiters: HashMap::new(),
-            after_inert: HashMap::new(),
-            peers: HashMap::new(),
+            activate_waiters: FxHashMap::default(),
+            after_inert: FxHashMap::default(),
+            peers: FxHashMap::default(),
             salt: 0,
             ha: None,
             call_deadline_ns: None,
@@ -231,7 +234,7 @@ impl MagistrateEndpoint {
                 &["target"],
                 ParamType::Void,
                 |e: &mut Self, ctx, msg, (loid,)| {
-                    e.begin_deactivate(ctx, loid, Some(Box::new(msg.clone())));
+                    e.begin_deactivate(ctx, loid, Some(msg.reply_ticket()));
                     Outcome::Pending
                 },
             )
@@ -408,16 +411,17 @@ impl MagistrateEndpoint {
         }
     }
 
-    fn notify_class(
-        &mut self,
+    fn notify_class<const N: usize>(
+        &self,
         ctx: &mut Ctx<'_>,
         class_addr: Option<ObjectAddressElement>,
         class: Loid,
         method: impl Into<Sym>,
-        args: Vec<LegionValue>,
+        args: [LegionValue; N],
     ) {
         if let Some(addr) = class_addr {
             let me = self.cfg.loid;
+            let args = ctx.args(args);
             ctx.call(addr, class, method, args, InvocationEnv::solo(me), Some(me));
         }
     }
@@ -442,8 +446,7 @@ impl MagistrateEndpoint {
                         // Push the fresh binding down the agent tree so
                         // clients stop chasing the dead address (§4.1.4's
                         // "explicitly propagating news").
-                        let agents = ha.agents.clone();
-                        stale::propagate_binding(ctx, me, &agents, b);
+                        stale::propagate_binding(ctx, me, &ha.agents, b);
                     }
                     Err(_) => {
                         ha.tracker.object_lost(&loid);
@@ -453,9 +456,9 @@ impl MagistrateEndpoint {
                 }
             }
         }
-        for msg in self.activate_waiters.remove(&loid).unwrap_or_default() {
-            let payload = result.clone().map(LegionValue::from);
-            ctx.reply(&msg, payload);
+        for waiter in self.activate_waiters.remove(&loid).into_iter().flatten() {
+            let payload = result.as_ref().map(|b| ctx.binding_value(b));
+            ctx.reply_ticket(waiter, payload.map_err(String::clone));
         }
     }
 
@@ -517,16 +520,17 @@ impl MagistrateEndpoint {
         let spec = ActivationSpec {
             loid,
             class,
-            state: state.clone(),
+            state,
             class_addr,
             magistrate_addr: Some(ctx.self_element()),
         };
         let me = self.cfg.loid;
+        let args = ctx.args(spec.into_args());
         match ctx.call(
             host_element,
             host,
             host_proto::ACTIVATE,
-            spec.to_args(),
+            args,
             InvocationEnv::solo(me),
             Some(me),
         ) {
@@ -545,7 +549,7 @@ impl MagistrateEndpoint {
                 ctx.count(symbol::MAGISTRATE_HOST_DEAD);
                 self.mark_host_dead(&host);
                 if attempts < 3 {
-                    self.dispatch_to_host(ctx, loid, class, state, class_addr, None, attempts + 1);
+                    self.redispatch(ctx, loid, attempts + 1);
                 } else {
                     self.answer_activate_waiters(
                         ctx,
@@ -557,10 +561,30 @@ impl MagistrateEndpoint {
         }
     }
 
+    /// Pick another host for an activation whose `HostActivate` was
+    /// refused or failed. The state went with that call, so it is read
+    /// back from the OPR, which stays in storage until a host accepts.
+    fn redispatch(&mut self, ctx: &mut Ctx<'_>, loid: Loid, attempts: u32) {
+        let Some(record) = self.objects.get(&loid) else {
+            return;
+        };
+        let ObjState::Inert { addr } = &record.state else {
+            return;
+        };
+        let (class, class_addr) = (record.class, record.class_addr);
+        match self.storage.load_opr(addr) {
+            Ok(opr) => {
+                self.dispatch_to_host(ctx, loid, class, opr.state, class_addr, None, attempts)
+            }
+            Err(e) => {
+                self.answer_activate_waiters(ctx, loid, Err(format!("OPR reload failed: {e}")))
+            }
+        }
+    }
+
     /// Run queued after-inert work (shipping for Copy/Move).
     fn run_after_inert(&mut self, ctx: &mut Ctx<'_>, loid: Loid) {
-        let jobs = self.after_inert.remove(&loid).unwrap_or_default();
-        for job in jobs {
+        for job in self.after_inert.remove(&loid).into_iter().flatten() {
             match job {
                 AfterInert::Ship {
                     dst_magistrate,
@@ -586,15 +610,15 @@ impl MagistrateEndpoint {
         dst_magistrate: Loid,
         dst_element: ObjectAddressElement,
         delete_after: bool,
-        requester: Box<Message>,
+        requester: ReplyTicket,
     ) {
         let Some(record) = self.objects.get(&loid) else {
-            ctx.reply(&requester, Err(format!("{loid} not managed here")));
+            ctx.reply_ticket(requester, Err(format!("{loid} not managed here")));
             return;
         };
         let ObjState::Inert { addr } = &record.state else {
-            ctx.reply(
-                &requester,
+            ctx.reply_ticket(
+                requester,
                 Err(format!("{loid} is not Inert after deactivation")),
             );
             return;
@@ -602,7 +626,7 @@ impl MagistrateEndpoint {
         let bytes = match self.storage.read_raw(addr) {
             Ok(b) => b,
             Err(e) => {
-                ctx.reply(&requester, Err(format!("read OPR failed: {e}")));
+                ctx.reply_ticket(requester, Err(format!("read OPR failed: {e}")));
                 return;
             }
         };
@@ -613,16 +637,17 @@ impl MagistrateEndpoint {
             Some(e) => LegionValue::Address(ObjectAddress::single(e)),
             None => LegionValue::Void,
         };
+        let args = ctx.args([
+            LegionValue::Loid(loid),
+            LegionValue::Loid(class),
+            LegionValue::Bytes(bytes),
+            class_addr_val,
+        ]);
         match ctx.call(
             dst_element,
             dst_magistrate,
             mag_proto::RECEIVE_OPR,
-            vec![
-                LegionValue::Loid(loid),
-                LegionValue::Loid(class),
-                LegionValue::Bytes(bytes),
-                class_addr_val,
-            ],
+            args,
             InvocationEnv::solo(me),
             Some(me),
         ) {
@@ -636,8 +661,8 @@ impl MagistrateEndpoint {
                 );
             }
             None => {
-                ctx.reply(
-                    &requester,
+                ctx.reply_ticket(
+                    requester,
                     Err(format!("magistrate {dst_magistrate} unreachable")),
                 );
             }
@@ -758,12 +783,9 @@ impl MagistrateEndpoint {
         // Back to Inert at the vault checkpoint, then through the normal
         // activation path — the scheduler picks a surviving host.
         self.objects.get_mut(&loid).expect("checked above").state = ObjState::Inert { addr: vault };
-        let agents = if let Some(ha) = &mut self.ha {
+        if let Some(ha) = &mut self.ha {
             ha.tracker.begin_object(loid, ctx.now());
-            ha.agents.clone()
-        } else {
-            Vec::new()
-        };
+        }
         ctx.count(symbol::MAGISTRATE_HA_RECOVERIES);
         ctx.flight(
             FlightKind::HaVerdict,
@@ -772,13 +794,14 @@ impl MagistrateEndpoint {
         );
         // The old binding is now stale everywhere: purge agent caches and
         // clear the class's address row until re-activation sets it.
-        stale::propagate_invalidation(ctx, me, &agents, loid);
+        let agents = self.ha.as_ref().map_or(&[][..], |ha| &ha.agents);
+        stale::propagate_invalidation(ctx, me, agents, loid);
         self.notify_class(
             ctx,
             class_addr,
             class,
             class_proto::SET_ADDRESS,
-            vec![LegionValue::Loid(loid), LegionValue::Void],
+            [LegionValue::Loid(loid), LegionValue::Void],
         );
         self.start_activation(ctx, loid, None);
     }
@@ -797,12 +820,7 @@ impl MagistrateEndpoint {
                 }
                 ObjState::Inert { .. } => {
                     ctx.count(symbol::MAGISTRATE_ACTIVATIONS);
-                    let first = !self.activate_waiters.contains_key(&loid);
-                    self.activate_waiters
-                        .entry(loid)
-                        .or_default()
-                        .push(msg.clone());
-                    if first {
+                    if Parked::park(&mut self.activate_waiters, loid, msg.reply_ticket()) {
                         self.start_activation(ctx, loid, hint);
                     }
                     Outcome::Pending
@@ -823,7 +841,7 @@ impl MagistrateEndpoint {
         ctx.count(symbol::MAGISTRATE_CREATIONS);
         // Record a provisional Inert entry by writing the initial OPR;
         // then activate it immediately.
-        let opr = Opr::new(spec.loid, spec.class, 0, spec.state.clone());
+        let opr = Opr::new(spec.loid, spec.class, 0, spec.state);
         let addr = match self.storage.store_opr(&opr) {
             Ok(a) => a,
             Err(e) => {
@@ -838,26 +856,21 @@ impl MagistrateEndpoint {
                 state: ObjState::Inert { addr },
             },
         );
-        self.activate_waiters
-            .entry(spec.loid)
-            .or_default()
-            .push(msg.clone());
+        Parked::park(&mut self.activate_waiters, spec.loid, msg.reply_ticket());
         self.start_activation(ctx, spec.loid, None);
         Outcome::Pending
     }
 
     /// Start a deactivation; `requester` (if any) gets the final reply.
-    fn begin_deactivate(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: Option<Box<Message>>) {
+    fn begin_deactivate(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: Option<ReplyTicket>) {
         let Some(record) = self.objects.get(&loid) else {
-            if let Some(req) = requester {
-                ctx.reply(&req, Err(format!("{loid} not managed here")));
-            }
+            self.deactivation_failed(ctx, loid, requester, format!("{loid} not managed here"));
             return;
         };
         let ObjState::Active { element, .. } = &record.state else {
             // Already Inert: fine (idempotent), and after-inert work can run.
             if let Some(req) = requester {
-                ctx.reply(&req, Ok(LegionValue::Void));
+                ctx.reply_ticket(req, Ok(LegionValue::Void));
             }
             self.run_after_inert(ctx, loid);
             return;
@@ -882,10 +895,26 @@ impl MagistrateEndpoint {
                 );
             }
             None => {
-                if let Some(req) = requester {
-                    ctx.reply(&req, Err(format!("{loid} unreachable for SaveState")));
-                }
+                let why = format!("{loid} unreachable for SaveState");
+                self.deactivation_failed(ctx, loid, requester, why);
             }
+        }
+    }
+
+    /// A deactivation of `loid` ended short of Inert. Whoever asked for it
+    /// hears why — and so does every Copy/Move parked behind it, whose
+    /// requester no later step would otherwise answer.
+    fn deactivation_failed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        loid: Loid,
+        requester: Option<ReplyTicket>,
+        why: String,
+    ) {
+        let parked = self.after_inert.remove(&loid).into_iter().flatten();
+        let parked = parked.map(|AfterInert::Ship { requester, .. }| requester);
+        for waiter in requester.into_iter().chain(parked) {
+            ctx.reply_ticket(waiter, Err(why.clone()));
         }
     }
 
@@ -894,58 +923,49 @@ impl MagistrateEndpoint {
             return Outcome::Reply(Err(format!("{loid} not managed here")));
         };
         ctx.count(symbol::MAGISTRATE_DELETIONS);
-        match record.state.clone() {
-            ObjState::Active { host, .. } => {
-                // Kill the process, then finish deletion on reply.
-                let Some(host_element) = self.host_element(&host) else {
-                    return Outcome::Reply(Err(format!("unknown host {host}")));
-                };
-                let me = self.cfg.loid;
-                match ctx.call(
-                    host_element,
-                    host,
-                    host_proto::DEACTIVATE,
-                    vec![LegionValue::Loid(loid)],
-                    InvocationEnv::solo(me),
-                    Some(me),
-                ) {
-                    Some(call_id) => {
-                        let requester = Box::new(msg.clone());
-                        // Whether or not the host succeeds, finish the
-                        // delete when it answers.
-                        self.pend(
-                            ctx,
-                            call_id,
-                            cont(move |e: &mut Self, ctx, _result| {
-                                e.finish_delete(ctx, loid, requester)
-                            }),
-                        );
-                        Outcome::Pending
-                    }
-                    None => {
-                        // Host gone: drop the record anyway.
-                        self.finish_delete(ctx, loid, Box::new(msg.clone()));
-                        Outcome::Pending
-                    }
-                }
+        let requester = msg.reply_ticket();
+        if let ObjState::Active { host, .. } = record.state {
+            // Kill the process, then finish deletion on reply.
+            let Some(host_element) = self.host_element(&host) else {
+                return Outcome::Reply(Err(format!("unknown host {host}")));
+            };
+            let me = self.cfg.loid;
+            let args = ctx.args([LegionValue::Loid(loid)]);
+            if let Some(call_id) = ctx.call(
+                host_element,
+                host,
+                host_proto::DEACTIVATE,
+                args,
+                InvocationEnv::solo(me),
+                Some(me),
+            ) {
+                // Whether or not the host succeeds, finish the delete
+                // when it answers.
+                self.pend(
+                    ctx,
+                    call_id,
+                    cont(move |e: &mut Self, ctx, _result| e.finish_delete(ctx, loid, requester)),
+                );
+                return Outcome::Pending;
             }
-            ObjState::Inert { .. } => {
-                self.finish_delete(ctx, loid, Box::new(msg.clone()));
-                Outcome::Pending
-            }
+            // Host gone: drop the record anyway.
         }
+        self.finish_delete(ctx, loid, requester);
+        Outcome::Pending
     }
 
-    fn finish_delete(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: Box<Message>) {
+    fn finish_delete(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: ReplyTicket) {
         if let Some(record) = self.objects.remove(&loid) {
-            if let ObjState::Inert { addr } = &record.state {
-                let _ = self.storage.delete(addr);
-            }
-            if let ObjState::Active { host, vault, .. } = &record.state {
-                if let Some(vault) = vault {
-                    let _ = self.storage.delete(vault);
+            match &record.state {
+                ObjState::Inert { addr } => {
+                    let _ = self.storage.delete(addr);
                 }
-                self.bump_host(&host.clone(), -1);
+                ObjState::Active { host, vault, .. } => {
+                    if let Some(vault) = vault {
+                        let _ = self.storage.delete(vault);
+                    }
+                    self.bump_host(host, -1);
+                }
             }
             // The class row update is driven by the class (it called us);
             // still clear the address column defensively.
@@ -954,10 +974,10 @@ impl MagistrateEndpoint {
                 record.class_addr,
                 record.class,
                 class_proto::REMOVE_MAGISTRATE,
-                vec![LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
+                [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
             );
         }
-        ctx.reply(&requester, Ok(LegionValue::Void));
+        ctx.reply_ticket(requester, Ok(LegionValue::Void));
     }
 
     fn handle_copy_or_move(
@@ -979,15 +999,16 @@ impl MagistrateEndpoint {
         } else {
             symbol::MAGISTRATE_COPIES
         });
-        self.after_inert
-            .entry(loid)
-            .or_default()
-            .push(AfterInert::Ship {
+        Parked::park(
+            &mut self.after_inert,
+            loid,
+            AfterInert::Ship {
                 dst_magistrate: dst,
                 dst_element,
                 delete_after,
-                requester: Box::new(msg.clone()),
-            });
+                requester: msg.reply_ticket(),
+            },
+        );
         // "This function causes the Magistrate to deactivate the object,
         // creating an OPR, and to send the OPR to the other Magistrate."
         self.begin_deactivate(ctx, loid, None);
@@ -1003,7 +1024,7 @@ impl MagistrateEndpoint {
         } = args;
         // Validate before storing: a corrupt OPR is refused here, not at
         // some future activation.
-        if let Err(e) = Opr::decode(&bytes) {
+        if let Err(e) = Opr::verify(&bytes) {
             ctx.count(symbol::MAGISTRATE_RECEIVE_CORRUPT);
             return Outcome::Reply(Err(format!("refused corrupt OPR: {e}")));
         }
@@ -1027,7 +1048,7 @@ impl MagistrateEndpoint {
             class_addr,
             class,
             class_proto::ADD_MAGISTRATE,
-            vec![LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
+            [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
         );
         Outcome::Reply(Ok(LegionValue::Void))
     }
@@ -1062,11 +1083,12 @@ impl MagistrateEndpoint {
                     ctx.count(symbol::MAGISTRATE_ORPHAN_REAPED);
                     if let Some(host_element) = self.host_element(&host) {
                         let me = self.cfg.loid;
+                        let args = ctx.args([LegionValue::Loid(loid)]);
                         ctx.call(
                             host_element,
                             host,
                             host_proto::DEACTIVATE,
-                            vec![LegionValue::Loid(loid)],
+                            args,
                             InvocationEnv::solo(me),
                             Some(me),
                         );
@@ -1107,7 +1129,7 @@ impl MagistrateEndpoint {
                     class_addr,
                     class,
                     class_proto::SET_ADDRESS,
-                    vec![
+                    [
                         LegionValue::Loid(loid),
                         LegionValue::Address(ObjectAddress::single(element)),
                     ],
@@ -1123,26 +1145,7 @@ impl MagistrateEndpoint {
                 // more with a different pick.
                 if attempts < 2 {
                     ctx.count(symbol::MAGISTRATE_ACTIVATION_RETRY);
-                    let (class, state, class_addr) = {
-                        let Some(record) = self.objects.get(&loid) else {
-                            return;
-                        };
-                        let ObjState::Inert { addr } = &record.state else {
-                            return;
-                        };
-                        match self.storage.load_opr(addr) {
-                            Ok(o) => (record.class, o.state, record.class_addr),
-                            Err(err) => {
-                                self.answer_activate_waiters(
-                                    ctx,
-                                    loid,
-                                    Err(format!("OPR reload failed: {err}")),
-                                );
-                                return;
-                            }
-                        }
-                    };
-                    self.dispatch_to_host(ctx, loid, class, state, class_addr, None, attempts + 1);
+                    self.redispatch(ctx, loid, attempts + 1);
                 } else {
                     self.answer_activate_waiters(ctx, loid, Err(format!("host refused: {e}")));
                 }
@@ -1155,67 +1158,64 @@ impl MagistrateEndpoint {
         &mut self,
         ctx: &mut Ctx<'_>,
         loid: Loid,
-        requester: Option<Box<Message>>,
+        requester: Option<ReplyTicket>,
         result: Result<LegionValue, String>,
     ) {
-        match result {
-            Ok(LegionValue::Bytes(state)) => {
-                let Some(record) = self.objects.get(&loid) else {
-                    return;
-                };
-                let ObjState::Active { host, .. } = record.state.clone() else {
-                    return;
-                };
-                let opr = Opr::new(loid, record.class, 0, state.clone());
-                let addr = match self.storage.store_opr(&opr) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        if let Some(req) = requester {
-                            ctx.reply(&req, Err(format!("OPR store failed: {e}")));
-                        }
-                        return;
-                    }
-                };
-                let Some(host_element) = self.host_element(&host) else {
-                    if let Some(req) = requester {
-                        ctx.reply(&req, Err(format!("unknown host {host}")));
-                    }
-                    return;
-                };
-                let me = self.cfg.loid;
-                match ctx.call(
-                    host_element,
-                    host,
-                    host_proto::DEACTIVATE,
-                    vec![LegionValue::Loid(loid)],
-                    InvocationEnv::solo(me),
-                    Some(me),
-                ) {
-                    Some(call_id) => {
-                        self.pend(
-                            ctx,
-                            call_id,
-                            cont(move |e: &mut Self, ctx, result| {
-                                e.on_host_deactivate_reply(ctx, loid, addr, requester, result)
-                            }),
-                        );
-                    }
-                    None => {
-                        if let Some(req) = requester {
-                            ctx.reply(&req, Err(format!("host {host} unreachable")));
-                        }
-                    }
-                }
-            }
+        let state = match result {
+            Ok(LegionValue::Bytes(state)) => state,
             Ok(v) => {
-                if let Some(req) = requester {
-                    ctx.reply(&req, Err(format!("unexpected SaveState reply {v}")));
-                }
+                let why = format!("unexpected SaveState reply {v}");
+                return self.deactivation_failed(ctx, loid, requester, why);
             }
             Err(e) => {
-                if let Some(req) = requester {
-                    ctx.reply(&req, Err(format!("SaveState failed: {e}")));
-                }
+                let why = format!("SaveState failed: {e}");
+                return self.deactivation_failed(ctx, loid, requester, why);
+            }
+        };
+        // A racing Delete may have removed the record, or a racing
+        // deactivation finished first (and ran the parked work).
+        let (class, host) = match self.objects.get(&loid).map(|r| (r.class, &r.state)) {
+            Some((class, ObjState::Active { host, .. })) => (class, *host),
+            Some((_, ObjState::Inert { .. })) => return,
+            None => {
+                let why = format!("{loid} was removed during deactivation");
+                return self.deactivation_failed(ctx, loid, requester, why);
+            }
+        };
+        let opr = Opr::new(loid, class, 0, state);
+        let addr = match self.storage.store_opr(&opr) {
+            Ok(a) => a,
+            Err(e) => {
+                let why = format!("OPR store failed: {e}");
+                return self.deactivation_failed(ctx, loid, requester, why);
+            }
+        };
+        let Some(host_element) = self.host_element(&host) else {
+            let why = format!("unknown host {host}");
+            return self.deactivation_failed(ctx, loid, requester, why);
+        };
+        let me = self.cfg.loid;
+        let args = ctx.args([LegionValue::Loid(loid)]);
+        match ctx.call(
+            host_element,
+            host,
+            host_proto::DEACTIVATE,
+            args,
+            InvocationEnv::solo(me),
+            Some(me),
+        ) {
+            Some(call_id) => {
+                self.pend(
+                    ctx,
+                    call_id,
+                    cont(move |e: &mut Self, ctx, result| {
+                        e.on_host_deactivate_reply(ctx, loid, addr, requester, result)
+                    }),
+                );
+            }
+            None => {
+                let why = format!("host {host} unreachable");
+                self.deactivation_failed(ctx, loid, requester, why);
             }
         }
     }
@@ -1227,7 +1227,7 @@ impl MagistrateEndpoint {
         ctx: &mut Ctx<'_>,
         loid: Loid,
         addr: PersistentAddress,
-        requester: Option<Box<Message>>,
+        requester: Option<ReplyTicket>,
         result: Result<LegionValue, String>,
     ) {
         match result {
@@ -1236,10 +1236,8 @@ impl MagistrateEndpoint {
                 // process is already dead, so just clean the OPR.
                 if !self.objects.contains_key(&loid) {
                     let _ = self.storage.delete(&addr);
-                    if let Some(req) = requester {
-                        ctx.reply(&req, Err(format!("{loid} was removed during deactivation")));
-                    }
-                    return;
+                    let why = format!("{loid} was removed during deactivation");
+                    return self.deactivation_failed(ctx, loid, requester, why);
                 }
                 let (class, class_addr, host) = {
                     let record = self.objects.get_mut(&loid).expect("checked above");
@@ -1253,7 +1251,7 @@ impl MagistrateEndpoint {
                         vault: Some(vault), ..
                     } = &record.state
                     {
-                        let _ = self.storage.delete(&vault.clone());
+                        let _ = self.storage.delete(vault);
                     }
                     record.state = ObjState::Inert { addr };
                     (record.class, record.class_addr, host)
@@ -1268,17 +1266,19 @@ impl MagistrateEndpoint {
                     class_addr,
                     class,
                     class_proto::SET_ADDRESS,
-                    vec![LegionValue::Loid(loid), LegionValue::Void],
+                    [LegionValue::Loid(loid), LegionValue::Void],
                 );
                 if let Some(req) = requester {
-                    ctx.reply(&req, Ok(LegionValue::Void));
+                    ctx.reply_ticket(req, Ok(LegionValue::Void));
                 }
                 self.run_after_inert(ctx, loid);
             }
             Err(e) => {
-                if let Some(req) = requester {
-                    ctx.reply(&req, Err(format!("host deactivate failed: {e}")));
-                }
+                // The object did not become Inert at `addr`, so nothing
+                // will ever refer to the OPR written there.
+                let _ = self.storage.delete(&addr);
+                let why = format!("host deactivate failed: {e}");
+                self.deactivation_failed(ctx, loid, requester, why);
             }
         }
     }
@@ -1289,7 +1289,7 @@ impl MagistrateEndpoint {
         ctx: &mut Ctx<'_>,
         loid: Loid,
         delete_after: bool,
-        requester: Box<Message>,
+        requester: ReplyTicket,
         result: Result<LegionValue, String>,
     ) {
         match result {
@@ -1305,14 +1305,14 @@ impl MagistrateEndpoint {
                             record.class_addr,
                             record.class,
                             class_proto::REMOVE_MAGISTRATE,
-                            vec![LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
+                            [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
                         );
                     }
                 }
-                ctx.reply(&requester, Ok(LegionValue::Void));
+                ctx.reply_ticket(requester, Ok(LegionValue::Void));
             }
             Err(e) => {
-                ctx.reply(&requester, Err(format!("ship failed: {e}")));
+                ctx.reply_ticket(requester, Err(format!("ship failed: {e}")));
             }
         }
     }
@@ -1324,14 +1324,15 @@ impl Endpoint for MagistrateEndpoint {
         // class on start.
         if let Some(class) = self.cfg.class_addr {
             let me = self.cfg.loid;
+            let args = ctx.args([
+                LegionValue::Loid(me),
+                LegionValue::Address(ObjectAddress::single(ctx.self_element())),
+            ]);
             ctx.call(
                 class,
                 me.class_loid(),
                 class_proto::ANNOUNCE,
-                vec![
-                    LegionValue::Loid(me),
-                    LegionValue::Address(ObjectAddress::single(ctx.self_element())),
-                ],
+                args,
                 InvocationEnv::solo(me),
                 Some(me),
             );

@@ -11,6 +11,12 @@
 //! (the instance's runtime-defined class interface), not the table-derived
 //! one: generic objects stand in for user classes created at run time
 //! (Derive/InheritFrom), so their published interface is data, not code.
+//!
+//! Nothing in the table depends on which object it serves — handlers get
+//! the endpoint as an argument and the gate reads the endpoint's own
+//! policy — so it is sealed once per thread and every activated object
+//! holds an `Rc` to it: activating an object builds no table and reaping
+//! one drops none.
 
 use crate::protocol::object as obj_methods;
 use legion_core::dispatch::InvocationGate;
@@ -19,12 +25,20 @@ use legion_core::loid::Loid;
 use legion_core::object::{methods, GenericObject, ObjectMandatory};
 use legion_core::symbol;
 use legion_core::value::LegionValue;
+use legion_core::wellknown::LEGION_OBJECT;
 use legion_core::{address::ObjectAddressElement, idl};
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::rc::Rc;
+
+thread_local! {
+    /// The object-mandatory method table every [`ActiveObjectEndpoint`] on
+    /// this thread dispatches through (`Rc` is not `Send`, hence per
+    /// thread; a kernel and its endpoints live on one).
+    static TABLE: Rc<MethodTable<ActiveObjectEndpoint>> = ActiveObjectEndpoint::table();
+}
 
 /// A generic Active object: state map + interface + security policy.
 pub struct ActiveObjectEndpoint {
@@ -42,7 +56,7 @@ impl ActiveObjectEndpoint {
         ActiveObjectEndpoint {
             obj: GenericObject::new(loid, interface),
             policy: Box::new(AllowAll),
-            table: Self::table(loid),
+            table: TABLE.with(Rc::clone),
             class_addr: None,
         }
     }
@@ -71,8 +85,11 @@ impl ActiveObjectEndpoint {
         &mut self.obj
     }
 
-    fn table(loid: Loid) -> Rc<MethodTable<Self>> {
-        TableBuilder::new("object", "Object", loid)
+    /// The table behind [`TABLE`]. Its provenance LOID is the core class
+    /// that confers these methods (§2.1.3) and is never published:
+    /// `GetInterface` is a registered handler answering from the object.
+    fn table() -> Rc<MethodTable<Self>> {
+        TableBuilder::new("object", "Object", LEGION_OBJECT)
             .gate(|e: &Self| &e.policy as &dyn InvocationGate)
             // `MayI` itself answers the question rather than being gated.
             .ungated_method::<(Loid, String), _>(
@@ -174,7 +191,6 @@ mod tests {
     use legion_core::env::InvocationEnv;
     use legion_core::object::object_mandatory_interface;
     use legion_core::symbol::Sym;
-    use legion_core::wellknown::LEGION_OBJECT;
     use legion_net::message::Body;
     use legion_net::sim::{EndpointId, SimKernel};
     use legion_net::topology::{Location, Topology};
@@ -349,6 +365,30 @@ mod tests {
             ],
         );
         assert_eq!(last_reply(&k, probe), Ok(LegionValue::Bool(false)));
+    }
+
+    #[test]
+    fn objects_share_one_table_and_gate_with_their_own_policy() {
+        let mut k = SimKernel::new(Topology::zero(), FaultPlan::none(), 1);
+        let (open_loid, locked_loid) = (Loid::instance(16, 1), Loid::instance(16, 2));
+        let open = ActiveObjectEndpoint::new(open_loid, Interface::new());
+        let locked = ActiveObjectEndpoint::new(locked_loid, Interface::new())
+            .with_policy(Box::new(MethodAcl::deny_by_default()));
+        assert!(Rc::ptr_eq(&open.table, &locked.table));
+        let open = k.add_endpoint(Box::new(open), Location::new(0, 0), "open");
+        let locked = k.add_endpoint(Box::new(locked), Location::new(0, 0), "locked");
+        let probe = k.add_endpoint(
+            Box::new(Probe { replies: vec![] }),
+            Location::new(0, 0),
+            "probe",
+        );
+        // One table, two gates: each call is checked against the policy
+        // of the object it reached, and answered from that object.
+        call(&mut k, probe, open, open_loid, methods::IAM, vec![]);
+        assert_eq!(last_reply(&k, probe), Ok(LegionValue::Loid(open_loid)));
+        call(&mut k, probe, locked, locked_loid, methods::IAM, vec![]);
+        assert!(last_reply(&k, probe).unwrap_err().contains("MayI refused"));
+        assert_eq!(k.counters().get("object.refused"), 1);
     }
 
     #[test]

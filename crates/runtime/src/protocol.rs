@@ -107,18 +107,20 @@ pub struct ActivationSpec {
 }
 
 impl ActivationSpec {
-    /// Encode as a [`LegionValue`] argument list.
-    pub fn to_args(&self) -> Vec<LegionValue> {
-        let addr = |o: &Option<ObjectAddressElement>| match o {
-            Some(e) => LegionValue::Address(ObjectAddress::single(*e)),
+    /// Encode as a [`LegionValue`] argument list (for
+    /// [`Ctx::args`](legion_net::sim::Ctx::args), or `.into()` a `Vec`),
+    /// giving up the state buffer rather than copying it.
+    pub fn into_args(self) -> [LegionValue; 5] {
+        let addr = |o: Option<ObjectAddressElement>| match o {
+            Some(e) => LegionValue::Address(ObjectAddress::single(e)),
             None => LegionValue::Void,
         };
-        vec![
+        [
             LegionValue::Loid(self.loid),
             LegionValue::Loid(self.class),
-            LegionValue::Bytes(self.state.clone()),
-            addr(&self.class_addr),
-            addr(&self.magistrate_addr),
+            LegionValue::Bytes(self.state),
+            addr(self.class_addr),
+            addr(self.magistrate_addr),
         ]
     }
 }
@@ -359,7 +361,7 @@ mod tests {
             class_addr: Some(ObjectAddressElement::sim(9)),
             magistrate_addr: Some(ObjectAddressElement::sim(10)),
         };
-        let back = ActivationSpec::from_args(&spec.to_args()).unwrap();
+        let back = ActivationSpec::from_args(&spec.clone().into_args()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -372,7 +374,7 @@ mod tests {
             class_addr: None,
             magistrate_addr: None,
         };
-        let back = ActivationSpec::from_args(&spec.to_args()).unwrap();
+        let back = ActivationSpec::from_args(&spec.clone().into_args()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -387,11 +389,10 @@ mod tests {
             class_addr: None,
             magistrate_addr: None,
         };
-        let mut args = spec.to_args();
-        args.pop();
-        assert!(ActivationSpec::from_args(&args).is_err());
+        let args = spec.clone().into_args();
+        assert!(ActivationSpec::from_args(&args[..4]).is_err());
         // Wrong type in a nullable slot is a type error, not "none".
-        let mut args = spec.to_args();
+        let mut args = spec.into_args();
         args[4] = LegionValue::Uint(7);
         assert!(ActivationSpec::from_args(&args).is_err());
     }

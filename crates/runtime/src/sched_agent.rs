@@ -28,7 +28,7 @@ use legion_net::dispatch::{
     cont_expecting, insert_pending, reply_id, serve, sweep_expired, take_reply_result,
     Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
 };
-use legion_net::message::{CallId, Message};
+use legion_net::message::{CallId, Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -38,7 +38,7 @@ pub const SUGGEST_HOST: &str = "SuggestHost";
 
 struct Poll {
     /// The original request to answer.
-    requester: Box<Message>,
+    requester: ReplyTicket,
     /// Replies still outstanding.
     outstanding: usize,
     /// Best host so far: (free slots, loid).
@@ -139,7 +139,7 @@ impl SchedulingAgentEndpoint {
                     e.polls.insert(
                         poll_id,
                         Poll {
-                            requester: Box::new(msg.clone()),
+                            requester: msg.reply_ticket(),
                             outstanding,
                             best: None,
                         },
@@ -188,10 +188,10 @@ impl SchedulingAgentEndpoint {
             Some((_, host)) => {
                 self.suggestions += 1;
                 ctx.count(symbol::SCHED_AGENT_SUGGESTIONS);
-                ctx.reply(&poll.requester, Ok(LegionValue::Loid(host)));
+                ctx.reply_ticket(poll.requester, Ok(LegionValue::Loid(host)));
             }
             None => {
-                ctx.reply(&poll.requester, Err("no host answered GetState".into()));
+                ctx.reply_ticket(poll.requester, Err("no host answered GetState".into()));
             }
         }
     }
@@ -305,7 +305,7 @@ mod tests {
                 id,
                 h1,
                 host_proto::ACTIVATE,
-                spec.to_args(),
+                spec.into_args().into(),
                 InvocationEnv::anonymous(),
             );
             k.inject(Location::new(0, 9), e1.element(), msg);

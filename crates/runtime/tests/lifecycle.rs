@@ -140,26 +140,36 @@ impl World {
         method: impl Into<Sym>,
         args: Vec<LegionValue>,
     ) -> Result<LegionValue, String> {
+        let n_before = self.replies().len();
+        if !self.send(to, target, method, args) {
+            return Err("refused".into());
+        }
+        self.k.run_until_quiescent(100_000);
+        self.replies()
+            .get(n_before)
+            .cloned()
+            .unwrap_or(Err("no reply (lost)".into()))
+    }
+
+    /// Inject a call from the driver without running the kernel; `false`
+    /// if the send was refused.
+    fn send(
+        &mut self,
+        to: ObjectAddressElement,
+        target: Loid,
+        method: impl Into<Sym>,
+        args: Vec<LegionValue>,
+    ) -> bool {
         let id = self.k.fresh_call_id();
         let me = Loid::instance(99, 1);
         let mut msg = Message::call(id, target, method, args, InvocationEnv::solo(me));
         msg.reply_to = Some(self.driver.element());
         msg.sender = Some(me);
-        let n_before = self
-            .k
-            .endpoint::<Driver>(self.driver)
-            .unwrap()
-            .replies
-            .len();
-        if !self.k.inject(Location::new(0, 5), to, msg) {
-            return Err("refused".into());
-        }
-        self.k.run_until_quiescent(100_000);
-        let replies = &self.k.endpoint::<Driver>(self.driver).unwrap().replies;
-        replies
-            .get(n_before)
-            .cloned()
-            .unwrap_or(Err("no reply (lost)".into()))
+        self.k.inject(Location::new(0, 5), to, msg)
+    }
+
+    fn replies(&self) -> &[Result<LegionValue, String>] {
+        &self.k.endpoint::<Driver>(self.driver).unwrap().replies
     }
 }
 
@@ -780,7 +790,7 @@ fn deactivate_with_full_storage_fails_cleanly() {
         id,
         mag_loid,
         mag_proto::CREATE_OBJECT,
-        spec.to_args(),
+        spec.into_args().into(),
         InvocationEnv::anonymous(),
     );
     msg.reply_to = Some(probe.element());
@@ -887,4 +897,90 @@ fn delete_active_object_kills_process() {
     assert_eq!(m.object_state(&obj), None);
     let (files, _) = m.storage_usage();
     assert_eq!(files, 0, "no orphan OPRs");
+}
+
+impl World {
+    /// A fresh Active `File` object and the magistrate managing it, as
+    /// `(object, magistrate, magistrate endpoint, peer, peer endpoint)`.
+    fn create_active(&mut self) -> (Loid, Loid, EndpointId, Loid, EndpointId) {
+        let b = expect_binding(self.call(self.file_class, FILE_CLASS, class_proto::CREATE, vec![]));
+        let ep = EndpointId(b.address.primary().unwrap().sim_endpoint().unwrap());
+        if self.k.meta(ep).unwrap().location.jurisdiction == 0 {
+            (b.loid, MAG_A, self.mag_a, MAG_B, self.mag_b)
+        } else {
+            (b.loid, MAG_B, self.mag_b, MAG_A, self.mag_a)
+        }
+    }
+}
+
+/// A Move parks its requester as a ticket behind the deactivation it
+/// starts. Whatever a racing `Delete` does to that deactivation — the
+/// record gone when the object's state comes back, the host finding
+/// nothing to kill, the object dead before `SaveState` reaches it — both
+/// requesters hear back, and no OPR is left behind.
+#[test]
+fn move_racing_a_delete_still_answers_both_requesters() {
+    for delete_first in [false, true] {
+        let mut w = build();
+        let (obj, mag, mag_ep, peer, _) = w.create_active();
+        // With the Delete ahead, the object dies before SaveState arrives
+        // and never answers it: only the deadline sweep ends that wait.
+        w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep)
+            .unwrap()
+            .set_call_deadline_ns(Some(50_000_000));
+        w.k.set_flight_dump_on_sweep(false);
+        let before = w.replies().len();
+        let mut calls = [
+            (
+                mag_proto::MOVE,
+                vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
+            ),
+            (mag_proto::DELETE, vec![LegionValue::Loid(obj)]),
+        ];
+        if delete_first {
+            calls.reverse();
+        }
+        for (method, args) in calls {
+            assert!(w.send(mag_ep.element(), mag, method, args));
+        }
+        w.k.run_until_quiescent(100_000);
+        let answers = &w.replies()[before..];
+        assert_eq!(answers.len(), 2, "delete_first={delete_first}: {answers:?}");
+        assert!(
+            answers.contains(&Ok(LegionValue::Void)),
+            "the Delete succeeds: {answers:?}"
+        );
+        let m = w.k.endpoint::<MagistrateEndpoint>(mag_ep).unwrap();
+        assert_eq!(m.object_state(&obj), None);
+        assert_eq!(m.outstanding_continuations(), 0);
+        assert_eq!(m.storage_usage().0, 0, "no orphan OPRs");
+    }
+}
+
+/// A Move to a peer whose endpoint is gone deactivates the object, finds
+/// the send refused and says so to the requester; the object stays,
+/// Inert, where it was.
+#[test]
+fn move_to_an_unreachable_peer_answers_and_keeps_the_object() {
+    let mut w = build();
+    let (obj, mag, mag_ep, peer, peer_ep) = w.create_active();
+    w.k.remove_endpoint(peer_ep);
+    let r = w.call(
+        mag_ep,
+        mag,
+        mag_proto::MOVE,
+        vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
+    );
+    assert!(r.unwrap_err().contains("unreachable"));
+    let m = w.k.endpoint::<MagistrateEndpoint>(mag_ep).unwrap();
+    assert!(matches!(m.object_state(&obj), Some(ObjState::Inert { .. })));
+    assert_eq!(m.outstanding_continuations(), 0);
+    // A second Move finds it already Inert and is answered the same way.
+    let r = w.call(
+        mag_ep,
+        mag,
+        mag_proto::MOVE,
+        vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
+    );
+    assert!(r.unwrap_err().contains("unreachable"));
 }

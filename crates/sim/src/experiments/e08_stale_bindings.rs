@@ -18,6 +18,7 @@ use crate::system::{LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
 use legion_core::address::ObjectAddressElement;
 use legion_core::env::InvocationEnv;
+use legion_core::fxmap::FxHashMap;
 use legion_core::loid::Loid;
 use legion_core::value::LegionValue;
 use legion_naming::stale;
@@ -25,7 +26,6 @@ use legion_net::message::{Body, CallId, Message};
 use legion_net::sim::{Ctx, Endpoint};
 use legion_net::topology::Location;
 use legion_runtime::protocol::magistrate as mag_proto;
-use std::collections::HashMap;
 
 /// Drives a steady stream of `Move` operations between two magistrates,
 /// optionally propagating invalidations eagerly after each move.
@@ -33,7 +33,7 @@ pub struct ChurnDriver {
     me: Loid,
     magistrates: Vec<(Loid, ObjectAddressElement)>,
     /// Object → index of its current magistrate.
-    owner: HashMap<Loid, usize>,
+    owner: FxHashMap<Loid, usize>,
     objects: Vec<Loid>,
     next_obj: usize,
     interval_ns: u64,
@@ -42,7 +42,7 @@ pub struct ChurnDriver {
     pub moves_ok: u64,
     /// Failed migration attempts.
     pub moves_failed: u64,
-    pending: HashMap<CallId, (Loid, usize)>,
+    pending: FxHashMap<CallId, (Loid, usize)>,
     agents: Vec<ObjectAddressElement>,
     eager: bool,
 }
@@ -72,7 +72,7 @@ impl ChurnDriver {
             moves_target,
             moves_ok: 0,
             moves_failed: 0,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             agents,
             eager,
         }
@@ -88,11 +88,12 @@ impl ChurnDriver {
         let dst = (cur + 1) % self.magistrates.len();
         let (src_loid, src_el) = self.magistrates[cur];
         let (dst_loid, _) = self.magistrates[dst];
+        let args = ctx.args([LegionValue::Loid(obj), LegionValue::Loid(dst_loid)]);
         match ctx.call(
             src_el,
             src_loid,
             mag_proto::MOVE,
-            vec![LegionValue::Loid(obj), LegionValue::Loid(dst_loid)],
+            args,
             InvocationEnv::solo(self.me),
             Some(self.me),
         ) {
@@ -133,8 +134,7 @@ impl Endpoint for ChurnDriver {
                 self.moves_ok += 1;
                 if self.eager {
                     // §4.1.4: explicitly propagate news of the migration.
-                    let agents = self.agents.clone();
-                    stale::propagate_invalidation(ctx, self.me, &agents, obj);
+                    stale::propagate_invalidation(ctx, self.me, &self.agents, obj);
                 }
             }
             Err(_) => {

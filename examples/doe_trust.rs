@@ -126,7 +126,7 @@ fn main() {
             id,
             doe_magistrate,
             mag_proto::CREATE_OBJECT,
-            spec.to_args(),
+            spec.into_args().into(),
             env,
         );
         msg.reply_to = Some(probe.element());
@@ -173,7 +173,7 @@ fn main() {
         id,
         doe_host,
         host_proto::ACTIVATE,
-        spec.to_args(),
+        spec.into_args().into(),
         InvocationEnv::solo(grad_student),
     );
     msg.reply_to = Some(probe.element());

@@ -23,6 +23,20 @@
 #     interned on every bump — a lock and a string hash per counter, on
 #     paths that bump several per message; pass a `legion_core::symbol`
 #     well-known constant instead.
+#   * a non-empty `vec![…]` appears inside the argument list of a
+#     `.call(` in non-test code of the endpoint crates (crates/runtime/src,
+#     crates/naming/src, crates/ha/src) or the E8 churn driver. Every
+#     delivered call hands its argument buffer back to the kernel pool;
+#     `Ctx::args([…])` draws from it, `vec![…]` goes to the allocator once
+#     per call instead.
+#   * `Box<Message>` or `Vec<Message>` appears in non-test code of
+#     crates/runtime/src/magistrate.rs. A request parked until a later
+#     reply is its `ReplyTicket` (in a `Parked` when several may wait on
+#     one key) — not a boxed copy of the call and its argument vector.
+#
+# The last two scan each file with `//` comments and whitespace removed
+# (lint_seam.sh strips whitespace the same way), so a call rustfmt spread
+# over ten lines is still one match and a comment is never one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,6 +118,56 @@ if [[ -n "$queue_hits" ]]; then
     echo "Admission control must stay an O(1) bounded ledger: shed with a" >&2
     echo "retry-after hint instead of buffering. Unbounded queues turn overload" >&2
     echo "into memory exhaustion." >&2
+    exit 1
+fi
+# stripped <file>: the file's non-test code (everything before its first
+# `#[cfg(test)]`) on one line, `//` comments and whitespace removed.
+stripped() {
+    awk '/#\[cfg\(test\)\]/ { exit } { sub(/\/\/.*/, ""); print }' "$1" | tr -d '[:space:]'
+}
+
+# Call arguments come from the kernel pool. For each `.call(` the awk
+# below walks to the matching `)` and looks for a non-empty `vec![…]` in
+# between (`vec![]` allocates nothing).
+vec_hits=$(find crates/runtime/src crates/naming/src crates/ha/src \
+        crates/sim/src/experiments/e08_stale_bindings.rs -name '*.rs' | sort \
+    | while IFS= read -r file; do
+        stripped "$file" | awk -v file="$file" '
+            {
+                text = $0
+                while ((at = index(text, ".call(")) > 0) {
+                    text = substr(text, at + 5)
+                    depth = 0
+                    for (end = 1; end <= length(text); end++) {
+                        c = substr(text, end, 1)
+                        if (c == "(") depth++
+                        else if (c == ")" && --depth == 0) break
+                    }
+                    if (substr(text, 1, end) ~ /vec!\[[^\]]/)
+                        print file ": .call" substr(text, 1, 72) "…"
+                    text = substr(text, 2)
+                }
+            }'
+    done)
+
+if [[ -n "$vec_hits" ]]; then
+    echo "error: vec![…] built for a call's arguments on an endpoint path:" >&2
+    echo "$vec_hits" >&2
+    echo >&2
+    echo "Bind \`let args = ctx.args([…]);\` first: it reuses a buffer a served call" >&2
+    echo "recycled instead of allocating one per call." >&2
+    exit 1
+fi
+
+magistrate='crates/runtime/src/magistrate.rs'
+parked_hits=$(stripped "$magistrate" | grep -oE '.{0,40}(Box|Vec)<Message,?>' || true)
+
+if [[ -n "$parked_hits" ]]; then
+    echo "error: a whole Message is parked in $magistrate:" >&2
+    echo "$parked_hits" >&2
+    echo >&2
+    echo "Keep msg.reply_ticket() (in a dispatch::Parked where several requests can" >&2
+    echo "wait on one key) and answer through Ctx::reply_ticket." >&2
     exit 1
 fi
 echo "lint_hotpath: ok"
