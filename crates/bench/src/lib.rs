@@ -1,12 +1,12 @@
-//! Benchmark harness crate.
+//! The allocation ledger.
 //!
-//! * `benches/` — the Criterion suite (one bench per experiment family).
 //! * [`alloc_counter`] — counting global allocator for allocation
 //!   budgets.
-//! * [`measure`] — the E12 steady-state measurement behind
-//!   `BENCH_CORE.json`.
-//! * `src/bin/bench_snapshot.rs` — the `bench-snapshot` runner invoked
-//!   by `tools/bench_snapshot.sh`.
+//! * [`measure`] — the measurements behind `BENCH_CORE.json`, and the
+//!   check `tests/alloc_budget.rs` holds them to.
+//!
+//! Wall-clock performance is measured by the `benchmark/` package at the
+//! repo root (`BENCHMARK.json`), and nowhere else.
 
 pub mod alloc_counter;
 pub mod measure;

@@ -6,14 +6,12 @@
 //! polluted by concurrent tests sharing the process-wide counter.
 
 use legion_bench::alloc_counter::{self, CountingAlloc};
-use legion_bench::measure::{
-    e12_steady_state, e12_steady_state_instrumented, e12_steady_state_journal_only,
-    e12_steady_state_journaled, SNAPSHOT_SEED,
-};
+use legion_bench::measure::{self, LEDGER_SEED};
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_net::metrics::{Counters, WindowedCounters};
 use legion_net::sim::{FlightEvent, FlightKind, FlightRecorder};
+use legion_sim::harness::Watch;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -182,15 +180,31 @@ fn hot_path_allocation_budgets() {
     // answer out — allocates for its continuation and nothing per binding.
     agent_misses_allocate_for_the_continuation_only();
 
+    // The allocation ledger: every row of BENCH_CORE.json re-measured and
+    // held to its committed counts, both ways.
+    let ledger = measure::ledger(LEDGER_SEED);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_CORE.json");
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(path, measure::render(LEDGER_SEED, &ledger)).expect("write the ledger");
+    } else {
+        let committed = std::fs::read_to_string(path).expect("BENCH_CORE.json at the repo root");
+        if let Err(why) = measure::check(&committed, LEDGER_SEED, &ledger) {
+            panic!("{why}");
+        }
+    }
+    let row = |name: &str, config: &str| {
+        let found = ledger.iter().find(|r| r.name == name && r.config == config);
+        found.unwrap_or_else(|| panic!("no ledger row {name} ({config})"))
+    };
+
     // The E12 steady-state loop (metrics sink disabled, the default
     // experiment configuration) stays under the per-message allocation
     // budget. With bindings inline and the pool recycling arg vectors
     // and binding shells the hot path measures 1.01 allocs/message at one
     // jurisdiction; with a `Vec` inside every Object Address it measured
     // ~2.7, unpooled ~4.2 and String-keyed ~8.6 — all fail this gate.
-    let stats = e12_steady_state(1, SNAPSHOT_SEED);
+    let stats = row("e12_sweep", "jurisdictions=1");
     assert!(stats.messages > 100, "workload too small: {stats:?}");
-    assert!(stats.lookups > 0, "no lookups completed: {stats:?}");
     let apm = stats.allocs_per_message();
     assert!(
         apm <= 1.5,
@@ -198,70 +212,29 @@ fn hot_path_allocation_budgets() {
     );
 
     // The instrumented run — profiler + SLO tracker enabled, as
-    // `--report-out` configures them — must stay within the *committed*
-    // snapshot budget (+5%): always-on observability may not tax the
-    // steady-state hot path. The committed number comes from
-    // BENCH_CORE.json so the gate tightens automatically with the
-    // snapshot.
-    let bench_core = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_CORE.json"
-    ))
-    .expect("BENCH_CORE.json at the workspace root");
-    let core = serde::json::from_str(&bench_core).expect("BENCH_CORE.json parses");
-    let steady = core
-        .get("post")
-        .and_then(|p| p.get("e12_steady"))
-        .expect("post.e12_steady in BENCH_CORE.json");
-    let committed_j = steady
-        .get("jurisdictions")
-        .and_then(|v| v.as_u64())
-        .expect("jurisdictions") as u32;
-    let committed_apm = steady
-        .get("allocs_per_message")
-        .and_then(|v| v.as_f64())
-        .expect("allocs_per_message");
-    let inst = e12_steady_state_instrumented(committed_j, SNAPSHOT_SEED);
+    // `--report-out` configures them — stays within 5% of the plain one:
+    // always-on observability may not tax the steady-state hot path.
+    let plain = row("e12_steady", "jurisdictions=2");
+    let plain_apm = plain.allocs_per_message();
+    let inst = row("e12_steady_instrumented", "jurisdictions=2");
     let inst_apm = inst.allocs_per_message();
     assert!(
-        inst_apm <= committed_apm * 1.05,
-        "instrumented allocs/message budget blown: {inst_apm:.2} > {committed_apm:.2} * 1.05 ({inst:?})"
+        inst_apm <= plain_apm * 1.05,
+        "instrumented allocs/message budget blown: {inst_apm:.2} > {plain_apm:.2} * 1.05 ({inst:?})"
     );
 
     // Pure journaling — every kernel ingress appended, checksummed, and
     // sunk, snapshots off — may tax the hot path at most half an
     // allocation per message over the plain run: the writer reuses its
-    // encode buffers and the sink's growth amortizes. And with
-    // journaling *disabled* (the plain run above) the kernel's journal
-    // hooks are a branch on an enum discriminant: the plain measurement
-    // is re-asserted unchanged below, so "off = free" is gated too.
-    let jstats = e12_steady_state_journal_only(committed_j, SNAPSHOT_SEED);
-    let plain_headline = e12_steady_state(committed_j, SNAPSHOT_SEED);
+    // encode buffers and the sink's growth amortizes. (The full
+    // `--journal-out` configuration, with a snapshot every 256 events, is
+    // the ledger's `e12_steady_journaled` row.)
+    let jstats = measure::e12_steady("journal only", 2, LEDGER_SEED, measure::recording(0));
     let journal_apm = jstats.allocs_per_message();
-    let plain_apm = plain_headline.allocs_per_message();
     assert!(
         journal_apm <= plain_apm + 0.5,
         "journaling tax budget blown: {journal_apm:.2} > {plain_apm:.2} + 0.5 ({jstats:?})"
     );
-
-    // The full `--journal-out` configuration — journaling plus a
-    // content-addressed snapshot every 256 events — is held to the
-    // committed BENCH_CORE.json number (+5%), same discipline as the
-    // instrumented gate: the periodic materialization is a real cost the
-    // snapshot tracks, and this stops it drifting.
-    let full = e12_steady_state_journaled(committed_j, SNAPSHOT_SEED);
-    let full_apm = full.allocs_per_message();
-    if let Some(committed_japm) = core
-        .get("post")
-        .and_then(|p| p.get("e12_steady_journaled"))
-        .and_then(|s| s.get("allocs_per_message"))
-        .and_then(|v| v.as_f64())
-    {
-        assert!(
-            full_apm <= committed_japm * 1.05,
-            "journaled allocs/message regressed: {full_apm:.2} > {committed_japm:.2} * 1.05"
-        );
-    }
 
     // One snapshot allocates for what changed since the last one, not
     // for what the kernel holds: a constant (the mark's root label, its
@@ -286,20 +259,9 @@ fn hot_path_allocation_budgets() {
     sweep_timers_follow_timeout_periods_not_calls();
 
     // Determinism of the measurement itself: the same seed must allocate
-    // identically, or the CI gate on allocs/message is noise.
-    let again = e12_steady_state(1, SNAPSHOT_SEED);
-    assert_eq!(
-        stats.messages, again.messages,
-        "message count must be seed-determined"
-    );
-    assert_eq!(
-        stats.allocs, again.allocs,
-        "allocation count must be seed-determined"
-    );
-    assert_eq!(
-        stats.alloc_bytes, again.alloc_bytes,
-        "allocated bytes must be seed-determined"
-    );
+    // identically, or the ledger is noise.
+    let again = measure::e12_steady(&stats.name, 1, LEDGER_SEED, Watch::off());
+    assert_eq!(*stats, again, "the E12 wave must be seed-determined");
 }
 
 /// One root Binding Agent between an asker and a class holding 1 024
@@ -352,17 +314,15 @@ fn agent_misses_allocate_for_the_continuation_only() {
             self.ask(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
-            assert!(matches!(
-                legion_net::dispatch::reply_result(&msg),
-                Ok(LegionValue::Binding(_))
-            ));
-            ctx.recycle_message(msg);
+            let binding = legion_net::dispatch::take_reply_result(msg).expect("a binding");
+            assert!(matches!(binding, LegionValue::Binding(_)));
+            ctx.recycle_value(binding);
             self.answered += 1;
             self.ask(ctx);
         }
     }
 
-    let mut k = SimKernel::with_seed(SNAPSHOT_SEED);
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
     let lc = k.add_endpoint(
         Box::new(StaticLegionClassEndpoint::new()),
         Location::new(0, 0),
@@ -427,7 +387,7 @@ fn sweep_timers_follow_timeout_periods_not_calls() {
     use legion_naming::agent::AgentConfig;
     use legion_sim::experiments::e17_scale::quick_campaign;
 
-    let row = quick_campaign(SNAPSHOT_SEED);
+    let row = quick_campaign(LEDGER_SEED);
     assert_eq!(row.failed, 0, "{row:?}");
     let sweeps = row.events - row.messages - row.clients as u64;
     let timeout_ns =
@@ -455,7 +415,7 @@ fn snapshot_allocations_follow_dirty_slots() {
     const SLOTS: usize = 64;
     const SNAP_EVERY: u64 = 8;
 
-    let mut k = SimKernel::with_seed(SNAPSHOT_SEED);
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
     k.set_flight_dump_on_sweep(false);
     k.enable_journal_record(Box::new(MemSink::new()), SNAP_EVERY);
     let eps: Vec<EndpointId> = (0..SLOTS)
@@ -541,11 +501,7 @@ fn delayed_sends_allocate_like_clean_ones() {
 
     const SENDS: u64 = 512;
     let allocs_for = |plan: FaultPlan| {
-        let mut k = SimKernel::new(
-            Topology::fixed(1_000, 10_000, 1_000_000),
-            plan,
-            SNAPSHOT_SEED,
-        );
+        let mut k = SimKernel::new(Topology::fixed(1_000, 10_000, 1_000_000), plan, LEDGER_SEED);
         let to = k.add_endpoint(Box::new(Idle), Location::new(0, 0), "idle");
         k.run_until_quiescent(u64::MAX);
         let round = |k: &mut SimKernel| {
@@ -573,7 +529,7 @@ fn delayed_sends_allocate_like_clean_ones() {
         (0..8).map(|_| round(&mut k)).min().unwrap()
     };
     let clean = allocs_for(FaultPlan::none());
-    let mut plan = FaultPlan::seeded(SNAPSHOT_SEED);
+    let mut plan = FaultPlan::seeded(LEDGER_SEED);
     plan.set_reorder(1.0, 5_000);
     let delayed = allocs_for(plan);
     assert!(
@@ -636,7 +592,7 @@ fn inert_moves_allocate_for_what_they_move() {
     let mut sys = LegionSystem::build(SystemConfig {
         agent_tree: TreeShape::new(4, 5),
         objects_per_class: 8,
-        seed: SNAPSHOT_SEED,
+        seed: LEDGER_SEED,
         ..SystemConfig::default()
     });
     let magistrates: Vec<(Loid, ObjectAddressElement)> = sys
@@ -698,7 +654,7 @@ fn host_activations_build_no_method_table() {
     const WARM: u64 = 64;
     const MEASURED: u64 = 64;
     let host_loid = Loid::instance(3, 1);
-    let mut k = SimKernel::with_seed(SNAPSHOT_SEED);
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
     let host = k.add_endpoint(
         Box::new(HostObjectEndpoint::new(HostConfig {
             loid: host_loid,

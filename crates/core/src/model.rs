@@ -177,11 +177,6 @@ impl ObjectModel {
         self.classes.len()
     }
 
-    /// All class LOIDs in order.
-    pub fn class_loids(&self) -> Vec<Loid> {
-        self.classes.keys().copied().collect()
-    }
-
     /// The interface exported by `loid` — its class's interface for an
     /// instance, its own effective interface for a class.
     pub fn interface_of(&self, loid: &Loid) -> CoreResult<&Interface> {
@@ -347,11 +342,6 @@ impl ObjectModel {
             inherit::verify_composition(&self.graph, *loid, &self.own_methods, &class.interface)?;
         }
         Ok(())
-    }
-
-    /// The methods `class` declares itself (not inherited).
-    pub fn own_methods_of(&self, class: &Loid) -> Option<&Interface> {
-        self.own_methods.get(class)
     }
 }
 

@@ -120,11 +120,6 @@ impl FailureDetector {
     pub fn interval_ns(&self) -> u64 {
         self.interval_ns
     }
-
-    /// Name of the active suspicion policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 impl std::fmt::Debug for FailureDetector {

@@ -112,18 +112,6 @@ impl StaticLegionClassEndpoint {
         }
     }
 
-    /// Record ⟨creator responsible-for created⟩.
-    pub fn with_pair(mut self, created: Loid, creator: Loid) -> Self {
-        self.responsible.insert(created, creator);
-        self
-    }
-
-    /// Record a class binding LegionClass maintains itself.
-    pub fn with_binding(mut self, b: Binding) -> Self {
-        self.class_bindings.insert(b.loid, b);
-        self
-    }
-
     /// Total requests of both kinds (the §5.2.2 bottleneck measure).
     pub fn total_requests(&self) -> u64 {
         self.find_requests + self.binding_requests

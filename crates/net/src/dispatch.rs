@@ -285,18 +285,10 @@ pub fn reply_id(msg: &Message) -> Option<CallId> {
     }
 }
 
-/// The reply payload, for messages [`reply_id`] matched.
-pub fn reply_result(msg: &Message) -> Result<LegionValue, String> {
-    match &msg.body {
-        Body::Reply { result, .. } => result.clone(),
-        Body::Call { .. } => Err("not a reply".into()),
-    }
-}
-
-/// [`reply_result`] without the clone: consumes the message and moves the
-/// payload out. Continuation-resume paths use this so the reply value
-/// changes owners instead of being copied (and so the consumer can
-/// recycle its shell through [`Ctx::recycle_value`] when done).
+/// The reply payload, for messages [`reply_id`] matched: consumes the
+/// message and moves the payload out, so the reply value changes owners
+/// instead of being copied (and the consumer can recycle its shell
+/// through [`Ctx::recycle_value`] when done).
 pub fn take_reply_result(msg: Message) -> Result<LegionValue, String> {
     match msg.body {
         Body::Reply { result, .. } => result,
@@ -415,21 +407,6 @@ impl<E> TableBuilder<E> {
     {
         let sig = model::signature_of::<A>(name.into().as_str(), param_names, returns);
         self.push(sig, false, f)
-    }
-
-    /// Register a method under an explicit signature (when the published
-    /// signature differs from `A::params()`, e.g. the paper's overloaded
-    /// `GetBinding(LOID|binding)`).
-    pub fn method_with_signature<A: FromArgs + 'static, F>(
-        self,
-        sig: MethodSignature,
-        gated: bool,
-        f: F,
-    ) -> Self
-    where
-        F: Fn(&mut E, &mut Ctx<'_>, &Message, A) -> Outcome + 'static,
-    {
-        self.push(sig, gated, f)
     }
 
     /// Register the intrinsic `GetInterface()`: answered by the table

@@ -261,13 +261,6 @@ pub struct SendReport {
     pub accepted: usize,
 }
 
-impl SendReport {
-    /// Did at least one send get accepted?
-    pub fn any_accepted(&self) -> bool {
-        self.accepted > 0
-    }
-}
-
 /// The deterministic discrete-event kernel.
 pub struct SimKernel {
     slots: Vec<Slot>,

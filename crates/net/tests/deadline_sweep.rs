@@ -21,8 +21,8 @@ use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{
-    cont, insert_pending, is_timeout, reply_result, sweep_expired, timeout_error, Continuations,
-    TIMER_DEADLINE_SWEEP,
+    cont, insert_pending, is_timeout, sweep_expired, take_reply_result, timeout_error,
+    Continuations, TIMER_DEADLINE_SWEEP,
 };
 use legion_net::faults::FaultPlan;
 use legion_net::message::{CallId, Message};
@@ -85,7 +85,7 @@ impl Endpoint for Waiter {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if let Some(id) = legion_net::dispatch::reply_id(&msg) {
             if let Some(k) = self.conts.take(&id) {
-                k(self, ctx, reply_result(&msg));
+                k(self, ctx, take_reply_result(msg));
             }
         }
     }

@@ -20,7 +20,7 @@
 //! ```
 
 use crate::checksum::crc32;
-use crate::codec::{varint_len, CodecError, CodecResult, Reader, Writer, LOID_LEN};
+use crate::codec::{varint_len, CodecError, Reader, Writer, LOID_LEN};
 use bytes::Bytes;
 use legion_core::loid::Loid;
 use std::fmt;
@@ -190,15 +190,6 @@ impl Opr {
 /// Quick check whether bytes look like an OPR (magic only).
 pub fn looks_like_opr(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && &bytes[..4] == MAGIC
-}
-
-/// Convenience: decode, returning a codec result for callers that treat
-/// all failures alike.
-pub fn decode_strict(bytes: &[u8]) -> CodecResult<Opr> {
-    Opr::decode(bytes).map_err(|e| match e {
-        OprError::Codec(c) => c,
-        _ => CodecError::Truncated,
-    })
 }
 
 #[cfg(test)]

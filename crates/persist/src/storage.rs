@@ -208,11 +208,6 @@ impl JurisdictionStorage {
         self.jurisdiction
     }
 
-    /// Number of disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Total bytes in use across disks.
     pub fn used(&self) -> u64 {
         self.disks.iter().map(|d| d.used()).sum()

@@ -151,21 +151,9 @@ impl ClassEndpoint {
         }
     }
 
-    /// Replace the admission model (test/experiment wiring after build;
-    /// resets the ledger). `None` restores instantaneous service.
-    pub fn set_admission(&mut self, cfg: Option<AdmissionConfig>) {
-        self.cfg.admission = cfg;
-        self.admission = cfg.map(AdmissionQueue::new);
-    }
-
     /// The admission ledger, when admission control is on.
     pub fn admission(&self) -> Option<&AdmissionQueue> {
         self.admission.as_ref()
-    }
-
-    /// Admitted calls currently awaiting their service-completion timer.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// High-water mark of the deferred-call map — must stay within the

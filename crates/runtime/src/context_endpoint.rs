@@ -53,11 +53,6 @@ impl ContextEndpoint {
         }
     }
 
-    /// Install a `MayI` policy (checked at the dispatch boundary).
-    pub fn set_policy(&mut self, policy: Box<dyn MayIPolicy>) {
-        self.mayi = policy;
-    }
-
     /// Read access for tests and drivers.
     pub fn context(&self) -> &Context {
         &self.context

@@ -324,11 +324,6 @@ impl MagistrateEndpoint {
         self.ha.as_ref().map(|h| &h.tracker)
     }
 
-    /// Detector's view of a host's health, when HA is enabled.
-    pub fn host_health(&self, loid: &Loid) -> Option<Health> {
-        self.ha.as_ref().and_then(|h| h.detector.health(loid))
-    }
-
     /// Replace the scheduling policy (a Scheduling Agent hook, §3.8).
     pub fn with_policy(mut self, policy: Box<dyn SchedulingPolicy>) -> Self {
         self.policy = policy;

@@ -80,11 +80,6 @@ impl ActiveObjectEndpoint {
         &self.obj
     }
 
-    /// Mutable access (test setup).
-    pub fn object_mut(&mut self) -> &mut GenericObject {
-        &mut self.obj
-    }
-
     /// The table behind [`TABLE`]. Its provenance LOID is the core class
     /// that confers these methods (§2.1.3) and is never published:
     /// `GetInterface` is a registered handler answering from the object.

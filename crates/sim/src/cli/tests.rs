@@ -33,7 +33,8 @@ fn what_parse_does_not_understand_is_an_error() {
         ("e1 e12 --report-out r", "exactly one"),
         ("e9 --metrics-out m", "e9 has no observed point"),
         ("e11 --trace-out t", "e11 has no observed point"),
-        ("e14 --report-out r", "e14 has no observed point"),
+        ("e9 --report-out r", "e9 has no observed point"),
+        ("e14", "unknown argument e14; valid: all e1 e2"),
     ] {
         let err = ids(line).expect_err(line);
         assert!(err.contains(says), "{line}: {err}");

@@ -98,10 +98,12 @@ pub struct Row {
     pub messages_per_sec: f64,
     /// Wall nanoseconds per kernel event (queue-op + dispatch cost).
     pub ns_per_event: f64,
-    /// Allocator hits per delivered message (0.00 unless the counting
+    /// Allocator calls during the measured wave (0 unless the counting
     /// allocator is registered — `legion-bench` does, `legion-exp`
     /// does not).
-    pub allocs_per_message: f64,
+    pub allocs: u64,
+    /// Bytes requested from the allocator during the measured wave.
+    pub alloc_bytes: u64,
 }
 
 /// Which jurisdiction an agent's cluster lives in: the root (and the
@@ -451,13 +453,13 @@ pub fn campaign(
 
     // Measured wave: wall-clock and allocator deltas bracket only this
     // drive — not the million-entry setup, not the warm-up.
-    let (a0, _) = legion_core::allocs::counts();
+    let (a0, b0) = legion_core::allocs::counts();
     let t0 = std::time::Instant::now();
     let wave_start = kernel.now();
     let client_eps = attach_fleet(&mut kernel, 0x100_000, 10_000);
     kernel.run_until_quiescent(MAX_EVENTS);
     let wall = t0.elapsed();
-    let (a1, _) = legion_core::allocs::counts();
+    let (a1, b1) = legion_core::allocs::counts();
 
     let mut completed = 0u64;
     let mut failed = 0u64;
@@ -484,14 +486,15 @@ pub fn campaign(
         binds_per_sec: completed as f64 / wall_s,
         messages_per_sec: stats.delivered as f64 / wall_s,
         ns_per_event: wall.as_nanos() as f64 / stats.events.max(1) as f64,
-        allocs_per_message: (a1 - a0) as f64 / stats.delivered.max(1) as f64,
+        allocs: a1 - a0,
+        alloc_bytes: b1 - b0,
     };
     (row, session.close(&mut kernel))
 }
 
 /// The CI-scale point: a 3-level tree over a 10k-LOID space. Fast enough
-/// for the bench-smoke job while still walking every layer the full
-/// campaign walks.
+/// for a tier-1 test while still walking every layer the full campaign
+/// walks.
 pub fn quick_campaign(seed: u64) -> Row {
     quick_point(seed, Watch::off()).0
 }
@@ -565,7 +568,7 @@ pub fn table(rows: &[Row]) -> Table {
             format!("{:.0}", r.binds_per_sec),
             format!("{:.0}", r.messages_per_sec),
             format!("{:.0}", r.ns_per_event),
-            format!("{:.2}", r.allocs_per_message),
+            format!("{:.2}", r.allocs as f64 / r.messages.max(1) as f64),
         ]);
     }
     t

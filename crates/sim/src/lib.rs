@@ -4,11 +4,10 @@
 //! ([`system::LegionSystem`]), generates the paper's assumed workloads
 //! ([`workload`]: locality + Zipf popularity), and drives one experiment
 //! per paper figure/claim ([`experiments`], E1–E18 in DESIGN.md §6).
-//! Every kernel-driving experiment runs under one [`harness`] — open,
-//! measure, close — so tracing, the profiler, SLO verdicts, the flight
-//! recorder and the journal attach to any of them the same way.
-//! [`parallel`] adds a threaded actor runtime for the wall-clock
-//! throughput experiment (E14).
+//! There is one runtime: every kernel-driving experiment steps the
+//! discrete-event kernel under one [`harness`] — open, measure, close —
+//! so tracing, the profiler, SLO verdicts, the flight recorder and the
+//! journal attach to any of them the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,7 +15,6 @@
 pub mod cli;
 pub mod experiments;
 pub mod harness;
-pub mod parallel;
 pub mod report;
 pub mod run_report;
 pub mod system;

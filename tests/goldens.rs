@@ -203,12 +203,12 @@ fn e16_chaos_run_replays_byte_identical() {
 }
 
 /// One walk over the registry — the CLI's whole vocabulary. Ids are
-/// `e1`…`e18` in order; each entry's first table is the one
+/// `e1`…`e18` in order, less `e14`; each entry's first table is the one
 /// `experiments_output.txt` records under that experiment's number; and
 /// the deterministic experiments' quick-scale transcripts, exactly as
 /// `legion-exp --quick <id>` prints their tables (E16's and E18's two back
-/// to back), match their goldens. E9, E11, E13a, E14 and E17 print
-/// wall-clock columns and have none. All but E1's, E15's and E16's were
+/// to back), match their goldens. E9, E11, E13a and E17 print wall-clock
+/// columns and have none. All but E1's, E15's and E16's were
 /// captured on the hand-written CLI's code paths, before the registry and
 /// the run harness replaced them.
 #[test]
@@ -233,13 +233,20 @@ fn registry_transcripts_match_goldens() {
         ("e16", "e16", 0..2),
         ("e18", "e18", 0..2),
     ];
-    for (i, e) in ALL.iter().enumerate() {
-        assert_eq!(e.id, format!("e{}", i + 1));
+    // Literal: ids keep their numbers, and `e14` is absent because the
+    // threaded runtime it measured ran no Legion endpoint and was deleted.
+    let ids = [
+        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15",
+        "e16", "e17", "e18",
+    ];
+    assert_eq!(ALL.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
+    for e in ALL {
+        let number = &e.id[1..];
         let tables = (e.tables)(true, SEED);
         assert!(!tables.is_empty(), "{} prints nothing", e.id);
         let first = tables[0].render();
         let title = first.lines().next().expect("a title line");
-        assert!(title.starts_with(&format!("== E{}", i + 1)), "{title}");
+        assert!(title.starts_with(&format!("== E{number}")), "{title}");
         assert!(
             recorded.lines().any(|l| l == title),
             "{title} is not in experiments_output.txt"
@@ -249,5 +256,4 @@ fn registry_transcripts_match_goldens() {
             check(&format!("{name}_transcript.golden"), &transcript);
         }
     }
-    assert_eq!(ALL.len(), 18);
 }
