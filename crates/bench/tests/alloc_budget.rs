@@ -258,6 +258,9 @@ fn hot_path_allocation_budgets() {
     // A busy endpoint keeps one deadline sweep armed, not one per call.
     sweep_timers_follow_timeout_periods_not_calls();
 
+    // A reply finds its parked continuation and runs it off the heap.
+    matched_replies_resume_without_allocating();
+
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the ledger is noise.
     let again = measure::e12_steady(&stats.name, 1, LEDGER_SEED, Watch::off());
@@ -314,7 +317,10 @@ fn agent_misses_allocate_for_the_continuation_only() {
             self.ask(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
-            let binding = legion_net::dispatch::take_reply_result(msg).expect("a binding");
+            let legion_net::message::Body::Reply { result, .. } = msg.body else {
+                panic!("the asker is only ever answered");
+            };
+            let binding = result.expect("a binding");
             assert!(matches!(binding, LegionValue::Binding(_)));
             ctx.recycle_value(binding);
             self.answered += 1;
@@ -374,6 +380,83 @@ fn agent_misses_allocate_for_the_continuation_only() {
         d <= 2 * MEASURED + MEASURED / 8,
         "{MEASURED} agent misses allocated {d} times: more than two each"
     );
+}
+
+/// An endpoint that calls an echo over and over, each reply's
+/// continuation making the next call; `resume` alone is bracketed — the
+/// store lookup, the payload moved out of the reply, the boxed closure
+/// called and dropped. (Parking the *next* call is what allocates: its
+/// box, and the store's B-tree leaf.)
+fn matched_replies_resume_without_allocating() {
+    use legion_core::address::ObjectAddressElement;
+    use legion_core::loid::Loid;
+    use legion_core::value::LegionValue;
+    use legion_net::dispatch::{resume, Caller, Calls};
+    use legion_net::sim::{Ctx, Endpoint, SimKernel};
+    use legion_net::topology::Location;
+
+    const ROUNDS: u64 = 64;
+    struct Echo;
+    impl Endpoint for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
+            ctx.reply(&msg, Ok(LegionValue::Uint(7)));
+        }
+    }
+    struct Resumer {
+        echo: ObjectAddressElement,
+        calls: Calls<Resumer>,
+        answered: u64,
+        /// What each matched `resume` allocated.
+        deltas: Vec<u64>,
+    }
+    impl Resumer {
+        fn ask(&mut self, ctx: &mut Ctx<'_>) {
+            let args = ctx.take_args();
+            let echo = Loid::instance(16, 1);
+            let sent = self
+                .calls
+                .call(ctx, self.echo, echo, "Ping", args, |e, _, r| {
+                    assert_eq!(r, Ok(LegionValue::Uint(7)));
+                    e.answered += 1;
+                });
+            assert!(sent);
+        }
+    }
+    impl Caller for Resumer {
+        fn calls(&mut self) -> &mut Calls<Self> {
+            &mut self.calls
+        }
+    }
+    impl Endpoint for Resumer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.deltas.reserve(ROUNDS as usize);
+            self.ask(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
+            let d = alloc_delta(|| assert!(resume(self, ctx, msg).is_none(), "matched"));
+            self.deltas.push(d);
+            if self.answered < ROUNDS {
+                self.ask(ctx);
+            }
+        }
+    }
+
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
+    let echo = k.add_endpoint(Box::new(Echo), Location::new(0, 0), "echo");
+    let resumer = Resumer {
+        echo: echo.element(),
+        calls: Calls::new(Loid::instance(99, 1), Sym::intern("resumer.timeouts")),
+        answered: 0,
+        deltas: Vec::new(),
+    };
+    let resumer = k.add_endpoint(Box::new(resumer), Location::new(0, 1), "resumer");
+    k.run_until_quiescent(u64::MAX);
+    let r = k.endpoint::<Resumer>(resumer).expect("attached");
+    assert_eq!((r.answered, r.deltas.len() as u64), (ROUNDS, ROUNDS));
+    // The counter is process-wide: take the quietest round, as
+    // `alloc_delta_min` does.
+    let d = r.deltas.iter().min().expect("rounds ran");
+    assert_eq!(*d, 0, "a matched resume allocated {d} times");
 }
 
 /// A fault-free E17-shaped wave (the CI-sized point: 73 agents, 16

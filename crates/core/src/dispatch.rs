@@ -19,11 +19,13 @@
 //!   run-time [`Interface`] from the registered signatures, so the reply
 //!   to `GetInterface()` *is* the dispatch table — the two can never
 //!   drift apart.
-//! * **A shared continuation store** ([`Continuations`]) replaces the
-//!   per-endpoint `Pending` enums and `handle_reply` state machines:
-//!   a call-id maps to a boxed continuation that receives the decoded
-//!   reply — and, in the same map entry, the deadline the endpoint stops
-//!   waiting at and the trace context of the call that registered it.
+//! * **The continuation store** ([`Continuations`]) is the model half of
+//!   outbound calls: a call-id maps to a boxed continuation that receives
+//!   the decoded reply — and, in the same map entry, the deadline the
+//!   endpoint stops waiting at and the trace context of the call that
+//!   registered it. No endpoint holds one: `legion_net::dispatch::Calls`
+//!   owns the store and is the only code that sends, parks, resumes and
+//!   sweeps.
 //! * **One security gate** ([`InvocationGate`]): the MayI check (§2.4)
 //!   runs once, at the dispatch boundary, for every gated method of every
 //!   endpoint, instead of being hand-wired into some endpoints and
@@ -512,30 +514,17 @@ impl<H> MethodTable<H> {
 // Continuations
 // ---------------------------------------------------------------------------
 
-/// Lifetime counters for a [`Continuations`] store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContinuationStats {
-    /// Continuations registered.
-    pub inserted: u64,
-    /// Continuations taken for resolution (a reply arrived).
-    pub taken: u64,
-    /// Continuations expired by a deadline sweep (no reply in time; the
-    /// endpoint owes the caller a uniform timeout reply instead).
-    pub expired: u64,
-}
-
-/// The shared call-id → continuation store that replaces every
-/// per-endpoint `Pending` enum and `handle_reply` state machine.
+/// The call-id → continuation store behind `legion_net::dispatch::Calls`.
 ///
 /// Generic over the key `K` (the transport's call-id type) and the stored
 /// continuation `C` (a transport-level `FnOnce` closure). A `BTreeMap`
 /// keeps any iteration deterministic.
 ///
-/// A continuation registered with [`Continuations::insert_with_deadline`]
-/// also records when the endpoint stops waiting for its reply; the
-/// endpoint's deadline sweep ([`Continuations::take_expired`]) collects
-/// every overdue continuation so it can be resolved with a uniform
-/// timeout error instead of leaking forever when the reply was lost.
+/// A continuation registered with a deadline also records the trace
+/// context of the call that registered it; the endpoint's deadline sweep
+/// ([`Continuations::take_expired`]) collects every overdue continuation
+/// so it can be resolved with a uniform timeout error instead of leaking
+/// forever when the reply was lost.
 ///
 /// The store also remembers the earliest time the endpoint has a sweep
 /// timer pending for ([`Continuations::claim_timer`],
@@ -548,7 +537,6 @@ pub struct Continuations<K: Ord, C> {
     map: BTreeMap<K, (C, Option<(SimTime, TraceContext)>)>,
     /// The earliest time a sweep timer is pending for.
     armed: Option<SimTime>,
-    stats: ContinuationStats,
 }
 
 impl<K: Ord, C> Default for Continuations<K, C> {
@@ -556,7 +544,6 @@ impl<K: Ord, C> Default for Continuations<K, C> {
         Continuations {
             map: BTreeMap::new(),
             armed: None,
-            stats: ContinuationStats::default(),
         }
     }
 }
@@ -567,59 +554,28 @@ impl<K: Ord, C> Continuations<K, C> {
         Self::default()
     }
 
-    /// Register the continuation for a call-id, with no deadline (the
-    /// endpoint waits forever). Returns the displaced continuation if the
-    /// id was (erroneously) reused.
-    pub fn insert(&mut self, key: K, cont: C) -> Option<C> {
-        self.stats.inserted += 1;
-        self.map.insert(key, (cont, None)).map(|(c, _)| c)
-    }
-
-    /// Register the continuation for a call-id and stop waiting for its
-    /// reply at `deadline`: a later [`Continuations::take_expired`] sweep
-    /// collects it for a uniform timeout resolution.
-    pub fn insert_with_deadline(&mut self, key: K, cont: C, deadline: SimTime) -> Option<C> {
-        self.insert_traced(key, cont, deadline, TraceContext::NONE)
-    }
-
-    /// [`Continuations::insert_with_deadline`], remembering the trace
-    /// context of the registering call: a timeout is resolved under the
-    /// request it belongs to, whichever timer's sweep finds it.
-    pub fn insert_traced(
-        &mut self,
-        key: K,
-        cont: C,
-        deadline: SimTime,
-        trace: TraceContext,
-    ) -> Option<C> {
-        self.stats.inserted += 1;
-        self.map
-            .insert(key, (cont, Some((deadline, trace))))
-            .map(|(c, _)| c)
+    /// Register the continuation for a call-id. With `due = None` the
+    /// endpoint waits forever; with `Some((deadline, trace))` it stops
+    /// waiting at `deadline`, and remembers the trace context of the
+    /// registering call: a timeout is resolved under the request it
+    /// belongs to, whichever timer's sweep finds it. Returns the displaced
+    /// continuation if the id was (erroneously) reused.
+    pub fn insert(&mut self, key: K, cont: C, due: Option<(SimTime, TraceContext)>) -> Option<C> {
+        self.map.insert(key, (cont, due)).map(|(c, _)| c)
     }
 
     /// Take the continuation awaiting `key`, if any — the caller then
     /// invokes it with the decoded reply. (Two steps, so the endpoint can
     /// pass `&mut self` to the continuation without aliasing the store.)
     pub fn take(&mut self, key: &K) -> Option<C> {
-        let (c, _) = self.map.remove(key)?;
-        self.stats.taken += 1;
-        Some(c)
+        self.map.remove(key).map(|(c, _)| c)
     }
 
-    /// Collect every continuation whose deadline has passed at `now`, in
-    /// key order. The caller resolves each with a uniform timeout error —
+    /// Collect every continuation whose deadline has passed at `now`
+    /// (`deadline <= now`), in key order, each with its registering trace
+    /// context. The caller resolves each with a uniform timeout error —
     /// overdue calls produce a reply, they do not leak.
-    pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, C)> {
-        self.take_expired_traced(now)
-            .into_iter()
-            .map(|(k, c, _)| (k, c))
-            .collect()
-    }
-
-    /// [`Continuations::take_expired`] with each continuation's
-    /// registering trace context.
-    pub fn take_expired_traced(&mut self, now: SimTime) -> Vec<(K, C, TraceContext)> {
+    pub fn take_expired(&mut self, now: SimTime) -> Vec<(K, C, TraceContext)> {
         let mut out = Vec::new();
         // `BTreeMap::extract_if` is newer than the workspace's declared
         // Rust version: split the due entries off by rebuilding the map,
@@ -633,7 +589,6 @@ impl<K: Ord, C> Continuations<K, C> {
                     }
                 }
             }
-            self.stats.expired += out.len() as u64;
         }
         out
     }
@@ -669,11 +624,6 @@ impl<K: Ord, C> Continuations<K, C> {
         }
     }
 
-    /// Is a continuation waiting on `key`?
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Number of outstanding continuations.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -682,11 +632,6 @@ impl<K: Ord, C> Continuations<K, C> {
     /// Are there no outstanding continuations?
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> ContinuationStats {
-        self.stats
     }
 }
 
@@ -788,45 +733,52 @@ mod tests {
         assert!(!t.get("F").unwrap().gated());
     }
 
+    /// A deadline registered under no trace.
+    fn untraced(deadline: u64) -> Option<(SimTime, TraceContext)> {
+        Some((SimTime(deadline), TraceContext::NONE))
+    }
+
+    /// What a sweep at `now` takes, as `(key, continuation)` pairs.
+    fn expired(c: &mut Continuations<u64, &'static str>, now: u64) -> Vec<(u64, &'static str)> {
+        let due = c.take_expired(SimTime(now));
+        due.into_iter().map(|(k, c, _)| (k, c)).collect()
+    }
+
     #[test]
     fn continuations_take_and_expire() {
         let mut c: Continuations<u64, &'static str> = Continuations::new();
         assert!(c.is_empty());
-        assert!(c.insert(1, "a").is_none());
-        assert!(c.insert_with_deadline(2, "b", SimTime(100)).is_none());
+        assert!(c.insert(1, "a", None).is_none());
+        assert!(c.insert(2, "b", untraced(100)).is_none());
         assert_eq!(c.len(), 2);
-        assert!(c.contains(&1));
         assert_eq!(c.next_deadline(), Some(SimTime(100)));
         assert_eq!(c.take(&1), Some("a"));
         assert_eq!(c.take(&1), None);
-        // Before the deadline, the sweep finds nothing.
-        assert!(c.take_expired(SimTime(99)).is_empty());
-        assert_eq!(c.take_expired(SimTime(100)), vec![(2, "b")]);
+        // Before the deadline, the sweep finds nothing; a deadline equal
+        // to the sweep's `now` has passed.
+        assert!(expired(&mut c, 99).is_empty());
+        assert_eq!(expired(&mut c, 100), vec![(2, "b")]);
         assert!(c.is_empty());
         assert_eq!(c.next_deadline(), None);
-        let s = c.stats();
-        assert_eq!((s.inserted, s.taken, s.expired), (2, 1, 1));
     }
 
     #[test]
     fn reply_beats_deadline_leaves_nothing_to_expire() {
         let mut c: Continuations<u64, &'static str> = Continuations::new();
-        c.insert_with_deadline(7, "x", SimTime(50));
+        c.insert(7, "x", untraced(50));
         // The reply arrives first: taking the continuation clears its
         // deadline, so a later sweep must not double-resolve the call.
         assert_eq!(c.take(&7), Some("x"));
-        assert!(c.take_expired(SimTime(1_000)).is_empty());
-        assert_eq!(c.stats().expired, 0);
+        assert!(expired(&mut c, 1_000).is_empty());
     }
 
     #[test]
     fn expired_sweep_is_ordered_and_partial() {
         let mut c: Continuations<u64, &'static str> = Continuations::new();
-        c.insert_with_deadline(3, "c", SimTime(30));
-        c.insert_with_deadline(1, "a", SimTime(10));
-        c.insert_with_deadline(2, "b", SimTime(99));
-        let due = c.take_expired(SimTime(40));
-        assert_eq!(due, vec![(1, "a"), (3, "c")]);
+        c.insert(3, "c", untraced(30));
+        c.insert(1, "a", untraced(10));
+        c.insert(2, "b", untraced(99));
+        assert_eq!(expired(&mut c, 40), vec![(1, "a"), (3, "c")]);
         assert_eq!(c.len(), 1);
         assert_eq!(c.next_deadline(), Some(SimTime(99)));
     }
@@ -850,15 +802,14 @@ mod tests {
         use crate::trace::{SpanId, TraceId};
         let tc = TraceContext::new(TraceId(3), SpanId(7));
         let mut c: Continuations<u64, &'static str> = Continuations::new();
-        c.insert_traced(1, "a", SimTime(10), tc);
-        c.insert_with_deadline(2, "b", SimTime(10));
-        c.insert(3, "c");
+        c.insert(1, "a", Some((SimTime(10), tc)));
+        c.insert(2, "b", untraced(10));
+        c.insert(3, "c", None);
         assert_eq!(
-            c.take_expired_traced(SimTime(10)),
+            c.take_expired(SimTime(10)),
             vec![(1, "a", tc), (2, "b", TraceContext::NONE)]
         );
         assert_eq!(c.len(), 1, "no deadline, never swept");
-        assert_eq!(c.stats().expired, 2);
     }
 
     #[test]

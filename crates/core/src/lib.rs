@@ -24,7 +24,6 @@
 //! | §2.1.1 relations | [`relations`] |
 //! | §2.1 multiple inheritance | [`inherit`] |
 //! | §4.1.3 LegionClass & responsibility pairs | [`metaclass`] |
-//! | §5.2.2 class cloning | [`clone`] |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,7 +32,6 @@ pub mod address;
 pub mod allocs;
 pub mod binding;
 pub mod class;
-pub mod clone;
 pub mod context;
 pub mod dispatch;
 pub mod env;

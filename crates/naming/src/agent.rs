@@ -19,27 +19,24 @@
 //! straight to the class ("the Binding Agent might contact the class
 //! object for an updated binding", §3.6).
 //!
-//! Upstream replies resume typed continuations from the shared
-//! [`Continuations`] store; each call is registered with a deadline and
-//! the endpoint's one armed sweep timer drives the shared deadline sweep,
-//! which resolves overdue continuations with the uniform timeout error —
+//! Upstream requests go out through the agent's [`Calls`] under the
+//! request timeout; a reply resumes its continuation, and a call the
+//! deadline sweep gives up on resumes it with the uniform timeout error —
 //! so the retry policy lives in exactly one place.
 
 use crate::cache::BindingCache;
 use crate::protocol::{BindingArg, ADD_BINDING, FIND_RESPONSIBLE, GET_BINDING, INVALIDATE_BINDING};
 use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
-use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
-use legion_core::symbol::{self, Sym};
+use legion_core::symbol;
 use legion_core::time::Expiry;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{is_core_class, LEGION_CLASS};
 use legion_net::dispatch::{
-    cont, insert_pending, is_timeout, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
+    is_timeout, resume, serve, tick, Caller, Calls, MethodTable, Outcome, Parked, TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
@@ -119,7 +116,7 @@ pub struct BindingAgentEndpoint {
     cfg: AgentConfig,
     cache: BindingCache,
     resolving: FxHashMap<Loid, Resolution>,
-    continuations: Continuations<Self>,
+    calls: Calls<Self>,
     table: Rc<MethodTable<Self>>,
 }
 
@@ -128,11 +125,13 @@ impl BindingAgentEndpoint {
     pub fn new(cfg: AgentConfig) -> Self {
         let cache = BindingCache::new(cfg.cache_capacity);
         let table = Self::table(cfg.loid);
+        let mut calls = Calls::new(cfg.loid, symbol::BA_TIMEOUT);
+        calls.set_deadline_ns(Some(cfg.request_timeout_ns));
         BindingAgentEndpoint {
             cfg,
             cache,
             resolving: FxHashMap::default(),
-            continuations: Continuations::new(),
+            calls,
             table,
         }
     }
@@ -269,8 +268,10 @@ impl BindingAgentEndpoint {
     /// The continuation for an expected binding reply: it owns the
     /// reply's binding box and hands it on to [`Self::complete`].
     /// Timeouts retry, everything else completes the resolution.
-    fn binding_continuation(target: Loid) -> Continuation<Self> {
-        cont(move |e: &mut Self, ctx, result| {
+    fn binding_continuation(
+        target: Loid,
+    ) -> impl FnOnce(&mut Self, &mut Ctx<'_>, Result<LegionValue, String>) {
+        move |e, ctx, result| {
             let reason = match result {
                 Ok(LegionValue::Binding(shell)) => return e.complete(ctx, target, Ok(shell)),
                 Ok(v) => format!("unexpected payload {v}"),
@@ -281,12 +282,14 @@ impl BindingAgentEndpoint {
             } else {
                 e.complete(ctx, target, Err(reason));
             }
-        })
+        }
     }
 
     /// The continuation for LegionClass's `FindResponsible(target)`.
-    fn responsible_continuation(target: Loid) -> Continuation<Self> {
-        cont(move |e: &mut Self, ctx, result| match result {
+    fn responsible_continuation(
+        target: Loid,
+    ) -> impl FnOnce(&mut Self, &mut Ctx<'_>, Result<LegionValue, String>) {
+        move |e, ctx, result| match result {
             Ok(LegionValue::Loid(responsible)) => {
                 e.ensure_class_then_ask(ctx, responsible, target);
             }
@@ -301,7 +304,7 @@ impl BindingAgentEndpoint {
                     e.complete(ctx, target, Err(err));
                 }
             }
-        })
+        }
     }
 
     /// Issue (or re-issue) the upstream request for `target`.
@@ -318,7 +321,7 @@ impl BindingAgentEndpoint {
                 ctx.count(symbol::BA_TO_PARENT);
                 let mut args = ctx.take_args();
                 args.push(LegionValue::Loid(target));
-                if self.send_pending(
+                if self.calls.call(
                     ctx,
                     parent,
                     LEGION_CLASS, // nominal target loid of the call frame
@@ -345,7 +348,7 @@ impl BindingAgentEndpoint {
             let lc = self.cfg.legion_class;
             let mut args = ctx.take_args();
             args.push(LegionValue::Loid(target));
-            if !self.send_pending(
+            if !self.calls.call(
                 ctx,
                 lc,
                 LEGION_CLASS,
@@ -362,7 +365,7 @@ impl BindingAgentEndpoint {
             let lc = self.cfg.legion_class;
             let mut args = ctx.take_args();
             args.push(LegionValue::Loid(target));
-            if !self.send_pending(
+            if !self.calls.call(
                 ctx,
                 lc,
                 LEGION_CLASS,
@@ -432,7 +435,7 @@ impl BindingAgentEndpoint {
         };
         let mut args = ctx.take_args();
         args.push(arg);
-        if !self.send_pending(
+        if !self.calls.call(
             ctx,
             primary,
             class,
@@ -444,35 +447,6 @@ impl BindingAgentEndpoint {
             // binding is stale. Evict and retry through the full path.
             self.cache.invalidate(&class);
             self.retry_or_fail(ctx, next_target, "class unreachable");
-        }
-    }
-
-    /// Send a call and register its continuation under the request
-    /// timeout. Returns `false` on a detectable refusal (nothing
-    /// registered).
-    fn send_pending(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: ObjectAddressElement,
-        frame_target: Loid,
-        method: impl Into<Sym>,
-        args: Vec<LegionValue>,
-        k: Continuation<Self>,
-    ) -> bool {
-        let env = InvocationEnv::solo(self.cfg.loid);
-        match ctx.call(to, frame_target, method, args, env, Some(self.cfg.loid)) {
-            Some(call_id) => {
-                insert_pending(
-                    &mut self.continuations,
-                    ctx,
-                    call_id,
-                    k,
-                    Some(self.cfg.request_timeout_ns),
-                    TIMER_DEADLINE_SWEEP,
-                );
-                true
-            }
-            None => false,
         }
     }
 
@@ -525,16 +499,19 @@ impl BindingAgentEndpoint {
     }
 }
 
+impl Caller for BindingAgentEndpoint {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
+    }
+}
+
 impl Endpoint for BindingAgentEndpoint {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(id) = reply_id(&msg) {
-            match self.continuations.take(&id) {
-                Some(resume) => resume(self, ctx, take_reply_result(msg)),
-                None => ctx.count(symbol::BA_LATE_REPLY),
-            }
+        let Some(msg) = resume(self, ctx, msg) else {
             return;
-        }
+        };
         if msg.is_reply() {
+            ctx.count(symbol::BA_LATE_REPLY);
             return;
         }
         let table = Rc::clone(&self.table);
@@ -542,16 +519,6 @@ impl Endpoint for BindingAgentEndpoint {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag != TIMER_DEADLINE_SWEEP {
-            return;
-        }
-        fn conts(e: &mut BindingAgentEndpoint) -> &mut Continuations<BindingAgentEndpoint> {
-            &mut e.continuations
-        }
-        let after_ns = self.cfg.request_timeout_ns;
-        let expired = sweep_expired(self, ctx, conts, after_ns);
-        for _ in 0..expired {
-            ctx.count(symbol::BA_TIMEOUT);
-        }
+        tick(self, ctx, tag);
     }
 }

@@ -4,37 +4,41 @@
 //! signatures, typed argument codecs, uniform errors, verdicts, and the
 //! generic method-table / continuation stores. This module instantiates
 //! those generics with the transport types (`Message`, [`Ctx`], `CallId`)
-//! and drives the per-message flow every endpoint shares:
+//! and is the one mechanism by which an endpoint is called and calls.
 //!
-//! 1. replies are routed to the endpoint's [`Continuations`] store;
-//! 2. a call with **no method name** is *dead-lettered* — counted and
+//! **Inbound** — [`TableBuilder`] → [`MethodTable`] → [`serve`]. An
+//! endpoint registers its methods at construction and keeps the sealed
+//! table in an `Rc`; `serve` then drives the flow every endpoint shares:
+//!
+//! 1. a call with **no method name** is *dead-lettered* — counted and
 //!    annotated, never silently dropped;
-//! 3. unknown methods and signature mismatches are answered with the
+//! 2. unknown methods and signature mismatches are answered with the
 //!    uniform `CoreError` rendering;
-//! 4. the MayI gate (§2.4) runs once here, for every gated method of
+//! 3. the MayI gate (§2.4) runs once here, for every gated method of
 //!    every endpoint — with the heartbeat bypass expressed as an
 //!    *ungated, one-way* registration rather than endpoint-specific code;
-//! 5. the span annotation `(method, verdict)` is recorded at this
+//! 4. the span annotation `(method, verdict)` is recorded at this
 //!    boundary. The kernel's per-delivery span already carries the method
 //!    name, so the boundary only adds an explicit `dispatch.…` note for
 //!    non-`allowed` verdicts — keeping same-seed traces of healthy runs
 //!    byte-identical while making every refusal visible.
 //!
-//! Endpoints register methods against a [`TableBuilder`] at construction
-//! and keep the sealed table in an `Rc`; `on_message` becomes a call to
-//! [`serve`] plus a continuation take for replies.
-//!
-//! Outbound calls that wait for a reply share one deadline mechanism,
-//! [`insert_pending`] and [`sweep_expired`]: an endpoint keeps a single
-//! sweep timer armed for its earliest outstanding deadline — not a timer
-//! per call — and a timeout is resolved under the trace context of the
-//! call that registered it.
+//! **Outbound** — [`Calls`] → [`resume`] / [`tick`]. An endpoint that
+//! waits for replies holds one `Calls` value and hands it out through
+//! [`Caller`]; [`Calls::call`] sends and parks the continuation,
+//! `on_message` offers every message to `resume`, `on_timer` offers every
+//! tag to `tick`. The deadline rule lives here and nowhere else: one
+//! sweep timer armed for the endpoint's earliest outstanding deadline —
+//! not a timer per call — and a timeout resolved under the trace context
+//! of the call that parked it.
 
 use crate::message::{Body, CallId, Message};
 use crate::sim::{Ctx, FlightKind};
+use legion_core::address::ObjectAddressElement;
 use legion_core::dispatch::{
     self as model, FromArg, FromArgs, InvocationGate, MethodTable as ModelTable, Verdict,
 };
+use legion_core::env::InvocationEnv;
 use legion_core::error::CoreError;
 use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
@@ -67,32 +71,24 @@ pub enum Outcome {
 pub type Handler<E> = Box<dyn Fn(&mut E, &mut Ctx<'_>, &Message, &[LegionValue]) -> Outcome>;
 
 /// A continuation awaiting the reply to one outbound call.
-pub type Continuation<E> = Box<dyn FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>)>;
+type Continuation<E> = Box<dyn FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>)>;
 
-/// The shared call-id → continuation store, keyed by [`CallId`].
-pub type Continuations<E> = model::Continuations<CallId, Continuation<E>>;
-
-/// Box a plain continuation closure.
-pub fn cont<E, F>(f: F) -> Continuation<E>
-where
-    F: FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>) + 'static,
-{
-    Box::new(f)
-}
-
-/// Box a *typed* continuation: the reply payload is decoded to `T` before
-/// the closure runs; a payload of the wrong type becomes an `Err`.
-pub fn cont_expecting<E, T: FromArg, F>(f: F) -> Continuation<E>
+/// A *typed* continuation for [`Calls::call`]: the reply payload is
+/// decoded to `T` before `f` runs; a payload of the wrong type becomes an
+/// `Err`.
+pub fn cont_expecting<E, T: FromArg, F>(
+    f: F,
+) -> impl FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>) + 'static
 where
     F: FnOnce(&mut E, &mut Ctx<'_>, Result<T, String>) + 'static,
 {
-    Box::new(move |e, ctx, r| {
+    move |e, ctx, r| {
         let typed = match r {
             Err(err) => Err(err),
             Ok(v) => T::from_value(&v).ok_or_else(|| format!("unexpected payload {v}")),
         };
         f(e, ctx, typed)
-    })
+    }
 }
 
 /// The requests parked behind one piece of work in flight (the callers
@@ -145,10 +141,6 @@ impl<T> IntoIterator for Parked<T> {
     }
 }
 
-/// Timer tag endpoints reserve for their continuation deadline sweep.
-/// High in the tag space, so it never collides with protocol timers.
-pub const TIMER_DEADLINE_SWEEP: u64 = 0x4444_4c53_5745_4550; // "DDLSWEEP"
-
 /// The uniform timeout rendering a deadline sweep substitutes for a reply
 /// that never came ([`CoreError::Timeout`] on the wire).
 pub fn timeout_error(after_ns: u64) -> String {
@@ -177,19 +169,25 @@ pub fn is_overloaded(err: &str) -> Option<u64> {
     rest.strip_suffix("ns")?.parse().ok()
 }
 
-/// Register a continuation under the endpoint's deadline policy.
+/// Timer tag of the deadline sweep. High in the tag space, so it never
+/// collides with an endpoint's protocol timers.
+const TIMER_DEADLINE_SWEEP: u64 = 0x4444_4c53_5745_4550; // "DDLSWEEP"
+
+/// How many recorder-tail events a fired deadline sweep dumps.
+const SWEEP_DUMP_TAIL: usize = 16;
+
+/// The outbound half of an endpoint: every call it has made and not yet
+/// heard back from, and the policy for giving up on one.
 ///
-/// With `deadline_ns = None` the endpoint waits forever (the historical
-/// behavior — no timer events are created, so fault-free runs are
-/// untouched). With `Some(d)`, the continuation is recorded with deadline
-/// `now + d` and the trace context of the call registering it, and the
-/// endpoint's `on_timer` calls [`sweep_expired`] on `timer_tag`
-/// ([`TIMER_DEADLINE_SWEEP`], which is also what re-arming uses).
+/// With `deadline_ns = None` (the default) the endpoint waits forever and
+/// no timer is ever armed, so a fault-free run carries no events, call
+/// ids or allocations for the deadline machinery. With `Some(d)` a parked
+/// continuation is due at `now + d`, under the trace context of the call
+/// parking it, and the endpoint keeps **one** sweep timer armed, not one
+/// per call:
 ///
-/// An endpoint keeps **one** sweep timer armed, not one per call:
-///
-/// * *register* with deadline `D` arms a timer at `D` only if none is
-///   pending or `D` is earlier than the pending one;
+/// * *park* with deadline `D` arms a timer at `D` only if none is pending
+///   or `D` is earlier than the pending one;
 /// * *fire* at `now` forgets the pending timer if it was due, and expires
 ///   everything with `deadline <= now`;
 /// * *re-arm*, once the expired continuations have run, arms a timer at
@@ -200,100 +198,159 @@ pub fn is_overloaded(err: &str) -> Option<u64> {
 /// or before the earliest one: every continuation is swept at exactly its
 /// own deadline, and a busy endpoint pays one timer event per timeout
 /// period.
-pub fn insert_pending<E>(
-    conts: &mut Continuations<E>,
-    ctx: &mut Ctx<'_>,
-    id: CallId,
-    k: Continuation<E>,
+pub struct Calls<E> {
+    parked: model::Continuations<CallId, Continuation<E>>,
+    /// The endpoint's own LOID: the sender, and the whole environment
+    /// triple, of every call it makes.
+    loid: Loid,
     deadline_ns: Option<u64>,
-    timer_tag: u64,
-) {
-    match deadline_ns {
-        None => {
-            conts.insert(id, k);
+    /// The endpoint's own counter, bumped once per expiry.
+    timeouts: Sym,
+}
+
+impl<E> Calls<E> {
+    /// No calls outstanding, no deadline. `timeouts` names the counter
+    /// [`tick`] bumps for each call this endpoint gives up on.
+    pub fn new(loid: Loid, timeouts: Sym) -> Self {
+        Calls {
+            parked: model::Continuations::new(),
+            loid,
+            deadline_ns: None,
+            timeouts,
         }
-        Some(d) => {
-            let deadline = ctx.now().saturating_add(d);
-            conts.insert_traced(id, k, deadline, ctx.inner.current);
-            arm_sweep(conts, ctx, deadline, timer_tag);
+    }
+
+    /// Give up on calls parked from now on after `deadline_ns` virtual
+    /// ns; `None` waits forever.
+    pub fn set_deadline_ns(&mut self, deadline_ns: Option<u64>) {
+        self.deadline_ns = deadline_ns;
+    }
+
+    /// Calls still waiting — zero at quiescence in a healthy run.
+    pub fn outstanding(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Call `method` on `target` at `to` in this endpoint's own name and
+    /// park `k` for the reply, under the deadline. `false` on a
+    /// detectable refusal (§4.1.4: the address is stale): nothing was
+    /// parked, nothing armed, `k` is dropped unboxed.
+    pub fn call<F>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        to: ObjectAddressElement,
+        target: Loid,
+        method: impl Into<Sym>,
+        args: Vec<LegionValue>,
+        k: F,
+    ) -> bool
+    where
+        F: FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>) + 'static,
+    {
+        let env = InvocationEnv::solo(self.loid);
+        match ctx.call(to, target, method, args, env, Some(self.loid)) {
+            Some(id) => {
+                self.park(ctx, id, Box::new(k));
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The half of [`Calls::call`] that is not generic over the closure.
+    fn park(&mut self, ctx: &mut Ctx<'_>, id: CallId, k: Continuation<E>) {
+        let deadline = self.deadline_ns.map(|d| ctx.now().saturating_add(d));
+        self.parked
+            .insert(id, k, deadline.map(|at| (at, ctx.inner.current)));
+        if let Some(at) = deadline {
+            self.arm_sweep(ctx, at);
+        }
+    }
+
+    /// Arm a sweep timer for `at` unless one is already pending at or
+    /// before it. The timer belongs to the endpoint, not to the request
+    /// that happens to be running, so it is armed under no trace context.
+    fn arm_sweep(&mut self, ctx: &mut Ctx<'_>, at: SimTime) {
+        if self.parked.claim_timer(at) {
+            let running = std::mem::replace(&mut ctx.inner.current, TraceContext::NONE);
+            ctx.set_timer(at.saturating_since(ctx.now()), TIMER_DEADLINE_SWEEP);
+            ctx.inner.current = running;
         }
     }
 }
 
-/// Arm a sweep timer for `at` unless one is already pending at or before
-/// it. The timer belongs to the endpoint, not to the request that happens
-/// to be running, so it is armed under no trace context.
-fn arm_sweep<E>(conts: &mut Continuations<E>, ctx: &mut Ctx<'_>, at: SimTime, timer_tag: u64) {
-    if conts.claim_timer(at) {
-        let running = std::mem::replace(&mut ctx.inner.current, TraceContext::NONE);
-        ctx.set_timer(at.saturating_since(ctx.now()), timer_tag);
-        ctx.inner.current = running;
-    }
+/// An endpoint that makes calls: where its [`Calls`] value lives. The
+/// one accessor [`resume`] and [`tick`] need — and the one way a system
+/// builder or an audit reaches an endpoint's deadline and outstanding
+/// count.
+pub trait Caller: Sized {
+    /// The endpoint's outbound half.
+    fn calls(&mut self) -> &mut Calls<Self>;
 }
 
-/// The deadline sweep: resolve every overdue continuation with the
-/// uniform timeout error ([`timeout_error`]), each under the trace context
-/// of the call that registered it, then re-arm for the earliest deadline
-/// still outstanding (see [`insert_pending`]). Returns how many expired.
+/// Offer an incoming message to the endpoint's parked calls. A reply to
+/// one of them runs its continuation — the payload moved out, so the
+/// value changes owners instead of being copied — and `None` comes back.
+/// Anything else is handed back untouched: a call, or a reply nothing is
+/// waiting for (late, after its call timed out).
+pub fn resume<E: Caller>(e: &mut E, ctx: &mut Ctx<'_>, msg: Message) -> Option<Message> {
+    let Body::Reply { in_reply_to, .. } = &msg.body else {
+        return Some(msg);
+    };
+    let Some(k) = e.calls().parked.take(in_reply_to) else {
+        return Some(msg);
+    };
+    let Body::Reply { result, .. } = msg.body else {
+        unreachable!("matched as a reply above");
+    };
+    k(e, ctx, result);
+    None
+}
+
+/// Offer a fired timer to the endpoint's deadline sweep. `false`, and
+/// nothing touched, unless `tag` is the sweep's own; otherwise every
+/// overdue continuation is resolved with the uniform timeout error
+/// ([`timeout_error`]), each under the trace context of the call that
+/// parked it, and the sweep is re-armed for the earliest deadline still
+/// outstanding (see [`Calls`]).
 ///
-/// Each expiry bumps the `net.timeout_expired` counter (surfaced as
+/// Each expiry bumps `net.timeout_expired` (surfaced as
 /// [`MetricsSnapshot::timeouts_expired`](crate::metrics::MetricsSnapshot))
-/// and records a `Timeout` flight event carrying the expired call id; a
-/// sweep that fired dumps the recorder tail to stderr unless
+/// and the endpoint's own counter, and records a `Timeout` flight event
+/// carrying the expired call id; a sweep that expired something dumps the
+/// recorder tail to stderr unless
 /// [`SimKernel::set_flight_dump_on_sweep`](crate::sim::SimKernel::set_flight_dump_on_sweep)
-/// turned that off — both allocation-free on the no-expiry path.
-///
-/// `conts` is an accessor (not a borrow) so each continuation can receive
-/// `&mut E` without aliasing the store.
-pub fn sweep_expired<E>(
-    endpoint: &mut E,
-    ctx: &mut Ctx<'_>,
-    conts: fn(&mut E) -> &mut Continuations<E>,
-    after_ns: u64,
-) -> usize {
-    let store = conts(endpoint);
-    store.timer_fired(ctx.now());
-    let due = store.take_expired_traced(ctx.now());
-    let n = due.len();
+/// turned that off — all allocation-free on the no-expiry path.
+pub fn tick<E: Caller>(e: &mut E, ctx: &mut Ctx<'_>, tag: u64) -> bool {
+    if tag != TIMER_DEADLINE_SWEEP {
+        return false;
+    }
+    let calls = e.calls();
+    let after_ns = calls.deadline_ns.unwrap_or(0);
+    calls.parked.timer_fired(ctx.now());
+    let due = calls.parked.take_expired(ctx.now());
+    let expired = due.len() as u64;
     let fired_under = ctx.inner.current;
     for (id, k, trace) in due {
         ctx.inner.current = trace;
         ctx.count(symbol::NET_TIMEOUT_EXPIRED);
         ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
-        k(endpoint, ctx, Err(timeout_error(after_ns)));
+        k(e, ctx, Err(timeout_error(after_ns)));
     }
     ctx.inner.current = fired_under;
-    if n > 0 && ctx.flight_dump_on_sweep() {
+    if expired > 0 && ctx.flight_dump_on_sweep() {
         ctx.dump_flight("deadline sweep expired continuations", SWEEP_DUMP_TAIL);
     }
-    let store = conts(endpoint);
-    if let Some(next) = store.next_deadline() {
-        arm_sweep(store, ctx, next, TIMER_DEADLINE_SWEEP);
+    let calls = e.calls();
+    if let Some(next) = calls.parked.next_deadline() {
+        calls.arm_sweep(ctx, next);
     }
-    n
-}
-
-/// How many recorder-tail events a fired deadline sweep dumps.
-const SWEEP_DUMP_TAIL: usize = 16;
-
-/// If `msg` is a reply, yield the call-id it answers. Endpoints use this
-/// to route replies into their [`Continuations`] store before serving.
-pub fn reply_id(msg: &Message) -> Option<CallId> {
-    match &msg.body {
-        Body::Reply { in_reply_to, .. } => Some(*in_reply_to),
-        Body::Call { .. } => None,
+    // Under the timer's own (no) trace context, not the expired calls':
+    // the endpoint's counter has never annotated their traces.
+    if expired > 0 {
+        ctx.count_n(calls.timeouts, expired);
     }
-}
-
-/// The reply payload, for messages [`reply_id`] matched: consumes the
-/// message and moves the payload out, so the reply value changes owners
-/// instead of being copied (and the consumer can recycle its shell
-/// through [`Ctx::recycle_value`] when done).
-pub fn take_reply_result(msg: Message) -> Result<LegionValue, String> {
-    match msg.body {
-        Body::Reply { result, .. } => result,
-        Body::Call { .. } => Err("not a reply".into()),
-    }
+    true
 }
 
 /// A sealed per-endpoint method table: the model-layer registry plus the
@@ -442,7 +499,8 @@ impl<E> TableBuilder<E> {
 pub enum Served {
     /// A call was dispatched with this verdict.
     Call(Verdict),
-    /// The message is a reply — the endpoint resolves its continuations.
+    /// The message is a reply, not a call: nothing to serve (replies go
+    /// to [`resume`]).
     Reply,
 }
 
@@ -527,6 +585,165 @@ fn serve_ref<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use crate::sim::{Endpoint, EndpointId, SimKernel};
+    use crate::topology::{Location, Topology};
+
+    const PINGER: Loid = Loid::instance(70, 1);
+    const CALLEE: Loid = Loid::instance(70, 2);
+    /// One hop in the test topology, and a deadline well past a round trip.
+    const HOP_NS: u64 = 10_000;
+    const DEADLINE_NS: u64 = 100 * HOP_NS;
+
+    /// Pings `to` once at start — through its [`Calls`], or with a bare
+    /// `ctx.call` — and keeps what `resume` and `tick` hand back.
+    struct Pinger {
+        to: ObjectAddressElement,
+        bare: bool,
+        calls: Calls<Pinger>,
+        results: Vec<Result<LegionValue, String>>,
+        handed_back: Vec<Message>,
+        foreign_tags: Vec<u64>,
+    }
+
+    impl Pinger {
+        fn new(to: EndpointId, deadline_ns: Option<u64>) -> Self {
+            let mut calls = Calls::new(PINGER, Sym::intern("pinger.timeouts"));
+            calls.set_deadline_ns(deadline_ns);
+            Pinger {
+                to: to.element(),
+                bare: false,
+                calls,
+                results: Vec::new(),
+                handed_back: Vec::new(),
+                foreign_tags: Vec::new(),
+            }
+        }
+    }
+
+    impl Caller for Pinger {
+        fn calls(&mut self) -> &mut Calls<Self> {
+            &mut self.calls
+        }
+    }
+
+    impl Endpoint for Pinger {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.bare {
+                let env = InvocationEnv::solo(PINGER);
+                ctx.call(self.to, CALLEE, "Ping", vec![], env, Some(PINGER));
+            } else {
+                let sent = self
+                    .calls
+                    .call(ctx, self.to, CALLEE, "Ping", vec![], |e, _, r| {
+                        e.results.push(r)
+                    });
+                assert!(sent);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let back = resume(self, ctx, msg);
+            self.handed_back.extend(back);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            if !tick(self, ctx, tag) {
+                self.foreign_tags.push(tag);
+            }
+        }
+    }
+
+    /// Answers every call with `Ok(Void)`; `Silent` answers none.
+    struct Echo;
+    impl Endpoint for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            ctx.reply(&msg, Ok(LegionValue::Void));
+        }
+    }
+    struct Silent;
+    impl Endpoint for Silent {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    /// A kernel with `callee` at one end and a pinger at the other.
+    fn pair(
+        callee: Box<dyn Endpoint>,
+        pinger: fn(EndpointId) -> Pinger,
+    ) -> (SimKernel, EndpointId) {
+        let mut k = SimKernel::new(
+            Topology::fixed(1_000, HOP_NS, 1_000_000),
+            FaultPlan::none(),
+            7,
+        );
+        k.set_flight_dump_on_sweep(false);
+        let callee = k.add_endpoint(callee, Location::new(0, 0), "callee");
+        let p = k.add_endpoint(Box::new(pinger(callee)), Location::new(0, 1), "pinger");
+        (k, p)
+    }
+
+    #[test]
+    fn an_unmatched_reply_is_handed_back_untouched() {
+        let (mut k, p) = pair(Box::new(Silent), |to| Pinger::new(to, None));
+        k.run_until_quiescent(100);
+        // A reply to a call the pinger never made, beside the one it did.
+        let ask = Message::call(
+            CallId(9_999),
+            PINGER,
+            "Ping",
+            vec![],
+            InvocationEnv::anonymous(),
+        );
+        let stray = Message::reply_to(&ask, CallId(10_000), Ok(LegionValue::Uint(7)));
+        assert!(k.inject(Location::new(0, 0), p.element(), stray.clone()));
+        assert!(k.inject(Location::new(0, 0), p.element(), ask.clone()));
+        k.run_until_quiescent(100);
+        let pinger = k.endpoint::<Pinger>(p).unwrap();
+        assert_eq!(
+            pinger.handed_back,
+            [stray, ask],
+            "a stray reply, then a call"
+        );
+        assert!(pinger.results.is_empty(), "no continuation ran");
+        assert_eq!(pinger.calls.outstanding(), 1, "the real call still waits");
+    }
+
+    #[test]
+    fn tick_leaves_a_foreign_tag_alone() {
+        let (mut k, p) = pair(Box::new(Silent), |to| Pinger::new(to, Some(DEADLINE_NS)));
+        // A protocol timer of the endpoint's own, due before the deadline
+        // and again after the sweep.
+        assert!(k.set_timer(p, DEADLINE_NS / 2, 7));
+        assert!(k.set_timer(p, DEADLINE_NS * 2, 8));
+        k.run_until(SimTime(DEADLINE_NS - 1));
+        let pinger = k.endpoint::<Pinger>(p).unwrap();
+        assert_eq!(pinger.foreign_tags, [7]);
+        assert_eq!(pinger.calls.outstanding(), 1, "nothing swept early");
+        assert_eq!(k.counters().get("net.timeout_expired"), 0);
+        // The sweep it had armed still fires on the deadline.
+        k.run_until(SimTime(DEADLINE_NS));
+        let pinger = k.endpoint::<Pinger>(p).unwrap();
+        assert_eq!(pinger.results, [Err(timeout_error(DEADLINE_NS))]);
+        assert_eq!(k.counters().get("pinger.timeouts"), 1);
+        k.run_until_quiescent(100);
+        assert_eq!(k.endpoint::<Pinger>(p).unwrap().foreign_tags, [7, 8]);
+        assert_eq!(k.counters().get("net.timeout_expired"), 1);
+    }
+
+    #[test]
+    fn without_a_deadline_a_call_costs_what_a_bare_one_does() {
+        let run = |bare: bool| {
+            let (mut k, p) = pair(Box::new(Echo), |to| Pinger::new(to, None));
+            k.endpoint_mut::<Pinger>(p).unwrap().bare = bare;
+            k.run_until_quiescent(100);
+            assert!(k.is_quiescent());
+            let answered = k.endpoint::<Pinger>(p).unwrap().results == [Ok(LegionValue::Void)];
+            assert_eq!(answered, !bare);
+            let s = k.stats();
+            (s.events, s.sent, s.delivered, k.now(), k.fresh_call_id())
+        };
+        assert_eq!(run(false), run(true), "events, messages, clock, call ids");
+    }
 
     #[test]
     fn timeout_rendering_round_trips() {

@@ -1,9 +1,9 @@
 //! Edge cases of the shared continuation deadline sweep.
 //!
 //! Every endpoint that waits on replies shares one deadline mechanism:
-//! [`insert_pending`] records the continuation with `deadline = now + d`
-//! and arms a sweep timer; [`sweep_expired`] then resolves everything
-//! overdue with the uniform [`timeout_error`]. These tests pin down the
+//! [`Calls::call`] parks the continuation with `deadline = now + d` and
+//! arms a sweep timer; [`tick`] then resolves everything overdue with
+//! the uniform [`timeout_error`]. These tests pin down the
 //! boundary behavior that is easy to regress and hard to spot in the
 //! end-to-end experiments:
 //!
@@ -17,85 +17,78 @@
 //!   the waiter out — removal produces a dead letter, never a reply, and
 //!   the waiter must not leak the continuation.
 
-use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
+use legion_core::symbol::Sym;
 use legion_core::value::LegionValue;
-use legion_net::dispatch::{
-    cont, insert_pending, is_timeout, sweep_expired, take_reply_result, timeout_error,
-    Continuations, TIMER_DEADLINE_SWEEP,
-};
+use legion_net::dispatch::{is_timeout, resume, tick, timeout_error, Caller, Calls};
 use legion_net::faults::FaultPlan;
 use legion_net::message::{CallId, Message};
-use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
+use legion_net::sim::{Ctx, Endpoint, EndpointId, FlightKind, SimKernel};
 use legion_net::topology::{Location, Topology};
 
 const TIMEOUT_NS: u64 = 5_000;
 const TARGET: Loid = Loid::instance(77, 1);
 const WAITER: Loid = Loid::instance(77, 2);
 
-/// Calls `target` `calls` times at start, arming the shared deadline
-/// machinery for each call, and records every resolution in order.
+/// Calls `target` `n` times at start, each under the shared deadline
+/// machinery, and records every resolution in order.
 struct Waiter {
     target: EndpointId,
-    calls: usize,
-    conts: Continuations<Waiter>,
-    /// `(call_id, error)` per resolved continuation, in resolution order.
-    resolved: Vec<(u64, Result<LegionValue, String>)>,
-    /// Expired-count returned by each sweep that found something.
+    n: usize,
+    calls: Calls<Waiter>,
+    /// `(nth call, result)` per resolved continuation, in resolution
+    /// order. Call ids ascend with `nth`: the kernel hands them out in
+    /// call order.
+    resolved: Vec<(usize, Result<LegionValue, String>)>,
+    /// How many continuations each sweep that found something resolved.
     sweeps: Vec<usize>,
 }
 
 impl Waiter {
-    fn new(target: EndpointId, calls: usize) -> Self {
+    fn new(target: EndpointId, n: usize) -> Self {
+        let mut calls = Calls::new(WAITER, Sym::intern("waiter.timeouts"));
+        calls.set_deadline_ns(Some(TIMEOUT_NS));
         Waiter {
             target,
+            n,
             calls,
-            conts: Continuations::new(),
             resolved: Vec::new(),
             sweeps: Vec::new(),
         }
     }
 }
 
+impl Caller for Waiter {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
+    }
+}
+
 impl Endpoint for Waiter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for _ in 0..self.calls {
-            let id = ctx
-                .call(
-                    self.target.element(),
-                    TARGET,
-                    "Ping",
-                    vec![],
-                    InvocationEnv::solo(WAITER),
-                    Some(WAITER),
-                )
-                .expect("send accepted");
-            let raw = id.0;
-            insert_pending(
-                &mut self.conts,
+        for nth in 0..self.n {
+            let sent = self.calls.call(
                 ctx,
-                id,
-                cont(move |e: &mut Waiter, _ctx, r| e.resolved.push((raw, r))),
-                Some(TIMEOUT_NS),
-                TIMER_DEADLINE_SWEEP,
+                self.target.element(),
+                TARGET,
+                "Ping",
+                vec![],
+                move |e, _ctx, r| e.resolved.push((nth, r)),
             );
+            assert!(sent, "send accepted");
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(id) = legion_net::dispatch::reply_id(&msg) {
-            if let Some(k) = self.conts.take(&id) {
-                k(self, ctx, take_reply_result(msg));
-            }
-        }
+        resume(self, ctx, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag == TIMER_DEADLINE_SWEEP {
-            let n = sweep_expired(self, ctx, |e| &mut e.conts, TIMEOUT_NS);
-            if n > 0 {
-                self.sweeps.push(n);
-            }
+        let before = self.resolved.len();
+        assert!(tick(self, ctx, tag), "the only timers here are sweeps");
+        let n = self.resolved.len() - before;
+        if n > 0 {
+            self.sweeps.push(n);
         }
     }
 }
@@ -116,7 +109,7 @@ fn kernel() -> SimKernel {
 }
 
 /// A deadline exactly equal to the sweep's `now` is overdue: the timer
-/// armed by `insert_pending` at delay `d` fires at `now + d`, and that
+/// armed by `Calls::call` at delay `d` fires at `now + d`, and that
 /// sweep alone must collect the continuation (`deadline <= now`).
 #[test]
 fn deadline_equal_to_now_expires() {
@@ -138,14 +131,16 @@ fn deadline_equal_to_now_expires() {
     );
 }
 
-/// Directly at the store level: `take_expired(now)` takes a continuation
+/// Directly at the store level: a sweep at `now` takes a continuation
 /// whose deadline *equals* `now`, and leaves one due a tick later.
 #[test]
 fn take_expired_boundary_is_inclusive() {
+    use legion_core::dispatch::Continuations;
     use legion_core::time::SimTime;
-    let mut c: Continuations<Waiter> = Continuations::new();
-    c.insert_with_deadline(CallId(1), cont(|_, _, _| {}), SimTime(100));
-    c.insert_with_deadline(CallId(2), cont(|_, _, _| {}), SimTime(101));
+    use legion_core::trace::TraceContext;
+    let mut c: Continuations<CallId, &str> = Continuations::new();
+    c.insert(CallId(1), "due", Some((SimTime(100), TraceContext::NONE)));
+    c.insert(CallId(2), "later", Some((SimTime(101), TraceContext::NONE)));
     assert!(c.take_expired(SimTime(99)).is_empty());
     let due = c.take_expired(SimTime(100));
     assert_eq!(due.len(), 1);
@@ -171,10 +166,14 @@ fn one_sweep_resolves_all_expired_in_call_id_order() {
     // to reach the shared deadline collects all of them at once.
     assert_eq!(waiter.sweeps.iter().sum::<usize>(), 3);
     assert_eq!(waiter.sweeps[0], 3, "one sweep, three expiries");
-    let ids: Vec<u64> = waiter.resolved.iter().map(|(id, _)| *id).collect();
-    let mut sorted = ids.clone();
-    sorted.sort_unstable();
-    assert_eq!(ids, sorted, "resolution follows CallId order");
+    let order: Vec<usize> = waiter.resolved.iter().map(|(nth, _)| *nth).collect();
+    assert_eq!(order, [0, 1, 2], "resolution follows CallId order");
+    // ...which the sweep's own record states in call ids: one `Timeout`
+    // flight event per expiry, carrying the id it gave up on.
+    let timeouts = k.flight().iter().filter(|e| e.kind == FlightKind::Timeout);
+    let ids: Vec<u64> = timeouts.map(|e| e.detail).collect();
+    assert_eq!(ids.len(), 3);
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     for (_, r) in &waiter.resolved {
         let err = r.as_ref().expect_err("timed out");
         assert!(is_timeout(err), "uniform timeout rendering, got {err}");
@@ -205,5 +204,5 @@ fn sweep_fires_after_callee_removed() {
     for (_, r) in &waiter.resolved {
         assert!(is_timeout(r.as_ref().expect_err("timed out")));
     }
-    assert!(waiter.conts.is_empty(), "no leaked continuations");
+    assert_eq!(waiter.calls.outstanding(), 0, "no leaked continuations");
 }

@@ -1,25 +1,24 @@
 //! One armed sweep timer per endpoint must expire exactly what a timer
 //! per call would.
 //!
-//! [`insert_pending`] arms a timer only when none is pending at or before
-//! the new deadline, and [`sweep_expired`] re-arms for the earliest
-//! deadline still outstanding. The reference model here is the rule that
-//! replaced: every call arms its own timer and is expired by it. Random
-//! programs — calls with random per-call deadlines (many shorter than the
-//! one already armed), prompt replies, late replies, silent drops and the
-//! callee's removal mid-run — run through both; the `(call id, expiry
-//! time)` sets must be equal, every expiry must land exactly on its
-//! deadline, and nothing may still be waiting once its deadline has passed.
+//! [`Calls::call`] arms a timer only when none is pending at or before
+//! the new deadline, and [`tick`] re-arms for the earliest deadline still
+//! outstanding. The reference model here is the rule that replaced: every
+//! call arms its own timer and is expired by it. Random programs — calls
+//! with random per-call deadlines (many shorter than the one already
+//! armed), prompt replies, late replies, silent drops and the callee's
+//! removal mid-run — run through both; the `(call, expiry time)` sets
+//! must be equal, every expiry must land exactly on its deadline, and
+//! nothing may still be waiting once its deadline has passed.
 
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
+use legion_core::symbol::Sym;
 use legion_core::time::SimTime;
 use legion_core::value::LegionValue;
-use legion_net::dispatch::{
-    cont, insert_pending, reply_id, sweep_expired, Continuations, TIMER_DEADLINE_SWEEP,
-};
+use legion_net::dispatch::{resume, tick, Caller, Calls};
 use legion_net::faults::FaultPlan;
-use legion_net::message::{Message, ReplyTicket};
+use legion_net::message::{Body, Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 use rand::rngs::SmallRng;
@@ -27,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 const CALLEE: Loid = Loid::instance(78, 1);
-const CALLER: Loid = Loid::instance(78, 2);
+const ASKER: Loid = Loid::instance(78, 2);
 /// One hop between the two hosts, in virtual ns.
 const HOP_NS: u64 = 10_000;
 /// Per-call timers of the reference model: `REF_TIMER + call id`.
@@ -66,7 +65,7 @@ fn program(rng: &mut SmallRng, steps: usize, lossy: bool) -> Vec<Step> {
         .collect()
 }
 
-/// Which deadline rule the caller runs.
+/// Which deadline rule the asker runs.
 #[derive(Clone, Copy)]
 enum Rule {
     /// The code under test.
@@ -75,27 +74,33 @@ enum Rule {
     TimerPerCall,
 }
 
-struct Caller {
+/// Runs a program under one of the two rules. Every call is known by
+/// its step's index in the program, the same under both.
+struct Asker {
     rule: Rule,
     callee: EndpointId,
     program: Vec<Step>,
-    conts: Continuations<Caller>,
-    reference: BTreeMap<u64, SimTime>,
-    /// `(call id, virtual time)` of every expiry.
+    calls: Calls<Asker>,
+    /// The reference rule's waiting calls: call id → step.
+    reference: BTreeMap<u64, u64>,
+    /// The deadline of every call still waiting, by step.
+    waiting: BTreeMap<u64, u64>,
+    /// `(step, virtual time)` of every expiry.
     expired: Vec<(u64, u64)>,
-    /// The deadline each registered call was given.
+    /// The deadline each registered call was given, by step.
     deadlines: BTreeMap<u64, u64>,
     replied: usize,
 }
 
-impl Caller {
+impl Asker {
     fn new(rule: Rule, callee: EndpointId, program: Vec<Step>) -> Self {
-        Caller {
+        Asker {
             rule,
             callee,
             program,
-            conts: Continuations::new(),
+            calls: Calls::new(ASKER, Sym::intern("asker.timeouts")),
             reference: BTreeMap::new(),
+            waiting: BTreeMap::new(),
             expired: Vec::new(),
             deadlines: BTreeMap::new(),
             replied: 0,
@@ -104,57 +109,66 @@ impl Caller {
 
     /// Nothing may still be waiting on a deadline the clock has passed.
     fn assert_nothing_overdue(&self, now: SimTime) {
-        let earliest = match self.rule {
-            Rule::OneArmedSweep => self.conts.next_deadline(),
-            Rule::TimerPerCall => self.reference.values().min().copied(),
-        };
+        let earliest = self.waiting.values().min();
         assert!(
-            earliest.is_none_or(|d| d >= now),
-            "a continuation due at {earliest:?} is still waiting at {now:?}"
+            earliest.is_none_or(|d| *d >= now.as_nanos()),
+            "a call due at {earliest:?} is still waiting at {now:?}"
         );
     }
 
-    fn call(&mut self, ctx: &mut Ctx<'_>, step: Step) {
+    /// The call of program step `i` was answered, or given up on at `now`.
+    fn resolve(&mut self, i: u64, answered: bool, now: SimTime) {
+        self.waiting.remove(&i);
+        if answered {
+            self.replied += 1;
+        } else {
+            self.expired.push((i, now.as_nanos()));
+        }
+    }
+
+    fn call(&mut self, ctx: &mut Ctx<'_>, i: u64) {
+        let step = self.program[i as usize];
         let args = match step.answer {
             Answer::Prompt => vec![LegionValue::Uint(0)],
             Answer::Never => vec![],
             Answer::After(delay) => vec![LegionValue::Uint(delay)],
         };
-        let env = InvocationEnv::solo(CALLER);
+        let to = self.callee.element();
         // Refused once the callee is gone: nothing to register.
-        let Some(id) = ctx.call(
-            self.callee.element(),
-            CALLEE,
-            "Ask",
-            args,
-            env,
-            Some(CALLER),
-        ) else {
-            return;
-        };
-        let deadline = ctx.now().saturating_add(step.deadline_ns);
-        self.deadlines.insert(id.0, deadline.as_nanos());
         match self.rule {
-            Rule::OneArmedSweep => insert_pending(
-                &mut self.conts,
-                ctx,
-                id,
-                cont(move |e: &mut Caller, ctx, r| match r {
-                    Ok(_) => e.replied += 1,
-                    Err(_) => e.expired.push((id.0, ctx.now().as_nanos())),
-                }),
-                Some(step.deadline_ns),
-                TIMER_DEADLINE_SWEEP,
-            ),
+            Rule::OneArmedSweep => {
+                self.calls.set_deadline_ns(Some(step.deadline_ns));
+                let asked = self
+                    .calls
+                    .call(ctx, to, CALLEE, "Ask", args, move |e, ctx, r| {
+                        e.resolve(i, r.is_ok(), ctx.now())
+                    });
+                if !asked {
+                    return;
+                }
+            }
             Rule::TimerPerCall => {
-                self.reference.insert(id.0, deadline);
+                let env = InvocationEnv::solo(ASKER);
+                let Some(id) = ctx.call(to, CALLEE, "Ask", args, env, Some(ASKER)) else {
+                    return;
+                };
+                self.reference.insert(id.0, i);
                 ctx.set_timer(step.deadline_ns, REF_TIMER + id.0);
             }
         }
+        let deadline = ctx.now().saturating_add(step.deadline_ns).as_nanos();
+        self.deadlines.insert(i, deadline);
+        self.waiting.insert(i, deadline);
     }
 }
 
-impl Endpoint for Caller {
+impl Caller for Asker {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
+    }
+}
+
+impl Endpoint for Asker {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (i, step) in self.program.iter().enumerate() {
             ctx.set_timer(step.at, i as u64);
@@ -163,16 +177,16 @@ impl Endpoint for Caller {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         self.assert_nothing_overdue(ctx.now());
-        let Some(id) = reply_id(&msg) else { return };
         match self.rule {
             Rule::OneArmedSweep => {
-                if let Some(k) = self.conts.take(&id) {
-                    k(self, ctx, Ok(LegionValue::Void));
-                }
+                resume(self, ctx, msg);
             }
             Rule::TimerPerCall => {
-                if self.reference.remove(&id.0).is_some() {
-                    self.replied += 1;
+                let Body::Reply { in_reply_to, .. } = msg.body else {
+                    return;
+                };
+                if let Some(i) = self.reference.remove(&in_reply_to.0) {
+                    self.resolve(i, true, ctx.now());
                 }
             }
         }
@@ -180,14 +194,14 @@ impl Endpoint for Caller {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         self.assert_nothing_overdue(ctx.now());
-        if tag == TIMER_DEADLINE_SWEEP {
-            sweep_expired(self, ctx, |e| &mut e.conts, 0);
+        if tick(self, ctx, tag) {
+            // The rule under test swept.
         } else if tag >= REF_TIMER {
-            if self.reference.remove(&(tag - REF_TIMER)).is_some() {
-                self.expired.push((tag - REF_TIMER, ctx.now().as_nanos()));
+            if let Some(i) = self.reference.remove(&(tag - REF_TIMER)) {
+                self.resolve(i, false, ctx.now());
             }
         } else {
-            self.call(ctx, self.program[tag as usize]);
+            self.call(ctx, tag);
         }
     }
 }
@@ -228,9 +242,9 @@ fn run(rule: Rule, program: &[Step], remove_callee_at: Option<u64>) -> Outcome {
     k.set_flight_dump_on_sweep(false);
     let callee = k.add_endpoint(Box::<Callee>::default(), Location::new(0, 0), "callee");
     let caller = k.add_endpoint(
-        Box::new(Caller::new(rule, callee, program.to_vec())),
+        Box::new(Asker::new(rule, callee, program.to_vec())),
         Location::new(0, 1),
-        "caller",
+        "asker",
     );
     if let Some(at) = remove_callee_at {
         k.run_until(SimTime(at));
@@ -238,14 +252,14 @@ fn run(rule: Rule, program: &[Step], remove_callee_at: Option<u64>) -> Outcome {
     }
     k.run_until_quiescent(1_000_000);
     assert!(k.is_quiescent());
-    let c = k.endpoint::<Caller>(caller).expect("caller is alive");
+    let c = k.endpoint::<Asker>(caller).expect("asker is alive");
     let mut expired = c.expired.clone();
     expired.sort_unstable();
     Outcome {
         expired,
         deadlines: c.deadlines.clone(),
         replied: c.replied,
-        left_waiting: c.conts.len() + c.reference.len(),
+        left_waiting: c.calls.outstanding() + c.reference.len() + c.waiting.len(),
         quiet_at: k.now(),
     }
 }
@@ -303,35 +317,33 @@ fn a_sweep_resolves_each_timeout_under_its_own_trace() {
     struct Traced {
         hole: EndpointId,
         collector: EndpointId,
-        conts: Continuations<Traced>,
+        calls: Calls<Traced>,
         begun: Vec<TraceId>,
+    }
+    impl Caller for Traced {
+        fn calls(&mut self) -> &mut Calls<Self> {
+            &mut self.calls
+        }
     }
     impl Endpoint for Traced {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.calls.set_deadline_ns(Some(5_001));
             for i in 0..3 {
                 self.begun
                     .push(ctx.trace_begin(&format!("request{i}")).trace);
-                let env = InvocationEnv::solo(CALLER);
-                let id = ctx
-                    .call(self.hole.element(), CALLEE, "Ask", vec![], env, None)
-                    .expect("send accepted");
-                let collector = self.collector.element();
-                insert_pending(
-                    &mut self.conts,
-                    ctx,
-                    id,
-                    cont(move |_: &mut Traced, ctx, _| {
-                        let env = InvocationEnv::solo(CALLER);
+                let (hole, collector) = (self.hole.element(), self.collector.element());
+                let sent = self
+                    .calls
+                    .call(ctx, hole, CALLEE, "Ask", vec![], move |_, ctx, _| {
+                        let env = InvocationEnv::solo(ASKER);
                         ctx.call(collector, CALLEE, "TimedOut", vec![], env, None);
-                    }),
-                    Some(5_001),
-                    TIMER_DEADLINE_SWEEP,
-                );
+                    });
+                assert!(sent, "send accepted");
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-            sweep_expired(self, ctx, |e| &mut e.conts, 5_001);
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            assert!(tick(self, ctx, tag), "the only timers here are sweeps");
         }
     }
     #[derive(Default)]
@@ -355,7 +367,7 @@ fn a_sweep_resolves_each_timeout_under_its_own_trace() {
         Box::new(Traced {
             hole,
             collector,
-            conts: Continuations::new(),
+            calls: Calls::new(ASKER, Sym::intern("traced.timeouts")),
             begun: Vec::new(),
         }),
         Location::new(0, 1),

@@ -9,13 +9,11 @@
 //!
 //! * [`sha256`] — a local, dependency-free SHA-256 (FIPS 180-4);
 //! * [`ChunkId`] — a 32-byte content hash naming a chunk;
-//! * [`BlobStore`] — the store interface, with an in-memory
-//!   ([`MemBlobStore`]) and a directory-backed ([`DirBlobStore`])
-//!   implementation.
+//! * [`BlobStore`] — the store interface, with its in-memory
+//!   implementation ([`MemBlobStore`]).
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
-use std::path::PathBuf;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -282,72 +280,6 @@ impl BlobStore for MemBlobStore {
     }
 }
 
-/// A directory-backed blob store: one file per chunk, named by its hex
-/// id. Writes are idempotent; a chunk whose file already exists is never
-/// rewritten.
-#[derive(Debug)]
-pub struct DirBlobStore {
-    dir: PathBuf,
-}
-
-impl DirBlobStore {
-    /// Open (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(DirBlobStore { dir })
-    }
-
-    fn path_of(&self, id: &ChunkId) -> PathBuf {
-        self.dir.join(id.to_hex())
-    }
-}
-
-impl BlobStore for DirBlobStore {
-    fn put(&mut self, bytes: &[u8]) -> (ChunkId, bool) {
-        let id = ChunkId::of(bytes);
-        let path = self.path_of(&id);
-        if path.exists() {
-            return (id, true);
-        }
-        // Best-effort: a store on a failing disk degrades to "absent",
-        // which `get` reports as None.
-        let _ = std::fs::write(&path, bytes);
-        (id, false)
-    }
-
-    fn get(&self, id: &ChunkId) -> Option<Vec<u8>> {
-        let bytes = std::fs::read(self.path_of(id)).ok()?;
-        // Verify content-address integrity on the way out.
-        if ChunkId::of(&bytes) == *id {
-            Some(bytes)
-        } else {
-            None
-        }
-    }
-
-    fn contains(&self, id: &ChunkId) -> bool {
-        self.path_of(id).exists()
-    }
-
-    fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|d| d.filter_map(|e| e.ok()).count())
-            .unwrap_or(0)
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        std::fs::read_dir(&self.dir)
-            .map(|d| {
-                d.filter_map(|e| e.ok())
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,22 +375,5 @@ mod tests {
         assert_eq!(store.stored_bytes(), 18);
         assert_eq!(store.get(&a).as_deref(), Some(&b"chunk one"[..]));
         assert!(!store.contains(&ChunkId::of(b"absent")));
-    }
-
-    #[test]
-    fn dir_store_roundtrip_and_integrity() {
-        let dir = std::env::temp_dir().join(format!("legion-cas-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = DirBlobStore::open(&dir).unwrap();
-        let (id, dup) = store.put(b"persisted chunk");
-        assert!(!dup);
-        let (_, dup2) = store.put(b"persisted chunk");
-        assert!(dup2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get(&id).as_deref(), Some(&b"persisted chunk"[..]));
-        // Corrupt the file on disk: the store must refuse to return it.
-        std::fs::write(dir.join(id.to_hex()), b"tampered").unwrap();
-        assert_eq!(store.get(&id), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,7 +25,7 @@ pub mod codec;
 pub mod opr;
 pub mod storage;
 
-pub use cas::{sha256, BlobStore, ChunkId, DirBlobStore, MemBlobStore, Sha256};
+pub use cas::{sha256, BlobStore, ChunkId, MemBlobStore, Sha256};
 pub use checksum::{crc32, Crc32};
 pub use codec::{decode_value, encode_value, CodecError, CodecResult, Reader, Writer};
 pub use opr::{Opr, OprError};

@@ -35,7 +35,6 @@ use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::class::{ClassKind, ClassObject, TableEntry};
 use legion_core::dispatch::InvocationGate;
-use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
 use legion_core::interface::ParamType;
@@ -49,10 +48,9 @@ use legion_naming::protocol::{
 use legion_naming::resolver::{ClientResolver, Lookup};
 use legion_net::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use legion_net::dispatch::{
-    cont, insert_pending, overload_error, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
+    overload_error, resume, serve, tick, Caller, Calls, MethodTable, Outcome, Parked, TableBuilder,
 };
-use legion_net::message::{CallId, Message, ReplyTicket};
+use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::collections::HashMap;
@@ -98,17 +96,13 @@ pub struct ClassEndpoint {
     resolver: Option<ClientResolver>,
     policy: Box<dyn MayIPolicy>,
     table: Rc<MethodTable<Self>>,
-    continuations: Continuations<Self>,
+    calls: Calls<Self>,
     /// GetBinding requests combined while a Magistrate activates a target.
     binding_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     /// InheritFrom requests waiting on base resolution.
     inherit_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     /// Round-robin cursor over candidate magistrates.
     next_magistrate: usize,
-    /// When set, outbound call continuations expire after this many
-    /// virtual ns with the uniform timeout error instead of leaking.
-    /// `None` (default) keeps the historical wait-forever behavior.
-    call_deadline_ns: Option<u64>,
     /// The admission ledger, when `cfg.admission` is set.
     admission: Option<AdmissionQueue>,
     /// Admitted data-plane calls awaiting their modeled service-
@@ -122,7 +116,7 @@ pub struct ClassEndpoint {
 
 /// Timer-tag bit marking a modeled service completion; the low bits
 /// carry the deferral sequence. The top bit keeps the space disjoint
-/// from [`TIMER_DEADLINE_SWEEP`] and protocol timers.
+/// from the deadline sweep's tag and protocol timers.
 const SERVICE_TIMER_BIT: u64 = 1 << 63;
 
 impl ClassEndpoint {
@@ -134,16 +128,15 @@ impl ClassEndpoint {
         let table = Self::table(class.loid, &class.name);
         let admission = cfg.admission.map(AdmissionQueue::new);
         ClassEndpoint {
+            calls: Calls::new(class.loid, symbol::CLASS_TIMEOUTS),
             class,
             cfg,
             resolver,
             policy: Box::new(AllowAll),
             table,
-            continuations: Continuations::new(),
             binding_waiters: FxHashMap::default(),
             inherit_waiters: FxHashMap::default(),
             next_magistrate: 0,
-            call_deadline_ns: None,
             admission,
             deferred: HashMap::new(),
             next_deferred: 0,
@@ -211,29 +204,6 @@ impl ClassEndpoint {
                 None
             }
         }
-    }
-
-    /// Expire outstanding call continuations after `deadline_ns`
-    /// (opt-in; see the `call_deadline_ns` field).
-    pub fn set_call_deadline_ns(&mut self, deadline_ns: Option<u64>) {
-        self.call_deadline_ns = deadline_ns;
-    }
-
-    /// Outstanding (unresolved) call continuations.
-    pub fn outstanding_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
-    /// Register an outbound call's continuation under the deadline policy.
-    fn pend(&mut self, ctx: &mut Ctx<'_>, call_id: CallId, k: Continuation<Self>) {
-        insert_pending(
-            &mut self.continuations,
-            ctx,
-            call_id,
-            k,
-            self.call_deadline_ns,
-            TIMER_DEADLINE_SWEEP,
-        );
     }
 
     /// Read access to the wrapped class object (tests, experiments).
@@ -359,10 +329,6 @@ impl ClassEndpoint {
             .seal()
     }
 
-    fn env(&self) -> InvocationEnv {
-        InvocationEnv::solo(self.class.loid)
-    }
-
     fn pick_magistrate(&mut self) -> Option<(Loid, ObjectAddressElement)> {
         if self.cfg.magistrates.is_empty() {
             return None;
@@ -402,48 +368,35 @@ impl ClassEndpoint {
             class_addr: Some(ctx.self_element()),
             magistrate_addr: Some(mag_element),
         };
-        let env = self.env();
-        let me = self.class.loid;
         let args = ctx.args(spec.into_args());
-        match ctx.call(
+        let requester = msg.reply_ticket();
+        let called = self.calls.call(
+            ctx,
             mag_element,
             mag_loid,
             mag_proto::CREATE_OBJECT,
             args,
-            env,
-            Some(me),
-        ) {
-            Some(call_id) => {
-                ctx.count(symbol::CLASS_CREATES);
-                let requester = msg.reply_ticket();
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(
-                        move |e: &mut Self, ctx, result| match naming_proto::binding_from_result(
-                            &result,
-                        ) {
-                            Some(b) => {
-                                e.class.table.set_address(&b.loid, Some(b.address.clone()));
-                                let b = e.stamp(ctx, b);
-                                ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
-                            }
-                            None => {
-                                let err = match result {
-                                    Err(err) => err,
-                                    Ok(v) => format!("unexpected magistrate reply {v}"),
-                                };
-                                ctx.reply_ticket(requester, Err(format!("Create failed: {err}")));
-                            }
-                        },
-                    ),
-                );
-                Outcome::Pending
-            }
-            None => {
-                self.class.table.remove(&loid);
-                Outcome::Reply(Err(format!("magistrate {mag_loid} unreachable")))
-            }
+            move |e, ctx, result| match naming_proto::binding_from_result(&result) {
+                Some(b) => {
+                    e.class.table.set_address(&b.loid, Some(b.address.clone()));
+                    let b = e.stamp(ctx, b);
+                    ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
+                }
+                None => {
+                    let err = match result {
+                        Err(err) => err,
+                        Ok(v) => format!("unexpected magistrate reply {v}"),
+                    };
+                    ctx.reply_ticket(requester, Err(format!("Create failed: {err}")));
+                }
+            },
+        );
+        if called {
+            ctx.count(symbol::CLASS_CREATES);
+            Outcome::Pending
+        } else {
+            self.class.table.remove(&loid);
+            Outcome::Reply(Err(format!("magistrate {mag_loid} unreachable")))
         }
     }
 
@@ -489,33 +442,21 @@ impl ClassEndpoint {
             );
             return;
         };
-        let env = self.env();
-        let me = self.class.loid;
         let args = ctx.args([LegionValue::Loid(target)]);
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             mag_element,
             magistrate,
             mag_proto::ACTIVATE,
             args,
-            env,
-            Some(me),
-        ) {
-            Some(call_id) => {
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_activate_for_binding(ctx, target, magistrate, result)
-                    }),
-                );
-            }
-            None => {
-                self.finish_binding(
-                    ctx,
-                    target,
-                    Err(format!("magistrate {magistrate} unreachable")),
-                );
-            }
+            move |e, ctx, result| e.on_activate_for_binding(ctx, target, magistrate, result),
+        );
+        if !called {
+            self.finish_binding(
+                ctx,
+                target,
+                Err(format!("magistrate {magistrate} unreachable")),
+            );
         }
     }
 
@@ -584,44 +525,33 @@ impl ClassEndpoint {
                 self.class.loid
             )));
         }
-        let env = self.env();
-        let me = self.class.loid;
-        let lc = self.cfg.legion_class;
-        let args = ctx.args([LegionValue::Loid(me)]);
-        match ctx.call(
-            lc,
+        let args = ctx.args([LegionValue::Loid(self.class.loid)]);
+        let requester = msg.reply_ticket();
+        let DeriveArgs { name, kind } = a;
+        let called = self.calls.call(
+            ctx,
+            self.cfg.legion_class,
             legion_core::wellknown::LEGION_CLASS,
             ISSUE_CLASS_ID,
             args,
-            env,
-            Some(me),
-        ) {
-            Some(call_id) => {
-                ctx.count(symbol::CLASS_DERIVES);
-                let requester = msg.reply_ticket();
-                let DeriveArgs { name, kind } = a;
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| match result {
-                        Ok(LegionValue::Uint(class_id)) => {
-                            let b = e.spawn_subclass(ctx, class_id, name, kind);
-                            ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
-                        }
-                        Ok(v) => {
-                            ctx.reply_ticket(
-                                requester,
-                                Err(format!("unexpected LegionClass reply {v}")),
-                            );
-                        }
-                        Err(err) => {
-                            ctx.reply_ticket(requester, Err(format!("Derive failed: {err}")));
-                        }
-                    }),
-                );
-                Outcome::Pending
-            }
-            None => Outcome::Reply(Err("LegionClass unreachable".into())),
+            move |e, ctx, result| match result {
+                Ok(LegionValue::Uint(class_id)) => {
+                    let b = e.spawn_subclass(ctx, class_id, name, kind);
+                    ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
+                }
+                Ok(v) => {
+                    ctx.reply_ticket(requester, Err(format!("unexpected LegionClass reply {v}")));
+                }
+                Err(err) => {
+                    ctx.reply_ticket(requester, Err(format!("Derive failed: {err}")));
+                }
+            },
+        );
+        if called {
+            ctx.count(symbol::CLASS_DERIVES);
+            Outcome::Pending
+        } else {
+            Outcome::Reply(Err("LegionClass unreachable".into()))
         }
     }
 
@@ -709,32 +639,17 @@ impl ClassEndpoint {
             ctx.reply_ticket(requester, Err("base class has an empty address".into()));
             return;
         };
-        let env = self.env();
-        let me = self.class.loid;
-        match ctx.call(
+        let base = base_binding.loid;
+        let called = self.calls.call(
+            ctx,
             primary,
-            base_binding.loid,
+            base,
             class_proto::GET_INSTANCE_INTERFACE,
             vec![],
-            env,
-            Some(me),
-        ) {
-            Some(call_id) => {
-                let base = base_binding.loid;
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_base_interface(ctx, requester, base, result)
-                    }),
-                );
-            }
-            None => {
-                ctx.reply_ticket(
-                    requester,
-                    Err(format!("base class {} unreachable", base_binding.loid)),
-                );
-            }
+            move |e, ctx, result| e.on_base_interface(ctx, requester, base, result),
+        );
+        if !called {
+            ctx.reply_ticket(requester, Err(format!("base class {base} unreachable")));
         }
     }
 
@@ -783,43 +698,31 @@ impl ClassEndpoint {
                         "magistrate {mag_loid} has no known address"
                     )));
                 };
-                let env = self.env();
-                let me = self.class.loid;
                 let args = ctx.args([LegionValue::Loid(target)]);
-                match ctx.call(
+                let requester = msg.reply_ticket();
+                let called = self.calls.call(
+                    ctx,
                     mag_element,
                     mag_loid,
                     mag_proto::DELETE,
                     args,
-                    env,
-                    Some(me),
-                ) {
-                    Some(call_id) => {
-                        let requester = msg.reply_ticket();
-                        self.pend(
-                            ctx,
-                            call_id,
-                            cont(move |e: &mut Self, ctx, result| match result {
-                                Ok(_) => {
-                                    let _ = e.class.delete_child(&target);
-                                    ctx.count(symbol::CLASS_DELETES);
-                                    ctx.reply_ticket(requester, Ok(LegionValue::Void));
-                                }
-                                Err(err) => {
-                                    ctx.reply_ticket(
-                                        requester,
-                                        Err(format!("Delete failed: {err}")),
-                                    );
-                                }
-                            }),
-                        );
-                        Outcome::Pending
-                    }
-                    None => {
-                        // Magistrate gone; drop the row anyway.
-                        let _ = self.class.delete_child(&target);
-                        Outcome::Reply(Ok(LegionValue::Void))
-                    }
+                    move |e, ctx, result| match result {
+                        Ok(_) => {
+                            let _ = e.class.delete_child(&target);
+                            ctx.count(symbol::CLASS_DELETES);
+                            ctx.reply_ticket(requester, Ok(LegionValue::Void));
+                        }
+                        Err(err) => {
+                            ctx.reply_ticket(requester, Err(format!("Delete failed: {err}")));
+                        }
+                    },
+                );
+                if called {
+                    Outcome::Pending
+                } else {
+                    // Magistrate gone; drop the row anyway.
+                    let _ = self.class.delete_child(&target);
+                    Outcome::Reply(Ok(LegionValue::Void))
                 }
             }
             None => {
@@ -827,6 +730,12 @@ impl ClassEndpoint {
                 Outcome::Reply(Ok(LegionValue::Void))
             }
         }
+    }
+}
+
+impl Caller for ClassEndpoint {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
     }
 }
 
@@ -845,16 +754,7 @@ impl Endpoint for ClassEndpoint {
             }
             return;
         }
-        if tag == TIMER_DEADLINE_SWEEP {
-            fn conts(e: &mut ClassEndpoint) -> &mut Continuations<ClassEndpoint> {
-                &mut e.continuations
-            }
-            let after_ns = self.call_deadline_ns.unwrap_or(0);
-            let expired = sweep_expired(self, ctx, conts, after_ns);
-            for _ in 0..expired {
-                ctx.count(symbol::CLASS_TIMEOUTS);
-            }
-        }
+        tick(self, ctx, tag);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -880,11 +780,8 @@ impl Endpoint for ClassEndpoint {
                 }
                 return;
             }
-            if let Some(id) = reply_id(&msg) {
-                if let Some(resume) = self.continuations.take(&id) {
-                    resume(self, ctx, take_reply_result(msg));
-                }
-            }
+            // A reply nothing waits for answers a call that timed out.
+            resume(self, ctx, msg);
             return;
         }
         let Some(msg) = self.admit(ctx, msg) else {

@@ -21,10 +21,11 @@
 //!
 //! Requests arrive through the shared dispatch layer: a [`MethodTable`]
 //! routes them (MayI gate at the boundary — "requests rather than
-//! commands"), and the multi-hop state machines are expressed as typed
-//! continuations in a [`Continuations`] store rather than a hand-rolled
-//! `Pending` enum. The heartbeat bypass (§3.9 liveness is not a request)
-//! is an *ungated, one-way* registration on the same table.
+//! commands"), and each hop of the multi-hop state machines goes out
+//! through the Magistrate's [`Calls`] with the next step parked as its
+//! continuation, rather than through a hand-rolled `Pending` enum. The
+//! heartbeat bypass (§3.9 liveness is not a request) is an *ungated,
+//! one-way* registration on the same table.
 
 use crate::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivateArgs,
@@ -46,8 +47,7 @@ use legion_ha::policy::{Health, SuspicionPolicy};
 use legion_ha::recovery::RecoveryTracker;
 use legion_naming::stale;
 use legion_net::dispatch::{
-    cont, insert_pending, reply_id, serve, sweep_expired, take_reply_result, Continuations,
-    MethodTable, Outcome, Parked, TableBuilder, TIMER_DEADLINE_SWEEP,
+    resume, serve, tick, Caller, Calls, MethodTable, Outcome, Parked, TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
@@ -95,15 +95,13 @@ struct HostRecord {
     alive: bool,
 }
 
-/// Follow-up work queued until an object reaches the Inert state.
-enum AfterInert {
-    /// Ship the OPR to a peer magistrate; optionally delete locally (Move).
-    Ship {
-        dst_magistrate: Loid,
-        dst_element: ObjectAddressElement,
-        delete_after: bool,
-        requester: ReplyTicket,
-    },
+/// Follow-up work queued until an object reaches the Inert state: ship
+/// the OPR to a peer magistrate; optionally delete locally (Move).
+struct Ship {
+    dst_magistrate: Loid,
+    dst_element: ObjectAddressElement,
+    delete_after: bool,
+    requester: ReplyTicket,
 }
 
 /// Timer tag for the periodic failure-detector sweep (armed externally
@@ -147,20 +145,18 @@ pub struct MagistrateEndpoint {
     mayi: Box<dyn MayIPolicy>,
     objects: FxHashMap<Loid, ObjRecord>,
     table: Rc<MethodTable<Self>>,
-    continuations: Continuations<Self>,
+    /// Every outbound call that waits for a reply. Its deadline is `None`
+    /// by default — wait forever, no timers armed; chaos campaigns set
+    /// one so lost replies surface as timeouts instead of leaked state.
+    calls: Calls<Self>,
     /// Who to answer when an activation in progress concludes. A parked
     /// request is its [`ReplyTicket`], here and below: answering it needs
     /// nothing else of the call.
     activate_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
-    after_inert: FxHashMap<Loid, Parked<AfterInert>>,
+    after_inert: FxHashMap<Loid, Parked<Ship>>,
     peers: FxHashMap<Loid, ObjectAddressElement>,
     salt: u64,
     ha: Option<HaState>,
-    /// When set, every outbound call's continuation expires after this
-    /// many virtual ns and resolves with the uniform timeout error
-    /// (instead of leaking forever if the reply is lost). `None` — the
-    /// default — preserves wait-forever behavior: no timers are armed.
-    call_deadline_ns: Option<u64>,
 }
 
 impl MagistrateEndpoint {
@@ -175,45 +171,14 @@ impl MagistrateEndpoint {
             mayi: Box::new(AllowAll),
             objects: FxHashMap::default(),
             table: Self::table(cfg.loid),
-            continuations: Continuations::new(),
+            calls: Calls::new(cfg.loid, symbol::MAGISTRATE_TIMEOUTS),
             activate_waiters: FxHashMap::default(),
             after_inert: FxHashMap::default(),
             peers: FxHashMap::default(),
             salt: 0,
             ha: None,
-            call_deadline_ns: None,
             cfg,
         }
-    }
-
-    /// Expire outstanding call continuations after `deadline_ns` (see
-    /// the `call_deadline_ns` field). Opt-in; chaos campaigns enable it
-    /// so lost replies surface as timeouts instead of leaked state.
-    pub fn set_call_deadline_ns(&mut self, deadline_ns: Option<u64>) {
-        self.call_deadline_ns = deadline_ns;
-    }
-
-    /// Outstanding (unresolved) call continuations — zero after
-    /// quiescence in a healthy run.
-    pub fn outstanding_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
-    /// Register an outbound call's continuation under the deadline policy.
-    fn pend(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        call_id: legion_net::message::CallId,
-        k: legion_net::dispatch::Continuation<Self>,
-    ) {
-        insert_pending(
-            &mut self.continuations,
-            ctx,
-            call_id,
-            k,
-            self.call_deadline_ns,
-            TIMER_DEADLINE_SWEEP,
-        );
     }
 
     /// The §3.8 method table. Every member function is gated ("requests
@@ -519,39 +484,24 @@ impl MagistrateEndpoint {
             class_addr,
             magistrate_addr: Some(ctx.self_element()),
         };
-        let me = self.cfg.loid;
         let args = ctx.args(spec.into_args());
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             host_element,
             host,
             host_proto::ACTIVATE,
             args,
-            InvocationEnv::solo(me),
-            Some(me),
-        ) {
-            Some(call_id) => {
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_host_activate_reply(ctx, loid, host, attempts, result)
-                    }),
-                );
-            }
-            None => {
-                // The Host Object is dead (§2.3's "reaping" case): skip it
-                // for future placements and try another host.
-                ctx.count(symbol::MAGISTRATE_HOST_DEAD);
-                self.mark_host_dead(&host);
-                if attempts < 3 {
-                    self.redispatch(ctx, loid, attempts + 1);
-                } else {
-                    self.answer_activate_waiters(
-                        ctx,
-                        loid,
-                        Err(format!("host {host} unreachable")),
-                    );
-                }
+            move |e, ctx, result| e.on_host_activate_reply(ctx, loid, host, attempts, result),
+        );
+        if !called {
+            // The Host Object is dead (§2.3's "reaping" case): skip it
+            // for future placements and try another host.
+            ctx.count(symbol::MAGISTRATE_HOST_DEAD);
+            self.mark_host_dead(&host);
+            if attempts < 3 {
+                self.redispatch(ctx, loid, attempts + 1);
+            } else {
+                self.answer_activate_waiters(ctx, loid, Err(format!("host {host} unreachable")));
             }
         }
     }
@@ -580,33 +530,17 @@ impl MagistrateEndpoint {
     /// Run queued after-inert work (shipping for Copy/Move).
     fn run_after_inert(&mut self, ctx: &mut Ctx<'_>, loid: Loid) {
         for job in self.after_inert.remove(&loid).into_iter().flatten() {
-            match job {
-                AfterInert::Ship {
-                    dst_magistrate,
-                    dst_element,
-                    delete_after,
-                    requester,
-                } => self.ship(
-                    ctx,
-                    loid,
-                    dst_magistrate,
-                    dst_element,
-                    delete_after,
-                    requester,
-                ),
-            }
+            self.ship(ctx, loid, job);
         }
     }
 
-    fn ship(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        dst_magistrate: Loid,
-        dst_element: ObjectAddressElement,
-        delete_after: bool,
-        requester: ReplyTicket,
-    ) {
+    fn ship(&mut self, ctx: &mut Ctx<'_>, loid: Loid, job: Ship) {
+        let Ship {
+            dst_magistrate,
+            dst_element,
+            delete_after,
+            requester,
+        } = job;
         let Some(record) = self.objects.get(&loid) else {
             ctx.reply_ticket(requester, Err(format!("{loid} not managed here")));
             return;
@@ -627,7 +561,6 @@ impl MagistrateEndpoint {
         };
         let class = record.class;
         let class_addr = record.class_addr;
-        let me = self.cfg.loid;
         let class_addr_val = match class_addr {
             Some(e) => LegionValue::Address(ObjectAddress::single(e)),
             None => LegionValue::Void,
@@ -638,29 +571,19 @@ impl MagistrateEndpoint {
             LegionValue::Bytes(bytes),
             class_addr_val,
         ]);
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             dst_element,
             dst_magistrate,
             mag_proto::RECEIVE_OPR,
             args,
-            InvocationEnv::solo(me),
-            Some(me),
-        ) {
-            Some(call_id) => {
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_ship_reply(ctx, loid, delete_after, requester, result)
-                    }),
-                );
-            }
-            None => {
-                ctx.reply_ticket(
-                    requester,
-                    Err(format!("magistrate {dst_magistrate} unreachable")),
-                );
-            }
+            move |e, ctx, result| e.on_ship_reply(ctx, loid, delete_after, requester, result),
+        );
+        if !called {
+            ctx.reply_ticket(
+                requester,
+                Err(format!("magistrate {dst_magistrate} unreachable")),
+            );
         }
     }
 
@@ -871,28 +794,17 @@ impl MagistrateEndpoint {
             return;
         };
         ctx.count(symbol::MAGISTRATE_DEACTIVATIONS);
-        let me = self.cfg.loid;
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             *element,
             loid,
             obj_methods::SAVE_STATE,
             vec![],
-            InvocationEnv::solo(me),
-            Some(me),
-        ) {
-            Some(call_id) => {
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_save_state_reply(ctx, loid, requester, result)
-                    }),
-                );
-            }
-            None => {
-                let why = format!("{loid} unreachable for SaveState");
-                self.deactivation_failed(ctx, loid, requester, why);
-            }
+            move |e, ctx, result| e.on_save_state_reply(ctx, loid, requester, result),
+        );
+        if !called {
+            let why = format!("{loid} unreachable for SaveState");
+            self.deactivation_failed(ctx, loid, requester, why);
         }
     }
 
@@ -907,7 +819,7 @@ impl MagistrateEndpoint {
         why: String,
     ) {
         let parked = self.after_inert.remove(&loid).into_iter().flatten();
-        let parked = parked.map(|AfterInert::Ship { requester, .. }| requester);
+        let parked = parked.map(|ship| ship.requester);
         for waiter in requester.into_iter().chain(parked) {
             ctx.reply_ticket(waiter, Err(why.clone()));
         }
@@ -924,23 +836,17 @@ impl MagistrateEndpoint {
             let Some(host_element) = self.host_element(&host) else {
                 return Outcome::Reply(Err(format!("unknown host {host}")));
             };
-            let me = self.cfg.loid;
             let args = ctx.args([LegionValue::Loid(loid)]);
-            if let Some(call_id) = ctx.call(
+            // Whether or not the host succeeds, finish the delete when
+            // it answers.
+            if self.calls.call(
+                ctx,
                 host_element,
                 host,
                 host_proto::DEACTIVATE,
                 args,
-                InvocationEnv::solo(me),
-                Some(me),
+                move |e, ctx, _result| e.finish_delete(ctx, loid, requester),
             ) {
-                // Whether or not the host succeeds, finish the delete
-                // when it answers.
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, _result| e.finish_delete(ctx, loid, requester)),
-                );
                 return Outcome::Pending;
             }
             // Host gone: drop the record anyway.
@@ -997,7 +903,7 @@ impl MagistrateEndpoint {
         Parked::park(
             &mut self.after_inert,
             loid,
-            AfterInert::Ship {
+            Ship {
                 dst_magistrate: dst,
                 dst_element,
                 delete_after,
@@ -1189,29 +1095,18 @@ impl MagistrateEndpoint {
             let why = format!("unknown host {host}");
             return self.deactivation_failed(ctx, loid, requester, why);
         };
-        let me = self.cfg.loid;
         let args = ctx.args([LegionValue::Loid(loid)]);
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             host_element,
             host,
             host_proto::DEACTIVATE,
             args,
-            InvocationEnv::solo(me),
-            Some(me),
-        ) {
-            Some(call_id) => {
-                self.pend(
-                    ctx,
-                    call_id,
-                    cont(move |e: &mut Self, ctx, result| {
-                        e.on_host_deactivate_reply(ctx, loid, addr, requester, result)
-                    }),
-                );
-            }
-            None => {
-                let why = format!("host {host} unreachable");
-                self.deactivation_failed(ctx, loid, requester, why);
-            }
+            move |e, ctx, result| e.on_host_deactivate_reply(ctx, loid, addr, requester, result),
+        );
+        if !called {
+            let why = format!("host {host} unreachable");
+            self.deactivation_failed(ctx, loid, requester, why);
         }
     }
 
@@ -1313,6 +1208,12 @@ impl MagistrateEndpoint {
     }
 }
 
+impl Caller for MagistrateEndpoint {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
+    }
+}
+
 impl Endpoint for MagistrateEndpoint {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // §4.2.1: Magistrates are started outside Legion and contact their
@@ -1337,25 +1238,16 @@ impl Endpoint for MagistrateEndpoint {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if tag == TIMER_HA_SWEEP {
             self.ha_sweep(ctx);
-        } else if tag == TIMER_DEADLINE_SWEEP {
-            fn conts(e: &mut MagistrateEndpoint) -> &mut Continuations<MagistrateEndpoint> {
-                &mut e.continuations
-            }
-            let after_ns = self.call_deadline_ns.unwrap_or(0);
-            let expired = sweep_expired(self, ctx, conts, after_ns);
-            for _ in 0..expired {
-                ctx.count(symbol::MAGISTRATE_TIMEOUTS);
-            }
+        } else {
+            tick(self, ctx, tag);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(id) = reply_id(&msg) {
-            if let Some(k) = self.continuations.take(&id) {
-                k(self, ctx, take_reply_result(msg));
-            }
+        // A reply nothing waits for answers a call that timed out.
+        let Some(msg) = resume(self, ctx, msg).filter(|m| !m.is_reply()) else {
             return;
-        }
+        };
         let table = Rc::clone(&self.table);
         serve(&table, self, ctx, msg);
     }

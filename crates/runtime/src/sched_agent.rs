@@ -12,23 +12,22 @@
 //! Magistrate's two-argument `Activate(loid, host)` — the paper's
 //! scheduling "hook".
 //!
-//! The scatter–gather is built on the shared [`Continuations`] store:
-//! each outbound `GetState` registers a typed continuation that folds the
-//! host's answer into the poll, so there is no hand-rolled call-id → poll
-//! bookkeeping here.
+//! The scatter–gather goes out through the agent's [`Calls`]: each
+//! `GetState` parks a typed continuation that folds the host's answer
+//! into the poll, so there is no hand-rolled call-id → poll bookkeeping
+//! here. Under a deadline ([`Calls::set_deadline_ns`]) a silent host
+//! counts as "no answer" instead of wedging its poll forever.
 
 use crate::protocol::host as host_proto;
 use legion_core::address::ObjectAddressElement;
-use legion_core::env::InvocationEnv;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{
-    cont_expecting, insert_pending, reply_id, serve, sweep_expired, take_reply_result,
-    Continuation, Continuations, MethodTable, Outcome, TableBuilder, TIMER_DEADLINE_SWEEP,
+    cont_expecting, resume, serve, tick, Caller, Calls, MethodTable, Outcome, TableBuilder,
 };
-use legion_net::message::{CallId, Message, ReplyTicket};
+use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -47,56 +46,26 @@ struct Poll {
 
 /// A Scheduling Agent polling host `GetState()` and suggesting placements.
 pub struct SchedulingAgentEndpoint {
-    loid: Loid,
     hosts: Vec<(Loid, ObjectAddressElement)>,
-    continuations: Continuations<Self>,
+    calls: Calls<Self>,
     polls: HashMap<u64, Poll>,
     next_poll: u64,
     table: Rc<MethodTable<Self>>,
     /// Suggestions served (experiment accounting).
     pub suggestions: u64,
-    /// When set, outstanding `GetState` continuations expire after this
-    /// many virtual ns — a silent host then counts as "no answer"
-    /// instead of wedging its poll forever. `None` (default) waits.
-    call_deadline_ns: Option<u64>,
 }
 
 impl SchedulingAgentEndpoint {
     /// An agent that knows about `hosts`.
     pub fn new(loid: Loid, hosts: Vec<(Loid, ObjectAddressElement)>) -> Self {
         SchedulingAgentEndpoint {
-            loid,
             hosts,
-            continuations: Continuations::new(),
+            calls: Calls::new(loid, symbol::SCHED_AGENT_TIMEOUTS),
             polls: HashMap::new(),
             next_poll: 0,
             table: Self::table(loid),
             suggestions: 0,
-            call_deadline_ns: None,
         }
-    }
-
-    /// Expire outstanding poll continuations after `deadline_ns`
-    /// (opt-in; see the `call_deadline_ns` field).
-    pub fn set_call_deadline_ns(&mut self, deadline_ns: Option<u64>) {
-        self.call_deadline_ns = deadline_ns;
-    }
-
-    /// Outstanding (unresolved) call continuations.
-    pub fn outstanding_continuations(&self) -> usize {
-        self.continuations.len()
-    }
-
-    /// Register an outbound call's continuation under the deadline policy.
-    fn pend(&mut self, ctx: &mut Ctx<'_>, call_id: CallId, k: Continuation<Self>) {
-        insert_pending(
-            &mut self.continuations,
-            ctx,
-            call_id,
-            k,
-            self.call_deadline_ns,
-            TIMER_DEADLINE_SWEEP,
-        );
     }
 
     fn table(loid: Loid) -> Rc<MethodTable<Self>> {
@@ -112,24 +81,15 @@ impl SchedulingAgentEndpoint {
                     let poll_id = e.next_poll;
                     e.next_poll += 1;
                     let mut outstanding = 0;
-                    let me = e.loid;
                     for (host, element) in e.hosts.clone() {
-                        if let Some(call) = ctx.call(
-                            element,
-                            host,
-                            host_proto::GET_STATE,
-                            vec![],
-                            InvocationEnv::solo(me),
-                            Some(host),
-                        ) {
-                            // GetState reply: [running, capacity, cpu, mem].
-                            e.pend(
-                                ctx,
-                                call,
-                                cont_expecting::<Self, Vec<LegionValue>, _>(
-                                    move |e, ctx, state| e.absorb(ctx, poll_id, host, state),
-                                ),
-                            );
+                        // GetState reply: [running, capacity, cpu, mem].
+                        let absorb =
+                            cont_expecting::<Self, Vec<LegionValue>, _>(move |e, ctx, state| {
+                                e.absorb(ctx, poll_id, host, state)
+                            });
+                        if e.calls
+                            .call(ctx, element, host, host_proto::GET_STATE, vec![], absorb)
+                        {
                             outstanding += 1;
                         }
                     }
@@ -197,29 +157,22 @@ impl SchedulingAgentEndpoint {
     }
 }
 
+impl Caller for SchedulingAgentEndpoint {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
+    }
+}
+
 impl Endpoint for SchedulingAgentEndpoint {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag == TIMER_DEADLINE_SWEEP {
-            fn conts(
-                e: &mut SchedulingAgentEndpoint,
-            ) -> &mut Continuations<SchedulingAgentEndpoint> {
-                &mut e.continuations
-            }
-            let after_ns = self.call_deadline_ns.unwrap_or(0);
-            let expired = sweep_expired(self, ctx, conts, after_ns);
-            for _ in 0..expired {
-                ctx.count(symbol::SCHED_AGENT_TIMEOUTS);
-            }
-        }
+        tick(self, ctx, tag);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(id) = reply_id(&msg) {
-            if let Some(resume) = self.continuations.take(&id) {
-                resume(self, ctx, take_reply_result(msg));
-            }
+        // A reply nothing waits for answers a poll that gave up on it.
+        let Some(msg) = resume(self, ctx, msg).filter(|m| !m.is_reply()) else {
             return;
-        }
+        };
         let table = Rc::clone(&self.table);
         serve(&table, self, ctx, msg);
     }
@@ -230,6 +183,7 @@ mod tests {
     use super::*;
     use crate::host::{HostConfig, HostObjectEndpoint};
     use crate::protocol::ActivationSpec;
+    use legion_core::env::InvocationEnv;
     use legion_net::message::Body;
     use legion_net::sim::{EndpointId, SimKernel};
     use legion_net::topology::{Location, Topology};
@@ -329,11 +283,8 @@ mod tests {
             1
         );
         // The scatter-gather left no dangling continuations behind.
-        assert!(k
-            .endpoint::<SchedulingAgentEndpoint>(agent)
-            .unwrap()
-            .continuations
-            .is_empty());
+        let agent = k.endpoint::<SchedulingAgentEndpoint>(agent).unwrap();
+        assert_eq!(agent.calls.outstanding(), 0);
     }
 
     #[test]

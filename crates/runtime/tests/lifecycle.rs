@@ -11,6 +11,7 @@ use legion_core::object::{methods as obj_m, object_mandatory_interface};
 use legion_core::symbol::Sym;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{LEGION_HOST, LEGION_MAGISTRATE, LEGION_OBJECT};
+use legion_net::dispatch::Caller;
 use legion_net::message::{Body, Message};
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
@@ -927,7 +928,8 @@ fn move_racing_a_delete_still_answers_both_requesters() {
         // and never answers it: only the deadline sweep ends that wait.
         w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep)
             .unwrap()
-            .set_call_deadline_ns(Some(50_000_000));
+            .calls()
+            .set_deadline_ns(Some(50_000_000));
         w.k.set_flight_dump_on_sweep(false);
         let before = w.replies().len();
         let mut calls = [
@@ -950,9 +952,9 @@ fn move_racing_a_delete_still_answers_both_requesters() {
             answers.contains(&Ok(LegionValue::Void)),
             "the Delete succeeds: {answers:?}"
         );
-        let m = w.k.endpoint::<MagistrateEndpoint>(mag_ep).unwrap();
+        let m = w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep).unwrap();
         assert_eq!(m.object_state(&obj), None);
-        assert_eq!(m.outstanding_continuations(), 0);
+        assert_eq!(m.calls().outstanding(), 0);
         assert_eq!(m.storage_usage().0, 0, "no orphan OPRs");
     }
 }
@@ -972,9 +974,9 @@ fn move_to_an_unreachable_peer_answers_and_keeps_the_object() {
         vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
     );
     assert!(r.unwrap_err().contains("unreachable"));
-    let m = w.k.endpoint::<MagistrateEndpoint>(mag_ep).unwrap();
+    let m = w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep).unwrap();
     assert!(matches!(m.object_state(&obj), Some(ObjState::Inert { .. })));
-    assert_eq!(m.outstanding_continuations(), 0);
+    assert_eq!(m.calls().outstanding(), 0);
     // A second Move finds it already Inert and is answered the same way.
     let r = w.call(
         mag_ep,

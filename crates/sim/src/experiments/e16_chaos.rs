@@ -42,6 +42,7 @@ use legion_core::object::methods as obj_m;
 use legion_core::time::SimTime;
 use legion_journal::{MemSink, ReplayStart};
 use legion_naming::protocol::GET_BINDING;
+use legion_net::dispatch::Caller;
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
@@ -112,7 +113,7 @@ pub fn mix(h: u64, v: u64) -> u64 {
 /// Magistrates and the given class endpoints (E18 passes its clones too):
 /// no-duplicate-object, no-lost-object, recovery-drained and
 /// no-leaked-continuations.
-pub fn audit_state(sys: &LegionSystem, classes: &[EndpointId]) -> Vec<Violation> {
+pub fn audit_state(sys: &mut LegionSystem, classes: &[EndpointId]) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut alive: BTreeMap<String, u32> = BTreeMap::new();
     for (_, m) in sys.kernel.all_meta() {
@@ -144,18 +145,12 @@ pub fn audit_state(sys: &LegionSystem, classes: &[EndpointId]) -> Vec<Violation>
 
     let mut leaked = 0;
     for (_, mep) in &sys.magistrates {
-        leaked += sys
-            .kernel
-            .endpoint::<MagistrateEndpoint>(*mep)
-            .map(|m| m.outstanding_continuations())
-            .unwrap_or(0);
+        let m = sys.kernel.endpoint_mut::<MagistrateEndpoint>(*mep);
+        leaked += m.map_or(0, |m| m.calls().outstanding());
     }
     for cep in classes {
-        leaked += sys
-            .kernel
-            .endpoint::<ClassEndpoint>(*cep)
-            .map(|c| c.outstanding_continuations())
-            .unwrap_or(0);
+        let c = sys.kernel.endpoint_mut::<ClassEndpoint>(*cep);
+        leaked += c.map_or(0, |c| c.calls().outstanding());
     }
     if leaked > 0 {
         violations.push(Violation::new(
@@ -351,7 +346,7 @@ impl SimChaosTarget {
         }
 
         let classes: Vec<EndpointId> = sys.classes.iter().map(|(_, e)| *e).collect();
-        violations.extend(audit_state(&sys, &classes));
+        violations.extend(audit_state(&mut sys, &classes));
 
         // Audit probes run on a clean network: the faults were the
         // experiment, the audit must not inherit them.

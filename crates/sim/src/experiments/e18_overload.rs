@@ -492,7 +492,8 @@ pub fn flash_campaign_with_chaos(
             total.offered
         ));
     }
-    for v in super::e16_chaos::audit_state(&sys, &class_endpoints(&sys)) {
+    let classes = class_endpoints(&sys);
+    for v in super::e16_chaos::audit_state(&mut sys, &classes) {
         violations.push(format!("{}: {}", v.invariant, v.detail));
     }
     // The new invariant: overload may shed work, never queue it without

@@ -21,6 +21,7 @@ use legion_ha::policy::MissThreshold;
 use legion_naming::agent::{AgentConfig, BindingAgentEndpoint};
 use legion_naming::tree::TreeShape;
 use legion_net::admission::AdmissionConfig;
+use legion_net::dispatch::Caller;
 use legion_net::message::{Body, Message};
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
@@ -295,13 +296,15 @@ impl LegionSystem {
                 kernel
                     .endpoint_mut::<MagistrateEndpoint>(*mep)
                     .expect("magistrate exists")
-                    .set_call_deadline_ns(Some(d));
+                    .calls()
+                    .set_deadline_ns(Some(d));
             }
             for (_, cep) in &classes {
                 kernel
                     .endpoint_mut::<ClassEndpoint>(*cep)
                     .expect("class exists")
-                    .set_call_deadline_ns(Some(d));
+                    .calls()
+                    .set_deadline_ns(Some(d));
             }
         }
 
@@ -380,7 +383,7 @@ impl LegionSystem {
             self.kernel
                 .set_timer(mep, ha.sweep_interval_ns, TIMER_HA_SWEEP);
         }
-        for (hloid, hep, j) in self.hosts.clone() {
+        for (_, hep, j) in self.hosts.clone() {
             let (mloid, mep) = self.magistrates[j as usize];
             let mel = mep.element();
             self.kernel
@@ -389,7 +392,6 @@ impl LegionSystem {
                 .enable_heartbeat(mloid, mel, ha.heartbeat_interval_ns, ha.horizon_ns);
             self.kernel
                 .set_timer(hep, ha.heartbeat_interval_ns, TIMER_HEARTBEAT);
-            let _ = hloid;
         }
     }
 

@@ -2,7 +2,9 @@
 # Dispatch-boundary lint: endpoint code must route method calls through
 # the shared typed invocation layer (legion-core::dispatch tables +
 # legion-net::dispatch serve), never hand-roll method-name matching or
-# raw argument pattern-slicing.
+# raw argument pattern-slicing (rule 1), keep method names as symbols
+# (rule 2), and make its own calls through legion-net::dispatch::Calls
+# (rule 3).
 #
 # Fails the build if `match method.as_str()` or `match msg.args()`
 # appears outside the dispatch layer itself and protocol/codec modules
@@ -46,6 +48,26 @@ if [[ -n "$sym_hits" ]]; then
     echo >&2
     echo "Thread method names as legion_core::symbol::Sym (intern once at the" >&2
     echo "boundary); render strings only when building snapshots or wire output." >&2
+    exit 1
+fi
+
+# Outbound calls go through the invocation layer too: an endpoint that
+# waits for replies holds one `legion_net::dispatch::Calls` and routes
+# with `resume` / `tick`. A continuation store of its own, or a reply
+# demultiplexed by hand, is the five-function kit re-assembled — the
+# deadline rule would have a second copy. Only the two dispatch modules
+# (the store's definition and its one owner) may name these.
+calls_allowed_re='^crates/(core|net)/src/dispatch\.rs:'
+
+calls_hits=$(grep -rnE 'Continuations<|insert_pending\(|sweep_expired\(|reply_id\(|take_reply_result\(' \
+    crates/*/src --include='*.rs' | grep -vE "$calls_allowed_re" || true)
+
+if [[ -n "$calls_hits" ]]; then
+    echo "error: hand-assembled continuation handling outside the invocation layer:" >&2
+    echo "$calls_hits" >&2
+    echo >&2
+    echo "Hold a legion_net::dispatch::Calls<Self>, make the call with Calls::call," >&2
+    echo "implement Caller, and give on_message to resume() and on_timer to tick()." >&2
     exit 1
 fi
 echo "lint_dispatch: ok"

@@ -13,10 +13,6 @@
 #     crates/net/src/sim.rs (`Inner::schedule`), which stamps the
 #     deterministic (time, seq) key. Any other direct push would bypass
 #     the sequence stamping that the replay/journal layer depends on.
-#   * `TIMER_DEADLINE_SWEEP` is passed to `set_timer(` outside
-#     crates/net/src/dispatch.rs. An endpoint keeps one deadline sweep
-#     armed, and only `insert_pending`/`sweep_expired` know whether one
-#     is pending; an endpoint arming its own brings back a timer per call.
 #   * `ctx.count("…")` / `ctx.count_n("…", n)` with a string literal
 #     appears in non-test code of the protocol handlers (crates/naming/src,
 #     crates/runtime/src, crates/sim/src/workload.rs). A literal is
@@ -65,19 +61,6 @@ if [[ "$push_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$push_h
     echo >&2
     echo "Route all event scheduling through Inner::schedule so every event" >&2
     echo "gets its deterministic sequence stamp." >&2
-    exit 1
-fi
-
-dispatch='crates/net/src/dispatch.rs'
-sweep_hits=$(grep -rn 'set_timer(.*TIMER_DEADLINE_SWEEP' crates/ --include='*.rs' \
-    | grep -v "^$dispatch:" || true)
-
-if [[ -n "$sweep_hits" ]]; then
-    echo "error: deadline sweep armed outside $dispatch:" >&2
-    echo "$sweep_hits" >&2
-    echo >&2
-    echo "Register continuations through insert_pending; it arms the endpoint's" >&2
-    echo "one sweep timer only when none is pending at or before the deadline." >&2
     exit 1
 fi
 
