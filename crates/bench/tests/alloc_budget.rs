@@ -261,6 +261,10 @@ fn hot_path_allocation_budgets() {
     // A reply finds its parked continuation and runs it off the heap.
     matched_replies_resume_without_allocating();
 
+    // A gated class answers GetInstanceInterface with a copy of a text it
+    // keeps: one allocation per serve, none to admit the call.
+    instance_interface_serves_clone_one_string();
+
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the ledger is noise.
     let again = measure::e12_steady(&stats.name, 1, LEDGER_SEED, Watch::off());
@@ -457,6 +461,118 @@ fn matched_replies_resume_without_allocating() {
     // `alloc_delta_min` does.
     let d = r.deltas.iter().min().expect("rounds ran");
     assert_eq!(*d, 0, "a matched resume allocated {d} times");
+}
+
+/// An admission-gated class asked for its instance interface over and
+/// over by one caller, each reply making the next call. The two halves
+/// of a served call are bracketed apart: `on_message` admits it (ledger
+/// arithmetic, a push onto the deferred queue, a timer) and `on_timer`
+/// serves it — decode, gate, handler, reply. The only allocation left is
+/// the handler's clone of the rendered text the endpoint keeps, where it
+/// used to sanitize the class name and render the whole IDL per call.
+fn instance_interface_serves_clone_one_string() {
+    use legion_core::address::ObjectAddressElement;
+    use legion_core::class::{ClassKind, ClassObject};
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_core::object::object_mandatory_interface;
+    use legion_core::value::LegionValue;
+    use legion_core::wellknown::LEGION_OBJECT;
+    use legion_net::admission::AdmissionConfig;
+    use legion_net::message::Body;
+    use legion_net::sim::{Ctx, Endpoint, SimKernel};
+    use legion_net::topology::Location;
+    use legion_runtime::class_endpoint::{ClassConfig, ClassEndpoint};
+
+    const ROUNDS: u64 = 64;
+    const CLASS: Loid = Loid::class_object(16);
+    struct Bracketed {
+        class: ClassEndpoint,
+        admits: Vec<u64>,
+        serves: Vec<u64>,
+    }
+    impl Endpoint for Bracketed {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
+            let d = alloc_delta(|| self.class.on_message(ctx, msg));
+            self.admits.push(d);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            let d = alloc_delta(|| self.class.on_timer(ctx, tag));
+            self.serves.push(d);
+        }
+    }
+    struct Asker {
+        class: ObjectAddressElement,
+        answered: u64,
+    }
+    impl Asker {
+        fn ask(&mut self, ctx: &mut Ctx<'_>) {
+            let me = Loid::instance(99, 1);
+            let env = InvocationEnv::solo(me);
+            let method = symbol::GET_INSTANCE_INTERFACE;
+            ctx.call(self.class, CLASS, method, vec![], env, Some(me))
+                .expect("class reachable");
+        }
+    }
+    impl Endpoint for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.ask(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
+            let Body::Reply { result, .. } = msg.body else {
+                panic!("the asker is only ever answered");
+            };
+            assert!(matches!(result, Ok(LegionValue::Str(text)) if text.contains("Ping")));
+            self.answered += 1;
+            if self.answered < ROUNDS {
+                self.ask(ctx);
+            }
+        }
+    }
+
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
+    let mut file = ClassObject::new(CLASS, "File#clone", ClassKind::NORMAL);
+    file.interface = object_mandatory_interface(LEGION_OBJECT);
+    let cfg = ClassConfig {
+        legion_class: ObjectAddressElement::sim(0),
+        magistrates: Vec::new(),
+        binding_agent: None,
+        binding_ttl_ns: None,
+        admission: Some(AdmissionConfig {
+            service_ns: 200_000,
+            queue_depth: 16,
+        }),
+    };
+    let class = Bracketed {
+        class: ClassEndpoint::new(file, cfg),
+        admits: Vec::with_capacity(ROUNDS as usize),
+        serves: Vec::with_capacity(ROUNDS as usize),
+    };
+    let class = k.add_endpoint(Box::new(class), Location::new(0, 0), "class:File#clone");
+    let asker = Asker {
+        class: class.element(),
+        answered: 0,
+    };
+    let asker = k.add_endpoint(Box::new(asker), Location::new(0, 1), "asker");
+    k.run_until_quiescent(u64::MAX);
+    assert_eq!(
+        k.endpoint::<Asker>(asker).expect("attached").answered,
+        ROUNDS
+    );
+    let c = k.endpoint::<Bracketed>(class).expect("attached");
+    assert_eq!(
+        (c.admits.len() as u64, c.serves.len() as u64),
+        (ROUNDS, ROUNDS)
+    );
+    // The counter is process-wide: take the quietest round, as
+    // `alloc_delta_min` does.
+    let admit = c.admits.iter().min().expect("rounds ran");
+    let serve = c.serves.iter().min().expect("rounds ran");
+    assert_eq!(*admit, 0, "admitting a call allocated {admit} times");
+    assert_eq!(
+        *serve, 1,
+        "a GetInstanceInterface serve allocated {serve} times: not the one reply-string clone"
+    );
 }
 
 /// A fault-free E17-shaped wave (the CI-sized point: 73 agents, 16

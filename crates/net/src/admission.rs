@@ -9,9 +9,26 @@
 //! admitted call (an M/D/1-style queue over the arrival process), with a
 //! hard bound of [`queue_depth`](AdmissionConfig::queue_depth) calls
 //! waiting or in service. Offers past the bound are **shed** with a
-//! retry-after hint — the time until the backlog drops back below the
-//! admission threshold — which callers honor instead of their own blind
+//! retry-after hint, which callers honor instead of their own blind
 //! backoff schedule (`CoreError::Overloaded` on the wire).
+//!
+//! The hint is a **low-water mark**: the time until the work admitted so
+//! far has drained to *half* the queue (`queue_depth / 2` calls), not
+//! the instant one slot frees. The queue fills to its high-water mark
+//! (`queue_depth`) and sheds; everyone shed during that full spell is
+//! told to come back when there is room for several of them. A hint of
+//! "when one slot frees" sends every one of those callers to the same
+//! instant, where one wins and the rest are refused again — a herd whose
+//! refusals the overloaded server itself must receive and answer, one
+//! round per slot. With the low-water hint the callers shed during one
+//! spell return spread over the `queue_depth / 2` service phases in
+//! which they were shed, each to a queue with room, and the slots that
+//! free in between go to fresh arrivals. The hint stays honest — a lone
+//! retry at exactly its hint finds backlog `queue_depth / 2` and is
+//! admitted — and the server never idles while callers wait one out
+//! (for depth ≥ 2 the low-water mark is at least one call). For
+//! `queue_depth` 1 and 2, `queue_depth / 2` equals `queue_depth − 1`:
+//! the rule degenerates to "when one slot frees".
 //!
 //! The ledger is three integers: the virtual time the server frees, plus
 //! shed/admitted counters. It stores **no per-request state** — backlog
@@ -52,7 +69,12 @@ pub enum Admission {
         delay_ns: u64,
     },
     /// Shed: the queue budget is full. Retry no sooner than
-    /// `retry_after_ns` from now, when a slot is due to free.
+    /// `retry_after_ns` from now, when the work admitted so far will
+    /// have drained to the low-water mark — half the queue — so that
+    /// callers shed together come back to room for several of them,
+    /// not to one freed slot (for `queue_depth` ≤ 2 the two coincide).
+    /// Retrying exactly at the hint is admitted unless others got there
+    /// first.
     Shed {
         /// Server's backoff hint, virtual ns (≥ 1).
         retry_after_ns: u64,
@@ -101,10 +123,11 @@ impl AdmissionQueue {
         let backlog = outstanding_ns.div_ceil(self.cfg.service_ns);
         if backlog >= self.cfg.queue_depth {
             self.shed += 1;
-            // When the backlog drains below the threshold a retry can be
-            // admitted: the wait until only queue_depth - 1 slots remain.
-            let threshold_ns = (self.cfg.queue_depth - 1) * self.cfg.service_ns;
-            let retry_after_ns = outstanding_ns.saturating_sub(threshold_ns).max(1);
+            // Low-water mark: the wait until what is admitted now has
+            // drained to half the queue, so a spell's worth of shed
+            // callers returns to room for several, not to one slot.
+            let low_water_ns = (self.cfg.queue_depth / 2) * self.cfg.service_ns;
+            let retry_after_ns = outstanding_ns.saturating_sub(low_water_ns).max(1);
             return Admission::Shed { retry_after_ns };
         }
         self.peak_backlog = self.peak_backlog.max(backlog + 1);
@@ -182,17 +205,51 @@ mod tests {
             a.offer(0);
         }
         // Fifth arrival at t=0: backlog 4 ≥ depth 4 → shed. The hint is
-        // the wait until backlog drops below 4: 400 - 300 = 100 ns.
+        // the wait until the 400 ns outstanding drains to the low-water
+        // mark, half the queue: 400 − (4 / 2) × 100 = 200 ns.
         assert_eq!(
             a.offer(0),
             Admission::Shed {
-                retry_after_ns: 100
+                retry_after_ns: 200
             }
         );
         assert_eq!(a.shed(), 1);
-        // Retrying exactly at the hint is admitted.
-        assert_eq!(a.offer(100), Admission::Admit { delay_ns: 400 });
+        // Retrying exactly at the hint is admitted behind the two calls
+        // still outstanding: 200 ns of queue wait + 100 ns of service.
+        assert_eq!(a.offer(200), Admission::Admit { delay_ns: 300 });
         assert_eq!(a.peak_backlog(), 4, "shed offers never grow the queue");
+    }
+
+    /// 64 callers offer at t = 0 to a depth-16 queue and each re-offers
+    /// exactly at its hint, ties in caller order. Sixteen are admitted;
+    /// the 48 shed are all told 8 S (the 16 S outstanding drains to the
+    /// low-water 8 S), return to a half-empty queue, eight get in and
+    /// the rest are told 8 S again: 64 + 48 + 40 + 32 + 24 + 16 + 8 =
+    /// 232 offers. Sent back to the instant *one* slot frees, the same
+    /// callers made 64 + 48·49/2 = 1 240.
+    #[test]
+    fn shed_callers_return_to_room_not_to_one_slot() {
+        const CALLERS: usize = 64;
+        let mut a = q(100, 16);
+        // When each caller offers next; `None` once it is admitted.
+        let mut due = [Some(0u64); CALLERS];
+        while let Some((now, caller)) = due
+            .iter()
+            .enumerate()
+            .filter_map(|(c, at)| at.map(|at| (at, c)))
+            .min()
+        {
+            // A caller coming back on a hint never finds the server
+            // idle: the low-water mark leaves it work to do meanwhile.
+            assert!(now == 0 || !a.idle_at(now), "server idle at {now}");
+            due[caller] = match a.offer(now) {
+                Admission::Admit { .. } => None,
+                Admission::Shed { retry_after_ns } => Some(now + retry_after_ns),
+            };
+        }
+        assert_eq!(a.admitted(), CALLERS as u64);
+        assert_eq!(a.admitted() + a.shed(), 232);
+        assert_eq!(a.peak_backlog(), 16);
     }
 
     #[test]

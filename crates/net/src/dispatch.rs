@@ -49,6 +49,7 @@ use legion_core::time::SimTime;
 use legion_core::trace::TraceContext;
 use legion_core::value::LegionValue;
 use std::collections::hash_map::Entry;
+use std::fmt::Write as _;
 use std::hash::Hash;
 use std::rc::Rc;
 
@@ -153,11 +154,21 @@ pub fn is_timeout(err: &str) -> bool {
     err.starts_with("call timed out after ")
 }
 
+const OVERLOAD_PREFIX: &str = "server overloaded, retry after ";
+
 /// The uniform load-shed rendering an overloaded endpoint substitutes
-/// for service ([`CoreError::Overloaded`] on the wire). The hint tells
-/// the caller when a queue slot is expected to free.
+/// for service ([`CoreError::Overloaded`]'s text on the wire). The hint
+/// tells the caller when to come back (see [`crate::admission`]). A
+/// shedding server pays this once per refused call, so the string is
+/// built in one exact-capacity allocation instead of grown by `format!`.
 pub fn overload_error(retry_after_ns: u64) -> String {
-    CoreError::Overloaded { retry_after_ns }.to_string()
+    let digits = retry_after_ns
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1);
+    let mut text = String::with_capacity(OVERLOAD_PREFIX.len() + digits + "ns".len());
+    text.push_str(OVERLOAD_PREFIX);
+    write!(text, "{retry_after_ns}ns").expect("writing to a String cannot fail");
+    text
 }
 
 /// Parse the uniform overload rendering back out of a reply error,
@@ -165,7 +176,7 @@ pub fn overload_error(retry_after_ns: u64) -> String {
 /// honor server backpressure (instead of their own backoff schedule)
 /// branch on this — the counterpart of [`is_timeout`].
 pub fn is_overloaded(err: &str) -> Option<u64> {
-    let rest = err.strip_prefix("server overloaded, retry after ")?;
+    let rest = err.strip_prefix(OVERLOAD_PREFIX)?;
     rest.strip_suffix("ns")?.parse().ok()
 }
 
@@ -762,6 +773,16 @@ mod tests {
         let drained: Vec<_> = map.remove(&1).into_iter().flatten().collect();
         assert_eq!(drained, ["first", "second", "third"]);
         assert!(Parked::park(&mut map, 1, "again"), "the key was emptied");
+    }
+
+    #[test]
+    fn overload_rendering_is_the_core_error_in_one_allocation() {
+        for ns in [0, 9, 10, 1_600_000, u64::MAX] {
+            let text = overload_error(ns);
+            let core = CoreError::Overloaded { retry_after_ns: ns }.to_string();
+            assert_eq!(text, core);
+            assert_eq!(text.capacity(), text.len(), "{text}");
+        }
     }
 
     #[test]

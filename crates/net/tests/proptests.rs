@@ -4,6 +4,7 @@
 
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
+use legion_net::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use legion_net::faults::{FaultPlan, Verdict};
 use legion_net::message::Message;
 use legion_net::metrics::Histogram;
@@ -12,6 +13,7 @@ use legion_net::topology::{LatencySpec, Location, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 proptest! {
     /// The log₂ histogram's quantile over-estimates the exact order
@@ -79,6 +81,66 @@ proptest! {
             plan.heal(*a, *b);
         }
         prop_assert!(!plan.has_partitions());
+    }
+
+    /// The low-water retry-after hint under zero-RTT callers that each
+    /// re-offer exactly at their hint (ties in caller order): the queue
+    /// stays bounded, the hint stays honest, the server never idles
+    /// while someone waits one out, and nobody is sent round a herd.
+    #[test]
+    fn retry_at_hint_callers_meet_room_not_a_herd(
+        service_ns in 1u64..=1_000,
+        queue_depth in 1u64..=32,
+        gaps in proptest::collection::vec(0u64..=400, 1..120),
+    ) {
+        let mut a = AdmissionQueue::new(AdmissionConfig { service_ns, queue_depth });
+        let callers = gaps.len();
+        let mut due = BTreeSet::new();
+        let mut at = 0;
+        for (caller, gap) in gaps.iter().enumerate() {
+            at += gap;
+            due.insert((at, caller));
+        }
+        let mut offers = vec![0u64; callers];
+        // Per caller, how many *others* were not yet admitted (waiting
+        // out a hint, or still to arrive) when it was first shed.
+        let mut others_at_first_shed = vec![None; callers];
+        while let Some((now, caller)) = due.pop_first() {
+            if offers[caller] > 0 && queue_depth >= 2 {
+                prop_assert!(!a.idle_at(now), "idle at {now} while caller {caller} waited");
+            }
+            offers[caller] += 1;
+            let before = a;
+            let verdict = a.offer(now);
+            prop_assert!(a.backlog_at(now) <= queue_depth);
+            if let Admission::Shed { retry_after_ns } = verdict {
+                // Honest: alone at its hint, this caller would get in.
+                let mut alone = before;
+                prop_assert!(
+                    matches!(alone.offer(now + retry_after_ns), Admission::Admit { .. }),
+                    "hint {retry_after_ns} at {now} is not honest"
+                );
+                others_at_first_shed[caller].get_or_insert(callers as u64 - 1 - a.admitted());
+                due.insert((now + retry_after_ns, caller));
+            }
+        }
+        prop_assert_eq!(a.admitted(), callers as u64);
+        prop_assert!(a.peak_backlog() <= queue_depth);
+        // Between two sheds of one caller the queue went from the
+        // low-water mark back to full, so at least ⌈depth/2⌉ of the W
+        // others got in: at most ⌈2·W/depth⌉ sheds after the first, plus
+        // the first shed and the admission. (Sent back to the instant
+        // one slot frees, the bound would be 2 + W.)
+        for (caller, waiting) in others_at_first_shed.iter().enumerate() {
+            if let Some(w) = waiting {
+                let bound = 2 + (2 * w).div_ceil(queue_depth);
+                prop_assert!(
+                    offers[caller] <= bound,
+                    "caller {caller} offered {} times, W = {w}, bound {bound}",
+                    offers[caller]
+                );
+            }
+        }
     }
 
     /// Latency sampling always lands in `[base, base+jitter]` and picks

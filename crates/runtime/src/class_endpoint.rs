@@ -53,7 +53,7 @@ use legion_net::dispatch::{
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
 use legion_security::mayi::{AllowAll, MayIPolicy};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// Shared configuration for class endpoints (inherited by subclasses
@@ -106,12 +106,17 @@ pub struct ClassEndpoint {
     /// The admission ledger, when `cfg.admission` is set.
     admission: Option<AdmissionQueue>,
     /// Admitted data-plane calls awaiting their modeled service-
-    /// completion timer, keyed by deferral sequence. Size is bounded by
-    /// the admission queue depth — the ledger sheds before this map can
-    /// grow past it.
-    deferred: HashMap<u64, (Message, u64)>,
+    /// completion timer, oldest first, each with its deferral sequence
+    /// and enqueue time. One deterministic server completes calls in
+    /// admission order, so the timer that fires is always the front's.
+    /// Length is bounded by the admission queue depth — the ledger sheds
+    /// before this queue can grow past it.
+    deferred: VecDeque<(u64, Message, u64)>,
     next_deferred: u64,
     deferred_peak: usize,
+    /// `GetInstanceInterface`'s reply, rendered on first use and kept
+    /// until the class object is handed out mutably or inherits.
+    instance_idl: Option<String>,
 }
 
 /// Timer-tag bit marking a modeled service completion; the low bits
@@ -138,9 +143,10 @@ impl ClassEndpoint {
             inherit_waiters: FxHashMap::default(),
             next_magistrate: 0,
             admission,
-            deferred: HashMap::new(),
+            deferred: VecDeque::new(),
             next_deferred: 0,
             deferred_peak: 0,
+            instance_idl: None,
         }
     }
 
@@ -149,7 +155,7 @@ impl ClassEndpoint {
         self.admission.as_ref()
     }
 
-    /// High-water mark of the deferred-call map — must stay within the
+    /// High-water mark of the deferred-call queue — must stay within the
     /// admission queue depth (the "no unbounded queue" invariant).
     pub fn deferred_peak(&self) -> usize {
         self.deferred_peak
@@ -198,7 +204,7 @@ impl ClassEndpoint {
             Admission::Admit { delay_ns } => {
                 let seq = self.next_deferred;
                 self.next_deferred += 1;
-                self.deferred.insert(seq, (msg, now));
+                self.deferred.push_back((seq, msg, now));
                 self.deferred_peak = self.deferred_peak.max(self.deferred.len());
                 ctx.set_timer(delay_ns, SERVICE_TIMER_BIT | seq);
                 None
@@ -211,8 +217,10 @@ impl ClassEndpoint {
         &self.class
     }
 
-    /// Mutable access (bootstrap wiring).
+    /// Mutable access (bootstrap wiring). The caller may rename the class
+    /// or edit its interface, so the kept instance-interface text goes.
     pub fn class_mut(&mut self) -> &mut ClassObject {
+        self.instance_idl = None;
         &mut self.class
     }
 
@@ -308,8 +316,10 @@ impl ClassEndpoint {
                 &[],
                 ParamType::Str,
                 |e, _ctx, _msg, ()| {
-                    let text = idl::render(&sanitize(&e.class.name), &e.class.interface);
-                    Outcome::Reply(Ok(LegionValue::Str(text)))
+                    let text = e.instance_idl.get_or_insert_with(|| {
+                        idl::render(&sanitize(&e.class.name), &e.class.interface)
+                    });
+                    Outcome::Reply(Ok(LegionValue::Str(text.clone())))
                 },
             )
             .method::<(), _>(
@@ -666,6 +676,7 @@ impl ClassEndpoint {
                     let base_if = parsed.into_interface(base);
                     match self.class.inherit_from(base, &base_if) {
                         Ok(()) => {
+                            self.instance_idl = None;
                             ctx.count(symbol::CLASS_INHERITS);
                             ctx.reply_ticket(requester, Ok(LegionValue::Void));
                         }
@@ -746,7 +757,8 @@ impl Endpoint for ClassEndpoint {
             // record the caller-experienced response time (queue wait +
             // service) as this endpoint's SLO sample — the signal burn
             // events, and therefore the auto-scaler, run on.
-            if let Some((msg, enqueued_at)) = self.deferred.remove(&(tag & !SERVICE_TIMER_BIT)) {
+            if let Some((seq, msg, enqueued_at)) = self.deferred.pop_front() {
+                debug_assert_eq!(seq, tag & !SERVICE_TIMER_BIT, "completions out of order");
                 let response_ns = ctx.now().as_nanos().saturating_sub(enqueued_at);
                 ctx.slo_record(response_ns);
                 let table = Rc::clone(&self.table);

@@ -565,6 +565,60 @@ fn inherit_from_merges_base_interface_over_the_wire() {
     assert_eq!(resolved.address, printable.address);
 }
 
+/// `GetInstanceInterface` answers from a kept rendering. The two ways a
+/// live class's instance interface changes — `class_mut()` at build time
+/// and a successful `InheritFrom` over the wire — must each drop it.
+#[test]
+fn instance_interface_text_follows_class_mut_and_inherit_from() {
+    fn idl(w: &mut World, el: ObjectAddressElement, class: Loid) -> String {
+        match w.call_raw(el, class, class_proto::GET_INSTANCE_INTERFACE, vec![]) {
+            Ok(LegionValue::Str(text)) => text,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let mut w = build();
+    let printable = expect_binding(w.call(
+        w.file_class,
+        FILE_CLASS,
+        class_proto::DERIVE,
+        vec![LegionValue::Str("Printable".into())],
+    ));
+    let printable_el = *printable.address.primary().unwrap();
+    let file_el = w.file_class.element();
+
+    // Both classes have served (and so keep) a text without PrintMe.
+    let before = idl(&mut w, printable_el, printable.loid);
+    assert!(!before.contains("PrintMe"), "{before}");
+    assert_eq!(idl(&mut w, printable_el, printable.loid), before);
+    assert!(!idl(&mut w, file_el, FILE_CLASS).contains("PrintMe"));
+
+    w.k.endpoint_mut::<ClassEndpoint>(EndpointId(printable_el.sim_endpoint().unwrap()))
+        .unwrap()
+        .class_mut()
+        .interface
+        .define(
+            MethodSignature::new("PrintMe", vec![], ParamType::Void),
+            printable.loid,
+        );
+    let after = idl(&mut w, printable_el, printable.loid);
+    assert!(after.contains("PrintMe"), "stale after class_mut: {after}");
+
+    // File finds Printable in its own table (its subclass), fetches the
+    // text just re-rendered, and merges it.
+    let r = w.call(
+        w.file_class,
+        FILE_CLASS,
+        class_proto::INHERIT_FROM,
+        vec![LegionValue::Loid(printable.loid)],
+    );
+    assert_eq!(r, Ok(LegionValue::Void));
+    let merged = idl(&mut w, file_el, FILE_CLASS);
+    assert!(
+        merged.contains("PrintMe"),
+        "stale after InheritFrom: {merged}"
+    );
+}
+
 /// §2.2: "if a Jurisdiction's resources impose a substantial load on its
 /// Magistrate, the Jurisdiction can be split, and a new Magistrate can be
 /// created to take over responsibility for some of the resources and

@@ -16,6 +16,7 @@
 //! detected (§4.1.4).
 
 use legion_core::binding::Binding;
+use legion_core::fxmap::FxHashMap;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_m;
 use legion_core::symbol::{self, Sym};
@@ -29,7 +30,6 @@ use legion_net::metrics::Histogram;
 use legion_net::sim::{Ctx, Endpoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
@@ -390,8 +390,8 @@ pub struct OpenLoopClient {
     /// `[bounds[i-1], bounds[i])`. Empty = a single phase.
     phase_bounds: Vec<u64>,
     max_retries: u32,
-    outstanding: HashMap<CallId, OpenOp>,
-    pending_retries: HashMap<u64, OpenOp>,
+    outstanding: FxHashMap<CallId, OpenOp>,
+    pending_retries: FxHashMap<u64, OpenOp>,
     retry_seq: u64,
     /// Public so drivers can collect it when the run ends.
     pub report: OpenLoopReport,
@@ -421,8 +421,8 @@ impl OpenLoopClient {
             started: None,
             phase_bounds,
             max_retries,
-            outstanding: HashMap::new(),
-            pending_retries: HashMap::new(),
+            outstanding: FxHashMap::default(),
+            pending_retries: FxHashMap::default(),
             retry_seq: 0,
             report: OpenLoopReport {
                 phases: vec![PhaseStats::default(); phases],
@@ -623,7 +623,7 @@ pub struct LookupClient {
     inter_arrival_ns: u64,
     invoke: bool,
     phase: Phase,
-    invoke_calls: HashMap<CallId, (SimTime, Binding)>,
+    invoke_calls: FxHashMap<CallId, (SimTime, Binding)>,
     /// Generation counter guarding invoke-timeout timers.
     invoke_generation: u64,
     /// Generation counter guarding binding-timeout timers.
@@ -663,7 +663,7 @@ impl LookupClient {
             inter_arrival_ns: cfg.inter_arrival_ns,
             invoke: cfg.invoke_after_resolve,
             phase: Phase::Idle,
-            invoke_calls: HashMap::new(),
+            invoke_calls: FxHashMap::default(),
             invoke_generation: 0,
             binding_generation: 0,
             stale_attempts: 0,
