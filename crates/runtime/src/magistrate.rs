@@ -386,6 +386,24 @@ impl MagistrateEndpoint {
         }
     }
 
+    /// Kill the process `host` started for `loid` that no record refers
+    /// to (§2.3: "a Host Object is responsible for ... reaping objects").
+    fn reap_orphan(&mut self, ctx: &mut Ctx<'_>, loid: Loid, host: Loid) {
+        ctx.count(symbol::MAGISTRATE_ORPHAN_REAPED);
+        if let Some(host_element) = self.host_element(&host) {
+            let me = self.cfg.loid;
+            let args = ctx.args([LegionValue::Loid(loid)]);
+            ctx.call(
+                host_element,
+                host,
+                host_proto::DEACTIVATE,
+                args,
+                InvocationEnv::solo(me),
+                Some(me),
+            );
+        }
+    }
+
     /// Answer every queued Activate waiter for `loid`. This is also the
     /// single point every activation — including a crash recovery —
     /// concludes at, so the HA bookkeeping hooks in here.
@@ -738,7 +756,17 @@ impl MagistrateEndpoint {
                 }
                 ObjState::Inert { .. } => {
                     ctx.count(symbol::MAGISTRATE_ACTIVATIONS);
-                    if Parked::park(&mut self.activate_waiters, loid, msg.reply_ticket()) {
+                    // An activation in flight is one fact however it
+                    // started: a crash recovery parks no waiter of its
+                    // own, so the first request to arrive while it runs
+                    // joins it instead of starting a second activation.
+                    let recovering = self
+                        .ha
+                        .as_ref()
+                        .is_some_and(|ha| ha.tracker.recovering(&loid));
+                    if Parked::park(&mut self.activate_waiters, loid, msg.reply_ticket())
+                        && !recovering
+                    {
                         self.start_activation(ctx, loid, hint);
                     }
                     Outcome::Pending
@@ -980,25 +1008,31 @@ impl MagistrateEndpoint {
                 // starting the process (a racing Move/Delete): the
                 // fresh process is an orphan — reap it (§2.3's "a Host
                 // Object is responsible for ... reaping objects").
-                if !self.objects.contains_key(&loid) {
-                    ctx.count(symbol::MAGISTRATE_ORPHAN_REAPED);
-                    if let Some(host_element) = self.host_element(&host) {
-                        let me = self.cfg.loid;
-                        let args = ctx.args([LegionValue::Loid(loid)]);
-                        ctx.call(
-                            host_element,
-                            host,
-                            host_proto::DEACTIVATE,
-                            args,
-                            InvocationEnv::solo(me),
-                            Some(me),
-                        );
-                    }
+                let Some(record) = self.objects.get(&loid) else {
+                    self.reap_orphan(ctx, loid, host);
                     self.answer_activate_waiters(
                         ctx,
                         loid,
                         Err(format!("{loid} was removed during activation")),
                     );
+                    return;
+                };
+                // At-most-once activation: a reply for a record that is
+                // already Active never overwrites it. From the host the
+                // object runs on it is that same process answering again
+                // (HostActivate is idempotent); from any other host it
+                // is a second process, reaped like any other orphan.
+                if let ObjState::Active {
+                    host: running_on,
+                    element: running_at,
+                    ..
+                } = record.state
+                {
+                    if running_on != host {
+                        self.reap_orphan(ctx, loid, host);
+                    }
+                    let b = Binding::forever(loid, ObjectAddress::single(running_at));
+                    self.answer_activate_waiters(ctx, loid, Ok(b));
                     return;
                 }
                 // Mark Active. With HA on, the Inert OPR is retained
@@ -1014,7 +1048,7 @@ impl MagistrateEndpoint {
                             let _ = self.storage.delete(addr);
                             None
                         }
-                        _ => None,
+                        ObjState::Active { .. } => unreachable!("answered above"),
                     };
                     record.state = ObjState::Active {
                         host,
@@ -1327,5 +1361,146 @@ mod ha_duplication_tests {
             0,
             "the in-flight recovery must not be restarted"
         );
+    }
+
+    /// Answers each `HostActivate` 5 ms late, so a request can reach the
+    /// Magistrate while the activation is in flight.
+    #[derive(Default)]
+    struct SlowHost {
+        activations: u32,
+        parked: Vec<ReplyTicket>,
+    }
+
+    const SLOW_HOST_PROCESS: u64 = 77;
+
+    impl Endpoint for SlowHost {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            if msg.method_sym() == Some(host_proto::ACTIVATE) {
+                self.activations += 1;
+                self.parked.push(msg.reply_ticket());
+                ctx.set_timer(5_000_000, 0);
+            } else {
+                ctx.reply(&msg, Ok(LegionValue::Void));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            let process = ObjectAddress::single(ObjectAddressElement::sim(SLOW_HOST_PROCESS));
+            for ticket in self.parked.drain(..) {
+                ctx.reply_ticket(ticket, Ok(LegionValue::Address(process.clone())));
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Asker {
+        replies: Vec<Result<LegionValue, String>>,
+    }
+
+    impl Endpoint for Asker {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
+            if let legion_net::message::Body::Reply { result, .. } = msg.body {
+                self.replies.push(result);
+            }
+        }
+    }
+
+    /// An activation in flight is one fact however it started: an
+    /// `Activate` that reaches the Magistrate while a crash recovery's
+    /// `HostActivate` is out joins that recovery — no second
+    /// `HostActivate`, no second process, and the answer is the recovered
+    /// binding with the vault checkpoint still on record.
+    #[test]
+    fn activate_during_recovery_joins_it() {
+        let mut k = SimKernel::with_seed(7);
+        let mag_loid = Loid::instance(4, 1);
+        let dead_host = Loid::instance(5, 1);
+        let live_host = Loid::instance(5, 2);
+        let obj_loid = Loid::instance(6, 1);
+        let class = Loid::class_object(16);
+        let mut mag = MagistrateEndpoint::new(MagistrateConfig {
+            loid: mag_loid,
+            jurisdiction: 0,
+            class_addr: None,
+            disks: 1,
+            disk_capacity: 1 << 20,
+        });
+        let vault = mag
+            .storage
+            .store_opr(&Opr::new(obj_loid, class, 0, vec![1, 2, 3]))
+            .expect("room for the checkpoint");
+        mag.add_host(dead_host, ObjectAddressElement::sim(99), 4);
+        mag.objects.insert(
+            obj_loid,
+            ObjRecord {
+                class,
+                class_addr: None,
+                state: ObjState::Active {
+                    host: dead_host,
+                    element: ObjectAddressElement::sim(98),
+                    vault: Some(vault),
+                },
+            },
+        );
+        // Only the host that will fall silent is monitored; the survivor
+        // joins after, so the detector never judges it.
+        mag.enable_ha(
+            Box::new(MissThreshold {
+                suspect_after: 2,
+                dead_after: 4,
+            }),
+            1_000_000,
+            1_000_000,
+            20_000_000,
+            Vec::new(),
+            SimTime::ZERO,
+        );
+        let slow = k.add_endpoint(Box::<SlowHost>::default(), Location::new(0, 1), "slow-host");
+        mag.add_host(live_host, slow.element(), 4);
+        let ep = k.add_endpoint(Box::new(mag), Location::new(0, 0), "magistrate");
+        let asker = k.add_endpoint(Box::<Asker>::default(), Location::new(0, 2), "asker");
+        k.set_timer(ep, 1_000_000, TIMER_HA_SWEEP);
+        while k.counters().get("magistrate.ha_recoveries") == 0 {
+            assert!(k.step(), "the silent host is never declared dead");
+        }
+        // Let the recovery's HostActivate reach the host, then ask.
+        k.run_until(SimTime(k.now().0 + 1_000_000));
+        assert_eq!(k.endpoint::<SlowHost>(slow).unwrap().activations, 1);
+        let mut ask = Message::call(
+            k.fresh_call_id(),
+            mag_loid,
+            mag_proto::ACTIVATE,
+            vec![LegionValue::Loid(obj_loid)],
+            InvocationEnv::solo(class),
+        );
+        ask.reply_to = Some(asker.element());
+        ask.sender = Some(class);
+        assert!(k.inject(Location::new(0, 2), ep.element(), ask));
+        k.run_until_quiescent(10_000);
+
+        assert_eq!(
+            k.endpoint::<SlowHost>(slow).unwrap().activations,
+            1,
+            "the request joined the recovery instead of starting a second activation"
+        );
+        let recovered = Binding::forever(
+            obj_loid,
+            ObjectAddress::single(ObjectAddressElement::sim(SLOW_HOST_PROCESS)),
+        );
+        assert_eq!(
+            k.endpoint::<Asker>(asker).unwrap().replies,
+            [Ok(LegionValue::from(recovered))]
+        );
+        let mag = k.endpoint::<MagistrateEndpoint>(ep).unwrap();
+        assert!(
+            matches!(
+                mag.object_state(&obj_loid),
+                Some(ObjState::Active { host, vault: Some(_), .. }) if *host == live_host
+            ),
+            "{:?}",
+            mag.object_state(&obj_loid)
+        );
+        assert_eq!(k.counters().get("magistrate.ha_recovered"), 1);
+        assert_eq!(k.counters().get("magistrate.orphan_reaped"), 0);
     }
 }

@@ -269,6 +269,15 @@ mod tests {
 
     #[test]
     fn rebinding_target_crash_is_survivable() {
+        // A sweep, not one seed: an `Activate` racing a recovery's
+        // `HostActivate` once started a second activation, which only
+        // some seeds' timing exposed.
+        for seed in 11..=22 {
+            rebinding_target_crash(seed);
+        }
+    }
+
+    fn rebinding_target_crash(seed: u64) {
         // Double failure: crash a host, let recovery re-home its objects,
         // then crash the host the objects were re-homed *to*. Clients
         // holding the refreshed (now stale again) bindings must detect
@@ -280,7 +289,7 @@ mod tests {
             classes: 1,
             objects_per_class: 6,
             ha: Some(ha_config(3_000_000_000)),
-            seed: 11,
+            seed,
             ..SystemConfig::default()
         };
         let mut sys = LegionSystem::build(cfg);
@@ -293,7 +302,7 @@ mod tests {
             op_retry_attempts: 6,
             ..WorkloadConfig::default()
         };
-        let clients = attach_clients(&mut sys, 4, &wl, 11, None);
+        let clients = attach_clients(&mut sys, 4, &wl, seed, None);
 
         // First crash, then run long past detection + recovery.
         sys.kernel.run_until(SimTime(t0.0 + 30_000_000));
@@ -337,11 +346,16 @@ mod tests {
         assert_eq!(ha.hosts_lost, 2, "second crash detected: {ha:?}");
         assert_eq!(ha.lost, 0, "a surviving host absorbed round two: {ha:?}");
         assert_eq!(ha.false_positives, 0);
+        assert_eq!(
+            sys.kernel.counters().get("magistrate.ha_unrecoverable"),
+            0,
+            "seed {seed}: every re-homed object kept its vault checkpoint"
+        );
         let attempted = report.completed + report.failed;
         assert!(attempted > 0);
         assert!(
             report.completed as f64 / attempted as f64 >= 0.99,
-            "ops survive the double failure: {report:?}"
+            "seed {seed}: ops survive the double failure: {report:?}"
         );
     }
 }
