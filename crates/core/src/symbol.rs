@@ -256,6 +256,9 @@ well_known! {
     120 => CLIENT_INVOKE_TIMEOUT = "client.invoke_timeout";
     121 => CLIENT_BINDING_TIMEOUT = "client.binding_timeout";
     122 => CLIENT_STALE_REPLY = "client.stale_reply";
+    // Holder-directed invalidation and the auto-scaler's outbound half.
+    123 => CLASS_HOLDERS_NOTIFIED = "class.holders_notified";
+    124 => POLICY_TIMEOUTS = "policy.timeouts";
 }
 
 fn global() -> &'static RwLock<Interner> {
@@ -394,7 +397,8 @@ mod tests {
         assert_eq!(BA_REFRESH.id(), 47);
         assert_eq!(BA_CACHE_HIT.as_str(), "ba.cache_hit");
         assert_eq!(CLIENT_STALE_REPLY.id(), 122);
-        assert_eq!(WELL_KNOWN.len(), 123);
+        assert_eq!(POLICY_TIMEOUTS.id(), 124);
+        assert_eq!(WELL_KNOWN.len(), 125);
     }
 
     #[test]

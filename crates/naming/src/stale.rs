@@ -8,11 +8,14 @@
 //! migration or removal."
 //!
 //! Detection and refresh live in [`crate::resolver::ClientResolver`] and
-//! [`crate::agent::BindingAgentEndpoint`]; this module provides the
-//! *eager propagation* helpers a class (or Magistrate) uses after a
-//! migration or deletion, plus the positive variant — pushing a fresh
+//! [`crate::agent::BindingAgentEndpoint`]. News of a migration goes where
+//! the binding went: the class tells the agents it answered (see
+//! `legion-runtime`'s `ClassEndpoint`). This module covers the bindings
+//! no class handed out — a Magistrate *pushes* a recovered object's fresh
 //! binding with `AddBinding` "to explicitly propagate binding information
-//! for performance purposes" (§3.6).
+//! for performance purposes" (§3.6), and at the next crash withdraws what
+//! it pushed. Both are one-way notices ([`Ctx::notify`]): nobody reads an
+//! acknowledgement, so none is sent.
 
 use crate::protocol::{ADD_BINDING, INVALIDATE_BINDING};
 use legion_core::address::ObjectAddressElement;
@@ -23,8 +26,8 @@ use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::sim::Ctx;
 
-/// Broadcast `InvalidateBinding(loid)` to the given Binding Agents.
-/// Returns how many sends were accepted.
+/// Tell each of `agents` to drop whatever it holds for `stale`
+/// (`InvalidateBinding(loid)`). Returns how many sends were accepted.
 pub fn propagate_invalidation(
     ctx: &mut Ctx<'_>,
     sender: Loid,
@@ -34,17 +37,8 @@ pub fn propagate_invalidation(
     let mut accepted = 0;
     for &agent in agents {
         let args = ctx.args([LegionValue::Loid(stale)]);
-        let ok = ctx
-            .call(
-                agent,
-                stale,
-                INVALIDATE_BINDING,
-                args,
-                InvocationEnv::solo(sender),
-                Some(sender),
-            )
-            .is_some();
-        if ok {
+        let env = InvocationEnv::solo(sender);
+        if ctx.notify(agent, stale, INVALIDATE_BINDING, args, env, Some(sender)) {
             accepted += 1;
         }
     }
@@ -52,8 +46,8 @@ pub fn propagate_invalidation(
     accepted
 }
 
-/// Broadcast a fresh binding with `AddBinding` to the given agents
-/// (post-migration push). Returns how many sends were accepted.
+/// Push a fresh binding to each of `agents` with `AddBinding`. Returns
+/// how many sends were accepted.
 pub fn propagate_binding(
     ctx: &mut Ctx<'_>,
     sender: Loid,
@@ -64,17 +58,8 @@ pub fn propagate_binding(
     for &agent in agents {
         let binding = ctx.binding_value(fresh);
         let args = ctx.args([binding]);
-        let ok = ctx
-            .call(
-                agent,
-                fresh.loid,
-                ADD_BINDING,
-                args,
-                InvocationEnv::solo(sender),
-                Some(sender),
-            )
-            .is_some();
-        if ok {
+        let env = InvocationEnv::solo(sender);
+        if ctx.notify(agent, fresh.loid, ADD_BINDING, args, env, Some(sender)) {
             accepted += 1;
         }
     }

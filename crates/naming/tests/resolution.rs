@@ -542,6 +542,7 @@ fn add_binding_propagation_preseeds_agent() {
     struct Pusher {
         binding: Option<Binding>,
         agent: Option<legion_core::address::ObjectAddressElement>,
+        heard_back: u32,
     }
     impl Endpoint for Pusher {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -553,12 +554,15 @@ fn add_binding_propagation_preseeds_agent() {
                 &b,
             );
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {
+            self.heard_back += 1;
+        }
     }
-    w.kernel.add_endpoint(
+    let pusher = w.kernel.add_endpoint(
         Box::new(Pusher {
             binding: Some(b),
             agent: Some(agent.element()),
+            heard_back: 0,
         }),
         Location::new(0, 60),
         "pusher",
@@ -582,6 +586,11 @@ fn add_binding_propagation_preseeds_agent() {
         .requests;
     assert_eq!(class_before, class_after, "AddBinding preseeded the cache");
     assert_eq!(w.kernel.counters().get("stale.bindings_propagated"), 1);
+    assert_eq!(
+        w.kernel.endpoint::<Pusher>(pusher).unwrap().heard_back,
+        0,
+        "the push is a notice: the agent sends no acknowledgement"
+    );
 }
 
 #[test]
@@ -671,6 +680,69 @@ fn invalidate_binding_both_overloads_on_the_wire() {
         1,
         "LOID invalidate evicted the object binding"
     );
+}
+
+/// News of a migration can arrive late — after the agent already
+/// refreshed. The notice names the binding it is about, and the agent
+/// evicts on an exact match only, so the fresher entry stays; and being
+/// a notice, nothing is sent back either way.
+#[test]
+fn a_late_notice_for_the_old_address_leaves_the_fresher_binding() {
+    let mut w = build_world(1, 1, 16);
+    let agent = w.agents[0];
+    let client = add_client(&mut w, 1, vec![file(1)]);
+    w.kernel.run_until_quiescent(10_000);
+    let held = w.kernel.endpoint::<TestClient>(client).unwrap().resolved[0]
+        .1
+        .clone()
+        .unwrap();
+
+    struct Notifier {
+        agent: ObjectAddressElement,
+        about: Option<Binding>,
+        heard_back: u32,
+    }
+    impl Endpoint for Notifier {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let about = self.about.take().unwrap();
+            let (class, target) = (about.loid.class_loid(), about.loid);
+            let args = vec![legion_core::value::LegionValue::from(about)];
+            let env = legion_core::env::InvocationEnv::solo(class);
+            let method = legion_naming::protocol::INVALIDATE_BINDING;
+            assert!(ctx.notify(self.agent, target, method, args, env, Some(class)));
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {
+            self.heard_back += 1;
+        }
+    }
+    let notify = |w: &mut World, about: Binding| {
+        let notifier = Notifier {
+            agent: agent.element(),
+            about: Some(about),
+            heard_back: 0,
+        };
+        let id = w
+            .kernel
+            .add_endpoint(Box::new(notifier), Location::new(0, 70), "class-notice");
+        w.kernel.run_until_quiescent(10_000);
+        let heard_back = w.kernel.endpoint::<Notifier>(id).unwrap().heard_back;
+        assert_eq!(heard_back, 0, "a notice is never answered");
+        let a = w.kernel.endpoint::<BindingAgentEndpoint>(agent).unwrap();
+        (a.cache_len(), a.cache_stats().invalidations)
+    };
+
+    // The object used to live somewhere else; that news is stale.
+    let old = Binding::forever(
+        file(1),
+        ObjectAddress::single(ObjectAddressElement::sim(4040)),
+    );
+    assert_eq!(
+        notify(&mut w, old),
+        (2, 0),
+        "class and object both still cached"
+    );
+    // News about the binding the agent does hold evicts it.
+    assert_eq!(notify(&mut w, held), (1, 1));
 }
 
 #[test]

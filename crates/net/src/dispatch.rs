@@ -115,6 +115,17 @@ impl<T> Parked<T> {
         self.rest.push(item);
     }
 
+    /// How many are parked — never zero.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// Every parked item, in arrival order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        std::iter::once(&mut self.first).chain(&mut self.rest)
+    }
+
     /// Park `item` under `key` of a waiting map. `true` if nothing was
     /// parked there yet — the caller then starts the work the key waits
     /// for.
@@ -770,6 +781,9 @@ mod tests {
         assert!(!Parked::park(&mut map, 1, "second"));
         assert!(Parked::park(&mut map, 2, "other key"));
         assert!(!Parked::park(&mut map, 1, "third"));
+        let parked = map.get_mut(&1).expect("parked above");
+        assert_eq!(parked.len(), 3);
+        assert_eq!(parked.iter_mut().next(), Some(&mut "first"));
         let drained: Vec<_> = map.remove(&1).into_iter().flatten().collect();
         assert_eq!(drained, ["first", "second", "third"]);
         assert!(Parked::park(&mut map, 1, "again"), "the key was emptied");

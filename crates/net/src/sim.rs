@@ -1092,6 +1092,12 @@ impl Ctx<'_> {
         if msg.reply_to.is_none() {
             msg.reply_to = Some(self.self_element());
         }
+        self.post(to, msg)
+    }
+
+    /// Put `msg` on the wire as it stands — [`Ctx::send`] without the
+    /// reply address filled in.
+    fn post(&mut self, to: ObjectAddressElement, mut msg: Message) -> bool {
         // Stamp the current trace context unless the caller set one
         // explicitly (e.g. a message built from a stored environment).
         if !msg.env.trace.is_active() {
@@ -1170,6 +1176,27 @@ impl Ctx<'_> {
         } else {
             None
         }
+    }
+
+    /// Tell `to` something without waiting to hear back: a method call
+    /// that carries **no reply address**. The callee serves it like any
+    /// other call, but whatever its handler returns, nothing is sent back
+    /// ([`Ctx::reply_ticket`] has nowhere to send it) — one message where
+    /// a [`Ctx::call`] whose reply nobody reads costs two. `false` on a
+    /// detectable refusal, as for `call`.
+    pub fn notify(
+        &mut self,
+        to: ObjectAddressElement,
+        target: Loid,
+        method: impl Into<Sym>,
+        args: Vec<LegionValue>,
+        env: InvocationEnv,
+        sender: Option<Loid>,
+    ) -> bool {
+        let id = self.fresh_call_id();
+        let mut msg = Message::call(id, target, method, args, env);
+        msg.sender = sender;
+        self.post(to, msg)
     }
 
     /// Reply to `call` with `result`. Returns `false` if the caller's

@@ -233,6 +233,97 @@ proptest! {
         prop_assert_eq!(replied, n_calls, "each logical call must yield exactly one reply");
     }
 
+    /// A served `notify` never puts a reply on the wire, whatever the
+    /// handler returns — a value, an error, a refusal by the codec, or
+    /// the table's own "no such method" — while the same request sent as
+    /// a `call` is answered exactly as before.
+    #[test]
+    fn a_notice_is_never_answered(
+        requests in proptest::collection::vec((0usize..6, any::<bool>()), 1..40),
+        seed in any::<u64>(),
+    ) {
+        use legion_core::interface::ParamType;
+        use legion_core::value::LegionValue;
+        use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
+        use std::rc::Rc;
+
+        const CALLEE: Loid = Loid::instance(7, 1);
+        const SENDER: Loid = Loid::instance(7, 2);
+        // (method, does a `call` of it get a reply?)
+        const METHODS: [(&str, bool); 6] = [
+            ("Value", true),
+            ("Error", true),
+            ("Later", false),
+            ("OneWay", false),
+            ("NeedsAnArgument", true), // sent without one: refused by the codec
+            ("NoSuchMethod", true),    // refused by the table
+        ];
+
+        struct Callee {
+            table: Rc<MethodTable<Callee>>,
+            served: u32,
+        }
+        impl Endpoint for Callee {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+                self.served += 1;
+                let table = Rc::clone(&self.table);
+                serve(&table, self, ctx, msg);
+            }
+        }
+        struct Sender {
+            to: legion_core::address::ObjectAddressElement,
+            requests: Vec<(usize, bool)>,
+            replies: u32,
+        }
+        impl Endpoint for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for &(method, as_notice) in &self.requests {
+                    let env = InvocationEnv::solo(SENDER);
+                    let name = METHODS[method].0;
+                    if as_notice {
+                        assert!(ctx.notify(self.to, CALLEE, name, vec![], env, Some(SENDER)));
+                    } else {
+                        assert!(ctx.call(self.to, CALLEE, name, vec![], env, Some(SENDER)).is_some());
+                    }
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
+                assert!(msg.is_reply());
+                self.replies += 1;
+            }
+        }
+
+        let table = TableBuilder::<Callee>::new("callee", "Callee", CALLEE)
+            .method::<(), _>("Value", &[], ParamType::Uint, |_, _, _, ()| {
+                Outcome::Reply(Ok(LegionValue::Uint(1)))
+            })
+            .method::<(), _>("Error", &[], ParamType::Void, |_, _, _, ()| {
+                Outcome::Reply(Err("no".into()))
+            })
+            .method::<(), _>("Later", &[], ParamType::Void, |_, _, _, ()| Outcome::Pending)
+            .method::<(), _>("OneWay", &[], ParamType::Void, |_, _, _, ()| Outcome::NoReply)
+            .method::<(u64,), _>("NeedsAnArgument", &["n"], ParamType::Void, |_, _, _, (_,)| {
+                Outcome::Reply(Ok(LegionValue::Void))
+            })
+            .seal();
+        let mut k = SimKernel::with_seed(seed);
+        let callee = k.add_endpoint(Box::new(Callee { table, served: 0 }), Location::new(1, 0), "callee");
+        let sender = k.add_endpoint(
+            Box::new(Sender { to: callee.element(), requests: requests.clone(), replies: 0 }),
+            Location::new(0, 0),
+            "sender",
+        );
+        k.run_until_quiescent(100_000);
+
+        let answered = requests
+            .iter()
+            .filter(|&&(method, as_notice)| !as_notice && METHODS[method].1)
+            .count();
+        prop_assert_eq!(k.endpoint::<Callee>(callee).unwrap().served as usize, requests.len());
+        prop_assert_eq!(k.endpoint::<Sender>(sender).unwrap().replies as usize, answered);
+        prop_assert_eq!(k.stats().sent as usize, requests.len() + answered, "nothing else was sent");
+    }
+
     /// A randomized ping-pong population is deterministic per seed: the
     /// same seed gives identical delivered counts and final time.
     #[test]

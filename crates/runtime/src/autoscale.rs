@@ -37,7 +37,8 @@ use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::value::LegionValue;
-use legion_net::message::{Body, CallId, Message};
+use legion_net::dispatch::{resume, tick, Caller, Calls};
+use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint};
 
 /// Method name the [`AutoScaler`] uses to register a landed clone with
@@ -172,6 +173,8 @@ pub struct AutoScaler {
     policy: AutoScalePolicy,
     state: HysteresisState,
     me: Loid,
+    /// The scaler's outbound half: the one `Derive()` it may have out.
+    calls: Calls<Self>,
     /// The class being watched (and cloned).
     class_loid: Loid,
     class_element: ObjectAddressElement,
@@ -180,7 +183,6 @@ pub struct AutoScaler {
     router_method: Sym,
     /// Stop polling at this virtual time so the kernel can go quiescent.
     stop_at_ns: u64,
-    pending_derive: Option<CallId>,
     /// Burn events drained over the scaler's lifetime.
     pub burn_events_seen: u64,
     /// Poll ticks that saw at least one burn event.
@@ -204,12 +206,12 @@ impl AutoScaler {
             policy,
             state: HysteresisState::new(),
             me,
+            calls: Calls::new(me, symbol::POLICY_TIMEOUTS),
             class_loid,
             class_element,
             router,
             router_method: Sym::intern(ROUTER_ADD_REPLICA),
             stop_at_ns,
-            pending_derive: None,
             burn_events_seen: 0,
             burning_ticks: 0,
             clone_log: Vec::new(),
@@ -225,21 +227,58 @@ impl AutoScaler {
         let now = ctx.now().as_nanos();
         let name = format!("auto{}", self.state.clones() + 1);
         let args = ctx.args([LegionValue::Str(name)]);
-        match ctx.call(
+        let called = self.calls.call(
+            ctx,
             self.class_element,
             self.class_loid,
             symbol::DERIVE,
             args,
-            InvocationEnv::solo(self.me),
-            Some(self.me),
-        ) {
-            Some(id) => {
-                ctx.count(symbol::POLICY_DERIVE_ISSUED);
-                self.pending_derive = Some(id);
-                self.state.begin_clone(now);
-            }
-            None => ctx.count(symbol::POLICY_DERIVE_REFUSED),
+            |e, ctx, result| e.on_derive_reply(ctx, result),
+        );
+        if called {
+            ctx.count(symbol::POLICY_DERIVE_ISSUED);
+            self.state.begin_clone(now);
+        } else {
+            ctx.count(symbol::POLICY_DERIVE_REFUSED);
         }
+    }
+
+    /// The class answered `Derive()`: a landed clone is registered with
+    /// the router — a notice, the scaler never read the router's answer.
+    fn on_derive_reply(&mut self, ctx: &mut Ctx<'_>, result: Result<LegionValue, String>) {
+        let now = ctx.now().as_nanos();
+        match result {
+            Ok(LegionValue::Binding(b)) => {
+                ctx.count(symbol::POLICY_AUTOSCALE_CLONE);
+                self.clone_log.push(CloneRecord {
+                    at_ns: now,
+                    loid: b.loid,
+                });
+                if let (Some(router), Some(_)) = (self.router, b.address.primary()) {
+                    let me = self.me;
+                    let args = ctx.args([LegionValue::Binding(b)]);
+                    ctx.notify(
+                        router,
+                        self.class_loid,
+                        self.router_method,
+                        args,
+                        InvocationEnv::solo(me),
+                        Some(me),
+                    );
+                }
+                self.state.clone_landed(now);
+            }
+            Ok(_) | Err(_) => {
+                ctx.count(symbol::POLICY_DERIVE_FAILED);
+                self.state.clone_failed();
+            }
+        }
+    }
+}
+
+impl Caller for AutoScaler {
+    fn calls(&mut self) -> &mut Calls<Self> {
+        &mut self.calls
     }
 }
 
@@ -250,6 +289,7 @@ impl Endpoint for AutoScaler {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if tag != TIMER_POLL {
+            tick(self, ctx, tag);
             return;
         }
         let events = ctx.drain_burn_events();
@@ -268,43 +308,8 @@ impl Endpoint for AutoScaler {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let Body::Reply {
-            in_reply_to,
-            result,
-        } = &msg.body
-        else {
-            return;
-        };
-        if Some(*in_reply_to) != self.pending_derive {
-            return;
-        }
-        self.pending_derive = None;
-        let now = ctx.now().as_nanos();
-        match result {
-            Ok(LegionValue::Binding(b)) => {
-                ctx.count(symbol::POLICY_AUTOSCALE_CLONE);
-                self.clone_log.push(CloneRecord {
-                    at_ns: now,
-                    loid: b.loid,
-                });
-                if let (Some(router), Some(_)) = (self.router, b.address.primary()) {
-                    let args = ctx.args([LegionValue::Binding(b.clone())]);
-                    ctx.call(
-                        router,
-                        self.class_loid,
-                        self.router_method,
-                        args,
-                        InvocationEnv::solo(self.me),
-                        Some(self.me),
-                    );
-                }
-                self.state.clone_landed(now);
-            }
-            Ok(_) | Err(_) => {
-                ctx.count(symbol::POLICY_DERIVE_FAILED);
-                self.state.clone_failed();
-            }
-        }
+        // Anything but the reply to the outstanding `Derive()` is dropped.
+        resume(self, ctx, msg);
     }
 }
 

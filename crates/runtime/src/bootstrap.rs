@@ -55,6 +55,7 @@ impl CoreSystem {
             binding_agent: None,
             binding_ttl_ns: None,
             admission: None,
+            notify_holders: true,
         };
 
         // Build the Abstract core classes with their paper interfaces.

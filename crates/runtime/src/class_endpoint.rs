@@ -19,6 +19,13 @@
 //! * table-maintenance notifications (`SetAddress`, `Add/RemoveMagistrate`,
 //!   `Announce`).
 //!
+//! The class answered every `GetBinding`, so it knows which Binding
+//! Agents hold a row's current address. When that address stops being
+//! true it tells exactly those agents, one way — §4.1.4's "some classes
+//! may even attempt to reduce the number of stale bindings by explicitly
+//! propagating news of an object's migration or removal" (see
+//! [`ClassConfig::notify_holders`]).
+//!
 //! Two interfaces coexist here: `GetInterface()` (a table intrinsic)
 //! describes the class object's *own* member functions, while
 //! `GetInstanceInterface()` returns the run-time interface the class
@@ -35,15 +42,19 @@ use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::class::{ClassKind, ClassObject, TableEntry};
 use legion_core::dispatch::InvocationGate;
+use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::metaclass::LegionClassAuthority;
 use legion_core::symbol;
+use legion_core::time::Expiry;
 use legion_core::value::LegionValue;
+use legion_core::wellknown::LEGION_BINDING_AGENT;
 use legion_naming::protocol::{
-    self as naming_proto, BindingArg, FIND_RESPONSIBLE, GET_BINDING, ISSUE_CLASS_ID,
+    self as naming_proto, BindingArg, FIND_RESPONSIBLE, GET_BINDING, INVALIDATE_BINDING,
+    ISSUE_CLASS_ID,
 };
 use legion_naming::resolver::{ClientResolver, Lookup};
 use legion_net::admission::{Admission, AdmissionConfig, AdmissionQueue};
@@ -53,6 +64,7 @@ use legion_net::dispatch::{
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, FlightKind};
 use legion_security::mayi::{AllowAll, MayIPolicy};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -79,7 +91,22 @@ pub struct ClassConfig {
     /// spawned through `Derive`, so clones of a guarded hot class are
     /// guarded the same way.
     pub admission: Option<AdmissionConfig>,
+    /// Ablation switch (experiment E8): tell the Binding Agents holding a
+    /// row's address when it stops being true. `true` everywhere but the
+    /// E8 rows that measure what the notices buy; `false` records no
+    /// holder and sends nothing, leaving stale bindings to be detected in
+    /// use (§4.1.4) — which is the correctness mechanism either way.
+    pub notify_holders: bool,
 }
+
+/// A Binding Agent holding a row's current address — where its requests
+/// came from — and the expiry that copy was stamped with, so the notice
+/// can name the binding exactly as it was handed out.
+type Holder = (ObjectAddressElement, Expiry);
+
+/// A `GetBinding` request waiting on a Magistrate, and the Binding Agent
+/// behind it when one is (see [`ClassEndpoint::holder`]).
+type BindingWaiter = (ReplyTicket, Option<ObjectAddressElement>);
 
 /// Class names may contain characters illegal in IDL identifiers (clones
 /// are named "X#clone"); sanitize before rendering.
@@ -98,7 +125,12 @@ pub struct ClassEndpoint {
     table: Rc<MethodTable<Self>>,
     calls: Calls<Self>,
     /// GetBinding requests combined while a Magistrate activates a target.
-    binding_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
+    binding_waiters: FxHashMap<Loid, Parked<BindingWaiter>>,
+    /// Per table row, the Binding Agents its *current* address was handed
+    /// to. A row is here only while its address column is `Some`; the set
+    /// is deduplicated, so it is bounded by the number of agents, and its
+    /// first member is stored inline.
+    holders: FxHashMap<Loid, Parked<Holder>>,
     /// InheritFrom requests waiting on base resolution.
     inherit_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     /// Round-robin cursor over candidate magistrates.
@@ -140,6 +172,7 @@ impl ClassEndpoint {
             policy: Box::new(AllowAll),
             table,
             binding_waiters: FxHashMap::default(),
+            holders: FxHashMap::default(),
             inherit_waiters: FxHashMap::default(),
             next_magistrate: 0,
             admission,
@@ -217,6 +250,12 @@ impl ClassEndpoint {
         &self.class
     }
 
+    /// How many Binding Agents hold each row's current address, for the
+    /// rows where any does (audits).
+    pub fn holder_counts(&self) -> impl Iterator<Item = (Loid, usize)> + '_ {
+        self.holders.iter().map(|(loid, set)| (*loid, set.len()))
+    }
+
     /// Mutable access (bootstrap wiring). The caller may rename the class
     /// or edit its interface, so the kept instance-interface text goes.
     pub fn class_mut(&mut self) -> &mut ClassObject {
@@ -262,8 +301,8 @@ impl ClassEndpoint {
                 class_proto::SET_ADDRESS,
                 &["loid", "address"],
                 ParamType::Void,
-                |e, _ctx, _msg, a| {
-                    Outcome::Reply(if e.class.table.set_address(&a.loid, a.address) {
+                |e, ctx, _msg, a| {
+                    Outcome::Reply(if e.set_address(ctx, a.loid, a.address) {
                         Ok(LegionValue::Void)
                     } else {
                         Err("SetAddress: no such row".into())
@@ -305,7 +344,7 @@ impl ClassEndpoint {
                     if e.class.table.get(&loid).is_none() {
                         e.class.table.insert(loid, TableEntry::new(false));
                     }
-                    e.class.table.set_address(&loid, Some(address));
+                    e.set_address(ctx, loid, Some(address));
                     Outcome::Reply(Ok(LegionValue::Void))
                 },
             )
@@ -356,6 +395,76 @@ impl ClassEndpoint {
             .map(|(_, e)| *e)
     }
 
+    /// The Binding Agent behind `msg`, if one sent it: where news about a
+    /// binding this call is answered with must later go.
+    fn holder(&self, msg: &Message) -> Option<ObjectAddressElement> {
+        let sender = msg.sender.filter(|_| self.cfg.notify_holders)?;
+        let is_agent = !sender.is_class() && sender.class_id == LEGION_BINDING_AGENT.class_id;
+        msg.reply_to.filter(|_| is_agent)
+    }
+
+    /// `agent` was just handed row `loid`'s current address, stamped
+    /// `expiry`.
+    fn record_holder(&mut self, loid: Loid, agent: ObjectAddressElement, expiry: Expiry) {
+        match self.holders.entry(loid) {
+            Entry::Occupied(e) => {
+                let set = e.into_mut();
+                let known = set.iter_mut().find(|(a, _)| *a == agent);
+                if known.map(|holder| holder.1 = expiry).is_none() {
+                    set.push((agent, expiry));
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(Parked::new((agent, expiry)));
+            }
+        }
+    }
+
+    /// Write row `loid`'s Object Address column — the one place it is
+    /// written. When the column stops being the address its holders were
+    /// given, each of them is sent `InvalidateBinding(binding)` as a
+    /// one-way notice and the set is forgotten. The binding overload
+    /// evicts on an exact match only, so a notice that arrives after the
+    /// agent refreshed cannot evict the fresher entry. `false` if there
+    /// is no such row.
+    fn set_address(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        loid: Loid,
+        address: Option<ObjectAddress>,
+    ) -> bool {
+        let Some(row) = self.class.table.get_mut(&loid) else {
+            return false;
+        };
+        if row.address == address {
+            return true;
+        }
+        let was = std::mem::replace(&mut row.address, address);
+        let (Some(address), Some(holders)) = (was, self.holders.remove(&loid)) else {
+            return true;
+        };
+        let me = self.class.loid;
+        let mut stale = Binding::forever(loid, address);
+        let mut notified = 0;
+        for (agent, expiry) in holders {
+            stale.expiry = expiry;
+            let binding = ctx.binding_value(&stale);
+            let args = ctx.args([binding]);
+            let env = InvocationEnv::solo(me);
+            if ctx.notify(agent, loid, INVALIDATE_BINDING, args, env, Some(me)) {
+                notified += 1;
+            }
+        }
+        ctx.count_n(symbol::CLASS_HOLDERS_NOTIFIED, notified);
+        true
+    }
+
+    /// Drop row `target`, telling whoever holds its address first.
+    fn forget(&mut self, ctx: &mut Ctx<'_>, target: Loid) {
+        self.set_address(ctx, target, None);
+        let _ = self.class.delete_child(&target);
+    }
+
     // ----- handlers -------------------------------------------------------
 
     fn handle_create(&mut self, ctx: &mut Ctx<'_>, msg: &Message, a: CreateArgs) -> Outcome {
@@ -388,7 +497,7 @@ impl ClassEndpoint {
             args,
             move |e, ctx, result| match naming_proto::binding_from_result(&result) {
                 Some(b) => {
-                    e.class.table.set_address(&b.loid, Some(b.address.clone()));
+                    e.set_address(ctx, b.loid, Some(b.address.clone()));
                     let b = e.stamp(ctx, b);
                     ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
                 }
@@ -422,6 +531,9 @@ impl ClassEndpoint {
         if !refresh {
             if let Some(addr) = &entry.address {
                 let b = self.stamp(ctx, Binding::forever(target, addr.clone()));
+                if let Some(agent) = self.holder(msg) {
+                    self.record_holder(target, agent, b.expiry);
+                }
                 return Outcome::Reply(Ok(LegionValue::from(b)));
             }
         }
@@ -435,7 +547,8 @@ impl ClassEndpoint {
         if self.magistrate_element(&mag_loid).is_none() {
             return Outcome::Reply(Err(format!("magistrate {mag_loid} has no known address")));
         }
-        if Parked::park(&mut self.binding_waiters, target, msg.reply_ticket()) {
+        let waiter = (msg.reply_ticket(), self.holder(msg));
+        if Parked::park(&mut self.binding_waiters, target, waiter) {
             ctx.count(symbol::CLASS_ACTIVATES_FOR_BINDING);
             self.consult_magistrate(ctx, target, mag_loid);
         }
@@ -515,13 +628,18 @@ impl ClassEndpoint {
     }
 
     fn finish_binding(&mut self, ctx: &mut Ctx<'_>, target: Loid, result: Result<Binding, String>) {
-        if let Ok(b) = &result {
-            self.class
-                .table
-                .set_address(&target, Some(b.address.clone()));
-        }
+        // A row deleted while its Magistrate was consulted stays deleted:
+        // its waiters still get the answer, but nobody is on record as
+        // holding an address the table no longer has.
+        let on_record = match &result {
+            Ok(b) => self.set_address(ctx, target, Some(b.address.clone())),
+            Err(_) => false,
+        };
         let result = result.map(|b| self.stamp(ctx, b));
-        for waiter in self.binding_waiters.remove(&target).into_iter().flatten() {
+        for (waiter, agent) in self.binding_waiters.remove(&target).into_iter().flatten() {
+            if let (Ok(b), Some(agent), true) = (&result, agent, on_record) {
+                self.record_holder(target, agent, b.expiry);
+            }
             let payload = result.as_ref().map(|b| ctx.binding_value(b));
             ctx.reply_ticket(waiter, payload.map_err(String::clone));
         }
@@ -587,7 +705,7 @@ impl ClassEndpoint {
             .record_subclass(loid)
             .expect("Private checked earlier");
         let address = ObjectAddress::single(ep.element());
-        self.class.table.set_address(&loid, Some(address.clone()));
+        self.set_address(ctx, loid, Some(address.clone()));
         Binding::forever(loid, address)
     }
 
@@ -719,7 +837,7 @@ impl ClassEndpoint {
                     args,
                     move |e, ctx, result| match result {
                         Ok(_) => {
-                            let _ = e.class.delete_child(&target);
+                            e.forget(ctx, target);
                             ctx.count(symbol::CLASS_DELETES);
                             ctx.reply_ticket(requester, Ok(LegionValue::Void));
                         }
@@ -732,12 +850,12 @@ impl ClassEndpoint {
                     Outcome::Pending
                 } else {
                     // Magistrate gone; drop the row anyway.
-                    let _ = self.class.delete_child(&target);
+                    self.forget(ctx, target);
                     Outcome::Reply(Ok(LegionValue::Void))
                 }
             }
             None => {
-                let _ = self.class.delete_child(&target);
+                self.forget(ctx, target);
                 Outcome::Reply(Ok(LegionValue::Void))
             }
         }

@@ -255,7 +255,7 @@ impl Endpoint for HostObjectEndpoint {
                 LegionValue::Loid(me),
                 LegionValue::Address(ObjectAddress::single(ctx.self_element())),
             ]);
-            ctx.call(
+            ctx.notify(
                 class,
                 me.class_loid(),
                 class_proto::ANNOUNCE,

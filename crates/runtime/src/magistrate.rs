@@ -371,6 +371,8 @@ impl MagistrateEndpoint {
         }
     }
 
+    /// Table maintenance for the class (§3.7), one way: the Magistrate
+    /// never read the acknowledgement.
     fn notify_class<const N: usize>(
         &self,
         ctx: &mut Ctx<'_>,
@@ -382,7 +384,7 @@ impl MagistrateEndpoint {
         if let Some(addr) = class_addr {
             let me = self.cfg.loid;
             let args = ctx.args(args);
-            ctx.call(addr, class, method, args, InvocationEnv::solo(me), Some(me));
+            ctx.notify(addr, class, method, args, InvocationEnv::solo(me), Some(me));
         }
     }
 
@@ -393,7 +395,7 @@ impl MagistrateEndpoint {
         if let Some(host_element) = self.host_element(&host) {
             let me = self.cfg.loid;
             let args = ctx.args([LegionValue::Loid(loid)]);
-            ctx.call(
+            ctx.notify(
                 host_element,
                 host,
                 host_proto::DEACTIVATE,
@@ -728,8 +730,11 @@ impl MagistrateEndpoint {
             symbol::HA_RECOVERED,
             loid.class_specific,
         );
-        // The old binding is now stale everywhere: purge agent caches and
-        // clear the class's address row until re-activation sets it.
+        // The old binding is now stale everywhere. Clearing the class's
+        // address row makes the class tell the agents it answered; the
+        // agents walked here are the ones this Magistrate *pushed* a
+        // binding to after an earlier recovery, which the class never
+        // handed out and so cannot know about.
         let agents = self.ha.as_ref().map_or(&[][..], |ha| &ha.agents);
         stale::propagate_invalidation(ctx, me, agents, loid);
         self.notify_class(
@@ -1258,7 +1263,7 @@ impl Endpoint for MagistrateEndpoint {
                 LegionValue::Loid(me),
                 LegionValue::Address(ObjectAddress::single(ctx.self_element())),
             ]);
-            ctx.call(
+            ctx.notify(
                 class,
                 me.class_loid(),
                 class_proto::ANNOUNCE,

@@ -157,6 +157,7 @@ fn class(k: &mut SimKernel, callee: ObjectAddressElement) -> Subject {
             binding_agent: None,
             binding_ttl_ns: None,
             admission: None,
+            notify_holders: true,
         },
     );
     let ep = k.add_endpoint(Box::new(class), Location::new(0, 1), "class");

@@ -111,6 +111,7 @@ fn world() -> (SimKernel, EndpointId, Vec<Subject>) {
                 binding_agent: None,
                 binding_ttl_ns: None,
                 admission: None,
+                notify_holders: true,
             },
         )),
         loc,

@@ -11,6 +11,9 @@ use legion_core::object::{methods as obj_m, object_mandatory_interface};
 use legion_core::symbol::Sym;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::{LEGION_HOST, LEGION_MAGISTRATE, LEGION_OBJECT};
+use legion_naming::agent::{AgentConfig, BindingAgentEndpoint};
+use legion_naming::protocol::GET_BINDING;
+use legion_naming::resolver::{ClientResolver, Lookup};
 use legion_net::dispatch::Caller;
 use legion_net::message::{Body, Message};
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
@@ -54,6 +57,11 @@ const HOST_B1: Loid = Loid::instance(3, 3);
 const FILE_CLASS: Loid = Loid::class_object(16);
 
 fn build() -> World {
+    build_with(true)
+}
+
+/// The world, with the File class's holder-directed notices on or off.
+fn build_with(notify_holders: bool) -> World {
     let mut k = SimKernel::new(
         Topology::fixed(1_000, 10_000, 1_000_000),
         FaultPlan::none(),
@@ -96,6 +104,7 @@ fn build() -> World {
         binding_agent: None,
         binding_ttl_ns: None,
         admission: None,
+        notify_holders,
     };
     let file_class = k.add_endpoint(
         Box::new(ClassEndpoint::new(file, cfg)),
@@ -1039,4 +1048,257 @@ fn move_to_an_unreachable_peer_answers_and_keeps_the_object() {
         vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
     );
     assert!(r.unwrap_err().contains("unreachable"));
+}
+
+// ----- news goes where the binding went (§4.1.4) ------------------------------
+
+impl World {
+    /// A root Binding Agent in `jurisdiction` (class objects resolve
+    /// through LegionClass, instances through their class).
+    fn add_agent(&mut self, seq: u64, jurisdiction: u32) -> EndpointId {
+        let cfg = AgentConfig::root(Loid::instance(5, seq), self.core.legion_class_element());
+        self.k.add_endpoint(
+            Box::new(BindingAgentEndpoint::new(cfg)),
+            Location::new(jurisdiction, 40 + seq as u32),
+            format!("agent{seq}"),
+        )
+    }
+
+    /// Resolve `obj` through `agent`, as a client of it would.
+    fn ask_agent(&mut self, agent: EndpointId, obj: Loid) -> legion_core::binding::Binding {
+        let any_agent = Loid::instance(5, 1);
+        expect_binding(self.call(agent, any_agent, GET_BINDING, vec![LegionValue::Loid(obj)]))
+    }
+
+    fn deactivate(&mut self, mag_ep: EndpointId, mag: Loid, obj: Loid) {
+        let r = self.call(
+            mag_ep,
+            mag,
+            mag_proto::DEACTIVATE,
+            vec![LegionValue::Loid(obj)],
+        );
+        assert_eq!(r, Ok(LegionValue::Void));
+    }
+
+    /// `(messages received, cache entries explicitly invalidated)`.
+    fn agent_seen(&self, agent: EndpointId) -> (u64, u64) {
+        let a = self.k.endpoint::<BindingAgentEndpoint>(agent).unwrap();
+        (
+            self.k.meta(agent).unwrap().received,
+            a.cache_stats().invalidations,
+        )
+    }
+
+    fn notices(&self) -> u64 {
+        self.k.counters().get("class.holders_notified")
+    }
+
+    fn holders_of(&self, obj: Loid) -> usize {
+        let class = self.k.endpoint::<ClassEndpoint>(self.file_class).unwrap();
+        let found = class.holder_counts().find(|(l, _)| *l == obj);
+        found.map_or(0, |(_, n)| n)
+    }
+}
+
+/// Of two agents, the one that asked the class hears — once, with the
+/// exact binding — when the object deactivates; the other hears nothing.
+/// A second cycle notifies only whoever asked again.
+#[test]
+fn a_deactivation_is_told_to_exactly_the_agents_that_asked() {
+    let mut w = build();
+    let asked = w.add_agent(1, 0);
+    let other = w.add_agent(2, 1);
+    let (obj, mag, mag_ep, _, _) = w.create_active();
+
+    let first = w.ask_agent(asked, obj);
+    // A refresh that comes back with the address it already had makes
+    // the agent no more of a holder.
+    let refresh = vec![LegionValue::from(first.clone())];
+    let again = w.call(asked, Loid::instance(5, 1), GET_BINDING, refresh);
+    assert_eq!(expect_binding(again), first);
+    assert_eq!(w.k.counters().get("class.get_binding"), 2);
+    assert_eq!(w.holders_of(obj), 1);
+    let (asked_before, other_before) = (w.agent_seen(asked), w.agent_seen(other));
+
+    w.deactivate(mag_ep, mag, obj);
+    assert_eq!(w.notices(), 1);
+    assert_eq!(
+        w.agent_seen(asked),
+        (asked_before.0 + 1, asked_before.1 + 1),
+        "one notice, and it named the binding the agent held"
+    );
+    assert_eq!(
+        w.agent_seen(other),
+        other_before,
+        "nothing for the agent that never asked"
+    );
+    assert_eq!(w.holders_of(obj), 0, "the set went with the address");
+
+    // Cycle two: only `other` asks (reactivating the object), so only
+    // `other` is told when it deactivates again.
+    let second = w.ask_agent(other, obj);
+    assert_ne!(second.address, first.address, "new process, new address");
+    let (asked_before, other_before) = (w.agent_seen(asked), w.agent_seen(other));
+    w.deactivate(mag_ep, mag, obj);
+    assert_eq!(w.notices(), 2);
+    assert_eq!(w.agent_seen(asked), asked_before);
+    assert_eq!(
+        w.agent_seen(other),
+        (other_before.0 + 1, other_before.1 + 1)
+    );
+}
+
+/// Every waiter `finish_binding` answers is a holder too: two agents
+/// combined behind one activation are both told when it ends.
+#[test]
+fn agents_combined_behind_one_activation_are_both_holders() {
+    let mut w = build();
+    let agents = [w.add_agent(1, 0), w.add_agent(2, 1)];
+    let (obj, mag, mag_ep, _, _) = w.create_active();
+    w.deactivate(mag_ep, mag, obj);
+    // Both ask while the object is Inert, before anything runs.
+    for agent in agents {
+        let args = vec![LegionValue::Loid(obj)];
+        assert!(w.send(agent.element(), Loid::instance(5, 1), GET_BINDING, args));
+    }
+    w.k.run_until_quiescent(100_000);
+    assert_eq!(w.k.counters().get("class.activates_for_binding"), 1);
+    assert_eq!(w.holders_of(obj), 2);
+    w.deactivate(mag_ep, mag, obj);
+    assert_eq!(w.notices(), 2);
+}
+
+/// An Inert object has no address, so nobody holds one: moving it sends
+/// no notice and no `SetAddress` — the class hears only the two
+/// Current-Magistrate-List updates.
+#[test]
+fn moving_an_inert_object_tells_nobody() {
+    let mut w = build();
+    let agent = w.add_agent(1, 0);
+    let (obj, mag, mag_ep, peer, _) = w.create_active();
+    w.ask_agent(agent, obj);
+    w.deactivate(mag_ep, mag, obj);
+    assert_eq!(w.notices(), 1);
+
+    let class_before = w.k.meta(w.file_class).unwrap().received;
+    let agent_before = w.agent_seen(agent);
+    let r = w.call(
+        mag_ep,
+        mag,
+        mag_proto::MOVE,
+        vec![LegionValue::Loid(obj), LegionValue::Loid(peer)],
+    );
+    assert_eq!(r, Ok(LegionValue::Void));
+    assert_eq!(w.notices(), 1, "no notice");
+    assert_eq!(w.agent_seen(agent), agent_before);
+    assert_eq!(
+        w.k.meta(w.file_class).unwrap().received,
+        class_before + 2,
+        "AddMagistrate from the new home, RemoveMagistrate from the old; no SetAddress"
+    );
+}
+
+/// `notify_holders: false` records nobody and sends nothing.
+#[test]
+fn with_notices_off_the_class_sends_nothing() {
+    let mut w = build_with(false);
+    let agent = w.add_agent(1, 0);
+    let (obj, mag, mag_ep, _, _) = w.create_active();
+    w.ask_agent(agent, obj);
+    assert_eq!(w.holders_of(obj), 0);
+    let before = w.agent_seen(agent);
+    w.deactivate(mag_ep, mag, obj);
+    assert_eq!(w.notices(), 0);
+    assert_eq!(
+        w.agent_seen(agent),
+        before,
+        "the agent keeps its stale entry"
+    );
+}
+
+/// Resolves `target` and pings it each time its timer fires, recovering
+/// from a stale binding the §4.1.4 way: detect in use, refresh, retry.
+struct PingClient {
+    resolver: ClientResolver,
+    target: Loid,
+    pongs: u32,
+    stale_detected: u32,
+}
+
+impl PingClient {
+    fn ping(&mut self, ctx: &mut Ctx<'_>, binding: legion_core::binding::Binding) {
+        let me = self.resolver.me();
+        let to = *binding.address.primary().expect("a bound address");
+        let sent = ctx.call(
+            to,
+            self.target,
+            obj_m::PING,
+            vec![],
+            InvocationEnv::solo(me),
+            Some(me),
+        );
+        if sent.is_none() {
+            self.stale_detected += 1;
+            let refreshing = self.resolver.report_stale(ctx, binding);
+            assert!(matches!(refreshing, Lookup::Requested(_)));
+        }
+    }
+}
+
+impl Endpoint for PingClient {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+        if let Lookup::Cached(b) = self.resolver.lookup(ctx, self.target) {
+            self.ping(ctx, b);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        match self.resolver.handle_reply(&msg) {
+            Some((_, Ok(b))) => self.ping(ctx, b),
+            Some((_, Err(e))) => panic!("resolution failed: {e}"),
+            None => self.pongs += 1,
+        }
+    }
+}
+
+/// The notice is an optimisation: with it lost on the wire the client
+/// still completes, because a stale binding is detected in use and
+/// refreshed (§4.1.4 stays the correctness mechanism).
+#[test]
+fn a_lost_notice_costs_a_refresh_not_an_operation() {
+    let mut w = build();
+    // Agent and client in a jurisdiction of their own, so the class →
+    // agent link can be cut without touching anything else.
+    let agent = w.add_agent(1, 2);
+    let (obj, mag, mag_ep, _, _) = w.create_active();
+    let client = w.k.add_endpoint(
+        Box::new(PingClient {
+            resolver: ClientResolver::new(Loid::instance(98, 1), agent.element(), 16),
+            target: obj,
+            pongs: 0,
+            stale_detected: 0,
+        }),
+        Location::new(2, 60),
+        "ping-client",
+    );
+    assert!(w.k.set_timer(client, 1, 0));
+    w.k.run_until_quiescent(100_000);
+    assert_eq!(w.k.endpoint::<PingClient>(client).unwrap().pongs, 1);
+    assert_eq!(w.holders_of(obj), 1);
+
+    let lost_before = w.k.stats().lost;
+    let agent_before = w.agent_seen(agent);
+    w.k.faults_mut().partition(0, 2);
+    w.deactivate(mag_ep, mag, obj);
+    w.k.faults_mut().heal(0, 2);
+    assert_eq!(w.notices(), 1, "sent");
+    assert_eq!(w.k.stats().lost, lost_before + 1, "and lost");
+    assert_eq!(w.agent_seen(agent), agent_before, "the agent never heard");
+
+    assert!(w.k.set_timer(client, 1, 0));
+    w.k.run_until_quiescent(100_000);
+    let c = w.k.endpoint::<PingClient>(client).unwrap();
+    assert_eq!(c.stale_detected, 1, "the dead address refused the ping");
+    assert_eq!(c.pongs, 2, "and the operation completed after one refresh");
+    assert_eq!(w.k.counters().get("ba.refresh"), 1);
 }

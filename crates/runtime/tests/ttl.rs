@@ -40,6 +40,7 @@ impl Endpoint for Probe {
 
 struct World {
     k: SimKernel,
+    mag: EndpointId,
     class: EndpointId,
     agent: EndpointId,
     probe: EndpointId,
@@ -70,6 +71,7 @@ fn build() -> World {
                 binding_agent: None,
                 binding_ttl_ns: Some(TTL_NS),
                 admission: None,
+                notify_holders: true,
             },
         )),
         Location::new(0, 3),
@@ -93,6 +95,7 @@ fn build() -> World {
     k.run_until_quiescent(100_000);
     World {
         k,
+        mag,
         class,
         agent,
         probe,
@@ -177,4 +180,43 @@ fn caches_re_resolve_after_expiry() {
     if let Ok(LegionValue::Binding(b2)) = r {
         assert!(b2.is_valid_at(w.k.now()));
     }
+}
+
+/// The class's notice names the binding as it was handed out, stamp
+/// included, so the exact-match invalidation evicts a TTL-stamped copy —
+/// and names the *latest* stamp when the agent asked more than once.
+#[test]
+fn a_holder_of_a_stamped_binding_is_told_with_its_own_stamp() {
+    let mut w = build();
+    let r = w.call(w.class, FILE_CLASS, class_proto::CREATE, vec![]);
+    let Ok(LegionValue::Binding(b)) = r else {
+        panic!("create failed: {r:?}");
+    };
+    let obj = b.loid;
+    let lookup = |w: &mut World| w.call(w.agent, obj, GET_BINDING, vec![LegionValue::Loid(obj)]);
+    let Ok(LegionValue::Binding(first)) = lookup(&mut w) else {
+        panic!("lookup failed");
+    };
+    // Past the first stamp, the agent re-resolves and is stamped afresh.
+    w.k.run_until(SimTime(w.k.now().as_nanos() + TTL_NS + 1));
+    let Ok(LegionValue::Binding(second)) = lookup(&mut w) else {
+        panic!("lookup failed");
+    };
+    assert_eq!(second.address, first.address);
+    assert_ne!(second.expiry, first.expiry);
+
+    let agent = |w: &World| {
+        let a = w.k.endpoint::<BindingAgentEndpoint>(w.agent).unwrap();
+        (a.cache_len(), a.cache_stats().invalidations)
+    };
+    let (cached, invalidated) = agent(&w);
+    let r = w.call(
+        w.mag,
+        MAG,
+        legion_runtime::protocol::magistrate::DEACTIVATE,
+        vec![LegionValue::Loid(obj)],
+    );
+    assert_eq!(r, Ok(LegionValue::Void));
+    assert_eq!(w.k.counters().get("class.holders_notified"), 1);
+    assert_eq!(agent(&w), (cached - 1, invalidated + 1));
 }

@@ -8,9 +8,10 @@
 //! migration."
 //!
 //! Clients continuously resolve-and-`Ping` objects while a churn driver
-//! migrates objects between jurisdictions. Swept: churn rate × eager
-//! invalidation on/off. Measured: refresh count, messages per completed
-//! operation, and operation latency.
+//! migrates objects between jurisdictions. Swept: churn rate × the
+//! class's holder-directed notices on/off
+//! (`ClassConfig::notify_holders`). Measured: refresh count, notices
+//! sent, messages per completed operation, and operation latency.
 
 use crate::experiments::common::{attach_clients, run_clients};
 use crate::report::{ns, Table};
@@ -21,14 +22,14 @@ use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
 use legion_core::loid::Loid;
 use legion_core::value::LegionValue;
-use legion_naming::stale;
 use legion_net::message::{Body, CallId, Message};
 use legion_net::sim::{Ctx, Endpoint};
 use legion_net::topology::Location;
 use legion_runtime::protocol::magistrate as mag_proto;
 
-/// Drives a steady stream of `Move` operations between two magistrates,
-/// optionally propagating invalidations eagerly after each move.
+/// Drives a steady stream of `Move` operations round the magistrates.
+/// News of each migration is the class's to spread, not the driver's: it
+/// goes to the agents the class answered (`ClassConfig::notify_holders`).
 pub struct ChurnDriver {
     me: Loid,
     magistrates: Vec<(Loid, ObjectAddressElement)>,
@@ -43,20 +44,24 @@ pub struct ChurnDriver {
     /// Failed migration attempts.
     pub moves_failed: u64,
     pending: FxHashMap<CallId, (Loid, usize)>,
-    agents: Vec<ObjectAddressElement>,
-    eager: bool,
 }
 
 impl ChurnDriver {
     /// Build a churner over `objects` whose initial owners are given by
     /// their creation jurisdiction.
+    ///
+    /// The last two parameters are unused: they fed the flat
+    /// `InvalidateBinding` broadcast the driver used to send after every
+    /// move. They stay because `benchmark/` calls this constructor and a
+    /// PR that claims a gain may not edit `benchmark/`; ROADMAP item 1(g)
+    /// drops them.
     pub fn new(
         magistrates: Vec<(Loid, ObjectAddressElement)>,
         objects: Vec<(Loid, u32)>,
         interval_ns: u64,
         moves_target: u64,
-        agents: Vec<ObjectAddressElement>,
-        eager: bool,
+        _agents: Vec<ObjectAddressElement>,
+        _eager: bool,
     ) -> Self {
         let owner = objects
             .iter()
@@ -73,8 +78,6 @@ impl ChurnDriver {
             moves_ok: 0,
             moves_failed: 0,
             pending: FxHashMap::default(),
-            agents,
-            eager,
         }
     }
 
@@ -117,7 +120,7 @@ impl Endpoint for ChurnDriver {
         self.issue_move(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
         let Body::Reply {
             in_reply_to,
             result,
@@ -132,10 +135,6 @@ impl Endpoint for ChurnDriver {
             Ok(_) => {
                 self.owner.insert(obj, dst);
                 self.moves_ok += 1;
-                if self.eager {
-                    // §4.1.4: explicitly propagate news of the migration.
-                    stale::propagate_invalidation(ctx, self.me, &self.agents, obj);
-                }
             }
             Err(_) => {
                 self.moves_failed += 1;
@@ -149,7 +148,8 @@ impl Endpoint for ChurnDriver {
 pub struct Row {
     /// Virtual time between migrations (ns); `u64::MAX` = no churn.
     pub churn_interval_ns: u64,
-    /// Eager invalidation propagation on?
+    /// Did the class tell the holders of a binding when it went stale
+    /// (`ClassConfig::notify_holders`)?
     pub eager: bool,
     /// Completed client operations.
     pub completed: u64,
@@ -157,6 +157,8 @@ pub struct Row {
     pub stale_refreshes: u64,
     /// Successful migrations during the run.
     pub moves: u64,
+    /// `InvalidateBinding` notices the class sent (`class.holders_notified`).
+    pub invalidations: u64,
     /// Mean operation latency (virtual ns).
     pub mean_latency_ns: f64,
     /// Messages per completed operation.
@@ -179,6 +181,7 @@ pub fn run(scale: u32, seed: u64) -> Vec<Row> {
             host_capacity: 4096,
             classes: 1,
             objects_per_class: 8 * scale,
+            notify_holders: eager,
             seed,
             ..SystemConfig::default()
         };
@@ -191,9 +194,7 @@ pub fn run(scale: u32, seed: u64) -> Vec<Row> {
                 .iter()
                 .map(|(l, e)| (*l, e.element()))
                 .collect();
-            let agents: Vec<ObjectAddressElement> =
-                sys.agents.iter().map(|a| a.element()).collect();
-            let churner = ChurnDriver::new(mags, sys.objects.clone(), interval, 200, agents, eager);
+            let churner = ChurnDriver::new(mags, sys.objects.clone(), interval, 200, vec![], eager);
             // Creation round-robins across magistrates in creation order,
             // matching `owner` initialisation above only if jurisdiction
             // matches; ChurnDriver derives owners from the recorded
@@ -227,6 +228,7 @@ pub fn run(scale: u32, seed: u64) -> Vec<Row> {
             completed: report.completed,
             stale_refreshes: report.stale_refreshes,
             moves,
+            invalidations: sys.kernel.counters().get("class.holders_notified"),
             mean_latency_ns: report.latency.mean(),
             msgs_per_op: if report.completed == 0 {
                 0.0
@@ -252,6 +254,7 @@ pub fn table(rows: &[Row]) -> Table {
             "eager",
             "ops",
             "moves",
+            "invalidations",
             "refreshes",
             "mean-lat",
             "msgs/op",
@@ -267,6 +270,7 @@ pub fn table(rows: &[Row]) -> Table {
             r.eager.to_string(),
             r.completed.to_string(),
             r.moves.to_string(),
+            r.invalidations.to_string(),
             r.stale_refreshes.to_string(),
             ns(r.mean_latency_ns as u64),
             format!("{:.2}", r.msgs_per_op),
@@ -301,5 +305,97 @@ mod tests {
         assert!(churned
             .iter()
             .any(|r| r.mean_latency_ns > calm.mean_latency_ns));
+        // Only a class told to spreads the news, and to no more agents
+        // than it answered: here there is one, and one address per move.
+        for r in &churned {
+            if r.eager {
+                assert!(r.invalidations > 0 && r.invalidations <= r.moves, "{r:?}");
+            } else {
+                assert_eq!(r.invalidations, 0, "{r:?}");
+            }
+        }
+    }
+
+    /// News goes where the binding went, and nowhere else: under heavy
+    /// churn through a five-agent tree the class sends at most one notice
+    /// per agent per deactivation — an Inert object's move sends none —
+    /// where the flat broadcast sent five per move.
+    #[test]
+    fn notices_are_bounded_by_deactivations_not_moves() {
+        let mut sys = LegionSystem::build(SystemConfig {
+            jurisdictions: 2,
+            hosts_per_jurisdiction: 2,
+            host_capacity: 4096,
+            agent_tree: legion_naming::tree::TreeShape::new(4, 5),
+            classes: 2,
+            objects_per_class: 8,
+            seed: 83,
+            ..SystemConfig::default()
+        });
+        sys.kernel.reset_metrics();
+        let mags = sys
+            .magistrates
+            .iter()
+            .map(|(l, e)| (*l, e.element()))
+            .collect();
+        let churner = ChurnDriver::new(mags, sys.objects.clone(), 2_000_000, 600, vec![], true);
+        let churner =
+            sys.kernel
+                .add_endpoint(Box::new(churner), Location::new(0, 800), "churn-driver");
+        let wl = WorkloadConfig {
+            lookups_per_client: 40,
+            invoke_after_resolve: true,
+            inter_arrival_ns: 1_000_000,
+            op_retry_attempts: 8,
+            ..WorkloadConfig::default()
+        };
+        let clients = attach_clients(&mut sys, 8, &wl, 83, None);
+        let report = run_clients(&mut sys, &clients);
+        assert_eq!(report.failed, 0, "{report:?}");
+        let moves = sys
+            .kernel
+            .endpoint::<ChurnDriver>(churner)
+            .unwrap()
+            .moves_ok;
+        let count = |name: &str| sys.kernel.counters().get(name);
+        let (notices, deactivations) =
+            (count("class.holders_notified"), count("host.deactivations"));
+        assert!(notices > 0 && deactivations > 0 && moves > 2 * deactivations);
+        assert!(
+            notices <= deactivations * sys.agents.len() as u64,
+            "{notices} notices for {deactivations} deactivations"
+        );
+        assert_eq!(
+            count("stale.invalidations_propagated"),
+            0,
+            "nobody broadcasts"
+        );
+    }
+
+    /// What the notices buy, over enough seeds to see past one run's
+    /// timing: fewer stale bindings reach a client, and the messages the
+    /// notices cost are paid back by the refreshes they save (the flat
+    /// broadcast they replace cost about one more message per operation
+    /// for the same refreshes).
+    #[test]
+    fn notices_cut_refreshes_and_pay_for_themselves() {
+        let (mut refreshes, mut msgs_per_op) = ([0u64; 2], [0f64; 2]);
+        for seed in 81..=88 {
+            for r in run(1, seed) {
+                if r.churn_interval_ns != u64::MAX {
+                    refreshes[r.eager as usize] += r.stale_refreshes;
+                    msgs_per_op[r.eager as usize] += r.msgs_per_op;
+                }
+            }
+        }
+        let ([lazy, told], [lazy_msgs, told_msgs]) = (refreshes, msgs_per_op);
+        assert!(
+            told * 100 <= lazy * 95,
+            "refreshes: {told} told against {lazy} detected in use"
+        );
+        assert!(
+            told_msgs <= lazy_msgs * 1.03,
+            "summed msgs/op: {told_msgs:.2} told against {lazy_msgs:.2}"
+        );
     }
 }

@@ -17,6 +17,9 @@
 //! * **no-leaked-continuations** — Magistrates and classes hold zero
 //!   outstanding call continuations (the deadline sweep resolved every
 //!   reply the network ate);
+//! * **holders-bounded** — a class remembers who holds a row's address
+//!   only while the row has one, and never more holders than there are
+//!   Binding Agents (the notice bookkeeping cannot leak);
 //! * **binding-coherence** — after the dust settles, every object still
 //!   resolves through its class and answers a `Ping` at the resolved
 //!   address.
@@ -111,8 +114,8 @@ pub fn mix(h: u64, v: u64) -> u64 {
 
 /// The state invariants any drained run must satisfy, over the system's
 /// Magistrates and the given class endpoints (E18 passes its clones too):
-/// no-duplicate-object, no-lost-object, recovery-drained and
-/// no-leaked-continuations.
+/// no-duplicate-object, no-lost-object, recovery-drained,
+/// no-leaked-continuations and holders-bounded.
 pub fn audit_state(sys: &mut LegionSystem, classes: &[EndpointId]) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut alive: BTreeMap<String, u32> = BTreeMap::new();
@@ -157,6 +160,24 @@ pub fn audit_state(sys: &mut LegionSystem, classes: &[EndpointId]) -> Vec<Violat
             "no-leaked-continuations",
             format!("{leaked} continuations outstanding at quiescence"),
         ));
+    }
+
+    let agents = sys.agents.len();
+    for cep in classes {
+        let Some(c) = sys.kernel.endpoint::<ClassEndpoint>(*cep) else {
+            continue;
+        };
+        for (loid, holders) in c.holder_counts() {
+            let bound = c.class().table.get(&loid).map(|row| row.address.is_some());
+            if bound != Some(true) || holders > agents {
+                violations.push(Violation::new(
+                    "holders-bounded",
+                    format!(
+                        "{loid}: {holders} holders of {agents} agents, address bound: {bound:?}"
+                    ),
+                ));
+            }
+        }
     }
     violations
 }

@@ -92,6 +92,10 @@ pub struct SystemConfig {
     /// exact event stream of earlier experiments; `Some` bounds each
     /// class's data-plane queue and sheds the excess with retry hints.
     pub class_admission: Option<AdmissionConfig>,
+    /// Ablation (E8): class endpoints tell the Binding Agents holding a
+    /// binding when its address stops being true
+    /// ([`ClassConfig::notify_holders`]). On by default.
+    pub notify_holders: bool,
     /// Network model.
     pub topology: Topology,
     /// RNG seed (full determinism per seed).
@@ -113,6 +117,7 @@ impl Default for SystemConfig {
             ha: None,
             call_deadline_ns: None,
             class_admission: None,
+            notify_holders: true,
             topology: Topology::default(),
             seed: 42,
         }
@@ -272,6 +277,7 @@ impl LegionSystem {
                 binding_agent: agents.last().map(|a| a.element()),
                 binding_ttl_ns: None,
                 admission: config.class_admission,
+                notify_holders: config.notify_holders,
             };
             let j = c % config.jurisdictions.max(1);
             let ep = kernel.add_endpoint(

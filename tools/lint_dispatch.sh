@@ -3,13 +3,16 @@
 # the shared typed invocation layer (legion-core::dispatch tables +
 # legion-net::dispatch serve), never hand-roll method-name matching or
 # raw argument pattern-slicing (rule 1), keep method names as symbols
-# (rule 2), and make its own calls through legion-net::dispatch::Calls
-# (rule 3).
+# (rule 2), make its own calls through legion-net::dispatch::Calls
+# (rule 3), and never ask for a reply it will not read (rule 4).
 #
 # Fails the build if `match method.as_str()` or `match msg.args()`
 # appears outside the dispatch layer itself and protocol/codec modules
 # (crates/*/src/protocol.rs), which are the one place hand-written
 # decoding is allowed — it is the codec.
+#
+# Rule 4: an endpoint either wants the reply (Calls::call) or does not
+# (ctx.notify); a raw `ctx.call(` is a reply requested and never read.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +71,30 @@ if [[ -n "$calls_hits" ]]; then
     echo >&2
     echo "Hold a legion_net::dispatch::Calls<Self>, make the call with Calls::call," >&2
     echo "implement Caller, and give on_message to resume() and on_timer to tick()." >&2
+    exit 1
+fi
+# A call is made one of two ways: `Calls::call` when the reply is wanted
+# (it parks the continuation and owns the deadline), `ctx.notify` when it
+# is not (no reply address, so no reply is ever sent). A raw `ctx.call(`
+# in endpoint code asks for a reply and then drops it on the floor — two
+# messages and a latency draw for nothing. The one owner of a raw call is
+# `ClientResolver`, which keeps its own pending map because it is embedded
+# in endpoints of several types. `-z` lets the pattern span the line break
+# rustfmt puts into `ctx\n.call(` chains.
+raw_allowed_re='^crates/naming/src/resolver\.rs$'
+
+raw_hits=$(grep -rlPz 'ctx\s*\.call\(' \
+    crates/runtime/src crates/naming/src crates/ha/src --include='*.rs' \
+    | grep -vE "$raw_allowed_re" || true)
+
+if [[ -n "$raw_hits" ]]; then
+    echo "error: raw ctx.call( outside ClientResolver:" >&2
+    for f in $raw_hits; do
+        echo "$f" >&2
+        grep -nE 'ctx\.call\(' "$f" | sed 's/^/  /' >&2 || true
+    done
+    echo >&2
+    echo "Use Calls::call when the reply is read, ctx.notify when it is not." >&2
     exit 1
 fi
 echo "lint_dispatch: ok"
