@@ -174,7 +174,11 @@ impl JournalWriter {
             next_seq: 0,
             body: Vec::with_capacity(64),
             frame: Vec::with_capacity(80),
-            bytes: header.len() as u64,
+            bytes: if error.is_none() {
+                header.len() as u64
+            } else {
+                0
+            },
             error,
         }
     }
@@ -184,7 +188,8 @@ impl JournalWriter {
         self.next_seq
     }
 
-    /// Total bytes written (header + frames).
+    /// Total bytes the sink accepted (header + frames); frames appended
+    /// after a sink error are not counted.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -215,22 +220,23 @@ impl JournalWriter {
         self.frame.extend_from_slice(&crc.to_le_bytes());
         self.frame.extend_from_slice(&self.body);
         if self.error.is_none() {
-            if let Err(e) = self.sink.write(&self.frame) {
-                self.error = Some(JournalError::Io(e.to_string()));
+            match self.sink.write(&self.frame) {
+                Ok(()) => self.bytes += self.frame.len() as u64,
+                Err(e) => self.error = Some(JournalError::Io(e.to_string())),
             }
         }
-        self.bytes += self.frame.len() as u64;
         seq
     }
 
-    /// Flush the sink, surfacing any latched or flush-time error.
+    /// Flush the sink, surfacing any latched or flush-time error. The
+    /// error is sticky: every later `finish` reports it again.
     pub fn finish(&mut self) -> Result<(), JournalError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
+        if self.error.is_none() {
+            if let Err(e) = self.sink.flush() {
+                self.error = Some(JournalError::Io(e.to_string()));
+            }
         }
-        self.sink
-            .flush()
-            .map_err(|e| JournalError::Io(e.to_string()))
+        self.error.clone().map_or(Ok(()), Err)
     }
 }
 
@@ -344,6 +350,48 @@ mod tests {
         w.append(1, RecordKind::Note, 0, 0, 0, "x");
         assert!(w.error().is_some());
         assert!(matches!(w.finish(), Err(JournalError::Io(_))));
+    }
+
+    /// A sink that refuses its `fail_at`-th write (0-based) and every
+    /// one after, keeping what it accepted.
+    struct FailingSink {
+        accepted: MemSink,
+        writes: usize,
+        fail_at: usize,
+    }
+
+    impl JournalSink for FailingSink {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            let n = self.writes;
+            self.writes += 1;
+            if n >= self.fail_at {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.accepted.write(bytes)
+        }
+    }
+
+    #[test]
+    fn latched_sink_error_is_sticky_and_refused_bytes_are_not_counted() {
+        let accepted = MemSink::new();
+        // Write 0 is the header, writes 1 and 2 the first two records.
+        let sink = FailingSink {
+            accepted: accepted.clone(),
+            writes: 0,
+            fail_at: 3,
+        };
+        let mut w = JournalWriter::new(Box::new(sink), 0);
+        for i in 0..6 {
+            w.append(i, RecordKind::Note, 0, i, 0, "x");
+        }
+        assert_eq!(w.next_seq(), 6, "seqs advance whatever the sink does");
+        assert_eq!(w.bytes(), accepted.len() as u64, "only accepted bytes");
+        for _ in 0..3 {
+            assert!(matches!(w.finish(), Err(JournalError::Io(_))), "sticky");
+        }
+        // Everything before the refused write is an intact journal.
+        let (_, records) = read_all(&accepted.contents()).unwrap();
+        assert_eq!(records.len(), 2);
     }
 
     #[test]

@@ -634,6 +634,21 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_recording_fails_every_time_it_is_finished() {
+        struct FailSink;
+        impl JournalSink for FailSink {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk gone"))
+            }
+        }
+        let mut journal = KernelJournal::record(Box::new(FailSink), 4);
+        drive(&mut journal, &script());
+        for _ in 0..2 {
+            assert!(matches!(journal.finish(), Err(JournalError::Io(_))));
+        }
+    }
+
+    #[test]
     fn off_is_inert() {
         let mut journal = KernelJournal::default();
         assert!(!journal.is_on());
