@@ -225,8 +225,8 @@ fn hot_path_allocation_budgets() {
 
     // Pure journaling — every kernel ingress appended, checksummed, and
     // sunk, snapshots off — may tax the hot path at most half an
-    // allocation per message over the plain run: the writer reuses its
-    // encode buffers and the sink's growth amortizes. (The full
+    // allocation per message over the plain run: the writer frames in a
+    // block buffer it keeps and the sink is given a block per 64 KiB. (The full
     // `--journal-out` configuration, with a snapshot every 256 events, is
     // the ledger's `e12_steady_journaled` row.)
     let jstats = measure::e12_steady("journal only", 2, LEDGER_SEED, measure::recording(0));
@@ -236,11 +236,14 @@ fn hot_path_allocation_budgets() {
         "journaling tax budget blown: {journal_apm:.2} > {plain_apm:.2} + 0.5 ({jstats:?})"
     );
 
-    // One snapshot allocates for what changed since the last one, not
-    // for what the kernel holds: a constant (the mark's root label, its
-    // id list, the `core` chunk) plus a chunk per *dirty* slot — however
-    // many slots there are and however full their dedup windows.
-    snapshot_allocations_follow_dirty_slots();
+    // One snapshot allocates nothing once its buffers are at size: the
+    // store overwrites the one generation it holds, the mark's root is
+    // rendered on the stack — no dirty slot, one or eight, however many
+    // slots there are and however full their dedup windows.
+    snapshot_allocations_are_none_at_steady_state();
+
+    // ...and the records between snapshots allocate what the sink keeps.
+    steady_appends_allocate_the_sinks_blocks_only();
 
     // With tracing off, a send the fault plan delays pays no allocation
     // a clean send does not: its span label is never built.
@@ -604,7 +607,7 @@ fn sweep_timers_follow_timeout_periods_not_calls() {
 /// 64 idle endpoints, a snapshot every 8 events; between snapshots,
 /// exactly `dirty` of them admit a delivery. Measures the step that
 /// takes the snapshot, alone.
-fn snapshot_allocations_follow_dirty_slots() {
+fn snapshot_allocations_are_none_at_steady_state() {
     use legion_core::env::InvocationEnv;
     use legion_core::loid::Loid;
     use legion_journal::MemSink;
@@ -640,14 +643,18 @@ fn snapshot_allocations_follow_dirty_slots() {
         );
         assert!(k.inject(Location::new(0, 0), to.element(), msg));
     };
-    // Eight deliveries spread over `dirty` endpoints, then the step that
-    // finds the snapshot due and the queue empty. Minimum of three, as
-    // in `alloc_delta_min`.
+    // Eight events, then the step that finds the snapshot due and the
+    // queue empty: deliveries spread over `dirty` endpoints, or — for no
+    // dirty slot at all — timer fires, which touch nothing a slot's
+    // section covers. Minimum of three, as in `alloc_delta_min`.
     let snapshot_allocs = |k: &mut SimKernel, dirty: usize| {
         (0..3)
             .map(|_| {
                 for i in 0..SNAP_EVERY as usize {
-                    ping(k, eps[i % dirty]);
+                    match dirty {
+                        0 => assert!(k.set_timer(eps[i], 1, 0)),
+                        _ => ping(k, eps[i % dirty]),
+                    }
                 }
                 assert_eq!(k.run_until_quiescent(SNAP_EVERY), SNAP_EVERY);
                 let taken =
@@ -661,31 +668,74 @@ fn snapshot_allocations_follow_dirty_slots() {
             .min()
             .unwrap()
     };
-    let budget = |dirty: usize| 6 + 2 * dirty as u64;
 
-    for dirty in [1usize, 8] {
+    for dirty in [0usize, 1, 8] {
         let d = snapshot_allocs(&mut k, dirty);
-        assert!(
-            d <= budget(dirty),
+        assert_eq!(
+            d, 0,
             "windows empty: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
         );
     }
 
     // Fill every endpoint's window for the external sender (1 024
-    // remembered numbers each), then measure again: the same budget.
+    // remembered numbers each), then measure again: still nothing.
     for _ in 0..1_030 {
         for ep in &eps {
             ping(&mut k, *ep);
         }
         k.run_until_quiescent(u64::MAX);
     }
-    for dirty in [1usize, 8] {
+    for dirty in [0usize, 1, 8] {
         let d = snapshot_allocs(&mut k, dirty);
-        assert!(
-            d <= budget(dirty),
+        assert_eq!(
+            d, 0,
             "windows full: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
         );
     }
+}
+
+/// Ten thousand appends through a writer that has already handed a block
+/// over: the writer frames in a buffer it keeps, so what is allocated is
+/// what the sink keeps — one block per [`legion_journal::journal::BLOCK`]
+/// bytes.
+fn steady_appends_allocate_the_sinks_blocks_only() {
+    use legion_journal::journal::BLOCK;
+    use legion_journal::{JournalWriter, MemSink, RecordKind};
+
+    let sink = MemSink::new();
+    let mut w = JournalWriter::new(Box::new(sink.clone()), 0);
+    let mut next = 0u64;
+    let mut append = |w: &mut JournalWriter| {
+        w.append(
+            next * 1_000,
+            RecordKind::Deliver,
+            next % 64,
+            next,
+            40_000,
+            "GetBinding",
+        );
+        next += 1;
+    };
+    while sink.is_empty() {
+        append(&mut w);
+    }
+    let (held, written) = (sink.len(), w.bytes());
+    let (a0, b0) = alloc_counter::counts();
+    for _ in 0..10_000 {
+        append(&mut w);
+    }
+    let (a1, b1) = alloc_counter::counts();
+    let blocks = ((sink.len() - held) / BLOCK) as u64;
+    let written = w.bytes() - written;
+    assert!(blocks >= 4, "10 000 records fill several blocks: {blocks}");
+    // Measured: 5 allocations, 262 272 bytes for 4 blocks (320 000 bytes
+    // appended) — the blocks, and the sink's list of them doubling once.
+    assert!(
+        a1 - a0 <= blocks + 1 && b1 - b0 <= written,
+        "{} allocations, {} bytes for {blocks} blocks ({written} bytes appended)",
+        a1 - a0,
+        b1 - b0
+    );
 }
 
 /// The same 512 injected sends to one idle endpoint, under no faults and

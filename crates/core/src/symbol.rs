@@ -294,8 +294,13 @@ impl Sym {
     }
 
     /// The interned string. The returned reference is `'static`: interned
-    /// strings live for the process.
+    /// strings live for the process. A pre-seeded symbol's id is its index
+    /// in [`WELL_KNOWN`], so its string is read from that table without
+    /// the interner's lock — the journal renders one per record.
     pub fn as_str(self) -> &'static str {
+        if let Some(&(_, name)) = WELL_KNOWN.get(self.0 as usize) {
+            return name;
+        }
         global()
             .read()
             .expect("interner poisoned")

@@ -143,43 +143,43 @@ pub fn render_context(data: &[u8], slices: &[RecordSlice], center: usize, radius
     out
 }
 
+/// Bytes the writer frames before it hands them to the sink: the sink
+/// sees the journal a block at a time, and a reader of a live journal
+/// file lags the run by less than one block and one record.
+pub const BLOCK: usize = 64 * 1024;
+
 /// The append-only journal writer.
 ///
-/// `append` is infallible on the hot path: the first sink error is
-/// latched and surfaced by [`JournalWriter::error`] / `finish`-time
-/// checks rather than plumbed through the kernel. Encoding reuses two
-/// internal buffers, so steady-state appends do not allocate.
+/// Records are framed in place in one block buffer, which goes to the
+/// sink when it reaches [`BLOCK`] bytes, at [`JournalWriter::finish`],
+/// and when the writer is dropped (a panicking run still lands its
+/// tail). `append` is infallible on the hot path: the first sink error
+/// is latched and surfaced by [`JournalWriter::error`] / `finish` rather
+/// than plumbed through the kernel, one block after the write it refused.
 pub struct JournalWriter {
     sink: Box<dyn JournalSink>,
     next_seq: u64,
-    body: Vec<u8>,
-    frame: Vec<u8>,
-    bytes: u64,
+    /// The header, then frames, not yet handed to the sink.
+    block: Vec<u8>,
+    /// Bytes the sink has accepted.
+    accepted: u64,
     error: Option<JournalError>,
 }
 
 impl JournalWriter {
-    /// Start a journal on `sink`, writing the header.
-    pub fn new(mut sink: Box<dyn JournalSink>, snap_every: u64) -> Self {
-        let mut header = Vec::with_capacity(16);
-        header.extend_from_slice(&MAGIC);
-        header.push(VERSION);
-        crate::record::push_varint(&mut header, snap_every);
-        let error = sink
-            .write(&header)
-            .err()
-            .map(|e| JournalError::Io(e.to_string()));
+    /// Start a journal on `sink` with the header.
+    pub fn new(sink: Box<dyn JournalSink>, snap_every: u64) -> Self {
+        // Room for the record that carries a block over the line.
+        let mut block = Vec::with_capacity(BLOCK + 256);
+        block.extend_from_slice(&MAGIC);
+        block.push(VERSION);
+        crate::record::push_varint(&mut block, snap_every);
         JournalWriter {
             sink,
             next_seq: 0,
-            body: Vec::with_capacity(64),
-            frame: Vec::with_capacity(80),
-            bytes: if error.is_none() {
-                header.len() as u64
-            } else {
-                0
-            },
-            error,
+            block,
+            accepted: 0,
+            error: None,
         }
     }
 
@@ -188,10 +188,10 @@ impl JournalWriter {
         self.next_seq
     }
 
-    /// Total bytes the sink accepted (header + frames); frames appended
-    /// after a sink error are not counted.
+    /// Total bytes written (header + frames), counted as they are
+    /// appended; once the sink has failed, the bytes it accepted.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.accepted + self.block.len() as u64
     }
 
     /// The first sink error, if any occurred.
@@ -212,31 +212,55 @@ impl JournalWriter {
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        encode_body(&mut self.body, seq, at, kind, endpoint, a, b, label);
-        let crc = crc32(&self.body);
-        self.frame.clear();
-        self.frame
-            .extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(&crc.to_le_bytes());
-        self.frame.extend_from_slice(&self.body);
-        if self.error.is_none() {
-            match self.sink.write(&self.frame) {
-                Ok(()) => self.bytes += self.frame.len() as u64,
-                Err(e) => self.error = Some(JournalError::Io(e.to_string())),
-            }
+        if self.error.is_some() {
+            return seq;
+        }
+        let frame = self.block.len();
+        self.block.extend_from_slice(&[0; 8]);
+        encode_body(&mut self.block, seq, at, kind, endpoint, a, b, label);
+        let body = &self.block[frame + 8..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        self.block[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        self.block[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        if self.block.len() >= BLOCK {
+            self.hand_over();
         }
         seq
     }
 
-    /// Flush the sink, surfacing any latched or flush-time error. The
-    /// error is sticky: every later `finish` reports it again.
+    /// Give the sink the block. A refused block is dropped — nothing
+    /// after a gap could be read back — and none is framed after it, so
+    /// the block stays empty once an error is latched.
+    fn hand_over(&mut self) {
+        if self.block.is_empty() {
+            return;
+        }
+        match self.sink.write(&self.block) {
+            Ok(()) => self.accepted += self.block.len() as u64,
+            Err(e) => self.error = Some(JournalError::Io(e.to_string())),
+        }
+        self.block.clear();
+    }
+
+    /// Hand over the last block and flush the sink, surfacing any
+    /// latched or flush-time error. The error is sticky: every later
+    /// `finish` reports it again.
     pub fn finish(&mut self) -> Result<(), JournalError> {
+        self.hand_over();
         if self.error.is_none() {
             if let Err(e) = self.sink.flush() {
                 self.error = Some(JournalError::Io(e.to_string()));
             }
         }
         self.error.clone().map_or(Ok(()), Err)
+    }
+}
+
+impl Drop for JournalWriter {
+    /// A run that ends without `finish` — a panic, an early return —
+    /// still lands what it framed. Errors have nowhere to go from here.
+    fn drop(&mut self) {
+        let _ = self.finish();
     }
 }
 
@@ -284,8 +308,22 @@ mod tests {
             JournalError::BadVersion(0x63)
         );
         assert_eq!(
-            read_header(b"LJNL\x01").unwrap_err(),
+            read_header(b"LJNL\x02").unwrap_err(),
             JournalError::TruncatedHeader
+        );
+    }
+
+    /// A journal recorded before the `queue` section was re-encoded
+    /// carries roots this build cannot reproduce: refused by its header.
+    #[test]
+    fn a_version_1_journal_is_refused() {
+        let (mut data, _) = sample_journal();
+        assert_eq!(read_header(&data).unwrap().version, 2);
+        data[4] = 1;
+        assert_eq!(read_all(&data).unwrap_err(), JournalError::BadVersion(1));
+        assert_eq!(
+            crate::Verifier::new(data, crate::ReplayStart::Origin).err(),
+            Some(JournalError::BadVersion(1))
         );
     }
 
@@ -340,16 +378,17 @@ mod tests {
 
     #[test]
     fn sink_error_is_latched_not_panicked() {
-        struct FailSink;
-        impl JournalSink for FailSink {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<()> {
-                Err(std::io::Error::other("disk gone"))
-            }
-        }
-        let mut w = JournalWriter::new(Box::new(FailSink), 0);
+        let sink = FailingSink {
+            accepted: MemSink::new(),
+            writes: 0,
+            fail_at: 0,
+        };
+        let mut w = JournalWriter::new(Box::new(sink), 0);
         w.append(1, RecordKind::Note, 0, 0, 0, "x");
-        assert!(w.error().is_some());
+        assert!(w.error().is_none(), "nothing has reached the sink yet");
         assert!(matches!(w.finish(), Err(JournalError::Io(_))));
+        assert!(w.error().is_some());
+        assert_eq!(w.bytes(), 0, "the sink accepted nothing");
     }
 
     /// A sink that refuses its `fail_at`-th write (0-based) and every
@@ -374,24 +413,76 @@ mod tests {
     #[test]
     fn latched_sink_error_is_sticky_and_refused_bytes_are_not_counted() {
         let accepted = MemSink::new();
-        // Write 0 is the header, writes 1 and 2 the first two records.
         let sink = FailingSink {
             accepted: accepted.clone(),
             writes: 0,
-            fail_at: 3,
+            fail_at: 2,
         };
         let mut w = JournalWriter::new(Box::new(sink), 0);
-        for i in 0..6 {
-            w.append(i, RecordKind::Note, 0, i, 0, "x");
+        // Enough for two whole blocks and part of a third, which the
+        // sink refuses when it arrives.
+        let label = "x".repeat(100);
+        let mut appended = 0u64;
+        while w.error().is_none() {
+            w.append(appended, RecordKind::Note, 0, appended, 0, &label);
+            appended += 1;
         }
-        assert_eq!(w.next_seq(), 6, "seqs advance whatever the sink does");
+        assert_eq!(accepted.len() / BLOCK, 2, "two blocks got through");
+        let refused_at = w.next_seq();
+        for i in 0..10 {
+            w.append(i, RecordKind::Note, 0, i, 0, &label);
+        }
+        assert_eq!(w.next_seq(), refused_at + 10, "seqs advance whatever");
         assert_eq!(w.bytes(), accepted.len() as u64, "only accepted bytes");
         for _ in 0..3 {
             assert!(matches!(w.finish(), Err(JournalError::Io(_))), "sticky");
         }
-        // Everything before the refused write is an intact journal.
-        let (_, records) = read_all(&accepted.contents()).unwrap();
-        assert_eq!(records.len(), 2);
+        assert_eq!(w.bytes(), accepted.len() as u64);
+        // Everything before the refused block is an intact journal: a
+        // block ends on a frame boundary.
+        let data = accepted.contents();
+        let (_, slices) = index(&data).unwrap();
+        let (_, records) = read_all(&data).unwrap();
+        assert_eq!(slices.len(), records.len());
+        assert!(records.len() as u64 > 1_000 && (records.len() as u64) < appended);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!((r.seq, r.a), (i as u64, i as u64));
+        }
+    }
+
+    /// The sink sees the journal a block at a time: nothing until
+    /// `BLOCK` bytes are framed, whole frames only, the tail at `finish`.
+    #[test]
+    fn the_sink_is_handed_blocks_not_records() {
+        struct Sizes(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+        impl JournalSink for Sizes {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.lock().unwrap().push(bytes.len());
+                Ok(())
+            }
+        }
+        let sizes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut w = JournalWriter::new(Box::new(Sizes(sizes.clone())), 0);
+        let frame = {
+            let before = w.bytes();
+            w.append(0, RecordKind::Deliver, 1, 77, 0, "BindingLookup");
+            (w.bytes() - before) as usize
+        };
+        while w.bytes() < BLOCK as u64 {
+            assert!(sizes.lock().unwrap().is_empty(), "a block is not full yet");
+            w.append(0, RecordKind::Deliver, 1, 77, 0, "BindingLookup");
+        }
+        assert_eq!(sizes.lock().unwrap().len(), 1, "full: handed over");
+        while w.bytes() < 2 * BLOCK as u64 + 1_000 {
+            w.append(0, RecordKind::Deliver, 1, 77, 0, "BindingLookup");
+        }
+        w.finish().unwrap();
+        let sizes = sizes.lock().unwrap();
+        assert_eq!(sizes.len(), 3, "two blocks and the tail: {sizes:?}");
+        assert!(sizes[..2]
+            .iter()
+            .all(|n| (BLOCK..BLOCK + frame).contains(n)));
+        assert_eq!(sizes.iter().sum::<usize>() as u64, w.bytes());
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   chaos verdict, HA verdict…), with a typed [`JournalError`] for
 //!   every way a corrupt journal can fail to parse;
 //! * [`sink`] — pluggable byte sinks ([`MemSink`], [`FileSink`]);
-//! * [`journal`] — the append-only [`JournalWriter`] and the checked
-//!   reader/indexer;
-//! * [`snapshot`] — content-addressed state snapshots over the
-//!   `legion-persist` CAS: unchanged sections dedup across snapshots,
-//!   and a SHA-256 **state root** names the whole kernel state;
+//! * [`journal`] — the append-only [`JournalWriter`], which frames
+//!   records in place and hands the sink a block at a time, and the
+//!   checked reader/indexer;
+//! * [`snapshot`] — content-addressed state snapshots: a section that
+//!   did not change keeps its id, one generation of section bytes is
+//!   held, and a SHA-256 **state root** names the whole kernel state;
 //! * [`replay`] — [`KernelJournal`], the kernel-facing facade
 //!   (off / record / verify), and the time-travel [`Verifier`]:
 //!   re-execute a run and check every event byte-for-byte against the

@@ -21,8 +21,11 @@ use std::fmt;
 /// Journal magic: "Legion JourNaL".
 pub const MAGIC: [u8; 4] = *b"LJNL";
 
-/// Current format version.
-pub const VERSION: u8 = 1;
+/// Current format version. Version 2 kept the framing and changed what
+/// a snapshot mark's root covers (the `queue` section's encoding), so a
+/// version-1 journal is refused rather than left to diverge at its first
+/// mark.
+pub const VERSION: u8 = 2;
 
 /// Sanity cap on a single record body.
 pub const MAX_BODY: usize = 1 << 20;
@@ -258,8 +261,8 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Encode a record body into `buf` (cleared first). Allocation-free once
-/// `buf` has warmed to its steady-state capacity.
+/// Append a record body to `buf`. Allocation-free once `buf` has warmed
+/// to its steady-state capacity.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_body(
     buf: &mut Vec<u8>,
@@ -271,7 +274,6 @@ pub(crate) fn encode_body(
     b: u64,
     label: &str,
 ) {
-    buf.clear();
     push_varint(buf, seq);
     push_varint(buf, at);
     buf.push(kind.tag());

@@ -197,6 +197,7 @@ impl Verifier {
             }
             return seq;
         }
+        self.scratch.clear();
         encode_body(&mut self.scratch, seq, at, kind, endpoint, a, b, label);
         if self.scratch != body {
             let got = render_event(seq, at, kind, endpoint, a, b, label);
@@ -386,13 +387,14 @@ impl KernelJournal {
         snap_every != 0 && events > 0 && events.is_multiple_of(snap_every) && events != last
     }
 
-    /// Hash one state section ahead of [`KernelJournal::on_snapshot`]
-    /// (and, recording, store its bytes). A caller that knows a section
-    /// is unchanged since the last snapshot of this session skips this
-    /// and hands `on_snapshot` the id it got then.
-    pub fn section(&mut self, bytes: &[u8]) -> ChunkId {
+    /// Hash the state section at position `pos` ahead of
+    /// [`KernelJournal::on_snapshot`] (and, recording, hold its bytes as
+    /// the latest generation's). A caller that knows a section is
+    /// unchanged since the last snapshot of this session skips this and
+    /// hands `on_snapshot` the id it got then.
+    pub fn section(&mut self, pos: usize, bytes: &[u8]) -> ChunkId {
         match self {
-            KernelJournal::Record { snapshots, .. } => snapshots.put(bytes),
+            KernelJournal::Record { snapshots, .. } => snapshots.put(pos, bytes),
             _ => ChunkId::of(bytes),
         }
     }
@@ -409,6 +411,7 @@ impl KernelJournal {
         ids: &[ChunkId],
     ) {
         let count = ids.len() as u64;
+        let mut hex = [0; 64];
         match self {
             KernelJournal::Off => {}
             KernelJournal::Record {
@@ -419,8 +422,8 @@ impl KernelJournal {
             } => {
                 *last_snap_events = events;
                 let meta = snapshots.take(at, writer.next_seq(), names, ids);
-                let root_hex = meta.root.to_hex();
-                writer.append(at, RecordKind::Snapshot, 0, count, meta.ordinal, &root_hex);
+                let root_hex = meta.root.hex_into(&mut hex);
+                writer.append(at, RecordKind::Snapshot, 0, count, meta.ordinal, root_hex);
             }
             KernelJournal::Verify {
                 verifier,
@@ -428,8 +431,8 @@ impl KernelJournal {
             } => {
                 *last_snap_events = events;
                 let ordinal = verifier.snapshots_seen;
-                let root_hex = sections_root(names, ids).to_hex();
-                verifier.check_snapshot(at, count, ordinal, &root_hex);
+                let root_hex = sections_root(names, ids).hex_into(&mut hex);
+                verifier.check_snapshot(at, count, ordinal, root_hex);
             }
         }
     }
@@ -519,8 +522,8 @@ mod tests {
             let events = i as u64;
             if journal.snapshot_due(events) {
                 let ids = [
-                    journal.section(&state.to_le_bytes()),
-                    journal.section(&events.to_le_bytes()),
+                    journal.section(0, &state.to_le_bytes()),
+                    journal.section(1, &events.to_le_bytes()),
                 ];
                 journal.on_snapshot(*at, events, &["core", "count"], &ids);
             }

@@ -1,15 +1,16 @@
 //! Pluggable journal byte sinks.
 //!
-//! The writer appends framed records; where the bytes go is a
+//! The writer frames records into blocks; where the blocks go is a
 //! [`JournalSink`]: in-memory for tests and same-process replay
-//! ([`MemSink`]), a buffered file for `--journal-out` ([`FileSink`]).
+//! ([`MemSink`]), a file for `--journal-out` ([`FileSink`]).
 
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Destination for journal bytes. Implementations must preserve append
-/// order; the writer never seeks.
+/// order; the writer never seeks. Writes arrive a block at a time
+/// ([`crate::journal::BLOCK`]), so a sink need not buffer.
 pub trait JournalSink: Send {
     /// Append `bytes`.
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<()>;
@@ -20,12 +21,21 @@ pub trait JournalSink: Send {
     }
 }
 
-/// An in-memory sink. Cloning shares the same buffer, so a test can keep
+/// What a [`MemSink`] holds: each write as the block it arrived as — no
+/// buffer that doubles, and copies itself, as the journal grows.
+#[derive(Default)]
+struct Blocks {
+    list: Vec<Box<[u8]>>,
+    len: usize,
+}
+
+/// An in-memory sink. Cloning shares the same blocks, so a test can keep
 /// one handle and hand the other to the kernel, then read
-/// [`MemSink::contents`] after the run.
+/// [`MemSink::contents`] once the journal is finished (or its writer
+/// dropped) — before that, the writer still holds the last block.
 #[derive(Default, Clone)]
 pub struct MemSink {
-    buf: Arc<Mutex<Vec<u8>>>,
+    blocks: Arc<Mutex<Blocks>>,
 }
 
 impl MemSink {
@@ -34,14 +44,19 @@ impl MemSink {
         Self::default()
     }
 
-    /// A copy of everything written so far.
+    /// A copy of everything written so far, concatenated.
     pub fn contents(&self) -> Vec<u8> {
-        self.buf.lock().expect("journal sink poisoned").clone()
+        let blocks = self.blocks.lock().expect("journal sink poisoned");
+        let mut out = Vec::with_capacity(blocks.len);
+        for block in &blocks.list {
+            out.extend_from_slice(block);
+        }
+        out
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("journal sink poisoned").len()
+        self.blocks.lock().expect("journal sink poisoned").len
     }
 
     /// Has nothing been written?
@@ -52,35 +67,31 @@ impl MemSink {
 
 impl JournalSink for MemSink {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.buf
-            .lock()
-            .expect("journal sink poisoned")
-            .extend_from_slice(bytes);
+        let mut blocks = self.blocks.lock().expect("journal sink poisoned");
+        blocks.list.push(bytes.into());
+        blocks.len += bytes.len();
         Ok(())
     }
 }
 
-/// A buffered file sink for `--journal-out`.
+/// A file sink for `--journal-out`. Unbuffered: the writer's blocks are
+/// the buffering, and each reaches the file in one `write_all`.
 pub struct FileSink {
-    w: std::io::BufWriter<std::fs::File>,
+    file: std::fs::File,
 }
 
 impl FileSink {
     /// Create (truncating) the journal file at `path`.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(FileSink {
-            w: std::io::BufWriter::new(std::fs::File::create(path)?),
+            file: std::fs::File::create(path)?,
         })
     }
 }
 
 impl JournalSink for FileSink {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.w.write_all(bytes)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.w.flush()
+        self.file.write_all(bytes)
     }
 }
 

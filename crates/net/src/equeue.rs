@@ -195,6 +195,20 @@ impl<T> EventQueue<T> {
         self.slab.iter().flatten()
     }
 
+    /// [`EventQueue::iter`] with each entry's handle: [`EventQueue::get`]
+    /// finds the entry again while the queue is not mutated, so a caller
+    /// can sort handles in a buffer of its own that borrows nothing.
+    pub(crate) fn iter_handles(&self) -> impl Iterator<Item = (u32, &T)> {
+        (0u32..)
+            .zip(&self.slab)
+            .filter_map(|(i, v)| Some((i, v.as_ref()?)))
+    }
+
+    /// The pending entry behind a handle from [`EventQueue::iter_handles`].
+    pub(crate) fn get(&self, handle: u32) -> Option<&T> {
+        self.slab.get(handle as usize)?.as_ref()
+    }
+
     /// Route one entry to `ready`, a wheel slot, or `far`.
     fn place(&mut self, e: Key) {
         let t = e.at >> TICK_SHIFT;

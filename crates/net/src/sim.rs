@@ -165,11 +165,19 @@ struct SnapshotCache {
     names: Vec<String>,
     /// The chunk id of each section's bytes at the last snapshot.
     ids: Vec<ChunkId>,
-    /// The one encode buffer every section is written into.
-    scratch: StateWriter,
+    scratch: EncodeScratch,
 }
 
-type SectionEncoder = fn(&mut StateWriter, &Inner);
+/// What every section encode reuses.
+#[derive(Default)]
+struct EncodeScratch {
+    /// The one buffer every section is written into.
+    w: StateWriter,
+    /// The pending queue's `(at, seq, handle)` keys, for sorting.
+    order: Vec<(SimTime, u64, u32)>,
+}
+
+type SectionEncoder = fn(&mut EncodeScratch, &Inner);
 
 /// The kernel-wide state sections, re-encoded at every snapshot (each
 /// changes with every event); per-slot sections follow them.
@@ -468,19 +476,23 @@ impl SimKernel {
             });
             snap.ids.push(ChunkId([0; 32]));
         }
-        let w = &mut snap.scratch;
-        let (kernel_ids, slot_ids) = snap.ids.split_at_mut(KERNEL_SECTIONS.len());
-        for (id, (_, encode)) in kernel_ids.iter_mut().zip(KERNEL_SECTIONS) {
-            w.clear();
-            encode(w, inner);
-            *id = inner.watch.journal().section(w.as_bytes());
-        }
-        for (id, slot) in slot_ids.iter_mut().zip(slots.iter_mut()) {
-            if std::mem::take(&mut slot.dirty) {
-                w.clear();
-                encode_slot(w, slot);
-                *id = inner.watch.journal().section(w.as_bytes());
+        let scratch = &mut snap.scratch;
+        for (pos, id) in snap.ids.iter_mut().enumerate() {
+            match KERNEL_SECTIONS.get(pos) {
+                Some((_, encode)) => {
+                    scratch.w.clear();
+                    encode(scratch, inner);
+                }
+                None => {
+                    let slot = &mut slots[pos - KERNEL_SECTIONS.len()];
+                    if !std::mem::take(&mut slot.dirty) {
+                        continue;
+                    }
+                    scratch.w.clear();
+                    encode_slot(&mut scratch.w, slot);
+                }
             }
+            *id = inner.watch.journal().section(pos, scratch.w.as_bytes());
         }
         let (at, events) = (inner.now.as_nanos(), inner.stats.events);
         inner
@@ -494,7 +506,7 @@ impl SimKernel {
     /// builds ask after every snapshot; it encodes every clean slot from
     /// scratch, which is what snapshots no longer do.
     fn stale_slot_section(&mut self) -> Option<usize> {
-        let w = &mut self.snap.scratch;
+        let w = &mut self.snap.scratch.w;
         let slot_ids = self.snap.ids.iter().skip(KERNEL_SECTIONS.len());
         self.slots.iter().zip(slot_ids).position(|(slot, id)| {
             !slot.dirty && {
@@ -763,7 +775,7 @@ fn is_live(slots: &[Slot], id: EndpointId) -> bool {
         .is_some_and(|s| s.meta.alive && s.ep.is_some())
 }
 
-fn encode_core(w: &mut StateWriter, inner: &Inner) {
+fn encode_core(EncodeScratch { w, .. }: &mut EncodeScratch, inner: &Inner) {
     w.put_u64(inner.now.as_nanos());
     w.put_u64(inner.seq);
     w.put_u64(inner.next_call);
@@ -777,13 +789,13 @@ fn encode_core(w: &mut StateWriter, inner: &Inner) {
     w.put_u64(inner.stats.events);
 }
 
-fn encode_rng(w: &mut StateWriter, inner: &Inner) {
+fn encode_rng(EncodeScratch { w, .. }: &mut EncodeScratch, inner: &Inner) {
     for word in inner.rng.state() {
         w.put_u64(word);
     }
 }
 
-fn encode_counters(w: &mut StateWriter, inner: &Inner) {
+fn encode_counters(EncodeScratch { w, .. }: &mut EncodeScratch, inner: &Inner) {
     for (name, value) in inner.watch.counters().iter() {
         w.put_str(name);
         w.put_u64(value);
@@ -791,17 +803,20 @@ fn encode_counters(w: &mut StateWriter, inner: &Inner) {
 }
 
 /// The pending queue, in deterministic (time, seq) order — the wheel's
-/// internal layout is not canonical.
-fn encode_queue(w: &mut StateWriter, inner: &Inner) {
-    let mut pending: Vec<&Event> = inner.queue.iter().collect();
-    pending.sort_unstable_by_key(|e| (e.at, e.seq));
-    w.put_varint(pending.len() as u64);
-    for e in pending {
-        w.put_u64(e.at.as_nanos());
+/// internal layout is not canonical. Varints throughout: most of what a
+/// queued event carries is small or zero (an untraced event's trace and
+/// span ids are one byte each).
+fn encode_queue(EncodeScratch { w, order }: &mut EncodeScratch, inner: &Inner) {
+    order.clear();
+    order.extend(inner.queue.iter_handles().map(|(h, e)| (e.at, e.seq, h)));
+    order.sort_unstable();
+    w.put_varint(order.len() as u64);
+    for &(_, _, handle) in order.iter() {
+        let e = inner.queue.get(handle).expect("a handle just listed");
+        w.put_varint(e.at.as_nanos());
         w.put_varint(e.seq);
         w.put_varint(e.to.0);
-        w.put_u64(e.trace.trace.0);
-        w.put_u64(e.trace.span.0);
+        put_trace(w, e.trace);
         match e.dedup {
             Some((sender, n)) => {
                 w.put_u8(1);
@@ -810,7 +825,7 @@ fn encode_queue(w: &mut StateWriter, inner: &Inner) {
             }
             None => w.put_u8(0),
         }
-        w.put_u64(e.lat_ns);
+        w.put_varint(e.lat_ns);
         match &e.kind {
             EventKind::Start => w.put_u8(0),
             EventKind::Deliver(m) => {
@@ -819,10 +834,15 @@ fn encode_queue(w: &mut StateWriter, inner: &Inner) {
             }
             EventKind::Timer(tag) => {
                 w.put_u8(2);
-                w.put_u64(*tag);
+                w.put_varint(*tag);
             }
         }
     }
+}
+
+fn put_trace(w: &mut StateWriter, trace: TraceContext) {
+    w.put_varint(trace.trace.0);
+    w.put_varint(trace.span.0);
 }
 
 /// One endpoint slot's replay-relevant state. Everything written here
@@ -865,8 +885,7 @@ fn encode_message(w: &mut StateWriter, m: &Message) {
     w.put_loid(&m.env.responsible);
     w.put_loid(&m.env.security);
     w.put_loid(&m.env.calling);
-    w.put_u64(m.env.trace.trace.0);
-    w.put_u64(m.env.trace.span.0);
+    put_trace(w, m.env.trace);
     match &m.body {
         Body::Call { method, args } => {
             w.put_u8(0);
@@ -1601,8 +1620,9 @@ mod tests {
         k.take_snapshot();
         let store = k.journal_snapshots().unwrap();
         let snap = store.latest().unwrap();
-        assert_eq!(snap.deduped, 0);
-        for (name, _) in snap.sections() {
+        assert_eq!(snap.unchanged, 0);
+        assert_eq!(store.names().len(), KERNEL_SECTIONS.len() + k.slots.len());
+        for name in store.names() {
             assert!(store.section(snap.ordinal, name).is_some(), "{name}");
         }
     }

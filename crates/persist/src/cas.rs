@@ -2,10 +2,12 @@
 //!
 //! The journal/snapshot architecture (see `legion-journal`) follows the
 //! AgentOS model: an authoritative append-only log plus *materialized*
-//! state snapshots stored as content-addressed chunks. Naming a chunk by
-//! the hash of its bytes makes deduplication structural — two snapshots
-//! that share a section store it once — and makes integrity checking
-//! free: a chunk that fails to hash to its own name is corrupt.
+//! state snapshots whose sections are named by content. Naming a chunk
+//! by the hash of its bytes makes "did it change?" structural — a
+//! section with the id it had is the section it was — and makes
+//! integrity checking free: a chunk that fails to hash to its own name
+//! is corrupt. (The snapshotter keeps one generation of section bytes
+//! itself; it does not hold a [`BlobStore`].)
 //!
 //! * [`sha256`] — a local, dependency-free SHA-256 (FIPS 180-4);
 //! * [`ChunkId`] — a 32-byte content hash naming a chunk;
@@ -176,13 +178,17 @@ impl ChunkId {
 
     /// Lower-case hex rendering (64 chars).
     pub fn to_hex(self) -> String {
+        self.hex_into(&mut [0; 64]).to_owned()
+    }
+
+    /// [`ChunkId::to_hex`] into the caller's buffer: no allocation.
+    pub fn hex_into(self, buf: &mut [u8; 64]) -> &str {
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0xf) as usize] as char);
+        for (pair, b) in buf.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[(b >> 4) as usize];
+            pair[1] = HEX[(b & 0xf) as usize];
         }
-        s
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 
     /// Parse a 64-char hex string back into an id.
@@ -236,7 +242,7 @@ pub trait BlobStore {
     fn stored_bytes(&self) -> u64;
 }
 
-/// An in-memory blob store (the default snapshot backend).
+/// An in-memory blob store.
 #[derive(Default, Debug, Clone)]
 pub struct MemBlobStore {
     chunks: BTreeMap<ChunkId, Vec<u8>>,
