@@ -11,7 +11,7 @@
 //! evicts it and requests a refresh via the `GetBinding(binding)` overload.
 
 use crate::cache::{BindingCache, CacheStats};
-use crate::protocol::{self, GET_BINDING};
+use crate::protocol::GET_BINDING;
 use legion_core::address::ObjectAddressElement;
 use legion_core::binding::Binding;
 use legion_core::env::InvocationEnv;
@@ -142,42 +142,14 @@ impl ClientResolver {
         }
     }
 
-    /// Offer a reply message to the resolver. Returns `Some((target,
-    /// result))` if the message answered one of our binding requests
-    /// (the caller should not process it further); `None` otherwise.
-    pub fn handle_reply(&mut self, msg: &Message) -> Option<(Loid, Result<Binding, String>)> {
-        let Body::Reply {
-            in_reply_to,
-            result,
-        } = &msg.body
-        else {
-            return None;
-        };
-        let target = self.pending.remove(in_reply_to)?;
-        match protocol::binding_from_result(result) {
-            Some(b) => {
-                if self.cache_enabled {
-                    self.cache.insert(b.clone());
-                }
-                Some((target, Ok(b)))
-            }
-            None => {
-                self.stats.failures += 1;
-                let err = match result {
-                    Err(e) => e.clone(),
-                    Ok(v) => format!("unexpected payload {v}"),
-                };
-                Some((target, Err(err)))
-            }
-        }
-    }
-
-    /// [`ClientResolver::handle_reply`] by value — the hot-path variant.
-    /// On a match the reply's binding box is recycled into the kernel
-    /// pool after one copy for the caller, and the cache is refreshed
-    /// in place ([`BindingCache::insert_ref`]): no allocation per
-    /// answered lookup once the cache is full. Returns the message
-    /// untouched (`Err`) when it isn't one of ours.
+    /// Offer a reply message to the resolver. If it answers one of our
+    /// binding requests, returns `Ok((target, result))` and the caller
+    /// should not process it further; otherwise returns the message
+    /// untouched (`Err`). The message is taken by value: on a match the
+    /// reply's binding box is recycled into the kernel pool after one copy
+    /// for the caller, and the cache is refreshed in place
+    /// ([`BindingCache::insert_ref`]) — no allocation per answered lookup
+    /// once the cache is full.
     #[allow(clippy::result_large_err)] // Err is the unconsumed message, by design
     pub fn handle_reply_owned(
         &mut self,
@@ -217,17 +189,6 @@ impl ClientResolver {
             // The borrow-check prelude above returned `Err(msg)` for calls.
             Body::Call { .. } => unreachable!("checked to be a reply"),
         }
-    }
-
-    /// Insert a binding directly (e.g. received via `AddBinding`
-    /// propagation or carried in another reply).
-    pub fn learn(&mut self, binding: Binding) {
-        self.cache.insert(binding);
-    }
-
-    /// Evict a binding (e.g. on a class's eager invalidation broadcast).
-    pub fn forget(&mut self, loid: &Loid) {
-        self.cache.invalidate(loid);
     }
 
     /// Number of requests awaiting replies.

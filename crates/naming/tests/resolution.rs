@@ -63,7 +63,7 @@ impl Endpoint for TestClient {
         self.kick(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if let Some(done) = self.resolver.handle_reply(&msg) {
+        if let Ok(done) = self.resolver.handle_reply_owned(ctx, msg) {
             self.resolved.push(done);
             self.kick(ctx);
         }
@@ -378,8 +378,8 @@ fn refresh_bypasses_caches_and_reaches_class() {
             let stale = self.stale.take().unwrap();
             self.resolver.report_stale(ctx, stale);
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
-            if let Some((_, r)) = self.resolver.handle_reply(&msg) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            if let Ok((_, r)) = self.resolver.handle_reply_owned(ctx, msg) {
                 self.outcome = Some(r);
             }
         }

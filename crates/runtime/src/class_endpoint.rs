@@ -890,28 +890,31 @@ impl Endpoint for ClassEndpoint {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if msg.is_reply() {
             // Binding-agent replies feed the resolver first.
-            if let Some((base, result)) = self.resolver.as_mut().and_then(|r| r.handle_reply(&msg))
-            {
-                let waiters = self.inherit_waiters.remove(&base).into_iter().flatten();
-                match result {
-                    Ok(binding) => {
-                        for waiter in waiters {
-                            self.fetch_base_interface(ctx, &binding, waiter);
-                        }
-                    }
-                    Err(e) => {
-                        for waiter in waiters {
-                            ctx.reply_ticket(
-                                waiter,
-                                Err(format!("cannot locate base {base}: {e}")),
-                            );
-                        }
+            let answered = match &mut self.resolver {
+                Some(r) => r.handle_reply_owned(ctx, msg),
+                None => Err(msg),
+            };
+            let (base, result) = match answered {
+                Ok(answer) => answer,
+                Err(msg) => {
+                    // A reply nothing waits for answers a call that timed out.
+                    resume(self, ctx, msg);
+                    return;
+                }
+            };
+            let waiters = self.inherit_waiters.remove(&base).into_iter().flatten();
+            match result {
+                Ok(binding) => {
+                    for waiter in waiters {
+                        self.fetch_base_interface(ctx, &binding, waiter);
                     }
                 }
-                return;
+                Err(e) => {
+                    for waiter in waiters {
+                        ctx.reply_ticket(waiter, Err(format!("cannot locate base {base}: {e}")));
+                    }
+                }
             }
-            // A reply nothing waits for answers a call that timed out.
-            resume(self, ctx, msg);
             return;
         }
         let Some(msg) = self.admit(ctx, msg) else {

@@ -1253,10 +1253,10 @@ impl Endpoint for PingClient {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        match self.resolver.handle_reply(&msg) {
-            Some((_, Ok(b))) => self.ping(ctx, b),
-            Some((_, Err(e))) => panic!("resolution failed: {e}"),
-            None => self.pongs += 1,
+        match self.resolver.handle_reply_owned(ctx, msg) {
+            Ok((_, Ok(b))) => self.ping(ctx, b),
+            Ok((_, Err(e))) => panic!("resolution failed: {e}"),
+            Err(_) => self.pongs += 1,
         }
     }
 }

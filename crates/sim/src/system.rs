@@ -66,8 +66,6 @@ pub struct SystemConfig {
     /// Forest mode (baseline for E4/E12): every agent is a root — no
     /// combining tree; clients attach round-robin over all agents.
     pub agent_forest: bool,
-    /// Binding Agent cache capacity.
-    pub agent_cache_capacity: usize,
     /// Ablation: disable agent caches entirely (E3).
     pub agent_cache_enabled: bool,
     /// Number of user classes.
@@ -110,7 +108,6 @@ impl Default for SystemConfig {
             host_capacity: 1024,
             agent_tree: TreeShape::single(),
             agent_forest: false,
-            agent_cache_capacity: 4096,
             agent_cache_enabled: true,
             classes: 1,
             objects_per_class: 8,
@@ -242,7 +239,6 @@ impl LegionSystem {
         let mut agents: Vec<EndpointId> = Vec::with_capacity(tree.count);
         for i in 0..tree.count {
             let mut cfg = AgentConfig::root(agent_loid(i), core.legion_class_element());
-            cfg.cache_capacity = config.agent_cache_capacity;
             cfg.cache_enabled = config.agent_cache_enabled;
             if !config.agent_forest {
                 if let Some(p) = tree.parent(i) {
