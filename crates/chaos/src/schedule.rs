@@ -342,7 +342,6 @@ mod tests {
         assert_eq!(plan.reorder(), (0.1, 1000));
         assert_eq!(plan.delay_spikes().len(), 1);
         assert_eq!(plan.flaps().len(), 1);
-        assert!(plan.is_adversarial());
     }
 
     #[test]
@@ -350,7 +349,9 @@ mod tests {
         let q = ChaosSchedule::quiet(3);
         assert!(q.is_quiet());
         assert_eq!(q.weight(), 0);
-        assert!(!q.fault_plan().is_adversarial());
+        let plan = q.fault_plan();
+        assert_eq!(plan.duplicate_probability(), 0.0);
+        assert!(plan.delay_spikes().is_empty() && plan.flaps().is_empty());
     }
 
     #[test]

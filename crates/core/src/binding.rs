@@ -36,15 +36,6 @@ impl Binding {
         }
     }
 
-    /// A binding valid for `ttl_ns` simulated nanoseconds from `now`.
-    pub fn with_ttl(loid: Loid, address: ObjectAddress, now: SimTime, ttl_ns: u64) -> Self {
-        Binding {
-            loid,
-            address,
-            expiry: Expiry::after(now, ttl_ns),
-        }
-    }
-
     /// Is the binding still valid at virtual time `now`?
     #[inline]
     pub fn is_valid_at(&self, now: SimTime) -> bool {
@@ -81,7 +72,11 @@ mod tests {
     #[test]
     fn ttl_binding_expires() {
         let now = SimTime::from_secs(10);
-        let b = Binding::with_ttl(Loid::instance(1, 1), addr(9), now, 1_000_000);
+        let b = Binding {
+            loid: Loid::instance(1, 1),
+            address: addr(9),
+            expiry: Expiry::after(now, 1_000_000),
+        };
         assert!(b.is_valid_at(now));
         assert!(b.is_valid_at(now + 999_999));
         assert!(!b.is_valid_at(now + 1_000_000));

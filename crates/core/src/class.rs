@@ -420,11 +420,6 @@ impl ClassObject {
             expiry: Expiry::Never,
         }))
     }
-
-    /// How many LOIDs this class has handed out.
-    pub fn instances_allocated(&self) -> u64 {
-        self.allocator.allocated()
-    }
 }
 
 #[cfg(test)]
@@ -465,7 +460,6 @@ mod tests {
         assert_eq!(a.class_specific, 1);
         assert_eq!(b.class_specific, 2);
         assert_eq!(c.table.len(), 2);
-        assert_eq!(c.instances_allocated(), 2);
         assert!(!c.table.get(&a).unwrap().is_subclass);
     }
 

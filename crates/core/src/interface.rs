@@ -280,31 +280,6 @@ impl Interface {
         }
         Ok(added)
     }
-
-    /// A stable 64-bit hash of the interface shape, used by the persistence
-    /// layer to detect interface drift between an OPR and its class.
-    pub fn shape_hash(&self) -> u64 {
-        // FNV-1a over the canonical textual form: deterministic across
-        // processes (unlike `std::hash::RandomState`).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for (sig, _) in self.methods.values() {
-            eat(sig.name.as_bytes());
-            eat(&[0xff]);
-            eat(sig.returns.idl_name().as_bytes());
-            for p in &sig.params {
-                eat(&[0xfe]);
-                eat(p.ty.idl_name().as_bytes());
-            }
-            eat(&[0xfd]);
-        }
-        h
-    }
 }
 
 impl fmt::Display for Interface {
@@ -445,21 +420,6 @@ mod tests {
             }
             other => panic!("expected conflict, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn shape_hash_is_stable_and_discriminating() {
-        let owner = Loid::class_object(10);
-        let mut a = Interface::new();
-        a.define(sig("f", ParamType::Void), owner);
-        let mut b = Interface::new();
-        b.define(sig("f", ParamType::Void), Loid::class_object(99));
-        // Provenance does not affect shape.
-        assert_eq!(a.shape_hash(), b.shape_hash());
-        let mut c = Interface::new();
-        c.define(sig("f", ParamType::Int), owner);
-        assert_ne!(a.shape_hash(), c.shape_hash());
-        assert_ne!(Interface::new().shape_hash(), a.shape_hash());
     }
 
     #[test]

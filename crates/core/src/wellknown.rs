@@ -53,21 +53,6 @@ pub fn is_core_class(loid: &Loid) -> bool {
     loid.is_class() && loid.class_id.0 >= 1 && loid.class_id.0 < FIRST_USER_CLASS_ID
 }
 
-/// Human-readable name for a core class LOID, if it is one.
-pub fn core_class_name(loid: &Loid) -> Option<&'static str> {
-    if !loid.is_class() {
-        return None;
-    }
-    match loid.class_id.0 {
-        LEGION_OBJECT_CLASS_ID => Some("LegionObject"),
-        LEGION_CLASS_CLASS_ID => Some("LegionClass"),
-        LEGION_HOST_CLASS_ID => Some("LegionHost"),
-        LEGION_MAGISTRATE_CLASS_ID => Some("LegionMagistrate"),
-        LEGION_BINDING_AGENT_CLASS_ID => Some("LegionBindingAgent"),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,22 +82,5 @@ mod tests {
     fn instances_are_never_core_classes() {
         let inst = Loid::instance(LEGION_HOST_CLASS_ID, 1);
         assert!(!is_core_class(&inst));
-        assert_eq!(core_class_name(&inst), None);
-    }
-
-    #[test]
-    fn names_resolve() {
-        assert_eq!(core_class_name(&LEGION_OBJECT), Some("LegionObject"));
-        assert_eq!(core_class_name(&LEGION_CLASS), Some("LegionClass"));
-        assert_eq!(core_class_name(&LEGION_HOST), Some("LegionHost"));
-        assert_eq!(
-            core_class_name(&LEGION_MAGISTRATE),
-            Some("LegionMagistrate")
-        );
-        assert_eq!(
-            core_class_name(&LEGION_BINDING_AGENT),
-            Some("LegionBindingAgent")
-        );
-        assert_eq!(core_class_name(&Loid::class_object(77)), None);
     }
 }

@@ -51,13 +51,6 @@ impl Backoff {
         }
         Some(d.min(self.max_delay_ns))
     }
-
-    /// Total virtual time spent if every retry is used.
-    pub fn worst_case_total_ns(&self) -> u64 {
-        (0..self.max_attempts)
-            .filter_map(|a| self.delay_ns(a))
-            .fold(0u64, u64::saturating_add)
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +72,6 @@ mod tests {
                 None
             ]
         );
-        assert_eq!(b.worst_case_total_ns(), 17_000);
     }
 
     #[test]
@@ -92,6 +84,5 @@ mod tests {
     fn zero_attempts_never_retries() {
         let b = Backoff::new(1_000, 1_000, 0);
         assert_eq!(b.delay_ns(0), None);
-        assert_eq!(b.worst_case_total_ns(), 0);
     }
 }

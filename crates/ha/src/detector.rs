@@ -61,11 +61,6 @@ impl FailureDetector {
         });
     }
 
-    /// Stop monitoring `host` (e.g. after its objects were recovered).
-    pub fn deregister(&mut self, host: &Loid) {
-        self.hosts.remove(host);
-    }
-
     /// Record a heartbeat. Returns a [`Transition`] if the host was not
     /// Alive (a resurrection — the false-positive path a conservative
     /// policy is meant to make rare). Heartbeats from unregistered
@@ -192,8 +187,6 @@ mod tests {
         let h = Loid::instance(3, 9);
         assert!(d.heartbeat(h, SimTime(5)).is_none());
         assert_eq!(d.monitored(), 1);
-        d.deregister(&h);
-        assert_eq!(d.monitored(), 0);
-        assert_eq!(d.health(&h), None);
+        assert_eq!(d.health(&h), Some(Health::Alive));
     }
 }

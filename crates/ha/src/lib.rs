@@ -9,9 +9,8 @@
 //!
 //! Pieces, bottom-up:
 //!
-//! - [`policy`] — pluggable [`policy::SuspicionPolicy`] (mirroring
-//!   `SchedulingPolicy` in `legion-runtime`) classifying heartbeat
-//!   silence as Alive / Suspect / Dead.
+//! - [`policy`] — pluggable [`policy::SuspicionPolicy`] classifying
+//!   heartbeat silence as Alive / Suspect / Dead.
 //! - [`detector`] — [`detector::FailureDetector`], the bookkeeping a
 //!   Magistrate keeps per monitored Host Object: last heartbeat seen,
 //!   current health, and the transitions each sweep produces.
@@ -39,5 +38,5 @@ pub mod recovery;
 
 pub use backoff::Backoff;
 pub use detector::{FailureDetector, Transition};
-pub use policy::{FixedTimeout, Health, MissThreshold, SuspicionPolicy};
+pub use policy::{Health, MissThreshold, SuspicionPolicy};
 pub use recovery::RecoveryTracker;

@@ -1,10 +1,9 @@
 //! Pluggable suspicion policies.
 //!
 //! A [`SuspicionPolicy`] turns "how long has this host been silent"
-//! into a health verdict. It is deliberately shaped like
-//! `SchedulingPolicy` in `legion-runtime`: a small trait object the
-//! Magistrate owns, swappable per experiment, and consulted only at
-//! sweep time so the choice of policy cannot perturb event ordering.
+//! into a health verdict: a small trait object the Magistrate owns,
+//! swappable per experiment, and consulted only at sweep time so the
+//! choice of policy cannot perturb event ordering.
 
 /// Classified health of a monitored host.
 ///
@@ -83,33 +82,6 @@ impl SuspicionPolicy for MissThreshold {
     }
 }
 
-/// Declare Suspect/Dead after fixed absolute silences, ignoring the
-/// heartbeat period. Useful when the deployment wants a hard SLA on
-/// detection latency regardless of heartbeat tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedTimeout {
-    /// Silence before Suspect (virtual ns).
-    pub suspect_ns: u64,
-    /// Silence before Dead (virtual ns). Must be ≥ `suspect_ns`.
-    pub dead_ns: u64,
-}
-
-impl SuspicionPolicy for FixedTimeout {
-    fn classify(&self, silence_ns: u64, _interval_ns: u64) -> Health {
-        if silence_ns >= self.dead_ns {
-            Health::Dead
-        } else if silence_ns >= self.suspect_ns {
-            Health::Suspect
-        } else {
-            Health::Alive
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-timeout"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,16 +107,5 @@ mod tests {
     fn miss_threshold_zero_interval_never_suspects() {
         let p = MissThreshold::default();
         assert_eq!(p.classify(u64::MAX, 0), Health::Alive);
-    }
-
-    #[test]
-    fn fixed_timeout_ignores_interval() {
-        let p = FixedTimeout {
-            suspect_ns: 10,
-            dead_ns: 20,
-        };
-        assert_eq!(p.classify(9, 1), Health::Alive);
-        assert_eq!(p.classify(10, 1_000_000), Health::Suspect);
-        assert_eq!(p.classify(20, u64::MAX), Health::Dead);
     }
 }

@@ -3,7 +3,6 @@
 use legion_core::loid::Loid;
 use legion_core::symbol::{self, Sym};
 use legion_core::value::LegionValue;
-use legion_net::message::Message;
 
 /// Host → Magistrate liveness report. Args: `[Loid(host), Uint(running)]`
 /// where `running` is the host's current active-object count (a cheap
@@ -16,19 +15,11 @@ pub fn heartbeat_args(host: Loid, running: usize) -> [LegionValue; 2] {
     [LegionValue::Loid(host), LegionValue::Uint(running as u64)]
 }
 
-/// Parse a `Heartbeat` call's arguments.
-pub fn parse_heartbeat(msg: &Message) -> Option<(Loid, u64)> {
-    match msg.args() {
-        [LegionValue::Loid(host), LegionValue::Uint(running)] => Some((*host, *running)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use legion_core::env::InvocationEnv;
-    use legion_net::message::CallId;
+    use legion_net::message::{CallId, Message};
 
     #[test]
     fn heartbeat_args_round_trip() {
@@ -40,6 +31,6 @@ mod tests {
             heartbeat_args(host, 7).into(),
             InvocationEnv::solo(host),
         );
-        assert_eq!(parse_heartbeat(&msg), Some((host, 7)));
+        assert_eq!(msg.args(), [LegionValue::Loid(host), LegionValue::Uint(7)]);
     }
 }

@@ -31,18 +31,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 when no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.expired;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 const NIL: usize = usize::MAX;
 
 struct Node {
@@ -506,7 +494,6 @@ mod tests {
         let mut c = BindingCache::new(4);
         assert!(c.get(&Loid::instance(16, 9), SimTime::ZERO).is_none());
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -618,14 +605,5 @@ mod tests {
             assert!(c.len() <= 16);
             assert_eq!(c.loids_mru_order().len(), c.len());
         }
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let mut c = BindingCache::new(4);
-        c.insert(b(1, 1));
-        c.get(&Loid::instance(16, 1), SimTime::ZERO); // hit
-        c.get(&Loid::instance(16, 2), SimTime::ZERO); // miss
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 }

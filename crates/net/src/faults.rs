@@ -254,15 +254,6 @@ impl FaultPlan {
         !self.partitions.is_empty()
     }
 
-    /// Does the plan contain any adversarial delivery semantics
-    /// (duplication, reordering, spikes, or flapping partitions)?
-    pub fn is_adversarial(&self) -> bool {
-        self.duplicate_probability > 0.0
-            || (self.reorder_probability > 0.0 && self.reorder_jitter_ns > 0)
-            || !self.delay_spikes.is_empty()
-            || !self.flaps.is_empty()
-    }
-
     /// A uniform draw in `[0, 1)` for message `msg_id` on this link.
     fn roll(&self, msg_id: u64, from: Location, to: Location, salt: u64) -> f64 {
         (self.draw(msg_id, from, to, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -655,7 +646,6 @@ mod tests {
         );
         assert!(plan.is_partitioned_at(0, 1, SimTime(150)));
         assert!(!plan.is_partitioned_at(0, 1, SimTime(250)));
-        assert!(plan.is_adversarial());
     }
 
     #[test]
@@ -675,7 +665,6 @@ mod tests {
         });
         assert!(plan.delay_spikes().is_empty());
         assert!(plan.flaps().is_empty());
-        assert!(!plan.is_adversarial());
     }
 
     #[test]

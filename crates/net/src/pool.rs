@@ -116,11 +116,6 @@ impl MessagePool {
             Body::Reply { result: Err(_), .. } => {}
         }
     }
-
-    /// Pooled buffer counts `(args, shells)` — observability for tests.
-    pub fn depths(&self) -> (usize, usize) {
-        (self.args.len(), self.shells.len())
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +147,7 @@ mod tests {
         assert_eq!(v2.capacity(), cap, "capacity survives the round trip");
         // Capacity-less buffers are not worth pooling.
         pool.recycle_args(Vec::new());
-        assert_eq!(pool.depths().0, 0);
+        assert_eq!(pool.args.len(), 0);
     }
 
     #[test]
@@ -162,11 +157,11 @@ mod tests {
         let fresh = pool.binding_value(&b1); // pool empty: plain path
         assert_eq!(fresh, LegionValue::from(b1.clone()));
         pool.recycle_value(fresh);
-        assert_eq!(pool.depths().1, 1);
+        assert_eq!(pool.shells.len(), 1);
         let b2 = binding(9);
         let reused = pool.binding_value(&b2); // pooled shell, overwritten
         assert_eq!(reused, LegionValue::from(b2.clone()));
-        assert_eq!(pool.depths().1, 0);
+        assert_eq!(pool.shells.len(), 0);
     }
 
     #[test]
@@ -178,7 +173,7 @@ mod tests {
             v.push(LegionValue::Uint(i as u64));
             pool.recycle_args(v);
         }
-        assert_eq!(pool.depths(), (POOL_CAP, POOL_CAP));
+        assert_eq!((pool.args.len(), pool.shells.len()), (POOL_CAP, POOL_CAP));
     }
 
     #[test]
@@ -198,6 +193,6 @@ mod tests {
         );
         pool.recycle_message(call);
         pool.recycle_message(reply);
-        assert_eq!(pool.depths(), (1, 1));
+        assert_eq!((pool.args.len(), pool.shells.len()), (1, 1));
     }
 }

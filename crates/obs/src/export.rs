@@ -5,7 +5,7 @@
 //! byte-identical output — which the acceptance tests assert.
 
 use crate::span::SpanEvent;
-use serde::{json, DeError, Deserialize, Serialize};
+use serde::{json, Serialize};
 
 /// Render events as JSON Lines (one compact object per line, trailing
 /// newline included when non-empty).
@@ -18,23 +18,13 @@ pub fn to_jsonl(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Parse JSON Lines back into events (blank lines are skipped).
-pub fn from_jsonl(text: &str) -> Result<Vec<SpanEvent>, DeError> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            let v = json::from_str(l)?;
-            SpanEvent::from_json_value(&v)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::SpanEventKind;
     use legion_core::time::SimTime;
     use legion_core::trace::{SpanId, TraceId};
+    use serde::Deserialize;
 
     fn sample() -> Vec<SpanEvent> {
         vec![
@@ -64,13 +54,15 @@ mod tests {
         let events = sample();
         let text = to_jsonl(&events);
         assert_eq!(text.lines().count(), 2);
-        let back = from_jsonl(&text).expect("parses");
+        let back: Vec<SpanEvent> = text
+            .lines()
+            .map(|l| SpanEvent::from_json_value(&json::from_str(l).expect("json")).expect("event"))
+            .collect();
         assert_eq!(back, events);
     }
 
     #[test]
     fn empty_input_renders_empty() {
         assert_eq!(to_jsonl(&[]), "");
-        assert!(from_jsonl("").expect("parses").is_empty());
     }
 }

@@ -21,7 +21,7 @@
 //! populates the keys and the measured wave's profiling overhead is a
 //! handful of atomic loads and a map lookup per delivery.
 
-use crate::analysis::{request_path, summarize};
+use crate::analysis::hop_breakdown;
 use crate::span::SpanEvent;
 use legion_core::symbol::Sym;
 use serde::Value;
@@ -163,11 +163,6 @@ pub struct HotMethod {
 }
 
 impl Profile {
-    /// Total deliveries attributed.
-    pub fn total_count(&self) -> u64 {
-        self.entries.iter().map(|e| e.stat.count).sum()
-    }
-
     /// The top-`n` methods by summed sim-time, aggregated across
     /// endpoints. Ties break by method name, so the table is
     /// deterministic.
@@ -226,28 +221,14 @@ impl Profile {
 /// summed critical-path ns)`.
 pub type PathWeight = (String, u64, u64);
 
-/// Aggregate the per-request critical paths ([`request_path`]) across
-/// every complete trace in `events`, summing hop counts and time per
+/// The per-label hop counts and time of every complete trace in
+/// `events` ([`hop_breakdown`]'s `by_label`), heaviest first, ties by
 /// label. This weights each message kind by the time it actually spent
 /// on requests' critical paths — the number to attack first when E17/E18
 /// hunt latency — and is deterministic because it is derived purely from
 /// span events.
 pub fn critical_path_profile(events: &[SpanEvent]) -> Vec<PathWeight> {
-    let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for s in summarize(events) {
-        if s.begin_at.is_none() || s.end_at.is_none() {
-            continue;
-        }
-        for (label, hops, time_ns) in request_path(&s).by_label {
-            let e = agg.entry(label).or_insert((0, 0));
-            e.0 += hops;
-            e.1 += time_ns;
-        }
-    }
-    let mut rows: Vec<PathWeight> = agg
-        .into_iter()
-        .map(|(label, (hops, time_ns))| (label, hops, time_ns))
-        .collect();
+    let mut rows = hop_breakdown(events).by_label;
     rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
     rows
 }
@@ -276,7 +257,7 @@ mod tests {
         assert_eq!((ping.endpoint, ping.method.as_str()), (1, "Ping"));
         assert_eq!(ping.stat.count, 2);
         assert_eq!(ping.stat.sim_ns, 30);
-        assert_eq!(prof.total_count(), 3);
+        assert_eq!(prof.entries[1].stat.count, 1);
     }
 
     #[test]

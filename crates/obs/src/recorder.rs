@@ -228,18 +228,6 @@ impl FlightRecorder {
         self.iter().skip(skip).copied().collect()
     }
 
-    /// The tail as a JSON value: `{total, overwritten, tail: [...]}`.
-    pub fn tail_json(&self, n: usize) -> Value {
-        Value::Object(vec![
-            ("total".to_string(), Value::U64(self.total)),
-            ("overwritten".to_string(), Value::U64(self.overwritten())),
-            (
-                "tail".to_string(),
-                Value::Array(self.tail(n).iter().map(|e| e.to_json_value()).collect()),
-            ),
-        ])
-    }
-
     /// A human-readable dump of the newest `n` events, for stderr
     /// post-mortems. `reason` says why the dump fired.
     pub fn dump(&self, reason: &str, n: usize) -> String {
@@ -344,8 +332,8 @@ mod tests {
         let text = r.dump("test", 3);
         assert!(text.contains("flight recorder: test"));
         assert!(text.contains("deliver"));
-        let json = serde::json::to_string(&r.tail_json(3));
-        assert!(json.contains("\"total\":6"), "{json}");
+        let json = serde::json::to_string(&r.tail(1)[0].to_json_value());
+        assert!(json.contains("\"detail\":5"), "{json}");
         assert!(json.contains("\"kind\":\"deliver\""), "{json}");
     }
 }

@@ -145,29 +145,16 @@ impl OnlineMonitor {
     fn observe(&mut self, cfg: &SloConfig, endpoint: u64, start: u64, latency_ns: u64) {
         let state = self.per_endpoint.entry(endpoint).or_default();
         if start > state.window_start && !state.pending.is_empty() {
-            let objective = cfg.objective_for(endpoint);
             state.pending.sort_unstable();
-            let p50 = quantile_sorted(&state.pending, 0.50);
-            let p99 = quantile_sorted(&state.pending, 0.99);
-            let ok = p50 <= objective.p50_ns && p99 <= objective.p99_ns;
-            let closed_start = state.window_start;
             state.windows_seen += 1;
-            if !ok {
-                state.violating += 1;
-                if objective.error_budget > 0.0 {
-                    let burn = (state.violating as f64 / state.windows_seen as f64)
-                        / objective.error_budget;
-                    if burn >= objective.burn_threshold {
-                        self.fired.push((
-                            endpoint,
-                            BurnEvent {
-                                window_start: closed_start,
-                                burn_rate: burn,
-                            },
-                        ));
-                    }
-                }
-            }
+            let (_, burn) = judge_window(
+                &cfg.objective_for(endpoint),
+                state.window_start,
+                &state.pending,
+                state.windows_seen,
+                &mut state.violating,
+            );
+            self.fired.extend(burn.map(|b| (endpoint, b)));
             state.pending.clear();
         }
         state.window_start = state.window_start.max(start);
@@ -199,11 +186,6 @@ impl SloTracker {
         let mut t = Self::new(cfg);
         t.online = Some(OnlineMonitor::default());
         t
-    }
-
-    /// Is the incremental burn monitor active?
-    pub fn online_enabled(&self) -> bool {
-        self.online.is_some()
     }
 
     /// Take the burn events the online monitor has fired since the last
@@ -286,32 +268,11 @@ impl SloTracker {
                 });
             }
             let slo = current.as_mut().expect("just initialized");
-            let p50 = quantile_sorted(&sorted, 0.50);
-            let p99 = quantile_sorted(&sorted, 0.99);
-            let ok = p50 <= slo.objective.p50_ns && p99 <= slo.objective.p99_ns;
-            if !ok {
-                slo.violating += 1;
-            }
-            slo.windows.push(WindowVerdict {
-                start,
-                count: sorted.len() as u64,
-                p50_ns: p50,
-                p99_ns: p99,
-                ok,
-            });
-            // Cumulative burn rate after this window: the fraction of
-            // windows so far that violated, as a multiple of the
-            // sustainable rate (= the error budget itself).
-            if !ok && slo.objective.error_budget > 0.0 {
-                let seen = slo.windows.len() as f64;
-                let burn = (slo.violating as f64 / seen) / slo.objective.error_budget;
-                if burn >= slo.objective.burn_threshold {
-                    slo.burn_events.push(BurnEvent {
-                        window_start: start,
-                        burn_rate: burn,
-                    });
-                }
-            }
+            let seen = slo.windows.len() as u64 + 1;
+            let (verdict, burn) =
+                judge_window(&slo.objective, start, &sorted, seen, &mut slo.violating);
+            slo.windows.push(verdict);
+            slo.burn_events.extend(burn);
         }
         if let Some(done) = current.take() {
             endpoints.push(finish_endpoint(done));
@@ -321,6 +282,46 @@ impl SloTracker {
             endpoints,
         })
     }
+}
+
+/// Judge one window of ascending latencies starting at `start`: its
+/// exact nearest-rank p50/p99 verdict against `objective`, then, if it
+/// violated, the cumulative burn check — the fraction of the `seen`
+/// windows so far (this one included) that violated, as a multiple of
+/// the sustainable rate (= the error budget itself). `violating` counts
+/// the violating windows and is bumped here. The batch report and the
+/// online monitor both judge through this one function.
+fn judge_window(
+    objective: &SloObjective,
+    start: u64,
+    sorted: &[u64],
+    seen: u64,
+    violating: &mut u64,
+) -> (WindowVerdict, Option<BurnEvent>) {
+    let p50 = quantile_sorted(sorted, 0.50);
+    let p99 = quantile_sorted(sorted, 0.99);
+    let ok = p50 <= objective.p50_ns && p99 <= objective.p99_ns;
+    let verdict = WindowVerdict {
+        start,
+        count: sorted.len() as u64,
+        p50_ns: p50,
+        p99_ns: p99,
+        ok,
+    };
+    let mut event = None;
+    if !ok {
+        *violating += 1;
+        if objective.error_budget > 0.0 {
+            let burn = (*violating as f64 / seen as f64) / objective.error_budget;
+            if burn >= objective.burn_threshold {
+                event = Some(BurnEvent {
+                    window_start: start,
+                    burn_rate: burn,
+                });
+            }
+        }
+    }
+    (verdict, event)
 }
 
 fn finish_endpoint(mut slo: EndpointSlo) -> EndpointSlo {
@@ -392,16 +393,6 @@ pub struct SloReport {
 }
 
 impl SloReport {
-    /// Did every endpoint stay within budget?
-    pub fn all_ok(&self) -> bool {
-        self.endpoints.iter().all(|e| e.ok)
-    }
-
-    /// Total burn-rate alarms fired.
-    pub fn burn_event_count(&self) -> usize {
-        self.endpoints.iter().map(|e| e.burn_events.len()).sum()
-    }
-
     /// The report as JSON. Burn rates and budget fractions are rendered
     /// as millionths (integers) so the document stays byte-stable.
     pub fn to_json_value(&self) -> Value {
@@ -558,8 +549,6 @@ mod tests {
         assert!(e.burn_events[0].burn_rate > 3.9);
         assert_eq!(e.burn_events[1].window_start, 200);
         assert!(!e.ok, "2/3 violating at budget 0.25 blows the budget");
-        assert!(!r.all_ok());
-        assert_eq!(r.burn_event_count(), 2);
     }
 
     #[test]
@@ -621,7 +610,6 @@ mod tests {
         for i in 0..10_000u64 {
             t.record(i * 10, 7, 5);
         }
-        assert!(t.online_enabled());
         assert!(t.drain_burn().is_empty(), "healthy stream fires nothing");
         t.clear();
         assert!(t.report(|_| String::new()).unwrap().endpoints.is_empty());
@@ -632,7 +620,6 @@ mod tests {
         let mut t = SloTracker::new(cfg(100, 10, 10, 0.1));
         t.record(10, 1, 500);
         t.record(110, 1, 500);
-        assert!(!t.online_enabled());
         assert!(t.drain_burn().is_empty());
     }
 

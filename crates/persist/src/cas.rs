@@ -190,20 +190,6 @@ impl ChunkId {
         }
         std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
-
-    /// Parse a 64-char hex string back into an id.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(ChunkId(out))
-    }
 }
 
 impl fmt::Display for ChunkId {
@@ -364,9 +350,12 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let id = ChunkId::of(b"roundtrip");
-        assert_eq!(ChunkId::from_hex(&id.to_hex()), Some(id));
-        assert_eq!(ChunkId::from_hex("zz"), None);
-        assert_eq!(ChunkId::from_hex(&"g".repeat(64)), None);
+        let hex = id.to_hex();
+        assert_eq!(hex, id.hex_into(&mut [0; 64]));
+        let back: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex pair"))
+            .collect();
+        assert_eq!(back, id.0);
     }
 
     #[test]

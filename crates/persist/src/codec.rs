@@ -55,11 +55,6 @@ pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 /// Encoded width of a LOID ([`Writer::put_loid`]): fixed.
 pub const LOID_LEN: usize = 8 + 8 + PUBLIC_KEY_BYTES;
 
-/// Encoded width of `v` as an LEB128 varint ([`Writer::put_varint`]).
-pub fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
 // ----- writer ------------------------------------------------------------
 
 /// Append-only encoder over a `BytesMut`.
@@ -530,7 +525,6 @@ mod tests {
             let mut w = Writer::new();
             w.put_varint(v);
             let bytes = w.finish();
-            assert_eq!(bytes.len(), varint_len(v));
             let mut r = Reader::new(&bytes);
             assert_eq!(r.get_varint().unwrap(), v);
             assert!(r.is_empty());

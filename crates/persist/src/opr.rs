@@ -20,7 +20,7 @@
 //! ```
 
 use crate::checksum::crc32;
-use crate::codec::{varint_len, CodecError, Reader, Writer, LOID_LEN};
+use crate::codec::{CodecError, Reader, Writer};
 use bytes::Bytes;
 use legion_core::loid::Loid;
 use std::fmt;
@@ -178,23 +178,12 @@ impl Opr {
         }
         Ok((loid, class, interface_hash, state))
     }
-
-    /// Encoded size in bytes: magic, version, the two LOIDs, the
-    /// interface hash, the length-prefixed state and the CRC.
-    pub fn encoded_len(&self) -> usize {
-        let state = self.state.len();
-        4 + 1 + 2 * LOID_LEN + 8 + varint_len(state as u64) + state + 4
-    }
-}
-
-/// Quick check whether bytes look like an OPR (magic only).
-pub fn looks_like_opr(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::LOID_LEN;
 
     fn sample() -> Opr {
         Opr::new(
@@ -209,7 +198,6 @@ mod tests {
     fn encode_decode_roundtrip() {
         let opr = sample();
         let bytes = opr.encode();
-        assert!(looks_like_opr(&bytes));
         let back = Opr::decode(&bytes).unwrap();
         assert_eq!(back, opr);
     }
@@ -244,7 +232,6 @@ mod tests {
         let mut bytes = sample().encode().to_vec();
         bytes[0] = b'X';
         assert_eq!(Opr::decode(&bytes), Err(OprError::BadMagic));
-        assert!(!looks_like_opr(&bytes));
     }
 
     #[test]
@@ -322,19 +309,6 @@ mod tests {
             Err(OprError::BadChecksum { .. })
         ));
         assert_eq!(Opr::verify(&bad_crc), Opr::decode(&bad_crc).map(drop));
-    }
-
-    #[test]
-    fn encoded_len_counts_what_encode_writes() {
-        // Either side of each varint width boundary of the state length.
-        for len in [0, 1, 127, 128, 16_383, 16_384, 70_000] {
-            let opr = Opr::new(sample().loid, sample().class, 7, vec![0xA5; len]);
-            assert_eq!(
-                opr.encoded_len(),
-                opr.encode().len(),
-                "state of {len} bytes"
-            );
-        }
     }
 
     #[test]

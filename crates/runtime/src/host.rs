@@ -150,11 +150,6 @@ impl HostObjectEndpoint {
         });
     }
 
-    /// Objects currently running here.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Is `loid` running here?
     pub fn is_running(&self, loid: &Loid) -> bool {
         self.running.contains_key(loid)
@@ -427,7 +422,7 @@ mod tests {
             .unwrap();
         assert_eq!(last, Ok(LegionValue::Uint(0)));
         let host = k.endpoint::<HostObjectEndpoint>(h).unwrap();
-        assert_eq!(host.running_count(), 1);
+        assert_eq!(host.running.len(), 1);
         assert!(host.is_running(&Loid::instance(16, 1)));
     }
 
@@ -452,7 +447,7 @@ mod tests {
         );
         assert_eq!(r1, r2);
         assert_eq!(
-            k.endpoint::<HostObjectEndpoint>(h).unwrap().running_count(),
+            k.endpoint::<HostObjectEndpoint>(h).unwrap().running.len(),
             1
         );
     }

@@ -10,9 +10,11 @@
 //! * [`object`] — the generic Active object endpoint (object-mandatory
 //!   functions behind a `MayI` gate);
 //! * [`host`] — Host Objects (§2.3, §3.9);
-//! * [`magistrate`] — Magistrates (§3.8) over `legion-persist` storage;
+//! * [`magistrate`] — Magistrates (§3.8) over `legion-persist` storage,
+//!   placing each activation on the least-loaded live host;
 //! * [`class_endpoint`] — class objects and the LegionClass metaclass;
-//! * [`scheduler`] — the scheduling hooks (§3.7/§3.8);
+//! * [`sched_agent`] — Scheduling Agents, the §3.8 scheduling hook: a
+//!   suggested host the Magistrate's `Activate(loid, host)` honours;
 //! * [`jurisdiction`] — jurisdiction descriptors, hierarchy, splitting;
 //! * [`bootstrap`] — the §4.2.1 once-only core bring-up.
 
@@ -29,7 +31,6 @@ pub mod magistrate;
 pub mod object;
 pub mod protocol;
 pub mod sched_agent;
-pub mod scheduler;
 
 pub use bootstrap::CoreSystem;
 pub use class_endpoint::{ClassConfig, ClassEndpoint, LegionClassEndpoint};
@@ -40,4 +41,3 @@ pub use magistrate::{MagistrateConfig, MagistrateEndpoint, ObjState};
 pub use object::ActiveObjectEndpoint;
 pub use protocol::ActivationSpec;
 pub use sched_agent::SchedulingAgentEndpoint;
-pub use scheduler::{Affinity, HostView, LeastLoaded, RandomPick, RoundRobin, SchedulingPolicy};

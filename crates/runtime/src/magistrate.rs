@@ -10,8 +10,9 @@
 //! state machines over the host and object endpoints:
 //!
 //! * `Activate(LOID[, host])` — load the OPR from jurisdiction storage,
-//!   pick a host (Scheduling hook), `HostActivate`, record the Object
-//!   Address, notify the class, answer every combined waiter;
+//!   pick a host (the suggested one — §3.8's Scheduling Agent hook — if
+//!   it has room, else the least loaded), `HostActivate`, record the
+//!   Object Address, notify the class, answer every combined waiter;
 //! * `Deactivate(LOID)` — `SaveState` on the object, write the OPR,
 //!   `HostDeactivate`, clear the class's address column;
 //! * `Delete(LOID)` — remove Active and Inert copies;
@@ -31,7 +32,6 @@ use crate::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivateArgs,
     ActivationSpec, ReceiveOprArgs,
 };
-use crate::scheduler::{HostView, LeastLoaded, SchedulingPolicy};
 use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
 use legion_core::dispatch::InvocationGate;
@@ -91,8 +91,20 @@ struct HostRecord {
     capacity: u32,
     assigned: u32,
     /// Cleared when a send to the host is refused (crashed Host Object);
-    /// dead hosts are skipped by the scheduler until re-registered.
+    /// dead hosts are skipped by placement until re-registered.
     alive: bool,
+}
+
+/// Where an activation goes — the Magistrate's "default scheduling
+/// behavior" (§3.8): the `hint` (a Scheduling Agent's suggestion) if that
+/// host is alive and has room, otherwise the live host with the most free
+/// slots, ties to the lowest LOID. `None` when no live host has room.
+fn place(hosts: &[HostRecord], hint: Option<Loid>) -> Option<&HostRecord> {
+    let free = |h: &HostRecord| h.capacity.saturating_sub(h.assigned);
+    let open = || hosts.iter().filter(move |h| h.alive && free(h) > 0);
+    open()
+        .find(|h| Some(h.loid) == hint)
+        .or_else(|| open().max_by(|a, b| free(a).cmp(&free(b)).then(b.loid.cmp(&a.loid))))
 }
 
 /// Follow-up work queued until an object reaches the Inert state: ship
@@ -141,7 +153,6 @@ pub struct MagistrateEndpoint {
     cfg: MagistrateConfig,
     storage: JurisdictionStorage,
     hosts: Vec<HostRecord>,
-    policy: Box<dyn SchedulingPolicy>,
     mayi: Box<dyn MayIPolicy>,
     objects: FxHashMap<Loid, ObjRecord>,
     table: Rc<MethodTable<Self>>,
@@ -155,19 +166,16 @@ pub struct MagistrateEndpoint {
     activate_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
     after_inert: FxHashMap<Loid, Parked<Ship>>,
     peers: FxHashMap<Loid, ObjectAddressElement>,
-    salt: u64,
     ha: Option<HaState>,
 }
 
 impl MagistrateEndpoint {
-    /// A Magistrate with the default (least-loaded) scheduling and the
-    /// permissive security default.
+    /// A Magistrate with the permissive security default.
     pub fn new(cfg: MagistrateConfig) -> Self {
         let storage = JurisdictionStorage::new(cfg.jurisdiction, cfg.disks, cfg.disk_capacity);
         MagistrateEndpoint {
             storage,
             hosts: Vec::new(),
-            policy: Box::new(LeastLoaded),
             mayi: Box::new(AllowAll),
             objects: FxHashMap::default(),
             table: Self::table(cfg.loid),
@@ -175,7 +183,6 @@ impl MagistrateEndpoint {
             activate_waiters: FxHashMap::default(),
             after_inert: FxHashMap::default(),
             peers: FxHashMap::default(),
-            salt: 0,
             ha: None,
             cfg,
         }
@@ -289,12 +296,6 @@ impl MagistrateEndpoint {
         self.ha.as_ref().map(|h| &h.tracker)
     }
 
-    /// Replace the scheduling policy (a Scheduling Agent hook, §3.8).
-    pub fn with_policy(mut self, policy: Box<dyn SchedulingPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Replace the security policy — "a Magistrate has the authority to
     /// reject requests".
     pub fn with_mayi(mut self, mayi: Box<dyn MayIPolicy>) -> Self {
@@ -339,18 +340,6 @@ impl MagistrateEndpoint {
     }
 
     // ----- helpers ---------------------------------------------------------
-
-    fn host_views(&self) -> Vec<HostView> {
-        self.hosts
-            .iter()
-            .filter(|h| h.alive)
-            .map(|h| HostView {
-                loid: h.loid,
-                load: h.assigned,
-                capacity: h.capacity,
-            })
-            .collect()
-    }
 
     fn mark_host_dead(&mut self, loid: &Loid) {
         if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == *loid) {
@@ -483,18 +472,10 @@ impl MagistrateEndpoint {
         host_hint: Option<Loid>,
         attempts: u32,
     ) {
-        self.salt += 1;
-        let views = self.host_views();
-        let chosen = host_hint
-            .filter(|h| views.iter().any(|v| v.loid == *h && v.free() > 0))
-            .or_else(|| self.policy.pick(&views, self.salt));
-        let Some(host) = chosen else {
+        let Some((host, host_element)) = place(&self.hosts, host_hint).map(|h| (h.loid, h.element))
+        else {
             ctx.count(symbol::MAGISTRATE_NO_HOST);
             self.answer_activate_waiters(ctx, loid, Err("no host with free capacity".into()));
-            return;
-        };
-        let Some(host_element) = self.host_element(&host) else {
-            self.answer_activate_waiters(ctx, loid, Err(format!("unknown host {host}")));
             return;
         };
         let spec = ActivationSpec {
@@ -619,7 +600,7 @@ impl MagistrateEndpoint {
             return;
         };
         // A Suspect (or, with message loss, even Dead) host turned out to
-        // be alive: re-admit it to scheduling. Its objects may already
+        // be alive: re-admit it to placement. Its objects may already
         // have been re-homed elsewhere — the class's address row points at
         // the recovered copies, so any survivors on the resurrected host
         // are unreferenced orphans awaiting the §2.3 reap.
@@ -719,7 +700,7 @@ impl MagistrateEndpoint {
         let (class, class_addr) = (record.class, record.class_addr);
         self.bump_host(&dead_host, -1);
         // Back to Inert at the vault checkpoint, then through the normal
-        // activation path — the scheduler picks a surviving host.
+        // activation path — placement picks a surviving host.
         self.objects.get_mut(&loid).expect("checked above").state = ObjState::Inert { addr: vault };
         if let Some(ha) = &mut self.ha {
             ha.tracker.begin_object(loid, ctx.now());
@@ -1507,5 +1488,73 @@ mod ha_duplication_tests {
         );
         assert_eq!(k.counters().get("magistrate.ha_recovered"), 1);
         assert_eq!(k.counters().get("magistrate.orphan_reaped"), 0);
+    }
+}
+
+#[cfg(test)]
+mod placement_tests {
+    use super::*;
+
+    fn host(n: u64, assigned: u32, capacity: u32) -> HostRecord {
+        HostRecord {
+            loid: Loid::instance(3, n),
+            element: ObjectAddressElement::sim(n),
+            capacity,
+            assigned,
+            alive: true,
+        }
+    }
+
+    fn placed(hosts: &[HostRecord], hint: Option<Loid>) -> Option<Loid> {
+        place(hosts, hint).map(|h| h.loid)
+    }
+
+    #[test]
+    fn most_free_slots_wins() {
+        let hosts = [host(1, 5, 10), host(2, 1, 10), host(3, 9, 10)];
+        assert_eq!(placed(&hosts, None), Some(Loid::instance(3, 2)));
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_loid() {
+        let hosts = [host(2, 0, 10), host(1, 0, 10)];
+        assert_eq!(placed(&hosts, None), Some(Loid::instance(3, 1)));
+    }
+
+    #[test]
+    fn full_hosts_are_skipped() {
+        let hosts = [host(1, 10, 10), host(2, 10, 10)];
+        assert_eq!(placed(&hosts, None), None);
+        let hosts = [host(1, 10, 10), host(2, 9, 10)];
+        assert_eq!(placed(&hosts, None), Some(Loid::instance(3, 2)));
+    }
+
+    #[test]
+    fn no_hosts_gives_none() {
+        assert_eq!(placed(&[], None), None);
+        assert_eq!(placed(&[], Some(Loid::instance(3, 1))), None);
+    }
+
+    #[test]
+    fn live_hinted_host_with_room_wins() {
+        let hosts = [host(1, 0, 10), host(2, 9, 10)];
+        let hint = Loid::instance(3, 2);
+        assert_eq!(placed(&hosts, Some(hint)), Some(hint));
+    }
+
+    #[test]
+    fn full_or_dead_hint_falls_back_to_least_load() {
+        let mut hosts = [host(1, 2, 10), host(2, 10, 10), host(3, 0, 10)];
+        assert_eq!(
+            placed(&hosts, Some(Loid::instance(3, 2))),
+            Some(Loid::instance(3, 3)),
+            "a full hint falls back"
+        );
+        hosts[2].alive = false;
+        assert_eq!(
+            placed(&hosts, Some(Loid::instance(3, 3))),
+            Some(Loid::instance(3, 1)),
+            "a dead hint falls back, and the dead host is not the fallback"
+        );
     }
 }

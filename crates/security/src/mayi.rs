@@ -63,24 +63,11 @@ impl MayIPolicy for AllowAll {
     }
 }
 
-/// Refuse everything (a quarantined object).
-#[derive(Debug, Clone, Default)]
-pub struct DenyAll;
-
-impl MayIPolicy for DenyAll {
-    fn may_i(&self, _env: &InvocationEnv, method: &str) -> Decision {
-        Decision::Deny(format!("deny-all policy refuses {method}"))
-    }
-    fn name(&self) -> &str {
-        "deny-all"
-    }
-}
-
 /// An access-control list keyed by method name.
 ///
 /// * callers (by Calling Agent LOID) may be granted specific methods;
 /// * whole *classes* may be granted methods (any instance qualifies);
-/// * methods not mentioned fall back to a default decision.
+/// * methods not mentioned are denied.
 ///
 /// ```
 /// use legion_core::env::InvocationEnv;
@@ -99,8 +86,6 @@ pub struct MethodAcl {
     callers: BTreeMap<String, BTreeSet<Loid>>,
     /// method → caller classes allowed.
     classes: BTreeMap<String, BTreeSet<Loid>>,
-    /// Decision for methods with no ACL entry.
-    default_allow: bool,
 }
 
 impl MethodAcl {
@@ -109,16 +94,6 @@ impl MethodAcl {
         MethodAcl {
             callers: BTreeMap::new(),
             classes: BTreeMap::new(),
-            default_allow: false,
-        }
-    }
-
-    /// An ACL whose unlisted methods are allowed.
-    pub fn allow_by_default() -> Self {
-        MethodAcl {
-            callers: BTreeMap::new(),
-            classes: BTreeMap::new(),
-            default_allow: true,
         }
     }
 
@@ -142,11 +117,7 @@ impl MayIPolicy for MethodAcl {
     fn may_i(&self, env: &InvocationEnv, method: &str) -> Decision {
         let listed = self.callers.contains_key(method) || self.classes.contains_key(method);
         if !listed {
-            return if self.default_allow {
-                Decision::Allow
-            } else {
-                Decision::Deny(format!("method {method} not in ACL"))
-            };
+            return Decision::Deny(format!("method {method} not in ACL"));
         }
         if self
             .callers
@@ -263,7 +234,7 @@ mod tests {
 
     #[test]
     fn deny_all_denies_with_reason() {
-        let d = DenyAll.may_i(&InvocationEnv::anonymous(), "Read");
+        let d = MethodAcl::deny_by_default().may_i(&InvocationEnv::anonymous(), "Read");
         assert!(!d.is_allowed());
         assert!(d.to_string().contains("Read"));
     }
@@ -289,23 +260,6 @@ mod tests {
         assert!(acl.may_i(&env(worker1, worker1), "Render").is_allowed());
         assert!(acl.may_i(&env(worker2, worker2), "Render").is_allowed());
         assert!(!acl.may_i(&env(outsider, outsider), "Render").is_allowed());
-    }
-
-    #[test]
-    fn acl_default_allow_passes_unlisted() {
-        let acl = MethodAcl::allow_by_default();
-        let who = Loid::instance(20, 1);
-        assert!(acl.may_i(&env(who, who), "Whatever").is_allowed());
-    }
-
-    #[test]
-    fn acl_listed_method_still_filters_under_default_allow() {
-        let alice = Loid::instance(20, 1);
-        let bob = Loid::instance(20, 2);
-        let mut acl = MethodAcl::allow_by_default();
-        acl.grant("Delete", alice);
-        assert!(acl.may_i(&env(bob, bob), "Ping").is_allowed());
-        assert!(!acl.may_i(&env(bob, bob), "Delete").is_allowed());
     }
 
     #[test]

@@ -371,7 +371,7 @@ mod tests {
     fn report_has_every_section() {
         let r = generate(1, 33);
         assert!(
-            r.run.profile.total_count() > 0,
+            !r.run.profile.entries.is_empty(),
             "profiler attributed nothing"
         );
         assert!(!r.critical_path.is_empty(), "no critical-path labels");
