@@ -1035,6 +1035,34 @@ fn move_to_an_unreachable_peer_answers_and_keeps_the_object() {
     assert!(r.unwrap_err().contains("unreachable"));
 }
 
+/// A received OPR that replaces an Inert record replaces its file: after
+/// a Copy and then a Move to the same peer (E7's order), the peer holds
+/// one file for the one object — the one it activates from — and the
+/// source holds none.
+#[test]
+fn a_move_onto_a_copy_leaves_the_peer_one_file() {
+    let mut w = build();
+    let (obj, mag, mag_ep, peer, peer_ep) = w.create_active();
+    for method in [mag_proto::COPY, mag_proto::MOVE] {
+        let args = vec![LegionValue::Loid(obj), LegionValue::Loid(peer)];
+        assert_eq!(w.call(mag_ep, mag, method, args), Ok(LegionValue::Void));
+    }
+    let usage = |w: &World, ep| {
+        let m = w.k.endpoint::<MagistrateEndpoint>(ep).unwrap();
+        m.storage_usage()
+    };
+    assert_eq!(usage(&w, mag_ep), (0, 0), "the source kept nothing");
+    let (files, bytes) = usage(&w, peer_ep);
+    assert_eq!(files, 1, "one object, one file ({bytes} bytes held)");
+    let r = w.call(
+        peer_ep,
+        peer,
+        mag_proto::ACTIVATE,
+        vec![LegionValue::Loid(obj)],
+    );
+    expect_binding(r);
+}
+
 // ----- news goes where the binding went (§4.1.4) ------------------------------
 
 impl World {
