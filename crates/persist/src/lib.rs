@@ -29,4 +29,4 @@ pub use cas::{sha256, BlobStore, ChunkId, MemBlobStore, Sha256};
 pub use checksum::{crc32, Crc32};
 pub use codec::{decode_value, encode_value, CodecError, CodecResult, Reader, Writer};
 pub use opr::{Opr, OprError};
-pub use storage::{JurisdictionStorage, PersistentAddress, SimDisk, StorageError};
+pub use storage::{FileName, JurisdictionStorage, PersistentAddress, SimDisk, StorageError};
