@@ -8,10 +8,13 @@
 //! LOID, Object Address, Current Magistrate List, Scheduling Agent, and
 //! Candidate Magistrate List.
 //!
-//! The orchestration of `Create`/`Derive`/`InheritFrom` across classes
-//! (issuing Class Identifiers, recording responsibility pairs, composing
-//! interfaces) is done by [`crate::model::ObjectModel`]; this module is the
-//! per-class state and rules.
+//! This module is the per-class state and the rules of §2.1.1–§2.1.2 that
+//! one class can check alone: Abstract refuses `Create`, Private refuses
+//! `Derive`, Fixed refuses `InheritFrom`, an incompatible base is refused
+//! whole, and a base that already inherits from this class is refused as
+//! a cycle. The calls across classes (a Class Identifier from LegionClass,
+//! a base's interface and inherited-from set from the base itself) are
+//! made by the live class endpoint in `legion-runtime`.
 
 use crate::address::ObjectAddress;
 use crate::binding::Binding;
@@ -307,7 +310,10 @@ pub struct ClassObject {
     /// The superclass this class was derived from (`None` only for
     /// `LegionObject`, the sink of the kind-of ∪ is-a graph).
     pub superclass: Option<Loid>,
-    /// Base classes added via `InheritFrom`, in call order.
+    /// Every class whose declarations reached this one through
+    /// `InheritFrom`: each base, and what that base had inherited from
+    /// when it was merged, once each, in discovery order. Only
+    /// inherits-from edges count, so a `Derive`'d subclass starts empty.
     pub bases: Vec<Loid>,
     /// The interface this class's *instances* export: own methods merged
     /// with the superclass's interface at Derive time and with each base's
@@ -325,8 +331,9 @@ pub struct ClassObject {
 }
 
 impl ClassObject {
-    /// Construct a class object shell. Interface composition and relation
-    /// bookkeeping are the model's job ([`crate::model::ObjectModel`]).
+    /// Construct a class object shell with an empty interface; its
+    /// creator sets the superclass, the interface and the scheduling
+    /// agent.
     pub fn new(loid: Loid, name: impl Into<String>, kind: ClassKind) -> Self {
         assert!(
             loid.is_class(),
@@ -378,9 +385,22 @@ impl ClassObject {
     }
 
     /// `InheritFrom()`'s local half: merge `base_interface` into this
-    /// class's interface and record the base. Fails on Fixed classes.
-    /// Cycle checking is the model's job (it sees the whole graph).
-    pub fn inherit_from(&mut self, base: Loid, base_interface: &Interface) -> CoreResult<()> {
+    /// class's interface and add `base` and `base_bases` (the base's own
+    /// [`ClassObject::bases`]) to [`ClassObject::bases`]. Fails on Fixed
+    /// classes, on a base that is this class or already inherits from it
+    /// ([`CoreError::InheritanceCycle`]), and on a base with a method
+    /// that conflicts with an inherited one; a failure changes nothing.
+    ///
+    /// The merge copies the base's interface as it is now: a method the
+    /// base gains later does not reach this class. So A→B, B→C, then
+    /// C→A is no cycle: C is not in A's set, and nothing of C's reaches
+    /// C through A.
+    pub fn inherit_from(
+        &mut self,
+        base: Loid,
+        base_interface: &Interface,
+        base_bases: &[Loid],
+    ) -> CoreResult<()> {
         if self.deleted {
             return Err(CoreError::Deleted(self.loid));
         }
@@ -390,10 +410,18 @@ impl ClassObject {
         if !base.is_class() {
             return Err(CoreError::NotAClass(base));
         }
+        if base == self.loid || base_bases.contains(&self.loid) {
+            return Err(CoreError::InheritanceCycle {
+                class: self.loid,
+                base,
+            });
+        }
         self.interface
             .merge_from_with_owner(base_interface, self.loid)?;
-        if !self.bases.contains(&base) {
-            self.bases.push(base);
+        for b in std::iter::once(&base).chain(base_bases) {
+            if !self.bases.contains(b) {
+                self.bases.push(*b);
+            }
         }
         Ok(())
     }
@@ -486,7 +514,7 @@ mod tests {
         let mut c = fresh(ClassKind::FIXED);
         let base = Interface::new();
         assert_eq!(
-            c.inherit_from(Loid::class_object(31), &base),
+            c.inherit_from(Loid::class_object(31), &base, &[]),
             Err(CoreError::FixedClass(c.loid))
         );
     }
@@ -495,17 +523,59 @@ mod tests {
     fn inherit_from_merges_interface_and_records_base() {
         let mut c = fresh(ClassKind::NORMAL);
         let base_cls = Loid::class_object(31);
+        let grand = Loid::class_object(32);
         let mut base_if = Interface::new();
         base_if.define(
             MethodSignature::new("Render", vec![], ParamType::Void),
             base_cls,
         );
-        c.inherit_from(base_cls, &base_if).unwrap();
+        c.inherit_from(base_cls, &base_if, &[grand]).unwrap();
         assert!(c.interface.contains("Render"));
-        assert_eq!(c.bases, vec![base_cls]);
-        // Idempotent base recording.
-        c.inherit_from(base_cls, &base_if).unwrap();
-        assert_eq!(c.bases.len(), 1);
+        // The base and what it inherits from, each once.
+        assert_eq!(c.bases, vec![base_cls, grand]);
+        c.inherit_from(base_cls, &base_if, &[grand]).unwrap();
+        c.inherit_from(grand, &Interface::new(), &[]).unwrap();
+        assert_eq!(c.bases, vec![base_cls, grand]);
+    }
+
+    #[test]
+    fn inherit_from_refuses_itself_and_its_inheritors() {
+        let mut c = fresh(ClassKind::NORMAL);
+        let me = c.loid;
+        let other = Loid::class_object(31);
+        for (base, base_bases) in [(me, &[][..]), (other, &[me][..])] {
+            assert_eq!(
+                c.inherit_from(base, &Interface::new(), base_bases),
+                Err(CoreError::InheritanceCycle { class: me, base })
+            );
+        }
+        assert!(c.bases.is_empty());
+    }
+
+    #[test]
+    fn a_refused_base_changes_nothing() {
+        let mut c = fresh(ClassKind::NORMAL);
+        let (b, d) = (Loid::class_object(31), Loid::class_object(32));
+        let mut b_if = Interface::new();
+        b_if.define(MethodSignature::new("f", vec![], ParamType::Int), b);
+        c.inherit_from(b, &b_if, &[]).unwrap();
+        let before = c.clone();
+        // "Extra" is new and sorts before the conflicting "f".
+        let mut d_if = Interface::new();
+        d_if.define(MethodSignature::new("Extra", vec![], ParamType::Void), d);
+        d_if.define(MethodSignature::new("f", vec![], ParamType::Str), d);
+        assert!(matches!(
+            c.inherit_from(d, &d_if, &[]),
+            Err(CoreError::InterfaceConflict { .. })
+        ));
+        assert_eq!(c.interface, before.interface);
+        assert_eq!(c.bases, before.bases);
+        // An own redefinition shadows both bases.
+        c.interface
+            .define(MethodSignature::new("f", vec![], ParamType::Bool), c.loid);
+        c.inherit_from(d, &d_if, &[]).unwrap();
+        assert_eq!(c.interface.get("f").unwrap().returns, ParamType::Bool);
+        assert_eq!(c.bases, vec![b, d]);
     }
 
     #[test]
@@ -513,7 +583,7 @@ mod tests {
         let mut c = fresh(ClassKind::NORMAL);
         let inst = Loid::instance(31, 5);
         assert_eq!(
-            c.inherit_from(inst, &Interface::new()),
+            c.inherit_from(inst, &Interface::new(), &[]),
             Err(CoreError::NotAClass(inst))
         );
     }
@@ -528,7 +598,7 @@ mod tests {
             Err(CoreError::Deleted(_))
         ));
         assert!(matches!(
-            c.inherit_from(Loid::class_object(31), &Interface::new()),
+            c.inherit_from(Loid::class_object(31), &Interface::new(), &[]),
             Err(CoreError::Deleted(_))
         ));
     }

@@ -216,11 +216,6 @@ impl Interface {
         self.methods.values().map(|(s, _)| s)
     }
 
-    /// Iterate over `(signature, provider)` pairs in name order.
-    pub fn iter_with_providers(&self) -> impl Iterator<Item = (&MethodSignature, Loid)> {
-        self.methods.values().map(|(s, p)| (s, *p))
-    }
-
     /// Merge `other` into `self` (the `InheritFrom()` interface effect).
     ///
     /// * methods new to `self` are added with their original provenance;
@@ -255,27 +250,29 @@ impl Interface {
     /// paper allows a class to *redefine* inherited member functions, and a
     /// deliberate redefinition must not be reported as a conflict.
     /// Incompatible duplicates contributed by two *different* ancestors
-    /// still conflict.
+    /// still conflict, and a conflict refuses `other` whole: nothing of it
+    /// is merged.
     pub fn merge_from_with_owner(&mut self, other: &Interface, owner: Loid) -> CoreResult<usize> {
-        let mut added = 0;
         for (name, (sig, provider)) in &other.methods {
             match self.methods.get(name) {
-                None => {
-                    self.methods.insert(name.clone(), (sig.clone(), *provider));
-                    added += 1;
+                // The owner's own (re)definition shadows the base's.
+                Some((existing, existing_provider))
+                    if *existing_provider != owner && !existing.compatible_with(sig) =>
+                {
+                    return Err(CoreError::InterfaceConflict {
+                        method: name.clone(),
+                        first: *existing_provider,
+                        second: *provider,
+                    });
                 }
-                Some((_, p)) if *p == owner => {
-                    // The owner's own (re)definition shadows the base's.
-                }
-                Some((existing, existing_provider)) => {
-                    if !existing.compatible_with(sig) {
-                        return Err(CoreError::InterfaceConflict {
-                            method: name.clone(),
-                            first: *existing_provider,
-                            second: *provider,
-                        });
-                    }
-                }
+                _ => {}
+            }
+        }
+        let mut added = 0;
+        for (name, (sig, provider)) in &other.methods {
+            if !self.methods.contains_key(name) {
+                self.methods.insert(name.clone(), (sig.clone(), *provider));
+                added += 1;
             }
         }
         Ok(added)

@@ -1,15 +1,16 @@
 //! # legion-core — the Core Legion Object Model
 //!
-//! This crate implements the *model* layer of the Legion reproduction: the
-//! data structures and rules of Lewis & Grimshaw's *Core Legion Object
-//! Model* (HPDC 1996). Everything in Legion is an object; classes are
-//! objects too, and the relationships between them (**is-a**, **kind-of**,
-//! **inherits-from**) are first-class, run-time entities.
+//! This crate holds the data types and per-object rules of Lewis &
+//! Grimshaw's *Core Legion Object Model* (HPDC 1996). Everything in Legion
+//! is an object; classes are objects too, and the relationships between
+//! them (**is-a**, **kind-of**, **inherits-from**) are made at run time by
+//! calls on live class objects.
 //!
-//! The crate is deliberately free of any transport or runtime machinery so
-//! that the model can be tested and benchmarked in isolation. The sibling
-//! crates layer networking (`legion-net`), persistence (`legion-persist`),
-//! naming (`legion-naming`) and the live runtime (`legion-runtime`) on top.
+//! The crate is free of any transport or runtime machinery. There is one
+//! object model, and it runs: `legion-runtime` serves `Create`, `Derive`,
+//! `InheritFrom` and `Delete` from class endpoints that each own a
+//! [`ClassObject`], over `legion-net`, with naming (`legion-naming`) and
+//! persistence (`legion-persist`) beside it.
 //!
 //! ## Map from the paper
 //!
@@ -20,9 +21,7 @@
 //! | §2 interfaces & IDL | [`interface`], [`idl`] |
 //! | §3.4 Object Addresses | [`address`] |
 //! | §2.1 object-mandatory functions | [`object`] |
-//! | §3.7 class objects & the logical table | [`class`] |
-//! | §2.1.1 relations | [`relations`] |
-//! | §2.1 multiple inheritance | [`inherit`] |
+//! | §2.1.1–2.1.2, §3.7 class objects, inheritance & the logical table | [`class`] |
 //! | §4.1.3 LegionClass & responsibility pairs | [`metaclass`] |
 
 #![warn(missing_docs)]
@@ -38,13 +37,10 @@ pub mod env;
 pub mod error;
 pub mod fxmap;
 pub mod idl;
-pub mod inherit;
 pub mod interface;
 pub mod loid;
 pub mod metaclass;
-pub mod model;
 pub mod object;
-pub mod relations;
 pub mod symbol;
 pub mod time;
 pub mod trace;
@@ -60,9 +56,7 @@ pub use error::{CoreError, CoreResult};
 pub use interface::{Interface, MethodSignature, ParamType};
 pub use loid::{ClassId, Loid, LoidAllocator};
 pub use metaclass::LegionClassAuthority;
-pub use model::ObjectModel;
 pub use object::{ObjectMandatory, ObjectState};
-pub use relations::RelationGraph;
 pub use symbol::Sym;
 pub use time::{Expiry, SimTime};
 pub use trace::{SpanId, TraceContext, TraceId};

@@ -10,27 +10,12 @@
 //!    pointed toward C (§4.1.3). For a *non-class* object the responsible
 //!    class is derived locally by zeroing the Class Specific field — no
 //!    LegionClass traffic at all.
-//!
-//! The authority counts every request it serves; experiment E4/E12 use
-//! these counters to test the paper's claim that caching and combining
-//! trees keep LegionClass off the critical path.
 
 use crate::error::{CoreError, CoreResult};
 use crate::loid::{ClassId, Loid};
 use crate::wellknown::{FIRST_USER_CLASS_ID, LEGION_CLASS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Traffic counters kept by the authority (for the scalability
-/// experiments; the paper's "distributed systems principle" is about
-/// exactly these numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AuthorityStats {
-    /// `IssueClassId` requests served.
-    pub ids_issued: u64,
-    /// `FindResponsible` requests served.
-    pub find_requests: u64,
-}
 
 /// The LegionClass metaclass state: the Class Identifier counter and the
 /// responsibility-pair map.
@@ -40,7 +25,6 @@ pub struct LegionClassAuthority {
     /// created-class → creating-class (the pair ⟨creator, created⟩ keyed
     /// by the created class for O(log n) lookup).
     responsible_for: BTreeMap<Loid, Loid>,
-    stats: AuthorityStats,
 }
 
 impl Default for LegionClassAuthority {
@@ -56,7 +40,6 @@ impl LegionClassAuthority {
         LegionClassAuthority {
             next_class_id: FIRST_USER_CLASS_ID,
             responsible_for: BTreeMap::new(),
-            stats: AuthorityStats::default(),
         }
     }
 
@@ -76,7 +59,6 @@ impl LegionClassAuthority {
         self.next_class_id += 1;
         let new_class = Loid::class_object(id.0);
         self.responsible_for.insert(new_class, creator);
-        self.stats.ids_issued += 1;
         Ok((id, new_class))
     }
 
@@ -87,8 +69,7 @@ impl LegionClassAuthority {
     /// * a core class (or LegionClass itself) → `LegionClass`, which "simply
     ///   hands out the appropriate binding which, as a class object, it is
     ///   responsible for maintaining".
-    pub fn find_responsible(&mut self, target: &Loid) -> CoreResult<Loid> {
-        self.stats.find_requests += 1;
+    pub fn find_responsible(&self, target: &Loid) -> CoreResult<Loid> {
         if !target.is_class() {
             return Ok(target.class_loid());
         }
@@ -102,24 +83,6 @@ impl LegionClassAuthority {
                 }
             }
         }
-    }
-
-    /// The full responsibility chain from `target` up to `LegionClass`:
-    /// §4.1.3's "the binding process may need to be repeated in order to
-    /// locate C, and again to locate C's superclass, and so on ... the
-    /// process can end when the responsible class is LegionClass itself."
-    pub fn responsibility_chain(&mut self, target: &Loid) -> CoreResult<Vec<Loid>> {
-        let mut chain = Vec::new();
-        let mut cur = *target;
-        loop {
-            let resp = self.find_responsible(&cur)?;
-            chain.push(resp);
-            if resp == LEGION_CLASS || resp == cur {
-                break;
-            }
-            cur = resp;
-        }
-        Ok(chain)
     }
 
     /// Adopt an *externally created* class (bootstrap, §4.2.1): record
@@ -155,32 +118,24 @@ impl LegionClassAuthority {
             None => Err(CoreError::UnknownLoid(target)),
         }
     }
-
-    /// Drop the pair for a deleted class.
-    pub fn forget(&mut self, target: &Loid) {
-        self.responsible_for.remove(target);
-    }
-
-    /// Number of recorded responsibility pairs.
-    pub fn pair_count(&self) -> usize {
-        self.responsible_for.len()
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> AuthorityStats {
-        self.stats
-    }
-
-    /// Reset traffic counters (between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = AuthorityStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wellknown::{LEGION_HOST, LEGION_OBJECT};
+
+    /// §4.1.3's repeated lookup, as a Binding Agent walks it over the
+    /// wire: "the binding process may need to be repeated in order to
+    /// locate C, and again to locate C's superclass ... the process can
+    /// end when the responsible class is LegionClass itself."
+    fn chain(a: &LegionClassAuthority, target: Loid) -> Vec<Loid> {
+        let mut chain = vec![a.find_responsible(&target).unwrap()];
+        while chain[chain.len() - 1] != LEGION_CLASS {
+            chain.push(a.find_responsible(&chain[chain.len() - 1]).unwrap());
+        }
+        chain
+    }
 
     #[test]
     fn issues_unique_sequential_ids() {
@@ -192,7 +147,6 @@ mod tests {
         assert_eq!(id2.0, FIRST_USER_CLASS_ID + 1);
         assert_ne!(l1, l2);
         assert!(l1.is_class() && l2.is_class());
-        assert_eq!(a.stats().ids_issued, 2);
     }
 
     #[test]
@@ -206,10 +160,9 @@ mod tests {
 
     #[test]
     fn non_class_target_resolves_locally() {
-        let mut a = LegionClassAuthority::new();
+        let a = LegionClassAuthority::new();
         let o = Loid::instance(77, 5);
         assert_eq!(a.find_responsible(&o).unwrap(), Loid::class_object(77));
-        assert_eq!(a.stats().find_requests, 1);
     }
 
     #[test]
@@ -217,12 +170,11 @@ mod tests {
         let mut a = LegionClassAuthority::new();
         let (_, d) = a.issue_class_id(LEGION_HOST).unwrap();
         assert_eq!(a.find_responsible(&d).unwrap(), LEGION_HOST);
-        assert_eq!(a.pair_count(), 1);
     }
 
     #[test]
     fn core_classes_resolve_to_legion_class() {
-        let mut a = LegionClassAuthority::new();
+        let a = LegionClassAuthority::new();
         assert_eq!(a.find_responsible(&LEGION_HOST).unwrap(), LEGION_CLASS);
         assert_eq!(a.find_responsible(&LEGION_OBJECT).unwrap(), LEGION_CLASS);
         assert_eq!(a.find_responsible(&LEGION_CLASS).unwrap(), LEGION_CLASS);
@@ -230,7 +182,7 @@ mod tests {
 
     #[test]
     fn unknown_class_is_an_error() {
-        let mut a = LegionClassAuthority::new();
+        let a = LegionClassAuthority::new();
         assert!(matches!(
             a.find_responsible(&Loid::class_object(9999)),
             Err(CoreError::UnknownLoid(_))
@@ -243,8 +195,10 @@ mod tests {
         // LegionHost derives UnixHost derives MyHost.
         let (_, unix_host) = a.issue_class_id(LEGION_HOST).unwrap();
         let (_, my_host) = a.issue_class_id(unix_host).unwrap();
-        let chain = a.responsibility_chain(&my_host).unwrap();
-        assert_eq!(chain, vec![unix_host, LEGION_HOST, LEGION_CLASS]);
+        assert_eq!(
+            chain(&a, my_host),
+            vec![unix_host, LEGION_HOST, LEGION_CLASS]
+        );
     }
 
     #[test]
@@ -252,8 +206,7 @@ mod tests {
         let mut a = LegionClassAuthority::new();
         let (_, c) = a.issue_class_id(LEGION_CLASS).unwrap();
         let o = Loid::instance(c.class_id.0, 3);
-        let chain = a.responsibility_chain(&o).unwrap();
-        assert_eq!(chain, vec![c, LEGION_CLASS]);
+        assert_eq!(chain(&a, o), vec![c, LEGION_CLASS]);
     }
 
     #[test]
@@ -265,23 +218,5 @@ mod tests {
         assert_eq!(a.find_responsible(&d).unwrap(), clone);
         assert!(a.reassign(Loid::class_object(9999), clone).is_err());
         assert!(a.reassign(d, Loid::instance(16, 1)).is_err());
-    }
-
-    #[test]
-    fn forget_removes_pair() {
-        let mut a = LegionClassAuthority::new();
-        let (_, d) = a.issue_class_id(LEGION_CLASS).unwrap();
-        a.forget(&d);
-        assert_eq!(a.pair_count(), 0);
-        assert!(a.find_responsible(&d).is_err());
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let mut a = LegionClassAuthority::new();
-        let _ = a.issue_class_id(LEGION_CLASS);
-        let _ = a.find_responsible(&Loid::instance(1, 1));
-        a.reset_stats();
-        assert_eq!(a.stats(), AuthorityStats::default());
     }
 }

@@ -259,6 +259,8 @@ well_known! {
     // Holder-directed invalidation and the auto-scaler's outbound half.
     123 => CLASS_HOLDERS_NOTIFIED = "class.holders_notified";
     124 => POLICY_TIMEOUTS = "policy.timeouts";
+    // Runtime protocol: InheritFrom's call from the inheritor to its base.
+    125 => GET_BASE_INTERFACE = "GetBaseInterface";
 }
 
 fn global() -> &'static RwLock<Interner> {
@@ -403,7 +405,7 @@ mod tests {
         assert_eq!(BA_CACHE_HIT.as_str(), "ba.cache_hit");
         assert_eq!(CLIENT_STALE_REPLY.id(), 122);
         assert_eq!(POLICY_TIMEOUTS.id(), 124);
-        assert_eq!(WELL_KNOWN.len(), 125);
+        assert_eq!(WELL_KNOWN.len(), 126);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests for the core object model invariants.
 
-use legion_core::class::ClassKind;
+use legion_core::class::{ClassKind, ClassObject};
+use legion_core::error::CoreError;
 use legion_core::idl;
 use legion_core::interface::{Interface, MethodSignature, Param, ParamType};
 use legion_core::loid::{ClassId, Loid, LoidAllocator};
-use legion_core::model::ObjectModel;
+use legion_core::metaclass::LegionClassAuthority;
 use legion_core::time::{Expiry, SimTime};
 use legion_core::wellknown::LEGION_CLASS;
 use proptest::prelude::*;
@@ -134,50 +135,77 @@ proptest! {
         prop_assert_eq!(parsed, iface);
     }
 
-    /// Random derive/create/inherit sequences keep the model consistent:
-    /// incremental interfaces equal from-scratch composition and the
-    /// kind-of graph keeps its single sink.
+    /// Random Derive / define / InheritFrom sequences on class objects,
+    /// each InheritFrom handed the base's interface and inherited-from
+    /// set as the live base sends them: no class ever lands in its own
+    /// set, a refusal as a cycle names a real one and, like every
+    /// refusal, changes nothing, and an accepted base brings its methods
+    /// and its set.
     #[test]
     fn model_stays_consistent(ops in proptest::collection::vec((0u8..3, 0usize..8, 0usize..8), 1..40)) {
-        let mut m = ObjectModel::bootstrap();
-        let mut classes = vec![LEGION_CLASS];
+        let mut authority = LegionClassAuthority::new();
+        let mut classes = vec![ClassObject::new(LEGION_CLASS, "LegionClass", ClassKind::NORMAL)];
         let mut method_n = 0u32;
         for (op, i, j) in ops {
-            let a = classes[i % classes.len()];
-            let b = classes[j % classes.len()];
+            let (a, b) = (i % classes.len(), j % classes.len());
             match op {
                 0 => {
-                    if let Ok(c) = m.derive(a, "P", ClassKind::NORMAL) {
-                        classes.push(c);
-                    }
+                    let (_, loid) = authority.issue_class_id(classes[a].loid).unwrap();
+                    let mut sub = ClassObject::new(loid, "P", ClassKind::NORMAL);
+                    sub.superclass = Some(classes[a].loid);
+                    sub.interface = classes[a].interface.clone();
+                    classes[a].record_subclass(loid).unwrap();
+                    prop_assert!(sub.bases.is_empty());
+                    classes.push(sub);
                 }
                 1 => {
                     method_n += 1;
-                    let _ = m.define_method(
-                        a,
+                    let owner = classes[a].loid;
+                    classes[a].interface.define(
                         MethodSignature::new(format!("m{method_n}"), vec![], ParamType::Void),
+                        owner,
                     );
                 }
                 _ => {
-                    let _ = m.inherit_from(a, b); // cycles/conflicts may be rejected
+                    let base = classes[b].clone();
+                    let before = classes[a].clone();
+                    match classes[a].inherit_from(base.loid, &base.interface, &base.bases) {
+                        Ok(()) => {
+                            let c = &classes[a];
+                            prop_assert!(c.bases.contains(&base.loid));
+                            prop_assert!(base.bases.iter().all(|x| c.bases.contains(x)));
+                            prop_assert!(base.interface.iter().all(|m| c.interface.contains(&m.name)));
+                        }
+                        Err(e) => {
+                            if let CoreError::InheritanceCycle { .. } = e {
+                                prop_assert!(a == b || base.bases.contains(&before.loid));
+                            }
+                            prop_assert_eq!(&classes[a].interface, &before.interface);
+                            prop_assert_eq!(&classes[a].bases, &before.bases);
+                        }
+                    }
                 }
             }
+            for c in &classes {
+                prop_assert!(!c.bases.contains(&c.loid), "{} inherits from itself", c.loid);
+            }
         }
-        prop_assert!(m.verify().is_ok());
     }
 
-    /// Instances created through the model always have exactly one class,
-    /// and their LOIDs never collide.
+    /// Instances created by class objects always name exactly one class,
+    /// their own, and their LOIDs never collide.
     #[test]
     fn created_instances_unique(counts in proptest::collection::vec(1usize..20, 1..5)) {
-        let mut m = ObjectModel::bootstrap();
+        let mut authority = LegionClassAuthority::new();
         let mut all = std::collections::HashSet::new();
         for (k, n) in counts.iter().enumerate() {
-            let c = m.derive(LEGION_CLASS, format!("C{k}"), ClassKind::NORMAL).unwrap();
+            let (_, c) = authority.issue_class_id(LEGION_CLASS).unwrap();
+            let mut class = ClassObject::new(c, format!("C{k}"), ClassKind::NORMAL);
             for _ in 0..*n {
-                let o = m.create(c).unwrap();
+                let o = class.create_instance().unwrap();
                 prop_assert!(all.insert(o));
-                prop_assert_eq!(m.graph().class_of(&o), Some(c));
+                prop_assert_eq!(o.class_loid(), c);
+                prop_assert!(class.table.get(&o).is_some());
             }
         }
     }

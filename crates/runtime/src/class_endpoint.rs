@@ -14,8 +14,10 @@
 //! * `Derive(name[, flags])` — obtain a Class Identifier from LegionClass,
 //!   then spawn the new class object with this class's interface;
 //! * `InheritFrom(base)` — resolve the base (through the class's own
-//!   Binding Agent — classes are objects too), fetch its *instance*
-//!   interface as IDL text, and merge it;
+//!   Binding Agent — classes are objects too), ask it with
+//!   `GetBaseInterface()` for its *instance* interface as IDL text and
+//!   the classes it inherits from, and merge it unless that set names
+//!   this class (a cycle) or a method conflicts;
 //! * table-maintenance notifications (`SetAddress`, `Add/RemoveMagistrate`,
 //!   `Announce`).
 //!
@@ -345,11 +347,18 @@ impl ClassEndpoint {
                 class_proto::GET_INSTANCE_INTERFACE,
                 &[],
                 ParamType::Str,
+                |e, _ctx, _msg, ()| Outcome::Reply(Ok(LegionValue::from(e.instance_idl()))),
+            )
+            // InheritFrom's call to its base: the same text, then every
+            // class this one inherits from.
+            .method::<(), _>(
+                class_proto::GET_BASE_INTERFACE,
+                &[],
+                ParamType::List,
                 |e, _ctx, _msg, ()| {
-                    let text = e.instance_idl.get_or_insert_with(|| {
-                        idl::render(&sanitize(&e.class.name), &e.class.interface)
-                    });
-                    Outcome::Reply(Ok(LegionValue::Str(text.clone())))
+                    let mut reply = vec![LegionValue::from(e.instance_idl())];
+                    reply.extend(e.class.bases.iter().map(|b| LegionValue::Loid(*b)));
+                    Outcome::Reply(Ok(LegionValue::List(reply)))
                 },
             )
             .method::<(), _>(
@@ -367,6 +376,13 @@ impl ClassEndpoint {
                 |e, _ctx, _msg, ()| Outcome::Reply(Ok(LegionValue::Loid(e.class.loid))),
             )
             .seal()
+    }
+
+    /// The instance interface as IDL text, rendered on first use.
+    fn instance_idl(&mut self) -> &str {
+        let class = &self.class;
+        self.instance_idl
+            .get_or_insert_with(|| idl::render(&sanitize(&class.name), &class.interface))
     }
 
     fn pick_magistrate(&mut self) -> Option<(Loid, ObjectAddressElement)> {
@@ -749,9 +765,10 @@ impl ClassEndpoint {
         }
     }
 
-    /// Fetch the base's *instance* interface for an InheritFrom merge.
-    /// Replies to `requester` itself on every path (also reached from the
-    /// `GetBinding` continuation, where there is no dispatch outcome).
+    /// Fetch the base's *instance* interface and inherited-from set for
+    /// an InheritFrom merge. Replies to `requester` itself on every path
+    /// (also reached from the `GetBinding` continuation, where there is no
+    /// dispatch outcome).
     fn fetch_base_interface(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -767,7 +784,7 @@ impl ClassEndpoint {
             ctx,
             primary,
             base,
-            class_proto::GET_INSTANCE_INTERFACE,
+            class_proto::GET_BASE_INTERFACE,
             vec![],
             move |e, ctx, result| e.on_base_interface(ctx, requester, base, result),
         );
@@ -783,32 +800,36 @@ impl ClassEndpoint {
         base: Loid,
         result: Result<LegionValue, String>,
     ) {
-        match result {
-            Ok(LegionValue::Str(text)) => match idl::parse_one(&text) {
-                Ok(parsed) => {
-                    let base_if = parsed.into_interface(base);
-                    match self.class.inherit_from(base, &base_if) {
-                        Ok(()) => {
-                            self.instance_idl = None;
-                            ctx.count(symbol::CLASS_INHERITS);
-                            ctx.reply_ticket(requester, Ok(LegionValue::Void));
-                        }
-                        Err(e) => {
-                            ctx.reply_ticket(requester, Err(e.to_string()));
-                        }
-                    }
-                }
-                Err(e) => {
-                    ctx.reply_ticket(requester, Err(format!("base interface unparseable: {e}")));
-                }
-            },
-            Ok(v) => {
-                ctx.reply_ticket(requester, Err(format!("unexpected GetInterface reply {v}")));
-            }
-            Err(e) => {
-                ctx.reply_ticket(requester, Err(format!("GetInterface failed: {e}")));
-            }
+        let merged = match result {
+            Ok(LegionValue::List(reply)) => self.merge_base(base, &reply),
+            Ok(v) => Err(format!("unexpected GetBaseInterface reply {v}")),
+            Err(e) => Err(format!("GetBaseInterface failed: {e}")),
+        };
+        if merged.is_ok() {
+            self.instance_idl = None;
+            ctx.count(symbol::CLASS_INHERITS);
         }
+        ctx.reply_ticket(requester, merged.map(|()| LegionValue::Void));
+    }
+
+    /// Merge `base` from its `GetBaseInterface` reply: its IDL text, then
+    /// the classes it inherits from.
+    fn merge_base(&mut self, base: Loid, reply: &[LegionValue]) -> Result<(), String> {
+        let Some((LegionValue::Str(text), base_bases)) = reply.split_first() else {
+            return Err("base interface reply has no IDL text".into());
+        };
+        let base_bases = base_bases
+            .iter()
+            .map(|v| match v {
+                LegionValue::Loid(l) => Ok(*l),
+                v => Err(format!("unexpected base {v}")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let parsed =
+            idl::parse_one(text).map_err(|e| format!("base interface unparseable: {e}"))?;
+        self.class
+            .inherit_from(base, &parsed.into_interface(base), &base_bases)
+            .map_err(|e| e.to_string())
     }
 
     fn handle_delete(&mut self, ctx: &mut Ctx<'_>, msg: &Message, target: Loid) -> Outcome {
@@ -986,16 +1007,6 @@ impl LegionClassEndpoint {
             .adopt(loid, legion_core::wellknown::LEGION_CLASS)
             .expect("adopting a class object");
         self.class_bindings.insert(loid, binding);
-    }
-
-    /// Authority access (experiment counters).
-    pub fn authority(&self) -> &LegionClassAuthority {
-        &self.authority
-    }
-
-    /// Mutable authority access.
-    pub fn authority_mut(&mut self) -> &mut LegionClassAuthority {
-        &mut self.authority
     }
 }
 

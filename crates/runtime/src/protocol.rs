@@ -75,6 +75,10 @@ pub mod class {
     /// data, §2.1) — distinct from `GetInterface()`, which describes the
     /// class object's own member functions.
     pub const GET_INSTANCE_INTERFACE: Sym = symbol::GET_INSTANCE_INTERFACE;
+    /// Internal: what `InheritFrom` needs from its base — a list of the
+    /// base's instance interface as IDL text, then every class the base
+    /// inherits from, so the inheritor can refuse a cycle (§2.1.1).
+    pub const GET_BASE_INTERFACE: Sym = symbol::GET_BASE_INTERFACE;
 }
 
 /// Object-level methods beyond the object-mandatory set: a generic

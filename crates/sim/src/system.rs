@@ -457,28 +457,47 @@ impl LegionSystem {
         method: impl Into<Sym>,
         args: Vec<LegionValue>,
     ) -> Result<LegionValue, String> {
+        self.timed_call(to, target, method, args).0
+    }
+
+    /// [`call`](Self::call), also returning the virtual ns from the send
+    /// to the reply's arrival (to quiescence if none arrives). Events
+    /// after the reply, such as a deadline sweep's timer, still run but
+    /// are not timed; the events run are the same as `call`'s.
+    pub fn timed_call(
+        &mut self,
+        to: ObjectAddressElement,
+        target: Loid,
+        method: impl Into<Sym>,
+        args: Vec<LegionValue>,
+    ) -> (Result<LegionValue, String>, u64) {
         let id = self.kernel.fresh_call_id();
         let me = Loid::instance(9999, 1);
         let mut msg = Message::call(id, target, method, args, InvocationEnv::solo(me));
         msg.reply_to = Some(self.driver.element());
         msg.sender = Some(me);
-        let before = self
-            .kernel
-            .endpoint::<Driver>(self.driver)
-            .expect("driver exists")
-            .replies
-            .len();
-        if !self.kernel.inject(self.driver_location, to, msg) {
-            return Err("send refused".into());
+        fn replies(sys: &LegionSystem) -> &[Result<LegionValue, String>] {
+            &sys.kernel
+                .endpoint::<Driver>(sys.driver)
+                .expect("driver exists")
+                .replies
         }
-        self.kernel.run_until_quiescent(10_000_000);
-        self.kernel
-            .endpoint::<Driver>(self.driver)
-            .expect("driver exists")
-            .replies
+        let before = replies(self).len();
+        let t0 = self.kernel.now();
+        if !self.kernel.inject(self.driver_location, to, msg) {
+            return (Err("send refused".into()), 0);
+        }
+        let mut budget: u64 = 10_000_000;
+        while budget > 0 && replies(self).len() == before && self.kernel.step() {
+            budget -= 1;
+        }
+        let latency = self.kernel.now().saturating_since(t0);
+        self.kernel.run_until_quiescent(budget);
+        let reply = replies(self)
             .get(before)
             .cloned()
-            .unwrap_or(Err("no reply (message lost)".into()))
+            .unwrap_or(Err("no reply (message lost)".into()));
+        (reply, latency)
     }
 
     /// Convenience: `call` expecting a binding payload.

@@ -5,13 +5,21 @@
 //! the paper-claim-vs-measured record.
 //!
 //! ```
-//! use legion::core::{ClassKind, ObjectModel};
-//! use legion::core::wellknown::LEGION_CLASS;
+//! use legion::core::value::LegionValue;
+//! use legion::runtime::protocol::class as class_proto;
+//! use legion::sim::system::{LegionSystem, SystemConfig};
 //!
-//! let mut model = ObjectModel::bootstrap();
-//! let my_class = model.derive(LEGION_CLASS, "MyClass", ClassKind::NORMAL).unwrap();
-//! let instance = model.create(my_class).unwrap();
-//! assert_eq!(model.graph().class_of(&instance), Some(my_class));
+//! let mut sys = LegionSystem::build(SystemConfig::default());
+//! let (class, ep) = sys.classes[0];
+//! let name = vec![LegionValue::from("MyClass")];
+//! let my_class = sys
+//!     .call_for_binding(ep.element(), class, class_proto::DERIVE, name)
+//!     .unwrap();
+//! let my_ep = *my_class.address.primary().unwrap();
+//! let instance = sys
+//!     .call_for_binding(my_ep, my_class.loid, class_proto::CREATE, vec![])
+//!     .unwrap();
+//! assert_eq!(instance.loid.class_loid(), my_class.loid);
 //! ```
 
 pub use legion_chaos as chaos;

@@ -207,8 +207,8 @@ fn e16_chaos_run_replays_byte_identical() {
 /// `experiments_output.txt` records under that experiment's number; and
 /// the deterministic experiments' quick-scale transcripts, exactly as
 /// `legion-exp --quick <id>` prints their tables (E16's and E18's two back
-/// to back), match their goldens. E9, E11, E13a and E17 print wall-clock
-/// columns and have none. All but E1's, E15's and E16's were
+/// to back), match their goldens. E9, E13a and E17 print wall-clock
+/// columns and have none. All but E1's, E11's, E15's and E16's were
 /// captured on the hand-written CLI's code paths, before the registry and
 /// the run harness replaced them.
 #[test]
@@ -227,6 +227,7 @@ fn registry_transcripts_match_goldens() {
         ("e7", "e07", 0..1),
         ("e8", "e08", 0..1),
         ("e10", "e10", 0..1),
+        ("e11", "e11", 0..1),
         ("e12", "e12", 0..1),
         ("e13", "e13b", 1..2),
         ("e15", "e15", 0..1),
