@@ -7,7 +7,10 @@
 //! There is one runtime: every kernel-driving experiment steps the
 //! discrete-event kernel under one [`harness`] — open, measure, close —
 //! so tracing, the profiler, SLO verdicts, the flight recorder and the
-//! journal attach to any of them the same way.
+//! journal attach to any of them the same way. The object model's own
+//! rules are unit-tested here too, on the live class endpoints a
+//! `LegionSystem` builds: its operations (`model`), its relations
+//! (`relations`) and multiple inheritance (`inherit`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,3 +26,10 @@ pub mod workload;
 pub use report::Table;
 pub use system::{LegionSystem, SystemConfig};
 pub use workload::{ClientReport, LookupClient, WorkloadConfig};
+
+#[cfg(test)]
+mod inherit;
+#[cfg(test)]
+mod model;
+#[cfg(test)]
+mod relations;
