@@ -11,7 +11,7 @@
 //!   (`<=`, not `<`) — the timer armed with delay `d` fires at `now + d`
 //!   and must collect the continuation it was armed for;
 //! * several continuations expiring in one sweep all resolve, in
-//!   ascending [`CallId`] order, each with the same uniform
+//!   ascending `CallId` order, each with the same uniform
 //!   `CoreError::Timeout` rendering;
 //! * a sweep firing after the *callee* endpoint was removed still times
 //!   the waiter out — removal produces a dead letter, never a reply, and
@@ -19,10 +19,11 @@
 
 use legion_core::loid::Loid;
 use legion_core::symbol::Sym;
+use legion_core::time::SimTime;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{is_timeout, resume, tick, timeout_error, Caller, Calls};
 use legion_net::faults::FaultPlan;
-use legion_net::message::{CallId, Message};
+use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId, FlightKind, SimKernel};
 use legion_net::topology::{Location, Topology};
 
@@ -35,6 +36,8 @@ const WAITER: Loid = Loid::instance(77, 2);
 struct Waiter {
     target: EndpointId,
     n: usize,
+    /// How much later than the one before each call is due.
+    stagger_ns: u64,
     calls: Calls<Waiter>,
     /// `(nth call, result)` per resolved continuation, in resolution
     /// order. Call ids ascend with `nth`: the kernel hands them out in
@@ -51,6 +54,7 @@ impl Waiter {
         Waiter {
             target,
             n,
+            stagger_ns: 0,
             calls,
             resolved: Vec::new(),
             sweeps: Vec::new(),
@@ -67,6 +71,8 @@ impl Caller for Waiter {
 impl Endpoint for Waiter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for nth in 0..self.n {
+            let deadline_ns = TIMEOUT_NS + nth as u64 * self.stagger_ns;
+            self.calls.set_deadline_ns(Some(deadline_ns));
             let sent = self.calls.call(
                 ctx,
                 self.target.element(),
@@ -131,21 +137,27 @@ fn deadline_equal_to_now_expires() {
     );
 }
 
-/// Directly at the store level: a sweep at `now` takes a continuation
-/// whose deadline *equals* `now`, and leaves one due a tick later.
+/// Two calls parked at the same instant, due a nanosecond apart: the
+/// sweep at the first deadline takes that call alone, and the one it
+/// re-arms takes the other on its own deadline.
 #[test]
 fn take_expired_boundary_is_inclusive() {
-    use legion_core::dispatch::Continuations;
-    use legion_core::time::SimTime;
-    use legion_core::trace::TraceContext;
-    let mut c: Continuations<CallId, &str> = Continuations::new();
-    c.insert(CallId(1), "due", Some((SimTime(100), TraceContext::NONE)));
-    c.insert(CallId(2), "later", Some((SimTime(101), TraceContext::NONE)));
-    assert!(c.take_expired(SimTime(99)).is_empty());
-    let due = c.take_expired(SimTime(100));
-    assert_eq!(due.len(), 1);
-    assert_eq!(due[0].0, CallId(1));
-    assert_eq!(c.take_expired(SimTime(101)).len(), 1);
+    let mut k = kernel();
+    let hole = k.add_endpoint(Box::new(BlackHole), Location::new(0, 0), "hole");
+    let mut waiter = Waiter::new(hole, 2);
+    waiter.stagger_ns = 1;
+    let w = k.add_endpoint(Box::new(waiter), Location::new(0, 1), "waiter");
+    let resolved = |k: &SimKernel| -> Vec<usize> {
+        let waiter = k.endpoint::<Waiter>(w).unwrap();
+        waiter.resolved.iter().map(|(nth, _)| *nth).collect()
+    };
+    k.run_until(SimTime(TIMEOUT_NS - 1));
+    assert!(resolved(&k).is_empty());
+    k.run_until(SimTime(TIMEOUT_NS));
+    assert_eq!(resolved(&k), [0]);
+    k.run_until(SimTime(TIMEOUT_NS + 1));
+    assert_eq!(resolved(&k), [0, 1]);
+    assert_eq!(k.endpoint::<Waiter>(w).unwrap().sweeps, [1, 1]);
 }
 
 /// Several continuations past their deadlines resolve in one sweep, in

@@ -1,11 +1,13 @@
 //! Uniform error behaviour at the dispatch boundary, swept across all
-//! six core-object endpoints (ISSUE 3 satellite).
+//! six core-object endpoints.
 //!
 //! For every endpoint — Magistrate, ClassEndpoint, Host, ContextEndpoint,
 //! SchedulingAgent, and the naming BindingAgent — a call with an unknown
 //! method, the wrong arity, or a wrong-typed argument must come back as
 //! an `Err` reply: never silence, never a panic. The shared dispatch
 //! layer guarantees this once; this test keeps every endpoint on it.
+//! Every call here is traced, and each refusal must leave its exact
+//! `dispatch.<verdict>:<method or prefix>` note in the trace.
 
 use legion_core::class::{ClassKind, ClassObject};
 use legion_core::env::InvocationEnv;
@@ -24,6 +26,7 @@ use legion_runtime::host::{HostConfig, HostObjectEndpoint};
 use legion_runtime::magistrate::{MagistrateConfig, MagistrateEndpoint};
 use legion_runtime::protocol::{class as class_proto, magistrate as mag_proto};
 use legion_runtime::sched_agent::{SchedulingAgentEndpoint, SUGGEST_HOST};
+use legion_security::mayi::ResponsibleAgentSet;
 
 const CALLER: Loid = Loid::instance(99, 1);
 
@@ -60,13 +63,8 @@ fn call(
     args: Vec<LegionValue>,
 ) -> Option<Result<LegionValue, String>> {
     let id = k.fresh_call_id();
-    let mut msg = Message::call(
-        id,
-        subject.target,
-        method,
-        args,
-        InvocationEnv::solo(CALLER),
-    );
+    let env = InvocationEnv::solo(CALLER).with_trace(k.begin_trace("probe"));
+    let mut msg = Message::call(id, subject.target, method, args, env);
     msg.reply_to = Some(probe.element());
     msg.sender = Some(CALLER);
     let before = k.endpoint::<Probe>(probe).unwrap().replies.len();
@@ -82,9 +80,17 @@ fn call(
     replies.get(before).cloned()
 }
 
+/// The `dispatch.…` notes recorded since the last look.
+fn dispatch_notes(k: &mut SimKernel) -> Vec<String> {
+    let events = k.drain_trace();
+    let notes = events.into_iter().map(|e| e.label);
+    notes.filter(|l| l.starts_with("dispatch.")).collect()
+}
+
 /// Build a kernel holding all six endpoints and the probe.
 fn world() -> (SimKernel, EndpointId, Vec<Subject>) {
     let mut k = SimKernel::new(Topology::zero(), FaultPlan::none(), 11);
+    k.enable_tracing(1 << 12);
     let loc = Location::new(0, 0);
     let probe = k.add_endpoint(Box::new(Probe::default()), loc, "probe");
 
@@ -210,7 +216,8 @@ fn world() -> (SimKernel, EndpointId, Vec<Subject>) {
 }
 
 /// The sweep: unknown method / wrong arity / wrong type must each draw
-/// an `Err` reply from every endpoint, with the boundary counters bumped.
+/// an `Err` reply from every endpoint, with the boundary counters bumped
+/// and the refusal noted in the call's trace.
 #[test]
 fn every_endpoint_rejects_malformed_calls() {
     let (mut k, probe, subjects) = world();
@@ -224,6 +231,12 @@ fn every_endpoint_rejects_malformed_calls() {
             "{}: uniform unknown-method error, got {err:?}",
             s.name
         );
+        assert_eq!(
+            dispatch_notes(&mut k),
+            ["dispatch.unknown:NoSuchMethod"],
+            "{}",
+            s.name
+        );
 
         // Wrong arity on a known method.
         let r = call(&mut k, probe, s, s.known_method, s.wrong_arity.clone())
@@ -234,6 +247,13 @@ fn every_endpoint_rejects_malformed_calls() {
         let r = call(&mut k, probe, s, s.known_method, s.wrong_type.clone())
             .unwrap_or_else(|| panic!("{}: wrong type drew no reply", s.name));
         r.expect_err(&format!("{}: wrong type must err", s.name));
+        let badargs = format!("dispatch.badargs:{}", s.known_method);
+        assert_eq!(
+            dispatch_notes(&mut k),
+            [badargs.clone(), badargs],
+            "{}",
+            s.name
+        );
 
         assert_eq!(
             k.counters()
@@ -259,7 +279,8 @@ fn calls_without_a_method_are_dead_lettered() {
     let (mut k, probe, subjects) = world();
     for s in &subjects {
         let id = k.fresh_call_id();
-        let mut msg = Message::call(id, s.target, "", vec![], InvocationEnv::solo(CALLER));
+        let env = InvocationEnv::solo(CALLER).with_trace(k.begin_trace("probe"));
+        let mut msg = Message::call(id, s.target, "", vec![], env);
         msg.reply_to = Some(probe.element());
         msg.sender = Some(CALLER);
         k.inject(Location::new(0, 0), s.ep.element(), msg);
@@ -271,5 +292,46 @@ fn calls_without_a_method_are_dead_lettered() {
             "{}: dead_letter counter",
             s.name
         );
+        let dead_letter = format!("dispatch.dead_letter:{}", s.counter_prefix);
+        assert_eq!(dispatch_notes(&mut k), [dead_letter], "{}", s.name);
     }
+}
+
+/// A gated method refused by the endpoint's MayI policy (§2.4) is
+/// answered with the refusal, counted, and noted — the handler never
+/// runs. A Magistrate that trusts no Responsible Agent refuses `Activate`.
+#[test]
+fn a_gated_call_refused_by_mayi_is_noted() {
+    let (mut k, probe, _) = world();
+    let mag_loid = Loid::instance(4, 2);
+    let mag = k.add_endpoint(
+        Box::new(
+            MagistrateEndpoint::new(MagistrateConfig {
+                loid: mag_loid,
+                jurisdiction: 0,
+                class_addr: None,
+                disks: 1,
+                disk_capacity: 1 << 20,
+            })
+            .with_mayi(Box::new(ResponsibleAgentSet::new([]))),
+        ),
+        Location::new(0, 0),
+        "paranoid",
+    );
+    let subject = Subject {
+        name: "paranoid Magistrate",
+        counter_prefix: "magistrate",
+        ep: mag,
+        target: mag_loid,
+        known_method: mag_proto::ACTIVATE.as_str(),
+        wrong_arity: vec![],
+        wrong_type: vec![],
+    };
+    let args = vec![LegionValue::Loid(Loid::instance(16, 1))];
+    let r = call(&mut k, probe, &subject, subject.known_method, args)
+        .expect("a refused call is answered");
+    let err = r.expect_err("MayI refuses");
+    assert!(err.starts_with("MayI refused: "), "{err}");
+    assert_eq!(k.counters().get("magistrate.refused"), 1);
+    assert_eq!(dispatch_notes(&mut k), ["dispatch.denied:Activate"]);
 }
