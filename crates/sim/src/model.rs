@@ -340,6 +340,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn delete_class_requires_empty_table() {
+        let mut live = Live::new();
+        let root = live.root.clone();
+        let c = live.sub(&root, "C");
+        let o = live.create(&c).unwrap().loid;
+        let refused = live.delete(&root, c.loid).unwrap_err();
+        assert!(refused.contains("still has 1 children"), "{refused}");
+        assert!(live.class(root.loid).unwrap().table.get(&c.loid).is_some());
+        live.delete(&c, o).unwrap();
+        assert_eq!(live.delete(&root, c.loid), Ok(LegionValue::Void));
+        assert!(live.class(root.loid).unwrap().table.get(&c.loid).is_none());
+    }
+
+    #[test]
     fn fixed_class_cannot_inherit() {
         let mut live = Live::new();
         let root = live.root.clone();
