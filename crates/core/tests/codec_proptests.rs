@@ -1,14 +1,14 @@
 //! Property-based round-trips for the typed argument codec
-//! ([`FromArgs`]/[`IntoArgs`]): every [`LegionValue`] variant — including
-//! nested `List` — survives encode → decode unchanged, typed tuples
-//! decode exactly what they encoded, and wrong-typed values are rejected
-//! rather than coerced.
+//! ([`FromArgs`]): every [`LegionValue`] variant — including nested
+//! `List` — survives encode → decode unchanged, typed tuples decode
+//! exactly the values they were built from, and wrong-typed values are
+//! rejected rather than coerced.
 
 use legion_core::address::{
     AddressKind, AddressSemantics, ObjectAddress, ObjectAddressElement, ADDRESS_INFO_BYTES,
 };
 use legion_core::binding::Binding;
-use legion_core::dispatch::{FromArgs, IntoArgs};
+use legion_core::dispatch::FromArgs;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::time::{Expiry, SimTime};
@@ -92,19 +92,14 @@ proptest! {
     /// encoded through the `Any`-typed 1-tuple decodes back to itself.
     #[test]
     fn any_value_roundtrips(v in arb_value()) {
-        let args = (v.clone(),).into_args();
-        prop_assert_eq!(args.len(), 1);
-        let (back,) = <(LegionValue,)>::from_args(&args).unwrap();
+        let (back,) = <(LegionValue,)>::from_args(std::slice::from_ref(&v)).unwrap();
         prop_assert_eq!(back, v);
     }
 
-    /// A whole argument list round-trips: `Vec<LegionValue>` is
-    /// `IntoArgs`'s identity, and the same list nested as a `List` value
-    /// decodes intact from a single `Any` slot.
+    /// A whole argument list nested as a `List` value decodes intact
+    /// from a single `Any` slot.
     #[test]
     fn arg_lists_roundtrip(vs in proptest::collection::vec(arb_value(), 0..5)) {
-        let args = vs.clone().into_args();
-        prop_assert_eq!(&args, &vs);
         let (back,) = <(LegionValue,)>::from_args(&[LegionValue::List(vs.clone())]).unwrap();
         prop_assert_eq!(back, LegionValue::List(vs));
     }
@@ -118,8 +113,8 @@ proptest! {
         u in any::<u64>(),
         s in "[A-Za-z0-9 _.-]{0,12}",
     ) {
+        let args = vec![b.into(), i.into(), u.into(), s.clone().into()];
         let tup = (b, i, u, s);
-        let args = tup.clone().into_args();
         let back = <(bool, i64, u64, String)>::from_args(&args).unwrap();
         prop_assert_eq!(back, tup);
         prop_assert_eq!(
@@ -137,7 +132,12 @@ proptest! {
         addr in arb_address(),
         binding in arb_binding(),
     ) {
-        let args = (bytes.clone(), loid, addr.clone(), binding.clone()).into_args();
+        let args = vec![
+            bytes.clone().into(),
+            loid.into(),
+            addr.clone().into(),
+            binding.clone().into(),
+        ];
         let (b2, l2, a2, bd2) =
             <(Vec<u8>, Loid, ObjectAddress, Binding)>::from_args(&args).unwrap();
         prop_assert_eq!(b2, bytes);
@@ -150,7 +150,7 @@ proptest! {
     /// payloads included, since this one compares bits rather than `==`.
     #[test]
     fn float_roundtrips(f in any::<f64>()) {
-        let (back,) = <(f64,)>::from_args(&(f,).into_args()).unwrap();
+        let (back,) = <(f64,)>::from_args(&[f.into()]).unwrap();
         prop_assert_eq!(back.to_bits(), f.to_bits());
     }
 

@@ -205,11 +205,6 @@ impl BindingCache {
         self.stats
     }
 
-    /// Reset statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     // ----- linked-list plumbing ------------------------------------------
 
     fn detach(&mut self, idx: usize) {

@@ -257,11 +257,6 @@ impl<'a> Reader<'a> {
         Reader { buf }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Have all bytes been consumed?
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()

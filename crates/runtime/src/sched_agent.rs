@@ -13,7 +13,7 @@
 //! scheduling "hook".
 //!
 //! The scatter–gather goes out through the agent's [`Calls`]: each
-//! `GetState` parks a typed continuation that folds the host's answer
+//! `GetState` parks a continuation that folds the host's answer
 //! into the poll, so there is no hand-rolled call-id → poll bookkeeping
 //! here. Under a deadline ([`Calls::set_deadline_ns`]) a silent host
 //! counts as "no answer" instead of wedging its poll forever.
@@ -25,7 +25,7 @@ use legion_core::loid::Loid;
 use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_net::dispatch::{
-    cont_expecting, resume, serve, tick, Caller, Calls, MethodTable, Outcome, TableBuilder,
+    resume, serve, tick, Caller, Calls, MethodTable, Outcome, TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint};
@@ -82,14 +82,11 @@ impl SchedulingAgentEndpoint {
                     e.next_poll += 1;
                     let mut outstanding = 0;
                     for (host, element) in e.hosts.clone() {
-                        // GetState reply: [running, capacity, cpu, mem].
-                        let absorb =
-                            cont_expecting::<Self, Vec<LegionValue>, _>(move |e, ctx, state| {
-                                e.absorb(ctx, poll_id, host, state)
-                            });
-                        if e.calls
-                            .call(ctx, element, host, host_proto::GET_STATE, vec![], absorb)
-                        {
+                        let absorb = move |e: &mut Self, ctx: &mut Ctx<'_>, state| {
+                            e.absorb(ctx, poll_id, host, state)
+                        };
+                        let method = host_proto::GET_STATE;
+                        if e.calls.call(ctx, element, host, method, vec![], absorb) {
                             outstanding += 1;
                         }
                     }
@@ -111,17 +108,19 @@ impl SchedulingAgentEndpoint {
             .seal()
     }
 
-    /// Fold one host's `GetState` answer into its poll.
+    /// Fold one host's `GetState` answer — `[running, capacity, cpu,
+    /// mem]` — into its poll. An error or any other payload counts as an
+    /// answer with no free slot.
     fn absorb(
         &mut self,
         ctx: &mut Ctx<'_>,
         poll_id: u64,
         host: Loid,
-        state: Result<Vec<LegionValue>, String>,
+        state: Result<LegionValue, String>,
     ) {
         if let Some(poll) = self.polls.get_mut(&poll_id) {
             poll.outstanding -= 1;
-            if let Ok(items) = state {
+            if let Ok(LegionValue::List(items)) = state {
                 if let (Some(running), Some(capacity)) = (
                     items.first().and_then(|v| v.as_uint()),
                     items.get(1).and_then(|v| v.as_uint()),

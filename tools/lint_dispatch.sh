@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Dispatch-boundary lint: endpoint code must route method calls through
-# the shared typed invocation layer (legion-core::dispatch tables +
-# legion-net::dispatch serve), never hand-roll method-name matching or
-# raw argument pattern-slicing (rule 1), keep method names as symbols
-# (rule 2), make its own calls through legion-net::dispatch::Calls
-# (rule 3), and never ask for a reply it will not read (rule 4).
+# the shared typed invocation layer (legion-net::dispatch tables and
+# serve, over legion-core::dispatch's argument codecs), never hand-roll
+# method-name matching or raw argument pattern-slicing (rule 1), keep
+# method names as symbols (rule 2), make its own calls through
+# legion-net::dispatch::Calls (rule 3), and never ask for a reply it
+# will not read (rule 4).
 #
 # Fails the build if `match method.as_str()` or `match msg.args()`
 # appears outside the dispatch layer itself and protocol/codec modules
@@ -58,9 +59,9 @@ fi
 # waits for replies holds one `legion_net::dispatch::Calls` and routes
 # with `resume` / `tick`. A continuation store of its own, or a reply
 # demultiplexed by hand, is the five-function kit re-assembled — the
-# deadline rule would have a second copy. Only the two dispatch modules
-# (the store's definition and its one owner) may name these.
-calls_allowed_re='^crates/(core|net)/src/dispatch\.rs:'
+# deadline rule would have a second copy. Only the one dispatch module,
+# where `Calls` keeps the store, may name these.
+calls_allowed_re='^crates/net/src/dispatch\.rs:'
 
 calls_hits=$(grep -rnE 'Continuations<|insert_pending\(|sweep_expired\(|reply_id\(|take_reply_result\(' \
     crates/*/src --include='*.rs' | grep -vE "$calls_allowed_re" || true)
