@@ -18,6 +18,9 @@
 //!   `GetBaseInterface()` for its *instance* interface as IDL text and
 //!   the classes it inherits from, and merge it unless that set names
 //!   this class (a cycle) or a method conflicts;
+//! * `Delete(loid)` — an instance through the Magistrate holding it; a
+//!   subclass only once it has no children of its own, which its `Ping()`
+//!   (its table length) tells;
 //! * table-maintenance notifications (`SetAddress`, `Add/RemoveMagistrate`,
 //!   `Announce`).
 //!
@@ -45,6 +48,7 @@ use legion_core::binding::Binding;
 use legion_core::class::{ClassKind, ClassObject, TableEntry};
 use legion_core::dispatch::InvocationGate;
 use legion_core::env::InvocationEnv;
+use legion_core::error::CoreError;
 use legion_core::fxmap::FxHashMap;
 use legion_core::idl;
 use legion_core::interface::ParamType;
@@ -836,6 +840,33 @@ impl ClassEndpoint {
         let Some(entry) = self.class.table.get(&target) else {
             return Outcome::Reply(Err(format!("{}: unknown object {target}", self.class.loid)));
         };
+        let subclass = entry.address.as_ref().filter(|_| entry.is_subclass);
+        if let Some(&at) = subclass.and_then(|a| a.primary()) {
+            // A subclass goes only once it is empty: its `Ping()` replies
+            // its table length.
+            let requester = msg.reply_ticket();
+            let ping = legion_core::object::methods::PING;
+            let asked = self
+                .calls
+                .call(ctx, at, target, ping, vec![], move |e, ctx, r| {
+                    let reply = match r {
+                        Ok(LegionValue::Uint(0)) => {
+                            e.forget(ctx, target);
+                            Ok(LegionValue::Void)
+                        }
+                        Ok(LegionValue::Uint(n)) => Err(CoreError::Invalid(format!(
+                            "class {target} still has {n} children; delete them first"
+                        ))
+                        .to_string()),
+                        Ok(v) => Err(format!("unexpected Ping reply {v}")),
+                        Err(err) => Err(format!("Delete failed: {err}")),
+                    };
+                    ctx.reply_ticket(requester, reply);
+                });
+            if asked {
+                return Outcome::Pending;
+            }
+        }
         match entry.current_magistrates.first().copied() {
             Some(mag_loid) => {
                 let Some(mag_element) = self.magistrate_element(&mag_loid) else {
