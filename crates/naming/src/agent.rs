@@ -20,9 +20,10 @@
 //! object for an updated binding", §3.6).
 //!
 //! Upstream requests go out through the agent's [`Calls`] under the
-//! request timeout; a reply resumes its continuation, and a call the
-//! deadline sweep gives up on resumes it with the uniform timeout error —
-//! so the retry policy lives in exactly one place.
+//! request timeout, each parked as a [`Wait`] naming the target; a reply
+//! wakes it, and a call the deadline sweep gives up on wakes it with the
+//! uniform timeout error — so the retry policy lives in exactly one
+//! place.
 
 use crate::cache::BindingCache;
 use crate::protocol::{BindingArg, ADD_BINDING, FIND_RESPONSIBLE, GET_BINDING, INVALIDATE_BINDING};
@@ -96,6 +97,18 @@ enum Waiter {
     Chained { next_target: Loid },
 }
 
+/// What an upstream call of a Binding Agent waits to do with its reply
+/// (its [`Caller::Wait`]). Both resolve the target they carry; they
+/// differ in what the reply holds.
+pub enum Wait {
+    /// `GetBinding(target)`, to a parent, LegionClass or a class: the
+    /// reply is the binding.
+    Binding(Loid),
+    /// LegionClass's `FindResponsible(target)`: the reply names the
+    /// class to ask.
+    Responsible(Loid),
+}
+
 /// One in-flight resolution (request combining): who waits on the
 /// target, and how its single upstream request is going.
 struct Resolution {
@@ -116,7 +129,7 @@ pub struct BindingAgentEndpoint {
     cfg: AgentConfig,
     cache: BindingCache,
     resolving: FxHashMap<Loid, Resolution>,
-    calls: Calls<Self>,
+    calls: Calls<Wait>,
     table: Rc<MethodTable<Self>>,
 }
 
@@ -265,43 +278,42 @@ impl BindingAgentEndpoint {
         }
     }
 
-    /// The continuation for an expected binding reply: it owns the
-    /// reply's binding box and hands it on to [`Self::complete`].
-    /// Timeouts retry, everything else completes the resolution.
-    fn binding_continuation(
-        target: Loid,
-    ) -> impl FnOnce(&mut Self, &mut Ctx<'_>, Result<LegionValue, String>) {
-        move |e, ctx, result| {
-            let reason = match result {
-                Ok(LegionValue::Binding(shell)) => return e.complete(ctx, target, Ok(shell)),
-                Ok(v) => format!("unexpected payload {v}"),
-                Err(err) => err,
-            };
-            if is_timeout(&reason) {
-                e.retry_or_fail(ctx, target, &reason);
-            } else {
-                e.complete(ctx, target, Err(reason));
-            }
+    /// A binding reply for `target`: the reply's binding box is handed on
+    /// to [`Self::complete`]. Timeouts retry, everything else completes
+    /// the resolution.
+    fn on_binding(&mut self, ctx: &mut Ctx<'_>, target: Loid, result: Result<LegionValue, String>) {
+        let reason = match result {
+            Ok(LegionValue::Binding(shell)) => return self.complete(ctx, target, Ok(shell)),
+            Ok(v) => format!("unexpected payload {v}"),
+            Err(err) => err,
+        };
+        if is_timeout(&reason) {
+            self.retry_or_fail(ctx, target, &reason);
+        } else {
+            self.complete(ctx, target, Err(reason));
         }
     }
 
-    /// The continuation for LegionClass's `FindResponsible(target)`.
-    fn responsible_continuation(
+    /// LegionClass's answer to `FindResponsible(target)`.
+    fn on_responsible(
+        &mut self,
+        ctx: &mut Ctx<'_>,
         target: Loid,
-    ) -> impl FnOnce(&mut Self, &mut Ctx<'_>, Result<LegionValue, String>) {
-        move |e, ctx, result| match result {
+        result: Result<LegionValue, String>,
+    ) {
+        match result {
             Ok(LegionValue::Loid(responsible)) => {
-                e.ensure_class_then_ask(ctx, responsible, target);
+                self.ensure_class_then_ask(ctx, responsible, target);
             }
             Ok(v) => {
                 let v = format!("unexpected payload {v}");
-                e.complete(ctx, target, Err(v));
+                self.complete(ctx, target, Err(v));
             }
             Err(err) => {
                 if is_timeout(&err) {
-                    e.retry_or_fail(ctx, target, &err);
+                    self.retry_or_fail(ctx, target, &err);
                 } else {
-                    e.complete(ctx, target, Err(err));
+                    self.complete(ctx, target, Err(err));
                 }
             }
         }
@@ -327,7 +339,7 @@ impl BindingAgentEndpoint {
                     LEGION_CLASS, // nominal target loid of the call frame
                     GET_BINDING,
                     args,
-                    Self::binding_continuation(target),
+                    Wait::Binding(target),
                 ) {
                     return;
                 }
@@ -354,7 +366,7 @@ impl BindingAgentEndpoint {
                 LEGION_CLASS,
                 GET_BINDING,
                 args,
-                Self::binding_continuation(target),
+                Wait::Binding(target),
             ) {
                 self.complete(ctx, target, Err("LegionClass unreachable".into()));
             }
@@ -371,7 +383,7 @@ impl BindingAgentEndpoint {
                 LEGION_CLASS,
                 FIND_RESPONSIBLE,
                 args,
-                Self::responsible_continuation(target),
+                Wait::Responsible(target),
             ) {
                 self.complete(ctx, target, Err("LegionClass unreachable".into()));
             }
@@ -441,7 +453,7 @@ impl BindingAgentEndpoint {
             class,
             GET_BINDING,
             args,
-            Self::binding_continuation(next_target),
+            Wait::Binding(next_target),
         ) {
             // The class endpoint itself is unreachable — its cached
             // binding is stale. Evict and retry through the full path.
@@ -500,8 +512,17 @@ impl BindingAgentEndpoint {
 }
 
 impl Caller for BindingAgentEndpoint {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    type Wait = Wait;
+
+    fn calls(&mut self) -> &mut Calls<Wait> {
         &mut self.calls
+    }
+
+    fn wake(&mut self, ctx: &mut Ctx<'_>, wait: Wait, result: Result<LegionValue, String>) {
+        match wait {
+            Wait::Binding(target) => self.on_binding(ctx, target, result),
+            Wait::Responsible(target) => self.on_responsible(ctx, target, result),
+        }
     }
 }
 

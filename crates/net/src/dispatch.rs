@@ -28,12 +28,16 @@
 //!
 //! **Outbound** — [`Calls`] → [`resume`] / [`tick`]. An endpoint that
 //! waits for replies holds one `Calls` value and hands it out through
-//! [`Caller`]; [`Calls::call`] sends and parks the continuation,
-//! `on_message` offers every message to `resume`, `on_timer` offers every
-//! tag to `tick`. The deadline rule lives here and nowhere else: one
-//! sweep timer armed for the endpoint's earliest outstanding deadline —
-//! not a timer per call — and a timeout resolved under the trace context
-//! of the call that parked it.
+//! [`Caller`]; [`Calls::call`] sends and parks a *wait* — a value of the
+//! endpoint's own enum of resumption points, carrying what the next step
+//! needs — `on_message` offers every message to `resume`, `on_timer`
+//! offers every tag to `tick`, and both hand the wait and its result to
+//! the endpoint's one [`Caller::wake`] match. Pending work is data: no
+//! closure is boxed, and a warm store parks without allocating. The
+//! deadline rule lives here and nowhere else: one sweep timer armed for
+//! the endpoint's earliest outstanding deadline — not a timer per call —
+//! and a timeout resolved under the trace context of the call that
+//! parked it.
 
 use crate::message::{Body, CallId, Message};
 use crate::sim::{Ctx, FlightKind};
@@ -59,8 +63,8 @@ use std::rc::Rc;
 pub enum Outcome {
     /// Reply with this result now.
     Reply(Result<LegionValue, String>),
-    /// The handler started asynchronous work (registered a continuation
-    /// or forwarded the call); a reply is sent later, by someone else.
+    /// The handler started asynchronous work (parked a call or forwarded
+    /// this one); a reply is sent later, by someone else.
     Pending,
     /// One-way by design (heartbeats): no reply, ever.
     NoReply,
@@ -72,9 +76,6 @@ pub enum Outcome {
 
 /// A type-erased method handler bound to endpoint type `E`.
 pub type Handler<E> = Box<dyn Fn(&mut E, &mut Ctx<'_>, &Message, &[LegionValue]) -> Outcome>;
-
-/// A continuation awaiting the reply to one outbound call.
-type Continuation<E> = Box<dyn FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>)>;
 
 /// When a parked call stops waiting, with the trace context of the call
 /// that parked it; `None` waits forever.
@@ -147,8 +148,9 @@ pub fn timeout_error(after_ns: u64) -> String {
     CoreError::Timeout { after_ns }.to_string()
 }
 
-/// Does `err` carry the uniform timeout rendering? Continuations that
-/// retry on timeout (but fail fast on typed errors) branch on this.
+/// Does `err` carry the uniform timeout rendering? A [`Caller::wake`]
+/// that retries on timeout (but fails fast on typed errors) branches on
+/// this.
 pub fn is_timeout(err: &str) -> bool {
     err.starts_with("call timed out after ")
 }
@@ -187,31 +189,33 @@ const TIMER_DEADLINE_SWEEP: u64 = 0x4444_4c53_5745_4550; // "DDLSWEEP"
 const SWEEP_DUMP_TAIL: usize = 16;
 
 /// The outbound half of an endpoint: every call it has made and not yet
-/// heard back from, and the policy for giving up on one.
+/// heard back from, what each waits to do, and the policy for giving up
+/// on one. `W` is the endpoint's [`Caller::Wait`].
 ///
 /// With `deadline_ns = None` (the default) the endpoint waits forever and
 /// no timer is ever armed, so a fault-free run carries no events, call
 /// ids or allocations for the deadline machinery. With `Some(d)` a parked
-/// continuation is due at `now + d`, under the trace context of the call
-/// parking it, and the endpoint keeps **one** sweep timer armed, not one
-/// per call:
+/// call is due at `now + d`, under the trace context of the call parking
+/// it, and the endpoint keeps **one** sweep timer armed, not one per
+/// call:
 ///
 /// * *park* with deadline `D` arms a timer at `D` only if none is pending
 ///   or `D` is earlier than the pending one ([`Calls::arm_sweep`]);
 /// * *fire* at `now` forgets the pending timer if it was due, and expires
-///   everything with `deadline <= now` ([`Calls::expire`]);
-/// * *re-arm*, once the expired continuations have run, arms a timer at
-///   the earliest deadline still outstanding unless one is pending at or
-///   before it — nothing outstanding, nothing armed ([`tick`]).
+///   everything with `deadline <= now`, in call-id order ([`tick`]);
+/// * *re-arm*, once the expired waits have woken, arms a timer at the
+///   earliest deadline still outstanding unless one is pending at or
+///   before it — nothing outstanding, nothing armed.
 ///
-/// So while any continuation has a deadline, a sweep timer is pending at
-/// or before the earliest one: every continuation is swept at exactly its
-/// own deadline, and a busy endpoint pays one timer event per timeout
-/// period.
-pub struct Calls<E> {
-    /// Each parked continuation by call id — a `BTreeMap`, so a sweep
-    /// expires in call-id order — with when it is due.
-    parked: BTreeMap<CallId, (Continuation<E>, Due)>,
+/// So while any call has a deadline, a sweep timer is pending at or
+/// before the earliest one: every call is swept at exactly its own
+/// deadline, and a busy endpoint pays one timer event per timeout period.
+pub struct Calls<W> {
+    /// Each parked call with its wait and when it is due, in call-id
+    /// order. The kernel draws call ids in ascending order, so parking is
+    /// a push and a reply a binary search; the vector keeps its capacity,
+    /// so a warm store parks and resumes without allocating.
+    parked: Vec<(CallId, W, Due)>,
     /// The earliest time a sweep timer is pending for.
     armed: Option<SimTime>,
     /// The endpoint's own LOID: the sender, and the whole environment
@@ -222,12 +226,12 @@ pub struct Calls<E> {
     timeouts: Sym,
 }
 
-impl<E> Calls<E> {
+impl<W> Calls<W> {
     /// No calls outstanding, no deadline. `timeouts` names the counter
     /// [`tick`] bumps for each call this endpoint gives up on.
     pub fn new(loid: Loid, timeouts: Sym) -> Self {
         Calls {
-            parked: BTreeMap::new(),
+            parked: Vec::new(),
             armed: None,
             loid,
             deadline_ns: None,
@@ -247,39 +251,39 @@ impl<E> Calls<E> {
     }
 
     /// Call `method` on `target` at `to` in this endpoint's own name and
-    /// park `k` for the reply, under the deadline. `false` on a
+    /// park `wait` for the reply, under the deadline. `false` on a
     /// detectable refusal (§4.1.4: the address is stale): nothing was
-    /// parked, nothing armed, `k` is dropped unboxed.
-    pub fn call<F>(
+    /// parked, nothing armed, `wait` is dropped.
+    pub fn call(
         &mut self,
         ctx: &mut Ctx<'_>,
         to: ObjectAddressElement,
         target: Loid,
         method: impl Into<Sym>,
         args: Vec<LegionValue>,
-        k: F,
-    ) -> bool
-    where
-        F: FnOnce(&mut E, &mut Ctx<'_>, Result<LegionValue, String>) + 'static,
-    {
+        wait: W,
+    ) -> bool {
         let env = InvocationEnv::solo(self.loid);
-        match ctx.call(to, target, method, args, env, Some(self.loid)) {
-            Some(id) => {
-                self.park(ctx, id, Box::new(k));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The half of [`Calls::call`] that is not generic over the closure.
-    fn park(&mut self, ctx: &mut Ctx<'_>, id: CallId, k: Continuation<E>) {
+        let Some(id) = ctx.call(to, target, method, args, env, Some(self.loid)) else {
+            return false;
+        };
+        debug_assert!(
+            self.parked.last().is_none_or(|(last, _, _)| *last < id),
+            "call ids ascend"
+        );
         let deadline = self.deadline_ns.map(|d| ctx.now().saturating_add(d));
         let due = deadline.map(|at| (at, ctx.inner.current));
-        self.parked.insert(id, (k, due));
+        // Most endpoints have one call out at a time, and an entry whose
+        // wait holds a reply ticket is a few hundred bytes: the first
+        // park makes room for one, not the four `push` would.
+        if self.parked.capacity() == 0 {
+            self.parked.reserve_exact(1);
+        }
+        self.parked.push((id, wait, due));
         if let Some(at) = deadline {
             self.arm_sweep(ctx, at);
         }
+        true
     }
 
     /// Arm a sweep timer for `at` unless one is already pending at or
@@ -295,76 +299,81 @@ impl<E> Calls<E> {
         ctx.inner.current = running;
     }
 
-    /// A sweep timer fired at `now`: forget the pending timer if it was
-    /// the one due (a timer superseded by an earlier one still fires
-    /// later, finds the earlier one's successor pending and changes
-    /// nothing), and take every call whose deadline has passed
-    /// (`deadline <= now`), in call-id order, each with the trace context
-    /// of the call that parked it.
-    fn expire(&mut self, now: SimTime) -> Vec<(CallId, Continuation<E>, TraceContext)> {
-        if self.armed.is_some_and(|pending| pending <= now) {
-            self.armed = None;
-        }
-        let mut due = Vec::new();
-        // `BTreeMap::extract_if` is newer than the workspace's declared
-        // Rust version: split the due entries off by rebuilding the map,
-        // and only when something is actually overdue.
-        if self.next_deadline().is_some_and(|d| d <= now) {
-            for (id, (k, deadline)) in std::mem::take(&mut self.parked) {
-                match deadline {
-                    Some((d, trace)) if d <= now => due.push((id, k, trace)),
-                    _ => {
-                        self.parked.insert(id, (k, deadline));
-                    }
-                }
-            }
-        }
-        due
+    /// Take the wait parked for call `id`, if it is still waiting.
+    fn take(&mut self, id: CallId) -> Option<W> {
+        let at = self.parked.binary_search_by_key(&id, |(id, _, _)| *id);
+        Some(self.parked.remove(at.ok()?).1)
+    }
+
+    /// Take the first call no later than `until`, in call-id order, whose
+    /// deadline has passed at `now` (`deadline <= now`), with the trace
+    /// context of the call that parked it.
+    fn take_overdue(&mut self, until: CallId, now: SimTime) -> Option<(CallId, W, TraceContext)> {
+        let at = self
+            .parked
+            .iter()
+            .take_while(|(id, _, _)| *id <= until)
+            .position(|(_, _, due)| due.is_some_and(|(d, _)| d <= now))?;
+        let (id, wait, due) = self.parked.remove(at);
+        Some((id, wait, due.expect("overdue").1))
     }
 
     /// The earliest deadline of any parked call.
     fn next_deadline(&self) -> Option<SimTime> {
         self.parked
-            .values()
-            .filter_map(|(_, due)| due.map(|(at, _)| at))
+            .iter()
+            .filter_map(|(_, _, due)| due.map(|(at, _)| at))
             .min()
     }
 }
 
-/// An endpoint that makes calls: where its [`Calls`] value lives. The
-/// one accessor [`resume`] and [`tick`] need — and the one way a system
-/// builder or an audit reaches an endpoint's deadline and outstanding
-/// count.
-pub trait Caller: Sized {
+/// An endpoint that makes calls: where its [`Calls`] value lives, and the
+/// one place its parked calls wake. [`resume`] and [`tick`] need nothing
+/// else — and `calls` is the one way a system builder or an audit reaches
+/// an endpoint's deadline and outstanding count.
+pub trait Caller {
+    /// The endpoint's resumption points: what a parked call waits to do,
+    /// with the values that step needs. Plain data — usually an enum, one
+    /// variant per step.
+    type Wait;
+
     /// The endpoint's outbound half.
-    fn calls(&mut self) -> &mut Calls<Self>;
+    fn calls(&mut self) -> &mut Calls<Self::Wait>;
+
+    /// Run the step `wait` names with the reply's result, or with the
+    /// uniform timeout error ([`timeout_error`]) if the call expired.
+    fn wake(&mut self, ctx: &mut Ctx<'_>, wait: Self::Wait, result: Result<LegionValue, String>);
 }
 
 /// Offer an incoming message to the endpoint's parked calls. A reply to
-/// one of them runs its continuation — the payload moved out, so the
-/// value changes owners instead of being copied — and `None` comes back.
+/// one of them wakes its wait — the payload moved out, so the value
+/// changes owners instead of being copied — and `None` comes back.
 /// Anything else is handed back untouched: a call, or a reply nothing is
 /// waiting for (late, after its call timed out).
 pub fn resume<E: Caller>(e: &mut E, ctx: &mut Ctx<'_>, msg: Message) -> Option<Message> {
     let Body::Reply { in_reply_to, .. } = &msg.body else {
         return Some(msg);
     };
-    let Some((k, _)) = e.calls().parked.remove(in_reply_to) else {
+    let Some(wait) = e.calls().take(*in_reply_to) else {
         return Some(msg);
     };
     let Body::Reply { result, .. } = msg.body else {
         unreachable!("matched as a reply above");
     };
-    k(e, ctx, result);
+    e.wake(ctx, wait, result);
     None
 }
 
 /// Offer a fired timer to the endpoint's deadline sweep. `false`, and
 /// nothing touched, unless `tag` is the sweep's own; otherwise every
-/// overdue continuation is resolved with the uniform timeout error
-/// ([`timeout_error`]), each under the trace context of the call that
+/// overdue call wakes with the uniform timeout error ([`timeout_error`]),
+/// in call-id order, each under the trace context of the call that
 /// parked it, and the sweep is re-armed for the earliest deadline still
 /// outstanding (see [`Calls`]).
+///
+/// A timer superseded by an earlier one still fires later, finds the
+/// earlier one's successor pending and changes nothing. A call a waking
+/// step parks is not this sweep's, whatever its deadline.
 ///
 /// Each expiry bumps `net.timeout_expired` (surfaced as
 /// [`MetricsSnapshot::timeouts_expired`](crate::metrics::MetricsSnapshot))
@@ -377,16 +386,21 @@ pub fn tick<E: Caller>(e: &mut E, ctx: &mut Ctx<'_>, tag: u64) -> bool {
     if tag != TIMER_DEADLINE_SWEEP {
         return false;
     }
+    let now = ctx.now();
     let calls = e.calls();
+    if calls.armed.is_some_and(|pending| pending <= now) {
+        calls.armed = None;
+    }
     let after_ns = calls.deadline_ns.unwrap_or(0);
-    let due = calls.expire(ctx.now());
-    let expired = due.len() as u64;
+    let until = calls.parked.last().map_or(CallId(0), |(id, _, _)| *id);
+    let mut expired = 0;
     let fired_under = ctx.inner.current;
-    for (id, k, trace) in due {
+    while let Some((id, wait, trace)) = e.calls().take_overdue(until, now) {
+        expired += 1;
         ctx.inner.current = trace;
         ctx.count(symbol::NET_TIMEOUT_EXPIRED);
         ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
-        k(e, ctx, Err(timeout_error(after_ns)));
+        e.wake(ctx, wait, Err(timeout_error(after_ns)));
     }
     ctx.inner.current = fired_under;
     if expired > 0 && ctx.flight_dump_on_sweep() {
@@ -633,7 +647,7 @@ mod tests {
     struct Pinger {
         to: ObjectAddressElement,
         bare: bool,
-        calls: Calls<Pinger>,
+        calls: Calls<()>,
         results: Vec<Result<LegionValue, String>>,
         handed_back: Vec<Message>,
         foreign_tags: Vec<u64>,
@@ -655,8 +669,14 @@ mod tests {
     }
 
     impl Caller for Pinger {
-        fn calls(&mut self) -> &mut Calls<Self> {
+        type Wait = ();
+
+        fn calls(&mut self) -> &mut Calls<()> {
             &mut self.calls
+        }
+
+        fn wake(&mut self, _ctx: &mut Ctx<'_>, (): (), result: Result<LegionValue, String>) {
+            self.results.push(result);
         }
     }
 
@@ -666,11 +686,7 @@ mod tests {
                 let env = InvocationEnv::solo(PINGER);
                 ctx.call(self.to, CALLEE, "Ping", vec![], env, Some(PINGER));
             } else {
-                let sent = self
-                    .calls
-                    .call(ctx, self.to, CALLEE, "Ping", vec![], |e, _, r| {
-                        e.results.push(r)
-                    });
+                let sent = self.calls.call(ctx, self.to, CALLEE, "Ping", vec![], ());
                 assert!(sent);
             }
         }
@@ -737,7 +753,7 @@ mod tests {
             [stray, ask],
             "a stray reply, then a call"
         );
-        assert!(pinger.results.is_empty(), "no continuation ran");
+        assert!(pinger.results.is_empty(), "nothing woke");
         assert_eq!(pinger.calls.outstanding(), 1, "the real call still waits");
     }
 
@@ -792,9 +808,9 @@ mod tests {
         assert_eq!(k.counters().get("net.timeout_expired"), 0);
     }
 
-    /// A store holding `(call id, deadline)` calls parked under no trace,
-    /// each with a continuation that does nothing.
-    fn store(calls: &[(u64, Option<u64>)]) -> Calls<()> {
+    /// A store holding `(call id, deadline)` calls, in call-id order,
+    /// parked under no trace, each waiting with ten times its id.
+    fn store(calls: &[(u64, Option<u64>)]) -> Calls<u64> {
         let mut c = Calls::new(PINGER, Sym::intern("store.timeouts"));
         for &(id, deadline) in calls {
             park_traced(&mut c, id, deadline, TraceContext::NONE);
@@ -802,17 +818,23 @@ mod tests {
         c
     }
 
-    fn park_traced(c: &mut Calls<()>, id: u64, deadline: Option<u64>, trace: TraceContext) {
+    fn park_traced(c: &mut Calls<u64>, id: u64, deadline: Option<u64>, trace: TraceContext) {
         let due = deadline.map(|d| (SimTime(d), trace));
-        c.parked.insert(CallId(id), (Box::new(|_, _, _| {}), due));
+        c.parked.push((CallId(id), id * 10, due));
     }
 
     /// `(call id, trace)` of every call a sweep at `now` takes.
-    fn expired(c: &mut Calls<()>, now: u64) -> Vec<(u64, TraceContext)> {
-        let due = c.expire(SimTime(now));
-        due.into_iter()
-            .map(|(id, _, trace)| (id.0, trace))
+    fn expired(c: &mut Calls<u64>, now: u64) -> Vec<(u64, TraceContext)> {
+        std::iter::from_fn(|| c.take_overdue(CallId(u64::MAX), SimTime(now)))
+            .map(|(id, wait, trace)| {
+                assert_eq!(wait, id.0 * 10, "the call's own wait");
+                (id.0, trace)
+            })
             .collect()
+    }
+
+    fn ids(c: &Calls<u64>) -> Vec<u64> {
+        c.parked.iter().map(|(id, _, _)| id.0).collect()
     }
 
     #[test]
@@ -829,20 +851,46 @@ mod tests {
     }
 
     #[test]
+    fn replies_take_calls_in_any_order() {
+        let mut c = store(&[(1, None), (2, Some(5)), (3, None), (4, Some(7))]);
+        assert_eq!(c.take(CallId(4)), Some(40), "the newest first");
+        assert_eq!(c.take(CallId(2)), Some(20), "then one from the middle");
+        assert_eq!(c.take(CallId(2)), None, "taken once");
+        assert_eq!(c.take(CallId(9)), None, "never parked");
+        assert_eq!(ids(&c), [1, 3], "the rest stay in call-id order");
+        assert_eq!(c.next_deadline(), None);
+    }
+
+    #[test]
     fn expired_sweep_is_ordered_and_partial() {
-        let mut c = store(&[(3, Some(30)), (1, Some(10)), (2, Some(99))]);
+        let mut c = store(&[(1, Some(10)), (2, Some(99)), (3, Some(30))]);
         let due: Vec<u64> = expired(&mut c, 40).into_iter().map(|(id, _)| id).collect();
         assert_eq!(due, [1, 3]);
-        assert_eq!(c.outstanding(), 1);
+        assert_eq!(ids(&c), [2]);
         assert_eq!(c.next_deadline(), Some(SimTime(99)));
+    }
+
+    #[test]
+    fn a_sweep_stops_at_the_calls_parked_before_it() {
+        let mut c = store(&[(1, Some(10)), (2, Some(20)), (3, Some(10))]);
+        // A sweep at 20 that began with call 2 the last one parked.
+        let mut next = || c.take_overdue(CallId(2), SimTime(20)).map(|(id, ..)| id.0);
+        assert_eq!(
+            [next(), next(), next()],
+            [Some(1), Some(2), None],
+            "3 came later"
+        );
+        assert_eq!(ids(&c), [3]);
     }
 
     #[test]
     fn expiry_carries_the_registering_trace() {
         use legion_core::trace::{SpanId, TraceId};
         let tc = TraceContext::new(TraceId(3), SpanId(7));
-        let mut c = store(&[(2, Some(10)), (3, None)]);
+        let mut c = store(&[]);
         park_traced(&mut c, 1, Some(10), tc);
+        park_traced(&mut c, 2, Some(10), TraceContext::NONE);
+        park_traced(&mut c, 3, None, TraceContext::NONE);
         assert_eq!(expired(&mut c, 10), [(1, tc), (2, TraceContext::NONE)]);
         assert_eq!(c.outstanding(), 1, "no deadline, never swept");
     }

@@ -1,21 +1,21 @@
-//! Edge cases of the shared continuation deadline sweep.
+//! Edge cases of the shared deadline sweep over parked calls.
 //!
 //! Every endpoint that waits on replies shares one deadline mechanism:
-//! [`Calls::call`] parks the continuation with `deadline = now + d` and
-//! arms a sweep timer; [`tick`] then resolves everything overdue with
-//! the uniform [`timeout_error`]. These tests pin down the
+//! [`Calls::call`] parks the call's wait with `deadline = now + d` and
+//! arms a sweep timer; [`tick`] then wakes everything overdue with the
+//! uniform [`timeout_error`]. These tests pin down the
 //! boundary behavior that is easy to regress and hard to spot in the
 //! end-to-end experiments:
 //!
 //! * a deadline **exactly equal** to the sweep's `now` has expired
 //!   (`<=`, not `<`) — the timer armed with delay `d` fires at `now + d`
-//!   and must collect the continuation it was armed for;
-//! * several continuations expiring in one sweep all resolve, in
+//!   and must collect the call it was armed for;
+//! * several calls expiring in one sweep all resolve, in
 //!   ascending `CallId` order, each with the same uniform
 //!   `CoreError::Timeout` rendering;
 //! * a sweep firing after the *callee* endpoint was removed still times
 //!   the waiter out — removal produces a dead letter, never a reply, and
-//!   the waiter must not leak the continuation.
+//!   the waiter must not leak the parked call.
 
 use legion_core::loid::Loid;
 use legion_core::symbol::Sym;
@@ -38,12 +38,12 @@ struct Waiter {
     n: usize,
     /// How much later than the one before each call is due.
     stagger_ns: u64,
-    calls: Calls<Waiter>,
-    /// `(nth call, result)` per resolved continuation, in resolution
-    /// order. Call ids ascend with `nth`: the kernel hands them out in
+    /// Each call waits with its `nth`.
+    calls: Calls<usize>,
+    /// `(nth call, result)` per resolved call, in resolution order. Call ids ascend with `nth`: the kernel hands them out in
     /// call order.
     resolved: Vec<(usize, Result<LegionValue, String>)>,
-    /// How many continuations each sweep that found something resolved.
+    /// How many calls each sweep that found something resolved.
     sweeps: Vec<usize>,
 }
 
@@ -63,8 +63,14 @@ impl Waiter {
 }
 
 impl Caller for Waiter {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    type Wait = usize;
+
+    fn calls(&mut self) -> &mut Calls<usize> {
         &mut self.calls
+    }
+
+    fn wake(&mut self, _ctx: &mut Ctx<'_>, nth: usize, result: Result<LegionValue, String>) {
+        self.resolved.push((nth, result));
     }
 }
 
@@ -73,14 +79,8 @@ impl Endpoint for Waiter {
         for nth in 0..self.n {
             let deadline_ns = TIMEOUT_NS + nth as u64 * self.stagger_ns;
             self.calls.set_deadline_ns(Some(deadline_ns));
-            let sent = self.calls.call(
-                ctx,
-                self.target.element(),
-                TARGET,
-                "Ping",
-                vec![],
-                move |e, _ctx, r| e.resolved.push((nth, r)),
-            );
+            let to = self.target.element();
+            let sent = self.calls.call(ctx, to, TARGET, "Ping", vec![], nth);
             assert!(sent, "send accepted");
         }
     }
@@ -116,7 +116,7 @@ fn kernel() -> SimKernel {
 
 /// A deadline exactly equal to the sweep's `now` is overdue: the timer
 /// armed by `Calls::call` at delay `d` fires at `now + d`, and that
-/// sweep alone must collect the continuation (`deadline <= now`).
+/// sweep alone must collect the call (`deadline <= now`).
 #[test]
 fn deadline_equal_to_now_expires() {
     let mut k = kernel();
@@ -160,7 +160,7 @@ fn take_expired_boundary_is_inclusive() {
     assert_eq!(k.endpoint::<Waiter>(w).unwrap().sweeps, [1, 1]);
 }
 
-/// Several continuations past their deadlines resolve in one sweep, in
+/// Several calls past their deadlines resolve in one sweep, in
 /// ascending `CallId` order, each with the identical uniform timeout
 /// rendering — the error callers branch on with [`is_timeout`].
 #[test]
@@ -195,7 +195,7 @@ fn one_sweep_resolves_all_expired_in_call_id_order() {
 
 /// The callee is removed right after the calls are sent: deliveries
 /// become dead letters and no reply can ever arrive. The waiter's sweep
-/// must still fire and time the continuations out — endpoint removal
+/// must still fire and time the calls out — endpoint removal
 /// must not leak waiters.
 #[test]
 fn sweep_fires_after_callee_removed() {
@@ -216,5 +216,5 @@ fn sweep_fires_after_callee_removed() {
     for (_, r) in &waiter.resolved {
         assert!(is_timeout(r.as_ref().expect_err("timed out")));
     }
-    assert_eq!(waiter.calls.outstanding(), 0, "no leaked continuations");
+    assert_eq!(waiter.calls.outstanding(), 0, "no leaked calls");
 }

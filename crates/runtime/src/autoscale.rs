@@ -174,7 +174,7 @@ pub struct AutoScaler {
     state: HysteresisState,
     me: Loid,
     /// The scaler's outbound half: the one `Derive()` it may have out.
-    calls: Calls<Self>,
+    calls: Calls<()>,
     /// The class being watched (and cloned).
     class_loid: Loid,
     class_element: ObjectAddressElement,
@@ -233,7 +233,7 @@ impl AutoScaler {
             self.class_loid,
             symbol::DERIVE,
             args,
-            |e, ctx, result| e.on_derive_reply(ctx, result),
+            (),
         );
         if called {
             ctx.count(symbol::POLICY_DERIVE_ISSUED);
@@ -277,8 +277,15 @@ impl AutoScaler {
 }
 
 impl Caller for AutoScaler {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    /// The one call the scaler makes is `Derive()`.
+    type Wait = ();
+
+    fn calls(&mut self) -> &mut Calls<()> {
         &mut self.calls
+    }
+
+    fn wake(&mut self, ctx: &mut Ctx<'_>, (): (), result: Result<LegionValue, String>) {
+        self.on_derive_reply(ctx, result);
     }
 }
 

@@ -113,6 +113,64 @@ type Holder = (ObjectAddressElement, Expiry);
 /// behind it when one is (see [`ClassEndpoint::holder`]).
 type BindingWaiter = (ReplyTicket, Option<ObjectAddressElement>);
 
+/// What a call of a class object waits to do with its reply (its
+/// [`Caller::Wait`]): the rest of the request that made it, with what
+/// that needs. Every variant but `Activate` answers the `requester`.
+pub enum Wait {
+    /// `CreateObject` is out to the Magistrate placing a new instance.
+    Create {
+        /// Who asked for `Create()`.
+        requester: ReplyTicket,
+    },
+    /// `Activate(target)` is out to a Magistrate for the `GetBinding`
+    /// requests parked on `target`.
+    Activate {
+        /// The row being bound.
+        target: Loid,
+        /// The Magistrate asked, from the row's Current Magistrate List.
+        magistrate: Loid,
+    },
+    /// `IssueClassId` is out to LegionClass for a `Derive()`.
+    IssueClassId {
+        /// Who asked for `Derive()`.
+        requester: ReplyTicket,
+        /// The new class's name.
+        name: String,
+        /// The new class's kind.
+        kind: ClassKind,
+    },
+    /// `GetBinding(base)` is out to the class's Binding Agent for an
+    /// `InheritFrom(base)`.
+    LocateBase {
+        /// Who asked for `InheritFrom()`.
+        requester: ReplyTicket,
+        /// The base class.
+        base: Loid,
+    },
+    /// `GetBaseInterface()` is out to the base class of an `InheritFrom`.
+    BaseInterface {
+        /// Who asked for `InheritFrom()`.
+        requester: ReplyTicket,
+        /// The base class.
+        base: Loid,
+    },
+    /// `Ping()` is out to a subclass about to be deleted: it replies its
+    /// table length.
+    Ping {
+        /// Who asked for `Delete()`.
+        requester: ReplyTicket,
+        /// The subclass.
+        target: Loid,
+    },
+    /// `Delete(target)` is out to the Magistrate holding an instance.
+    Delete {
+        /// Who asked for `Delete()`.
+        requester: ReplyTicket,
+        /// The instance.
+        target: Loid,
+    },
+}
+
 /// Class names may contain characters illegal in IDL identifiers (clones
 /// are named "X#clone"); sanitize before rendering.
 fn sanitize(name: &str) -> String {
@@ -127,7 +185,7 @@ pub struct ClassEndpoint {
     cfg: ClassConfig,
     policy: Box<dyn MayIPolicy>,
     table: Rc<MethodTable<Self>>,
-    calls: Calls<Self>,
+    calls: Calls<Wait>,
     /// GetBinding requests combined while a Magistrate activates a target.
     binding_waiters: FxHashMap<Loid, Parked<BindingWaiter>>,
     /// Per table row, the Binding Agents its *current* address was handed
@@ -506,20 +564,7 @@ impl ClassEndpoint {
             mag_loid,
             mag_proto::CREATE_OBJECT,
             args,
-            move |e, ctx, result| match naming_proto::binding_from_result(&result) {
-                Some(b) => {
-                    e.set_address(ctx, b.loid, Some(b.address.clone()));
-                    let b = e.stamp(ctx, b);
-                    ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
-                }
-                None => {
-                    let err = match result {
-                        Err(err) => err,
-                        Ok(v) => format!("unexpected magistrate reply {v}"),
-                    };
-                    ctx.reply_ticket(requester, Err(format!("Create failed: {err}")));
-                }
-            },
+            Wait::Create { requester },
         );
         if called {
             ctx.count(symbol::CLASS_CREATES);
@@ -583,7 +628,7 @@ impl ClassEndpoint {
             magistrate,
             mag_proto::ACTIVATE,
             args,
-            move |e, ctx, result| e.on_activate_for_binding(ctx, target, magistrate, result),
+            Wait::Activate { target, magistrate },
         );
         if !called {
             self.finish_binding(
@@ -673,17 +718,10 @@ impl ClassEndpoint {
             legion_core::wellknown::LEGION_CLASS,
             ISSUE_CLASS_ID,
             args,
-            move |e, ctx, result| match result {
-                Ok(LegionValue::Uint(class_id)) => {
-                    let b = e.spawn_subclass(ctx, class_id, name, kind);
-                    ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
-                }
-                Ok(v) => {
-                    ctx.reply_ticket(requester, Err(format!("unexpected LegionClass reply {v}")));
-                }
-                Err(err) => {
-                    ctx.reply_ticket(requester, Err(format!("Derive failed: {err}")));
-                }
+            Wait::IssueClassId {
+                requester,
+                name,
+                kind,
             },
         );
         if called {
@@ -745,24 +783,8 @@ impl ClassEndpoint {
             )));
         };
         let args = ctx.args([LegionValue::Loid(base)]);
-        let called = self.calls.call(
-            ctx,
-            agent,
-            base,
-            GET_BINDING,
-            args,
-            move |e, ctx, result| match naming_proto::binding_from_result(&result) {
-                Some(b) => e.fetch_base_interface(ctx, &b, requester),
-                None => {
-                    let err = match result {
-                        Err(err) => err,
-                        Ok(v) => format!("unexpected payload {v}"),
-                    };
-                    ctx.reply_ticket(requester, Err(format!("cannot locate base {base}: {err}")));
-                }
-            },
-        );
-        if called {
+        let wait = Wait::LocateBase { requester, base };
+        if self.calls.call(ctx, agent, base, GET_BINDING, args, wait) {
             Outcome::Pending
         } else {
             Outcome::Reply(Err("binding agent unreachable".into()))
@@ -771,7 +793,7 @@ impl ClassEndpoint {
 
     /// Fetch the base's *instance* interface and inherited-from set for
     /// an InheritFrom merge. Replies to `requester` itself on every path
-    /// (also reached from the `GetBinding` continuation, where there is no
+    /// (also reached when the `GetBinding` reply wakes, where there is no
     /// dispatch outcome).
     fn fetch_base_interface(
         &mut self,
@@ -790,7 +812,7 @@ impl ClassEndpoint {
             base,
             class_proto::GET_BASE_INTERFACE,
             vec![],
-            move |e, ctx, result| e.on_base_interface(ctx, requester, base, result),
+            Wait::BaseInterface { requester, base },
         );
         if !called {
             ctx.reply_ticket(requester, Err(format!("base class {base} unreachable")));
@@ -846,24 +868,8 @@ impl ClassEndpoint {
             // its table length.
             let requester = msg.reply_ticket();
             let ping = legion_core::object::methods::PING;
-            let asked = self
-                .calls
-                .call(ctx, at, target, ping, vec![], move |e, ctx, r| {
-                    let reply = match r {
-                        Ok(LegionValue::Uint(0)) => {
-                            e.forget(ctx, target);
-                            Ok(LegionValue::Void)
-                        }
-                        Ok(LegionValue::Uint(n)) => Err(CoreError::Invalid(format!(
-                            "class {target} still has {n} children; delete them first"
-                        ))
-                        .to_string()),
-                        Ok(v) => Err(format!("unexpected Ping reply {v}")),
-                        Err(err) => Err(format!("Delete failed: {err}")),
-                    };
-                    ctx.reply_ticket(requester, reply);
-                });
-            if asked {
+            let wait = Wait::Ping { requester, target };
+            if self.calls.call(ctx, at, target, ping, vec![], wait) {
                 return Outcome::Pending;
             }
         }
@@ -882,16 +888,7 @@ impl ClassEndpoint {
                     mag_loid,
                     mag_proto::DELETE,
                     args,
-                    move |e, ctx, result| match result {
-                        Ok(_) => {
-                            e.forget(ctx, target);
-                            ctx.count(symbol::CLASS_DELETES);
-                            ctx.reply_ticket(requester, Ok(LegionValue::Void));
-                        }
-                        Err(err) => {
-                            ctx.reply_ticket(requester, Err(format!("Delete failed: {err}")));
-                        }
-                    },
+                    Wait::Delete { requester, target },
                 );
                 if called {
                     Outcome::Pending
@@ -910,8 +907,90 @@ impl ClassEndpoint {
 }
 
 impl Caller for ClassEndpoint {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    type Wait = Wait;
+
+    fn calls(&mut self) -> &mut Calls<Wait> {
         &mut self.calls
+    }
+
+    fn wake(&mut self, ctx: &mut Ctx<'_>, wait: Wait, result: Result<LegionValue, String>) {
+        match wait {
+            Wait::Create { requester } => match naming_proto::binding_from_result(&result) {
+                Some(b) => {
+                    self.set_address(ctx, b.loid, Some(b.address.clone()));
+                    let b = self.stamp(ctx, b);
+                    ctx.reply_ticket(requester, Ok(LegionValue::from(b)));
+                }
+                None => {
+                    let err = match result {
+                        Err(err) => err,
+                        Ok(v) => format!("unexpected magistrate reply {v}"),
+                    };
+                    ctx.reply_ticket(requester, Err(format!("Create failed: {err}")));
+                }
+            },
+            Wait::Activate { target, magistrate } => {
+                self.on_activate_for_binding(ctx, target, magistrate, result)
+            }
+            Wait::IssueClassId {
+                requester,
+                name,
+                kind,
+            } => {
+                let reply = match result {
+                    Ok(LegionValue::Uint(class_id)) => {
+                        let b = self.spawn_subclass(ctx, class_id, name, kind);
+                        Ok(LegionValue::from(b))
+                    }
+                    Ok(v) => Err(format!("unexpected LegionClass reply {v}")),
+                    Err(err) => Err(format!("Derive failed: {err}")),
+                };
+                ctx.reply_ticket(requester, reply);
+            }
+            Wait::LocateBase { requester, base } => {
+                match naming_proto::binding_from_result(&result) {
+                    Some(b) => self.fetch_base_interface(ctx, &b, requester),
+                    None => {
+                        let err = match result {
+                            Err(err) => err,
+                            Ok(v) => format!("unexpected payload {v}"),
+                        };
+                        ctx.reply_ticket(
+                            requester,
+                            Err(format!("cannot locate base {base}: {err}")),
+                        );
+                    }
+                }
+            }
+            Wait::BaseInterface { requester, base } => {
+                self.on_base_interface(ctx, requester, base, result)
+            }
+            Wait::Ping { requester, target } => {
+                let reply = match result {
+                    Ok(LegionValue::Uint(0)) => {
+                        self.forget(ctx, target);
+                        Ok(LegionValue::Void)
+                    }
+                    Ok(LegionValue::Uint(n)) => Err(CoreError::Invalid(format!(
+                        "class {target} still has {n} children; delete them first"
+                    ))
+                    .to_string()),
+                    Ok(v) => Err(format!("unexpected Ping reply {v}")),
+                    Err(err) => Err(format!("Delete failed: {err}")),
+                };
+                ctx.reply_ticket(requester, reply);
+            }
+            Wait::Delete { requester, target } => match result {
+                Ok(_) => {
+                    self.forget(ctx, target);
+                    ctx.count(symbol::CLASS_DELETES);
+                    ctx.reply_ticket(requester, Ok(LegionValue::Void));
+                }
+                Err(err) => {
+                    ctx.reply_ticket(requester, Err(format!("Delete failed: {err}")));
+                }
+            },
+        }
     }
 }
 

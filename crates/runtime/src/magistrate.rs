@@ -23,8 +23,8 @@
 //! Requests arrive through the shared dispatch layer: a [`MethodTable`]
 //! routes them (MayI gate at the boundary — "requests rather than
 //! commands"), and each hop of the multi-hop state machines goes out
-//! through the Magistrate's [`Calls`] with the next step parked as its
-//! continuation, rather than through a hand-rolled `Pending` enum. The
+//! through the Magistrate's [`Calls`] with the next step parked as a
+//! [`Wait`], plain data the one `wake` match dispatches on. The
 //! heartbeat bypass (§3.9 liveness is not a request) is an *ungated,
 //! one-way* registration on the same table.
 
@@ -116,6 +116,54 @@ struct Ship {
     requester: ReplyTicket,
 }
 
+/// What a call of a Magistrate waits to do with its reply (its
+/// [`Caller::Wait`]): the next step of an activation, a deactivation, a
+/// deletion or a migration, with what that step needs.
+pub enum Wait {
+    /// `HostActivate` is out: the host answers with the process address.
+    HostActivate {
+        /// The object being activated.
+        loid: Loid,
+        /// The host asked to start it.
+        host: Loid,
+        /// Placements tried before this one.
+        attempts: u32,
+    },
+    /// `SaveState()` is out to the object being deactivated.
+    SaveState {
+        /// The object.
+        loid: Loid,
+        /// Who asked for the deactivation; `None` for a Copy/Move's own.
+        requester: Option<ReplyTicket>,
+    },
+    /// `HostDeactivate` is out, the object's fresh OPR already stored.
+    HostDeactivate {
+        /// The object.
+        loid: Loid,
+        /// Where its fresh OPR is.
+        addr: PersistentAddress,
+        /// Who asked for the deactivation, if anyone.
+        requester: Option<ReplyTicket>,
+    },
+    /// `HostDeactivate` is out for an object being deleted: whatever the
+    /// host answers, the deletion finishes.
+    Delete {
+        /// The object.
+        loid: Loid,
+        /// Who asked for the deletion.
+        requester: ReplyTicket,
+    },
+    /// `ReceiveOpr` is out to the peer Magistrate.
+    Ship {
+        /// The object shipped.
+        loid: Loid,
+        /// A Move: drop the local copy once the peer has it.
+        delete_after: bool,
+        /// Who asked for the Copy or Move.
+        requester: ReplyTicket,
+    },
+}
+
 /// Timer tag for the periodic failure-detector sweep (armed externally
 /// after [`MagistrateEndpoint::enable_ha`]).
 pub const TIMER_HA_SWEEP: u64 = 0x5357_4550; // "SWEP"
@@ -159,7 +207,7 @@ pub struct MagistrateEndpoint {
     /// Every outbound call that waits for a reply. Its deadline is `None`
     /// by default — wait forever, no timers armed; chaos campaigns set
     /// one so lost replies surface as timeouts instead of leaked state.
-    calls: Calls<Self>,
+    calls: Calls<Wait>,
     /// Who to answer when an activation in progress concludes. A parked
     /// request is its [`ReplyTicket`], here and below: answering it needs
     /// nothing else of the call.
@@ -459,8 +507,8 @@ impl MagistrateEndpoint {
         self.dispatch_to_host(ctx, loid, class, opr.state, class_addr, host_hint, 0);
     }
 
-    /// Pick a host and send `HostActivate`. The reply resumes
-    /// [`Self::on_host_activate_reply`] through the continuation store.
+    /// Pick a host and send `HostActivate`. The reply wakes
+    /// [`Wait::HostActivate`] in [`Self::on_host_activate_reply`].
     #[allow(clippy::too_many_arguments)]
     fn dispatch_to_host(
         &mut self,
@@ -492,7 +540,11 @@ impl MagistrateEndpoint {
             host,
             host_proto::ACTIVATE,
             args,
-            move |e, ctx, result| e.on_host_activate_reply(ctx, loid, host, attempts, result),
+            Wait::HostActivate {
+                loid,
+                host,
+                attempts,
+            },
         );
         if !called {
             // The Host Object is dead (§2.3's "reaping" case): skip it
@@ -578,7 +630,11 @@ impl MagistrateEndpoint {
             dst_magistrate,
             mag_proto::RECEIVE_OPR,
             args,
-            move |e, ctx, result| e.on_ship_reply(ctx, loid, delete_after, requester, result),
+            Wait::Ship {
+                loid,
+                delete_after,
+                requester,
+            },
         );
         if !called {
             ctx.reply_ticket(
@@ -814,7 +870,7 @@ impl MagistrateEndpoint {
             loid,
             obj_methods::SAVE_STATE,
             vec![],
-            move |e, ctx, result| e.on_save_state_reply(ctx, loid, requester, result),
+            Wait::SaveState { loid, requester },
         );
         if !called {
             let why = format!("{loid} unreachable for SaveState");
@@ -851,16 +907,11 @@ impl MagistrateEndpoint {
                 return Outcome::Reply(Err(format!("unknown host {host}")));
             };
             let args = ctx.args([LegionValue::Loid(loid)]);
-            // Whether or not the host succeeds, finish the delete when
-            // it answers.
-            if self.calls.call(
-                ctx,
-                host_element,
-                host,
-                host_proto::DEACTIVATE,
-                args,
-                move |e, ctx, _result| e.finish_delete(ctx, loid, requester),
-            ) {
+            let wait = Wait::Delete { loid, requester };
+            if self
+                .calls
+                .call(ctx, host_element, host, host_proto::DEACTIVATE, args, wait)
+            {
                 return Outcome::Pending;
             }
             // Host gone: drop the record anyway.
@@ -977,7 +1028,7 @@ impl MagistrateEndpoint {
         Outcome::Reply(Ok(LegionValue::Void))
     }
 
-    // ----- continuation handlers ---------------------------------------------
+    // ----- reply handlers ----------------------------------------------------
 
     /// The host replied to `HostActivate(loid)`.
     fn on_host_activate_reply(
@@ -1131,7 +1182,11 @@ impl MagistrateEndpoint {
             host,
             host_proto::DEACTIVATE,
             args,
-            move |e, ctx, result| e.on_host_deactivate_reply(ctx, loid, addr, requester, result),
+            Wait::HostDeactivate {
+                loid,
+                addr,
+                requester,
+            },
         );
         if !called {
             let why = format!("host {host} unreachable");
@@ -1238,8 +1293,34 @@ impl MagistrateEndpoint {
 }
 
 impl Caller for MagistrateEndpoint {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    type Wait = Wait;
+
+    fn calls(&mut self) -> &mut Calls<Wait> {
         &mut self.calls
+    }
+
+    fn wake(&mut self, ctx: &mut Ctx<'_>, wait: Wait, result: Result<LegionValue, String>) {
+        match wait {
+            Wait::HostActivate {
+                loid,
+                host,
+                attempts,
+            } => self.on_host_activate_reply(ctx, loid, host, attempts, result),
+            Wait::SaveState { loid, requester } => {
+                self.on_save_state_reply(ctx, loid, requester, result)
+            }
+            Wait::HostDeactivate {
+                loid,
+                addr,
+                requester,
+            } => self.on_host_deactivate_reply(ctx, loid, addr, requester, result),
+            Wait::Delete { loid, requester } => self.finish_delete(ctx, loid, requester),
+            Wait::Ship {
+                loid,
+                delete_after,
+                requester,
+            } => self.on_ship_reply(ctx, loid, delete_after, requester, result),
+        }
     }
 }
 

@@ -13,8 +13,8 @@
 //! scheduling "hook".
 //!
 //! The scatter–gather goes out through the agent's [`Calls`]: each
-//! `GetState` parks a continuation that folds the host's answer
-//! into the poll, so there is no hand-rolled call-id → poll bookkeeping
+//! `GetState` parks its poll and host, and its answer is folded into
+//! that poll, so there is no hand-rolled call-id → poll bookkeeping
 //! here. Under a deadline ([`Calls::set_deadline_ns`]) a silent host
 //! counts as "no answer" instead of wedging its poll forever.
 
@@ -47,7 +47,7 @@ struct Poll {
 /// A Scheduling Agent polling host `GetState()` and suggesting placements.
 pub struct SchedulingAgentEndpoint {
     hosts: Vec<(Loid, ObjectAddressElement)>,
-    calls: Calls<Self>,
+    calls: Calls<(u64, Loid)>,
     polls: HashMap<u64, Poll>,
     next_poll: u64,
     table: Rc<MethodTable<Self>>,
@@ -81,12 +81,11 @@ impl SchedulingAgentEndpoint {
                     let poll_id = e.next_poll;
                     e.next_poll += 1;
                     let mut outstanding = 0;
-                    for (host, element) in e.hosts.clone() {
-                        let absorb = move |e: &mut Self, ctx: &mut Ctx<'_>, state| {
-                            e.absorb(ctx, poll_id, host, state)
-                        };
+                    for &(host, element) in &e.hosts {
                         let method = host_proto::GET_STATE;
-                        if e.calls.call(ctx, element, host, method, vec![], absorb) {
+                        if e.calls
+                            .call(ctx, element, host, method, vec![], (poll_id, host))
+                        {
                             outstanding += 1;
                         }
                     }
@@ -157,8 +156,21 @@ impl SchedulingAgentEndpoint {
 }
 
 impl Caller for SchedulingAgentEndpoint {
-    fn calls(&mut self) -> &mut Calls<Self> {
+    /// A `GetState` call: the poll its answer folds into, and the host
+    /// asked.
+    type Wait = (u64, Loid);
+
+    fn calls(&mut self) -> &mut Calls<(u64, Loid)> {
         &mut self.calls
+    }
+
+    fn wake(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        (poll, host): (u64, Loid),
+        state: Result<LegionValue, String>,
+    ) {
+        self.absorb(ctx, poll, host, state);
     }
 }
 
@@ -281,7 +293,7 @@ mod tests {
                 .suggestions,
             1
         );
-        // The scatter-gather left no dangling continuations behind.
+        // The scatter-gather left no call parked behind.
         let agent = k.endpoint::<SchedulingAgentEndpoint>(agent).unwrap();
         assert_eq!(agent.calls.outstanding(), 0);
     }

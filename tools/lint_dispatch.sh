@@ -4,8 +4,8 @@
 # serve, over legion-core::dispatch's argument codecs), never hand-roll
 # method-name matching or raw argument pattern-slicing (rule 1), keep
 # method names as symbols (rule 2), make its own calls through
-# legion-net::dispatch::Calls (rule 3), and never ask for a reply it
-# will not read (rule 4).
+# legion-net::dispatch::Calls (rule 3), never ask for a reply it will
+# not read (rule 4), and park no closure (rule 5).
 #
 # Fails the build if `match method.as_str()` or `match msg.args()`
 # appears outside the dispatch layer itself and protocol/codec modules
@@ -70,7 +70,7 @@ if [[ -n "$calls_hits" ]]; then
     echo "error: hand-assembled continuation handling outside the invocation layer:" >&2
     echo "$calls_hits" >&2
     echo >&2
-    echo "Hold a legion_net::dispatch::Calls<Self>, make the call with Calls::call," >&2
+    echo "Hold a legion_net::dispatch::Calls<Wait>, make the call with Calls::call," >&2
     echo "implement Caller, and give on_message to resume() and on_timer to tick()." >&2
     exit 1
 fi
@@ -96,6 +96,23 @@ if [[ -n "$raw_hits" ]]; then
     done
     echo >&2
     echo "Use Calls::call when the reply is read, ctx.notify when it is not." >&2
+    exit 1
+fi
+
+# Rule 5: pending work is data. A parked call waits with a value of the
+# endpoint's own `Caller::Wait` type — an enum of resumption points
+# carrying what the next step needs — never a closure, which could not
+# be encoded or inspected and costs an allocation per call. Any
+# `dyn FnOnce` under crates/*/src is a continuation come back, whatever
+# it is called. Method handlers are `dyn Fn`, registered once, and stay.
+fnonce_hits=$(grep -rn 'dyn FnOnce' crates/*/src --include='*.rs' || true)
+
+if [[ -n "$fnonce_hits" ]]; then
+    echo "error: a boxed one-shot closure in endpoint code:" >&2
+    echo "$fnonce_hits" >&2
+    echo >&2
+    echo "Park a variant of the endpoint's Caller::Wait enum with Calls::call and" >&2
+    echo "handle it in the endpoint's one Caller::wake match." >&2
     exit 1
 fi
 echo "lint_dispatch: ok"
