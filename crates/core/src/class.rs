@@ -4,9 +4,13 @@
 //! Legion object. Class objects export the **class-mandatory** member
 //! functions — `Create()`, `Derive()`, `InheritFrom()`, `Delete()`,
 //! `GetBinding()`, `GetInterface()` — and each *logically* maintains a
-//! table with one row per object it created (instance or subclass):
-//! LOID, Object Address, Current Magistrate List, Scheduling Agent, and
-//! Candidate Magistrate List.
+//! table with one row per object it created (instance or subclass).
+//! Figure 16 gives a row five columns; the live table keeps the three a
+//! running class reads: LOID, Object Address and Current Magistrate List.
+//! The Candidate Magistrate List is the class's configuration
+//! (`legion-runtime`'s `ClassConfig::magistrates`: a class places objects
+//! only on the Magistrates it names), and the Scheduling Agent acts
+//! through the Magistrate's `Activate(loid, host)` hint.
 //!
 //! This module is the per-class state and the rules of §2.1.1–§2.1.2 that
 //! one class can check alone: Abstract refuses `Create`, Private refuses
@@ -17,11 +21,9 @@
 //! made by the live class endpoint in `legion-runtime`.
 
 use crate::address::ObjectAddress;
-use crate::binding::Binding;
 use crate::error::{CoreError, CoreResult};
 use crate::interface::{Interface, MethodSignature, ParamType};
 use crate::loid::{Loid, LoidAllocator};
-use crate::time::Expiry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -149,36 +151,6 @@ impl fmt::Display for ClassKind {
     }
 }
 
-/// The Candidate Magistrate List field (§3.7): "this field could be
-/// implemented as a simple list, but more likely it will need to
-/// encapsulate more sophisticated information, such as 'no restriction' or
-/// 'all Magistrates with a given security policy'".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum CandidateMagistrates {
-    /// Any Magistrate may be given responsibility for the object.
-    #[default]
-    NoRestriction,
-    /// Only these Magistrates may be responsible.
-    Explicit(Vec<Loid>),
-    /// Only Magistrates carrying this trust label (interpreted by
-    /// `legion-security`'s trust sets) may be responsible.
-    TrustLabel(String),
-}
-
-impl CandidateMagistrates {
-    /// Is `magistrate` an acceptable candidate? `TrustLabel` requires the
-    /// caller to resolve the label to a set first; `labelled` is that set.
-    pub fn permits(&self, magistrate: Loid, labelled: Option<&[Loid]>) -> bool {
-        match self {
-            CandidateMagistrates::NoRestriction => true,
-            CandidateMagistrates::Explicit(list) => list.contains(&magistrate),
-            CandidateMagistrates::TrustLabel(_) => {
-                labelled.is_some_and(|set| set.contains(&magistrate))
-            }
-        }
-    }
-}
-
 /// One row of the logical table (§3.7, Figure 16).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableEntry {
@@ -188,11 +160,6 @@ pub struct TableEntry {
     /// Magistrates currently holding an OPR for the object ("typically,
     /// only one Magistrate will have a copy").
     pub current_magistrates: Vec<Loid>,
-    /// The Scheduling Agent responsible for this object; inherited from
-    /// the class default unless explicitly specified.
-    pub scheduling_agent: Option<Loid>,
-    /// Which Magistrates may be given responsibility for the object.
-    pub candidate_magistrates: CandidateMagistrates,
     /// Whether the row names a subclass (vs an instance).
     pub is_subclass: bool,
 }
@@ -203,8 +170,6 @@ impl TableEntry {
         TableEntry {
             address: None,
             current_magistrates: Vec::new(),
-            scheduling_agent: None,
-            candidate_magistrates: CandidateMagistrates::NoRestriction,
             is_subclass,
         }
     }
@@ -254,17 +219,6 @@ impl LogicalTable {
     /// Remove a row (the object was deleted).
     pub fn remove(&mut self, loid: &Loid) -> Option<TableEntry> {
         self.rows.remove(loid)
-    }
-
-    /// Record the Object Address of an Active object.
-    pub fn set_address(&mut self, loid: &Loid, address: Option<ObjectAddress>) -> bool {
-        match self.rows.get_mut(loid) {
-            Some(e) => {
-                e.address = address;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Record that `magistrate` holds an OPR for `loid` (idempotent).
@@ -319,21 +273,15 @@ pub struct ClassObject {
     /// with the superclass's interface at Derive time and with each base's
     /// at InheritFrom time.
     pub interface: Interface,
-    /// Default Scheduling Agent inherited by each created object unless a
-    /// different one is specified (§3.7).
-    pub default_scheduling_agent: Option<Loid>,
     /// Allocator for instance LOIDs.
     allocator: LoidAllocator,
     /// The logical table of §3.7.
     pub table: LogicalTable,
-    /// Set when the class has been deleted.
-    pub deleted: bool,
 }
 
 impl ClassObject {
     /// Construct a class object shell with an empty interface; its
-    /// creator sets the superclass, the interface and the scheduling
-    /// agent.
+    /// creator sets the superclass and the interface.
     pub fn new(loid: Loid, name: impl Into<String>, kind: ClassKind) -> Self {
         assert!(
             loid.is_class(),
@@ -345,42 +293,30 @@ impl ClassObject {
             superclass: None,
             bases: Vec::new(),
             interface: Interface::new(),
-            default_scheduling_agent: None,
             allocator: LoidAllocator::new(loid.class_id),
             table: LogicalTable::new(),
             loid,
-            deleted: false,
         }
     }
 
     /// `Create()`'s local half: allocate an instance LOID and add its
-    /// table row. Fails on Abstract classes (§2.1.2) and deleted classes.
+    /// table row. Fails on Abstract classes (§2.1.2).
     pub fn create_instance(&mut self) -> CoreResult<Loid> {
-        if self.deleted {
-            return Err(CoreError::Deleted(self.loid));
-        }
         if self.kind.is_abstract {
             return Err(CoreError::AbstractClass(self.loid));
         }
         let loid = self.allocator.next()?;
-        let mut entry = TableEntry::new(false);
-        entry.scheduling_agent = self.default_scheduling_agent;
-        self.table.insert(loid, entry);
+        self.table.insert(loid, TableEntry::new(false));
         Ok(loid)
     }
 
     /// `Derive()`'s local half: record responsibility for a subclass whose
     /// LOID was issued by LegionClass. Fails on Private classes (§2.1.2).
     pub fn record_subclass(&mut self, subclass: Loid) -> CoreResult<()> {
-        if self.deleted {
-            return Err(CoreError::Deleted(self.loid));
-        }
         if self.kind.is_private {
             return Err(CoreError::PrivateClass(self.loid));
         }
-        let mut entry = TableEntry::new(true);
-        entry.scheduling_agent = self.default_scheduling_agent;
-        self.table.insert(subclass, entry);
+        self.table.insert(subclass, TableEntry::new(true));
         Ok(())
     }
 
@@ -401,9 +337,6 @@ impl ClassObject {
         base_interface: &Interface,
         base_bases: &[Loid],
     ) -> CoreResult<()> {
-        if self.deleted {
-            return Err(CoreError::Deleted(self.loid));
-        }
         if self.kind.is_fixed {
             return Err(CoreError::FixedClass(self.loid));
         }
@@ -432,36 +365,15 @@ impl ClassObject {
             .remove(target)
             .ok_or(CoreError::UnknownLoid(*target))
     }
-
-    /// `GetBinding()`: return a binding for an object this class created,
-    /// if its Object Address is currently known (§3.7). A `None` means the
-    /// object is Inert or its address is unknown — the caller must go
-    /// through a Magistrate in the row's Current Magistrate List.
-    pub fn get_binding(&self, target: &Loid) -> CoreResult<Option<Binding>> {
-        let entry = self
-            .table
-            .get(target)
-            .ok_or(CoreError::UnknownLoid(*target))?;
-        Ok(entry.address.clone().map(|address| Binding {
-            loid: *target,
-            address,
-            expiry: Expiry::Never,
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::{ObjectAddress, ObjectAddressElement};
     use crate::wellknown;
 
     fn fresh(kind: ClassKind) -> ClassObject {
         ClassObject::new(Loid::class_object(30), "TestClass", kind)
-    }
-
-    fn addr(ep: u64) -> ObjectAddress {
-        ObjectAddress::single(ObjectAddressElement::sim(ep))
     }
 
     #[test]
@@ -589,38 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn deleted_class_refuses_everything() {
-        let mut c = fresh(ClassKind::NORMAL);
-        c.deleted = true;
-        assert!(matches!(c.create_instance(), Err(CoreError::Deleted(_))));
-        assert!(matches!(
-            c.record_subclass(Loid::class_object(31)),
-            Err(CoreError::Deleted(_))
-        ));
-        assert!(matches!(
-            c.inherit_from(Loid::class_object(31), &Interface::new(), &[]),
-            Err(CoreError::Deleted(_))
-        ));
-    }
-
-    #[test]
-    fn get_binding_reflects_table_address() {
-        let mut c = fresh(ClassKind::NORMAL);
-        let o = c.create_instance().unwrap();
-        // Inert: row exists, no address.
-        assert_eq!(c.get_binding(&o).unwrap(), None);
-        c.table.set_address(&o, Some(addr(7)));
-        let b = c.get_binding(&o).unwrap().unwrap();
-        assert_eq!(b.loid, o);
-        assert_eq!(b.address, addr(7));
-        // Unknown object is an error, not None.
-        assert!(matches!(
-            c.get_binding(&Loid::instance(30, 999)),
-            Err(CoreError::UnknownLoid(_))
-        ));
-    }
-
-    #[test]
     fn magistrate_list_add_remove() {
         let mut c = fresh(ClassKind::NORMAL);
         let o = c.create_instance().unwrap();
@@ -639,29 +519,6 @@ mod tests {
         let o = c.create_instance().unwrap();
         assert!(c.delete_child(&o).is_ok());
         assert!(matches!(c.delete_child(&o), Err(CoreError::UnknownLoid(_))));
-    }
-
-    #[test]
-    fn default_scheduling_agent_is_inherited_by_rows() {
-        let mut c = fresh(ClassKind::NORMAL);
-        let sched = Loid::instance(40, 1);
-        c.default_scheduling_agent = Some(sched);
-        let o = c.create_instance().unwrap();
-        assert_eq!(c.table.get(&o).unwrap().scheduling_agent, Some(sched));
-    }
-
-    #[test]
-    fn candidate_magistrates_permit_logic() {
-        let m1 = Loid::instance(4, 1);
-        let m2 = Loid::instance(4, 2);
-        assert!(CandidateMagistrates::NoRestriction.permits(m1, None));
-        let explicit = CandidateMagistrates::Explicit(vec![m1]);
-        assert!(explicit.permits(m1, None));
-        assert!(!explicit.permits(m2, None));
-        let label = CandidateMagistrates::TrustLabel("doe".into());
-        assert!(!label.permits(m1, None));
-        assert!(label.permits(m1, Some(&[m1])));
-        assert!(!label.permits(m2, Some(&[m1])));
     }
 
     #[test]

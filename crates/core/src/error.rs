@@ -53,8 +53,6 @@ pub enum CoreError {
         /// Human-readable message.
         message: String,
     },
-    /// An operation referenced a deleted object.
-    Deleted(Loid),
     /// A malformed or out-of-range value was supplied.
     Invalid(String),
     /// A call named a method absent from the receiving interface
@@ -120,7 +118,6 @@ impl fmt::Display for CoreError {
             CoreError::IdlParse { line, message } => {
                 write!(f, "IDL parse error at line {line}: {message}")
             }
-            CoreError::Deleted(l) => write!(f, "object {l} has been deleted"),
             CoreError::Invalid(msg) => write!(f, "invalid value: {msg}"),
             CoreError::UnknownMethod { method } => {
                 write!(f, "no method {method} in interface")

@@ -3,7 +3,7 @@
 //! The paper says Legion class interfaces "can be described in an Interface
 //! Description Language", naming the CORBA IDL and MPL as candidates. This
 //! module implements a compact CORBA-flavoured subset sufficient for the
-//! core model:
+//! core model (no MPL front end: nothing in the system speaks it):
 //!
 //! ```idl
 //! // Comments run to end of line (// or #).
@@ -276,52 +276,6 @@ pub fn parse(src: &str) -> CoreResult<Vec<IdlInterface>> {
     Ok(out)
 }
 
-/// Parse MPL-flavoured source (the paper's footnote 1 names the Mentat
-/// Programming Language as Legion's second interface language). The MPL
-/// is a C++ extension; the subset accepted here is
-///
-/// ```mpl
-/// mentat class Worker {
-///     int Add(int a, int b);
-///     void Reset();
-/// };
-/// ```
-///
-/// i.e. `interface` becomes `mentat class`; everything else matches the
-/// CORBA-flavoured grammar, so both front ends produce identical
-/// [`IdlInterface`] values.
-pub fn parse_mpl(src: &str) -> CoreResult<Vec<IdlInterface>> {
-    let mut lexer = Lexer::new(src);
-    let mut toks = Vec::new();
-    while let Some(t) = lexer.next_tok()? {
-        toks.push(t);
-    }
-    // Rewrite the leading `mentat class` keyword pair into `interface`
-    // tokens so the same parser serves both languages.
-    let mut rewritten: Vec<(Tok, usize)> = Vec::with_capacity(toks.len());
-    let mut i = 0;
-    while i < toks.len() {
-        let is_mentat_class = matches!(&toks[i].0, Tok::Ident(a) if a == "mentat")
-            && matches!(toks.get(i + 1), Some((Tok::Ident(b), _)) if b == "class");
-        if is_mentat_class {
-            rewritten.push((Tok::Ident("interface".to_owned()), toks[i].1));
-            i += 2;
-        } else {
-            rewritten.push(toks[i].clone());
-            i += 1;
-        }
-    }
-    let mut p = Parser {
-        toks: rewritten,
-        pos: 0,
-    };
-    let mut out = Vec::new();
-    while p.peek().is_some() {
-        out.push(p.parse_interface()?);
-    }
-    Ok(out)
-}
-
 /// Parse IDL source that must contain exactly one interface.
 pub fn parse_one(src: &str) -> CoreResult<IdlInterface> {
     let mut all = parse(src)?;
@@ -450,40 +404,6 @@ mod tests {
         let text = render("BindingAgent", &iface);
         let again = parse_one(&text).unwrap().into_interface(provider);
         assert_eq!(iface, again);
-    }
-
-    #[test]
-    fn mpl_flavour_parses_to_the_same_interface() {
-        let corba = "interface Worker { int Add(int a, int b); void Reset(); };";
-        let mpl = "mentat class Worker { int Add(int a, int b); void Reset(); };";
-        let a = parse_one(corba).unwrap();
-        let b = parse_mpl(mpl).unwrap().pop().unwrap();
-        assert_eq!(a, b, "both front ends agree");
-    }
-
-    #[test]
-    fn mpl_allows_multiple_classes_and_plain_interfaces() {
-        let src = "mentat class A { void f(); };\ninterface B { void g(); };";
-        let all = parse_mpl(src).unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].name, "A");
-        assert_eq!(all[1].name, "B");
-    }
-
-    #[test]
-    fn mpl_errors_keep_line_numbers() {
-        let src = "mentat class A {\n    wibble f();\n};";
-        match parse_mpl(src) {
-            Err(CoreError::IdlParse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mentat_without_class_is_an_ordinary_ident() {
-        // `mentat` not followed by `class` is not special — it fails as an
-        // unknown leading keyword, like any other stray identifier.
-        assert!(parse_mpl("mentat interface A {};").is_err());
     }
 
     #[test]

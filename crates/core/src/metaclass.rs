@@ -101,23 +101,6 @@ impl LegionClassAuthority {
         }
         Ok(())
     }
-
-    /// Reassign responsibility for `target` to `new_owner` (used by class
-    /// cloning, §5.2.2: "new instantiation and derivation requests are
-    /// passed to the cloned object, making it responsible for the new
-    /// objects").
-    pub fn reassign(&mut self, target: Loid, new_owner: Loid) -> CoreResult<()> {
-        if !new_owner.is_class() {
-            return Err(CoreError::NotAClass(new_owner));
-        }
-        match self.responsible_for.get_mut(&target) {
-            Some(owner) => {
-                *owner = new_owner;
-                Ok(())
-            }
-            None => Err(CoreError::UnknownLoid(target)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,16 +190,5 @@ mod tests {
         let (_, c) = a.issue_class_id(LEGION_CLASS).unwrap();
         let o = Loid::instance(c.class_id.0, 3);
         assert_eq!(chain(&a, o), vec![c, LEGION_CLASS]);
-    }
-
-    #[test]
-    fn reassign_moves_responsibility() {
-        let mut a = LegionClassAuthority::new();
-        let (_, d) = a.issue_class_id(LEGION_CLASS).unwrap();
-        let (_, clone) = a.issue_class_id(LEGION_CLASS).unwrap();
-        a.reassign(d, clone).unwrap();
-        assert_eq!(a.find_responsible(&d).unwrap(), clone);
-        assert!(a.reassign(Loid::class_object(9999), clone).is_err());
-        assert!(a.reassign(d, Loid::instance(16, 1)).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! # legion-security — the §2.4 security hooks
+//! # legion-security — the §2.4 `MayI()` policies
 //!
 //! Legion "does not attempt to guarantee security to its users"; it
 //! provides *mechanism* — `MayI()`/`Iam()`, the ⟨Responsible Agent,
@@ -8,20 +8,20 @@
 //!
 //! * [`mayi`] — pluggable `MayI()` policies, from the empty default
 //!   (`AllowAll`) through ACLs and delegated-authority checks to
-//!   conjunctions;
-//! * [`trust`] — labelled certification sets (the paper's DOE story);
-//! * [`keys`] — LOID public-key well-formedness and `Iam()` verification.
+//!   conjunctions. Every live Magistrate, class, context and object
+//!   endpoint gates its member functions through one.
 //!
 //! The invocation-environment triple itself lives in
 //! [`legion_core::env::InvocationEnv`] since every message carries it.
+//! The paper's DOE story (§2.1.3) needs no trust registry of its own: a
+//! DOE Magistrate's `MayI` refuses everyone but the DOE, its hosts obey
+//! only it, and a DOE class names only that Magistrate among its
+//! candidates (`legion-runtime`'s `ClassConfig::magistrates`) — see
+//! `examples/doe_trust.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod keys;
 pub mod mayi;
-pub mod trust;
 
-pub use keys::{key_is_well_formed, verify_env, verify_iam};
 pub use mayi::{AllOf, AllowAll, Decision, MayIPolicy, MethodAcl, ResponsibleAgentSet};
-pub use trust::TrustRegistry;

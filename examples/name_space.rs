@@ -44,6 +44,7 @@ fn main() {
         "campus-b/scratch/tmp042",
     ];
     println!("binding names:");
+    let mut bound = Vec::new();
     for name in names {
         let b = sys
             .call_for_binding(class_ep.element(), class_loid, class_proto::CREATE, vec![])
@@ -56,21 +57,25 @@ fn main() {
         )
         .expect("bind name");
         println!("  /{name} -> {}", b.loid);
+        bound.push((name, b.loid));
     }
 
-    // A user somewhere else knows only the string name.
-    let wanted = "campus-a/datasets/genome";
-    let LegionValue::Loid(loid) = sys
-        .call(
+    // A user somewhere else knows only the string name. Every name
+    // resolves to the LOID it was bound to; an unbound one to nothing.
+    let mut lookup = |name: &str| {
+        sys.call(
             context.element(),
             context_loid,
             cx::LOOKUP_NAME,
-            vec![LegionValue::Str(wanted.into())],
+            vec![LegionValue::Str(name.into())],
         )
-        .expect("name lookup")
-    else {
-        panic!("expected a loid");
     };
+    for (name, loid) in &bound {
+        assert_eq!(lookup(name), Ok(LegionValue::Loid(*loid)), "/{name}");
+    }
+    let missing = lookup("campus-b/scratch/nothing-here");
+    assert!(missing.is_err(), "an unbound name resolved: {missing:?}");
+    let (wanted, loid) = bound[0];
     println!("\nlookup /{wanted} -> {loid}");
 
     // LOID → Object Address through the Binding Agent (Fig. 17)...
@@ -83,6 +88,7 @@ fn main() {
             vec![LegionValue::Loid(loid)],
         )
         .expect("binding resolution");
+    assert_eq!(binding.loid, loid);
     println!("bind   {loid} -> {}", binding.address);
 
     // ...and invoke.
@@ -105,18 +111,25 @@ fn main() {
             vec![LegionValue::Str("title".into())],
         )
         .expect("get");
+    assert_eq!(title, LegionValue::Str("E. coli K-12".into()));
     println!("invoke Get(\"title\") = {title}");
 
-    // The whole directory, for the curious.
+    // The whole directory: exactly the names bound above, in path order.
     println!("\nthe name space:");
-    if let Ok(LegionValue::List(items)) =
-        sys.call(context.element(), context_loid, cx::LIST_NAMES, vec![])
-    {
-        for item in items {
-            if let LegionValue::List(pair) = item {
-                println!("  /{} -> {}", pair[0].as_str().unwrap_or("?"), pair[1]);
-            }
-        }
+    bound.sort();
+    let pair = |(name, loid): &(&str, Loid)| {
+        LegionValue::List(vec![
+            LegionValue::Str(name.to_string()),
+            LegionValue::Loid(*loid),
+        ])
+    };
+    let listed = sys.call(context.element(), context_loid, cx::LIST_NAMES, vec![]);
+    assert_eq!(
+        listed,
+        Ok(LegionValue::List(bound.iter().map(pair).collect()))
+    );
+    for (name, loid) in &bound {
+        println!("  /{name} -> {loid}");
     }
     let ep = EndpointId(el.sim_endpoint().unwrap());
     println!(
