@@ -339,6 +339,32 @@ mod tests {
     }
 
     #[test]
+    fn a_genuine_key_is_its_derivation_and_parses_back() {
+        for loid in [Loid::instance(16, 7), Loid::class_object(16)] {
+            let key = derive_key(loid.class_id.0, loid.class_specific);
+            assert_eq!(loid.public_key, key);
+            let back: Loid = loid.to_string().parse().expect("parse");
+            assert_eq!(back, loid);
+        }
+    }
+
+    #[test]
+    fn a_forged_key_is_refused_at_parse() {
+        let mut forged = Loid::instance(16, 7);
+        forged.public_key[0] ^= 0xFF;
+        assert!(forged.to_string().parse::<Loid>().is_err());
+    }
+
+    #[test]
+    fn a_transplanted_key_is_refused_at_parse() {
+        // Key from one object, identity fields of another.
+        let donor = Loid::instance(16, 1);
+        let mut forged = Loid::instance(16, 2);
+        forged.public_key = donor.public_key;
+        assert!(forged.to_string().parse::<Loid>().is_err());
+    }
+
+    #[test]
     fn allocator_is_sequential_and_unique() {
         let mut alloc = LoidAllocator::new(ClassId(3));
         let mut seen = HashSet::new();
