@@ -148,6 +148,88 @@ pub fn render_context(data: &[u8], slices: &[RecordSlice], center: usize, radius
 /// file lags the run by less than one block and one record.
 pub const BLOCK: usize = 64 * 1024;
 
+/// A block buffer's capacity: room for the record that carries a block
+/// over the line.
+pub(crate) const BLOCK_CAPACITY: usize = BLOCK + 256;
+
+/// The most bytes a frame takes besides its label: the length and CRC
+/// words, six varints of at most ten bytes, and the kind tag.
+pub(crate) const MAX_FRAME_FIXED: usize = 8 + 6 * 10 + 1;
+
+/// The journal header: magic, version, snapshot cadence.
+pub(crate) fn push_header(buf: &mut Vec<u8>, snap_every: u64) {
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    crate::record::push_varint(buf, snap_every);
+}
+
+/// Frame one record at the end of `buf`: `len ‖ crc32(body) ‖ body`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn push_frame(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    at: u64,
+    kind: RecordKind,
+    endpoint: u64,
+    a: u64,
+    b: u64,
+    label: &[u8],
+) {
+    let frame = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    encode_body(buf, seq, at, kind, endpoint, a, b, label);
+    let body = &buf[frame + 8..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    buf[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+    buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Where framed blocks meet the sink. A refused block is dropped —
+/// nothing after a gap could be read back — and so is every block after
+/// it: the first error is latched and reported by every later `finish`.
+pub(crate) struct Landing {
+    sink: Box<dyn JournalSink>,
+    /// Bytes the sink has accepted.
+    accepted: u64,
+    error: Option<JournalError>,
+}
+
+impl Landing {
+    pub(crate) fn new(sink: Box<dyn JournalSink>) -> Self {
+        Landing {
+            sink,
+            accepted: 0,
+            error: None,
+        }
+    }
+
+    /// Bytes the sink has accepted.
+    pub(crate) fn accepted(&self) -> u64 {
+        self.accepted
+    }
+
+    /// Give the sink `block`, unless an earlier one was refused.
+    pub(crate) fn land(&mut self, block: &[u8]) {
+        if block.is_empty() || self.error.is_some() {
+            return;
+        }
+        match self.sink.write(block) {
+            Ok(()) => self.accepted += block.len() as u64,
+            Err(e) => self.error = Some(JournalError::Io(e.to_string())),
+        }
+    }
+
+    /// Flush the sink, surfacing any latched or flush-time error.
+    pub(crate) fn finish(&mut self) -> Result<(), JournalError> {
+        if self.error.is_none() {
+            if let Err(e) = self.sink.flush() {
+                self.error = Some(JournalError::Io(e.to_string()));
+            }
+        }
+        self.error.clone().map_or(Ok(()), Err)
+    }
+}
+
 /// The append-only journal writer.
 ///
 /// Records are framed in place in one block buffer, which goes to the
@@ -155,31 +237,26 @@ pub const BLOCK: usize = 64 * 1024;
 /// and when the writer is dropped (a panicking run still lands its
 /// tail). `append` is infallible on the hot path: the first sink error
 /// is latched and surfaced by [`JournalWriter::error`] / `finish` rather
-/// than plumbed through the kernel, one block after the write it refused.
+/// than plumbed through the caller, one block after the write it
+/// refused. A kernel's journal session ([`crate::KernelJournal`])
+/// frames with the same code on its journal thread, cuts its blocks at
+/// the same records and lands the same bytes.
 pub struct JournalWriter {
-    sink: Box<dyn JournalSink>,
     next_seq: u64,
     /// The header, then frames, not yet handed to the sink.
     block: Vec<u8>,
-    /// Bytes the sink has accepted.
-    accepted: u64,
-    error: Option<JournalError>,
+    landing: Landing,
 }
 
 impl JournalWriter {
     /// Start a journal on `sink` with the header.
     pub fn new(sink: Box<dyn JournalSink>, snap_every: u64) -> Self {
-        // Room for the record that carries a block over the line.
-        let mut block = Vec::with_capacity(BLOCK + 256);
-        block.extend_from_slice(&MAGIC);
-        block.push(VERSION);
-        crate::record::push_varint(&mut block, snap_every);
+        let mut block = Vec::with_capacity(BLOCK_CAPACITY);
+        push_header(&mut block, snap_every);
         JournalWriter {
-            sink,
             next_seq: 0,
             block,
-            accepted: 0,
-            error: None,
+            landing: Landing::new(sink),
         }
     }
 
@@ -191,12 +268,12 @@ impl JournalWriter {
     /// Total bytes written (header + frames), counted as they are
     /// appended; once the sink has failed, the bytes it accepted.
     pub fn bytes(&self) -> u64 {
-        self.accepted + self.block.len() as u64
+        self.landing.accepted + self.block.len() as u64
     }
 
     /// The first sink error, if any occurred.
     pub fn error(&self) -> Option<&JournalError> {
-        self.error.as_ref()
+        self.landing.error.as_ref()
     }
 
     /// Append one record; returns its sequence number.
@@ -212,33 +289,29 @@ impl JournalWriter {
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.error.is_some() {
+        if self.landing.error.is_some() {
             return seq;
         }
-        let frame = self.block.len();
-        self.block.extend_from_slice(&[0; 8]);
-        encode_body(&mut self.block, seq, at, kind, endpoint, a, b, label);
-        let body = &self.block[frame + 8..];
-        let (len, crc) = (body.len() as u32, crc32(body));
-        self.block[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
-        self.block[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        push_frame(
+            &mut self.block,
+            seq,
+            at,
+            kind,
+            endpoint,
+            a,
+            b,
+            label.as_bytes(),
+        );
         if self.block.len() >= BLOCK {
             self.hand_over();
         }
         seq
     }
 
-    /// Give the sink the block. A refused block is dropped — nothing
-    /// after a gap could be read back — and none is framed after it, so
-    /// the block stays empty once an error is latched.
+    /// Give the sink the block. Once an error is latched none is framed
+    /// after it, so the block stays empty.
     fn hand_over(&mut self) {
-        if self.block.is_empty() {
-            return;
-        }
-        match self.sink.write(&self.block) {
-            Ok(()) => self.accepted += self.block.len() as u64,
-            Err(e) => self.error = Some(JournalError::Io(e.to_string())),
-        }
+        self.landing.land(&self.block);
         self.block.clear();
     }
 
@@ -247,12 +320,7 @@ impl JournalWriter {
     /// `finish` reports it again.
     pub fn finish(&mut self) -> Result<(), JournalError> {
         self.hand_over();
-        if self.error.is_none() {
-            if let Err(e) = self.sink.flush() {
-                self.error = Some(JournalError::Io(e.to_string()));
-            }
-        }
-        self.error.clone().map_or(Ok(()), Err)
+        self.landing.finish()
     }
 }
 

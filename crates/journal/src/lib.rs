@@ -27,12 +27,23 @@
 //! The simulator kernel (`legion-net`) embeds a [`KernelJournal`] and
 //! calls [`KernelJournal::note`] at every ingress; `legion-exp` exposes
 //! it as `--journal-out` / `--replay-from`.
+//!
+//! A session runs in two stages (the private `pipeline` module). The
+//! kernel's event loop only batches: a note pushes a fixed-size record,
+//! a snapshot copies its changed sections' bytes. One journal thread
+//! per session encodes, CRCs and frames the records (or verifies them),
+//! hashes the sections and frames each mark in stream order. The event
+//! loop hands the sink the thread's 64 KiB blocks when it next sends a
+//! batch, and does every allocation, at points fixed by the event
+//! count — so the bytes, the blocks and the allocation counts are the
+//! same however the two threads are scheduled.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bisect;
 pub mod journal;
+mod pipeline;
 pub mod record;
 pub mod replay;
 pub mod sink;

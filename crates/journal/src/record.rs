@@ -272,7 +272,7 @@ pub(crate) fn encode_body(
     endpoint: u64,
     a: u64,
     b: u64,
-    label: &str,
+    label: &[u8],
 ) {
     push_varint(buf, seq);
     push_varint(buf, at);
@@ -281,7 +281,7 @@ pub(crate) fn encode_body(
     push_varint(buf, a);
     push_varint(buf, b);
     push_varint(buf, label.len() as u64);
-    buf.extend_from_slice(label.as_bytes());
+    buf.extend_from_slice(label);
 }
 
 /// Decode one record body (the bytes after the frame prefix). `offset`
@@ -308,11 +308,17 @@ pub fn decode_body(body: &[u8], offset: usize) -> Result<JournalRecord, JournalE
     })
 }
 
-/// Decode just the leading `seq` varint of a body — the cheap alignment
-/// check used while skipping an already-snapshotted prefix.
-pub(crate) fn decode_seq(body: &[u8]) -> Option<u64> {
+/// Decode a body's `seq`, kind tag and label without copying — the
+/// cheap checks made while skipping an already-snapshotted prefix.
+pub(crate) fn decode_head(body: &[u8]) -> Option<(u64, u8, &[u8])> {
     let mut r = Reader::new(body);
-    r.get_varint().ok()
+    let seq = r.get_varint().ok()?;
+    r.get_varint().ok()?;
+    let tag = r.get_u8().ok()?;
+    for _ in 0..3 {
+        r.get_varint().ok()?;
+    }
+    Some((seq, tag, r.get_byte_slice().ok()?))
 }
 
 #[cfg(test)]
@@ -330,7 +336,7 @@ mod tests {
             7,
             99,
             3,
-            "BindingLookup",
+            b"BindingLookup",
         );
         let rec = decode_body(&buf, 0).unwrap();
         assert_eq!(rec.seq, 42);
@@ -340,7 +346,10 @@ mod tests {
         assert_eq!(rec.a, 99);
         assert_eq!(rec.b, 3);
         assert_eq!(rec.label, "BindingLookup");
-        assert_eq!(decode_seq(&buf), Some(42));
+        assert_eq!(
+            decode_head(&buf),
+            Some((42, RecordKind::Deliver.tag(), &b"BindingLookup"[..]))
+        );
     }
 
     #[test]
@@ -356,7 +365,7 @@ mod tests {
     #[test]
     fn bad_tag_is_typed() {
         let mut buf = Vec::new();
-        encode_body(&mut buf, 0, 0, RecordKind::Note, 0, 0, 0, "x");
+        encode_body(&mut buf, 0, 0, RecordKind::Note, 0, 0, 0, b"x");
         // The kind tag sits after the two leading varints (both 1 byte).
         buf[2] = 0xEE;
         assert!(matches!(
@@ -371,7 +380,7 @@ mod tests {
     #[test]
     fn truncated_body_is_typed() {
         let mut buf = Vec::new();
-        encode_body(&mut buf, 1, 2, RecordKind::Start, 3, 4, 5, "hello");
+        encode_body(&mut buf, 1, 2, RecordKind::Start, 3, 4, 5, b"hello");
         for cut in 0..buf.len() {
             match decode_body(&buf[..cut], 0) {
                 Err(JournalError::BadBody { .. }) | Err(JournalError::BadKind { .. }) => {}

@@ -17,17 +17,23 @@
 //! what the journal expected, what the run produced, and a
 //! flight-recorder-style context window around the divergent record.
 //!
-//! Recording and verifying take one snapshot path: the kernel hashes its
-//! sections, [`KernelJournal::on_snapshot`] computes the root, and the
-//! mark goes through [`KernelJournal::note`] — appended by the writer,
-//! compared by the verifier.
+//! Recording and verifying take one path, the session's two stages (the
+//! private `pipeline` module). On the event loop [`KernelJournal::note`] assigns
+//! the seq and batches the record, and a snapshot hands over the bytes
+//! of its changed sections ([`KernelJournal::snapshot_section`]) and
+//! ends the batch with its mark ([`KernelJournal::on_snapshot`]). The
+//! session's journal thread encodes, CRCs and frames each record for the
+//! writer's blocks, or checks it here; it hashes the sections and the
+//! root at the mark. The event loop lands the blocks in the sink when it
+//! next sends a batch. A verifying session therefore knows its
+//! divergence only after a barrier: [`KernelJournal::finish`] returns it.
 
-use crate::journal::{index, render_context, JournalHeader, JournalWriter, RecordSlice};
+use crate::journal::{index, render_context, JournalHeader, RecordSlice, MAX_FRAME_FIXED};
+use crate::pipeline::{Pipeline, THREAD_DIED};
 use crate::record::{
-    decode_body, decode_seq, encode_body, JournalError, JournalRecord, RecordKind,
+    decode_body, decode_head, encode_body, JournalError, JournalRecord, RecordKind,
 };
 use crate::sink::JournalSink;
-use crate::snapshot::sections_root;
 use legion_persist::cas::ChunkId;
 
 /// Where verification starts within the reference journal.
@@ -87,8 +93,9 @@ pub struct JournalSummary {
 /// Radius of the rendered context window around a divergence.
 const CONTEXT_RADIUS: usize = 8;
 
-/// Verifies a re-execution against a reference journal.
-struct Verifier {
+/// Verifies a re-execution against a reference journal, on the journal
+/// thread.
+pub(crate) struct Verifier {
     data: Vec<u8>,
     header: JournalHeader,
     slices: Vec<RecordSlice>,
@@ -99,7 +106,7 @@ struct Verifier {
     scratch: Vec<u8>,
     verified: u64,
     skipped: u64,
-    divergence: Option<Divergence>,
+    pub(crate) divergence: Option<Divergence>,
 }
 
 impl Verifier {
@@ -120,13 +127,15 @@ impl Verifier {
             ReplayStart::LatestSnapshot => snapshot_at(None)?,
             ReplayStart::SnapshotAtOrBefore(t) => snapshot_at(Some(t))?,
         };
+        // Room to encode any record no longer than the longest body.
+        let longest = slices.iter().map(|s| s.body_len).max().unwrap_or(0);
         Ok(Verifier {
             data,
             header,
             slices,
             pos: 0,
             verify_from,
-            scratch: Vec::with_capacity(64),
+            scratch: Vec::with_capacity(longest + MAX_FRAME_FIXED),
             verified: 0,
             skipped: 0,
             divergence: None,
@@ -156,29 +165,28 @@ impl Verifier {
     }
 
     /// Consume the next reference record, comparing it with the event the
-    /// re-execution just produced. Returns the record's seq.
+    /// re-execution just produced.
     ///
     /// Inside the skipped prefix only the seq's alignment is checked —
     /// and a snapshot mark's root, which proves the re-executed state is
-    /// byte-identical to the recorded state at that point.
-    #[allow(clippy::too_many_arguments)]
-    fn check(
+    /// byte-identical to the recorded state at that point. Only a
+    /// divergence allocates.
+    pub(crate) fn check(
         &mut self,
         at: u64,
         kind: RecordKind,
         endpoint: u64,
         a: u64,
         b: u64,
-        label: &str,
-    ) -> u64 {
+        label: &[u8],
+    ) {
         let idx = self.pos;
         self.pos += 1;
         let seq = idx as u64;
         if self.divergence.is_some() {
-            return seq;
+            return;
         }
         let got = || {
-            let label = label.to_owned();
             JournalRecord {
                 seq,
                 at,
@@ -186,39 +194,41 @@ impl Verifier {
                 endpoint,
                 a,
                 b,
-                label,
+                label: String::from_utf8_lossy(label).into_owned(),
             }
             .to_string()
         };
         let Some(slice) = self.slices.get(idx).copied() else {
             let expected = "<end of journal: run produced more events than recorded>";
             self.diverge(idx, expected.to_string(), got());
-            return seq;
+            return;
         };
         let body = slice.body(&self.data);
         let same = if idx < self.verify_from {
             self.skipped += 1;
-            decode_seq(body) == Some(seq)
-                && (kind != RecordKind::Snapshot
-                    || decode_body(body, slice.offset)
-                        .is_ok_and(|rec| rec.kind == kind && rec.label == label))
+            decode_head(body).is_some_and(|(s, tag, l)| {
+                s == seq && (kind != RecordKind::Snapshot || (tag == kind.tag() && l == label))
+            })
         } else {
-            self.scratch.clear();
-            encode_body(&mut self.scratch, seq, at, kind, endpoint, a, b, label);
-            let same = self.scratch == body;
+            // A label longer than the body cannot match, and would not
+            // fit the scratch buffer.
+            let same = label.len() <= body.len() && {
+                self.scratch.clear();
+                encode_body(&mut self.scratch, seq, at, kind, endpoint, a, b, label);
+                self.scratch == body
+            };
             self.verified += u64::from(same);
             same
         };
         if !same {
             self.diverge(idx, self.rendered(idx), got());
         }
-        seq
     }
 
     /// Quiescence check: the whole reference journal must have been
     /// consumed. Returns the summary, its marks left to the caller (and
     /// sets a divergence if the run stopped short).
-    fn finish(&mut self) -> JournalSummary {
+    pub(crate) fn finish(&mut self) -> JournalSummary {
         if self.pos < self.slices.len() && self.divergence.is_none() {
             let expected = self.rendered(self.pos);
             self.diverge(
@@ -241,27 +251,17 @@ impl Verifier {
     }
 }
 
-/// Where a journal session's records go.
-#[derive(Default)]
-enum Mode {
-    /// Journaling disabled (the default).
-    #[default]
-    Off,
-    /// Recording: append every event.
-    Record(JournalWriter),
-    /// Verifying a re-execution against a reference journal.
-    Verify(Verifier),
-}
-
 /// The kernel-facing journal: off, recording, or verifying.
 ///
-/// Off keeps the hot path at one enum-tag check and zero allocations;
-/// the kernel calls [`KernelJournal::note`] unconditionally. A snapshot
-/// is its mark: the session keeps the cadence and where the last mark
-/// sits, never a section's bytes.
+/// Off keeps the hot path at one tag check and zero allocations; the
+/// kernel calls [`KernelJournal::note`] unconditionally. On, the session
+/// is a two-stage pipeline: the event loop batches, and the session's
+/// journal thread encodes, hashes, frames and checks. A snapshot is its
+/// mark: the session keeps the cadence, where the last mark sits and
+/// each section's id, never a section's bytes.
 #[derive(Default)]
 pub struct KernelJournal {
-    mode: Mode,
+    pipeline: Option<Pipeline>,
     /// Events between snapshot marks (0 = never).
     snap_every: u64,
     /// Event count at the last mark (dedups the due-check).
@@ -270,6 +270,8 @@ pub struct KernelJournal {
     marks: u64,
     /// Journal seq of the last mark.
     last_mark_seq: u64,
+    /// Seq the next record gets.
+    next_seq: u64,
 }
 
 impl KernelJournal {
@@ -277,7 +279,7 @@ impl KernelJournal {
     /// (0 = never).
     pub fn record(sink: Box<dyn JournalSink>, snap_every: u64) -> Self {
         KernelJournal {
-            mode: Mode::Record(JournalWriter::new(sink, snap_every)),
+            pipeline: Some(Pipeline::record(sink, snap_every)),
             snap_every,
             ..Self::default()
         }
@@ -290,20 +292,30 @@ impl KernelJournal {
         let verifier = Verifier::new(data, start)?;
         Ok(KernelJournal {
             snap_every: verifier.header.snap_every,
-            mode: Mode::Verify(verifier),
+            pipeline: Some(Pipeline::verify(verifier)),
             ..Self::default()
         })
+    }
+
+    /// End this session — its tail lands, as when it is dropped — and
+    /// start `next` in its place. `next` inherits the section names and
+    /// ids: an id is a content hash, so a section that has not changed
+    /// since keeps it in any session.
+    pub fn restart(&mut self, mut next: KernelJournal) {
+        if let (Some(old), Some(new)) = (self.pipeline.as_mut(), next.pipeline.as_mut()) {
+            std::mem::swap(old.sections(), new.sections());
+        }
+        *self = next;
     }
 
     /// Is the journal on (recording or verifying)?
     #[inline]
     pub fn is_on(&self) -> bool {
-        !matches!(self.mode, Mode::Off)
+        self.pipeline.is_some()
     }
 
     /// Journal one event; returns its seq (0 when off).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn note(
         &mut self,
         at: u64,
@@ -313,11 +325,13 @@ impl KernelJournal {
         b: u64,
         label: &str,
     ) -> u64 {
-        match &mut self.mode {
-            Mode::Off => 0,
-            Mode::Record(writer) => writer.append(at, kind, endpoint, a, b, label),
-            Mode::Verify(verifier) => verifier.check(at, kind, endpoint, a, b, label),
-        }
+        let Some(pipeline) = &mut self.pipeline else {
+            return 0;
+        };
+        pipeline.push(at, kind, endpoint, a, b, label);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Should a snapshot be taken now, given the kernel has processed
@@ -328,40 +342,50 @@ impl KernelJournal {
         every != 0 && events > 0 && events.is_multiple_of(every) && events != self.last_snap_events
     }
 
+    /// Hand over the bytes of section `index`, which changed since the
+    /// last mark (or is new), for the mark about to be taken. The first
+    /// call of a snapshot waits for the journal thread to finish the
+    /// batch it has.
+    pub fn snapshot_section(&mut self, index: usize, bytes: &[u8]) {
+        if let Some(pipeline) = &mut self.pipeline {
+            pipeline.section(index, bytes);
+        }
+    }
+
     /// Take (recording) or check (verifying) the snapshot mark at virtual
-    /// time `at`, after `events` kernel events, of the sections `names`
-    /// whose bytes hash to `ids`: the root is computed once, and the mark
-    /// is journaled like any other record.
-    pub fn on_snapshot<N: AsRef<str>>(
+    /// time `at`, after `events` kernel events, over `count` sections:
+    /// the ones handed over since the last mark with their new bytes,
+    /// the rest with the ids they had. `name` names each section the
+    /// session has not seen. The mark ends the batch; the journal thread
+    /// hashes and computes the root, and journals the mark like any
+    /// other record.
+    pub fn on_snapshot(
         &mut self,
         at: u64,
         events: u64,
-        names: &[N],
-        ids: &[ChunkId],
+        count: usize,
+        name: impl FnMut(usize) -> String,
     ) {
-        let mut hex = [0; 64];
-        let root_hex = sections_root(names, ids).hex_into(&mut hex);
-        let (count, ordinal) = (ids.len() as u64, self.marks);
-        self.last_mark_seq = self.note(at, RecordKind::Snapshot, 0, count, ordinal, root_hex);
+        let Some(pipeline) = &mut self.pipeline else {
+            return;
+        };
+        pipeline.mark(at, count, self.marks, name);
+        self.last_mark_seq = self.next_seq;
+        self.next_seq += 1;
         self.marks += 1;
         self.last_snap_events = events;
     }
 
-    /// The first divergence, if verifying and one was found.
-    pub fn divergence(&self) -> Option<&Divergence> {
-        match &self.mode {
-            Mode::Verify(verifier) => verifier.divergence.as_ref(),
-            _ => None,
-        }
+    /// The id section `index` had at the last mark, once the journal
+    /// thread has computed it (this waits for it).
+    pub fn section_id(&mut self, index: usize) -> Option<ChunkId> {
+        let work = self.pipeline.as_mut()?.work().expect(THREAD_DIED);
+        work.sections.id(index)
     }
 
     /// Seq the next record will get (how many events journaled so far).
     pub fn next_seq(&self) -> u64 {
-        match &self.mode {
-            Mode::Off => 0,
-            Mode::Record(writer) => writer.next_seq(),
-            Mode::Verify(verifier) => verifier.pos as u64,
-        }
+        self.next_seq
     }
 
     /// `(ordinal, journal seq)` of the most recent snapshot mark, for
@@ -371,31 +395,14 @@ impl KernelJournal {
         Some((ordinal, self.last_mark_seq))
     }
 
-    /// Finish the session: flush (record) or require full consumption
-    /// (verify). Returns the summary; a verify-mode divergence is also
-    /// surfaced via [`KernelJournal::divergence`].
+    /// A barrier: wait until the journal thread has framed or checked
+    /// every record noted so far, then land the tail and flush the sink
+    /// (record) or require full consumption (verify). The session stays
+    /// usable. Returns the summary and, verifying, the first divergence.
     pub fn finish(&mut self) -> Result<(JournalSummary, Option<Divergence>), JournalError> {
-        let snapshots = self.marks;
-        match &mut self.mode {
-            Mode::Off => Ok((JournalSummary::default(), None)),
-            Mode::Record(writer) => {
-                writer.finish()?;
-                let (records, bytes) = (writer.next_seq(), writer.bytes());
-                let summary = JournalSummary {
-                    records,
-                    snapshots,
-                    bytes,
-                    ..JournalSummary::default()
-                };
-                Ok((summary, None))
-            }
-            Mode::Verify(verifier) => {
-                let summary = JournalSummary {
-                    snapshots,
-                    ..verifier.finish()
-                };
-                Ok((summary, verifier.divergence.clone()))
-            }
+        match &mut self.pipeline {
+            None => Ok((JournalSummary::default(), None)),
+            Some(pipeline) => pipeline.finish(self.next_seq, self.marks),
         }
     }
 }
@@ -412,11 +419,10 @@ mod tests {
         for (i, (at, kind, a, label)) in script.iter().enumerate() {
             let events = i as u64;
             if journal.snapshot_due(events) {
-                let ids = [
-                    ChunkId::of(&state.to_le_bytes()),
-                    ChunkId::of(&events.to_le_bytes()),
-                ];
-                journal.on_snapshot(*at, events, &["core", "count"], &ids);
+                journal.snapshot_section(0, &state.to_le_bytes());
+                journal.snapshot_section(1, &events.to_le_bytes());
+                let names = ["core", "count"];
+                journal.on_snapshot(*at, events, 2, |i| names[i].to_owned());
             }
             journal.note(*at, *kind, 1, *a, 0, label);
             state = state.wrapping_mul(31).wrapping_add(*a);
@@ -476,7 +482,8 @@ mod tests {
     fn a_restarted_event_count_is_not_due_at_zero() {
         let mut journal = KernelJournal::record(Box::new(MemSink::new()), 4);
         assert!(journal.snapshot_due(4));
-        journal.on_snapshot(0, 4, &["core"], &[ChunkId::of(b"x")]);
+        journal.snapshot_section(0, b"x");
+        journal.on_snapshot(0, 4, 1, |_| "core".to_owned());
         assert!(!journal.snapshot_due(4), "one mark per count");
         assert!(!journal.snapshot_due(0));
         assert!(journal.snapshot_due(8));
@@ -573,13 +580,29 @@ mod tests {
         }
     }
 
+    /// A journal thread that panics — here on a section past the count
+    /// its mark names — surfaces as a panic on the event loop, not a
+    /// wait that never ends, and the session still drops.
+    #[test]
+    fn a_journal_thread_that_panics_is_not_waited_for() {
+        let mut journal = KernelJournal::record(Box::new(MemSink::new()), 4);
+        journal.snapshot_section(5, b"x");
+        journal.on_snapshot(0, 4, 1, |_| "core".to_owned());
+        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| journal.finish()));
+        let message = finished
+            .expect_err("the thread died")
+            .downcast::<String>()
+            .unwrap();
+        assert!(message.contains(THREAD_DIED), "{message}");
+        drop(journal);
+    }
+
     #[test]
     fn off_is_inert() {
         let mut journal = KernelJournal::default();
         assert!(!journal.is_on());
         assert_eq!(journal.note(1, RecordKind::Deliver, 1, 2, 3, "x"), 0);
         assert!(!journal.snapshot_due(100));
-        assert!(journal.divergence().is_none());
         let (summary, div) = journal.finish().unwrap();
         assert_eq!(summary, JournalSummary::default());
         assert!(div.is_none());

@@ -31,8 +31,9 @@ struct Blocks {
 
 /// An in-memory sink. Cloning shares the same blocks, so a test can keep
 /// one handle and hand the other to the kernel, then read
-/// [`MemSink::contents`] once the journal is finished (or its writer
-/// dropped) — before that, the writer still holds the last block.
+/// [`MemSink::contents`] once the journal is finished (or its writer or
+/// session dropped) — before that, the last block, and in a kernel's
+/// session up to one batch of records, have not reached the sink.
 #[derive(Default, Clone)]
 pub struct MemSink {
     blocks: Arc<Mutex<Blocks>>,

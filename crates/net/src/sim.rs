@@ -156,19 +156,9 @@ impl Slot {
     }
 }
 
-/// What the previous snapshot saw, in this journal session or an earlier
-/// one, so the next one re-encodes and re-hashes only what changed since.
-#[derive(Default)]
-struct SnapshotCache {
-    /// Section names: [`KERNEL_SECTIONS`], then `ep{i}` for slot `i`.
-    /// Grown as slots appear, never rebuilt.
-    names: Vec<String>,
-    /// The chunk id of each section's bytes at the last snapshot.
-    ids: Vec<ChunkId>,
-    scratch: EncodeScratch,
-}
-
-/// What every section encode reuses.
+/// What every section encode reuses. The section names, and the ids of
+/// what the previous snapshot saw, live in the journal session, which
+/// hashes on its own thread and hands them on to the next session.
 #[derive(Default)]
 struct EncodeScratch {
     /// The one buffer every section is written into.
@@ -273,7 +263,7 @@ pub struct SendReport {
 pub struct SimKernel {
     slots: Vec<Slot>,
     pub(crate) inner: Inner,
-    snap: SnapshotCache,
+    scratch: EncodeScratch,
 }
 
 impl SimKernel {
@@ -281,7 +271,7 @@ impl SimKernel {
     pub fn new(topology: Topology, faults: FaultPlan, seed: u64) -> Self {
         SimKernel {
             slots: Vec::new(),
-            snap: SnapshotCache::default(),
+            scratch: EncodeScratch::default(),
             inner: Inner {
                 now: SimTime::ZERO,
                 seq: 0,
@@ -431,7 +421,8 @@ impl SimKernel {
     /// (0 = never). Enable right after construction, before attaching
     /// endpoints, so the journal covers the whole run.
     pub fn enable_journal_record(&mut self, sink: Box<dyn JournalSink>, snap_every: u64) {
-        *self.inner.watch.journal() = KernelJournal::record(sink, snap_every);
+        let session = KernelJournal::record(sink, snap_every);
+        self.inner.watch.journal().restart(session);
     }
 
     /// Verify this run against a reference journal: every ingress the
@@ -444,7 +435,8 @@ impl SimKernel {
         data: Vec<u8>,
         start: ReplayStart,
     ) -> Result<(), JournalError> {
-        *self.inner.watch.journal() = KernelJournal::verify(data, start)?;
+        let session = KernelJournal::verify(data, start)?;
+        self.inner.watch.journal().restart(session);
         Ok(())
     }
 
@@ -454,22 +446,20 @@ impl SimKernel {
     /// are derived observations, not inputs to execution.
     ///
     /// The cost follows what changed since the last snapshot, not what
-    /// the kernel holds: a slot nobody touched keeps its remembered id —
-    /// no encode, no hash, no allocation — and what is encoded goes
-    /// through one reused buffer, hashed and kept no longer. An id is a
-    /// content hash, so it stays good across journal sessions.
-    /// Recording and verifying run the same code, so their roots agree.
+    /// the kernel holds: a slot nobody touched is not encoded at all and
+    /// keeps its remembered id, and what is encoded goes through one
+    /// reused buffer into the journal session, which hashes it on its
+    /// own thread and keeps no bytes. An id is a content hash, so it
+    /// stays good across journal sessions. Recording and verifying run
+    /// the same code, so their roots agree.
     fn take_snapshot(&mut self) {
-        let SimKernel { slots, inner, snap } = self;
-        for i in snap.names.len()..KERNEL_SECTIONS.len() + slots.len() {
-            snap.names.push(match KERNEL_SECTIONS.get(i) {
-                Some((name, _)) => (*name).to_owned(),
-                None => format!("ep{}", i - KERNEL_SECTIONS.len()),
-            });
-            snap.ids.push(ChunkId([0; 32]));
-        }
-        let scratch = &mut snap.scratch;
-        for (pos, id) in snap.ids.iter_mut().enumerate() {
+        let SimKernel {
+            slots,
+            inner,
+            scratch,
+        } = self;
+        let count = KERNEL_SECTIONS.len() + slots.len();
+        for pos in 0..count {
             match KERNEL_SECTIONS.get(pos) {
                 Some((_, encode)) => {
                     scratch.w.clear();
@@ -484,27 +474,38 @@ impl SimKernel {
                     encode_slot(&mut scratch.w, slot);
                 }
             }
-            *id = ChunkId::of(scratch.w.as_bytes());
+            inner
+                .watch
+                .journal()
+                .snapshot_section(pos, scratch.w.as_bytes());
         }
         let (at, events) = (inner.now.as_nanos(), inner.stats.events);
-        inner
-            .watch
-            .journal()
-            .on_snapshot(at, events, &snap.names, &snap.ids);
+        inner.watch.journal().on_snapshot(at, events, count, |pos| {
+            match KERNEL_SECTIONS.get(pos) {
+                Some((name, _)) => (*name).to_owned(),
+                None => format!("ep{}", pos - KERNEL_SECTIONS.len()),
+            }
+        });
     }
 
     /// The first clean slot whose remembered section id no longer
     /// matches its state — a write that bypassed the dirty mark. Debug
-    /// builds ask after every snapshot; it encodes every clean slot from
-    /// scratch, which is what snapshots no longer do.
+    /// builds ask after every snapshot; it waits for the journal thread's
+    /// ids and encodes every clean slot from scratch, which is what
+    /// snapshots no longer do.
     fn stale_slot_section(&mut self) -> Option<usize> {
-        let w = &mut self.snap.scratch.w;
-        let slot_ids = self.snap.ids.iter().skip(KERNEL_SECTIONS.len());
-        self.slots.iter().zip(slot_ids).position(|(slot, id)| {
+        let SimKernel {
+            slots,
+            inner,
+            scratch,
+        } = self;
+        let w = &mut scratch.w;
+        let journal = inner.watch.journal();
+        slots.iter().enumerate().position(|(i, slot)| {
             !slot.dirty && {
                 w.clear();
                 encode_slot(w, slot);
-                ChunkId::of(w.as_bytes()) != *id
+                journal.section_id(KERNEL_SECTIONS.len() + i) != Some(ChunkId::of(w.as_bytes()))
             }
         })
     }
@@ -1589,9 +1590,10 @@ mod tests {
         // Through it, the slot is merely due for re-encoding.
         assert!(k.slots[1].admit(7_777, 1));
         assert_eq!(k.stale_slot_section(), None);
-        let before = k.snap.ids[KERNEL_SECTIONS.len() + 1];
+        let section = KERNEL_SECTIONS.len() + 1;
+        let before = k.inner.watch.journal().section_id(section);
         k.take_snapshot();
-        assert_ne!(k.snap.ids[KERNEL_SECTIONS.len() + 1], before);
+        assert_ne!(k.inner.watch.journal().section_id(section), before);
         assert_eq!(k.stale_slot_section(), None);
     }
 

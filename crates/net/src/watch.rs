@@ -471,9 +471,11 @@ impl SimKernel {
         self.inner.watch.journal.is_on()
     }
 
-    /// Finish the journal session: flush the sink (recording) or require
-    /// the whole reference journal to have been consumed (verifying).
-    /// Returns the summary and, in verify mode, the first divergence.
+    /// A barrier on the journal session: wait for its journal thread to
+    /// catch up, then flush the sink (recording) or require the whole
+    /// reference journal to have been consumed (verifying). The session
+    /// stays live. Returns the summary and, in verify mode, the first
+    /// divergence.
     pub fn finish_journal(&mut self) -> Result<(JournalSummary, Option<Divergence>), JournalError> {
         self.inner.watch.journal.finish()
     }

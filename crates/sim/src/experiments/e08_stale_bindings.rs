@@ -453,7 +453,7 @@ mod tests {
     /// has in flight, `on_ship_reply` drops the source record and never
     /// kills the running process, and the orphan keeps answering `Ping`.
     #[test]
-    #[ignore = "ROADMAP item 3: a Move leaves the copy an Activate re-activated mid-ship running"]
+    #[ignore = "ROADMAP item 1: a Move leaves the copy an Activate re-activated mid-ship running"]
     fn churn_leaves_every_object_alive_once() {
         let seed = 20_260_707;
         let mut sys = LegionSystem::build(SystemConfig {

@@ -133,6 +133,35 @@ fn verified_replay_reports_divergence_with_context() {
     assert!(!div.context.is_empty(), "divergence carries no context");
 }
 
+/// The journal thread's timing cannot reach the bytes. The run recorded
+/// alone, and again four times at once on scoped threads — four event
+/// loops and four journal threads contending for the cores — gives one
+/// journal, and each copy verifies, again four at a time, with every
+/// record checked and no divergence.
+#[test]
+fn journals_do_not_depend_on_thread_timing() {
+    let (_, alone) = record_run();
+    let crowded: Vec<Vec<u8>> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..4).map(|_| s.spawn(|| record_run().1)).collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    assert!(crowded.iter().all(|journal| *journal == alone));
+    std::thread::scope(|s| {
+        for journal in crowded {
+            s.spawn(|| {
+                let replay = run_with(Journal::Verify {
+                    journal,
+                    start: ReplayStart::Origin,
+                })
+                .expect("verify session runs to completion");
+                let (summary, divergence) = replay.journal.expect("verify summary");
+                assert!(divergence.is_none(), "{divergence:?}");
+                assert_eq!(summary.verified, summary.records);
+            });
+        }
+    });
+}
+
 /// Corruption of a *real* journal fails typed, never panics: truncation
 /// mid-record and a flipped body byte both surface as the right
 /// [`JournalError`] — from both the verifier and the bisector.
