@@ -10,7 +10,7 @@ use legion_bench::measure::{self, LEDGER_SEED};
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_net::metrics::{Counters, WindowedCounters};
-use legion_net::sim::{FlightEvent, FlightKind, FlightRecorder};
+use legion_net::sim::{FlightEvent, FlightRecorder, RecordKind};
 use legion_sim::harness::Watch;
 
 #[global_allocator]
@@ -78,7 +78,7 @@ fn hot_path_allocation_budgets() {
         for i in 0..1_000u64 {
             flight.record(FlightEvent {
                 at: SimTime(i),
-                kind: FlightKind::Deliver,
+                kind: RecordKind::Deliver,
                 endpoint: i % 7,
                 label: symbol::NET_DELAYED,
                 detail: i,

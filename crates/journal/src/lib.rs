@@ -8,7 +8,10 @@
 //! * [`record`] — the wire format: one compact, length-prefixed,
 //!   CRC-checksummed record per kernel ingress (delivery, timer fire,
 //!   chaos verdict, HA verdict…), with a typed [`JournalError`] for
-//!   every way a corrupt journal can fail to parse;
+//!   every way a corrupt journal can fail to parse, and the event-kind
+//!   table ([`record::KINDS`]): [`RecordKind`] names every kernel event
+//!   for the journal, the flight recorder and the span stream, and its
+//!   row spells the kind for each and says which of them see it;
 //! * [`sink`] — pluggable byte sinks ([`MemSink`], [`FileSink`]);
 //! * [`journal`] — the append-only [`JournalWriter`], which frames
 //!   records in place and hands the sink a block at a time, and the

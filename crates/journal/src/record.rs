@@ -114,8 +114,11 @@ impl fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 /// What a journal record describes: every kernel ingress or verdict that
-/// can influence the deterministic run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// can influence the deterministic run. This is the kernel's one
+/// event-kind vocabulary: the flight recorder and the span stream name
+/// the events they see by the same values, and [`KINDS`] says how each
+/// is spelled and who sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum RecordKind {
     /// An endpoint attached to the kernel.
@@ -158,6 +161,87 @@ pub enum RecordKind {
     Shed = 16,
 }
 
+/// Which record field a flight-recorder event carries as its `detail`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlightDetail {
+    /// `a`: the call id (or timer token, or silence in ns).
+    A,
+    /// `b`: the extra delay a fault verdict imposed.
+    B,
+}
+
+/// Whether the span stream records a kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Spans {
+    /// Never.
+    Never,
+    /// Only for an event inside an active trace (hops and timers belong
+    /// to a trace or to nothing).
+    InTrace,
+    /// Whenever the sink is on, traced or not: a crash-eaten delivery
+    /// must show without having traced the whole flow.
+    Always,
+}
+
+/// One row of [`KINDS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindRow {
+    /// The kind; its index in [`KINDS`] is its wire tag.
+    pub kind: RecordKind,
+    /// The label of a rendered journal record (`dead-letter`).
+    pub label: &'static str,
+    /// The watchers' text: the flight dump line, the flight JSON `kind`
+    /// and the span event's `Display` (`dead_letter`).
+    pub text: &'static str,
+    /// The span event's `kind` in trace JSON (`DeadLetter`).
+    pub trace_name: &'static str,
+    /// `Some` if the flight recorder sees the kind, naming the field its
+    /// `detail` carries.
+    pub flight: Option<FlightDetail>,
+    /// Whether the span stream sees the kind.
+    pub spans: Spans,
+}
+
+/// The event-kind table, in wire-tag order: every spelling of every
+/// kernel event kind, and which watchers see it. The journal sees every
+/// kind.
+#[rustfmt::skip]
+pub const KINDS: [KindRow; 17] = {
+    use FlightDetail::{A, B};
+    use RecordKind::*;
+    use Spans::{Always, InTrace, Never};
+    const fn row(
+        kind: RecordKind,
+        label: &'static str,
+        text: &'static str,
+        trace_name: &'static str,
+        flight: Option<FlightDetail>,
+        spans: Spans,
+    ) -> KindRow {
+        KindRow { kind, label, text, trace_name, flight, spans }
+    }
+    [
+        //  kind        journal        watchers       trace JSON    flight   spans
+        row(Attach,     "attach",      "attach",      "Attach",     None,    Never),
+        row(Detach,     "detach",      "detach",      "Detach",     None,    Never),
+        row(Start,      "start",       "start",       "Start",      None,    Never),
+        row(Deliver,    "deliver",     "deliver",     "Deliver",    Some(A), InTrace),
+        row(TimerFire,  "timer-fire",  "timer",       "Timer",      None,    InTrace),
+        row(Inject,     "inject",      "inject",      "Inject",     None,    Never),
+        row(Drop,       "drop",        "drop",        "Drop",       Some(A), Always),
+        row(Duplicate,  "duplicate",   "duplicate",   "Duplicate",  Some(B), Always),
+        row(Delay,      "delay",       "delay",       "Delay",      Some(B), Always),
+        row(Dedup,      "dedup",       "dedup",       "Dedup",      Some(A), Always),
+        row(DeadLetter, "dead-letter", "dead_letter", "DeadLetter", Some(A), Always),
+        row(Refuse,     "refuse",      "refuse",      "Refuse",     Some(A), Always),
+        row(Timeout,    "timeout",     "timeout",     "Timeout",    Some(A), Never),
+        row(HaVerdict,  "ha-verdict",  "ha_verdict",  "HaVerdict",  Some(A), Never),
+        row(Snapshot,   "snapshot",    "snapshot",    "Snapshot",   None,    Never),
+        row(Note,       "note",        "note",        "Note",       Some(A), Never),
+        row(Shed,       "shed",        "shed",        "Shed",       Some(A), Never),
+    ]
+};
+
 impl RecordKind {
     /// The wire tag.
     pub fn tag(self) -> u8 {
@@ -166,50 +250,13 @@ impl RecordKind {
 
     /// Decode a wire tag.
     pub fn from_tag(tag: u8) -> Option<Self> {
-        use RecordKind::*;
-        Some(match tag {
-            0 => Attach,
-            1 => Detach,
-            2 => Start,
-            3 => Deliver,
-            4 => TimerFire,
-            5 => Inject,
-            6 => Drop,
-            7 => Duplicate,
-            8 => Delay,
-            9 => Dedup,
-            10 => DeadLetter,
-            11 => Refuse,
-            12 => Timeout,
-            13 => HaVerdict,
-            14 => Snapshot,
-            15 => Note,
-            16 => Shed,
-            _ => return None,
-        })
+        KINDS.get(tag as usize).map(|row| row.kind)
     }
 
-    /// Fixed-width label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecordKind::Attach => "attach",
-            RecordKind::Detach => "detach",
-            RecordKind::Start => "start",
-            RecordKind::Deliver => "deliver",
-            RecordKind::TimerFire => "timer-fire",
-            RecordKind::Inject => "inject",
-            RecordKind::Drop => "drop",
-            RecordKind::Duplicate => "duplicate",
-            RecordKind::Delay => "delay",
-            RecordKind::Dedup => "dedup",
-            RecordKind::DeadLetter => "dead-letter",
-            RecordKind::Refuse => "refuse",
-            RecordKind::Timeout => "timeout",
-            RecordKind::HaVerdict => "ha-verdict",
-            RecordKind::Snapshot => "snapshot",
-            RecordKind::Note => "note",
-            RecordKind::Shed => "shed",
-        }
+    /// The kind's row of [`KINDS`].
+    #[inline]
+    pub const fn row(self) -> &'static KindRow {
+        &KINDS[self as usize]
     }
 }
 
@@ -239,7 +286,7 @@ impl fmt::Display for JournalRecord {
             "seq {:>6} [{:>12}ns] {:<11} ep{:<4} {} ({},{})",
             self.seq,
             self.at,
-            self.kind.label(),
+            self.kind.row().label,
             self.endpoint,
             self.label,
             self.a,
@@ -357,7 +404,7 @@ mod tests {
         for tag in 0..=16u8 {
             let kind = RecordKind::from_tag(tag).unwrap();
             assert_eq!(kind.tag(), tag);
-            assert!(!kind.label().is_empty());
+            assert_eq!(kind.row().kind, kind);
         }
         assert_eq!(RecordKind::from_tag(17), None);
     }

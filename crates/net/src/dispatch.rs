@@ -40,7 +40,7 @@
 //! parked it.
 
 use crate::message::{Body, CallId, Message};
-use crate::sim::{Ctx, FlightKind};
+use crate::sim::{Ctx, RecordKind};
 use legion_core::address::ObjectAddressElement;
 use legion_core::dispatch::{mismatch, signature_of, FromArgs, InvocationGate};
 use legion_core::env::InvocationEnv;
@@ -399,7 +399,7 @@ pub fn tick<E: Caller>(e: &mut E, ctx: &mut Ctx<'_>, tag: u64) -> bool {
         expired += 1;
         ctx.inner.current = trace;
         ctx.count(symbol::NET_TIMEOUT_EXPIRED);
-        ctx.flight(FlightKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
+        ctx.flight(RecordKind::Timeout, symbol::NET_TIMEOUT_EXPIRED, id.0);
         e.wake(ctx, wait, Err(timeout_error(after_ns)));
     }
     ctx.inner.current = fired_under;

@@ -377,7 +377,7 @@ pub struct MetricsSnapshot {
     pub stats: crate::sim::KernelStats,
     /// Named protocol counters.
     pub counters: Counters,
-    /// Delivered-message latency, all messages.
+    /// Delivered-message latency, all messages: the merge of `by_kind`.
     pub latency: Histogram,
     /// Delivered-message latency by message kind (method name / `reply`).
     pub by_kind: BTreeMap<String, Histogram>,

@@ -39,7 +39,7 @@ use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_core::trace::TraceContext;
 use legion_core::value::LegionValue;
-use legion_journal::{JournalError, JournalSink, KernelJournal, RecordKind, ReplayStart};
+use legion_journal::{JournalError, JournalSink, KernelJournal, ReplayStart};
 use legion_obs::span::SpanEvent;
 use legion_persist::cas::ChunkId;
 use legion_persist::Writer as StateWriter;
@@ -51,8 +51,15 @@ use std::any::Any;
 use std::fmt;
 
 // Re-exported so endpoint crates can record flight events through
-// [`Ctx::flight`] without depending on `legion-obs` directly.
-pub use legion_obs::recorder::{FlightEvent, FlightKind, FlightRecorder};
+// [`Ctx::flight`] without depending on `legion-obs` or `legion-journal`
+// directly.
+pub use legion_journal::RecordKind;
+pub use legion_obs::recorder::{FlightEvent, FlightRecorder};
+
+/// The flight recorder's kind is the journal's: this second name is kept
+/// only for `benchmark/`, which names it, and is deleted by the next
+/// benchmark change (ROADMAP item 5).
+pub use legion_journal::RecordKind as FlightKind;
 
 /// Identifies an endpoint attached to the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -2036,7 +2043,7 @@ mod tests {
         let events = k.drain_trace();
         let drop = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Drop)
+            .find(|e| e.kind == SpanEventKind::Kernel(RecordKind::Drop))
             .expect("drop span recorded");
         assert_eq!(drop.label, "drop:silent");
         assert_eq!(drop.trace, tc.trace);
@@ -2066,7 +2073,7 @@ mod tests {
         let events = k.drain_trace();
         let refuse = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Refuse)
+            .find(|e| e.kind == SpanEventKind::Kernel(RecordKind::Refuse))
             .expect("refuse span recorded");
         assert_eq!(refuse.label, "refused:dead-endpoint");
         assert_eq!(refuse.trace, tc.trace);
@@ -2102,13 +2109,13 @@ mod tests {
         let events = k.drain_trace();
         let dead = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::DeadLetter)
+            .find(|e| e.kind == SpanEventKind::Kernel(RecordKind::DeadLetter))
             .expect("dead-letter span for untraced message");
         assert_eq!(dead.label, "dead_letter:Ping");
         assert_eq!(dead.trace, legion_core::trace::TraceId::NONE);
         let refuse = events
             .iter()
-            .find(|e| e.kind == SpanEventKind::Refuse)
+            .find(|e| e.kind == SpanEventKind::Kernel(RecordKind::Refuse))
             .expect("refuse span for untraced message");
         assert_eq!(refuse.label, "refused:dead-endpoint");
         assert_eq!(refuse.trace, legion_core::trace::TraceId::NONE);
@@ -2166,8 +2173,12 @@ mod tests {
         assert_eq!(k.counters().get("net.dedup_dropped"), 1);
         assert_eq!(k.endpoint::<Echo>(echo).unwrap().got.len(), 1);
         let events = k.drain_trace();
-        assert!(events.iter().any(|e| e.kind == SpanEventKind::Duplicate));
-        assert!(events.iter().any(|e| e.kind == SpanEventKind::Dedup));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == SpanEventKind::Kernel(RecordKind::Duplicate)));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == SpanEventKind::Kernel(RecordKind::Dedup)));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! [`Watcher`] about each one with a single call to one of a handful of
 //! event methods and never touches a metric store, the span sink, the
 //! flight recorder, the profiler, the SLO tracker or the journal itself
-//! (`tools/lint_seam.sh` keeps every recording call in this file). One
-//! table, [`fanout`], says which of the flight recorder and the span
-//! stream see each event kind; the journal sees every kind, and its
-//! [`RecordKind`] is the kernel's event-kind vocabulary.
+//! (`tools/lint_seam.sh` keeps every recording call in this file). Every
+//! event is named by one [`RecordKind`], the journal's, and every watcher
+//! records it under that same value: the journal sees every kind, and the
+//! kind's row of the event-kind table (`legion_journal::record::KINDS`)
+//! says whether the flight recorder and the span stream see it too.
 //!
 //! The watchers' two public faces live here too, next to the state they
 //! switch on and read out: the driver's ([`SimKernel`]: `enable_*`,
@@ -19,41 +20,16 @@ use crate::sim::{Ctx, EndpointId, SimKernel};
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceContext};
+use legion_journal::record::{FlightDetail, Spans};
 use legion_journal::{Divergence, JournalError, JournalSummary, KernelJournal, RecordKind};
 use legion_obs::profile::{KernelProfiler, Profile};
-use legion_obs::recorder::{FlightEvent, FlightKind, FlightRecorder};
+use legion_obs::recorder::{FlightEvent, FlightRecorder};
 use legion_obs::sink::TraceSink;
 use legion_obs::slo::{BurnEvent, SloConfig, SloReport, SloTracker};
 use legion_obs::span::{SpanEvent, SpanEventKind};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
-
-/// The event-kind table: the flight-recorder kind and the span kind one
-/// kernel event kind is recorded under, if any.
-pub(crate) const fn fanout(kind: RecordKind) -> (Option<FlightKind>, Option<SpanEventKind>) {
-    use {FlightKind as F, RecordKind as R, SpanEventKind as S};
-    match kind {
-        R::Attach | R::Detach | R::Start | R::Inject | R::Snapshot => (None, None),
-        R::TimerFire => (None, Some(S::Timer)),
-        R::Deliver => (Some(F::Deliver), Some(S::Deliver)),
-        R::DeadLetter => (Some(F::DeadLetter), Some(S::DeadLetter)),
-        R::Refuse => (Some(F::Refuse), Some(S::Refuse)),
-        R::Drop => (Some(F::Drop), Some(S::Drop)),
-        R::Dedup => (Some(F::Dedup), Some(S::Dedup)),
-        R::Duplicate => (Some(F::Duplicate), Some(S::Duplicate)),
-        R::Delay => (Some(F::Delay), Some(S::Delay)),
-        R::Timeout => (Some(F::Timeout), None),
-        R::HaVerdict => (Some(F::HaVerdict), None),
-        R::Note => (Some(F::Note), None),
-        R::Shed => (Some(F::Shed), None),
-    }
-}
-
-/// Every event kind, in journal-tag order.
-fn all_kinds() -> impl Iterator<Item = RecordKind> {
-    (0..).map_while(RecordKind::from_tag)
-}
 
 /// The profiler's open bracket around one handler: the process-wide
 /// allocation counters and the wall clock when it started.
@@ -65,7 +41,8 @@ pub(crate) type HandlerStart = Option<((u64, u64), Instant)>;
 #[derive(Default)]
 pub(crate) struct Watcher {
     counters: Counters,
-    latency: Histogram,
+    /// Delivered-message latency per message kind; the overall
+    /// distribution is their merge.
     by_kind: BTreeMap<Sym, Histogram>,
     windows: WindowedCounters,
     sink: TraceSink,
@@ -91,8 +68,8 @@ pub(crate) struct Watcher {
 /// the difference).
 impl Watcher {
     /// One kernel ingress of `kind` at `endpoint`: journaled as
-    /// `(kind, endpoint, a, b, label)`, then recorded wherever [`fanout`]
-    /// says the kind is seen. `span_label` is rendered only if a span is
+    /// `(kind, endpoint, a, b, label)`, then recorded wherever the kind's
+    /// [`RecordKind::row`] says it is seen. `span_label` is rendered only if a span is
     /// recorded.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -108,25 +85,23 @@ impl Watcher {
         span_label: fmt::Arguments<'_>,
     ) {
         let seq = self.note(now, kind, endpoint, a, b, || label.as_str());
-        let (flight, span) = fanout(kind);
-        if let Some(kind) = flight {
-            // `a` is the call id, except that a fault verdict's flight
-            // event carries the extra delay it imposed (`b`).
-            let on_verdict = matches!(kind, FlightKind::Delay | FlightKind::Duplicate);
-            let detail = if on_verdict { b } else { a };
+        let row = kind.row();
+        if let Some(detail) = row.flight {
+            let detail = match detail {
+                FlightDetail::A => a,
+                FlightDetail::B => b,
+            };
             self.flight(now, kind, endpoint, label, detail, seq);
         }
-        if let Some(kind) = span {
-            // Hops and timers belong to a trace or to nothing. Fault
-            // fallout is recorded whenever the sink is on, even for a
-            // message that carries no trace context: a crash-eaten
-            // delivery must be visible in the span stream without having
-            // traced the whole flow.
-            let in_trace_only = matches!(kind, SpanEventKind::Deliver | SpanEventKind::Timer);
-            if self.sink.is_enabled() && (trace.is_active() || !in_trace_only) {
-                let label = span_label.to_string();
-                self.record_span(now, trace, SpanId::NONE, kind, endpoint, label);
-            }
+        let traced = match row.spans {
+            Spans::Never => false,
+            Spans::InTrace => trace.is_active(),
+            Spans::Always => true,
+        };
+        if traced && self.sink.is_enabled() {
+            let label = span_label.to_string();
+            let kind = SpanEventKind::Kernel(kind);
+            self.record_span(now, trace, SpanId::NONE, kind, endpoint, label);
         }
     }
 
@@ -135,7 +110,7 @@ impl Watcher {
     /// endpoint names are per-endpoint and never interned.
     #[inline]
     pub(crate) fn lifecycle(&mut self, now: SimTime, kind: RecordKind, endpoint: u64, label: &str) {
-        debug_assert!(matches!(fanout(kind), (None, None)));
+        debug_assert!(kind.row().flight.is_none() && kind.row().spans == Spans::Never);
         self.note(now, kind, endpoint, 0, 0, || label);
     }
 
@@ -164,7 +139,6 @@ impl Watcher {
     /// latency counts against is the one the user experienced it in.
     #[inline]
     pub(crate) fn hop_latency(&mut self, arrives: SimTime, to: u64, label: Sym, ns: u64) {
-        self.latency.record(ns);
         self.by_kind.entry(label).or_default().record(ns);
         self.slo.record(arrives.as_nanos(), to, ns);
     }
@@ -211,7 +185,6 @@ impl Watcher {
     /// keys), and the SLO tracker drops collected windows.
     pub(crate) fn reset(&mut self) {
         self.counters.reset();
-        self.latency = Histogram::new();
         self.by_kind.clear();
         self.windows.clear();
         self.flight.clear();
@@ -259,7 +232,7 @@ impl Watcher {
     fn flight(
         &mut self,
         at: SimTime,
-        kind: FlightKind,
+        kind: RecordKind,
         endpoint: u64,
         label: Sym,
         detail: u64,
@@ -345,9 +318,14 @@ impl SimKernel {
         &self.inner.watch.counters
     }
 
-    /// Delivered-message latency distribution.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.inner.watch.latency
+    /// Delivered-message latency distribution: every message kind's,
+    /// merged.
+    pub fn latency_histogram(&self) -> Histogram {
+        let mut all = Histogram::new();
+        for h in self.inner.watch.by_kind.values() {
+            all.merge(h);
+        }
+        all
     }
 
     /// Start recording span events into a bounded sink.
@@ -436,7 +414,7 @@ impl SimKernel {
             at: self.now(),
             stats: self.stats().clone(),
             counters: watch.counters.clone(),
-            latency: watch.latency.clone(),
+            latency: self.latency_histogram(),
             by_kind: watch
                 .by_kind
                 .iter()
@@ -531,7 +509,7 @@ impl Ctx<'_> {
     /// Annotate the current trace with a protocol-level event (cache hit,
     /// activation, …). No-op outside a trace.
     pub fn trace_note(&mut self, label: &str) {
-        self.annotate(SpanEventKind::Note, label);
+        self.annotate(SpanEventKind::Kernel(RecordKind::Note), label);
     }
 
     fn annotate(&mut self, kind: SpanEventKind, label: &str) {
@@ -554,16 +532,19 @@ impl Ctx<'_> {
     }
 
     /// Record an event into the always-on flight recorder, attributed to
-    /// this endpoint, and journal it under the kind [`fanout`] pairs with
-    /// `kind`. Allocation-free (the label is a pre-interned [`Sym`];
-    /// `detail` is kind-specific).
-    pub fn flight(&mut self, kind: FlightKind, label: Sym, detail: u64) {
+    /// this endpoint, and journal it. `kind` is one an endpoint raises:
+    /// `Timeout`, `HaVerdict`, `Note` or `Shed` — the kernel raises the
+    /// rest itself. Allocation-free (the label is a pre-interned [`Sym`];
+    /// `detail` is kind-specific and journaled as `a`).
+    pub fn flight(&mut self, kind: RecordKind, label: Sym, detail: u64) {
+        use RecordKind::{HaVerdict, Note, Shed, Timeout};
+        assert!(
+            matches!(kind, Timeout | HaVerdict | Note | Shed),
+            "{kind:?} is a kernel event, not one an endpoint raises"
+        );
         let (now, me) = (self.now(), self.self_id().0);
-        let journaled_as = all_kinds()
-            .find(|k| fanout(*k).0 == Some(kind))
-            .expect("every flight kind has a row in the event-kind table");
         let watch = &mut self.inner.watch;
-        let seq = watch.note(now, journaled_as, me, detail, 0, || label.as_str());
+        let seq = watch.note(now, kind, me, detail, 0, || label.as_str());
         watch.flight(now, kind, me, label, detail, seq);
     }
 
@@ -608,10 +589,12 @@ mod tests {
     use crate::topology::{Location, Topology};
     use legion_core::env::InvocationEnv;
     use legion_core::loid::Loid;
+    use legion_journal::record::KINDS;
     use legion_journal::MemSink;
 
     /// `Arm` arms a timer; `Annotate` records one flight event of every
-    /// kind endpoints annotate with; anything else is just delivered.
+    /// kind endpoints annotate with, and `Misannotate` one of a kind only
+    /// the kernel raises; anything else is just delivered.
     struct Probe;
 
     impl Endpoint for Probe {
@@ -619,15 +602,12 @@ mod tests {
             match msg.method() {
                 Some("Arm") => ctx.set_timer(10, 7),
                 Some("Annotate") => {
-                    for kind in [
-                        FlightKind::Timeout,
-                        FlightKind::HaVerdict,
-                        FlightKind::Note,
-                        FlightKind::Shed,
-                    ] {
+                    use RecordKind::{HaVerdict, Note, Shed, Timeout};
+                    for kind in [Timeout, HaVerdict, Note, Shed] {
                         ctx.flight(kind, symbol::PING, 1);
                     }
                 }
+                Some("Misannotate") => ctx.flight(RecordKind::Deliver, symbol::PING, 1),
                 _ => {}
             }
         }
@@ -649,10 +629,10 @@ mod tests {
     }
 
     /// Every event kind, driven once through a kernel with the journal,
-    /// the span sink and the flight recorder on: what each record's kind
-    /// fans out to is exactly its row of [`fanout`] — the flight event
-    /// (carrying the record's seq) and the span if the row names one,
-    /// nothing if it does not.
+    /// the span sink and the flight recorder on: what each record reaches
+    /// is exactly its row of the event-kind table — a flight event
+    /// carrying the record's seq and the detail field the row names, and
+    /// a span if the row's span column lets this traced event through.
     #[test]
     fn every_event_kind_fans_out_as_the_table_says() {
         let sink = MemSink::new();
@@ -687,21 +667,37 @@ mod tests {
         k.finish_journal().unwrap();
 
         let (_, records) = legion_journal::read_all(&sink.contents()).unwrap();
-        let seen: Vec<RecordKind> = all_kinds()
+        let all: Vec<RecordKind> = KINDS.iter().map(|row| row.kind).collect();
+        let seen: Vec<RecordKind> = all
+            .iter()
+            .copied()
             .filter(|kind| records.iter().any(|r| r.kind == *kind))
             .collect();
-        assert_eq!(seen, all_kinds().collect::<Vec<_>>(), "a kind never ran");
+        assert_eq!(seen, all, "a kind never ran");
 
-        let expected_flights: Vec<(FlightKind, u64)> = records
+        let expected_flights: Vec<(RecordKind, u64, u64)> = records
             .iter()
-            .filter_map(|r| fanout(r.kind).0.map(|kind| (kind, r.seq)))
+            .filter_map(|r| {
+                let detail = match r.kind.row().flight? {
+                    FlightDetail::A => r.a,
+                    FlightDetail::B => r.b,
+                };
+                Some((r.kind, r.seq, detail))
+            })
             .collect();
-        let flights: Vec<(FlightKind, u64)> = k.flight().iter().map(|e| (e.kind, e.seq)).collect();
+        let flights: Vec<(RecordKind, u64, u64)> = k
+            .flight()
+            .iter()
+            .map(|e| (e.kind, e.seq, e.detail))
+            .collect();
         assert_eq!(flights, expected_flights);
 
         // `Begin`/`Send` are trace bookkeeping, not kernel event kinds.
-        let expected_spans: Vec<SpanEventKind> =
-            records.iter().filter_map(|r| fanout(r.kind).1).collect();
+        let expected_spans: Vec<SpanEventKind> = records
+            .iter()
+            .filter(|r| r.kind.row().spans != Spans::Never)
+            .map(|r| SpanEventKind::Kernel(r.kind))
+            .collect();
         let spans: Vec<SpanEventKind> = k
             .drain_trace()
             .iter()
@@ -711,23 +707,13 @@ mod tests {
         assert_eq!(spans, expected_spans);
     }
 
-    /// `Ctx::flight` finds the kind to journal under by searching the
-    /// table, so every flight kind needs a row. The match is here to fail
-    /// to compile when a kind is added; add it to the list as well.
+    /// An endpoint cannot raise a kernel event kind through `Ctx::flight`:
+    /// a `Deliver` there would journal a delivery that never happened.
     #[test]
-    fn every_flight_kind_has_a_row() {
-        use FlightKind::*;
-        let all = [
-            Deliver, DeadLetter, Refuse, Drop, Dedup, Duplicate, Delay, Timeout, HaVerdict, Note,
-            Shed,
-        ];
-        for kind in all {
-            match kind {
-                Deliver | DeadLetter | Refuse | Drop | Dedup | Duplicate | Delay | Timeout
-                | HaVerdict | Note | Shed => {}
-            }
-            let rows = all_kinds().filter(|k| fanout(*k).0 == Some(kind)).count();
-            assert_eq!(rows, 1, "{kind:?}");
-        }
+    #[should_panic(expected = "Deliver is a kernel event")]
+    fn ctx_flight_refuses_a_kernel_kind() {
+        let mut k = SimKernel::new(Topology::zero(), FaultPlan::seeded(3), 7);
+        let probe = k.add_endpoint(Box::new(Probe), Location::new(0, 0), "probe");
+        call(&mut k, TraceContext::NONE, probe, "Misannotate");
     }
 }

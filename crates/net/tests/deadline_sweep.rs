@@ -24,7 +24,7 @@ use legion_core::value::LegionValue;
 use legion_net::dispatch::{is_timeout, resume, tick, timeout_error, Caller, Calls};
 use legion_net::faults::FaultPlan;
 use legion_net::message::Message;
-use legion_net::sim::{Ctx, Endpoint, EndpointId, FlightKind, SimKernel};
+use legion_net::sim::{Ctx, Endpoint, EndpointId, RecordKind, SimKernel};
 use legion_net::topology::{Location, Topology};
 
 const TIMEOUT_NS: u64 = 5_000;
@@ -182,7 +182,7 @@ fn one_sweep_resolves_all_expired_in_call_id_order() {
     assert_eq!(order, [0, 1, 2], "resolution follows CallId order");
     // ...which the sweep's own record states in call ids: one `Timeout`
     // flight event per expiry, carrying the id it gave up on.
-    let timeouts = k.flight().iter().filter(|e| e.kind == FlightKind::Timeout);
+    let timeouts = k.flight().iter().filter(|e| e.kind == RecordKind::Timeout);
     let ids: Vec<u64> = timeouts.map(|e| e.detail).collect();
     assert_eq!(ids.len(), 3);
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");

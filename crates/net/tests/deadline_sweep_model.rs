@@ -451,6 +451,7 @@ fn a_run_without_losses_ends_empty() {
 #[test]
 fn a_sweep_resolves_each_timeout_under_its_own_trace() {
     use legion_core::trace::TraceId;
+    use legion_net::sim::RecordKind;
     use legion_obs::span::SpanEventKind;
 
     struct Traced {
@@ -523,7 +524,7 @@ fn a_sweep_resolves_each_timeout_under_its_own_trace() {
     let timers = k
         .drain_trace()
         .iter()
-        .filter(|e| e.kind == SpanEventKind::Timer)
+        .filter(|e| e.kind == SpanEventKind::Kernel(RecordKind::TimerFire))
         .count();
     assert_eq!(timers, 0, "the sweep timer fires under no trace");
 }

@@ -12,6 +12,7 @@
 use crate::span::{SpanEvent, SpanEventKind};
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
+use legion_journal::RecordKind;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -115,29 +116,29 @@ pub fn summarize(events: &[SpanEvent]) -> Vec<TraceSummary> {
                 to: None,
                 fate: HopFate::Pending,
             }),
-            SpanEventKind::Deliver
-            | SpanEventKind::Drop
-            | SpanEventKind::Refuse
-            | SpanEventKind::DeadLetter => {
+            SpanEventKind::Kernel(
+                kind @ (RecordKind::Deliver
+                | RecordKind::Drop
+                | RecordKind::Refuse
+                | RecordKind::DeadLetter),
+            ) => {
                 if let Some(h) = s.hops.iter_mut().rev().find(|h| h.span == e.span) {
-                    h.fate = match e.kind {
-                        SpanEventKind::Deliver => HopFate::Delivered(e.at),
-                        SpanEventKind::Drop => HopFate::Dropped,
-                        SpanEventKind::Refuse => HopFate::Refused,
+                    h.fate = match kind {
+                        RecordKind::Deliver => HopFate::Delivered(e.at),
+                        RecordKind::Drop => HopFate::Dropped,
+                        RecordKind::Refuse => HopFate::Refused,
                         _ => HopFate::DeadLettered,
                     };
-                    if e.kind == SpanEventKind::Deliver {
+                    if kind == RecordKind::Deliver {
                         h.to = Some(e.endpoint);
                     }
                 }
             }
-            SpanEventKind::Timer => s.timers += 1,
-            // Fault-verdict annotations: the hop's fate is still decided
-            // by its eventual Deliver/Drop event, so these read as notes.
-            SpanEventKind::Note
-            | SpanEventKind::Duplicate
-            | SpanEventKind::Delay
-            | SpanEventKind::Dedup => s.notes.push((e.at, e.endpoint, e.label.clone())),
+            SpanEventKind::Kernel(RecordKind::TimerFire) => s.timers += 1,
+            // Notes and fault-verdict annotations: the hop's fate is still
+            // decided by its eventual Deliver/Drop event, so these read as
+            // notes.
+            SpanEventKind::Kernel(_) => s.notes.push((e.at, e.endpoint, e.label.clone())),
         }
     }
     by_trace.into_values().collect()
@@ -309,9 +310,9 @@ mod tests {
         vec![
             ev(1, 1, 0, SpanEventKind::Begin, 0, "lookup"),
             ev(1, 2, 1, SpanEventKind::Send, 0, "GetBinding"),
-            ev(1, 2, 1, SpanEventKind::Deliver, 10, ""),
+            ev(1, 2, 1, SpanEventKind::Kernel(RecordKind::Deliver), 10, ""),
             ev(1, 3, 2, SpanEventKind::Send, 10, "reply"),
-            ev(1, 3, 2, SpanEventKind::Deliver, 30, ""),
+            ev(1, 3, 2, SpanEventKind::Kernel(RecordKind::Deliver), 30, ""),
             ev(1, 1, 0, SpanEventKind::End, 40, "ok"),
         ]
     }
@@ -346,8 +347,8 @@ mod tests {
             ev(1, 1, 0, SpanEventKind::Begin, 0, "fanout"),
             ev(1, 2, 1, SpanEventKind::Send, 0, "Ping"),
             ev(1, 3, 1, SpanEventKind::Send, 0, "Ping"),
-            ev(1, 2, 1, SpanEventKind::Deliver, 10, ""),
-            ev(1, 3, 1, SpanEventKind::Deliver, 15, ""),
+            ev(1, 2, 1, SpanEventKind::Kernel(RecordKind::Deliver), 10, ""),
+            ev(1, 3, 1, SpanEventKind::Kernel(RecordKind::Deliver), 15, ""),
             ev(1, 1, 0, SpanEventKind::End, 15, "ok"),
         ];
         let p = request_path(&summarize(&events)[0]);
@@ -362,7 +363,7 @@ mod tests {
         let events = vec![
             ev(1, 1, 0, SpanEventKind::Begin, 0, "op"),
             ev(1, 2, 1, SpanEventKind::Send, 0, "Ping"),
-            ev(1, 2, 1, SpanEventKind::Drop, 0, "drop"),
+            ev(1, 2, 1, SpanEventKind::Kernel(RecordKind::Drop), 0, "drop"),
             ev(1, 1, 0, SpanEventKind::End, 50, "failed"),
         ];
         let p = request_path(&summarize(&events)[0]);

@@ -32,7 +32,7 @@ pub mod span;
 
 pub use analysis::{HopBreakdown, RequestPath, TraceSummary};
 pub use profile::{KernelProfiler, MethodStat, Profile, ProfileEntry};
-pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
+pub use recorder::{FlightEvent, FlightRecorder};
 pub use sink::TraceSink;
 pub use slo::{SloConfig, SloObjective, SloReport, SloTracker};
 pub use span::{SpanEvent, SpanEventKind};

@@ -9,6 +9,11 @@
 //! sweep fires, or a run panics, the dump carries the last-N-events
 //! context of the failure without anyone having enabled anything.
 //!
+//! An event's kind is the journal's [`RecordKind`]: a flight line and
+//! the journal record of the same event share the kind value, and its
+//! seq. Which kinds the recorder sees, and how a dump spells them, is
+//! the kind's row of `legion_journal::record::KINDS`.
+//!
 //! Cost discipline: a [`FlightEvent`] is a small `Copy` struct whose
 //! label is a pre-interned [`Sym`], and the ring's backing storage is
 //! allocated once at construction. Recording an event after the ring has
@@ -17,64 +22,13 @@
 
 use legion_core::symbol::Sym;
 use legion_core::time::SimTime;
+use legion_journal::RecordKind;
 use serde::Value;
 use std::fmt;
 
 /// Default ring capacity: enough context to see the few round-trips
 /// preceding a failure, small enough to be free to keep around.
 pub const DEFAULT_CAPACITY: usize = 256;
-
-/// What kind of kernel event a [`FlightEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FlightKind {
-    /// A message was delivered to a live endpoint.
-    Deliver,
-    /// A delivery found its endpoint dead on arrival.
-    DeadLetter,
-    /// A send was refused detectably (dead/unknown endpoint).
-    Refuse,
-    /// A message was silently dropped by the fault plan.
-    Drop,
-    /// A duplicate delivery was suppressed by the at-most-once window.
-    Dedup,
-    /// The fault plan duplicated a message.
-    Duplicate,
-    /// The fault plan delayed a message.
-    Delay,
-    /// A dispatch deadline sweep expired a pending continuation.
-    Timeout,
-    /// A high-availability verdict (suspect, host-dead, recovery, …).
-    HaVerdict,
-    /// A free-form endpoint annotation.
-    Note,
-    /// A call refused admission by an overloaded endpoint (load shed).
-    Shed,
-}
-
-impl FlightKind {
-    /// Stable lower-case label used in dumps and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightKind::Deliver => "deliver",
-            FlightKind::DeadLetter => "dead_letter",
-            FlightKind::Refuse => "refuse",
-            FlightKind::Drop => "drop",
-            FlightKind::Dedup => "dedup",
-            FlightKind::Duplicate => "duplicate",
-            FlightKind::Delay => "delay",
-            FlightKind::Timeout => "timeout",
-            FlightKind::HaVerdict => "ha_verdict",
-            FlightKind::Note => "note",
-            FlightKind::Shed => "shed",
-        }
-    }
-}
-
-impl fmt::Display for FlightKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// One recorded kernel event. `Copy`, fixed-size, no owned strings: the
 /// `label` is a pre-interned symbol (message kind, counter name, HA
@@ -84,8 +38,9 @@ impl fmt::Display for FlightKind {
 pub struct FlightEvent {
     /// Virtual time the event happened.
     pub at: SimTime,
-    /// What happened.
-    pub kind: FlightKind,
+    /// What happened: one of the kinds whose [`RecordKind::row`] names a
+    /// flight detail.
+    pub kind: RecordKind,
     /// The endpoint it happened at (receiver for deliveries, sender for
     /// refusals/drops).
     pub endpoint: u64,
@@ -105,7 +60,7 @@ impl FlightEvent {
     pub fn to_json_value(&self) -> Value {
         Value::Object(vec![
             ("at".to_string(), Value::U64(self.at.as_nanos())),
-            ("kind".to_string(), Value::Str(self.kind.label().into())),
+            ("kind".to_string(), Value::Str(self.kind.row().text.into())),
             ("endpoint".to_string(), Value::U64(self.endpoint)),
             ("label".to_string(), Value::Str(self.label.as_str().into())),
             ("detail".to_string(), Value::U64(self.detail)),
@@ -120,7 +75,7 @@ impl fmt::Display for FlightEvent {
             f,
             "[{:>12}ns] {:<11} ep{:<4} {} ({})",
             self.at.as_nanos(),
-            self.kind.label(),
+            self.kind.row().text,
             self.endpoint,
             self.label.as_str(),
             self.detail
@@ -253,12 +208,19 @@ mod tests {
     fn ev(i: u64) -> FlightEvent {
         FlightEvent {
             at: SimTime(i * 10),
-            kind: FlightKind::Deliver,
+            kind: RecordKind::Deliver,
             endpoint: i,
             label: symbol::PING,
             detail: i,
             seq: 0,
         }
+    }
+
+    /// The ring is allocated up front at `capacity` of these: a wider
+    /// kind or label would grow every recorder.
+    #[test]
+    fn flight_event_stays_40_bytes() {
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 40);
     }
 
     #[test]

@@ -125,7 +125,7 @@ mod tests {
             trace: TraceId(trace),
             span: SpanId(span),
             parent: SpanId::NONE,
-            kind: SpanEventKind::Note,
+            kind: SpanEventKind::Kernel(legion_journal::RecordKind::Note),
             at: SimTime(1),
             endpoint: 0,
             label: String::new(),

@@ -6,14 +6,22 @@
 //! so hop latency falls out of the event list without any state. Faulted
 //! hops get a `Drop`/`Refuse`/`DeadLetter` event instead of a `Deliver`,
 //! tagged with the fault verdict in `label`.
+//!
+//! `Begin`, `End` and `Send` are the span stream's own; every other event
+//! is a kernel event, named by the journal's [`RecordKind`]. Its `Display`
+//! text and trace-JSON name are the kind's row of
+//! `legion_journal::record::KINDS` (`timer` / `Timer` for a timer fire).
 
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
-use serde::{Deserialize, Serialize};
+use legion_journal::RecordKind;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
-/// What happened at one point of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// What happened at one point of a trace: the span stream's own
+/// bookkeeping, or a kernel event it sees (a [`RecordKind`] whose row
+/// says so, or a handler's [`RecordKind::Note`] annotation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanEventKind {
     /// A root span opened (one per workload-level request).
     Begin,
@@ -21,47 +29,61 @@ pub enum SpanEventKind {
     End,
     /// A message hop left its sender.
     Send,
-    /// A message hop arrived at a live endpoint.
-    Deliver,
-    /// The fault plan silently dropped the hop.
-    Drop,
-    /// The send was detectably refused (dead/unknown endpoint, §4.1.4).
-    Refuse,
-    /// Delivery found the endpoint dead on arrival.
-    DeadLetter,
-    /// The fault plan duplicated the hop (a second copy was queued).
-    Duplicate,
-    /// The fault plan delayed the hop (spike multiplier / reorder jitter).
-    Delay,
-    /// The receiver's at-most-once window rejected a duplicate delivery.
-    Dedup,
-    /// A timer armed inside this trace fired.
-    Timer,
-    /// A protocol-level annotation (cache hit/miss, activation, …).
-    Note,
+    /// A kernel event: a hop's fate, a fault verdict, a timer or a note.
+    Kernel(RecordKind),
+}
+
+impl SpanEventKind {
+    /// Kept only for `benchmark/`, which names it; deleted by the next
+    /// benchmark change (ROADMAP item 5).
+    #[allow(non_upper_case_globals)]
+    pub const Deliver: SpanEventKind = SpanEventKind::Kernel(RecordKind::Deliver);
+
+    /// The `Display` text and the trace-JSON name.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            SpanEventKind::Begin => ("begin", "Begin"),
+            SpanEventKind::End => ("end", "End"),
+            SpanEventKind::Send => ("send", "Send"),
+            SpanEventKind::Kernel(kind) => (kind.row().text, kind.row().trace_name),
+        }
+    }
 }
 
 impl fmt::Display for SpanEventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SpanEventKind::Begin => "begin",
-            SpanEventKind::End => "end",
-            SpanEventKind::Send => "send",
-            SpanEventKind::Deliver => "deliver",
-            SpanEventKind::Drop => "drop",
-            SpanEventKind::Refuse => "refuse",
-            SpanEventKind::DeadLetter => "dead_letter",
-            SpanEventKind::Duplicate => "duplicate",
-            SpanEventKind::Delay => "delay",
-            SpanEventKind::Dedup => "dedup",
-            SpanEventKind::Timer => "timer",
-            SpanEventKind::Note => "note",
-        };
-        f.write_str(s)
+        f.write_str(self.names().0)
     }
 }
 
-/// One recorded event. ~64 bytes; the sink stores these by value.
+impl Serialize for SpanEventKind {
+    fn to_json_value(&self) -> Value {
+        Value::Str(self.names().1.into())
+    }
+}
+
+impl Deserialize for SpanEventKind {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        let name = v
+            .as_str()
+            .ok_or_else(|| DeError::expected("span kind", v))?;
+        let span_only = [
+            SpanEventKind::Begin,
+            SpanEventKind::End,
+            SpanEventKind::Send,
+        ];
+        let kernel = legion_journal::record::KINDS
+            .iter()
+            .map(|row| SpanEventKind::Kernel(row.kind));
+        span_only
+            .into_iter()
+            .chain(kernel)
+            .find(|kind| kind.names().1 == name)
+            .ok_or_else(|| DeError(format!("unknown SpanEventKind variant `{name}`")))
+    }
+}
+
+/// One recorded event. 72 bytes; the sink stores these by value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanEvent {
     /// The request this event belongs to.
@@ -100,27 +122,33 @@ impl fmt::Display for SpanEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn kinds_render_distinctly() {
-        let kinds = [
+        let span_only = [
             SpanEventKind::Begin,
             SpanEventKind::End,
             SpanEventKind::Send,
-            SpanEventKind::Deliver,
-            SpanEventKind::Drop,
-            SpanEventKind::Refuse,
-            SpanEventKind::DeadLetter,
-            SpanEventKind::Duplicate,
-            SpanEventKind::Delay,
-            SpanEventKind::Dedup,
-            SpanEventKind::Timer,
-            SpanEventKind::Note,
         ];
-        let mut seen = std::collections::HashSet::new();
-        for k in kinds {
-            assert!(seen.insert(k.to_string()), "duplicate rendering for {k:?}");
+        let kernel = legion_journal::record::KINDS
+            .iter()
+            .map(|row| SpanEventKind::Kernel(row.kind));
+        let (mut texts, mut names) = (HashSet::new(), HashSet::new());
+        for k in span_only.into_iter().chain(kernel) {
+            assert!(texts.insert(k.to_string()), "duplicate rendering for {k:?}");
+            let v = k.to_json_value();
+            assert!(names.insert(v.as_str().unwrap().to_owned()), "{k:?}");
+            assert_eq!(SpanEventKind::from_json_value(&v), Ok(k));
         }
+        assert!(SpanEventKind::from_json_value(&Value::Str("Nope".into())).is_err());
+    }
+
+    /// The sink stores events by value: wrapping a `RecordKind` must not
+    /// grow one.
+    #[test]
+    fn span_event_stays_72_bytes() {
+        assert_eq!(std::mem::size_of::<SpanEvent>(), 72);
     }
 
     #[test]

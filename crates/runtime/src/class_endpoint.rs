@@ -68,7 +68,7 @@ use legion_net::dispatch::{
     TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
-use legion_net::sim::{Ctx, Endpoint, FlightKind};
+use legion_net::sim::{Ctx, Endpoint, RecordKind};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -284,7 +284,7 @@ impl ClassEndpoint {
             Admission::Shed { retry_after_ns } => {
                 ctx.count(symbol::NET_REQUESTS_SHED);
                 ctx.flight(
-                    FlightKind::Shed,
+                    RecordKind::Shed,
                     msg.method_sym().unwrap_or(symbol::EMPTY),
                     retry_after_ns,
                 );

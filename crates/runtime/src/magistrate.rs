@@ -50,7 +50,7 @@ use legion_net::dispatch::{
     resume, serve, tick, Caller, Calls, MethodTable, Outcome, Parked, TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
-use legion_net::sim::{Ctx, Endpoint, FlightKind};
+use legion_net::sim::{Ctx, Endpoint, RecordKind};
 use legion_persist::opr::Opr;
 use legion_persist::storage::{JurisdictionStorage, PersistentAddress};
 use legion_security::mayi::{AllowAll, MayIPolicy};
@@ -689,7 +689,7 @@ impl MagistrateEndpoint {
             ha.tracker.false_positive();
             ctx.count(symbol::MAGISTRATE_HA_FALSE_POSITIVE);
             ctx.trace_note("ha.false_positive");
-            ctx.flight(FlightKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
+            ctx.flight(RecordKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
         }
         if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == host) {
             h.alive = true;
@@ -710,7 +710,7 @@ impl MagistrateEndpoint {
             match t.to {
                 Health::Suspect => {
                     ctx.count(symbol::MAGISTRATE_HA_SUSPECT);
-                    ctx.flight(FlightKind::HaVerdict, symbol::HA_SUSPECT, t.silence_ns);
+                    ctx.flight(RecordKind::HaVerdict, symbol::HA_SUSPECT, t.silence_ns);
                 }
                 Health::Dead => self.recover_host(ctx, t.host, t.silence_ns),
                 Health::Alive => {}
@@ -725,7 +725,7 @@ impl MagistrateEndpoint {
     /// from the vault OPRs, on surviving hosts.
     fn recover_host(&mut self, ctx: &mut Ctx<'_>, host: Loid, silence_ns: u64) {
         ctx.count(symbol::MAGISTRATE_HA_HOST_DEAD);
-        ctx.flight(FlightKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
+        ctx.flight(RecordKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
         self.mark_host_dead(&host);
         if let Some(ha) = &mut self.ha {
             ha.tracker.host_dead(silence_ns);
@@ -791,7 +791,7 @@ impl MagistrateEndpoint {
         }
         ctx.count(symbol::MAGISTRATE_HA_RECOVERIES);
         ctx.flight(
-            FlightKind::HaVerdict,
+            RecordKind::HaVerdict,
             symbol::HA_RECOVERED,
             loid.class_specific,
         );

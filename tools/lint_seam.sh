@@ -2,18 +2,24 @@
 # Watcher-seam lint: the stepper (crates/net/src/sim.rs) orders and
 # delivers events; everything that *watches* them — journal, flight
 # recorder, span sink, profiler, SLO tracker — is written to in exactly
-# one place, crates/net/src/watch.rs, which pairs the three event-kind
-# vocabularies through one table.
+# one place, crates/net/src/watch.rs, which reads the event-kind table
+# (`legion_journal::record::KINDS`) to decide who sees each event.
 #
 # Fails the build if a recording call on one of the watchers
 # (`flight.record(`, `sink.record(`, `profile.record(`, `slo.record(`,
 # `journal.note(`, directly or through the `journal()` accessor) appears
 # under crates/net/src/ outside watch.rs. A hand-expanded fan-out at a
-# new ingress site is how the journal kind, the flight kind and the span
-# kind drift apart — and how a label gets built for a sink that is off.
+# new ingress site is how what a watcher sees drifts from the table —
+# and how a label gets built for a sink that is off.
 #
 # Each file is scanned with whitespace removed, so a call rustfmt split
 # across lines (`self.journal\n    .note(`) is still one match.
+#
+# Also fails if an enum with a `DeadLetter` variant is declared under
+# crates/*/src anywhere but crates/journal/src/record.rs: `RecordKind`
+# is the one enum that names a kernel event, for the journal, the flight
+# recorder and the span stream alike, and a second one is a second
+# vocabulary to translate between.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +62,42 @@ if [[ -n "$hits" ]]; then
     echo "$hits" >&2
     echo >&2
     echo "Take a harness::Watch instead and call open / measure / close on its Session." >&2
+    exit 1
+fi
+# enum_variant_outside <variant> <allowed file>: every enum under
+# crates/*/src, outside the allowed file, that has the variant, as
+# "file: enum header" lines. `//` comments are ignored.
+enum_variant_outside() {
+    local variant="$1" allowed="$2" file
+    while IFS= read -r file; do
+        [[ "$file" == "$allowed" ]] && continue
+        awk -v file="$file" -v variant="$variant" '
+            /^[[:space:]]*(pub(\([a-z]+\))? )?enum [A-Za-z0-9_]+/ {
+                in_enum = 1; depth = 0; opened = 0; header = $0
+            }
+            in_enum {
+                line = $0
+                sub(/\/\/.*/, "", line)
+                opens = gsub(/\{/, "", line)
+                depth += opens - gsub(/\}/, "", line)
+                if (opens) opened = 1
+                if (line ~ "^[[:space:]]*" variant "([[:space:]]*[,=({]|[[:space:]]*$)") {
+                    sub(/^[[:space:]]+/, "", header)
+                    print file ": " header
+                }
+                if (opened && depth <= 0) in_enum = 0
+            }' "$file"
+    done < <(find crates/*/src -name '*.rs' | sort)
+}
+
+vocab='crates/journal/src/record.rs'
+hits=$(enum_variant_outside DeadLetter "$vocab")
+if [[ -n "$hits" ]]; then
+    echo "error: an event-kind enum is declared outside $vocab:" >&2
+    echo "$hits" >&2
+    echo >&2
+    echo "Name kernel events by legion_journal::RecordKind, and add a spelling or" >&2
+    echo "a watcher column to its table (KINDS) instead." >&2
     exit 1
 fi
 echo "lint_seam: ok"
