@@ -69,8 +69,8 @@ pub(crate) struct Watcher {
 impl Watcher {
     /// One kernel ingress of `kind` at `endpoint`: journaled as
     /// `(kind, endpoint, a, b, label)`, then recorded wherever the kind's
-    /// [`RecordKind::row`] says it is seen. `span_label` is rendered only if a span is
-    /// recorded.
+    /// [`RecordKind::row`] says it is seen. `span_label` is rendered only
+    /// if a span is recorded.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn ingress(
