@@ -53,7 +53,7 @@ impl ChurnDriver {
     /// The last two parameters are unused: they fed the flat
     /// `InvalidateBinding` broadcast the driver used to send after every
     /// move. They stay because `benchmark/` calls this constructor and a
-    /// PR that claims a gain may not edit `benchmark/`; ROADMAP item 1(g)
+    /// PR that claims a gain may not edit `benchmark/`; ROADMAP item 5 (g)
     /// drops them.
     pub fn new(
         magistrates: Vec<(Loid, ObjectAddressElement)>,
@@ -482,10 +482,16 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let clients = attach_clients(&mut sys, 6, &wl, seed, None);
-        run_clients(&mut sys, &clients);
+        let report = run_clients(&mut sys, &clients);
         sys.kernel.run_until_quiescent(u64::MAX);
         let classes: Vec<_> = sys.classes.iter().map(|(_, ep)| *ep).collect();
-        let violations = crate::experiments::e16_chaos::audit_state(&mut sys, &classes);
+        let attempted = report.completed + report.failed;
+        let violations = crate::judge::judge(
+            &mut sys,
+            &classes,
+            attempted,
+            6 * wl.lookups_per_client as u64,
+        );
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

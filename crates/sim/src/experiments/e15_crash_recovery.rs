@@ -18,12 +18,11 @@
 
 use crate::experiments::common::{attach_clients, run_clients, scale};
 use crate::harness::{Closed, Watch};
+use crate::judge::ha_totals;
 use crate::report::{ns, Table};
 use crate::system::{HaConfig, LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
 use legion_core::time::SimTime;
-use legion_net::metrics::Histogram;
-use legion_runtime::magistrate::MagistrateEndpoint;
 
 /// One scenario's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,47 +53,6 @@ pub struct Row {
     pub false_positives: u64,
     /// Whole-operation client retries (capped exponential backoff).
     pub op_retries: u64,
-}
-
-/// Recovery accounting summed over every Magistrate in the system.
-#[derive(Debug, Default)]
-pub struct HaTotals {
-    /// Merged time-to-detect histogram.
-    pub detect: Histogram,
-    /// Merged time-to-recover histogram.
-    pub recover: Histogram,
-    /// Hosts confirmed dead.
-    pub hosts_lost: u64,
-    /// Objects re-activated.
-    pub recovered: u64,
-    /// Objects lost for good.
-    pub lost: u64,
-    /// False-positive Dead verdicts.
-    pub false_positives: u64,
-    /// Recoveries still in flight when the run ended.
-    pub in_flight: usize,
-}
-
-/// Sum the per-Magistrate [`legion_ha::RecoveryTracker`]s.
-pub fn ha_totals(sys: &LegionSystem) -> HaTotals {
-    let mut t = HaTotals::default();
-    for (_, mep) in &sys.magistrates {
-        let Some(tr) = sys
-            .kernel
-            .endpoint::<MagistrateEndpoint>(*mep)
-            .and_then(|m| m.ha_tracker())
-        else {
-            continue;
-        };
-        t.detect.merge(&tr.detect);
-        t.recover.merge(&tr.recover);
-        t.hosts_lost += tr.hosts_lost;
-        t.recovered += tr.recovered;
-        t.lost += tr.lost;
-        t.false_positives += tr.false_positives;
-        t.in_flight += tr.in_flight();
-    }
-    t
 }
 
 /// The standard E15 failure-detection knobs: 2 ms heartbeats, Dead after
@@ -233,7 +191,7 @@ pub fn table(rows: &[Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legion_runtime::magistrate::ObjState;
+    use legion_runtime::magistrate::{MagistrateEndpoint, ObjState};
 
     #[test]
     fn recovery_is_transparent_and_fast() {

@@ -6,23 +6,9 @@
 //! workload clients — under seeded adversarial schedules: ambient drops,
 //! duplication, reordering jitter, transient delay spikes, flapping
 //! partitions, and scheduled host crashes. After each run drains to
-//! quiescence the campaign audits global invariants:
-//!
-//! * **ops-resolved** — every client operation reached a verdict
-//!   (success or typed failure); nothing hangs;
-//! * **no-duplicate-object** — no LOID is alive as two object endpoints
-//!   (duplicated recovery triggers never double-activate);
-//! * **no-lost-object** — HA recovered everything a crash took down;
-//! * **recovery-drained** — no recovery is still in flight;
-//! * **no-leaked-continuations** — Magistrates and classes hold zero
-//!   outstanding call continuations (the deadline sweep resolved every
-//!   reply the network ate);
-//! * **holders-bounded** — a class remembers who holds a row's address
-//!   only while the row has one, and never more holders than there are
-//!   Binding Agents (the notice bookkeeping cannot leak);
-//! * **binding-coherence** — after the dust settles, every object still
-//!   resolves through its class and answers a `Ping` at the resolved
-//!   address.
+//! quiescence, [`crate::judge::judge`] checks it against the one list of
+//! drained-system invariants (at-most-once activation, no lost object,
+//! no leaked continuation, the §4.1.4 binding-coherence probe, …).
 //!
 //! Each schedule runs twice and must produce bit-identical outcomes; a
 //! violating schedule is delta-debugged to a 1-minimal reproducer. The
@@ -33,6 +19,7 @@
 
 use crate::experiments::common::{attach_clients, run_clients, scale};
 use crate::harness::{Closed, Journal, Watch};
+use crate::judge::{arm, ha_totals, judge, mix};
 use crate::report::Table;
 use crate::system::{HaConfig, LegionSystem, SystemConfig};
 use crate::workload::WorkloadConfig;
@@ -41,18 +28,12 @@ use legion_chaos::{
 };
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
-use legion_core::object::methods as obj_m;
 use legion_core::time::SimTime;
 use legion_journal::{MemSink, ReplayStart};
-use legion_naming::protocol::GET_BINDING;
-use legion_net::dispatch::Caller;
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
-use legion_net::FaultPlan;
-use legion_runtime::class_endpoint::ClassEndpoint;
-use legion_runtime::magistrate::MagistrateEndpoint;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Ops each client issues.
 const OPS: u32 = 30;
@@ -104,121 +85,6 @@ struct RunStats {
     timeouts: u64,
 }
 
-/// SplitMix64-style accumulator for the run digest (E18 folds with it too).
-pub fn mix(h: u64, v: u64) -> u64 {
-    let mut x = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 27)
-}
-
-/// The state invariants any drained run must satisfy, over the system's
-/// Magistrates and the given class endpoints (E18 passes its clones too):
-/// no-duplicate-object, no-lost-object, recovery-drained,
-/// no-leaked-continuations and holders-bounded.
-pub fn audit_state(sys: &mut LegionSystem, classes: &[EndpointId]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let mut alive: BTreeMap<String, u32> = BTreeMap::new();
-    for (_, m) in sys.kernel.all_meta() {
-        if m.alive && m.name.starts_with("obj:") {
-            *alive.entry(m.name.clone()).or_insert(0) += 1;
-        }
-    }
-    for (name, n) in alive.iter().filter(|(_, n)| **n > 1) {
-        violations.push(Violation::new(
-            "no-duplicate-object",
-            format!("{name} is alive {n} times"),
-        ));
-    }
-
-    let ha = super::e15_crash_recovery::ha_totals(sys);
-    let unrecoverable = sys.kernel.counters().get("magistrate.ha_unrecoverable");
-    if ha.lost > 0 || unrecoverable > 0 {
-        violations.push(Violation::new(
-            "no-lost-object",
-            format!("{} lost, {unrecoverable} unrecoverable", ha.lost),
-        ));
-    }
-    if ha.in_flight > 0 {
-        violations.push(Violation::new(
-            "recovery-drained",
-            format!("{} recoveries still in flight at quiescence", ha.in_flight),
-        ));
-    }
-
-    let mut leaked = 0;
-    for (_, mep) in &sys.magistrates {
-        let m = sys.kernel.endpoint_mut::<MagistrateEndpoint>(*mep);
-        leaked += m.map_or(0, |m| m.calls().outstanding());
-    }
-    for cep in classes {
-        let c = sys.kernel.endpoint_mut::<ClassEndpoint>(*cep);
-        leaked += c.map_or(0, |c| c.calls().outstanding());
-    }
-    if leaked > 0 {
-        violations.push(Violation::new(
-            "no-leaked-continuations",
-            format!("{leaked} continuations outstanding at quiescence"),
-        ));
-    }
-
-    let agents = sys.agents.len();
-    for cep in classes {
-        let Some(c) = sys.kernel.endpoint::<ClassEndpoint>(*cep) else {
-            continue;
-        };
-        for (loid, holders) in c.holder_counts() {
-            let bound = c.class().table.get(&loid).map(|row| row.address.is_some());
-            if bound != Some(true) || holders > agents {
-                violations.push(Violation::new(
-                    "holders-bounded",
-                    format!(
-                        "{loid}: {holders} holders of {agents} agents, address bound: {bound:?}"
-                    ),
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// Resolve `obj` through its class and `Ping` it, following the §4.1.4
-/// client protocol: a first-ping failure reports the stale binding back
-/// to the class (which re-consults its Magistrate) and retries once.
-/// Faults may legitimately leave a class row stale — what must hold is
-/// that one detect-and-refresh round restores coherence.
-fn resolve_and_ping(
-    sys: &mut LegionSystem,
-    class_addr: legion_core::address::ObjectAddressElement,
-    class_loid: Loid,
-    obj: Loid,
-) -> Result<(), String> {
-    let ping = |sys: &mut LegionSystem, b: &legion_core::binding::Binding| {
-        let primary = b
-            .address
-            .primary()
-            .copied()
-            .ok_or_else(|| "binding has no address".to_string())?;
-        sys.call(primary, obj, obj_m::PING, vec![]).map(|_| ())
-    };
-    let b = sys.call_for_binding(
-        class_addr,
-        class_loid,
-        GET_BINDING,
-        vec![legion_core::value::LegionValue::Loid(obj)],
-    )?;
-    if ping(sys, &b).is_ok() {
-        return Ok(());
-    }
-    let fresh = sys.call_for_binding(
-        class_addr,
-        class_loid,
-        GET_BINDING,
-        vec![legion_core::value::LegionValue::from(b)],
-    )?;
-    ping(sys, &fresh)
-}
-
 /// The full Legion system as a chaos target: one fresh build per run,
 /// faults switched on only after the (fault-free) build settles.
 pub struct SimChaosTarget {
@@ -264,24 +130,6 @@ impl ChaosTarget for SimChaosTarget {
         }
         outcome
     }
-}
-
-/// Arm `schedule` on a built system. Its spike and flap windows are
-/// relative to the workload start: shift them past the (virtually long)
-/// build first. Fault verdicts are a pure function of `seed ^ msg_id`, so
-/// a replay armed the same way sees the same ones.
-pub fn arm(kernel: &mut SimKernel, schedule: &ChaosSchedule) {
-    let t0 = kernel.now().0;
-    let mut shifted = schedule.clone();
-    for s in &mut shifted.spikes {
-        s.from_ns += t0;
-        s.until_ns += t0;
-    }
-    for f in &mut shifted.flaps {
-        f.from_ns += t0;
-        f.until_ns += t0;
-    }
-    *kernel.faults_mut() = shifted.fault_plan();
 }
 
 impl SimChaosTarget {
@@ -354,41 +202,10 @@ impl SimChaosTarget {
             digest = mix(digest, k.counters().get(c));
         }
 
-        // ----- invariants --------------------------------------------
-        let mut violations = Vec::new();
-
+        let classes: Vec<EndpointId> = sys.classes.iter().map(|(_, e)| *e).collect();
         let expected = self.clients as u64 * OPS as u64;
         let attempted = report.completed + report.failed;
-        if attempted != expected {
-            violations.push(Violation::new(
-                "ops-resolved",
-                format!("{attempted} of {expected} client operations reached a verdict"),
-            ));
-        }
-
-        let classes: Vec<EndpointId> = sys.classes.iter().map(|(_, e)| *e).collect();
-        violations.extend(audit_state(&mut sys, &classes));
-
-        // Audit probes run on a clean network: the faults were the
-        // experiment, the audit must not inherit them.
-        *sys.kernel.faults_mut() = FaultPlan::none();
-        for (obj, _) in sys.objects.clone() {
-            let class_loid = obj.class_loid();
-            let Some(cep) = sys
-                .classes
-                .iter()
-                .find(|(l, _)| *l == class_loid)
-                .map(|(_, e)| *e)
-            else {
-                continue;
-            };
-            if let Err(e) = resolve_and_ping(&mut sys, cep.element(), class_loid, obj) {
-                violations.push(Violation::new(
-                    "binding-coherence",
-                    format!("{obj} does not resolve+ping after the campaign: {e}"),
-                ));
-            }
-        }
+        let violations = judge(&mut sys, &classes, attempted, expected);
 
         self.stats.insert(
             schedule.to_string(),
@@ -396,18 +213,12 @@ impl SimChaosTarget {
                 crashes,
                 completed: report.completed,
                 failed: report.failed,
-                recovered: super::e15_crash_recovery::ha_totals(&sys).recovered,
+                recovered: ha_totals(&sys).recovered,
                 timeouts: sys.kernel.counters().get("magistrate.timeouts")
                     + sys.kernel.counters().get("class.timeouts")
                     + sys.kernel.counters().get("ba.timeout"),
             },
         );
-        if !violations.is_empty() {
-            // Post-mortem context for the failed invariant: the last
-            // kernel events leading up to the verdict, stamped with the
-            // journal seq and nearest snapshot when a session is live.
-            eprintln!("{}", sys.kernel.flight_dump("chaos invariant violated", 64));
-        }
         let run = session.close(&mut sys.kernel);
         (RunOutcome { violations, digest }, run)
     }

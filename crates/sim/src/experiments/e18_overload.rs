@@ -33,25 +33,21 @@
 //!   the shed fraction falling against the no-scaler baseline, and the
 //!   recovery-phase p99 back inside the objective.
 //!
-//! After each campaign an E16-style audit checks the six global
-//! invariants (ops-resolved, no-duplicate-object, no-lost-object,
-//! recovery-drained, no-leaked-continuations, binding-coherence) plus a
-//! new one: **no-unbounded-queue** — every class endpoint's admission
-//! backlog and deferred-call high-water marks stay within the configured
-//! queue depth. Runs are bit-deterministic per seed and survive verified
-//! journal replay.
+//! After each campaign [`crate::judge::judge`] checks the drained system
+//! against the one list of invariants E16 uses — no-unbounded-queue
+//! among them: every class endpoint's admission backlog and
+//! deferred-call high-water marks stay within its queue depth. Runs are
+//! bit-deterministic per seed and survive verified journal replay.
 
 use crate::experiments::common::{drive, scale};
-use crate::experiments::e16_chaos::mix;
 use crate::harness::{Closed, Watch};
+use crate::judge::{arm, judge, mix, queue_peaks};
 use crate::report::Table;
 use crate::system::{LegionSystem, SystemConfig};
 use crate::workload::{generate_arrivals, FlashCrowd, OpenLoopClient, OpenLoopConfig, PhaseStats};
+use legion_chaos::{ChaosSchedule, Violation};
 use legion_core::loid::Loid;
-use legion_core::object::methods as obj_m;
 use legion_core::symbol;
-use legion_core::value::LegionValue;
-use legion_naming::protocol::GET_BINDING;
 use legion_net::admission::AdmissionConfig;
 use legion_net::sim::EndpointId;
 use legion_net::topology::{Location, Topology};
@@ -186,11 +182,7 @@ fn run_one_client(arrivals: Vec<u64>, max_retries: u32, seed: u64) -> (PhaseStat
         .expect("open-loop client")
         .report
         .total();
-    let peak_backlog = sys
-        .kernel
-        .endpoint::<ClassEndpoint>(class_ep)
-        .and_then(|c| c.admission().map(|a| a.peak_backlog()))
-        .unwrap_or(0);
+    let peak_backlog = queue_peaks(&sys, class_ep).map_or(0, |p| p.backlog);
     (report, peak_backlog)
 }
 
@@ -300,8 +292,8 @@ pub struct FlashRow {
     pub messages: u64,
     /// Order-independent digest of every deterministic quantity.
     pub digest: u64,
-    /// E16-style invariant violations (empty on a healthy run).
-    pub violations: Vec<String>,
+    /// The judge's invariant violations (empty on a healthy run).
+    pub violations: Vec<Violation>,
 }
 
 /// Campaign phase durations (steady, flash, recovery), virtual ns.
@@ -328,16 +320,16 @@ pub fn flash_campaign(
 }
 
 /// [`flash_campaign`] with an E16 adversarial-delivery schedule armed
-/// for the whole campaign: the chaos judge duplicates, reorders, and
+/// for the whole campaign: the schedule duplicates, reorders, and
 /// delay-spikes messages *while* the system is past saturation, and the
-/// audit still demands all seven invariants. Spike/flap windows in the
+/// judge still demands every invariant. Spike/flap windows in the
 /// schedule are relative to the workload start.
 pub fn flash_campaign_with_chaos(
     quick: bool,
     seed: u64,
     autoscaled: bool,
     watch: Watch,
-    chaos: Option<&legion_chaos::schedule::ChaosSchedule>,
+    chaos: Option<&ChaosSchedule>,
 ) -> (FlashRow, Closed) {
     let (steady_ns, flash_ns, recovery_ns) = phase_spans(quick);
     let total_ns = steady_ns + flash_ns + recovery_ns;
@@ -358,7 +350,7 @@ pub fn flash_campaign_with_chaos(
     let t0 = sys.kernel.now().as_nanos();
     // Chaos schedules arm after the session opens — E16's discipline.
     if let Some(schedule) = chaos {
-        super::e16_chaos::arm(&mut sys.kernel, schedule);
+        arm(&mut sys.kernel, schedule);
     }
     let (class_loid, class_ep) = sys.classes[0];
 
@@ -456,16 +448,11 @@ pub fn flash_campaign_with_chaos(
         .map(|r| r.replica_count() as u64)
         .unwrap_or(0);
 
-    let mut peak_backlog = 0u64;
-    let mut deferred_peak = 0u64;
-    for id in class_endpoints(&sys) {
-        if let Some(c) = sys.kernel.endpoint::<ClassEndpoint>(id) {
-            if let Some(a) = c.admission() {
-                peak_backlog = peak_backlog.max(a.peak_backlog());
-            }
-            deferred_peak = deferred_peak.max(c.deferred_peak() as u64);
-        }
-    }
+    let classes = class_endpoints(&sys);
+    let (peak_backlog, deferred_peak) = classes
+        .iter()
+        .filter_map(|c| queue_peaks(&sys, *c))
+        .fold((0, 0), |(b, d), p| (b.max(p.backlog), d.max(p.deferred)));
     let requests_shed = sys.kernel.metrics_snapshot().requests_shed;
     let messages = sys.kernel.stats().delivered;
 
@@ -491,64 +478,9 @@ pub fn flash_campaign_with_chaos(
     digest = mix(digest, clones);
     digest = mix(digest, replicas);
 
-    // ----- E16-style audit ------------------------------------------
-    let mut violations = Vec::new();
     let total = merged.total();
-    if total.ok + total.gave_up + total.failed != total.offered {
-        violations.push(format!(
-            "ops-resolved: {} of {} operations reached a verdict",
-            total.ok + total.gave_up + total.failed,
-            total.offered
-        ));
-    }
-    let classes = class_endpoints(&sys);
-    for v in super::e16_chaos::audit_state(&mut sys, &classes) {
-        violations.push(format!("{}: {}", v.invariant, v.detail));
-    }
-    // The new invariant: overload may shed work, never queue it without
-    // bound. Checked on every class endpoint, clones included.
-    if peak_backlog > QUEUE_DEPTH {
-        violations.push(format!(
-            "no-unbounded-queue: admission backlog peaked at {peak_backlog} > depth {QUEUE_DEPTH}"
-        ));
-    }
-    if deferred_peak > QUEUE_DEPTH {
-        violations.push(format!(
-            "no-unbounded-queue: deferred calls peaked at {deferred_peak} > depth {QUEUE_DEPTH}"
-        ));
-    }
-    // Binding coherence: after the crowd disperses every build-time
-    // object still resolves through its class and answers a Ping. The
-    // probes run fault-free — they audit system state, not delivery.
-    if chaos.is_some() {
-        *sys.kernel.faults_mut() = legion_net::FaultPlan::none();
-    }
-    for (obj, _) in sys.objects.clone() {
-        let class_el = class_ep.element();
-        let probe = sys
-            .call_for_binding(
-                class_el,
-                class_loid,
-                GET_BINDING,
-                vec![LegionValue::Loid(obj)],
-            )
-            .and_then(|b| {
-                let primary = b
-                    .address
-                    .primary()
-                    .copied()
-                    .ok_or_else(|| "binding has no address".to_string())?;
-                sys.call(primary, obj, obj_m::PING, vec![]).map(|_| ())
-            });
-        if let Err(e) = probe {
-            violations.push(format!(
-                "binding-coherence: {obj} does not resolve+ping after the campaign: {e}"
-            ));
-        }
-    }
-    if !violations.is_empty() {
-        eprintln!("{}", sys.kernel.flight_dump("E18 invariant violated", 64));
-    }
+    let attempted = total.ok + total.gave_up + total.failed;
+    let violations = judge(&mut sys, &classes, attempted, total.offered);
 
     (
         FlashRow {
@@ -852,14 +784,13 @@ mod tests {
         assert_eq!(recorded.digest, replayed.digest);
     }
 
-    /// The E16 judge over an overloaded system: duplication, reordering
+    /// The judge over an overloaded system: duplication, reordering
     /// jitter, and a mid-flash delay spike while demand sits at 2×
-    /// saturation — all seven invariants must still hold (at-most-once
+    /// saturation — every invariant must still hold (at-most-once
     /// service under duplicated calls, bounded backlog under delayed
     /// ones), and the chaos-judged run stays bit-deterministic.
     #[test]
     fn overloaded_campaign_survives_adversarial_delivery() {
-        use legion_chaos::schedule::ChaosSchedule;
         use legion_net::faults::DelaySpike;
 
         let mut schedule = ChaosSchedule::quiet(SEED ^ 11);

@@ -18,6 +18,7 @@
 pub mod cli;
 pub mod experiments;
 pub mod harness;
+pub mod judge;
 pub mod report;
 pub mod run_report;
 pub mod system;

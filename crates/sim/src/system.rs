@@ -121,7 +121,7 @@ impl Default for SystemConfig {
     }
 }
 
-/// Failure-detection and recovery knobs for [`LegionSystem::enable_ha`].
+/// Failure-detection and recovery knobs for [`SystemConfig::ha`].
 #[derive(Debug, Clone)]
 pub struct HaConfig {
     /// Host → Magistrate heartbeat period (virtual ns).
@@ -376,10 +376,10 @@ impl LegionSystem {
     /// Switch on heartbeat failure detection and automatic recovery:
     /// every host reports to its jurisdiction's Magistrate, every
     /// Magistrate sweeps its detector and re-homes the objects of hosts
-    /// confirmed dead (`legion-ha`). Call after `build` (the endpoints
+    /// confirmed dead (`legion-ha`). `build` calls it last (the endpoints
     /// already ran `on_start`, so the first timers are armed here,
     /// externally).
-    pub fn enable_ha(&mut self, ha: &HaConfig) {
+    fn enable_ha(&mut self, ha: &HaConfig) {
         self.configure_magistrate_ha(ha);
         for (_, mep) in self.magistrates.clone() {
             self.kernel

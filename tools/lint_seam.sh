@@ -20,6 +20,12 @@
 # is the one enum that names a kernel event, for the journal, the flight
 # recorder and the span stream alike, and a second one is a second
 # vocabulary to translate between.
+#
+# Also fails if an experiment file (crates/sim/src/experiments/eNN_*.rs)
+# names another experiment module (`eNN_…::`): what two experiments
+# share lives outside them — the drained-system invariants, the digest
+# fold and fault arming in crates/sim/src/judge.rs, the drivers in
+# experiments/common.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +104,20 @@ if [[ -n "$hits" ]]; then
     echo >&2
     echo "Name kernel events by legion_journal::RecordKind, and add a spelling or" >&2
     echo "a watcher column to its table (KINDS) instead." >&2
+    exit 1
+fi
+
+# One experiment never reaches into another: each eNN_*.rs names no
+# `eNN_…::` path but its own.
+hits=$(for file in crates/sim/src/experiments/e[0-9][0-9]_*.rs; do
+    own=$(basename "$file" .rs)
+    grep -nHoE 'e[0-9]{2}_[a-z0-9_]+::' "$file" | grep -v ":$own::\$" || true
+done)
+if [[ -n "$hits" ]]; then
+    echo "error: an experiment names another experiment module:" >&2
+    echo "$hits" >&2
+    echo >&2
+    echo "Move what they share into crates/sim/src/judge.rs or experiments/common.rs." >&2
     exit 1
 fi
 echo "lint_seam: ok"
