@@ -216,8 +216,22 @@ pub fn render(seed: u64, rows: &[Row]) -> String {
     serde::json::to_string_pretty(&document(seed, rows)) + "\n"
 }
 
-fn field<T: serde::Deserialize>(what: &str, v: &Value, key: &str) -> Result<T, String> {
-    serde::field(v, key).map_err(|e| format!("{what}: {key}: {e}"))
+/// `v`'s `key`, read by a `Value` accessor (`as_u64`, `as_str`,
+/// `as_array`): a missing key, or a value of another shape, is an error
+/// that names `what` and `key`.
+fn field<'v, T>(
+    what: &str,
+    v: &'v Value,
+    key: &str,
+    read: fn(&'v Value) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key).and_then(read).ok_or_else(|| match v.get(key) {
+        Some(found) => format!(
+            "{what}: {key}: unexpected {}",
+            serde::json::to_string(found)
+        ),
+        None => format!("{what}: {key}: missing"),
+    })
 }
 
 /// Read a ledger file back: its seed and rows. Strict — the file must hold
@@ -225,19 +239,21 @@ fn field<T: serde::Deserialize>(what: &str, v: &Value, key: &str) -> Result<T, S
 /// wall-clock field coming back) or a hand-edited ratio is an error.
 pub fn parse(text: &str) -> Result<(u64, Vec<Row>), String> {
     let doc = serde::json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let seed = field("the ledger", &doc, "seed")?;
+    let seed = field("the ledger", &doc, "seed", Value::as_u64)?;
     let mut rows = Vec::new();
-    for (i, v) in field::<Vec<Value>>("the ledger", &doc, "rows")?
+    for (i, v) in field("the ledger", &doc, "rows", Value::as_array)?
         .iter()
         .enumerate()
     {
         let what = format!("row {i}");
+        let text = |key| field(&what, v, key, Value::as_str).map(str::to_owned);
+        let count = |key| field(&what, v, key, Value::as_u64);
         let row = Row {
-            name: field(&what, v, "row")?,
-            config: field(&what, v, "config")?,
-            messages: field(&what, v, "messages")?,
-            allocs: field(&what, v, "allocs")?,
-            alloc_bytes: field(&what, v, "alloc_bytes")?,
+            name: text("row")?,
+            config: text("config")?,
+            messages: count("messages")?,
+            allocs: count("allocs")?,
+            alloc_bytes: count("alloc_bytes")?,
         };
         if row_value(&row) != *v {
             return Err(format!(
@@ -357,6 +373,17 @@ mod tests {
         let at_top = text.replacen("\"seed\": 7,", "\"seed\": 7,\n  \"mode\": \"full\",", 1);
         assert_ne!(at_top, text);
         rejected(&at_top, &rows(), "the top level is not schema");
+    }
+
+    #[test]
+    fn a_wrongly_typed_field_is_rejected_by_row_and_key() {
+        let text = render(7, &rows());
+        let quoted = text.replacen("\"messages\": 33219,", "\"messages\": \"33219\",", 1);
+        assert_ne!(quoted, text);
+        rejected(&quoted, &rows(), "row 1: messages");
+        let negative = text.replacen("\"seed\": 7,", "\"seed\": -7,", 1);
+        assert_ne!(negative, text);
+        rejected(&negative, &rows(), "the ledger: seed");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! what makes system-level object replication possible without changing
 //! application-level communication (§4.3).
 
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Number of bytes of address-specific information in an element (256 bits).
@@ -20,7 +19,7 @@ pub const ADDRESS_INFO_BYTES: usize = 32;
 /// The paper envisions IP as "the first and most common type"; this
 /// reproduction adds a `Sim` type for discrete-event endpoints and keeps
 /// the tag space open for user extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AddressKind {
     /// IPv4 address + 16-bit port (48 of 256 bits used).
     Ipv4,
@@ -59,7 +58,7 @@ impl AddressKind {
 }
 
 /// One physical address: a type tag plus 256 bits of information.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectAddressElement {
     /// What kind of address the info bytes encode.
     pub kind: AddressKind,
@@ -169,7 +168,7 @@ impl fmt::Display for ObjectAddressElement {
 /// multicast communication ... all addresses should be sent to, one of the
 /// addresses should be chosen at random, k of the N addresses in the list
 /// should be used" — with provisions for user-definable options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AddressSemantics {
     /// Send to exactly the first (and typically only) element.
     #[default]
@@ -211,8 +210,8 @@ impl AddressSemantics {
 /// or one element is stored inline and only a replicated address (§4.3)
 /// spills to a `Vec`. Cloning, caching or dropping a single-element
 /// address never touches the allocator. It reads as a slice; equality,
-/// hashing, `Debug` and the serialized forms are the slice's, whatever
-/// the storage.
+/// hashing, `Debug` and the persist codec's form are the slice's,
+/// whatever the storage.
 #[derive(Default)]
 pub struct Elements(Repr);
 
@@ -319,24 +318,8 @@ impl fmt::Debug for Elements {
     }
 }
 
-impl Serialize for Elements {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
-    }
-}
-
-impl Deserialize for Elements {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::expected("array", v))?
-            .iter()
-            .map(ObjectAddressElement::from_json_value)
-            .collect()
-    }
-}
-
 /// A full Object Address: element list + usage semantics (§3.4).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObjectAddress {
     /// The physical address elements.
     pub elements: Elements,

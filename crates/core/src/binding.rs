@@ -10,12 +10,11 @@
 use crate::address::ObjectAddress;
 use crate::loid::Loid;
 use crate::time::{Expiry, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binding triple: the LOID, the Object Address it maps to, and the time
 /// at which the binding becomes invalid (§3.5).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Binding {
     /// The Legion name being bound.
     pub loid: Loid,

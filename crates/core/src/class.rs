@@ -24,7 +24,6 @@ use crate::address::ObjectAddress;
 use crate::error::{CoreError, CoreResult};
 use crate::interface::{Interface, MethodSignature, ParamType};
 use crate::loid::{Loid, LoidAllocator};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,7 +93,7 @@ pub fn class_mandatory_interface(provider: Loid) -> Interface {
 /// The three "special types of Legion classes" (§2.1.2), expressed as
 /// independent flags: a class may be any combination of Abstract, Private,
 /// and Fixed (each is "an overload to a possibly empty member function").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClassKind {
     /// `Create()` is empty: no direct instances can exist.
     pub is_abstract: bool,
@@ -152,7 +151,7 @@ impl fmt::Display for ClassKind {
 }
 
 /// One row of the logical table (§3.7, Figure 16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableEntry {
     /// Object Address of the object if Active and known to the class;
     /// `None` if Inert or unknown ("NIL" in the paper).
@@ -180,7 +179,7 @@ impl TableEntry {
 /// "In practice, the class object may employ other Legion objects, such as
 /// database servers, to maintain some or all of the information" — here it
 /// is an in-memory map, but the interface is the paper's.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LogicalTable {
     rows: BTreeMap<Loid, TableEntry>,
 }
@@ -253,7 +252,7 @@ impl LogicalTable {
 
 /// A Legion class object: per-class state behind the class-mandatory
 /// member functions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassObject {
     /// The class object's own LOID (Class Specific = 0).
     pub loid: Loid,

@@ -15,11 +15,10 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::loid::Loid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What a name resolves to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ContextEntry {
     /// A leaf: the named object.
     Object(Loid),
@@ -38,7 +37,7 @@ pub enum ContextEntry {
 /// cx.bind_path("home/grimshaw/run3", dataset).unwrap();
 /// assert_eq!(cx.lookup("home/grimshaw/run3").unwrap(), dataset);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Context {
     entries: BTreeMap<String, ContextEntry>,
 }

@@ -7,11 +7,10 @@
 
 use crate::loid::Loid;
 use crate::trace::TraceContext;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ⟨Responsible Agent, Security Agent, Calling Agent⟩ triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct InvocationEnv {
     /// The Responsible Agent: the object on whose behalf the call chain
     /// ultimately acts (e.g. the user's proxy object).

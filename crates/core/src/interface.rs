@@ -12,12 +12,11 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::loid::Loid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The type of a parameter or return value in a method signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamType {
     /// No value (void return).
     Void,
@@ -92,7 +91,7 @@ impl fmt::Display for ParamType {
 }
 
 /// One named, typed parameter of a method.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Param {
     /// Parameter name (documentation only; matching is positional).
     pub name: String,
@@ -101,7 +100,7 @@ pub struct Param {
 }
 
 /// A method signature: name, parameters, return type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MethodSignature {
     /// The method name; unique within an interface.
     pub name: String,
@@ -163,7 +162,7 @@ impl fmt::Display for MethodSignature {
 /// A full object interface: a set of method signatures, each tagged with
 /// the class that contributed it (its *provenance*, used for conflict
 /// reporting and for the paper's "re-inheriting" of implementations).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Interface {
     methods: BTreeMap<String, (MethodSignature, Loid)>,
 }

@@ -56,7 +56,7 @@ pub use error::{CoreError, CoreResult};
 pub use interface::{Interface, MethodSignature, ParamType};
 pub use loid::{ClassId, Loid, LoidAllocator};
 pub use metaclass::LegionClassAuthority;
-pub use object::{ObjectMandatory, ObjectState};
+pub use object::ObjectState;
 pub use symbol::Sym;
 pub use time::{Expiry, SimTime};
 pub use trace::{SpanId, TraceContext, TraceId};

@@ -16,7 +16,6 @@
 //!   zeroing the Class Specific field (§4.1.3) — see [`Loid::class_loid`].
 
 use crate::error::{CoreError, CoreResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -26,9 +25,7 @@ pub const PUBLIC_KEY_BITS: usize = 128;
 pub const PUBLIC_KEY_BYTES: usize = PUBLIC_KEY_BITS / 8;
 
 /// A 64-bit Class Identifier, unique per class, issued by LegionClass.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClassId(pub u64);
 
 impl fmt::Display for ClassId {
@@ -57,9 +54,7 @@ impl fmt::Display for ClassId {
 /// let parsed: Loid = instance.to_string().parse().unwrap();
 /// assert_eq!(parsed, instance);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Loid {
     /// 64-bit Class Identifier, assigned by LegionClass.
     pub class_id: ClassId,
@@ -223,7 +218,7 @@ impl FromStr for Loid {
 /// Class Specific field ... most likely as a sequence number". Sequence
 /// number zero is reserved (it denotes the class object itself), so the
 /// first instance receives Class Specific = 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoidAllocator {
     class_id: ClassId,
     next_specific: u64,

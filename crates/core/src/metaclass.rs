@@ -14,12 +14,11 @@
 use crate::error::{CoreError, CoreResult};
 use crate::loid::{ClassId, Loid};
 use crate::wellknown::{FIRST_USER_CLASS_ID, LEGION_CLASS};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The LegionClass metaclass state: the Class Identifier counter and the
 /// responsibility-pair map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LegionClassAuthority {
     next_class_id: u64,
     /// created-class → creating-class (the pair ⟨creator, created⟩ keyed

@@ -6,16 +6,16 @@
 //!
 //! * the canonical method names and their signatures
 //!   ([`object_mandatory_interface`]),
-//! * the two object states — **Active** and **Inert** (§3.1),
-//! * the [`ObjectMandatory`] trait that in-process object implementations
-//!   fulfil, and
-//! * [`GenericObject`], a ready-made implementation with a key/value state
-//!   used by examples and tests.
+//! * the two object states — **Active** and **Inert** (§3.1), and
+//! * [`GenericObject`], the in-process object with a key/value state that
+//!   the runtime's Active object endpoint serves these functions from.
+//!
+//! `MayI()` is not a method here: `legion-security`'s policies answer it,
+//! at the dispatch gate.
 
 use crate::interface::{Interface, MethodSignature, ParamType};
 use crate::loid::Loid;
 use crate::value::LegionValue;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -36,7 +36,7 @@ pub mod methods {
 }
 
 /// Whether an object currently runs as a process or rests in storage (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectState {
     /// Running as a process (or set of processes) on one or more hosts;
     /// described by an Object Address.
@@ -94,33 +94,6 @@ pub fn object_mandatory_interface(provider: Loid) -> Interface {
     i
 }
 
-/// The behaviour every in-process Legion object implementation fulfils.
-///
-/// Method *invocation* is message-based and handled by the runtime; this
-/// trait is the local contract the runtime calls through. The default
-/// `MayI` is permissive — the paper's "functions may default to empty for
-/// the case of no security" (§2.4); `legion-security` supplies real
-/// policies.
-pub trait ObjectMandatory {
-    /// The object's own LOID (`Iam()`).
-    fn iam(&self) -> Loid;
-
-    /// May `caller` invoke `method`? Defaults to yes (no security).
-    fn may_i(&self, _caller: Loid, _method: &str) -> bool {
-        true
-    }
-
-    /// Serialize the object's state for an OPR payload (`SaveState()`).
-    fn save_state(&self) -> Vec<u8>;
-
-    /// Restore the object's state from an OPR payload (`RestoreState()`).
-    /// Returns `false` if the payload is unintelligible.
-    fn restore_state(&mut self, state: &[u8]) -> bool;
-
-    /// The object's interface (`GetInterface()`).
-    fn get_interface(&self) -> Interface;
-}
-
 /// A generic Legion object: a LOID, an interface, and a string-keyed
 /// [`LegionValue`] state map with a line-oriented `SaveState` encoding.
 ///
@@ -162,17 +135,17 @@ impl GenericObject {
     pub fn version(&self) -> u64 {
         self.version
     }
-}
 
-impl ObjectMandatory for GenericObject {
-    fn iam(&self) -> Loid {
+    /// The object's own LOID (`Iam()`).
+    pub fn iam(&self) -> Loid {
         self.loid
     }
 
-    fn save_state(&self) -> Vec<u8> {
+    /// Serialize the object's state for an OPR payload (`SaveState()`).
+    pub fn save_state(&self) -> Vec<u8> {
         // Line format: version, then `key=Display(value)` pairs for the
         // scalar types. Only scalars survive a save/restore cycle — enough
-        // for the model-layer experiments; richer objects override this.
+        // for the model-layer experiments.
         let mut out = format!("v {}\n", self.version);
         for (k, v) in &self.state {
             let enc = match v {
@@ -189,7 +162,9 @@ impl ObjectMandatory for GenericObject {
         out.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &[u8]) -> bool {
+    /// Restore the object's state from an OPR payload (`RestoreState()`).
+    /// Returns `false` if the payload is unintelligible.
+    pub fn restore_state(&mut self, state: &[u8]) -> bool {
         let Ok(text) = std::str::from_utf8(state) else {
             return false;
         };
@@ -227,7 +202,8 @@ impl ObjectMandatory for GenericObject {
         true
     }
 
-    fn get_interface(&self) -> Interface {
+    /// The object's interface (`GetInterface()`).
+    pub fn get_interface(&self) -> Interface {
         self.interface.clone()
     }
 }
@@ -263,12 +239,6 @@ mod tests {
     fn iam_returns_own_loid() {
         let o = obj();
         assert_eq!(o.iam(), Loid::instance(20, 1));
-    }
-
-    #[test]
-    fn default_may_i_is_permissive() {
-        let o = obj();
-        assert!(o.may_i(Loid::instance(99, 9), "anything"));
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! processes regardless of what a run interns afterwards — those ids may
 //! be compared, stored, and baked into match tables. Ids of *other*
 //! strings depend on a run's intern order and must never be persisted;
-//! everything serialized renders a `Sym` back to its string (a `Sym`
-//! serializes as a JSON string, never as its id).
+//! every report renders a `Sym` back to its string, never its id.
 //!
 //! ## Adding a new well-known symbol
 //!
@@ -35,7 +34,6 @@
 //! the keys are the program's own vocabulary.
 
 use crate::fxmap::FxHashMap;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -348,23 +346,6 @@ impl fmt::Debug for Sym {
     }
 }
 
-// On the wire and in every exported artifact a symbol is its string —
-// ids are a process-local encoding and never serialized.
-impl Serialize for Sym {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.as_str().to_owned())
-    }
-}
-
-impl Deserialize for Sym {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(Sym::intern(s)),
-            other => Err(DeError(format!("expected string for Sym, got {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,15 +407,6 @@ mod tests {
         assert_eq!(i.resolve(2), None);
         assert_eq!(i.lookup("y"), Some(1));
         assert_eq!(i.lookup("z"), None);
-    }
-
-    #[test]
-    fn sym_serializes_as_its_string() {
-        let v = PING.to_json_value();
-        assert_eq!(v.as_str(), Some("Ping"));
-        let back = Sym::from_json_value(&v).unwrap();
-        assert_eq!(back, PING);
-        assert!(Sym::from_json_value(&Value::U64(6)).is_err());
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! in `legion-net`) lets the model layer talk about expiry without a
 //! dependency on the kernel.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, in simulated nanoseconds since system boot.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -121,9 +119,7 @@ impl fmt::Display for SimTime {
 ///
 /// `Never` encodes the paper's "field may be set to some value that
 /// indicates that the binding will never become explicitly invalid".
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Expiry {
     /// The fact never expires of its own accord.
     #[default]

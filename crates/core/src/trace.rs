@@ -10,13 +10,11 @@
 //! Identifier `0` is reserved as "no trace" ([`TraceId::NONE`]); untraced
 //! runs pay nothing beyond copying two `u64`s per message.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifies one workload-level request end to end.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
@@ -36,9 +34,7 @@ impl fmt::Display for TraceId {
 }
 
 /// Identifies one hop or annotation within a trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -59,9 +55,7 @@ impl fmt::Display for SpanId {
 
 /// The `(trace, span)` pair propagated with every invocation: which
 /// request this work belongs to, and which span is its causal parent.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TraceContext {
     /// The request this work belongs to.
     pub trace: TraceId,

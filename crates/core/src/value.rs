@@ -10,11 +10,10 @@ use crate::address::ObjectAddress;
 use crate::binding::Binding;
 use crate::interface::ParamType;
 use crate::loid::Loid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed Legion value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum LegionValue {
     /// The absence of a value (void returns).
     #[default]

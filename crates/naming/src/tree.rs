@@ -10,8 +10,6 @@
 //! parent `(i - 1) / k`. Clients attach to the leaves. `legion-sim`
 //! instantiates the actual endpoints from this shape.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of a k-ary agent tree with `count` nodes.
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.leaves(), vec![3, 4, 5, 6]);
 /// assert_eq!(t.path_to_root(6), vec![6, 2, 0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeShape {
     /// Branching factor (≥ 1).
     pub arity: usize,

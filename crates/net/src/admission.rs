@@ -37,14 +37,12 @@
 //! function of the offered arrival-time sequence). `tools/lint_hotpath.sh`
 //! pins the no-collections property.
 
-use serde::{Deserialize, Serialize};
-
 /// Capacity model for one endpoint.
 ///
 /// Saturation throughput is `1e9 / service_ns` calls per virtual second;
 /// the worst admitted call waits `queue_depth * service_ns` before its
 /// reply is due.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Deterministic service time per admitted call, virtual ns (≥ 1).
     pub service_ns: u64,

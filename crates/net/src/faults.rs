@@ -33,7 +33,6 @@
 use crate::topology::Location;
 use legion_core::fxmap::FxHashMap;
 use legion_core::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// What happened to an attempted delivery.
@@ -63,7 +62,7 @@ pub enum Verdict {
 /// A transient latency multiplier on part of the network (a "delay
 /// spike"): while `from_ns <= now < until_ns`, affected links deliver at
 /// `multiplier ×` their sampled latency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelaySpike {
     /// Affected jurisdiction (either end of the link); `None` hits every
     /// link.
@@ -91,7 +90,7 @@ impl DelaySpike {
 /// A scheduled partition window (one leg of a *flapping* partition): the
 /// jurisdiction pair `{a, b}` is partitioned while `from_ns <= now <
 /// until_ns` and healed outside it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// One jurisdiction of the pair.
     pub a: u32,
@@ -133,7 +132,7 @@ fn loc_key(l: Location) -> u64 {
 }
 
 /// The active fault plan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that any message is silently lost.
     drop_probability: f64,

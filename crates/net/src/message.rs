@@ -15,13 +15,10 @@ use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
 use legion_core::symbol::Sym;
 use legion_core::value::LegionValue;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Correlates a reply with its call. Unique per kernel run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CallId(pub u64);
 
 impl fmt::Display for CallId {
@@ -31,13 +28,12 @@ impl fmt::Display for CallId {
 }
 
 /// The payload of a message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Body {
     /// A method invocation.
     Call {
         /// Method name, matching a signature in the callee's interface.
-        /// Interned: copying a message never clones the name, and on the
-        /// wire it still serializes as the string.
+        /// Interned: copying a message never clones the name.
         method: Sym,
         /// Positional arguments.
         args: Vec<LegionValue>,
@@ -52,7 +48,7 @@ pub enum Body {
 }
 
 /// One message in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Unique id of this message (for replies: its own id, distinct from
     /// `in_reply_to`).

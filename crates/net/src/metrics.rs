@@ -10,7 +10,7 @@
 
 use legion_core::symbol::Sym;
 use legion_core::time::SimTime;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -150,29 +150,6 @@ impl Serialize for Histogram {
     }
 }
 
-impl Deserialize for Histogram {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        let mut h = Histogram::new();
-        h.count = serde::field(v, "count")?;
-        h.sum = serde::field(v, "sum")?;
-        h.min = serde::field(v, "min")?;
-        h.max = serde::field(v, "max")?;
-        let buckets = v
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError("histogram missing `buckets` array".to_owned()))?;
-        for pair in buckets {
-            let pair: (usize, u64) = Deserialize::from_json_value(pair)?;
-            let (i, n) = pair;
-            if i >= h.buckets.len() {
-                return Err(DeError(format!("histogram bucket index {i} out of range")));
-            }
-            h.buckets[i] = n;
-        }
-        Ok(h)
-    }
-}
-
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -268,25 +245,10 @@ impl Serialize for Counters {
     }
 }
 
-impl Deserialize for Counters {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .get("map")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError("counters missing `map` array".to_owned()))?;
-        let mut c = Counters::new();
-        for pair in pairs {
-            let (name, n): (String, u64) = Deserialize::from_json_value(pair)?;
-            c.add(&name, n);
-        }
-        Ok(c)
-    }
-}
-
 /// Counters bucketed into fixed windows of virtual time, so a run's
 /// counter totals can be read as a time series instead of one final sum.
 /// A zero window width disables recording entirely (the default).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct WindowedCounters {
     window_ns: u64,
     windows: BTreeMap<u64, Counters>,
@@ -352,7 +314,7 @@ impl WindowedCounters {
 }
 
 /// Per-endpoint traffic and latency, as exported in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EndpointMetrics {
     /// The endpoint's kernel id.
     pub endpoint: u64,
@@ -369,7 +331,7 @@ pub struct EndpointMetrics {
 /// A JSON-exportable snapshot of everything the kernel measures: global
 /// stats, named counters (flat and time-windowed), the global and
 /// per-message-kind latency distributions, and per-endpoint traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Virtual time at snapshot.
     pub at: SimTime,
@@ -509,14 +471,17 @@ mod tests {
             h.record(v);
         }
         let text = serde::json::to_string(&h.to_json_value());
-        let back = Histogram::from_json_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.quantile(0.5), h.quantile(0.5));
-        // An empty histogram (min = u64::MAX sentinel) round-trips too.
-        let empty = Histogram::new();
-        let text = serde::json::to_string(&empty.to_json_value());
-        let back = Histogram::from_json_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, empty);
+        assert_eq!(
+            text,
+            r#"{"count":5,"sum":18446744073709551615,"min":0,"max":18446744073709551615,"buckets":[[0,1],[1,1],[3,1],[21,1],[64,1]]}"#
+        );
+        assert_eq!(serde::json::from_str(&text), Ok(h.to_json_value()));
+        // An empty histogram keeps its `min = u64::MAX` sentinel.
+        let text = serde::json::to_string(&Histogram::new().to_json_value());
+        assert_eq!(
+            text,
+            r#"{"count":0,"sum":0,"min":18446744073709551615,"max":0,"buckets":[]}"#
+        );
     }
 
     #[test]
@@ -558,9 +523,12 @@ mod tests {
         let mut w = WindowedCounters::new(1_000);
         w.record(SimTime(1), "a", 2);
         w.record(SimTime(2_500), "b", 3);
+        w.record(SimTime(2_600), "a", 1);
         let text = serde::json::to_string(&w.to_json_value());
-        let back =
-            WindowedCounters::from_json_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back, w);
+        assert_eq!(
+            text,
+            r#"{"window_ns":1000,"windows":[[0,{"map":[["a",2]]}],[2000,{"map":[["a",1],["b",3]]}]]}"#
+        );
+        assert_eq!(serde::json::from_str(&text), Ok(w.to_json_value()));
     }
 }

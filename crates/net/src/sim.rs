@@ -46,7 +46,7 @@ use legion_persist::Writer as StateWriter;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::any::Any;
 use std::fmt;
 
@@ -216,7 +216,7 @@ struct Event {
 }
 
 /// Global kernel statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct KernelStats {
     /// Messages accepted into the network.
     pub sent: u64,

@@ -15,10 +15,9 @@
 
 use legion_core::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Where an endpoint lives, for latency purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Location {
     /// Jurisdiction index.
     pub jurisdiction: u32,
@@ -34,7 +33,7 @@ impl Location {
 }
 
 /// One tier's latency: uniform in `[base_ns, base_ns + jitter_ns]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySpec {
     /// Minimum latency in simulated nanoseconds.
     pub base_ns: u64,
@@ -62,7 +61,7 @@ impl LatencySpec {
 }
 
 /// The three-tier latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Two endpoints on the same host.
     pub same_host: LatencySpec,

@@ -22,7 +22,7 @@ use legion_net::sim::{Ctx, Endpoint, EndpointId, FlightEvent, FlightKind, SimKer
 use legion_net::topology::{Location, Topology};
 use legion_obs::export::to_jsonl;
 use legion_obs::span::SpanEvent;
-use serde::{json, Deserialize};
+use serde::json;
 
 /// A kernel event kind's spellings: the journal label, the flight
 /// recorder's (dump and JSON), and the span stream's (`Display` and
@@ -177,7 +177,6 @@ fn every_kind_is_spelled_as_pinned_everywhere() {
         .zip(jsonl.lines())
         .map(|(event, line)| {
             let value = json::from_str(line).expect("trace line parses");
-            assert_eq!(&SpanEvent::from_json_value(&value).unwrap(), event);
             let kind = value.get("kind").and_then(|v| v.as_str()).unwrap();
             let display = event.to_string();
             (

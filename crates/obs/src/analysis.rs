@@ -13,11 +13,10 @@ use crate::span::{SpanEvent, SpanEventKind};
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
 use legion_journal::RecordKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How one message hop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopFate {
     /// Delivered at this virtual time.
     Delivered(SimTime),
@@ -32,7 +31,7 @@ pub enum HopFate {
 }
 
 /// One reconstructed message hop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// The hop's span id.
     pub span: SpanId,
@@ -61,7 +60,7 @@ impl Hop {
 }
 
 /// Everything reconstructed about one trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     /// The trace id.
     pub trace: TraceId,
@@ -145,7 +144,7 @@ pub fn summarize(events: &[SpanEvent]) -> Vec<TraceSummary> {
 }
 
 /// One trace's latency accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestPath {
     /// The trace id.
     pub trace: TraceId,
@@ -230,7 +229,7 @@ pub fn request_path(s: &TraceSummary) -> RequestPath {
 }
 
 /// Aggregate accounting across every trace in an event list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopBreakdown {
     /// Number of traces with both `Begin` and `End` captured.
     pub requests: u64,

@@ -24,7 +24,7 @@ mod tests {
     use crate::span::SpanEventKind;
     use legion_core::time::SimTime;
     use legion_core::trace::{SpanId, TraceId};
-    use serde::Deserialize;
+    use serde::Value;
 
     fn sample() -> Vec<SpanEvent> {
         vec![
@@ -54,11 +54,19 @@ mod tests {
         let events = sample();
         let text = to_jsonl(&events);
         assert_eq!(text.lines().count(), 2);
-        let back: Vec<SpanEvent> = text
-            .lines()
-            .map(|l| SpanEvent::from_json_value(&json::from_str(l).expect("json")).expect("event"))
-            .collect();
-        assert_eq!(back, events);
+        let kinds = ["Begin", "Send"];
+        for ((line, e), kind) in text.lines().zip(&events).zip(kinds) {
+            let v = json::from_str(line).expect("json");
+            let field = |key: &str| v.get(key).cloned().expect(key);
+            assert_eq!(field("trace"), Value::U64(e.trace.0));
+            assert_eq!(field("span"), Value::U64(e.span.0));
+            assert_eq!(field("parent"), Value::U64(e.parent.0));
+            assert_eq!(field("kind"), Value::Str(kind.into()));
+            assert_eq!(field("at"), Value::U64(e.at.as_nanos()));
+            assert_eq!(field("endpoint"), Value::U64(e.endpoint));
+            assert_eq!(field("label"), Value::Str(e.label.clone()));
+            assert_eq!(v.as_object().map(<[_]>::len), Some(7));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use legion_core::time::SimTime;
 use legion_core::trace::{SpanId, TraceId};
 use legion_journal::RecordKind;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// What happened at one point of a trace: the span stream's own
@@ -62,29 +62,8 @@ impl Serialize for SpanEventKind {
     }
 }
 
-impl Deserialize for SpanEventKind {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| DeError::expected("span kind", v))?;
-        let span_only = [
-            SpanEventKind::Begin,
-            SpanEventKind::End,
-            SpanEventKind::Send,
-        ];
-        let kernel = legion_journal::record::KINDS
-            .iter()
-            .map(|row| SpanEventKind::Kernel(row.kind));
-        span_only
-            .into_iter()
-            .chain(kernel)
-            .find(|kind| kind.names().1 == name)
-            .ok_or_else(|| DeError(format!("unknown SpanEventKind variant `{name}`")))
-    }
-}
-
 /// One recorded event. 72 bytes; the sink stores these by value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SpanEvent {
     /// The request this event belongs to.
     pub trace: TraceId,
@@ -139,9 +118,7 @@ mod tests {
             assert!(texts.insert(k.to_string()), "duplicate rendering for {k:?}");
             let v = k.to_json_value();
             assert!(names.insert(v.as_str().unwrap().to_owned()), "{k:?}");
-            assert_eq!(SpanEventKind::from_json_value(&v), Ok(k));
         }
-        assert!(SpanEventKind::from_json_value(&Value::Str("Nope".into())).is_err());
     }
 
     /// The sink stores events by value: wrapping a `RecordKind` must not

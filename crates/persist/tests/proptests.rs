@@ -11,7 +11,6 @@ use legion_persist::crc32;
 use legion_persist::opr::Opr;
 use legion_persist::storage::JurisdictionStorage;
 use proptest::prelude::*;
-use serde::{Serialize, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -105,35 +104,25 @@ fn hash_of(v: &impl Hash) -> u64 {
 }
 
 /// What an Object Address over `model` looked like when its element list
-/// was a plain `Vec`: `Display`, the JSON value and the persist bytes,
-/// written out from the list itself.
-fn vec_model(
-    model: &[ObjectAddressElement],
-    semantics: AddressSemantics,
-) -> (String, Value, Vec<u8>) {
+/// was a plain `Vec`: `Display` and the persist bytes, written out from
+/// the list itself.
+fn vec_model(model: &[ObjectAddressElement], semantics: AddressSemantics) -> (String, Vec<u8>) {
     let shown: Vec<String> = model.iter().map(|e| e.to_string()).collect();
     let display = format!("[{}] {semantics:?}", shown.join(", "));
-    let json = Value::Object(vec![
-        (
-            "elements".to_owned(),
-            Value::Array(model.iter().map(Serialize::to_json_value).collect()),
-        ),
-        ("semantics".to_owned(), semantics.to_json_value()),
-    ]);
     let mut w = Writer::new();
     w.put_varint(model.len() as u64);
     for e in model {
         w.put_element(e);
     }
     w.put_semantics(&semantics);
-    (display, json, w.as_bytes().to_vec())
+    (display, w.as_bytes().to_vec())
 }
 
 proptest! {
     /// The inline element list is indistinguishable from the `Vec` it
     /// replaced, at zero, one, two and many elements: as a slice, under
-    /// `==` and `Hash`, in `Display` and `Debug`, in JSON and in persist
-    /// bytes — and `clone_from` lands on the source from every shape.
+    /// `==` and `Hash`, in `Display` and `Debug` and in persist bytes —
+    /// and `clone_from` lands on the source from every shape.
     #[test]
     fn elements_match_a_plain_vec(
         pool in proptest::collection::vec(arb_element(), 6),
@@ -157,16 +146,12 @@ proptest! {
                 prop_assert_eq!(&ObjectAddress::single(only).elements, &addr.elements);
             }
 
-            let (display, json, bytes) = vec_model(model, semantics);
+            let (display, bytes) = vec_model(model, semantics);
             prop_assert_eq!(addr.to_string(), display);
-            prop_assert_eq!(addr.to_json_value(), json.clone());
             let mut w = Writer::new();
             w.put_address(&addr);
             prop_assert_eq!(w.as_bytes(), &bytes[..]);
             prop_assert_eq!(Reader::new(&bytes).get_address().expect("decode"), addr.clone());
-            let from_json: ObjectAddress =
-                serde::Deserialize::from_json_value(&json).expect("from json");
-            prop_assert_eq!(from_json, addr.clone());
 
             for other in &shapes {
                 let mut dst = ObjectAddress::replicated(other.clone(), AddressSemantics::Single);

@@ -22,7 +22,7 @@ use crate::protocol::object as obj_methods;
 use legion_core::dispatch::InvocationGate;
 use legion_core::interface::{Interface, ParamType};
 use legion_core::loid::Loid;
-use legion_core::object::{methods, GenericObject, ObjectMandatory};
+use legion_core::object::{methods, GenericObject};
 use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_core::wellknown::LEGION_OBJECT;

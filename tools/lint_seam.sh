@@ -26,6 +26,12 @@
 # share lives outside them — the drained-system invariants, the digest
 # fold and fault arming in crates/sim/src/judge.rs, the drivers in
 # experiments/common.rs.
+#
+# Also fails if `Deserialize`, `from_json_value` or `serde::field`
+# appears under crates/*/src: JSON is output only. An object's one
+# persistent form is the persist codec's; reports are written as JSON
+# and never read back into a Legion type (a reader walks a parsed
+# `serde::Value` with its accessors).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -118,6 +124,16 @@ if [[ -n "$hits" ]]; then
     echo "$hits" >&2
     echo >&2
     echo "Move what they share into crates/sim/src/judge.rs or experiments/common.rs." >&2
+    exit 1
+fi
+# JSON is written, never decoded into a typed value.
+hits=$(grep -rnE 'Deserialize|from_json_value|serde::field' crates/*/src || true)
+if [[ -n "$hits" ]]; then
+    echo "error: a JSON decode path under crates/*/src:" >&2
+    echo "$hits" >&2
+    echo >&2
+    echo "State is persisted through legion-persist's codec; read a report's JSON" >&2
+    echo "with serde::json::from_str and the serde::Value accessors instead." >&2
     exit 1
 fi
 echo "lint_seam: ok"
