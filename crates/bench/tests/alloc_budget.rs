@@ -254,6 +254,11 @@ fn hot_path_allocation_budgets() {
     // from any of them — in order, reordered, duplicated — off the heap.
     known_senders_admit_without_allocating();
 
+    // Only a duplicated message meets the dedup window: on a fault-free
+    // network, a receiver that hears from ten thousand fresh senders
+    // grows no window for any of them.
+    fresh_senders_deliver_without_allocating();
+
     // Migration costs what it moves: a Move of an Inert object, and the
     // Host Object's half of an activation and a deactivation.
     inert_moves_allocate_for_what_they_move();
@@ -826,6 +831,55 @@ fn known_senders_admit_without_allocating() {
         .min()
         .unwrap();
     assert_eq!(d, 0, "admitting from known senders allocated {d} times");
+}
+
+/// Waves of ten thousand fresh endpoints, each of which sends one call
+/// to an idle receiver from `on_start` over a fault-free network: all
+/// starts run at one instant, all deliveries land one LAN hop later.
+/// Measured: a wave's deliveries, every one from a sender the receiver
+/// has never heard from, once a first wave has grown the queue's ready
+/// list to the burst's size; the quietest of three waves.
+fn fresh_senders_deliver_without_allocating() {
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_net::message::Message;
+    use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
+    use legion_net::topology::{Location, Topology};
+    use legion_net::FaultPlan;
+
+    struct Once {
+        to: EndpointId,
+    }
+    impl Endpoint for Once {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let id = ctx.fresh_call_id();
+            let env = InvocationEnv::anonymous();
+            let msg = Message::call(id, Loid::instance(16, 1), "Ping", vec![], env);
+            assert!(ctx.send(self.to.element(), msg));
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    const SENDERS: u64 = 10_000;
+    let topology = Topology::fixed(1_000, 10_000, 1_000_000);
+    let mut k = SimKernel::new(topology, FaultPlan::none(), LEDGER_SEED);
+    let to = k.add_endpoint(Box::new(Idle), Location::new(0, 0), "idle");
+    k.run_until_quiescent(u64::MAX);
+    let wave = |k: &mut SimKernel| {
+        for _ in 0..SENDERS {
+            k.add_endpoint(Box::new(Once { to }), Location::new(0, 1), "once");
+        }
+        let t0 = k.now();
+        for _ in 0..SENDERS {
+            assert!(k.step());
+        }
+        assert_eq!(k.now(), t0, "every start runs at one instant");
+        alloc_delta(|| assert_eq!(k.run_until_quiescent(u64::MAX), SENDERS))
+    };
+    wave(&mut k);
+    let d = (0..3).map(|_| wave(&mut k)).min().unwrap();
+    assert_eq!(k.meta(to).unwrap().received, 4 * SENDERS);
+    assert_eq!(d, 0, "delivering from fresh senders allocated {d} times");
 }
 
 /// The `lifecycle_churn` migration in miniature: a churn driver moves

@@ -24,11 +24,12 @@
 //! the same faults even when call order shifts.
 //!
 //! Duplication is tamed at the receiver by [`DedupState`]: the kernel
-//! stamps every physical send with a per-sender sequence number and each
-//! endpoint keeps a bounded window of sequence numbers it has already
-//! accepted — at-most-once delivery with bounded memory. A straggler
-//! older than the window is rejected conservatively (never delivered
-//! twice, possibly not delivered at all — exactly the datagram contract).
+//! gives both copies of a duplicated message one key, its sender and the
+//! original's event seq, and each endpoint keeps a bounded window of the
+//! keys it has already accepted — at-most-once delivery with bounded
+//! memory. No other message carries a key, so a straggler the network
+//! only slowed is always delivered; a *copy* older than the window is
+//! rejected conservatively.
 
 use crate::topology::Location;
 use legion_core::fxmap::FxHashMap;

@@ -113,21 +113,21 @@ pub struct EndpointMeta {
     pub alive: bool,
 }
 
-/// How many per-sender sequence numbers each receiver remembers for
-/// at-most-once delivery. Far larger than any realistic in-flight window,
-/// so reordered originals are never mistaken for duplicates.
+/// How many duplicated messages' keys each receiver remembers per
+/// sender. Only a duplicated message carries a key, so the window never
+/// sees an original the network merely slowed or reordered; a copy that
+/// trails this many later duplicated messages from its sender is
+/// rejected by the window's floor, which is what a copy should be.
 const DEDUP_WINDOW: usize = 1024;
 
 struct Slot {
     ep: Option<Box<dyn Endpoint>>,
     meta: EndpointMeta,
-    /// Next per-sender sequence number stamped onto this endpoint's sends.
-    next_seq: u64,
-    /// Receiver half of at-most-once delivery: sequence numbers already
-    /// admitted, per sender.
+    /// Receiver half of at-most-once delivery: the keys of duplicated
+    /// messages already admitted, per sender.
     seen: DedupState,
     /// Has anything [`encode_slot`] writes changed since the last
-    /// snapshot? Set by the three methods below, the only writers of
+    /// snapshot? Set by the two methods below, the only writers of
     /// that state once the slot exists.
     dirty: bool,
 }
@@ -137,24 +137,15 @@ impl Slot {
         Slot {
             ep: Some(ep),
             meta,
-            next_seq: 0,
             seen: DedupState::new(DEDUP_WINDOW),
             dirty: true,
         }
     }
 
-    /// First sight of `(sender, seq_no)` at this receiver?
-    fn admit(&mut self, sender: u64, seq_no: u64) -> bool {
+    /// First sight of the duplicated message `(sender, seq)` here?
+    fn admit(&mut self, sender: u64, seq: u64) -> bool {
         self.dirty = true;
-        self.seen.admit(sender, seq_no)
-    }
-
-    /// The sequence number for this endpoint's next send.
-    fn stamp_seq(&mut self) -> u64 {
-        self.dirty = true;
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+        self.seen.admit(sender, seq)
     }
 
     fn mark_dead(&mut self) {
@@ -205,9 +196,9 @@ struct Event {
     /// deliveries, the context captured when the timer was armed for
     /// timers, none for starts.
     trace: TraceContext,
-    /// `(sender, per-sender sequence number)` for deliveries: the key the
-    /// receiver's at-most-once window checks. A duplicated message's two
-    /// copies share one key. `None` for starts and timers.
+    /// `(sender, the original's event seq)` for both copies of a message
+    /// the network duplicated: the key the receiver's at-most-once window
+    /// checks. `None` for every other event, which never reaches it.
     dedup: Option<(u64, u64)>,
     /// The hop latency this delivery paid (sim-time the profiler
     /// attributes to the handling endpoint). Zero for starts and timers.
@@ -244,8 +235,6 @@ pub(crate) struct Inner {
     /// The trace context of the handler currently executing (stamped onto
     /// outgoing sends and captured by armed timers).
     pub(crate) current: TraceContext,
-    /// Sequence counter for sends injected from outside the kernel.
-    external_seq: u64,
     /// At-most-once delivery on/off (off only to demonstrate what a
     /// duplicating network does to an unprotected endpoint).
     dedup_enabled: bool,
@@ -289,7 +278,6 @@ impl SimKernel {
                 rng: SmallRng::seed_from_u64(seed),
                 stats: KernelStats::default(),
                 current: TraceContext::NONE,
-                external_seq: 0,
                 dedup_enabled: true,
                 pool: MessagePool::new(),
                 watch: Watcher::default(),
@@ -555,11 +543,12 @@ impl SimKernel {
             }
             return true;
         }
-        // At-most-once: a delivery whose (sender, seq) the receiver has
-        // already admitted is suppressed before the endpoint sees it.
+        // At-most-once: of a duplicated message's two copies, the one
+        // that arrives second finds its key admitted and is suppressed
+        // before the endpoint sees it.
         if self.inner.dedup_enabled {
-            if let (EventKind::Deliver(msg), Some((sender, seq_no))) = (&ev.kind, ev.dedup) {
-                if !self.slots[idx].admit(sender, seq_no) {
+            if let (EventKind::Deliver(msg), Some((sender, seq))) = (&ev.kind, ev.dedup) {
+                if !self.slots[idx].admit(sender, seq) {
                     self.inner.watch.count(now, symbol::NET_DEDUP_DROPPED, 1);
                     self.inner.watch.ingress(
                         now,
@@ -779,7 +768,6 @@ fn encode_core(EncodeScratch { w, .. }: &mut EncodeScratch, inner: &Inner) {
     w.put_u64(inner.now.as_nanos());
     w.put_u64(inner.seq);
     w.put_u64(inner.next_call);
-    w.put_u64(inner.external_seq);
     w.put_u8(inner.dedup_enabled as u8);
     w.put_u64(inner.stats.sent);
     w.put_u64(inner.stats.delivered);
@@ -852,7 +840,6 @@ fn encode_slot(w: &mut StateWriter, slot: &Slot) {
     w.put_u32(slot.meta.location.host);
     w.put_str(&slot.meta.name);
     w.put_u8(slot.meta.alive as u8);
-    w.put_varint(slot.next_seq);
     w.put_u64(slot.seen.state_digest());
 }
 
@@ -964,16 +951,6 @@ fn send_one(
     }
     let dest_location = dest.meta.location;
     inner.stats.sent += 1;
-    // Stamp the per-sender sequence number the receiver's at-most-once
-    // window will check (kernel-level; endpoints never see it).
-    let seq_no = match from_slot {
-        Some(i) => slots[i].stamp_seq(),
-        None => {
-            let s = inner.external_seq;
-            inner.external_seq += 1;
-            s
-        }
-    };
     let judged = inner
         .faults
         .judge(id, from_location, dest_location, inner.now);
@@ -1003,33 +980,34 @@ fn send_one(
     slots[ep as usize].meta.in_latency.record(effective);
     let at = inner.now.saturating_add(effective);
     inner.watch.hop_latency(at, ep, kind, effective);
-    let (dest, dedup) = (EndpointId(ep), Some((from_ep, seq_no)));
-    // The duplicate copy shares the original's dedup key: with the
-    // at-most-once window on, exactly one of the two reaches the endpoint.
-    let copy = if let Verdict::Duplicate { extra_ns } = judged {
-        inner.watch.count(inner.now, symbol::NET_DUPLICATED, 1);
-        verdict(
-            inner,
-            RecordKind::Duplicate,
-            extra_ns,
-            format_args!("dup:+{extra_ns}ns"),
-        );
-        Some((at.saturating_add(extra_ns), msg.clone()))
-    } else {
-        None
+    let dest = EndpointId(ep);
+    let Verdict::Duplicate { extra_ns } = judged else {
+        inner.schedule(at, dest, trace, None, effective, EventKind::Deliver(msg));
+        return true;
     };
+    // Both copies carry the original's key, the one its event is about
+    // to be stamped with: with the at-most-once window on, exactly one
+    // of the two reaches the endpoint.
+    inner.watch.count(inner.now, symbol::NET_DUPLICATED, 1);
+    verdict(
+        inner,
+        RecordKind::Duplicate,
+        extra_ns,
+        format_args!("dup:+{extra_ns}ns"),
+    );
+    let dedup = Some((from_ep, inner.seq));
+    let copy = msg.clone();
     inner.schedule(at, dest, trace, dedup, effective, EventKind::Deliver(msg));
-    if let Some((copy_at, copy_msg)) = copy {
-        let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
-        inner.schedule(
-            copy_at,
-            dest,
-            trace,
-            dedup,
-            lat_ns,
-            EventKind::Deliver(copy_msg),
-        );
-    }
+    let copy_at = at.saturating_add(extra_ns);
+    let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
+    inner.schedule(
+        copy_at,
+        dest,
+        trace,
+        dedup,
+        lat_ns,
+        EventKind::Deliver(copy),
+    );
     true
 }
 

@@ -231,6 +231,14 @@ proptest! {
         let replied = k.endpoint::<Caller>(caller).unwrap().replies;
         prop_assert_eq!(executed, n_calls, "each logical call must execute exactly once");
         prop_assert_eq!(replied, n_calls, "each logical call must yield exactly one reply");
+        // Every rejection is the twin of a duplicated message: nothing the
+        // network only reordered is ever taken for a copy.
+        let counters = k.counters();
+        prop_assert_eq!(
+            counters.get("net.dedup_dropped"),
+            counters.get("net.duplicated"),
+            "each duplicated message loses exactly one copy"
+        );
     }
 
     /// A served `notify` never puts a reply on the wire, whatever the

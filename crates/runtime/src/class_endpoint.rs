@@ -272,7 +272,7 @@ impl ClassEndpoint {
     /// Run one call through the admission ledger. Returns `None` when
     /// the call was consumed here (shed, or deferred to its service-
     /// completion timer); `Some(msg)` hands it back for immediate serve.
-    fn admit(&mut self, ctx: &mut Ctx<'_>, msg: Message) -> Option<Message> {
+    fn gate(&mut self, ctx: &mut Ctx<'_>, msg: Message) -> Option<Message> {
         let Some(queue) = &mut self.admission else {
             return Some(msg);
         };
@@ -1029,7 +1029,7 @@ impl Endpoint for ClassEndpoint {
             resume(self, ctx, msg);
             return;
         }
-        let Some(msg) = self.admit(ctx, msg) else {
+        let Some(msg) = self.gate(ctx, msg) else {
             return;
         };
         let table = Rc::clone(&self.table);

@@ -11,6 +11,11 @@
 # (`Verdict::Duplicate { .. }` etc.) appears outside
 # crates/net/src/faults.rs and crates/net/src/sim.rs (plus legion-net's
 # own integration tests, which exercise the fault plan directly).
+#
+# Also fails if the at-most-once window (`DedupState`, or an `.admit(`
+# call) is used under crates/*/src outside those two files: the kernel
+# keys only the two copies of a duplicated message, and a window
+# consulted anywhere else would see keys nobody gives out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +30,18 @@ if [[ -n "$hits" ]]; then
     echo >&2
     echo "Configure faults via FaultPlan / SimKernel::faults_mut() and read" >&2
     echo "delivery accounting via SimKernel::stats()/counters() instead." >&2
+    exit 1
+fi
+
+hits=$(grep -rnE 'DedupState|\.admit\(' crates/*/src --include='*.rs' |
+    grep -vE '^crates/net/src/(faults|sim)\.rs:' || true)
+
+if [[ -n "$hits" ]]; then
+    echo "error: the dedup window used outside legion-net's fault layer:" >&2
+    echo "$hits" >&2
+    echo >&2
+    echo "At-most-once delivery is the kernel's: it keys duplicated messages in" >&2
+    echo "send_one and admits them in step (crates/net/src/sim.rs)." >&2
     exit 1
 fi
 echo "lint_faults: ok"
