@@ -28,8 +28,9 @@
 //! original's event seq, and each endpoint keeps a bounded window of the
 //! keys it has already accepted — at-most-once delivery with bounded
 //! memory. No other message carries a key, so a straggler the network
-//! only slowed is always delivered; a *copy* older than the window is
-//! rejected conservatively.
+//! only slowed is always delivered. A key older than the window is
+//! rejected conservatively (never delivered twice, possibly not at all —
+//! exactly the datagram contract).
 
 use crate::topology::Location;
 use legion_core::fxmap::FxHashMap;

@@ -114,10 +114,10 @@ pub struct EndpointMeta {
 }
 
 /// How many duplicated messages' keys each receiver remembers per
-/// sender. Only a duplicated message carries a key, so the window never
-/// sees an original the network merely slowed or reordered; a copy that
-/// trails this many later duplicated messages from its sender is
-/// rejected by the window's floor, which is what a copy should be.
+/// sender. Only a duplicated message carries a key, so a message the
+/// network merely slowed or reordered never meets the window. A key that
+/// arrives behind this many later keys from its sender is below the
+/// window's floor and rejected: a loss only if it is the first copy.
 const DEDUP_WINDOW: usize = 1024;
 
 struct Slot {

@@ -13,8 +13,8 @@ use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 
-/// One more than the receiver's window holds, so that the straggler
-/// trails more later sends than a per-sender window could remember.
+/// More sends than a receiver's per-sender window holds (1 024), so that
+/// the straggler trails more later sends than the window remembers.
 const SENDS: u32 = 1_101;
 
 /// Sends once at start (inside the spike), then the rest from a timer
