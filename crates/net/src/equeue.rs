@@ -27,9 +27,10 @@
 //!
 //! What the wheel files, cascades, sorts and splices is a 24-byte
 //! [`Key`] — `(at, seq)` plus the index of a slab slot. The value itself
-//! (the kernel's `Event`, 360 bytes with its inline `Message`) is written
-//! into its slab slot once by `push` and taken out once by `pop`; nothing
-//! in between touches it. Freed slots go on a LIFO free list and are
+//! (the kernel's `Event`, 88 bytes; a delivery names its message by a
+//! handle into the kernel's message store rather than carrying it) is
+//! written into its slab slot once by `push` and taken out once by
+//! `pop`; nothing in between touches it. Freed slots go on a LIFO free list and are
 //! reused before the slab grows, so the slab is bounded by the queue's
 //! own peak and the slot handed out next is the one most recently warm.
 //!
@@ -542,7 +543,7 @@ mod tests {
     /// is key capacity; the values' storage is retained once.
     #[test]
     fn drained_burst_retains_keys_per_slot_and_values_once() {
-        type Fat = [u64; 45]; // the kernel's 360-byte event
+        type Fat = [u64; 45]; // a 360-byte value, what an inline message made an event
         const BURST: usize = 10_000;
         let mut q: EventQueue<Fat> = EventQueue::new();
         for i in 0..BURST as u64 {

@@ -176,15 +176,14 @@ const KERNEL_SECTIONS: [(&str, SectionEncoder); 4] = [
     ("queue", encode_queue),
 ];
 
-// `Deliver` holds the message inline: events already live on the heap
-// inside the queue's backing storage, so boxing the message again was a
-// pure extra allocation on every accepted send. The variant size skew is
-// the point — deliveries dominate the queue, so the per-event footprint
-// is the message either way, minus the indirection.
-#[allow(clippy::large_enum_variant)]
+// `Deliver` holds the message's handle in [`MessageStore`], not the
+// message: the wheel's slab moves each event in and out, and an 88-byte
+// record is what it moves per hop. The message itself is copied into
+// the store once when it is sent and out once when it is delivered.
+#[derive(Clone, Copy)]
 enum EventKind {
     Start,
-    Deliver(Message),
+    Deliver(u32),
     Timer(u64),
 }
 
@@ -204,6 +203,72 @@ struct Event {
     /// attributes to the handling endpoint). Zero for starts and timers.
     lat_ns: u64,
     kind: EventKind,
+}
+
+/// The messages in flight, each parked once and named by a `u32`
+/// handle until it leaves. A send parks its message before it stamps
+/// anything, the delivering event carries the handle, and the message
+/// leaves exactly once: taken out by `step` for its handler, or dropped
+/// where it lies — by `step` for a dead letter or a dedup suppression,
+/// by `send_one` on a refusal or a silent loss. Freed entries are
+/// reused last-freed-first, so a handler's reply parks in the entry its
+/// call was just taken from, which is still warm.
+#[derive(Default)]
+struct MessageStore {
+    entries: Vec<Option<Message>>,
+    free: Vec<u32>,
+}
+
+impl MessageStore {
+    fn park(&mut self, msg: Message) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.entries[h as usize] = Some(msg);
+                h
+            }
+            None => {
+                let h = u32::try_from(self.entries.len()).expect("under 2^32 messages in flight");
+                self.entries.push(Some(msg));
+                h
+            }
+        }
+    }
+
+    /// A second entry holding a copy of `h`'s message (a duplicate the
+    /// network made).
+    fn duplicate(&mut self, h: u32) -> u32 {
+        let copy = self.get(h).clone();
+        self.park(copy)
+    }
+
+    fn get(&self, h: u32) -> &Message {
+        self.entries[h as usize].as_ref().expect("a parked message")
+    }
+
+    fn get_mut(&mut self, h: u32) -> &mut Message {
+        self.entries[h as usize].as_mut().expect("a parked message")
+    }
+
+    /// Take `h`'s message out and free its entry. The free list grows
+    /// first, so the message is copied straight to the caller rather
+    /// than held across a call that could unwind.
+    fn take(&mut self, h: u32) -> Message {
+        self.free.push(h);
+        self.entries[h as usize].take().expect("a parked message")
+    }
+
+    /// Drop `h`'s message where it lies and free its entry.
+    fn release(&mut self, h: u32) {
+        debug_assert!(self.entries[h as usize].is_some(), "a parked message");
+        self.entries[h as usize] = None;
+        self.free.push(h);
+    }
+
+    /// Messages parked and not yet taken.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
 }
 
 /// Global kernel statistics.
@@ -241,6 +306,8 @@ pub(crate) struct Inner {
     /// Free lists for recycled message-body buffers (arg vectors,
     /// binding shells) — see [`crate::pool`].
     pool: MessagePool,
+    /// The messages in flight, which the queued events name by handle.
+    messages: MessageStore,
     /// Everything that watches the event flow: told about each event,
     /// read back only by the snapshotter (named counters, journal marks).
     pub(crate) watch: Watcher,
@@ -280,6 +347,7 @@ impl SimKernel {
                 current: TraceContext::NONE,
                 dedup_enabled: true,
                 pool: MessagePool::new(),
+                messages: MessageStore::default(),
                 watch: Watcher::default(),
             },
         }
@@ -384,7 +452,7 @@ impl SimKernel {
             TraceContext::NONE,
             format_args!(""),
         );
-        send_one(inner, &mut self.slots, from_location, None, to, msg)
+        park_and_send(inner, &mut self.slots, from_location, None, to, msg, None)
     }
 
     /// A fresh call id for drivers injecting calls from outside.
@@ -528,7 +596,8 @@ impl SimKernel {
         self.inner.stats.events += 1;
         let (idx, ep_id) = (ev.to.0 as usize, ev.to.0);
         if !is_live(&self.slots, ev.to) {
-            if let EventKind::Deliver(msg) = &ev.kind {
+            if let EventKind::Deliver(h) = ev.kind {
+                let msg = self.inner.messages.get(h);
                 self.inner.stats.dead_letters += 1;
                 self.inner.watch.ingress(
                     now,
@@ -540,6 +609,7 @@ impl SimKernel {
                     ev.trace,
                     format_args!("dead_letter:{}", kind_sym(msg)),
                 );
+                self.inner.messages.release(h);
             }
             return true;
         }
@@ -547,8 +617,9 @@ impl SimKernel {
         // that arrives second finds its key admitted and is suppressed
         // before the endpoint sees it.
         if self.inner.dedup_enabled {
-            if let (EventKind::Deliver(msg), Some((sender, seq))) = (&ev.kind, ev.dedup) {
+            if let (EventKind::Deliver(h), Some((sender, seq))) = (ev.kind, ev.dedup) {
                 if !self.slots[idx].admit(sender, seq) {
+                    let msg = self.inner.messages.get(h);
                     self.inner.watch.count(now, symbol::NET_DEDUP_DROPPED, 1);
                     self.inner.watch.ingress(
                         now,
@@ -560,6 +631,7 @@ impl SimKernel {
                         ev.trace,
                         format_args!("dedup:{}", kind_sym(msg)),
                     );
+                    self.inner.messages.release(h);
                     return true;
                 }
             }
@@ -580,10 +652,11 @@ impl SimKernel {
                     ctx.inner.watch.lifecycle(now, RecordKind::Start, ep_id, "");
                     ep.on_start(&mut ctx)
                 }
-                EventKind::Deliver(msg) => {
+                EventKind::Deliver(h) => {
                     ctx.slots[idx].meta.received += 1;
                     ctx.inner.stats.delivered += 1;
-                    let method = kind_sym(&msg);
+                    let msg = ctx.inner.messages.get(h);
+                    let method = kind_sym(msg);
                     ctx.inner.watch.ingress(
                         now,
                         RecordKind::Deliver,
@@ -595,6 +668,9 @@ impl SimKernel {
                         format_args!("{method}"),
                     );
                     let started = ctx.inner.watch.handler_start();
+                    // Taken out last: nothing that could unwind holds it
+                    // before the handler does.
+                    let msg = ctx.inner.messages.take(h);
                     ep.on_message(&mut ctx, msg);
                     ctx.inner
                         .watch
@@ -816,9 +892,10 @@ fn encode_queue(EncodeScratch { w, order }: &mut EncodeScratch, inner: &Inner) {
         w.put_varint(e.lat_ns);
         match &e.kind {
             EventKind::Start => w.put_u8(0),
-            EventKind::Deliver(m) => {
+            // The handle is where the message waits, not what it is.
+            EventKind::Deliver(h) => {
                 w.put_u8(1);
-                encode_message(w, m);
+                encode_message(w, inner.messages.get(*h));
             }
             EventKind::Timer(tag) => {
                 w.put_u8(2);
@@ -909,21 +986,52 @@ fn kind_sym(msg: &Message) -> Sym {
     msg.method_sym().unwrap_or(symbol::REPLY)
 }
 
-/// Attempt one physical send. Returns `true` if accepted (delivery still
-/// subject to silent loss); `false` for a detectable refusal.
+/// Park `msg` in the message store, the one place a message enters it,
+/// and send it: the message is copied once, into the store, and every
+/// later step works on it there. A handler's send (`from_slot` set) is
+/// stamped in place first: `reply_to`, when given, fills an unset reply
+/// address, and the handler's trace context fills an inactive one
+/// (a message built from a stored environment keeps its own).
+fn park_and_send(
+    inner: &mut Inner,
+    slots: &mut [Slot],
+    from_location: Location,
+    from_slot: Option<usize>,
+    to: ObjectAddressElement,
+    msg: Message,
+    reply_to: Option<ObjectAddressElement>,
+) -> bool {
+    let h = inner.messages.park(msg);
+    if from_slot.is_some() {
+        let m = inner.messages.get_mut(h);
+        if m.reply_to.is_none() {
+            m.reply_to = reply_to;
+        }
+        if !m.env.trace.is_active() {
+            m.env.trace = inner.current;
+        }
+    }
+    send_one(inner, slots, from_location, from_slot, to, h)
+}
+
+/// Attempt one physical send of the parked message `h`. Returns `true`
+/// if accepted (delivery still subject to silent loss); `false` for a
+/// detectable refusal. A message that will not be delivered leaves the
+/// store here.
 fn send_one(
     inner: &mut Inner,
     slots: &mut [Slot],
     from_location: Location,
     from_slot: Option<usize>,
     to: ObjectAddressElement,
-    mut msg: Message,
+    h: u32,
 ) -> bool {
     if let Some(i) = from_slot {
         slots[i].meta.sent += 1;
     }
     let from_ep = from_slot.map(|i| i as u64).unwrap_or(SpanEvent::EXTERNAL);
-    let (kind, id) = (kind_sym(&msg), msg.id.0);
+    let msg = inner.messages.get_mut(h);
+    let (kind, id) = (kind_sym(msg), msg.id.0);
     inner
         .watch
         .hop_sent(inner.now, &mut msg.env.trace, from_ep, kind);
@@ -938,6 +1046,7 @@ fn send_one(
     let refuse = |inner: &mut Inner, why: &str| {
         inner.stats.refused += 1;
         verdict(inner, RecordKind::Refuse, 0, format_args!("{why}"));
+        inner.messages.release(h);
         false
     };
     let Some(ep) = to.sim_endpoint() else {
@@ -957,6 +1066,7 @@ fn send_one(
     if judged == Verdict::DropSilently {
         inner.stats.lost += 1;
         verdict(inner, RecordKind::Drop, 0, format_args!("drop:silent"));
+        inner.messages.release(h);
         return true;
     }
     // Latency is sampled only for messages that actually deliver, so the
@@ -982,7 +1092,7 @@ fn send_one(
     inner.watch.hop_latency(at, ep, kind, effective);
     let dest = EndpointId(ep);
     let Verdict::Duplicate { extra_ns } = judged else {
-        inner.schedule(at, dest, trace, None, effective, EventKind::Deliver(msg));
+        inner.schedule(at, dest, trace, None, effective, EventKind::Deliver(h));
         return true;
     };
     // Both copies carry the original's key, the one its event is about
@@ -996,8 +1106,8 @@ fn send_one(
         format_args!("dup:+{extra_ns}ns"),
     );
     let dedup = Some((from_ep, inner.seq));
-    let copy = msg.clone();
-    inner.schedule(at, dest, trace, dedup, effective, EventKind::Deliver(msg));
+    let copy = inner.messages.duplicate(h);
+    inner.schedule(at, dest, trace, dedup, effective, EventKind::Deliver(h));
     let copy_at = at.saturating_add(extra_ns);
     let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
     inner.schedule(
@@ -1085,30 +1195,22 @@ impl Ctx<'_> {
 
     /// Send to one address element. `true` = accepted (may still be lost
     /// silently); `false` = detectably refused (stale address, §4.1.4).
-    pub fn send(&mut self, to: ObjectAddressElement, mut msg: Message) -> bool {
-        if msg.reply_to.is_none() {
-            msg.reply_to = Some(self.self_element());
-        }
-        self.post(to, msg)
+    pub fn send(&mut self, to: ObjectAddressElement, msg: Message) -> bool {
+        let reply_to = self.self_element();
+        self.post(to, msg, Some(reply_to))
     }
 
-    /// Put `msg` on the wire as it stands — [`Ctx::send`] without the
-    /// reply address filled in.
-    fn post(&mut self, to: ObjectAddressElement, mut msg: Message) -> bool {
-        // Stamp the current trace context unless the caller set one
-        // explicitly (e.g. a message built from a stored environment).
-        if !msg.env.trace.is_active() {
-            msg.env.trace = self.inner.current;
-        }
+    /// Put `msg` on the wire — with `reply_to` as its reply address if it
+    /// has none; [`Ctx::notify`] gives none.
+    fn post(
+        &mut self,
+        to: ObjectAddressElement,
+        msg: Message,
+        reply_to: Option<ObjectAddressElement>,
+    ) -> bool {
         let loc = self.location();
-        send_one(
-            self.inner,
-            self.slots,
-            loc,
-            Some(self.self_id.0 as usize),
-            to,
-            msg,
-        )
+        let from = Some(self.self_id.0 as usize);
+        park_and_send(self.inner, self.slots, loc, from, to, msg, reply_to)
     }
 
     /// Send through a full [`ObjectAddress`], honouring its semantics
@@ -1193,7 +1295,7 @@ impl Ctx<'_> {
         let id = self.fresh_call_id();
         let mut msg = Message::call(id, target, method, args, env);
         msg.sender = sender;
-        self.post(to, msg)
+        self.post(to, msg, None)
     }
 
     /// Reply to `call` with `result`. Returns `false` if the caller's
@@ -2246,6 +2348,110 @@ mod tests {
             "perturbed delivery at {:?}",
             k.now()
         );
+    }
+
+    /// Every way a parked message leaves the store: whatever became of
+    /// each send, the store is empty once the kernel is quiescent.
+    #[test]
+    fn every_parked_message_leaves_the_store() {
+        let ping = |k: &mut SimKernel| {
+            let id = k.fresh_call_id();
+            Message::call(
+                id,
+                Loid::instance(16, 1),
+                "Ping",
+                vec![LegionValue::Uint(1)],
+                InvocationEnv::anonymous(),
+            )
+        };
+        let setup = |k: &mut SimKernel| {
+            let echo = k.add_endpoint(
+                Box::new(Echo::new(Loid::instance(16, 1))),
+                Location::new(0, 0),
+                "echo",
+            );
+            let client = k.add_endpoint(Box::new(Client::default()), Location::new(1, 1), "client");
+            k.run_until_quiescent(10);
+            (echo, client)
+        };
+        let drained = |k: &mut SimKernel| {
+            k.run_until_quiescent(1_000);
+            assert!(k.is_quiescent());
+            k.inner.messages.len()
+        };
+
+        // Delivered: the call to its handler, the reply to the client.
+        let mut k = kernel();
+        let (echo, client) = setup(&mut k);
+        let mut msg = ping(&mut k);
+        msg.reply_to = Some(client.element());
+        assert!(k.inject(Location::new(1, 1), echo.element(), msg));
+        assert_eq!(k.inner.messages.len(), 1, "parked while in flight");
+        assert_eq!(drained(&mut k), 0, "delivery");
+        assert_eq!(k.stats().delivered, 2);
+
+        // A dead letter: queued to an endpoint killed before it lands.
+        let mut k = kernel();
+        let (echo, _) = setup(&mut k);
+        let msg = ping(&mut k);
+        assert!(k.inject(Location::new(1, 1), echo.element(), msg));
+        k.remove_endpoint(echo);
+        assert_eq!(drained(&mut k), 0, "dead letter");
+        assert_eq!(k.stats().dead_letters, 1);
+
+        // Dedup: the second copy of a duplicated message is suppressed.
+        let mut k = SimKernel::new(Topology::zero(), FaultPlan::seeded(3), 7);
+        let (echo, _) = setup(&mut k);
+        k.faults_mut().set_duplicate_probability(1.0);
+        let msg = ping(&mut k);
+        assert!(k.inject(Location::new(1, 1), echo.element(), msg));
+        assert_eq!(k.inner.messages.len(), 2, "a copy in an entry of its own");
+        assert_eq!(drained(&mut k), 0, "dedup");
+        assert_eq!(k.counters().get("net.dedup_dropped"), 1);
+
+        // A silent drop, and a partition.
+        let mut k = kernel();
+        let (echo, _) = setup(&mut k);
+        k.faults_mut().set_drop_probability(1.0);
+        let msg = ping(&mut k);
+        assert!(k.inject(Location::new(1, 1), echo.element(), msg));
+        assert_eq!(drained(&mut k), 0, "silent drop");
+        k.faults_mut().set_drop_probability(0.0);
+        k.faults_mut().partition(0, 1);
+        let msg = ping(&mut k);
+        assert!(k.inject(Location::new(1, 1), echo.element(), msg));
+        assert_eq!(drained(&mut k), 0, "partition");
+        assert_eq!(k.stats().lost, 2);
+
+        // Refusals: a dead endpoint and an unknown one.
+        let mut k = kernel();
+        let (echo, _) = setup(&mut k);
+        k.remove_endpoint(echo);
+        let msg = ping(&mut k);
+        assert!(!k.inject(Location::new(1, 1), echo.element(), msg));
+        let msg = ping(&mut k);
+        assert!(!k.inject(Location::new(1, 1), ObjectAddressElement::sim(999), msg));
+        assert_eq!(drained(&mut k), 0, "refusal");
+        assert_eq!(k.stats().refused, 2);
+
+        // A snapshot taken with messages in flight encodes them from the
+        // store and leaves them there.
+        let sink = legion_journal::MemSink::new();
+        let mut k = journaled_setup(|k| k.enable_journal_record(Box::new(sink), 0), 6, 0);
+        k.take_snapshot();
+        assert_eq!(k.inner.messages.len(), 6);
+        assert_eq!(drained(&mut k), 0, "snapshot in flight");
+        assert_eq!(
+            k.endpoint::<Client>(EndpointId(1)).unwrap().replies.len(),
+            6
+        );
+    }
+
+    /// The wheel moves each event in and out of its slab: the record stays
+    /// small only while the message stays in the store.
+    #[test]
+    fn an_event_is_a_compact_record() {
+        assert!(std::mem::size_of::<Event>() <= 96);
     }
 
     #[test]

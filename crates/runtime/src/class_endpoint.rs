@@ -269,40 +269,38 @@ impl ClassEndpoint {
         )
     }
 
-    /// Run one call through the admission ledger. Returns `None` when
-    /// the call was consumed here (shed, or deferred to its service-
-    /// completion timer); `Some(msg)` hands it back for immediate serve.
-    fn gate(&mut self, ctx: &mut Ctx<'_>, msg: Message) -> Option<Message> {
-        let Some(queue) = &mut self.admission else {
-            return Some(msg);
-        };
-        if !Self::admission_gated(&msg) {
-            return Some(msg);
+    /// Run one call through the admission ledger: the decision needs only
+    /// a look at the call. `None` means serve it now; a verdict means it
+    /// is consumed by [`ClassEndpoint::shed`] or [`ClassEndpoint::defer`].
+    fn gate(&mut self, ctx: &Ctx<'_>, msg: &Message) -> Option<Admission> {
+        let queue = self.admission.as_mut()?;
+        if !Self::admission_gated(msg) {
+            return None;
         }
-        let now = ctx.now().as_nanos();
-        match queue.offer(now) {
-            Admission::Shed { retry_after_ns } => {
-                ctx.count(symbol::NET_REQUESTS_SHED);
-                ctx.flight(
-                    RecordKind::Shed,
-                    msg.method_sym().unwrap_or(symbol::EMPTY),
-                    retry_after_ns,
-                );
-                if ctx.reply(&msg, Err(overload_error(retry_after_ns))) {
-                    ctx.count(symbol::NET_OVERLOAD_REPLIES);
-                }
-                ctx.recycle_message(msg);
-                None
-            }
-            Admission::Admit { delay_ns } => {
-                let seq = self.next_deferred;
-                self.next_deferred += 1;
-                self.deferred.push_back((seq, msg, now));
-                self.deferred_peak = self.deferred_peak.max(self.deferred.len());
-                ctx.set_timer(delay_ns, SERVICE_TIMER_BIT | seq);
-                None
-            }
+        Some(queue.offer(ctx.now().as_nanos()))
+    }
+
+    /// Refuse a call the ledger shed, with its retry-after hint.
+    fn shed(ctx: &mut Ctx<'_>, msg: Message, retry_after_ns: u64) {
+        ctx.count(symbol::NET_REQUESTS_SHED);
+        ctx.flight(
+            RecordKind::Shed,
+            msg.method_sym().unwrap_or(symbol::EMPTY),
+            retry_after_ns,
+        );
+        if ctx.reply(&msg, Err(overload_error(retry_after_ns))) {
+            ctx.count(symbol::NET_OVERLOAD_REPLIES);
         }
+        ctx.recycle_message(msg);
+    }
+
+    /// Hold an admitted call until its service-completion timer fires.
+    fn defer(&mut self, ctx: &mut Ctx<'_>, msg: Message, delay_ns: u64) {
+        let seq = self.next_deferred;
+        self.next_deferred += 1;
+        self.deferred.push_back((seq, msg, ctx.now().as_nanos()));
+        self.deferred_peak = self.deferred_peak.max(self.deferred.len());
+        ctx.set_timer(delay_ns, SERVICE_TIMER_BIT | seq);
     }
 
     /// Read access to the wrapped class object (tests, experiments).
@@ -1029,11 +1027,14 @@ impl Endpoint for ClassEndpoint {
             resume(self, ctx, msg);
             return;
         }
-        let Some(msg) = self.gate(ctx, msg) else {
-            return;
-        };
-        let table = Rc::clone(&self.table);
-        serve(&table, self, ctx, msg);
+        match self.gate(ctx, &msg) {
+            None => {
+                let table = Rc::clone(&self.table);
+                serve(&table, self, ctx, msg);
+            }
+            Some(Admission::Shed { retry_after_ns }) => Self::shed(ctx, msg, retry_after_ns),
+            Some(Admission::Admit { delay_ns }) => self.defer(ctx, msg, delay_ns),
+        }
     }
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Hot-path scheduler lint: the kernel's event ordering lives in exactly
-# one place — the hierarchical timer wheel (crates/net/src/equeue.rs).
+# Hot-path lint: the kernel's event ordering lives in exactly one
+# place — the hierarchical timer wheel (crates/net/src/equeue.rs) — and
+# a message in flight in exactly one place, the kernel's message store
+# (crates/net/src/sim.rs), entered through one funnel.
 #
 # Fails the build if:
 #   * `BinaryHeap` appears outside equeue.rs. The wheel replaced the
@@ -13,6 +15,16 @@
 #     crates/net/src/sim.rs (`Inner::schedule`), which stamps the
 #     deterministic (time, seq) key. Any other direct push would bypass
 #     the sequence stamping that the replay/journal layer depends on.
+#   * `messages.park(` appears in more than one call site, or outside
+#     crates/net/src/sim.rs: a message enters the kernel's message store
+#     in exactly one place (`park_and_send`), which copies it in once per
+#     send; everything after it, duplicates included, works on the
+#     store's handle. A second park site is a second copy, or an entry
+#     nothing is scheduled to take out again.
+#   * `EventKind` (crates/net/src/sim.rs) holds a `Message` in any form.
+#     A queued event carries its message's handle into the store: the
+#     wheel's slab moves every event in and out, and a message inline
+#     would make it move the message with it, several times per hop.
 #   * `ctx.count("…")` / `ctx.count_n("…", n)` with a string literal
 #     appears in non-test code of the protocol handlers (crates/naming/src,
 #     crates/runtime/src, crates/sim/src/workload.rs). A literal is
@@ -30,7 +42,7 @@
 #     reply is its `ReplyTicket` (in a `Parked` when several may wait on
 #     one key) — not a boxed copy of the call and its argument vector.
 #
-# The last two scan each file with `//` comments and whitespace removed
+# The `EventKind` rule and the last two scan each file with `//` comments and whitespace removed
 # (lint_seam.sh strips whitespace the same way), so a call rustfmt spread
 # over ten lines is still one match and a comment is never one.
 set -euo pipefail
@@ -61,6 +73,19 @@ if [[ "$push_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$push_h
     echo >&2
     echo "Route all event scheduling through Inner::schedule so every event" >&2
     echo "gets its deterministic sequence stamp." >&2
+    exit 1
+fi
+
+park_hits=$(grep -rn 'messages\.park(' crates/ --include='*.rs' || true)
+park_count=$(printf '%s' "$park_hits" | grep -c . || true)
+
+if [[ "$park_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$park_hits"; then
+    echo "error: expected exactly one messages.park call site" >&2
+    echo "(the store funnel in crates/net/src/sim.rs); found:" >&2
+    echo "${park_hits:-<none>}" >&2
+    echo >&2
+    echo "Send through park_and_send, and hand the parked message on by its" >&2
+    echo "handle: each send copies its message into the store once." >&2
     exit 1
 fi
 
@@ -139,6 +164,18 @@ if [[ -n "$vec_hits" ]]; then
     echo >&2
     echo "Bind \`let args = ctx.args([…]);\` first: it reuses a buffer a served call" >&2
     echo "recycled instead of allocating one per call." >&2
+    exit 1
+fi
+
+kind_hits=$(stripped crates/net/src/sim.rs | grep -oE 'enumEventKind\{[^}]*\}' \
+    | grep 'Message' || true)
+
+if [[ -n "$kind_hits" ]]; then
+    echo "error: EventKind holds a Message in crates/net/src/sim.rs:" >&2
+    echo "$kind_hits" >&2
+    echo >&2
+    echo "Park the message in the kernel's MessageStore and queue its u32 handle:" >&2
+    echo "the wheel moves every event, and should not move the message with it." >&2
     exit 1
 fi
 
