@@ -109,6 +109,7 @@ impl MessagePool {
 
     /// Decompose a fully-handled message and recycle its body's buffers:
     /// a call's argument vector, a reply's result value.
+    #[inline]
     pub fn recycle_message(&mut self, msg: Message) {
         match msg.body {
             Body::Call { args, .. } => self.recycle_args(args),

@@ -989,9 +989,11 @@ fn kind_sym(msg: &Message) -> Sym {
 /// Park `msg` in the message store, the one place a message enters it,
 /// and send it: the message is copied once, into the store, and every
 /// later step works on it there. A handler's send (`from_slot` set) is
-/// stamped in place first: `reply_to`, when given, fills an unset reply
+/// stamped in place: `reply_to`, when given, fills an unset reply
 /// address, and the handler's trace context fills an inactive one
-/// (a message built from a stored environment keeps its own).
+/// (a message built from a stored environment keeps its own). What
+/// needs stamping is read before the copy, so nothing waits to read
+/// the copy back while it is still being written.
 fn park_and_send(
     inner: &mut Inner,
     slots: &mut [Slot],
@@ -1001,15 +1003,16 @@ fn park_and_send(
     msg: Message,
     reply_to: Option<ObjectAddressElement>,
 ) -> bool {
+    let handler = from_slot.is_some();
+    let stamp_reply = handler && msg.reply_to.is_none();
+    let stamp_trace = handler && !msg.env.trace.is_active();
     let h = inner.messages.park(msg);
-    if from_slot.is_some() {
-        let m = inner.messages.get_mut(h);
-        if m.reply_to.is_none() {
-            m.reply_to = reply_to;
-        }
-        if !m.env.trace.is_active() {
-            m.env.trace = inner.current;
-        }
+    let m = inner.messages.get_mut(h);
+    if stamp_reply {
+        m.reply_to = reply_to;
+    }
+    if stamp_trace {
+        m.env.trace = inner.current;
     }
     send_one(inner, slots, from_location, from_slot, to, h)
 }
@@ -1184,6 +1187,7 @@ impl Ctx<'_> {
 
     /// Recycle a fully-handled message's body buffers back into the
     /// kernel pool (`dispatch::serve` calls this on every served call).
+    #[inline]
     pub fn recycle_message(&mut self, msg: Message) {
         self.inner.pool.recycle_message(msg);
     }
