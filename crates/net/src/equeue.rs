@@ -30,9 +30,10 @@
 //! (the kernel's `Event`, 88 bytes; a delivery names its message by a
 //! handle into the kernel's message store rather than carrying it) is
 //! written into its slab slot once by `push` and taken out once by
-//! `pop`; nothing in between touches it. Freed slots go on a LIFO free list and are
-//! reused before the slab grows, so the slab is bounded by the queue's
-//! own peak and the slot handed out next is the one most recently warm.
+//! `pop`; nothing in between touches it. Freed slots go on a LIFO free
+//! list and are reused before the slab grows, so the slab is bounded by
+//! the queue's own peak and the slot handed out next is the one most
+//! recently warm.
 //!
 //! ## Determinism contract
 //!

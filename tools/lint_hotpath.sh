@@ -42,9 +42,10 @@
 #     reply is its `ReplyTicket` (in a `Parked` when several may wait on
 #     one key) — not a boxed copy of the call and its argument vector.
 #
-# The `EventKind` rule and the last two scan each file with `//` comments and whitespace removed
-# (lint_seam.sh strips whitespace the same way), so a call rustfmt spread
-# over ten lines is still one match and a comment is never one.
+# The `EventKind` rule and the last two scan each file with `//`
+# comments and whitespace removed (lint_seam.sh strips whitespace the
+# same way), so a call rustfmt spread over ten lines is still one match
+# and a comment is never one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
