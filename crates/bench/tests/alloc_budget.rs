@@ -238,9 +238,9 @@ fn hot_path_allocation_budgets() {
 
     // One snapshot allocates nothing once its buffers are at size: each
     // dirty section is encoded into one reused buffer and hashed, no byte
-    // of it is kept, and the mark's root is rendered on the stack — no
-    // dirty slot, one or eight, however many slots there are and however
-    // full their dedup windows.
+    // of it is kept, and the mark's root is rendered on the stack —
+    // whichever endpoints the events between marks reached, and however
+    // many slots there are.
     snapshot_allocations_are_none_at_steady_state();
 
     // ...and the records between snapshots allocate what the sink keeps.
@@ -250,14 +250,12 @@ fn hot_path_allocation_budgets() {
     // a clean send does not: its span label is never built.
     delayed_sends_allocate_like_clean_ones();
 
-    // ...and a receiver that has heard from ten thousand senders admits
-    // from any of them — in order, reordered, duplicated — off the heap.
-    known_senders_admit_without_allocating();
-
-    // Only a duplicated message meets the dedup window: on a fault-free
-    // network, a receiver that hears from ten thousand fresh senders
-    // grows no window for any of them.
-    fresh_senders_deliver_without_allocating();
+    // A receiver that hears from ten thousand fresh senders keeps
+    // nothing per sender, on a fault-free network or on one that
+    // duplicates every message: the kernel drops each copy at its own
+    // event, and no receiver remembers what it has seen.
+    fresh_senders_deliver_without_allocating(false);
+    fresh_senders_deliver_without_allocating(true);
 
     // Migration costs what it moves: a Move of an Inert object, and the
     // Host Object's half of an activation and a deactivation.
@@ -616,8 +614,9 @@ fn sweep_timers_follow_timeout_periods_not_calls() {
 }
 
 /// 64 idle endpoints, a snapshot every 8 events; between snapshots,
-/// exactly `dirty` of them admit a delivery. Measures the step that
-/// takes the snapshot, alone.
+/// deliveries to exactly `spread` of them. A delivery leaves its slot's
+/// section as it was (only creation and a kill change one). Measures
+/// the step that takes the snapshot, alone.
 fn snapshot_allocations_are_none_at_steady_state() {
     use legion_core::env::InvocationEnv;
     use legion_core::loid::Loid;
@@ -655,16 +654,15 @@ fn snapshot_allocations_are_none_at_steady_state() {
         assert!(k.inject(Location::new(0, 0), to.element(), msg));
     };
     // Eight events, then the step that finds the snapshot due and the
-    // queue empty: deliveries spread over `dirty` endpoints, or — for no
-    // dirty slot at all — timer fires, which touch nothing a slot's
-    // section covers. Minimum of three, as in `alloc_delta_min`.
-    let snapshot_allocs = |k: &mut SimKernel, dirty: usize| {
+    // queue empty: deliveries spread over `spread` endpoints, or — for
+    // none — timer fires. Minimum of three, as in `alloc_delta_min`.
+    let snapshot_allocs = |k: &mut SimKernel, spread: usize| {
         (0..3)
             .map(|_| {
                 for i in 0..SNAP_EVERY as usize {
-                    match dirty {
+                    match spread {
                         0 => assert!(k.set_timer(eps[i], 1, 0)),
-                        _ => ping(k, eps[i % dirty]),
+                        _ => ping(k, eps[i % spread]),
                     }
                 }
                 assert_eq!(k.run_until_quiescent(SNAP_EVERY), SNAP_EVERY);
@@ -681,27 +679,27 @@ fn snapshot_allocations_are_none_at_steady_state() {
             .unwrap()
     };
 
-    for dirty in [0usize, 1, 8] {
-        let d = snapshot_allocs(&mut k, dirty);
+    for spread in [0usize, 1, 8] {
+        let d = snapshot_allocs(&mut k, spread);
         assert_eq!(
             d, 0,
-            "windows empty: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
+            "fresh: a snapshot after deliveries to {spread} of {SLOTS} slots allocated {d} times"
         );
     }
 
-    // Fill every endpoint's window for the external sender (1 024
-    // remembered numbers each), then measure again: still nothing.
+    // A thousand deliveries to every endpoint from one sender, then
+    // measure again: still nothing.
     for _ in 0..1_030 {
         for ep in &eps {
             ping(&mut k, *ep);
         }
         k.run_until_quiescent(u64::MAX);
     }
-    for dirty in [0usize, 1, 8] {
-        let d = snapshot_allocs(&mut k, dirty);
+    for spread in [0usize, 1, 8] {
+        let d = snapshot_allocs(&mut k, spread);
         assert_eq!(
             d, 0,
-            "windows full: a snapshot with {dirty} dirty slots of {SLOTS} allocated {d} times"
+            "well used: a snapshot after deliveries to {spread} of {SLOTS} slots allocated {d} times"
         );
     }
 }
@@ -800,46 +798,15 @@ fn delayed_sends_allocate_like_clean_ones() {
     );
 }
 
-/// One receiver's windows for 10 000 senders, one of them deep. Then, per
-/// sender: a new highest number, the one it skipped (a reordered arrival,
-/// shifted in), and both again as duplicates; and for the deep window a
-/// number 35 places from the back.
-fn known_senders_admit_without_allocating() {
-    use legion_net::faults::DedupState;
-
-    const SENDERS: u64 = 10_000;
-    let d = (0..3)
-        .map(|_| {
-            let mut windows = DedupState::new(1024);
-            for sender in 0..SENDERS {
-                assert!(windows.admit(sender, 0));
-            }
-            for seq in (1..=40).filter(|seq| *seq != 5) {
-                assert!(windows.admit(SENDERS - 1, seq));
-            }
-            alloc_delta(|| {
-                for sender in 0..SENDERS - 1 {
-                    assert!(windows.admit(sender, 2));
-                    assert!(windows.admit(sender, 1));
-                    assert!(!windows.admit(sender, 1));
-                    assert!(!windows.admit(sender, 2));
-                }
-                assert!(windows.admit(SENDERS - 1, 5));
-                assert!(!windows.admit(SENDERS - 1, 5));
-            })
-        })
-        .min()
-        .unwrap();
-    assert_eq!(d, 0, "admitting from known senders allocated {d} times");
-}
-
 /// Waves of ten thousand fresh endpoints, each of which sends one call
-/// to an idle receiver from `on_start` over a fault-free network: all
-/// starts run at one instant, all deliveries land one LAN hop later.
-/// Measured: a wave's deliveries, every one from a sender the receiver
-/// has never heard from, once a first wave has grown the queue's ready
-/// list to the burst's size; the quietest of three waves.
-fn fresh_senders_deliver_without_allocating() {
+/// to an idle receiver from `on_start` over a fault-free network — or,
+/// when `duplicating`, one that duplicates every message, its copy a
+/// nanosecond behind: all starts run at one instant, all deliveries
+/// land one LAN hop later. Measured: a wave's deliveries (and dropped
+/// copies), every one from a sender the receiver has never heard from,
+/// once a first wave has grown the queue's ready list to the burst's
+/// size; the quietest of three waves.
+fn fresh_senders_deliver_without_allocating(duplicating: bool) {
     use legion_core::env::InvocationEnv;
     use legion_core::loid::Loid;
     use legion_net::message::Message;
@@ -862,7 +829,12 @@ fn fresh_senders_deliver_without_allocating() {
 
     const SENDERS: u64 = 10_000;
     let topology = Topology::fixed(1_000, 10_000, 1_000_000);
-    let mut k = SimKernel::new(topology, FaultPlan::none(), LEDGER_SEED);
+    let mut plan = FaultPlan::none();
+    if duplicating {
+        plan.set_duplicate_probability(1.0);
+    }
+    let copies = if duplicating { SENDERS } else { 0 };
+    let mut k = SimKernel::new(topology, plan, LEDGER_SEED);
     let to = k.add_endpoint(Box::new(Idle), Location::new(0, 0), "idle");
     k.run_until_quiescent(u64::MAX);
     let wave = |k: &mut SimKernel| {
@@ -874,12 +846,16 @@ fn fresh_senders_deliver_without_allocating() {
             assert!(k.step());
         }
         assert_eq!(k.now(), t0, "every start runs at one instant");
-        alloc_delta(|| assert_eq!(k.run_until_quiescent(u64::MAX), SENDERS))
+        alloc_delta(|| assert_eq!(k.run_until_quiescent(u64::MAX), SENDERS + copies))
     };
     wave(&mut k);
     let d = (0..3).map(|_| wave(&mut k)).min().unwrap();
     assert_eq!(k.meta(to).unwrap().received, 4 * SENDERS);
-    assert_eq!(d, 0, "delivering from fresh senders allocated {d} times");
+    assert_eq!(k.counters().get("net.dedup_dropped"), 4 * copies);
+    assert_eq!(
+        d, 0,
+        "delivering from fresh senders (duplicating: {duplicating}) allocated {d} times"
+    );
 }
 
 /// The `lifecycle_churn` migration in miniature: a churn driver moves

@@ -1,11 +1,12 @@
 //! The campaign's reason to exist: catch a deliberately broken system.
 //!
-//! The kernel's at-most-once delivery (per-sender sequence numbers and a
-//! receiver-side dedup window) normally shields endpoints from message
-//! duplication. Here we disable it — modeling an endpoint that forgot
-//! idempotence — run a chaos campaign, and check that (a) the violation
-//! is caught, and (b) the shrinker reduces the violating schedule to the
-//! single fault family that matters: duplication, nothing else.
+//! The kernel's at-most-once delivery (it knows which event of a
+//! duplicated message is the network's copy, and drops that one)
+//! normally shields endpoints from message duplication. Here we disable
+//! it — modeling an endpoint that forgot idempotence — run a chaos
+//! campaign, and check that (a) the violation is caught, and (b) the
+//! shrinker reduces the violating schedule to the single fault family
+//! that matters: duplication, nothing else.
 
 use legion_chaos::{
     run_campaign, ChaosSchedule, ChaosTarget, RunOutcome, ScheduleBounds, Violation,
@@ -33,8 +34,8 @@ impl Endpoint for Counter {
 /// Runs `CALLS` logical calls at a `Counter` under the schedule's fault
 /// plan and audits at-most-once execution.
 struct CounterTarget {
-    /// When false, the kernel's dedup window is switched off — the
-    /// "broken endpoint" under test.
+    /// When false, the kernel's at-most-once delivery is switched off —
+    /// the "broken endpoint" under test.
     dedup: bool,
 }
 

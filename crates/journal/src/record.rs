@@ -139,7 +139,7 @@ pub enum RecordKind {
     Duplicate = 7,
     /// The fault plan delayed a message.
     Delay = 8,
-    /// The receiver's dedup window suppressed a duplicate.
+    /// The kernel suppressed the network's copy of a duplicated message.
     Dedup = 9,
     /// A message had no live destination.
     DeadLetter = 10,

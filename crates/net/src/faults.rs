@@ -23,14 +23,12 @@
 //! random draws preceded it. Replaying the same seed and schedule replays
 //! the same faults even when call order shifts.
 //!
-//! Duplication is tamed at the receiver by [`DedupState`]: the kernel
-//! gives both copies of a duplicated message one key, its sender and the
-//! original's event seq, and each endpoint keeps a bounded window of the
-//! keys it has already accepted — at-most-once delivery with bounded
-//! memory. No other message carries a key, so a straggler the network
-//! only slowed is always delivered. A key older than the window is
-//! rejected conservatively (never delivered twice, possibly not at all —
-//! exactly the datagram contract).
+//! Duplication is tamed by the kernel, not the receiver: it schedules a
+//! duplicated message's copy as an event of its own, always behind the
+//! original, and drops it when it comes due. Nothing is remembered per
+//! sender or per receiver, so every first copy is delivered — a
+//! straggler the network only slowed as much as one overtaken by a
+//! thousand later sends.
 
 use crate::topology::Location;
 use legion_core::fxmap::FxHashMap;
@@ -317,7 +315,7 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------------
-// At-most-once dedup window
+// Receiver-side dedup window (not used by the kernel)
 // ---------------------------------------------------------------------------
 
 /// A bounded window of per-sender sequence numbers one receiver has
@@ -351,8 +349,10 @@ impl SenderWindow {
     }
 }
 
-/// Per-sender dedup windows for one receiving endpoint — the receiver
-/// half of the kernel's at-most-once delivery.
+/// Per-sender dedup windows for one receiving endpoint. Unused by the
+/// kernel, which drops a duplicated message's copy at its own event;
+/// kept for `benchmark/src/probes.rs` until ROADMAP item 5(k) retires
+/// that probe.
 #[derive(Debug, Clone)]
 pub struct DedupState {
     capacity: usize,

@@ -25,7 +25,7 @@
 //! observability half of [`SimKernel`]'s and [`Ctx`]'s public surface.
 
 use crate::equeue::EventQueue;
-use crate::faults::{DedupState, FaultPlan, Verdict};
+use crate::faults::{FaultPlan, Verdict};
 use crate::message::{Body, CallId, Message, ReplyTicket};
 use crate::metrics::Histogram;
 use crate::pool::MessagePool;
@@ -113,21 +113,11 @@ pub struct EndpointMeta {
     pub alive: bool,
 }
 
-/// How many duplicated messages' keys each receiver remembers per
-/// sender. Only a duplicated message carries a key, so a message the
-/// network merely slowed or reordered never meets the window. A key that
-/// arrives behind this many later keys from its sender is below the
-/// window's floor and rejected: a loss only if it is the first copy.
-const DEDUP_WINDOW: usize = 1024;
-
 struct Slot {
     ep: Option<Box<dyn Endpoint>>,
     meta: EndpointMeta,
-    /// Receiver half of at-most-once delivery: the keys of duplicated
-    /// messages already admitted, per sender.
-    seen: DedupState,
     /// Has anything [`encode_slot`] writes changed since the last
-    /// snapshot? Set by the two methods below, the only writers of
+    /// snapshot? Set at creation and by `mark_dead`, the only writer of
     /// that state once the slot exists.
     dirty: bool,
 }
@@ -137,15 +127,8 @@ impl Slot {
         Slot {
             ep: Some(ep),
             meta,
-            seen: DedupState::new(DEDUP_WINDOW),
             dirty: true,
         }
-    }
-
-    /// First sight of the duplicated message `(sender, seq)` here?
-    fn admit(&mut self, sender: u64, seq: u64) -> bool {
-        self.dirty = true;
-        self.seen.admit(sender, seq)
     }
 
     fn mark_dead(&mut self) {
@@ -177,13 +160,15 @@ const KERNEL_SECTIONS: [(&str, SectionEncoder); 4] = [
 ];
 
 // `Deliver` holds the message's handle in [`MessageStore`], not the
-// message: the wheel's slab moves each event in and out, and an 88-byte
+// message: the wheel's slab moves each event in and out, and a 64-byte
 // record is what it moves per hop. The message itself is copied into
 // the store once when it is sent and out once when it is delivered.
+// `Copy` is the second delivery of a message the network duplicated.
 #[derive(Clone, Copy)]
 enum EventKind {
     Start,
     Deliver(u32),
+    Copy(u32),
     Timer(u64),
 }
 
@@ -195,10 +180,6 @@ struct Event {
     /// deliveries, the context captured when the timer was armed for
     /// timers, none for starts.
     trace: TraceContext,
-    /// `(sender, the original's event seq)` for both copies of a message
-    /// the network duplicated: the key the receiver's at-most-once window
-    /// checks. `None` for every other event, which never reaches it.
-    dedup: Option<(u64, u64)>,
     /// The hop latency this delivery paid (sim-time the profiler
     /// attributes to the handling endpoint). Zero for starts and timers.
     lat_ns: u64,
@@ -472,7 +453,8 @@ impl SimKernel {
         live
     }
 
-    /// Turn the receiver-side at-most-once window off (or back on).
+    /// Turn at-most-once delivery off (or back on): with it off, the
+    /// network's copy of a duplicated message is delivered too.
     /// On by default; switching it off exists solely to demonstrate what
     /// a duplicating network does to an unprotected endpoint.
     pub fn set_dedup_enabled(&mut self, on: bool) {
@@ -596,7 +578,7 @@ impl SimKernel {
         self.inner.stats.events += 1;
         let (idx, ep_id) = (ev.to.0 as usize, ev.to.0);
         if !is_live(&self.slots, ev.to) {
-            if let EventKind::Deliver(h) = ev.kind {
+            if let EventKind::Deliver(h) | EventKind::Copy(h) = ev.kind {
                 let msg = self.inner.messages.get(h);
                 self.inner.stats.dead_letters += 1;
                 self.inner.watch.ingress(
@@ -613,27 +595,26 @@ impl SimKernel {
             }
             return true;
         }
-        // At-most-once: of a duplicated message's two copies, the one
-        // that arrives second finds its key admitted and is suppressed
-        // before the endpoint sees it.
-        if self.inner.dedup_enabled {
-            if let (EventKind::Deliver(h), Some((sender, seq))) = (ev.kind, ev.dedup) {
-                if !self.slots[idx].admit(sender, seq) {
-                    let msg = self.inner.messages.get(h);
-                    self.inner.watch.count(now, symbol::NET_DEDUP_DROPPED, 1);
-                    self.inner.watch.ingress(
-                        now,
-                        RecordKind::Dedup,
-                        ep_id,
-                        kind_sym(msg),
-                        msg.id.0,
-                        0,
-                        ev.trace,
-                        format_args!("dedup:{}", kind_sym(msg)),
-                    );
-                    self.inner.messages.release(h);
-                    return true;
-                }
+        // At-most-once: the network's copy of a duplicated message is
+        // suppressed before the endpoint sees it. It is due no earlier
+        // than its original and was scheduled after it, so it always
+        // pops second: the copy delivered is the one that arrives first.
+        if let EventKind::Copy(h) = ev.kind {
+            if self.inner.dedup_enabled {
+                let msg = self.inner.messages.get(h);
+                self.inner.watch.count(now, symbol::NET_DEDUP_DROPPED, 1);
+                self.inner.watch.ingress(
+                    now,
+                    RecordKind::Dedup,
+                    ep_id,
+                    kind_sym(msg),
+                    msg.id.0,
+                    0,
+                    ev.trace,
+                    format_args!("dedup:{}", kind_sym(msg)),
+                );
+                self.inner.messages.release(h);
+                return true;
             }
         }
         let mut ep = self.slots[idx].ep.take().expect("alive implies present");
@@ -652,7 +633,7 @@ impl SimKernel {
                     ctx.inner.watch.lifecycle(now, RecordKind::Start, ep_id, "");
                     ep.on_start(&mut ctx)
                 }
-                EventKind::Deliver(h) => {
+                EventKind::Deliver(h) | EventKind::Copy(h) => {
                     ctx.slots[idx].meta.received += 1;
                     ctx.inner.stats.delivered += 1;
                     let msg = ctx.inner.messages.get(h);
@@ -762,7 +743,6 @@ impl Inner {
         at: SimTime,
         to: EndpointId,
         trace: TraceContext,
-        dedup: Option<(u64, u64)>,
         lat_ns: u64,
         kind: EventKind,
     ) {
@@ -773,7 +753,6 @@ impl Inner {
             seq,
             to,
             trace,
-            dedup,
             lat_ns,
             kind,
         };
@@ -782,14 +761,14 @@ impl Inner {
 
     /// Run `id`'s `on_start` at the current time.
     fn schedule_start(&mut self, id: EndpointId) {
-        self.schedule(self.now, id, TraceContext::NONE, None, 0, EventKind::Start);
+        self.schedule(self.now, id, TraceContext::NONE, 0, EventKind::Start);
     }
 
     /// Fire `on_timer(tag)` on `to` after `delay_ns`, under the trace
     /// context of the handler arming it (none outside a handler).
     fn arm_timer(&mut self, to: EndpointId, delay_ns: u64, tag: u64) {
         let at = self.now.saturating_add(delay_ns);
-        self.schedule(at, to, self.current, None, 0, EventKind::Timer(tag));
+        self.schedule(at, to, self.current, 0, EventKind::Timer(tag));
     }
 
     /// Attach `ep` as the next slot. The caller schedules its start.
@@ -881,14 +860,6 @@ fn encode_queue(EncodeScratch { w, order }: &mut EncodeScratch, inner: &Inner) {
         w.put_varint(e.seq);
         w.put_varint(e.to.0);
         put_trace(w, e.trace);
-        match e.dedup {
-            Some((sender, n)) => {
-                w.put_u8(1);
-                w.put_varint(sender);
-                w.put_varint(n);
-            }
-            None => w.put_u8(0),
-        }
         w.put_varint(e.lat_ns);
         match &e.kind {
             EventKind::Start => w.put_u8(0),
@@ -901,6 +872,10 @@ fn encode_queue(EncodeScratch { w, order }: &mut EncodeScratch, inner: &Inner) {
                 w.put_u8(2);
                 w.put_varint(*tag);
             }
+            EventKind::Copy(h) => {
+                w.put_u8(3);
+                encode_message(w, inner.messages.get(*h));
+            }
         }
     }
 }
@@ -910,14 +885,13 @@ fn put_trace(w: &mut StateWriter, trace: TraceContext) {
     w.put_varint(trace.span.0);
 }
 
-/// One endpoint slot's replay-relevant state. Everything written here
-/// is written only through [`Slot`]'s dirty-marking methods.
+/// One endpoint slot's replay-relevant state. Once the slot exists,
+/// only [`Slot::mark_dead`] changes any of it.
 fn encode_slot(w: &mut StateWriter, slot: &Slot) {
     w.put_u32(slot.meta.location.jurisdiction);
     w.put_u32(slot.meta.location.host);
     w.put_str(&slot.meta.name);
     w.put_u8(slot.meta.alive as u8);
-    w.put_u64(slot.seen.state_digest());
 }
 
 /// Deterministically encode a queued message for a state snapshot, using
@@ -1094,13 +1068,13 @@ fn send_one(
     let at = inner.now.saturating_add(effective);
     inner.watch.hop_latency(at, ep, kind, effective);
     let dest = EndpointId(ep);
+    inner.schedule(at, dest, trace, effective, EventKind::Deliver(h));
     let Verdict::Duplicate { extra_ns } = judged else {
-        inner.schedule(at, dest, trace, None, effective, EventKind::Deliver(h));
         return true;
     };
-    // Both copies carry the original's key, the one its event is about
-    // to be stamped with: with the at-most-once window on, exactly one
-    // of the two reaches the endpoint.
+    // The copy is due no earlier than the original and takes the next
+    // seq, so it pops second; with at-most-once delivery on, `step`
+    // drops it there.
     inner.watch.count(inner.now, symbol::NET_DUPLICATED, 1);
     verdict(
         inner,
@@ -1108,19 +1082,10 @@ fn send_one(
         extra_ns,
         format_args!("dup:+{extra_ns}ns"),
     );
-    let dedup = Some((from_ep, inner.seq));
     let copy = inner.messages.duplicate(h);
-    inner.schedule(at, dest, trace, dedup, effective, EventKind::Deliver(h));
     let copy_at = at.saturating_add(extra_ns);
     let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
-    inner.schedule(
-        copy_at,
-        dest,
-        trace,
-        dedup,
-        lat_ns,
-        EventKind::Deliver(copy),
-    );
+    inner.schedule(copy_at, dest, trace, lat_ns, EventKind::Copy(copy));
     true
 }
 
@@ -1638,16 +1603,16 @@ mod tests {
     }
 
     #[test]
-    fn journal_replay_catches_one_extra_admitted_seq_at_snapshot_root() {
+    fn journal_replay_catches_a_slot_only_change_at_snapshot_root() {
         use legion_journal::MemSink;
         let sink = MemSink::new();
         let mut k = journaled_run(|k| k.enable_journal_record(Box::new(sink.clone()), 4), 6, 0);
         k.finish_journal().unwrap();
 
-        // The client's window remembers one (sender, seq) the recording's
-        // never saw. Nobody sends as 7777, so no verdict and no journaled
-        // ingress differs: only the window digest in the client's section
-        // can tell the two states apart.
+        // The client goes by a name the recording's never had. Its attach
+        // record named it before the change, and no later record names
+        // an endpoint: only the client's slot section can tell the two
+        // states apart.
         let mut k = journaled_setup(
             |k| {
                 k.enable_journal_verify(sink.contents(), ReplayStart::Origin)
@@ -1656,10 +1621,10 @@ mod tests {
             6,
             0,
         );
-        assert!(k.slots[1].admit(7_777, 0));
+        k.slots[1].meta.name.push('!');
         k.run_until_quiescent(1_000);
         let (_, div) = k.finish_journal().unwrap();
-        let div = div.expect("a different window must trip the root check");
+        let div = div.expect("a different slot must trip the root check");
         assert!(div.expected.contains("snapshot"), "{div}");
     }
 
@@ -1674,12 +1639,13 @@ mod tests {
         k.take_snapshot();
         assert!(k.slots.iter().all(|s| !s.dirty));
         assert_eq!(k.stale_slot_section(), None);
-        // Around `Slot::admit`: the state moves, the mark does not. This
-        // is what `step` debug-asserts against after every snapshot.
-        assert!(k.slots[1].seen.admit(7_777, 0));
+        // A write that bypasses `Slot::mark_dead`: the state moves, the
+        // mark does not. This is what `step` debug-asserts against after
+        // every snapshot.
+        k.slots[1].meta.name.push('!');
         assert_eq!(k.stale_slot_section(), Some(1));
-        // Through it, the slot is merely due for re-encoding.
-        assert!(k.slots[1].admit(7_777, 1));
+        // Through `mark_dead`, the slot is merely due for re-encoding.
+        k.slots[1].mark_dead();
         assert_eq!(k.stale_slot_section(), None);
         let section = KERNEL_SECTIONS.len() + 1;
         let before = k.inner.watch.journal().section_id(section);
@@ -2251,7 +2217,7 @@ mod tests {
         );
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
-        // The copy was queued but the at-most-once window suppressed it.
+        // The copy was queued but the kernel suppressed it at its event.
         assert_eq!(k.meta(echo).unwrap().received, 1);
         assert_eq!(k.counters().get("net.duplicated"), 1);
         assert_eq!(k.counters().get("net.dedup_dropped"), 1);
@@ -2285,7 +2251,7 @@ mod tests {
         );
         assert!(k.inject(Location::new(0, 1), echo.element(), msg));
         k.run_until_quiescent(20);
-        // Without the window the endpoint executes the call twice.
+        // Without suppression the endpoint executes the call twice.
         assert_eq!(k.meta(echo).unwrap().received, 2);
         assert_eq!(k.endpoint::<Echo>(echo).unwrap().got.len(), 2);
     }
@@ -2455,7 +2421,7 @@ mod tests {
     /// small only while the message stays in the store.
     #[test]
     fn an_event_is_a_compact_record() {
-        assert!(std::mem::size_of::<Event>() <= 96);
+        assert_eq!(std::mem::size_of::<Event>(), 64);
     }
 
     #[test]

@@ -165,9 +165,9 @@ proptest! {
 
     /// At-most-once delivery: under any mix of duplication and reordering
     /// (no drops), each logical call executes exactly once on the callee
-    /// and the caller observes exactly one reply — duplicate copies of
-    /// both the call and the reply are absorbed by the receiver-side
-    /// dedup window.
+    /// and the caller observes exactly one reply — the network's copies of
+    /// both the call and the reply are dropped by the kernel at their own
+    /// events, and no first copy is lost however the copies interleave.
     #[test]
     fn exactly_once_under_duplication_and_reorder(
         seed in any::<u64>(),

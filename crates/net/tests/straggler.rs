@@ -1,10 +1,12 @@
-//! A message the network only slowed is never taken for a duplicate.
+//! At-most-once delivery drops only the network's copies.
 //!
-//! The receiver's at-most-once window exists for the two copies of a
-//! message the fault plan duplicated. A straggler — an original that a
-//! delay spike held back while a thousand later sends from the same
-//! endpoint overtook it — is not a copy of anything, and must still be
-//! delivered, however far behind it falls.
+//! The kernel knows which of a duplicated message's two events is the
+//! copy and drops that one; no receiver remembers what it has seen. A
+//! straggler — an original that a delay spike held back while a
+//! thousand later sends from the same endpoint overtook it — is not a
+//! copy of anything, and must still be delivered, however far behind it
+//! falls. Nor may a first copy be lost because a thousand others from
+//! the same sender arrived around it.
 
 use legion_core::env::InvocationEnv;
 use legion_core::loid::Loid;
@@ -13,8 +15,9 @@ use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 
-/// More sends than a receiver's per-sender window holds (1 024), so that
-/// the straggler trails more later sends than the window remembers.
+/// More sends than the 1 024 keys per sender that a receiver-side dedup
+/// window would hold, so that a late first copy would fall below its
+/// floor.
 const SENDS: u32 = 1_101;
 
 /// Sends once at start (inside the spike), then the rest from a timer
@@ -79,4 +82,18 @@ fn a_straggler_behind_a_full_window_is_delivered() {
     assert_eq!(k.now().as_nanos(), 10_000_000);
     assert_eq!(k.endpoint::<Sink>(sink).unwrap().got, SENDS);
     assert_eq!(k.counters().get("net.dedup_dropped"), 0);
+}
+
+#[test]
+fn every_first_copy_of_a_duplicated_burst_is_delivered() {
+    let mut plan = FaultPlan::none();
+    plan.set_duplicate_probability(1.0);
+    let mut k = SimKernel::new(Topology::default(), plan, 5);
+    let sink = k.add_endpoint(Box::new(Sink::default()), Location::new(0, 0), "sink");
+    k.add_endpoint(Box::new(Burst { to: sink }), Location::new(0, 1), "burst");
+    k.run_until_quiescent(u64::MAX);
+    let duplicated = k.counters().get("net.duplicated");
+    assert_eq!(duplicated, u64::from(SENDS));
+    assert_eq!(k.endpoint::<Sink>(sink).unwrap().got, SENDS);
+    assert_eq!(k.counters().get("net.dedup_dropped"), duplicated);
 }

@@ -12,10 +12,12 @@
 # crates/net/src/faults.rs and crates/net/src/sim.rs (plus legion-net's
 # own integration tests, which exercise the fault plan directly).
 #
-# Also fails if the at-most-once window (`DedupState`, or an `.admit(`
-# call) is used under crates/*/src outside those two files: the kernel
-# keys only the two copies of a duplicated message, and a window
-# consulted anywhere else would see keys nobody gives out.
+# Also fails if the receiver-side dedup window (`DedupState`, or an
+# `.admit(` call) is used under crates/*/src outside faults.rs, the kernel
+# included: at-most-once delivery needs no window, since the kernel knows
+# which event of a duplicated message is the network's copy and drops it
+# there (`EventKind::Copy`). A window in the kernel could again reject
+# first copies that arrive late.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,14 +36,14 @@ if [[ -n "$hits" ]]; then
 fi
 
 hits=$(grep -rnE 'DedupState|\.admit\(' crates/*/src --include='*.rs' |
-    grep -vE '^crates/net/src/(faults|sim)\.rs:' || true)
+    grep -vE '^crates/net/src/faults\.rs:' || true)
 
 if [[ -n "$hits" ]]; then
-    echo "error: the dedup window used outside legion-net's fault layer:" >&2
+    echo "error: the dedup window used outside crates/net/src/faults.rs:" >&2
     echo "$hits" >&2
     echo >&2
-    echo "At-most-once delivery is the kernel's: it keys duplicated messages in" >&2
-    echo "send_one and admits them in step (crates/net/src/sim.rs)." >&2
+    echo "At-most-once delivery is the kernel's: send_one schedules a duplicated" >&2
+    echo "message's copy as EventKind::Copy and step drops it (crates/net/src/sim.rs)." >&2
     exit 1
 fi
 echo "lint_faults: ok"
