@@ -282,11 +282,11 @@ fn hot_path_allocation_budgets() {
 /// One root Binding Agent between an asker and a class holding 1 024
 /// rows; the asker resolves a different row each time, so every request
 /// misses the agent's cache, goes to the class and comes back. Measured
-/// after 256 warm-up misses (pool shells, wheel slots, the agent's slab
-/// and index at size): the reply's binding box is recycled and the
+/// after 256 warm-up misses (pool shells, the event queue, the agent's
+/// slab and index at size): the reply's binding box is recycled and the
 /// answer is built in a pooled one, and the upstream call parks as plain
 /// data in the capacity the agent's call store kept. What is left is the
-/// cache slab's amortized growth: measured 25 for 512 misses.
+/// cache slab's amortized growth: measured 2 for 512 misses.
 fn agent_misses_allocate_for_the_continuation_only() {
     use legion_core::address::{ObjectAddress, ObjectAddressElement};
     use legion_core::binding::Binding;
@@ -779,13 +779,9 @@ fn delayed_sends_allocate_like_clean_ones() {
                 assert_eq!(k.run_until_quiescent(u64::MAX), SENDS);
             })
         };
-        // Every wheel slot a round's events land in keeps the capacity it
-        // grew to. Go once round the wheel's first level (64 ticks; a
-        // round advances the clock by more than two), then take the
-        // quietest of a few rounds.
-        for _ in 0..64 {
-            round(&mut k);
-        }
+        // A first round grows the queue and the message store to a
+        // round's size; then take the quietest of a few rounds.
+        round(&mut k);
         (0..8).map(|_| round(&mut k)).min().unwrap()
     };
     let clean = allocs_for(FaultPlan::none());
@@ -804,8 +800,8 @@ fn delayed_sends_allocate_like_clean_ones() {
 /// nanosecond behind: all starts run at one instant, all deliveries
 /// land one LAN hop later. Measured: a wave's deliveries (and dropped
 /// copies), every one from a sender the receiver has never heard from,
-/// once a first wave has grown the queue's ready list to the burst's
-/// size; the quietest of three waves.
+/// once a first wave has grown the event queue to the burst's size; the
+/// quietest of three waves.
 fn fresh_senders_deliver_without_allocating(duplicating: bool) {
     use legion_core::env::InvocationEnv;
     use legion_core::loid::Loid;
@@ -914,11 +910,11 @@ fn inert_moves_allocate_for_what_they_move() {
     let d = alloc_delta(|| run_to(k, WARM + MEASURED));
     let sent = k.stats().sent - sent;
     assert_eq!(sent, 6 * MEASURED, "{sent} messages: not the Inert path");
-    // Measured 263: two a move — at the source the copy of the OPR
-    // bytes it ships, at the destination the bytes decoded out of the
-    // call — and 7 for timer-wheel slots the clock had not reached
-    // before. The `ReceiveOpr` call parks as data in the capacity the
-    // source's call store kept.
+    // Measured 256, two a move: at the source the copy of the OPR bytes
+    // it ships, at the destination the bytes decoded out of the call.
+    // The event queue adds none once the warm moves have grown it. The
+    // `ReceiveOpr` call parks as data in the capacity the source's call
+    // store kept.
     assert!(
         d <= 2 * MEASURED + MEASURED / 8,
         "{MEASURED} moves of Inert objects allocated {d} times: more than two each"

@@ -1,86 +1,89 @@
-//! # The kernel event queue — a hierarchical timer wheel
+//! # The kernel event queue — a binary heap of keys over a value slab
 //!
 //! The DES kernel's hottest structure. Every accepted send, timer, and
 //! start lands here and is popped back out in deterministic
-//! `(time, insertion seq)` order. The previous implementation was a
-//! `BinaryHeap<Reverse<Event>>`: correct, but every push and pop pays
-//! `O(log n)` full-key comparisons and sift traffic, and `peek` on the
-//! deadline boundary re-ran the comparison chain per event.
+//! `(time, insertion seq)` order.
 //!
-//! This module replaces it with a classic hierarchical timer wheel
-//! (Varghese & Lauck's hashed/hierarchical wheels, the shape tokio and
-//! kernel timer subsystems use), adapted for a *total-order* queue:
+//! ## Layout: keys in the heap, values in a slab
 //!
-//! * Virtual time is bucketed into ticks of `2^12` ns (4.096 µs). A hop
-//!   in the simulated topology is ≥ 1 µs, so a tick holds a handful of
-//!   co-scheduled events, not thousands.
-//! * Eight levels of 64 slots each cover `2^48` ticks (≈ 36 simulated
-//!   years) relative to the wheel cursor; the rare timer beyond that
-//!   horizon (e.g. a `u64::MAX` sentinel deadline) parks in an unsorted
-//!   `far` overflow list.
-//! * A `ready` deque holds the entries of the *current* tick, sorted by
-//!   `(at, seq)`. `pop` takes its front; `peek` is O(1) once the wheel
-//!   has advanced to the next occupied tick (amortized O(1): each entry
-//!   cascades down at most once per level).
+//! What the heap orders and sifts is a 24-byte key — `(at, seq)` plus
+//! the index of a slab slot. The value itself (the kernel's `Event`, 64
+//! bytes; a delivery names its message by a handle into the kernel's
+//! message store rather than carrying it) is written into its slab slot
+//! once by `push` and taken out once by `pop`; nothing in between
+//! touches it. Freed slots go on a LIFO free list and are reused before
+//! the slab grows, so the slab is bounded by the queue's own peak and
+//! the slot handed out next is the one most recently warm.
 //!
-//! ## Layout: keys in the wheel, values in a slab
+//! A heap is enough here: the queue holds at most a few hundred events
+//! even when a million LOIDs pass through the kernel (E17), so a push or
+//! pop costs a handful of 24-byte key comparisons and moves. Two choices
+//! keep that handful small, and each was measured on the benchmark's
+//! `chaos_journaled` workload, whose set-up (a warm wave of 560 000
+//! kernel events over about 300 pending ones) a plain
+//! `BinaryHeap<Reverse<(at, seq, slot)>>` slowed by about a quarter
+//! against the hierarchical timer wheel this queue replaced:
 //!
-//! What the wheel files, cascades, sorts and splices is a 24-byte
-//! [`Key`] — `(at, seq)` plus the index of a slab slot. The value itself
-//! (the kernel's `Event`, 88 bytes; a delivery names its message by a
-//! handle into the kernel's message store rather than carrying it) is
-//! written into its slab slot once by `push` and taken out once by
-//! `pop`; nothing in between touches it. Freed slots go on a LIFO free
-//! list and are reused before the slab grows, so the slab is bounded by
-//! the queue's own peak and the slot handed out next is the one most
-//! recently warm.
+//! * a key compares `(at, seq)` as one `u128`, without a branch;
+//! * `pop` leaves its key on top of the heap, and a push straight after
+//!   it (a handler's send, the kernel's common case) overwrites that key
+//!   and sifts it down from the top, once.
+//!
+//! With both, that set-up reads within a few percent of the wheel's.
 //!
 //! ## Determinism contract
 //!
-//! The pop order is **exactly** ascending `(at, seq)` — the same total
-//! order the `BinaryHeap` produced (the kernel's `seq` is unique, so the
-//! heap's partial order was already total). Every golden transcript,
+//! The pop order is **exactly** ascending `(at, seq)`: the kernel's
+//! `seq` is unique, so the key order is total. Every golden transcript,
 //! trace, metrics snapshot, and journal byte depends on this; the
-//! property tests at the bottom pit the wheel against a `BinaryHeap`
-//! reference model over randomized schedules to hold the line.
-//!
-//! Pushes at or before the cursor's tick (a handler scheduling work for
-//! *now*, or an event injected after `run_until` advanced the clock)
-//! binary-insert directly into `ready`, preserving the order contract
-//! without rewinding the wheel.
+//! property tests at the bottom pit the queue against a `BTreeMap`
+//! reference model over randomized schedules to hold the line. A push
+//! may key an entry before the last one popped (an event injected after
+//! `run_until` moved the clock); it pops next, in key order like any
+//! other.
 //!
 //! ## Allocation contract
 //!
-//! Slot vectors, the ready deque, the cascade scratch buffer, the slab
-//! and its free list all retain their capacity across waves (none ever
-//! shrinks): in steady state a push/pop cycle touches no allocator.
-//! `alloc_budget` gates this transitively through the per-message budget;
-//! the wheel itself allocates only while a fresh capacity high-water mark
-//! is being established — and a burst that passes through several wheel
-//! slots on its way down leaves 24 bytes per entry behind in each, while
-//! the values' storage is retained once.
+//! The heap, the slab and its free list all retain their capacity across
+//! waves (none ever shrinks): in steady state a push/pop cycle touches no
+//! allocator. `alloc_budget` gates this transitively through the
+//! per-message budget; the queue itself allocates only while a fresh
+//! capacity high-water mark is being established, and then holds one
+//! key and one value per entry of that peak.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// log2 of the tick width in nanoseconds: 4096 ns per tick.
-const TICK_SHIFT: u32 = 12;
-/// log2 of the slots per level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels. `LEVELS * LEVEL_BITS` bits of tick horizon.
-const LEVELS: usize = 8;
-/// Bits of tick space the wheel spans; ticks at or beyond
-/// `cursor + 2^HORIZON_BITS` overflow to `far`.
-const HORIZON_BITS: u32 = (LEVELS as u32) * LEVEL_BITS;
-
-/// What the wheel moves: the ordering key and where the value waits.
-#[derive(Clone, Copy)]
+/// What the heap orders: an entry's `(at, seq)` and the index of its
+/// value in [`EventQueue::slab`]. `seq` is unique, so no two keys in one
+/// queue compare equal.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Key {
     at: u64,
     seq: u64,
-    /// Index into [`EventQueue::slab`].
     slot: u32,
+}
+
+impl Key {
+    /// `(at, seq)` as one number. Comparing it takes no branch, where the
+    /// pair's comparison branches on `at`, a branch a sift mispredicts.
+    fn order(self) -> u128 {
+        u128::from(self.at) << 64 | u128::from(self.seq)
+    }
+}
+
+/// Reversed: `BinaryHeap` is a max-heap, and the least `(at, seq)` pops
+/// first.
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.order().cmp(&self.order())
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A total-order event queue keyed by `(at, seq)`, both `u64`, popping
@@ -88,26 +91,18 @@ struct Key {
 /// lifetime (the kernel's insertion sequence number), which makes the
 /// order total and the pop sequence deterministic.
 pub struct EventQueue<T> {
-    /// Tick the wheel has advanced to; `ready` holds this tick's entries.
-    cursor: u64,
-    /// Entries with `tick(at) <= cursor`, sorted ascending by `(at, seq)`.
-    ready: VecDeque<Key>,
-    /// `LEVELS x SLOTS` buckets of future entries, unsorted within a slot.
-    slots: Vec<Vec<Key>>,
-    /// Per-level occupancy bitmap: bit `s` set iff `slots[level*SLOTS+s]`
-    /// is non-empty.
-    occupied: [u64; LEVELS],
-    /// Entries beyond the wheel horizon (≈ 36 simulated years out).
-    far: Vec<Key>,
-    /// Scratch buffer reused by cascades to re-place a slot's entries.
-    scratch: Vec<Key>,
+    /// The pending entries' keys, under a stale top while `stale_top`.
+    heap: BinaryHeap<Key>,
     /// The pending values, each at the index its key carries; `None`
     /// marks a free slot.
     slab: Vec<Option<T>>,
     /// Free slab slots, reused last-freed-first.
     free: Vec<u32>,
-    /// Live entry count.
-    len: usize,
+    /// The heap's top is the key of the entry `pop` took last. `pop`
+    /// leaves it there because the kernel mostly pushes next (a handler
+    /// sends): a push then replaces it with one sift down from the top,
+    /// where removing it would have sifted the heap's full depth first.
+    stale_top: bool,
     /// High-water mark of `len` over the queue's lifetime.
     peak: usize,
 }
@@ -119,33 +114,25 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue. Allocates the (empty) slot table; individual slot
-    /// vectors allocate lazily on first use and keep their capacity.
+    /// An empty queue; nothing is allocated until the first push.
     pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
-            cursor: 0,
-            ready: VecDeque::new(),
-            slots,
-            occupied: [0; LEVELS],
-            far: Vec::new(),
-            scratch: Vec::new(),
+            heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            len: 0,
+            stale_top: false,
             peak: 0,
         }
     }
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() - usize::from(self.stale_top)
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The most entries the queue has ever held at once.
@@ -155,10 +142,6 @@ impl<T> EventQueue<T> {
 
     /// Insert `value` keyed `(at, seq)`. `seq` must be unique.
     pub fn push(&mut self, at: u64, seq: u64, value: T) {
-        self.len += 1;
-        if self.len > self.peak {
-            self.peak = self.len;
-        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(value);
@@ -170,36 +153,36 @@ impl<T> EventQueue<T> {
                 slot
             }
         };
-        self.place(Key { at, seq, slot });
+        let key = Key { at, seq, slot };
+        if std::mem::take(&mut self.stale_top) {
+            *self.heap.peek_mut().expect("a stale top is on the heap") = key;
+        } else {
+            self.heap.push(key);
+        }
+        self.peak = self.peak.max(self.len());
     }
 
-    /// Key of the next entry to pop, advancing the wheel to it.
-    /// O(1) when `ready` is already populated.
+    /// Key of the next entry to pop.
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        self.advance();
-        self.ready.front().map(|e| (e.at, e.seq))
+        self.drop_stale_top();
+        self.heap.peek().map(|k| (k.at, k.seq))
     }
 
     /// Remove and return the entry with the smallest `(at, seq)`.
     pub fn pop(&mut self) -> Option<T> {
-        self.advance();
-        let key = self.ready.pop_front()?;
-        self.len -= 1;
-        self.free.push(key.slot);
-        let value = self.slab[key.slot as usize].take();
-        debug_assert!(value.is_some(), "a filed key's slot is occupied");
+        self.drop_stale_top();
+        let slot = self.heap.peek()?.slot;
+        self.stale_top = true;
+        self.free.push(slot);
+        let value = self.slab[slot as usize].take();
+        debug_assert!(value.is_some(), "a queued key's slot is occupied");
         value
     }
 
-    /// Visit every pending entry in unspecified order (snapshots sort by
-    /// their own embedded keys).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.slab.iter().flatten()
-    }
-
-    /// [`EventQueue::iter`] with each entry's handle: [`EventQueue::get`]
-    /// finds the entry again while the queue is not mutated, so a caller
-    /// can sort handles in a buffer of its own that borrows nothing.
+    /// Every pending entry with its handle, in unspecified order:
+    /// [`EventQueue::get`] finds the entry again while the queue is not
+    /// mutated, so a caller can sort handles in a buffer of its own that
+    /// borrows nothing (snapshots sort by their own embedded keys).
     pub(crate) fn iter_handles(&self) -> impl Iterator<Item = (u32, &T)> {
         (0u32..)
             .zip(&self.slab)
@@ -211,85 +194,9 @@ impl<T> EventQueue<T> {
         self.slab.get(handle as usize)?.as_ref()
     }
 
-    /// Route one entry to `ready`, a wheel slot, or `far`.
-    fn place(&mut self, e: Key) {
-        let t = e.at >> TICK_SHIFT;
-        if t <= self.cursor {
-            // Current (or past — e.g. injected after `run_until` moved
-            // the clock) tick: keep `ready` sorted by binary insertion.
-            let key = (e.at, e.seq);
-            let idx = self.ready.partition_point(|r| (r.at, r.seq) < key);
-            self.ready.insert(idx, e);
-            return;
-        }
-        // Highest bit where the target tick differs from the cursor
-        // decides the level; the slot is the tick's digit at that level.
-        let diff = t ^ self.cursor;
-        let high = 63 - diff.leading_zeros();
-        if high >= HORIZON_BITS {
-            self.far.push(e);
-            return;
-        }
-        let level = (high / LEVEL_BITS) as usize;
-        let slot = ((t >> (level as u32 * LEVEL_BITS)) as usize) & (SLOTS - 1);
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(e);
-    }
-
-    /// Advance the cursor to the next occupied tick and fill `ready`
-    /// with that tick's entries, sorted. No-op while `ready` is
-    /// non-empty; leaves `ready` empty only when the queue is empty.
-    fn advance(&mut self) {
-        while self.ready.is_empty() && self.len > 0 {
-            let Some(level) = self.occupied.iter().position(|&o| o != 0) else {
-                // Wheel empty: everything pending lives beyond the
-                // horizon. Jump the cursor to the earliest far tick and
-                // re-place; at least its entries land in `ready`.
-                debug_assert!(!self.far.is_empty());
-                let min_tick = self
-                    .far
-                    .iter()
-                    .map(|e| e.at >> TICK_SHIFT)
-                    .min()
-                    .expect("far is non-empty");
-                self.cursor = min_tick;
-                let mut pending = std::mem::take(&mut self.far);
-                for e in pending.drain(..) {
-                    self.place(e);
-                }
-                self.far = pending; // keep the (now empty) buffer
-                continue;
-            };
-            // Occupied slot indices at `level` are strictly greater than
-            // the cursor's digit there (placement puts them ahead; the
-            // cursor only catches up by landing *on* a slot, emptying
-            // it), so the lowest set bit is the next stop.
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let level_shift = level as u32 * LEVEL_BITS;
-            debug_assert!(slot > ((self.cursor >> level_shift) as usize) & (SLOTS - 1));
-            // Move the cursor onto that slot's sub-block: digits above
-            // stay, this level's digit becomes `slot`, digits below
-            // reset to zero (the sub-block's start).
-            let above = self.cursor >> (level_shift + LEVEL_BITS) << (level_shift + LEVEL_BITS);
-            self.cursor = above | ((slot as u64) << level_shift);
-            self.occupied[level] &= !(1 << slot);
-            if level == 0 {
-                // Level-0 slots are exact ticks: these entries *are* the
-                // current tick. Sort and splice into the empty `ready`.
-                let bucket = &mut self.slots[slot];
-                bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-                self.ready.extend(bucket.drain(..));
-            } else {
-                // Higher levels cover a range of ticks: cascade the slot
-                // down (each entry re-places at a strictly lower level,
-                // or into `ready` when its tick equals the new cursor).
-                std::mem::swap(&mut self.scratch, &mut self.slots[level * SLOTS + slot]);
-                let mut pending = std::mem::take(&mut self.scratch);
-                for e in pending.drain(..) {
-                    self.place(e);
-                }
-                self.scratch = pending; // keep capacity for the next cascade
-            }
+    fn drop_stale_top(&mut self) {
+        if std::mem::take(&mut self.stale_top) {
+            self.heap.pop();
         }
     }
 }
@@ -297,15 +204,10 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 impl<T> EventQueue<T> {
     /// Heap bytes the queue holds on to, as `(keys, values)`: the
-    /// capacity of every key container, and of the slab plus its free
-    /// list.
+    /// heap's capacity, and the slab's plus its free list's.
     fn retained_bytes(&self) -> (usize, usize) {
-        let key_slots = self.ready.capacity()
-            + self.slots.iter().map(Vec::capacity).sum::<usize>()
-            + self.far.capacity()
-            + self.scratch.capacity();
         (
-            key_slots * std::mem::size_of::<Key>(),
+            self.heap.capacity() * std::mem::size_of::<Key>(),
             self.slab.capacity() * std::mem::size_of::<Option<T>>()
                 + self.free.capacity() * std::mem::size_of::<u32>(),
         )
@@ -317,8 +219,25 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The reference model: the pending entries in a sorted map keyed by
+    /// `(at, seq)`, each value its seq. Pops take the first key.
+    type Model = BTreeMap<(u64, u64), u64>;
+
+    fn push(q: &mut EventQueue<u64>, model: &mut Model, at: u64, seq: u64) {
+        q.push(at, seq, seq);
+        model.insert((at, seq), seq);
+    }
+
+    /// Peek and pop one entry from both, asserting they agree; the key
+    /// popped, if any.
+    fn pop_both(q: &mut EventQueue<u64>, model: &mut Model) -> Option<(u64, u64)> {
+        let expect = model.pop_first();
+        assert_eq!(q.peek_key(), expect.map(|(k, _)| k), "peek diverged");
+        assert_eq!(q.pop(), expect.map(|(_, v)| v), "pop diverged");
+        expect.map(|(k, _)| k)
+    }
 
     fn drain(q: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -330,10 +249,21 @@ mod tests {
         out
     }
 
+    /// The pending values as `iter_handles` lists them, each handle
+    /// resolving through `get` to the value listed with it.
+    fn pending(q: &EventQueue<u64>) -> BTreeSet<u64> {
+        q.iter_handles()
+            .map(|(h, v)| {
+                assert_eq!(q.get(h), Some(v), "a listed handle finds its entry");
+                *v
+            })
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = EventQueue::new();
-        // Same tick, distinct times and seqs, inserted out of order.
+        // Distinct times and seqs, one time shared, inserted out of order.
         q.push(5_000, 2, 2);
         q.push(1_000, 7, 7);
         q.push(1_000, 3, 3);
@@ -346,32 +276,34 @@ mod tests {
         assert_eq!(q.peak_len(), 4);
     }
 
+    /// Keys anywhere in `u64`, up to a `u64::MAX` sentinel deadline,
+    /// pushed latest first, pop earliest first.
     #[test]
-    fn spans_levels_and_horizon() {
+    fn spans_the_whole_time_range() {
         let mut q = EventQueue::new();
-        // One entry per level, plus the far overflow (u64::MAX).
-        let mut expect = Vec::new();
-        for level in 0..LEVELS as u32 {
-            let at = 1u64 << (TICK_SHIFT + level * LEVEL_BITS);
-            q.push(at, level as u64, level as u64);
-            expect.push((at, level as u64));
-        }
-        q.push(u64::MAX, 99, 99);
+        let mut expect: Vec<(u64, u64)> = (0..64u32).map(|b| (1u64 << b, u64::from(b))).collect();
         expect.push((u64::MAX, 99));
+        for &(at, seq) in expect.iter().rev() {
+            q.push(at, seq, seq);
+        }
         assert_eq!(drain(&mut q), expect);
     }
 
+    /// A push keyed before the last popped key (the kernel's clock may
+    /// sit past it after `run_until`) pops next, still in key order.
     #[test]
     fn push_at_or_before_cursor_lands_in_order() {
         let mut q = EventQueue::new();
         q.push(100_000, 1, 1);
-        assert_eq!(q.peek_key(), Some((100_000, 1)));
-        // The wheel has advanced to tick(100_000); a later push for an
-        // earlier time (allowed: the kernel clock may sit past it after
-        // run_until) must still pop first.
+        q.push(200_000, 4, 4);
+        assert_eq!(q.pop(), Some(1));
         q.push(50_000, 2, 2);
+        q.push(100_000, 5, 5);
         q.push(100_001, 3, 3);
-        assert_eq!(drain(&mut q), vec![(50_000, 2), (100_000, 1), (100_001, 3)]);
+        assert_eq!(
+            drain(&mut q),
+            vec![(50_000, 2), (100_000, 5), (100_001, 3), (200_000, 4)]
+        );
     }
 
     #[test]
@@ -383,7 +315,7 @@ mod tests {
         for i in 0..5u64 {
             assert_eq!(q.pop(), Some(i));
         }
-        // Refill behind, at, and ahead of the cursor.
+        // Refill behind, among, and far ahead of what is pending.
         q.push(1, 100, 100);
         q.push(50_000, 101, 101);
         q.push(1 << 40, 102, 102);
@@ -397,158 +329,144 @@ mod tests {
     #[test]
     fn iter_visits_everything_once() {
         let mut q = EventQueue::new();
-        let mut seqs = Vec::new();
         for i in 0..100u64 {
             q.push(i * 3_000, i, i);
-            seqs.push(i);
         }
-        q.peek_key(); // populate ready so iteration crosses regions
+        for i in 0..10u64 {
+            assert_eq!(q.pop(), Some(i));
+        }
         q.push(u64::MAX - 1, 100, 100);
-        seqs.push(100);
-        let mut seen: Vec<u64> = q.iter().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, seqs);
-        assert_eq!(q.len(), 101);
+        let listed: Vec<u64> = q.iter_handles().map(|(_, &v)| v).collect();
+        assert_eq!(listed.len(), 91, "each pending entry once");
+        assert_eq!(pending(&q), (10..=100).collect());
+        assert_eq!(q.len(), 91);
     }
 
-    /// The determinism contract: against a `BinaryHeap` reference model,
-    /// over randomized interleaved push/pop schedules with bursts of
-    /// equal timestamps, the pop order is identical. Seeded `SmallRng`
-    /// keeps the schedule reproducible.
+    /// The determinism contract: against the sorted-map model, over
+    /// randomized interleaved push/pop schedules with bursts of equal
+    /// timestamps and far-future outliers, the pop order is identical.
+    /// Seeded `SmallRng` keeps the schedule reproducible.
     #[test]
-    fn matches_binary_heap_reference_model() {
+    fn matches_btree_map_reference_model() {
         for seed in 0..20u64 {
             let mut rng = SmallRng::seed_from_u64(0xE0_0E + seed);
-            let mut wheel: EventQueue<u64> = EventQueue::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut model = Model::new();
             let mut seq = 0u64;
             let mut clock = 0u64; // popped times are monotone; pushes land >= clock
             for _ in 0..400 {
                 match rng.gen_range(0..10u32) {
                     // Push burst: a few entries, often sharing one time.
                     0..=5 => {
-                        // Saturating: popping a u64::MAX far-future entry
-                        // parks `clock` at the top of the range.
+                        // Saturating: popping a u64::MAX sentinel parks
+                        // `clock` at the top of the range.
                         let base = clock.saturating_add(rng.gen_range(0..200_000u64));
-                        let burst = rng.gen_range(1..6usize);
-                        for _ in 0..burst {
+                        for _ in 0..rng.gen_range(1..6usize) {
                             let at = if rng.gen_bool(0.5) {
                                 base // equal-timestamp burst
                             } else {
                                 base.saturating_add(rng.gen_range(0..5_000u64))
                             };
-                            wheel.push(at, seq, seq);
-                            heap.push(Reverse((at, seq)));
+                            push(&mut q, &mut model, at, seq);
                             seq += 1;
                         }
                     }
-                    // Far-future outlier, sometimes past the horizon.
+                    // Far-future outlier, sometimes a `u64::MAX` sentinel.
                     6 => {
                         let at = if rng.gen_bool(0.2) {
                             u64::MAX - rng.gen_range(0..3u64)
                         } else {
                             clock.saturating_add(1u64 << rng.gen_range(20..60u32))
                         };
-                        wheel.push(at, seq, seq);
-                        heap.push(Reverse((at, seq)));
+                        push(&mut q, &mut model, at, seq);
                         seq += 1;
                     }
                     // Pop a few.
                     _ => {
                         for _ in 0..rng.gen_range(1..6usize) {
-                            let expect = heap.pop().map(|Reverse(k)| k);
-                            let got = wheel.peek_key();
-                            assert_eq!(got, expect, "peek diverged (seed {seed})");
-                            match (wheel.pop(), expect) {
-                                (Some(v), Some((at, s))) => {
-                                    assert_eq!(v, s);
-                                    clock = at;
-                                }
-                                (None, None) => {}
-                                (a, b) => panic!("pop diverged: {a:?} vs {b:?}"),
+                            if let Some((at, _)) = pop_both(&mut q, &mut model) {
+                                clock = at;
                             }
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(q.len(), model.len(), "seed {seed}");
             }
             // Drain: the tails must match too.
-            while let Some(Reverse((at, s))) = heap.pop() {
-                assert_eq!(wheel.peek_key(), Some((at, s)));
-                assert_eq!(wheel.pop(), Some(s));
-            }
-            assert!(wheel.is_empty());
-            assert_eq!(wheel.pop(), None);
+            while pop_both(&mut q, &mut model).is_some() {}
+            assert!(q.is_empty());
+            assert_eq!(q.pop(), None);
         }
     }
 
-    /// The same contract with the slab in play: a long interleaved
+    /// The same contract with slot reuse in play: a long interleaved
     /// schedule whose queue stays small while tens of thousands of
-    /// entries pass through, so every slab slot is recycled many times
-    /// over. After every step the pop order, `len`, `peak_len` and the
-    /// exact pending set seen through `iter()` match the model.
+    /// entries pass through, so every slot is recycled many times over.
+    /// After every step the pop order, `len`, `peak_len` and the exact
+    /// pending set seen through `iter_handles` match the model, and no
+    /// handle reaches the peak: the slab is bounded by it.
     #[test]
     fn recycled_slots_keep_order_len_peak_and_iter() {
         let mut rng = SmallRng::seed_from_u64(0x51AB);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = Model::new();
         let (mut seq, mut clock, mut peak) = (0u64, 0u64, 0usize);
         for step in 0..6_000 {
             // Pushes and pops balance around a few dozen pending entries.
-            let pushes = if heap.len() < 40 { 6usize } else { 2 };
+            let pushes = if model.len() < 40 { 6usize } else { 2 };
             for _ in 0..rng.gen_range(0..=pushes) {
                 let at = match rng.gen_range(0..20u32) {
                     0 => u64::MAX - rng.gen_range(0..3u64),
                     1..=3 => clock.saturating_add(1u64 << rng.gen_range(14..44u32)),
                     _ => clock.saturating_add(rng.gen_range(0..300_000u64)),
                 };
-                wheel.push(at, seq, seq);
-                heap.push(Reverse((at, seq)));
+                push(&mut q, &mut model, at, seq);
                 seq += 1;
             }
-            peak = peak.max(heap.len());
+            peak = peak.max(model.len());
             for _ in 0..rng.gen_range(0..5usize) {
-                let expect = heap.pop().map(|Reverse(k)| k);
-                assert_eq!(wheel.peek_key(), expect, "peek diverged at step {step}");
-                assert_eq!(wheel.pop(), expect.map(|(_, s)| s));
                 // A popped far-future sentinel would pin the clock at the
                 // top of the range; keep scheduling relative to real time.
-                if let Some((at, _)) = expect.filter(|&(at, _)| at < u64::MAX / 2) {
+                if let Some((at, _)) =
+                    pop_both(&mut q, &mut model).filter(|&(at, _)| at < u64::MAX / 2)
+                {
                     clock = at;
                 }
             }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.peak_len(), peak);
-            let mut seen: Vec<u64> = wheel.iter().copied().collect();
-            seen.sort_unstable();
-            let mut pending: Vec<u64> = heap.iter().map(|Reverse((_, s))| *s).collect();
-            pending.sort_unstable();
-            assert_eq!(seen, pending, "iter() is the pending set (step {step})");
+            assert_eq!(q.len(), model.len(), "len at step {step}");
+            assert_eq!(q.peak_len(), peak, "peak at step {step}");
+            assert_eq!(
+                pending(&q),
+                model.values().copied().collect(),
+                "pending set at step {step}"
+            );
+            assert!(
+                q.iter_handles().all(|(h, _)| (h as usize) < peak),
+                "a handle at or past the peak {peak} (step {step})"
+            );
         }
         assert!(
-            seq as usize > 100 * wheel.slab.len(),
-            "{seq} entries through {} slab slots: each recycled many times",
-            wheel.slab.len()
+            seq as usize > 100 * peak,
+            "{seq} entries through {peak} slots: each recycled many times"
         );
-        assert_eq!(wheel.slab.len(), peak, "the slab is bounded by the peak");
     }
 
-    /// The wheel's entry is the 24-byte key, whatever the value's size.
+    /// The heap's element is the 24-byte key, whatever the value's size.
     #[test]
-    fn wheel_entry_is_24_bytes() {
+    fn heap_entry_is_24_bytes() {
         assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
-    /// A burst of far timers cascades through several wheel levels on
-    /// its way to `ready`. What each visited container keeps afterwards
-    /// is key capacity; the values' storage is retained once.
+    /// A burst of timers drained back out leaves the queue holding one
+    /// key per entry of its peak in the heap and one value per entry in
+    /// the slab: nothing is kept twice.
     #[test]
-    fn drained_burst_retains_keys_per_slot_and_values_once() {
+    fn drained_burst_keeps_one_key_and_one_value_footprint() {
         type Fat = [u64; 45]; // a 360-byte value, what an inline message made an event
         const BURST: usize = 10_000;
         let mut q: EventQueue<Fat> = EventQueue::new();
         for i in 0..BURST as u64 {
-            // ~500 virtual ms out: level 2 or 3, spread over a few ticks.
+            // ~500 virtual ms out, spread over a few times.
             q.push(500_000_000 + (i % 7) * 1_000, i, [i; 45]);
         }
         let mut last = None;
@@ -562,62 +480,45 @@ mod tests {
         let per_value = std::mem::size_of::<Option<Fat>>() + std::mem::size_of::<u32>();
         // `Vec` growth doubles, so each container holds under 2x its peak.
         assert!(
-            values <= 2 * BURST * per_value,
-            "values retained once: {values} B for {BURST} x {per_value} B"
+            (BURST * 24..2 * BURST * 24).contains(&keys),
+            "one key footprint: {keys} B for {BURST} x 24 B"
         );
         assert!(
-            keys <= 2 * BURST * 24 * (LEVELS + 3),
-            "keys retained per visited container: {keys} B"
-        );
-        assert!(
-            keys + values < 3 * BURST * std::mem::size_of::<Fat>(),
-            "fat entries left behind in every cascaded slot would be more"
+            (BURST * per_value..2 * BURST * per_value).contains(&values),
+            "one value footprint: {values} B for {BURST} x {per_value} B"
         );
     }
 
     /// `run_until`-shaped usage: peek-bounded draining at a deadline,
-    /// then injection of new work at or before the advanced cursor.
+    /// then injection of new work at or before the deadline.
     #[test]
     fn deadline_bounded_drain_matches_model() {
         let mut rng = SmallRng::seed_from_u64(77);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = Model::new();
         for seq in 0..300u64 {
-            let at = rng.gen_range(0..3_000_000u64);
-            wheel.push(at, seq, seq);
-            heap.push(Reverse((at, seq)));
+            push(&mut q, &mut model, rng.gen_range(0..3_000_000u64), seq);
         }
         let mut seq = 300u64;
         for deadline in [250_000u64, 900_000, 900_000, 2_100_000, u64::MAX] {
-            loop {
-                match wheel.peek_key() {
-                    Some((at, _)) if at <= deadline => {
-                        let Some(Reverse((hat, hseq))) = heap.pop() else {
-                            panic!("model empty while wheel has events")
-                        };
-                        assert_eq!(wheel.pop(), Some(hseq));
-                        assert_eq!(hat, at);
-                        // Handlers re-arm work relative to "now".
-                        if rng.gen_bool(0.3) {
-                            let nat = at + rng.gen_range(0..2_000_000u64);
-                            wheel.push(nat, seq, seq);
-                            heap.push(Reverse((nat, seq)));
-                            seq += 1;
-                        }
-                    }
-                    _ => break,
+            while q.peek_key().is_some_and(|(at, _)| at <= deadline) {
+                let (at, _) = pop_both(&mut q, &mut model).expect("peeked");
+                // Handlers re-arm work relative to "now".
+                if rng.gen_bool(0.3) {
+                    push(&mut q, &mut model, at + rng.gen_range(0..2_000_000u64), seq);
+                    seq += 1;
                 }
             }
-            // Post-deadline injection behind the cursor, as a driver
+            assert!(model
+                .first_key_value()
+                .is_none_or(|(&(at, _), _)| at > deadline));
+            // Post-deadline injection behind the clock, as a driver
             // attaching endpoints after `run_until` does.
-            let nat = deadline.saturating_sub(rng.gen_range(0..100_000u64));
-            wheel.push(nat, seq, seq);
-            heap.push(Reverse((nat, seq)));
+            let at = deadline.saturating_sub(rng.gen_range(0..100_000u64));
+            push(&mut q, &mut model, at, seq);
             seq += 1;
         }
-        while let Some(Reverse((_, s))) = heap.pop() {
-            assert_eq!(wheel.pop(), Some(s));
-        }
-        assert!(wheel.is_empty());
+        while pop_both(&mut q, &mut model).is_some() {}
+        assert!(q.is_empty());
     }
 }

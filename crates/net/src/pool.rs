@@ -1,7 +1,7 @@
 //! # The kernel message pool — recycled message-body buffers
 //!
 //! The second half of the hot-path overhaul (the first is the
-//! [`crate::equeue`] timer wheel): stop paying malloc/free per delivery
+//! [`crate::equeue`] event queue): stop paying malloc/free per delivery
 //! for the heap parts of a [`Message`] body. Two shapes dominate the
 //! §5.2 lookup traffic:
 //!

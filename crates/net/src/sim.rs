@@ -160,7 +160,7 @@ const KERNEL_SECTIONS: [(&str, SectionEncoder); 4] = [
 ];
 
 // `Deliver` holds the message's handle in [`MessageStore`], not the
-// message: the wheel's slab moves each event in and out, and a 64-byte
+// message: the queue's slab moves each event in and out, and a 64-byte
 // record is what it moves per hop. The message itself is copied into
 // the store once when it is sent and out once when it is delivered.
 // `Copy` is the second delivery of a message the network duplicated.
@@ -698,7 +698,7 @@ impl SimKernel {
 
     /// Run until virtual time reaches `deadline` (events after it stay
     /// queued) or the queue drains. The boundary check is an O(1) peek
-    /// of the wheel's ready lane — no pop/re-push at the deadline.
+    /// at the queue's least key — no pop/re-push at the deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         loop {
@@ -734,7 +734,7 @@ impl SimKernel {
 }
 
 impl Inner {
-    /// The single ingress into the event wheel: stamps the next insertion
+    /// The single ingress into the event queue: stamps the next insertion
     /// seq onto the event and keys it by `(time, seq)`, the kernel's
     /// deterministic total order. All scheduling goes through here
     /// (`tools/lint_hotpath.sh` holds future code to it).
@@ -845,7 +845,7 @@ fn encode_counters(EncodeScratch { w, .. }: &mut EncodeScratch, inner: &Inner) {
     }
 }
 
-/// The pending queue, in deterministic (time, seq) order — the wheel's
+/// The pending queue, in deterministic (time, seq) order — the queue's
 /// internal layout is not canonical. Varints throughout: most of what a
 /// queued event carries is small or zero (an untraced event's trace and
 /// span ids are one byte each).
@@ -2417,7 +2417,7 @@ mod tests {
         );
     }
 
-    /// The wheel moves each event in and out of its slab: the record stays
+    /// The queue moves each event in and out of its slab: the record stays
     /// small only while the message stays in the store.
     #[test]
     fn an_event_is_a_compact_record() {

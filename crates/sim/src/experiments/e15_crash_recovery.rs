@@ -191,6 +191,8 @@ pub fn table(rows: &[Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::judge::judge;
+    use legion_net::FaultPlan;
     use legion_runtime::magistrate::{MagistrateEndpoint, ObjState};
 
     #[test]
@@ -315,5 +317,50 @@ mod tests {
             report.completed as f64 / attempted as f64 >= 0.99,
             "seed {seed}: ops survive the double failure: {report:?}"
         );
+    }
+
+    /// Lose 10 % of all messages for the first 200 virtual ms after the
+    /// build of a 2×2-host system with HA on and a 400 ms call deadline,
+    /// then drain and judge: the false-positive Dead verdicts counted,
+    /// and the judge's violations.
+    fn lossy_window(seed: u64) -> (u64, Vec<legion_chaos::Violation>) {
+        let mut sys = LegionSystem::build(SystemConfig {
+            jurisdictions: 2,
+            hosts_per_jurisdiction: 2,
+            // Heartbeats run past the build (≈ 3.5 virtual s) and the window.
+            ha: Some(ha_config(10_000_000_000)),
+            call_deadline_ns: Some(400_000_000),
+            seed,
+            ..SystemConfig::default()
+        });
+        let t0 = sys.kernel.now().0;
+        let mut lossy = FaultPlan::seeded(seed);
+        lossy.set_drop_probability(0.1);
+        *sys.kernel.faults_mut() = lossy;
+        sys.kernel.run_until(SimTime(t0 + 200_000_000));
+        *sys.kernel.faults_mut() = FaultPlan::none();
+        sys.kernel.run_until_quiescent(u64::MAX);
+        let false_positives = ha_totals(&sys).false_positives;
+        let classes: Vec<_> = sys.classes.iter().map(|(_, e)| *e).collect();
+        (false_positives, judge(&mut sys, &classes, 0, 0))
+    }
+
+    /// ROADMAP item 14: a Magistrate that declares a host Dead only
+    /// because its heartbeats were lost re-homes the host's objects from
+    /// their vault OPRs, then re-admits the host at its next heartbeat
+    /// and leaves the old processes running, so the judge finds each
+    /// re-homed object alive twice. Of seeds 0–399, these are four of
+    /// the 21 in which that happens; each has one false positive.
+    #[test]
+    #[ignore = "ROADMAP item 14"]
+    fn false_positive_dead_verdict_leaves_no_object_running_twice() {
+        for seed in [11, 18, 20, 39] {
+            let (false_positives, violations) = lossy_window(seed);
+            assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+            assert!(
+                false_positives > 0,
+                "seed {seed}: the loss window no longer yields a false positive"
+            );
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! fleet of clients. What it measures is the cost of the two hot-path
 //! layers this repo's kernel overhaul introduced:
 //!
-//! * the **timer-wheel event queue** ([`legion_net::equeue`]) — reported
-//!   as wall nanoseconds per kernel event and the peak queue population
+//! * the **event queue** ([`legion_net::equeue`]) — reported as wall
+//!   nanoseconds per kernel event and the peak queue population
 //!   ([`legion_net::sim::SimKernel::queue_peak_len`]);
 //! * the **message pool** ([`legion_net::pool`]) — reported as allocator
 //!   hits per delivered message (non-zero only when the counting
@@ -24,7 +24,7 @@
 //! exercises lives in the agent and client caches along the tree.
 //! Zipf(0.9) popularity means the hot mass is cache-resident at the
 //! leaves while the long tail keeps exercising the full resolution path —
-//! and the event wheel underneath all of it.
+//! and the event queue underneath all of it.
 //!
 //! Reported per sweep point: completed binds/sec and messages/sec
 //! (wall-clock), nanoseconds per kernel event, allocations per message,
@@ -88,7 +88,7 @@ pub struct Row {
     pub messages: u64,
     /// Kernel events processed (deliveries + timers + starts).
     pub events: u64,
-    /// Peak event-queue population (timer-wheel pressure).
+    /// Peak event-queue population (scheduler pressure).
     pub queue_peak: usize,
     /// Virtual time the measured wave spans, attach to quiescence.
     pub virtual_ns: u64,

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Hot-path lint: the kernel's event ordering lives in exactly one
-# place — the hierarchical timer wheel (crates/net/src/equeue.rs) — and
-# a message in flight in exactly one place, the kernel's message store
-# (crates/net/src/sim.rs), entered through one funnel.
+# place — the event queue's heap of keys (crates/net/src/equeue.rs) —
+# and a message in flight in exactly one place, the kernel's message
+# store (crates/net/src/sim.rs), entered through one funnel.
 #
 # Fails the build if:
-#   * `BinaryHeap` appears outside equeue.rs. The wheel replaced the
-#     heap on the hot path; the only remaining heap is the reference
-#     model inside equeue.rs's own property tests. A heap creeping back
-#     in elsewhere silently reintroduces O(log n) comparisons (and
-#     32-byte event moves) per scheduling operation.
+#   * `BinaryHeap` appears outside equeue.rs. The queue is the kernel's
+#     one heap; a heap anywhere else is a second scheduler, ordering
+#     work the kernel's (time, seq) stamp never saw and bypassing the
+#     `Inner::schedule` funnel below.
 #   * `queue.push(` appears outside equeue.rs in more than the one
 #     blessed call site: the kernel's single enqueue funnel in
 #     crates/net/src/sim.rs (`Inner::schedule`), which stamps the
@@ -23,7 +22,7 @@
 #     nothing is scheduled to take out again.
 #   * `EventKind` (crates/net/src/sim.rs) holds a `Message` in any form.
 #     A queued event carries its message's handle into the store: the
-#     wheel's slab moves every event in and out, and a message inline
+#     queue's slab moves every event in and out, and a message inline
 #     would make it move the message with it, several times per hop.
 #   * `ctx.count("…")` / `ctx.count_n("…", n)` with a string literal
 #     appears in non-test code of the protocol handlers (crates/naming/src,
@@ -49,26 +48,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-wheel='crates/net/src/equeue.rs'
+equeue='crates/net/src/equeue.rs'
 
 heap_hits=$(grep -rn 'BinaryHeap' crates/ --include='*.rs' \
-    | grep -v "^$wheel:" || true)
+    | grep -v "^$equeue:" || true)
 
 if [[ -n "$heap_hits" ]]; then
-    echo "error: BinaryHeap outside the timer wheel ($wheel):" >&2
+    echo "error: BinaryHeap outside the kernel's event queue ($equeue):" >&2
     echo "$heap_hits" >&2
     echo >&2
-    echo "Schedule through legion_net::equeue::EventQueue instead; it preserves" >&2
-    echo "the deterministic (time, seq) pop order at amortized O(1)." >&2
+    echo "A second heap is a second scheduler that bypasses the seq funnel." >&2
+    echo "Schedule through the kernel (Inner::schedule) instead: its one heap" >&2
+    echo "pops in the deterministic (time, seq) order replay depends on." >&2
     exit 1
 fi
 
 push_hits=$(grep -rn 'queue\.push(' crates/ --include='*.rs' \
-    | grep -v "^$wheel:" || true)
+    | grep -v "^$equeue:" || true)
 push_count=$(printf '%s' "$push_hits" | grep -c . || true)
 
 if [[ "$push_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$push_hits"; then
-    echo "error: expected exactly one queue.push call site outside the wheel" >&2
+    echo "error: expected exactly one queue.push call site outside the queue" >&2
     echo "(the enqueue funnel in crates/net/src/sim.rs); found:" >&2
     echo "${push_hits:-<none>}" >&2
     echo >&2
@@ -176,7 +176,7 @@ if [[ -n "$kind_hits" ]]; then
     echo "$kind_hits" >&2
     echo >&2
     echo "Park the message in the kernel's MessageStore and queue its u32 handle:" >&2
-    echo "the wheel moves every event, and should not move the message with it." >&2
+    echo "the queue moves every event, and should not move the message with it." >&2
     exit 1
 fi
 
