@@ -270,8 +270,15 @@ fn hot_path_allocation_budgets() {
     matched_replies_resume_without_allocating();
 
     // A gated class answers GetInstanceInterface with a copy of a text it
-    // keeps: one allocation per serve, none to admit the call.
-    instance_interface_serves_clone_one_string();
+    // keeps, written into a pooled string: one allocation per serve for a
+    // caller that drops its replies, none for one that recycles them, and
+    // none to admit the call.
+    instance_interface_serves_into_pooled_strings(false);
+    instance_interface_serves_into_pooled_strings(true);
+
+    // A full class sheds into the string its caller's last refusal
+    // returned to the pool.
+    sheds_render_hints_into_pooled_strings();
 
     // Determinism of the measurement itself: the same seed must allocate
     // identically, or the ledger is noise.
@@ -475,117 +482,204 @@ fn matched_replies_resume_without_allocating() {
     );
 }
 
+const GATED_CLASS: legion_core::loid::Loid = legion_core::loid::Loid::class_object(16);
+const GATED_ROUNDS: u64 = 64;
+
+/// An admission-gated `File` class whose two halves of a call are
+/// bracketed apart: `on_message` either admits a call (ledger arithmetic,
+/// a push onto the deferred queue, a timer) or sheds it (a retry-after
+/// hint rendered into a reply), and `on_timer` serves an admitted one —
+/// decode, gate, handler, reply.
+struct GatedClass {
+    class: legion_runtime::class_endpoint::ClassEndpoint,
+    arrivals: Vec<u64>,
+    serves: Vec<u64>,
+}
+
+impl GatedClass {
+    /// Attach a class holding `queue_depth` calls of `service_ns` each.
+    fn attach(
+        k: &mut legion_net::sim::SimKernel,
+        service_ns: u64,
+        queue_depth: u64,
+    ) -> legion_net::sim::EndpointId {
+        use legion_core::address::ObjectAddressElement;
+        use legion_core::class::{ClassKind, ClassObject};
+        use legion_core::object::object_mandatory_interface;
+        use legion_core::wellknown::LEGION_OBJECT;
+        use legion_net::admission::AdmissionConfig;
+        use legion_net::topology::Location;
+        use legion_runtime::class_endpoint::{ClassConfig, ClassEndpoint};
+
+        let mut file = ClassObject::new(GATED_CLASS, "File#clone", ClassKind::NORMAL);
+        file.interface = object_mandatory_interface(LEGION_OBJECT);
+        let cfg = ClassConfig {
+            legion_class: ObjectAddressElement::sim(0),
+            magistrates: Vec::new(),
+            binding_agent: None,
+            binding_ttl_ns: None,
+            admission: Some(AdmissionConfig {
+                service_ns,
+                queue_depth,
+            }),
+            notify_holders: true,
+        };
+        let class = GatedClass {
+            class: ClassEndpoint::new(file, cfg),
+            arrivals: Vec::with_capacity(GATED_ROUNDS as usize + 1),
+            serves: Vec::with_capacity(GATED_ROUNDS as usize),
+        };
+        k.add_endpoint(Box::new(class), Location::new(0, 0), "class:File#clone")
+    }
+
+    /// Ask the class at `class` for its instance interface.
+    fn ask(ctx: &mut legion_net::sim::Ctx<'_>, class: legion_core::address::ObjectAddressElement) {
+        use legion_core::env::InvocationEnv;
+        use legion_core::loid::Loid;
+        let me = Loid::instance(99, 1);
+        let env = InvocationEnv::solo(me);
+        let method = symbol::GET_INSTANCE_INTERFACE;
+        ctx.call(class, GATED_CLASS, method, vec![], env, Some(me))
+            .expect("class reachable");
+    }
+}
+
+impl legion_net::sim::Endpoint for GatedClass {
+    fn on_message(&mut self, ctx: &mut legion_net::sim::Ctx<'_>, msg: legion_net::Message) {
+        let d = alloc_delta(|| self.class.on_message(ctx, msg));
+        self.arrivals.push(d);
+    }
+    fn on_timer(&mut self, ctx: &mut legion_net::sim::Ctx<'_>, tag: u64) {
+        let d = alloc_delta(|| self.class.on_timer(ctx, tag));
+        self.serves.push(d);
+    }
+}
+
 /// An admission-gated class asked for its instance interface over and
-/// over by one caller, each reply making the next call. The two halves
-/// of a served call are bracketed apart: `on_message` admits it (ledger
-/// arithmetic, a push onto the deferred queue, a timer) and `on_timer`
-/// serves it — decode, gate, handler, reply. The only allocation left is
-/// the handler's clone of the rendered text the endpoint keeps, where it
-/// used to sanitize the class name and render the whole IDL per call.
-fn instance_interface_serves_clone_one_string() {
+/// over by one caller, each reply making the next call. Admitting a call
+/// allocates nothing. The handler copies the rendered text the endpoint
+/// keeps into a string from the kernel pool: a caller that drops its
+/// replies leaves the pool empty, so each serve allocates that one
+/// string; a caller that recycles them hands the last reply's buffer
+/// back, and a warm serve allocates nothing.
+fn instance_interface_serves_into_pooled_strings(recycle: bool) {
     use legion_core::address::ObjectAddressElement;
-    use legion_core::class::{ClassKind, ClassObject};
-    use legion_core::env::InvocationEnv;
-    use legion_core::loid::Loid;
-    use legion_core::object::object_mandatory_interface;
     use legion_core::value::LegionValue;
-    use legion_core::wellknown::LEGION_OBJECT;
-    use legion_net::admission::AdmissionConfig;
     use legion_net::message::Body;
     use legion_net::sim::{Ctx, Endpoint, SimKernel};
     use legion_net::topology::Location;
-    use legion_runtime::class_endpoint::{ClassConfig, ClassEndpoint};
 
-    const ROUNDS: u64 = 64;
-    const CLASS: Loid = Loid::class_object(16);
-    struct Bracketed {
-        class: ClassEndpoint,
-        admits: Vec<u64>,
-        serves: Vec<u64>,
-    }
-    impl Endpoint for Bracketed {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
-            let d = alloc_delta(|| self.class.on_message(ctx, msg));
-            self.admits.push(d);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-            let d = alloc_delta(|| self.class.on_timer(ctx, tag));
-            self.serves.push(d);
-        }
-    }
     struct Asker {
         class: ObjectAddressElement,
+        recycle: bool,
         answered: u64,
-    }
-    impl Asker {
-        fn ask(&mut self, ctx: &mut Ctx<'_>) {
-            let me = Loid::instance(99, 1);
-            let env = InvocationEnv::solo(me);
-            let method = symbol::GET_INSTANCE_INTERFACE;
-            ctx.call(self.class, CLASS, method, vec![], env, Some(me))
-                .expect("class reachable");
-        }
     }
     impl Endpoint for Asker {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.ask(ctx);
+            GatedClass::ask(ctx, self.class);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
-            let Body::Reply { result, .. } = msg.body else {
+            let Body::Reply { result, .. } = &msg.body else {
                 panic!("the asker is only ever answered");
             };
             assert!(matches!(result, Ok(LegionValue::Str(text)) if text.contains("Ping")));
+            if self.recycle {
+                ctx.recycle_message(msg);
+            }
             self.answered += 1;
-            if self.answered < ROUNDS {
-                self.ask(ctx);
+            if self.answered < GATED_ROUNDS {
+                GatedClass::ask(ctx, self.class);
             }
         }
     }
 
     let mut k = SimKernel::with_seed(LEDGER_SEED);
-    let mut file = ClassObject::new(CLASS, "File#clone", ClassKind::NORMAL);
-    file.interface = object_mandatory_interface(LEGION_OBJECT);
-    let cfg = ClassConfig {
-        legion_class: ObjectAddressElement::sim(0),
-        magistrates: Vec::new(),
-        binding_agent: None,
-        binding_ttl_ns: None,
-        admission: Some(AdmissionConfig {
-            service_ns: 200_000,
-            queue_depth: 16,
-        }),
-        notify_holders: true,
-    };
-    let class = Bracketed {
-        class: ClassEndpoint::new(file, cfg),
-        admits: Vec::with_capacity(ROUNDS as usize),
-        serves: Vec::with_capacity(ROUNDS as usize),
-    };
-    let class = k.add_endpoint(Box::new(class), Location::new(0, 0), "class:File#clone");
+    let class = GatedClass::attach(&mut k, 200_000, 16);
     let asker = Asker {
         class: class.element(),
+        recycle,
         answered: 0,
     };
     let asker = k.add_endpoint(Box::new(asker), Location::new(0, 1), "asker");
     k.run_until_quiescent(u64::MAX);
     assert_eq!(
         k.endpoint::<Asker>(asker).expect("attached").answered,
-        ROUNDS
+        GATED_ROUNDS
     );
-    let c = k.endpoint::<Bracketed>(class).expect("attached");
+    let c = k.endpoint::<GatedClass>(class).expect("attached");
     assert_eq!(
-        (c.admits.len() as u64, c.serves.len() as u64),
-        (ROUNDS, ROUNDS)
+        (c.arrivals.len() as u64, c.serves.len() as u64),
+        (GATED_ROUNDS, GATED_ROUNDS)
     );
     // The counter is process-wide: take the quietest round, as
     // `alloc_delta_min` does.
-    let admit = c.admits.iter().min().expect("rounds ran");
+    let admit = c.arrivals.iter().min().expect("rounds ran");
     let serve = c.serves.iter().min().expect("rounds ran");
     assert_eq!(*admit, 0, "admitting a call allocated {admit} times");
+    let want = if recycle { 0 } else { 1 };
     assert_eq!(
-        *serve, 1,
-        "a GetInstanceInterface serve allocated {serve} times: not the one reply-string clone"
+        *serve, want,
+        "a GetInstanceInterface serve allocated {serve} times (recycling replies: {recycle})"
     );
+}
+
+/// A class whose admission queue is full — one call in a 10 s service —
+/// sheds a caller that asks again as soon as it is refused and hands each
+/// refusal back to the kernel pool. The retry-after hint is rendered into
+/// the string the last refusal returned, so a warm shed allocates nothing.
+fn sheds_render_hints_into_pooled_strings() {
+    use legion_core::address::ObjectAddressElement;
+    use legion_net::dispatch::is_overloaded;
+    use legion_net::message::Body;
+    use legion_net::sim::{Ctx, Endpoint, SimKernel};
+    use legion_net::topology::Location;
+
+    struct Retrier {
+        class: ObjectAddressElement,
+        shed: u64,
+        answered: u64,
+    }
+    impl Endpoint for Retrier {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            // The first call fills the queue; the second is shed.
+            GatedClass::ask(ctx, self.class);
+            GatedClass::ask(ctx, self.class);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: legion_net::Message) {
+            let Body::Reply { result, .. } = &msg.body else {
+                panic!("the retrier is only ever answered");
+            };
+            match result {
+                Ok(_) => self.answered += 1,
+                Err(e) => {
+                    assert!(is_overloaded(e).is_some(), "not a shed: {e}");
+                    self.shed += 1;
+                    if self.shed < GATED_ROUNDS {
+                        GatedClass::ask(ctx, self.class);
+                    }
+                }
+            }
+            ctx.recycle_message(msg);
+        }
+    }
+
+    let mut k = SimKernel::with_seed(LEDGER_SEED);
+    let class = GatedClass::attach(&mut k, 10_000_000_000, 1);
+    let retrier = Retrier {
+        class: class.element(),
+        shed: 0,
+        answered: 0,
+    };
+    let retrier = k.add_endpoint(Box::new(retrier), Location::new(0, 1), "retrier");
+    k.run_until_quiescent(u64::MAX);
+    let r = k.endpoint::<Retrier>(retrier).expect("attached");
+    assert_eq!((r.shed, r.answered), (GATED_ROUNDS, 1));
+    let c = k.endpoint::<GatedClass>(class).expect("attached");
+    // Arrival 0 is the admitted call and arrival 1 the cold shed, which
+    // finds the pool empty; every later arrival is a warm shed.
+    assert_eq!(c.arrivals.len() as u64, GATED_ROUNDS + 1);
+    let shed = c.arrivals[2..].iter().min().expect("rounds ran");
+    assert_eq!(*shed, 0, "a warm shed allocated {shed} times");
 }
 
 /// A fault-free E17-shaped wave (the CI-sized point: 73 agents, 16

@@ -157,19 +157,21 @@ pub fn is_timeout(err: &str) -> bool {
 
 const OVERLOAD_PREFIX: &str = "server overloaded, retry after ";
 
-/// The uniform load-shed rendering an overloaded endpoint substitutes
-/// for service ([`CoreError::Overloaded`]'s text on the wire). The hint
-/// tells the caller when to come back (see [`crate::admission`]). A
-/// shedding server pays this once per refused call, so the string is
-/// built in one exact-capacity allocation instead of grown by `format!`.
-pub fn overload_error(retry_after_ns: u64) -> String {
+/// Render the uniform load-shed text an overloaded endpoint substitutes
+/// for service ([`CoreError::Overloaded`]'s text on the wire) into
+/// `text`, replacing what it held. The hint tells the caller when to
+/// come back (see [`crate::admission`]). A shedding server pays this once
+/// per refused call, so it writes into a buffer the caller supplies —
+/// [`Ctx::take_string`] hands out a recycled one — and grows it at most
+/// once, to the exact length.
+pub fn write_overload_error(text: &mut String, retry_after_ns: u64) {
     let digits = retry_after_ns
         .checked_ilog10()
         .map_or(1, |d| d as usize + 1);
-    let mut text = String::with_capacity(OVERLOAD_PREFIX.len() + digits + "ns".len());
+    text.clear();
+    text.reserve_exact(OVERLOAD_PREFIX.len() + digits + "ns".len());
     text.push_str(OVERLOAD_PREFIX);
     write!(text, "{retry_after_ns}ns").expect("writing to a String cannot fail");
-    text
 }
 
 /// Parse the uniform overload rendering back out of a reply error,
@@ -929,7 +931,7 @@ mod tests {
     fn timeout_rendering_round_trips() {
         assert!(is_timeout(&timeout_error(500)));
         assert!(!is_timeout("some other error"));
-        assert!(!is_timeout(&overload_error(500)));
+        assert!(!is_timeout(&shed_text(500)));
     }
 
     #[test]
@@ -947,10 +949,16 @@ mod tests {
         assert!(Parked::park(&mut map, 1, "again"), "the key was emptied");
     }
 
+    fn shed_text(retry_after_ns: u64) -> String {
+        let mut text = String::new();
+        write_overload_error(&mut text, retry_after_ns);
+        text
+    }
+
     #[test]
     fn overload_rendering_is_the_core_error_in_one_allocation() {
         for ns in [0, 9, 10, 1_600_000, u64::MAX] {
-            let text = overload_error(ns);
+            let text = shed_text(ns);
             let core = CoreError::Overloaded { retry_after_ns: ns }.to_string();
             assert_eq!(text, core);
             assert_eq!(text.capacity(), text.len(), "{text}");
@@ -958,9 +966,19 @@ mod tests {
     }
 
     #[test]
+    fn overload_rendering_reuses_a_wide_enough_buffer() {
+        let mut text = String::with_capacity(64);
+        text.push_str("stale contents");
+        let buffer = text.as_ptr();
+        write_overload_error(&mut text, 1_250_000);
+        assert_eq!(text, shed_text(1_250_000));
+        assert_eq!((text.as_ptr(), text.capacity()), (buffer, 64));
+    }
+
+    #[test]
     fn overload_rendering_round_trips() {
-        assert_eq!(is_overloaded(&overload_error(0)), Some(0));
-        assert_eq!(is_overloaded(&overload_error(1_250_000)), Some(1_250_000));
+        assert_eq!(is_overloaded(&shed_text(0)), Some(0));
+        assert_eq!(is_overloaded(&shed_text(1_250_000)), Some(1_250_000));
         assert_eq!(is_overloaded(&timeout_error(500)), None);
         assert_eq!(is_overloaded("server overloaded, retry after xns"), None);
         assert_eq!(is_overloaded("unrelated"), None);

@@ -2,19 +2,24 @@
 //!
 //! The second half of the hot-path overhaul (the first is the
 //! [`crate::equeue`] event queue): stop paying malloc/free per delivery
-//! for the heap parts of a [`Message`] body. Two shapes dominate the
-//! §5.2 lookup traffic:
+//! for the heap parts of a [`Message`] body. Three shapes dominate the
+//! §5.2 traffic:
 //!
 //! * the **argument vector** of a call (`GetBinding(loid)` is one
-//!   element), allocated by the caller and dropped by the callee, and
+//!   element), allocated by the caller and dropped by the callee,
 //! * the **binding box** of a reply (`LegionValue::Binding(Box<Binding>)`;
 //!   the one-element Object Address inside it is stored inline, only a
 //!   replicated one owns an element buffer), allocated by the responder
-//!   and dropped by the requester.
+//!   and dropped by the requester, and
+//! * the **reply string** — an `Err` text (a shed call's retry-after
+//!   hint, §5.2.2) or a `LegionValue::Str` result (a class's
+//!   `GetInstanceInterface` IDL), written by the responder and dropped
+//!   by the requester.
 //!
-//! Both cycles close through the kernel: the caller draws a spent buffer
-//! from the pool ([`Ctx::take_args`](crate::sim::Ctx::take_args),
-//! [`Ctx::binding_value`](crate::sim::Ctx::binding_value)), and the
+//! Every cycle closes through the kernel: the producer draws a spent
+//! buffer from the pool ([`Ctx::take_args`](crate::sim::Ctx::take_args),
+//! [`Ctx::binding_value`](crate::sim::Ctx::binding_value),
+//! [`Ctx::take_string`](crate::sim::Ctx::take_string)), and the
 //! consumer returns the shell after extracting what it needs
 //! (`dispatch::serve` recycles served call bodies automatically;
 //! reply consumers recycle through
@@ -25,8 +30,9 @@
 //! ## Recycling rules (the invariants DESIGN.md documents)
 //!
 //! * Recycling is **semantically invisible**: a pooled buffer carries
-//!   capacity, never contents. `take_args` returns an empty vector;
-//!   `binding_value` overwrites every field of a recycled shell.
+//!   capacity, never contents. `take_args` and `take_string` return an
+//!   empty buffer; `binding_value` overwrites every field of a recycled
+//!   shell.
 //! * The pool is **bounded** ([`POOL_CAP`] buffers per shape): a burst
 //!   can't turn the free lists into a leak.
 //! * Recycling **never allocates**: a full pool drops the buffer
@@ -54,6 +60,9 @@ pub struct MessagePool {
     /// a `Box<Binding>`, so unboxing here would re-allocate on reuse.
     #[allow(clippy::vec_box)]
     shells: Vec<Box<Binding>>,
+    /// Spent reply strings (`Err` texts, `Str` results), cleared,
+    /// capacity retained.
+    strings: Vec<String>,
 }
 
 impl MessagePool {
@@ -77,6 +86,21 @@ impl MessagePool {
         }
     }
 
+    /// An empty string buffer: recycled if one is pooled, fresh
+    /// (unallocated until first write) otherwise.
+    pub fn take_string(&mut self) -> String {
+        self.strings.pop().unwrap_or_default()
+    }
+
+    /// Return a spent reply string. Contents are dropped here; capacity
+    /// is what the pool keeps.
+    fn recycle_string(&mut self, mut text: String) {
+        if text.capacity() > 0 && self.strings.len() < POOL_CAP {
+            text.clear();
+            self.strings.push(text);
+        }
+    }
+
     /// A `LegionValue::Binding` carrying a copy of `src`, built in a
     /// recycled shell when one is available (no allocation for a
     /// one-element address, or if the shell's element buffer is wide
@@ -95,26 +119,27 @@ impl MessagePool {
     }
 
     /// Recycle the heap shells of a spent value: binding boxes (with
-    /// their element buffers) and list vectors. Scalar values are
-    /// simply dropped.
+    /// their element buffers), list vectors and strings. Scalar values
+    /// are simply dropped.
     pub fn recycle_value(&mut self, value: LegionValue) {
         match value {
             LegionValue::Binding(shell) if self.shells.len() < POOL_CAP => {
                 self.shells.push(shell);
             }
             LegionValue::List(list) => self.recycle_args(list),
+            LegionValue::Str(text) => self.recycle_string(text),
             _ => {}
         }
     }
 
     /// Decompose a fully-handled message and recycle its body's buffers:
-    /// a call's argument vector, a reply's result value.
+    /// a call's argument vector, a reply's result value or error text.
     #[inline]
     pub fn recycle_message(&mut self, msg: Message) {
         match msg.body {
             Body::Call { args, .. } => self.recycle_args(args),
             Body::Reply { result: Ok(v), .. } => self.recycle_value(v),
-            Body::Reply { result: Err(_), .. } => {}
+            Body::Reply { result: Err(e), .. } => self.recycle_string(e),
         }
     }
 }
@@ -173,8 +198,26 @@ mod tests {
             let mut v = Vec::with_capacity(2);
             v.push(LegionValue::Uint(i as u64));
             pool.recycle_args(v);
+            pool.recycle_string(i.to_string());
         }
-        assert_eq!((pool.args.len(), pool.shells.len()), (POOL_CAP, POOL_CAP));
+        let lens = (pool.args.len(), pool.shells.len(), pool.strings.len());
+        assert_eq!(lens, (POOL_CAP, POOL_CAP, POOL_CAP));
+    }
+
+    #[test]
+    fn string_round_trip_keeps_capacity_and_clears() {
+        let mut pool = MessagePool::new();
+        let mut text = pool.take_string();
+        assert_eq!(text.capacity(), 0, "an empty pool hands out no buffer");
+        text.push_str("server overloaded, retry after 1250000ns");
+        let cap = text.capacity();
+        pool.recycle_string(text);
+        let again = pool.take_string();
+        assert!(again.is_empty(), "recycled string must come back empty");
+        assert_eq!(again.capacity(), cap, "capacity survives the round trip");
+        // Capacity-less strings are not worth pooling.
+        pool.recycle_string(String::new());
+        assert_eq!(pool.strings.len(), 0);
     }
 
     #[test]
@@ -195,5 +238,24 @@ mod tests {
         pool.recycle_message(call);
         pool.recycle_message(reply);
         assert_eq!((pool.args.len(), pool.shells.len()), (1, 1));
+    }
+
+    #[test]
+    fn recycle_message_routes_reply_strings() {
+        let mut pool = MessagePool::new();
+        let call = Message::call(
+            crate::message::CallId(1),
+            Loid::class_object(21),
+            legion_core::class::methods::GET_BINDING,
+            Vec::new(),
+            legion_core::env::InvocationEnv::default(),
+        );
+        let id = crate::message::CallId(2);
+        let shed = Message::reply_to(&call, id, Err("server overloaded".to_owned()));
+        let idl = Message::reply_to(&call, id, Ok(LegionValue::from("interface File {}")));
+        pool.recycle_message(shed);
+        pool.recycle_message(idl);
+        assert_eq!(pool.strings.len(), 2);
+        assert!(pool.take_string().is_empty());
     }
 }

@@ -1144,8 +1144,15 @@ impl Ctx<'_> {
         self.inner.pool.binding_value(src)
     }
 
+    /// An empty string from the kernel pool (capacity recycled from a
+    /// spent reply string when one is available): the buffer a reply's
+    /// error text or `Str` result is written into.
+    pub fn take_string(&mut self) -> String {
+        self.inner.pool.take_string()
+    }
+
     /// Recycle the heap shells of a consumed value (binding boxes, list
-    /// vectors) back into the kernel pool.
+    /// vectors, strings) back into the kernel pool.
     pub fn recycle_value(&mut self, value: LegionValue) {
         self.inner.pool.recycle_value(value);
     }

@@ -64,8 +64,8 @@ use legion_naming::protocol::{
 };
 use legion_net::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use legion_net::dispatch::{
-    is_timeout, overload_error, resume, serve, tick, Caller, Calls, MethodTable, Outcome, Parked,
-    TableBuilder,
+    is_timeout, resume, serve, tick, write_overload_error, Caller, Calls, MethodTable, Outcome,
+    Parked, TableBuilder,
 };
 use legion_net::message::{Message, ReplyTicket};
 use legion_net::sim::{Ctx, Endpoint, RecordKind};
@@ -288,7 +288,9 @@ impl ClassEndpoint {
             msg.method_sym().unwrap_or(symbol::EMPTY),
             retry_after_ns,
         );
-        if ctx.reply(&msg, Err(overload_error(retry_after_ns))) {
+        let mut hint = ctx.take_string();
+        write_overload_error(&mut hint, retry_after_ns);
+        if ctx.reply(&msg, Err(hint)) {
             ctx.count(symbol::NET_OVERLOAD_REPLIES);
         }
         ctx.recycle_message(msg);
@@ -412,7 +414,11 @@ impl ClassEndpoint {
                 class_proto::GET_INSTANCE_INTERFACE,
                 &[],
                 ParamType::Str,
-                |e, _ctx, _msg, ()| Outcome::Reply(Ok(LegionValue::from(e.instance_idl()))),
+                |e, ctx, _msg, ()| {
+                    let mut text = ctx.take_string();
+                    text.push_str(e.instance_idl());
+                    Outcome::Reply(Ok(LegionValue::Str(text)))
+                },
             )
             // InheritFrom's call to its base: the same text, then every
             // class this one inherits from.

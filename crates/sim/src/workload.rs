@@ -526,6 +526,9 @@ impl Endpoint for OpenLoopClient {
                 }
             },
         }
+        // The reply's text or value goes back to the kernel pool: the
+        // next shed hint or interface copy is written into it.
+        ctx.recycle_message(msg);
     }
 }
 
@@ -1132,7 +1135,9 @@ mod tests {
             }
             if self.shed_sent < self.sheds {
                 self.shed_sent += 1;
-                ctx.reply(&msg, Err(legion_net::dispatch::overload_error(50_000)));
+                let mut hint = ctx.take_string();
+                legion_net::dispatch::write_overload_error(&mut hint, 50_000);
+                ctx.reply(&msg, Err(hint));
             } else {
                 self.served += 1;
                 let value = match &self.answer {
