@@ -257,6 +257,18 @@ fn hot_path_allocation_budgets() {
     fresh_senders_deliver_without_allocating(false);
     fresh_senders_deliver_without_allocating(true);
 
+    // A network copy of a call is built in pooled buffers, and a copy
+    // the kernel suppresses, or a send it drops, hands its buffers back:
+    // calls with arguments over a duplicating or a lossy network
+    // allocate nothing once the pool is warm.
+    faulted_calls_with_arguments_allocate_nothing(true);
+    faulted_calls_with_arguments_allocate_nothing(false);
+
+    // The SLO tracker judges windows as the send clock passes them and
+    // keeps only the samples of windows not yet judged, in recycled
+    // buffers: a warm tracker records without allocating.
+    warm_slo_tracker_records_without_allocating();
+
     // Migration costs what it moves: a Move of an Inert object, and the
     // Host Object's half of an activation and a deactivation.
     inert_moves_allocate_for_what_they_move();
@@ -946,6 +958,128 @@ fn fresh_senders_deliver_without_allocating(duplicating: bool) {
         d, 0,
         "delivering from fresh senders (duplicating: {duplicating}) allocated {d} times"
     );
+}
+
+/// Bursts of 256 calls, each carrying one argument drawn from the kernel
+/// pool, from one caller to a receiver that recycles what it is sent —
+/// over a network that duplicates every message (`duplicating`) or
+/// silently drops half of them. The copy of each call is built in pooled
+/// buffers and the kernel suppresses it, or the send is lost; either way
+/// the buffers go back to the pool. Measured once a first burst has
+/// warmed the pool and the kernel's slabs: the quietest of three bursts.
+fn faulted_calls_with_arguments_allocate_nothing(duplicating: bool) {
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_core::value::LegionValue;
+    use legion_net::message::Message;
+    use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
+    use legion_net::topology::{Location, Topology};
+    use legion_net::FaultPlan;
+
+    const BURST: u64 = 256;
+    struct Caller {
+        to: EndpointId,
+    }
+    impl Endpoint for Caller {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            for i in 0..BURST {
+                let id = ctx.fresh_call_id();
+                let env = InvocationEnv::anonymous();
+                let args = ctx.args([LegionValue::Uint(i)]);
+                let msg = Message::call(id, Loid::instance(16, 1), "Ping", args, env);
+                assert!(ctx.send(self.to.element(), msg));
+            }
+        }
+    }
+    struct Recycler;
+    impl Endpoint for Recycler {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            ctx.recycle_message(msg);
+        }
+    }
+
+    let mut plan = FaultPlan::seeded(LEDGER_SEED);
+    if duplicating {
+        plan.set_duplicate_probability(1.0);
+    } else {
+        plan.set_drop_probability(0.5);
+    }
+    let mut k = SimKernel::new(Topology::fixed(1_000, 10_000, 1_000_000), plan, LEDGER_SEED);
+    let to = k.add_endpoint(Box::new(Recycler), Location::new(0, 0), "recycler");
+    let from = k.add_endpoint(Box::new(Caller { to }), Location::new(0, 1), "caller");
+    k.run_until_quiescent(u64::MAX);
+    let burst = |k: &mut SimKernel| {
+        alloc_delta(|| {
+            assert!(k.set_timer(from, 0, 0));
+            k.run_until_quiescent(u64::MAX);
+        })
+    };
+    burst(&mut k);
+    let d = (0..3).map(|_| burst(&mut k)).min().unwrap();
+    let received = k.meta(to).unwrap().received;
+    if duplicating {
+        assert_eq!(received, 4 * BURST);
+        assert_eq!(k.counters().get("net.dedup_dropped"), 4 * BURST);
+    } else {
+        assert!(received > 0 && received < 4 * BURST, "{received}");
+    }
+    assert_eq!(
+        d, 0,
+        "{BURST} calls with arguments (duplicating: {duplicating}) allocated {d} times"
+    );
+}
+
+/// SLO samples in kernel order, 100 000 per 10 000 one-microsecond
+/// windows: one sent every 100 ns to one of eight endpoints, each
+/// landing 2–5 µs later, so several windows are open at once and
+/// arrivals are not monotone. Measured once a first 100 000 have grown
+/// the open windows' buffers and the per-endpoint tally: the quietest
+/// of three runs of 100 000, 200 000 and 400 000 samples. Each run is
+/// longer than all before it, so a store that grows with the samples
+/// recorded (a per-delivery log, doubling) allocates in every run.
+fn warm_slo_tracker_records_without_allocating() {
+    use legion_obs::slo::{SloConfig, SloTracker};
+
+    const SAMPLES: u64 = 100_000;
+    let mut t = SloTracker::new(SloConfig {
+        window_ns: 1_000,
+        ..SloConfig::default()
+    });
+    let sample = |i: u64| {
+        let latency = 2_000 + (i * 7_919) % 3_000;
+        (i * 100 + latency, i % 8, latency)
+    };
+    let (mut next, mut run) = (0u64, SAMPLES);
+    let mut wave = |len: u64| {
+        for i in next..next + len {
+            let (at, endpoint, latency) = sample(i);
+            t.record(at, endpoint, latency);
+        }
+        next += len;
+    };
+    wave(SAMPLES);
+    let d = alloc_delta_min(|| {
+        wave(run);
+        run *= 2;
+    });
+    assert_eq!(
+        d, 0,
+        "a warm SLO tracker allocated {d} times for {SAMPLES} samples"
+    );
+    let report = t.report(|e| format!("ep{e}")).expect("tracking is on");
+    let mut windows = std::collections::BTreeSet::new();
+    for (at, endpoint, _) in (0..8 * SAMPLES).map(sample) {
+        windows.insert((endpoint, at / 1_000));
+    }
+    let judged: u64 = report.endpoints.iter().map(|e| e.windows).sum();
+    assert_eq!(report.endpoints.len(), 8);
+    assert_eq!(
+        judged,
+        windows.len() as u64,
+        "every (endpoint, window) judged once"
+    );
+    assert!(report.endpoints.iter().all(|e| e.violating == 0));
 }
 
 /// The `lifecycle_churn` migration in miniature: a churn driver moves

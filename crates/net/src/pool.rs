@@ -132,8 +132,9 @@ impl MessagePool {
         }
     }
 
-    /// Decompose a fully-handled message and recycle its body's buffers:
-    /// a call's argument vector, a reply's result value or error text.
+    /// Decompose a fully-handled or discarded message and recycle its
+    /// body's buffers: a call's argument vector, a reply's result value
+    /// or error text.
     #[inline]
     pub fn recycle_message(&mut self, msg: Message) {
         match msg.body {
@@ -141,6 +142,60 @@ impl MessagePool {
             Body::Reply { result: Ok(v), .. } => self.recycle_value(v),
             Body::Reply { result: Err(e), .. } => self.recycle_string(e),
         }
+    }
+
+    /// A copy of `msg` (the network's duplicate) built in pooled
+    /// buffers: equal to `msg.clone()`, without its allocations while
+    /// the pool holds spent bodies.
+    pub(crate) fn copy_message(&mut self, msg: &Message) -> Message {
+        let body = match &msg.body {
+            Body::Call { method, args } => Body::Call {
+                method: *method,
+                args: self.copy_list(args),
+            },
+            Body::Reply {
+                in_reply_to,
+                result,
+            } => Body::Reply {
+                in_reply_to: *in_reply_to,
+                result: match result {
+                    Ok(v) => Ok(self.copy_value(v)),
+                    Err(e) => Err(self.copy_string(e)),
+                },
+            },
+        };
+        Message {
+            id: msg.id,
+            target: msg.target,
+            reply_to: msg.reply_to,
+            sender: msg.sender,
+            env: msg.env,
+            body,
+        }
+    }
+
+    fn copy_value(&mut self, value: &LegionValue) -> LegionValue {
+        match value {
+            LegionValue::Binding(b) => self.binding_value(b),
+            LegionValue::List(list) => LegionValue::List(self.copy_list(list)),
+            LegionValue::Str(text) => LegionValue::Str(self.copy_string(text)),
+            scalar => scalar.clone(),
+        }
+    }
+
+    fn copy_list(&mut self, list: &[LegionValue]) -> Vec<LegionValue> {
+        let mut copy = self.take_args();
+        for value in list {
+            let value = self.copy_value(value);
+            copy.push(value);
+        }
+        copy
+    }
+
+    fn copy_string(&mut self, text: &str) -> String {
+        let mut copy = self.take_string();
+        copy.push_str(text);
+        copy
     }
 }
 
@@ -257,5 +312,43 @@ mod tests {
         pool.recycle_message(idl);
         assert_eq!(pool.strings.len(), 2);
         assert!(pool.take_string().is_empty());
+    }
+
+    #[test]
+    fn copies_equal_clones_and_draw_from_the_pool() {
+        let mut pool = MessagePool::new();
+        let args = vec![
+            LegionValue::Uint(1),
+            LegionValue::from(binding(2)),
+            LegionValue::List(vec![LegionValue::from("a"), LegionValue::Bool(true)]),
+        ];
+        let call = Message::call(
+            crate::message::CallId(1),
+            Loid::class_object(21),
+            legion_core::class::methods::GET_BINDING,
+            args,
+            legion_core::env::InvocationEnv::default(),
+        );
+        let id = crate::message::CallId(2);
+        let shed = Message::reply_to(&call, id, Err("server overloaded".to_owned()));
+        let bound = Message::reply_to(&call, id, Ok(LegionValue::from(binding(4))));
+        let messages = [call, shed, bound];
+        for msg in &messages {
+            let copy = pool.copy_message(msg);
+            assert_eq!(&copy, msg);
+            pool.recycle_message(copy);
+        }
+        // Each reply's buffer came back, and the call's argument vector
+        // (its contents are dropped); a second round takes them again
+        // and leaves the pool as it found it.
+        let held = (pool.args.len(), pool.shells.len(), pool.strings.len());
+        assert_eq!(held, (1, 1, 1));
+        for msg in &messages {
+            let copy = pool.copy_message(msg);
+            assert_eq!(&copy, msg);
+            pool.recycle_message(copy);
+        }
+        let again = (pool.args.len(), pool.shells.len(), pool.strings.len());
+        assert_eq!(again, held);
     }
 }

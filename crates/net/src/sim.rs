@@ -189,11 +189,12 @@ struct Event {
 /// The messages in flight, each parked once and named by a `u32`
 /// handle until it leaves. A send parks its message before it stamps
 /// anything, the delivering event carries the handle, and the message
-/// leaves exactly once: taken out by `step` for its handler, or dropped
-/// where it lies — by `step` for a dead letter or a dedup suppression,
-/// by `send_one` on a refusal or a silent loss. Freed entries are
-/// reused last-freed-first, so a handler's reply parks in the entry its
-/// call was just taken from, which is still warm.
+/// leaves exactly once, taken out: by `step` for its handler, or
+/// discarded ([`Inner::discard`], its buffers back to the pool) — by
+/// `step` for a dead letter or a dedup suppression, by `send_one` on a
+/// refusal or a silent loss. Freed entries are reused last-freed-first,
+/// so a handler's reply parks in the entry its call was just taken
+/// from, which is still warm.
 #[derive(Default)]
 struct MessageStore {
     entries: Vec<Option<Message>>,
@@ -216,9 +217,9 @@ impl MessageStore {
     }
 
     /// A second entry holding a copy of `h`'s message (a duplicate the
-    /// network made).
-    fn duplicate(&mut self, h: u32) -> u32 {
-        let copy = self.get(h).clone();
+    /// network made), its body built in `pool`'s buffers.
+    fn duplicate(&mut self, h: u32, pool: &mut MessagePool) -> u32 {
+        let copy = pool.copy_message(self.get(h));
         self.park(copy)
     }
 
@@ -236,13 +237,6 @@ impl MessageStore {
     fn take(&mut self, h: u32) -> Message {
         self.free.push(h);
         self.entries[h as usize].take().expect("a parked message")
-    }
-
-    /// Drop `h`'s message where it lies and free its entry.
-    fn release(&mut self, h: u32) {
-        debug_assert!(self.entries[h as usize].is_some(), "a parked message");
-        self.entries[h as usize] = None;
-        self.free.push(h);
     }
 
     /// Messages parked and not yet taken.
@@ -591,7 +585,7 @@ impl SimKernel {
                     ev.trace,
                     format_args!("dead_letter:{}", kind_sym(msg)),
                 );
-                self.inner.messages.release(h);
+                self.inner.discard(h);
             }
             return true;
         }
@@ -613,7 +607,7 @@ impl SimKernel {
                     ev.trace,
                     format_args!("dedup:{}", kind_sym(msg)),
                 );
-                self.inner.messages.release(h);
+                self.inner.discard(h);
                 return true;
             }
         }
@@ -757,6 +751,14 @@ impl Inner {
             kind,
         };
         self.queue.push(at.as_nanos(), seq, ev);
+    }
+
+    /// Take `h`'s message out of the store undelivered and hand its body
+    /// buffers back to the pool, as a served call's are: a dropped send
+    /// or copy leaves the pool as full as a delivered one would.
+    fn discard(&mut self, h: u32) {
+        let msg = self.messages.take(h);
+        self.pool.recycle_message(msg);
     }
 
     /// Run `id`'s `on_start` at the current time.
@@ -1023,7 +1025,7 @@ fn send_one(
     let refuse = |inner: &mut Inner, why: &str| {
         inner.stats.refused += 1;
         verdict(inner, RecordKind::Refuse, 0, format_args!("{why}"));
-        inner.messages.release(h);
+        inner.discard(h);
         false
     };
     let Some(ep) = to.sim_endpoint() else {
@@ -1043,7 +1045,7 @@ fn send_one(
     if judged == Verdict::DropSilently {
         inner.stats.lost += 1;
         verdict(inner, RecordKind::Drop, 0, format_args!("drop:silent"));
-        inner.messages.release(h);
+        inner.discard(h);
         return true;
     }
     // Latency is sampled only for messages that actually deliver, so the
@@ -1082,7 +1084,7 @@ fn send_one(
         extra_ns,
         format_args!("dup:+{extra_ns}ns"),
     );
-    let copy = inner.messages.duplicate(h);
+    let copy = inner.messages.duplicate(h, &mut inner.pool);
     let copy_at = at.saturating_add(extra_ns);
     let lat_ns = copy_at.as_nanos().saturating_sub(inner.now.as_nanos());
     inner.schedule(copy_at, dest, trace, lat_ns, EventKind::Copy(copy));

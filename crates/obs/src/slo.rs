@@ -12,6 +12,13 @@
 //! would have used by now) crosses the configured threshold on a
 //! violating window, a [`BurnEvent`] fires.
 //!
+//! Windows are judged as the run goes, not at its end. The kernel
+//! records a hop's sample when it sends the message, keyed by its
+//! arrival, so no later sample can arrive before the latest send time
+//! seen: a window that ends at or before it is final. The tracker keeps
+//! the samples of the windows not yet judged and, per endpoint, two
+//! counts and the burn events of the judged ones (see [`SloTracker`]).
+//!
 //! Quantiles are exact (sorted samples, nearest-rank), not the ~2×
 //! log-bucket approximation [`Histogram`](struct@crate::analysis) users
 //! get elsewhere — objectives are contracts, and a contract checked
@@ -91,41 +98,193 @@ pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Collects per-endpoint latency samples into windows of virtual time.
-/// Disabled (the kernel default) until given a config; recording while
-/// disabled is a no-op.
+/// Collects per-endpoint latency samples into windows of virtual time
+/// and judges each window once it has closed. Disabled (the kernel
+/// default) until given a config; recording while disabled is a no-op.
 ///
-/// Recording sits on the kernel's delivery path, so the tracker keeps a
-/// single flat sample log — one amortized `Vec` push per delivery, no
-/// per-window map nodes or per-window buffers. Bucketing into windows
-/// happens once, at [`report`](SloTracker::report) time (the cold path).
+/// **The close rule.** A sample `(at, endpoint, latency)` was taken at
+/// `at − latency`: the kernel records a hop when it sends the message,
+/// keyed by its arrival, and `Ctx::slo_record` records a response time at
+/// the current instant, later still. The tracker keeps the latest such
+/// sender clock. Virtual time never runs backwards, so every later sample
+/// arrives no earlier than that clock (debug builds assert it), and a
+/// window that ends at or before it is final. Before a sample is filed,
+/// its endpoint's windows that the clock has passed are judged, in start
+/// order — each window's latencies sorted once, its exact p50/p99 folded
+/// into the endpoint's counts (windows, violating) and any burn event
+/// into one shared log. Each endpoint's windows are judged in the order a
+/// sort of every sample would take them, so the counts and burn rates
+/// come out the same bits; [`report`](SloTracker::report) judges the
+/// windows still open on a copy.
+///
+/// Recording sits on the kernel's delivery path, so the tracker keeps
+/// only the samples of windows not yet judged, in buffers recycled from
+/// judged ones: a warm tracker records without allocating, and its memory
+/// is what the messages in flight will land in, not one entry per
+/// delivery of the run. Endpoint ids index a flat table, so they should
+/// be dense, as the kernel's are.
 #[derive(Debug, Clone, Default)]
 pub struct SloTracker {
     cfg: Option<SloConfig>,
-    /// `(endpoint, window start ns, latency ns)`, in arrival order.
-    samples: Vec<(u64, u64, u64)>,
+    fold: WindowFold,
     /// Incremental burn monitor (opt-in; see [`SloTracker::new_online`]).
     online: Option<OnlineMonitor>,
 }
 
+/// The exact streaming fold behind [`SloTracker`]: the samples of the
+/// windows not yet judged plus what the judged ones came to.
+#[derive(Debug, Clone, Default)]
+struct WindowFold {
+    /// The latest sender clock, `at − latency`, recorded.
+    clock: u64,
+    /// Indexed by endpoint id.
+    endpoints: Vec<EndpointFold>,
+    /// Every endpoint's windows not yet judged, each endpoint's linked in
+    /// start order from its `head`. A freed slot keeps its buffer.
+    slab: Vec<OpenWindow>,
+    /// Free slots of `slab`, last freed first.
+    free: Vec<u32>,
+    /// `(endpoint, event)` in firing order: one endpoint's in window order.
+    burns: Vec<(u64, BurnEvent)>,
+}
+
+/// The end of an endpoint's list of windows.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct EndpointFold {
+    /// Its earliest window not yet judged, or [`NIL`].
+    head: u32,
+    /// Windows judged.
+    windows: u64,
+    /// Windows that violated.
+    violating: u64,
+}
+
+impl Default for EndpointFold {
+    fn default() -> Self {
+        EndpointFold {
+            head: NIL,
+            windows: 0,
+            violating: 0,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct OpenWindow {
+    start: u64,
+    /// The endpoint's next window, or [`NIL`].
+    next: u32,
+    /// Latencies, ns, in arrival order.
+    latencies: Vec<u64>,
+}
+
+impl WindowFold {
+    fn record(&mut self, cfg: &SloConfig, start: u64, at_ns: u64, endpoint: u64, latency_ns: u64) {
+        debug_assert!(
+            at_ns >= self.clock,
+            "an SLO sample arriving at {at_ns} ns was recorded after the sender clock reached {} ns",
+            self.clock
+        );
+        self.clock = self.clock.max(at_ns.saturating_sub(latency_ns));
+        let i = usize::try_from(endpoint).expect("an endpoint id indexes the tally");
+        if i >= self.endpoints.len() {
+            self.endpoints.resize(i + 1, EndpointFold::default());
+        }
+        self.judge_until(cfg, endpoint, self.clock);
+        // Walk to the first window that does not start before the
+        // sample's; most samples land in the first one.
+        let (mut prev, mut at) = (NIL, self.endpoints[i].head);
+        while at != NIL && self.slab[at as usize].start < start {
+            prev = at;
+            at = self.slab[at as usize].next;
+        }
+        if at != NIL && self.slab[at as usize].start == start {
+            self.slab[at as usize].latencies.push(latency_ns);
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 open windows");
+                self.slab.push(OpenWindow {
+                    start,
+                    next: NIL,
+                    latencies: Vec::new(),
+                });
+                slot
+            }
+        };
+        let w = &mut self.slab[slot as usize];
+        w.start = start;
+        w.next = at;
+        w.latencies.push(latency_ns);
+        match prev {
+            NIL => self.endpoints[i].head = slot,
+            prev => self.slab[prev as usize].next = slot,
+        }
+    }
+
+    /// Judge, in start order, each of `endpoint`'s windows that ends at
+    /// or before `clock`, and free its slot.
+    fn judge_until(&mut self, cfg: &SloConfig, endpoint: u64, clock: u64) {
+        let ep = &mut self.endpoints[endpoint as usize];
+        while ep.head != NIL {
+            let w = &mut self.slab[ep.head as usize];
+            if w.start.saturating_add(cfg.window_ns) > clock {
+                break;
+            }
+            if w.latencies.len() > 1 {
+                w.latencies.sort_unstable();
+            }
+            ep.windows += 1;
+            let objective = cfg.objective_for(endpoint);
+            let burn = judge_window(
+                &objective,
+                w.start,
+                &w.latencies,
+                ep.windows,
+                &mut ep.violating,
+            );
+            self.burns.extend(burn.map(|b| (endpoint, b)));
+            w.latencies.clear();
+            self.free.push(ep.head);
+            ep.head = w.next;
+        }
+    }
+
+    /// Forget every sample and verdict, keeping the buffers.
+    fn clear(&mut self) {
+        self.clock = 0;
+        self.burns.clear();
+        self.endpoints.fill(EndpointFold::default());
+        self.free.clear();
+        for (slot, w) in (0u32..).zip(&mut self.slab) {
+            w.latencies.clear();
+            self.free.push(slot);
+        }
+    }
+}
+
 /// Incremental per-endpoint window state for the online burn monitor.
 ///
-/// The batch [`report`](SloTracker::report) evaluates windows at the end
-/// of a run — too late for a control loop that must react *during* the
-/// run. The online monitor closes each endpoint's window as soon as a
-/// sample lands in a later one, evaluates it against the objective with
-/// the same exact nearest-rank quantiles and cumulative burn arithmetic
-/// as the batch path, and queues fired [`BurnEvent`]s for a consumer
-/// (the auto-scaling policy) to drain. Storage is bounded by one open
+/// The tracker's [`report`](SloTracker::report) is read at the end of a
+/// run — too late for a control loop that must react *during* the run.
+/// The online monitor closes each endpoint's window as soon as a sample
+/// lands in a later one, evaluates it against the objective with the
+/// same exact nearest-rank quantiles and cumulative burn arithmetic as
+/// the report, and queues fired [`BurnEvent`]s for a consumer (the
+/// auto-scaling policy) to drain. Storage is bounded by one open
 /// window's samples per endpoint.
 ///
-/// One deliberate divergence from the batch report: the kernel records a
+/// One deliberate divergence from the report: the kernel records a
 /// delivery's SLO sample at *send* time keyed by its future arrival, so
-/// per-endpoint window starts are not strictly monotone. The batch sort
-/// puts late samples in their true window; the online monitor folds a
-/// sample for an already-closed window into the open one (a window, once
-/// judged, stays judged). The monitor is a control signal — the batch
-/// report remains the contract.
+/// per-endpoint window starts are not strictly monotone. The report puts
+/// late samples in their true window; the online monitor folds a sample
+/// for an already-closed window into the open one (a window, once
+/// judged, stays judged). The monitor is a control signal — the report
+/// remains the contract.
 #[derive(Debug, Clone, Default)]
 struct OnlineMonitor {
     per_endpoint: BTreeMap<u64, OnlineEndpoint>,
@@ -147,7 +306,7 @@ impl OnlineMonitor {
         if start > state.window_start && !state.pending.is_empty() {
             state.pending.sort_unstable();
             state.windows_seen += 1;
-            let (_, burn) = judge_window(
+            let burn = judge_window(
                 &cfg.objective_for(endpoint),
                 state.window_start,
                 &state.pending,
@@ -174,7 +333,13 @@ impl SloTracker {
         cfg.window_ns = cfg.window_ns.max(1);
         SloTracker {
             cfg: Some(cfg),
-            samples: Vec::with_capacity(1024),
+            // A table for a thousand endpoints up front (24 KiB): a run
+            // that attaches endpoints mid-way, as E12's measured wave
+            // does its clients, does not grow it while measured.
+            fold: WindowFold {
+                endpoints: Vec::with_capacity(1024),
+                ..WindowFold::default()
+            },
             online: None,
         }
     }
@@ -209,74 +374,64 @@ impl SloTracker {
     }
 
     /// Record a delivery latency observed at virtual time `at_ns` for
-    /// `endpoint`.
+    /// `endpoint`. The sample was taken at `at_ns − latency_ns`, and no
+    /// sample recorded after it may arrive before that instant (the
+    /// close rule above).
     #[inline]
     pub fn record(&mut self, at_ns: u64, endpoint: u64, latency_ns: u64) {
         let Some(cfg) = &self.cfg else {
             return;
         };
         let start = (at_ns / cfg.window_ns) * cfg.window_ns;
-        self.samples.push((endpoint, start, latency_ns));
+        self.fold.record(cfg, start, at_ns, endpoint, latency_ns);
         if let Some(online) = &mut self.online {
             online.observe(cfg, endpoint, start, latency_ns);
         }
     }
 
-    /// Drop collected samples and online-monitor state, keeping the
-    /// configuration (and the monitor, if one was enabled).
+    /// Drop collected samples, verdicts and online-monitor state, keeping
+    /// the configuration (and the monitor, if one was enabled).
     pub fn clear(&mut self) {
-        self.samples.clear();
+        self.fold.clear();
         if let Some(online) = &mut self.online {
             *online = OnlineMonitor::default();
         }
     }
 
     /// Evaluate every endpoint's windows against its objective,
-    /// resolving endpoint ids to names with `name_of`. Returns `None`
-    /// when the tracker is disabled.
+    /// resolving endpoint ids to names with `name_of`. Windows still open
+    /// are judged on a copy, so recording can go on. Returns `None` when
+    /// the tracker is disabled.
     pub fn report(&self, name_of: impl Fn(u64) -> String) -> Option<SloReport> {
         let cfg = self.cfg.as_ref()?;
-        // Bucket the flat log: one lexicographic sort groups samples by
-        // (endpoint, window start) and leaves each group's latencies
-        // ascending, ready for exact nearest-rank quantiles.
-        let mut log = self.samples.clone();
-        log.sort_unstable();
-        let mut endpoints: Vec<EndpointSlo> = Vec::new();
-        let mut current: Option<EndpointSlo> = None;
-        let mut i = 0;
-        while i < log.len() {
-            let (endpoint, start, _) = log[i];
-            let mut j = i;
-            while j < log.len() && log[j].0 == endpoint && log[j].1 == start {
-                j += 1;
-            }
-            let sorted: Vec<u64> = log[i..j].iter().map(|&(_, _, lat)| lat).collect();
-            i = j;
-            if current.as_ref().map(|c| c.endpoint) != Some(endpoint) {
-                if let Some(done) = current.take() {
-                    endpoints.push(finish_endpoint(done));
+        let mut fold = self.fold.clone();
+        for endpoint in 0..fold.endpoints.len() as u64 {
+            fold.judge_until(cfg, endpoint, u64::MAX);
+        }
+        // A stable sort by endpoint keeps each endpoint's events in
+        // window order.
+        fold.burns.sort_by_key(|&(endpoint, _)| endpoint);
+        let mut burns = fold.burns.into_iter().peekable();
+        let endpoints = (0u64..)
+            .zip(&fold.endpoints)
+            .filter(|(_, ep)| ep.windows > 0)
+            .map(|(endpoint, ep)| {
+                let mut burn_events = Vec::new();
+                while let Some((_, b)) = burns.next_if(|&(e, _)| e == endpoint) {
+                    burn_events.push(b);
                 }
-                current = Some(EndpointSlo {
+                finish_endpoint(EndpointSlo {
                     endpoint,
                     name: name_of(endpoint),
                     objective: cfg.objective_for(endpoint),
-                    windows: Vec::new(),
-                    violating: 0,
+                    windows: ep.windows,
+                    violating: ep.violating,
                     budget_used: 0.0,
                     ok: true,
-                    burn_events: Vec::new(),
-                });
-            }
-            let slo = current.as_mut().expect("just initialized");
-            let seen = slo.windows.len() as u64 + 1;
-            let (verdict, burn) =
-                judge_window(&slo.objective, start, &sorted, seen, &mut slo.violating);
-            slo.windows.push(verdict);
-            slo.burn_events.extend(burn);
-        }
-        if let Some(done) = current.take() {
-            endpoints.push(finish_endpoint(done));
-        }
+                    burn_events,
+                })
+            })
+            .collect();
         Some(SloReport {
             window_ns: cfg.window_ns,
             endpoints,
@@ -285,47 +440,37 @@ impl SloTracker {
 }
 
 /// Judge one window of ascending latencies starting at `start`: its
-/// exact nearest-rank p50/p99 verdict against `objective`, then, if it
-/// violated, the cumulative burn check — the fraction of the `seen`
-/// windows so far (this one included) that violated, as a multiple of
-/// the sustainable rate (= the error budget itself). `violating` counts
-/// the violating windows and is bumped here. The batch report and the
-/// online monitor both judge through this one function.
+/// exact nearest-rank p50/p99 against `objective`, then, if it violated,
+/// the cumulative burn check — the fraction of the `seen` windows so far
+/// (this one included) that violated, as a multiple of the sustainable
+/// rate (= the error budget itself). `violating` counts the violating
+/// windows and is bumped here. The tracker and the online monitor both
+/// judge through this one function.
 fn judge_window(
     objective: &SloObjective,
     start: u64,
     sorted: &[u64],
     seen: u64,
     violating: &mut u64,
-) -> (WindowVerdict, Option<BurnEvent>) {
-    let p50 = quantile_sorted(sorted, 0.50);
-    let p99 = quantile_sorted(sorted, 0.99);
-    let ok = p50 <= objective.p50_ns && p99 <= objective.p99_ns;
-    let verdict = WindowVerdict {
-        start,
-        count: sorted.len() as u64,
-        p50_ns: p50,
-        p99_ns: p99,
-        ok,
-    };
-    let mut event = None;
-    if !ok {
-        *violating += 1;
-        if objective.error_budget > 0.0 {
-            let burn = (*violating as f64 / seen as f64) / objective.error_budget;
-            if burn >= objective.burn_threshold {
-                event = Some(BurnEvent {
-                    window_start: start,
-                    burn_rate: burn,
-                });
-            }
-        }
+) -> Option<BurnEvent> {
+    let ok = quantile_sorted(sorted, 0.50) <= objective.p50_ns
+        && quantile_sorted(sorted, 0.99) <= objective.p99_ns;
+    if ok {
+        return None;
     }
-    (verdict, event)
+    *violating += 1;
+    if objective.error_budget <= 0.0 {
+        return None;
+    }
+    let burn = (*violating as f64 / seen as f64) / objective.error_budget;
+    (burn >= objective.burn_threshold).then_some(BurnEvent {
+        window_start: start,
+        burn_rate: burn,
+    })
 }
 
 fn finish_endpoint(mut slo: EndpointSlo) -> EndpointSlo {
-    let windows = slo.windows.len() as f64;
+    let windows = slo.windows as f64;
     slo.budget_used = if windows > 0.0 && slo.objective.error_budget > 0.0 {
         (slo.violating as f64 / windows) / slo.objective.error_budget
     } else {
@@ -333,21 +478,6 @@ fn finish_endpoint(mut slo: EndpointSlo) -> EndpointSlo {
     };
     slo.ok = slo.budget_used <= 1.0;
     slo
-}
-
-/// One window's exact quantiles and verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowVerdict {
-    /// Window start, virtual ns.
-    pub start: u64,
-    /// Samples in the window.
-    pub count: u64,
-    /// Exact nearest-rank median.
-    pub p50_ns: u64,
-    /// Exact nearest-rank 99th percentile.
-    pub p99_ns: u64,
-    /// Did the window meet both objectives?
-    pub ok: bool,
 }
 
 /// The burn-rate alarm: fired on a violating window once the cumulative
@@ -370,8 +500,8 @@ pub struct EndpointSlo {
     pub name: String,
     /// The objective it was judged against.
     pub objective: SloObjective,
-    /// Per-window verdicts, in window order.
-    pub windows: Vec<WindowVerdict>,
+    /// Windows that received samples.
+    pub windows: u64,
     /// Windows that violated.
     pub violating: u64,
     /// Violating fraction ÷ error budget (> 1.0 = budget blown).
@@ -419,7 +549,7 @@ impl SloReport {
                                     "error_budget_ppm".to_string(),
                                     Value::U64(to_ppm(e.objective.error_budget)),
                                 ),
-                                ("windows".to_string(), Value::U64(e.windows.len() as u64)),
+                                ("windows".to_string(), Value::U64(e.windows)),
                                 ("violating".to_string(), Value::U64(e.violating)),
                                 (
                                     "budget_used_ppm".to_string(),
@@ -503,26 +633,102 @@ mod tests {
         assert!(t.report(|_| String::new()).is_none());
     }
 
-    #[test]
-    fn windows_bucket_by_virtual_time() {
-        let mut t = SloTracker::new(cfg(100, 50, 90, 0.5));
-        // Window [0,100): meets both objectives.
+    /// The four samples of `windows_bucket_by_virtual_time`, judged
+    /// against `(p50, p99)` objectives: the report's one endpoint.
+    fn two_windows(p50: u64, p99: u64) -> EndpointSlo {
+        let mut t = SloTracker::new(cfg(100, p50, p99, 0.5));
+        // Window [0,100): latencies 40 and 45.
         t.record(10, 1, 40);
         t.record(90, 1, 45);
-        // Window [100,200): p50 blows the objective.
+        // Window [100,200): latencies 80 and 90.
         t.record(150, 1, 80);
         t.record(199, 1, 90);
         let r = t.report(|e| format!("ep{e}")).unwrap();
         assert_eq!(r.endpoints.len(), 1);
-        let e = &r.endpoints[0];
-        assert_eq!(e.windows.len(), 2);
-        assert!(e.windows[0].ok);
-        assert_eq!(e.windows[0].p50_ns, 40);
-        assert!(!e.windows[1].ok);
+        r.endpoints[0].clone()
+    }
+
+    #[test]
+    fn windows_bucket_by_virtual_time() {
+        // The first window meets (50, 90); the second's p50 blows it.
+        let e = two_windows(50, 90);
+        assert_eq!(e.windows, 2);
         assert_eq!(e.violating, 1);
         // 1 of 2 windows violating at budget 0.5 → budget exactly spent.
         assert!((e.budget_used - 1.0).abs() < 1e-9);
         assert!(e.ok);
+        // Each window's exact quantiles: an objective equal to one
+        // passes, one 1 ns below it fails.
+        assert_eq!(two_windows(40, 1_000).violating, 1, "p50 of [0,100) is 40");
+        assert_eq!(two_windows(39, 1_000).violating, 2);
+        assert_eq!(
+            two_windows(80, 1_000).violating,
+            0,
+            "p50 of [100,200) is 80"
+        );
+        assert_eq!(two_windows(79, 1_000).violating, 1);
+        assert_eq!(two_windows(1_000, 45).violating, 1, "p99 of [0,100) is 45");
+        assert_eq!(two_windows(1_000, 44).violating, 2);
+        assert_eq!(
+            two_windows(1_000, 90).violating,
+            0,
+            "p99 of [100,200) is 90"
+        );
+        assert_eq!(two_windows(1_000, 89).violating, 1);
+    }
+
+    #[test]
+    fn windows_are_judged_once_the_sender_clock_passes_them() {
+        let mut t = SloTracker::new(cfg(100, 50, 50, 0.5));
+        // Endpoint `ep`'s windows not yet judged, by start.
+        let open = |t: &SloTracker, ep: usize| {
+            let mut starts = Vec::new();
+            let mut at = t.fold.endpoints[ep].head;
+            while at != NIL {
+                starts.push(t.fold.slab[at as usize].start);
+                at = t.fold.slab[at as usize].next;
+            }
+            starts
+        };
+        t.record(30, 3, 0); // sent at 30: endpoint 3's [0,100) opens
+        t.record(250, 1, 200); // sent at 50: endpoint 1's [200,300) opens
+        t.record(150, 1, 90); // sent at 60: [100,200) goes first
+        t.record(210, 1, 110); // sent at 100: [0,100) is final
+        assert_eq!(
+            open(&t, 1),
+            [100, 200],
+            "endpoint 1's windows, in start order"
+        );
+        assert_eq!(
+            open(&t, 3),
+            [0],
+            "endpoint 3's [0,100) waits for its next sample"
+        );
+        t.record(250, 3, 140); // sent at 110
+        assert_eq!(t.fold.endpoints[3].windows, 1);
+        assert_eq!(
+            open(&t, 3),
+            [200],
+            "[200,300) took the judged window's slot"
+        );
+        assert_eq!(t.fold.slab.len(), 3);
+        // The report judges the open windows on a copy.
+        let r = t.report(|_| String::new()).unwrap();
+        let windows: Vec<(u64, u64)> = r
+            .endpoints
+            .iter()
+            .map(|e| (e.endpoint, e.windows))
+            .collect();
+        assert_eq!(windows, [(1, 2), (3, 2)]);
+        assert_eq!(r.endpoints[0].violating, 2);
+        assert_eq!(open(&t, 1), [100, 200], "reporting judges nothing in place");
+        t.clear();
+        assert!(open(&t, 1).is_empty() && t.fold.endpoints[3].windows == 0);
+        assert_eq!(
+            t.fold.free.len(),
+            3,
+            "every slot is free and keeps its buffer"
+        );
     }
 
     #[test]

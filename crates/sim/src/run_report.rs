@@ -193,7 +193,7 @@ impl RunReport {
         for e in &self.run.slo.endpoints {
             slo.row(vec![
                 e.name.clone(),
-                e.windows.len().to_string(),
+                e.windows.to_string(),
                 e.violating.to_string(),
                 format!("{}ppm", (e.budget_used * 1_000_000.0).round() as u64),
                 e.burn_events.len().to_string(),

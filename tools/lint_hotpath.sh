@@ -20,6 +20,12 @@
 #     send; everything after it, duplicates included, works on the
 #     store's handle. A second park site is a second copy, or an entry
 #     nothing is scheduled to take out again.
+#   * `messages.release(` appears anywhere under crates/: the message
+#     store has no drop-only exit. A message leaves it taken out — for
+#     its handler, or discarded through `Inner::discard`, which hands its
+#     body buffers back to the kernel pool. A message dropped where it
+#     lies (a drop verdict, a suppressed copy, a dead letter) takes its
+#     buffers to the allocator, and the next sends pay to replace them.
 #   * `EventKind` (crates/net/src/sim.rs) holds a `Message` in any form.
 #     A queued event carries its message's handle into the store: the
 #     queue's slab moves every event in and out, and a message inline
@@ -87,6 +93,17 @@ if [[ "$park_count" -ne 1 ]] || ! grep -q '^crates/net/src/sim\.rs:' <<<"$park_h
     echo >&2
     echo "Send through park_and_send, and hand the parked message on by its" >&2
     echo "handle: each send copies its message into the store once." >&2
+    exit 1
+fi
+
+release_hits=$(grep -rn 'messages\.release(' crates/ --include='*.rs' || true)
+
+if [[ -n "$release_hits" ]]; then
+    echo "error: a message leaves the kernel's message store without its buffers:" >&2
+    echo "$release_hits" >&2
+    echo >&2
+    echo "Discard it through Inner::discard (crates/net/src/sim.rs): it takes the" >&2
+    echo "message out and recycles its body into the pool, as a served call does." >&2
     exit 1
 fi
 
