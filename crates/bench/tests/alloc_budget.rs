@@ -810,7 +810,7 @@ fn snapshot_allocations_are_none_at_steady_state() {
     }
 }
 
-/// Ten thousand appends through a writer that has already handed a block
+/// Thirty thousand appends through a writer that has already handed a block
 /// over: the writer frames in a buffer it keeps, so what is allocated is
 /// what the sink keeps — one block per [`legion_journal::journal::BLOCK`]
 /// bytes.
@@ -837,15 +837,16 @@ fn steady_appends_allocate_the_sinks_blocks_only() {
     }
     let (held, written) = (sink.len(), w.bytes());
     let (a0, b0) = alloc_counter::counts();
-    for _ in 0..10_000 {
+    for _ in 0..30_000 {
         append(&mut w);
     }
     let (a1, b1) = alloc_counter::counts();
     let blocks = ((sink.len() - held) / BLOCK) as u64;
     let written = w.bytes() - written;
-    assert!(blocks >= 4, "10 000 records fill several blocks: {blocks}");
-    // Measured: 5 allocations, 262 272 bytes for 4 blocks (320 000 bytes
-    // appended) — the blocks, and the sink's list of them doubling once.
+    assert!(blocks >= 4, "30 000 records fill several blocks: {blocks}");
+    // Measured: 5 allocations, 262 289 bytes for 4 blocks (320 298 bytes
+    // appended, 10.7 per record) — the blocks, and the sink's list of
+    // them doubling once.
     assert!(
         a1 - a0 <= blocks + 1 && b1 - b0 <= written,
         "{} allocations, {} bytes for {blocks} blocks ({written} bytes appended)",

@@ -1,17 +1,18 @@
 //! Divergence bisection: find the first record where two journals
 //! differ.
 //!
-//! Both journals are indexed (which checks every frame and checksum),
-//! then their record bodies are compared in order up to the first
-//! difference or the end of the shorter one, and the divergence is
-//! reported with a rendered flight-recorder-style context window from
-//! each journal.
+//! Both journals are indexed (which checks every block's framing and
+//! checksum), then their records are decoded and compared field by
+//! field, in order, to the end of both — so a record that fails to
+//! decode in either is a typed error too. The first difference, or the
+//! end of the shorter journal, is reported with a rendered
+//! flight-recorder-style context window from each journal.
 
-use crate::journal::{index, render_context, RecordSlice};
+use crate::journal::{index, render_context, BlockSlice, Walk};
 use crate::record::JournalError;
 
 /// Radius of the rendered context windows.
-const CONTEXT_RADIUS: usize = 8;
+const CONTEXT_RADIUS: u64 = 8;
 
 /// The bisector's verdict on two journals.
 #[derive(Debug, Clone)]
@@ -55,39 +56,47 @@ impl std::fmt::Display for BisectReport {
 
 /// Find the first record where journals `a` and `b` differ.
 pub fn bisect(a: &[u8], b: &[u8]) -> Result<BisectReport, JournalError> {
-    let (_, slices_a) = index(a)?;
-    let (_, slices_b) = index(b)?;
-    let common = slices_a.len().min(slices_b.len());
-    let first_diff = (0..common)
-        .find(|&i| slices_a[i].body(a) != slices_b[i].body(b))
-        .unwrap_or(common);
-    let diverged = (first_diff < slices_a.len().max(slices_b.len())).then_some(first_diff);
+    let (_, blocks_a) = index(a)?;
+    let (_, blocks_b) = index(b)?;
+    let (mut walk_a, mut walk_b) = (Walk::new(), Walk::new());
+    let mut diverged = None;
+    loop {
+        let seq = walk_a.seq().max(walk_b.seq());
+        let (ra, rb) = (walk_a.next(a, &blocks_a)?, walk_b.next(b, &blocks_b)?);
+        if ra.is_none() && rb.is_none() {
+            break;
+        }
+        if ra != rb && diverged.is_none() {
+            diverged = Some(seq);
+        }
+    }
+    let (total_a, total_b) = (walk_a.seq(), walk_b.seq());
     let (context_a, context_b) = match diverged {
         None => (String::new(), String::new()),
-        Some(idx) => (
-            context_or_end(a, &slices_a, idx),
-            context_or_end(b, &slices_b, idx),
+        Some(seq) => (
+            context_or_end(a, &blocks_a, total_a, seq),
+            context_or_end(b, &blocks_b, total_b, seq),
         ),
     };
     Ok(BisectReport {
-        total_a: slices_a.len() as u64,
-        total_b: slices_b.len() as u64,
-        diverged_seq: diverged.map(|i| i as u64),
+        total_a,
+        total_b,
+        diverged_seq: diverged,
         context_a,
         context_b,
     })
 }
 
-fn context_or_end(data: &[u8], slices: &[RecordSlice], idx: usize) -> String {
-    if slices.is_empty() {
+fn context_or_end(data: &[u8], blocks: &[BlockSlice], total: u64, seq: u64) -> String {
+    if total == 0 {
         return "<empty journal>\n".to_string();
     }
-    if idx >= slices.len() {
-        let mut out = render_context(data, slices, slices.len() - 1, CONTEXT_RADIUS);
+    if seq >= total {
+        let mut out = render_context(data, blocks, total - 1, CONTEXT_RADIUS);
         out.push_str(">> <end of journal>\n");
         return out;
     }
-    render_context(data, slices, idx, CONTEXT_RADIUS)
+    render_context(data, blocks, seq, CONTEXT_RADIUS)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
-//! Writing and reading whole journals: header framing, the append-only
-//! [`JournalWriter`], and the checked reader/indexer.
+//! Writing and reading whole journals: header and block framing, the
+//! append-only [`JournalWriter`], and the checked reader/indexer.
 
 use crate::record::{
-    decode_body, encode_body, JournalError, JournalRecord, RecordKind, MAGIC, MAX_BODY, VERSION,
+    push_varint, read_varint, Decoder, Encoder, JournalError, JournalRecord, RecordKind, RecordRef,
+    MAGIC, MAX_BLOCK, VERSION,
 };
 use crate::sink::JournalSink;
-use legion_persist::checksum::crc32;
+use legion_persist::checksum::{crc32, update};
 
 /// The decoded journal header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +17,7 @@ pub struct JournalHeader {
     /// marks; 0 = no snapshots). Stored in the journal so a verifying
     /// run snapshots at exactly the same points.
     pub snap_every: u64,
-    /// Byte offset of the first record frame.
+    /// Byte offset of the first block.
     pub records_at: usize,
 }
 
@@ -36,68 +37,57 @@ pub fn read_header(data: &[u8]) -> Result<JournalHeader, JournalError> {
     if version != VERSION {
         return Err(JournalError::BadVersion(version));
     }
-    // Inline varint: the header predates any Reader framing.
-    let mut snap_every: u64 = 0;
-    for (i, shift) in (0..64).step_by(7).enumerate() {
-        let byte = *data.get(5 + i).ok_or(JournalError::TruncatedHeader)?;
-        snap_every |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(JournalHeader {
-                version,
-                snap_every,
-                records_at: 5 + i + 1,
-            });
-        }
+    let mut records_at = 5;
+    match read_varint(data, &mut records_at) {
+        Ok(snap_every) => Ok(JournalHeader {
+            version,
+            snap_every,
+            records_at,
+        }),
+        Err(_) => Err(JournalError::TruncatedHeader),
     }
-    Err(JournalError::TruncatedHeader)
 }
 
-/// The location of one framed record inside a journal byte buffer.
+/// The location of one checksummed block inside a journal byte buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordSlice {
-    /// Byte offset of the frame (length prefix).
+pub struct BlockSlice {
+    /// Byte offset of the block (its length word).
     pub offset: usize,
-    /// Byte offset of the body.
-    pub body_start: usize,
-    /// Body length in bytes.
-    pub body_len: usize,
-    /// The stored (and verified) CRC-32 of the body.
-    pub crc: u32,
+    /// Byte offset of its first record, after `first_seq`.
+    pub first_record: usize,
+    /// Byte offset just past its payload.
+    pub end: usize,
+    /// Seq of its first record.
+    pub first_seq: u64,
 }
 
-impl RecordSlice {
-    /// The body bytes within `data`.
-    pub fn body<'a>(&self, data: &'a [u8]) -> &'a [u8] {
-        &data[self.body_start..self.body_start + self.body_len]
-    }
-}
-
-/// Walk the whole journal, verifying framing and checksums, returning
-/// the header and the location of every record. This is the integrity
-/// pass — every error a corrupt journal can produce is typed.
-pub fn index(data: &[u8]) -> Result<(JournalHeader, Vec<RecordSlice>), JournalError> {
+/// Walk the whole journal, verifying the framing and checksum of every
+/// block, returning the header and the location of every block. This is
+/// the integrity pass — every error a corrupt journal can produce is
+/// typed; the records themselves are checked as they are decoded.
+pub fn index(data: &[u8]) -> Result<(JournalHeader, Vec<BlockSlice>), JournalError> {
     let header = read_header(data)?;
-    let mut slices = Vec::new();
+    let mut blocks = Vec::new();
     let mut pos = header.records_at;
     while pos < data.len() {
         let offset = pos;
         if data.len() - pos < 8 {
             return Err(JournalError::TruncatedRecord { offset });
         }
-        let body_len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
         let stored = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-        if body_len > MAX_BODY {
+        if len > MAX_BLOCK {
             return Err(JournalError::RecordTooLarge {
                 offset,
-                len: body_len as u64,
+                len: len as u64,
             });
         }
         pos += 8;
-        if data.len() - pos < body_len {
+        if data.len() - pos < len {
             return Err(JournalError::TruncatedRecord { offset });
         }
-        let body = &data[pos..pos + body_len];
-        let computed = crc32(body);
+        let end = pos + len;
+        let computed = crc32(&data[pos..end]);
         if computed != stored {
             return Err(JournalError::BadChecksum {
                 offset,
@@ -105,83 +95,220 @@ pub fn index(data: &[u8]) -> Result<(JournalHeader, Vec<RecordSlice>), JournalEr
                 computed,
             });
         }
-        slices.push(RecordSlice {
+        let first_seq =
+            read_varint(&data[..end], &mut pos).map_err(|source| JournalError::BadBody {
+                offset: offset + 8,
+                source,
+            })?;
+        blocks.push(BlockSlice {
             offset,
-            body_start: pos,
-            body_len,
-            crc: stored,
+            first_record: pos,
+            end,
+            first_seq,
         });
-        pos += body_len;
+        pos = end;
     }
-    Ok((header, slices))
+    Ok((header, blocks))
+}
+
+/// Decodes a journal's records in order, block by block: each block
+/// must start at the seq the one before it ended on.
+pub(crate) struct Walk {
+    /// The next block to open.
+    next_block: usize,
+    /// The next record's byte offset, and the end of its block.
+    pos: usize,
+    end: usize,
+    /// The next record's seq.
+    seq: u64,
+    decoder: Decoder,
+}
+
+impl Walk {
+    /// From the journal's first record, seq 0.
+    pub(crate) fn new() -> Self {
+        Walk {
+            next_block: 0,
+            pos: 0,
+            end: 0,
+            seq: 0,
+            decoder: Decoder::new(),
+        }
+    }
+
+    /// From the start of block `index`, at the seq it names.
+    fn from_block(blocks: &[BlockSlice], index: usize) -> Self {
+        let mut walk = Self::new();
+        if let Some(block) = blocks.get(index) {
+            (walk.next_block, walk.seq) = (index, block.first_seq);
+        }
+        walk
+    }
+
+    /// The seq of the record `next` decodes next: once the journal is
+    /// done, the number of records in it.
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The next record, or `None` at the end of the journal.
+    pub(crate) fn next<'a>(
+        &mut self,
+        data: &'a [u8],
+        blocks: &[BlockSlice],
+    ) -> Result<Option<RecordRef<'a>>, JournalError> {
+        while self.pos == self.end {
+            let Some(block) = blocks.get(self.next_block) else {
+                return Ok(None);
+            };
+            if block.first_seq != self.seq {
+                return Err(JournalError::BadSeq {
+                    offset: block.offset,
+                    expected: self.seq,
+                    found: block.first_seq,
+                });
+            }
+            self.next_block += 1;
+            (self.pos, self.end) = (block.first_record, block.end);
+            self.decoder.reset();
+        }
+        let record = self
+            .decoder
+            .decode(&data[..self.end], &mut self.pos, self.seq)?;
+        self.seq += 1;
+        Ok(Some(record))
+    }
 }
 
 /// Index and fully decode every record.
 pub fn read_all(data: &[u8]) -> Result<(JournalHeader, Vec<JournalRecord>), JournalError> {
-    let (header, slices) = index(data)?;
-    let mut records = Vec::with_capacity(slices.len());
-    for s in &slices {
-        records.push(decode_body(s.body(data), s.offset)?);
+    let (header, blocks) = index(data)?;
+    let mut walk = Walk::new();
+    let mut records = Vec::new();
+    while let Some(record) = walk.next(data, &blocks)? {
+        records.push(record.to_record());
     }
     Ok((header, records))
 }
 
-/// Render the records around `center` (± `radius`), flight-recorder
-/// style, marking the center line. Used for divergence and bisect
-/// post-mortems.
-pub fn render_context(data: &[u8], slices: &[RecordSlice], center: usize, radius: usize) -> String {
+/// Render the records around seq `center` (± `radius`),
+/// flight-recorder style, marking the center line. Only the blocks that
+/// hold them are decoded. Used for divergence and bisect post-mortems.
+pub fn render_context(data: &[u8], blocks: &[BlockSlice], center: u64, radius: u64) -> String {
     let lo = center.saturating_sub(radius);
-    let hi = (center + radius + 1).min(slices.len());
+    let hi = center.saturating_add(radius);
+    let first = blocks
+        .partition_point(|b| b.first_seq <= lo)
+        .saturating_sub(1);
+    let mut walk = Walk::from_block(blocks, first);
     let mut out = String::new();
-    for (i, s) in slices.iter().enumerate().take(hi).skip(lo) {
-        let marker = if i == center { ">>" } else { "  " };
-        match decode_body(s.body(data), s.offset) {
-            Ok(rec) => out.push_str(&format!("{marker} {rec}\n")),
-            Err(e) => out.push_str(&format!("{marker} <undecodable record: {e}>\n")),
+    while walk.seq() <= hi {
+        let marker = if walk.seq() == center { ">>" } else { "  " };
+        match walk.next(data, blocks) {
+            Ok(None) => break,
+            Ok(Some(rec)) if rec.seq < lo => {}
+            Ok(Some(rec)) => out.push_str(&format!("{marker} {}\n", rec.to_record())),
+            Err(e) => {
+                out.push_str(&format!("{marker} <undecodable record: {e}>\n"));
+                break;
+            }
         }
     }
     out
 }
 
-/// Bytes the writer frames before it hands them to the sink: the sink
-/// sees the journal a block at a time, and a reader of a live journal
-/// file lags the run by less than one block and one record.
+/// Bytes the writer frames before it hands them to the sink as one
+/// block: the sink sees the journal a block at a time, and a reader of
+/// a live journal file lags the run by less than one block and one
+/// record.
 pub const BLOCK: usize = 64 * 1024;
 
 /// A block buffer's capacity: room for the record that carries a block
 /// over the line.
 pub(crate) const BLOCK_CAPACITY: usize = BLOCK + 256;
 
-/// The most bytes a frame takes besides its label: the length and CRC
-/// words, six varints of at most ten bytes, and the kind tag.
-pub(crate) const MAX_FRAME_FIXED: usize = 8 + 6 * 10 + 1;
+/// The most bytes a record takes besides its label: the kind tag and
+/// six varints of at most ten bytes.
+pub(crate) const MAX_RECORD_FIXED: usize = 1 + 6 * 10;
+
+/// The bytes a block takes before its records: the length and CRC
+/// words and the largest `first_seq`.
+pub(crate) const MAX_BLOCK_OPEN: usize = 8 + 10;
 
 /// The journal header: magic, version, snapshot cadence.
 pub(crate) fn push_header(buf: &mut Vec<u8>, snap_every: u64) {
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
-    crate::record::push_varint(buf, snap_every);
+    push_varint(buf, snap_every);
 }
 
-/// Frame one record at the end of `buf`: `len ‖ crc32(body) ‖ body`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_frame(
-    buf: &mut Vec<u8>,
-    seq: u64,
-    at: u64,
-    kind: RecordKind,
-    endpoint: u64,
-    a: u64,
-    b: u64,
-    label: &[u8],
-) {
-    let frame = buf.len();
-    buf.extend_from_slice(&[0; 8]);
-    encode_body(buf, seq, at, kind, endpoint, a, b, label);
-    let body = &buf[frame + 8..];
-    let (len, crc) = (body.len() as u32, crc32(body));
-    buf[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
-    buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+/// Frames records into blocks in a buffer: the writer's and a recording
+/// session's one framing. A block opens at its first record, keeps a
+/// running CRC of its payload, and is sealed — its length and CRC
+/// written into its first eight bytes — when the caller ends it.
+pub(crate) struct Framer {
+    /// Where the open block starts in the buffer, if one is open.
+    open: Option<usize>,
+    /// The open block's running CRC state.
+    crc: u32,
+    encoder: Encoder,
+}
+
+impl Framer {
+    pub(crate) fn new() -> Self {
+        Framer {
+            open: None,
+            crc: 0,
+            encoder: Encoder::new(),
+        }
+    }
+
+    /// Append record `seq` to `buf`, opening a block first if none is.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn push(
+        &mut self,
+        buf: &mut Vec<u8>,
+        seq: u64,
+        at: u64,
+        kind: RecordKind,
+        endpoint: u64,
+        a: u64,
+        b: u64,
+        label: &[u8],
+    ) {
+        let (block, from) = match self.open {
+            Some(block) => (block, buf.len()),
+            None => {
+                let block = buf.len();
+                buf.extend_from_slice(&[0; 8]);
+                push_varint(buf, seq);
+                self.open = Some(block);
+                self.crc = !0;
+                self.encoder.reset();
+                (block, block + 8)
+            }
+        };
+        self.encoder
+            .encode(buf, block, at, kind, endpoint, a, b, label);
+        self.crc = update(self.crc, &buf[from..]);
+    }
+
+    /// End the open block, which runs to the end of `buf`: write its
+    /// length and CRC. The next record opens a new one.
+    pub(crate) fn seal(&mut self, buf: &mut [u8]) {
+        if let Some(block) = self.open.take() {
+            let len = (buf.len() - block - 8) as u32;
+            buf[block..block + 4].copy_from_slice(&len.to_le_bytes());
+            buf[block + 4..block + 8].copy_from_slice(&(self.crc ^ !0).to_le_bytes());
+        }
+    }
+
+    /// The buffer lost its first `by` bytes, all before the open block.
+    pub(crate) fn shift(&mut self, by: usize) {
+        if let Some(block) = &mut self.open {
+            *block -= by;
+        }
+    }
 }
 
 /// Where framed blocks meet the sink. A refused block is dropped —
@@ -232,19 +359,21 @@ impl Landing {
 
 /// The append-only journal writer.
 ///
-/// Records are framed in place in one block buffer, which goes to the
-/// sink when it reaches [`BLOCK`] bytes, at [`JournalWriter::finish`],
-/// and when the writer is dropped (a panicking run still lands its
-/// tail). `append` is infallible on the hot path: the first sink error
-/// is latched and surfaced by [`JournalWriter::error`] / `finish` rather
-/// than plumbed through the caller, one block after the write it
-/// refused. A kernel's journal session ([`crate::KernelJournal`])
-/// frames with the same code on its journal thread, cuts its blocks at
-/// the same records and lands the same bytes.
+/// Records are framed in place in one block buffer, which is sealed and
+/// goes to the sink when it reaches [`BLOCK`] bytes, at
+/// [`JournalWriter::finish`], and when the writer is dropped (a
+/// panicking run still lands its tail). `append` is infallible on the
+/// hot path: the first sink error is latched and surfaced by
+/// [`JournalWriter::error`] / `finish` rather than plumbed through the
+/// caller, one block after the write it refused. A kernel's journal
+/// session ([`crate::KernelJournal`]) frames with the same [`Framer`]
+/// on its journal thread, cuts its blocks at the same records and lands
+/// the same bytes.
 pub struct JournalWriter {
     next_seq: u64,
-    /// The header, then frames, not yet handed to the sink.
+    /// The header, then the open block, not yet handed to the sink.
     block: Vec<u8>,
+    framer: Framer,
     landing: Landing,
 }
 
@@ -256,6 +385,7 @@ impl JournalWriter {
         JournalWriter {
             next_seq: 0,
             block,
+            framer: Framer::new(),
             landing: Landing::new(sink),
         }
     }
@@ -265,7 +395,7 @@ impl JournalWriter {
         self.next_seq
     }
 
-    /// Total bytes written (header + frames), counted as they are
+    /// Total bytes written (header + blocks), counted as they are
     /// appended; once the sink has failed, the bytes it accepted.
     pub fn bytes(&self) -> u64 {
         self.landing.accepted + self.block.len() as u64
@@ -292,7 +422,7 @@ impl JournalWriter {
         if self.landing.error.is_some() {
             return seq;
         }
-        push_frame(
+        self.framer.push(
             &mut self.block,
             seq,
             at,
@@ -308,9 +438,10 @@ impl JournalWriter {
         seq
     }
 
-    /// Give the sink the block. Once an error is latched none is framed
-    /// after it, so the block stays empty.
+    /// Seal the open block and give the sink the buffer. Once an error
+    /// is latched nothing is framed after it, so the buffer stays empty.
     fn hand_over(&mut self) {
+        self.framer.seal(&mut self.block);
         self.landing.land(&self.block);
         self.block.clear();
     }
@@ -376,23 +507,30 @@ mod tests {
             JournalError::BadVersion(0x63)
         );
         assert_eq!(
-            read_header(b"LJNL\x02").unwrap_err(),
+            read_header(b"LJNL\x03").unwrap_err(),
+            JournalError::TruncatedHeader
+        );
+        assert_eq!(
+            read_header(b"LJNL\x03\x80").unwrap_err(),
             JournalError::TruncatedHeader
         );
     }
 
-    /// A journal recorded before the `queue` section was re-encoded
-    /// carries roots this build cannot reproduce: refused by its header.
+    /// A version-1 journal carries roots this build cannot reproduce and
+    /// a version-2 one frames every record on its own: both are refused
+    /// by their header.
     #[test]
     fn a_version_1_journal_is_refused() {
         let (mut data, _) = sample_journal();
-        assert_eq!(read_header(&data).unwrap().version, 2);
-        data[4] = 1;
-        assert_eq!(read_all(&data).unwrap_err(), JournalError::BadVersion(1));
-        assert_eq!(
-            crate::KernelJournal::verify(data, crate::ReplayStart::Origin).err(),
-            Some(JournalError::BadVersion(1))
-        );
+        assert_eq!(read_header(&data).unwrap().version, 3);
+        for old in [1, 2] {
+            data[4] = old;
+            assert_eq!(read_all(&data).unwrap_err(), JournalError::BadVersion(old));
+            assert_eq!(
+                crate::KernelJournal::verify(data.clone(), crate::ReplayStart::Origin).err(),
+                Some(JournalError::BadVersion(old))
+            );
+        }
     }
 
     #[test]
@@ -405,7 +543,7 @@ mod tests {
             }
             match read_all(&data[..cut]) {
                 Ok((_, records)) => {
-                    // A cut exactly on a frame boundary yields a shorter
+                    // A cut exactly on a block boundary yields a shorter
                     // but valid journal.
                     assert!(records.len() < 3);
                 }
@@ -423,7 +561,7 @@ mod tests {
     #[test]
     fn bit_flip_in_body_is_caught_by_checksum() {
         let (mut data, _) = sample_journal();
-        let last = data.len() - 1; // inside the final record's label
+        let last = data.len() - 1; // inside the final record's label, in the block's payload
         data[last] ^= 0x01;
         assert!(matches!(
             read_all(&data),
@@ -434,9 +572,8 @@ mod tests {
     #[test]
     fn implausible_length_is_rejected() {
         let (mut data, _) = sample_journal();
-        let (header, slices) = index(&data).unwrap();
-        let _ = header;
-        let off = slices[1].offset;
+        let (_, blocks) = index(&data).unwrap();
+        let off = blocks[0].offset;
         data[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_all(&data),
@@ -507,11 +644,12 @@ mod tests {
         }
         assert_eq!(w.bytes(), accepted.len() as u64);
         // Everything before the refused block is an intact journal: a
-        // block ends on a frame boundary.
+        // block is sealed before the sink sees it.
         let data = accepted.contents();
-        let (_, slices) = index(&data).unwrap();
+        let (_, blocks) = index(&data).unwrap();
         let (_, records) = read_all(&data).unwrap();
-        assert_eq!(slices.len(), records.len());
+        assert_eq!(blocks.len(), 2);
+        assert!(blocks[0].first_seq == 0 && blocks[1].first_seq > 0);
         assert!(records.len() as u64 > 1_000 && (records.len() as u64) < appended);
         for (i, r) in records.iter().enumerate() {
             assert_eq!((r.seq, r.a), (i as u64, i as u64));
@@ -519,7 +657,7 @@ mod tests {
     }
 
     /// The sink sees the journal a block at a time: nothing until
-    /// `BLOCK` bytes are framed, whole frames only, the tail at `finish`.
+    /// `BLOCK` bytes are framed, whole records only, the tail at `finish`.
     #[test]
     fn the_sink_is_handed_blocks_not_records() {
         struct Sizes(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
@@ -556,8 +694,8 @@ mod tests {
     #[test]
     fn context_renders_window() {
         let (data, _) = sample_journal();
-        let (_, slices) = index(&data).unwrap();
-        let ctx = render_context(&data, &slices, 1, 1);
+        let (_, blocks) = index(&data).unwrap();
+        let ctx = render_context(&data, &blocks, 1, 1);
         assert_eq!(ctx.lines().count(), 3);
         assert!(ctx.contains(">> seq      1"));
         assert!(ctx.contains("BindingLookup"));

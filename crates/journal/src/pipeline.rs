@@ -5,9 +5,12 @@
 //! record to a [`Batch`], its label to the batch's byte arena, and a
 //! snapshot only copies the bytes of the sections that changed into the
 //! session's [`Sections`]. One journal thread per session does the rest,
-//! in stream order: it frames and CRCs each record with [`push_frame`],
-//! as [`crate::JournalWriter`] does, or checks it against the reference
-//! journal ([`Verifier`]); and at a mark, which always ends its batch, it
+//! in stream order: it encodes each record into the open block with the
+//! writer's [`Framer`] — the block's Δ base, label table and running
+//! CRC live here, not on the event loop — and seals each block it
+//! completes, as [`crate::JournalWriter`] does, or decodes the reference
+//! journal's next record and compares it field by field ([`Verifier`]);
+//! and at a mark, which always ends its batch, it
 //! hashes the changed sections, computes the state root over every
 //! section's id and frames or checks the mark right there, after the
 //! records noted before it. Nothing is back-filled.
@@ -17,21 +20,24 @@
 //! ([`POLL`]). A batch is sent when it holds [`BATCH`] records, at
 //! every mark and at every barrier, and before sending the event loop
 //! waits for the work to come back with the last batch done. It then
-//! assembles the 64 KiB blocks the thread cut from its frames and lands
-//! them in the sink, reserves what the next batch can need and lets the
-//! work go again.
+//! lands the 64 KiB blocks the thread sealed in the sink, moves the
+//! unfinished block's bytes to the front of the buffer, reserves what
+//! the next batch can need and lets the work go again. A barrier also
+//! seals and lands the unfinished block.
 //!
 //! Bytes and allocation counts cannot depend on thread timing. The
 //! thread sees the batches in the order they were filled, and one at a
-//! time, so it frames or checks exactly the stream a single thread
-//! would, and cuts blocks where [`crate::JournalWriter`] would. Only the
+//! time, so it encodes or checks exactly the stream a single thread
+//! would, and seals blocks where [`crate::JournalWriter`] would. Only the
 //! event loop touches the sink and allocates. It lands blocks and grows
 //! buffers only while it holds the work, at a send or a barrier, and
 //! which sends come when is fixed by the event count. The thread writes
 //! into capacity the event loop reserved before each send. It allocates
 //! only to render a divergence.
 
-use crate::journal::{push_frame, push_header, Landing, BLOCK, BLOCK_CAPACITY, MAX_FRAME_FIXED};
+use crate::journal::{
+    push_header, Framer, Landing, BLOCK, BLOCK_CAPACITY, MAX_BLOCK_OPEN, MAX_RECORD_FIXED,
+};
 use crate::record::{JournalError, RecordKind};
 use crate::replay::{Divergence, JournalSummary, Verifier};
 use crate::sink::JournalSink;
@@ -91,9 +97,10 @@ impl Batch {
         self.mark = None;
     }
 
-    /// The most bytes these records and the mark can frame to.
+    /// The most bytes these records and the mark can encode to, besides
+    /// the blocks they open.
     fn frame_bound(&self) -> usize {
-        (self.records.len() + 1) * MAX_FRAME_FIXED + self.labels.len() + ROOT_HEX
+        (self.records.len() + 1) * MAX_RECORD_FIXED + self.labels.len() + ROOT_HEX
     }
 }
 
@@ -145,41 +152,38 @@ impl Sections {
     }
 }
 
-/// A recording's frames and blocks. The thread frames; the event loop
-/// assembles blocks and lands them while it holds the work, so the
-/// landing travels with it but only the event loop touches the sink.
+/// A recording's blocks. The thread frames records into `out` and seals
+/// each block it completes; the event loop lands the sealed blocks
+/// while it holds the work, so the landing travels with it but only the
+/// event loop touches the sink.
 struct Recording {
     next_seq: u64,
-    /// This batch's frames (the first batch's start with the header).
+    /// The unfinished block (the first one after the header), then this
+    /// batch's records.
     out: Vec<u8>,
-    /// Offsets in `out` where a block ends.
+    /// Offsets in `out` where a sealed block ends.
     cuts: Vec<usize>,
-    /// Bytes in the block being filled, counting earlier batches'.
-    fill: usize,
-    /// The block being assembled for the sink.
-    block: Vec<u8>,
+    framer: Framer,
     landing: Landing,
 }
 
 impl Recording {
     fn new(sink: Box<dyn JournalSink>, snap_every: u64) -> Self {
-        let full = BATCH * (MAX_FRAME_FIXED + LABEL_BYTES) + ROOT_HEX;
-        let mut out = Vec::with_capacity(full + 16);
+        let full = BATCH * (MAX_RECORD_FIXED + LABEL_BYTES) + ROOT_HEX;
+        let mut out = Vec::with_capacity(BLOCK_CAPACITY + full);
         push_header(&mut out, snap_every);
         Recording {
             next_seq: 0,
-            fill: out.len(),
             out,
-            cuts: Vec::with_capacity(full / BLOCK + 1),
-            block: Vec::with_capacity(BLOCK_CAPACITY),
+            cuts: Vec::with_capacity(full / BLOCK + 2),
+            framer: Framer::new(),
             landing: Landing::new(sink),
         }
     }
 
-    /// Thread: frame one record; a block that reaches [`BLOCK`] bytes
-    /// ends after it, as it would in [`crate::JournalWriter`].
+    /// Thread: frame one record; a block that reaches [`BLOCK`] bytes is
+    /// sealed after it, as it would be in [`crate::JournalWriter`].
     fn frame(&mut self, raw: &Raw, label: &[u8]) {
-        let before = self.out.len();
         let Raw {
             at,
             endpoint,
@@ -189,45 +193,51 @@ impl Recording {
             ..
         } = *raw;
         let seq = self.next_seq;
-        push_frame(&mut self.out, seq, at, kind, endpoint, a, b, label);
         self.next_seq += 1;
-        self.fill += self.out.len() - before;
-        if self.fill >= BLOCK {
-            self.cuts.push(self.out.len());
-            self.fill = 0;
+        let out = &mut self.out;
+        self.framer.push(out, seq, at, kind, endpoint, a, b, label);
+        if out.len() - self.cuts.last().unwrap_or(&0) >= BLOCK {
+            self.framer.seal(out);
+            self.cuts.push(out.len());
         }
     }
 
-    /// Event loop: land every block the last batch completed, and carry
-    /// its unfinished end over in `block`.
+    /// Event loop: land every block the last batch sealed, and move the
+    /// unfinished one to the front.
     fn land(&mut self) {
         let mut from = 0;
         for &cut in &self.cuts {
-            self.block.extend_from_slice(&self.out[from..cut]);
-            self.landing.land(&self.block);
-            self.block.clear();
+            self.landing.land(&self.out[from..cut]);
             from = cut;
         }
-        self.block.extend_from_slice(&self.out[from..]);
-        self.out.clear();
+        self.out.drain(..from);
+        self.framer.shift(from);
         self.cuts.clear();
     }
 
-    /// Event loop: land the unfinished block too; the next starts empty.
+    /// Event loop, after [`Recording::land`]: seal and land the
+    /// unfinished block too; the next record opens a new one.
     fn land_tail(&mut self) {
-        self.landing.land(&self.block);
-        self.block.clear();
-        self.fill = 0;
+        self.framer.seal(&mut self.out);
+        self.landing.land(&self.out);
+        self.out.clear();
     }
 
-    /// Event loop: room for `bound` more bytes of frames.
+    /// Event loop: room for `bound` more bytes of records and the blocks
+    /// they open. The unfinished block in `out` is under [`BLOCK`], so
+    /// they seal at most `bound / BLOCK + 2` blocks (counting the bytes
+    /// of the frames they open) and open one more.
     fn reserve(&mut self, bound: usize) {
-        self.out.reserve(bound);
-        self.cuts.reserve(bound / BLOCK + 1);
+        let opens = bound / BLOCK + 3;
+        self.out.reserve(bound + opens * MAX_BLOCK_OPEN);
+        self.cuts.reserve(opens);
     }
 }
 
-/// What the thread does with each record.
+/// What the thread does with each record. Either role carries its
+/// block's tables inline; the role lives in the boxed [`Work`], one per
+/// session, and is moved once, when the session starts.
+#[allow(clippy::large_enum_variant)]
 enum Role {
     Record(Recording),
     Verify(Verifier),

@@ -5,13 +5,13 @@
 //! Endpoint>`), which cannot be serialized and restored — so "replay"
 //! here is **verified deterministic re-execution**: the same seed and
 //! workload re-run from the origin, with every kernel ingress compared
-//! byte-for-byte against the reference journal. Snapshots make this
-//! cheap to *check* from the middle: starting [`ReplayStart::LatestSnapshot`]
+//! field by field with the reference journal's record. Snapshots make
+//! this cheap to *check* from the middle: starting [`ReplayStart::LatestSnapshot`]
 //! (or [`ReplayStart::SnapshotAtOrBefore`]), the already-snapshotted
-//! prefix is skipped with only a sequence-alignment check, the snapshot
-//! mark's content-addressed state root is compared — proving the
-//! re-executed state is byte-identical to the recorded one at that point
-//! — and full byte verification covers only the tail.
+//! prefix is decoded but only its snapshot marks are compared — a
+//! mark's content-addressed state root proves the re-executed state is
+//! byte-identical to the recorded one at that point — and full
+//! verification covers only the tail.
 //!
 //! A mismatch produces a [`Divergence`] naming the exact journal seq,
 //! what the journal expected, what the run produced, and a
@@ -22,17 +22,16 @@
 //! the seq and batches the record, and a snapshot hands over the bytes
 //! of its changed sections ([`KernelJournal::snapshot_section`]) and
 //! ends the batch with its mark ([`KernelJournal::on_snapshot`]). The
-//! session's journal thread encodes, CRCs and frames each record for the
-//! writer's blocks, or checks it here; it hashes the sections and the
-//! root at the mark. The event loop lands the blocks in the sink when it
-//! next sends a batch. A verifying session therefore knows its
-//! divergence only after a barrier: [`KernelJournal::finish`] returns it.
+//! session's journal thread encodes each record into the writer's
+//! checksummed blocks, or decodes the reference's next record and checks
+//! it here; it hashes the sections and the root at the mark. The event
+//! loop lands the blocks in the sink when it next sends a batch. A
+//! verifying session therefore knows its divergence only after a
+//! barrier: [`KernelJournal::finish`] returns it.
 
-use crate::journal::{index, render_context, JournalHeader, RecordSlice, MAX_FRAME_FIXED};
+use crate::journal::{index, render_context, BlockSlice, JournalHeader, Walk};
 use crate::pipeline::{Pipeline, THREAD_DIED};
-use crate::record::{
-    decode_body, decode_head, encode_body, JournalError, JournalRecord, RecordKind,
-};
+use crate::record::{JournalError, JournalRecord, RecordKind};
 use crate::sink::JournalSink;
 use legion_persist::cas::ChunkId;
 
@@ -84,93 +83,94 @@ pub struct JournalSummary {
     pub snapshots: u64,
     /// Journal size in bytes.
     pub bytes: u64,
-    /// Records byte-verified against the reference (verify mode).
+    /// Records verified field by field against the reference (verify
+    /// mode).
     pub verified: u64,
     /// Records skipped via the snapshot fast path (verify mode).
     pub skipped: u64,
 }
 
 /// Radius of the rendered context window around a divergence.
-const CONTEXT_RADIUS: usize = 8;
+const CONTEXT_RADIUS: u64 = 8;
 
 /// Verifies a re-execution against a reference journal, on the journal
-/// thread.
+/// thread: it decodes the reference block by block as the run goes and
+/// compares each record's fields with the event the run produced.
 pub(crate) struct Verifier {
     data: Vec<u8>,
     header: JournalHeader,
-    slices: Vec<RecordSlice>,
-    /// Next reference record to consume.
-    pos: usize,
-    /// First record index that gets full byte verification.
-    verify_from: usize,
-    scratch: Vec<u8>,
+    blocks: Vec<BlockSlice>,
+    /// The next reference record to consume.
+    walk: Walk,
+    /// Records in the reference.
+    records: u64,
+    /// First seq that gets full verification.
+    verify_from: u64,
     verified: u64,
     skipped: u64,
     pub(crate) divergence: Option<Divergence>,
 }
 
 impl Verifier {
-    /// Index `data` and resolve `start` to a record position.
+    /// Index and decode `data` once — every record is checked here, so a
+    /// corrupt reference fails typed before the run starts — and resolve
+    /// `start` to a seq.
     fn new(data: Vec<u8>, start: ReplayStart) -> Result<Self, JournalError> {
-        let (header, slices) = index(&data)?;
-        let snapshot_at = |cutoff: Option<u64>| -> Result<usize, JournalError> {
-            for (i, s) in slices.iter().enumerate().rev() {
-                let rec = decode_body(s.body(&data), s.offset)?;
-                if rec.kind == RecordKind::Snapshot && cutoff.is_none_or(|t| rec.at <= t) {
-                    return Ok(i);
-                }
+        let (header, blocks) = index(&data)?;
+        let cutoff = match start {
+            ReplayStart::Origin => None,
+            ReplayStart::LatestSnapshot => Some(u64::MAX),
+            ReplayStart::SnapshotAtOrBefore(t) => Some(t),
+        };
+        let mut walk = Walk::new();
+        let mut verify_from = 0;
+        while let Some(rec) = walk.next(&data, &blocks)? {
+            if rec.kind == RecordKind::Snapshot && cutoff.is_some_and(|t| rec.at <= t) {
+                verify_from = rec.seq;
             }
-            Ok(0)
-        };
-        let verify_from = match start {
-            ReplayStart::Origin => 0,
-            ReplayStart::LatestSnapshot => snapshot_at(None)?,
-            ReplayStart::SnapshotAtOrBefore(t) => snapshot_at(Some(t))?,
-        };
-        // Room to encode any record no longer than the longest body.
-        let longest = slices.iter().map(|s| s.body_len).max().unwrap_or(0);
+        }
         Ok(Verifier {
+            records: walk.seq(),
+            walk: Walk::new(),
             data,
             header,
-            slices,
-            pos: 0,
+            blocks,
             verify_from,
-            scratch: Vec::with_capacity(longest + MAX_FRAME_FIXED),
             verified: 0,
             skipped: 0,
             divergence: None,
         })
     }
 
-    fn diverge(&mut self, idx: usize, expected: String, got: String) {
+    fn diverge(&mut self, seq: u64, expected: String, got: String) {
         if self.divergence.is_some() {
             return;
         }
-        let center = idx.min(self.slices.len().saturating_sub(1));
-        let context = render_context(&self.data, &self.slices, center, CONTEXT_RADIUS);
+        let center = seq.min(self.records.saturating_sub(1));
+        let context = render_context(&self.data, &self.blocks, center, CONTEXT_RADIUS);
         self.divergence = Some(Divergence {
-            seq: idx as u64,
+            seq,
             expected,
             got,
             context,
         });
     }
 
-    fn rendered(&self, idx: usize) -> String {
-        self.slices
-            .get(idx)
-            .and_then(|s| decode_body(s.body(&self.data), s.offset).ok())
-            .map(|r| r.to_string())
-            .unwrap_or_else(|| "<end of journal>".to_string())
+    /// The next reference record, rendered for a divergence.
+    fn next_rendered(&mut self) -> String {
+        match self.walk.next(&self.data, &self.blocks) {
+            Ok(Some(rec)) => rec.to_record().to_string(),
+            Ok(None) => "<end of journal>".to_string(),
+            Err(e) => format!("<undecodable record: {e}>"),
+        }
     }
 
     /// Consume the next reference record, comparing it with the event the
     /// re-execution just produced.
     ///
-    /// Inside the skipped prefix only the seq's alignment is checked —
-    /// and a snapshot mark's root, which proves the re-executed state is
-    /// byte-identical to the recorded state at that point. Only a
-    /// divergence allocates.
+    /// Inside the skipped prefix only a snapshot mark is compared — its
+    /// root proves the re-executed state is byte-identical to the
+    /// recorded state at that point. Only a divergence allocates.
     pub(crate) fn check(
         &mut self,
         at: u64,
@@ -180,9 +180,7 @@ impl Verifier {
         b: u64,
         label: &[u8],
     ) {
-        let idx = self.pos;
-        self.pos += 1;
-        let seq = idx as u64;
+        let seq = self.walk.seq();
         if self.divergence.is_some() {
             return;
         }
@@ -198,51 +196,46 @@ impl Verifier {
             }
             .to_string()
         };
-        let Some(slice) = self.slices.get(idx).copied() else {
-            let expected = "<end of journal: run produced more events than recorded>";
-            self.diverge(idx, expected.to_string(), got());
-            return;
+        let expected = match self.walk.next(&self.data, &self.blocks) {
+            Ok(Some(rec)) => {
+                let same = if seq < self.verify_from {
+                    self.skipped += 1;
+                    kind != RecordKind::Snapshot || (rec.kind == kind && rec.label == label)
+                } else {
+                    let same = (rec.at, rec.kind, rec.endpoint, rec.a, rec.b, rec.label)
+                        == (at, kind, endpoint, a, b, label);
+                    self.verified += u64::from(same);
+                    same
+                };
+                if same {
+                    return;
+                }
+                rec.to_record().to_string()
+            }
+            Ok(None) => "<end of journal: run produced more events than recorded>".to_string(),
+            Err(e) => format!("<undecodable record: {e}>"),
         };
-        let body = slice.body(&self.data);
-        let same = if idx < self.verify_from {
-            self.skipped += 1;
-            decode_head(body).is_some_and(|(s, tag, l)| {
-                s == seq && (kind != RecordKind::Snapshot || (tag == kind.tag() && l == label))
-            })
-        } else {
-            // A label longer than the body cannot match, and would not
-            // fit the scratch buffer.
-            let same = label.len() <= body.len() && {
-                self.scratch.clear();
-                encode_body(&mut self.scratch, seq, at, kind, endpoint, a, b, label);
-                self.scratch == body
-            };
-            self.verified += u64::from(same);
-            same
-        };
-        if !same {
-            self.diverge(idx, self.rendered(idx), got());
-        }
+        self.diverge(seq, expected, got());
     }
 
     /// Quiescence check: the whole reference journal must have been
     /// consumed. Returns the summary, its marks left to the caller (and
     /// sets a divergence if the run stopped short).
     pub(crate) fn finish(&mut self) -> JournalSummary {
-        if self.pos < self.slices.len() && self.divergence.is_none() {
-            let expected = self.rendered(self.pos);
+        let produced = self.walk.seq();
+        if produced < self.records && self.divergence.is_none() {
+            let expected = self.next_rendered();
             self.diverge(
-                self.pos,
+                produced,
                 expected,
                 format!(
-                    "<run quiesced after {} events; journal has {}>",
-                    self.pos,
-                    self.slices.len()
+                    "<run quiesced after {produced} events; journal has {}>",
+                    self.records
                 ),
             );
         }
         JournalSummary {
-            records: self.slices.len() as u64,
+            records: self.records,
             bytes: self.data.len() as u64,
             verified: self.verified,
             skipped: self.skipped,

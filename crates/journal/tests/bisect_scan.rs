@@ -1,12 +1,12 @@
 //! The bisector against the obvious answer: decode both journals and
 //! compare their records in order. Over random journals paired with an
-//! edited copy — one record body changed, the tail cut at a record
-//! boundary, records appended, or nothing changed — `bisect` must name
+//! edited copy — one record changed, the tail dropped from a record
+//! on, records appended, or nothing changed — `bisect` must name
 //! the first index where the decoded records differ, else the shorter
 //! length, else no divergence, and render both context windows.
 
 use legion_journal::record::RecordKind;
-use legion_journal::{bisect, index, read_all, JournalWriter, MemSink};
+use legion_journal::{bisect, read_all, JournalWriter, MemSink};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -41,8 +41,8 @@ fn journal_of(records: &[Rec]) -> Vec<u8> {
 enum Edit {
     /// Change one field of one record; the seed picks which.
     Change(usize),
-    /// Cut the journal's bytes at the start of a record, dropping it and
-    /// the rest; the seed picks which.
+    /// Drop a record and the rest, as the recording run would have had
+    /// it ended there; the seed picks which.
     Cut(usize),
     /// Append records.
     Append(Vec<Rec>),
@@ -70,10 +70,7 @@ fn edited(records: &[Rec], journal: &[u8], edit: &Edit) -> Vec<u8> {
             }
             journal_of(&records)
         }
-        Edit::Cut(seed) => {
-            let (_, slices) = index(journal).unwrap();
-            journal[..slices[seed % slices.len()].offset].to_vec()
-        }
+        Edit::Cut(seed) => journal_of(&records[..seed % records.len()]),
         Edit::Append(more) => journal_of(&[records, more].concat()),
         Edit::Nothing => journal.to_vec(),
     }

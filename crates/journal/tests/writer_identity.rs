@@ -1,12 +1,16 @@
-//! The writer's bytes against a reference framing written out here:
-//! however records are buffered, framed and handed to the sink, the
-//! journal is `header · (len ‖ crc32(body) ‖ body)*` and nothing else.
-//! A kernel's journal session, which frames on its own thread and
-//! computes each snapshot mark's root there, gives the same bytes in
-//! the same blocks as the writer.
+//! The writer's bytes against a reference encoding written out here,
+//! straight from the format document: however records are buffered,
+//! encoded and handed to the sink, the journal is
+//! `header · (len ‖ crc32(payload) ‖ payload)*`, each payload
+//! `first_seq ‖ record*`, each record `kind ‖ zigzag(Δat) ‖ endpoint ‖
+//! a ‖ b ‖ label_ref [‖ len ‖ bytes]` against its block's Δ base and
+//! label table, a block sealed once the sink's write reaches 64 KiB and
+//! at every `finish` — and nothing else. A kernel's journal session,
+//! which encodes on its own thread and computes each snapshot mark's
+//! root there, gives the same bytes in the same blocks as the writer.
 
 use legion_journal::journal::BLOCK;
-use legion_journal::record::RecordKind;
+use legion_journal::record::{RecordKind, LABELS};
 use legion_journal::{read_all, sections_root, JournalSink, JournalWriter, KernelJournal, MemSink};
 use legion_persist::cas::ChunkId;
 use legion_persist::checksum::crc32;
@@ -24,29 +28,118 @@ fn varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// One record as the format document frames it.
-fn frame(seq: u64, (at, kind, endpoint, a, b, label): &Rec) -> Vec<u8> {
-    let mut body = Vec::new();
-    varint(&mut body, seq);
-    varint(&mut body, *at);
-    body.push(kind.tag());
-    for v in [*endpoint, *a, *b, label.len() as u64] {
-        varint(&mut body, v);
+/// The block being written: its payload so far, the previous record's
+/// `at` and the label table.
+#[derive(Clone)]
+struct Open {
+    payload: Vec<u8>,
+    prev_at: u64,
+    labels: Vec<String>,
+}
+
+/// The journal as the format document lays it out, as the writes a
+/// sink sees: the header goes out with the first block.
+#[derive(Clone)]
+struct Reference {
+    writes: Vec<Vec<u8>>,
+    /// Not yet written: the header, until the first write.
+    pending: Vec<u8>,
+    open: Option<Open>,
+    seq: u64,
+    /// Bytes so far, written or not.
+    len: usize,
+}
+
+impl Reference {
+    fn new(snap_every: u64) -> Self {
+        let mut pending = b"LJNL\x03".to_vec();
+        varint(&mut pending, snap_every);
+        Reference {
+            writes: Vec::new(),
+            len: pending.len(),
+            pending,
+            open: None,
+            seq: 0,
+        }
     }
-    body.extend_from_slice(label.as_bytes());
-    let mut out = (body.len() as u32).to_le_bytes().to_vec();
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+
+    /// Append one record; if it fills the block, seal it and return how
+    /// many bytes the write came to.
+    fn record(&mut self, (at, kind, endpoint, a, b, label): &Rec) -> Option<usize> {
+        if self.open.is_none() {
+            let mut payload = Vec::new();
+            varint(&mut payload, self.seq);
+            self.len += 8 + payload.len();
+            self.open = Some(Open {
+                payload,
+                prev_at: 0,
+                labels: Vec::new(),
+            });
+        }
+        let open = self.open.as_mut().unwrap();
+        let before = open.payload.len();
+        let out = &mut open.payload;
+        out.push(kind.tag());
+        let delta = at.wrapping_sub(open.prev_at) as i64;
+        varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        open.prev_at = *at;
+        for v in [*endpoint, *a, *b] {
+            varint(out, v);
+        }
+        match open.labels.iter().position(|l| l == label) {
+            Some(entry) => varint(out, entry as u64 + 1),
+            None => {
+                varint(out, 0);
+                varint(out, label.len() as u64);
+                out.extend_from_slice(label.as_bytes());
+                if open.labels.len() < LABELS {
+                    open.labels.push(label.clone());
+                }
+            }
+        }
+        self.len += open.payload.len() - before;
+        self.seq += 1;
+        let fill = self.pending.len() + 8 + open.payload.len();
+        (fill >= BLOCK).then(|| {
+            self.finish();
+            fill
+        })
+    }
+
+    /// Seal the open block, if there is one, and write what is pending.
+    fn finish(&mut self) {
+        if let Some(open) = self.open.take() {
+            let len = open.payload.len() as u32;
+            self.pending.extend_from_slice(&len.to_le_bytes());
+            self.pending
+                .extend_from_slice(&crc32(&open.payload).to_le_bytes());
+            self.pending.extend_from_slice(&open.payload);
+        }
+        if !self.pending.is_empty() {
+            self.writes.push(std::mem::take(&mut self.pending));
+        }
+    }
+}
+
+/// The writes for `steps`: records, and `None` where the writer is
+/// finished; finished at the end.
+fn reference_writes(snap_every: u64, steps: &[Option<Rec>]) -> Vec<Vec<u8>> {
+    let mut reference = Reference::new(snap_every);
+    for step in steps {
+        match step {
+            Some(rec) => {
+                reference.record(rec);
+            }
+            None => reference.finish(),
+        }
+    }
+    reference.finish();
+    reference.writes
 }
 
 fn reference(snap_every: u64, script: &[Rec]) -> Vec<u8> {
-    let mut out = b"LJNL\x02".to_vec();
-    varint(&mut out, snap_every);
-    for (seq, rec) in script.iter().enumerate() {
-        out.extend_from_slice(&frame(seq as u64, rec));
-    }
-    out
+    let steps: Vec<Option<Rec>> = script.iter().cloned().map(Some).collect();
+    reference_writes(snap_every, &steps).concat()
 }
 
 /// Write `script` and either finish the writer or just drop it.
@@ -92,11 +185,11 @@ fn kind(i: u64) -> RecordKind {
 }
 
 /// Every kind in turn, labels from empty to 300 bytes, detail words up
-/// to `u64::MAX`, ending with a record sized so that the journal is
-/// exactly `total` bytes long.
+/// to `u64::MAX`, `at` jumping back now and then, ending with a record
+/// sized so that the journal is exactly `total` bytes long.
 fn script_of_len(total: usize) -> Vec<Rec> {
     let mut script = Vec::new();
-    let mut len = reference(0, &[]).len();
+    let mut so_far = Reference::new(0);
     let filler = |i: u64| -> Rec {
         let label = match i % 5 {
             0 => String::new(),
@@ -104,25 +197,35 @@ fn script_of_len(total: usize) -> Vec<Rec> {
             _ => "BindingLookup".to_owned(),
         };
         let wide = if i.is_multiple_of(3) { u64::MAX } else { i };
-        (i * 1_000, kind(i), i % 64, wide, u64::MAX - i, label)
+        let at = if i.is_multiple_of(7) {
+            u64::MAX - i
+        } else {
+            i * 1_000
+        };
+        (at, kind(i), i % 64, wide, u64::MAX - i, label)
     };
-    // Leave the last record between 40 and 127 label bytes to choose
-    // from, so its length varint stays one byte.
-    while total - len > 400 {
+    while total - so_far.len > 400 {
         let rec = filler(script.len() as u64);
-        len += frame(script.len() as u64, &rec).len();
+        so_far.record(&rec);
         script.push(rec);
     }
     let seq = script.len() as u64;
-    let pad = |n: usize| -> Rec { (7, kind(seq), 1, 2, 3, "p".repeat(n)) };
-    while total - len > 127 {
-        len += frame(script.len() as u64, &pad(40)).len();
-        script.push(pad(40));
+    let pad = |label: String| -> Rec { (7, kind(seq), 1, 2, 3, label) };
+    while total - so_far.len > 200 {
+        let rec = pad("p".repeat(40));
+        so_far.record(&rec);
+        script.push(rec);
     }
-    let seq = script.len() as u64;
-    let empty = frame(seq, &pad(0)).len();
-    assert!(total - len >= empty, "room for the last frame");
-    script.push(pad(total - len - empty));
+    // A label seen nowhere else, as long as the last record needs.
+    let last = (1..=300)
+        .map(|n| pad("q".repeat(n)))
+        .find(|rec| {
+            let mut trial = so_far.clone();
+            trial.record(rec);
+            trial.len == total
+        })
+        .expect("a label length that ends the journal at the total");
+    script.push(last);
     assert_eq!(reference(0, &script).len(), total);
     script
 }
@@ -153,7 +256,7 @@ fn scripts_ending_around_a_block_boundary_are_byte_identical() {
 fn an_empty_script_is_a_header() {
     check(0, &[]);
     check(u64::MAX, &[]);
-    assert_eq!(written(300, &[], false), b"LJNL\x02\xac\x02");
+    assert_eq!(written(300, &[], false), b"LJNL\x03\xac\x02");
 }
 
 fn arb_word() -> impl Strategy<Value = u64> {
@@ -331,20 +434,19 @@ fn check_session(snap_every: u64, steps: &[Step]) {
         session_blocks(snap_every, steps, false) == expected,
         "dropped without finish"
     );
-    let script: Vec<Rec> = flatten(steps).into_iter().flatten().collect();
-    assert!(expected.concat() == reference(snap_every, &script));
+    assert!(expected == reference_writes(snap_every, &flatten(steps)));
 }
 
 /// A long script: events with labels of 0 to 300 bytes, a mark every
-/// `mark_every` events over a growing set of sections (each new one
-/// handed over with its first bytes, a few old ones changing), and a
+/// `mark_every` events over a set of sections that grows to 64 (each
+/// new one handed over with its first bytes, an old one changing), and a
 /// `finish` after `finish_at` events.
 fn session_script(events: u64, mark_every: u64, finish_at: u64) -> Vec<Step> {
     let mut steps = Vec::new();
     let mut count = 0;
     for i in 0..events {
         if i > 0 && i.is_multiple_of(mark_every) {
-            let grown = count + (i % 3) as usize;
+            let grown = (count + (i / mark_every % 3) as usize).min(64);
             let changed = (0..grown)
                 .filter(|&index| index >= count || index == i as usize % grown)
                 .map(|index| {
@@ -371,30 +473,26 @@ fn session_script(events: u64, mark_every: u64, finish_at: u64) -> Vec<Step> {
     steps
 }
 
-/// How many marks' frames carry a block over the [`BLOCK`] line: the
-/// script must exercise the edge case it names.
+/// How many marks carry a block over the [`BLOCK`] line: the script
+/// must exercise the edge case it names.
 fn marks_straddling_an_edge(snap_every: u64, steps: &[Step]) -> usize {
-    let mut fill = reference(snap_every, &[]).len();
-    let (mut seq, mut straddles) = (0, 0);
+    let mut reference = Reference::new(snap_every);
+    let mut straddles = 0;
     for rec in flatten(steps) {
         let Some(rec) = rec else {
-            fill = 0;
+            reference.finish();
             continue;
         };
-        fill += frame(seq, &rec).len();
-        seq += 1;
-        if fill >= BLOCK {
-            straddles += usize::from(rec.1 == RecordKind::Snapshot && fill > BLOCK);
-            fill = 0;
-        }
+        let sealed = reference.record(&rec);
+        straddles += usize::from(rec.1 == RecordKind::Snapshot && sealed > Some(BLOCK));
     }
     straddles
 }
 
 #[test]
 fn a_session_with_marks_frames_what_the_writer_does() {
-    // About fifteen blocks, a mark every third event: marks and records
-    // both carry blocks over the line.
+    // Several blocks, a mark every third event: marks and records both
+    // carry blocks over the line.
     let steps = session_script(8_000, 3, 5_000);
     assert!(marks_straddling_an_edge(256, &steps) > 0);
     assert!(
@@ -418,7 +516,7 @@ fn a_session_of_marks_alone_and_of_nothing() {
     check_session(0, &[Step::Finish, Step::Finish]);
     assert_eq!(
         session_blocks(300, &[], false),
-        [b"LJNL\x02\xac\x02".to_vec()]
+        [b"LJNL\x03\xac\x02".to_vec()]
     );
 }
 

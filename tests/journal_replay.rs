@@ -4,9 +4,7 @@
 //! recorded from the E12 steady state under the run harness, not
 //! synthetic record streams.
 
-use legion::journal::journal::index;
-use legion::journal::record::decode_body;
-use legion::journal::{bisect, read_header, JournalError, JournalWriter, MemSink, ReplayStart};
+use legion::journal::{bisect, index, read_all, JournalError, JournalWriter, MemSink, ReplayStart};
 use legion::sim::experiments::e12_scalability::steady_state;
 use legion::sim::harness::{Closed, Journal, Observed, Watch, SNAP_EVERY};
 use legion::sim::run_report::RunReport;
@@ -37,16 +35,14 @@ fn record_run() -> (RunReport, Vec<u8>) {
 }
 
 /// Re-encode `journal`, replacing the label of the record at index
-/// `plant` with a mutant — one divergent event, everything else
-/// byte-identical.
+/// `plant` with a mutant — one divergent event, every other record
+/// the same.
 fn plant_divergence(journal: &[u8], plant: usize) -> Vec<u8> {
-    let header = read_header(journal).expect("journal header");
-    let (_, slices) = index(journal).expect("journal indexes");
-    assert!(plant < slices.len(), "plant index past end of journal");
+    let (header, records) = read_all(journal).expect("journal decodes");
+    assert!(plant < records.len(), "plant index past end of journal");
     let sink = MemSink::new();
     let mut w = JournalWriter::new(Box::new(sink.clone()), header.snap_every);
-    for (i, s) in slices.iter().enumerate() {
-        let r = decode_body(s.body(journal), s.offset).expect("record decodes");
+    for (i, r) in records.iter().enumerate() {
         let label = if i == plant {
             "PLANTED-DIVERGENCE"
         } else {
@@ -66,9 +62,8 @@ fn replay_from_snapshot_at_or_before_time_travels() {
     let (live, journal) = record_run();
     // Pick a virtual time in the middle of the run: the `at` of the
     // last record, halved — late enough to have a snapshot before it.
-    let (_, slices) = index(&journal).expect("journal indexes");
-    let last = decode_body(slices.last().unwrap().body(&journal), 0).expect("last record");
-    let t = last.at / 2;
+    let (_, records) = read_all(&journal).expect("journal decodes");
+    let t = records.last().unwrap().at / 2;
     let replay = run_with(Journal::Verify {
         journal: journal.clone(),
         start: ReplayStart::SnapshotAtOrBefore(t),
@@ -92,8 +87,8 @@ fn replay_from_snapshot_at_or_before_time_travels() {
 #[test]
 fn bisect_pinpoints_planted_divergence_to_exact_seq() {
     let (_, journal) = record_run();
-    let (_, slices) = index(&journal).expect("journal indexes");
-    let total = slices.len();
+    let (_, records) = read_all(&journal).expect("journal decodes");
+    let total = records.len();
     assert!(total > 16, "journal too short to make bisection meaningful");
     for plant in [1usize, total / 3, total - 2] {
         let mutant = plant_divergence(&journal, plant);
@@ -118,8 +113,8 @@ fn bisect_pinpoints_planted_divergence_to_exact_seq() {
 #[test]
 fn verified_replay_reports_divergence_with_context() {
     let (_, journal) = record_run();
-    let (_, slices) = index(&journal).expect("journal indexes");
-    let plant = slices.len() / 2;
+    let (_, records) = read_all(&journal).expect("journal decodes");
+    let plant = records.len() / 2;
     let mutant = plant_divergence(&journal, plant);
     let replay = run_with(Journal::Verify {
         journal: mutant,
@@ -163,14 +158,14 @@ fn journals_do_not_depend_on_thread_timing() {
 }
 
 /// Corruption of a *real* journal fails typed, never panics: truncation
-/// mid-record and a flipped body byte both surface as the right
-/// [`JournalError`] — from both the verifier and the bisector.
+/// mid-block and a flipped byte inside a block both surface as the
+/// right [`JournalError`] — from both the verifier and the bisector.
 #[test]
 fn corrupt_journals_fail_typed() {
     let (_, journal) = record_run();
-    let (_, slices) = index(&journal).expect("journal indexes");
+    let (_, blocks) = index(&journal).expect("journal indexes");
 
-    // Truncate mid-record (drop the last 3 bytes of the final frame).
+    // Truncate mid-block (drop the last 3 bytes of the final block).
     let cut = journal[..journal.len() - 3].to_vec();
     let err = run_with(Journal::Verify {
         journal: cut.clone(),
@@ -186,10 +181,11 @@ fn corrupt_journals_fail_typed() {
         Err(JournalError::TruncatedRecord { .. })
     ));
 
-    // Flip one bit inside a record body: checksum catches it.
-    let mid = &slices[slices.len() / 2];
+    // Flip one bit in the middle of the middle block's records: its
+    // checksum catches it.
+    let mid = &blocks[blocks.len() / 2];
     let mut flipped = journal.clone();
-    flipped[mid.body_start] ^= 0x40;
+    flipped[(mid.first_record + mid.end) / 2] ^= 0x40;
     let err = run_with(Journal::Verify {
         journal: flipped.clone(),
         start: ReplayStart::Origin,
@@ -203,4 +199,35 @@ fn corrupt_journals_fail_typed() {
         bisect(&journal, &flipped),
         Err(JournalError::BadChecksum { .. })
     ));
+}
+
+/// The format stays compact: a journaled E12 steady-state run at two
+/// jurisdictions (the ledger's `e12_steady_journaled` configuration)
+/// may cost at most its measured bytes per record plus 10 %, so a
+/// fatter encoding fails here. The per-record frame of format version 2
+/// wrote 27.1 bytes per record of this run.
+#[test]
+fn a_journaled_e12_run_is_compact() {
+    const MEASURED: f64 = 11.44;
+    let sink = MemSink::new();
+    let watch = Watch::journal_only(Journal::Record {
+        sink: Box::new(sink.clone()),
+        snap_every: SNAP_EVERY,
+    });
+    let (_, run) = steady_state(2, SEED, watch, || ());
+    let (summary, _) = run
+        .expect("record session")
+        .journal
+        .expect("record summary");
+    let journal = sink.contents();
+    let (_, records) = read_all(&journal).expect("journal decodes");
+    assert_eq!(summary.records, records.len() as u64);
+    assert_eq!(summary.bytes, journal.len() as u64);
+    let per_record = journal.len() as f64 / records.len() as f64;
+    assert!(
+        per_record <= MEASURED * 1.10,
+        "{per_record:.2} bytes per record ({} records, {} bytes) > {MEASURED} + 10 %",
+        records.len(),
+        journal.len()
+    );
 }
