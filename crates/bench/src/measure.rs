@@ -5,7 +5,12 @@
 //! wave, reset the kernel metrics, drive a fresh wave), the E17 Zipfian
 //! campaign and the E18 flash crowd at the size `legion-exp --quick`
 //! runs, and E8's migration churn the way E12 is measured — bracketed by
-//! [`crate::alloc_counter`]. Messages, allocator
+//! [`crate::alloc_counter`]. E12 and E18 each have a row recorded to an
+//! in-memory journal with a snapshot every [`SNAP_EVERY`] events, as
+//! `--journal-out` records: E12's gates the event loop's side of the
+//! journal, but its whole journal fits in one 64 KiB block, so only
+//! E18's (build, campaign and the session's close in one bracket) sees
+//! the blocks a journal hands its sink. Messages, allocator
 //! calls and allocated bytes are determined by the seed and the code, on
 //! any machine and in any build profile, which is what makes them the
 //! perf record a tier-1 test can hold: [`ledger`] measures the rows,
@@ -101,20 +106,23 @@ fn e17_scale(seed: u64) -> Row {
     }
 }
 
-/// The auto-scaled E18 flash crowd at its quick size, build included:
-/// the admission path, the service-timer defers, the retry machinery and
-/// the policy loop all live inside this row.
-fn e18_overload(seed: u64) -> Row {
+/// The auto-scaled E18 flash crowd at its quick size under `watch`, as
+/// the row `name`, build and [`Session::close`](legion_sim::harness::Session::close)
+/// included: the admission path, the service-timer defers, the retry
+/// machinery and the policy loop all live inside this row — and, with a
+/// journal, every block the session hands its sink.
+fn e18_overload(name: &str, seed: u64, watch: Watch) -> Row {
     let (a0, b0) = alloc_counter::counts();
-    let (row, _) = e18_overload::flash_campaign(true, seed, true, Watch::off());
+    let (row, run) = e18_overload::flash_campaign(true, seed, true, watch);
     let (a1, b1) = alloc_counter::counts();
+    run.expect("in-memory sink cannot fail");
     assert!(
         row.violations.is_empty(),
         "E18 invariants violated under measurement: {:?}",
         row.violations
     );
     Row {
-        name: "e18_overload".into(),
+        name: name.into(),
         config: "flash crowd, quick, autoscaled".into(),
         messages: row.messages,
         allocs: a1 - a0,
@@ -172,7 +180,13 @@ pub fn ledger(seed: u64) -> Vec<Row> {
     ];
     rows.extend([1, 2, 4].map(|j| e12_steady("e12_sweep", j, seed, Watch::off())));
     rows.push(e17_scale(seed));
-    rows.push(e18_overload(seed));
+    rows.push(e18_overload("e18_overload", seed, Watch::off()));
+    // Journal recording with snapshots, as `--journal-out` does.
+    rows.push(e18_overload(
+        "e18_overload_journaled",
+        seed,
+        recording(SNAP_EVERY),
+    ));
     rows.push(e08_churn(seed));
     rows
 }

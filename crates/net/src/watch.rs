@@ -25,7 +25,7 @@ use legion_journal::{Divergence, JournalError, JournalSummary, KernelJournal, Re
 use legion_obs::profile::{KernelProfiler, Profile};
 use legion_obs::recorder::{FlightEvent, FlightRecorder};
 use legion_obs::sink::TraceSink;
-use legion_obs::slo::{BurnEvent, SloConfig, SloReport, SloTracker};
+use legion_obs::slo::{SloConfig, SloReport, SloTracker};
 use legion_obs::span::{SpanEvent, SpanEventKind};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -391,14 +391,6 @@ impl SimKernel {
         self.inner.watch.slo = SloTracker::new(cfg);
     }
 
-    /// Turn on SLO tracking *with* the incremental burn monitor, so
-    /// in-sim consumers ([`Ctx::drain_burn_events`]) see burn-rate
-    /// alarms while the run is still executing — the signal an
-    /// auto-scaling policy endpoint closes its control loop on.
-    pub fn enable_slo_online(&mut self, cfg: SloConfig) {
-        self.inner.watch.slo = SloTracker::new_online(cfg);
-    }
-
     /// Evaluate the collected SLO windows with endpoint names resolved.
     /// `None` when tracking is off.
     pub fn slo_report(&self) -> Option<SloReport> {
@@ -564,11 +556,11 @@ impl Ctx<'_> {
         self.inner.watch.slo.record(now, me, latency_ns);
     }
 
-    /// Drain burn-rate alarms fired by the online SLO monitor since the
-    /// last drain, as `(endpoint id, event)` in firing order. Always
-    /// empty unless the kernel was configured with
-    /// [`SimKernel::enable_slo_online`].
-    pub fn drain_burn_events(&mut self) -> Vec<(u64, BurnEvent)> {
+    /// How many burn-rate alarms the SLO tracker has judged since the
+    /// last drain: the events its report will list, counted as the run
+    /// goes (the signal an auto-scaling policy endpoint closes its
+    /// control loop on). Always 0 while SLO tracking is off.
+    pub fn drain_burn_events(&mut self) -> usize {
         self.inner.watch.slo.drain_burn()
     }
 

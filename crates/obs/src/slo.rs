@@ -6,8 +6,8 @@
 //! afford". This module turns the kernel's per-endpoint delivery
 //! latencies, bucketed into fixed windows of virtual time, into exactly
 //! that: each window gets an **exact** nearest-rank p50/p99 verdict
-//! against the endpoint's objective; the fraction of violating windows
-//! is charged against the **error budget**; and whenever the cumulative
+//! against the objective; the fraction of violating windows is charged
+//! against the **error budget**; and whenever the cumulative
 //! **burn rate** (budget consumed ÷ budget that sustainable consumption
 //! would have used by now) crosses the configured threshold on a
 //! violating window, a [`BurnEvent`] fires.
@@ -18,6 +18,9 @@
 //! seen: a window that ends at or before it is final. The tracker keeps
 //! the samples of the windows not yet judged and, per endpoint, two
 //! counts and the burn events of the judged ones (see [`SloTracker`]).
+//! That burn log is the one signal: the report lists it, and a control
+//! loop inside the run (E18's auto-scaler) polls how much of it is new
+//! ([`SloTracker::drain_burn`]).
 //!
 //! Quantiles are exact (sorted samples, nearest-rank), not the ~2×
 //! log-bucket approximation [`Histogram`](struct@crate::analysis) users
@@ -27,7 +30,6 @@
 //! golden-test cleanly.
 
 use serde::Value;
-use std::collections::BTreeMap;
 
 /// Latency objectives for one endpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,16 +56,14 @@ impl Default for SloObjective {
     }
 }
 
-/// Tracker configuration: the window width plus a default objective and
-/// per-endpoint overrides.
+/// Tracker configuration: the window width and the objective every
+/// endpoint is judged against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// Window width in virtual ns.
     pub window_ns: u64,
-    /// Objective applied to endpoints without an override.
+    /// The objective.
     pub objective: SloObjective,
-    /// Per-endpoint overrides.
-    pub per_endpoint: BTreeMap<u64, SloObjective>,
 }
 
 impl Default for SloConfig {
@@ -71,18 +71,7 @@ impl Default for SloConfig {
         SloConfig {
             window_ns: 1_000_000,
             objective: SloObjective::default(),
-            per_endpoint: BTreeMap::new(),
         }
-    }
-}
-
-impl SloConfig {
-    /// The objective for `endpoint` (override or default).
-    pub fn objective_for(&self, endpoint: u64) -> SloObjective {
-        self.per_endpoint
-            .get(&endpoint)
-            .copied()
-            .unwrap_or(self.objective)
     }
 }
 
@@ -127,8 +116,9 @@ pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
 pub struct SloTracker {
     cfg: Option<SloConfig>,
     fold: WindowFold,
-    /// Incremental burn monitor (opt-in; see [`SloTracker::new_online`]).
-    online: Option<OnlineMonitor>,
+    /// How much of the fold's burn log [`drain_burn`](Self::drain_burn)
+    /// has counted.
+    drained: usize,
 }
 
 /// The exact streaming fold behind [`SloTracker`]: the samples of the
@@ -239,9 +229,8 @@ impl WindowFold {
                 w.latencies.sort_unstable();
             }
             ep.windows += 1;
-            let objective = cfg.objective_for(endpoint);
             let burn = judge_window(
-                &objective,
+                &cfg.objective,
                 w.start,
                 &w.latencies,
                 ep.windows,
@@ -267,60 +256,6 @@ impl WindowFold {
     }
 }
 
-/// Incremental per-endpoint window state for the online burn monitor.
-///
-/// The tracker's [`report`](SloTracker::report) is read at the end of a
-/// run — too late for a control loop that must react *during* the run.
-/// The online monitor closes each endpoint's window as soon as a sample
-/// lands in a later one, evaluates it against the objective with the
-/// same exact nearest-rank quantiles and cumulative burn arithmetic as
-/// the report, and queues fired [`BurnEvent`]s for a consumer (the
-/// auto-scaling policy) to drain. Storage is bounded by one open
-/// window's samples per endpoint.
-///
-/// One deliberate divergence from the report: the kernel records a
-/// delivery's SLO sample at *send* time keyed by its future arrival, so
-/// per-endpoint window starts are not strictly monotone. The report puts
-/// late samples in their true window; the online monitor folds a sample
-/// for an already-closed window into the open one (a window, once
-/// judged, stays judged). The monitor is a control signal — the report
-/// remains the contract.
-#[derive(Debug, Clone, Default)]
-struct OnlineMonitor {
-    per_endpoint: BTreeMap<u64, OnlineEndpoint>,
-    fired: Vec<(u64, BurnEvent)>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct OnlineEndpoint {
-    window_start: u64,
-    /// Samples of the open window, unsorted (sorted once at close).
-    pending: Vec<u64>,
-    windows_seen: u64,
-    violating: u64,
-}
-
-impl OnlineMonitor {
-    fn observe(&mut self, cfg: &SloConfig, endpoint: u64, start: u64, latency_ns: u64) {
-        let state = self.per_endpoint.entry(endpoint).or_default();
-        if start > state.window_start && !state.pending.is_empty() {
-            state.pending.sort_unstable();
-            state.windows_seen += 1;
-            let burn = judge_window(
-                &cfg.objective_for(endpoint),
-                state.window_start,
-                &state.pending,
-                state.windows_seen,
-                &mut state.violating,
-            );
-            self.fired.extend(burn.map(|b| (endpoint, b)));
-            state.pending.clear();
-        }
-        state.window_start = state.window_start.max(start);
-        state.pending.push(latency_ns);
-    }
-}
-
 impl SloTracker {
     /// The disabled tracker.
     pub fn disabled() -> Self {
@@ -340,27 +275,18 @@ impl SloTracker {
                 endpoints: Vec::with_capacity(1024),
                 ..WindowFold::default()
             },
-            online: None,
+            drained: 0,
         }
     }
 
-    /// A tracker that additionally evaluates windows *incrementally* and
-    /// queues fired [`BurnEvent`]s for [`drain_burn`](Self::drain_burn)
-    /// — the in-run signal an auto-scaling control loop consumes.
-    pub fn new_online(cfg: SloConfig) -> Self {
-        let mut t = Self::new(cfg);
-        t.online = Some(OnlineMonitor::default());
-        t
-    }
-
-    /// Take the burn events the online monitor has fired since the last
-    /// drain, as `(endpoint, event)` in firing order. Empty without
-    /// [`new_online`](Self::new_online).
-    pub fn drain_burn(&mut self) -> Vec<(u64, BurnEvent)> {
-        match &mut self.online {
-            Some(m) => std::mem::take(&mut m.fired),
-            None => Vec::new(),
-        }
+    /// How many burn events the tracker has judged since the last drain
+    /// (or [`clear`](Self::clear)): a cursor over the log the report
+    /// reads, so it allocates nothing. Only final windows are judged, so
+    /// the drains of a run never add up to more than its report's burn
+    /// events. Always 0 while disabled.
+    pub fn drain_burn(&mut self) -> usize {
+        let judged = self.fold.burns.len();
+        judged - std::mem::replace(&mut self.drained, judged)
     }
 
     /// Is the tracker collecting?
@@ -384,18 +310,13 @@ impl SloTracker {
         };
         let start = (at_ns / cfg.window_ns) * cfg.window_ns;
         self.fold.record(cfg, start, at_ns, endpoint, latency_ns);
-        if let Some(online) = &mut self.online {
-            online.observe(cfg, endpoint, start, latency_ns);
-        }
     }
 
-    /// Drop collected samples, verdicts and online-monitor state, keeping
-    /// the configuration (and the monitor, if one was enabled).
+    /// Drop collected samples and verdicts, keeping the configuration;
+    /// the next [`drain_burn`](Self::drain_burn) counts from here.
     pub fn clear(&mut self) {
         self.fold.clear();
-        if let Some(online) = &mut self.online {
-            *online = OnlineMonitor::default();
-        }
+        self.drained = 0;
     }
 
     /// Evaluate every endpoint's windows against its objective,
@@ -423,7 +344,7 @@ impl SloTracker {
                 finish_endpoint(EndpointSlo {
                     endpoint,
                     name: name_of(endpoint),
-                    objective: cfg.objective_for(endpoint),
+                    objective: cfg.objective,
                     windows: ep.windows,
                     violating: ep.violating,
                     budget_used: 0.0,
@@ -444,8 +365,7 @@ impl SloTracker {
 /// the cumulative burn check — the fraction of the `seen` windows so far
 /// (this one included) that violated, as a multiple of the sustainable
 /// rate (= the error budget itself). `violating` counts the violating
-/// windows and is bumped here. The tracker and the online monitor both
-/// judge through this one function.
+/// windows and is bumped here.
 fn judge_window(
     objective: &SloObjective,
     start: u64,
@@ -607,7 +527,6 @@ mod tests {
                 error_budget: budget,
                 burn_threshold: 2.0,
             },
-            per_endpoint: BTreeMap::new(),
         }
     }
 
@@ -743,11 +662,16 @@ mod tests {
                 error_budget: 0.25,
                 burn_threshold: 2.0,
             },
-            per_endpoint: BTreeMap::new(),
         });
         t.record(10, 1, 100); // window 0: violates, burn 1/0.25 = 4 → fires
         t.record(110, 1, 5); // window 1: ok
         t.record(210, 1, 100); // window 2: violates, burn (2/3)/0.25 ≈ 2.7 → fires
+        assert_eq!(
+            t.drain_burn(),
+            1,
+            "sent at 110: window 0 is final, 1 is not"
+        );
+        assert_eq!(t.drain_burn(), 0, "a drain counts each event once");
         let r = t.report(|_| String::new()).unwrap();
         let e = &r.endpoints[0];
         assert_eq!(e.burn_events.len(), 2);
@@ -758,31 +682,10 @@ mod tests {
     }
 
     #[test]
-    fn per_endpoint_overrides_apply() {
-        let mut c = cfg(100, 10, 10, 0.1);
-        c.per_endpoint.insert(
-            2,
-            SloObjective {
-                p50_ns: 1_000,
-                p99_ns: 1_000,
-                error_budget: 0.1,
-                burn_threshold: 2.0,
-            },
-        );
-        let mut t = SloTracker::new(c);
-        t.record(10, 1, 500); // violates the default objective
-        t.record(10, 2, 500); // within its override
-        let r = t.report(|e| format!("ep{e}")).unwrap();
-        assert!(!r.endpoints[0].ok);
-        assert!(r.endpoints[1].ok);
-    }
-
-    #[test]
     fn online_monitor_matches_batch_burn_events() {
-        // Monotone arrivals: the online monitor must fire the same burn
-        // events as the batch report, one window late (a window closes
-        // when the next one opens).
-        let cfg = SloConfig {
+        // The in-run signal (the drain cursor) counts the same burn
+        // events as the report once every window is final.
+        let mut t = SloTracker::new(SloConfig {
             window_ns: 100,
             objective: SloObjective {
                 p50_ns: 10,
@@ -790,43 +693,41 @@ mod tests {
                 error_budget: 0.25,
                 burn_threshold: 2.0,
             },
-            per_endpoint: BTreeMap::new(),
-        };
-        let mut t = SloTracker::new_online(cfg);
+        });
         t.record(10, 1, 100); // window 0: violates
-        t.record(110, 1, 5); // window 1: ok (closes window 0)
-        t.record(210, 1, 100); // window 2: violates (closes window 1)
-        t.record(310, 1, 5); // closes window 2
+        t.record(110, 1, 5); // window 1: ok
+        t.record(210, 1, 100); // window 2: violates
+        t.record(310, 1, 5); // sent at 305: windows 0..=2 are final
         let online = t.drain_burn();
-        let batch = t.report(|_| String::new()).unwrap().endpoints[0]
-            .burn_events
-            .clone();
-        assert_eq!(online.len(), batch.len());
-        for ((ep, o), b) in online.iter().zip(batch.iter()) {
-            assert_eq!(*ep, 1);
-            assert_eq!(o.window_start, b.window_start);
-            assert!((o.burn_rate - b.burn_rate).abs() < 1e-9);
-        }
-        assert!(t.drain_burn().is_empty(), "drain empties the queue");
+        let batch = &t.report(|_| String::new()).unwrap().endpoints[0].burn_events;
+        assert_eq!(online, 2);
+        assert_eq!(online, batch.len());
+        assert_eq!(t.drain_burn(), 0, "a drain counts each event once");
     }
 
     #[test]
     fn online_monitor_is_bounded_and_resettable() {
-        let mut t = SloTracker::new_online(cfg(100, 1_000, 1_000, 0.5));
+        let mut t = SloTracker::new(cfg(100, 1_000, 1_000, 0.5));
         for i in 0..10_000u64 {
             t.record(i * 10, 7, 5);
         }
-        assert!(t.drain_burn().is_empty(), "healthy stream fires nothing");
+        assert_eq!(t.drain_burn(), 0, "healthy stream fires nothing");
+        assert!(
+            t.fold.slab.len() <= 2,
+            "only the windows not yet judged are held: {} slots",
+            t.fold.slab.len()
+        );
+        // The next drain after a clear counts from the clear.
+        let mut t = SloTracker::new(cfg(100, 10, 10, 0.5));
+        t.record(10, 7, 500);
+        t.record(610, 7, 5); // sent at 605: window 0 is final and fired
+        assert_eq!(t.drain_burn(), 1);
         t.clear();
         assert!(t.report(|_| String::new()).unwrap().endpoints.is_empty());
-    }
-
-    #[test]
-    fn plain_tracker_has_no_online_events() {
-        let mut t = SloTracker::new(cfg(100, 10, 10, 0.1));
-        t.record(10, 1, 500);
-        t.record(110, 1, 500);
-        assert!(t.drain_burn().is_empty());
+        assert_eq!(t.drain_burn(), 0);
+        t.record(10, 7, 500);
+        t.record(610, 7, 5);
+        assert_eq!(t.drain_burn(), 1, "the cursor restarts after clear");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! The tracker judges a window once the sender clock passes its end, so
 //! every stream here is fed in kernel order: sorted by send time,
-//! `at − latency`.
+//! `at − latency`. The burn count a control loop drains as the run goes
+//! is checked against the same report.
 
 use legion_obs::slo::{
     quantile_sorted, BurnEvent, EndpointSlo, SloConfig, SloObjective, SloReport, SloTracker,
@@ -90,7 +91,7 @@ fn batch_report(
             current = Some(BatchEndpoint {
                 endpoint,
                 name: name_of(endpoint),
-                objective: cfg.objective_for(endpoint),
+                objective: cfg.objective,
                 windows: Vec::new(),
                 violating: 0,
                 budget_used: 0.0,
@@ -262,11 +263,9 @@ proptest! {
         samples in proptest::collection::vec((0u64..20_000, 0u64..5, 0u64..4_000), 1..300),
         window_ns in 1u64..3_000,
         objective in arb_objective(),
-        overrides in proptest::collection::vec((0u64..5, arb_objective()), 0..3),
         cut in 0usize..300,
     ) {
-        let per_endpoint = overrides.into_iter().collect();
-        let cfg = SloConfig { window_ns, objective, per_endpoint };
+        let cfg = SloConfig { window_ns, objective };
         let samples = kernel_order(samples);
         let mut t = SloTracker::new(cfg.clone());
         let cut = cut.min(samples.len());
@@ -280,6 +279,50 @@ proptest! {
         assert_same(&track(&cfg, &samples), &reference(&cfg, &samples));
         let end = t.report(|e| format!("ep{e}")).expect("enabled");
         assert_same(&end, &reference(&cfg, &samples));
+    }
+
+    /// The burn cursor counts the report's own events. Drained at
+    /// arbitrary points of a stream, the counts never add up to more
+    /// than the burn events a report lists at that point; once a late
+    /// sample per endpoint has made every window final, they add up to
+    /// exactly the report's total. `clear` restarts the count: a second
+    /// pass over the stream drains the same total again.
+    #[test]
+    fn drained_burns_add_up_to_the_report(
+        samples in proptest::collection::vec((0u64..20_000, 0u64..5, 0u64..4_000), 1..300),
+        window_ns in 1u64..3_000,
+        objective in arb_objective(),
+        drain_at in proptest::collection::vec(any::<bool>(), 300),
+    ) {
+        let cfg = SloConfig { window_ns, objective };
+        let samples = kernel_order(samples);
+        let listed = |report: SloReport| -> usize {
+            report.endpoints.iter().map(|e| e.burn_events.len()).sum()
+        };
+        let listed_now = |t: &SloTracker| listed(t.report(|e| format!("ep{e}")).expect("enabled"));
+        let total = listed(track(&cfg, &samples));
+        let mut t = SloTracker::new(cfg);
+        for pass in 0..2 {
+            let mut drained = 0;
+            for (&(at, endpoint, latency), &drain) in samples.iter().zip(&drain_at) {
+                t.record(at, endpoint, latency);
+                if drain {
+                    drained += t.drain_burn();
+                    let now = listed_now(&t);
+                    prop_assert!(drained <= now, "pass {}: drained {} of {}", pass, drained, now);
+                }
+            }
+            // Sent after every window's end, and a latency of 0 meets
+            // any objective: the late window itself never burns.
+            for endpoint in 0..5 {
+                t.record(1 << 40, endpoint, 0);
+            }
+            drained += t.drain_burn();
+            prop_assert_eq!(listed_now(&t), total);
+            prop_assert_eq!(drained, total, "pass {}", pass);
+            t.clear();
+            prop_assert_eq!(t.drain_burn(), 0);
+        }
     }
 
     /// The tracker's per-window p50/p99 equal the reference quantiles of
@@ -302,7 +345,6 @@ proptest! {
             let cfg = SloConfig {
                 window_ns,
                 objective: SloObjective { p50_ns, p99_ns, ..SloObjective::default() },
-                per_endpoint: BTreeMap::new(),
             };
             let report = track(&cfg, &stream);
             assert_eq!(report.endpoints.len(), 1);
@@ -341,7 +383,6 @@ proptest! {
                 p99_ns: p99_obj,
                 ..SloObjective::default()
             },
-            per_endpoint: BTreeMap::new(),
         };
         let report = track(&cfg, &one_endpoint(&samples));
         let ep = &report.endpoints[0];

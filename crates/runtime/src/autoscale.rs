@@ -3,24 +3,29 @@
 //! The paper's answer to a hot class is organizational — "a class which
 //! becomes a bottleneck can be cloned, and the clones can share the
 //! load" (§5.2.2) — but it never says *when*. This module closes the
-//! loop: the SLO tracker's incremental burn monitor
-//! ([`legion_obs::slo`]) turns sustained latency-objective violations
-//! into [`BurnEvent`]s, and the [`AutoScaler`] endpoint turns those into
-//! `Derive()` calls against the overloaded class — the same E6 cloning
-//! machinery a human operator would drive, minus the human.
+//! loop: the SLO tracker (`legion_obs::slo`) judges each latency window
+//! once it is final and logs a `BurnEvent` whenever violations burn the
+//! error budget too fast, and the [`AutoScaler`] endpoint turns a
+//! sustained run of those events into `Derive()` calls against the
+//! overloaded class — the same E6 cloning machinery a human operator
+//! would drive, minus the human. The scaler reads the very burn log the
+//! run's SLO report lists, so a clone decision rests on verdicts the
+//! report shows.
 //!
 //! Three pieces, separable on purpose:
 //!
 //! * [`HysteresisState`] — the pure decision kernel. Clone only after
-//!   `burn_streak_to_clone` consecutive burning poll ticks, never while
-//!   a previous clone is in flight, never inside the cooldown, never
-//!   past `max_clones`. A streak of calm ticks resets the burn streak,
-//!   so an isolated spike (one bad window during convergence) cannot
-//!   flap the system into an extra clone. Pure state machine, no I/O —
+//!   [`BURN_STREAK_TO_CLONE`] consecutive burning poll ticks, never
+//!   while a previous clone is in flight, never inside the cooldown
+//!   ([`COOLDOWN_NS`]), never past [`MAX_CLONES`].
+//!   [`CALM_STREAK_TO_RESET`] calm ticks reset the burn streak, so an
+//!   isolated spike (one bad window during convergence) cannot flap the
+//!   system into an extra clone. Pure state machine, no I/O —
 //!   unit-testable without a kernel.
-//! * [`AutoScaler`] — a sim endpoint that polls the kernel's burn-event
-//!   queue on a timer, feeds the hysteresis, issues `Derive()` when it
-//!   says go, and registers each landed clone with the router.
+//! * [`AutoScaler`] — a sim endpoint that asks the kernel every
+//!   [`POLL_INTERVAL_NS`] how many burn events were judged since its
+//!   last poll, feeds the hysteresis, issues `Derive()` when it says go,
+//!   and registers each landed clone with the router.
 //! * [`ReplicaRouter`] — the front door. Clients address the class
 //!   through it; it forwards round-robin over the replica set (the
 //!   original class plus every landed clone), preserving `reply_to` so
@@ -46,32 +51,16 @@ use legion_net::sim::{Ctx, Endpoint};
 /// object protocol).
 pub const ROUTER_ADD_REPLICA: &str = "Router.AddReplica";
 
-/// Knobs for the burn→clone control loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoScalePolicy {
-    /// Poll period for the burn-event queue, virtual ns.
-    pub poll_interval_ns: u64,
-    /// Consecutive burning ticks required before cloning (≥ 1).
-    pub burn_streak_to_clone: u32,
-    /// Consecutive calm ticks that reset the burn streak (≥ 1).
-    pub calm_streak_to_reset: u32,
-    /// Minimum virtual time between clone decisions.
-    pub cooldown_ns: u64,
-    /// Hard ceiling on clones this scaler will ever create.
-    pub max_clones: u32,
-}
-
-impl Default for AutoScalePolicy {
-    fn default() -> Self {
-        AutoScalePolicy {
-            poll_interval_ns: 50_000_000, // one SLO window
-            burn_streak_to_clone: 2,
-            calm_streak_to_reset: 3,
-            cooldown_ns: 200_000_000,
-            max_clones: 3,
-        }
-    }
-}
+/// Poll period for the burn count, virtual ns: one E18 SLO window.
+pub const POLL_INTERVAL_NS: u64 = 50_000_000;
+/// Consecutive burning ticks required before cloning.
+pub const BURN_STREAK_TO_CLONE: u32 = 2;
+/// Consecutive calm ticks that reset the burn streak.
+pub const CALM_STREAK_TO_RESET: u32 = 3;
+/// Minimum virtual time between clone decisions.
+pub const COOLDOWN_NS: u64 = 200_000_000;
+/// Hard ceiling on the clones one scaler will ever create.
+pub const MAX_CLONES: u32 = 3;
 
 /// The pure clone-decision state machine (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -109,24 +98,24 @@ impl HysteresisState {
     /// issue a clone *now* — the caller must follow up with
     /// [`begin_clone`](Self::begin_clone) once the request is actually
     /// sent (the decision and the send can fail independently).
-    pub fn observe(&mut self, policy: &AutoScalePolicy, now_ns: u64, burning: bool) -> bool {
+    pub fn observe(&mut self, now_ns: u64, burning: bool) -> bool {
         if !burning {
             self.calm_streak += 1;
-            if self.calm_streak >= policy.calm_streak_to_reset.max(1) {
+            if self.calm_streak >= CALM_STREAK_TO_RESET {
                 self.burn_streak = 0;
             }
             return false;
         }
         self.calm_streak = 0;
         self.burn_streak = self.burn_streak.saturating_add(1);
-        if self.pending || self.clones >= policy.max_clones {
+        if self.pending || self.clones >= MAX_CLONES {
             return false;
         }
-        if self.burn_streak < policy.burn_streak_to_clone.max(1) {
+        if self.burn_streak < BURN_STREAK_TO_CLONE {
             return false;
         }
         if let Some(t) = self.last_decision_ns {
-            if now_ns.saturating_sub(t) < policy.cooldown_ns {
+            if now_ns.saturating_sub(t) < COOLDOWN_NS {
                 return false;
             }
         }
@@ -170,7 +159,6 @@ const TIMER_POLL: u64 = 1;
 /// issues `Derive()` against the watched class, registers landed clones
 /// with the [`ReplicaRouter`].
 pub struct AutoScaler {
-    policy: AutoScalePolicy,
     state: HysteresisState,
     me: Loid,
     /// The scaler's outbound half: the one `Derive()` it may have out.
@@ -178,8 +166,8 @@ pub struct AutoScaler {
     /// The class being watched (and cloned).
     class_loid: Loid,
     class_element: ObjectAddressElement,
-    /// Front door to register clones with (`None` = decide-only mode).
-    router: Option<ObjectAddressElement>,
+    /// Front door to register clones with.
+    router: ObjectAddressElement,
     router_method: Sym,
     /// Stop polling at this virtual time so the kernel can go quiescent.
     stop_at_ns: u64,
@@ -198,12 +186,10 @@ impl AutoScaler {
         me: Loid,
         class_loid: Loid,
         class_element: ObjectAddressElement,
-        router: Option<ObjectAddressElement>,
-        policy: AutoScalePolicy,
+        router: ObjectAddressElement,
         stop_at_ns: u64,
     ) -> Self {
         AutoScaler {
-            policy,
             state: HysteresisState::new(),
             me,
             calls: Calls::new(me, symbol::POLICY_TIMEOUTS),
@@ -254,11 +240,11 @@ impl AutoScaler {
                     at_ns: now,
                     loid: b.loid,
                 });
-                if let (Some(router), Some(_)) = (self.router, b.address.primary()) {
+                if b.address.primary().is_some() {
                     let me = self.me;
                     let args = ctx.args([LegionValue::Binding(b)]);
                     ctx.notify(
-                        router,
+                        self.router,
                         self.class_loid,
                         self.router_method,
                         args,
@@ -291,7 +277,7 @@ impl Caller for AutoScaler {
 
 impl Endpoint for AutoScaler {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.policy.poll_interval_ns, TIMER_POLL);
+        ctx.set_timer(POLL_INTERVAL_NS, TIMER_POLL);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
@@ -300,17 +286,17 @@ impl Endpoint for AutoScaler {
             return;
         }
         let events = ctx.drain_burn_events();
-        let burning = !events.is_empty();
-        self.burn_events_seen += events.len() as u64;
+        let burning = events > 0;
+        self.burn_events_seen += events as u64;
         if burning {
             self.burning_ticks += 1;
         }
         let now = ctx.now().as_nanos();
-        if self.state.observe(&self.policy, now, burning) {
+        if self.state.observe(now, burning) {
             self.issue_derive(ctx);
         }
         if now < self.stop_at_ns {
-            ctx.set_timer(self.policy.poll_interval_ns, TIMER_POLL);
+            ctx.set_timer(POLL_INTERVAL_NS, TIMER_POLL);
         }
     }
 
@@ -385,121 +371,140 @@ impl Endpoint for ReplicaRouter {
 mod tests {
     use super::*;
 
-    fn policy() -> AutoScalePolicy {
-        AutoScalePolicy {
-            poll_interval_ns: 10,
-            burn_streak_to_clone: 3,
-            calm_streak_to_reset: 2,
-            cooldown_ns: 100,
-            max_clones: 2,
-        }
+    /// The virtual time of poll tick `n`.
+    fn tick(n: u32) -> u64 {
+        u64::from(n) * POLL_INTERVAL_NS
+    }
+
+    /// Feed burning ticks from `from` until the state says clone; the
+    /// tick it said so at.
+    fn burn_until_decision(h: &mut HysteresisState, from: u32) -> u32 {
+        (from..from + 100)
+            .find(|&n| h.observe(tick(n), true))
+            .expect("a sustained burn decides within 100 ticks")
     }
 
     #[test]
     fn clone_requires_a_sustained_streak() {
-        let p = policy();
         let mut h = HysteresisState::new();
-        assert!(!h.observe(&p, 0, true));
-        assert!(!h.observe(&p, 10, true));
-        assert!(h.observe(&p, 20, true), "third burning tick fires");
+        for n in 1..BURN_STREAK_TO_CLONE {
+            assert!(!h.observe(tick(n), true), "burning tick {n} is too few");
+        }
+        assert!(
+            h.observe(tick(BURN_STREAK_TO_CLONE), true),
+            "the streak's last burning tick fires"
+        );
     }
 
     #[test]
     fn isolated_spikes_do_not_flap() {
-        let p = policy();
         let mut h = HysteresisState::new();
-        // Two burning ticks, then enough calm to reset the streak.
-        assert!(!h.observe(&p, 0, true));
-        assert!(!h.observe(&p, 10, true));
-        assert!(!h.observe(&p, 20, false));
-        assert!(!h.observe(&p, 30, false));
+        // One tick short of a streak, then enough calm to reset it.
+        let mut n = 0;
+        for _ in 1..BURN_STREAK_TO_CLONE {
+            n += 1;
+            assert!(!h.observe(tick(n), true));
+        }
+        for _ in 0..CALM_STREAK_TO_RESET {
+            n += 1;
+            assert!(!h.observe(tick(n), false));
+        }
         assert_eq!(h.burn_streak(), 0, "calm streak resets the burn streak");
         // The streak must rebuild from scratch.
-        assert!(!h.observe(&p, 40, true));
-        assert!(!h.observe(&p, 50, true));
-        assert!(h.observe(&p, 60, true));
+        for _ in 1..BURN_STREAK_TO_CLONE {
+            n += 1;
+            assert!(!h.observe(tick(n), true));
+        }
+        assert!(h.observe(tick(n + 1), true));
     }
 
     #[test]
     fn a_single_calm_tick_does_not_reset() {
-        let p = policy();
+        // Every calm run shorter than the reset streak, the single tick
+        // included, leaves the burn streak standing.
+        const { assert!(CALM_STREAK_TO_RESET > 1) };
         let mut h = HysteresisState::new();
-        assert!(!h.observe(&p, 0, true));
-        assert!(!h.observe(&p, 10, true));
-        assert!(!h.observe(&p, 20, false), "calm tick never fires");
-        assert_eq!(h.burn_streak(), 2, "one calm tick < calm_streak_to_reset");
-        assert!(h.observe(&p, 30, true), "streak resumes and fires");
+        let mut n = 0;
+        for _ in 1..BURN_STREAK_TO_CLONE {
+            n += 1;
+            assert!(!h.observe(tick(n), true));
+        }
+        for _ in 1..CALM_STREAK_TO_RESET {
+            n += 1;
+            assert!(!h.observe(tick(n), false), "calm tick never fires");
+            assert_eq!(
+                h.burn_streak(),
+                BURN_STREAK_TO_CLONE - 1,
+                "fewer than CALM_STREAK_TO_RESET calm ticks"
+            );
+        }
+        assert!(h.observe(tick(n + 1), true), "streak resumes and fires");
     }
 
     #[test]
     fn pending_blocks_further_decisions() {
-        let p = policy();
         let mut h = HysteresisState::new();
-        for t in 0..3 {
-            h.observe(&p, t * 10, true);
+        let n = burn_until_decision(&mut h, 1);
+        h.begin_clone(tick(n));
+        // Burning hard while the derive is in flight, cooldown long
+        // over: no second decision.
+        let later = n + 1 + (COOLDOWN_NS / POLL_INTERVAL_NS) as u32;
+        for m in n + 1..=later + 5 {
+            assert!(!h.observe(tick(m), true), "pending blocks at tick {m}");
         }
-        h.begin_clone(20);
-        // Burning hard while the derive is in flight: no second decision.
-        for t in 3..10 {
-            assert!(!h.observe(&p, t * 10, true), "pending blocks at t={t}");
-        }
-        h.clone_landed(100);
+        h.clone_landed(tick(later + 5));
         assert_eq!(h.clones(), 1);
         assert_eq!(h.burn_streak(), 0, "landing restarts the streak");
     }
 
     #[test]
     fn cooldown_spaces_decisions() {
-        let p = policy();
+        // A whole streak fits inside the cooldown.
+        const { assert!(BURN_STREAK_TO_CLONE as u64 * POLL_INTERVAL_NS < COOLDOWN_NS) };
         let mut h = HysteresisState::new();
-        for t in 0..3 {
-            h.observe(&p, t * 10, true);
+        let n = burn_until_decision(&mut h, 1);
+        h.begin_clone(tick(n));
+        let landed = tick(n + 1);
+        h.clone_landed(landed);
+        // The streak rebuilds at once, but the cooldown holds.
+        for k in 1..=BURN_STREAK_TO_CLONE {
+            assert!(!h.observe(landed + tick(k), true), "inside cooldown");
         }
-        h.begin_clone(20);
-        h.clone_landed(30);
-        // Streak rebuilds immediately but the 100 ns cooldown holds.
-        assert!(!h.observe(&p, 40, true));
-        assert!(!h.observe(&p, 50, true));
-        assert!(!h.observe(&p, 60, true), "streak met but inside cooldown");
-        assert!(h.observe(&p, 140, true), "cooldown expired");
+        assert!(h.burn_streak() >= BURN_STREAK_TO_CLONE, "streak met");
+        assert!(!h.observe(landed + COOLDOWN_NS - 1, true));
+        assert!(h.observe(landed + COOLDOWN_NS, true), "cooldown expired");
     }
 
     #[test]
     fn max_clones_is_a_hard_ceiling() {
-        let p = policy();
         let mut h = HysteresisState::new();
-        for round in 0..2u64 {
-            let base = round * 1000;
-            let mut fired = false;
-            for t in 0..10u64 {
-                if h.observe(&p, base + t * 10, true) {
-                    h.begin_clone(base + t * 10);
-                    h.clone_landed(base + t * 10 + 5);
-                    fired = true;
-                    break;
-                }
-            }
-            assert!(fired, "round {round} should clone");
+        // Rounds far enough apart that the cooldown never binds.
+        let apart = 2 * (COOLDOWN_NS / POLL_INTERVAL_NS) as u32 + 100;
+        for round in 0..MAX_CLONES {
+            let n = burn_until_decision(&mut h, round * apart);
+            h.begin_clone(tick(n));
+            h.clone_landed(tick(n) + 5);
         }
-        assert_eq!(h.clones(), 2);
+        assert_eq!(h.clones(), MAX_CLONES);
         // At the ceiling: burn forever, never clone again.
-        for t in 0..50u64 {
-            assert!(!h.observe(&p, 10_000 + t * 10, true));
+        let base = MAX_CLONES * apart;
+        for n in base..base + 50 * apart {
+            assert!(!h.observe(tick(n), true));
         }
     }
 
     #[test]
     fn failed_clone_unblocks_but_keeps_cooldown() {
-        let p = policy();
         let mut h = HysteresisState::new();
-        for t in 0..3 {
-            h.observe(&p, t * 10, true);
-        }
-        h.begin_clone(20);
+        let n = burn_until_decision(&mut h, 1);
+        h.begin_clone(tick(n));
         h.clone_failed();
         assert_eq!(h.clones(), 0);
         // Still burning; the cooldown from the failed attempt applies.
-        assert!(!h.observe(&p, 30, true));
-        assert!(h.observe(&p, 130, true), "retry after cooldown");
+        assert!(!h.observe(tick(n + 1), true));
+        assert!(
+            h.observe(tick(n) + COOLDOWN_NS, true),
+            "retry after cooldown"
+        );
     }
 }

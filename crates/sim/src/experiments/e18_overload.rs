@@ -25,10 +25,12 @@
 //!   flash crowd at 2× (the §5.2.2 "hot class" moment), then recovery,
 //!   run twice: once with admission control alone, once with the
 //!   burn-driven auto-scaler ([`legion_runtime::autoscale`]) closing the
-//!   loop. In the second run the SLO tracker's online burn monitor turns
-//!   sustained p99 violations into [`legion_obs::slo::BurnEvent`]s, the
-//!   policy endpoint answers with `Derive()` — the E6 cloning machinery,
-//!   unscripted — and each landed clone joins a round-robin front door.
+//!   loop. In the second run the SLO tracker judges each window once it
+//!   is final and logs a [`legion_obs::slo::BurnEvent`] when p99
+//!   violations burn the budget too fast; the policy endpoint polls that
+//!   log (the one the run's SLO report lists) and answers a sustained
+//!   burn with `Derive()` — the E6 cloning machinery, unscripted — and
+//!   each landed clone joins a round-robin front door.
 //!   The campaign shows burn events firing, clones landing mid-flash,
 //!   the shed fraction falling against the no-scaler baseline, and the
 //!   recovery-phase p99 back inside the objective.
@@ -52,7 +54,7 @@ use legion_net::admission::AdmissionConfig;
 use legion_net::sim::EndpointId;
 use legion_net::topology::{Location, Topology};
 use legion_obs::slo::{SloConfig, SloObjective};
-use legion_runtime::autoscale::{AutoScalePolicy, AutoScaler, ReplicaRouter};
+use legion_runtime::autoscale::{AutoScaler, ReplicaRouter};
 use legion_runtime::class_endpoint::ClassEndpoint;
 
 /// The hot class's deterministic service time per data-plane call.
@@ -61,7 +63,7 @@ const SERVICE_NS: u64 = 200_000;
 const QUEUE_DEPTH: u64 = 16;
 /// SLO evaluation window.
 const SLO_WINDOW_NS: u64 = 50_000_000;
-/// The latency objective the burn monitor defends. The p99 bound sits
+/// The latency objective the auto-scaler defends. The p99 bound sits
 /// between healthy response times (≤ a few service times) and a full
 /// queue (`QUEUE_DEPTH × SERVICE_NS` = 3.2 ms), so only real queueing
 /// pressure burns budget.
@@ -337,15 +339,18 @@ pub fn flash_campaign_with_chaos(
     let mut sys = build_system(seed);
     // The session opens after the (identical, fault-free) build, and
     // `measure` zeroes the event counter, so record and verify share
-    // their snapshot cadence — same discipline as E16. The online SLO
-    // tracker the scaler reads replaces whatever tracker the watch set.
+    // their snapshot cadence — same discipline as E16. The SLO tracker
+    // replaces whatever tracker the watch set: its burn log is what the
+    // scaler polls and what the report lists, one signal for both.
     let session = watch.open(&mut sys.kernel);
     session.measure(&mut sys.kernel);
-    sys.kernel.enable_slo_online(SloConfig {
-        window_ns: SLO_WINDOW_NS,
-        objective: OBJECTIVE,
-        per_endpoint: Default::default(),
-    });
+    session.track_slo(
+        &mut sys.kernel,
+        SloConfig {
+            window_ns: SLO_WINDOW_NS,
+            objective: OBJECTIVE,
+        },
+    );
 
     let t0 = sys.kernel.now().as_nanos();
     // Chaos schedules arm after the session opens — E16's discipline.
@@ -367,8 +372,7 @@ pub fn flash_campaign_with_chaos(
             Loid::instance(9800, 1),
             class_loid,
             class_ep.element(),
-            Some(router_ep.element()),
-            AutoScalePolicy::default(),
+            router_ep.element(),
             t0 + total_ns + 100_000_000,
         );
         sys.kernel
@@ -751,6 +755,27 @@ mod tests {
         // Bounded queues throughout, clones included.
         assert!(auto.peak_backlog <= QUEUE_DEPTH, "{auto:?}");
         assert!(auto.deferred_peak <= QUEUE_DEPTH, "{auto:?}");
+    }
+
+    /// One signal: the scaler polls the burn log the run's SLO report
+    /// lists, so in the observed auto-scaled run it never counted an
+    /// event the report does not show.
+    #[test]
+    fn scaler_counts_only_the_reports_burn_events() {
+        let (row, run) = flash_campaign(true, SEED, true, Watch::all(Journal::Off));
+        let slo = run.expect("no journal session").slo;
+        assert_eq!(slo.window_ns, SLO_WINDOW_NS, "the report is E18's tracker");
+        let listed: u64 = slo
+            .endpoints
+            .iter()
+            .map(|e| e.burn_events.len() as u64)
+            .sum();
+        assert!(row.burn_events > 0, "{row:?}");
+        assert!(
+            row.burn_events <= listed,
+            "the scaler saw {} burn events, the report lists {listed}",
+            row.burn_events
+        );
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! | [`Session::measure`] | in place of `kernel.reset_metrics()`, right before the measured phase | resets metrics, then the span sink and windowed counters |
 //! | [`Session::close`] | after the measured phase went quiescent | nothing — finishes the journal and collects the [`Observed`] |
 //!
+//! A run whose own control loop reads the SLO tracker (E18's auto-scaler
+//! polls its burn log) puts its objectives in with [`Session::track_slo`]
+//! right after `measure`, whatever the watch; the report then judges
+//! against those.
+//!
 //! Sweeps pass [`Watch::off`], for which all three steps reduce to the
 //! bare `reset_metrics()` they replace; `legion-exp`'s export flags pass
 //! [`Watch::all`]. This file is the only place under `crates/sim/src` and
@@ -26,7 +31,6 @@ use legion_net::sim::{FlightEvent, SimKernel};
 use legion_obs::profile::Profile;
 use legion_obs::slo::{SloConfig, SloObjective, SloReport};
 use legion_obs::span::SpanEvent;
-use std::collections::BTreeMap;
 
 /// Span-sink capacity for observed runs — large enough that no observed
 /// point evicts (eviction would silently truncate the oldest traces).
@@ -112,7 +116,6 @@ impl Watch {
                     error_budget: 0.1,
                     burn_threshold: 2.0,
                 },
-                per_endpoint: BTreeMap::new(),
             }),
             trace: true,
         }
@@ -160,6 +163,14 @@ impl Session {
             kernel.enable_tracing(TRACE_CAPACITY);
             kernel.enable_windows(WINDOW_NS);
         }
+    }
+
+    /// Track SLO objectives `cfg` from here on, in place of whatever
+    /// tracker the watch switched on, even under [`Watch::off`]: for a
+    /// run that steers by the tracker's burn log. Call it right after
+    /// [`measure`](Self::measure).
+    pub fn track_slo(&self, kernel: &mut SimKernel, cfg: SloConfig) {
+        kernel.enable_slo(cfg);
     }
 
     /// Step three: finish the journal and collect what was observed. A

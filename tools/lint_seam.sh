@@ -64,8 +64,8 @@ fi
 # One layer up, the same rule for the run harness: under crates/sim/src
 # and crates/bench/src a kernel watcher is switched on, and a journal
 # closed, only in crates/sim/src/harness.rs — an experiment takes a Watch
-# and walks open → measure → close. (`enable_slo_online(` in E18 is the
-# autoscaler's input, not an instrument, and is not matched.)
+# and walks open → measure → close. (E18's SLO tracker is also its
+# autoscaler's input; it too is switched on here, by `Session::track_slo`.)
 harness='crates/sim/src/harness.rs'
 switches='enable_journal_record\(|enable_journal_verify\(|finish_journal\(|enable_tracing\(|enable_windows\(|enable_profiling\(|enable_slo\('
 hits=$(outside "$harness" "$switches" crates/sim/src crates/bench/src)
