@@ -176,6 +176,10 @@ fn hot_path_allocation_budgets() {
         assert!(cache.stats().evictions > 1_000, "{:?}", cache.stats());
     }
 
+    // A binding cache's node slab is one allocation, for its whole
+    // capacity, and a refill after `clear` reuses it.
+    binding_caches_reserve_their_slab_once();
+
     // A Binding-Agent miss — request in, upstream call, upstream reply,
     // answer out — allocates nothing per binding and nothing to park.
     agent_misses_allocate_for_the_continuation_only();
@@ -298,6 +302,72 @@ fn hot_path_allocation_budgets() {
     assert_eq!(*stats, again, "the E12 wave must be seed-determined");
 }
 
+/// Allocations and bytes `f` makes, the least over a few attempts (see
+/// [`alloc_delta_min`]); each attempt starts from what `f` builds itself.
+fn alloc_pair_min(mut f: impl FnMut()) -> (u64, u64) {
+    let mut attempt = || {
+        let (a0, b0) = alloc_counter::counts();
+        f();
+        let (a1, b1) = alloc_counter::counts();
+        (a1 - a0, b1 - b0)
+    };
+    (0..3).map(|_| attempt()).min().unwrap()
+}
+
+/// Filling an empty `BindingCache::new(4096)` makes one allocation of
+/// 4 096 nodes of 104 B — the slab, reserved by the first insert — and
+/// otherwise only the index's doublings: 16, 32, … 8 192 slots of 8 B,
+/// the last one at most half full. A refill after `clear` makes the
+/// index's doublings alone. A slab grown by doubling instead would make
+/// 13 allocations and ≈ 2× the bytes, a `usize`-linked node 4 096 × 8 B
+/// more.
+fn binding_caches_reserve_their_slab_once() {
+    use legion_core::address::{ObjectAddress, ObjectAddressElement};
+    use legion_core::binding::Binding;
+    use legion_core::loid::Loid;
+    use legion_naming::cache::BindingCache;
+
+    const CAPACITY: u64 = 4_096;
+    const NODE_BYTES: u64 = 104;
+    let doublings: Vec<u64> =
+        std::iter::successors(Some(16), |&s| (s < 2 * CAPACITY).then_some(2 * s)).collect();
+    let index = (doublings.len() as u64, 8 * doublings.iter().sum::<u64>());
+    assert_eq!(index, (10, 130_944));
+    let at = |i: u64| {
+        Binding::forever(
+            Loid::instance(16, i + 1),
+            ObjectAddress::single(ObjectAddressElement::sim(i)),
+        )
+    };
+
+    let fill = alloc_pair_min(|| {
+        let mut cache = BindingCache::new(CAPACITY as usize);
+        for i in 0..CAPACITY {
+            cache.insert(at(i));
+        }
+        assert_eq!(cache.len() as u64, CAPACITY);
+    });
+    assert_eq!(
+        fill,
+        (1 + index.0, CAPACITY * NODE_BYTES + index.1),
+        "filling a cache of {CAPACITY}: (allocations, bytes), index {index:?}"
+    );
+
+    let mut cache = BindingCache::new(CAPACITY as usize);
+    cache.insert(at(0));
+    let refill = alloc_pair_min(|| {
+        cache.clear();
+        for i in 0..CAPACITY {
+            cache.insert_ref(&at(i));
+        }
+        assert_eq!(cache.len() as u64, CAPACITY);
+    });
+    assert_eq!(
+        refill, index,
+        "refilling a cleared cache: (allocations, bytes) beyond the index's"
+    );
+}
+
 /// One root Binding Agent between an asker and a class holding 1 024
 /// rows; the asker resolves a different row each time, so every request
 /// misses the agent's cache, goes to the class and comes back. Measured
@@ -305,7 +375,8 @@ fn hot_path_allocation_budgets() {
 /// slab and index at size): the reply's binding box is recycled and the
 /// answer is built in a pooled one, and the upstream call parks as plain
 /// data in the capacity the agent's call store kept. What is left is the
-/// cache slab's amortized growth: measured 2 for 512 misses.
+/// cache index's doubling: measured 1 for 512 misses (the slab was
+/// reserved whole by the first miss).
 fn agent_misses_allocate_for_the_continuation_only() {
     use legion_core::address::{ObjectAddress, ObjectAddressElement};
     use legion_core::binding::Binding;

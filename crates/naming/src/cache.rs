@@ -6,9 +6,16 @@
 //! inside class objects. All three use this [`BindingCache`]: an LRU with
 //! per-entry expiry and hit/miss/stale accounting.
 //!
-//! The LRU is implemented as a slab-backed doubly linked list plus a hash
-//! index — O(1) lookup, insert and eviction, suitable for the large agent
-//! caches in the scalability experiments.
+//! The LRU is a doubly linked list threaded through a slab of nodes plus a
+//! hash index — O(1) lookup, insert and eviction, suitable for the large
+//! agent caches in the scalability experiments. A node is the binding and
+//! two `u32` links (104 B); the index spends one 8-byte slot per
+//! binding at a load between a quarter and a half (16–32 B). The slab is
+//! reserved at `capacity` nodes on the first insert and never moves
+//! after: a slab grown by doubling left each outgrown block resident
+//! beside its successor, and with dozens of agent caches filling in
+//! lockstep those blocks made up a quarter of a million-LOID campaign's
+//! peak memory.
 
 use legion_core::binding::Binding;
 use legion_core::fxmap::FxBuildHasher;
@@ -31,12 +38,16 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-const NIL: usize = usize::MAX;
+/// A node's position in the slab. The index packs it into 32 bits too.
+type NodeId = u32;
+
+/// The end of the list; never a slab position (see [`BindingCache::new`]).
+const NIL: NodeId = NodeId::MAX;
 
 struct Node {
     binding: Binding,
-    prev: usize,
-    next: usize,
+    prev: NodeId,
+    next: NodeId,
 }
 
 impl Node {
@@ -70,19 +81,18 @@ impl Index {
         (FxBuildHasher::default().hash_one(loid) >> 32) as u32
     }
 
-    fn pack(tag: u32, node: usize) -> u64 {
-        let node = u32::try_from(node + 1).expect("cache slab outgrew the index");
-        u64::from(tag) << 32 | u64::from(node)
+    fn pack(tag: u32, node: NodeId) -> u64 {
+        u64::from(tag) << 32 | u64::from(node + 1)
     }
 
-    fn node(slot: u64) -> usize {
-        (slot as u32 - 1) as usize
+    fn node(slot: u64) -> NodeId {
+        slot as u32 - 1
     }
 
     /// Walk the run that starts at `tag`'s home slot: the position and
     /// node of the first entry with this tag that `is_it` accepts, or
     /// the position of the empty slot that ends the run.
-    fn probe(&self, tag: u32, is_it: impl Fn(usize) -> bool) -> Result<(usize, usize), usize> {
+    fn probe(&self, tag: u32, is_it: impl Fn(NodeId) -> bool) -> Result<(usize, NodeId), usize> {
         let mask = self.slots.len() - 1;
         let mut pos = tag as usize & mask;
         loop {
@@ -119,7 +129,7 @@ impl Index {
     }
 
     /// Fill the empty slot a failed [`Index::probe`] ended at.
-    fn fill(&mut self, at: usize, tag: u32, node: usize) {
+    fn fill(&mut self, at: usize, tag: u32, node: NodeId) {
         self.slots[at] = Self::pack(tag, node);
         self.len += 1;
     }
@@ -144,6 +154,11 @@ impl Index {
 
 /// An LRU + TTL cache from LOID to [`Binding`].
 ///
+/// Its slab of 104-byte nodes is reserved at `capacity` on the first
+/// insert — one allocation that never grows or moves — so a cache costs
+/// nothing until used, and `capacity × 104 B` plus its index once used.
+/// Nodes link to each other by `u32` slab position.
+///
 /// ```
 /// use legion_core::address::{ObjectAddress, ObjectAddressElement};
 /// use legion_core::binding::Binding;
@@ -163,16 +178,27 @@ impl Index {
 pub struct BindingCache {
     index: Index,
     nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    free: Vec<NodeId>,
+    head: NodeId, // most recently used
+    tail: NodeId, // least recently used
     capacity: usize,
     stats: CacheStats,
 }
 
 impl BindingCache {
-    /// A cache holding at most `capacity` bindings (minimum 1).
+    /// A cache holding at most `capacity` bindings (minimum 1). Nothing
+    /// is allocated here; the first insert reserves the node slab for all
+    /// `capacity` bindings at once.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` exceeds `u32::MAX - 1`: nodes are linked and
+    /// indexed by `u32`, and `u32::MAX` marks the end of the list.
     pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity < NIL as usize,
+            "a binding cache holds at most u32::MAX - 1 bindings, not {capacity}"
+        );
         let capacity = capacity.max(1);
         BindingCache {
             index: Index::default(),
@@ -207,27 +233,38 @@ impl BindingCache {
 
     // ----- linked-list plumbing ------------------------------------------
 
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+    fn node(&self, idx: NodeId) -> &Node {
+        &self.nodes[idx as usize]
+    }
+
+    fn node_mut(&mut self, idx: NodeId) -> &mut Node {
+        &mut self.nodes[idx as usize]
+    }
+
+    fn detach(&mut self, idx: NodeId) {
+        let Node { prev, next, .. } = *self.node(idx);
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.node_mut(prev).next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.node_mut(next).prev = prev;
         } else {
             self.tail = prev;
         }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
+        let node = self.node_mut(idx);
+        node.prev = NIL;
+        node.next = NIL;
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
+    fn push_front(&mut self, idx: NodeId) {
+        let head = self.head;
+        let node = self.node_mut(idx);
+        node.prev = NIL;
+        node.next = head;
+        if head != NIL {
+            self.node_mut(head).prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -236,19 +273,19 @@ impl BindingCache {
     }
 
     /// Where `loid` sits in the index and in the slab.
-    fn find(&self, loid: &Loid) -> Option<(usize, usize)> {
+    fn find(&self, loid: &Loid) -> Option<(usize, NodeId)> {
         if self.index.len == 0 {
             return None;
         }
         self.index
-            .probe(Index::tag(loid), |n| self.nodes[n].binding.loid == *loid)
+            .probe(Index::tag(loid), |n| self.node(n).binding.loid == *loid)
             .ok()
     }
 
     /// Take the node at index position `at` out of the list and the
     /// index and put it on the free list. Its binding stays in the slab
     /// until the node is reused, so dropping an entry clones nothing.
-    fn unlink(&mut self, at: usize, idx: usize) {
+    fn unlink(&mut self, at: usize, idx: NodeId) {
         self.detach(idx);
         self.index.remove_at(at);
         self.free.push(idx);
@@ -258,11 +295,14 @@ impl BindingCache {
     /// under `loid`: the resident one, else a free one, else — at
     /// capacity — the LRU entry's, evicted in place. `nodes.len()`
     /// means the slab has to grow. Below capacity that is one probe.
-    fn claim(&mut self, loid: Loid) -> usize {
+    fn claim(&mut self, loid: Loid) -> NodeId {
         self.index.reserve_one();
         let tag = Index::tag(&loid);
         let nodes = &self.nodes;
-        let at = match self.index.probe(tag, |n| nodes[n].binding.loid == loid) {
+        let at = match self
+            .index
+            .probe(tag, |n| nodes[n as usize].binding.loid == loid)
+        {
             Ok((_, idx)) => {
                 self.detach(idx);
                 return idx;
@@ -270,7 +310,8 @@ impl BindingCache {
             Err(at) => at,
         };
         if self.index.len < self.capacity {
-            let idx = self.free.pop().unwrap_or(self.nodes.len());
+            // Below capacity, so `nodes.len() < capacity < NIL`.
+            let idx = self.free.pop().unwrap_or(self.nodes.len() as NodeId);
             self.index.fill(at, tag, idx);
             return idx;
         }
@@ -280,7 +321,7 @@ impl BindingCache {
         self.detach(lru);
         let (victim, _) = self
             .index
-            .probe(Index::tag(&self.nodes[lru].binding.loid), |n| n == lru)
+            .probe(Index::tag(&self.node(lru).binding.loid), |n| n == lru)
             .expect("the LRU node is indexed");
         self.index.remove_at(victim);
         self.stats.evictions += 1;
@@ -288,24 +329,22 @@ impl BindingCache {
         lru
     }
 
+    /// Append a node to the slab. The first append reserves room for
+    /// `capacity` nodes, and the slab never holds more, so it never
+    /// reallocates after that.
+    fn push_node(&mut self, binding: Binding) {
+        if self.nodes.capacity() == 0 {
+            self.nodes.reserve_exact(self.capacity);
+        }
+        self.nodes.push(Node::new(binding));
+    }
+
     // ----- public API ------------------------------------------------------
 
     /// Look up a live binding, refreshing its LRU position. Expired
     /// entries are removed and counted.
     pub fn get(&mut self, loid: &Loid, now: SimTime) -> Option<Binding> {
-        let Some((at, idx)) = self.find(loid) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        if !self.nodes[idx].binding.is_valid_at(now) {
-            self.stats.expired += 1;
-            self.unlink(at, idx);
-            return None;
-        }
-        self.stats.hits += 1;
-        self.detach(idx);
-        self.push_front(idx);
-        Some(self.nodes[idx].binding.clone())
+        self.get_ref(loid, now).cloned()
     }
 
     /// [`BindingCache::get`] without the clone: same LRU refresh and
@@ -317,7 +356,7 @@ impl BindingCache {
             self.stats.misses += 1;
             return None;
         };
-        if !self.nodes[idx].binding.is_valid_at(now) {
+        if !self.node(idx).binding.is_valid_at(now) {
             self.stats.expired += 1;
             self.unlink(at, idx);
             return None;
@@ -325,21 +364,21 @@ impl BindingCache {
         self.stats.hits += 1;
         self.detach(idx);
         self.push_front(idx);
-        Some(&self.nodes[idx].binding)
+        Some(&self.node(idx).binding)
     }
 
     /// Peek without touching LRU order or stats (for tests/inspection).
     pub fn peek(&self, loid: &Loid) -> Option<&Binding> {
-        self.find(loid).map(|(_, idx)| &self.nodes[idx].binding)
+        self.find(loid).map(|(_, idx)| &self.node(idx).binding)
     }
 
     /// [`BindingCache::insert`] from a borrow: the binding is copied
     /// field-wise into the node it lands in, so only a cache still
-    /// growing its slab clones (and a replicated address refills the
+    /// filling its slab clones (and a replicated address refills the
     /// node's resident element buffer).
     pub fn insert_ref(&mut self, binding: &Binding) {
         let idx = self.claim(binding.loid);
-        match self.nodes.get_mut(idx) {
+        match self.nodes.get_mut(idx as usize) {
             Some(node) => {
                 node.binding.loid = binding.loid;
                 node.binding.expiry = binding.expiry;
@@ -347,7 +386,7 @@ impl BindingCache {
                 let elements = &mut node.binding.address.elements;
                 elements.clone_from(&binding.address.elements);
             }
-            None => self.nodes.push(Node::new(binding.clone())),
+            None => self.push_node(binding.clone()),
         }
         self.push_front(idx);
     }
@@ -356,9 +395,9 @@ impl BindingCache {
     /// when at capacity.
     pub fn insert(&mut self, binding: Binding) {
         let idx = self.claim(binding.loid);
-        match self.nodes.get_mut(idx) {
+        match self.nodes.get_mut(idx as usize) {
             Some(node) => node.binding = binding,
-            None => self.nodes.push(Node::new(binding)),
+            None => self.push_node(binding),
         }
         self.push_front(idx);
     }
@@ -369,7 +408,7 @@ impl BindingCache {
         let (at, idx) = self.find(loid)?;
         self.stats.invalidations += 1;
         self.unlink(at, idx);
-        Some(self.nodes[idx].binding.clone())
+        Some(self.node(idx).binding.clone())
     }
 
     /// Remove a binding only if it *exactly matches* the argument
@@ -378,7 +417,7 @@ impl BindingCache {
         let Some((at, idx)) = self.find(&binding.loid) else {
             return false;
         };
-        if &self.nodes[idx].binding != binding {
+        if &self.node(idx).binding != binding {
             return false;
         }
         self.stats.invalidations += 1;
@@ -386,7 +425,8 @@ impl BindingCache {
         true
     }
 
-    /// Drop every entry.
+    /// Drop every entry. The node slab keeps its one-time reservation,
+    /// so refilling the cache allocates only the index again.
     pub fn clear(&mut self) {
         self.index = Index::default();
         self.nodes.clear();
@@ -400,8 +440,8 @@ impl BindingCache {
         let mut out = Vec::with_capacity(self.len());
         let mut cur = self.head;
         while cur != NIL {
-            out.push(self.nodes[cur].binding.loid);
-            cur = self.nodes[cur].next;
+            out.push(self.node(cur).binding.loid);
+            cur = self.node(cur).next;
         }
         out
     }
@@ -436,7 +476,7 @@ mod tests {
     /// every survivor reachable.
     #[test]
     fn index_runs_wrap_and_close_up_after_removal() {
-        let tag = |n: usize| ((n as u32) << 8) | (14 + (n as u32 & 1));
+        let tag = |n: NodeId| (n << 8) | (14 + (n & 1));
         for gone in 0..6 {
             let mut ix = Index::default();
             for n in 0..6 {
@@ -462,7 +502,7 @@ mod tests {
 
     #[test]
     fn index_grows_by_rehashing_tags() {
-        let tag = |n: usize| (n as u32).wrapping_mul(0x9e37_79b9);
+        let tag = |n: NodeId| n.wrapping_mul(0x9e37_79b9);
         let mut ix = Index::default();
         for n in 0..1000 {
             ix.reserve_one();
@@ -473,6 +513,47 @@ mod tests {
         for n in 0..1000 {
             assert_eq!(ix.probe(tag(n), |m| m == n).map(|(_, m)| m), Ok(n));
         }
+    }
+
+    /// Two `u32` links beside the binding: 8 B less than two `usize`s.
+    #[test]
+    fn a_node_is_the_binding_and_two_u32_links() {
+        assert_eq!(std::mem::size_of::<Node>(), 104);
+        assert_eq!(
+            std::mem::size_of::<Node>(),
+            std::mem::size_of::<Binding>() + 2 * std::mem::size_of::<NodeId>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a binding cache holds at most u32::MAX - 1 bindings")]
+    fn capacity_beyond_u32_ids_panics_at_construction() {
+        BindingCache::new(u32::MAX as usize);
+    }
+
+    #[test]
+    fn largest_capacity_constructs_without_allocating() {
+        let c = BindingCache::new(u32::MAX as usize - 1);
+        assert_eq!(
+            (c.capacity(), c.nodes.capacity()),
+            (u32::MAX as usize - 1, 0)
+        );
+    }
+
+    #[test]
+    fn first_insert_reserves_the_slab_and_clear_keeps_it() {
+        let mut c = BindingCache::new(100);
+        assert_eq!(c.nodes.capacity(), 0);
+        c.insert(b(1, 1));
+        assert_eq!(c.nodes.capacity(), 100);
+        let slab = c.nodes.as_ptr();
+        for i in 2..=300 {
+            c.insert_ref(&b(i, i));
+        }
+        assert_eq!((c.nodes.len(), c.nodes.as_ptr()), (100, slab));
+        c.clear();
+        c.insert(b(1, 1));
+        assert_eq!((c.nodes.capacity(), c.nodes.as_ptr()), (100, slab));
     }
 
     #[test]

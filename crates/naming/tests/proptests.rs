@@ -63,6 +63,15 @@ impl ModelCache {
         self.recency.retain(|l| l != loid);
         Some(b)
     }
+
+    fn invalidate_exact(&mut self, b: &Binding) -> bool {
+        self.map.get(&b.loid) == Some(b) && self.invalidate(&b.loid).is_some()
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.recency.clear();
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -80,6 +89,13 @@ enum Op {
     Invalidate {
         key: u64,
     },
+    /// Invalidate the resident binding for `key` as it is (`exact`), or
+    /// one that differs from it in its address.
+    InvalidateExact {
+        key: u64,
+        exact: bool,
+    },
+    Clear,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -102,6 +118,15 @@ fn arb_op_over(keys: u64) -> impl Strategy<Value = Op> {
             }),
         (0..keys, 0u64..2000).prop_map(|(key, now)| Op::Get { key, now }),
         (0..keys).prop_map(|key| Op::Invalidate { key }),
+        // One draw in 16 of this arm clears instead, so a clear is rare
+        // enough for the cache to fill between clears.
+        (0..keys, 0u8..16).prop_map(|(key, roll)| match roll {
+            0 => Op::Clear,
+            _ => Op::InvalidateExact {
+                key,
+                exact: roll % 2 == 1,
+            },
+        }),
     ]
 }
 
@@ -134,6 +159,21 @@ fn check_against_model(capacity: usize, ops: Vec<Op>) {
             Op::Invalidate { key } => {
                 let loid = Loid::instance(16, key + 1);
                 assert_eq!(real.invalidate(&loid), model.invalidate(&loid));
+            }
+            Op::InvalidateExact { key, exact } => {
+                let loid = Loid::instance(16, key + 1);
+                let mut b = match model.map.get(&loid) {
+                    Some(b) => b.clone(),
+                    None => binding(key, 0, None),
+                };
+                if !exact {
+                    b.address = ObjectAddress::single(ObjectAddressElement::sim(u64::MAX));
+                }
+                assert_eq!(real.invalidate_exact(&b), model.invalidate_exact(&b));
+            }
+            Op::Clear => {
+                real.clear();
+                model.clear();
             }
         }
         assert_eq!(real.len(), model.map.len());
@@ -175,6 +215,16 @@ proptest! {
     fn cache_matches_reference_model_at_size(
         capacity in 1usize..96,
         ops in proptest::collection::vec(arb_op_over(400), 1..600),
+    ) {
+        check_against_model(capacity, ops);
+    }
+
+    /// The same with more room than operations, so the slab reserved by
+    /// the first insert is never full and nothing is evicted.
+    #[test]
+    fn cache_matches_reference_model_below_capacity(
+        capacity in 200usize..1024,
+        ops in proptest::collection::vec(arb_op_over(400), 1..200),
     ) {
         check_against_model(capacity, ops);
     }
