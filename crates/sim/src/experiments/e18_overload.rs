@@ -253,6 +253,12 @@ pub struct PhaseRow {
     pub shed_frac: f64,
     /// p99 first-issue → success latency, ms.
     pub p99_ms: f64,
+    /// Burn events whose SLO window started in this phase.
+    pub burn_events: u64,
+    /// Clones that landed in this phase.
+    pub clones: u64,
+    /// Replicas behind the front door when this phase ended.
+    pub replicas: u64,
 }
 
 fn phase_row(phase: &'static str, s: &PhaseStats) -> PhaseRow {
@@ -266,6 +272,9 @@ fn phase_row(phase: &'static str, s: &PhaseStats) -> PhaseRow {
         failed: s.failed,
         shed_frac: s.shed_replies as f64 / (s.offered + s.retried).max(1) as f64,
         p99_ms: s.latency.quantile(0.99) as f64 / 1e6,
+        burn_events: 0,
+        clones: 0,
+        replicas: 0,
     }
 }
 
@@ -276,9 +285,9 @@ pub struct FlashRow {
     pub autoscaled: bool,
     /// Steady / flash / recovery ledgers.
     pub phases: Vec<PhaseRow>,
-    /// Burn events the scaler drained (0 without a scaler).
+    /// Burn events the scaler drained over the run (0 without a scaler).
     pub burn_events: u64,
-    /// Clones the scaler landed.
+    /// Clones the scaler landed over the run.
     pub clones: u64,
     /// Virtual ms from workload start to each clone landing.
     pub clone_at_ms: Vec<f64>,
@@ -423,34 +432,43 @@ pub fn flash_campaign_with_chaos(
             merged.merge(&cl.report);
         }
     }
-    let phases: Vec<PhaseRow> = ["steady", "flash", "recovery"]
+    let mut phases: Vec<PhaseRow> = ["steady", "flash", "recovery"]
         .iter()
         .zip(&merged.phases)
         .map(|(name, s)| phase_row(name, s))
         .collect();
 
-    let (burn_events, clones, clone_at_ms) = sys
+    // The phase an instant falls in, by the clients' own bounds.
+    let phase_of = |at_ns: u64| phase_bounds.partition_point(|&b| b <= at_ns.saturating_sub(t0));
+
+    let scaler = sys
         .kernel
         .all_meta()
         .find(|(_, m)| m.alive && m.name == "autoscaler")
-        .map(|(id, _)| id)
-        .and_then(|id| sys.kernel.endpoint::<AutoScaler>(id))
-        .map(|s| {
-            (
-                s.burn_events_seen,
-                s.clone_log.len() as u64,
-                s.clone_log
-                    .iter()
-                    .map(|c| (c.at_ns.saturating_sub(t0)) as f64 / 1e6)
-                    .collect(),
-            )
-        })
-        .unwrap_or((0, 0, Vec::new()));
+        .and_then(|(id, _)| sys.kernel.endpoint::<AutoScaler>(id));
+    let (burn_events, clone_log) = scaler.map_or((0, &[][..]), |s| {
+        (s.burn_events_seen, s.clone_log.as_slice())
+    });
+    let clones = clone_log.len() as u64;
+    let clone_at_ms = clone_log
+        .iter()
+        .map(|c| (c.at_ns.saturating_sub(t0)) as f64 / 1e6)
+        .collect();
+    for c in clone_log {
+        phases[phase_of(c.at_ns)].clones += 1;
+    }
     let replicas = sys
         .kernel
         .endpoint::<ReplicaRouter>(router_ep)
         .map(|r| r.replica_count() as u64)
         .unwrap_or(0);
+    // A phase ended with the final replica set less the clones that
+    // landed after it.
+    let mut later = 0;
+    for p in phases.iter_mut().rev() {
+        p.replicas = replicas.saturating_sub(later);
+        later += p.clones;
+    }
 
     let classes = class_endpoints(&sys);
     let (peak_backlog, deferred_peak) = classes
@@ -486,6 +504,18 @@ pub fn flash_campaign_with_chaos(
     let attempted = total.ok + total.gave_up + total.failed;
     let violations = judge(&mut sys, &classes, attempted, total.offered);
 
+    // The report the session closes with lists every burn event by the
+    // start of the window that fired it. The alarm fires when that
+    // window closes, so it counts in the phase it closed in: the window
+    // grid is the kernel clock's, not the workload's, and a window
+    // that straddles the flash's start burns on the flash's queueing.
+    let closed = session.close(&mut sys.kernel);
+    if let Ok(observed) = &closed {
+        for e in observed.slo.endpoints.iter().flat_map(|e| &e.burn_events) {
+            phases[phase_of(e.window_start + SLO_WINDOW_NS)].burn_events += 1;
+        }
+    }
+
     (
         FlashRow {
             autoscaled,
@@ -501,7 +531,7 @@ pub fn flash_campaign_with_chaos(
             digest,
             violations,
         },
-        session.close(&mut sys.kernel),
+        closed,
     )
 }
 
@@ -589,9 +619,9 @@ pub fn table(sweep: &[SweepRow], flash: &[FlashRow]) -> (Table, Table) {
                 p.gave_up.to_string(),
                 format!("{:.3}", p.shed_frac),
                 format!("{:.2}", p.p99_ms),
-                r.burn_events.to_string(),
-                r.clones.to_string(),
-                r.replicas.to_string(),
+                p.burn_events.to_string(),
+                p.clones.to_string(),
+                p.replicas.to_string(),
             ]);
         }
     }
@@ -755,6 +785,25 @@ mod tests {
         // Bounded queues throughout, clones included.
         assert!(auto.peak_backlog <= QUEUE_DEPTH, "{auto:?}");
         assert!(auto.deferred_peak <= QUEUE_DEPTH, "{auto:?}");
+
+        // Per phase: nothing burns or clones before the flash; the
+        // clones sum to the run's and the replica count climbs to the
+        // final one; the report lists every event the scaler drained.
+        let [steady, _, recovery] = &auto.phases[..] else {
+            panic!("three phases: {auto:?}");
+        };
+        assert_eq!(
+            (steady.burn_events, steady.clones, steady.replicas),
+            (0, 0, 1)
+        );
+        assert_eq!(recovery.replicas, auto.replicas, "{auto:?}");
+        let sum = |f: fn(&PhaseRow) -> u64| auto.phases.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|p| p.clones), auto.clones, "{auto:?}");
+        assert!(sum(|p| p.burn_events) >= auto.burn_events, "{auto:?}");
+        assert!(
+            base.phases.iter().all(|p| (p.clones, p.replicas) == (0, 1)),
+            "{base:?}"
+        );
     }
 
     /// One signal: the scaler polls the burn log the run's SLO report
