@@ -294,7 +294,7 @@ impl BindingCache {
     /// The node an insert of `loid` writes to, detached and indexed
     /// under `loid`: the resident one, else a free one, else — at
     /// capacity — the LRU entry's, evicted in place. `nodes.len()`
-    /// means the slab has to grow. Below capacity that is one probe.
+    /// means a node is to be appended. Below capacity that is one probe.
     fn claim(&mut self, loid: Loid) -> NodeId {
         self.index.reserve_one();
         let tag = Index::tag(&loid);
