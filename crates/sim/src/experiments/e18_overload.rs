@@ -253,7 +253,7 @@ pub struct PhaseRow {
     pub shed_frac: f64,
     /// p99 first-issue → success latency, ms.
     pub p99_ms: f64,
-    /// Burn events whose SLO window started in this phase.
+    /// Burn events whose SLO window closed in this phase.
     pub burn_events: u64,
     /// Clones that landed in this phase.
     pub clones: u64,
