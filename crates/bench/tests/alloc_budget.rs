@@ -319,8 +319,8 @@ fn alloc_pair_min(mut f: impl FnMut()) -> (u64, u64) {
 /// otherwise only the index's doublings: 16, 32, … 8 192 slots of 8 B,
 /// the last one at most half full. A refill after `clear` makes the
 /// index's doublings alone. A slab grown by doubling instead would make
-/// 13 allocations and ≈ 2× the bytes, a `usize`-linked node 4 096 × 8 B
-/// more.
+/// 11 allocations (4, 8, … 4 096 nodes) and ≈ 2× the bytes, and a
+/// `usize`-linked node 4 096 × 8 B more.
 fn binding_caches_reserve_their_slab_once() {
     use legion_core::address::{ObjectAddress, ObjectAddressElement};
     use legion_core::binding::Binding;
