@@ -268,6 +268,10 @@ fn hot_path_allocation_budgets() {
     faulted_calls_with_arguments_allocate_nothing(true);
     faulted_calls_with_arguments_allocate_nothing(false);
 
+    // A call through an Object Address whose semantics picks one element
+    // moves the message to it: no target list, no copy.
+    one_target_address_calls_allocate_nothing();
+
     // The SLO tracker judges windows as the send clock passes them and
     // keeps only the samples of windows not yet judged, in recycled
     // buffers: a warm tracker records without allocating.
@@ -1099,6 +1103,73 @@ fn faulted_calls_with_arguments_allocate_nothing(duplicating: bool) {
     assert_eq!(
         d, 0,
         "{BURST} calls with arguments (duplicating: {duplicating}) allocated {d} times"
+    );
+}
+
+/// Bursts of 255 calls, each carrying one pooled argument, from one
+/// caller through Object Addresses whose semantics pick one element — a
+/// one-element `Single` address, a `User` one and a three-element
+/// `PickRandom` one, in turn — to receivers that recycle what they are
+/// sent. Measured once a first burst has warmed the pool and the
+/// kernel's slabs: the quietest of three bursts.
+fn one_target_address_calls_allocate_nothing() {
+    use legion_core::address::{AddressSemantics, ObjectAddress};
+    use legion_core::env::InvocationEnv;
+    use legion_core::loid::Loid;
+    use legion_core::value::LegionValue;
+    use legion_net::message::Message;
+    use legion_net::sim::{Ctx, Endpoint, SimKernel};
+    use legion_net::topology::{Location, Topology};
+    use legion_net::FaultPlan;
+
+    const BURST: u64 = 255;
+    struct Caller {
+        addrs: [ObjectAddress; 3],
+    }
+    impl Endpoint for Caller {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            for i in 0..BURST {
+                let addr = &self.addrs[(i % 3) as usize];
+                let args = ctx.args([LegionValue::Uint(i)]);
+                let env = InvocationEnv::anonymous();
+                let target = Loid::instance(16, 1);
+                let id = ctx.call_address(addr, target, symbol::PING, args, env, None);
+                assert!(id.is_some());
+            }
+        }
+    }
+    struct Recycler;
+    impl Endpoint for Recycler {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            ctx.recycle_message(msg);
+        }
+    }
+
+    let topology = Topology::fixed(1_000, 10_000, 1_000_000);
+    let mut k = SimKernel::new(topology, FaultPlan::none(), LEDGER_SEED);
+    let to = [0, 1, 2].map(|host| {
+        k.add_endpoint(Box::new(Recycler), Location::new(0, host), "recycler")
+            .element()
+    });
+    let addrs = [
+        ObjectAddress::single(to[0]),
+        ObjectAddress::replicated(vec![to[1]], AddressSemantics::User(7)),
+        ObjectAddress::replicated(to.to_vec(), AddressSemantics::PickRandom),
+    ];
+    let from = k.add_endpoint(Box::new(Caller { addrs }), Location::new(0, 3), "caller");
+    k.run_until_quiescent(u64::MAX);
+    let burst = |k: &mut SimKernel| {
+        alloc_delta(|| {
+            assert!(k.set_timer(from, 0, 0));
+            assert_eq!(k.run_until_quiescent(u64::MAX), 1 + BURST);
+        })
+    };
+    burst(&mut k);
+    let d = (0..3).map(|_| burst(&mut k)).min().unwrap();
+    assert_eq!(
+        d, 0,
+        "{BURST} one-target calls through addresses allocated {d} times"
     );
 }
 

@@ -245,20 +245,19 @@ well_known! {
     112 => POLICY_DERIVE_ISSUED = "policy.derive_issued";
     113 => POLICY_DERIVE_REFUSED = "policy.derive_refused";
     114 => POLICY_DERIVE_FAILED = "policy.derive_failed";
-    115 => ROUTER_REPLICA_ADDED = "router.replica_added";
     // Workload-client counters.
-    116 => CLIENT_OP_RETRY = "client.op_retry";
-    117 => CLIENT_OVERLOAD_BACKOFF = "client.overload_backoff";
-    118 => CLIENT_STALE_GAVE_UP = "client.stale_gave_up";
-    119 => CLIENT_STALE_REFUSED = "client.stale_refused";
-    120 => CLIENT_INVOKE_TIMEOUT = "client.invoke_timeout";
-    121 => CLIENT_BINDING_TIMEOUT = "client.binding_timeout";
-    122 => CLIENT_STALE_REPLY = "client.stale_reply";
+    115 => CLIENT_OP_RETRY = "client.op_retry";
+    116 => CLIENT_OVERLOAD_BACKOFF = "client.overload_backoff";
+    117 => CLIENT_STALE_GAVE_UP = "client.stale_gave_up";
+    118 => CLIENT_STALE_REFUSED = "client.stale_refused";
+    119 => CLIENT_INVOKE_TIMEOUT = "client.invoke_timeout";
+    120 => CLIENT_BINDING_TIMEOUT = "client.binding_timeout";
+    121 => CLIENT_STALE_REPLY = "client.stale_reply";
     // Holder-directed invalidation and the auto-scaler's outbound half.
-    123 => CLASS_HOLDERS_NOTIFIED = "class.holders_notified";
-    124 => POLICY_TIMEOUTS = "policy.timeouts";
+    122 => CLASS_HOLDERS_NOTIFIED = "class.holders_notified";
+    123 => POLICY_TIMEOUTS = "policy.timeouts";
     // Runtime protocol: InheritFrom's call from the inheritor to its base.
-    125 => GET_BASE_INTERFACE = "GetBaseInterface";
+    124 => GET_BASE_INTERFACE = "GetBaseInterface";
 }
 
 fn global() -> &'static RwLock<Interner> {
@@ -384,9 +383,9 @@ mod tests {
         assert_eq!(POLICY_AUTOSCALE_CLONE.id(), 46);
         assert_eq!(BA_REFRESH.id(), 47);
         assert_eq!(BA_CACHE_HIT.as_str(), "ba.cache_hit");
-        assert_eq!(CLIENT_STALE_REPLY.id(), 122);
-        assert_eq!(POLICY_TIMEOUTS.id(), 124);
-        assert_eq!(WELL_KNOWN.len(), 126);
+        assert_eq!(CLIENT_STALE_REPLY.id(), 121);
+        assert_eq!(POLICY_TIMEOUTS.id(), 123);
+        assert_eq!(WELL_KNOWN.len(), 125);
     }
 
     #[test]

@@ -1192,19 +1192,22 @@ impl Ctx<'_> {
     }
 
     /// Send through a full [`ObjectAddress`], honouring its semantics
-    /// (§3.4, §4.3).
+    /// (§3.4, §4.3). A semantics that picks one element moves `msg` to
+    /// it; only a fan-out copies the message.
     pub fn send_address(&mut self, addr: &ObjectAddress, msg: Message) -> SendReport {
         let elements = &addr.elements;
         if elements.is_empty() {
             return SendReport::default();
         }
         let targets: Vec<ObjectAddressElement> = match addr.semantics {
-            AddressSemantics::Single | AddressSemantics::User(_) => vec![elements[0]],
-            AddressSemantics::SendToAll => elements.to_vec(),
+            AddressSemantics::Single | AddressSemantics::User(_) => {
+                return self.send_one(elements[0], msg);
+            }
             AddressSemantics::PickRandom => {
                 let i = self.inner.rng.gen_range(0..elements.len());
-                vec![elements[i]]
+                return self.send_one(elements[i], msg);
             }
+            AddressSemantics::SendToAll => elements.to_vec(),
             AddressSemantics::KOfN(k) => {
                 let mut pool = elements.to_vec();
                 pool.shuffle(&mut self.inner.rng);
@@ -1234,6 +1237,14 @@ impl Ctx<'_> {
         report
     }
 
+    /// [`Ctx::send`] as a one-element [`SendReport`].
+    fn send_one(&mut self, to: ObjectAddressElement, msg: Message) -> SendReport {
+        SendReport {
+            attempted: 1,
+            accepted: usize::from(self.send(to, msg)),
+        }
+    }
+
     /// Issue a method call to `to`, returning the fresh [`CallId`] if the
     /// send was accepted.
     pub fn call(
@@ -1253,6 +1264,26 @@ impl Ctx<'_> {
         } else {
             None
         }
+    }
+
+    /// [`Ctx::call`] through a full [`ObjectAddress`]: one call id, sent
+    /// per the address's semantics ([`Ctx::send_address`]). `Some` when
+    /// at least one send was accepted; every copy of a fan-out shares the
+    /// id. A one-element `Single` address sends exactly what `call` sends
+    /// to that element.
+    pub fn call_address(
+        &mut self,
+        addr: &ObjectAddress,
+        target: Loid,
+        method: impl Into<Sym>,
+        args: Vec<LegionValue>,
+        env: InvocationEnv,
+        sender: Option<Loid>,
+    ) -> Option<CallId> {
+        let id = self.fresh_call_id();
+        let mut msg = Message::call(id, target, method, args, env);
+        msg.sender = sender;
+        (self.send_address(addr, msg).accepted > 0).then_some(id)
     }
 
     /// Tell `to` something without waiting to hear back: a method call
@@ -1814,6 +1845,91 @@ mod tests {
         k.add_endpoint(Box::new(Fanout { addr }), Location::new(0, 0), "fanout");
         k.run_until_quiescent(10);
         assert_eq!(k.stats().sent, 0);
+    }
+
+    /// Makes `n` calls from `on_start`: through `addr` when it is set,
+    /// with `call` to `to` otherwise. Keeps each call's id.
+    struct AddressCaller {
+        to: ObjectAddressElement,
+        addr: Option<ObjectAddress>,
+        n: u64,
+        ids: Vec<CallId>,
+    }
+
+    impl Endpoint for AddressCaller {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for i in 0..self.n {
+                let target = Loid::instance(16, 1);
+                let args = vec![LegionValue::Uint(i)];
+                let env = InvocationEnv::anonymous();
+                let id = match &self.addr {
+                    Some(a) => ctx.call_address(a, target, "Ping", args, env, None),
+                    None => ctx.call(self.to, target, "Ping", args, env, None),
+                };
+                self.ids.push(id.expect("accepted"));
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    /// `n` calls to `replicas` echoes over a jittery LAN, made with
+    /// `call` to the first echo or through `replicas` under `semantics`;
+    /// every event journaled, a snapshot (with the RNG's state) every 4.
+    fn address_calls(
+        semantics: Option<AddressSemantics>,
+        replicas: usize,
+        n: u64,
+    ) -> (SimKernel, Vec<EndpointId>, Vec<CallId>, Vec<u8>) {
+        use legion_journal::MemSink;
+        let mut k = SimKernel::new(Topology::default(), FaultPlan::none(), 42);
+        let sink = MemSink::new();
+        k.enable_journal_record(Box::new(sink.clone()), 4);
+        let echoes: Vec<EndpointId> = (0..replicas)
+            .map(|i| {
+                let echo = Box::new(Echo::new(Loid::instance(16, 1)));
+                k.add_endpoint(echo, Location::new(0, i as u32), format!("echo{i}"))
+            })
+            .collect();
+        let addr = semantics
+            .map(|s| ObjectAddress::replicated(echoes.iter().map(|e| e.element()).collect(), s));
+        let caller = AddressCaller {
+            to: echoes[0].element(),
+            addr,
+            n,
+            ids: Vec::new(),
+        };
+        let caller = k.add_endpoint(Box::new(caller), Location::new(0, 99), "caller");
+        k.run_until_quiescent(10_000);
+        let ids = k.endpoint::<AddressCaller>(caller).unwrap().ids.clone();
+        k.finish_journal().unwrap();
+        (k, echoes, ids, sink.contents())
+    }
+
+    #[test]
+    fn a_single_address_calls_exactly_as_call_does() {
+        let (k, _, ids, journal) = address_calls(None, 1, 16);
+        let (k2, _, ids2, journal2) = address_calls(Some(AddressSemantics::Single), 1, 16);
+        assert_eq!(ids, ids2, "the same call ids, in the same order");
+        assert_eq!(k.stats().delivered, k2.stats().delivered);
+        assert_eq!(k.now(), k2.now());
+        // Every send, delivery and latency draw, and the RNG's state at
+        // each snapshot: a draw more or less would show.
+        assert!(journal == journal2, "the journals differ");
+    }
+
+    #[test]
+    fn pick_random_calls_reach_every_element() {
+        let (k, echoes, ids, _) = address_calls(Some(AddressSemantics::PickRandom), 3, 64);
+        assert_eq!(ids.len(), 64);
+        let hits: Vec<u64> = echoes
+            .iter()
+            .map(|e| k.meta(*e).unwrap().received)
+            .collect();
+        assert_eq!(hits.iter().sum::<u64>(), 64, "one element per call");
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "every element reached: {hits:?}"
+        );
     }
 
     struct TimerBeat {

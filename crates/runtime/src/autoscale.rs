@@ -12,7 +12,7 @@
 //! run's SLO report lists, so a clone decision rests on verdicts the
 //! report shows.
 //!
-//! Three pieces, separable on purpose:
+//! Two pieces, separable on purpose:
 //!
 //! * [`HysteresisState`] — the pure decision kernel. Clone only after
 //!   [`BURN_STREAK_TO_CLONE`] consecutive burning poll ticks, never
@@ -25,31 +25,24 @@
 //! * [`AutoScaler`] — a sim endpoint that asks the kernel every
 //!   [`POLL_INTERVAL_NS`] how many burn events were judged since its
 //!   last poll, feeds the hysteresis, issues `Derive()` when it says go,
-//!   and registers each landed clone with the router.
-//! * [`ReplicaRouter`] — the front door. Clients address the class
-//!   through it; it forwards round-robin over the replica set (the
-//!   original class plus every landed clone), preserving `reply_to` so
-//!   replies flow directly back to the caller — the router is one hop
-//!   on the request path and zero on the reply path.
+//!   and shares each landed clone's load the §4.3 way: it binds the hot
+//!   class's LOID to an Object Address listing the class and every
+//!   clone under `PickRandom`, and pushes that binding to the class's
+//!   callers with `AddBinding` (§3.6). Each caller then picks a replica
+//!   per call; no endpoint stands between it and the class.
 //!
 //! Everything is driven by kernel timers and messages, so the whole
 //! loop is bit-deterministic per seed and survives journal replay.
 
-use crate::protocol::AddReplicaArgs;
-use legion_core::address::ObjectAddressElement;
-use legion_core::dispatch::FromArgs;
-use legion_core::env::InvocationEnv;
+use legion_core::address::{AddressSemantics, ObjectAddress, ObjectAddressElement};
+use legion_core::binding::Binding;
 use legion_core::loid::Loid;
-use legion_core::symbol::{self, Sym};
+use legion_core::symbol;
 use legion_core::value::LegionValue;
+use legion_naming::stale::propagate_binding;
 use legion_net::dispatch::{resume, tick, Caller, Calls};
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint};
-
-/// Method name the [`AutoScaler`] uses to register a landed clone with
-/// the [`ReplicaRouter`] (a control-plane call, not part of the paper's
-/// object protocol).
-pub const ROUTER_ADD_REPLICA: &str = "Router.AddReplica";
 
 /// Poll period for the burn count, virtual ns: one E18 SLO window.
 pub const POLL_INTERVAL_NS: u64 = 50_000_000;
@@ -156,8 +149,8 @@ pub struct CloneRecord {
 const TIMER_POLL: u64 = 1;
 
 /// The policy-loop endpoint: polls burn events, drives [`HysteresisState`],
-/// issues `Derive()` against the watched class, registers landed clones
-/// with the [`ReplicaRouter`].
+/// issues `Derive()` against the watched class, and pushes the class's
+/// widened binding to its callers as each clone lands.
 pub struct AutoScaler {
     state: HysteresisState,
     me: Loid,
@@ -165,10 +158,11 @@ pub struct AutoScaler {
     calls: Calls<()>,
     /// The class being watched (and cloned).
     class_loid: Loid,
-    class_element: ObjectAddressElement,
-    /// Front door to register clones with.
-    router: ObjectAddressElement,
-    router_method: Sym,
+    /// The class's replica set: the class itself (which `Derive()` goes
+    /// to), then each landed clone.
+    replicas: Vec<ObjectAddressElement>,
+    /// The class's callers, told of each widened binding.
+    tenants: Vec<ObjectAddressElement>,
     /// Stop polling at this virtual time so the kernel can go quiescent.
     stop_at_ns: u64,
     /// Burn events drained over the scaler's lifetime.
@@ -180,13 +174,13 @@ pub struct AutoScaler {
 }
 
 impl AutoScaler {
-    /// A scaler watching `class_loid` at `class_element`, registering
-    /// clones with `router`, polling until `stop_at_ns`.
+    /// A scaler watching `class_loid` at `class_element`, pushing each
+    /// widened binding to `tenants`, polling until `stop_at_ns`.
     pub fn new(
         me: Loid,
         class_loid: Loid,
         class_element: ObjectAddressElement,
-        router: ObjectAddressElement,
+        tenants: Vec<ObjectAddressElement>,
         stop_at_ns: u64,
     ) -> Self {
         AutoScaler {
@@ -194,9 +188,8 @@ impl AutoScaler {
             me,
             calls: Calls::new(me, symbol::POLICY_TIMEOUTS),
             class_loid,
-            class_element,
-            router,
-            router_method: Sym::intern(ROUTER_ADD_REPLICA),
+            replicas: vec![class_element],
+            tenants,
             stop_at_ns,
             burn_events_seen: 0,
             burning_ticks: 0,
@@ -215,7 +208,7 @@ impl AutoScaler {
         let args = ctx.args([LegionValue::Str(name)]);
         let called = self.calls.call(
             ctx,
-            self.class_element,
+            self.replicas[0],
             self.class_loid,
             symbol::DERIVE,
             args,
@@ -229,8 +222,9 @@ impl AutoScaler {
         }
     }
 
-    /// The class answered `Derive()`: a landed clone is registered with
-    /// the router — a notice, the scaler never read the router's answer.
+    /// The class answered `Derive()`: a landed clone joins the class's
+    /// Object Address, and the callers are told the widened binding — a
+    /// notice each, nobody reads an answer.
     fn on_derive_reply(&mut self, ctx: &mut Ctx<'_>, result: Result<LegionValue, String>) {
         let now = ctx.now().as_nanos();
         match result {
@@ -240,18 +234,16 @@ impl AutoScaler {
                     at_ns: now,
                     loid: b.loid,
                 });
-                if b.address.primary().is_some() {
-                    let me = self.me;
-                    let args = ctx.args([LegionValue::Binding(b)]);
-                    ctx.notify(
-                        self.router,
-                        self.class_loid,
-                        self.router_method,
-                        args,
-                        InvocationEnv::solo(me),
-                        Some(me),
+                if let Some(&clone) = b.address.primary() {
+                    self.replicas.push(clone);
+                    let address = ObjectAddress::replicated(
+                        self.replicas.clone(),
+                        AddressSemantics::PickRandom,
                     );
+                    let widened = Binding::forever(self.class_loid, address);
+                    propagate_binding(ctx, self.me, &self.tenants, &widened);
                 }
+                ctx.recycle_value(LegionValue::Binding(b));
                 self.state.clone_landed(now);
             }
             Ok(_) | Err(_) => {
@@ -303,67 +295,6 @@ impl Endpoint for AutoScaler {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         // Anything but the reply to the outstanding `Derive()` is dropped.
         resume(self, ctx, msg);
-    }
-}
-
-/// The front-door endpoint: round-robin over the replica set, request
-/// path only (see the module docs).
-pub struct ReplicaRouter {
-    replicas: Vec<ObjectAddressElement>,
-    next: usize,
-    add_replica: Sym,
-    /// Data-plane calls forwarded.
-    pub forwarded: u64,
-    /// Replicas registered after construction.
-    pub adds: u64,
-}
-
-impl ReplicaRouter {
-    /// A router starting with the original class as its only replica.
-    pub fn new(class_element: ObjectAddressElement) -> Self {
-        ReplicaRouter {
-            replicas: vec![class_element],
-            next: 0,
-            add_replica: Sym::intern(ROUTER_ADD_REPLICA),
-            forwarded: 0,
-            adds: 0,
-        }
-    }
-
-    /// Current replica count (original class included).
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-}
-
-impl Endpoint for ReplicaRouter {
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        if msg.is_reply() {
-            ctx.recycle_message(msg);
-            return;
-        }
-        if msg.method_sym() == Some(self.add_replica) {
-            let verdict = match AddReplicaArgs::from_args(msg.args()) {
-                Ok(a) => match a.binding.address.primary() {
-                    Some(el) => {
-                        self.replicas.push(*el);
-                        self.adds += 1;
-                        ctx.count(symbol::ROUTER_REPLICA_ADDED);
-                        Ok(LegionValue::Uint(self.replicas.len() as u64))
-                    }
-                    None => Err("AddReplica: binding has an empty address".into()),
-                },
-                Err(e) => Err(format!("AddReplica: {e}")),
-            };
-            ctx.reply(&msg, verdict);
-            ctx.recycle_message(msg);
-            return;
-        }
-        // Forward, preserving the caller's reply_to: the reply skips us.
-        let el = self.replicas[self.next % self.replicas.len()];
-        self.next += 1;
-        self.forwarded += 1;
-        ctx.send(el, msg);
     }
 }
 

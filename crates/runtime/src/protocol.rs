@@ -331,27 +331,6 @@ impl FromArgs for SetAddressArgs {
     }
 }
 
-/// `Router.AddReplica(binding)` — registers a freshly landed clone with
-/// the replica front door ([`crate::autoscale::ReplicaRouter`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AddReplicaArgs {
-    /// The clone's binding, as returned by `Derive()`.
-    pub binding: legion_core::binding::Binding,
-}
-
-impl FromArgs for AddReplicaArgs {
-    fn params() -> Vec<ParamType> {
-        vec![ParamType::Binding]
-    }
-
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
-        expect_arity(args, 1, 1)?;
-        Ok(AddReplicaArgs {
-            binding: decode_at(args, 0)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,19 +51,11 @@ impl Endpoint for Prober {
         self.seq += 1;
         let req = self.seq as u64;
         self.outstanding.insert(req);
-        let id = ctx.fresh_call_id();
-        let mut msg = Message::call(
-            id,
-            self.target,
-            obj_m::PING,
-            vec![],
-            InvocationEnv::anonymous(),
-        );
-        msg.reply_to = Some(ctx.self_element());
-        // Fan out per semantics; remember which request each accepted copy
-        // belongs to. All copies share the CallId.
-        let report = ctx.send_address(&self.addr.clone(), msg);
-        if report.accepted > 0 {
+        // Fan out per semantics; remember which request the call belongs
+        // to. All copies share the CallId.
+        let env = InvocationEnv::anonymous();
+        if let Some(id) = ctx.call_address(&self.addr, self.target, obj_m::PING, vec![], env, None)
+        {
             self.calls.insert(id, req);
         }
         ctx.set_timer(10_000, TIMER_SEND);

@@ -30,7 +30,9 @@
 //!   violations burn the budget too fast; the policy endpoint polls that
 //!   log (the one the run's SLO report lists) and answers a sustained
 //!   burn with `Derive()` — the E6 cloning machinery, unscripted — and
-//!   each landed clone joins a round-robin front door.
+//!   each landed clone joins the class's Object Address: the scaler
+//!   binds the class's LOID to the class and its clones under
+//!   `PickRandom` and pushes that binding to the tenants (§4.3, §3.6).
 //!   The campaign shows burn events firing, clones landing mid-flash,
 //!   the shed fraction falling against the no-scaler baseline, and the
 //!   recovery-phase p99 back inside the objective.
@@ -54,7 +56,7 @@ use legion_net::admission::AdmissionConfig;
 use legion_net::sim::EndpointId;
 use legion_net::topology::{Location, Topology};
 use legion_obs::slo::{SloConfig, SloObjective};
-use legion_runtime::autoscale::{AutoScaler, ReplicaRouter};
+use legion_runtime::autoscale::AutoScaler;
 use legion_runtime::class_endpoint::ClassEndpoint;
 
 /// The hot class's deterministic service time per data-plane call.
@@ -257,7 +259,8 @@ pub struct PhaseRow {
     pub burn_events: u64,
     /// Clones that landed in this phase.
     pub clones: u64,
-    /// Replicas behind the front door when this phase ended.
+    /// Replicas of the class (itself plus landed clones) when this
+    /// phase ended.
     pub replicas: u64,
 }
 
@@ -291,8 +294,13 @@ pub struct FlashRow {
     pub clones: u64,
     /// Virtual ms from workload start to each clone landing.
     pub clone_at_ms: Vec<f64>,
-    /// Replicas behind the front door at the end (original included).
+    /// Replicas of the class at the end (original included).
     pub replicas: u64,
+    /// Elements in each tenant's Object Address for the class at the end.
+    pub held: Vec<u64>,
+    /// Data-plane calls each class endpoint admitted: the class, then
+    /// its clones in landing order.
+    pub served: Vec<u64>,
     /// Max admission backlog high-water mark over class + clones.
     pub peak_backlog: u64,
     /// Max deferred-call high-water mark over class + clones.
@@ -320,7 +328,7 @@ fn phase_spans(quick: bool) -> (u64, u64, u64) {
 /// mild diurnal swell, a 4× flash crowd (2× saturation) in the middle
 /// window, recovery after — four tenants split the rate across the
 /// [`TENANT_WEIGHTS`] mix. With `autoscaled`, the burn-driven policy
-/// loop and the replica front door are in the path.
+/// loop widens the class's Object Address as clones land.
 pub fn flash_campaign(
     quick: bool,
     seed: u64,
@@ -368,26 +376,6 @@ pub fn flash_campaign_with_chaos(
     }
     let (class_loid, class_ep) = sys.classes[0];
 
-    // The front door: requests fan out round-robin over the replica set
-    // (initially just the class); replies skip the router entirely.
-    let router_ep = sys.kernel.add_endpoint(
-        Box::new(ReplicaRouter::new(class_ep.element())),
-        Location::new(0, 950),
-        "replica-router",
-    );
-
-    if autoscaled {
-        let scaler = AutoScaler::new(
-            Loid::instance(9800, 1),
-            class_loid,
-            class_ep.element(),
-            router_ep.element(),
-            t0 + total_ns + 100_000_000,
-        );
-        sys.kernel
-            .add_endpoint(Box::new(scaler), Location::new(0, 951), "autoscaler");
-    }
-
     // Four tenants share the offered rate per the weight mix, each with
     // its own seeded arrival stream, spread over the jurisdictions.
     let cfg = OpenLoopConfig {
@@ -408,7 +396,7 @@ pub fn flash_campaign_with_chaos(
             let arrivals = generate_arrivals(&cfg, tenant_share(i), seed ^ (0xE18 + i as u64));
             let client = OpenLoopClient::new(
                 tenant_loid(i),
-                router_ep.element(),
+                class_ep.element(),
                 class_loid,
                 symbol::GET_INSTANCE_INTERFACE,
                 arrivals,
@@ -423,13 +411,28 @@ pub fn flash_campaign_with_chaos(
         })
         .collect();
 
+    if autoscaled {
+        let tenants = clients.iter().map(|c| c.element()).collect();
+        let scaler = AutoScaler::new(
+            Loid::instance(9800, 1),
+            class_loid,
+            class_ep.element(),
+            tenants,
+            t0 + total_ns + 100_000_000,
+        );
+        sys.kernel
+            .add_endpoint(Box::new(scaler), Location::new(0, 951), "autoscaler");
+    }
+
     drive(&mut sys, &clients, OpenLoopClient::is_done);
 
     // ----- collect --------------------------------------------------
     let mut merged = crate::workload::OpenLoopReport::default();
+    let mut held = Vec::with_capacity(clients.len());
     for c in &clients {
         if let Some(cl) = sys.kernel.endpoint::<OpenLoopClient>(*c) {
             merged.merge(&cl.report);
+            held.push(cl.address().elements.len() as u64);
         }
     }
     let mut phases: Vec<PhaseRow> = ["steady", "flash", "recovery"]
@@ -457,17 +460,11 @@ pub fn flash_campaign_with_chaos(
     for c in clone_log {
         phases[phase_of(c.at_ns)].clones += 1;
     }
-    let replicas = sys
-        .kernel
-        .endpoint::<ReplicaRouter>(router_ep)
-        .map(|r| r.replica_count() as u64)
-        .unwrap_or(0);
-    // A phase ended with the final replica set less the clones that
-    // landed after it.
-    let mut later = 0;
-    for p in phases.iter_mut().rev() {
-        p.replicas = replicas.saturating_sub(later);
-        later += p.clones;
+    // A phase ended with the class and every clone landed by then.
+    let mut replicas = 1;
+    for p in &mut phases {
+        replicas += p.clones;
+        p.replicas = replicas;
     }
 
     let classes = class_endpoints(&sys);
@@ -475,6 +472,11 @@ pub fn flash_campaign_with_chaos(
         .iter()
         .filter_map(|c| queue_peaks(&sys, *c))
         .fold((0, 0), |(b, d), p| (b.max(p.backlog), d.max(p.deferred)));
+    let served = classes
+        .iter()
+        .filter_map(|c| sys.kernel.endpoint::<ClassEndpoint>(*c)?.admission())
+        .map(|a| a.admitted())
+        .collect();
     let requests_shed = sys.kernel.metrics_snapshot().requests_shed;
     let messages = sys.kernel.stats().delivered;
 
@@ -524,6 +526,8 @@ pub fn flash_campaign_with_chaos(
             clones,
             clone_at_ms,
             replicas,
+            held,
+            served,
             peak_backlog,
             deferred_peak,
             requests_shed,
@@ -803,6 +807,23 @@ mod tests {
         assert!(
             base.phases.iter().all(|p| (p.clones, p.replicas) == (0, 1)),
             "{base:?}"
+        );
+    }
+
+    /// The clones share the load the §4.3 way: each tenant ends up
+    /// holding the class and every landed clone in one Object Address,
+    /// and every clone's class endpoint serves data-plane calls.
+    #[test]
+    fn landed_clones_join_every_tenants_address() {
+        let (auto, _) = flash_campaign(true, SEED, true, Watch::off());
+        assert!(auto.clones >= 1, "{auto:?}");
+        let replicas = 1 + auto.clones;
+        assert_eq!(auto.held, [replicas; TENANT_WEIGHTS.len()], "{auto:?}");
+        assert_eq!(auto.served.len() as u64, replicas, "{auto:?}");
+        assert!(
+            auto.served.iter().all(|&calls| calls > 0),
+            "every replica serves: {:?}",
+            auto.served
         );
     }
 

@@ -15,21 +15,27 @@
 //! real method invocation (`Ping`) so stale bindings are *used* and
 //! detected (§4.1.4).
 
+use legion_core::address::{ObjectAddress, ObjectAddressElement};
 use legion_core::binding::Binding;
+use legion_core::env::InvocationEnv;
 use legion_core::fxmap::FxHashMap;
+use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_m;
 use legion_core::symbol::{self, Sym};
 use legion_core::time::SimTime;
-use legion_core::{address::ObjectAddressElement, env::InvocationEnv};
+use legion_core::value::LegionValue;
+use legion_core::wellknown::LEGION_BINDING_AGENT;
 use legion_ha::backoff::Backoff;
+use legion_naming::protocol::ADD_BINDING;
 use legion_naming::resolver::{ClientResolver, Lookup};
-use legion_net::dispatch::is_overloaded;
+use legion_net::dispatch::{is_overloaded, serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::{Body, CallId, Message};
 use legion_net::metrics::Histogram;
 use legion_net::sim::{Ctx, Endpoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
@@ -338,6 +344,12 @@ const TIMER_OL_ARRIVAL: u64 = 1;
 /// Retry timers are `TIMER_OL_RETRY_BASE + seq`.
 const TIMER_OL_RETRY_BASE: u64 = 1_000_000;
 
+thread_local! {
+    /// The method table every [`OpenLoopClient`] on this thread serves
+    /// through (`Rc` is not `Send`, hence per thread).
+    static TABLE: Rc<MethodTable<OpenLoopClient>> = OpenLoopClient::table();
+}
+
 /// One in-flight open-loop operation.
 #[derive(Debug, Clone, Copy)]
 struct OpenOp {
@@ -350,13 +362,18 @@ struct OpenOp {
 }
 
 /// An open-loop client endpoint: issues one pre-generated arrival stream
-/// of method calls against a front door at the offered rate, regardless
-/// of completions, and retries shed calls on the server's retry-after
-/// hint (bounded). See [`OpenLoopConfig`] for why open loop.
+/// of method calls through its target's Object Address at the offered
+/// rate, regardless of completions, and retries shed calls on the
+/// server's retry-after hint (bounded). See [`OpenLoopConfig`] for why
+/// open loop.
+///
+/// It serves one method, `AddBinding` (§3.6): a binding for its target
+/// replaces the address, so replicas bound to the target's LOID share
+/// the client's calls per the address's semantics (§4.3).
 pub struct OpenLoopClient {
     me: Loid,
-    /// Where calls are sent (a replica router or the class itself).
-    front_door: ObjectAddressElement,
+    /// Where calls are sent: the target's Object Address.
+    address: ObjectAddress,
     /// The LOID calls are addressed to (the class object).
     target: Loid,
     method: Sym,
@@ -377,8 +394,8 @@ pub struct OpenLoopClient {
 
 impl OpenLoopClient {
     /// A client issuing `arrivals` (ns offsets, ascending) of `method`
-    /// calls for `target` at `front_door`, slicing its ledger at
-    /// `phase_bounds`.
+    /// calls for `target` at `front_door` until a binding widens its
+    /// address, slicing its ledger at `phase_bounds`.
     pub fn new(
         me: Loid,
         front_door: ObjectAddressElement,
@@ -391,7 +408,7 @@ impl OpenLoopClient {
         let phases = phase_bounds.len() + 1;
         OpenLoopClient {
             me,
-            front_door,
+            address: ObjectAddress::single(front_door),
             target,
             method,
             arrivals,
@@ -408,6 +425,29 @@ impl OpenLoopClient {
         }
     }
 
+    /// The client's one method: `AddBinding`, as the Binding Agent
+    /// defines it.
+    fn table() -> Rc<MethodTable<Self>> {
+        TableBuilder::new("client", "OpenLoopClient", LEGION_BINDING_AGENT)
+            .method::<(Binding,), _>(
+                ADD_BINDING,
+                &["binding"],
+                ParamType::Void,
+                |c: &mut Self, _ctx, _msg, (b,)| {
+                    if b.loid == c.target {
+                        c.address = b.address;
+                    }
+                    Outcome::Reply(Ok(LegionValue::Void))
+                },
+            )
+            .seal()
+    }
+
+    /// The Object Address calls go through.
+    pub fn address(&self) -> &ObjectAddress {
+        &self.address
+    }
+
     /// Has the client issued its whole stream and settled every op?
     pub fn is_done(&self) -> bool {
         self.next >= self.arrivals.len()
@@ -420,8 +460,8 @@ impl OpenLoopClient {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>, op: OpenOp) {
-        match ctx.call(
-            self.front_door,
+        match ctx.call_address(
+            &self.address,
             self.target,
             self.method,
             vec![],
@@ -486,7 +526,8 @@ impl Endpoint for OpenLoopClient {
             result,
         } = &msg.body
         else {
-            return;
+            let table = TABLE.with(Rc::clone);
+            return serve(&table, self, ctx, msg);
         };
         let Some(op) = self.outstanding.remove(in_reply_to) else {
             return;
@@ -1453,6 +1494,68 @@ mod tests {
         assert_eq!(c.report.agent_requests, 9, "three lookups per op");
         // Per op: 4 ms + 8 ms of backoff, then the 1 ms gap to the next.
         assert_eq!(done_at, Some(38_000_000));
+    }
+
+    /// `AddBinding` is the client's one method: a binding for its target
+    /// replaces the address its calls go through, and one for any other
+    /// LOID changes nothing.
+    #[test]
+    fn add_binding_for_the_target_widens_the_address() {
+        use legion_core::address::{AddressSemantics, ObjectAddress};
+        use legion_net::sim::SimKernel;
+        use legion_net::topology::Location;
+        use legion_net::{FaultPlan, Topology};
+
+        let mut kernel = SimKernel::new(Topology::zero(), FaultPlan::none(), 1);
+        let [a, b] = [1, 2].map(|host| {
+            let server = Box::new(SheddingPinger::new(0));
+            kernel.add_endpoint(server, Location::new(0, host), "server")
+        });
+        let target = Loid::class_object(1000);
+        // One call per millisecond for 20 ms.
+        let arrivals = (0..20).map(|ms| ms * 1_000_000).collect();
+        let client = OpenLoopClient::new(
+            Loid::instance(1000, 99),
+            a.element(),
+            target,
+            symbol::PING,
+            arrivals,
+            Vec::new(),
+            0,
+        );
+        let client = kernel.add_endpoint(Box::new(client), Location::new(0, 3), "client");
+        let both =
+            ObjectAddress::replicated(vec![a.element(), b.element()], AddressSemantics::PickRandom);
+        let add_binding = |kernel: &mut SimKernel, loid: Loid| {
+            let id = kernel.fresh_call_id();
+            let binding = Binding::forever(loid, both.clone());
+            let args = vec![LegionValue::Binding(Box::new(binding))];
+            let msg = Message::call(id, loid, ADD_BINDING, args, InvocationEnv::anonymous());
+            assert!(kernel.inject(Location::new(0, 4), client.element(), msg));
+        };
+        let address = |kernel: &SimKernel| {
+            let c = kernel.endpoint::<OpenLoopClient>(client).unwrap();
+            c.address().clone()
+        };
+
+        add_binding(&mut kernel, Loid::class_object(1001));
+        kernel.run_until(SimTime::from_nanos(9_500_000));
+        assert_eq!(address(&kernel), ObjectAddress::single(a.element()));
+        assert_eq!(kernel.meta(a).unwrap().received, 10);
+        assert_eq!(kernel.meta(b).unwrap().received, 0);
+
+        add_binding(&mut kernel, target);
+        kernel.run_until_quiescent(10_000);
+        assert_eq!(address(&kernel), both);
+        let [to_a, to_b] = [a, b].map(|e| kernel.meta(e).unwrap().received);
+        assert_eq!(to_a + to_b, 20, "every call still goes to one server");
+        assert!(
+            to_a > 10 && to_b > 0,
+            "later calls reach both: {to_a}, {to_b}"
+        );
+        let c = kernel.endpoint::<OpenLoopClient>(client).unwrap();
+        assert!(c.is_done());
+        assert_eq!(c.report.total().ok, 20);
     }
 
     #[test]
