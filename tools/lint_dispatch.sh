@@ -7,10 +7,12 @@
 # legion-net::dispatch::Calls (rule 3), never ask for a reply it will
 # not read (rule 4), and park no closure (rule 5).
 #
-# Fails the build if `match method.as_str()` or `match msg.args()`
-# appears outside the dispatch layer itself and protocol/codec modules
-# (crates/*/src/protocol.rs), which are the one place hand-written
-# decoding is allowed — it is the codec.
+# Fails the build if `match method.as_str()`, `match msg.args()` or a
+# hand-called `::from_args(msg.args())` appears outside the dispatch
+# layer itself and protocol/codec modules (crates/*/src/protocol.rs),
+# which are the one place hand-written decoding is allowed — it is the
+# codec. An endpoint that decodes its own arguments has a method no
+# MethodTable lists.
 #
 # Rule 4: an endpoint either wants the reply (Calls::call) or does not
 # (ctx.notify); a raw `ctx.call(` is a reply requested and never read.
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 allowed_re='^crates/(core|net)/src/dispatch\.rs:|^crates/[^/]+/src/protocol\.rs:'
 
-hits=$(grep -rnE 'match[[:space:]]+(method\.as_str\(\)|msg\.args\(\))' \
+hits=$(grep -rnE 'match[[:space:]]+(method\.as_str\(\)|msg\.args\(\))|::from_args\(msg\.args\(\)\)' \
     crates/ --include='*.rs' | grep -vE "$allowed_re" || true)
 
 if [[ -n "$hits" ]]; then
