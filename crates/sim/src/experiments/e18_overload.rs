@@ -52,6 +52,7 @@ use crate::workload::{generate_arrivals, FlashCrowd, OpenLoopClient, OpenLoopCon
 use legion_chaos::{ChaosSchedule, Violation};
 use legion_core::loid::Loid;
 use legion_core::symbol;
+use legion_core::time::SimTime;
 use legion_net::admission::AdmissionConfig;
 use legion_net::sim::EndpointId;
 use legion_net::topology::{Location, Topology};
@@ -354,6 +355,11 @@ pub fn flash_campaign_with_chaos(
     let total_ns = steady_ns + flash_ns + recovery_ns;
 
     let mut sys = build_system(seed);
+    // The campaign starts on the SLO tracker's window grid, so every
+    // phase bound is a window edge and each window lies in one phase.
+    let built = sys.kernel.now().as_nanos();
+    sys.kernel
+        .run_until(SimTime::from_nanos(built.next_multiple_of(SLO_WINDOW_NS)));
     // The session opens after the (identical, fault-free) build, and
     // `measure` zeroes the event counter, so record and verify share
     // their snapshot cadence — same discipline as E16. The SLO tracker
@@ -507,14 +513,11 @@ pub fn flash_campaign_with_chaos(
     let violations = judge(&mut sys, &classes, attempted, total.offered);
 
     // The report the session closes with lists every burn event by the
-    // start of the window that fired it. The alarm fires when that
-    // window closes, so it counts in the phase it closed in: the window
-    // grid is the kernel clock's, not the workload's, and a window
-    // that straddles the flash's start burns on the flash's queueing.
+    // start of the window that fired it.
     let closed = session.close(&mut sys.kernel);
     if let Ok(observed) = &closed {
         for e in observed.slo.endpoints.iter().flat_map(|e| &e.burn_events) {
-            phases[phase_of(e.window_start + SLO_WINDOW_NS)].burn_events += 1;
+            phases[phase_of(e.window_start)].burn_events += 1;
         }
     }
 
