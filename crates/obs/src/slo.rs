@@ -682,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn online_monitor_matches_batch_burn_events() {
+    fn drain_cursor_matches_batch_burn_events() {
         // The in-run signal (the drain cursor) counts the same burn
         // events as the report once every window is final.
         let mut t = SloTracker::new(SloConfig {
@@ -706,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn online_monitor_is_bounded_and_resettable() {
+    fn drain_cursor_is_bounded_and_resettable() {
         let mut t = SloTracker::new(cfg(100, 1_000, 1_000, 0.5));
         for i in 0..10_000u64 {
             t.record(i * 10, 7, 5);
