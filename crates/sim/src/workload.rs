@@ -394,11 +394,12 @@ pub struct OpenLoopClient {
 
 impl OpenLoopClient {
     /// A client issuing `arrivals` (ns offsets, ascending) of `method`
-    /// calls for `target` at `front_door` until a binding widens its
-    /// address, slicing its ledger at `phase_bounds`.
+    /// calls for `target` at `element` until an `AddBinding` for
+    /// `target` replaces the address, slicing its ledger at
+    /// `phase_bounds`.
     pub fn new(
         me: Loid,
-        front_door: ObjectAddressElement,
+        element: ObjectAddressElement,
         target: Loid,
         method: Sym,
         arrivals: Vec<u64>,
@@ -408,7 +409,7 @@ impl OpenLoopClient {
         let phases = phase_bounds.len() + 1;
         OpenLoopClient {
             me,
-            address: ObjectAddress::single(front_door),
+            address: ObjectAddress::single(element),
             target,
             method,
             arrivals,
@@ -444,7 +445,7 @@ impl OpenLoopClient {
     }
 
     /// The Object Address calls go through.
-    pub fn address(&self) -> &ObjectAddress {
+    pub(crate) fn address(&self) -> &ObjectAddress {
         &self.address
     }
 
