@@ -1628,15 +1628,22 @@ mod move_path_tests {
     const MAG: Loid = Loid::instance(4, 1);
     const PEER: Loid = Loid::instance(4, 2);
     const HOST: Loid = Loid::instance(3, 1);
-    const OBJ: Loid = Loid::instance(16, 1);
+    pub(super) const OBJ: Loid = Loid::instance(16, 1);
+    /// Longer than any request's round trips to the stub, which sits
+    /// across the wide area (40–60 ms a hop).
+    const HOLD_NS: u64 = 1_000_000_000;
 
     /// Plays the object, its host and the peer Magistrate at once, and
     /// asks for the migration: logs every call it is sent, answers each as
-    /// the callee would, and keeps the replies it gets.
+    /// the callee would, and keeps the replies it gets. The first call of
+    /// the method `hold` names is answered [`HOLD_NS`] late, so a request
+    /// can reach the Magistrate while that step is in flight.
     #[derive(Default)]
-    struct Stub {
-        calls: Vec<Sym>,
-        replies: Vec<Result<LegionValue, String>>,
+    pub(super) struct Stub {
+        pub(super) calls: Vec<Sym>,
+        pub(super) replies: Vec<Result<LegionValue, String>>,
+        pub(super) hold: Option<Sym>,
+        held: Option<(ReplyTicket, LegionValue)>,
     }
 
     impl Endpoint for Stub {
@@ -1650,16 +1657,29 @@ mod move_path_tests {
             self.calls.push(method);
             let answer = if method == symbol::SAVE_STATE {
                 LegionValue::Bytes(vec![7, 7])
+            } else if method == host_proto::ACTIVATE {
+                LegionValue::Address(ObjectAddress::single(ctx.self_element()))
             } else {
                 LegionValue::Void
             };
-            ctx.reply(&msg, Ok(answer));
+            if self.hold.take_if(|held| *held == method).is_some() {
+                self.held = Some((msg.reply_ticket(), answer));
+                ctx.set_timer(HOLD_NS, 0);
+            } else {
+                ctx.reply(&msg, Ok(answer));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            if let Some((ticket, answer)) = self.held.take() {
+                ctx.reply_ticket(ticket, Ok(answer));
+            }
         }
     }
 
     /// A Magistrate holding `OBJ`, Active (on the stub) or Inert, and the
     /// stub, settled.
-    fn world(active: bool) -> (SimKernel, EndpointId, EndpointId) {
+    pub(super) fn world(active: bool) -> (SimKernel, EndpointId, EndpointId) {
         let mut k = SimKernel::with_seed(7);
         let stub = k.add_endpoint(Box::<Stub>::default(), Location::new(1, 0), "stub");
         let mut mag = MagistrateEndpoint::new(MagistrateConfig {
@@ -1698,11 +1718,24 @@ mod move_path_tests {
         (k, mag, stub)
     }
 
-    /// The stub asks for `method` (Copy or Move to the peer); the step
-    /// that delivers the request is taken, and what the Magistrate then
-    /// has parked behind a deactivation is returned.
-    fn ask(k: &mut SimKernel, mag: EndpointId, stub: EndpointId, method: Sym) -> usize {
-        let args = vec![LegionValue::Loid(OBJ), LegionValue::Loid(PEER)];
+    /// The stub sends `method` about `OBJ` to the Magistrate, with the
+    /// arguments that method takes.
+    pub(super) fn send(k: &mut SimKernel, mag: EndpointId, stub: EndpointId, method: Sym) {
+        let class = Loid::class_object(16);
+        let args = if method == mag_proto::COPY || method == mag_proto::MOVE {
+            vec![LegionValue::Loid(OBJ), LegionValue::Loid(PEER)]
+        } else if method == mag_proto::RECEIVE_OPR {
+            let opr = Opr::new(OBJ, class, 0, vec![9]).encode();
+            let opr = LegionValue::Bytes(opr.to_vec());
+            vec![
+                LegionValue::Loid(OBJ),
+                LegionValue::Loid(class),
+                opr,
+                LegionValue::Void,
+            ]
+        } else {
+            vec![LegionValue::Loid(OBJ)]
+        };
         let mut msg = Message::call(
             k.fresh_call_id(),
             MAG,
@@ -1713,6 +1746,13 @@ mod move_path_tests {
         msg.reply_to = Some(stub.element());
         msg.sender = Some(PEER);
         assert!(k.inject(Location::new(1, 0), mag.element(), msg));
+    }
+
+    /// The stub asks for `method` (Copy or Move to the peer); the step
+    /// that delivers the request is taken, and what the Magistrate then
+    /// has parked behind a deactivation is returned.
+    fn ask(k: &mut SimKernel, mag: EndpointId, stub: EndpointId, method: Sym) -> usize {
+        send(k, mag, stub, method);
         assert!(k.step(), "the request is delivered");
         let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
         m.after_inert.get(&OBJ).map_or(0, Parked::len)
@@ -1771,6 +1811,113 @@ mod move_path_tests {
             );
             assert_eq!(m.storage_usage().0, 1, "active={active}");
         }
+    }
+}
+
+#[cfg(test)]
+mod race_tests {
+    //! Every request against every step of the lifecycle in flight: the
+    //! table of races, as the Magistrate answers them today. Each case
+    //! starts one operation on `OBJ` in the stub world, steps the kernel
+    //! until the stub has been sent the call named — whose answer it holds
+    //! back a second — sends a second request and runs to quiescence. The rows are pinned in
+    //! `tests/goldens/magistrate_races.golden` (rewrite it with
+    //! `UPDATE_GOLDENS=1`): a change to the lifecycle that moves a race's
+    //! outcome moves its line.
+
+    use super::move_path_tests::{send, world, Stub, OBJ};
+    use super::*;
+
+    /// The operations in flight: what starts one, on an Active object or
+    /// an Inert one, and the call the stub must have seen.
+    const IN_FLIGHT: [(Sym, bool, Sym); 7] = [
+        (mag_proto::ACTIVATE, false, host_proto::ACTIVATE),
+        (mag_proto::DEACTIVATE, true, symbol::SAVE_STATE),
+        (mag_proto::DEACTIVATE, true, host_proto::DEACTIVATE),
+        (mag_proto::MOVE, true, symbol::SAVE_STATE),
+        (mag_proto::MOVE, true, host_proto::DEACTIVATE),
+        (mag_proto::MOVE, false, mag_proto::RECEIVE_OPR),
+        (mag_proto::COPY, false, mag_proto::RECEIVE_OPR),
+    ];
+
+    /// The requests sent while it is.
+    const REQUESTS: [Sym; 6] = [
+        mag_proto::ACTIVATE,
+        mag_proto::DEACTIVATE,
+        mag_proto::DELETE,
+        mag_proto::COPY,
+        mag_proto::MOVE,
+        mag_proto::RECEIVE_OPR,
+    ];
+
+    /// Where the Magistrate holds `OBJ` at quiescence, and what is still
+    /// parked on it.
+    fn held(m: &MagistrateEndpoint) -> String {
+        let at = match m.object_state(&OBJ) {
+            Some(ObjState::Active { .. }) => "Active",
+            Some(ObjState::Inert { .. }) => "Inert",
+            None => "absent",
+        };
+        let waiters = m.activate_waiters.get(&OBJ).map_or(0, Parked::len);
+        let ships = m.after_inert.get(&OBJ).map_or(0, Parked::len);
+        format!("{at}, parked {waiters}+{ships}")
+    }
+
+    fn race(first: Sym, active: bool, seen: Sym, second: Sym) -> String {
+        let (mut k, mag, stub) = world(active);
+        k.endpoint_mut::<Stub>(stub).unwrap().hold = Some(seen);
+        send(&mut k, mag, stub, first);
+        while k.endpoint::<Stub>(stub).unwrap().calls.last() != Some(&seen) {
+            assert!(k.step(), "{first}: the stub never saw {seen}");
+        }
+        send(&mut k, mag, stub, second);
+        k.run_until_quiescent(1_000);
+        let s = k.endpoint::<Stub>(stub).unwrap();
+        let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
+        let calls: Vec<&str> = s.calls.iter().map(|c| c.as_str()).collect();
+        let replies: Vec<String> = s
+            .replies
+            .iter()
+            .map(|r| match r {
+                Ok(v) => format!("Ok {v}"),
+                Err(e) => format!("Err {e}"),
+            })
+            .collect();
+        format!(
+            "{first} ({}), {seen} out + {second}\n  calls {calls:?}\n  replies {replies:?}\n  \
+             {}, files {}, host slots {}, calls out {}\n",
+            if active { "Active" } else { "Inert" },
+            held(m),
+            m.storage_usage().0,
+            m.hosts[0].assigned,
+            m.calls.outstanding(),
+        )
+    }
+
+    #[test]
+    fn every_request_against_every_step_in_flight() {
+        let mut table = String::new();
+        for (first, active, seen) in IN_FLIGHT {
+            for second in REQUESTS {
+                table.push_str(&race(first, active, seen, second));
+            }
+        }
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/goldens/magistrate_races.golden"
+        );
+        if std::env::var_os("UPDATE_GOLDENS").is_some() {
+            std::fs::write(path, &table).expect("write the golden");
+            return;
+        }
+        let golden = std::fs::read_to_string(path).expect("the race golden (UPDATE_GOLDENS=1)");
+        for (i, (want, got)) in golden.lines().zip(table.lines()).enumerate() {
+            assert_eq!(want, got, "magistrate_races.golden line {}", i + 1);
+        }
+        assert_eq!(
+            golden, table,
+            "magistrate_races.golden: the number of lines"
+        );
     }
 }
 
