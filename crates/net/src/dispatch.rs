@@ -111,6 +111,11 @@ impl<T> Parked<T> {
     }
 
     /// Every parked item, in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Every parked item, in arrival order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         std::iter::once(&mut self.first).chain(&mut self.rest)
     }

@@ -30,6 +30,7 @@ pub mod bootstrap;
 pub mod class_endpoint;
 pub mod context_endpoint;
 pub mod host;
+pub mod lifecycle;
 pub mod magistrate;
 pub mod object;
 pub mod protocol;
@@ -39,7 +40,8 @@ pub use bootstrap::CoreSystem;
 pub use class_endpoint::{ClassConfig, ClassEndpoint, LegionClassEndpoint};
 pub use context_endpoint::ContextEndpoint;
 pub use host::{HostConfig, HostObjectEndpoint, ObjectFactory};
-pub use magistrate::{MagistrateConfig, MagistrateEndpoint, ObjState};
+pub use lifecycle::Life;
+pub use magistrate::{MagistrateConfig, MagistrateEndpoint};
 pub use object::ActiveObjectEndpoint;
 pub use protocol::ActivationSpec;
 pub use sched_agent::SchedulingAgentEndpoint;

@@ -6,8 +6,8 @@
 //! Magistrates should be thought of as requests rather than commands" —
 //! a Magistrate may refuse anything its security policy dislikes.
 //!
-//! The endpoint implements the §3.8 member functions as asynchronous
-//! state machines over the host and object endpoints:
+//! The endpoint implements the §3.8 member functions over the host and
+//! object endpoints:
 //!
 //! * `Activate(LOID[, host])` — load the OPR from jurisdiction storage,
 //!   pick a host (the suggested one — §3.8's Scheduling Agent hook — if
@@ -20,14 +20,19 @@
 //!   the peer Magistrate (`ReceiveOpr`), optionally delete locally —
 //!   exactly Figure 11's migration-through-storage path.
 //!
-//! Requests arrive through the shared dispatch layer: a [`MethodTable`]
-//! routes them (MayI gate at the boundary — "requests rather than
-//! commands"), and each hop of the multi-hop state machines goes out
-//! through the Magistrate's [`Calls`] with the next step parked as a
-//! [`Wait`], plain data the one `wake` match dispatches on. The
-//! heartbeat bypass (§3.9 liveness is not a request) is an *ungated,
-//! one-way* registration on the same table.
+//! What each of those does to an object is decided in one place, the pure
+//! reducer [`lifecycle::step`]: the Magistrate is its adapter. A request
+//! arrives through the shared dispatch layer (a [`MethodTable`], MayI gate
+//! at the boundary — "requests rather than commands"), is decoded into a
+//! [`LifeEvent`] and stepped on the object's one [`ObjRecord`]; the
+//! Magistrate then performs the row's [`Effect`]s — storage, placement,
+//! calls through its [`Calls`], replies. A call parks a [`Wait`], which
+//! holds just what its reply needs to become the next event, and a failed
+//! effect is stepped as an event too. The heartbeat bypass (§3.9 liveness
+//! is not a request) is an *ungated, one-way* registration on the same
+//! table.
 
+use crate::lifecycle::{self, Effect, LifeEvent, Notice, ObjRecord, Waiter, Why};
 use crate::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivateArgs,
     ActivationSpec, ReceiveOprArgs,
@@ -40,7 +45,7 @@ use legion_core::fxmap::FxHashMap;
 use legion_core::interface::ParamType;
 use legion_core::loid::Loid;
 use legion_core::object::methods as obj_methods;
-use legion_core::symbol::{self, Sym};
+use legion_core::symbol;
 use legion_core::value::LegionValue;
 use legion_ha::detector::FailureDetector;
 use legion_ha::policy::{Health, SuspicionPolicy};
@@ -56,38 +61,7 @@ use legion_persist::storage::{JurisdictionStorage, PersistentAddress};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::rc::Rc;
 
-/// Where an object managed by this Magistrate currently is.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObjState {
-    /// Running on `host`, reachable at `element`.
-    Active {
-        /// Host Object the process runs under.
-        host: Loid,
-        /// The object's endpoint element.
-        element: ObjectAddressElement,
-        /// With HA enabled: the OPR checkpoint retained at activation
-        /// (§3.1's vault), so the object survives its host. `None` when
-        /// HA is off — the OPR is consumed by activation as before.
-        vault: Option<PersistentAddress>,
-    },
-    /// Resting in jurisdiction storage.
-    Inert {
-        /// Where the OPR lives.
-        addr: PersistentAddress,
-        /// Created here and never yet Active: the OPR is the one
-        /// `CreateObject` wrote. If this first activation fails, the
-        /// creation is undone (Create is all-or-nothing).
-        never_active: bool,
-    },
-}
-
-/// Per-object record.
-#[derive(Debug, Clone)]
-struct ObjRecord {
-    class: Loid,
-    class_addr: Option<ObjectAddressElement>,
-    state: ObjState,
-}
+pub use crate::lifecycle::Life;
 
 struct HostRecord {
     loid: Loid,
@@ -111,61 +85,42 @@ fn place(hosts: &[HostRecord], hint: Option<Loid>) -> Option<&HostRecord> {
         .or_else(|| open().max_by(|a, b| free(a).cmp(&free(b)).then(b.loid.cmp(&a.loid))))
 }
 
-/// Follow-up work queued until an object reaches the Inert state: ship
-/// the OPR to a peer magistrate; optionally delete locally (Move).
-struct Ship {
-    dst_magistrate: Loid,
-    dst_element: ObjectAddressElement,
-    delete_after: bool,
-    requester: ReplyTicket,
+/// Park `waiter` behind whatever is parked in `slot`.
+fn park(slot: &mut Option<Parked<Waiter>>, waiter: Waiter) {
+    match slot {
+        Some(parked) => parked.push(waiter),
+        None => *slot = Some(Parked::new(waiter)),
+    }
 }
 
-/// What a call of a Magistrate waits to do with its reply (its
-/// [`Caller::Wait`]): the next step of an activation, a deactivation, a
-/// deletion or a migration, with what that step needs.
-pub enum Wait {
-    /// `HostActivate` is out: the host answers with the process address.
-    HostActivate {
-        /// The object being activated.
-        loid: Loid,
-        /// The host asked to start it.
-        host: Loid,
-        /// Placements tried before this one.
-        attempts: u32,
-    },
-    /// `SaveState()` is out to the object being deactivated.
-    SaveState {
-        /// The object.
-        loid: Loid,
-        /// Who asked for the deactivation; `None` for a Copy/Move's own.
-        requester: Option<ReplyTicket>,
-    },
-    /// `HostDeactivate` is out, the object's fresh OPR already stored.
-    HostDeactivate {
-        /// The object.
-        loid: Loid,
-        /// Where its fresh OPR is.
-        addr: PersistentAddress,
-        /// Who asked for the deactivation, if anyone.
-        requester: Option<ReplyTicket>,
-    },
-    /// `HostDeactivate` is out for an object being deleted: whatever the
-    /// host answers, the deletion finishes.
-    Delete {
-        /// The object.
-        loid: Loid,
-        /// Who asked for the deletion.
-        requester: ReplyTicket,
-    },
-    /// `ReceiveOpr` is out to the peer Magistrate.
-    Ship {
-        /// The object shipped.
-        loid: Loid,
-        /// A Move: drop the local copy once the peer has it.
-        delete_after: bool,
-        /// Who asked for the Copy or Move.
-        requester: ReplyTicket,
-    },
+/// The object state a row's effect stores as an OPR: a `CreateObject`'s
+/// initial state, or what `SaveState` answered.
+type State = Option<Vec<u8>>;
+
+/// A request that carries nothing but its reply ticket.
+type Ask = fn(ReplyTicket) -> LifeEvent<'static>;
+
+/// What a call of a Magistrate waits for (its [`Caller::Wait`]): the
+/// object, and what the reply needs to become the object's next
+/// [`LifeEvent`].
+pub struct Wait(Loid, Pending);
+
+/// The call a [`Wait`] parks, with what its reply needs.
+pub enum Pending {
+    /// `HostActivate` to the host, after that many placements.
+    HostActivate(Loid, u32),
+    /// `SaveState()`, for the deactivation's requester (`None` for a
+    /// Copy/Move's own).
+    SaveState(Option<ReplyTicket>),
+    /// `HostDeactivate`, the object's fresh OPR already stored at the
+    /// address.
+    HostDeactivate(Option<ReplyTicket>, PersistentAddress),
+    /// `HostDeactivate` for a Delete: whatever the host answers, the
+    /// deletion finishes.
+    Delete(ReplyTicket),
+    /// `ReceiveOpr` to the peer Magistrate, for a Move when the flag is
+    /// set.
+    Ship(ReplyTicket, bool),
 }
 
 /// Timer tag for the periodic failure-detector sweep (armed externally
@@ -206,17 +161,14 @@ pub struct MagistrateEndpoint {
     storage: JurisdictionStorage,
     hosts: Vec<HostRecord>,
     mayi: Box<dyn MayIPolicy>,
+    /// One record per object: its class, its [`Life`] and the requests
+    /// parked on it.
     objects: FxHashMap<Loid, ObjRecord>,
     table: Rc<MethodTable<Self>>,
     /// Every outbound call that waits for a reply. Its deadline is `None`
     /// by default — wait forever, no timers armed; chaos campaigns set
     /// one so lost replies surface as timeouts instead of leaked state.
     calls: Calls<Wait>,
-    /// Who to answer when an activation in progress concludes. A parked
-    /// request is its [`ReplyTicket`], here and below: answering it needs
-    /// nothing else of the call.
-    activate_waiters: FxHashMap<Loid, Parked<ReplyTicket>>,
-    after_inert: FxHashMap<Loid, Parked<Ship>>,
     peers: FxHashMap<Loid, ObjectAddressElement>,
     ha: Option<HaState>,
 }
@@ -232,8 +184,6 @@ impl MagistrateEndpoint {
             objects: FxHashMap::default(),
             table: Self::table(cfg.loid),
             calls: Calls::new(cfg.loid, symbol::MAGISTRATE_TIMEOUTS),
-            activate_waiters: FxHashMap::default(),
-            after_inert: FxHashMap::default(),
             peers: FxHashMap::default(),
             ha: None,
             cfg,
@@ -251,50 +201,50 @@ impl MagistrateEndpoint {
                 mag_proto::ACTIVATE,
                 &["target", "host"],
                 ParamType::Binding,
-                |e, ctx, msg, args| e.handle_activate(ctx, msg, args),
+                |e, ctx, msg, args| {
+                    let ev = LifeEvent::Activate(msg.reply_ticket(), args.host);
+                    e.request(ctx, args.loid, ev)
+                },
             )
             .method::<(Loid,), _>(
                 mag_proto::DEACTIVATE,
                 &["target"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid,)| {
-                    e.begin_deactivate(ctx, loid, Some(msg.reply_ticket()));
-                    Outcome::Pending
-                },
+                |e: &mut Self, ctx, msg, (loid,)| e.ask(ctx, msg, loid, LifeEvent::Deactivate),
             )
             .method::<(Loid,), _>(
                 mag_proto::DELETE,
                 &["target"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid,)| e.handle_delete(ctx, msg, loid),
+                |e: &mut Self, ctx, msg, (loid,)| e.ask(ctx, msg, loid, LifeEvent::Delete),
             )
             .method::<(Loid, Loid), _>(
                 mag_proto::COPY,
                 &["target", "magistrate"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid, dst)| {
-                    e.handle_copy_or_move(ctx, msg, loid, dst, false)
-                },
+                |e: &mut Self, ctx, msg, (loid, dst)| e.copy(ctx, msg, loid, dst, false),
             )
             .method::<(Loid, Loid), _>(
                 mag_proto::MOVE,
                 &["target", "magistrate"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid, dst)| {
-                    e.handle_copy_or_move(ctx, msg, loid, dst, true)
-                },
+                |e: &mut Self, ctx, msg, (loid, dst)| e.copy(ctx, msg, loid, dst, true),
             )
             .method::<ActivationSpec, _>(
                 mag_proto::CREATE_OBJECT,
                 &["loid", "class", "state", "class_addr", "magistrate_addr"],
                 ParamType::Binding,
-                |e, ctx, msg, spec| e.handle_create_object(ctx, msg, spec),
+                |e, ctx, msg, spec| {
+                    let ev = LifeEvent::Create(msg.reply_ticket(), spec.class, spec.class_addr);
+                    e.drive_with(ctx, spec.loid, ev, Some(spec.state));
+                    Outcome::Pending
+                },
             )
             .method::<ReceiveOprArgs, _>(
                 mag_proto::RECEIVE_OPR,
                 &["loid", "class", "opr", "class_addr"],
                 ParamType::Void,
-                |e, ctx, _msg, args| e.handle_receive_opr(ctx, args),
+                |e, ctx, msg, args| e.receive_opr(ctx, msg, args),
             )
             .ungated_method::<(Loid, u64), _>(
                 legion_ha::protocol::HEARTBEAT,
@@ -376,14 +326,16 @@ impl MagistrateEndpoint {
         self.cfg.loid
     }
 
-    /// Current state of an object, if managed here.
-    pub fn object_state(&self, loid: &Loid) -> Option<&ObjState> {
-        self.objects.get(loid).map(|r| &r.state)
+    /// Where an object is in its lifecycle, if this Magistrate has a
+    /// record of it.
+    pub fn object_state(&self, loid: &Loid) -> Option<&Life> {
+        self.objects.get(loid).map(ObjRecord::life)
     }
 
-    /// Number of managed objects.
+    /// Number of objects held here (Inert or Active).
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        let held = |r: &&ObjRecord| !matches!(r.life(), Life::Deleting { .. });
+        self.objects.values().filter(held).count()
     }
 
     /// Jurisdiction storage statistics: `(files, bytes)`.
@@ -393,10 +345,8 @@ impl MagistrateEndpoint {
 
     // ----- helpers ---------------------------------------------------------
 
-    fn mark_host_dead(&mut self, loid: &Loid) {
-        if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == *loid) {
-            h.alive = false;
-        }
+    fn host(&mut self, loid: &Loid) -> Option<&mut HostRecord> {
+        self.hosts.iter_mut().find(|h| h.loid == *loid)
     }
 
     fn host_element(&self, loid: &Loid) -> Option<ObjectAddressElement> {
@@ -406,27 +356,27 @@ impl MagistrateEndpoint {
             .map(|h| h.element)
     }
 
-    fn bump_host(&mut self, loid: &Loid, delta: i64) {
-        if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == *loid) {
-            h.assigned = (h.assigned as i64 + delta).max(0) as u32;
-        }
-    }
-
     /// Table maintenance for the class (§3.7), one way: the Magistrate
     /// never read the acknowledgement.
-    fn notify_class<const N: usize>(
-        &self,
-        ctx: &mut Ctx<'_>,
-        class_addr: Option<ObjectAddressElement>,
-        class: Loid,
-        method: impl Into<Sym>,
-        args: [LegionValue; N],
-    ) {
-        if let Some(addr) = class_addr {
-            let me = self.cfg.loid;
-            let args = ctx.args(args);
-            ctx.notify(addr, class, method, args, InvocationEnv::solo(me), Some(me));
-        }
+    fn notify_class(&self, ctx: &mut Ctx<'_>, loid: Loid, notice: Notice) {
+        let Some(record) = self.objects.get(&loid) else {
+            return;
+        };
+        let (Some(addr), me) = (record.class_addr, self.cfg.loid) else {
+            return;
+        };
+        let (method, value) = match notice {
+            Notice::SetAddress(Some(e)) => (
+                class_proto::SET_ADDRESS,
+                LegionValue::Address(ObjectAddress::single(e)),
+            ),
+            Notice::SetAddress(None) => (class_proto::SET_ADDRESS, LegionValue::Void),
+            Notice::AddMagistrate => (class_proto::ADD_MAGISTRATE, LegionValue::Loid(me)),
+            Notice::RemoveMagistrate => (class_proto::REMOVE_MAGISTRATE, LegionValue::Loid(me)),
+        };
+        let args = ctx.args([LegionValue::Loid(loid), value]);
+        let env = InvocationEnv::solo(me);
+        ctx.notify(addr, record.class, method, args, env, Some(me));
     }
 
     /// Kill the process `host` started for `loid` that no record refers
@@ -434,238 +384,52 @@ impl MagistrateEndpoint {
     fn reap_orphan(&mut self, ctx: &mut Ctx<'_>, loid: Loid, host: Loid) {
         ctx.count(symbol::MAGISTRATE_ORPHAN_REAPED);
         if let Some(host_element) = self.host_element(&host) {
-            let me = self.cfg.loid;
-            let args = ctx.args([LegionValue::Loid(loid)]);
+            let (me, args) = (self.cfg.loid, ctx.args([LegionValue::Loid(loid)]));
+            let env = InvocationEnv::solo(me);
             ctx.notify(
                 host_element,
                 host,
                 host_proto::DEACTIVATE,
                 args,
-                InvocationEnv::solo(me),
+                env,
                 Some(me),
             );
         }
     }
 
-    /// Answer every queued Activate waiter for `loid`. This is also the
-    /// single point every activation — including a crash recovery —
-    /// concludes at, so the HA bookkeeping and the undoing of a failed
-    /// creation hook in here.
-    fn answer_activate_waiters(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        result: Result<Binding, String>,
-    ) {
-        let me = self.cfg.loid;
-        if let Some(ha) = &mut self.ha {
-            if ha.tracker.recovering(&loid) {
-                match &result {
-                    Ok(b) => {
-                        ha.tracker.object_recovered(&loid, ctx.now());
-                        ctx.count(symbol::MAGISTRATE_HA_RECOVERED);
-                        ctx.trace_note("ha.object_recovered");
-                        // Push the fresh binding down the agent tree so
-                        // clients stop chasing the dead address (§4.1.4's
-                        // "explicitly propagating news").
-                        stale::propagate_binding(ctx, me, &ha.agents, b);
-                    }
-                    Err(_) => {
-                        ha.tracker.object_lost(&loid);
-                        ctx.count(symbol::MAGISTRATE_HA_OBJECT_LOST);
-                        ctx.trace_note("ha.object_lost");
-                    }
-                }
-            }
-        }
-        if result.is_err() {
-            self.undo_creation(loid);
-        }
-        for waiter in self.activate_waiters.remove(&loid).into_iter().flatten() {
-            let payload = result.as_ref().map(|b| ctx.binding_value(b));
-            ctx.reply_ticket(waiter, payload.map_err(String::clone));
-        }
+    /// Call `HostDeactivate(loid)` on `host`, parking `wait`: `None` for a
+    /// host not registered here, `Some(false)` when the send is refused.
+    fn kill(&mut self, ctx: &mut Ctx<'_>, loid: Loid, host: Loid, wait: Wait) -> Option<bool> {
+        let host_element = self.host_element(&host)?;
+        let args = ctx.args([LegionValue::Loid(loid)]);
+        let method = host_proto::DEACTIVATE;
+        Some(self.calls.call(ctx, host_element, host, method, args, wait))
     }
 
-    /// Drop a fresh object whose first activation failed, with its
-    /// initial OPR: the requester hears an error, so nothing was created.
-    fn undo_creation(&mut self, loid: Loid) {
-        if let Some(ObjRecord {
-            state:
-                ObjState::Inert {
-                    addr,
-                    never_active: true,
-                },
-            ..
-        }) = self.objects.get(&loid)
-        {
-            let _ = self.storage.delete(addr);
-            self.objects.remove(&loid);
-        }
-    }
-
-    /// Begin activation of an Inert object. Waiters must already be
-    /// queued in `activate_waiters[loid]`.
-    fn start_activation(&mut self, ctx: &mut Ctx<'_>, loid: Loid, host_hint: Option<Loid>) {
-        let Some(record) = self.objects.get(&loid) else {
-            self.answer_activate_waiters(ctx, loid, Err(format!("{loid} not managed here")));
-            return;
-        };
-        let ObjState::Inert { addr, .. } = &record.state else {
-            // Raced: became Active already.
-            if let ObjState::Active { element, .. } = &record.state {
-                let b = Binding::forever(loid, ObjectAddress::single(*element));
-                self.answer_activate_waiters(ctx, loid, Ok(b));
-            }
-            return;
-        };
-        let opr = match self.storage.load_opr(addr) {
-            Ok(o) => o,
-            Err(e) => {
-                ctx.count(symbol::MAGISTRATE_OPR_LOAD_FAILED);
-                self.answer_activate_waiters(ctx, loid, Err(format!("OPR load failed: {e}")));
-                return;
-            }
-        };
-        let class = record.class;
-        let class_addr = record.class_addr;
-        self.dispatch_to_host(ctx, loid, class, opr.state, class_addr, host_hint, 0);
-    }
-
-    /// Pick a host and send `HostActivate`. The reply wakes
-    /// [`Wait::HostActivate`] in [`Self::on_host_activate_reply`].
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_to_host(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        class: Loid,
-        state: Vec<u8>,
-        class_addr: Option<ObjectAddressElement>,
-        host_hint: Option<Loid>,
-        attempts: u32,
-    ) {
-        let Some((host, host_element)) = place(&self.hosts, host_hint).map(|h| (h.loid, h.element))
-        else {
-            ctx.count(symbol::MAGISTRATE_NO_HOST);
-            self.answer_activate_waiters(ctx, loid, Err("no host with free capacity".into()));
-            return;
-        };
-        let spec = ActivationSpec {
-            loid,
-            class,
-            state,
-            class_addr,
-            magistrate_addr: Some(ctx.self_element()),
-        };
-        let args = ctx.args(spec.into_args());
-        let called = self.calls.call(
-            ctx,
-            host_element,
-            host,
-            host_proto::ACTIVATE,
-            args,
-            Wait::HostActivate {
-                loid,
-                host,
-                attempts,
-            },
-        );
-        if !called {
-            // The Host Object is dead (§2.3's "reaping" case): skip it
-            // for future placements and try another host.
-            ctx.count(symbol::MAGISTRATE_HOST_DEAD);
-            self.mark_host_dead(&host);
-            if attempts < 3 {
-                self.redispatch(ctx, loid, attempts + 1);
-            } else {
-                self.answer_activate_waiters(ctx, loid, Err(format!("host {host} unreachable")));
-            }
-        }
-    }
-
-    /// Pick another host for an activation whose `HostActivate` was
-    /// refused or failed. The state went with that call, so it is read
-    /// back from the OPR, which stays in storage until a host accepts.
-    fn redispatch(&mut self, ctx: &mut Ctx<'_>, loid: Loid, attempts: u32) {
-        let Some(record) = self.objects.get(&loid) else {
-            return;
-        };
-        let ObjState::Inert { addr, .. } = &record.state else {
-            return;
-        };
-        let (class, class_addr) = (record.class, record.class_addr);
-        match self.storage.load_opr(addr) {
-            Ok(opr) => {
-                self.dispatch_to_host(ctx, loid, class, opr.state, class_addr, None, attempts)
-            }
-            Err(e) => {
-                self.answer_activate_waiters(ctx, loid, Err(format!("OPR reload failed: {e}")))
-            }
-        }
-    }
-
-    /// Run queued after-inert work (shipping for Copy/Move).
-    fn run_after_inert(&mut self, ctx: &mut Ctx<'_>, loid: Loid) {
-        for job in self.after_inert.remove(&loid).into_iter().flatten() {
-            self.ship(ctx, loid, job);
-        }
-    }
-
-    fn ship(&mut self, ctx: &mut Ctx<'_>, loid: Loid, job: Ship) {
-        let Ship {
-            dst_magistrate,
-            dst_element,
-            delete_after,
-            requester,
-        } = job;
-        let Some(record) = self.objects.get(&loid) else {
-            ctx.reply_ticket(requester, Err(format!("{loid} not managed here")));
-            return;
-        };
-        let ObjState::Inert { addr, .. } = &record.state else {
-            ctx.reply_ticket(
-                requester,
-                Err(format!("{loid} is not Inert after deactivation")),
-            );
-            return;
-        };
-        let bytes = match self.storage.read_raw(addr) {
-            Ok(b) => b,
-            Err(e) => {
-                ctx.reply_ticket(requester, Err(format!("read OPR failed: {e}")));
-                return;
-            }
-        };
-        let class = record.class;
-        let class_addr = record.class_addr;
-        let class_addr_val = match class_addr {
-            Some(e) => LegionValue::Address(ObjectAddress::single(e)),
-            None => LegionValue::Void,
-        };
-        let args = ctx.args([
-            LegionValue::Loid(loid),
-            LegionValue::Loid(class),
-            LegionValue::Bytes(bytes),
-            class_addr_val,
-        ]);
-        let called = self.calls.call(
-            ctx,
-            dst_element,
-            dst_magistrate,
-            mag_proto::RECEIVE_OPR,
-            args,
-            Wait::Ship {
-                loid,
-                delete_after,
-                requester,
-            },
-        );
-        if !called {
-            ctx.reply_ticket(
-                requester,
-                Err(format!("magistrate {dst_magistrate} unreachable")),
-            );
+    /// The text a [`Why`] stands for.
+    fn render(&self, loid: Loid, why: Why<'_>) -> String {
+        match why {
+            Why::NotManaged => format!("{loid} not managed here"),
+            Why::NotManagedBy => format!("{loid} not managed by {}", self.cfg.loid),
+            Why::AlreadyManaged => format!("{loid} already managed here"),
+            Why::RemovedDuringActivation => format!("{loid} was removed during activation"),
+            Why::RemovedDuringDeactivation => format!("{loid} was removed during deactivation"),
+            Why::SaveStateUnreachable => format!("{loid} unreachable for SaveState"),
+            Why::NoHost => "no host with free capacity".into(),
+            Why::EmptyAddress => "host returned empty address".into(),
+            Why::UnknownHost(host) => format!("unknown host {host}"),
+            Why::HostUnreachable(host) => format!("host {host} unreachable"),
+            Why::PeerUnreachable(peer) => format!("magistrate {peer} unreachable"),
+            Why::HostRefused(e) => format!("host refused: {e}"),
+            Why::SaveStateFailed(e) => format!("SaveState failed: {e}"),
+            Why::HostDeactivateFailed(e) => format!("host deactivate failed: {e}"),
+            Why::ShipFailed(e) => format!("ship failed: {e}"),
+            Why::UnexpectedHostReply(v) => format!("unexpected host reply {v}"),
+            Why::UnexpectedSaveStateReply(v) => format!("unexpected SaveState reply {v}"),
+            Why::OprLoadFailed(e) => format!("OPR load failed: {e}"),
+            Why::OprReloadFailed(e) => format!("OPR reload failed: {e}"),
+            Why::OprStoreFailed(e) => format!("OPR store failed: {e}"),
+            Why::ReadOprFailed(e) => format!("read OPR failed: {e}"),
         }
     }
 
@@ -690,8 +454,13 @@ impl MagistrateEndpoint {
             ctx.count(symbol::MAGISTRATE_HA_FALSE_POSITIVE);
             ctx.trace_note("ha.false_positive");
             ctx.flight(RecordKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
+            let mut held: Vec<Loid> = self.objects.keys().copied().collect();
+            held.sort();
+            for loid in held {
+                self.drive(ctx, loid, LifeEvent::HostBack(host));
+            }
         }
-        if let Some(h) = self.hosts.iter_mut().find(|h| h.loid == host) {
+        if let Some(h) = self.host(&host) {
             h.alive = true;
         }
     }
@@ -726,14 +495,16 @@ impl MagistrateEndpoint {
     fn recover_host(&mut self, ctx: &mut Ctx<'_>, host: Loid, silence_ns: u64) {
         ctx.count(symbol::MAGISTRATE_HA_HOST_DEAD);
         ctx.flight(RecordKind::HaVerdict, symbol::HA_HOST_DEAD, silence_ns);
-        self.mark_host_dead(&host);
+        if let Some(h) = self.host(&host) {
+            h.alive = false;
+        }
         if let Some(ha) = &mut self.ha {
             ha.tracker.host_dead(silence_ns);
         }
         // Root span for this host's recovery: the HostActivate calls made
-        // below inherit it, so their replies (and the completion notes in
-        // `answer_activate_waiters`) stay causally linked to the verdict.
-        // The labels are rendered only when a sink is actually attached.
+        // below inherit it, so their replies (and the completion notes of
+        // `Effect::Conclude`) stay causally linked to the verdict. The
+        // labels are rendered only when a sink is actually attached.
         if ctx.tracing_enabled() {
             ctx.trace_begin(&format!("ha.recovery:{host}"));
             ctx.trace_note(&format!("ha.detected:silence={silence_ns}ns"));
@@ -741,591 +512,337 @@ impl MagistrateEndpoint {
         let mut lost: Vec<Loid> = self
             .objects
             .iter()
-            .filter(|(_, r)| matches!(&r.state, ObjState::Active { host: h, .. } if *h == host))
+            .filter(|(_, r)| r.life().running_on() == Some(host))
             .map(|(l, _)| *l)
             .collect();
         lost.sort(); // deterministic recovery order
         for loid in lost {
-            self.recover_object(ctx, loid, host);
+            // Duplicated or replayed recovery triggers (a flapping
+            // detector, a duplicated host-dead verdict) must not
+            // re-activate an object whose recovery is already in flight:
+            // exactly one activation per LOID per incident.
+            let ha = self.ha.as_ref();
+            if ha.is_some_and(|ha| ha.tracker.recovering(&loid)) {
+                ctx.count(symbol::MAGISTRATE_HA_DUPLICATE_TRIGGER);
+                continue;
+            }
+            self.drive(ctx, loid, LifeEvent::HostDead(host));
         }
         ctx.trace_end("ha.recovery-dispatched");
     }
 
-    /// Re-home one object that died with `dead_host`.
-    fn recover_object(&mut self, ctx: &mut Ctx<'_>, loid: Loid, dead_host: Loid) {
-        let me = self.cfg.loid;
-        // Duplicated or replayed recovery triggers (a flapping detector,
-        // a duplicated host-dead verdict) must not re-activate an object
-        // whose recovery is already in flight: exactly one activation per
-        // LOID per incident.
-        if let Some(ha) = &self.ha {
-            if ha.tracker.recovering(&loid) {
-                ctx.count(symbol::MAGISTRATE_HA_DUPLICATE_TRIGGER);
-                return;
-            }
-        }
-        let Some(record) = self.objects.get(&loid) else {
-            return;
-        };
-        let ObjState::Active { vault, .. } = &record.state else {
-            return;
-        };
-        let Some(vault) = *vault else {
-            // No checkpoint to restart from (HA was enabled after this
-            // activation): the object is gone until someone re-creates it.
-            ctx.count(symbol::MAGISTRATE_HA_UNRECOVERABLE);
-            ctx.trace_note("ha.unrecoverable");
-            self.bump_host(&dead_host, -1);
-            return;
-        };
-        let (class, class_addr) = (record.class, record.class_addr);
-        self.bump_host(&dead_host, -1);
-        // Back to Inert at the vault checkpoint, then through the normal
-        // activation path — placement picks a surviving host.
-        self.objects.get_mut(&loid).expect("checked above").state = ObjState::Inert {
-            addr: vault,
-            never_active: false,
-        };
-        if let Some(ha) = &mut self.ha {
-            ha.tracker.begin_object(loid, ctx.now());
-        }
-        ctx.count(symbol::MAGISTRATE_HA_RECOVERIES);
-        ctx.flight(
-            RecordKind::HaVerdict,
-            symbol::HA_RECOVERED,
-            loid.class_specific,
-        );
-        // The old binding is now stale everywhere. Clearing the class's
-        // address row makes the class tell the agents it answered; the
-        // agents walked here are the ones this Magistrate *pushed* a
-        // binding to after an earlier recovery, which the class never
-        // handed out and so cannot know about.
-        let agents = self.ha.as_ref().map_or(&[][..], |ha| &ha.agents);
-        stale::propagate_invalidation(ctx, me, agents, loid);
-        self.notify_class(
-            ctx,
-            class_addr,
-            class,
-            class_proto::SET_ADDRESS,
-            [LegionValue::Loid(loid), LegionValue::Void],
-        );
-        self.start_activation(ctx, loid, None);
-    }
+    // ----- the lifecycle adapter ---------------------------------------------
 
-    // ----- request handlers --------------------------------------------------
-
-    fn handle_activate(&mut self, ctx: &mut Ctx<'_>, msg: &Message, args: ActivateArgs) -> Outcome {
-        let ActivateArgs { loid, host: hint } = args;
-        match self.objects.get(&loid) {
-            None => Outcome::Reply(Err(format!("{loid} not managed by {}", self.cfg.loid))),
-            Some(r) => match &r.state {
-                ObjState::Active { element, .. } => {
-                    ctx.count(symbol::MAGISTRATE_ACTIVATE_ALREADY_ACTIVE);
-                    let b = Binding::forever(loid, ObjectAddress::single(*element));
-                    Outcome::Reply(Ok(LegionValue::from(b)))
-                }
-                ObjState::Inert { .. } => {
-                    ctx.count(symbol::MAGISTRATE_ACTIVATIONS);
-                    // An activation in flight is one fact however it
-                    // started: a crash recovery parks no waiter of its
-                    // own, so the first request to arrive while it runs
-                    // joins it instead of starting a second activation.
-                    let recovering = self
-                        .ha
-                        .as_ref()
-                        .is_some_and(|ha| ha.tracker.recovering(&loid));
-                    if Parked::park(&mut self.activate_waiters, loid, msg.reply_ticket())
-                        && !recovering
-                    {
-                        self.start_activation(ctx, loid, hint);
-                    }
-                    Outcome::Pending
-                }
-            },
-        }
-    }
-
-    fn handle_create_object(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        msg: &Message,
-        spec: ActivationSpec,
-    ) -> Outcome {
-        if self.objects.contains_key(&spec.loid) {
-            return Outcome::Reply(Err(format!("{} already managed here", spec.loid)));
-        }
-        ctx.count(symbol::MAGISTRATE_CREATIONS);
-        // Record a provisional Inert entry by writing the initial OPR;
-        // then activate it immediately.
-        let opr = Opr::new(spec.loid, spec.class, 0, spec.state);
-        let addr = match self.storage.store_opr(&opr) {
-            Ok(a) => a,
-            Err(e) => {
-                return Outcome::Reply(Err(format!("initial OPR store failed: {e}")));
-            }
-        };
-        self.objects.insert(
-            spec.loid,
-            ObjRecord {
-                class: spec.class,
-                class_addr: spec.class_addr,
-                state: ObjState::Inert {
-                    addr,
-                    never_active: true,
-                },
-            },
-        );
-        Parked::park(&mut self.activate_waiters, spec.loid, msg.reply_ticket());
-        self.start_activation(ctx, spec.loid, None);
+    /// A request about `loid`: its row answers it, now or later.
+    fn request(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent<'_>) -> Outcome {
+        self.drive(ctx, loid, ev);
         Outcome::Pending
     }
 
-    /// Start a deactivation; `requester` (if any) gets the final reply.
-    fn begin_deactivate(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: Option<ReplyTicket>) {
-        let Some(record) = self.objects.get(&loid) else {
-            self.deactivation_failed(ctx, loid, requester, format!("{loid} not managed here"));
-            return;
+    /// A request about `loid` that carries nothing but its reply ticket.
+    fn ask(&mut self, ctx: &mut Ctx<'_>, msg: &Message, loid: Loid, ev: Ask) -> Outcome {
+        self.request(ctx, loid, ev(msg.reply_ticket()))
+    }
+
+    fn drive(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent<'_>) {
+        self.drive_with(ctx, loid, ev, None);
+    }
+
+    /// Step `loid`'s record with `ev` and perform the row's effects, in
+    /// order, with the [`State`] one of them may store. An
+    /// object with no record here steps from [`Life::GONE`]; a record left
+    /// gone with nothing parked on it is forgotten.
+    fn drive_with(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent, mut state: State) {
+        let effects = match self.objects.get_mut(&loid) {
+            Some(record) => record.step(&ev),
+            None => lifecycle::step(&Life::GONE, &ev).1,
         };
-        let ObjState::Active { element, .. } = &record.state else {
-            // Already Inert: fine (idempotent), and after-inert work can run.
-            if let Some(req) = requester {
-                ctx.reply_ticket(req, Ok(LegionValue::Void));
+        for effect in effects {
+            self.perform(ctx, loid, effect, &mut state);
+        }
+        if self.objects.get(&loid).is_some_and(ObjRecord::is_spent) {
+            self.objects.remove(&loid);
+        }
+    }
+
+    /// The record of an object a row found held here.
+    fn record(&mut self, loid: Loid) -> &mut ObjRecord {
+        self.objects
+            .get_mut(&loid)
+            .expect("a row's object has a record")
+    }
+
+    fn perform(&mut self, ctx: &mut Ctx<'_>, loid: Loid, effect: Effect, state: &mut State) {
+        use LifeEvent as V;
+        match effect {
+            Effect::Count(counter) => ctx.count(counter),
+            Effect::Note(note) => ctx.trace_note(note),
+            Effect::Reply(to, answer) => {
+                let bound = |e| Binding::forever(loid, ObjectAddress::single(e)).into();
+                ctx.reply_ticket(to, Ok(answer.map_or(LegionValue::Void, bound)));
             }
-            self.run_after_inert(ctx, loid);
-            return;
-        };
-        ctx.count(symbol::MAGISTRATE_DEACTIVATIONS);
-        let called = self.calls.call(
-            ctx,
-            *element,
-            loid,
-            obj_methods::SAVE_STATE,
-            vec![],
-            Wait::SaveState { loid, requester },
-        );
-        if !called {
-            let why = format!("{loid} unreachable for SaveState");
-            self.deactivation_failed(ctx, loid, requester, why);
-        }
-    }
-
-    /// A deactivation of `loid` ended short of Inert. Whoever asked for it
-    /// hears why — and so does every Copy/Move parked behind it, whose
-    /// requester no later step would otherwise answer.
-    fn deactivation_failed(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        requester: Option<ReplyTicket>,
-        why: String,
-    ) {
-        let parked = self.after_inert.remove(&loid).into_iter().flatten();
-        let parked = parked.map(|ship| ship.requester);
-        for waiter in requester.into_iter().chain(parked) {
-            ctx.reply_ticket(waiter, Err(why.clone()));
-        }
-    }
-
-    fn handle_delete(&mut self, ctx: &mut Ctx<'_>, msg: &Message, loid: Loid) -> Outcome {
-        let Some(record) = self.objects.get(&loid) else {
-            return Outcome::Reply(Err(format!("{loid} not managed here")));
-        };
-        ctx.count(symbol::MAGISTRATE_DELETIONS);
-        let requester = msg.reply_ticket();
-        if let ObjState::Active { host, .. } = record.state {
-            // Kill the process, then finish deletion on reply.
-            let Some(host_element) = self.host_element(&host) else {
-                return Outcome::Reply(Err(format!("unknown host {host}")));
-            };
-            let args = ctx.args([LegionValue::Loid(loid)]);
-            let wait = Wait::Delete { loid, requester };
-            if self
-                .calls
-                .call(ctx, host_element, host, host_proto::DEACTIVATE, args, wait)
-            {
-                return Outcome::Pending;
+            Effect::Refuse(to, why) => {
+                ctx.reply_ticket(to, Err(self.render(loid, why)));
             }
-            // Host gone: drop the record anyway.
-        }
-        self.finish_delete(ctx, loid, requester);
-        Outcome::Pending
-    }
-
-    fn finish_delete(&mut self, ctx: &mut Ctx<'_>, loid: Loid, requester: ReplyTicket) {
-        if let Some(record) = self.objects.remove(&loid) {
-            match &record.state {
-                ObjState::Inert { addr, .. } => {
-                    let _ = self.storage.delete(addr);
-                }
-                ObjState::Active { host, vault, .. } => {
-                    if let Some(vault) = vault {
-                        let _ = self.storage.delete(vault);
-                    }
-                    self.bump_host(host, -1);
-                }
-            }
-            // The class row update is driven by the class (it called us);
-            // still clear the address column defensively.
-            self.notify_class(
-                ctx,
-                record.class_addr,
-                record.class,
-                class_proto::REMOVE_MAGISTRATE,
-                [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
-            );
-        }
-        ctx.reply_ticket(requester, Ok(LegionValue::Void));
-    }
-
-    fn handle_copy_or_move(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        msg: &Message,
-        loid: Loid,
-        dst: Loid,
-        delete_after: bool,
-    ) -> Outcome {
-        let Some(dst_element) = self.peers.get(&dst).copied() else {
-            return Outcome::Reply(Err(format!("unknown peer magistrate {dst}")));
-        };
-        if !self.objects.contains_key(&loid) {
-            return Outcome::Reply(Err(format!("{loid} not managed here")));
-        }
-        ctx.count(if delete_after {
-            symbol::MAGISTRATE_MOVES
-        } else {
-            symbol::MAGISTRATE_COPIES
-        });
-        Parked::park(
-            &mut self.after_inert,
-            loid,
-            Ship {
-                dst_magistrate: dst,
-                dst_element,
-                delete_after,
-                requester: msg.reply_ticket(),
-            },
-        );
-        // "This function causes the Magistrate to deactivate the object,
-        // creating an OPR, and to send the OPR to the other Magistrate."
-        // An object already Inert ships within this call.
-        self.begin_deactivate(ctx, loid, None);
-        Outcome::Pending
-    }
-
-    fn handle_receive_opr(&mut self, ctx: &mut Ctx<'_>, args: ReceiveOprArgs) -> Outcome {
-        let ReceiveOprArgs {
-            loid,
-            class,
-            opr: bytes,
-            class_addr,
-        } = args;
-        // Validate before storing: a corrupt OPR is refused here, not at
-        // some future activation.
-        if let Err(e) = Opr::verify(&bytes) {
-            ctx.count(symbol::MAGISTRATE_RECEIVE_CORRUPT);
-            return Outcome::Reply(Err(format!("refused corrupt OPR: {e}")));
-        }
-        let addr = self.storage.reserve_address(&loid);
-        if let Err(e) = self.storage.store_at(&addr, bytes) {
-            return Outcome::Reply(Err(format!("store failed: {e}")));
-        }
-        ctx.count(symbol::MAGISTRATE_RECEIVED_OPRS);
-        let record = ObjRecord {
-            class,
-            class_addr,
-            state: ObjState::Inert {
-                addr,
-                never_active: false,
-            },
-        };
-        // The received OPR supersedes an Inert copy already held here (a
-        // Copy, then a Move, to this Magistrate): that copy's file goes
-        // with its record. It is dropped only once the new one is stored,
-        // so a failed store leaves the old copy whole.
-        if let Some(ObjRecord {
-            state: ObjState::Inert { addr, .. },
-            ..
-        }) = self.objects.insert(loid, record)
-        {
-            let _ = self.storage.delete(&addr);
-        }
-        // Tell the class this magistrate now holds an OPR (Current
-        // Magistrate List maintenance, §3.7).
-        self.notify_class(
-            ctx,
-            class_addr,
-            class,
-            class_proto::ADD_MAGISTRATE,
-            [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
-        );
-        Outcome::Reply(Ok(LegionValue::Void))
-    }
-
-    // ----- reply handlers ----------------------------------------------------
-
-    /// The host replied to `HostActivate(loid)`.
-    fn on_host_activate_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        host: Loid,
-        attempts: u32,
-        result: Result<LegionValue, String>,
-    ) {
-        match result {
-            Ok(LegionValue::Address(addr)) => {
-                let element = addr.primary().copied();
-                let Some(element) = element else {
-                    self.answer_activate_waiters(
-                        ctx,
-                        loid,
-                        Err("host returned empty address".into()),
-                    );
-                    return;
+            Effect::Park(waiter) => park(&mut self.record(loid).parked, waiter),
+            // The single point every activation — including a crash
+            // recovery — ends at, so the HA bookkeeping hooks in here;
+            // then every parked `Activate` is answered.
+            Effect::Conclude(result) => {
+                let result = match result {
+                    Ok(element) => Ok(Binding::forever(loid, ObjectAddress::single(element))),
+                    Err(why) => Err(self.render(loid, why)),
                 };
-                // The record may have vanished while the host was
-                // starting the process (a racing Move/Delete): the
-                // fresh process is an orphan — reap it (§2.3's "a Host
-                // Object is responsible for ... reaping objects").
-                let Some(record) = self.objects.get(&loid) else {
-                    self.reap_orphan(ctx, loid, host);
-                    self.answer_activate_waiters(
-                        ctx,
-                        loid,
-                        Err(format!("{loid} was removed during activation")),
-                    );
-                    return;
-                };
-                // At-most-once activation: a reply for a record that is
-                // already Active never overwrites it. From the host the
-                // object runs on it is that same process answering again
-                // (HostActivate is idempotent); from any other host it
-                // is a second process, reaped like any other orphan.
-                if let ObjState::Active {
-                    host: running_on,
-                    element: running_at,
-                    ..
-                } = record.state
-                {
-                    if running_on != host {
-                        self.reap_orphan(ctx, loid, host);
-                    }
-                    let b = Binding::forever(loid, ObjectAddress::single(running_at));
-                    self.answer_activate_waiters(ctx, loid, Ok(b));
-                    return;
-                }
-                // Mark Active. With HA on, the Inert OPR is retained
-                // as the vault checkpoint the object restarts from if
-                // this host dies; without HA it is consumed as before
-                // (rewritten at the next deactivation).
-                let keep_vault = self.ha.is_some();
-                let (class, class_addr) = {
-                    let record = self.objects.get_mut(&loid).expect("checked above");
-                    let vault = match &record.state {
-                        ObjState::Inert { addr, .. } if keep_vault => Some(*addr),
-                        ObjState::Inert { addr, .. } => {
-                            let _ = self.storage.delete(addr);
-                            None
+                let me = self.cfg.loid;
+                if let Some(ha) = self.ha.as_mut().filter(|ha| ha.tracker.recovering(&loid)) {
+                    match &result {
+                        Ok(b) => {
+                            ha.tracker.object_recovered(&loid, ctx.now());
+                            ctx.count(symbol::MAGISTRATE_HA_RECOVERED);
+                            ctx.trace_note("ha.object_recovered");
+                            // Push the fresh binding down the agent tree so
+                            // clients stop chasing the dead address
+                            // (§4.1.4's "explicitly propagating news").
+                            stale::propagate_binding(ctx, me, &ha.agents, b);
                         }
-                        ObjState::Active { .. } => unreachable!("answered above"),
-                    };
-                    record.state = ObjState::Active {
-                        host,
-                        element,
-                        vault,
-                    };
-                    (record.class, record.class_addr)
-                };
-                self.bump_host(&host, 1);
-                // Update the class's logical-table Object Address.
-                self.notify_class(
-                    ctx,
-                    class_addr,
-                    class,
-                    class_proto::SET_ADDRESS,
-                    [
-                        LegionValue::Loid(loid),
-                        LegionValue::Address(ObjectAddress::single(element)),
-                    ],
-                );
-                let b = Binding::forever(loid, ObjectAddress::single(element));
-                self.answer_activate_waiters(ctx, loid, Ok(b));
-            }
-            Ok(v) => {
-                self.answer_activate_waiters(ctx, loid, Err(format!("unexpected host reply {v}")));
-            }
-            Err(e) => {
-                // The chosen host refused (capacity, policy): try once
-                // more with a different pick.
-                if attempts < 2 {
-                    ctx.count(symbol::MAGISTRATE_ACTIVATION_RETRY);
-                    self.redispatch(ctx, loid, attempts + 1);
-                } else {
-                    self.answer_activate_waiters(ctx, loid, Err(format!("host refused: {e}")));
+                        Err(_) => {
+                            ha.tracker.object_lost(&loid);
+                            ctx.count(symbol::MAGISTRATE_HA_OBJECT_LOST);
+                            ctx.trace_note("ha.object_lost");
+                        }
+                    }
+                }
+                for waiter in self.unpark(loid, false).into_iter().flatten() {
+                    let payload = result.as_ref().map(|b| ctx.binding_value(b));
+                    ctx.reply_ticket(waiter.requester(), payload.map_err(String::clone));
                 }
             }
+            Effect::FailDeactivation(requester, why) => {
+                let why = self.render(loid, why);
+                let ships = self.unpark(loid, true).into_iter().flatten();
+                for waiter in requester.into_iter().chain(ships.map(Waiter::requester)) {
+                    ctx.reply_ticket(waiter, Err(why.clone()));
+                }
+            }
+            Effect::StoreInitial(requester, class, class_addr) => {
+                let opr = Opr::new(loid, class, 0, state.take().expect("the initial state"));
+                match self.storage.store_opr(&opr) {
+                    Ok(addr) => {
+                        let record = self.objects.entry(loid);
+                        let record = record.or_insert_with(|| ObjRecord::new(class, class_addr));
+                        (record.class, record.class_addr) = (class, class_addr);
+                        self.drive(ctx, loid, V::Created(requester, addr));
+                    }
+                    Err(e) => {
+                        let why = format!("initial OPR store failed: {e}");
+                        ctx.reply_ticket(requester, Err(why));
+                    }
+                }
+            }
+            Effect::HostActivate(addr, hint, attempts) => {
+                self.host_activate(ctx, loid, addr, hint, attempts)
+            }
+            Effect::SaveState(element, requester) => {
+                let wait = Wait(loid, Pending::SaveState(requester));
+                let method = obj_methods::SAVE_STATE;
+                if !self.calls.call(ctx, element, loid, method, vec![], wait) {
+                    let ev = V::DeactivationFailed(requester, Why::SaveStateUnreachable);
+                    self.drive(ctx, loid, ev);
+                }
+            }
+            // Store the saved state as the object's fresh OPR, then kill.
+            Effect::HostDeactivate(host, requester) => {
+                let state = state.take().expect("the saved state");
+                let opr = Opr::new(loid, self.record(loid).class, 0, state);
+                let failed = |why| V::DeactivationFailed(requester, why);
+                let addr = match self.storage.store_opr(&opr) {
+                    Ok(addr) => addr,
+                    Err(e) => return self.drive(ctx, loid, failed(Why::OprStoreFailed(&e))),
+                };
+                let wait = Wait(loid, Pending::HostDeactivate(requester, addr));
+                match self.kill(ctx, loid, host, wait) {
+                    None => self.drive(ctx, loid, failed(Why::UnknownHost(host))),
+                    Some(false) => self.drive(ctx, loid, failed(Why::HostUnreachable(host))),
+                    Some(true) => {}
+                }
+            }
+            Effect::Kill(host, requester) => {
+                match self.kill(ctx, loid, host, Wait(loid, Pending::Delete(requester))) {
+                    None => {
+                        ctx.reply_ticket(requester, Err(format!("unknown host {host}")));
+                    }
+                    // Host gone: drop the record anyway.
+                    Some(false) => self.drive(ctx, loid, V::Deleted(requester)),
+                    Some(true) => {}
+                }
+            }
+            Effect::Reap(host) => self.reap_orphan(ctx, loid, host),
+            Effect::Ship(addr, waiter) => self.ship(ctx, loid, addr, waiter),
+            Effect::ShipParked(addr) => {
+                for waiter in self.unpark(loid, true).into_iter().flatten() {
+                    self.ship(ctx, loid, addr, waiter);
+                }
+            }
+            Effect::NotifyClass(notice) => self.notify_class(ctx, loid, notice),
+            Effect::Drop(addr) => {
+                let _ = self.storage.delete(&addr);
+            }
+            Effect::Slots(host, delta) => {
+                if let Some(h) = self.host(&host) {
+                    h.assigned = (h.assigned as i64 + delta).max(0) as u32;
+                }
+            }
+            Effect::Recover => {
+                if let Some(ha) = &mut self.ha {
+                    ha.tracker.begin_object(loid, ctx.now());
+                }
+                let class_specific = loid.class_specific;
+                ctx.flight(RecordKind::HaVerdict, symbol::HA_RECOVERED, class_specific);
+                // The old binding is now stale everywhere. Clearing the
+                // class's address row (the row's next effect) makes the
+                // class tell the agents it answered; the agents walked
+                // here are the ones this Magistrate *pushed* a binding to
+                // after an earlier recovery, which the class never handed
+                // out and so cannot know about.
+                let agents = self.ha.as_ref().map_or(&[][..], |ha| &ha.agents);
+                stale::propagate_invalidation(ctx, self.cfg.loid, agents, loid);
+            }
         }
     }
 
-    /// The object replied to `SaveState()`.
-    fn on_save_state_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        requester: Option<ReplyTicket>,
-        result: Result<LegionValue, String>,
-    ) {
-        let state = match result {
-            Ok(LegionValue::Bytes(state)) => state,
-            Ok(v) => {
-                let why = format!("unexpected SaveState reply {v}");
-                return self.deactivation_failed(ctx, loid, requester, why);
-            }
-            Err(e) => {
-                let why = format!("SaveState failed: {e}");
-                return self.deactivation_failed(ctx, loid, requester, why);
-            }
-        };
-        // A racing Delete may have removed the record, or a racing
-        // deactivation finished first (and ran the parked work).
-        let (class, host) = match self.objects.get(&loid).map(|r| (r.class, &r.state)) {
-            Some((class, ObjState::Active { host, .. })) => (class, *host),
-            Some((_, ObjState::Inert { .. })) => return,
-            None => {
-                let why = format!("{loid} was removed during deactivation");
-                return self.deactivation_failed(ctx, loid, requester, why);
-            }
-        };
-        let opr = Opr::new(loid, class, 0, state);
-        let addr = match self.storage.store_opr(&opr) {
-            Ok(a) => a,
-            Err(e) => {
-                let why = format!("OPR store failed: {e}");
-                return self.deactivation_failed(ctx, loid, requester, why);
-            }
-        };
-        let Some(host_element) = self.host_element(&host) else {
-            let why = format!("unknown host {host}");
-            return self.deactivation_failed(ctx, loid, requester, why);
-        };
-        let args = ctx.args([LegionValue::Loid(loid)]);
-        let called = self.calls.call(
-            ctx,
-            host_element,
-            host,
-            host_proto::DEACTIVATE,
-            args,
-            Wait::HostDeactivate {
-                loid,
-                addr,
-                requester,
-            },
-        );
-        if !called {
-            let why = format!("host {host} unreachable");
-            self.deactivation_failed(ctx, loid, requester, why);
+    /// Take the requests parked on `loid` that are ships (or, with
+    /// `ships` false, Activates), in arrival order; the others stay.
+    fn unpark(&mut self, loid: Loid, ships: bool) -> Option<Parked<Waiter>> {
+        let slot = &mut self.objects.get_mut(&loid)?.parked;
+        let parked = slot.take()?;
+        let kind = |w: &Waiter| matches!(w, Waiter::Ship { .. }) == ships;
+        if parked.iter().all(kind) {
+            return Some(parked);
         }
+        let mut out = None;
+        for waiter in parked {
+            park(if kind(&waiter) { &mut out } else { &mut *slot }, waiter);
+        }
+        out
     }
 
-    /// The host replied to the deactivation kill; the fresh OPR is at
-    /// `addr`.
-    fn on_host_deactivate_reply(
+    /// Load the OPR at `addr`, place a host and send `HostActivate`; the
+    /// outcome is the object's next event, and the reply wakes
+    /// [`Wait::HostActivate`].
+    fn host_activate(
         &mut self,
         ctx: &mut Ctx<'_>,
         loid: Loid,
         addr: PersistentAddress,
-        requester: Option<ReplyTicket>,
-        result: Result<LegionValue, String>,
+        hint: Option<Loid>,
+        attempts: u32,
     ) {
-        match result {
-            Ok(_) => {
-                // A racing Delete may have removed the record; the
-                // process is already dead, so just clean the OPR.
-                if !self.objects.contains_key(&loid) {
-                    let _ = self.storage.delete(&addr);
-                    let why = format!("{loid} was removed during deactivation");
-                    return self.deactivation_failed(ctx, loid, requester, why);
-                }
-                let (class, class_addr, host) = {
-                    let record = self.objects.get_mut(&loid).expect("checked above");
-                    let host = match &record.state {
-                        ObjState::Active { host, .. } => Some(*host),
-                        _ => None,
-                    };
-                    // The fresh OPR supersedes the activation-time
-                    // vault checkpoint.
-                    if let ObjState::Active {
-                        vault: Some(vault), ..
-                    } = &record.state
-                    {
-                        let _ = self.storage.delete(vault);
-                    }
-                    record.state = ObjState::Inert {
-                        addr,
-                        never_active: false,
-                    };
-                    (record.class, record.class_addr, host)
-                };
-                if let Some(h) = host {
-                    self.bump_host(&h, -1);
-                }
-                // Clear the class's Object Address column: the row
-                // reads NIL while the object is Inert (§3.7).
-                self.notify_class(
-                    ctx,
-                    class_addr,
-                    class,
-                    class_proto::SET_ADDRESS,
-                    [LegionValue::Loid(loid), LegionValue::Void],
-                );
-                if let Some(req) = requester {
-                    ctx.reply_ticket(req, Ok(LegionValue::Void));
-                }
-                self.run_after_inert(ctx, loid);
-            }
-            Err(e) => {
-                // The object did not become Inert at `addr`, so nothing
-                // will ever refer to the OPR written there.
-                let _ = self.storage.delete(&addr);
-                let why = format!("host deactivate failed: {e}");
-                self.deactivation_failed(ctx, loid, requester, why);
-            }
+        let opr = match self.storage.load_opr(&addr) {
+            Ok(opr) => opr,
+            Err(e) => return self.drive(ctx, loid, LifeEvent::Unreadable(attempts, &e)),
+        };
+        let Some((host, host_element)) = place(&self.hosts, hint).map(|h| (h.loid, h.element))
+        else {
+            return self.drive(ctx, loid, LifeEvent::NoHost);
+        };
+        let record = self.record(loid);
+        let spec = ActivationSpec {
+            loid,
+            class: record.class,
+            state: opr.state,
+            class_addr: record.class_addr,
+            magistrate_addr: Some(ctx.self_element()),
+        };
+        let args = ctx.args(spec.into_args());
+        let wait = Wait(loid, Pending::HostActivate(host, attempts));
+        let method = host_proto::ACTIVATE;
+        if self.calls.call(ctx, host_element, host, method, args, wait) {
+            return self.drive(ctx, loid, LifeEvent::Placed(host, attempts));
         }
+        // The Host Object is dead (§2.3's "reaping" case): skip it for
+        // placements until it is heard from again.
+        ctx.count(symbol::MAGISTRATE_HOST_DEAD);
+        self.host(&host).expect("placed").alive = false;
+        self.drive(ctx, loid, LifeEvent::HostDown(host, attempts));
     }
 
-    /// The peer magistrate replied to `ReceiveOpr`.
-    fn on_ship_reply(
+    /// Ship the OPR at `addr` to the peer a Copy/Move names; the reply
+    /// wakes [`Wait::Ship`].
+    fn ship(&mut self, ctx: &mut Ctx<'_>, loid: Loid, addr: PersistentAddress, waiter: Waiter) {
+        let Waiter::Ship {
+            to,
+            at,
+            delete_after,
+            requester,
+        } = waiter
+        else {
+            return;
+        };
+        let bytes = match self.storage.read_raw(&addr) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                let ev = LifeEvent::ShipFailed(requester, Why::ReadOprFailed(&e));
+                return self.drive(ctx, loid, ev);
+            }
+        };
+        let record = self.record(loid);
+        let class_addr = match record.class_addr {
+            Some(e) => LegionValue::Address(ObjectAddress::single(e)),
+            None => LegionValue::Void,
+        };
+        let class = LegionValue::Loid(record.class);
+        let args = ctx.args([
+            LegionValue::Loid(loid),
+            class,
+            LegionValue::Bytes(bytes),
+            class_addr,
+        ]);
+        let wait = Wait(loid, Pending::Ship(requester, delete_after));
+        let ev = if self
+            .calls
+            .call(ctx, at, to, mag_proto::RECEIVE_OPR, args, wait)
+        {
+            LifeEvent::Sent(to, delete_after)
+        } else {
+            LifeEvent::ShipFailed(requester, Why::PeerUnreachable(to))
+        };
+        self.drive(ctx, loid, ev);
+    }
+
+    // ----- request decoders --------------------------------------------------
+
+    fn copy(
         &mut self,
         ctx: &mut Ctx<'_>,
+        msg: &Message,
         loid: Loid,
-        delete_after: bool,
-        requester: ReplyTicket,
-        result: Result<LegionValue, String>,
-    ) {
-        match result {
-            Ok(_) => {
-                if delete_after {
-                    // Move = Copy then Delete (§3.8).
-                    if let Some(record) = self.objects.remove(&loid) {
-                        if let ObjState::Inert { addr, .. } = &record.state {
-                            let _ = self.storage.delete(addr);
-                        }
-                        self.notify_class(
-                            ctx,
-                            record.class_addr,
-                            record.class,
-                            class_proto::REMOVE_MAGISTRATE,
-                            [LegionValue::Loid(loid), LegionValue::Loid(self.cfg.loid)],
-                        );
-                    }
-                }
-                ctx.reply_ticket(requester, Ok(LegionValue::Void));
-            }
-            Err(e) => {
-                ctx.reply_ticket(requester, Err(format!("ship failed: {e}")));
-            }
+        to: Loid,
+        moving: bool,
+    ) -> Outcome {
+        let Some(at) = self.peers.get(&to).copied() else {
+            return Outcome::Reply(Err(format!("unknown peer magistrate {to}")));
+        };
+        let ev = LifeEvent::Copy(to, at, moving, msg.reply_ticket());
+        self.request(ctx, loid, ev)
+    }
+
+    fn receive_opr(&mut self, ctx: &mut Ctx<'_>, msg: &Message, args: ReceiveOprArgs) -> Outcome {
+        let (loid, class, class_addr) = (args.loid, args.class, args.class_addr);
+        // Validate before storing: a corrupt OPR is refused here, not at
+        // some future activation.
+        if let Err(e) = Opr::verify(&args.opr) {
+            ctx.count(symbol::MAGISTRATE_RECEIVE_CORRUPT);
+            return Outcome::Reply(Err(format!("refused corrupt OPR: {e}")));
         }
+        let addr = self.storage.reserve_address(&loid);
+        if let Err(e) = self.storage.store_at(&addr, args.opr) {
+            return Outcome::Reply(Err(format!("store failed: {e}")));
+        }
+        ctx.count(symbol::MAGISTRATE_RECEIVED_OPRS);
+        let record = self.objects.entry(loid);
+        let record = record.or_insert_with(|| ObjRecord::new(class, class_addr));
+        (record.class, record.class_addr) = (class, class_addr);
+        self.request(ctx, loid, LifeEvent::ReceiveOpr(msg.reply_ticket(), addr))
     }
 }
 
@@ -1336,28 +853,36 @@ impl Caller for MagistrateEndpoint {
         &mut self.calls
     }
 
+    /// A reply, or a timeout, becomes the object's next event.
     fn wake(&mut self, ctx: &mut Ctx<'_>, wait: Wait, result: Result<LegionValue, String>) {
-        match wait {
-            Wait::HostActivate {
-                loid,
-                host,
-                attempts,
-            } => self.on_host_activate_reply(ctx, loid, host, attempts, result),
-            Wait::SaveState { loid, requester } => {
-                self.on_save_state_reply(ctx, loid, requester, result)
+        use LifeEvent as V;
+        let Wait(loid, pending) = wait;
+        let ev = match (pending, &result) {
+            (Pending::HostActivate(host, _), Ok(LegionValue::Address(addr))) => {
+                match addr.primary() {
+                    Some(&element) => V::Activated(host, element, self.ha.is_some()),
+                    None => V::ActivationFailed(Why::EmptyAddress),
+                }
             }
-            Wait::HostDeactivate {
-                loid,
-                addr,
-                requester,
-            } => self.on_host_deactivate_reply(ctx, loid, addr, requester, result),
-            Wait::Delete { loid, requester } => self.finish_delete(ctx, loid, requester),
-            Wait::Ship {
-                loid,
-                delete_after,
-                requester,
-            } => self.on_ship_reply(ctx, loid, delete_after, requester, result),
-        }
+            (Pending::HostActivate(..), Ok(v)) => V::ActivationFailed(Why::UnexpectedHostReply(v)),
+            (Pending::HostActivate(_, attempts), Err(e)) => V::HostRefused(attempts, e),
+            (Pending::SaveState(to), Ok(LegionValue::Bytes(_))) => {
+                let Ok(LegionValue::Bytes(state)) = result else {
+                    unreachable!("a saved state, matched above");
+                };
+                return self.drive_with(ctx, loid, V::Saved(to), Some(state));
+            }
+            (Pending::SaveState(to), Ok(v)) => {
+                V::DeactivationFailed(to, Why::UnexpectedSaveStateReply(v))
+            }
+            (Pending::SaveState(to), Err(e)) => V::DeactivationFailed(to, Why::SaveStateFailed(e)),
+            (Pending::HostDeactivate(to, addr), Ok(_)) => V::Killed(to, addr),
+            (Pending::HostDeactivate(to, addr), Err(e)) => V::KillFailed(to, addr, e),
+            (Pending::Delete(to), _) => V::Deleted(to),
+            (Pending::Ship(to, delete_after), Ok(_)) => V::Shipped(to, delete_after),
+            (Pending::Ship(to, _), Err(e)) => V::ShipFailed(to, Why::ShipFailed(e)),
+        };
+        self.drive(ctx, loid, ev);
     }
 }
 
@@ -1433,18 +958,13 @@ mod ha_duplication_tests {
             assigned: 1,
             alive: true,
         });
-        mag.objects.insert(
-            obj_loid,
-            ObjRecord {
-                class: Loid::class_object(16),
-                class_addr: None,
-                state: ObjState::Active {
-                    host: host_loid,
-                    element: ObjectAddressElement::sim(98),
-                    vault: None,
-                },
-            },
-        );
+        let life = Life::Active {
+            host: host_loid,
+            element: ObjectAddressElement::sim(98),
+            vault: None,
+        };
+        let record = ObjRecord::at(Loid::class_object(16), life);
+        mag.objects.insert(obj_loid, record);
         mag.enable_ha(
             Box::new(MissThreshold {
                 suspect_after: 2,
@@ -1543,18 +1063,12 @@ mod ha_duplication_tests {
             .store_opr(&Opr::new(obj_loid, class, 0, vec![1, 2, 3]))
             .expect("room for the checkpoint");
         mag.add_host(dead_host, ObjectAddressElement::sim(99), 4);
-        mag.objects.insert(
-            obj_loid,
-            ObjRecord {
-                class,
-                class_addr: None,
-                state: ObjState::Active {
-                    host: dead_host,
-                    element: ObjectAddressElement::sim(98),
-                    vault: Some(vault),
-                },
-            },
-        );
+        let life = Life::Active {
+            host: dead_host,
+            element: ObjectAddressElement::sim(98),
+            vault: Some(vault),
+        };
+        mag.objects.insert(obj_loid, ObjRecord::at(class, life));
         // Only the host that will fall silent is monitored; the survivor
         // joins after, so the detector never judges it.
         mag.enable_ha(
@@ -1608,7 +1122,7 @@ mod ha_duplication_tests {
         assert!(
             matches!(
                 mag.object_state(&obj_loid),
-                Some(ObjState::Active { host, vault: Some(_), .. }) if *host == live_host
+                Some(Life::Active { host, vault: Some(_), .. }) if *host == live_host
             ),
             "{:?}",
             mag.object_state(&obj_loid)
@@ -1621,6 +1135,7 @@ mod ha_duplication_tests {
 #[cfg(test)]
 mod move_path_tests {
     use super::*;
+    use legion_core::symbol::Sym;
     use legion_net::message::Body;
     use legion_net::sim::{EndpointId, SimKernel};
     use legion_net::topology::Location;
@@ -1692,9 +1207,9 @@ mod move_path_tests {
         mag.add_host(HOST, stub.element(), 4);
         mag.add_peer(PEER, stub.element());
         let class = Loid::class_object(16);
-        let state = if active {
-            mag.bump_host(&HOST, 1);
-            ObjState::Active {
+        let life = if active {
+            mag.host(&HOST).expect("added above").assigned = 1;
+            Life::Active {
                 host: HOST,
                 element: stub.element(),
                 vault: None,
@@ -1702,17 +1217,9 @@ mod move_path_tests {
         } else {
             let opr = Opr::new(OBJ, class, 0, vec![1, 2, 3]);
             let addr = mag.storage.store_opr(&opr).expect("room");
-            ObjState::Inert {
-                addr,
-                never_active: false,
-            }
+            Life::Inert { addr }
         };
-        let record = ObjRecord {
-            class,
-            class_addr: None,
-            state,
-        };
-        mag.objects.insert(OBJ, record);
+        mag.objects.insert(OBJ, ObjRecord::at(class, life));
         let mag = k.add_endpoint(Box::new(mag), Location::new(0, 0), "magistrate");
         k.run_until_quiescent(100);
         (k, mag, stub)
@@ -1755,7 +1262,19 @@ mod move_path_tests {
         send(k, mag, stub, method);
         assert!(k.step(), "the request is delivered");
         let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
-        m.after_inert.get(&OBJ).map_or(0, Parked::len)
+        parked(m, true)
+    }
+
+    /// How many requests of one kind (ships, or Activates) are parked on
+    /// `OBJ`.
+    pub(super) fn parked(m: &MagistrateEndpoint, ships: bool) -> usize {
+        let record = m.objects.get(&OBJ);
+        let parked = record.and_then(|r| r.parked.as_ref());
+        parked
+            .into_iter()
+            .flat_map(Parked::iter)
+            .filter(|w| matches!(w, Waiter::Ship { .. }) == ships)
+            .count()
     }
 
     fn stub(k: &SimKernel, stub: EndpointId) -> &Stub {
@@ -1770,7 +1289,7 @@ mod move_path_tests {
         assert_eq!(stub(&k, peer).calls, [mag_proto::RECEIVE_OPR]);
         assert_eq!(stub(&k, peer).replies, [Ok(LegionValue::Void)]);
         let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
-        assert!(m.after_inert.is_empty());
+        assert_eq!(parked(m, true), 0);
         assert_eq!(m.object_state(&OBJ), None, "moved away");
         assert_eq!(m.storage_usage().0, 0, "and its OPR with it");
     }
@@ -1790,7 +1309,7 @@ mod move_path_tests {
         );
         assert_eq!(stub(&k, peer).replies, [Ok(LegionValue::Void)]);
         let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
-        assert!(m.after_inert.is_empty());
+        assert_eq!(parked(m, true), 0);
         assert_eq!(m.object_state(&OBJ), None);
         assert_eq!(m.storage_usage().0, 0);
     }
@@ -1805,7 +1324,7 @@ mod move_path_tests {
             assert_eq!(stub(&k, peer).replies, [Ok(LegionValue::Void)]);
             let m = k.endpoint::<MagistrateEndpoint>(mag).unwrap();
             assert!(
-                matches!(m.object_state(&OBJ), Some(ObjState::Inert { .. })),
+                matches!(m.object_state(&OBJ), Some(Life::Inert { .. })),
                 "active={active}: {:?}",
                 m.object_state(&OBJ)
             );
@@ -1825,8 +1344,9 @@ mod race_tests {
     //! `UPDATE_GOLDENS=1`): a change to the lifecycle that moves a race's
     //! outcome moves its line.
 
-    use super::move_path_tests::{send, world, Stub, OBJ};
+    use super::move_path_tests::{parked, send, world, Stub, OBJ};
     use super::*;
+    use legion_core::symbol::Sym;
 
     /// The operations in flight: what starts one, on an Active object or
     /// an Inert one, and the call the stub must have seen.
@@ -1854,12 +1374,11 @@ mod race_tests {
     /// parked on it.
     fn held(m: &MagistrateEndpoint) -> String {
         let at = match m.object_state(&OBJ) {
-            Some(ObjState::Active { .. }) => "Active",
-            Some(ObjState::Inert { .. }) => "Inert",
-            None => "absent",
+            Some(Life::Active { .. } | Life::Deactivating { .. }) => "Active",
+            Some(Life::Inert { .. } | Life::Activating { .. } | Life::Shipping { .. }) => "Inert",
+            Some(Life::Deleting { .. }) | None => "absent",
         };
-        let waiters = m.activate_waiters.get(&OBJ).map_or(0, Parked::len);
-        let ships = m.after_inert.get(&OBJ).map_or(0, Parked::len);
+        let (waiters, ships) = (parked(m, false), parked(m, true));
         format!("{at}, parked {waiters}+{ships}")
     }
 

@@ -22,7 +22,7 @@ use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 use legion_net::FaultPlan;
 use legion_runtime::class_endpoint::{ClassConfig, ClassEndpoint};
-use legion_runtime::magistrate::{MagistrateConfig, MagistrateEndpoint, ObjState};
+use legion_runtime::magistrate::{Life, MagistrateConfig, MagistrateEndpoint};
 use legion_runtime::protocol::{
     class as class_proto, magistrate as mag_proto, object as obj_proto,
 };
@@ -516,7 +516,7 @@ fn deactivate_then_binding_reactivates() {
     assert_eq!(r, Ok(LegionValue::Void));
     {
         let m = w.k.endpoint::<MagistrateEndpoint>(w.mag_a).unwrap();
-        assert!(matches!(m.object_state(&obj), Some(ObjState::Inert { .. })));
+        assert!(matches!(m.object_state(&obj), Some(Life::Inert { .. })));
         let (files, bytes) = m.storage_usage();
         assert!(
             files >= 1 && bytes > 0,
@@ -576,10 +576,7 @@ fn move_between_jurisdictions() {
         let a = w.k.endpoint::<MagistrateEndpoint>(w.mag_a).unwrap();
         assert_eq!(a.object_state(&obj), None, "A forgot the object");
         let b_m = w.k.endpoint::<MagistrateEndpoint>(w.mag_b).unwrap();
-        assert!(matches!(
-            b_m.object_state(&obj),
-            Some(ObjState::Inert { .. })
-        ));
+        assert!(matches!(b_m.object_state(&obj), Some(Life::Inert { .. })));
     }
     // The class's magistrate list now names B (ADD_MAGISTRATE arrived,
     // REMOVE_MAGISTRATE cleared A), so GetBinding activates in B.
@@ -616,12 +613,9 @@ fn copy_leaves_both_magistrates_holding_oprs() {
     );
     assert_eq!(r, Ok(LegionValue::Void));
     let a = w.k.endpoint::<MagistrateEndpoint>(w.mag_a).unwrap();
-    assert!(matches!(a.object_state(&obj), Some(ObjState::Inert { .. })));
+    assert!(matches!(a.object_state(&obj), Some(Life::Inert { .. })));
     let b_m = w.k.endpoint::<MagistrateEndpoint>(w.mag_b).unwrap();
-    assert!(matches!(
-        b_m.object_state(&obj),
-        Some(ObjState::Inert { .. })
-    ));
+    assert!(matches!(b_m.object_state(&obj), Some(Life::Inert { .. })));
     // The class's row lists both magistrates.
     let cls = w.k.endpoint::<ClassEndpoint>(w.file_class).unwrap();
     let entry = cls.class().table.get(&obj).unwrap();
@@ -1165,7 +1159,7 @@ fn a_host_may_serve_two_jurisdictions() {
         let b = expect_binding(w.call(w.file_class, FILE_CLASS, class_proto::CREATE, vec![]));
         let m = w.k.endpoint::<MagistrateEndpoint>(mag).unwrap();
         let host = match m.object_state(&b.loid) {
-            Some(ObjState::Active { host, .. }) => *host,
+            Some(Life::Active { host, .. }) => *host,
             other => panic!("{} is not Active: {other:?}", b.loid),
         };
         assert_eq!(host, shared);
@@ -1231,10 +1225,7 @@ fn jurisdiction_split_hands_over_objects() {
     // The new Magistrate now owns them; GetBinding reactivates there.
     for obj in &handover {
         let b_m = w.k.endpoint::<MagistrateEndpoint>(w.mag_b).unwrap();
-        assert!(matches!(
-            b_m.object_state(obj),
-            Some(ObjState::Inert { .. })
-        ));
+        assert!(matches!(b_m.object_state(obj), Some(Life::Inert { .. })));
         let r = w.call(
             w.file_class,
             FILE_CLASS,
@@ -1321,7 +1312,7 @@ fn a_split_off_magistrate_runs_what_it_takes_over_on_its_own_host() {
     }
     for obj in kept {
         match a.object_state(obj) {
-            Some(ObjState::Active { host, .. }) => assert!([HOST_A1, HOST_A2].contains(host)),
+            Some(Life::Active { host, .. }) => assert!([HOST_A1, HOST_A2].contains(host)),
             other => panic!("{obj} is not Active under A: {other:?}"),
         }
     }
@@ -1421,10 +1412,7 @@ fn magistrate_survives_host_crash() {
     // the dead one first (scheduling-order dependent); either way the
     // object is Active again.
     let m = w.k.endpoint::<MagistrateEndpoint>(mag_ep).unwrap();
-    assert!(matches!(
-        m.object_state(&obj),
-        Some(ObjState::Active { .. })
-    ));
+    assert!(matches!(m.object_state(&obj), Some(Life::Active { .. })));
 }
 
 /// A full jurisdiction store refuses deactivation cleanly (the object
@@ -1665,7 +1653,7 @@ fn move_to_an_unreachable_peer_answers_and_keeps_the_object() {
     );
     assert!(r.unwrap_err().contains("unreachable"));
     let m = w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep).unwrap();
-    assert!(matches!(m.object_state(&obj), Some(ObjState::Inert { .. })));
+    assert!(matches!(m.object_state(&obj), Some(Life::Inert { .. })));
     assert_eq!(m.calls().outstanding(), 0);
     // A second Move finds it already Inert and is answered the same way.
     let r = w.call(

@@ -34,7 +34,7 @@ use legion::net::message::{Body, Message};
 use legion::net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion::net::topology::{Location, Topology};
 use legion::net::FaultPlan;
-use legion::runtime::magistrate::{MagistrateConfig, MagistrateEndpoint, ObjState};
+use legion::runtime::magistrate::{Life, MagistrateConfig, MagistrateEndpoint};
 use legion::runtime::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivationSpec,
 };
@@ -200,7 +200,7 @@ fn main() {
         .expect("magistrate")
         .object_state(loid)
     {
-        Some(ObjState::Active { host, .. }) => *host,
+        Some(Life::Active { host, .. }) => *host,
         other => panic!("{loid} is not Active: {other:?}"),
     };
 
