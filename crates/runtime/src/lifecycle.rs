@@ -441,7 +441,11 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             // Already Inert: fine (idempotent), and parked ships can go.
             L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
                 (life, fx![E::Reply(to, None), E::ShipParked(addr)]),
-            // A deactivation while one is out saves the state again.
+            // A deactivation while one is out saves the state again. Item 1
+            // (join the in-flight deactivation instead): when the first
+            // one's HostDeactivate kills the process before this SaveState
+            // arrives, the call is dead-lettered, and its requester hears
+            // nothing until the call's deadline, if there is one.
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } => (
                 L::Deactivating { host, element, vault },
                 fx![E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, Some(to))],
@@ -530,9 +534,9 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
         V::Saved(to) => match life {
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } =>
                 (L::Deactivating { host, element, vault }, fx![E::HostDeactivate(host, to)]),
-            // Inert already, a racing deactivation first: the requester is
-            // never answered.
-            L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } => (life, fx![]),
+            // Inert already — a racing deactivation finished first — and
+            // that is what this one asked for.
+            L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } => (life, fx![to.map(|to| E::Reply(to, None))]),
             L::Deleting { .. } => (life, fx![E::FailDeactivation(to, W::RemovedDuringDeactivation)]),
         },
         V::DeactivationFailed(to, why) => match life {
@@ -806,6 +810,16 @@ mod tests {
                 vec![Effect::Conclude(Err(Why::HostRefused(timeout)))]
             )
         );
+    }
+
+    /// A deactivation whose `SaveState` is answered after a racing one
+    /// made the object Inert is answered: the object is Inert, as asked.
+    #[test]
+    fn a_deactivation_that_finds_the_object_inert_is_answered() {
+        let inert = Life::Inert { addr: addr(2) };
+        let answered = (inert, vec![Effect::Reply(ticket(5), None)]);
+        assert_eq!(run(inert, LifeEvent::Saved(Some(ticket(5)))), answered);
+        assert_eq!(run(inert, LifeEvent::Saved(None)), (inert, vec![]));
     }
 
     /// Every state meets every event without overflowing a row's effects
