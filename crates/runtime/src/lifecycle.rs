@@ -98,15 +98,6 @@ pub enum Life {
 impl Life {
     /// Not held here, nothing in flight.
     pub const GONE: Life = Life::Deleting { activating: false };
-
-    /// The host the object runs on, when it is Active.
-    pub fn running_on(&self) -> Option<Loid> {
-        match *self {
-            Life::Active { host, .. } | Life::Deactivating { host, .. } => Some(host),
-            Life::Inert { .. } | Life::Activating { .. } | Life::Shipping { .. } => None,
-            Life::Deleting { .. } => None,
-        }
-    }
 }
 
 /// A request parked on an object until its lifecycle moves on.
@@ -115,26 +106,9 @@ pub enum Waiter {
     /// An `Activate` (or the `CreateObject`), answered when the activation
     /// in flight concludes.
     Activate(ReplyTicket),
-    /// A Copy or Move, shipped once the object is Inert.
-    Ship {
-        /// The peer Magistrate.
-        to: Loid,
-        /// Its address.
-        at: ObjectAddressElement,
-        /// A Move.
-        delete_after: bool,
-        /// Who asked.
-        requester: ReplyTicket,
-    },
-}
-
-impl Waiter {
-    /// Who asked.
-    pub fn requester(self) -> ReplyTicket {
-        match self {
-            Waiter::Activate(requester) | Waiter::Ship { requester, .. } => requester,
-        }
-    }
+    /// A Copy or Move, shipped once the object is Inert: the peer
+    /// Magistrate, its address, whether it is a Move, and who asked.
+    Ship(Loid, ObjectAddressElement, bool, ReplyTicket),
 }
 
 /// The one record a Magistrate keeps per object.
@@ -180,11 +154,6 @@ impl ObjRecord {
         let (life, fx) = step(&self.life, ev);
         self.life = life;
         fx
-    }
-
-    /// Gone, with nothing left to answer: the record can be forgotten.
-    pub fn is_spent(&self) -> bool {
-        self.life == Life::GONE && self.parked.is_none()
     }
 }
 
@@ -247,47 +216,52 @@ pub enum Notice {
     RemoveMagistrate,
 }
 
-/// One thing the adapter does for a row, in the row's order.
+/// One thing the adapter does for a row, in the row's order. "The
+/// request" is the one the event carries, or the one the reply's call
+/// was made for ([`LifeEvent::requester`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Effect<'a> {
     /// Bump a counter.
     Count(Sym),
     /// Note a trace annotation.
     Note(&'static str),
-    /// Answer a request: `Void`, or the object's binding at an element.
-    Reply(ReplyTicket, Option<ObjectAddressElement>),
-    /// Refuse a request.
-    Refuse(ReplyTicket, Why<'a>),
-    /// Park a request on the record.
-    Park(Waiter),
+    /// Answer the request, if there is one: `Void`, or the object's
+    /// binding at the element.
+    Reply(Option<ObjectAddressElement>),
+    /// Refuse the request.
+    Refuse(Why<'a>),
+    /// Park the request on the record: an `Activate` (or the
+    /// `CreateObject`) until the activation concludes, a Copy/Move until
+    /// the object is Inert.
+    Park,
     /// The activation in flight concluded: update the HA recovery
     /// accounting and answer every parked `Activate`.
     Conclude(Result<ObjectAddressElement, Why<'a>>),
-    /// A deactivation ended short of Inert: its requester, if any, and
-    /// every parked Copy/Move hear why.
-    FailDeactivation(Option<ReplyTicket>, Why<'a>),
-    /// Write a created object's initial OPR from the request's state, hold
-    /// the record with the object's class (and the class's address), and
-    /// step [`LifeEvent::Created`].
-    StoreInitial(ReplyTicket, Loid, Option<ObjectAddressElement>),
+    /// A deactivation ended short of Inert: the request, if any, and every
+    /// parked Copy/Move hear why.
+    FailDeactivation(Why<'a>),
+    /// Write the `CreateObject`'s initial OPR from its state, hold the
+    /// record with the object's class (and the class's address), and step
+    /// [`LifeEvent::Created`].
+    StoreInitial(Loid, Option<ObjectAddressElement>),
     /// Load the OPR at the address, place a host (a Scheduling Agent's
     /// suggestion first) and send `HostActivate`, after that many earlier
     /// placements; step [`LifeEvent::Placed`], or why that failed.
     HostActivate(PersistentAddress, Option<Loid>, u32),
-    /// Call `SaveState()` on the object at the element; the requester is
-    /// `None` for a Copy/Move's own deactivation.
-    SaveState(ObjectAddressElement, Option<ReplyTicket>),
+    /// Call `SaveState()` on the object at the element, for the request
+    /// when the flag is set (a Copy/Move's own deactivation answers none).
+    SaveState(ObjectAddressElement, bool),
     /// Store the saved state as the object's fresh OPR, then call
     /// `HostDeactivate` on the host.
-    HostDeactivate(Loid, Option<ReplyTicket>),
-    /// Call `HostDeactivate` on the host to finish a Delete.
-    Kill(Loid, ReplyTicket),
+    HostDeactivate(Loid),
+    /// Call `HostDeactivate` on the host to finish the Delete.
+    Kill(Loid),
     /// Kill the process the host started that no record refers to (§2.3's
     /// reaping).
     Reap(Loid),
-    /// Ship the OPR at the address for a Copy/Move (`ReceiveOpr`); step
+    /// Ship the OPR at the address for the Copy/Move (`ReceiveOpr`); step
     /// [`LifeEvent::Sent`], or why that failed.
-    Ship(PersistentAddress, Waiter),
+    Ship(PersistentAddress),
     /// Ship the OPR at the address for every parked Copy/Move.
     ShipParked(PersistentAddress),
     /// Tell the class.
@@ -307,32 +281,30 @@ const MAX_EFFECTS: usize = 5;
 /// A row's effects, in order: a fixed-capacity list, so stepping
 /// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Effects<'a>([Option<Effect<'a>>; MAX_EFFECTS]);
+pub struct Effects<'a> {
+    len: usize,
+    list: [Option<Effect<'a>>; MAX_EFFECTS],
+}
 
 impl<'a> Effects<'a> {
     /// Append `e`, if any.
-    fn and(mut self, e: impl Into<Option<Effect<'a>>>) -> Self {
+    fn push(&mut self, e: impl Into<Option<Effect<'a>>>) {
         if let Some(e) = e.into() {
-            let free = self.0.iter_mut().find(|slot| slot.is_none());
-            *free.expect("a row has at most MAX_EFFECTS effects") = Some(e);
+            self.list[self.len] = Some(e);
+            self.len += 1;
         }
-        self
     }
-}
 
-impl<'a> IntoIterator for Effects<'a> {
-    type Item = Effect<'a>;
-    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Effect<'a>>, MAX_EFFECTS>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter().flatten()
+    /// The effects, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &Effect<'a>> {
+        self.list[..self.len].iter().flatten()
     }
 }
 
 /// `fx![a, b, …]`: the effects `a`, `b`, … in order; an `Option` adds
 /// its effect only when it is `Some`.
 macro_rules! fx {
-    ($($e:expr),* $(,)?) => { Effects::default()$(.and($e))* };
+    ($($e:expr),* $(,)?) => {{ #[allow(unused_mut)] let mut fx = Effects::default(); $(fx.push($e);)* fx }};
 }
 
 /// What happens to an object: a request, a reply to a call made for it,
@@ -400,47 +372,64 @@ pub enum LifeEvent<'a> {
     HostBack(Loid),
 }
 
+impl LifeEvent<'_> {
+    /// The request the event answers: the one it carries, or the one the
+    /// reply's call was made for.
+    #[rustfmt::skip]
+    pub fn requester(&self) -> Option<ReplyTicket> {
+        use LifeEvent as V;
+        match *self {
+            V::Activate(to, _) | V::Create(to, ..) | V::Created(to, _) | V::Deactivate(to) => Some(to),
+            V::Delete(to) | V::Copy(.., to) | V::ReceiveOpr(to, _) | V::Deleted(to) => Some(to),
+            V::Shipped(to, _) | V::ShipFailed(to, _) => Some(to),
+            V::Saved(to) | V::DeactivationFailed(to, _) | V::Killed(to, _) | V::KillFailed(to, ..) => to,
+            V::Placed(..) | V::Unreadable(..) | V::NoHost | V::HostDown(..) | V::Activated(..) => None,
+            V::ActivationFailed(_) | V::HostRefused(..) | V::Sent(..) | V::HostDead(_) | V::HostBack(_) => None,
+        }
+    }
+}
+
 /// The reducer: the row for `life` and `ev`, as the next `Life` and the
 /// effects to perform. Every state is named in every event's match; there
 /// is no catch-all row. Laid out as a table, one row to a line.
 #[rustfmt::skip]
+#[inline]
 pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
     use {Effect as E, Life as L, LifeEvent as V, Notice as N, Why as W};
     let life = *life;
     match *ev {
-        V::Activate(to, hint) => match life {
-            L::Deleting { .. } => (life, fx![E::Refuse(to, W::NotManagedBy)]),
+        V::Activate(_, hint) => match life {
+            L::Deleting { .. } => (life, fx![E::Refuse(W::NotManagedBy)]),
             L::Active { element, .. } | L::Deactivating { element, .. } =>
-                (life, fx![E::Count(s::MAGISTRATE_ACTIVATE_ALREADY_ACTIVE), E::Reply(to, Some(element))]),
+                (life, fx![E::Count(s::MAGISTRATE_ACTIVATE_ALREADY_ACTIVE), E::Reply(Some(element))]),
             // Item 1 (pin: `e08_stale_bindings::tests::churn_leaves_every_object_alive_once`):
             // an object whose OPR is out for a Move is activated again,
             // and the ship's reply then drops the Active record.
             L::Inert { addr } | L::Shipping { addr, .. } => (
                 L::Activating { addr, host: None, attempts: 0, never_active: false },
-                fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park(Waiter::Activate(to)),
+                fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park,
                     E::HostActivate(addr, hint, 0)],
             ),
             // One activation in flight, however it started (a crash
             // recovery parks nobody): the request joins it.
-            L::Activating { .. } =>
-                (life, fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park(Waiter::Activate(to))]),
+            L::Activating { .. } => (life, fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park]),
         },
-        V::Create(to, class, at) => match life {
-            L::Deleting { .. } => (life, fx![E::Count(s::MAGISTRATE_CREATIONS), E::StoreInitial(to, class, at)]),
+        V::Create(_, class, at) => match life {
+            L::Deleting { .. } => (life, fx![E::Count(s::MAGISTRATE_CREATIONS), E::StoreInitial(class, at)]),
             L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } | L::Active { .. } | L::Deactivating { .. } =>
-                (life, fx![E::Refuse(to, W::AlreadyManaged)]),
+                (life, fx![E::Refuse(W::AlreadyManaged)]),
         },
         // Only a `Create` that was not refused stores an OPR; requests
         // still parked on a deleted record join the new activation.
-        V::Created(to, addr) => (
+        V::Created(_, addr) => (
             L::Activating { addr, host: None, attempts: 0, never_active: true },
-            fx![E::Park(Waiter::Activate(to)), E::HostActivate(addr, None, 0)],
+            fx![E::Park, E::HostActivate(addr, None, 0)],
         ),
-        V::Deactivate(to) => match life {
-            L::Deleting { .. } => (life, fx![E::FailDeactivation(Some(to), W::NotManaged)]),
+        V::Deactivate(_) => match life {
+            L::Deleting { .. } => (life, fx![E::FailDeactivation(W::NotManaged)]),
             // Already Inert: fine (idempotent), and parked ships can go.
             L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
-                (life, fx![E::Reply(to, None), E::ShipParked(addr)]),
+                (life, fx![E::Reply(None), E::ShipParked(addr)]),
             // A deactivation while one is out saves the state again. Item 1
             // (join the in-flight deactivation instead): when the first
             // one's HostDeactivate kills the process before this SaveState
@@ -448,34 +437,33 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             // nothing until the call's deadline, if there is one.
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } => (
                 L::Deactivating { host, element, vault },
-                fx![E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, Some(to))],
+                fx![E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, true)],
             ),
         },
-        V::Delete(to) => match life {
-            L::Deleting { .. } => (life, fx![E::Refuse(to, W::NotManaged)]),
+        V::Delete(_) => match life {
+            L::Deleting { .. } => (life, fx![E::Refuse(W::NotManaged)]),
             L::Active { host, .. } | L::Deactivating { host, .. } =>
-                (life, fx![E::Count(s::MAGISTRATE_DELETIONS), E::Kill(host, to)]),
+                (life, fx![E::Count(s::MAGISTRATE_DELETIONS), E::Kill(host)]),
             L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } =>
-                finish_delete(life, to, fx![E::Count(s::MAGISTRATE_DELETIONS)]),
+                finish_delete(life, fx![E::Count(s::MAGISTRATE_DELETIONS)]),
         },
-        V::Copy(peer, at, delete_after, to) => {
-            let ship = Waiter::Ship { to: peer, at, delete_after, requester: to };
+        V::Copy(_, _, delete_after, _) => {
             let count = E::Count(if delete_after { s::MAGISTRATE_MOVES } else { s::MAGISTRATE_COPIES });
             match life {
-                L::Deleting { .. } => (life, fx![E::Refuse(to, W::NotManaged)]),
+                L::Deleting { .. } => (life, fx![E::Refuse(W::NotManaged)]),
                 // "This function causes the Magistrate to deactivate the
                 // object, creating an OPR, and to send the OPR to the
                 // other Magistrate": an Inert object ships at once.
                 L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
-                    (life, fx![count, E::ShipParked(addr), E::Ship(addr, ship)]),
+                    (life, fx![count, E::ShipParked(addr), E::Ship(addr)]),
                 L::Active { host, element, vault } | L::Deactivating { host, element, vault } => (
                     L::Deactivating { host, element, vault },
-                    fx![count, E::Park(ship), E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, None)],
+                    fx![count, E::Park, E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, false)],
                 ),
             }
         }
-        V::ReceiveOpr(to, addr) => {
-            let done = [E::NotifyClass(N::AddMagistrate), E::Reply(to, None)];
+        V::ReceiveOpr(_, addr) => {
+            let done = [E::NotifyClass(N::AddMagistrate), E::Reply(None)];
             match life {
                 L::Deleting { activating: false } => (L::Inert { addr }, fx![done[0], done[1]]),
                 L::Deleting { activating: true } =>
@@ -497,8 +485,7 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
                 (L::Activating { addr, host: Some(host), attempts, never_active }, fx![]),
             L::Inert { .. } | L::Shipping { .. } | L::Deleting { .. } | L::Active { .. } | L::Deactivating { .. } => (life, fx![]),
         },
-        V::Unreadable(0, error) =>
-            conclude(life, W::OprLoadFailed(error), fx![E::Count(s::MAGISTRATE_OPR_LOAD_FAILED)]),
+        V::Unreadable(0, error) => conclude(life, W::OprLoadFailed(error), fx![E::Count(s::MAGISTRATE_OPR_LOAD_FAILED)]),
         V::Unreadable(_, error) => conclude(life, W::OprReloadFailed(error), fx![]),
         V::NoHost => conclude(life, W::NoHost, fx![E::Count(s::MAGISTRATE_NO_HOST)]),
         // The host placed is dead: place again, three times at most.
@@ -531,24 +518,24 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
         } else {
             conclude(life, W::HostRefused(error), fx![])
         },
-        V::Saved(to) => match life {
+        V::Saved(_) => match life {
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } =>
-                (L::Deactivating { host, element, vault }, fx![E::HostDeactivate(host, to)]),
+                (L::Deactivating { host, element, vault }, fx![E::HostDeactivate(host)]),
             // Inert already — a racing deactivation finished first — and
             // that is what this one asked for.
-            L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } => (life, fx![to.map(|to| E::Reply(to, None))]),
-            L::Deleting { .. } => (life, fx![E::FailDeactivation(to, W::RemovedDuringDeactivation)]),
+            L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } => (life, fx![E::Reply(None)]),
+            L::Deleting { .. } => (life, fx![E::FailDeactivation(W::RemovedDuringDeactivation)]),
         },
-        V::DeactivationFailed(to, why) => match life {
-            L::Deactivating { host, element, vault } => (L::Active { host, element, vault }, fx![E::FailDeactivation(to, why)]),
+        V::DeactivationFailed(_, why) => match life {
+            L::Deactivating { host, element, vault } => (L::Active { host, element, vault }, fx![E::FailDeactivation(why)]),
             L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } | L::Active { .. } | L::Deleting { .. } =>
-                (life, fx![E::FailDeactivation(to, why)]),
+                (life, fx![E::FailDeactivation(why)]),
         },
-        V::Killed(to, addr) => {
-            let (cleared, reply) = (E::NotifyClass(N::SetAddress(None)), to.map(|to| E::Reply(to, None)));
+        V::Killed(_, addr) => {
+            let (cleared, reply) = (E::NotifyClass(N::SetAddress(None)), E::Reply(None));
             match life {
                 // The process is already dead: just clean the OPR.
-                L::Deleting { .. } => (life, fx![E::Drop(addr), E::FailDeactivation(to, W::RemovedDuringDeactivation)]),
+                L::Deleting { .. } => (life, fx![E::Drop(addr), E::FailDeactivation(W::RemovedDuringDeactivation)]),
                 // The fresh OPR supersedes the activation-time vault.
                 L::Active { host, vault, .. } | L::Deactivating { host, vault, .. } => (
                     L::Inert { addr },
@@ -561,26 +548,26 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
                     (L::Activating { addr, host, attempts, never_active: false }, fx![cleared, reply, E::ShipParked(addr)]),
             }
         }
-        V::KillFailed(to, addr, error) => {
-            let fx = fx![E::Drop(addr), E::FailDeactivation(to, W::HostDeactivateFailed(error))];
+        V::KillFailed(_, addr, error) => {
+            let fx = fx![E::Drop(addr), E::FailDeactivation(W::HostDeactivateFailed(error))];
             match life {
                 L::Deactivating { host, element, vault } => (L::Active { host, element, vault }, fx),
                 L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } | L::Active { .. } | L::Deleting { .. } => (life, fx),
             }
         }
-        V::Deleted(to) => finish_delete(life, to, fx![]),
+        V::Deleted(_) => finish_delete(life, fx![]),
         V::Sent(to, delete_after) => match life {
             L::Inert { addr } | L::Shipping { addr, .. } => (L::Shipping { addr, to, delete_after }, fx![]),
             L::Activating { .. } | L::Deleting { .. } | L::Active { .. } | L::Deactivating { .. } => (life, fx![]),
         },
-        V::Shipped(to, false) => match life {
-            L::Shipping { addr, .. } => (L::Inert { addr }, fx![E::Reply(to, None)]),
+        V::Shipped(_, false) => match life {
+            L::Shipping { addr, .. } => (L::Inert { addr }, fx![E::Reply(None)]),
             L::Inert { .. } | L::Activating { .. } | L::Deleting { .. } | L::Active { .. } | L::Deactivating { .. } =>
-                (life, fx![E::Reply(to, None)]),
+                (life, fx![E::Reply(None)]),
         },
         // Move = Copy then Delete (§3.8).
-        V::Shipped(to, true) => {
-            let done = [E::NotifyClass(N::RemoveMagistrate), E::Reply(to, None)];
+        V::Shipped(_, true) => {
+            let done = [E::NotifyClass(N::RemoveMagistrate), E::Reply(None)];
             match life {
                 L::Deleting { .. } => (life, fx![done[1]]),
                 L::Inert { addr } | L::Shipping { addr, .. } => (L::GONE, fx![E::Drop(addr), done[0], done[1]]),
@@ -592,10 +579,10 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
                 L::Active { .. } | L::Deactivating { .. } => (L::GONE, fx![done[0], done[1]]),
             }
         }
-        V::ShipFailed(to, why) => match life {
-            L::Shipping { addr, .. } => (L::Inert { addr }, fx![E::Refuse(to, why)]),
+        V::ShipFailed(_, why) => match life {
+            L::Shipping { addr, .. } => (L::Inert { addr }, fx![E::Refuse(why)]),
             L::Inert { .. } | L::Activating { .. } | L::Deleting { .. } | L::Active { .. } | L::Deactivating { .. } =>
-                (life, fx![E::Refuse(to, why)]),
+                (life, fx![E::Refuse(why)]),
         },
         // Re-home an object that died with its host: back to Inert at the
         // vault checkpoint, then through the normal activation path.
@@ -628,25 +615,27 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
 /// Inert: the state went with that call, so it is read back from the OPR,
 /// which stays in storage until a host accepts.
 #[rustfmt::skip]
-fn replace(life: Life, attempts: u32, fx: Effects<'_>) -> (Life, Effects<'_>) {
+fn replace(life: Life, attempts: u32, mut fx: Effects<'_>) -> (Life, Effects<'_>) {
     match life {
         Life::Inert { addr } | Life::Activating { addr, .. } | Life::Shipping { addr, .. } =>
-            (life, fx.and(Effect::HostActivate(addr, None, attempts))),
-        Life::Active { .. } | Life::Deactivating { .. } | Life::Deleting { .. } => (life, fx),
+            fx.push(Effect::HostActivate(addr, None, attempts)),
+        Life::Active { .. } | Life::Deactivating { .. } | Life::Deleting { .. } => {}
     }
+    (life, fx)
 }
 
 /// The activation in flight failed: everyone parked on it hears `why`,
 /// and a creation that never was Active is undone with its OPR.
 #[rustfmt::skip]
-fn conclude<'a>(life: Life, why: Why<'a>, fx: Effects<'a>) -> (Life, Effects<'a>) {
-    let fx = fx.and(Effect::Conclude(Err(why)));
-    match life {
-        Life::Activating { addr, never_active: true, .. } => (Life::GONE, fx.and(Effect::Drop(addr))),
-        Life::Activating { addr, .. } => (Life::Inert { addr }, fx),
-        Life::Deleting { .. } => (Life::GONE, fx),
-        Life::Inert { .. } | Life::Shipping { .. } | Life::Active { .. } | Life::Deactivating { .. } => (life, fx),
-    }
+fn conclude<'a>(life: Life, why: Why<'a>, mut fx: Effects<'a>) -> (Life, Effects<'a>) {
+    fx.push(Effect::Conclude(Err(why)));
+    let next = match life {
+        Life::Activating { addr, never_active: true, .. } => { fx.push(Effect::Drop(addr)); Life::GONE }
+        Life::Activating { addr, .. } => Life::Inert { addr },
+        Life::Deleting { .. } => Life::GONE,
+        Life::Inert { .. } | Life::Shipping { .. } | Life::Active { .. } | Life::Deactivating { .. } => life,
+    };
+    (next, fx)
 }
 
 /// The rest of a Delete: remove the object's copies, Active and Inert,
@@ -654,16 +643,22 @@ fn conclude<'a>(life: Life, why: Why<'a>, fx: Effects<'a>) -> (Life, Effects<'a>
 /// this Magistrate); the Current Magistrate List is still updated
 /// defensively.
 #[rustfmt::skip]
-fn finish_delete<'a>(life: Life, to: ReplyTicket, fx: Effects<'a>) -> (Life, Effects<'a>) {
-    let done = [Effect::NotifyClass(Notice::RemoveMagistrate), Effect::Reply(to, None)];
-    match life {
-        Life::Deleting { .. } => (life, fx.and(done[1])),
-        Life::Inert { addr } | Life::Shipping { addr, .. } => (Life::GONE, fx.and(Effect::Drop(addr)).and(done[0]).and(done[1])),
-        Life::Activating { addr, .. } =>
-            (Life::Deleting { activating: true }, fx.and(Effect::Drop(addr)).and(done[0]).and(done[1])),
-        Life::Active { host, vault, .. } | Life::Deactivating { host, vault, .. } =>
-            (Life::GONE, fx.and(vault.map(Effect::Drop)).and(Effect::Slots(host, -1)).and(done[0]).and(done[1])),
+fn finish_delete(life: Life, mut fx: Effects<'_>) -> (Life, Effects<'_>) {
+    let next = match life {
+        Life::Deleting { .. } => life,
+        Life::Inert { addr } | Life::Shipping { addr, .. } => { fx.push(Effect::Drop(addr)); Life::GONE }
+        Life::Activating { addr, .. } => { fx.push(Effect::Drop(addr)); Life::Deleting { activating: true } }
+        Life::Active { host, vault, .. } | Life::Deactivating { host, vault, .. } => {
+            fx.push(vault.map(Effect::Drop));
+            fx.push(Effect::Slots(host, -1));
+            Life::GONE
+        }
+    };
+    if !matches!(life, Life::Deleting { .. }) {
+        fx.push(Effect::NotifyClass(Notice::RemoveMagistrate));
     }
+    fx.push(Effect::Reply(None));
+    (next, fx)
 }
 
 #[cfg(test)]
@@ -713,7 +708,7 @@ mod tests {
 
     fn run<'a>(life: Life, ev: LifeEvent<'a>) -> (Life, Vec<Effect<'a>>) {
         let (life, fx) = step(&life, &ev);
-        (life, fx.into_iter().collect())
+        (life, fx.iter().copied().collect())
     }
 
     /// Item 1, Move vs. Activate: an `Activate` for an object whose OPR is
@@ -739,7 +734,7 @@ mod tests {
                 activating,
                 vec![
                     Effect::Count(s::MAGISTRATE_ACTIVATIONS),
-                    Effect::Park(Waiter::Activate(ticket(1))),
+                    Effect::Park,
                     Effect::HostActivate(addr(2), None, 0),
                 ]
             )
@@ -750,7 +745,7 @@ mod tests {
                 Life::GONE,
                 vec![
                     Effect::NotifyClass(Notice::RemoveMagistrate),
-                    Effect::Reply(ticket(2), None),
+                    Effect::Reply(None),
                 ]
             )
         );
@@ -766,7 +761,7 @@ mod tests {
                 Life::Inert { addr: addr(4) },
                 vec![
                     Effect::NotifyClass(Notice::AddMagistrate),
-                    Effect::Reply(ticket(3), None),
+                    Effect::Reply(None),
                 ]
             )
         );
@@ -817,9 +812,8 @@ mod tests {
     #[test]
     fn a_deactivation_that_finds_the_object_inert_is_answered() {
         let inert = Life::Inert { addr: addr(2) };
-        let answered = (inert, vec![Effect::Reply(ticket(5), None)]);
+        let answered = (inert, vec![Effect::Reply(None)]);
         assert_eq!(run(inert, LifeEvent::Saved(Some(ticket(5)))), answered);
-        assert_eq!(run(inert, LifeEvent::Saved(None)), (inert, vec![]));
     }
 
     /// Every state meets every event without overflowing a row's effects

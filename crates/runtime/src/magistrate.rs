@@ -32,7 +32,7 @@
 //! is not a request) is an *ungated, one-way* registration on the same
 //! table.
 
-use crate::lifecycle::{self, Effect, LifeEvent, Notice, ObjRecord, Waiter, Why};
+use crate::lifecycle::{self, Effect, Life, LifeEvent, Notice, ObjRecord, Waiter, Why};
 use crate::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivateArgs,
     ActivationSpec, ReceiveOprArgs,
@@ -60,8 +60,6 @@ use legion_persist::opr::Opr;
 use legion_persist::storage::{JurisdictionStorage, PersistentAddress};
 use legion_security::mayi::{AllowAll, MayIPolicy};
 use std::rc::Rc;
-
-pub use crate::lifecycle::Life;
 
 struct HostRecord {
     loid: Loid,
@@ -92,10 +90,6 @@ fn park(slot: &mut Option<Parked<Waiter>>, waiter: Waiter) {
         None => *slot = Some(Parked::new(waiter)),
     }
 }
-
-/// The object state a row's effect stores as an OPR: a `CreateObject`'s
-/// initial state, or what `SaveState` answered.
-type State = Option<Vec<u8>>;
 
 /// A request that carries nothing but its reply ticket.
 type Ask = fn(ReplyTicket) -> LifeEvent<'static>;
@@ -171,6 +165,10 @@ pub struct MagistrateEndpoint {
     calls: Calls<Wait>,
     peers: FxHashMap<Loid, ObjectAddressElement>,
     ha: Option<HaState>,
+    /// The object state the effect of the row being performed stores as
+    /// an OPR: a `CreateObject`'s initial state, or what `SaveState`
+    /// answered.
+    saved: Option<Vec<u8>>,
 }
 
 impl MagistrateEndpoint {
@@ -186,6 +184,7 @@ impl MagistrateEndpoint {
             calls: Calls::new(cfg.loid, symbol::MAGISTRATE_TIMEOUTS),
             peers: FxHashMap::default(),
             ha: None,
+            saved: None,
             cfg,
         }
     }
@@ -222,22 +221,22 @@ impl MagistrateEndpoint {
                 mag_proto::COPY,
                 &["target", "magistrate"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid, dst)| e.copy(ctx, msg, loid, dst, false),
+                |e: &mut Self, ctx, msg, ids| e.copy(ctx, msg, ids, false),
             )
             .method::<(Loid, Loid), _>(
                 mag_proto::MOVE,
                 &["target", "magistrate"],
                 ParamType::Void,
-                |e: &mut Self, ctx, msg, (loid, dst)| e.copy(ctx, msg, loid, dst, true),
+                |e: &mut Self, ctx, msg, ids| e.copy(ctx, msg, ids, true),
             )
             .method::<ActivationSpec, _>(
                 mag_proto::CREATE_OBJECT,
                 &["loid", "class", "state", "class_addr", "magistrate_addr"],
                 ParamType::Binding,
                 |e, ctx, msg, spec| {
+                    e.saved = Some(spec.state);
                     let ev = LifeEvent::Create(msg.reply_ticket(), spec.class, spec.class_addr);
-                    e.drive_with(ctx, spec.loid, ev, Some(spec.state));
-                    Outcome::Pending
+                    e.request(ctx, spec.loid, ev)
                 },
             )
             .method::<ReceiveOprArgs, _>(
@@ -359,12 +358,11 @@ impl MagistrateEndpoint {
     /// Table maintenance for the class (§3.7), one way: the Magistrate
     /// never read the acknowledgement.
     fn notify_class(&self, ctx: &mut Ctx<'_>, loid: Loid, notice: Notice) {
-        let Some(record) = self.objects.get(&loid) else {
+        let record = self.objects.get(&loid);
+        let Some((record, addr)) = record.and_then(|r| Some((r, r.class_addr?))) else {
             return;
         };
-        let (Some(addr), me) = (record.class_addr, self.cfg.loid) else {
-            return;
-        };
+        let me = self.cfg.loid;
         let (method, value) = match notice {
             Notice::SetAddress(Some(e)) => (
                 class_proto::SET_ADDRESS,
@@ -404,6 +402,15 @@ impl MagistrateEndpoint {
         let args = ctx.args([LegionValue::Loid(loid)]);
         let method = host_proto::DEACTIVATE;
         Some(self.calls.call(ctx, host_element, host, method, args, wait))
+    }
+
+    /// The objects whose life `pick` takes, in LOID order (deterministic,
+    /// whatever the map's order).
+    fn loids(&self, pick: impl Fn(&Life) -> bool) -> Vec<Loid> {
+        let picked = self.objects.iter().filter(|(_, r)| pick(r.life()));
+        let mut loids: Vec<Loid> = picked.map(|(l, _)| *l).collect();
+        loids.sort();
+        loids
     }
 
     /// The text a [`Why`] stands for.
@@ -454,9 +461,7 @@ impl MagistrateEndpoint {
             ctx.count(symbol::MAGISTRATE_HA_FALSE_POSITIVE);
             ctx.trace_note("ha.false_positive");
             ctx.flight(RecordKind::HaVerdict, symbol::HA_FALSE_POSITIVE, 0);
-            let mut held: Vec<Loid> = self.objects.keys().copied().collect();
-            held.sort();
-            for loid in held {
+            for loid in self.loids(|_| true) {
                 self.drive(ctx, loid, LifeEvent::HostBack(host));
             }
         }
@@ -509,14 +514,11 @@ impl MagistrateEndpoint {
             ctx.trace_begin(&format!("ha.recovery:{host}"));
             ctx.trace_note(&format!("ha.detected:silence={silence_ns}ns"));
         }
-        let mut lost: Vec<Loid> = self
-            .objects
-            .iter()
-            .filter(|(_, r)| r.life().running_on() == Some(host))
-            .map(|(l, _)| *l)
-            .collect();
-        lost.sort(); // deterministic recovery order
-        for loid in lost {
+        let on_host = |life: &Life| match life {
+            Life::Active { host: h, .. } | Life::Deactivating { host: h, .. } => *h == host,
+            _ => false,
+        };
+        for loid in self.loids(on_host) {
             // Duplicated or replayed recovery triggers (a flapping
             // detector, a duplicated host-dead verdict) must not
             // re-activate an object whose recovery is already in flight:
@@ -544,25 +546,21 @@ impl MagistrateEndpoint {
         self.request(ctx, loid, ev(msg.reply_ticket()))
     }
 
-    fn drive(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent<'_>) {
-        self.drive_with(ctx, loid, ev, None);
-    }
-
     /// Step `loid`'s record with `ev` and perform the row's effects, in
-    /// order, with the [`State`] one of them may store. An
-    /// object with no record here steps from [`Life::GONE`]; a record left
-    /// gone with nothing parked on it is forgotten.
-    fn drive_with(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent, mut state: State) {
-        let effects = match self.objects.get_mut(&loid) {
-            Some(record) => record.step(&ev),
-            None => lifecycle::step(&Life::GONE, &ev).1,
+    /// order. An object with no record here steps from [`Life::GONE`]; a
+    /// record left gone with nothing parked on it is forgotten.
+    fn drive(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: LifeEvent) {
+        let (effects, gone) = match self.objects.get_mut(&loid) {
+            Some(record) => (record.step(&ev), *record.life() == Life::GONE),
+            None => (lifecycle::step(&Life::GONE, &ev).1, false),
         };
-        for effect in effects {
-            self.perform(ctx, loid, effect, &mut state);
+        for effect in effects.iter() {
+            self.perform(ctx, loid, &ev, effect);
         }
-        if self.objects.get(&loid).is_some_and(ObjRecord::is_spent) {
+        if gone && self.objects.get(&loid).is_some_and(|r| r.parked.is_none()) {
             self.objects.remove(&loid);
         }
+        self.saved = None;
     }
 
     /// The record of an object a row found held here.
@@ -572,19 +570,29 @@ impl MagistrateEndpoint {
             .expect("a row's object has a record")
     }
 
-    fn perform(&mut self, ctx: &mut Ctx<'_>, loid: Loid, effect: Effect, state: &mut State) {
+    fn perform(&mut self, ctx: &mut Ctx<'_>, loid: Loid, ev: &LifeEvent, fx: &Effect) {
         use LifeEvent as V;
-        match effect {
+        match *fx {
             Effect::Count(counter) => ctx.count(counter),
             Effect::Note(note) => ctx.trace_note(note),
-            Effect::Reply(to, answer) => {
+            Effect::Reply(answer) => {
                 let bound = |e| Binding::forever(loid, ObjectAddress::single(e)).into();
-                ctx.reply_ticket(to, Ok(answer.map_or(LegionValue::Void, bound)));
+                let value = answer.map_or(LegionValue::Void, bound);
+                _ = ev.requester().map(|to| ctx.reply_ticket(to, Ok(value)));
             }
-            Effect::Refuse(to, why) => {
+            Effect::Refuse(why) => {
+                let to = ev.requester().expect("a refused request");
                 ctx.reply_ticket(to, Err(self.render(loid, why)));
             }
-            Effect::Park(waiter) => park(&mut self.record(loid).parked, waiter),
+            Effect::Park => {
+                let waiter = match *ev {
+                    V::Copy(to, at, delete_after, requester) => {
+                        Waiter::Ship(to, at, delete_after, requester)
+                    }
+                    _ => Waiter::Activate(ev.requester().expect("a parked request")),
+                };
+                park(&mut self.record(loid).parked, waiter);
+            }
             // The single point every activation — including a crash
             // recovery — ends at, so the HA bookkeeping hooks in here;
             // then every parked `Activate` is answered.
@@ -613,19 +621,28 @@ impl MagistrateEndpoint {
                     }
                 }
                 for waiter in self.unpark(loid, false).into_iter().flatten() {
+                    let (Waiter::Activate(to) | Waiter::Ship(.., to)) = waiter;
                     let payload = result.as_ref().map(|b| ctx.binding_value(b));
-                    ctx.reply_ticket(waiter.requester(), payload.map_err(String::clone));
+                    ctx.reply_ticket(to, payload.map_err(String::clone));
                 }
             }
-            Effect::FailDeactivation(requester, why) => {
+            Effect::FailDeactivation(why) => {
                 let why = self.render(loid, why);
                 let ships = self.unpark(loid, true).into_iter().flatten();
-                for waiter in requester.into_iter().chain(ships.map(Waiter::requester)) {
-                    ctx.reply_ticket(waiter, Err(why.clone()));
+                for waiter in ev
+                    .requester()
+                    .into_iter()
+                    .map(Waiter::Activate)
+                    .chain(ships)
+                {
+                    let (Waiter::Activate(to) | Waiter::Ship(.., to)) = waiter;
+                    ctx.reply_ticket(to, Err(why.clone()));
                 }
             }
-            Effect::StoreInitial(requester, class, class_addr) => {
-                let opr = Opr::new(loid, class, 0, state.take().expect("the initial state"));
+            Effect::StoreInitial(class, class_addr) => {
+                let requester = ev.requester().expect("a CreateObject");
+                let state = self.saved.take().expect("the initial state");
+                let opr = Opr::new(loid, class, 0, state);
                 match self.storage.store_opr(&opr) {
                     Ok(addr) => {
                         let record = self.objects.entry(loid);
@@ -639,10 +656,40 @@ impl MagistrateEndpoint {
                     }
                 }
             }
+            // Load the OPR, place a host and send `HostActivate`; the
+            // outcome is the object's next event.
             Effect::HostActivate(addr, hint, attempts) => {
-                self.host_activate(ctx, loid, addr, hint, attempts)
+                let opr = match self.storage.load_opr(&addr) {
+                    Ok(opr) => opr,
+                    Err(e) => return self.drive(ctx, loid, V::Unreadable(attempts, &e)),
+                };
+                let Some((host, host_element)) =
+                    place(&self.hosts, hint).map(|h| (h.loid, h.element))
+                else {
+                    return self.drive(ctx, loid, V::NoHost);
+                };
+                let record = self.record(loid);
+                let spec = ActivationSpec {
+                    loid,
+                    class: record.class,
+                    state: opr.state,
+                    class_addr: record.class_addr,
+                    magistrate_addr: Some(ctx.self_element()),
+                };
+                let args = ctx.args(spec.into_args());
+                let wait = Wait(loid, Pending::HostActivate(host, attempts));
+                let method = host_proto::ACTIVATE;
+                if self.calls.call(ctx, host_element, host, method, args, wait) {
+                    return self.drive(ctx, loid, V::Placed(host, attempts));
+                }
+                // The Host Object is dead (§2.3's "reaping" case): skip it
+                // for placements until it is heard from again.
+                ctx.count(symbol::MAGISTRATE_HOST_DEAD);
+                self.host(&host).expect("placed").alive = false;
+                self.drive(ctx, loid, V::HostDown(host, attempts));
             }
-            Effect::SaveState(element, requester) => {
+            Effect::SaveState(element, answers) => {
+                let requester = ev.requester().filter(|_| answers);
                 let wait = Wait(loid, Pending::SaveState(requester));
                 let method = obj_methods::SAVE_STATE;
                 if !self.calls.call(ctx, element, loid, method, vec![], wait) {
@@ -651,9 +698,10 @@ impl MagistrateEndpoint {
                 }
             }
             // Store the saved state as the object's fresh OPR, then kill.
-            Effect::HostDeactivate(host, requester) => {
-                let state = state.take().expect("the saved state");
+            Effect::HostDeactivate(host) => {
+                let state = self.saved.take().expect("the saved state");
                 let opr = Opr::new(loid, self.record(loid).class, 0, state);
+                let requester = ev.requester();
                 let failed = |why| V::DeactivationFailed(requester, why);
                 let addr = match self.storage.store_opr(&opr) {
                     Ok(addr) => addr,
@@ -666,27 +714,29 @@ impl MagistrateEndpoint {
                     Some(true) => {}
                 }
             }
-            Effect::Kill(host, requester) => {
+            Effect::Kill(host) => {
+                let requester = ev.requester().expect("a Delete");
                 match self.kill(ctx, loid, host, Wait(loid, Pending::Delete(requester))) {
-                    None => {
-                        ctx.reply_ticket(requester, Err(format!("unknown host {host}")));
-                    }
+                    None => _ = ctx.reply_ticket(requester, Err(format!("unknown host {host}"))),
                     // Host gone: drop the record anyway.
                     Some(false) => self.drive(ctx, loid, V::Deleted(requester)),
                     Some(true) => {}
                 }
             }
             Effect::Reap(host) => self.reap_orphan(ctx, loid, host),
-            Effect::Ship(addr, waiter) => self.ship(ctx, loid, addr, waiter),
+            Effect::Ship(addr) => {
+                if let V::Copy(to, at, delete_after, requester) = *ev {
+                    let waiter = Waiter::Ship(to, at, delete_after, requester);
+                    self.ship(ctx, loid, addr, waiter);
+                }
+            }
             Effect::ShipParked(addr) => {
                 for waiter in self.unpark(loid, true).into_iter().flatten() {
                     self.ship(ctx, loid, addr, waiter);
                 }
             }
             Effect::NotifyClass(notice) => self.notify_class(ctx, loid, notice),
-            Effect::Drop(addr) => {
-                let _ = self.storage.delete(&addr);
-            }
+            Effect::Drop(addr) => _ = self.storage.delete(&addr),
             Effect::Slots(host, delta) => {
                 if let Some(h) = self.host(&host) {
                     h.assigned = (h.assigned as i64 + delta).max(0) as u32;
@@ -696,8 +746,11 @@ impl MagistrateEndpoint {
                 if let Some(ha) = &mut self.ha {
                     ha.tracker.begin_object(loid, ctx.now());
                 }
-                let class_specific = loid.class_specific;
-                ctx.flight(RecordKind::HaVerdict, symbol::HA_RECOVERED, class_specific);
+                ctx.flight(
+                    RecordKind::HaVerdict,
+                    symbol::HA_RECOVERED,
+                    loid.class_specific,
+                );
                 // The old binding is now stale everywhere. Clearing the
                 // class's address row (the row's next effect) makes the
                 // class tell the agents it answered; the agents walked
@@ -714,8 +767,9 @@ impl MagistrateEndpoint {
     /// `ships` false, Activates), in arrival order; the others stay.
     fn unpark(&mut self, loid: Loid, ships: bool) -> Option<Parked<Waiter>> {
         let slot = &mut self.objects.get_mut(&loid)?.parked;
+        slot.as_ref()?;
         let parked = slot.take()?;
-        let kind = |w: &Waiter| matches!(w, Waiter::Ship { .. }) == ships;
+        let kind = |w: &Waiter| matches!(w, Waiter::Ship(..)) == ships;
         if parked.iter().all(kind) {
             return Some(parked);
         }
@@ -726,56 +780,10 @@ impl MagistrateEndpoint {
         out
     }
 
-    /// Load the OPR at `addr`, place a host and send `HostActivate`; the
-    /// outcome is the object's next event, and the reply wakes
-    /// [`Wait::HostActivate`].
-    fn host_activate(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        loid: Loid,
-        addr: PersistentAddress,
-        hint: Option<Loid>,
-        attempts: u32,
-    ) {
-        let opr = match self.storage.load_opr(&addr) {
-            Ok(opr) => opr,
-            Err(e) => return self.drive(ctx, loid, LifeEvent::Unreadable(attempts, &e)),
-        };
-        let Some((host, host_element)) = place(&self.hosts, hint).map(|h| (h.loid, h.element))
-        else {
-            return self.drive(ctx, loid, LifeEvent::NoHost);
-        };
-        let record = self.record(loid);
-        let spec = ActivationSpec {
-            loid,
-            class: record.class,
-            state: opr.state,
-            class_addr: record.class_addr,
-            magistrate_addr: Some(ctx.self_element()),
-        };
-        let args = ctx.args(spec.into_args());
-        let wait = Wait(loid, Pending::HostActivate(host, attempts));
-        let method = host_proto::ACTIVATE;
-        if self.calls.call(ctx, host_element, host, method, args, wait) {
-            return self.drive(ctx, loid, LifeEvent::Placed(host, attempts));
-        }
-        // The Host Object is dead (§2.3's "reaping" case): skip it for
-        // placements until it is heard from again.
-        ctx.count(symbol::MAGISTRATE_HOST_DEAD);
-        self.host(&host).expect("placed").alive = false;
-        self.drive(ctx, loid, LifeEvent::HostDown(host, attempts));
-    }
-
     /// Ship the OPR at `addr` to the peer a Copy/Move names; the reply
     /// wakes [`Wait::Ship`].
     fn ship(&mut self, ctx: &mut Ctx<'_>, loid: Loid, addr: PersistentAddress, waiter: Waiter) {
-        let Waiter::Ship {
-            to,
-            at,
-            delete_after,
-            requester,
-        } = waiter
-        else {
+        let Waiter::Ship(to, at, delete_after, requester) = waiter else {
             return;
         };
         let bytes = match self.storage.read_raw(&addr) {
@@ -811,18 +819,12 @@ impl MagistrateEndpoint {
 
     // ----- request decoders --------------------------------------------------
 
-    fn copy(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        msg: &Message,
-        loid: Loid,
-        to: Loid,
-        moving: bool,
-    ) -> Outcome {
+    fn copy(&mut self, ctx: &mut Ctx<'_>, msg: &Message, ids: (Loid, Loid), mv: bool) -> Outcome {
+        let (loid, to) = ids;
         let Some(at) = self.peers.get(&to).copied() else {
             return Outcome::Reply(Err(format!("unknown peer magistrate {to}")));
         };
-        let ev = LifeEvent::Copy(to, at, moving, msg.reply_ticket());
+        let ev = LifeEvent::Copy(to, at, mv, msg.reply_ticket());
         self.request(ctx, loid, ev)
     }
 
@@ -870,7 +872,8 @@ impl Caller for MagistrateEndpoint {
                 let Ok(LegionValue::Bytes(state)) = result else {
                     unreachable!("a saved state, matched above");
                 };
-                return self.drive_with(ctx, loid, V::Saved(to), Some(state));
+                self.saved = Some(state);
+                V::Saved(to)
             }
             (Pending::SaveState(to), Ok(v)) => {
                 V::DeactivationFailed(to, Why::UnexpectedSaveStateReply(v))
@@ -1273,7 +1276,7 @@ mod move_path_tests {
         parked
             .into_iter()
             .flat_map(Parked::iter)
-            .filter(|w| matches!(w, Waiter::Ship { .. }) == ships)
+            .filter(|w| matches!(w, Waiter::Ship(..)) == ships)
             .count()
     }
 

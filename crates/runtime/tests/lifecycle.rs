@@ -22,11 +22,12 @@ use legion_net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion_net::topology::{Location, Topology};
 use legion_net::FaultPlan;
 use legion_runtime::class_endpoint::{ClassConfig, ClassEndpoint};
-use legion_runtime::magistrate::{Life, MagistrateConfig, MagistrateEndpoint};
+use legion_runtime::magistrate::{MagistrateConfig, MagistrateEndpoint};
 use legion_runtime::protocol::{
     class as class_proto, magistrate as mag_proto, object as obj_proto,
 };
 use legion_runtime::CoreSystem;
+use legion_runtime::Life;
 use legion_security::mayi::ResponsibleAgentSet;
 
 /// A driver endpoint that issues calls on command and stores replies.

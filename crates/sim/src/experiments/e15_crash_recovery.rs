@@ -193,7 +193,8 @@ mod tests {
     use super::*;
     use crate::judge::judge;
     use legion_net::FaultPlan;
-    use legion_runtime::magistrate::{Life, MagistrateEndpoint};
+    use legion_runtime::magistrate::MagistrateEndpoint;
+    use legion_runtime::Life;
 
     #[test]
     fn recovery_is_transparent_and_fast() {
@@ -283,9 +284,11 @@ mod tests {
                 .endpoint::<MagistrateEndpoint>(mep)
                 .expect("magistrate alive");
             for (obj, _) in &sys.objects {
-                if let Some(host) = m.object_state(obj).and_then(Life::running_on) {
-                    assert_ne!(host, crashed, "no object still on the dead host");
-                    if let Some(i) = sys.hosts.iter().position(|(l, _, _)| *l == host) {
+                if let Some(Life::Active { host, .. } | Life::Deactivating { host, .. }) =
+                    m.object_state(obj)
+                {
+                    assert_ne!(*host, crashed, "no object still on the dead host");
+                    if let Some(i) = sys.hosts.iter().position(|(l, _, _)| l == host) {
                         counts[i] += 1;
                     }
                 }

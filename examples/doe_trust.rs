@@ -34,10 +34,11 @@ use legion::net::message::{Body, Message};
 use legion::net::sim::{Ctx, Endpoint, EndpointId, SimKernel};
 use legion::net::topology::{Location, Topology};
 use legion::net::FaultPlan;
-use legion::runtime::magistrate::{Life, MagistrateConfig, MagistrateEndpoint};
+use legion::runtime::magistrate::{MagistrateConfig, MagistrateEndpoint};
 use legion::runtime::protocol::{
     class as class_proto, host as host_proto, magistrate as mag_proto, ActivationSpec,
 };
+use legion::runtime::Life;
 use legion::runtime::{ClassConfig, ClassEndpoint, CoreSystem};
 use legion::security::mayi::ResponsibleAgentSet;
 
