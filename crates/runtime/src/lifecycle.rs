@@ -125,12 +125,11 @@ pub struct ObjRecord {
 impl ObjRecord {
     /// A record for an object of `class` not held here yet.
     pub fn new(class: Loid, class_addr: Option<ObjectAddressElement>) -> Self {
-        let life = Life::GONE;
         ObjRecord {
             class,
             class_addr,
             parked: None,
-            life,
+            life: Life::GONE,
         }
     }
 
