@@ -1243,6 +1243,15 @@ mod move_path_tests {
                 opr,
                 LegionValue::Void,
             ]
+        } else if method == mag_proto::CREATE_OBJECT {
+            let spec = ActivationSpec {
+                loid: OBJ,
+                class,
+                state: vec![5],
+                class_addr: None,
+                magistrate_addr: None,
+            };
+            spec.into_args().into()
         } else {
             vec![LegionValue::Loid(OBJ)]
         };
@@ -1364,13 +1373,14 @@ mod race_tests {
     ];
 
     /// The requests sent while it is.
-    const REQUESTS: [Sym; 6] = [
+    const REQUESTS: [Sym; 7] = [
         mag_proto::ACTIVATE,
         mag_proto::DEACTIVATE,
         mag_proto::DELETE,
         mag_proto::COPY,
         mag_proto::MOVE,
         mag_proto::RECEIVE_OPR,
+        mag_proto::CREATE_OBJECT,
     ];
 
     /// Where the Magistrate holds `OBJ` at quiescence, and what is still
