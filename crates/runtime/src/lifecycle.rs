@@ -3,16 +3,18 @@
 //! A Magistrate moves an object between Inert and Active and between
 //! Jurisdictions, and each call is "a request rather than a command". Every
 //! such request, every reply to a call the Magistrate made for one, every
-//! outcome of an effect it performed, and the HA layer's host verdicts are a
-//! [`LifeEvent`]; [`step`] maps an object's [`Life`] and one event to the
+//! failure of an effect it performed, and the HA layer's host verdicts are
+//! a [`LifeEvent`]; [`step`] maps an object's [`Life`] and one event to the
 //! next `Life` and the [`Effects`] the Magistrate then performs, in order.
 //! `step` is pure and allocates nothing: it reads no clock, storage, host
 //! table or kernel, and its effects are plain data. The Magistrate
 //! ([`crate::magistrate`]) is the adapter: it decodes a request or a reply
 //! into an event, steps the object's one [`ObjRecord`], and performs the
-//! effects; the outcome of an effect (the host a `HostActivate` went to, an
-//! OPR that does not load, no host with room, a send the kernel refuses)
-//! comes back as the next event.
+//! effects. An OPR that a request brings (`CreateObject`'s initial state,
+//! `ReceiveOpr`'s bytes) is stored before its row runs, and the event says
+//! where. An effect that fails (an OPR that does not load, no host with
+//! room, a send the kernel refuses) comes back as the next event; one that
+//! succeeds steps nothing, except a ship, whose `Sent` names the peer.
 //!
 //! Only `step` assigns a record's `Life` — the field is private to this
 //! module. The requests parked on an object (its `Activate`s waiting for an
@@ -49,10 +51,6 @@ pub enum Life {
     Activating {
         /// Where the OPR lives until a host accepts it.
         addr: PersistentAddress,
-        /// The Host Object asked; `None` while a host is being placed.
-        host: Option<Loid>,
-        /// Placements tried before `host`.
-        attempts: u32,
         /// Created here and never yet Active: if this activation fails,
         /// the creation is undone (Create is all-or-nothing).
         never_active: bool,
@@ -107,8 +105,8 @@ pub enum Waiter {
     /// in flight concludes.
     Activate(ReplyTicket),
     /// A Copy or Move, shipped once the object is Inert: the peer
-    /// Magistrate, its address, whether it is a Move, and who asked.
-    Ship(Loid, ObjectAddressElement, bool, ReplyTicket),
+    /// Magistrate, whether it is a Move, and who asked.
+    Ship(Loid, bool, ReplyTicket),
 }
 
 /// The one record a Magistrate keeps per object.
@@ -239,14 +237,10 @@ pub enum Effect<'a> {
     /// A deactivation ended short of Inert: the request, if any, and every
     /// parked Copy/Move hear why.
     FailDeactivation(Why<'a>),
-    /// Write the `CreateObject`'s initial OPR from its state, hold the
-    /// record with the object's class (and the class's address), and step
-    /// [`LifeEvent::Created`].
-    StoreInitial(Loid, Option<ObjectAddressElement>),
-    /// Load the OPR at the address, place a host (a Scheduling Agent's
-    /// suggestion first) and send `HostActivate`, after that many earlier
-    /// placements; step [`LifeEvent::Placed`], or why that failed.
-    HostActivate(PersistentAddress, Option<Loid>, u32),
+    /// Load the OPR at the address, place a host (an `Activate`'s
+    /// suggested host first) and send `HostActivate`, after that many
+    /// earlier placements; step why that failed, if it did.
+    HostActivate(PersistentAddress, u32),
     /// Call `SaveState()` on the object at the element, for the request
     /// when the flag is set (a Copy/Move's own deactivation answers none).
     SaveState(ObjectAddressElement, bool),
@@ -258,11 +252,10 @@ pub enum Effect<'a> {
     /// Kill the process the host started that no record refers to (§2.3's
     /// reaping).
     Reap(Loid),
-    /// Ship the OPR at the address for the Copy/Move (`ReceiveOpr`); step
-    /// [`LifeEvent::Sent`], or why that failed.
+    /// Ship the OPR at the address (`ReceiveOpr`) for every parked
+    /// Copy/Move, then for the request if it is a Copy/Move; step
+    /// [`LifeEvent::Sent`] for each, or why it failed.
     Ship(PersistentAddress),
-    /// Ship the OPR at the address for every parked Copy/Move.
-    ShipParked(PersistentAddress),
     /// Tell the class.
     NotifyClass(Notice),
     /// Delete a file from jurisdiction storage.
@@ -313,22 +306,18 @@ macro_rules! fx {
 pub enum LifeEvent<'a> {
     /// `Activate(LOID[, host])`, with a Scheduling Agent's suggested host.
     Activate(ReplyTicket, Option<Loid>),
-    /// `CreateObject` of an object of the class (at its address), before
-    /// anything is stored.
-    Create(ReplyTicket, Loid, Option<ObjectAddressElement>),
-    /// The created object's initial OPR is stored at the address.
-    Created(ReplyTicket, PersistentAddress),
+    /// `CreateObject`: the new object's initial OPR is stored at the
+    /// address.
+    Create(ReplyTicket, PersistentAddress),
     /// `Deactivate(LOID)`.
     Deactivate(ReplyTicket),
     /// `Delete(LOID)`.
     Delete(ReplyTicket),
     /// `Copy(LOID, magistrate)`, or `Move` when the flag is set: the peer
-    /// Magistrate, its address, the flag and who asked.
-    Copy(Loid, ObjectAddressElement, bool, ReplyTicket),
+    /// Magistrate, the flag and who asked.
+    Copy(Loid, bool, ReplyTicket),
     /// `ReceiveOpr`: a peer's OPR for the object is stored at the address.
     ReceiveOpr(ReplyTicket, PersistentAddress),
-    /// `HostActivate` is out to the host, after that many placements.
-    Placed(Loid, u32),
     /// The OPR to activate from did not load, after that many placements.
     Unreadable(u32, &'a StorageError),
     /// No live host has room.
@@ -378,11 +367,11 @@ impl LifeEvent<'_> {
     pub fn requester(&self) -> Option<ReplyTicket> {
         use LifeEvent as V;
         match *self {
-            V::Activate(to, _) | V::Create(to, ..) | V::Created(to, _) | V::Deactivate(to) => Some(to),
+            V::Activate(to, _) | V::Create(to, _) | V::Deactivate(to) => Some(to),
             V::Delete(to) | V::Copy(.., to) | V::ReceiveOpr(to, _) | V::Deleted(to) => Some(to),
             V::Shipped(to, _) | V::ShipFailed(to, _) => Some(to),
             V::Saved(to) | V::DeactivationFailed(to, _) | V::Killed(to, _) | V::KillFailed(to, ..) => to,
-            V::Placed(..) | V::Unreadable(..) | V::NoHost | V::HostDown(..) | V::Activated(..) => None,
+            V::Unreadable(..) | V::NoHost | V::HostDown(..) | V::Activated(..) => None,
             V::ActivationFailed(_) | V::HostRefused(..) | V::Sent(..) | V::HostDead(_) | V::HostBack(_) => None,
         }
     }
@@ -397,7 +386,7 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
     use {Effect as E, Life as L, LifeEvent as V, Notice as N, Why as W};
     let life = *life;
     match *ev {
-        V::Activate(_, hint) => match life {
+        V::Activate(..) => match life {
             L::Deleting { .. } => (life, fx![E::Refuse(W::NotManagedBy)]),
             L::Active { element, .. } | L::Deactivating { element, .. } =>
                 (life, fx![E::Count(s::MAGISTRATE_ACTIVATE_ALREADY_ACTIVE), E::Reply(Some(element))]),
@@ -405,30 +394,28 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             // an object whose OPR is out for a Move is activated again,
             // and the ship's reply then drops the Active record.
             L::Inert { addr } | L::Shipping { addr, .. } => (
-                L::Activating { addr, host: None, attempts: 0, never_active: false },
-                fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park,
-                    E::HostActivate(addr, hint, 0)],
+                L::Activating { addr, never_active: false },
+                fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park, E::HostActivate(addr, 0)],
             ),
             // One activation in flight, however it started (a crash
             // recovery parks nobody): the request joins it.
             L::Activating { .. } => (life, fx![E::Count(s::MAGISTRATE_ACTIVATIONS), E::Park]),
         },
-        V::Create(_, class, at) => match life {
-            L::Deleting { .. } => (life, fx![E::Count(s::MAGISTRATE_CREATIONS), E::StoreInitial(class, at)]),
+        // Requests still parked on a deleted record join the new
+        // activation; a refused `Create` drops the OPR it brought.
+        V::Create(_, addr) => match life {
+            L::Deleting { .. } => (
+                L::Activating { addr, never_active: true },
+                fx![E::Count(s::MAGISTRATE_CREATIONS), E::Park, E::HostActivate(addr, 0)],
+            ),
             L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } | L::Active { .. } | L::Deactivating { .. } =>
-                (life, fx![E::Refuse(W::AlreadyManaged)]),
+                (life, fx![E::Drop(addr), E::Refuse(W::AlreadyManaged)]),
         },
-        // Only a `Create` that was not refused stores an OPR; requests
-        // still parked on a deleted record join the new activation.
-        V::Created(_, addr) => (
-            L::Activating { addr, host: None, attempts: 0, never_active: true },
-            fx![E::Park, E::HostActivate(addr, None, 0)],
-        ),
         V::Deactivate(_) => match life {
             L::Deleting { .. } => (life, fx![E::FailDeactivation(W::NotManaged)]),
             // Already Inert: fine (idempotent), and parked ships can go.
             L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
-                (life, fx![E::Reply(None), E::ShipParked(addr)]),
+                (life, fx![E::Reply(None), E::Ship(addr)]),
             // A deactivation while one is out saves the state again. Item 1
             // (join the in-flight deactivation instead): when the first
             // one's HostDeactivate kills the process before this SaveState
@@ -446,7 +433,7 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } =>
                 finish_delete(life, fx![E::Count(s::MAGISTRATE_DELETIONS)]),
         },
-        V::Copy(_, _, delete_after, _) => {
+        V::Copy(_, delete_after, _) => {
             let count = E::Count(if delete_after { s::MAGISTRATE_MOVES } else { s::MAGISTRATE_COPIES });
             match life {
                 L::Deleting { .. } => (life, fx![E::Refuse(W::NotManaged)]),
@@ -454,7 +441,7 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
                 // object, creating an OPR, and to send the OPR to the
                 // other Magistrate": an Inert object ships at once.
                 L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
-                    (life, fx![count, E::ShipParked(addr), E::Ship(addr)]),
+                    (life, fx![count, E::Ship(addr)]),
                 L::Active { host, element, vault } | L::Deactivating { host, element, vault } => (
                     L::Deactivating { host, element, vault },
                     fx![count, E::Park, E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, false)],
@@ -465,25 +452,19 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             let done = [E::NotifyClass(N::AddMagistrate), E::Reply(None)];
             match life {
                 L::Deleting { activating: false } => (L::Inert { addr }, fx![done[0], done[1]]),
-                L::Deleting { activating: true } =>
-                    (L::Activating { addr, host: None, attempts: 0, never_active: false }, fx![done[0], done[1]]),
+                L::Deleting { activating: true } => (L::Activating { addr, never_active: false }, fx![done[0], done[1]]),
                 // The received OPR supersedes the copy held here.
                 L::Inert { addr: old } => (L::Inert { addr }, fx![E::Drop(old), done[0], done[1]]),
                 L::Shipping { addr: old, to, delete_after } =>
                     (L::Shipping { addr, to, delete_after }, fx![E::Drop(old), done[0], done[1]]),
-                L::Activating { addr: old, host, attempts, .. } =>
-                    (L::Activating { addr, host, attempts, never_active: false }, fx![E::Drop(old), done[0], done[1]]),
+                L::Activating { addr: old, .. } =>
+                    (L::Activating { addr, never_active: false }, fx![E::Drop(old), done[0], done[1]]),
                 // Item 1 (pin: `lifecycle::tests::receive_opr_over_active_forgets_the_process`):
                 // the running process is never killed, and its host slot
                 // and vault are never released.
                 L::Active { .. } | L::Deactivating { .. } => (L::Inert { addr }, fx![done[0], done[1]]),
             }
         }
-        V::Placed(host, attempts) => match life {
-            L::Activating { addr, never_active, .. } =>
-                (L::Activating { addr, host: Some(host), attempts, never_active }, fx![]),
-            L::Inert { .. } | L::Shipping { .. } | L::Deleting { .. } | L::Active { .. } | L::Deactivating { .. } => (life, fx![]),
-        },
         V::Unreadable(0, error) => conclude(life, W::OprLoadFailed(error), fx![E::Count(s::MAGISTRATE_OPR_LOAD_FAILED)]),
         V::Unreadable(_, error) => conclude(life, W::OprReloadFailed(error), fx![]),
         V::NoHost => conclude(life, W::NoHost, fx![E::Count(s::MAGISTRATE_NO_HOST)]),
@@ -538,13 +519,12 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
                 // The fresh OPR supersedes the activation-time vault.
                 L::Active { host, vault, .. } | L::Deactivating { host, vault, .. } => (
                     L::Inert { addr },
-                    fx![vault.map(E::Drop), E::Slots(host, -1), cleared, reply, E::ShipParked(addr)],
+                    fx![vault.map(E::Drop), E::Slots(host, -1), cleared, reply, E::Ship(addr)],
                 ),
-                L::Inert { .. } => (L::Inert { addr }, fx![cleared, reply, E::ShipParked(addr)]),
+                L::Inert { .. } => (L::Inert { addr }, fx![cleared, reply, E::Ship(addr)]),
                 L::Shipping { to: peer, delete_after, .. } =>
-                    (L::Shipping { addr, to: peer, delete_after }, fx![cleared, reply, E::ShipParked(addr)]),
-                L::Activating { host, attempts, .. } =>
-                    (L::Activating { addr, host, attempts, never_active: false }, fx![cleared, reply, E::ShipParked(addr)]),
+                    (L::Shipping { addr, to: peer, delete_after }, fx![cleared, reply, E::Ship(addr)]),
+                L::Activating { .. } => (L::Activating { addr, never_active: false }, fx![cleared, reply, E::Ship(addr)]),
             }
         }
         V::KillFailed(_, addr, error) => {
@@ -587,9 +567,9 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
         // vault checkpoint, then through the normal activation path.
         V::HostDead(dead) => match life {
             L::Active { host, vault: Some(vault), .. } | L::Deactivating { host, vault: Some(vault), .. } if host == dead => (
-                L::Activating { addr: vault, host: None, attempts: 0, never_active: false },
+                L::Activating { addr: vault, never_active: false },
                 fx![E::Slots(host, -1), E::Count(s::MAGISTRATE_HA_RECOVERIES), E::Recover,
-                    E::NotifyClass(N::SetAddress(None)), E::HostActivate(vault, None, 0)],
+                    E::NotifyClass(N::SetAddress(None)), E::HostActivate(vault, 0)],
             ),
             // No checkpoint to restart from (HA was enabled after this
             // activation): the object is gone until someone re-creates it.
@@ -617,7 +597,7 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
 fn replace(life: Life, attempts: u32, mut fx: Effects<'_>) -> (Life, Effects<'_>) {
     match life {
         Life::Inert { addr } | Life::Activating { addr, .. } | Life::Shipping { addr, .. } =>
-            fx.push(Effect::HostActivate(addr, None, attempts)),
+            fx.push(Effect::HostActivate(addr, attempts)),
         Life::Active { .. } | Life::Deactivating { .. } | Life::Deleting { .. } => {}
     }
     (life, fx)
@@ -723,8 +703,6 @@ mod tests {
         };
         let activating = Life::Activating {
             addr: addr(2),
-            host: None,
-            attempts: 0,
             never_active: false,
         };
         assert_eq!(
@@ -734,7 +712,7 @@ mod tests {
                 vec![
                     Effect::Count(s::MAGISTRATE_ACTIVATIONS),
                     Effect::Park,
-                    Effect::HostActivate(addr(2), None, 0),
+                    Effect::HostActivate(addr(2), 0),
                 ]
             )
         );
@@ -781,24 +759,22 @@ mod tests {
     #[test]
     fn a_timed_out_host_activate_is_taken_as_a_refusal() {
         let timeout = "call timed out after 500000000ns";
-        let asked = |attempts| Life::Activating {
+        let asked = Life::Activating {
             addr: addr(2),
-            host: Some(HOST_A),
-            attempts,
             never_active: false,
         };
         assert_eq!(
-            run(asked(0), LifeEvent::HostRefused(0, timeout)),
+            run(asked, LifeEvent::HostRefused(0, timeout)),
             (
-                asked(0),
+                asked,
                 vec![
                     Effect::Count(s::MAGISTRATE_ACTIVATION_RETRY),
-                    Effect::HostActivate(addr(2), None, 1),
+                    Effect::HostActivate(addr(2), 1),
                 ]
             )
         );
         assert_eq!(
-            run(asked(2), LifeEvent::HostRefused(2, timeout)),
+            run(asked, LifeEvent::HostRefused(2, timeout)),
             (
                 Life::Inert { addr: addr(2) },
                 vec![Effect::Conclude(Err(Why::HostRefused(timeout)))]
@@ -826,14 +802,10 @@ mod tests {
             Life::Inert { addr: addr(1) },
             Life::Activating {
                 addr: addr(1),
-                host: Some(HOST_A),
-                attempts: 1,
                 never_active: true,
             },
             Life::Activating {
                 addr: addr(1),
-                host: None,
-                attempts: 0,
                 never_active: false,
             },
             active(HOST_A),
@@ -863,14 +835,12 @@ mod tests {
         let t = ticket(1);
         let events = [
             LifeEvent::Activate(t, Some(HOST_B)),
-            LifeEvent::Create(t, OBJ, None),
-            LifeEvent::Created(t, addr(2)),
+            LifeEvent::Create(t, addr(2)),
             LifeEvent::Deactivate(t),
             LifeEvent::Delete(t),
-            LifeEvent::Copy(PEER, element, true, t),
-            LifeEvent::Copy(PEER, element, false, t),
+            LifeEvent::Copy(PEER, true, t),
+            LifeEvent::Copy(PEER, false, t),
             LifeEvent::ReceiveOpr(t, addr(2)),
-            LifeEvent::Placed(HOST_B, 1),
             LifeEvent::Unreadable(0, &error),
             LifeEvent::Unreadable(1, &error),
             LifeEvent::NoHost,

@@ -26,11 +26,12 @@
 //! at the boundary — "requests rather than commands"), is decoded into a
 //! [`LifeEvent`] and stepped on the object's one [`ObjRecord`]; the
 //! Magistrate then performs the row's [`Effect`]s — storage, placement,
-//! calls through its [`Calls`], replies. A call parks a [`Wait`], which
-//! holds just what its reply needs to become the next event, and a failed
-//! effect is stepped as an event too. The heartbeat bypass (§3.9 liveness
-//! is not a request) is an *ungated, one-way* registration on the same
-//! table.
+//! calls through its [`Calls`], replies. A request that brings an OPR
+//! (`CreateObject`, `ReceiveOpr`) has it stored and the record held before
+//! its row runs. A call parks a [`Wait`], which holds just what its reply
+//! needs to become the next event, and a failed effect is stepped as an
+//! event too. The heartbeat bypass (§3.9 liveness is not a request) is an
+//! *ungated, one-way* registration on the same table.
 
 use crate::lifecycle::{self, Effect, Life, LifeEvent, Notice, ObjRecord, Waiter, Why};
 use crate::protocol::{
@@ -165,9 +166,8 @@ pub struct MagistrateEndpoint {
     calls: Calls<Wait>,
     peers: FxHashMap<Loid, ObjectAddressElement>,
     ha: Option<HaState>,
-    /// The object state the effect of the row being performed stores as
-    /// an OPR: a `CreateObject`'s initial state, or what `SaveState`
-    /// answered.
+    /// What `SaveState` answered, for the row being performed to store as
+    /// the object's fresh OPR.
     saved: Option<Vec<u8>>,
 }
 
@@ -233,11 +233,7 @@ impl MagistrateEndpoint {
                 mag_proto::CREATE_OBJECT,
                 &["loid", "class", "state", "class_addr", "magistrate_addr"],
                 ParamType::Binding,
-                |e, ctx, msg, spec| {
-                    e.saved = Some(spec.state);
-                    let ev = LifeEvent::Create(msg.reply_ticket(), spec.class, spec.class_addr);
-                    e.request(ctx, spec.loid, ev)
-                },
+                |e, ctx, msg, spec| e.create(ctx, msg, spec),
             )
             .method::<ReceiveOprArgs, _>(
                 mag_proto::RECEIVE_OPR,
@@ -586,9 +582,7 @@ impl MagistrateEndpoint {
             }
             Effect::Park => {
                 let waiter = match *ev {
-                    V::Copy(to, at, delete_after, requester) => {
-                        Waiter::Ship(to, at, delete_after, requester)
-                    }
+                    V::Copy(to, mv, requester) => Waiter::Ship(to, mv, requester),
                     _ => Waiter::Activate(ev.requester().expect("a parked request")),
                 };
                 park(&mut self.record(loid).parked, waiter);
@@ -639,29 +633,16 @@ impl MagistrateEndpoint {
                     ctx.reply_ticket(to, Err(why.clone()));
                 }
             }
-            Effect::StoreInitial(class, class_addr) => {
-                let requester = ev.requester().expect("a CreateObject");
-                let state = self.saved.take().expect("the initial state");
-                let opr = Opr::new(loid, class, 0, state);
-                match self.storage.store_opr(&opr) {
-                    Ok(addr) => {
-                        let record = self.objects.entry(loid);
-                        let record = record.or_insert_with(|| ObjRecord::new(class, class_addr));
-                        (record.class, record.class_addr) = (class, class_addr);
-                        self.drive(ctx, loid, V::Created(requester, addr));
-                    }
-                    Err(e) => {
-                        let why = format!("initial OPR store failed: {e}");
-                        ctx.reply_ticket(requester, Err(why));
-                    }
-                }
-            }
-            // Load the OPR, place a host and send `HostActivate`; the
-            // outcome is the object's next event.
-            Effect::HostActivate(addr, hint, attempts) => {
+            // Load the OPR, place a host and send `HostActivate`; a failure
+            // is the object's next event.
+            Effect::HostActivate(addr, attempts) => {
                 let opr = match self.storage.load_opr(&addr) {
                     Ok(opr) => opr,
                     Err(e) => return self.drive(ctx, loid, V::Unreadable(attempts, &e)),
+                };
+                let hint = match *ev {
+                    V::Activate(_, hint) => hint,
+                    _ => None,
                 };
                 let Some((host, host_element)) =
                     place(&self.hosts, hint).map(|h| (h.loid, h.element))
@@ -680,7 +661,7 @@ impl MagistrateEndpoint {
                 let wait = Wait(loid, Pending::HostActivate(host, attempts));
                 let method = host_proto::ACTIVATE;
                 if self.calls.call(ctx, host_element, host, method, args, wait) {
-                    return self.drive(ctx, loid, V::Placed(host, attempts));
+                    return;
                 }
                 // The Host Object is dead (§2.3's "reaping" case): skip it
                 // for placements until it is heard from again.
@@ -725,14 +706,11 @@ impl MagistrateEndpoint {
             }
             Effect::Reap(host) => self.reap_orphan(ctx, loid, host),
             Effect::Ship(addr) => {
-                if let V::Copy(to, at, delete_after, requester) = *ev {
-                    let waiter = Waiter::Ship(to, at, delete_after, requester);
-                    self.ship(ctx, loid, addr, waiter);
-                }
-            }
-            Effect::ShipParked(addr) => {
                 for waiter in self.unpark(loid, true).into_iter().flatten() {
                     self.ship(ctx, loid, addr, waiter);
+                }
+                if let V::Copy(to, delete_after, requester) = *ev {
+                    self.ship(ctx, loid, addr, Waiter::Ship(to, delete_after, requester));
                 }
             }
             Effect::NotifyClass(notice) => self.notify_class(ctx, loid, notice),
@@ -780,10 +758,11 @@ impl MagistrateEndpoint {
         out
     }
 
-    /// Ship the OPR at `addr` to the peer a Copy/Move names; the reply
-    /// wakes [`Wait::Ship`].
+    /// Ship the OPR at `addr` to the peer a Copy/Move names (its decoder
+    /// refused a peer not registered here); the reply wakes
+    /// [`Pending::Ship`].
     fn ship(&mut self, ctx: &mut Ctx<'_>, loid: Loid, addr: PersistentAddress, waiter: Waiter) {
-        let Waiter::Ship(to, at, delete_after, requester) = waiter else {
+        let Waiter::Ship(to, delete_after, requester) = waiter else {
             return;
         };
         let bytes = match self.storage.read_raw(&addr) {
@@ -806,6 +785,7 @@ impl MagistrateEndpoint {
             class_addr,
         ]);
         let wait = Wait(loid, Pending::Ship(requester, delete_after));
+        let at = self.peers[&to];
         let ev = if self
             .calls
             .call(ctx, at, to, mag_proto::RECEIVE_OPR, args, wait)
@@ -821,11 +801,28 @@ impl MagistrateEndpoint {
 
     fn copy(&mut self, ctx: &mut Ctx<'_>, msg: &Message, ids: (Loid, Loid), mv: bool) -> Outcome {
         let (loid, to) = ids;
-        let Some(at) = self.peers.get(&to).copied() else {
+        if !self.peers.contains_key(&to) {
             return Outcome::Reply(Err(format!("unknown peer magistrate {to}")));
+        }
+        self.request(ctx, loid, LifeEvent::Copy(to, mv, msg.reply_ticket()))
+    }
+
+    /// Hold a record of `loid`, an object of `class` (at `class_addr`),
+    /// for a request that brought its OPR.
+    fn hold(&mut self, loid: Loid, class: Loid, class_addr: Option<ObjectAddressElement>) {
+        let record = self.objects.entry(loid);
+        let record = record.or_insert_with(|| ObjRecord::new(class, class_addr));
+        (record.class, record.class_addr) = (class, class_addr);
+    }
+
+    fn create(&mut self, ctx: &mut Ctx<'_>, msg: &Message, spec: ActivationSpec) -> Outcome {
+        let opr = Opr::new(spec.loid, spec.class, 0, spec.state);
+        let addr = match self.storage.store_opr(&opr) {
+            Ok(addr) => addr,
+            Err(e) => return Outcome::Reply(Err(format!("initial OPR store failed: {e}"))),
         };
-        let ev = LifeEvent::Copy(to, at, mv, msg.reply_ticket());
-        self.request(ctx, loid, ev)
+        self.hold(spec.loid, spec.class, spec.class_addr);
+        self.request(ctx, spec.loid, LifeEvent::Create(msg.reply_ticket(), addr))
     }
 
     fn receive_opr(&mut self, ctx: &mut Ctx<'_>, msg: &Message, args: ReceiveOprArgs) -> Outcome {
@@ -841,9 +838,7 @@ impl MagistrateEndpoint {
             return Outcome::Reply(Err(format!("store failed: {e}")));
         }
         ctx.count(symbol::MAGISTRATE_RECEIVED_OPRS);
-        let record = self.objects.entry(loid);
-        let record = record.or_insert_with(|| ObjRecord::new(class, class_addr));
-        (record.class, record.class_addr) = (class, class_addr);
+        self.hold(loid, class, class_addr);
         self.request(ctx, loid, LifeEvent::ReceiveOpr(msg.reply_ticket(), addr))
     }
 }
