@@ -501,9 +501,11 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
         V::Saved(_) => match life {
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } =>
                 (L::Deactivating { host, element, vault }, fx![E::HostDeactivate(host)]),
-            // Inert already — a racing deactivation finished first — and
-            // that is what this one asked for.
-            L::Inert { .. } | L::Activating { .. } | L::Shipping { .. } => (life, fx![E::Reply(None)]),
+            // Inert already — a racing deactivation finished first, or a
+            // ReceiveOpr overwrote the record — and that is what this one
+            // asked for; parked ships can go, as for `Deactivate`.
+            L::Inert { addr } | L::Activating { addr, .. } | L::Shipping { addr, .. } =>
+                (life, fx![E::Reply(None), E::Ship(addr)]),
             L::Deleting { .. } => (life, fx![E::FailDeactivation(W::RemovedDuringDeactivation)]),
         },
         V::DeactivationFailed(_, why) => match life {
@@ -782,12 +784,13 @@ mod tests {
         );
     }
 
-    /// A deactivation whose `SaveState` is answered after a racing one
-    /// made the object Inert is answered: the object is Inert, as asked.
+    /// A deactivation whose `SaveState` is answered after the object
+    /// became Inert is answered, since the object is Inert as asked, and
+    /// the Copy/Moves parked behind it ship.
     #[test]
     fn a_deactivation_that_finds_the_object_inert_is_answered() {
         let inert = Life::Inert { addr: addr(2) };
-        let answered = (inert, vec![Effect::Reply(None)]);
+        let answered = (inert, vec![Effect::Reply(None), Effect::Ship(addr(2))]);
         assert_eq!(run(inert, LifeEvent::Saved(Some(ticket(5)))), answered);
     }
 
