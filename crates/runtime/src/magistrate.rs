@@ -785,7 +785,7 @@ impl MagistrateEndpoint {
             class_addr,
         ]);
         let wait = Wait(loid, Pending::Ship(requester, delete_after));
-        let at = self.peers[&to];
+        let at = *self.peers.get(&to).expect("a peer the decoder checked");
         let ev = if self
             .calls
             .call(ctx, at, to, mag_proto::RECEIVE_OPR, args, wait)
