@@ -660,14 +660,13 @@ impl MagistrateEndpoint {
                 let args = ctx.args(spec.into_args());
                 let wait = Wait(loid, Pending::HostActivate(host, attempts));
                 let method = host_proto::ACTIVATE;
-                if self.calls.call(ctx, host_element, host, method, args, wait) {
-                    return;
+                if !self.calls.call(ctx, host_element, host, method, args, wait) {
+                    // The Host Object is dead (§2.3's "reaping" case): skip
+                    // it for placements until it is heard from again.
+                    ctx.count(symbol::MAGISTRATE_HOST_DEAD);
+                    self.host(&host).expect("placed").alive = false;
+                    self.drive(ctx, loid, V::HostDown(host, attempts));
                 }
-                // The Host Object is dead (§2.3's "reaping" case): skip it
-                // for placements until it is heard from again.
-                ctx.count(symbol::MAGISTRATE_HOST_DEAD);
-                self.host(&host).expect("placed").alive = false;
-                self.drive(ctx, loid, V::HostDown(host, attempts));
             }
             Effect::SaveState(element, answers) => {
                 let requester = ev.requester().filter(|_| answers);
