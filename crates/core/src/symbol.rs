@@ -258,6 +258,8 @@ well_known! {
     123 => POLICY_TIMEOUTS = "policy.timeouts";
     // Runtime protocol: InheritFrom's call from the inheritor to its base.
     124 => GET_BASE_INTERFACE = "GetBaseInterface";
+    // Kernel: calls answered for an endpoint killed by deactivation.
+    125 => NET_KILLED_REFUSALS = "net.killed_refusals";
 }
 
 fn global() -> &'static RwLock<Interner> {
@@ -385,7 +387,8 @@ mod tests {
         assert_eq!(BA_CACHE_HIT.as_str(), "ba.cache_hit");
         assert_eq!(CLIENT_STALE_REPLY.id(), 121);
         assert_eq!(POLICY_TIMEOUTS.id(), 123);
-        assert_eq!(WELL_KNOWN.len(), 125);
+        assert_eq!(NET_KILLED_REFUSALS.id(), 125);
+        assert_eq!(WELL_KNOWN.len(), 126);
     }
 
     #[test]

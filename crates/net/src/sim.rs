@@ -16,7 +16,12 @@
 //!
 //! Sends to a *dead or unknown* endpoint fail **detectably** at the sender
 //! (connection refused) — this is the §4.1.4 signal that a cached binding
-//! has gone stale. Random drops and partitions are *silent*.
+//! has gone stale. A call already on its way when its endpoint dies
+//! meets the same signal one hop later if the endpoint was killed
+//! ([`Ctx::kill`], a deactivation): the kernel answers it with an `Err`
+//! reply. An endpoint that crashed ([`SimKernel::remove_endpoint`])
+//! answers nothing; detecting a crash is the failure detector's job.
+//! Random drops and partitions are *silent*.
 //!
 //! This file is the **stepper**: ordering, delivery, endpoint lifecycle,
 //! and the state snapshots replay starts from. Everything that *watches*
@@ -48,7 +53,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::any::Any;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 // Re-exported so endpoint crates can record flight events through
 // [`Ctx::flight`] without depending on `legion-obs` or `legion-journal`
@@ -120,6 +125,9 @@ struct Slot {
     /// snapshot? Set at creation and by `mark_dead`, the only writer of
     /// that state once the slot exists.
     dirty: bool,
+    /// Was the endpoint killed ([`Ctx::kill`]) rather than crashed? A
+    /// call that reaches a killed endpoint is answered with an `Err`.
+    killed: bool,
 }
 
 impl Slot {
@@ -128,12 +136,14 @@ impl Slot {
             ep: Some(ep),
             meta,
             dirty: true,
+            killed: false,
         }
     }
 
-    fn mark_dead(&mut self) {
+    fn mark_dead(&mut self, killed: bool) {
         self.dirty = true;
         self.meta.alive = false;
+        self.killed = killed;
     }
 }
 
@@ -346,10 +356,11 @@ impl SimKernel {
         id
     }
 
-    /// Remove (kill) an endpoint. Future sends to it are refused; queued
-    /// deliveries become dead letters.
+    /// Remove an endpoint as a crash does. Future sends to it are
+    /// refused; queued deliveries become dead letters, answered by
+    /// nothing.
     pub fn remove_endpoint(&mut self, id: EndpointId) {
-        self.inner.detach(&mut self.slots, id);
+        self.inner.detach(&mut self.slots, id, false);
     }
 
     /// Current virtual time.
@@ -574,6 +585,12 @@ impl SimKernel {
         if !is_live(&self.slots, ev.to) {
             if let EventKind::Deliver(h) | EventKind::Copy(h) = ev.kind {
                 let msg = self.inner.messages.get(h);
+                // A call (not a network duplicate's copy) that reached a
+                // killed endpoint is answered; the rest are only counted.
+                let refuse = matches!(ev.kind, EventKind::Deliver(_))
+                    && self.slots[idx].killed
+                    && msg.method_sym().is_some();
+                let call = refuse.then(|| msg.reply_ticket());
                 self.inner.stats.dead_letters += 1;
                 self.inner.watch.ingress(
                     now,
@@ -586,6 +603,9 @@ impl SimKernel {
                     format_args!("dead_letter:{}", kind_sym(msg)),
                 );
                 self.inner.discard(h);
+                if let Some(call) = call {
+                    self.answer_for_killed(idx, call, ev.trace);
+                }
             }
             return true;
         }
@@ -678,6 +698,25 @@ impl SimKernel {
             self.slots[idx].ep = Some(ep);
         }
         true
+    }
+
+    /// Answer `call`, which reached the killed endpoint in slot `idx`,
+    /// with one `Err` reply: sent from where the endpoint lived, under the
+    /// call's trace, the way its handler would have replied. A one-way
+    /// call has no reply address and is answered by nothing.
+    fn answer_for_killed(&mut self, idx: usize, call: ReplyTicket, trace: TraceContext) {
+        let Some(dest) = call.reply_to() else {
+            return;
+        };
+        let SimKernel { slots, inner, .. } = self;
+        inner.watch.count(inner.now, symbol::NET_KILLED_REFUSALS, 1);
+        let mut why = inner.pool.take_string();
+        let _ = write!(why, "no object at {}", EndpointId(idx as u64));
+        let reply = call.reply(inner.fresh_call_id(), Err(why));
+        let location = slots[idx].meta.location;
+        inner.current = trace;
+        park_and_send(inner, slots, location, Some(idx), dest, reply, None);
+        inner.current = TraceContext::NONE;
     }
 
     /// Run until the event queue drains or `max_events` were processed.
@@ -796,12 +835,13 @@ impl Inner {
         id
     }
 
-    /// Kill `id` and drop its endpoint. An endpoint killing itself is
+    /// Kill `id` and drop its endpoint; `killed` says whether calls still
+    /// on their way to it are answered. An endpoint killing itself is
     /// mid-handler — its box is out of the slot already and is dropped
     /// when the handler returns.
-    fn detach(&mut self, slots: &mut [Slot], id: EndpointId) {
+    fn detach(&mut self, slots: &mut [Slot], id: EndpointId, killed: bool) {
         if let Some(slot) = slots.get_mut(id.0 as usize) {
-            slot.mark_dead();
+            slot.mark_dead(killed);
             slot.ep = None;
             self.watch.lifecycle(self.now, RecordKind::Detach, id.0, "");
         }
@@ -888,12 +928,13 @@ fn put_trace(w: &mut StateWriter, trace: TraceContext) {
 }
 
 /// One endpoint slot's replay-relevant state. Once the slot exists,
-/// only [`Slot::mark_dead`] changes any of it.
+/// only [`Slot::mark_dead`] changes any of it. The liveness byte is 1
+/// alive, 0 crashed and 2 killed.
 fn encode_slot(w: &mut StateWriter, slot: &Slot) {
     w.put_u32(slot.meta.location.jurisdiction);
     w.put_u32(slot.meta.location.host);
     w.put_str(&slot.meta.name);
-    w.put_u8(slot.meta.alive as u8);
+    w.put_u8(slot.meta.alive as u8 | (slot.killed as u8) << 1);
 }
 
 /// Deterministically encode a queued message for a state snapshot, using
@@ -1344,9 +1385,12 @@ impl Ctx<'_> {
     }
 
     /// Kill an endpoint (deactivation). Killing `self` is allowed: the
-    /// current handler finishes, then the endpoint is dropped.
+    /// current handler finishes, then the endpoint is dropped. Future
+    /// sends to it are refused, and each call already on its way to it
+    /// is answered with an `Err` reply, so a stale binding is detected
+    /// in use (§4.1.4) rather than by the caller's timeout.
     pub fn kill(&mut self, id: EndpointId) {
-        self.inner.detach(self.slots, id);
+        self.inner.detach(self.slots, id, true);
     }
 }
 
@@ -1685,7 +1729,7 @@ mod tests {
         k.slots[1].meta.name.push('!');
         assert_eq!(k.stale_slot_section(), Some(1));
         // Through `mark_dead`, the slot is merely due for re-encoding.
-        k.slots[1].mark_dead();
+        k.slots[1].mark_dead(false);
         assert_eq!(k.stale_slot_section(), None);
         let section = KERNEL_SECTIONS.len() + 1;
         let before = k.inner.watch.journal().section_id(section);
@@ -2540,6 +2584,199 @@ mod tests {
             k.endpoint::<Client>(EndpointId(1)).unwrap().replies.len(),
             6
         );
+    }
+
+    /// Kills endpoints the way a Host Object deactivates them: through
+    /// [`Ctx::kill`], from a timer whose tag is the victim's id.
+    struct Reaper;
+
+    impl Endpoint for Reaper {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            ctx.kill(EndpointId(tag));
+        }
+    }
+
+    /// Records each reply with the call it answers and when it arrived.
+    #[derive(Default)]
+    struct Caller {
+        answers: Vec<(CallId, SimTime, Result<LegionValue, String>)>,
+    }
+
+    impl Endpoint for Caller {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            if let Body::Reply {
+                in_reply_to,
+                result,
+            } = msg.body
+            {
+                self.answers.push((in_reply_to, ctx.now(), result));
+            }
+        }
+    }
+
+    /// An echo at (0, 0), a caller at (0, 1) and a reaper, all started:
+    /// a call between the first two takes 10 µs each way.
+    fn killing_setup(k: &mut SimKernel) -> (EndpointId, EndpointId, EndpointId) {
+        let echo = k.add_endpoint(
+            Box::new(Echo::new(Loid::instance(16, 1))),
+            Location::new(0, 0),
+            "echo",
+        );
+        let caller = k.add_endpoint(Box::new(Caller::default()), Location::new(0, 1), "caller");
+        let reaper = k.add_endpoint(Box::new(Reaper), Location::new(0, 2), "reaper");
+        k.run_until_quiescent(10);
+        (echo, caller, reaper)
+    }
+
+    /// A `Ping` from `caller` to `echo`, in flight; `reply_to` as given.
+    fn ping_in_flight(k: &mut SimKernel, echo: EndpointId, reply_to: Option<EndpointId>) -> CallId {
+        let id = k.fresh_call_id();
+        let mut msg = Message::call(
+            id,
+            Loid::instance(16, 1),
+            "Ping",
+            vec![],
+            InvocationEnv::anonymous(),
+        );
+        msg.reply_to = reply_to.map(EndpointId::element);
+        assert!(k.inject(Location::new(0, 1), echo.element(), msg));
+        id
+    }
+
+    /// Kill `victim` through `reaper`'s handler now, leaving what is on
+    /// its way to the victim in flight.
+    fn kill_now(k: &mut SimKernel, reaper: EndpointId, victim: EndpointId) {
+        assert!(k.set_timer(reaper, 0, victim.0));
+        k.run_until(k.now());
+        assert!(!k.meta(victim).unwrap().alive);
+    }
+
+    /// The liveness byte a snapshot writes for `id`'s slot.
+    fn liveness_byte(k: &SimKernel, id: EndpointId) -> u8 {
+        let mut w = StateWriter::default();
+        encode_slot(&mut w, &k.slots[id.0 as usize]);
+        *w.as_bytes().last().expect("a slot encodes bytes")
+    }
+
+    #[test]
+    fn a_call_to_a_killed_endpoint_is_answered_one_hop_later() {
+        let mut k = kernel();
+        let (echo, caller, reaper) = killing_setup(&mut k);
+        assert_eq!(liveness_byte(&k, echo), 1);
+        let call = ping_in_flight(&mut k, echo, Some(caller));
+        kill_now(&mut k, reaper, echo);
+        assert_eq!(liveness_byte(&k, echo), 2, "killed");
+        k.run_until_quiescent(100);
+        // The call lands at 10 µs and dies there; the answer is one more
+        // 10 µs hop, from where the echo lived back to the caller.
+        let answers = &k.endpoint::<Caller>(caller).unwrap().answers;
+        assert_eq!(
+            answers,
+            &[(call, SimTime(20_000), Err("no object at ep0".to_owned()))]
+        );
+        assert_eq!(k.stats().dead_letters, 1);
+        assert_eq!(k.stats().delivered, 1, "the answer alone");
+        assert_eq!(k.counters().get("net.killed_refusals"), 1);
+        assert_eq!(k.meta(echo).unwrap().sent, 1, "sent from the killed slot");
+        assert_eq!(k.inner.messages.len(), 0);
+    }
+
+    #[test]
+    fn a_call_to_a_crashed_endpoint_is_only_a_dead_letter() {
+        let mut k = kernel();
+        let (echo, caller, _) = killing_setup(&mut k);
+        ping_in_flight(&mut k, echo, Some(caller));
+        k.remove_endpoint(echo);
+        assert_eq!(liveness_byte(&k, echo), 0, "crashed");
+        k.run_until_quiescent(100);
+        assert!(k.endpoint::<Caller>(caller).unwrap().answers.is_empty());
+        assert_eq!(k.stats().dead_letters, 1);
+        assert_eq!(k.stats().delivered, 0);
+        assert_eq!(k.counters().get("net.killed_refusals"), 0);
+        assert_eq!(k.now(), SimTime(10_000), "nothing after the dead letter");
+    }
+
+    #[test]
+    fn replies_and_notifies_to_a_killed_endpoint_are_not_answered() {
+        let mut k = kernel();
+        let (echo, caller, reaper) = killing_setup(&mut k);
+        // A one-way call: no reply address.
+        ping_in_flight(&mut k, echo, None);
+        // A reply, given a reply address so only its kind keeps it
+        // unanswered.
+        let id = k.fresh_call_id();
+        let mut reply = Message::reply_to(
+            &Message::call(
+                CallId(99),
+                Loid::instance(16, 1),
+                "Ping",
+                vec![],
+                InvocationEnv::anonymous(),
+            ),
+            id,
+            Ok(LegionValue::Void),
+        );
+        reply.reply_to = Some(caller.element());
+        assert!(k.inject(Location::new(0, 1), echo.element(), reply));
+        kill_now(&mut k, reaper, echo);
+        k.run_until_quiescent(100);
+        assert!(k.endpoint::<Caller>(caller).unwrap().answers.is_empty());
+        assert_eq!(k.stats().dead_letters, 2);
+        assert_eq!(k.counters().get("net.killed_refusals"), 0);
+    }
+
+    #[test]
+    fn a_duplicated_call_to_a_killed_endpoint_is_answered_once() {
+        let mut k = SimKernel::new(
+            Topology::fixed(1_000, 10_000, 1_000_000),
+            FaultPlan::seeded(3),
+            7,
+        );
+        let (echo, caller, reaper) = killing_setup(&mut k);
+        k.faults_mut().set_duplicate_probability(1.0);
+        let call = ping_in_flight(&mut k, echo, Some(caller));
+        kill_now(&mut k, reaper, echo);
+        k.run_until_quiescent(100);
+        // The original is answered, its copy only counted. The answer is
+        // duplicated in turn, and its copy suppressed at the caller.
+        let answers = &k.endpoint::<Caller>(caller).unwrap().answers;
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].0, call);
+        assert!(answers[0].2.is_err());
+        assert_eq!(k.stats().dead_letters, 2, "the call and its copy");
+        assert_eq!(k.counters().get("net.killed_refusals"), 1);
+        assert_eq!(k.counters().get("net.duplicated"), 2);
+        assert_eq!(k.counters().get("net.dedup_dropped"), 1);
+    }
+
+    #[test]
+    fn a_journaled_run_whose_calls_meet_a_killed_endpoint_replays_verified() {
+        use legion_journal::MemSink;
+        // Six calls in flight, the echo killed under them, a snapshot
+        // every 4 events: the answers and the killed slot's byte are in
+        // what is recorded and what is checked.
+        let run = |cfg: &dyn Fn(&mut SimKernel)| {
+            let mut k = kernel();
+            cfg(&mut k);
+            let (echo, caller, reaper) = killing_setup(&mut k);
+            for _ in 0..6 {
+                ping_in_flight(&mut k, echo, Some(caller));
+            }
+            assert!(k.set_timer(reaper, 0, echo.0));
+            k.run_until_quiescent(1_000);
+            assert_eq!(k.counters().get("net.killed_refusals"), 6);
+            k.finish_journal().unwrap()
+        };
+        let sink = MemSink::new();
+        let (recorded, div) = run(&|k| k.enable_journal_record(Box::new(sink.clone()), 4));
+        assert!(div.is_none());
+        assert!(recorded.snapshots > 0);
+        for start in [ReplayStart::Origin, ReplayStart::LatestSnapshot] {
+            let (s, div) = run(&|k| k.enable_journal_verify(sink.contents(), start).unwrap());
+            assert!(div.is_none(), "{}", div.map(|d| d.to_string()).unwrap());
+            assert_eq!(s.skipped + s.verified, recorded.records);
+        }
     }
 
     /// The queue moves each event in and out of its slab: the record stays

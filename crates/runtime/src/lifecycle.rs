@@ -419,8 +419,8 @@ pub fn step<'a>(life: &Life, ev: &LifeEvent<'a>) -> (Life, Effects<'a>) {
             // A deactivation while one is out saves the state again. Item 1
             // (join the in-flight deactivation instead): when the first
             // one's HostDeactivate kills the process before this SaveState
-            // arrives, the call is dead-lettered, and its requester hears
-            // nothing until the call's deadline, if there is one.
+            // arrives, the kernel answers the call with an `Err`, and its
+            // requester hears "SaveState failed" while the first hears `Ok`.
             L::Active { host, element, vault } | L::Deactivating { host, element, vault } => (
                 L::Deactivating { host, element, vault },
                 fx![E::Count(s::MAGISTRATE_DEACTIVATIONS), E::SaveState(element, true)],

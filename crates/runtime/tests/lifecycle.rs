@@ -1593,6 +1593,45 @@ impl World {
     }
 }
 
+/// A `Deactivate` that lands while another's `HostDeactivate` is out
+/// sends `SaveState` again (the `(Deactivating, Deactivate)` row), and
+/// the process is dead when that call arrives. The kernel answers a call
+/// to a killed process, so the second requester hears why as soon as
+/// the answer is back, where it heard nothing before (no call deadline
+/// is set here). Joining the deactivation in flight, so that both
+/// requesters hear `Ok`, is ROADMAP item 1.
+#[test]
+fn a_second_deactivate_behind_the_kill_hears_the_refusal() {
+    let mut w = build();
+    let (obj, mag, mag_ep, _, _) = w.create_active();
+    let before = w.replies().len();
+    let deactivate = |w: &mut World| {
+        let args = vec![LegionValue::Loid(obj)];
+        assert!(w.send(mag_ep.element(), mag, mag_proto::DEACTIVATE, args));
+    };
+    // Both requests take the same path to the Magistrate. 25 µs apart,
+    // the second lands after the first's state came back (20 µs after
+    // the first landed), and its SaveState reaches the process after the
+    // kill (30 µs after).
+    deactivate(&mut w);
+    let now = w.k.now();
+    w.k.run_until(now.saturating_add(25_000));
+    deactivate(&mut w);
+    w.k.run_until_quiescent(100_000);
+    let answers = &w.replies()[before..];
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    assert_eq!(answers[0], Ok(LegionValue::Void));
+    let refused = answers[1].as_ref().expect_err("the second is refused");
+    assert!(
+        refused.starts_with("SaveState failed: no object at ep"),
+        "{refused}"
+    );
+    assert_eq!(w.k.counters().get("net.killed_refusals"), 1);
+    let m = w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep).unwrap();
+    assert!(matches!(m.object_state(&obj), Some(Life::Inert { .. })));
+    assert_eq!(m.calls().outstanding(), 0);
+}
+
 /// A Move parks its requester as a ticket behind the deactivation it
 /// starts. Whatever a racing `Delete` does to that deactivation — the
 /// record gone when the object's state comes back, the host finding
@@ -1603,8 +1642,9 @@ fn move_racing_a_delete_still_answers_both_requesters() {
     for delete_first in [false, true] {
         let mut w = build();
         let (obj, mag, mag_ep, peer, _) = w.create_active();
-        // With the Delete ahead, the object dies before SaveState arrives
-        // and never answers it: only the deadline sweep ends that wait.
+        // With the Delete ahead, the object dies before SaveState arrives,
+        // and the kernel answers that call for it. The deadline bounds
+        // the wait should the answer never come.
         w.k.endpoint_mut::<MagistrateEndpoint>(mag_ep)
             .unwrap()
             .calls()

@@ -11,7 +11,8 @@
 //! migrates objects between jurisdictions. Swept: churn rate × the
 //! class's holder-directed notices on/off
 //! (`ClassConfig::notify_holders`). Measured: refresh count, notices
-//! sent, messages per completed operation, and operation latency.
+//! sent, `Ping`s whose staleness only the client's timeout caught,
+//! messages per completed operation, and operation latency.
 
 use crate::experiments::common::{attach_clients, run_clients};
 use crate::report::{ns, Table};
@@ -165,6 +166,10 @@ pub struct Row {
     pub completed: u64,
     /// Stale refreshes clients performed.
     pub stale_refreshes: u64,
+    /// `Ping`s given up on when the client's invoke guard fired
+    /// (`client.invoke_timeout`): a stale binding caught by timeout,
+    /// not in use.
+    pub timeouts: u64,
     /// Successful migrations during the run.
     pub moves: u64,
     /// `InvalidateBinding` notices the class sent (`class.holders_notified`).
@@ -239,6 +244,7 @@ fn wave(
         eager,
         completed: report.completed,
         stale_refreshes: report.stale_refreshes,
+        timeouts: sys.kernel.counters().get("client.invoke_timeout"),
         moves,
         invalidations: sys.kernel.counters().get("class.holders_notified"),
         mean_latency_ns: report.latency.mean(),
@@ -303,6 +309,7 @@ pub fn table(rows: &[Row]) -> Table {
             "moves",
             "invalidations",
             "refreshes",
+            "timeouts",
             "mean-lat",
             "msgs/op",
         ],
@@ -319,6 +326,7 @@ pub fn table(rows: &[Row]) -> Table {
             r.moves.to_string(),
             r.invalidations.to_string(),
             r.stale_refreshes.to_string(),
+            r.timeouts.to_string(),
             ns(r.mean_latency_ns as u64),
             format!("{:.2}", r.msgs_per_op),
         ]);
@@ -359,6 +367,19 @@ mod tests {
                 assert!(r.invalidations > 0 && r.invalidations <= r.moves, "{r:?}");
             } else {
                 assert_eq!(r.invalidations, 0, "{r:?}");
+            }
+        }
+    }
+
+    /// Every stale binding is detected in use (§4.1.4): a `Ping` that
+    /// reaches an object a racing deactivation killed is answered by the
+    /// kernel, so no client waits out its invoke guard. There is no loss
+    /// and no crash here, the only other things the guard is for.
+    #[test]
+    fn stale_bindings_are_detected_in_use_not_by_timeout() {
+        for seed in [20_260_707, 81, 82, 83] {
+            for r in run(1, seed) {
+                assert_eq!(r.timeouts, 0, "seed {seed}: {r:?}");
             }
         }
     }

@@ -619,7 +619,8 @@ const MAX_OVERLOAD_RETRIES: u32 = 16;
 const MAX_STALE_REFRESHES: u32 = 6;
 /// Invoke-timeout timers are `TIMER_INVOKE_BASE + generation`.
 const TIMER_INVOKE_BASE: u64 = 1000;
-/// A Ping lost to a deactivation race is declared stale after this long.
+/// A Ping that nothing answers (lost, or its server crashed) is declared
+/// stale after this long.
 const INVOKE_TIMEOUT_NS: u64 = 400_000_000;
 /// Binding-request timeout timers are `TIMER_BINDING_BASE + generation`.
 const TIMER_BINDING_BASE: u64 = 2_000_000;
@@ -882,8 +883,10 @@ impl LookupClient {
         ) {
             Some(call) => {
                 self.phase = Phase::AwaitInvoke(op, binding, call);
-                // Guard against a Ping dead-lettered by a concurrent
-                // deactivation: silent loss must not hang the client.
+                // Guard against a Ping or its reply silently lost, or a
+                // server that crashed: neither answers, and the client
+                // must not hang. A deactivated server's Ping is answered
+                // by the kernel with an `Err`.
                 self.invoke_generation += 1;
                 ctx.set_timer(
                     INVOKE_TIMEOUT_NS,
@@ -945,8 +948,8 @@ impl Endpoint for LookupClient {
             // give up on its first stale hit.
             (Phase::Retry(op), TIMER_RETRY) => self.relookup(ctx, Op { stale: 0, ..op }, 0),
             (Phase::Shed(op, binding), TIMER_OVERLOAD) => self.invoke_binding(ctx, op, binding),
-            // The *latest* Ping is still outstanding: its reply was
-            // silently lost (deactivation race). Treat as stale.
+            // The *latest* Ping is still outstanding: it or its reply was
+            // silently lost, or its server crashed. Treat as stale.
             (Phase::AwaitInvoke(op, binding, _), tag)
                 if tag == TIMER_INVOKE_BASE + self.invoke_generation =>
             {
