@@ -587,10 +587,10 @@ impl SimKernel {
                 let msg = self.inner.messages.get(h);
                 // A call (not a network duplicate's copy) that reached a
                 // killed endpoint is answered; the rest are only counted.
-                let refuse = matches!(ev.kind, EventKind::Deliver(_))
+                let call = (matches!(ev.kind, EventKind::Deliver(_))
                     && self.slots[idx].killed
-                    && msg.method_sym().is_some();
-                let call = refuse.then(|| msg.reply_ticket());
+                    && !msg.is_reply())
+                .then(|| msg.reply_ticket());
                 self.inner.stats.dead_letters += 1;
                 self.inner.watch.ingress(
                     now,
