@@ -79,32 +79,38 @@ impl fmt::Display for ArgsError {
 ///
 /// The `PARAM` constant ties the Rust type to its IDL [`ParamType`], so a
 /// registered handler's parameter list *is* its published signature.
+///
+/// Decoding is by move: the wire value is the served call's own, so a
+/// heap payload (`Bytes`, `Str`, `List`, or any value decoded as `Any`)
+/// is taken out of its slot, never cloned. An implementation takes only
+/// once the value's type has matched, and leaves the slot as it was when
+/// it returns `None`, so a type error names the type that was sent.
 pub trait FromArg: Sized {
     /// The IDL parameter type this Rust type decodes from.
     const PARAM: ParamType;
     /// Decode, honouring the same conformance rules as
     /// [`LegionValue::conforms_to`] (a non-negative `Int` conforms to
     /// `Uint`).
-    fn from_value(v: &LegionValue) -> Option<Self>;
+    fn from_value(v: &mut LegionValue) -> Option<Self>;
 }
 
 impl FromArg for () {
     const PARAM: ParamType = ParamType::Void;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         matches!(v, LegionValue::Void).then_some(())
     }
 }
 
 impl FromArg for bool {
     const PARAM: ParamType = ParamType::Bool;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         v.as_bool()
     }
 }
 
 impl FromArg for i64 {
     const PARAM: ParamType = ParamType::Int;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         match v {
             LegionValue::Int(i) => Some(*i),
             _ => None,
@@ -114,14 +120,14 @@ impl FromArg for i64 {
 
 impl FromArg for u64 {
     const PARAM: ParamType = ParamType::Uint;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         v.as_uint()
     }
 }
 
 impl FromArg for f64 {
     const PARAM: ParamType = ParamType::Float;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         match v {
             LegionValue::Float(x) => Some(*x),
             _ => None,
@@ -131,16 +137,19 @@ impl FromArg for f64 {
 
 impl FromArg for String {
     const PARAM: ParamType = ParamType::Str;
-    fn from_value(v: &LegionValue) -> Option<Self> {
-        v.as_str().map(str::to_owned)
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
+        match v {
+            LegionValue::Str(s) => Some(std::mem::take(s)),
+            _ => None,
+        }
     }
 }
 
 impl FromArg for Vec<u8> {
     const PARAM: ParamType = ParamType::Bytes;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         match v {
-            LegionValue::Bytes(b) => Some(b.clone()),
+            LegionValue::Bytes(b) => Some(std::mem::take(b)),
             _ => None,
         }
     }
@@ -148,14 +157,15 @@ impl FromArg for Vec<u8> {
 
 impl FromArg for Loid {
     const PARAM: ParamType = ParamType::Loid;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         v.as_loid()
     }
 }
 
+/// Copied out: an address of one element, the common case, is inline.
 impl FromArg for ObjectAddress {
     const PARAM: ParamType = ParamType::Address;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         match v {
             LegionValue::Address(a) => Some(a.clone()),
             _ => None,
@@ -163,50 +173,64 @@ impl FromArg for ObjectAddress {
     }
 }
 
+/// Copied out: the box stays in the argument list, and goes back to the
+/// kernel's pool of binding shells with it.
 impl FromArg for Binding {
     const PARAM: ParamType = ParamType::Binding;
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         v.as_binding().cloned()
     }
 }
 
 impl FromArg for Vec<LegionValue> {
     const PARAM: ParamType = ParamType::List;
-    fn from_value(v: &LegionValue) -> Option<Self> {
-        v.as_list().map(<[LegionValue]>::to_vec)
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
+        match v {
+            LegionValue::List(l) => Some(std::mem::take(l)),
+            _ => None,
+        }
     }
 }
 
 impl FromArg for LegionValue {
     const PARAM: ParamType = ParamType::Any;
-    fn from_value(v: &LegionValue) -> Option<Self> {
-        Some(v.clone())
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
+        Some(std::mem::take(v))
     }
 }
 
 /// Decode the required argument at `index`.
-pub fn decode_at<T: FromArg>(args: &[LegionValue], index: usize) -> Result<T, ArgsError> {
-    let v = args.get(index).ok_or(ArgsError::Arity {
-        got: args.len(),
+pub fn decode_at<T: FromArg>(args: &mut [LegionValue], index: usize) -> Result<T, ArgsError> {
+    let got = args.len();
+    let v = args.get_mut(index).ok_or(ArgsError::Arity {
+        got,
         min: index + 1,
         max: index + 1,
     })?;
-    T::from_value(v).ok_or(ArgsError::Type {
-        index,
-        got: v.param_type(),
-        want: T::PARAM,
-    })
+    T::from_value(v).ok_or_else(|| type_error::<T>(index, v))
 }
 
 /// Decode the optional (trailing) argument at `index`, if present.
-pub fn decode_opt<T: FromArg>(args: &[LegionValue], index: usize) -> Result<Option<T>, ArgsError> {
-    match args.get(index) {
+pub fn decode_opt<T: FromArg>(
+    args: &mut [LegionValue],
+    index: usize,
+) -> Result<Option<T>, ArgsError> {
+    match args.get_mut(index) {
         None => Ok(None),
-        Some(v) => T::from_value(v).map(Some).ok_or(ArgsError::Type {
-            index,
-            got: v.param_type(),
-            want: T::PARAM,
-        }),
+        Some(v) => match T::from_value(v) {
+            Some(t) => Ok(Some(t)),
+            None => Err(type_error::<T>(index, v)),
+        },
+    }
+}
+
+/// The error for a value `T` refused: it names what was sent, which the
+/// refusal left in place.
+fn type_error<T: FromArg>(index: usize, v: &LegionValue) -> ArgsError {
+    ArgsError::Type {
+        index,
+        got: v.param_type(),
+        want: T::PARAM,
     }
 }
 
@@ -222,6 +246,50 @@ pub fn expect_arity(args: &[LegionValue], min: usize, max: usize) -> Result<(), 
     Ok(())
 }
 
+/// The argument list [`FromArgs::from_args`] decodes: the served call's
+/// own, whose payloads the decode takes, or a copy of a list its caller
+/// keeps. Dispatch always hands over its own; a copy is made only for a
+/// caller that lends a shared list.
+pub enum Args<'a> {
+    /// The call's own list.
+    Own(&'a mut [LegionValue]),
+    /// A copy of a shared list.
+    Copied(Vec<LegionValue>),
+}
+
+impl<'a> From<&'a mut [LegionValue]> for Args<'a> {
+    fn from(args: &'a mut [LegionValue]) -> Self {
+        Args::Own(args)
+    }
+}
+
+impl<'a> From<&'a mut Vec<LegionValue>> for Args<'a> {
+    fn from(args: &'a mut Vec<LegionValue>) -> Self {
+        Args::Own(args)
+    }
+}
+
+impl<'a, const N: usize> From<&'a mut [LegionValue; N]> for Args<'a> {
+    fn from(args: &'a mut [LegionValue; N]) -> Self {
+        Args::Own(args)
+    }
+}
+
+impl From<&Vec<LegionValue>> for Args<'_> {
+    fn from(args: &Vec<LegionValue>) -> Self {
+        Args::Copied(args.clone())
+    }
+}
+
+impl Args<'_> {
+    fn slots(&mut self) -> &mut [LegionValue] {
+        match self {
+            Args::Own(args) => args,
+            Args::Copied(args) => args,
+        }
+    }
+}
+
 /// A full argument list decodable into one Rust value (usually a tuple).
 ///
 /// Implemented for tuples of [`FromArg`] types up to arity 4; protocol
@@ -235,15 +303,20 @@ pub trait FromArgs: Sized {
     fn min_args() -> usize {
         Self::params().len()
     }
-    /// Decode and type-check the wire argument list.
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError>;
+    /// Decode and type-check the wire argument list, taking each payload
+    /// out of its slot ([`FromArg`]).
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError>;
+    /// [`FromArgs::decode`] over an argument list ([`Args`]).
+    fn from_args<'a>(args: impl Into<Args<'a>>) -> Result<Self, ArgsError> {
+        Self::decode(args.into().slots())
+    }
 }
 
 impl FromArgs for () {
     fn params() -> Vec<ParamType> {
         Vec::new()
     }
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 0, 0)
     }
 }
@@ -254,7 +327,7 @@ macro_rules! tuple_from_args {
             fn params() -> Vec<ParamType> {
                 vec![$($t::PARAM),+]
             }
-            fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+            fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
                 expect_arity(args, $n, $n)?;
                 Ok(($(decode_at::<$t>(args, $i)?,)+))
             }
@@ -315,15 +388,15 @@ mod tests {
 
     #[test]
     fn decode_tuple_checks_arity_and_types() {
-        let args = vec![
+        let mut args = vec![
             LegionValue::from(Loid::instance(7, 1)),
             LegionValue::from(3u64),
         ];
-        let (l, n) = <(Loid, u64)>::from_args(&args).unwrap();
+        let (l, n) = <(Loid, u64)>::from_args(&mut args).unwrap();
         assert_eq!(l, Loid::instance(7, 1));
         assert_eq!(n, 3);
 
-        match <(Loid, u64)>::from_args(&args[..1]) {
+        match <(Loid, u64)>::from_args(&mut args[..1]) {
             Err(ArgsError::Arity {
                 got: 1,
                 min: 2,
@@ -331,8 +404,8 @@ mod tests {
             }) => {}
             other => panic!("unexpected {other:?}"),
         }
-        let bad = vec![LegionValue::from("x"), LegionValue::from(3u64)];
-        match <(Loid, u64)>::from_args(&bad) {
+        let mut bad = vec![LegionValue::from("x"), LegionValue::from(3u64)];
+        match <(Loid, u64)>::from_args(&mut bad) {
             Err(ArgsError::Type {
                 index: 0,
                 got: ParamType::Str,
@@ -345,28 +418,92 @@ mod tests {
     #[test]
     fn int_conforms_to_uint_like_the_wire() {
         // Mirror LegionValue::conforms_to: non-negative Int decodes as Uint.
-        assert_eq!(u64::from_value(&LegionValue::Int(4)), Some(4));
-        assert_eq!(u64::from_value(&LegionValue::Int(-4)), None);
-        assert_eq!(i64::from_value(&LegionValue::Uint(4)), None);
+        assert_eq!(u64::from_value(&mut LegionValue::Int(4)), Some(4));
+        assert_eq!(u64::from_value(&mut LegionValue::Int(-4)), None);
+        assert_eq!(i64::from_value(&mut LegionValue::Uint(4)), None);
     }
 
     #[test]
     fn optional_tail_decodes() {
-        let one = vec![LegionValue::from(Loid::instance(7, 1))];
-        assert_eq!(decode_opt::<Loid>(&one, 1).unwrap(), None);
-        let two = vec![
+        let mut one = vec![LegionValue::from(Loid::instance(7, 1))];
+        assert_eq!(decode_opt::<Loid>(&mut one, 1).unwrap(), None);
+        let mut two = vec![
             LegionValue::from(Loid::instance(7, 1)),
             LegionValue::from(Loid::instance(3, 1)),
         ];
         assert_eq!(
-            decode_opt::<Loid>(&two, 1).unwrap(),
+            decode_opt::<Loid>(&mut two, 1).unwrap(),
             Some(Loid::instance(3, 1))
         );
-        let bad = vec![
+        let mut bad = vec![
             LegionValue::from(Loid::instance(7, 1)),
             LegionValue::from("oops"),
         ];
-        assert!(decode_opt::<Loid>(&bad, 1).is_err());
+        assert!(decode_opt::<Loid>(&mut bad, 1).is_err());
+    }
+
+    #[test]
+    fn a_decode_takes_its_payloads() {
+        let mut args = vec![
+            LegionValue::Bytes(vec![1, 2, 3]),
+            LegionValue::from("name"),
+            LegionValue::List(vec![LegionValue::Uint(1)]),
+            LegionValue::from(Loid::instance(7, 1)),
+        ];
+        let ptr = match &args[0] {
+            LegionValue::Bytes(b) => b.as_ptr(),
+            _ => unreachable!(),
+        };
+        let (bytes, name, list, any) =
+            <(Vec<u8>, String, Vec<LegionValue>, LegionValue)>::from_args(&mut args).unwrap();
+        assert_eq!(bytes.as_ptr(), ptr, "the buffer moved, it was not copied");
+        assert_eq!((bytes, name.as_str()), (vec![1, 2, 3], "name"));
+        assert_eq!(list, vec![LegionValue::Uint(1)]);
+        assert_eq!(any, LegionValue::from(Loid::instance(7, 1)));
+        // What is left is the husks: empty payloads of the same types, and
+        // the `Any` slot emptied to `Void`.
+        let left = vec![
+            LegionValue::Bytes(Vec::new()),
+            LegionValue::Str(String::new()),
+            LegionValue::List(Vec::new()),
+            LegionValue::Void,
+        ];
+        assert_eq!(args, left);
+    }
+
+    #[test]
+    fn a_type_error_after_a_take_names_the_type_sent() {
+        // Argument 0 is taken before argument 1 is refused; the error
+        // still names what argument 1 was.
+        let mut args = vec![LegionValue::Bytes(vec![9]), LegionValue::from("x")];
+        match <(Vec<u8>, Loid)>::from_args(&mut args) {
+            Err(ArgsError::Type {
+                index: 1,
+                got: ParamType::Str,
+                want: ParamType::Loid,
+            }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(args[1], LegionValue::from("x"), "a refused value stays");
+        // A refused heap payload is left in its slot too.
+        let mut args = vec![LegionValue::Bytes(vec![9])];
+        match <(String,)>::from_args(&mut args) {
+            Err(ArgsError::Type {
+                index: 0,
+                got: ParamType::Bytes,
+                want: ParamType::Str,
+            }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(args[0], LegionValue::Bytes(vec![9]));
+    }
+
+    #[test]
+    fn a_shared_list_is_decoded_from_a_copy() {
+        let args = vec![LegionValue::Bytes(vec![4, 2])];
+        let (bytes,) = <(Vec<u8>,)>::from_args(&args).unwrap();
+        assert_eq!(bytes, vec![4, 2]);
+        assert_eq!(args, vec![LegionValue::Bytes(vec![4, 2])], "left as lent");
     }
 
     #[test]

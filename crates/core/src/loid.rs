@@ -117,6 +117,13 @@ impl Loid {
         *self == Loid::NIL
     }
 
+    /// The length of the [`Display`](fmt::Display) form, to size a
+    /// buffer it is written into once.
+    pub fn display_len(&self) -> usize {
+        let hex = |v: u64| (64 - (v | 1).leading_zeros() as usize).div_ceil(4);
+        "L..".len() + hex(self.class_id.0) + hex(self.class_specific) + 8
+    }
+
     /// The LOID of the class *responsible for locating this object*
     /// (paper §4.1.3): same Class Identifier, Class Specific zeroed.
     ///
@@ -280,6 +287,19 @@ mod tests {
     fn class_loid_zeroes_specific_and_matches_class_object() {
         let o = Loid::instance(9, 1234);
         assert_eq!(o.class_loid(), Loid::class_object(9));
+    }
+
+    #[test]
+    fn display_len_is_the_display_forms() {
+        for l in [
+            Loid::NIL,
+            Loid::class_object(1),
+            Loid::instance(16, 5),
+            Loid::instance(0xFFFF, 0x1_0000),
+            Loid::instance(u64::MAX, u64::MAX),
+        ] {
+            assert_eq!(l.display_len(), l.to_string().len(), "{l}");
+        }
     }
 
     #[test]

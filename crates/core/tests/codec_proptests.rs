@@ -92,7 +92,7 @@ proptest! {
     /// encoded through the `Any`-typed 1-tuple decodes back to itself.
     #[test]
     fn any_value_roundtrips(v in arb_value()) {
-        let (back,) = <(LegionValue,)>::from_args(std::slice::from_ref(&v)).unwrap();
+        let (back,) = <(LegionValue,)>::from_args(&mut [v.clone()]).unwrap();
         prop_assert_eq!(back, v);
     }
 
@@ -100,7 +100,7 @@ proptest! {
     /// from a single `Any` slot.
     #[test]
     fn arg_lists_roundtrip(vs in proptest::collection::vec(arb_value(), 0..5)) {
-        let (back,) = <(LegionValue,)>::from_args(&[LegionValue::List(vs.clone())]).unwrap();
+        let (back,) = <(LegionValue,)>::from_args(&mut [LegionValue::List(vs.clone())]).unwrap();
         prop_assert_eq!(back, LegionValue::List(vs));
     }
 
@@ -113,9 +113,9 @@ proptest! {
         u in any::<u64>(),
         s in "[A-Za-z0-9 _.-]{0,12}",
     ) {
-        let args = vec![b.into(), i.into(), u.into(), s.clone().into()];
+        let mut args = vec![b.into(), i.into(), u.into(), s.clone().into()];
         let tup = (b, i, u, s);
-        let back = <(bool, i64, u64, String)>::from_args(&args).unwrap();
+        let back = <(bool, i64, u64, String)>::from_args(&mut args).unwrap();
         prop_assert_eq!(back, tup);
         prop_assert_eq!(
             <(bool, i64, u64, String)>::params(),
@@ -132,14 +132,14 @@ proptest! {
         addr in arb_address(),
         binding in arb_binding(),
     ) {
-        let args = vec![
+        let mut args = vec![
             bytes.clone().into(),
             loid.into(),
             addr.clone().into(),
             binding.clone().into(),
         ];
         let (b2, l2, a2, bd2) =
-            <(Vec<u8>, Loid, ObjectAddress, Binding)>::from_args(&args).unwrap();
+            <(Vec<u8>, Loid, ObjectAddress, Binding)>::from_args(&mut args).unwrap();
         prop_assert_eq!(b2, bytes);
         prop_assert_eq!(l2, loid);
         prop_assert_eq!(a2, addr);
@@ -150,7 +150,7 @@ proptest! {
     /// payloads included, since this one compares bits rather than `==`.
     #[test]
     fn float_roundtrips(f in any::<f64>()) {
-        let (back,) = <(f64,)>::from_args(&[f.into()]).unwrap();
+        let (back,) = <(f64,)>::from_args(&mut [f.into()]).unwrap();
         prop_assert_eq!(back.to_bits(), f.to_bits());
     }
 
@@ -159,7 +159,7 @@ proptest! {
     #[test]
     fn wrong_type_is_rejected(v in arb_value()) {
         if v.param_type() != ParamType::Str {
-            prop_assert!(<(String,)>::from_args(&[v]).is_err());
+            prop_assert!(<(String,)>::from_args(&mut [v]).is_err());
         }
     }
 }

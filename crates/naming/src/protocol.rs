@@ -44,11 +44,12 @@ impl BindingArg {
 
 /// Codec impl for the overload: the *published* parameter type is `loid`
 /// (the common case), but a `binding` value is accepted too — exactly the
-/// paper's "passed an LOID or a binding".
+/// paper's "passed an LOID or a binding". A binding is copied out of its
+/// box, which stays in the call for the kernel's pool of shells.
 impl FromArg for BindingArg {
     const PARAM: ParamType = ParamType::Loid;
 
-    fn from_value(v: &LegionValue) -> Option<Self> {
+    fn from_value(v: &mut LegionValue) -> Option<Self> {
         match v {
             LegionValue::Loid(l) => Some(BindingArg::Loid(*l)),
             LegionValue::Binding(b) => Some(BindingArg::Binding((**b).clone())),
@@ -79,8 +80,8 @@ mod tests {
 
     #[test]
     fn loid_overload_parses() {
-        let v = LegionValue::Loid(Loid::instance(16, 2));
-        match BindingArg::from_value(&v) {
+        let mut v = LegionValue::Loid(Loid::instance(16, 2));
+        match BindingArg::from_value(&mut v) {
             Some(BindingArg::Loid(l)) => assert_eq!(l, Loid::instance(16, 2)),
             other => panic!("unexpected {other:?}"),
         }
@@ -89,18 +90,20 @@ mod tests {
     #[test]
     fn binding_overload_parses() {
         let b = binding();
-        let v = LegionValue::from(b.clone());
-        match BindingArg::from_value(&v) {
+        let mut v = LegionValue::from(b.clone());
+        match BindingArg::from_value(&mut v) {
             Some(BindingArg::Binding(got)) => assert_eq!(got, b),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(BindingArg::from_value(&v).unwrap().loid(), b.loid);
+        assert_eq!(BindingArg::from_value(&mut v).unwrap().loid(), b.loid);
     }
 
     #[test]
     fn wrong_type_is_rejected() {
-        assert_eq!(BindingArg::from_value(&LegionValue::Uint(1)), None);
-        assert_eq!(BindingArg::from_value(&LegionValue::Str("x".into())), None);
+        assert_eq!(BindingArg::from_value(&mut LegionValue::Uint(1)), None);
+        let mut text = LegionValue::Str("x".into());
+        assert_eq!(BindingArg::from_value(&mut text), None);
+        assert_eq!(text, LegionValue::Str("x".into()), "a refused value stays");
         assert_eq!(BindingArg::PARAM, ParamType::Loid);
     }
 

@@ -121,8 +121,8 @@ impl ClientResolver {
         }
         self.stats.refreshes += 1;
         self.cache.invalidate_exact(&stale);
-        let target = stale.loid;
-        self.request(ctx, target, LegionValue::from(stale))
+        let arg = ctx.binding_value(&stale);
+        self.request(ctx, stale.loid, arg)
     }
 
     fn request(&mut self, ctx: &mut Ctx<'_>, target: Loid, arg: LegionValue) -> Lookup {

@@ -75,7 +75,9 @@ pub enum Outcome {
 }
 
 /// A type-erased method handler bound to endpoint type `E`.
-pub type Handler<E> = Box<dyn Fn(&mut E, &mut Ctx<'_>, &Message, &[LegionValue]) -> Outcome>;
+/// The argument list is the served call's own: the codec takes its
+/// payloads.
+pub type Handler<E> = Box<dyn Fn(&mut E, &mut Ctx<'_>, &Message, &mut [LegionValue]) -> Outcome>;
 
 /// When a parked call stops waiting, with the trace context of the call
 /// that parked it; `None` waits forever.
@@ -579,16 +581,30 @@ impl<E> TableBuilder<E> {
 /// Callers pass a *clone* of the endpoint's `Rc<MethodTable<_>>` so the
 /// handler can borrow the endpoint mutably while the table stays alive.
 ///
-/// Takes the message by value: once dispatch is done the body's heap
-/// buffers (the call argument vector, an unclaimed reply's payload) go
-/// back to the kernel pool via [`Ctx::recycle_message`]. Handlers still
-/// see `&Message` — recycling happens strictly after the handler returns.
-pub fn serve<E>(table: &MethodTable<E>, endpoint: &mut E, ctx: &mut Ctx<'_>, msg: Message) {
-    serve_ref(table, endpoint, ctx, &msg);
+/// Takes the message by value: the call's argument vector is taken out
+/// of it and handed to the method's codec, which moves its payloads into
+/// the handler's arguments; once dispatch is done what is left of the
+/// vector, and of the body (an unclaimed reply's payload), goes back to
+/// the kernel pool via [`Ctx::recycle_args`] and
+/// [`Ctx::recycle_message`]. Handlers see `&Message` without its
+/// arguments — recycling happens strictly after the handler returns.
+pub fn serve<E>(table: &MethodTable<E>, endpoint: &mut E, ctx: &mut Ctx<'_>, mut msg: Message) {
+    let mut args = match &mut msg.body {
+        Body::Call { args, .. } => std::mem::take(args),
+        Body::Reply { .. } => Vec::new(),
+    };
+    serve_call(table, endpoint, ctx, &msg, &mut args);
+    ctx.recycle_args(args);
     ctx.recycle_message(msg);
 }
 
-fn serve_ref<E>(table: &MethodTable<E>, endpoint: &mut E, ctx: &mut Ctx<'_>, msg: &Message) {
+fn serve_call<E>(
+    table: &MethodTable<E>,
+    endpoint: &mut E,
+    ctx: &mut Ctx<'_>,
+    msg: &Message,
+    args: &mut [LegionValue],
+) {
     if msg.is_reply() {
         return;
     }
@@ -623,7 +639,7 @@ fn serve_ref<E>(table: &MethodTable<E>, endpoint: &mut E, ctx: &mut Ctx<'_>, msg
         ctx.reply(msg, Ok(LegionValue::Str(table.idl.clone())));
         return;
     }
-    match handler(endpoint, ctx, msg, msg.args()) {
+    match handler(endpoint, ctx, msg, args) {
         Outcome::Reply(result) => {
             ctx.reply(msg, result);
         }

@@ -2,8 +2,8 @@
 //!
 //! The second half of the hot-path overhaul (the first is the
 //! [`crate::equeue`] event queue): stop paying malloc/free per delivery
-//! for the heap parts of a [`Message`] body. Three shapes dominate the
-//! §5.2 traffic:
+//! for the heap parts of a [`Message`] body. Four shapes dominate the
+//! §5.2 traffic and the Figure 11 migrations:
 //!
 //! * the **argument vector** of a call (`GetBinding(loid)` is one
 //!   element), allocated by the caller and dropped by the callee,
@@ -14,14 +14,21 @@
 //! * the **reply string** — an `Err` text (a shed call's retry-after
 //!   hint, §5.2.2) or a `LegionValue::Str` result (a class's
 //!   `GetInstanceInterface` IDL), written by the responder and dropped
-//!   by the requester.
+//!   by the requester, and
+//! * the **byte buffer** of a shipped OPR (`LegionValue::Bytes`): the
+//!   source Magistrate copies the stored file into one, the destination
+//!   moves it onto its disk, and the file the source deletes after a
+//!   Move comes back here — so a migration hands one buffer round
+//!   instead of allocating two.
 //!
 //! Every cycle closes through the kernel: the producer draws a spent
 //! buffer from the pool ([`Ctx::take_args`](crate::sim::Ctx::take_args),
 //! [`Ctx::binding_value`](crate::sim::Ctx::binding_value),
-//! [`Ctx::take_string`](crate::sim::Ctx::take_string)), and the
+//! [`Ctx::take_string`](crate::sim::Ctx::take_string),
+//! [`Ctx::take_bytes`](crate::sim::Ctx::take_bytes)), and the
 //! consumer returns the shell after extracting what it needs
-//! (`dispatch::serve` recycles served call bodies automatically;
+//! (`dispatch::serve` recycles served call bodies automatically, the
+//! binding boxes and byte buffers in their argument vectors included;
 //! reply consumers recycle through
 //! [`Ctx::recycle_value`](crate::sim::Ctx::recycle_value)). In steady
 //! state a request/reply round trip touches the allocator only where a
@@ -30,11 +37,12 @@
 //! ## Recycling rules (the invariants DESIGN.md documents)
 //!
 //! * Recycling is **semantically invisible**: a pooled buffer carries
-//!   capacity, never contents. `take_args` and `take_string` return an
-//!   empty buffer; `binding_value` overwrites every field of a recycled
-//!   shell.
-//! * The pool is **bounded** ([`POOL_CAP`] buffers per shape): a burst
-//!   can't turn the free lists into a leak.
+//!   capacity, never contents. `take_args`, `take_string` and
+//!   `take_bytes` return an empty buffer; `binding_value` overwrites
+//!   every field of a recycled shell.
+//! * The pool is **bounded** ([`POOL_CAP`] buffers per shape, and no
+//!   byte buffer over [`BYTES_CAP`]): a burst can't turn the free lists
+//!   into a leak.
 //! * Recycling **never allocates**: a full pool drops the buffer
 //!   (deallocation only), an empty pool falls back to a plain
 //!   allocation. `alloc_budget` asserts the recycle path is zero-alloc.
@@ -47,6 +55,10 @@ use legion_core::value::LegionValue;
 /// experiment (hundreds of in-flight lookups), small enough that the
 /// retained memory is trivial (a few hundred KiB).
 pub const POOL_CAP: usize = 1024;
+
+/// The largest byte buffer the pool keeps: an OPR of the experiments is
+/// a few hundred bytes, and the pool's bytes stay under 4 MiB.
+pub const BYTES_CAP: usize = 4096;
 
 /// Free lists for the message-body heap shapes the hot path recycles.
 #[derive(Default)]
@@ -63,6 +75,9 @@ pub struct MessagePool {
     /// Spent reply strings (`Err` texts, `Str` results), cleared,
     /// capacity retained.
     strings: Vec<String>,
+    /// Spent byte buffers (shipped OPRs, deleted files), cleared,
+    /// capacity retained.
+    bytes: Vec<Vec<u8>>,
 }
 
 impl MessagePool {
@@ -77,11 +92,14 @@ impl MessagePool {
         self.args.pop().unwrap_or_default()
     }
 
-    /// Return a spent argument buffer. Contents are dropped here;
-    /// capacity is what the pool keeps.
+    /// Return a spent argument buffer. Its values are recycled
+    /// ([`MessagePool::recycle_value`]: binding boxes, byte buffers,
+    /// strings, lists); capacity is what the pool keeps of the vector.
     pub fn recycle_args(&mut self, mut args: Vec<LegionValue>) {
+        for value in args.drain(..) {
+            self.recycle_value(value);
+        }
         if args.capacity() > 0 && self.args.len() < POOL_CAP {
-            args.clear();
             self.args.push(args);
         }
     }
@@ -98,6 +116,22 @@ impl MessagePool {
         if text.capacity() > 0 && self.strings.len() < POOL_CAP {
             text.clear();
             self.strings.push(text);
+        }
+    }
+
+    /// An empty byte buffer: recycled if one is pooled, fresh
+    /// (unallocated until first write) otherwise.
+    pub fn take_bytes(&mut self) -> Vec<u8> {
+        self.bytes.pop().unwrap_or_default()
+    }
+
+    /// Return a spent byte buffer. Contents are dropped here; capacity
+    /// is what the pool keeps, unless it is over [`BYTES_CAP`].
+    pub fn recycle_bytes(&mut self, mut bytes: Vec<u8>) {
+        let cap = bytes.capacity();
+        if cap > 0 && cap <= BYTES_CAP && self.bytes.len() < POOL_CAP {
+            bytes.clear();
+            self.bytes.push(bytes);
         }
     }
 
@@ -119,8 +153,8 @@ impl MessagePool {
     }
 
     /// Recycle the heap shells of a spent value: binding boxes (with
-    /// their element buffers), list vectors and strings. Scalar values
-    /// are simply dropped.
+    /// their element buffers), list vectors, strings and byte buffers.
+    /// Scalar values are simply dropped.
     pub fn recycle_value(&mut self, value: LegionValue) {
         match value {
             LegionValue::Binding(shell) if self.shells.len() < POOL_CAP => {
@@ -128,6 +162,7 @@ impl MessagePool {
             }
             LegionValue::List(list) => self.recycle_args(list),
             LegionValue::Str(text) => self.recycle_string(text),
+            LegionValue::Bytes(bytes) => self.recycle_bytes(bytes),
             _ => {}
         }
     }
@@ -179,6 +214,11 @@ impl MessagePool {
             LegionValue::Binding(b) => self.binding_value(b),
             LegionValue::List(list) => LegionValue::List(self.copy_list(list)),
             LegionValue::Str(text) => LegionValue::Str(self.copy_string(text)),
+            LegionValue::Bytes(bytes) => {
+                let mut copy = self.take_bytes();
+                copy.extend_from_slice(bytes);
+                LegionValue::Bytes(copy)
+            }
             scalar => scalar.clone(),
         }
     }
@@ -254,9 +294,15 @@ mod tests {
             v.push(LegionValue::Uint(i as u64));
             pool.recycle_args(v);
             pool.recycle_string(i.to_string());
+            pool.recycle_bytes(vec![i as u8; 8]);
         }
-        let lens = (pool.args.len(), pool.shells.len(), pool.strings.len());
-        assert_eq!(lens, (POOL_CAP, POOL_CAP, POOL_CAP));
+        let lens = (
+            pool.args.len(),
+            pool.shells.len(),
+            pool.strings.len(),
+            pool.bytes.len(),
+        );
+        assert_eq!(lens, (POOL_CAP, POOL_CAP, POOL_CAP, POOL_CAP));
     }
 
     #[test]
@@ -321,6 +367,7 @@ mod tests {
             LegionValue::Uint(1),
             LegionValue::from(binding(2)),
             LegionValue::List(vec![LegionValue::from("a"), LegionValue::Bool(true)]),
+            LegionValue::Bytes(vec![7; 16]),
         ];
         let call = Message::call(
             crate::message::CallId(1),
@@ -338,17 +385,79 @@ mod tests {
             assert_eq!(&copy, msg);
             pool.recycle_message(copy);
         }
-        // Each reply's buffer came back, and the call's argument vector
-        // (its contents are dropped); a second round takes them again
-        // and leaves the pool as it found it.
-        let held = (pool.args.len(), pool.shells.len(), pool.strings.len());
-        assert_eq!(held, (1, 1, 1));
+        // Every buffer came back: the call's argument vector and its
+        // list's, its binding shell (which the bound reply's copy drew
+        // again), its string (which the shed hint's copy drew again) and
+        // its bytes; a second round takes them again and leaves the pool
+        // as it found it.
+        let held = |p: &MessagePool| (p.args.len(), p.shells.len(), p.strings.len(), p.bytes.len());
+        let first = held(&pool);
+        assert_eq!(first, (2, 1, 1, 1));
         for msg in &messages {
             let copy = pool.copy_message(msg);
             assert_eq!(&copy, msg);
             pool.recycle_message(copy);
         }
-        let again = (pool.args.len(), pool.shells.len(), pool.strings.len());
-        assert_eq!(again, held);
+        assert_eq!(held(&pool), first);
+    }
+
+    #[test]
+    fn bytes_round_trip_keeps_capacity_and_clears() {
+        let mut pool = MessagePool::new();
+        let mut bytes = pool.take_bytes();
+        assert_eq!(bytes.capacity(), 0, "an empty pool hands out no buffer");
+        bytes.extend_from_slice(b"LOPR an object's persistent representation");
+        let (cap, ptr) = (bytes.capacity(), bytes.as_ptr());
+        pool.recycle_bytes(bytes);
+        let again = pool.take_bytes();
+        assert!(again.is_empty(), "recycled bytes must come back empty");
+        assert_eq!((again.capacity(), again.as_ptr()), (cap, ptr));
+        // Capacity-less buffers are not worth pooling, and one over the
+        // cap is dropped rather than kept.
+        pool.recycle_bytes(Vec::new());
+        pool.recycle_bytes(Vec::with_capacity(BYTES_CAP + 1));
+        assert_eq!(pool.bytes.len(), 0);
+        pool.recycle_bytes(Vec::with_capacity(BYTES_CAP));
+        assert_eq!(pool.bytes.len(), 1, "a buffer at the cap is kept");
+    }
+
+    #[test]
+    fn spent_arguments_give_back_their_shells_and_bytes() {
+        let mut pool = MessagePool::new();
+        let bytes = vec![1u8; 32];
+        let ptr = bytes.as_ptr();
+        let args = vec![
+            LegionValue::from(binding(5)),
+            LegionValue::Bytes(bytes),
+            LegionValue::Loid(Loid::class_object(9)),
+        ];
+        pool.recycle_args(args);
+        let held = (pool.args.len(), pool.shells.len(), pool.bytes.len());
+        assert_eq!(held, (1, 1, 1));
+        let again = pool.take_bytes();
+        assert_eq!(again.as_ptr(), ptr, "the call's own buffer");
+        assert!(pool.take_args().is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_calls_bytes_come_from_the_pool() {
+        let mut pool = MessagePool::new();
+        let spent = Vec::with_capacity(64);
+        let ptr = spent.as_ptr();
+        pool.recycle_bytes(spent);
+        let call = Message::call(
+            crate::message::CallId(1),
+            Loid::class_object(21),
+            legion_core::symbol::RECEIVE_OPR,
+            vec![LegionValue::Bytes(vec![3; 48])],
+            legion_core::env::InvocationEnv::default(),
+        );
+        let copy = pool.copy_message(&call);
+        assert_eq!(copy, call);
+        match copy.args() {
+            [LegionValue::Bytes(b)] => assert_eq!(b.as_ptr(), ptr, "drawn from the pool"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(pool.bytes.is_empty());
     }
 }

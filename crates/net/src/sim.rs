@@ -312,6 +312,9 @@ pub struct SimKernel {
     slots: Vec<Slot>,
     pub(crate) inner: Inner,
     scratch: EncodeScratch,
+    /// The endpoints a handler spawned, lent to each step's [`Ctx`] and
+    /// kept with its capacity.
+    spawned: Vec<EndpointId>,
 }
 
 impl SimKernel {
@@ -320,6 +323,7 @@ impl SimKernel {
         SimKernel {
             slots: Vec::new(),
             scratch: EncodeScratch::default(),
+            spawned: Vec::new(),
             inner: Inner {
                 now: SimTime::ZERO,
                 seq: 0,
@@ -507,6 +511,7 @@ impl SimKernel {
             slots,
             inner,
             scratch,
+            ..
         } = self;
         let count = KERNEL_SECTIONS.len() + slots.len();
         for pos in 0..count {
@@ -548,6 +553,7 @@ impl SimKernel {
             slots,
             inner,
             scratch,
+            ..
         } = self;
         let w = &mut scratch.w;
         let journal = inner.watch.journal();
@@ -640,7 +646,7 @@ impl SimKernel {
                 self_id: ev.to,
                 inner: &mut self.inner,
                 slots: &mut self.slots,
-                spawned: Vec::new(),
+                spawned: std::mem::take(&mut self.spawned),
             };
             match ev.kind {
                 EventKind::Start => {
@@ -685,13 +691,14 @@ impl SimKernel {
                     ep.on_timer(&mut ctx, tag)
                 }
             }
-            let spawned = std::mem::take(&mut ctx.spawned);
+            let mut spawned = std::mem::take(&mut ctx.spawned);
             drop(ctx);
             self.inner.current = TraceContext::NONE;
             // Schedule Start events for endpoints spawned by the handler.
-            for id in spawned {
+            for id in spawned.drain(..) {
                 self.inner.schedule_start(id);
             }
+            self.spawned = spawned;
         }
         // The handler may have killed its own endpoint.
         if self.slots[idx].meta.alive {
@@ -1181,6 +1188,17 @@ impl Ctx<'_> {
         self.inner.pool.recycle_args(args);
     }
 
+    /// An empty byte buffer from the kernel pool (capacity recycled from
+    /// a spent one when available): what a shipped OPR is copied into.
+    pub fn take_bytes(&mut self) -> Vec<u8> {
+        self.inner.pool.take_bytes()
+    }
+
+    /// Return a spent byte buffer (a deleted file's) to the kernel pool.
+    pub fn recycle_bytes(&mut self, bytes: Vec<u8>) {
+        self.inner.pool.recycle_bytes(bytes);
+    }
+
     /// A `LegionValue::Binding` copy of `src`, built in a recycled shell
     /// when the pool has one (allocation-free on the steady path).
     pub fn binding_value(&mut self, src: &Binding) -> LegionValue {
@@ -1195,7 +1213,7 @@ impl Ctx<'_> {
     }
 
     /// Recycle the heap shells of a consumed value (binding boxes, list
-    /// vectors, strings) back into the kernel pool.
+    /// vectors, strings, byte buffers) back into the kernel pool.
     pub fn recycle_value(&mut self, value: LegionValue) {
         self.inner.pool.recycle_value(value);
     }

@@ -69,6 +69,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer whose buffer holds `capacity` bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: BytesMut::with_capacity(capacity),
+        }
+    }
+
     /// Finish, returning the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -108,6 +115,11 @@ impl Writer {
     /// Write a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_u64_le(v);
+    }
+
+    /// The width of `v` as an LEB128 varint ([`Writer::put_varint`]).
+    pub fn varint_len(v: u64) -> usize {
+        (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
     }
 
     /// Write an LEB128 varint.
@@ -464,6 +476,15 @@ mod tests {
             LegionValue::Loid(Loid::instance(77, 88)),
         ] {
             assert_eq!(roundtrip(&v), v);
+        }
+    }
+
+    #[test]
+    fn varint_len_is_what_put_varint_writes() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            assert_eq!(Writer::varint_len(v), w.len(), "{v}");
         }
     }
 

@@ -20,7 +20,7 @@
 //! ```
 
 use crate::checksum::crc32;
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer, LOID_LEN};
 use bytes::Bytes;
 use legion_core::loid::Loid;
 use std::fmt;
@@ -115,7 +115,9 @@ impl Opr {
 
     /// Encode to the on-disk byte format.
     pub fn encode(&self) -> Bytes {
-        let mut w = Writer::new();
+        let state = self.state.len();
+        let len = 4 + 1 + 2 * LOID_LEN + 8 + Writer::varint_len(state as u64) + state + 4;
+        let mut w = Writer::with_capacity(len);
         w.put_u8(MAGIC[0]);
         w.put_u8(MAGIC[1]);
         w.put_u8(MAGIC[2]);
@@ -127,6 +129,7 @@ impl Opr {
         w.put_bytes(&self.state);
         let crc = crc32(w.as_bytes());
         w.put_u32(crc);
+        debug_assert_eq!(w.len(), len, "an OPR's buffer is sized exactly");
         w.finish()
     }
 

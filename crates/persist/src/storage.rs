@@ -179,11 +179,11 @@ impl SimDisk {
             .ok_or(StorageError::NotFound(name))
     }
 
-    fn delete(&mut self, name: FileName) -> Result<(), StorageError> {
+    fn delete(&mut self, name: FileName) -> Result<Vec<u8>, StorageError> {
         match self.files.remove(&name) {
             Some(bytes) => {
                 self.used -= bytes.len() as u64;
-                Ok(())
+                Ok(bytes)
             }
             None => Err(StorageError::NotFound(name)),
         }
@@ -335,27 +335,30 @@ impl JurisdictionStorage {
         Opr::decode(bytes).map_err(StorageError::Corrupt)
     }
 
-    /// Read the raw bytes at `addr` (for shipping to another jurisdiction).
-    pub fn read_raw(&self, addr: &PersistentAddress) -> Result<Vec<u8>, StorageError> {
+    /// The stored bytes at `addr`, as they lie on the disk (for shipping
+    /// to another jurisdiction, which copies them into a buffer of its
+    /// own).
+    pub fn read(&self, addr: &PersistentAddress) -> Result<&[u8], StorageError> {
         self.check(addr)?;
-        Ok(self.disks[addr.disk as usize].read(addr.name)?.to_vec())
+        self.disks[addr.disk as usize].read(addr.name)
     }
 
-    /// Delete the file at `addr`. For content-addressed checkpoints this
-    /// drops one reference; the blob is only freed when the last address
-    /// referencing it is deleted.
-    pub fn delete(&mut self, addr: &PersistentAddress) -> Result<(), StorageError> {
+    /// Delete the file at `addr`, handing back the buffer it was stored
+    /// in. For content-addressed checkpoints this drops one reference;
+    /// the blob is only freed — and its buffer handed back — when the
+    /// last address referencing it is deleted (`None` until then).
+    pub fn delete(&mut self, addr: &PersistentAddress) -> Result<Option<Vec<u8>>, StorageError> {
         self.check(addr)?;
         if let FileName::Cas(id) = addr.name {
             if let Some(entry) = self.cas.get_mut(&id) {
                 entry.refs -= 1;
                 if entry.refs > 0 {
-                    return Ok(());
+                    return Ok(None);
                 }
                 self.cas.remove(&id);
             }
         }
-        self.disks[addr.disk as usize].delete(addr.name)
+        self.disks[addr.disk as usize].delete(addr.name).map(Some)
     }
 
     /// Does a file exist at `addr` (and in this jurisdiction)?
@@ -502,12 +505,13 @@ mod tests {
         let mut dst = JurisdictionStorage::new(2, 1, 10_000);
         let o = opr(5);
         let a_src = src.store_opr(&o).unwrap();
-        let bytes = src.read_raw(&a_src).unwrap();
+        let bytes = src.read(&a_src).unwrap().to_vec();
         let a_dst = dst.reserve_address(&o.loid);
         assert_eq!(a_dst.jurisdiction, 2);
-        dst.store_at(&a_dst, bytes).unwrap();
+        dst.store_at(&a_dst, bytes.clone()).unwrap();
         assert_eq!(dst.load_opr(&a_dst).unwrap(), o);
-        src.delete(&a_src).unwrap();
+        let freed = src.delete(&a_src).unwrap();
+        assert_eq!(freed, Some(bytes), "the deleted file's buffer comes back");
         assert_eq!(src.file_count(), 0);
         assert_eq!(dst.file_count(), 1);
     }
@@ -566,10 +570,10 @@ mod tests {
         let o = opr(1);
         let a1 = s.store_opr(&o).unwrap();
         let a2 = s.store_opr(&o).unwrap();
-        s.delete(&a1).unwrap();
+        assert_eq!(s.delete(&a1).unwrap(), None, "nothing freed yet");
         assert!(s.exists(&a2), "blob survives while a reference remains");
         assert_eq!(s.load_opr(&a2).unwrap(), o);
-        s.delete(&a2).unwrap();
+        assert_eq!(s.delete(&a2).unwrap(), Some(o.encode().to_vec()));
         assert!(!s.exists(&a2));
         assert_eq!(s.used(), 0);
         assert!(matches!(s.delete(&a2), Err(StorageError::NotFound(_))));

@@ -27,6 +27,7 @@ use legion_core::value::LegionValue;
 use legion_net::dispatch::{serve, MethodTable, Outcome, TableBuilder};
 use legion_net::message::Message;
 use legion_net::sim::{Ctx, Endpoint, EndpointId};
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Builds the endpoint for an object being activated. The default factory
@@ -183,7 +184,9 @@ impl HostObjectEndpoint {
                     }
                     let endpoint = (e.factory)(&spec);
                     let loc = ctx.location();
-                    let ep = ctx.spawn(endpoint, loc, format!("obj:{}", spec.loid));
+                    let mut name = String::with_capacity(4 + spec.loid.display_len());
+                    _ = write!(name, "obj:{}", spec.loid);
+                    let ep = ctx.spawn(endpoint, loc, name);
                     e.running.insert(spec.loid, ep);
                     ctx.count(symbol::HOST_ACTIVATIONS);
                     Outcome::Reply(Ok(LegionValue::Address(ep.address())))

@@ -572,8 +572,10 @@ impl MagistrateEndpoint {
             Effect::Count(counter) => ctx.count(counter),
             Effect::Note(note) => ctx.trace_note(note),
             Effect::Reply(answer) => {
-                let bound = |e| Binding::forever(loid, ObjectAddress::single(e)).into();
-                let value = answer.map_or(LegionValue::Void, bound);
+                let value = match answer {
+                    Some(e) => ctx.binding_value(&Binding::forever(loid, ObjectAddress::single(e))),
+                    None => LegionValue::Void,
+                };
                 _ = ev.requester().map(|to| ctx.reply_ticket(to, Ok(value)));
             }
             Effect::Refuse(why) => {
@@ -713,7 +715,11 @@ impl MagistrateEndpoint {
                 }
             }
             Effect::NotifyClass(notice) => self.notify_class(ctx, loid, notice),
-            Effect::Drop(addr) => _ = self.storage.delete(&addr),
+            Effect::Drop(addr) => {
+                if let Ok(Some(freed)) = self.storage.delete(&addr) {
+                    ctx.recycle_bytes(freed);
+                }
+            }
             Effect::Slots(host, delta) => {
                 if let Some(h) = self.host(&host) {
                     h.assigned = (h.assigned as i64 + delta).max(0) as u32;
@@ -764,8 +770,12 @@ impl MagistrateEndpoint {
         let Waiter::Ship(to, delete_after, requester) = waiter else {
             return;
         };
-        let bytes = match self.storage.read_raw(&addr) {
-            Ok(bytes) => bytes,
+        let bytes = match self.storage.read(&addr) {
+            Ok(stored) => {
+                let mut bytes = ctx.take_bytes();
+                bytes.extend_from_slice(stored);
+                bytes
+            }
             Err(e) => {
                 let ev = LifeEvent::ShipFailed(requester, Why::ReadOprFailed(&e));
                 return self.drive(ctx, loid, ev);

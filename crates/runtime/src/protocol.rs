@@ -144,24 +144,32 @@ impl FromArgs for ActivationSpec {
         ]
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 5, 5)?;
-        let opt_addr = |index: usize| match &args[index] {
-            LegionValue::Void => Ok(None),
-            LegionValue::Address(a) => Ok(a.primary().copied()),
-            v => Err(ArgsError::Type {
-                index,
-                got: v.param_type(),
-                want: ParamType::Address,
-            }),
-        };
         Ok(ActivationSpec {
             loid: decode_at(args, 0)?,
             class: decode_at(args, 1)?,
             state: decode_at(args, 2)?,
-            class_addr: opt_addr(3)?,
-            magistrate_addr: opt_addr(4)?,
+            class_addr: nullable_element(args, 3)?,
+            magistrate_addr: nullable_element(args, 4)?,
         })
+    }
+}
+
+/// The nullable address argument at `index` (`Void` stands for "none"),
+/// as its primary element.
+fn nullable_element(
+    args: &[LegionValue],
+    index: usize,
+) -> Result<Option<ObjectAddressElement>, ArgsError> {
+    match &args[index] {
+        LegionValue::Void => Ok(None),
+        LegionValue::Address(a) => Ok(a.primary().copied()),
+        v => Err(ArgsError::Type {
+            index,
+            got: v.param_type(),
+            want: ParamType::Address,
+        }),
     }
 }
 
@@ -184,7 +192,7 @@ impl FromArgs for ActivateArgs {
         1
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 1, 2)?;
         Ok(ActivateArgs {
             loid: decode_at(args, 0)?,
@@ -217,19 +225,9 @@ impl FromArgs for ReceiveOprArgs {
         ]
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 4, 4)?;
-        let class_addr = match &args[3] {
-            LegionValue::Void => None,
-            LegionValue::Address(a) => a.primary().copied(),
-            v => {
-                return Err(ArgsError::Type {
-                    index: 3,
-                    got: v.param_type(),
-                    want: ParamType::Address,
-                })
-            }
-        };
+        let class_addr = nullable_element(args, 3)?;
         Ok(ReceiveOprArgs {
             loid: decode_at(args, 0)?,
             class: decode_at(args, 1)?,
@@ -256,7 +254,7 @@ impl FromArgs for CreateArgs {
         0
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 0, 1)?;
         Ok(CreateArgs {
             state: decode_opt::<Vec<u8>>(args, 0)?.unwrap_or_default(),
@@ -283,7 +281,7 @@ impl FromArgs for DeriveArgs {
         1
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 1, 2)?;
         let name: String = decode_at(args, 0)?;
         let flags = decode_opt::<String>(args, 1)?.unwrap_or_default();
@@ -311,7 +309,7 @@ impl FromArgs for SetAddressArgs {
         vec![ParamType::Loid, ParamType::Address]
     }
 
-    fn from_args(args: &[LegionValue]) -> Result<Self, ArgsError> {
+    fn decode(args: &mut [LegionValue]) -> Result<Self, ArgsError> {
         expect_arity(args, 2, 2)?;
         let address = match &args[1] {
             LegionValue::Void => None,
@@ -344,7 +342,7 @@ mod tests {
             class_addr: Some(ObjectAddressElement::sim(9)),
             magistrate_addr: Some(ObjectAddressElement::sim(10)),
         };
-        let back = ActivationSpec::from_args(&spec.clone().into_args()).unwrap();
+        let back = ActivationSpec::from_args(&mut spec.clone().into_args()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -357,14 +355,14 @@ mod tests {
             class_addr: None,
             magistrate_addr: None,
         };
-        let back = ActivationSpec::from_args(&spec.clone().into_args()).unwrap();
+        let back = ActivationSpec::from_args(&mut spec.clone().into_args()).unwrap();
         assert_eq!(back, spec);
     }
 
     #[test]
     fn malformed_args_rejected() {
-        assert!(ActivationSpec::from_args(&[]).is_err());
-        assert!(ActivationSpec::from_args(&[LegionValue::Uint(1)]).is_err());
+        assert!(ActivationSpec::from_args(&mut []).is_err());
+        assert!(ActivationSpec::from_args(&mut [LegionValue::Uint(1)]).is_err());
         let spec = ActivationSpec {
             loid: Loid::instance(16, 3),
             class: Loid::class_object(16),
@@ -372,19 +370,19 @@ mod tests {
             class_addr: None,
             magistrate_addr: None,
         };
-        let args = spec.clone().into_args();
-        assert!(ActivationSpec::from_args(&args[..4]).is_err());
+        let mut args = spec.clone().into_args();
+        assert!(ActivationSpec::from_args(&mut args[..4]).is_err());
         // Wrong type in a nullable slot is a type error, not "none".
         let mut args = spec.into_args();
         args[4] = LegionValue::Uint(7);
-        assert!(ActivationSpec::from_args(&args).is_err());
+        assert!(ActivationSpec::from_args(&mut args).is_err());
     }
 
     #[test]
     fn activate_args_optional_hint() {
         let l = Loid::instance(16, 3);
         let h = Loid::instance(1, 2);
-        let got = ActivateArgs::from_args(&[LegionValue::Loid(l)]).unwrap();
+        let got = ActivateArgs::from_args(&mut [LegionValue::Loid(l)]).unwrap();
         assert_eq!(
             got,
             ActivateArgs {
@@ -392,10 +390,11 @@ mod tests {
                 host: None
             }
         );
-        let got = ActivateArgs::from_args(&[LegionValue::Loid(l), LegionValue::Loid(h)]).unwrap();
+        let got =
+            ActivateArgs::from_args(&mut [LegionValue::Loid(l), LegionValue::Loid(h)]).unwrap();
         assert_eq!(got.host, Some(h));
-        assert!(ActivateArgs::from_args(&[]).is_err());
-        assert!(ActivateArgs::from_args(&[LegionValue::Uint(1)]).is_err());
+        assert!(ActivateArgs::from_args(&mut []).is_err());
+        assert!(ActivateArgs::from_args(&mut [LegionValue::Uint(1)]).is_err());
     }
 
     #[test]
@@ -409,34 +408,69 @@ mod tests {
         ];
         let mut with_void = base.clone();
         with_void.push(LegionValue::Void);
-        let got = ReceiveOprArgs::from_args(&with_void).unwrap();
+        let got = ReceiveOprArgs::from_args(&mut with_void).unwrap();
         assert_eq!(got.class_addr, None);
         let mut with_addr = base.clone();
         with_addr.push(LegionValue::Address(ObjectAddress::single(
             ObjectAddressElement::sim(4),
         )));
-        let got = ReceiveOprArgs::from_args(&with_addr).unwrap();
+        let got = ReceiveOprArgs::from_args(&mut with_addr).unwrap();
         assert_eq!(got.class_addr, Some(ObjectAddressElement::sim(4)));
         let mut bad = base;
         bad.push(LegionValue::Uint(1));
-        assert!(ReceiveOprArgs::from_args(&bad).is_err());
+        assert!(ReceiveOprArgs::from_args(&mut bad).is_err());
+    }
+
+    /// The three requests that carry an OPR or a state give their
+    /// decoded struct the call's own buffer.
+    #[test]
+    fn bytes_move_out_of_the_call() {
+        fn taken<A: FromArgs>(mut args: Vec<LegionValue>, at: usize, bytes: fn(&A) -> &[u8]) {
+            let LegionValue::Bytes(b) = &args[at] else {
+                panic!("bytes at {at}");
+            };
+            let ptr = b.as_ptr();
+            let decoded = A::from_args(&mut args).unwrap();
+            assert_eq!(bytes(&decoded).as_ptr(), ptr, "moved, not copied");
+            assert_eq!(args[at], LegionValue::Bytes(Vec::new()));
+        }
+        let (l, c) = (Loid::instance(16, 3), Loid::class_object(16));
+        let spec = ActivationSpec {
+            loid: l,
+            class: c,
+            state: vec![1, 2, 3],
+            class_addr: None,
+            magistrate_addr: None,
+        };
+        taken::<ActivationSpec>(spec.into_args().into(), 2, |s| &s.state);
+        let opr = vec![
+            l.into(),
+            c.into(),
+            LegionValue::Bytes(vec![9]),
+            LegionValue::Void,
+        ];
+        taken::<ReceiveOprArgs>(opr, 2, |r| &r.opr);
+        taken::<CreateArgs>(vec![LegionValue::Bytes(vec![7])], 0, |c| &c.state);
     }
 
     #[test]
     fn create_and_derive_args() {
-        assert_eq!(CreateArgs::from_args(&[]).unwrap().state, Vec::<u8>::new());
         assert_eq!(
-            CreateArgs::from_args(&[LegionValue::Bytes(vec![1])])
+            CreateArgs::from_args(&mut []).unwrap().state,
+            Vec::<u8>::new()
+        );
+        assert_eq!(
+            CreateArgs::from_args(&mut [LegionValue::Bytes(vec![1])])
                 .unwrap()
                 .state,
             vec![1]
         );
-        assert!(CreateArgs::from_args(&[LegionValue::Uint(1)]).is_err());
+        assert!(CreateArgs::from_args(&mut [LegionValue::Uint(1)]).is_err());
 
-        let d = DeriveArgs::from_args(&[LegionValue::from("Sub")]).unwrap();
+        let d = DeriveArgs::from_args(&mut [LegionValue::from("Sub")]).unwrap();
         assert_eq!(d.name, "Sub");
         assert_eq!(d.kind, ClassKind::NORMAL);
-        let d = DeriveArgs::from_args(&[
+        let d = DeriveArgs::from_args(&mut [
             LegionValue::from("Sub"),
             LegionValue::from("abstract,fixed"),
         ])
@@ -447,13 +481,18 @@ mod tests {
     #[test]
     fn set_address_args_void_clears() {
         let l = Loid::instance(16, 3);
-        let got = SetAddressArgs::from_args(&[LegionValue::Loid(l), LegionValue::Void]).unwrap();
+        let got =
+            SetAddressArgs::from_args(&mut [LegionValue::Loid(l), LegionValue::Void]).unwrap();
         assert_eq!(got.address, None);
         let addr = ObjectAddress::single(ObjectAddressElement::sim(4));
-        let got =
-            SetAddressArgs::from_args(&[LegionValue::Loid(l), LegionValue::Address(addr.clone())])
-                .unwrap();
+        let got = SetAddressArgs::from_args(&mut [
+            LegionValue::Loid(l),
+            LegionValue::Address(addr.clone()),
+        ])
+        .unwrap();
         assert_eq!(got.address, Some(addr));
-        assert!(SetAddressArgs::from_args(&[LegionValue::Loid(l), LegionValue::Uint(1)]).is_err());
+        assert!(
+            SetAddressArgs::from_args(&mut [LegionValue::Loid(l), LegionValue::Uint(1)]).is_err()
+        );
     }
 }

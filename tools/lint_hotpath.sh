@@ -46,8 +46,21 @@
 #     crates/runtime/src/magistrate.rs. A request parked until a later
 #     reply is its `ReplyTicket` (in a `Parked` when several may wait on
 #     one key) — not a boxed copy of the call and its argument vector.
+#   * a decoder in crates/core/src/dispatch.rs or crates/*/src/protocol.rs
+#     clones a `Bytes`, `Str` or `List` payload (`.clone()`, `.to_vec()`,
+#     `.to_owned()`, `.to_string()` in the arm that matched it, or after
+#     `as_str()` / `as_list()`). A served call's arguments are its own:
+#     `FromArg::from_value` takes a payload out of its slot, and a copy is
+#     one allocation per call that the pool never sees again.
+#   * `read_raw` appears anywhere under crates/: storage lends a stored
+#     file (`JurisdictionStorage::read`), and a shipping Magistrate
+#     copies it into a buffer from the kernel pool.
+#   * `::from_args(&` without `mut` appears under crates/ outside the
+#     codec itself: a shared list is decoded from a copy of itself
+#     (legion_core::dispatch::Args), which only a caller outside the
+#     dispatch path should pay for.
 #
-# The `EventKind` rule and the last two scan each file with `//`
+# The `EventKind` rule, the decoder rule and the last two scan each file with `//`
 # comments and whitespace removed (lint_seam.sh strips whitespace the
 # same way), so a call rustfmt spread over ten lines is still one match
 # and a comment is never one.
@@ -208,4 +221,43 @@ if [[ -n "$parked_hits" ]]; then
     echo "wait on one key) and answer through Ctx::reply_ticket." >&2
     exit 1
 fi
+decoders=$(ls crates/core/src/dispatch.rs crates/*/src/protocol.rs)
+clone_hits=$(for file in $decoders; do
+        stripped "$file" \
+            | grep -oE '.{0,40}((Bytes|Str|List)\([a-z_]+\)=>[^,;]*|as_(str|list)\(\)[^,;]*)(\.|::)(clone|to_vec|to_owned|to_string)\b.{0,20}' \
+            | sed "s|^|$file: |"
+    done || true)
+
+if [[ -n "$clone_hits" ]]; then
+    echo "error: a decoder copies a heap payload out of the call's arguments:" >&2
+    echo "$clone_hits" >&2
+    echo >&2
+    echo "FromArg::from_value gets the served call's own value: take the payload" >&2
+    echo "(std::mem::take) once its type has matched, never clone it." >&2
+    exit 1
+fi
+
+raw_hits=$(grep -rn 'read_raw' crates/ --include='*.rs' || true)
+
+if [[ -n "$raw_hits" ]]; then
+    echo "error: read_raw is back:" >&2
+    echo "$raw_hits" >&2
+    echo >&2
+    echo "Borrow the stored file with JurisdictionStorage::read and copy it into" >&2
+    echo "a buffer from the kernel pool (Ctx::take_bytes)." >&2
+    exit 1
+fi
+
+shared_hits=$(grep -rnP '::from_args\(&(?!mut\b)' crates/ --include='*.rs' \
+    | grep -v '^crates/core/src/dispatch\.rs:' || true)
+
+if [[ -n "$shared_hits" ]]; then
+    echo "error: a decode handed a shared argument list:" >&2
+    echo "$shared_hits" >&2
+    echo >&2
+    echo "Lend the list mutably (from_args(&mut args)): a shared one is copied" >&2
+    echo "first, so the decode cannot take its payloads." >&2
+    exit 1
+fi
+
 echo "lint_hotpath: ok"
