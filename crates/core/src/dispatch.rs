@@ -207,7 +207,12 @@ pub fn decode_at<T: FromArg>(args: &mut [LegionValue], index: usize) -> Result<T
         min: index + 1,
         max: index + 1,
     })?;
-    T::from_value(v).ok_or_else(|| type_error::<T>(index, v))
+    // A refused value is left in place: the error names what was sent.
+    T::from_value(v).ok_or_else(|| ArgsError::Type {
+        index,
+        got: v.param_type(),
+        want: T::PARAM,
+    })
 }
 
 /// Decode the optional (trailing) argument at `index`, if present.
@@ -215,22 +220,10 @@ pub fn decode_opt<T: FromArg>(
     args: &mut [LegionValue],
     index: usize,
 ) -> Result<Option<T>, ArgsError> {
-    match args.get_mut(index) {
-        None => Ok(None),
-        Some(v) => match T::from_value(v) {
-            Some(t) => Ok(Some(t)),
-            None => Err(type_error::<T>(index, v)),
-        },
-    }
-}
-
-/// The error for a value `T` refused: it names what was sent, which the
-/// refusal left in place.
-fn type_error<T: FromArg>(index: usize, v: &LegionValue) -> ArgsError {
-    ArgsError::Type {
-        index,
-        got: v.param_type(),
-        want: T::PARAM,
+    if index < args.len() {
+        decode_at(args, index).map(Some)
+    } else {
+        Ok(None)
     }
 }
 
